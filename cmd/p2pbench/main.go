@@ -23,6 +23,7 @@
 //	p2pbench -json BENCH_$(date +%Y%m%d).json   # machine-readable results
 //	p2pbench -e E5 -mpt-ceiling E5=60           # CI regression gate
 //	p2pbench -e E19 -p99-ceiling E19=250        # delivery-latency gate
+//	p2pbench -e E7 -records 1000 -profile /tmp/p  # /tmp/p/E7/{cpu,heap}.pprof
 //
 // With -json, every protocol run's metrics (tuples/s, messages, bytes, wall
 // time) are written as one JSON document, so successive invocations
@@ -34,6 +35,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -65,6 +69,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-experiment timeout")
 		jsonPath = flag.String("json", "", "write machine-readable per-run results to this path")
 		ceilings = flag.String("mpt-ceiling", "", "fail when an experiment's worst messages-per-tuple exceeds its limit; comma-separated ID=limit (e.g. E5=60)")
+		profDir  = flag.String("profile", "", "write DIR/<id>/cpu.pprof and a post-GC DIR/<id>/heap.pprof for each selected experiment")
 		p99s     = flag.String("p99-ceiling", "", "fail when an experiment's worst p99 delivery latency (ms) exceeds its limit; comma-separated ID=limit (e.g. E19=250)")
 	)
 	flag.Parse()
@@ -82,21 +87,25 @@ func main() {
 
 	cfg := experiments.Config{RecordsPerNode: *records, Seed: *seed, Timeout: *timeout}
 
+	selected := experiments.IDs()
+	if *ids != "all" {
+		selected = strings.Split(*ids, ",")
+	}
 	var results []experiments.Result
 	var err error
-	if *ids == "all" {
-		results, err = experiments.All(cfg)
-	} else {
-		for _, id := range strings.Split(*ids, ",") {
-			id = strings.TrimSpace(id)
-			var r experiments.Result
+	for _, id := range selected {
+		id = strings.TrimSpace(id)
+		var r experiments.Result
+		if *profDir == "" {
 			r, err = experiments.Run(id, cfg)
-			if err != nil {
-				err = fmt.Errorf("%s: %w", id, err)
-				break
-			}
-			results = append(results, r)
+		} else {
+			r, err = runProfiled(filepath.Join(*profDir, strings.ToUpper(id)), id, cfg)
 		}
+		if err != nil {
+			err = fmt.Errorf("%s: %w", id, err)
+			break
+		}
+		results = append(results, r)
 	}
 	for _, r := range results {
 		fmt.Printf("== %s — %s ==\n\n%s\n", r.ID, r.Title, r.Table)
@@ -124,6 +133,40 @@ func main() {
 		fmt.Fprintf(os.Stderr, "p2pbench: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// runProfiled runs one experiment under the CPU profiler and writes
+// dir/cpu.pprof and, after a forced collection, dir/heap.pprof.
+func runProfiled(dir, id string, cfg experiments.Config) (experiments.Result, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return experiments.Result{}, err
+	}
+	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		return experiments.Result{}, err
+	}
+	if err := pprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return experiments.Result{}, err
+	}
+	res, runErr := experiments.Run(id, cfg)
+	pprof.StopCPUProfile()
+	if err := cpu.Close(); err != nil && runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		return res, runErr
+	}
+	heap, err := os.Create(filepath.Join(dir, "heap.pprof"))
+	if err != nil {
+		return res, err
+	}
+	runtime.GC() // the heap profile reports the state as of the last collection
+	if err := pprof.WriteHeapProfile(heap); err != nil {
+		heap.Close()
+		return res, err
+	}
+	return res, heap.Close()
 }
 
 // parseCeilings parses the -mpt-ceiling flag ("E5=60,E16=1.5").

@@ -1,7 +1,11 @@
 // Package cq implements conjunctive queries with built-in predicates: the
 // query language of the coordination rules (Definition 2 of the paper) and of
 // local user queries (Definition 4). It provides an AST, a parser for the
-// surface syntax, and a pipelined hash-join evaluator over relalg relations.
+// surface syntax, and a pipelined index-probing join evaluator over relalg
+// relations. An evaluation numbers the conjunction's variables once (Slots)
+// and carries its bindings as rows of values indexed by slot, carved from a
+// per-call Arena; the map-shaped Binding exists at the API edge only
+// (EvalBindings, containment, built-ins over user-supplied bindings).
 //
 // Surface syntax, by example:
 //
@@ -129,6 +133,12 @@ func (b Builtin) Eval(bind Binding) (holds, ok bool) {
 	if !lok || !rok {
 		return false, false
 	}
+	return b.Holds(l, r)
+}
+
+// Holds evaluates the builtin's operator on resolved operands; ok=false
+// means the comparison involves an incomparable null.
+func (b Builtin) Holds(l, r relalg.Value) (holds, ok bool) {
 	if b.Op == OpEQ || b.Op == OpNEQ {
 		// Nulls are first-class invented values (the URI reading): equal
 		// iff identical labels. Constants compare with numeric coercion,

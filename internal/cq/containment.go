@@ -96,6 +96,31 @@ func findHomomorphism(atoms []Atom, canon map[string][]relalg.Tuple, seed Bindin
 	return rec(0, seed)
 }
 
+// match unifies the atom with a tuple under binding b, returning the extended
+// binding. Handles repeated variables within the atom.
+func match(atom Atom, tuple relalg.Tuple, b Binding) (Binding, bool) {
+	if len(tuple) != len(atom.Terms) {
+		return nil, false
+	}
+	nb := b.Clone()
+	for i, t := range atom.Terms {
+		if !t.IsVar {
+			if !t.Val.Equal(tuple[i]) {
+				return nil, false
+			}
+			continue
+		}
+		if v, ok := nb[t.Var]; ok {
+			if !v.Equal(tuple[i]) {
+				return nil, false
+			}
+			continue
+		}
+		nb[t.Var] = tuple[i]
+	}
+	return nb, true
+}
+
 // builtinImplied conservatively checks that b2's image under hom is implied
 // by q1: either it is a trivially true equality, or some q1 built-in has the
 // same operator and the same frozen/constant operands.

@@ -16,6 +16,18 @@ func tupleSet(ts []relalg.Tuple) map[string]bool {
 	return out
 }
 
+func sameSet(a, b map[string]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestEvalDeltaAdaptiveMatchesBodyOrder: the adaptive seed ordering (smallest
 // delta first, old/new split) must compute exactly the same projections as
 // the straightforward body-order expansion, over random conjunctions, random
@@ -75,6 +87,16 @@ func TestEvalDeltaAdaptiveMatchesBodyOrder(t *testing.T) {
 		bodyOrder, err := evalDelta(src, c, pick.out, delta, false, false)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// All three run on slot rows; the reference enumerates map bindings.
+		ref, err := naiveEvalDelta(src, c, pick.out, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string][]relalg.Tuple{"adaptive": adaptive, "unshared": unshared, "body-order": bodyOrder} {
+			if got := tupleSet(res); len(got) != len(res) || !sameSet(got, ref) {
+				t.Fatalf("trial %d %q: %s evalDelta = %v, map-binding reference says %v", trial, pick.body, name, res, ref)
+			}
 		}
 		got, want := tupleSet(adaptive), tupleSet(bodyOrder)
 		if len(got) != len(want) {
@@ -163,6 +185,13 @@ func TestEvalDeltaAccumulatesToFullEval(t *testing.T) {
 			got, err := EvalDelta(src, c, outVars, delta)
 			if err != nil {
 				t.Fatalf("trial %d: EvalDelta(%q): %v", trial, c.String(), err)
+			}
+			ref, err := naiveEvalDelta(src, c, outVars, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotSet := tupleSet(got); len(gotSet) != len(got) || !sameSet(gotSet, ref) {
+				t.Fatalf("trial %d: EvalDelta(%q) over %v = %v, map-binding reference says %v", trial, c.String(), outVars, got, ref)
 			}
 			for _, g := range got {
 				acc[g.Key()] = true

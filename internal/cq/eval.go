@@ -33,32 +33,18 @@ func (m MapSource) Rel(name string) *relalg.Relation { return m[name] }
 // evaluating a conjunction against the right node's database (rules are
 // restricted per node before evaluation).
 func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
-	bindings, err := EvalBindings(src, c)
+	e := compile(src, c)
+	outSlots, err := e.outSlots(c, outVars)
 	if err != nil {
 		return nil, err
 	}
-	atomVars := c.AtomVars()
-	for _, v := range outVars {
-		if !atomVars[v] {
-			return nil, fmt.Errorf("cq: output variable %s not range-restricted in %q", v, c.String())
-		}
+	rows, err := e.evalAll()
+	if err != nil {
+		return nil, err
 	}
-	seen := make(map[string]bool, len(bindings))
-	out := make([]relalg.Tuple, 0, len(bindings))
-	for _, b := range bindings {
-		t, err := b.Project(outVars)
-		if err != nil {
-			return nil, err
-		}
-		k := t.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
+	var out relalg.TupleSet
+	ProjectInto(&out, rows, outSlots)
+	return out.Sorted(), nil
 }
 
 // EvalDelta evaluates the conjunction semi-naively: delta holds, per relation
@@ -89,11 +75,10 @@ func EvalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 // joined-prefix cache — both pre-optimisation behaviours, kept for the
 // ablation benchmarks and the equivalence tests.
 func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]relalg.Tuple, adaptive, share bool) ([]relalg.Tuple, error) {
-	atomVars := c.AtomVars()
-	for _, v := range outVars {
-		if !atomVars[v] {
-			return nil, fmt.Errorf("cq: output variable %s not range-restricted in %q", v, c.String())
-		}
+	e := compile(src, c)
+	outSlots, err := e.outSlots(c, outVars)
+	if err != nil {
+		return nil, err
 	}
 	order := make([]int, 0, len(c.Atoms))
 	for i := range c.Atoms {
@@ -106,78 +91,34 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 			return len(delta[c.Atoms[order[a]].Rel]) < len(delta[c.Atoms[order[b]].Rel])
 		})
 	}
-	seen := map[string]bool{}
-	var out []relalg.Tuple
+	var out relalg.TupleSet
 	var cache *joinCache
 	if share {
-		cache = &joinCache{m: map[string][]extension{}}
+		cache = &joinCache{ctxs: map[expandCtx]int{}, m: map[prefixKey]*prefix{}}
 	}
-	// exclude maps an already-seeded atom's index to its delta tuple keys:
-	// later passes must not bind that atom to its delta (those combinations
-	// were produced when it was the seed).
-	var exclude map[int]map[string]bool
-	for _, i := range order {
+	// exclude maps an already-seeded atom's index to its delta tuples: later
+	// passes must not bind that atom to its delta (those combinations were
+	// produced when it was the seed).
+	var exclude map[int]*relalg.TupleSet
+	for k, i := range order {
 		seedTuples := delta[c.Atoms[i].Rel]
-		bindings, err := evalSeeded(src, c, i, seedTuples, exclude, cache)
+		rows, err := e.evalSeeded(i, seedTuples, exclude, cache)
 		if err != nil {
 			return nil, err
 		}
-		for _, b := range bindings {
-			t, err := b.Project(outVars)
-			if err != nil {
-				return nil, err
-			}
-			k := t.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			out = append(out, t)
-		}
-		if adaptive {
+		ProjectInto(&out, rows, outSlots)
+		if adaptive && k < len(order)-1 {
 			if exclude == nil {
-				exclude = map[int]map[string]bool{}
+				exclude = map[int]*relalg.TupleSet{}
 			}
-			keys := make(map[string]bool, len(seedTuples))
+			set := &relalg.TupleSet{}
 			for _, t := range seedTuples {
-				keys[t.Key()] = true
+				set.Add(t)
 			}
-			exclude[i] = keys
+			exclude[i] = set
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
-}
-
-// evalSeeded runs the pipelined join with atom `seed` restricted to the given
-// tuples, atoms in exclude restricted to their pre-delta extents, and every
-// other atom drawn from its full extent in src.
-func evalSeeded(src Source, c Conjunction, seed int, seedTuples []relalg.Tuple, exclude map[int]map[string]bool, cache *joinCache) ([]Binding, error) {
-	atom := c.Atoms[seed]
-	bindings := make([]Binding, 0, len(seedTuples))
-	for _, t := range seedTuples {
-		if nb, ok := match(atom, t, Binding{}); ok {
-			bindings = append(bindings, nb)
-		}
-	}
-	if len(bindings) == 0 {
-		return nil, nil
-	}
-	bound := map[string]bool{}
-	for _, v := range atom.Vars() {
-		bound[v] = true
-	}
-	remainingAtoms := make([]Atom, 0, len(c.Atoms)-1)
-	var excl []map[string]bool
-	for i, a := range c.Atoms {
-		if i == seed {
-			continue
-		}
-		remainingAtoms = append(remainingAtoms, a)
-		excl = append(excl, exclude[i])
-	}
-	remainingBuiltins := applyReadyBuiltins(append([]Builtin(nil), c.Builtins...), bound, &bindings)
-	return joinRemaining(src, remainingAtoms, excl, remainingBuiltins, bindings, bound, cache)
+	return out.Sorted(), nil
 }
 
 // EvalBindings evaluates the conjunction and returns all satisfying bindings
@@ -187,280 +128,530 @@ func evalSeeded(src Source, c Conjunction, seed int, seedTuples []relalg.Tuple, 
 // the bound positions, and built-ins fire as soon as their variables are in
 // scope.
 func EvalBindings(src Source, c Conjunction) ([]Binding, error) {
-	if len(c.Atoms) == 0 {
+	e := compile(src, c)
+	rows, err := e.evalAll()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Binding, len(rows))
+	for i, row := range rows {
+		b := make(Binding, len(row))
+		for slot, v := range row {
+			b[e.slots.Name(slot)] = v
+		}
+		out[i] = b
+	}
+	return out, nil
+}
+
+// ProjectInto adds the projection of every row onto the given slots to out,
+// allocating a tuple only for projections not seen before.
+func ProjectInto(out *relalg.TupleSet, rows [][]relalg.Value, slots []int) {
+	proj := make(relalg.Tuple, len(slots))
+	for _, row := range rows {
+		for i, s := range slots {
+			proj[i] = row[s]
+		}
+		out.AddClone(proj)
+	}
+}
+
+// Slots numbers variables. An evaluation numbers a conjunction's variables
+// once and carries its bindings as rows — []relalg.Value indexed by slot —
+// instead of one map per binding.
+type Slots struct {
+	names []string
+	index map[string]int
+}
+
+// Add returns the variable's slot, assigning the next free one on first use.
+func (s *Slots) Add(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	if s.index == nil {
+		s.index = map[string]int{}
+	}
+	i := len(s.names)
+	s.index[name] = i
+	s.names = append(s.names, name)
+	return i
+}
+
+// Lookup returns the variable's slot, or -1 if it has none.
+func (s *Slots) Lookup(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// Len returns the number of slots, i.e. the width of a row.
+func (s *Slots) Len() int { return len(s.names) }
+
+// Name returns the variable numbered slot.
+func (s *Slots) Name(slot int) string { return s.names[slot] }
+
+// Arena hands out value slices carved from geometrically growing chunks, so
+// the rows of one evaluation cost a handful of allocations in total and are
+// released together when the evaluation's results are dropped. The zero value
+// is ready for use.
+type Arena struct {
+	free []relalg.Value
+	next int // size of the next chunk
+}
+
+// Alloc returns a zeroed slice of n values with no spare capacity.
+func (a *Arena) Alloc(n int) []relalg.Value {
+	if n > len(a.free) {
+		const minChunk, maxChunk = 64, 8192
+		if a.next < minChunk {
+			a.next = minChunk
+		}
+		size := a.next
+		if size < n {
+			size = n
+		}
+		if a.next < maxChunk {
+			a.next *= 2
+		}
+		a.free = make([]relalg.Value, size)
+	}
+	out := a.free[:n:n]
+	a.free = a.free[n:]
+	return out
+}
+
+// Clone returns an arena copy of row.
+func (a *Arena) Clone(row []relalg.Value) []relalg.Value {
+	out := a.Alloc(len(row))
+	copy(out, row)
+	return out
+}
+
+// slotTerm is a compiled term: a variable's slot, or a constant.
+type slotTerm struct {
+	slot int          // noSlot for a constant
+	val  relalg.Value // the constant
+}
+
+const (
+	noSlot      = -1 // the term is a constant
+	unboundSlot = -2 // a built-in's variable that no atom binds
+)
+
+type slotAtom struct {
+	rel   string
+	terms []slotTerm
+}
+
+type slotBuiltin struct {
+	b    Builtin
+	l, r slotTerm
+}
+
+func (sb slotBuiltin) ready(bound []bool) bool {
+	for _, t := range [2]slotTerm{sb.l, sb.r} {
+		if t.slot == unboundSlot || t.slot >= 0 && !bound[t.slot] {
+			return false
+		}
+	}
+	return true
+}
+
+func (sb slotBuiltin) holds(row []relalg.Value) bool {
+	l, r := sb.l.val, sb.r.val
+	if sb.l.slot >= 0 {
+		l = row[sb.l.slot]
+	}
+	if sb.r.slot >= 0 {
+		r = row[sb.r.slot]
+	}
+	holds, ok := sb.b.Holds(l, r)
+	return ok && holds
+}
+
+// evaluator is one conjunction compiled against its slots: the state of a
+// single Eval, EvalBindings or EvalDelta call.
+type evaluator struct {
+	src      Source
+	slots    Slots // the atom variables, in first-occurrence order
+	atoms    []slotAtom
+	builtins []slotBuiltin
+	arena    Arena
+}
+
+func compile(src Source, c Conjunction) *evaluator {
+	e := &evaluator{src: src, atoms: make([]slotAtom, len(c.Atoms)), builtins: make([]slotBuiltin, len(c.Builtins))}
+	for i, a := range c.Atoms {
+		terms := make([]slotTerm, len(a.Terms))
+		for j, t := range a.Terms {
+			if t.IsVar {
+				terms[j] = slotTerm{slot: e.slots.Add(t.Var)}
+			} else {
+				terms[j] = slotTerm{slot: noSlot, val: t.Val}
+			}
+		}
+		e.atoms[i] = slotAtom{rel: a.Rel, terms: terms}
+	}
+	builtinTerm := func(t Term) slotTerm {
+		if !t.IsVar {
+			return slotTerm{slot: noSlot, val: t.Val}
+		}
+		if s := e.slots.Lookup(t.Var); s >= 0 {
+			return slotTerm{slot: s}
+		}
+		return slotTerm{slot: unboundSlot}
+	}
+	for i, b := range c.Builtins {
+		e.builtins[i] = slotBuiltin{b: b, l: builtinTerm(b.L), r: builtinTerm(b.R)}
+	}
+	return e
+}
+
+// outSlots resolves the output variables, enforcing range restriction.
+func (e *evaluator) outSlots(c Conjunction, outVars []string) ([]int, error) {
+	out := make([]int, len(outVars))
+	for i, v := range outVars {
+		if out[i] = e.slots.Lookup(v); out[i] < 0 {
+			return nil, fmt.Errorf("cq: output variable %s not range-restricted in %q", v, c.String())
+		}
+	}
+	return out, nil
+}
+
+// evalAll returns one row per satisfying binding of the whole conjunction.
+func (e *evaluator) evalAll() ([][]relalg.Value, error) {
+	if len(e.atoms) == 0 {
 		// A body with no atoms: satisfied by the empty binding iff all
-		// constant built-ins hold.
-		b := Binding{}
-		for _, bl := range c.Builtins {
-			holds, ok := bl.Eval(b)
-			if !ok || !holds {
+		// built-ins are constant and hold.
+		for _, sb := range e.builtins {
+			if !sb.ready(nil) || !sb.holds(nil) {
 				return nil, nil
 			}
 		}
-		return []Binding{b}, nil
+		return [][]relalg.Value{nil}, nil
 	}
-	return joinRemaining(src,
-		append([]Atom(nil), c.Atoms...),
-		nil,
-		append([]Builtin(nil), c.Builtins...),
-		[]Binding{{}}, map[string]bool{}, nil)
+	rest := make([]int, len(e.atoms))
+	for i := range rest {
+		rest[i] = i
+	}
+	rows := [][]relalg.Value{e.arena.Alloc(e.slots.Len())}
+	return e.join(rows, make([]bool, e.slots.Len()), rest, nil, e.builtins, nil)
 }
 
-// joinRemaining drives the pipelined join over the remaining atoms, starting
-// from an existing binding set with the given variables already in scope.
-// excl, when non-nil, runs in lockstep with remainingAtoms and restricts an
-// atom to its pre-delta extent by skipping probed tuples with the listed
-// keys (the semi-naive old/new split).
-func joinRemaining(src Source, remainingAtoms []Atom, excl []map[string]bool, remainingBuiltins []Builtin, bindings []Binding, bound map[string]bool, cache *joinCache) ([]Binding, error) {
-	for len(remainingAtoms) > 0 {
-		idx := pickNextAtom(src, remainingAtoms, bound)
-		atom := remainingAtoms[idx]
-		remainingAtoms = append(remainingAtoms[:idx], remainingAtoms[idx+1:]...)
-		var skip map[string]bool
-		if excl != nil {
-			skip = excl[idx]
-			excl = append(excl[:idx], excl[idx+1:]...)
+// evalSeeded runs the pipelined join with atom `seed` restricted to the given
+// tuples, atoms in exclude restricted to their pre-delta extents, and every
+// other atom drawn from its full extent in src.
+func (e *evaluator) evalSeeded(seed int, seedTuples []relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) ([][]relalg.Value, error) {
+	atom := e.atoms[seed]
+	bound := make([]bool, e.slots.Len())
+	m := newMatcher(atom, bound)
+	rows := make([][]relalg.Value, 0, len(seedTuples))
+	for _, t := range seedTuples {
+		// Nothing is bound yet, so the fixed positions are the constants.
+		if len(t) != len(atom.terms) || !m.fixedMatch(t, nil) || !m.consistent(t) {
+			continue
 		}
+		row := e.arena.Alloc(e.slots.Len())
+		for k, p := range m.assignPos {
+			row[m.assignSlot[k]] = t[p]
+		}
+		rows = append(rows, row)
+	}
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	for _, s := range m.assignSlot {
+		bound[s] = true
+	}
+	rest := make([]int, 0, len(e.atoms)-1)
+	for i := range e.atoms {
+		if i != seed {
+			rest = append(rest, i)
+		}
+	}
+	pending := e.applyReadyBuiltins(e.builtins, bound, &rows)
+	return e.join(rows, bound, rest, exclude, pending, cache)
+}
 
-		bindings = expand(src, bindings, atom, skip, bound, cache)
-		for _, v := range atom.Vars() {
-			bound[v] = true
+// matcher is an atom split by what its positions do under a given set of
+// bound slots: fixed positions hold a constant or a bound variable, assign
+// positions are the first occurrence of an unbound variable, and repeats must
+// agree with the assign position of the same variable.
+type matcher struct {
+	atom       slotAtom
+	fixed      []int
+	assignPos  []int
+	assignSlot []int
+	repeats    [][2]int // position, position of the first occurrence
+}
+
+func newMatcher(atom slotAtom, bound []bool) matcher {
+	m := matcher{atom: atom}
+	for i, t := range atom.terms {
+		if t.slot < 0 || bound[t.slot] {
+			m.fixed = append(m.fixed, i)
+			continue
 		}
-		remainingBuiltins = applyReadyBuiltins(remainingBuiltins, bound, &bindings)
-		if len(bindings) == 0 {
+		first := -1
+		for k, s := range m.assignSlot {
+			if s == t.slot {
+				first = m.assignPos[k]
+			}
+		}
+		if first >= 0 {
+			m.repeats = append(m.repeats, [2]int{i, first})
+		} else {
+			m.assignPos = append(m.assignPos, i)
+			m.assignSlot = append(m.assignSlot, t.slot)
+		}
+	}
+	return m
+}
+
+// fixedValue returns what fixed position p must equal under row.
+func (m *matcher) fixedValue(p int, row []relalg.Value) relalg.Value {
+	t := m.atom.terms[p]
+	if t.slot >= 0 {
+		return row[t.slot]
+	}
+	return t.val
+}
+
+// fixedMatch reports whether the tuple agrees with row on the fixed
+// positions (an index probe on them guarantees it).
+func (m *matcher) fixedMatch(tuple relalg.Tuple, row []relalg.Value) bool {
+	for _, p := range m.fixed {
+		if tuple[p] != m.fixedValue(p, row) {
+			return false
+		}
+	}
+	return true
+}
+
+// consistent reports whether the tuple gives every repeated unbound variable
+// one value.
+func (m *matcher) consistent(tuple relalg.Tuple) bool {
+	for _, rp := range m.repeats {
+		if tuple[rp[0]] != tuple[rp[1]] {
+			return false
+		}
+	}
+	return true
+}
+
+// join drives the pipelined join over the atoms listed in rest, starting from
+// rows in which the bound slots are filled. excl restricts an atom (by index)
+// to its pre-delta extent by skipping probed tuples in the listed set (the
+// semi-naive old/new split).
+func (e *evaluator) join(rows [][]relalg.Value, bound []bool, rest []int, excl map[int]*relalg.TupleSet, pending []slotBuiltin, cache *joinCache) ([][]relalg.Value, error) {
+	for len(rest) > 0 {
+		k := e.pickNextAtom(rest, bound)
+		ai := rest[k]
+		rest = append(rest[:k], rest[k+1:]...)
+
+		rows = e.expand(rows, ai, excl[ai], bound, cache)
+		for _, t := range e.atoms[ai].terms {
+			if t.slot >= 0 {
+				bound[t.slot] = true
+			}
+		}
+		pending = e.applyReadyBuiltins(pending, bound, &rows)
+		if len(rows) == 0 {
 			return nil, nil
 		}
 	}
 	// Any leftover builtin references an unbound variable: reject (the rule
 	// validator should have caught this, but user queries reach here too).
-	if len(remainingBuiltins) > 0 {
+	if len(pending) > 0 {
 		var names []string
-		for _, b := range remainingBuiltins {
-			names = append(names, b.String())
+		for _, sb := range pending {
+			names = append(names, sb.b.String())
 		}
 		return nil, fmt.Errorf("cq: builtins with unbound variables: %s", strings.Join(names, "; "))
 	}
-	return bindings, nil
+	return rows, nil
 }
 
 // pickNextAtom chooses the next atom to join: maximise the number of bound
 // positions (variables already in scope plus constants); break ties by
-// smaller relation extent, then by original order.
-func pickNextAtom(src Source, atoms []Atom, bound map[string]bool) int {
+// smaller relation extent, then by original order. It returns an index into
+// rest.
+func (e *evaluator) pickNextAtom(rest []int, bound []bool) int {
 	best, bestScore, bestSize := 0, -1, -1
-	for i, a := range atoms {
+	for k, ai := range rest {
+		a := e.atoms[ai]
 		score := 0
-		for _, t := range a.Terms {
-			if !t.IsVar || bound[t.Var] {
+		for _, t := range a.terms {
+			if t.slot < 0 || bound[t.slot] {
 				score++
 			}
 		}
 		size := 0
-		if r := src.Rel(a.Rel); r != nil {
+		if r := e.src.Rel(a.rel); r != nil {
 			size = r.Len()
 		}
 		if score > bestScore || (score == bestScore && size < bestSize) {
-			best, bestScore, bestSize = i, score, size
+			best, bestScore, bestSize = k, score, size
 		}
 	}
 	return best
 }
 
-// extension is one cached way an atom extends a binding: the atom's unbound
-// variables and the values a matching tuple assigns them.
-type extension struct {
-	vars []string
-	vals []relalg.Value
-}
-
 // joinCache shares joined prefixes between the seed passes of one EvalDelta
 // call. The non-seed extents (full or pre-delta) are static for the whole
-// call, so the set of ways an atom extends a binding depends only on the
-// atom's pattern, which positions are probed, the old/new exclusion in force
-// and the probed values — the binding's join prefix. Bindings agreeing on
-// that prefix, within one pass or across passes, replay the cached
-// extensions instead of re-probing and re-unifying.
+// call, so the set of ways an atom extends a row depends only on the atom,
+// which of its positions are probed, the old/new exclusion in force — the
+// expand context — and the probed values: the row's join prefix. Rows
+// agreeing on that prefix, within one pass or across passes, replay the
+// cached extensions instead of re-probing and re-unifying. Prefixes are found
+// by the hash of their values and verified against them.
 type joinCache struct {
-	m map[string][]extension
+	ctxs map[expandCtx]int
+	m    map[prefixKey]*prefix
 }
 
-// keyPrefix builds the per-expand-call half of the cache key — everything
-// except the probed values, which vary per binding. The skip set is keyed by
-// identity: each seeded atom's exclusion map is allocated once and reused
-// across all later passes.
-func (c *joinCache) keyPrefix(atom Atom, idxPos []int, skip map[string]bool) string {
-	var b strings.Builder
-	b.WriteString(atom.String())
-	b.WriteByte(0)
-	for _, p := range idxPos {
-		fmt.Fprintf(&b, "%d,", p)
+// expandCtx is everything an atom's extensions depend on besides the probed
+// values. The skip set is compared by identity: each seeded atom's exclusion
+// set is allocated once and reused across all later passes.
+type expandCtx struct {
+	atom   int
+	probed uint64 // bit i set: position i is probed
+	skip   *relalg.TupleSet
+}
+
+type prefixKey struct {
+	ctx  int
+	hash uint64 // of the probed values
+}
+
+// prefix is one cached join prefix: the probed values and the n ways the atom
+// extends them, flattened (n runs of one value per assigned slot).
+type prefix struct {
+	vals []relalg.Value
+	exts []relalg.Value
+	n    int
+	next *prefix // another prefix with the same key (hash collision)
+}
+
+func (c *joinCache) context(ctx expandCtx) int {
+	id, ok := c.ctxs[ctx]
+	if !ok {
+		id = len(c.ctxs)
+		c.ctxs[ctx] = id
 	}
-	b.WriteByte(0)
-	fmt.Fprintf(&b, "%p", skip)
-	b.WriteByte(0)
-	return b.String()
+	return id
 }
 
-// expand joins the current binding set with one atom by probing the
-// relation's persistent per-position index on the atom's bound positions
-// (constants and variables already in scope). Unlike a per-call hash build,
-// the probe costs nothing when the binding set is small — the semi-naive
-// delta path depends on this to stay O(delta). skip, when non-nil, holds
-// tuple keys this atom must not bind (its own delta, under the old/new
-// split). cache, when non-nil, shares the probe-and-unify work between
-// bindings with equal join prefixes (see joinCache).
-func expand(src Source, bindings []Binding, atom Atom, skip map[string]bool, bound map[string]bool, cache *joinCache) []Binding {
-	rel := src.Rel(atom.Rel)
-	if rel == nil || rel.Len() == 0 {
+func (c *joinCache) lookup(k prefixKey, vals []relalg.Value) *prefix {
+	for p := c.m[k]; p != nil; p = p.next {
+		if relalg.Tuple(p.vals).Equal(vals) {
+			return p
+		}
+	}
+	return nil
+}
+
+// expand joins the rows with one atom by probing the relation's persistent
+// per-position index on the atom's bound positions (constants and variables
+// already in scope). Unlike a per-call hash build, the probe costs nothing
+// when the row set is small — the semi-naive delta path depends on this to
+// stay O(delta). skip, when non-nil, holds tuples this atom must not bind
+// (its own delta, under the old/new split). cache, when non-nil, shares the
+// probe-and-unify work between rows with equal join prefixes (see joinCache).
+// A row's last extension is written into the row itself; only the others are
+// copies.
+func (e *evaluator) expand(rows [][]relalg.Value, ai int, skip *relalg.TupleSet, bound []bool, cache *joinCache) [][]relalg.Value {
+	atom := e.atoms[ai]
+	rel := e.src.Rel(atom.rel)
+	if rel == nil || rel.Len() == 0 || rel.Schema().Arity() != len(atom.terms) {
 		return nil
 	}
-	var idxPos []int
-	for i, t := range atom.Terms {
-		if !t.IsVar || bound[t.Var] {
-			idxPos = append(idxPos, i)
+	// The fixed positions are probed through the index and match by
+	// construction; only the unbound variables are left to place.
+	m := newMatcher(atom, bound)
+	probed, width := m.fixed, len(m.assignPos)
+
+	// The cache context names the probed positions by bit mask; a wider atom
+	// simply goes uncached.
+	ctx := -1
+	if cache != nil && len(atom.terms) <= 64 {
+		var mask uint64
+		for _, p := range probed {
+			mask |= 1 << uint(p)
 		}
-	}
-	// The atom's unbound variables in first-occurrence order — the shape of
-	// every cached extension.
-	var extVars []string
-	extSeen := map[string]bool{}
-	for _, t := range atom.Terms {
-		if t.IsVar && !bound[t.Var] && !extSeen[t.Var] {
-			extSeen[t.Var] = true
-			extVars = append(extVars, t.Var)
-		}
+		ctx = cache.context(expandCtx{atom: ai, probed: mask, skip: skip})
 	}
 
-	var keyPrefix string
-	if cache != nil {
-		keyPrefix = cache.keyPrefix(atom, idxPos, skip)
-	}
-	var out []Binding
-	vals := make([]relalg.Value, len(idxPos))
-	for _, b := range bindings {
-		ok := true
-		for i, p := range idxPos {
-			t := atom.Terms[p]
-			if !t.IsVar {
-				vals[i] = t.Val
-				continue
-			}
-			v, has := b[t.Var]
-			if !has {
-				ok = false
-				break
-			}
-			vals[i] = v
+	out := make([][]relalg.Value, 0, len(rows))
+	vals := make([]relalg.Value, len(probed))
+	var cands []relalg.Tuple   // probe scratch
+	var scratch []relalg.Value // extension scratch of the uncached path
+	for _, row := range rows {
+		for i, p := range probed {
+			vals[i] = m.fixedValue(p, row)
 		}
-		if !ok {
-			continue
+		var hit *prefix
+		var key prefixKey
+		if ctx >= 0 {
+			key = prefixKey{ctx: ctx, hash: relalg.Tuple(vals).Hash()}
+			hit = cache.lookup(key, vals)
 		}
-		if cache != nil {
-			k := keyPrefix + relalg.Tuple(vals).Key()
-			exts, hit := cache.m[k]
-			if !hit {
-				exts = probeExtensions(rel, atom, idxPos, vals, skip, extVars)
-				cache.m[k] = exts
+		exts, n := scratch[:0], 0
+		if hit != nil {
+			exts, n = hit.exts, hit.n
+		} else {
+			matches := rel.All()
+			if len(probed) > 0 {
+				cands = rel.AppendProbe(cands[:0], probed, vals)
+				matches = cands
 			}
-			for _, e := range exts {
-				nb := b.Clone()
-				for i, v := range e.vars {
-					nb[v] = e.vals[i]
+			for _, tuple := range matches {
+				if !m.consistent(tuple) || skip != nil && skip.Has(tuple) {
+					continue
 				}
-				out = append(out, nb)
+				for _, p := range m.assignPos {
+					exts = append(exts, tuple[p])
+				}
+				n++
 			}
-			continue
+			scratch = exts
+			if ctx >= 0 {
+				p := &prefix{vals: e.arena.Clone(vals), exts: e.arena.Clone(exts), n: n, next: cache.m[key]}
+				cache.m[key] = p
+			}
 		}
-		for _, tuple := range rel.Probe(idxPos, vals) {
-			if skip != nil && skip[tuple.Key()] {
-				continue
+		for j := 0; j < n; j++ {
+			target := row
+			if j < n-1 {
+				target = e.arena.Clone(row)
 			}
-			nb, ok := match(atom, tuple, b)
-			if ok {
-				out = append(out, nb)
+			for k, s := range m.assignSlot {
+				target[s] = exts[j*width+k]
 			}
+			out = append(out, target)
 		}
 	}
 	return out
 }
 
-// probeExtensions computes the cached extensions for one join prefix: every
-// probed position (all constants and bound variables) already matches by
-// construction, so the unification only has to place the unbound variables —
-// checking internal consistency where one repeats within the atom.
-func probeExtensions(rel *relalg.Relation, atom Atom, idxPos []int, vals []relalg.Value, skip map[string]bool, extVars []string) []extension {
-	rep := Binding{}
-	for i, p := range idxPos {
-		if t := atom.Terms[p]; t.IsVar {
-			rep[t.Var] = vals[i]
-		}
-	}
-	var exts []extension
-	for _, tuple := range rel.Probe(idxPos, vals) {
-		if skip != nil && skip[tuple.Key()] {
+// applyReadyBuiltins filters rows through every builtin whose variables are
+// now all bound, returning the still-pending builtins.
+func (e *evaluator) applyReadyBuiltins(builtins []slotBuiltin, bound []bool, rows *[][]relalg.Value) []slotBuiltin {
+	var pending []slotBuiltin
+	for _, sb := range builtins {
+		if !sb.ready(bound) {
+			pending = append(pending, sb)
 			continue
 		}
-		nb, ok := match(atom, tuple, rep)
-		if !ok {
-			continue
-		}
-		e := extension{vars: extVars, vals: make([]relalg.Value, len(extVars))}
-		for i, v := range extVars {
-			e.vals[i] = nb[v]
-		}
-		exts = append(exts, e)
-	}
-	return exts
-}
-
-// match unifies the atom with a tuple under binding b, returning the extended
-// binding. Handles repeated variables within the atom.
-func match(atom Atom, tuple relalg.Tuple, b Binding) (Binding, bool) {
-	if len(tuple) != len(atom.Terms) {
-		return nil, false
-	}
-	nb := b.Clone()
-	for i, t := range atom.Terms {
-		if !t.IsVar {
-			if !t.Val.Equal(tuple[i]) {
-				return nil, false
-			}
-			continue
-		}
-		if v, ok := nb[t.Var]; ok {
-			if !v.Equal(tuple[i]) {
-				return nil, false
-			}
-			continue
-		}
-		nb[t.Var] = tuple[i]
-	}
-	return nb, true
-}
-
-// applyReadyBuiltins filters bindings through every builtin whose variables
-// are now all bound, returning the still-pending builtins.
-func applyReadyBuiltins(builtins []Builtin, bound map[string]bool, bindings *[]Binding) []Builtin {
-	var pending []Builtin
-	for _, bl := range builtins {
-		ready := true
-		for _, t := range []Term{bl.L, bl.R} {
-			if t.IsVar && !bound[t.Var] {
-				ready = false
+		kept := (*rows)[:0]
+		for _, row := range *rows {
+			if sb.holds(row) {
+				kept = append(kept, row)
 			}
 		}
-		if !ready {
-			pending = append(pending, bl)
-			continue
-		}
-		kept := (*bindings)[:0]
-		for _, b := range *bindings {
-			holds, ok := bl.Eval(b)
-			if ok && holds {
-				kept = append(kept, b)
-			}
-		}
-		*bindings = kept
+		*rows = kept
 	}
 	return pending
 }

@@ -57,6 +57,55 @@ func naiveEval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, err
 	return out, nil
 }
 
+// naiveEvalDelta is the map-binding reference for EvalDelta's contract: the
+// distinct projections of the satisfying bindings that bind at least one atom
+// to a tuple of its relation's delta. It enumerates bindings the way
+// naiveEval does, carrying a used-a-delta-tuple flag beside each.
+func naiveEvalDelta(src Source, c Conjunction, outVars []string, delta map[string][]relalg.Tuple) (map[string]bool, error) {
+	type flagged struct {
+		b     Binding
+		fresh bool
+	}
+	inDelta := map[string]map[string]bool{}
+	for rel, ts := range delta {
+		inDelta[rel] = tupleSet(ts)
+	}
+	bindings := []flagged{{b: Binding{}}}
+	for _, atom := range c.Atoms {
+		rel := src.Rel(atom.Rel)
+		if rel == nil {
+			return nil, nil
+		}
+		var next []flagged
+		for _, fb := range bindings {
+			for _, tuple := range rel.All() {
+				if nb, ok := match(atom, tuple, fb.b); ok {
+					next = append(next, flagged{b: nb, fresh: fb.fresh || inDelta[atom.Rel][tuple.Key()]})
+				}
+			}
+		}
+		bindings = next
+	}
+	out := map[string]bool{}
+bindings:
+	for _, fb := range bindings {
+		if !fb.fresh {
+			continue
+		}
+		for _, bl := range c.Builtins {
+			if holds, defined := bl.Eval(fb.b); !defined || !holds {
+				continue bindings
+			}
+		}
+		t, err := fb.b.Project(outVars)
+		if err != nil {
+			return nil, err
+		}
+		out[t.Key()] = true
+	}
+	return out, nil
+}
+
 // randomConjunction builds a random 1–3 atom conjunction over relations
 // p/2, q/2, r/1 with variables X,Y,Z,W plus occasional constants and a
 // random builtin.

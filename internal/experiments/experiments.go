@@ -183,11 +183,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// IDs lists every experiment in running order.
+func IDs() []string {
+	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
+}
+
 // All runs every experiment in order.
 func All(cfg Config) ([]Result, error) {
-	ids := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
 	var out []Result
-	for _, id := range ids {
+	for _, id := range IDs() {
 		r, err := Run(id, cfg)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", id, err)

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -245,5 +246,72 @@ func TestSendErrorsCounted(t *testing.T) {
 	hs.s.send("NO-SUCH-PEER", wire.StatsRequest{})
 	if got := hs.s.Counters().Snapshot().SendErrors; got != before+1 {
 		t.Fatalf("send error not counted: %d -> %d", before, got)
+	}
+}
+
+// TestMergeAcksBases pins how folded acknowledgments combine their ranges:
+// per relation the lowest base and the highest seq, where a missing Base
+// entry is the implicit zero of a priming answer — whichever ack comes first.
+func TestMergeAcksBases(t *testing.T) {
+	ack := func(base, seqs map[string]uint64) pendingAck {
+		return pendingAck{to: "S", msg: wire.AnswerAck{RuleID: "r", SubID: 7, Base: base, Seqs: seqs}}
+	}
+	type m = map[string]uint64
+	cases := []struct {
+		name     string
+		a, b     pendingAck
+		wantBase m // zero entries omitted
+		wantSeqs m
+		apart    bool // the two must not be folded
+	}{
+		{"absent then non-zero", ack(nil, m{"s": 1}), ack(m{"s": 1}, m{"s": 2}), m{}, m{"s": 2}, false},
+		{"explicit zero then non-zero", ack(m{"s": 0}, m{"s": 1}), ack(m{"s": 1}, m{"s": 2}), m{}, m{"s": 2}, false},
+		{"non-zero then non-zero", ack(m{"s": 3}, m{"s": 5}), ack(m{"s": 5}, m{"s": 9}), m{"s": 3}, m{"s": 9}, false},
+		{"disjoint relations", ack(nil, m{"s": 4}), ack(m{"u": 2}, m{"u": 6}), m{"u": 2}, m{"s": 4, "u": 6}, false},
+		{"absent base on one of two relations", ack(m{"u": 2}, m{"s": 1, "u": 3}), ack(m{"s": 1, "u": 3}, m{"s": 2, "u": 3}), m{"u": 2}, m{"s": 2, "u": 3}, false},
+		{"gap between the ranges", ack(nil, m{"s": 1}), ack(m{"s": 3}, m{"s": 5}), nil, nil, true},
+	}
+	for _, tc := range cases {
+		for _, order := range []struct {
+			name string
+			in   []pendingAck
+		}{{"forward", []pendingAck{tc.a, tc.b}}, {"reversed", []pendingAck{tc.b, tc.a}}} {
+			t.Run(tc.name+"/"+order.name, func(t *testing.T) {
+				inBase, inSeqs := cloneSeqMap(order.in[0].msg.Base), cloneSeqMap(order.in[0].msg.Seqs)
+				out := mergeAcks(order.in)
+				if tc.apart {
+					if len(out) != 2 {
+						t.Fatalf("acks across a gap were folded: %+v", out)
+					}
+					return
+				}
+				if len(out) != 1 {
+					t.Fatalf("got %d acks, want 1: %+v", len(out), out)
+				}
+				got := out[0].msg
+				for rel, base := range got.Base {
+					if base == 0 {
+						delete(got.Base, rel)
+					}
+				}
+				if len(got.Base) != len(tc.wantBase) || len(got.Seqs) != len(tc.wantSeqs) {
+					t.Fatalf("merged base=%v seqs=%v, want base=%v seqs=%v", got.Base, got.Seqs, tc.wantBase, tc.wantSeqs)
+				}
+				for rel, want := range tc.wantBase {
+					if got.Base[rel] != want {
+						t.Fatalf("merged base=%v, want %v", got.Base, tc.wantBase)
+					}
+				}
+				for rel, want := range tc.wantSeqs {
+					if got.Seqs[rel] != want {
+						t.Fatalf("merged seqs=%v, want %v", got.Seqs, tc.wantSeqs)
+					}
+				}
+				// The inputs' maps are shared with the answers: untouched.
+				if !reflect.DeepEqual(inBase, order.in[0].msg.Base) || !reflect.DeepEqual(inSeqs, order.in[0].msg.Seqs) {
+					t.Fatalf("merge mutated its first input: base=%v seqs=%v", order.in[0].msg.Base, order.in[0].msg.Seqs)
+				}
+			})
+		}
 	}
 }

@@ -182,11 +182,11 @@ type subscription struct {
 	epoch        uint64
 	conj         cq.Conjunction
 	cols         []string
-	sent         map[string]bool // tuple keys already shipped (delta mode, semi-naive off)
-	marks        storage.Marks   // in-flight frontier (delta mode, semi-naive on)
-	acked        storage.Marks   // receipt-confirmed frontier (contiguous ack extension)
-	ackedDurable storage.Marks   // durability-confirmed frontier (Durable acks only; persisted)
-	primed       bool            // full evaluation done; marks are authoritative
+	sent         *relalg.TupleSet // tuples already shipped (delta mode, semi-naive off)
+	marks        storage.Marks    // in-flight frontier (delta mode, semi-naive on)
+	acked        storage.Marks    // receipt-confirmed frontier (contiguous ack extension)
+	ackedDurable storage.Marks    // durability-confirmed frontier (Durable acks only; persisted)
+	primed       bool             // full evaluation done; marks are authoritative
 
 	lastInc     uint64    // dependent incarnation of the last carried query
 	lastSent    time.Time // last answer carrying a frontier
@@ -216,7 +216,7 @@ func (w ackWork) empty() bool { return len(w.parts) == 0 && len(w.acks) == 0 && 
 // rule (multi-source rules join their parts at the head node).
 type partResult struct {
 	cols   []string
-	tuples map[string]relalg.Tuple
+	tuples relalg.TupleSet
 }
 
 // discWave is the per-wave discovery state (A2–A3): the spanning-tree echo
@@ -419,7 +419,7 @@ func (p *Peer) applyRestore(st *wal.State) {
 			} else {
 				// The legacy sent-set is not persisted: the first re-answer
 				// re-ships the full result and receivers deduplicate.
-				sub.sent = map[string]bool{}
+				sub.sent = &relalg.TupleSet{}
 			}
 		}
 		p.subSeq++
@@ -435,9 +435,9 @@ func (p *Peer) applyRestore(st *wal.State) {
 			byPart = map[string]*partResult{}
 			p.parts[rp.RuleID] = byPart
 		}
-		pr := &partResult{cols: append([]string(nil), rp.Cols...), tuples: make(map[string]relalg.Tuple, len(rp.Tuples))}
+		pr := &partResult{cols: append([]string(nil), rp.Cols...)}
 		for _, t := range rp.Tuples {
-			pr.tuples[t.Key()] = t
+			pr.tuples.Add(t)
 		}
 		byPart[rp.Part] = pr
 	}
@@ -528,16 +528,12 @@ func (p *Peer) DurableState() wal.State {
 		sort.Strings(partNames)
 		for _, part := range partNames {
 			pr := p.parts[id][part]
-			keys := make([]string, 0, len(pr.tuples))
-			for k := range pr.tuples {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			ps := wal.PartState{RuleID: id, Part: part, Cols: append([]string(nil), pr.cols...)}
-			for _, k := range keys {
-				ps.Tuples = append(ps.Tuples, pr.tuples[k])
-			}
-			st.Parts = append(st.Parts, ps)
+			st.Parts = append(st.Parts, wal.PartState{
+				RuleID: id,
+				Part:   part,
+				Cols:   append([]string(nil), pr.cols...),
+				Tuples: pr.tuples.All(), // members are never dropped: a stable snapshot
+			})
 		}
 	}
 	return st
@@ -866,6 +862,12 @@ func mergeAcks(in []pendingAck) []pendingAck {
 	for _, a := range in {
 		k := ackKey{to: a.to, ruleID: a.msg.RuleID, subID: a.msg.SubID}
 		i, seen := idx[k]
+		if seen && !rangesTouch(out[i].msg, a.msg) {
+			// A gap between the two ranges is a dropped answer: folding them
+			// would acknowledge it. Keep this ack apart (the source ignores
+			// it until the gap is re-sent).
+			seen = false
+		}
 		if !seen {
 			// Clone the maps: the merged ack must not mutate frontier maps
 			// shared with the answers they were built from.
@@ -876,25 +878,47 @@ func mergeAcks(in []pendingAck) []pendingAck {
 			out = append(out, c)
 			continue
 		}
+		// Per relation the merged range runs from the lowest base to the
+		// highest seq of the acks covering it. An ack without a Base entry
+		// starts at zero (the priming answer's empty frontier), and so does
+		// the merge: adopting the other ack's base would make the source see
+		// a gap below it and drop the whole ack.
 		m := &out[i].msg
 		for rel, seq := range a.msg.Seqs {
-			if cur, ok := m.Seqs[rel]; !ok || seq > cur {
+			base := a.msg.Base[rel]
+			cur, covered := m.Seqs[rel]
+			if covered && m.Base[rel] < base {
+				base = m.Base[rel]
+			}
+			if !covered || seq > cur {
 				if m.Seqs == nil {
 					m.Seqs = map[string]uint64{}
 				}
 				m.Seqs[rel] = seq
 			}
-		}
-		for rel, base := range a.msg.Base {
-			if cur, ok := m.Base[rel]; !ok || base < cur {
-				if m.Base == nil {
-					m.Base = map[string]uint64{}
-				}
-				m.Base[rel] = base
+			if base == 0 {
+				delete(m.Base, rel)
+				continue
 			}
+			if m.Base == nil {
+				m.Base = map[string]uint64{}
+			}
+			m.Base[rel] = base
 		}
 	}
 	return out
+}
+
+// rangesTouch reports whether, on every relation both acks cover, their
+// Base..Seqs ranges overlap or abut.
+func rangesTouch(a, b wire.AnswerAck) bool {
+	for rel, aSeq := range a.Seqs {
+		bSeq, both := b.Seqs[rel]
+		if both && (a.Base[rel] > bSeq || b.Base[rel] > aSeq) {
+			return false
+		}
+	}
+	return true
 }
 
 func cloneSeqMap(in map[string]uint64) map[string]uint64 {

@@ -221,7 +221,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		} else if carry && prev.sent != nil {
 			sub.sent = prev.sent
 		} else {
-			sub.sent = map[string]bool{}
+			sub.sent = &relalg.TupleSet{}
 		}
 	}
 	p.subs[key] = sub
@@ -319,9 +319,7 @@ func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 	}
 	out := result[:0:0]
 	for _, t := range result {
-		k := t.Key()
-		if !sub.sent[k] {
-			sub.sent[k] = true
+		if sub.sent.Add(t) {
 			out = append(out, t)
 		}
 	}
@@ -399,7 +397,7 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	}
 	pr := byPart[m.Part]
 	if pr == nil {
-		pr = &partResult{cols: m.Columns, tuples: map[string]relalg.Tuple{}}
+		pr = &partResult{cols: m.Columns}
 		byPart[m.Part] = pr
 	}
 	semiNaive := p.opts.Delta && p.opts.SemiNaive.Enabled()
@@ -408,11 +406,9 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	collectFresh := semiNaive || p.opts.PersistParts != nil
 	for _, t := range m.Tuples {
 		t = dm.TranslateTuple(t)
-		k := t.Key()
-		if _, dup := pr.tuples[k]; !dup && collectFresh {
+		if pr.tuples.Add(t) && collectFresh {
 			fresh = append(fresh, t)
 		}
-		pr.tuples[k] = t
 	}
 	if p.opts.PersistParts != nil && len(fresh) > 0 {
 		// Persist the newly accumulated part tuples before the answer is
@@ -550,16 +546,7 @@ func (p *Peer) joinPartsLocked(r rules.Rule) []relalg.Tuple {
 	byPart := p.parts[r.ID]
 	parts := make(map[string]rules.PartTuples, len(byPart))
 	for src, pr := range byPart {
-		pt := rules.PartTuples{Cols: pr.cols, Tuples: make([]relalg.Tuple, 0, len(pr.tuples))}
-		keys := make([]string, 0, len(pr.tuples))
-		for k := range pr.tuples {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			pt.Tuples = append(pt.Tuples, pr.tuples[k])
-		}
-		parts[src] = pt
+		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: pr.tuples.All()}
 	}
 	return rules.JoinParts(r, parts)
 }
@@ -580,11 +567,7 @@ func (p *Peer) joinPartsDeltaLocked(r rules.Rule, part string, fresh []relalg.Tu
 			parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: fresh}
 			continue
 		}
-		pt := rules.PartTuples{Cols: pr.cols, Tuples: make([]relalg.Tuple, 0, len(pr.tuples))}
-		for _, t := range pr.tuples {
-			pt.Tuples = append(pt.Tuples, t)
-		}
-		parts[src] = pt
+		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: pr.tuples.All()}
 	}
 	return rules.JoinParts(r, parts)
 }

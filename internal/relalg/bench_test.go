@@ -33,6 +33,73 @@ func BenchmarkRelationInsertDuplicates(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationContains measures the membership test on a populated
+// relation (hit and miss alternate); it must not allocate.
+func BenchmarkRelationContains(b *testing.B) {
+	r := NewRelation(MakeSchema("bench", 2))
+	probes := make([]Tuple, 1024)
+	for i := range probes {
+		probes[i] = Tuple{S(fmt.Sprintf("k%d", i)), I(int64(i))}
+		if i%2 == 0 {
+			_, _ = r.Insert(probes[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if r.Contains(probes[i%len(probes)]) {
+			hits++
+		}
+	}
+	if b.N >= len(probes) && hits == 0 {
+		b.Fatal("no probe hit")
+	}
+}
+
+// BenchmarkRelationProbe measures an indexed probe on one bound position of
+// a 10k-tuple relation (fan-out 10) into a reused buffer.
+func BenchmarkRelationProbe(b *testing.B) {
+	r := NewRelation(MakeSchema("bench", 2))
+	for i := 0; i < 10000; i++ {
+		_, _ = r.Insert(Tuple{S(fmt.Sprintf("k%d", i%1000)), I(int64(i))})
+	}
+	keys := make([]Value, 1000)
+	for i := range keys {
+		keys[i] = S(fmt.Sprintf("k%d", i))
+	}
+	pos := []int{0}
+	var buf []Tuple
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = r.AppendProbe(buf[:0], pos, keys[i%len(keys):i%len(keys)+1])
+		if len(buf) != 10 {
+			b.Fatalf("probe returned %d tuples, want 10", len(buf))
+		}
+	}
+}
+
+// BenchmarkTupleSetAddHas measures the in-memory identity every dedup site
+// uses: one Add of a tuple already present and one Has, on a 4-column tuple
+// with a long Skolem null. Neither may allocate.
+func BenchmarkTupleSetAddHas(b *testing.B) {
+	var s TupleSet
+	members := make([]Tuple, 1024)
+	for i := range members {
+		members[i] = Tuple{S(fmt.Sprintf("conf/edbt/franconi04-%d", i)), S("enrico_franconi"), I(2004), Null("d1|r|V|13:sconf/edbt/04")}
+		s.Add(members[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := members[i%len(members)]
+		if s.Add(t) || !s.Has(t) {
+			b.Fatal("member not recognised")
+		}
+	}
+}
+
 // BenchmarkTupleKey measures the canonical key encoding.
 func BenchmarkTupleKey(b *testing.B) {
 	t := Tuple{S("conf/edbt/franconi04-1-2"), S("enrico_franconi"), I(2004), Null("d1|r|V|k")}

@@ -2,7 +2,6 @@ package relalg
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -14,60 +13,49 @@ import (
 // concurrent use; the owning storage.DB serialises access.
 type Relation struct {
 	schema Schema
-	index  map[string]int // tuple key -> position in log
-	log    []Tuple        // insertion order; seq number = position + 1
+	set    TupleSet // insertion order; seq number = position + 1
 
-	// posIdx maps, per attribute position, a value key to the log positions
+	// posIdx maps, per attribute position, a value to the log positions
 	// holding that value there. It is built lazily on the first Probe and
 	// maintained incrementally by Insert afterwards; pmu serialises the
 	// build against concurrent probes (the log itself follows the package's
 	// single-writer discipline).
 	pmu    sync.Mutex
-	posIdx []map[string][]int
+	posIdx []map[Value][]int
 }
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{
-		schema: schema,
-		index:  make(map[string]int),
-	}
+	return &Relation{schema: schema}
 }
 
 // Schema returns the relation schema.
 func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of (distinct) tuples.
-func (r *Relation) Len() int { return len(r.log) }
+func (r *Relation) Len() int { return r.set.Len() }
 
 // Seq returns the current high-water mark: the sequence number of the most
 // recently inserted tuple (0 when empty).
-func (r *Relation) Seq() uint64 { return uint64(len(r.log)) }
+func (r *Relation) Seq() uint64 { return uint64(r.set.Len()) }
 
 // Contains reports whether the exact tuple is present.
-func (r *Relation) Contains(t Tuple) bool {
-	_, ok := r.index[t.Key()]
-	return ok
-}
+func (r *Relation) Contains(t Tuple) bool { return r.set.Has(t) }
 
-// Insert adds t if not already present, returning true when the relation
-// changed. The tuple's arity must match the schema.
+// Insert adds a copy of t if not already present, returning true when the
+// relation changed. The tuple's arity must match the schema.
 func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.schema.Arity() {
 		return false, fmt.Errorf("relalg: arity mismatch inserting %d-tuple into %s", len(t), r.schema)
 	}
-	k := t.Key()
-	if _, ok := r.index[k]; ok {
+	if !r.set.AddClone(t) {
 		return false, nil
 	}
-	r.index[k] = len(r.log)
-	r.log = append(r.log, t.Clone())
 	r.pmu.Lock()
 	if r.posIdx != nil {
-		pos := len(r.log) - 1
-		for i, v := range r.log[pos] {
-			vk := v.Key()
-			r.posIdx[i][vk] = append(r.posIdx[i][vk], pos)
+		pos := r.set.Len() - 1
+		for i, v := range r.set.log[pos] {
+			r.posIdx[i][v] = append(r.posIdx[i][v], pos)
 		}
 	}
 	r.pmu.Unlock()
@@ -80,14 +68,13 @@ func (r *Relation) ensurePosIdxLocked() {
 	if r.posIdx != nil {
 		return
 	}
-	idx := make([]map[string][]int, r.schema.Arity())
+	idx := make([]map[Value][]int, r.schema.Arity())
 	for i := range idx {
-		idx[i] = make(map[string][]int)
+		idx[i] = make(map[Value][]int)
 	}
-	for pos, t := range r.log {
+	for pos, t := range r.set.log {
 		for i, v := range t {
-			vk := v.Key()
-			idx[i][vk] = append(idx[i][vk], pos)
+			idx[i][v] = append(idx[i][v], pos)
 		}
 	}
 	r.posIdx = idx
@@ -101,30 +88,35 @@ func (r *Relation) ensurePosIdxLocked() {
 // All); positions outside the schema arity match nothing.
 func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 	if len(positions) == 0 {
-		return r.log
+		return r.set.log
+	}
+	return r.AppendProbe(nil, positions, vals)
+}
+
+// AppendProbe is Probe appending its matches to dst, so a caller probing in
+// a loop can reuse one buffer.
+func (r *Relation) AppendProbe(dst []Tuple, positions []int, vals []Value) []Tuple {
+	if len(positions) == 0 {
+		return append(dst, r.set.log...)
 	}
 	arity := r.schema.Arity()
 	for _, p := range positions {
 		if p < 0 || p >= arity {
-			return nil
+			return dst
 		}
 	}
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
 	r.ensurePosIdxLocked()
 	best := 0
-	bestList := r.posIdx[positions[0]][vals[0].Key()]
+	bestList := r.posIdx[positions[0]][vals[0]]
 	for i := 1; i < len(positions) && len(bestList) > 0; i++ {
-		if list := r.posIdx[positions[i]][vals[i].Key()]; len(list) < len(bestList) {
+		if list := r.posIdx[positions[i]][vals[i]]; len(list) < len(bestList) {
 			best, bestList = i, list
 		}
 	}
-	if len(bestList) == 0 {
-		return nil
-	}
-	out := make([]Tuple, 0, len(bestList))
 	for _, pos := range bestList {
-		t := r.log[pos]
+		t := r.set.log[pos]
 		ok := true
 		for i, p := range positions {
 			if i != best && t[p] != vals[i] {
@@ -133,10 +125,10 @@ func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 			}
 		}
 		if ok {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // SubsumedByExisting reports whether t is subsumed by some stored tuple
@@ -170,33 +162,27 @@ func (r *Relation) SubsumedByExisting(t Tuple) bool {
 
 // All returns the tuples in insertion order. The returned slice aliases the
 // log; callers must not modify it or the tuples.
-func (r *Relation) All() []Tuple { return r.log }
+func (r *Relation) All() []Tuple { return r.set.log }
 
 // Since returns the tuples inserted after the given high-water mark, in
 // insertion order, along with the new mark.
 func (r *Relation) Since(mark uint64) ([]Tuple, uint64) {
-	if mark > uint64(len(r.log)) {
-		mark = uint64(len(r.log))
+	n := uint64(r.set.Len())
+	if mark > n {
+		mark = n
 	}
-	return r.log[mark:], uint64(len(r.log))
+	return r.set.log[mark:], n
 }
 
 // Sorted returns the tuples in canonical (Tuple.Compare) order; a fresh
 // slice, safe to retain.
-func (r *Relation) Sorted() []Tuple {
-	out := make([]Tuple, len(r.log))
-	copy(out, r.log)
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
+func (r *Relation) Sorted() []Tuple { return r.set.Sorted() }
 
 // Clone deep-copies the relation (schema shared, tuples copied).
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.schema)
-	c.log = make([]Tuple, len(r.log))
-	for i, t := range r.log {
-		c.log[i] = t.Clone()
-		c.index[t.Key()] = i
+	for _, t := range r.set.log {
+		c.set.AddClone(t)
 	}
 	return c
 }
@@ -207,8 +193,8 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for k := range r.index {
-		if _, ok := o.index[k]; !ok {
+	for _, t := range r.set.log {
+		if !o.set.Has(t) {
 			return false
 		}
 	}

@@ -20,6 +20,38 @@ func TestTupleKeyInjective(t *testing.T) {
 	}
 }
 
+// TestTupleKeyGolden pins Key's bytes: Skolem null labels embed them, WALs
+// persist those labels and nodes compare them, so the encoding is a format.
+func TestTupleKeyGolden(t *testing.T) {
+	cases := []struct {
+		t    Tuple
+		want string
+	}{
+		{Tuple{}, ""},
+		{Tuple{S("")}, "1:s"},
+		{Tuple{S("ab"), S("c")}, "3:sab2:sc"},
+		{Tuple{I(0), I(-42), I(2004)}, "2:i04:i-425:i2004"},
+		{Tuple{Null("n1"), Null("")}, "3:nn11:n"},
+		{Tuple{S("1"), I(1), Null("1")}, "2:s12:i12:n1"},
+		{Tuple{S("a:b"), S("3:sab"), S("x\x00y")}, "4:sa:b6:s3:sab4:sx\x00y"},
+		{Tuple{S("0123456789"), Null("d1|r|V|2:sa")}, "11:s012345678912:nd1|r|V|2:sa"},
+		{Tuple{S(strings.Repeat("k", 200))}, "201:s" + strings.Repeat("k", 200)}, // beyond the stack buffer
+	}
+	for _, tc := range cases {
+		if got := tc.t.Key(); got != tc.want {
+			t.Errorf("Key(%v) = %q, want %q", tc.t, got, tc.want)
+		}
+		// Key is the concatenation of length-prefixed Value.Key()s.
+		var b strings.Builder
+		for _, v := range tc.t {
+			fmt.Fprintf(&b, "%d:%s", len(v.Key()), v.Key())
+		}
+		if b.String() != tc.want {
+			t.Errorf("reference encoding of %v = %q, want %q", tc.t, b.String(), tc.want)
+		}
+	}
+}
+
 func TestTupleSubsumedBy(t *testing.T) {
 	cases := []struct {
 		t, u Tuple

@@ -2,7 +2,7 @@ package relalg
 
 import (
 	"fmt"
-	"strconv"
+	"math/bits"
 	"strings"
 )
 
@@ -11,18 +11,30 @@ import (
 // Tuple after handing it to a Relation.
 type Tuple []Value
 
-// Key returns a canonical injective encoding of the tuple, usable as a map
-// key. Each component key is length-prefixed, so arbitrary payload bytes
-// (including separators) cannot cause collisions.
+// Key returns a canonical injective encoding of the tuple. Each component
+// key is length-prefixed, so arbitrary payload bytes (including separators)
+// cannot cause collisions. It is the tuple's serialised identity — Skolem
+// null labels embed it, so its bytes are part of the on-disk and on-wire
+// format and must never change. In-memory sets use Hash and Equal instead
+// (see TupleSet).
 func (t Tuple) Key() string {
-	var b strings.Builder
+	var stack [128]byte
+	b := stack[:0]
 	for _, v := range t {
-		k := v.Key()
-		b.WriteString(strconv.Itoa(len(k)))
-		b.WriteByte(':')
-		b.WriteString(k)
+		b = v.appendKey(b)
 	}
-	return b.String()
+	return string(b)
+}
+
+// Hash returns a process-local 64-bit hash of the tuple, consistent with
+// Equal and computed without allocating. It is seeded per process, so it
+// must never be persisted, sent, or used to order output.
+func (t Tuple) Hash() uint64 {
+	h := uint64(len(t))
+	for _, v := range t {
+		h = (bits.RotateLeft64(h, 5) ^ v.Hash()) * 0x9e3779b97f4a7c15
+	}
+	return h
 }
 
 // String renders the tuple as (v1, v2, ...).

@@ -3,11 +3,19 @@
 // relations with duplicate elimination, append logs for delta extraction, and
 // tuple-level homomorphism/subsumption checks used by the chase-style local
 // update step.
+//
+// Tuples have two identities. In memory it is Tuple.Hash plus Tuple.Equal:
+// TupleSet, the insertion-ordered set under every relation and dedup site,
+// finds members by hash and verifies them by equality, without building a
+// key. Serialised it is Tuple.Key, a canonical injective string that Skolem
+// null labels embed; its bytes are a format and never change.
 package relalg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"hash/maphash"
 	"strconv"
 	"strings"
 )
@@ -163,8 +171,8 @@ func asInt(v Value) (int64, bool) {
 	return 0, false
 }
 
-// Key returns a canonical encoding of the value usable as a map key. The
-// encoding is injective across kinds.
+// Key returns a canonical encoding of the value as a string. The encoding
+// is injective across kinds.
 func (v Value) Key() string {
 	switch v.kind {
 	case KindInt:
@@ -174,6 +182,40 @@ func (v Value) Key() string {
 	default:
 		return "s" + v.str
 	}
+}
+
+// appendKey appends the value's component of Tuple.Key: the decimal length
+// of Key(), a colon, then Key() itself.
+func (v Value) appendKey(b []byte) []byte {
+	tag := byte('s')
+	switch v.kind {
+	case KindInt:
+		var digits [20]byte
+		d := strconv.AppendInt(digits[:0], v.num, 10)
+		b = strconv.AppendInt(b, int64(len(d)+1), 10)
+		b = append(b, ':', 'i')
+		return append(b, d...)
+	case KindNull:
+		tag = 'n'
+	}
+	b = strconv.AppendInt(b, int64(len(v.str)+1), 10)
+	b = append(b, ':', tag)
+	return append(b, v.str...)
+}
+
+// hashSeed seeds every Value and Tuple hash of the process.
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a process-local 64-bit hash of the value, consistent with ==
+// (equal values hash equally; the kind is mixed in, so S("1"), I(1) and
+// Null("1") differ) and computed without allocating.
+func (v Value) Hash() uint64 {
+	if v.kind == KindInt {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(v.num))
+		return maphash.Bytes(hashSeed, b[:]) + uint64(KindInt)
+	}
+	return maphash.String(hashSeed, v.str) + uint64(v.kind)
 }
 
 // ParseValue parses the surface syntax produced by Quoted: single-quoted

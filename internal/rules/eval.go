@@ -1,8 +1,6 @@
 package rules
 
 import (
-	"sort"
-
 	"repro/internal/cq"
 	"repro/internal/relalg"
 )
@@ -19,14 +17,24 @@ type PartTuples struct {
 // built-ins. A missing or empty part yields an empty result. The output is
 // deduplicated and canonically ordered.
 func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
-	bindings := []cq.Binding{{}}
-	for _, src := range r.SourceNodes() {
+	// Number the part columns once; bindings are rows indexed by slot.
+	sources := r.SourceNodes()
+	var slots cq.Slots
+	for _, src := range sources {
 		pr, ok := parts[src]
 		if !ok || len(pr.Tuples) == 0 {
 			return nil
 		}
-		bindings = joinOne(bindings, pr)
-		if len(bindings) == 0 {
+		for _, c := range pr.Cols {
+			slots.Add(c)
+		}
+	}
+	var arena cq.Arena
+	rows := [][]relalg.Value{arena.Alloc(slots.Len())}
+	bound := make([]bool, slots.Len())
+	for _, src := range sources {
+		rows = joinOne(&arena, rows, bound, &slots, parts[src])
+		if len(rows) == 0 {
 			return nil
 		}
 	}
@@ -34,72 +42,91 @@ func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 		if builtinLocalToOnePart(r, b) {
 			continue // the source already applied it
 		}
-		kept := bindings[:0]
-		for _, bind := range bindings {
-			holds, ok := b.Eval(bind)
-			if ok && holds {
-				kept = append(kept, bind)
+		kept := rows[:0]
+		for _, row := range rows {
+			lv, lok := operand(b.L, &slots, row)
+			rv, rok := operand(b.R, &slots, row)
+			if !lok || !rok {
+				continue
+			}
+			if holds, ok := b.Holds(lv, rv); ok && holds {
+				kept = append(kept, row)
 			}
 		}
-		bindings = kept
+		rows = kept
 	}
 	exportVars := r.ExportVars()
-	seen := map[string]bool{}
-	var out []relalg.Tuple
-	for _, bind := range bindings {
-		t, err := bind.Project(exportVars)
-		if err != nil {
-			continue // defensive: part columns missing an export variable
-		}
-		k := t.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, t)
+	exportSlots := make([]int, len(exportVars))
+	for i, v := range exportVars {
+		if exportSlots[i] = slots.Lookup(v); exportSlots[i] < 0 {
+			return nil // defensive: part columns missing an export variable
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	var out relalg.TupleSet
+	cq.ProjectInto(&out, rows, exportSlots)
+	return out.Sorted()
 }
 
-// joinOne hash-free nested-loop joins the bindings with one part on shared
-// columns (part result sets are small: they are already projections).
-func joinOne(bindings []cq.Binding, pr PartTuples) []cq.Binding {
-	if len(bindings) == 1 && len(bindings[0]) == 0 {
-		out := make([]cq.Binding, 0, len(pr.Tuples))
-		for _, t := range pr.Tuples {
-			b := cq.Binding{}
-			for i, c := range pr.Cols {
-				if i < len(t) {
-					b[c] = t[i]
-				}
-			}
-			out = append(out, b)
-		}
-		return out
+// operand resolves a built-in's term against a row; ok=false means the term
+// is a variable no part exports.
+func operand(t cq.Term, slots *cq.Slots, row []relalg.Value) (relalg.Value, bool) {
+	if !t.IsVar {
+		return t.Val, true
 	}
-	var out []cq.Binding
-	for _, b := range bindings {
-		for _, t := range pr.Tuples {
-			nb := b.Clone()
-			ok := true
-			for i, c := range pr.Cols {
-				if i >= len(t) {
-					ok = false
-					break
-				}
-				if v, bound := nb[c]; bound {
-					if !v.Equal(t[i]) {
-						ok = false
-						break
-					}
-					continue
-				}
-				nb[c] = t[i]
-			}
-			if ok {
-				out = append(out, nb)
-			}
+	if s := slots.Lookup(t.Var); s >= 0 {
+		return row[s], true
+	}
+	return relalg.Value{}, false
+}
+
+// joinOne hash-free nested-loop joins the rows with one part on shared
+// columns (part result sets are small: they are already projections), marking
+// the part's columns bound. A pair is checked on the shared columns before
+// anything is copied; a row's last match extends the row in place.
+func joinOne(arena *cq.Arena, rows [][]relalg.Value, bound []bool, slots *cq.Slots, pr PartTuples) [][]relalg.Value {
+	colSlots := make([]int, len(pr.Cols))
+	for i, c := range pr.Cols {
+		colSlots[i] = slots.Lookup(c)
+	}
+	// A column either joins with a slot an earlier part bound or assigns a
+	// free one.
+	var joins, assigns []int
+	for i, s := range colSlots {
+		if bound[s] {
+			joins = append(joins, i)
+		} else {
+			assigns = append(assigns, i)
 		}
+	}
+	out := make([][]relalg.Value, 0, len(pr.Tuples))
+	var matches []relalg.Tuple
+	for _, row := range rows {
+		matches = matches[:0]
+	tuples:
+		for _, t := range pr.Tuples {
+			if len(t) < len(pr.Cols) {
+				continue
+			}
+			for _, i := range joins {
+				if row[colSlots[i]] != t[i] {
+					continue tuples
+				}
+			}
+			matches = append(matches, t)
+		}
+		for j, t := range matches {
+			target := row
+			if j < len(matches)-1 {
+				target = arena.Clone(row)
+			}
+			for _, i := range assigns {
+				target[colSlots[i]] = t[i]
+			}
+			out = append(out, target)
+		}
+	}
+	for _, s := range colSlots {
+		bound[s] = true
 	}
 	return out
 }

@@ -227,11 +227,8 @@ func Skolemize(ruleID, variable string, exportVars []string, binding relalg.Tupl
 			depth = d
 		}
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "d%d|%s|%s|", depth, ruleID, variable)
-	b.WriteString(binding.Key())
 	_ = exportVars // part of the contract: binding is ordered by exportVars
-	return relalg.Null(b.String())
+	return relalg.Null("d" + strconv.Itoa(depth) + "|" + ruleID + "|" + variable + "|" + binding.Key())
 }
 
 // ApplyOptions tunes the chase step.
@@ -267,15 +264,38 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 	}
 	existential := r.ExistentialVars()
 
+	// The head environment is a row: the binding's columns, then one slot per
+	// existential variable. Head terms are resolved to slots once.
+	var slots cq.Slots
+	for _, v := range exportVars {
+		slots.Add(v)
+	}
+	for _, v := range existential {
+		slots.Add(v)
+	}
+	heads := make([][]int, len(r.Head)) // per head atom, per term: slot, or -1 for a constant
+	for i, atom := range r.Head {
+		heads[i] = make([]int, len(atom.Terms))
+		for j, t := range atom.Terms {
+			heads[i][j] = -1
+			if t.IsVar {
+				heads[i][j] = slots.Lookup(t.Var)
+			}
+		}
+	}
+	env := make([]relalg.Value, slots.Len())
+	// One scratch tuple per head atom: the database copies what it stores.
+	scratch := make([]relalg.Tuple, len(r.Head))
+	for i, atom := range r.Head {
+		scratch[i] = make(relalg.Tuple, len(atom.Terms))
+	}
+
 	for _, binding := range bindings {
 		if len(binding) != len(exportVars) {
 			return res, fmt.Errorf("rules: rule %s expects %d-column bindings over %v, got %d columns",
 				r.ID, len(exportVars), exportVars, len(binding))
 		}
-		env := make(cq.Binding, len(exportVars)+len(existential))
-		for i, v := range exportVars {
-			env[v] = binding[i]
-		}
+		copy(env, binding)
 		if len(existential) > 0 {
 			// Depth bound: inventing from a binding at depth >= max would
 			// create a null of depth max+1; skip and count.
@@ -289,17 +309,17 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 				res.Truncated++
 				continue
 			}
-			for _, ev := range existential {
-				env[ev] = Skolemize(r.ID, ev, exportVars, binding)
+			for i, ev := range existential {
+				env[len(exportVars)+i] = Skolemize(r.ID, ev, exportVars, binding)
 			}
 		}
-		for _, atom := range r.Head {
-			tuple := make(relalg.Tuple, len(atom.Terms))
-			for i, t := range atom.Terms {
-				if t.IsVar {
-					tuple[i] = env[t.Var]
+		for i, atom := range r.Head {
+			tuple := scratch[i]
+			for j, t := range atom.Terms {
+				if s := heads[i][j]; s >= 0 {
+					tuple[j] = env[s]
 				} else {
-					tuple[i] = t.Val
+					tuple[j] = t.Val
 				}
 			}
 			added, err := db.Insert(atom.Rel, tuple, opts.Mode)

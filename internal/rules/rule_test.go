@@ -129,6 +129,24 @@ func TestSkolemizeDeterministicAndDepth(t *testing.T) {
 	}
 }
 
+// TestSkolemLabelGolden pins the exact bytes of invented null labels: they
+// are persisted in WALs and compared across nodes, so parent and change must
+// agree on them.
+func TestSkolemLabelGolden(t *testing.T) {
+	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004), relalg.Null("d1|r0|Z|2:sa")}
+	got := Skolemize("r7", "Id", []string{"K", "Y", "N"}, binding)
+	want := relalg.Null("d2|r7|Id|13:sconf/edbt/045:i200413:nd1|r0|Z|2:sa")
+	if got != want {
+		t.Fatalf("Skolemize = %s, want %s", got.Quoted(), want.Quoted())
+	}
+	if NullDepth(got) != 2 {
+		t.Fatalf("depth %d, want 2", NullDepth(got))
+	}
+	if got := Skolemize("r", "V", nil, relalg.Tuple{}); got != relalg.Null("d1|r|V|") {
+		t.Fatalf("empty binding: %s", got.Quoted())
+	}
+}
+
 func TestApplyInsertsHeads(t *testing.T) {
 	db := storage.New(relalg.MakeSchema("c", 2))
 	r := parseRule(t, "r2: B:b(X,Y), B:b(Y,Z) -> C:c(X,Z)")

@@ -87,11 +87,9 @@ type Watcher struct {
 	primed bool
 	resume map[string]uint64
 	seq    uint64
-	sent   map[string]bool
-	// Dedup-cache bound: insertion order for window eviction.
-	sentCap  int
-	sentFIFO []string
-	sentHead int
+	sent   relalg.TupleSet // exactly-once dedup window, oldest first
+	// Dedup-cache bound (0 = unbounded).
+	sentCap int
 
 	qmu     sync.Mutex
 	qcond   *sync.Cond
@@ -129,7 +127,6 @@ func newWatcher(h *Hub, cl *class, id uint64, o WatchOptions) *Watcher {
 		policy:  o.Policy,
 		qcap:    o.QueueCap,
 		resume:  o.Resume,
-		sent:    map[string]bool{},
 		sentCap: h.dedupCap,
 		out:     make(chan Batch, 16),
 		quit:    make(chan struct{}),
@@ -205,7 +202,7 @@ func (w *Watcher) Dropped() uint64 { return w.droppedN.Load() }
 func (w *Watcher) DedupLen() int {
 	w.hub.passMu.Lock()
 	defer w.hub.passMu.Unlock()
-	return len(w.sent)
+	return w.sent.Len()
 }
 
 // Policy returns the watcher's slow-consumer policy.
@@ -267,12 +264,7 @@ func (w *Watcher) stageFresh(tuples []relalg.Tuple, frontier map[string]uint64) 
 func (w *Watcher) dedup(tuples []relalg.Tuple) []relalg.Tuple {
 	fresh := tuples[:0:0]
 	for _, t := range tuples {
-		k := t.Key()
-		if !w.sent[k] {
-			w.sent[k] = true
-			if w.sentCap > 0 {
-				w.sentFIFO = append(w.sentFIFO, k)
-			}
+		if w.sent.Add(t) {
 			fresh = append(fresh, t)
 		}
 	}
@@ -287,14 +279,8 @@ func (w *Watcher) evictSent() {
 	if w.sentCap <= 0 {
 		return
 	}
-	for len(w.sentFIFO)-w.sentHead > w.sentCap {
-		delete(w.sent, w.sentFIFO[w.sentHead])
-		w.sentFIFO[w.sentHead] = ""
-		w.sentHead++
-	}
-	if w.sentHead > len(w.sentFIFO)/2 {
-		w.sentFIFO = append(w.sentFIFO[:0], w.sentFIFO[w.sentHead:]...)
-		w.sentHead = 0
+	for w.sent.Len() > w.sentCap {
+		w.sent.DropOldest()
 	}
 }
 

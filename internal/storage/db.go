@@ -30,7 +30,8 @@ type DB struct {
 
 // InsertListener observes successful inserts; seq is the tuple's sequence
 // number in its relation's append log (the recovery cursor of the durable
-// backend). Listeners run after the tuple is committed and after the database
+// backend). The tuple is the inserter's and only valid during the call: a
+// listener that keeps it must copy it. Listeners run after the tuple is committed and after the database
 // lock is released, on the inserting goroutine; they may read the database
 // but must not block, and must tolerate being called concurrently with other
 // inserts. The peer runtime uses one to wake continuous-query watchers; the

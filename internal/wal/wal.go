@@ -165,24 +165,24 @@ type Recovered struct {
 	// Replay-time merge indexes for incremental part records (recPartDelta):
 	// rebuilt lazily, invalidated whenever a full state record replaces
 	// State wholesale.
-	partIdx  map[string]int             // ruleID\x00part -> index into State.Parts
-	partSeen map[string]map[string]bool // ruleID\x00part -> tuple keys present
+	partIdx  map[string]int              // ruleID\x00part -> index into State.Parts
+	partSeen map[string]*relalg.TupleSet // ruleID\x00part -> the part's tuples, in order
 }
 
 // mergePart folds one replayed part-delta record into the recovered state,
-// deduplicating by tuple key (re-sent answers append the same tuples again;
-// the merge is idempotent, like insert replay).
+// deduplicating tuples (re-sent answers append the same tuples again; the
+// merge is idempotent, like insert replay).
 func (r *Recovered) mergePart(pd PartState) {
 	if r.partIdx == nil {
 		r.partIdx = map[string]int{}
-		r.partSeen = map[string]map[string]bool{}
+		r.partSeen = map[string]*relalg.TupleSet{}
 		for i := range r.State.Parts {
 			p := &r.State.Parts[i]
 			key := p.RuleID + "\x00" + p.Part
 			r.partIdx[key] = i
-			seen := make(map[string]bool, len(p.Tuples))
+			seen := &relalg.TupleSet{}
 			for _, t := range p.Tuples {
-				seen[t.Key()] = true
+				seen.Add(t)
 			}
 			r.partSeen[key] = seen
 		}
@@ -193,17 +193,13 @@ func (r *Recovered) mergePart(pd PartState) {
 		r.State.Parts = append(r.State.Parts, PartState{RuleID: pd.RuleID, Part: pd.Part, Cols: pd.Cols})
 		i = len(r.State.Parts) - 1
 		r.partIdx[key] = i
-		r.partSeen[key] = map[string]bool{}
+		r.partSeen[key] = &relalg.TupleSet{}
 	}
 	seen := r.partSeen[key]
 	for _, t := range pd.Tuples {
-		k := t.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		r.State.Parts[i].Tuples = append(r.State.Parts[i].Tuples, t)
+		seen.Add(t)
 	}
+	r.State.Parts[i].Tuples = seen.All()
 }
 
 // Store is an open write-ahead log for one node.
