@@ -91,19 +91,14 @@ func BenchmarkE12_Separation(b *testing.B) { benchExperiment(b, "E12") }
 // ablation (§3's optimisation note).
 func BenchmarkE13_StagedVsFlood(b *testing.B) { benchExperiment(b, "E13") }
 
-// BenchmarkE14_SemiNaive regenerates the semi-naive delta-evaluation
-// ablation (chain and grid fix-point cost).
-func BenchmarkE14_SemiNaive(b *testing.B) { benchExperiment(b, "E14") }
-
 // ---------------------------------------------------------------------------
 // Fix-point throughput benchmarks: discovery + update to closure on one
-// workload, reporting tuples-inserted/sec. The SemiNaive/Full pairs ablate
-// the semi-naive delta evaluation path (delta mode in both cases); the
-// semi-naive variants should come out well ahead on these data-heavy
-// topologies, where full re-evaluation per push is quadratic in the
-// materialised data.
+// workload, reporting tuples-inserted/sec. The Delta/Faithful pairs ablate
+// the delta optimisation; the delta variants should come out well ahead on
+// these data-heavy topologies, where the faithful full re-evaluation per push
+// is quadratic in the materialised data.
 
-func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.SemiNaiveMode) {
+func benchFixpoint(b *testing.B, topo workload.Topology, records int, delta bool) {
 	b.Helper()
 	def, err := workload.Generate(topo, workload.DataSpec{
 		RecordsPerNode: records, Seed: 1, Style: workload.StyleCopy,
@@ -116,7 +111,7 @@ func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.
 	var inserted uint64
 	for i := 0; i < b.N; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		n, err := core.Build(def, core.Options{Seed: 1, Delta: true, SemiNaive: mode})
+		n, err := core.Build(def, core.Options{Seed: 1, Delta: delta})
 		if err != nil {
 			cancel()
 			b.Fatal(err)
@@ -136,18 +131,18 @@ func benchFixpoint(b *testing.B, topo workload.Topology, records int, mode core.
 	}
 }
 
-func BenchmarkFixpointChainSemiNaive(b *testing.B) {
-	benchFixpoint(b, workload.Chain(8), 150, core.SemiNaiveOn)
+func BenchmarkFixpointChainDelta(b *testing.B) {
+	benchFixpoint(b, workload.Chain(8), 150, true)
 }
 
-func BenchmarkFixpointChainFull(b *testing.B) {
-	benchFixpoint(b, workload.Chain(8), 150, core.SemiNaiveOff)
+func BenchmarkFixpointChainFaithful(b *testing.B) {
+	benchFixpoint(b, workload.Chain(8), 150, false)
 }
 
-func BenchmarkFixpointGridSemiNaive(b *testing.B) {
-	benchFixpoint(b, workload.Grid(3, 3), 100, core.SemiNaiveOn)
+func BenchmarkFixpointGridDelta(b *testing.B) {
+	benchFixpoint(b, workload.Grid(3, 3), 100, true)
 }
 
-func BenchmarkFixpointGridFull(b *testing.B) {
-	benchFixpoint(b, workload.Grid(3, 3), 100, core.SemiNaiveOff)
+func BenchmarkFixpointGridFaithful(b *testing.B) {
+	benchFixpoint(b, workload.Grid(3, 3), 100, false)
 }

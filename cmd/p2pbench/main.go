@@ -1,18 +1,16 @@
 // Command p2pbench regenerates every table and figure of the paper's
 // evaluation (experiments E1–E13; see DESIGN.md for the index) plus the
-// engine ablations that go beyond it (E14: semi-naive delta evaluation;
-// E15: durable backend at each fsync policy vs in-memory; E16: batched
-// wire protocol, frames per tuple with and without a batch window; E17:
-// replicated control plane, driver kill and agreed fail-over recovery;
-// E18: k-way replication, primary kill, mirror promotion and the
-// under-replication window; E19: serving fan-out, concurrent
-// insert/watch/query load with shared delta extraction).
+// engine ablations that go beyond it (E15: durable backend at each fsync
+// policy vs in-memory; E16: batched wire protocol, frames per tuple with and
+// without a batch window; E17: replicated control plane, driver kill and
+// agreed fail-over recovery; E18: k-way replication, primary kill, mirror
+// promotion and the under-replication window; E19: serving fan-out,
+// concurrent insert/watch/query load with shared delta extraction).
 //
 // Usage:
 //
 //	p2pbench                 # run everything at the default scale
 //	p2pbench -e E3,E5        # run selected experiments
-//	p2pbench -e E14          # semi-naive vs full-eval fix-point ablation
 //	p2pbench -e E15          # in-memory vs wal fsync always/interval/never
 //	p2pbench -e E16          # batched vs unbatched wire protocol
 //	p2pbench -e E17          # control-plane driver kill and fail-over
@@ -63,7 +61,7 @@ type benchExperiment struct {
 
 func main() {
 	var (
-		ids      = flag.String("e", "all", "comma-separated experiment ids (E1..E19) or 'all'")
+		ids      = flag.String("e", "all", "comma-separated experiment ids (E1..E13, E15..E19) or 'all'")
 		records  = flag.Int("records", 50, "records per node (paper used ~1000)")
 		seed     = flag.Int64("seed", 1, "deterministic seed")
 		timeout  = flag.Duration("timeout", 5*time.Minute, "per-experiment timeout")

@@ -40,12 +40,7 @@ func cmdCtl(args []string) error {
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	copts := cluster.CoordinatorOptions{
-		Membership: clusterOpts(),
-		// Without the replicated control plane a rule notice is consumed only
-		// by its head node, so the coordinator must not redirect it.
-		LegacyRouting: !*useConsensus,
-	}
+	copts := cluster.CoordinatorOptions{Membership: clusterOpts()}
 	if verb == "watch" {
 		// A watch session is long-lived: it must not share the default
 		// coordinator name, or the next one-shot ctl verb would overwrite its

@@ -60,9 +60,9 @@ func main() {
 	collected := make(chan []p2pdb.Tuple)
 	go func() {
 		var all []p2pdb.Tuple
-		for batch := range watch.C() {
-			fmt.Printf("watch: +%d book(s)\n", len(batch))
-			all = append(all, batch...)
+		for batch := range watch.Out() {
+			fmt.Printf("watch: +%d book(s)\n", len(batch.Tuples))
+			all = append(all, batch.Tuples...)
 		}
 		collected <- all
 	}()

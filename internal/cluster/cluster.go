@@ -27,6 +27,11 @@
 // a build to the local node), including Options.DataDir: each process
 // recovers its own write-ahead log on restart and re-joins delta-only after
 // a clean close.
+//
+// Member (Boot) is the one recipe that puts a serve process together:
+// transport, hosted network, and — when configured — the agreed control plane
+// (ControlPlane) and the replica manager (internal/replica), with the hooks
+// the layers need from each other.
 package cluster
 
 import (
@@ -86,8 +91,8 @@ func (s Status) String() string {
 	}
 }
 
-// Member is one row of the member table.
-type Member struct {
+// MemberInfo is one row of the member table.
+type MemberInfo struct {
 	Name     string
 	Addr     string
 	Status   Status
@@ -134,7 +139,7 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// member is the mutable table entry behind a Member row.
+// member is the mutable table entry behind a MemberInfo row.
 type member struct {
 	addr     string
 	status   Status
@@ -142,8 +147,9 @@ type member struct {
 }
 
 // Transport is the cluster membership transport: a transport.Transport that
-// hosts exactly one local name (the process's database peer, or the
-// coordinator) and routes every other name through the member table.
+// hosts one local name (the process's database peer, or the coordinator) plus
+// any names it adopted after a promotion, and routes every other name through
+// the member table.
 type Transport struct {
 	self string
 	opts Options
@@ -155,13 +161,16 @@ type Transport struct {
 	out     transport.Transport
 	batcher *transport.Batcher // non-nil when out is the Batcher
 
-	mu         sync.Mutex
-	members    map[string]*member
-	handler    transport.Handler // the hosted peer's handler (nil until Register)
+	mu      sync.Mutex
+	members map[string]*member
+	// handlers holds the handler of every name this process answers for: its
+	// own (absent until Register) and the adopted peers of re-homed nodes.
+	// Heartbeats for an adopted name carry this process's listen address, so
+	// the rest of the cluster re-homes the name.
+	handlers   map[string]transport.Handler
 	onMemberUp func(node string) // fired when a suspect/left member returns alive
 	// onStatus is fired on every member-status transition (alive, suspect,
-	// left) — the control plane's reconciliation loop reads these through
-	// Members(), the callback just signals. Runs outside the table lock.
+	// left). Runs outside the table lock.
 	onStatus func(node string, st Status)
 	// intercept, when set, sees every non-membership frame before the hosted
 	// peer; returning true consumes it. The replicated control plane hooks
@@ -171,12 +180,8 @@ type Transport struct {
 	// friends, plus the replica halves of an AnswerBatch) before the control
 	// plane and the hosted peer (SetReplica). The replica manager hooks here.
 	replica func(env wire.Envelope) bool
-	// aliasOK holds node names AllowAlias pre-authorised for Register;
-	// aliases the handlers of adopted peers this process answers for after a
-	// promotion (re-homed nodes). Alias heartbeats carry this process's
-	// listen address, so the rest of the cluster re-homes the name.
+	// aliasOK holds node names AllowAlias pre-authorised for Register.
 	aliasOK map[string]bool
-	aliases map[string]transport.Handler
 	// linkDown cuts outgoing frames per destination — transient-partition
 	// injection for tests and experiments (cut both directions by calling it
 	// on each side).
@@ -210,9 +215,9 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		tcp:      tcp,
 		out:      tcp,
 		members:  map[string]*member{},
+		handlers: map[string]transport.Handler{},
 		linkDown: map[string]bool{},
 		aliasOK:  map[string]bool{},
-		aliases:  map[string]transport.Handler{},
 		quit:     make(chan struct{}),
 	}
 	if opts.BatchWindow > 0 {
@@ -229,7 +234,7 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		c.members[node] = &member{addr: addr, status: StatusBook}
 		tcp.SetPeerAddr(node, addr)
 	}
-	if err := tcp.Register(self, c.dispatch); err != nil {
+	if err := tcp.Register(self, func(env wire.Envelope) { c.dispatch(self, env) }); err != nil {
 		_ = tcp.Close()
 		return nil, err
 	}
@@ -246,12 +251,12 @@ func (c *Transport) Addr() string { return c.tcp.Addr() }
 
 // Members snapshots the member table, sorted by name. The local member is
 // not listed.
-func (c *Transport) Members() []Member {
+func (c *Transport) Members() []MemberInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Member, 0, len(c.members))
+	out := make([]MemberInfo, 0, len(c.members))
 	for name, m := range c.members {
-		out = append(out, Member{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen})
+		out = append(out, MemberInfo{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -329,32 +334,30 @@ func (c *Transport) SetLinkDown(to string, down bool) {
 	c.mu.Unlock()
 }
 
-// dispatch is the TCP handler of the local name: membership frames are
-// consumed here, everything else goes to the hosted peer (and is dropped
-// before it registers — the protocol tolerates lost messages by design).
-func (c *Transport) dispatch(env wire.Envelope) {
+// dispatch is the TCP handler of every name this process answers for — its
+// own and each adopted one alike. Membership frames are consumed here, a
+// batch is split into its planes here (and nowhere else), and everything
+// else goes through route to the name's peer.
+func (c *Transport) dispatch(name string, env wire.Envelope) {
 	// Frames from a member this process considers cut are dropped on ingress
 	// too: a partition severs both directions even when only this side
 	// injected it (the TCP socket itself stays up).
 	c.mu.Lock()
-	if c.linkDown[env.From] {
-		c.mu.Unlock()
+	down := c.linkDown[env.From]
+	c.mu.Unlock()
+	if down {
 		return
 	}
-	c.mu.Unlock()
 	switch m := env.Msg.(type) {
 	case wire.Join:
 		c.observe(m.Node, m.Addr)
 		c.merge(m.Members)
-		_ = c.transmit(c.self, m.Node, wire.JoinAck{Members: c.bookSnapshot()})
-		return
+		_ = c.transmit(name, m.Node, wire.JoinAck{Members: c.bookSnapshot()})
 	case wire.JoinAck:
 		c.observe(env.From, "") // address already known: we dialled it
 		c.merge(m.Members)
-		return
 	case wire.Heartbeat:
 		c.observe(m.Node, m.Addr)
-		return
 	case wire.Goodbye:
 		c.mu.Lock()
 		var fire func(string, Status)
@@ -366,69 +369,60 @@ func (c *Transport) dispatch(env wire.Envelope) {
 		if fire != nil {
 			fire(m.Node, StatusLeft)
 		}
-		return
 	case wire.AnswerBatch:
-		// A batched frame may carry a piggybacked heartbeat: consume the
-		// membership plane here (as for a bare Heartbeat) and forward the
-		// database-plane remainder — if any — to the hosted peer. Replication
-		// frames riding the batch are split off to the replica manager the
-		// same way, in order.
+		// A batched frame carries up to four planes. Piggybacked heartbeats
+		// are membership (consumed as a bare Heartbeat would be); replication
+		// frames and watch deltas fan back out one by one, in order, exactly
+		// as if each had paid its own frame; the database-plane remainder —
+		// if any — reaches the peer as a batch.
 		for _, hb := range m.Beats {
 			c.observe(hb.Node, hb.Addr)
 		}
-		if len(m.RepAppends) > 0 || len(m.RepAcks) > 0 {
-			c.mu.Lock()
-			rep := c.replica
-			c.mu.Unlock()
-			if rep != nil {
-				for _, ra := range m.RepAcks {
-					rep(wire.Envelope{From: env.From, To: env.To, Msg: ra})
-				}
-				for _, ra := range m.RepAppends {
-					rep(wire.Envelope{From: env.From, To: env.To, Msg: ra})
-				}
-			}
+		for _, ra := range m.RepAcks {
+			c.route(name, wire.Envelope{From: env.From, To: env.To, Msg: ra})
 		}
-		if len(m.WatchDeltas) > 0 {
-			// Watch-stream deltas riding the batch fan back out one by one
-			// through the normal chain (a coordinator handler consumes them
-			// by id), ahead of the protocol remainder like the other planes.
-			c.mu.Lock()
-			ic := c.intercept
-			h := c.handler
-			c.mu.Unlock()
-			for _, wd := range m.WatchDeltas {
-				one := wire.Envelope{From: env.From, To: env.To, Msg: wd}
-				if ic != nil && ic(one) {
-					continue
-				}
-				if h != nil {
-					h(one)
-				}
-			}
+		for _, ra := range m.RepAppends {
+			c.route(name, wire.Envelope{From: env.From, To: env.To, Msg: ra})
 		}
-		if len(m.Answers) == 0 && len(m.Acks) == 0 {
-			return
+		for _, wd := range m.WatchDeltas {
+			c.route(name, wire.Envelope{From: env.From, To: env.To, Msg: wd})
 		}
-		env.Msg = wire.AnswerBatch{Answers: m.Answers, Acks: m.Acks}
+		if len(m.Answers) > 0 || len(m.Acks) > 0 {
+			env.Msg = wire.AnswerBatch{Answers: m.Answers, Acks: m.Acks}
+			c.route(name, env)
+		}
+	default:
+		c.route(name, env)
+	}
+}
+
+// route delivers one non-membership frame addressed to a hosted name: the
+// replication stream to the replica manager, everything else past the
+// control plane's interceptor to the name's peer (dropped while none is
+// registered — the protocol tolerates lost messages by design). The only
+// name-dependent rule: an adopted name drops consensus rounds. A dead
+// member's Paxos identity is not inherited — answering rounds under a second
+// name would double-count this process's vote.
+func (c *Transport) route(name string, env wire.Envelope) {
+	c.mu.Lock()
+	rep, ic, h := c.replica, c.intercept, c.handlers[name]
+	c.mu.Unlock()
+	switch env.Msg.(type) {
 	case wire.ReplicaAppend, wire.ReplicaAck, wire.ReplicaSyncReq,
 		wire.ReplicaState, wire.ReplicaStatusRequest:
-		// Replication stream frames are consumed below the peer runtime, like
-		// membership and consensus frames: the hosted peer never sees them.
-		// Without a registered manager they are dropped — the stream's ack
-		// discipline re-ships anything that mattered.
-		c.mu.Lock()
-		rep := c.replica
-		c.mu.Unlock()
+		// Consumed below the peer runtime, like membership and consensus
+		// frames. Without a registered manager they are dropped — the
+		// stream's ack discipline re-ships anything that mattered.
 		if rep != nil {
 			rep(env)
 		}
 		return
+	case wire.Prepare, wire.Promise, wire.Accept, wire.Accepted,
+		wire.Learn, wire.CatchUp, wire.Snapshot:
+		if name != c.self {
+			return
+		}
 	}
-	c.mu.Lock()
-	ic := c.intercept
-	h := c.handler
-	c.mu.Unlock()
 	if ic != nil && ic(env) {
 		return
 	}
@@ -461,9 +455,11 @@ func (c *Transport) SetConsensus(fn func(env wire.Envelope) bool) {
 
 // SetOnStatusChange registers a callback fired on every member-status
 // transition this process observes (alive, suspect, left) — the failure
-// detector's edge events, which the replicated control plane folds into
-// agreed member entries. Runs on transport goroutines, outside the table
-// lock.
+// detector's edge events. Member uses it to drop the wire watches of a client
+// that said Goodbye; the control plane's reconciliation loop polls Members()
+// instead, so a transition seen during a minority partition never blocks a
+// transport goroutine on an unreachable quorum. Runs on transport goroutines,
+// outside the table lock.
 func (c *Transport) SetOnStatusChange(fn func(node string, st Status)) {
 	c.mu.Lock()
 	c.onStatus = fn
@@ -566,7 +562,10 @@ func (c *Transport) heartbeatLoop() {
 		var suspected []string
 		var hosted []string
 		c.mu.Lock()
-		for name := range c.aliases {
+		for name := range c.handlers {
+			if name == c.self {
+				continue
+			}
 			// Adopted peers live exactly as long as this process: their table
 			// entries never age into suspicion here, and the loop announces
 			// them below so everyone else keeps them alive too.
@@ -622,26 +621,57 @@ func (c *Transport) heartbeatLoop() {
 // Register implements transport.Transport. A cluster transport hosts its own
 // node (or the coordinator), whose name was fixed at New — plus any adopted
 // peers whose names were pre-authorised with AllowAlias (replica promotion
-// re-homes a dead member's database peer into this process).
+// re-homes a dead member's database peer into this process). An adopted name
+// is an ordinary registration: frames addressed to it that reach this
+// process's listener take the same dispatch, and the heartbeat loop starts
+// announcing the name at this process's address so the rest of the cluster
+// re-homes it (every member's observe adopts the newest directly-asserted
+// address). Sources then fire their member-up resend hook for the name, which
+// re-ships whatever accumulated past its acked frontiers while the original
+// host was dying.
 func (c *Transport) Register(node string, h transport.Handler) error {
-	if node != c.self {
-		c.mu.Lock()
-		allowed := c.aliasOK[node]
-		c.mu.Unlock()
-		if !allowed {
-			return fmt.Errorf("cluster: this process hosts %q, cannot register %q", c.self, node)
-		}
-		return c.registerAlias(node, h)
-	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
+	switch {
+	case c.closed:
+		c.mu.Unlock()
 		return transport.ErrClosed
-	}
-	if c.handler != nil {
+	case node != c.self && !c.aliasOK[node]:
+		c.mu.Unlock()
+		return fmt.Errorf("cluster: this process hosts %q, cannot register %q", c.self, node)
+	case c.handlers[node] != nil:
+		c.mu.Unlock()
 		return fmt.Errorf("cluster: %q already registered", node)
 	}
-	c.handler = h
+	c.handlers[node] = h
+	if node == c.self {
+		c.mu.Unlock()
+		return nil
+	}
+	// The local table entry stops aging: this process answers for the name
+	// now, so its own failure detector must not keep calling it suspect.
+	m, ok := c.members[node]
+	if !ok {
+		m = &member{}
+		c.members[node] = m
+	}
+	m.status = StatusAlive
+	m.lastSeen = time.Now()
+	m.addr = c.tcp.Addr()
+	c.mu.Unlock()
+	if err := c.tcp.Register(node, func(env wire.Envelope) { c.dispatch(node, env) }); err != nil {
+		c.mu.Lock()
+		delete(c.handlers, node)
+		c.mu.Unlock()
+		return err
+	}
+	// Announce immediately on behalf of the name: a Join asserting this
+	// process's address re-homes it everywhere without waiting a heartbeat
+	// tick.
+	for _, name := range c.targets(func(m *member) bool { return m.status != StatusLeft }) {
+		if name != node {
+			_ = c.transmit(node, name, wire.Join{Node: node, Addr: c.tcp.Addr(), Members: c.bookSnapshot()})
+		}
+	}
 	return nil
 }
 
@@ -655,171 +685,20 @@ func (c *Transport) AllowAlias(node string) {
 	c.mu.Unlock()
 }
 
-// registerAlias binds an adopted peer's handler: frames addressed to the
-// alias that reach this process's listener route to it, and the heartbeat
-// loop starts announcing the alias at this process's address so the rest of
-// the cluster re-homes the name (every member's observe adopts the newest
-// directly-asserted address). Sources then fire their member-up resend hook
-// for the alias, which re-ships whatever accumulated past its acked
-// frontiers while the original host was dying.
-func (c *Transport) registerAlias(node string, h transport.Handler) error {
+// Unregister stops answering for an adopted name (the agreed log re-homed it
+// to another member): its frames are no longer dispatched, the heartbeat loop
+// stops asserting this process's address under it, and the table entry ages
+// like any other member's again. The process's own name cannot be
+// unregistered.
+func (c *Transport) Unregister(node string) {
+	if node == c.self {
+		return
+	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return transport.ErrClosed
-	}
-	if _, ok := c.aliases[node]; ok {
-		c.mu.Unlock()
-		return fmt.Errorf("cluster: alias %q already registered", node)
-	}
-	c.aliases[node] = h
-	// The local table entry stops aging: this process answers for the name
-	// now, so its own failure detector must not keep calling it suspect (and
-	// the reconciliation loop must not propose stale statuses for it).
-	m, ok := c.members[node]
-	if !ok {
-		m = &member{}
-		c.members[node] = m
-	}
-	m.status = StatusAlive
-	m.lastSeen = time.Now()
-	m.addr = c.tcp.Addr()
+	delete(c.handlers, node)
+	delete(c.aliasOK, node)
 	c.mu.Unlock()
-	if err := c.tcp.Register(node, func(env wire.Envelope) { c.dispatchAlias(node, env) }); err != nil {
-		c.mu.Lock()
-		delete(c.aliases, node)
-		c.mu.Unlock()
-		return err
-	}
-	// Announce immediately on behalf of the alias: a Join asserting this
-	// process's address re-homes the name everywhere without waiting a
-	// heartbeat tick.
-	for _, name := range c.targets(func(m *member) bool { return m.status != StatusLeft }) {
-		if name == node {
-			continue
-		}
-		_ = c.transmit(node, name, wire.Join{Node: node, Addr: c.tcp.Addr(), Members: c.bookSnapshot()})
-	}
-	return nil
-}
-
-// Aliases lists the adopted peer names this process answers for, sorted.
-func (c *Transport) Aliases() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.aliases))
-	for name := range c.aliases {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HostsAlias reports whether this process answers for node as an alias.
-func (c *Transport) HostsAlias(node string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.aliases[node]
-	return ok
-}
-
-// dispatchAlias is the TCP handler of an adopted peer: membership frames are
-// consumed exactly as for the process's own name, consensus rounds addressed
-// to the dead member are dropped (its consensus identity died with it — this
-// process must not answer Paxos rounds under a second name, which would
-// double-count its vote), and everything else flows through the control
-// plane's interceptor to the adopted peer.
-func (c *Transport) dispatchAlias(alias string, env wire.Envelope) {
-	c.mu.Lock()
-	if c.linkDown[env.From] {
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	switch m := env.Msg.(type) {
-	case wire.Join:
-		c.observe(m.Node, m.Addr)
-		c.merge(m.Members)
-		_ = c.transmit(alias, m.Node, wire.JoinAck{Members: c.bookSnapshot()})
-		return
-	case wire.JoinAck:
-		c.observe(env.From, "")
-		c.merge(m.Members)
-		return
-	case wire.Heartbeat:
-		c.observe(m.Node, m.Addr)
-		return
-	case wire.Goodbye:
-		c.mu.Lock()
-		var fire func(string, Status)
-		if entry, ok := c.members[m.Node]; ok && entry.status != StatusLeft {
-			entry.status = StatusLeft
-			fire = c.onStatus
-		}
-		c.mu.Unlock()
-		if fire != nil {
-			fire(m.Node, StatusLeft)
-		}
-		return
-	case wire.AnswerBatch:
-		for _, hb := range m.Beats {
-			c.observe(hb.Node, hb.Addr)
-		}
-		if len(m.RepAppends) > 0 || len(m.RepAcks) > 0 {
-			// Replication frames ride batches to adopted names too: after a
-			// fail-over the surviving host keeps the dead member's replica
-			// streams alive under the alias, so dropping these here would
-			// stall the stream until its resend timer fired (or forever, for
-			// acks: the primary would re-ship already-durable ranges).
-			c.mu.Lock()
-			rep := c.replica
-			c.mu.Unlock()
-			if rep != nil {
-				for _, ra := range m.RepAcks {
-					rep(wire.Envelope{From: env.From, To: env.To, Msg: ra})
-				}
-				for _, ra := range m.RepAppends {
-					rep(wire.Envelope{From: env.From, To: env.To, Msg: ra})
-				}
-			}
-		}
-		if len(m.WatchDeltas) > 0 {
-			c.mu.Lock()
-			ic := c.intercept
-			h := c.aliases[alias]
-			c.mu.Unlock()
-			for _, wd := range m.WatchDeltas {
-				one := wire.Envelope{From: env.From, To: env.To, Msg: wd}
-				if ic != nil && ic(one) {
-					continue
-				}
-				if h != nil {
-					h(one)
-				}
-			}
-		}
-		if len(m.Answers) == 0 && len(m.Acks) == 0 {
-			return
-		}
-		env.Msg = wire.AnswerBatch{Answers: m.Answers, Acks: m.Acks}
-	}
-	if wire.ControlKinds()[env.Msg.Kind()] {
-		switch env.Msg.(type) {
-		case wire.Prepare, wire.Promise, wire.Accept, wire.Accepted,
-			wire.Learn, wire.CatchUp, wire.Snapshot:
-			return // a dead member's Paxos identity is not inherited
-		}
-	}
-	c.mu.Lock()
-	ic := c.intercept
-	h := c.aliases[alias]
-	c.mu.Unlock()
-	if ic != nil && ic(env) {
-		return
-	}
-	if h != nil {
-		h(env)
-	}
+	c.tcp.Unregister(node)
 }
 
 // Send implements transport.Transport: the member table has already fed the

@@ -14,10 +14,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Fast membership tuning for tests: real sockets, compressed timers.
-func fastOpts() Options {
-	return Options{HeartbeatEvery: 25 * time.Millisecond, SuspectAfter: 150 * time.Millisecond}
-}
+// Fast membership tuning for tests: real sockets, the harness timers.
+func fastOpts() Options { return LoopbackConfig(nil, "", nil, "", 0, 0).Cluster }
 
 func fastCoordOpts() CoordinatorOptions {
 	return CoordinatorOptions{Membership: fastOpts(), PollEvery: 25 * time.Millisecond}
@@ -30,29 +28,26 @@ func testCtx(t *testing.T) context.Context {
 	return c
 }
 
-// startMember boots one "process": a cluster transport plus a hosted-subset
-// build of the definition, announced into the cluster.
+// bootMember boots one "process" from a member configuration; the test
+// closes (or crashes) it itself.
+func bootMember(t *testing.T, cfg MemberConfig) *Member {
+	t.Helper()
+	m, err := Boot(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// startMember boots one "process" without a control plane: a cluster
+// transport plus a hosted-subset build of the definition, announced into the
+// cluster.
 func startMember(t *testing.T, defText, node string, book map[string]string, dataDir string) (*core.Network, *Transport) {
 	t.Helper()
-	def, err := rules.ParseNetwork(defText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(node, "127.0.0.1:0", book, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := core.Build(def, core.Options{
-		Delta:     true,
-		Transport: tr,
-		Hosted:    []string{node},
-		DataDir:   dataDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Announce()
-	return n, tr
+	cfg := LoopbackConfig(mustDef(t, defText), node, book, dataDir, 0, 0)
+	cfg.Control = nil
+	m := bootMember(t, cfg)
+	return m.Network(), m.Transport()
 }
 
 // TestClusterMatchesMemFixpoint is the cross-transport oracle extended to

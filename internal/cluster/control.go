@@ -92,11 +92,11 @@ type ReplicationOptions struct {
 	// fresh goroutine, never during control-log replay (boot recovery asks
 	// AdoptedNodes instead).
 	OnPromote func(node string)
-	// OnDeposed fires when the agreed log records that this member's own
-	// node has been re-homed to another member (this process was declared
-	// dead — usually wrongly, from its point of view: a long partition).
-	// The process must stop serving; a deposed primary that kept accepting
-	// writes would fork the fix-point.
+	// OnDeposed fires when the agreed log re-homes a node this member hosts —
+	// its own or an adopted one — to another member (this process was
+	// declared dead, usually wrongly from its point of view: a long
+	// partition). It must stop serving the node; a deposed primary that kept
+	// accepting writes would fork the fix-point.
 	OnDeposed func(node string)
 }
 
@@ -223,7 +223,6 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 	}
 	cp.mu.Unlock()
 	tr.SetConsensus(cp.intercept)
-	tr.SetOnStatusChange(cp.onGossipStatus)
 	cons.Start()
 	cp.wg.Add(1)
 	go cp.reconcileLoop()
@@ -623,7 +622,7 @@ func (cp *ControlPlane) bidLocked(node string) {
 // checkElectionLocked decides an open election once every expected bidder has
 // bid: the highest durable frontier wins (ties to the lexicographically least
 // name), the host map re-homes the node, and — outside replay — the winner
-// starts its promotion while a deposed self learns its fate. When this
+// starts its promotion while a deposed previous host learns its fate. When this
 // member's own bid is the missing one (a bidder died and the electorate
 // shrank onto us, or we just finished replay), it re-bids. Callers hold mu.
 func (cp *ControlPlane) checkElectionLocked(node string) {
@@ -653,6 +652,7 @@ func (cp *ControlPlane) checkElectionLocked(node string) {
 		}
 	}
 	delete(cp.elections, node)
+	loser := cp.hostOfLocked(node)
 	cp.hosts[node] = winner
 	if winner == cp.self {
 		cp.promotions++
@@ -661,16 +661,22 @@ func (cp *ControlPlane) checkElectionLocked(node string) {
 		if winner == cp.self {
 			//lint:allow goroshutdown bounded: OnPromote adopts the node and returns, then submitAsync selects on quit
 			go cp.runPromotion(node)
-		}
-		if node == cp.self && winner != cp.self {
+		} else if loser == cp.self {
 			// This process is alive but the cluster agreed it was dead — a
-			// partition outlasted DeadAfter. It must stop serving: a deposed
-			// primary that kept accepting inserts would fork the fix-point.
-			if fn := cp.opts.Replication.OnDeposed; fn != nil {
-				//lint:allow goroshutdown bounded callback: OnDeposed seals the local store and returns
-				go fn(node)
-			}
+			// partition or stall outlasted DeadAfter — and the node it hosted
+			// (its own or an adopted one) now lives elsewhere. A node has at
+			// most one live host: this one must stop serving it.
+			cp.deposeLocked(node)
 		}
+	}
+}
+
+// deposeLocked tells the member, off the applier goroutine, that a node it
+// hosted was re-homed elsewhere. Callers hold mu.
+func (cp *ControlPlane) deposeLocked(node string) {
+	if fn := cp.opts.Replication.OnDeposed; fn != nil {
+		//lint:allow goroshutdown bounded callback: OnDeposed stops serving the node and returns
+		go fn(node)
 	}
 }
 
@@ -827,14 +833,6 @@ func (cp *ControlPlane) commitDone(inst, gen uint64) {
 	}
 }
 
-// onGossipStatus receives the failure detector's transitions. The agreed
-// view is corrected by the reconciliation loop, not here — a transition seen
-// during a minority partition must not block a transport goroutine on an
-// unreachable quorum. The callback only kicks the loop awake.
-func (cp *ControlPlane) onGossipStatus(string, Status) {
-	// reconcileLoop's ticker picks the change up; nothing to do inline.
-}
-
 // reconcileLoop keeps the agreed member view converged with the failure
 // detector: whenever a consensus member's gossip status (alive, suspect,
 // left) differs from the agreed view, propose the correction. Proposals are
@@ -864,6 +862,15 @@ func (cp *ControlPlane) reconcileLoop() {
 			if !inSet[m.Name] || m.Status == StatusBook {
 				continue
 			}
+			// A re-homed name has no liveness of its own: what the detector
+			// sees under it is its adopter's heartbeats, and an adopter that
+			// merely stalls must not get the name declared dead a second
+			// time while it still serves it. The adopter's own death already
+			// reopens elections for everything it hosted.
+			if cp.HostOf(m.Name) != m.Name {
+				delete(suspectSince, m.Name)
+				continue
+			}
 			want := m.Status
 			if cp.opts.Replication.K > 0 && m.Status == StatusSuspect {
 				since, ok := suspectSince[m.Name]
@@ -878,10 +885,9 @@ func (cp *ControlPlane) reconcileLoop() {
 			cp.mu.Lock()
 			agreed := cp.view[m.Name]
 			cp.mu.Unlock()
-			// Death is sticky: once agreed dead, only a live return — the
-			// restarted member itself, or its adopter heartbeating on its
-			// behalf — may overwrite it. Proposing mere suspicion over an
-			// agreed death would re-open a decided election's premise.
+			// Death is sticky: once agreed dead, only a live return of the
+			// member itself may overwrite it. Proposing mere suspicion over
+			// an agreed death would re-open a decided election's premise.
 			if agreed == StatusDead && want != StatusAlive {
 				continue
 			}
@@ -1004,18 +1010,20 @@ func (cp *ControlPlane) restoreState(_ uint64, data []byte) {
 	cp.startDrivingLocked()
 	// Promotions the transferred fold decided while this member was away:
 	// anything newly homed on us must be adopted now (outside replay; boot
-	// recovery re-adopts from AdoptedNodes instead), and a newly deposed self
-	// must learn it. Open elections get our bid re-cast via the usual check.
+	// recovery re-adopts from AdoptedNodes instead), and anything we hosted
+	// that is homed elsewhere now — our own node included — must stop being
+	// served here. Open elections get our bid re-cast via the usual check.
 	var promote []string
-	deposed := false
 	if !cp.replaying {
 		for n, h := range cp.hosts {
-			if h == cp.self && n != cp.self && oldHosts[n] != cp.self {
+			was := oldHosts[n] == cp.self || (oldHosts[n] == "" && n == cp.self)
+			switch {
+			case h == cp.self && n != cp.self && !was:
 				promote = append(promote, n)
+			case h != cp.self && was:
+				cp.deposeLocked(n)
 			}
 		}
-		wasDeposed := oldHosts[cp.self] != "" && oldHosts[cp.self] != cp.self
-		deposed = !wasDeposed && cp.hostOfLocked(cp.self) != cp.self
 		for node := range cp.elections {
 			cp.checkElectionLocked(node)
 		}
@@ -1025,12 +1033,6 @@ func (cp *ControlPlane) restoreState(_ uint64, data []byte) {
 	for _, n := range promote {
 		//lint:allow goroshutdown bounded: OnPromote adopts the node and returns, then submitAsync selects on quit
 		go cp.runPromotion(n)
-	}
-	if deposed {
-		if fn := cp.opts.Replication.OnDeposed; fn != nil {
-			//lint:allow goroshutdown bounded callback: OnDeposed seals the local store and returns
-			go fn(cp.self)
-		}
 	}
 	for _, text := range st.Rules {
 		if r, err := rules.ParseRule(text); err == nil && r.HeadNode == cp.self {

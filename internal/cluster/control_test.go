@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/peer"
 	"repro/internal/relalg"
@@ -34,36 +33,16 @@ super A
 `
 
 func fastCPOpts(logPath string) ControlPlaneOptions {
-	return ControlPlaneOptions{
-		PollEvery:      25 * time.Millisecond,
-		Settle:         2,
-		ReconcileEvery: 100 * time.Millisecond,
-		Consensus: consensus.Options{
-			Retry:     10 * time.Millisecond,
-			SyncEvery: 50 * time.Millisecond,
-			LogPath:   logPath,
-		},
-	}
+	o := *LoopbackConfig(nil, "", nil, "", 0, 0).Control
+	o.Consensus.LogPath = logPath
+	return o
 }
 
 // startCPMember boots one "process" with the replicated control plane on it.
 func startCPMember(t *testing.T, defText, node string, book map[string]string, dataDir string) (*core.Network, *Transport, *ControlPlane) {
 	t.Helper()
-	n, tr := startMember(t, defText, node, book, dataDir)
-	def := mustDef(t, defText)
-	var names []string
-	for _, d := range def.Nodes {
-		names = append(names, d.Name)
-	}
-	logPath := ""
-	if dataDir != "" {
-		logPath = filepath.Join(dataDir, node+".control.log")
-	}
-	cp, err := NewControlPlane(tr, n.Peer(node), names, fastCPOpts(logPath))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n, tr, cp
+	m := bootMember(t, LoopbackConfig(mustDef(t, defText), node, book, dataDir, 0, 0))
+	return m.Network(), m.Transport(), m.Control()
 }
 
 // TestControlPlaneFailoverKillDriverMidUpdate is the acceptance scenario: a
@@ -351,62 +330,6 @@ rule rb: B:b(X,Y) -> A:a(X,Y)
 fact C:c('1','2')
 super A
 `
-
-// TestLegacyRoutingRefusesRedirectedRuleChange pins the legacy rule path:
-// without the replicated control plane, a rule notice is consumed only by its
-// head node, so a dead head must surface as an error — not as a notice
-// silently redirected to a member that will drop it.
-func TestLegacyRoutingRefusesRedirectedRuleChange(t *testing.T) {
-	if testing.Short() {
-		t.Skip("legacy routing test skipped in -short mode")
-	}
-	book := map[string]string{}
-	nets := map[string]*core.Network{}
-	// Boot only B and C: head A is down for the whole test.
-	for _, node := range []string{"B", "C"} {
-		seed := map[string]string{}
-		for k, v := range book {
-			seed[k] = v
-		}
-		n, tr := startMember(t, chainNet3, node, seed, "")
-		nets[node] = n
-		book[node] = tr.Addr()
-	}
-	defer func() {
-		for _, n := range nets {
-			_ = n.Close()
-		}
-	}()
-	opts := fastCoordOpts()
-	opts.LegacyRouting = true
-	coord, err := NewCoordinator(mustDef(t, chainNet3), "127.0.0.1:0", book, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	ctx := testCtx(t)
-	if err := coord.WaitMembers(ctx, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.AddLink("rx: C:c(X,Y) -> A:a(X,Y)"); err == nil {
-		t.Fatal("AddLink for a dead head reported success under legacy routing")
-	}
-	if err := coord.DeleteLink("A", "rb"); err == nil {
-		t.Fatal("DeleteLink at a dead head reported success under legacy routing")
-	}
-	// A live head still takes the change directly.
-	if err := coord.AddLink("ry: C:c(X,Y) -> B:b(Y,X)"); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, func() bool {
-		for _, r := range nets["B"].Peer("B").Rules() {
-			if r == "ry" {
-				return true
-			}
-		}
-		return false
-	}, "the rule never applied at its live head")
-}
 
 // TestUpdateErrorsWhenKickCannotLand pins Update's kick verification: with
 // every member unreachable from the coordinator, no epoch can advance, and

@@ -35,12 +35,6 @@ type CoordinatorOptions struct {
 	// unique "@"-prefixed name, or the one-shot joins overwrite its address
 	// in every member's book and streamed frames route to a dead port.
 	Name string
-	// LegacyRouting marks a cluster whose serve members run WITHOUT the
-	// replicated control plane (-consensus=false). There a rule notice is
-	// consumed only by the head node itself, so AddLink/DeleteLink refuse to
-	// fall back to another member — the redirected notice would be silently
-	// dropped — and instead report the dead head to the caller.
-	LegacyRouting bool
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -188,10 +182,12 @@ func (c *Coordinator) alivePeers() []string {
 	return out
 }
 
-// kickTarget picks the member a kick-off verb goes to: the preferred node
-// when it is alive, else the first alive member in sorted order — any member
-// of a consensus-run cluster can host a control request, so an unreachable
-// super-peer falls through to the next live member instead of erroring out.
+// kickTarget picks the member a kick-off verb or rule notice goes to: the
+// preferred node when it is alive, else the first alive member in sorted
+// order — any member of a consensus-run cluster can host a control request
+// (a rule change travels as an agreed log entry and applies at its head node
+// whenever that returns), so an unreachable super-peer or head falls through
+// to the next live member instead of erroring out.
 func (c *Coordinator) kickTarget(prefer string) (string, error) {
 	alive := c.alivePeers()
 	sort.Strings(alive)
@@ -204,23 +200,6 @@ func (c *Coordinator) kickTarget(prefer string) (string, error) {
 		return alive[0], nil
 	}
 	return "", fmt.Errorf("cluster: no alive member to target (preferred %q)", prefer)
-}
-
-// ruleTarget picks the member a rule notice goes to. Under the replicated
-// control plane any member can host the change — it travels as an agreed log
-// entry and applies at the head whenever it returns — so a dead head falls
-// through to the next live member. With LegacyRouting there is no log: only
-// the head consumes the notice, so a redirect would lose the change and the
-// dead head is an error instead.
-func (c *Coordinator) ruleTarget(head string) (string, error) {
-	target, err := c.kickTarget(head)
-	if err != nil {
-		return "", err
-	}
-	if c.opts.LegacyRouting && target != head {
-		return "", fmt.Errorf("cluster: head node %q is not alive and legacy routing cannot redirect a rule change", head)
-	}
-	return target, nil
 }
 
 // WaitMembers blocks until at least want database peers are alive (the
@@ -560,7 +539,7 @@ func (c *Coordinator) AddLink(ruleText string) error {
 	if err := r.Validate(c.def.Lookup()); err != nil {
 		return err
 	}
-	target, err := c.ruleTarget(r.HeadNode)
+	target, err := c.kickTarget(r.HeadNode)
 	if err != nil {
 		return err
 	}
@@ -572,7 +551,7 @@ func (c *Coordinator) AddLink(ruleText string) error {
 // deleteRule entry is a no-op everywhere but the head, which applies it —
 // live or from its control log on restart).
 func (c *Coordinator) DeleteLink(headNode, ruleID string) error {
-	target, err := c.ruleTarget(headNode)
+	target, err := c.kickTarget(headNode)
 	if err != nil {
 		return err
 	}

@@ -44,7 +44,7 @@ type NodeMetrics struct {
 	PiggyAcks   uint64         `json:"acks_piggybacked"` // acks that rode in a batched frame
 	PiggyBeats  uint64         `json:"beats_piggybacked"`
 	Stats       stats.Snapshot `json:"stats"`
-	Members     []Member       `json:"members"`
+	Members     []MemberInfo   `json:"members"`
 	// Consensus is the replicated control plane's state (nil when the member
 	// runs without one): log frontiers, quorum size, elected driver and the
 	// fail-over count — the numbers an operator watches during a

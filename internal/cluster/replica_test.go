@@ -9,39 +9,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/replica"
-	"repro/internal/rules"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-// replicaMember is one "process" of a replicated cluster in-process: the
-// hosted network, its transport, the agreed control plane and the replica
-// manager, wired together exactly as cmd/p2pdb/serve.go wires them.
+// replicaMember is one "process" of a replicated cluster in-process: a booted
+// Member with its parts at hand.
 type replicaMember struct {
+	*Member
 	n   *core.Network
 	tr  *Transport
 	cp  *ControlPlane
 	mgr *replica.Manager
 }
 
-// crash kills the member without a goodbye: listener gone, stores aborted,
-// control plane and manager reaped (their goroutines must not leak into the
-// rest of the test, but nothing says goodbye on the wire).
-func (rm *replicaMember) crash() {
-	_ = rm.tr.Abandon() // before Crash: Network.Close-style goodbyes must not leave
-	_ = rm.n.Crash()
-	rm.cp.Close()
-	rm.mgr.Close()
-}
+// crash kills the member without a goodbye.
+func (rm *replicaMember) crash() { _ = rm.Crash() }
 
-func (rm *replicaMember) shutdown() {
-	rm.cp.Close()
-	rm.mgr.Close()
-	_ = rm.n.Close()
-}
+func (rm *replicaMember) shutdown() { _ = rm.Close() }
 
-// startReplicaMember boots one replicated member, mirroring cmd/p2pdb/serve.go:
-// control plane with the replication hooks, manager constructed right after it,
-// boot re-adoption of nodes the agreed log already homed here.
+// startReplicaMember boots one replicated member with the harness timers.
 func startReplicaMember(t *testing.T, defText, node string, book map[string]string, dataDir string, k int, deadAfter time.Duration) *replicaMember {
 	t.Helper()
 	return startReplicaMemberOpts(t, defText, node, book, dataDir, k, deadAfter, fastOpts())
@@ -52,93 +39,10 @@ func startReplicaMember(t *testing.T, defText, node string, book map[string]stri
 // race detector's scheduling delays without flapping the member table.
 func startReplicaMemberOpts(t *testing.T, defText, node string, book map[string]string, dataDir string, k int, deadAfter time.Duration, mo Options) *replicaMember {
 	t.Helper()
-	def0, err := rules.ParseNetwork(defText)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(node, "127.0.0.1:0", book, mo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := core.Build(def0, core.Options{
-		Delta:     true,
-		Transport: tr,
-		Hosted:    []string{node},
-		DataDir:   dataDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Announce()
-	tr.SetOnMemberUp(func(member string) {
-		if p := n.Peer(node); p != nil {
-			p.ResendUnackedTo(member)
-		}
-	})
-	def := mustDef(t, defText)
-	var names []string
-	for _, d := range def.Nodes {
-		names = append(names, d.Name)
-	}
-	logPath := ""
-	if dataDir != "" {
-		logPath = filepath.Join(dataDir, node+".control.log")
-	}
-	copts := fastCPOpts(logPath)
-	rm := &replicaMember{n: n, tr: tr}
-	mgrReady := make(chan struct{})
-	promote := func(dead string) {
-		<-mgrReady
-		if p := n.Peer(dead); p != nil {
-			rm.mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-			return
-		}
-		tr.AllowAlias(dead)
-		db, st, restore, err := rm.mgr.Promote(dead)
-		if err != nil {
-			return // surfaces as a convergence failure below
-		}
-		if err := n.Adopt(dead, db, st, restore); err != nil {
-			return
-		}
-		p := n.Peer(dead)
-		rm.mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-	}
-	copts.Replication = ReplicationOptions{
-		K:         k,
-		DeadAfter: deadAfter,
-		Frontier: func(dead string) uint64 {
-			<-mgrReady
-			return rm.mgr.Frontier(dead)
-		},
-		OnPromote: promote,
-		OnDeposed: func(string) {},
-	}
-	cp, err := NewControlPlane(tr, n.Peer(node), names, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rm.cp = cp
-	rm.mgr = replica.New(cp, tr.Send, replica.Options{
-		Member:         node,
-		Nodes:          names,
-		K:              k,
-		DataDir:        dataDir,
-		FlushEvery:     10 * time.Millisecond,
-		ResendAfter:    250 * time.Millisecond,
-		ReconcileEvery: 50 * time.Millisecond,
-		SyncReqEvery:   250 * time.Millisecond,
-		StateEvery:     50 * time.Millisecond,
-	})
-	tr.SetReplica(rm.mgr.Handle)
-	if p := n.Peer(node); p != nil {
-		rm.mgr.BecomePrimary(node, p.DB(), p.DurableState)
-	}
-	close(mgrReady)
-	for _, dead := range cp.AdoptedNodes() {
-		promote(dead)
-	}
-	return rm
+	cfg := LoopbackConfig(mustDef(t, defText), node, book, dataDir, k, deadAfter)
+	cfg.Cluster = mo
+	m := bootMember(t, cfg)
+	return &replicaMember{Member: m, n: m.Network(), tr: m.Transport(), cp: m.Control(), mgr: m.Replica()}
 }
 
 // TestReplicaPromotionZeroLoss is the tentpole acceptance scenario in-process:
@@ -278,6 +182,113 @@ func TestReplicaPromotionZeroLoss(t *testing.T) {
 	waitFor(t, 20*time.Second, func() bool {
 		return members[host].mgr.Metrics().UnderReplicated == 0
 	}, "the under-replication window never closed after the promotion")
+}
+
+// TestRehomedNodeHasOneHost pins "a node has at most one live host" across a
+// second death verdict on an already re-homed name. E dies and is adopted;
+// then the agreed log is told E is alive and dead again — what a stalled
+// adopter's heartbeats used to make the failure detector propose on its own.
+// The second election excludes the sitting host, so E moves on, and the first
+// adopter must stop serving it: exactly one network hosts a peer named E, it
+// still holds E's full data, and every under-replication window closes. No
+// verdict here comes from a timer (DeadAfter is a minute): each is submitted.
+func TestRehomedNodeHasOneHost(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins a replicated TCP cluster; skipped in -short mode")
+	}
+	ctx := testCtx(t)
+	def := mustDef(t, chainNet5)
+	var wantE string
+	{
+		ref, err := core.Build(mustDef(t, chainNet5), core.Options{Delta: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantE = ref.Peer("E").DB().Dump()
+		_ = ref.Close()
+	}
+
+	dataRoot := t.TempDir()
+	names := []string{"A", "B", "C", "D", "E"}
+	book := map[string]string{}
+	members := map[string]*replicaMember{}
+	for _, node := range names {
+		rm := startReplicaMember(t, chainNet5, node, book, filepath.Join(dataRoot, node), 2, time.Minute)
+		members[node] = rm
+		book[node] = rm.tr.Addr()
+	}
+	defer func() {
+		for _, rm := range members {
+			rm.shutdown()
+		}
+	}()
+	coord, err := NewCoordinator(def, "127.0.0.1:0", book, fastCoordOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if err := coord.WaitMembers(ctx, len(names)); err != nil {
+		t.Fatal(err)
+	}
+	settled := func() bool {
+		for _, rm := range members {
+			if rm.mgr.Metrics().UnderReplicated != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	waitFor(t, 30*time.Second, settled, "the cluster never reached k durable copies of every node")
+
+	verdict := func(st Status) {
+		t.Helper()
+		cmd := wire.Command{Kind: "member", Node: "E", Status: uint8(st)}
+		if _, err := members["A"].cp.Submit(ctx, cmd); err != nil {
+			t.Fatalf("submit member E %s: %v", st, err)
+		}
+	}
+	// hostOfE waits until every survivor agrees E lives at one member other
+	// than not, and that member serves it.
+	hostOfE := func(not string) string {
+		t.Helper()
+		var host string
+		waitFor(t, 30*time.Second, func() bool {
+			host = members["A"].cp.HostOf("E")
+			if host == not || members[host] == nil || members[host].n.Peer("E") == nil {
+				return false
+			}
+			for _, rm := range members {
+				if rm.cp.HostOf("E") != host {
+					return false
+				}
+			}
+			return true
+		}, "E was never re-homed away from "+not)
+		return host
+	}
+
+	members["E"].crash()
+	delete(members, "E")
+	verdict(StatusDead)
+	first := hostOfE("E")
+	waitFor(t, 30*time.Second, settled, "the first adopter never re-replicated E")
+
+	verdict(StatusAlive)
+	verdict(StatusDead)
+	second := hostOfE(first)
+
+	waitFor(t, 30*time.Second, func() bool {
+		return members[first].n.Peer("E") == nil
+	}, first+" still serves E after the agreed log re-homed it to "+second)
+	for node, rm := range members {
+		if (rm.n.Peer("E") != nil) != (node == second) {
+			t.Errorf("%s hosts E: %v (agreed host %s)", node, rm.n.Peer("E") != nil, second)
+		}
+	}
+	if got := members[second].n.Peer("E").DB().Dump(); got != wantE {
+		t.Errorf("E lost data across two re-homings:\n got: %s\nwant: %s", got, wantE)
+	}
+	waitFor(t, 30*time.Second, settled, "an under-replication window stayed open after the second re-homing")
 }
 
 // TestReplicaChurnSoak is the long referee run: a five-member ring with k=2

@@ -68,8 +68,12 @@ type Apply func(instance uint64, cmd wire.Command)
 // Options tunes a consensus node.
 type Options struct {
 	// Retry is the proposer's base retry pause after a rejected or timed-out
-	// round (default 50ms; each retry adds jitter and rounds time out after
-	// 2×Retry). Partitioned proposers retry at this cadence forever.
+	// round (default 50ms). Each retry adds jitter and doubles both the pause
+	// and the time a round waits for its quorum — 2×Retry per phase at first,
+	// 32×Retry from the fifth attempt on — so a cluster whose round trips
+	// outlast the base timeout (a loaded box, acceptors fsyncing their votes
+	// on a busy disk) still decides instead of timing every ballot out.
+	// Partitioned proposers retry at the capped cadence forever.
 	Retry time.Duration
 	// SyncEvery is the catch-up ticker cadence (default 500ms): each tick
 	// advertises the done-frontier to one peer round-robin and pulls any
@@ -424,7 +428,12 @@ func (n *Node) proposeOnce(ctx context.Context, instance uint64, cmd wire.Comman
 		if err := ctx.Err(); err != nil {
 			return 0, wire.Command{}, err
 		}
-		outcome := n.runBallot(ctx, instance, ballot, cmd)
+		shift := attempt
+		if shift > 4 {
+			shift = 4
+		}
+		base := n.opts.Retry << uint(shift)
+		outcome := n.runBallot(ctx, instance, ballot, cmd, 2*base)
 		switch outcome.state {
 		case ballotDecided:
 			return instance, outcome.val, nil
@@ -438,11 +447,6 @@ func (n *Node) proposeOnce(ctx context.Context, instance uint64, cmd wire.Comman
 		// proposers: with a fixed interval, N contenders re-arriving faster
 		// than a two-phase round completes preempt each other's Accepts
 		// forever, and the ballot numbers escalate without a decision.
-		shift := attempt
-		if shift > 4 {
-			shift = 4
-		}
-		base := n.opts.Retry << uint(shift)
 		pause := base + time.Duration(rand.Int63n(int64(base)))
 		select {
 		case <-ctx.Done():
@@ -488,8 +492,9 @@ type ballotOutcome struct {
 	conflict uint64 // rejected: the ballot an acceptor is bound to
 }
 
-// runBallot runs one full Prepare/Accept round for (instance, ballot).
-func (n *Node) runBallot(ctx context.Context, instance, ballot uint64, cmd wire.Command) ballotOutcome {
+// runBallot runs one full Prepare/Accept round for (instance, ballot), giving
+// each phase up to wait for its quorum.
+func (n *Node) runBallot(ctx context.Context, instance, ballot uint64, cmd wire.Command, wait time.Duration) ballotOutcome {
 	key := roundKey{instance, ballot}
 	n.mu.Lock()
 	n.rounds[key] = &round{promises: map[string]wire.Promise{}, accepts: map[string]wire.Accepted{}}
@@ -507,7 +512,7 @@ func (n *Node) runBallot(ctx context.Context, instance, ballot uint64, cmd wire.
 	n.broadcast(wire.Prepare{Instance: instance, Ballot: ballot, Done: done})
 
 	// Phase 1: majority of promises (or a rejection / a decision).
-	deadline := time.Now().Add(2 * n.opts.Retry)
+	deadline := time.Now().Add(wait)
 	var adopted wire.Command
 	var adoptedBallot uint64
 	useCmd := true
@@ -563,7 +568,7 @@ func (n *Node) runBallot(ctx context.Context, instance, ballot uint64, cmd wire.
 	n.broadcast(wire.Accept{Instance: instance, Ballot: ballot, Val: val, Done: done})
 
 	// Phase 2: majority of accepts.
-	deadline = time.Now().Add(2 * n.opts.Retry)
+	deadline = time.Now().Add(wait)
 	for {
 		n.mu.Lock()
 		if in, ok := n.insts[instance]; ok && in.decided {

@@ -23,6 +23,7 @@ type fakeNet struct {
 	nodes   map[string]*Node
 	cut     map[[2]string]bool // unordered pair → partitioned
 	dropPct int                // percent of frames lost at random
+	delay   time.Duration      // one-way latency of every frame
 	rng     *rand.Rand
 	wg      sync.WaitGroup
 }
@@ -44,6 +45,7 @@ func (f *fakeNet) sender(from string) Sender {
 		blocked := f.cut[pairKey(from, to)]
 		dropped := f.dropPct > 0 && f.rng.Intn(100) < f.dropPct
 		dst := f.nodes[to]
+		delay := f.delay
 		f.mu.Unlock()
 		if blocked || dropped || dst == nil {
 			return nil // silent loss, like an async outbox
@@ -51,6 +53,7 @@ func (f *fakeNet) sender(from string) Sender {
 		f.wg.Add(1)
 		go func() {
 			defer f.wg.Done()
+			time.Sleep(delay)
 			dst.Handle(wire.Envelope{From: from, To: to, Msg: msg})
 		}()
 		return nil
@@ -678,12 +681,19 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 	nodes["B"].Handle(wire.Envelope{From: "A", To: "B", Msg: wire.Prepare{Instance: 1, Ballot: 5}})
 	nodes["B"].Handle(wire.Envelope{From: "A", To: "B", Msg: wire.Accept{Instance: 1, Ballot: 5, Val: early}})
 	// Now C proposes its own command at the same instance; the Prepare round
-	// must surface B's accepted value and decide it instead.
+	// must surface B's accepted value and decide it instead. The rule binds
+	// only a promise quorum that contains B — a value accepted by a minority
+	// is not chosen, and a quorum of A and C alone may rightly decide C's own
+	// command (which is what happened whenever B's promise was the slow one,
+	// and the wait below then expired on a log that held one entry for good).
+	// Cutting A from C makes every quorum contain B.
+	f.partition([]string{"A"}, []string{"C"})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if _, err := nodes["C"].Submit(ctx, wire.Command{Kind: "noop", Text: "late"}); err != nil {
 		t.Fatal(err)
 	}
+	f.heal()
 	waitFor(t, 5*time.Second, "two entries applied", func() bool {
 		return len(logs["A"].snapshot()) >= 2
 	})
@@ -691,6 +701,28 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 	if first.Cmd.Origin != "Z" || first.Cmd.Kind != "member" {
 		t.Fatalf("instance 1 decided %+v, want the earlier accepted value", first.Cmd)
 	}
+}
+
+// TestSlowRoundTripsStillDecide: when every round trip outlasts the base
+// phase timeout (a loaded box, acceptors fsyncing votes on a busy disk — here
+// 30ms each way against 2×Retry = 20ms), a proposer must not time every
+// ballot out forever: each retry waits longer for its quorum, so the third
+// attempt's phases (80ms) cover the 60ms round trip and the command decides.
+func TestSlowRoundTripsStillDecide(t *testing.T) {
+	f := newFakeNet()
+	f.delay = 30 * time.Millisecond
+	names := []string{"A", "B", "C"}
+	nodes, logs := startCluster(t, f, names, fastOpts())
+	submit(t, nodes["A"], "noop", "slow")
+	waitFor(t, 10*time.Second, "applied everywhere", func() bool {
+		for _, l := range logs {
+			if len(l.snapshot()) != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	sameOrder(t, logs, 1)
 }
 
 func TestMetricsShape(t *testing.T) {

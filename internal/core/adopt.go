@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/peer"
-	"repro/internal/rules"
 	"repro/internal/storage"
 	"repro/internal/wal"
 )
@@ -18,8 +17,8 @@ import (
 // moves where one of its nodes runs.
 
 // hosted snapshots the peer table, store table and node order under defMu.
-// Adopt replaces all three copy-on-write, so a returned snapshot is immutable
-// and safe to iterate without holding the lock.
+// Adopt and Release replace all three copy-on-write, so a returned snapshot
+// is immutable and safe to iterate without holding the lock.
 func (n *Network) hosted() (map[string]*peer.Peer, map[string]*wal.Store, []string) {
 	n.defMu.Lock()
 	defer n.defMu.Unlock()
@@ -46,77 +45,61 @@ func (n *Network) Adopt(node string, db *storage.DB, st *wal.Store, restore *wal
 	if !ok {
 		return fmt.Errorf("core: adopt unknown node %q", node)
 	}
-	var head []rules.Rule
-	for _, r := range n.def.Rules {
-		if r.HeadNode == node {
-			head = append(head, r)
-		}
-	}
-	pOpts := peer.Options{
-		Delta:         n.opts.Delta,
-		SemiNaive:     n.opts.SemiNaive,
-		InsertMode:    n.opts.InsertMode,
-		MaxNullDepth:  n.opts.MaxNullDepth,
-		Maps:          n.def.MapSet(),
-		Recorder:      n.opts.Recorder,
-		WatchDedupCap: n.opts.WatchDedupCap,
-		ResendEvery:   n.opts.ResendEvery,
-		DB:            db,
-		Restore:       restore,
-	}
-	if st != nil {
-		// Same acknowledgment durability hooks as Build wires for a node's
-		// original home.
-		pOpts.PersistParts = func(pd wal.PartState) { _ = st.AppendParts(pd) }
-		pOpts.PersistMarks = func() { _ = st.SaveMarks() }
-		if n.opts.Fsync != wal.FsyncNever {
-			pOpts.SyncForAck = st.Sync
-		} else {
-			pOpts.SyncForAck = st.SyncPoint
-		}
-	}
-	p, err := peer.New(node, decl.Schemas, head, n.tr, pOpts)
+	// Peers this process already hosts learned the node's name at Build time
+	// (neighbor wiring reads the full definition), so only the adopted side
+	// needs edges — which newPeer wires.
+	p, err := n.newPeer(decl, wiring(n.def)[node], db, st, restore)
 	if err != nil {
 		return err
 	}
-	if st != nil {
-		// Only the state sources switch over to the live peer; the insert
-		// listener has been the mirror's since wal.Open.
-		st.SetStateSource(p.DurableState)
-		st.SetMarksSource(p.DurableSubs)
+	n.installLocked(node, p, st)
+	return nil
+}
+
+// Release is Adopt's inverse: the agreed log re-homed the node to another
+// member, so this process stops serving it. The peer's watchers, resend loop
+// and ack worker stop, and it leaves the tables; its store (nil for an
+// in-memory network) is handed back unsealed for the caller to discard — the
+// copy is no longer authoritative. The caller also stops routing the name
+// here (cluster.Transport.Unregister). Releasing a node not hosted here is a
+// no-op returning nil.
+func (n *Network) Release(node string) *wal.Store {
+	n.defMu.Lock()
+	p, st := n.peers[node], n.stores[node]
+	if p != nil {
+		n.installLocked(node, nil, nil)
 	}
-	// Pipe acquaintances, both rule directions, exactly as Build wires them.
-	// Peers this process already hosts learned the node's name at Build time
-	// (neighbor wiring reads the full definition), so only the adopted side
-	// needs edges now.
-	for _, r := range n.def.Rules {
-		for _, src := range r.SourceNodes() {
-			if r.HeadNode == node {
-				p.AddNeighbor(src)
-			}
-			if src == node {
-				p.AddNeighbor(r.HeadNode)
-			}
-		}
+	n.defMu.Unlock()
+	if p != nil {
+		p.CloseWatchers()
 	}
-	// Copy-on-write installation: snapshots handed out by hosted() before
-	// this point stay valid and immutable.
+	return st
+}
+
+// installLocked replaces the peer, store and order tables copy-on-write with
+// node set to p/st (removed when p is nil): snapshots handed out by hosted()
+// before this point stay valid and immutable. Callers hold defMu.
+func (n *Network) installLocked(node string, p *peer.Peer, st *wal.Store) {
 	peers := make(map[string]*peer.Peer, len(n.peers)+1)
 	for k, v := range n.peers {
 		peers[k] = v
 	}
-	peers[node] = p
 	stores := make(map[string]*wal.Store, len(n.stores)+1)
 	for k, v := range n.stores {
 		stores[k] = v
 	}
-	if st != nil {
-		stores[node] = st
+	delete(peers, node)
+	delete(stores, node)
+	if p != nil {
+		peers[node] = p
+		if st != nil {
+			stores[node] = st
+		}
 	}
-	order := make([]string, 0, len(n.order)+1)
-	order = append(order, n.order...)
-	order = append(order, node)
+	order := make([]string, 0, len(peers))
+	for k := range peers {
+		order = append(order, k)
+	}
 	sort.Strings(order)
 	n.peers, n.stores, n.order = peers, stores, order
-	return nil
 }

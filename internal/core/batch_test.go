@@ -20,7 +20,7 @@ import (
 
 // TestBuildRejectsResendWithoutDelta pins the configuration contract: the
 // resend loop re-ships unacknowledged deltas from the acked frontiers, which
-// only Delta with semi-naive evaluation maintains. Before this check the
+// only Delta maintains. Before this check the
 // option was silently accepted and silently inert.
 func TestBuildRejectsResendWithoutDelta(t *testing.T) {
 	text := "node A { rel a(x,y) }\nnode B { rel b(x,y) }\nrule r: A:a(X,Y) -> B:b(X,Y)\nsuper A\n"
@@ -30,13 +30,9 @@ func TestBuildRejectsResendWithoutDelta(t *testing.T) {
 		t.Fatal("ResendEvery without Delta must be rejected")
 	}
 	def = mustParse(t, text)
-	if _, err := Build(def, Options{Delta: true, SemiNaive: SemiNaiveOff, ResendEvery: time.Second}); err == nil {
-		t.Fatal("ResendEvery with SemiNaiveOff must be rejected")
-	}
-	def = mustParse(t, text)
 	n, err := Build(def, Options{Delta: true, ResendEvery: time.Second})
 	if err != nil {
-		t.Fatalf("ResendEvery with Delta (semi-naive default) must build: %v", err)
+		t.Fatalf("ResendEvery with Delta must build: %v", err)
 	}
 	_ = n.Close()
 }

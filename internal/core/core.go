@@ -37,13 +37,10 @@ type Options struct {
 	// Synchronous switches the transport to BSP rounds (the paper's
 	// "synchronous alternative").
 	Synchronous bool
-	// Delta enables the delta optimisation on all peers.
+	// Delta enables the delta optimisation on all peers (semi-naive
+	// re-answers from per-subscription marks; see peer.Options.Delta). Off is
+	// the paper's faithful mode, the reference the oracles compare against.
 	Delta bool
-	// SemiNaive selects the evaluation strategy behind delta-mode answers
-	// (default on; see peer.Options.SemiNaive). SemiNaiveOff restores the
-	// legacy full re-evaluation with a per-subscription sent-set. Ignored
-	// when Delta is false.
-	SemiNaive SemiNaiveMode
 	// InsertMode selects exact or core insertion.
 	InsertMode storage.InsertMode
 	// MaxNullDepth bounds existential invention (0 = default).
@@ -60,11 +57,6 @@ type Options struct {
 	Transport transport.Transport
 	// Recorder, when set, records all protocol sends for sequence charts.
 	Recorder *trace.Recorder
-	// ClosureProbes bounds the closure-probe retries in Update (0 = default
-	// of 8). Probes re-issue queries at still-open peers when the network
-	// went quiescent before every node closed (a race swallowed a
-	// confirming cascade); each probe runs at fix-point cost.
-	ClosureProbes int
 	// DataDir, when set, makes the network durable: every node opens a
 	// log-structured store under DataDir/<node> (see internal/wal), inserts
 	// are logged as they commit, and a rebuilt network recovers each node's
@@ -73,33 +65,26 @@ type Options struct {
 	// the acknowledgment handshake (dependents confirm each answer's
 	// sequence range with wire.AnswerAck; only acks sent after the
 	// dependent's store synced carry the Durable flag that lets a frontier
-	// be persisted), so in the default Delta+semi-naive configuration BOTH
-	// clean and crash restarts re-answer delta-only: the re-send after a
-	// crash is exactly the unconfirmed suffix, which receivers deduplicate.
-	// Under wal.FsyncNever routine appends skip fsync but acks still gate
-	// on a group-commit sync point (wal.Store.SyncPoint), so crash restarts
-	// are delta-only there too; without the handshake (Delta off,
-	// SemiNaiveOff) crash restarts drop the subscriptions entirely. Empty
-	// DataDir keeps the network purely in-memory, as before.
+	// be persisted), so with Delta BOTH clean and crash restarts re-answer
+	// delta-only: the re-send after a crash is exactly the unconfirmed
+	// suffix, which receivers deduplicate. Under wal.FsyncNever routine
+	// appends skip fsync but acks still gate on a group-commit sync point
+	// (wal.Store.SyncPoint), so crash restarts are delta-only there too;
+	// without the handshake (Delta off) crash restarts drop the
+	// subscriptions entirely. Empty DataDir keeps the network purely
+	// in-memory.
 	DataDir string
 	// Fsync selects the stores' durability policy (wal.FsyncInterval
 	// default; see wal.FsyncPolicy). Ignored without DataDir.
 	Fsync wal.FsyncPolicy
-	// FsyncEvery overrides the background flush cadence under
-	// wal.FsyncInterval. Ignored without DataDir.
-	FsyncEvery time.Duration
-	// WatchDedupCap bounds every watcher's delivered-tuple dedup cache (see
-	// peer.Options.WatchDedupCap). Zero keeps the exact, unbounded cache.
-	WatchDedupCap int
 	// ResendEvery, when positive, starts a per-peer background loop that
 	// re-ships unacknowledged subscription deltas from the acked frontier
 	// (see peer.Options.ResendEvery). Deployments (cmd/p2pdb serve) enable
 	// it so a delta lost to a dead or unreachable member ships again without
 	// waiting for the next epoch; deterministic in-process runs leave it 0.
-	// Build rejects it outside the Delta+semi-naive configuration: the
-	// resend loop re-ships from acked frontiers, which only exist there, so
-	// a misconfigured deployment fails loudly instead of silently never
-	// re-sending.
+	// Build rejects it without Delta: the resend loop re-ships from acked
+	// frontiers, which only exist there, so a misconfigured deployment fails
+	// loudly instead of silently never re-sending.
 	ResendEvery time.Duration
 	// BatchWindow, when positive, wraps the transport in a Batcher
 	// (transport.NewBatcher): Answers and AnswerAcks bound for the same peer
@@ -109,9 +94,6 @@ type Options struct {
 	// as its own frame, as before. Ignored in Synchronous mode, whose BSP
 	// stepping needs every send delivered by the next round.
 	BatchWindow time.Duration
-	// BatchBytes flushes a batch early once its payload estimate reaches
-	// this size (default 64KiB). Ignored without BatchWindow.
-	BatchBytes int
 	// Hosted, when non-empty, restricts the network to hosting only the named
 	// nodes of the definition: only their peers are built, seeded and (with
 	// DataDir) given durable stores, while the full definition still
@@ -126,16 +108,11 @@ type Options struct {
 	Hosted []string
 }
 
-// SemiNaiveMode selects the delta-mode evaluation strategy; re-exported from
-// the peer runtime so orchestration callers need not import it.
-type SemiNaiveMode = peer.SemiNaiveMode
-
-// Semi-naive evaluation modes.
-const (
-	SemiNaiveAuto = peer.SemiNaiveAuto
-	SemiNaiveOn   = peer.SemiNaiveOn
-	SemiNaiveOff  = peer.SemiNaiveOff
-)
+// closureProbes bounds the closure-probe retries of Update and UpdateStaged:
+// probes re-issue queries at still-open peers when the network went quiescent
+// before every node closed (a race swallowed a confirming cascade); each
+// probe runs at fix-point cost.
+const closureProbes = 8
 
 // Network is a running P2P database network over any transport.
 type Network struct {
@@ -161,11 +138,11 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		}
 		return nil, err
 	}
-	if opts.ResendEvery > 0 && (!opts.Delta || !opts.SemiNaive.Enabled()) {
+	if opts.ResendEvery > 0 && !opts.Delta {
 		if opts.Transport != nil {
 			_ = opts.Transport.Close()
 		}
-		return nil, fmt.Errorf("core: ResendEvery requires Delta with semi-naive evaluation (the resend loop re-ships unacknowledged deltas from the acked frontiers, which only that configuration maintains)")
+		return nil, fmt.Errorf("core: ResendEvery requires Delta (the resend loop re-ships unacknowledged deltas from the acked frontiers, which only delta mode maintains)")
 	}
 	tr := opts.Transport
 	if tr == nil {
@@ -183,10 +160,7 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		// see capTransport. Synchronous mode is exempt: BSP rounds require
 		// every send buffered for the NEXT Step, not held in a side buffer
 		// the stepper cannot see.
-		batcher = transport.NewBatcher(tr, transport.BatcherOptions{
-			Window:   opts.BatchWindow,
-			MaxBytes: opts.BatchBytes,
-		})
+		batcher = transport.NewBatcher(tr, transport.BatcherOptions{Window: opts.BatchWindow})
 		tr = batcher
 	}
 	n := &Network{def: def, tr: tr, batcher: batcher, peers: map[string]*peer.Peer{}, stores: map[string]*wal.Store{}, opts: opts}
@@ -206,14 +180,7 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 	// Durable backends: one store per node, opened before the peers so the
 	// recovered epochs can be aligned (each node persists its own; the
 	// maximum becomes everyone's restart epoch, keeping the next update wave
-	// strictly newer than anything in flight before the shutdown). In the
-	// acknowledgment configuration (Delta + semi-naive, fsync not never) the
-	// persisted marks are acked frontiers and stay trusted even after a
-	// crash — a frontier was only ever advanced by a dependent that had the
-	// data on stable storage; peers clamp it to their recovered relation
-	// seqs on restore. Outside that configuration a crash anywhere may have
-	// lost answers in flight to anyone, so the marks are dropped and sources
-	// re-answer in full.
+	// strictly newer than anything in flight before the shutdown).
 	recovered := map[string]*wal.Recovered{}
 	// A failed Build abandons the stores with Abort, never Close: Close
 	// would append a clean-close record carrying the recovered state, which
@@ -231,10 +198,7 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 			if !isHosted(decl.Name) {
 				continue
 			}
-			st, rec, err := wal.Open(filepath.Join(opts.DataDir, decl.Name), wal.Options{
-				Fsync:      opts.Fsync,
-				FsyncEvery: opts.FsyncEvery,
-			})
+			st, rec, err := wal.Open(filepath.Join(opts.DataDir, decl.Name), wal.Options{Fsync: opts.Fsync})
 			if err != nil {
 				closeStores()
 				tr.Close()
@@ -251,86 +215,47 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		}
 	}
 
-	byHead := map[string][]rules.Rule{}
-	for _, r := range def.Rules {
-		byHead[r.HeadNode] = append(byHead[r.HeadNode], r)
-	}
-	// ackedRecovery: the handshake is in force, so persisted marks are
-	// durability-confirmed frontiers and survive crashes under ANY fsync
-	// policy — the gating happens at write time, not restore time: only
-	// acks from dependents that synced first (AnswerAck.Durable) ever
-	// advance the persisted frontier, and clean closes promote
-	// receipt-confirmed frontiers only while sealing every store. Marks
-	// written under a different or laxer policy in a previous run are
-	// therefore still trustworthy now.
-	ackedRecovery := opts.Delta && opts.SemiNaive.Enabled()
+	byNode := wiring(def)
 	for _, decl := range def.Nodes {
 		if !isHosted(decl.Name) {
 			continue
 		}
-		pOpts := peer.Options{
-			Delta:         opts.Delta,
-			SemiNaive:     opts.SemiNaive,
-			InsertMode:    opts.InsertMode,
-			MaxNullDepth:  opts.MaxNullDepth,
-			Maps:          def.MapSet(),
-			Recorder:      opts.Recorder,
-			WatchDedupCap: opts.WatchDedupCap,
-			ResendEvery:   opts.ResendEvery,
-		}
-		if st := n.stores[decl.Name]; st != nil {
-			// Acknowledgment durability hooks: part tuples are logged before
-			// the ack, the store syncs before the ack leaves, and an advanced
-			// frontier is appended as a marks record. Under FsyncNever the
-			// per-record fsyncs stay off, but acks still gate on a
-			// group-commit sync point (many acks amortise one fsync), so
-			// crash restarts trust the recovered marks in every policy.
-			pOpts.PersistParts = func(pd wal.PartState) { _ = st.AppendParts(pd) }
-			pOpts.PersistMarks = func() { _ = st.SaveMarks() }
-			if opts.Fsync != wal.FsyncNever {
-				pOpts.SyncForAck = st.Sync
-			} else {
-				pOpts.SyncForAck = st.SyncPoint
-			}
-		}
+		var db *storage.DB
+		var restore *wal.State
 		if rec := recovered[decl.Name]; rec != nil {
-			pOpts.DB = rec.DB
-			restore := rec.State
-			restore.Epoch = restartEpoch
-			if !cleanRestart && !ackedRecovery {
-				restore.Subs = nil // distrusted marks: sources re-answer in full
+			db = rec.DB
+			state := rec.State
+			state.Epoch = restartEpoch
+			// With Delta the acknowledgment handshake is in force: persisted
+			// marks are durability-confirmed frontiers and stay trusted after
+			// a crash under ANY fsync policy — the gating happens at write
+			// time, not restore time: only acks from dependents that synced
+			// first (AnswerAck.Durable) ever advance the persisted frontier,
+			// clean closes promote receipt-confirmed frontiers only while
+			// sealing every store, and peers clamp a frontier to their
+			// recovered relation seqs on restore. Without the handshake a
+			// crash anywhere may have lost answers in flight to anyone, so
+			// the marks are dropped and sources re-answer in full.
+			if !cleanRestart && !opts.Delta {
+				state.Subs = nil
 			}
-			pOpts.Restore = &restore
+			restore = &state
 		}
-		p, err := peer.New(decl.Name, decl.Schemas, byHead[decl.Name], tr, pOpts)
+		st := n.stores[decl.Name]
+		p, err := n.newPeer(decl, byNode[decl.Name], db, st, restore)
 		if err != nil {
 			closeStores()
 			tr.Close()
 			return nil, err
 		}
-		if st := n.stores[decl.Name]; st != nil {
+		if st != nil {
 			st.Attach(p.DB())
-			st.SetStateSource(p.DurableState)
-			st.SetMarksSource(p.DurableSubs)
 		}
 		n.peers[decl.Name] = p
 		n.order = append(n.order, decl.Name)
 	}
 	sort.Strings(n.order)
 
-	// Pipes exist in both rule directions (Section 5 of the paper). In
-	// hosted-subset mode only the local ends are wired; the remote ends are
-	// wired by the processes hosting them.
-	for _, r := range def.Rules {
-		for _, src := range r.SourceNodes() {
-			if head := n.peers[r.HeadNode]; head != nil {
-				head.AddNeighbor(src)
-			}
-			if sp := n.peers[src]; sp != nil {
-				sp.AddNeighbor(r.HeadNode)
-			}
-		}
-	}
 	for _, f := range def.Facts {
 		if !isHosted(f.Node) {
 			continue
@@ -346,6 +271,77 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		n.super = n.order[0]
 	}
 	return n, nil
+}
+
+// nodeWires is what the rule set says about one node: the rules it is the head
+// of, and its pipe acquaintances — pipes exist in both rule directions
+// (Section 5 of the paper).
+type nodeWires struct {
+	head      []rules.Rule
+	neighbors []string
+}
+
+// wiring indexes a definition's rules by node in one pass.
+func wiring(def *rules.Network) map[string]nodeWires {
+	out := map[string]nodeWires{}
+	for _, r := range def.Rules {
+		h := out[r.HeadNode]
+		h.head = append(h.head, r)
+		for _, src := range r.SourceNodes() {
+			h.neighbors = append(h.neighbors, src)
+			s := out[src]
+			s.neighbors = append(s.neighbors, r.HeadNode)
+			out[src] = s
+		}
+		out[r.HeadNode] = h
+	}
+	return out
+}
+
+// newPeer is the one peer construction recipe, shared by Build (a node's
+// original home) and Adopt (a re-homed node): the network's options, the
+// acknowledgment durability hooks over the node's store (nil without
+// DataDir), and the node's rules and pipe acquaintances — only the local end
+// of a pipe is wired; a remote end is wired by the process hosting it. db and
+// restore carry recovered or mirrored state (nil: the peer starts empty). The
+// caller installs the peer in the tables.
+func (n *Network) newPeer(decl rules.NodeDecl, w nodeWires, db *storage.DB, st *wal.Store, restore *wal.State) (*peer.Peer, error) {
+	pOpts := peer.Options{
+		Delta:        n.opts.Delta,
+		InsertMode:   n.opts.InsertMode,
+		MaxNullDepth: n.opts.MaxNullDepth,
+		Maps:         n.def.MapSet(),
+		Recorder:     n.opts.Recorder,
+		ResendEvery:  n.opts.ResendEvery,
+		DB:           db,
+		Restore:      restore,
+	}
+	if st != nil {
+		// Part tuples are logged before the ack, the store syncs before the
+		// ack leaves, and an advanced frontier is appended as a marks record.
+		// Under FsyncNever the per-record fsyncs stay off, but acks still
+		// gate on a group-commit sync point (many acks amortise one fsync),
+		// so crash restarts trust the recovered marks in every policy.
+		pOpts.PersistParts = func(pd wal.PartState) { _ = st.AppendParts(pd) }
+		pOpts.PersistMarks = func() { _ = st.SaveMarks() }
+		if n.opts.Fsync != wal.FsyncNever {
+			pOpts.SyncForAck = st.Sync
+		} else {
+			pOpts.SyncForAck = st.SyncPoint
+		}
+	}
+	p, err := peer.New(decl.Name, decl.Schemas, w.head, n.tr, pOpts)
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		st.SetStateSource(p.DurableState)
+		st.SetMarksSource(p.DurableSubs)
+	}
+	for _, nb := range w.neighbors {
+		p.AddNeighbor(nb)
+	}
+	return p, nil
 }
 
 // BuildWith is Build over an explicit transport (the network takes
@@ -559,10 +555,6 @@ func (n *Network) Update(ctx context.Context) error {
 		return fmt.Errorf("core: super-peer %q not in network", n.super)
 	}
 	sp.StartUpdateWave()
-	probes := n.opts.ClosureProbes
-	if probes <= 0 {
-		probes = 8
-	}
 	for attempt := 0; ; attempt++ {
 		if err := n.Quiesce(ctx); err != nil {
 			return err
@@ -571,9 +563,9 @@ func (n *Network) Update(ctx context.Context) error {
 		if len(open) == 0 {
 			return nil
 		}
-		if attempt >= probes {
+		if attempt >= closureProbes {
 			return fmt.Errorf("core: %d node(s) still open after %d closure probes: %v",
-				len(open), probes, open)
+				len(open), closureProbes, open)
 		}
 		for _, id := range open {
 			if p := n.Peer(id); p != nil {

@@ -42,8 +42,8 @@ func drainWatcher(w *Watcher) chan map[string]bool {
 	out := make(chan map[string]bool, 1)
 	go func() {
 		seen := map[string]bool{}
-		for batch := range w.C() {
-			for _, t := range batch {
+		for batch := range w.Out() {
+			for _, t := range batch.Tuples {
 				seen[t.Key()] = true
 			}
 		}

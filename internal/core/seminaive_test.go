@@ -17,18 +17,19 @@ func snapshotsEqual(t *testing.T, label string, a, b *Network) {
 			t.Fatalf("%s: node %s missing from second run", label, node)
 		}
 		if !dbA.Equal(dbB) {
-			t.Fatalf("%s: node %s diverges between semi-naive on and off:\n on: %s\noff: %s",
+			t.Fatalf("%s: node %s diverges between delta and faithful mode:\n   delta: %s\nfaithful: %s",
 				label, node, dbA.Dump(), dbB.Dump())
 		}
 	}
 }
 
-// TestSemiNaiveOracleRandomNetworks is the network-level oracle for the
-// semi-naive evaluation path: across randomized topologies and workloads,
-// runs with SemiNaive on and off (delta mode in both) must both close and
-// converge to DB.Equal fix-points on every node, and the semi-naive run must
-// match the centralised baseline.
-func TestSemiNaiveOracleRandomNetworks(t *testing.T) {
+// TestDeltaOracleRandomNetworks is the network-level oracle for the delta
+// (semi-naive marks) path: across randomized topologies and workloads, a
+// delta run and a faithful run — the independent reference, which re-ships
+// full results and re-joins whole part sets — must both close, both match
+// the centralised baseline, and converge to DB.Equal fix-points on every
+// node.
+func TestDeltaOracleRandomNetworks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-topology soak; skipped in -short mode")
 	}
@@ -51,34 +52,33 @@ func TestSemiNaiveOracleRandomNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := Build(def, Options{Seed: int64(i), Delta: true, SemiNaive: SemiNaiveOn})
+		delta, err := Build(def, Options{Seed: int64(i), Delta: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := on.RunToFixpoint(ctx(t)); err != nil {
-			t.Fatalf("%s semi-naive on: %v", tc.topo, err)
-		}
-		if err := on.ValidateAgainstCentralized(); err != nil {
-			t.Fatalf("%s semi-naive on: %v", tc.topo, err)
-		}
-		off, err := Build(def, Options{Seed: int64(i), Delta: true, SemiNaive: SemiNaiveOff})
+		faithful, err := Build(def, Options{Seed: int64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := off.RunToFixpoint(ctx(t)); err != nil {
-			t.Fatalf("%s semi-naive off: %v", tc.topo, err)
+		for mode, n := range map[string]*Network{"delta": delta, "faithful": faithful} {
+			if err := n.RunToFixpoint(ctx(t)); err != nil {
+				t.Fatalf("%s %s: %v", tc.topo, mode, err)
+			}
+			if err := n.ValidateAgainstCentralized(); err != nil {
+				t.Fatalf("%s %s: %v", tc.topo, mode, err)
+			}
 		}
-		snapshotsEqual(t, tc.topo.String(), on, off)
-		_ = on.Close()
-		_ = off.Close()
+		snapshotsEqual(t, tc.topo.String(), delta, faithful)
+		_ = delta.Close()
+		_ = faithful.Close()
 	}
 }
 
-// semiNaiveDynamicScript drives one network through a dynamic life cycle:
+// dynamicScript drives one network through a dynamic life cycle:
 // initial fix-point, an addLink plus fresh data and a new update wave, then
 // a deleteLink plus more data and a final wave. It exercises the marks
 // carry-over across epochs and the marks reset on unsubscribe/resubscribe.
-func semiNaiveDynamicScript(t *testing.T, n *Network) {
+func dynamicScript(t *testing.T, n *Network) {
 	t.Helper()
 	if err := n.RunToFixpoint(ctx(t)); err != nil {
 		t.Fatal(err)
@@ -112,15 +112,15 @@ func semiNaiveDynamicScript(t *testing.T, n *Network) {
 	}
 }
 
-// TestSemiNaiveDynamicConvergence runs the same addLink/deleteLink script
-// with semi-naive on and off; the resulting databases must agree on every
+// TestDeltaDynamicConvergence runs the same addLink/deleteLink script in
+// delta and in faithful mode; the resulting databases must agree on every
 // node, proving the per-subscription marks survive epoch bumps and reset
 // correctly when subscriptions are torn down and re-created.
-func TestSemiNaiveDynamicConvergence(t *testing.T) {
-	on := build(t, chainNet, Options{Delta: true, SemiNaive: SemiNaiveOn})
-	semiNaiveDynamicScript(t, on)
-	off := build(t, chainNet, Options{Delta: true, SemiNaive: SemiNaiveOff})
-	semiNaiveDynamicScript(t, off)
+func TestDeltaDynamicConvergence(t *testing.T) {
+	on := build(t, chainNet, Options{Delta: true})
+	dynamicScript(t, on)
+	off := build(t, chainNet, Options{})
+	dynamicScript(t, off)
 	snapshotsEqual(t, "dynamic chain", on, off)
 
 	// Pairs present before the deleteLink arrive in both orientations (ra
@@ -138,7 +138,7 @@ func TestSemiNaiveDynamicConvergence(t *testing.T) {
 // TestMultiSourceDeltaAcrossEpochs pins the cross-epoch completeness of
 // multi-source rules in delta mode: a second update wave wipes nothing the
 // join still needs. The head's accumulated part results must survive epoch
-// bumps, because sources holding high-water marks (or sent-sets) ship only
+// bumps, because sources holding high-water marks ship only
 // deltas on re-query — if the head restarted its parts from scratch, an
 // old×new combination (here: old c-tuple × new b-tuple) would be lost
 // forever.
@@ -152,8 +152,8 @@ fact B:b('1','k')
 fact C:c('k','9')
 super A
 `
-	for _, mode := range []SemiNaiveMode{SemiNaiveOn, SemiNaiveOff} {
-		n := build(t, net, Options{Delta: true, SemiNaive: mode})
+	for _, mode := range []string{"delta", "faithful"} {
+		n := build(t, net, Options{Delta: mode == "delta"})
 		if err := n.RunToFixpoint(ctx(t)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -173,22 +173,25 @@ super A
 	}
 }
 
-// TestSemiNaiveIncrementalEpochs verifies the cross-epoch delta behaviour at
-// the orchestration level: after a fix-point, each new seed tuple plus a new
-// update wave must land exactly the incremental derivations.
-func TestSemiNaiveIncrementalEpochs(t *testing.T) {
-	n := build(t, chainNet, Options{Delta: true})
-	runAndValidate(t, n)
-	for i := 0; i < 3; i++ {
-		v := relalg.S(string(rune('p' + i)))
-		if err := n.Peer("C").Seed("c", relalg.Tuple{v, v}); err != nil {
-			t.Fatal(err)
-		}
-		if err := n.Update(ctx(t)); err != nil {
-			t.Fatalf("epoch %d: %v", i, err)
-		}
-		if got, want := n.Peer("A").DB().Count("a"), 3+i; got != want {
-			t.Fatalf("epoch %d: A.a = %d, want %d", i, got, want)
+// TestDeltaIncrementalEpochs verifies the cross-epoch behaviour at the
+// orchestration level, in delta and in faithful mode: after a fix-point, each
+// new seed tuple plus a new update wave must land exactly the incremental
+// derivations.
+func TestDeltaIncrementalEpochs(t *testing.T) {
+	for _, mode := range []string{"delta", "faithful"} {
+		n := build(t, chainNet, Options{Delta: mode == "delta"})
+		runAndValidate(t, n)
+		for i := 0; i < 3; i++ {
+			v := relalg.S(string(rune('p' + i)))
+			if err := n.Peer("C").Seed("c", relalg.Tuple{v, v}); err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Update(ctx(t)); err != nil {
+				t.Fatalf("%s epoch %d: %v", mode, i, err)
+			}
+			if got, want := n.Peer("A").DB().Count("a"), 3+i; got != want {
+				t.Fatalf("%s epoch %d: A.a = %d, want %d", mode, i, got, want)
+			}
 		}
 	}
 }

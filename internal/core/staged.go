@@ -78,10 +78,6 @@ func (n *Network) UpdateStaged(ctx context.Context) error {
 	}
 
 	// Final safety net, identical to Update's closure probes.
-	probes := n.opts.ClosureProbes
-	if probes <= 0 {
-		probes = 8
-	}
 	for attempt := 0; ; attempt++ {
 		if err := n.Quiesce(ctx); err != nil {
 			return err
@@ -90,7 +86,7 @@ func (n *Network) UpdateStaged(ctx context.Context) error {
 		if len(open) == 0 {
 			return nil
 		}
-		if attempt >= probes {
+		if attempt >= closureProbes {
 			return fmt.Errorf("core: staged update left %d node(s) open: %v", len(open), open)
 		}
 		for _, id := range open {

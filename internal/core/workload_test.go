@@ -278,7 +278,7 @@ func TestPartitionHealRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := Build(def, Options{ClosureProbes: 2})
+	n, err := Build(def, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestPartitionHealRecovery(t *testing.T) {
 	a, b := workload.NodeName(1), workload.NodeName(2)
 	n.Faults().Partition(a, b)
 	// The update may or may not manage to close with the link down (the
-	// probe budget is small); either way it must not hang.
+	// probe budget is bounded); either way it must not hang.
 	_ = n.Update(ctx(t))
 	n.Faults().Heal(a, b)
 	if err := n.Update(ctx(t)); err != nil {

@@ -153,7 +153,7 @@ func TestE8FiniteChangeSemiNaiveBounds(t *testing.T) {
 		}
 		n, err := core.Build(base, core.Options{
 			Seed: seed, MaxDelay: 500 * time.Microsecond,
-			Delta: true, SemiNaive: core.SemiNaiveOn,
+			Delta: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -42,7 +42,7 @@ type Result struct {
 // perf trajectory cmd/p2pbench -json accumulates.
 type RunRecord struct {
 	Experiment  string `json:"experiment"`
-	Mode        string `json:"mode"` // faithful | delta | delta+seminaive
+	Mode        string `json:"mode"` // faithful | delta+seminaive | delta (E18, E19)
 	Synchronous bool   `json:"synchronous,omitempty"`
 	// Backend identifies the storage backend: empty for in-memory,
 	// "wal/<fsync policy>" for the durable log-structured store.
@@ -100,10 +100,7 @@ func (c *runCollector) add(def *rules.Network, opts core.Options, rs runStats) {
 	}
 	mode := "faithful"
 	if opts.Delta {
-		mode = "delta"
-		if opts.SemiNaive.Enabled() {
-			mode = "delta+seminaive"
-		}
+		mode = "delta+seminaive" // the label the checked-in BENCH files carry
 	}
 	backend := ""
 	if opts.DataDir != "" {
@@ -185,20 +182,7 @@ func (c Config) withDefaults() Config {
 
 // IDs lists every experiment in running order.
 func IDs() []string {
-	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
-}
-
-// All runs every experiment in order.
-func All(cfg Config) ([]Result, error) {
-	var out []Result
-	for _, id := range IDs() {
-		r, err := Run(id, cfg)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15", "E16", "E17", "E18", "E19"}
 }
 
 // Run executes one experiment by id, attaching the machine-readable records
@@ -239,8 +223,6 @@ func dispatch(id string, cfg Config) (Result, error) {
 		return E12Separation(cfg)
 	case "E13":
 		return E13Staged(cfg)
-	case "E14":
-		return E14SemiNaive(cfg)
 	case "E15":
 		return E15Durability(cfg)
 	case "E16":
@@ -919,63 +901,6 @@ func E13Staged(cfg Config) (Result, error) {
 		fmt.Fprintln(w, "\tfinal data, so the flood strategy's intermediate change waves disappear")
 	})
 	return Result{ID: "E13", Title: "§3 optimisation — topology-aware staged update vs flood", Table: tbl}, nil
-}
-
-// E14SemiNaive ablates the semi-naive delta evaluation (the engine-level
-// follow-on to §3's delta optimisation): delta mode with per-subscription
-// high-water marks and delta-seeded joins versus the original full
-// re-evaluation per push, on the data-heavy chain and grid workloads where
-// fix-point cost is quadratic in the materialised data without it. Both runs
-// must converge to the same fix-point as the centralised baseline.
-func E14SemiNaive(cfg Config) (Result, error) {
-	type row struct {
-		topo, mode string
-		inserted   uint64
-		queries    uint64
-		ms         float64
-		tps        float64
-	}
-	var rows []row
-	topos := []workload.Topology{workload.Chain(8), workload.Grid(3, 3)}
-	modes := []struct {
-		name string
-		mode core.SemiNaiveMode
-	}{{"semi-naive", core.SemiNaiveOn}, {"full-eval", core.SemiNaiveOff}}
-	for _, topo := range topos {
-		for _, m := range modes {
-			def, err := workload.Generate(topo, workload.DataSpec{
-				RecordsPerNode: cfg.RecordsPerNode, Seed: cfg.Seed, Style: workload.StyleCopy,
-			})
-			if err != nil {
-				return Result{}, err
-			}
-			n, rs, err := execute(def, core.Options{Seed: cfg.Seed, Delta: true, SemiNaive: m.mode}, cfg)
-			if err != nil {
-				return Result{}, fmt.Errorf("%s/%s: %w", topo.Name, m.name, err)
-			}
-			if err := n.ValidateAgainstCentralized(); err != nil {
-				_ = n.Close()
-				return Result{}, fmt.Errorf("%s/%s: %w", topo.Name, m.name, err)
-			}
-			_ = n.Close()
-			ms := float64(rs.wall.Microseconds()) / 1000
-			tps := 0.0
-			if rs.wall > 0 {
-				tps = float64(rs.inserted) / rs.wall.Seconds()
-			}
-			rows = append(rows, row{topo.Name, m.name, rs.inserted, rs.queries, ms, tps})
-		}
-	}
-	tbl := table(func(w *tabwriter.Writer) {
-		fmt.Fprintln(w, "topology\tevaluation\tinserted\tqueries\tupdate_ms\ttuples/s")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.2f\t%.0f\n", r.topo, r.mode, r.inserted, r.queries, r.ms, r.tps)
-		}
-		fmt.Fprintln(w, "\nnote:\tsame fix-point either way (validated against the centralised baseline);")
-		fmt.Fprintln(w, "\tsemi-naive re-answers join only tuples inserted since the subscription's")
-		fmt.Fprintln(w, "\thigh-water marks instead of re-running the conjunction over everything")
-	})
-	return Result{ID: "E14", Title: "semi-naive delta evaluation ablation — chain and grid fix-point cost", Table: tbl}, nil
 }
 
 // E15Durability ablates the durable backend (internal/wal) against the

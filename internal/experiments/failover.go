@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/rules"
@@ -17,8 +16,7 @@ import (
 )
 
 // E17: the replicated control plane under a driver kill. Five single-node
-// processes-in-miniature (one cluster transport + hosted peer + consensus
-// member each, over TCP loopback) run a baseline update, take new facts at
+// processes-in-miniature (one cluster.Member each, over TCP loopback) run a baseline update, take new facts at
 // the source, and kick a second update at the source member — which the
 // experiment then kills mid-wave. The agreed log must record the suspicion,
 // elect the next driver, re-drive the wave, and after the killed member
@@ -41,73 +39,6 @@ fact E:e('1','2')
 fact E:e('3','4')
 super A
 `
-
-// e17Member is one in-process cluster member with its control plane.
-type e17Member struct {
-	net *core.Network
-	tr  *cluster.Transport
-	cp  *cluster.ControlPlane
-}
-
-func (m *e17Member) close() {
-	if m.cp != nil {
-		m.cp.Close()
-	}
-	if m.net != nil {
-		_ = m.net.Close()
-	}
-}
-
-// e17Boot starts one member: transport, hosted network, control plane.
-func e17Boot(def *rules.Network, node string, book map[string]string, dataDir string) (*e17Member, error) {
-	seed := map[string]string{}
-	for k, v := range book {
-		seed[k] = v
-	}
-	tr, err := cluster.New(node, "127.0.0.1:0", seed, cluster.Options{
-		HeartbeatEvery: 25 * time.Millisecond,
-		SuspectAfter:   150 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n, err := core.Build(def, core.Options{
-		Delta:       true,
-		Hosted:      []string{node},
-		Transport:   tr,
-		DataDir:     dataDir,
-		ResendEvery: 250 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sibling := node
-	tr.SetOnMemberUp(func(member string) {
-		if p := n.Peer(sibling); p != nil {
-			p.ResendUnackedTo(member)
-		}
-	})
-	var names []string
-	for _, d := range def.Nodes {
-		names = append(names, d.Name)
-	}
-	cp, err := cluster.NewControlPlane(tr, n.Peer(node), names, cluster.ControlPlaneOptions{
-		PollEvery:      25 * time.Millisecond,
-		Settle:         2,
-		ReconcileEvery: 100 * time.Millisecond,
-		Consensus: consensus.Options{
-			Retry:     10 * time.Millisecond,
-			SyncEvery: 50 * time.Millisecond,
-			LogPath:   filepath.Join(dataDir, node+".control.log"),
-		},
-	})
-	if err != nil {
-		_ = n.Close()
-		return nil, err
-	}
-	tr.Announce()
-	return &e17Member{net: n, tr: tr, cp: cp}, nil
-}
 
 // e17Wait polls cond until it holds or the deadline passes.
 func e17Wait(max time.Duration, cond func() bool) bool {
@@ -153,19 +84,25 @@ func E17Failover(cfg Config) (Result, error) {
 
 	names := []string{"A", "B", "C", "D", "E"}
 	book := map[string]string{}
-	members := map[string]*e17Member{}
+	members := map[string]*cluster.Member{}
 	defer func() {
 		for _, m := range members {
-			m.close()
+			_ = m.Close()
 		}
 	}()
-	for _, node := range names {
-		m, err := e17Boot(def, node, book, filepath.Join(dataRoot, node))
+	boot := func(node string) error {
+		m, err := cluster.Boot(cluster.LoopbackConfig(def, node, book, filepath.Join(dataRoot, node), 0, 0))
 		if err != nil {
-			return Result{}, fmt.Errorf("E17: boot %s: %w", node, err)
+			return fmt.Errorf("E17: boot %s: %w", node, err)
 		}
 		members[node] = m
-		book[node] = m.tr.Addr()
+		book[node] = m.Transport().Addr()
+		return nil
+	}
+	for _, node := range names {
+		if err := boot(node); err != nil {
+			return Result{}, err
+		}
 	}
 	coord, err := cluster.NewCoordinator(def, "127.0.0.1:0", book, cluster.CoordinatorOptions{
 		Membership: cluster.Options{HeartbeatEvery: 25 * time.Millisecond},
@@ -194,7 +131,7 @@ func E17Failover(cfg Config) (Result, error) {
 	}
 	for i := 0; i < extra; i++ {
 		tup := relalg.Tuple{relalg.S(fmt.Sprintf("k%d", i)), relalg.S("failover")}
-		if _, err := members["E"].net.Peer("E").InsertLocal("e", tup); err != nil {
+		if _, err := members["E"].Network().Peer("E").InsertLocal("e", tup); err != nil {
 			return Result{}, err
 		}
 		if _, err := ref.Peer("E").InsertLocal("e", tup); err != nil {
@@ -209,18 +146,17 @@ func E17Failover(cfg Config) (Result, error) {
 	if err := coord.Transport().Send(cluster.CoordinatorName, "E", wire.UpdateRequest{}); err != nil {
 		return Result{}, err
 	}
-	if !e17Wait(10*time.Second, func() bool { return members["B"].cp.Metrics().PendingInst > 0 }) {
+	if !e17Wait(10*time.Second, func() bool { return members["B"].Control().Metrics().PendingInst > 0 }) {
 		return Result{}, fmt.Errorf("E17: update entry never applied at a survivor")
 	}
 	tKill := time.Now()
-	if err := members["E"].net.Crash(); err != nil {
+	if err := members["E"].Crash(); err != nil {
 		return Result{}, err
 	}
-	members["E"].cp.Close()
 	delete(members, "E")
 
 	if !e17Wait(15*time.Second, func() bool {
-		m := members["A"].cp.Metrics()
+		m := members["A"].Control().Metrics()
 		return m.Failovers >= 1 && m.Driver == "A"
 	}) {
 		return Result{}, fmt.Errorf("E17: no driver fail-over after the kill")
@@ -229,14 +165,12 @@ func E17Failover(cfg Config) (Result, error) {
 
 	// Restart the killed member; the new driver's unbounded probes then pull
 	// the chain to closure and commit updateDone.
-	m, err := e17Boot(def, "E", book, filepath.Join(dataRoot, "E"))
-	if err != nil {
-		return Result{}, fmt.Errorf("E17: restart E: %w", err)
+	if err := boot("E"); err != nil {
+		return Result{}, err
 	}
-	members["E"] = m
 	if !e17Wait(30*time.Second, func() bool {
 		for _, m := range members {
-			if m.cp.Metrics().PendingInst != 0 {
+			if m.Control().Metrics().PendingInst != 0 {
 				return false
 			}
 		}
@@ -248,7 +182,7 @@ func E17Failover(cfg Config) (Result, error) {
 
 	if !e17Wait(30*time.Second, func() bool {
 		for node, m := range members {
-			if m.net.Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
+			if m.Network().Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
 				return false
 			}
 		}
@@ -259,11 +193,11 @@ func E17Failover(cfg Config) (Result, error) {
 	converge := time.Since(tKill)
 
 	// The agreed member table must be identical at every member.
-	refView, refVer := members["A"].cp.AgreedView()
+	refView, refVer := members["A"].Control().AgreedView()
 	if !e17Wait(15*time.Second, func() bool {
-		refView, refVer = members["A"].cp.AgreedView()
+		refView, refVer = members["A"].Control().AgreedView()
 		for _, node := range names {
-			view, ver := members[node].cp.AgreedView()
+			view, ver := members[node].Control().AgreedView()
 			if ver != refVer {
 				return false
 			}
@@ -277,7 +211,7 @@ func E17Failover(cfg Config) (Result, error) {
 	}) {
 		return Result{}, fmt.Errorf("E17: agreed member views diverged")
 	}
-	cm := members["A"].cp.Metrics()
+	cm := members["A"].Control().Metrics()
 
 	tbl := table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "phase\tms")

@@ -10,10 +10,8 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/relalg"
-	"repro/internal/replica"
 	"repro/internal/rules"
 )
 
@@ -29,134 +27,6 @@ import (
 // replication catch-up, kill → promotion, kill → full convergence, and the
 // under-replication window — how long the cluster ran with fewer than k
 // durable copies of E's data.
-
-// e18Member is one in-process member with control plane and replica manager.
-type e18Member struct {
-	net *core.Network
-	tr  *cluster.Transport
-	cp  *cluster.ControlPlane
-	mgr *replica.Manager
-}
-
-func (m *e18Member) close() {
-	if m.cp != nil {
-		m.cp.Close()
-	}
-	if m.mgr != nil {
-		m.mgr.Close()
-	}
-	if m.net != nil {
-		_ = m.net.Close()
-	}
-}
-
-// crash kills the member without a goodbye: the listener dies first so the
-// network teardown cannot announce a clean leave.
-func (m *e18Member) crash() {
-	_ = m.tr.Abandon()
-	_ = m.net.Crash()
-	m.cp.Close()
-	m.mgr.Close()
-}
-
-// e18Boot starts one member with the full replication wiring of serve.go.
-func e18Boot(def *rules.Network, node string, book map[string]string, dataDir string, k int, deadAfter time.Duration) (*e18Member, error) {
-	seed := map[string]string{}
-	for kk, v := range book {
-		seed[kk] = v
-	}
-	tr, err := cluster.New(node, "127.0.0.1:0", seed, cluster.Options{
-		HeartbeatEvery: 25 * time.Millisecond,
-		SuspectAfter:   150 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n, err := core.Build(def, core.Options{
-		Delta:       true,
-		Hosted:      []string{node},
-		Transport:   tr,
-		DataDir:     dataDir,
-		ResendEvery: 250 * time.Millisecond,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.SetOnMemberUp(func(member string) {
-		if p := n.Peer(node); p != nil {
-			p.ResendUnackedTo(member)
-		}
-	})
-	var names []string
-	for _, d := range def.Nodes {
-		names = append(names, d.Name)
-	}
-	m := &e18Member{net: n, tr: tr}
-	mgrReady := make(chan struct{})
-	promote := func(dead string) {
-		<-mgrReady
-		if p := n.Peer(dead); p != nil {
-			m.mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-			return
-		}
-		tr.AllowAlias(dead)
-		db, st, restore, err := m.mgr.Promote(dead)
-		if err != nil {
-			return
-		}
-		if err := n.Adopt(dead, db, st, restore); err != nil {
-			return
-		}
-		p := n.Peer(dead)
-		m.mgr.BecomePrimary(dead, p.DB(), p.DurableState)
-	}
-	cp, err := cluster.NewControlPlane(tr, n.Peer(node), names, cluster.ControlPlaneOptions{
-		PollEvery:      25 * time.Millisecond,
-		Settle:         2,
-		ReconcileEvery: 50 * time.Millisecond,
-		Consensus: consensus.Options{
-			Retry:     10 * time.Millisecond,
-			SyncEvery: 50 * time.Millisecond,
-			LogPath:   filepath.Join(dataDir, node+".control.log"),
-		},
-		Replication: cluster.ReplicationOptions{
-			K:         k,
-			DeadAfter: deadAfter,
-			Frontier: func(dead string) uint64 {
-				<-mgrReady
-				return m.mgr.Frontier(dead)
-			},
-			OnPromote: promote,
-			OnDeposed: func(string) {},
-		},
-	})
-	if err != nil {
-		_ = n.Close()
-		return nil, err
-	}
-	m.cp = cp
-	m.mgr = replica.New(cp, tr.Send, replica.Options{
-		Member:         node,
-		Nodes:          names,
-		K:              k,
-		DataDir:        dataDir,
-		FlushEvery:     10 * time.Millisecond,
-		ResendAfter:    250 * time.Millisecond,
-		ReconcileEvery: 50 * time.Millisecond,
-		SyncReqEvery:   250 * time.Millisecond,
-		StateEvery:     50 * time.Millisecond,
-	})
-	tr.SetReplica(m.mgr.Handle)
-	if p := n.Peer(node); p != nil {
-		m.mgr.BecomePrimary(node, p.DB(), p.DurableState)
-	}
-	close(mgrReady)
-	for _, dead := range cp.AdoptedNodes() {
-		promote(dead)
-	}
-	tr.Announce()
-	return m, nil
-}
 
 // E18Replication runs the primary-kill scenario and reports its phase costs.
 func E18Replication(cfg Config) (Result, error) {
@@ -190,19 +60,19 @@ func E18Replication(cfg Config) (Result, error) {
 
 	names := []string{"A", "B", "C", "D", "E"}
 	book := map[string]string{}
-	members := map[string]*e18Member{}
+	members := map[string]*cluster.Member{}
 	defer func() {
 		for _, m := range members {
-			m.close()
+			_ = m.Close()
 		}
 	}()
 	for _, node := range names {
-		m, err := e18Boot(def, node, book, filepath.Join(dataRoot, node), k, deadAfter)
+		m, err := cluster.Boot(cluster.LoopbackConfig(def, node, book, filepath.Join(dataRoot, node), k, deadAfter))
 		if err != nil {
 			return Result{}, fmt.Errorf("E18: boot %s: %w", node, err)
 		}
 		members[node] = m
-		book[node] = m.tr.Addr()
+		book[node] = m.Transport().Addr()
 	}
 	coord, err := cluster.NewCoordinator(def, "127.0.0.1:0", book, cluster.CoordinatorOptions{
 		Membership: cluster.Options{HeartbeatEvery: 25 * time.Millisecond},
@@ -232,7 +102,7 @@ func E18Replication(cfg Config) (Result, error) {
 	tInsert := time.Now()
 	for i := 0; i < extra; i++ {
 		tup := relalg.Tuple{relalg.S(fmt.Sprintf("k%d", i)), relalg.S("replicated")}
-		if _, err := members["E"].net.Peer("E").InsertLocal("e", tup); err != nil {
+		if _, err := members["E"].Network().Peer("E").InsertLocal("e", tup); err != nil {
 			return Result{}, err
 		}
 		if _, err := ref.Peer("E").InsertLocal("e", tup); err != nil {
@@ -245,17 +115,17 @@ func E18Replication(cfg Config) (Result, error) {
 
 	// Replication catch-up: both placement members' durable frontiers must
 	// cover E's write-ahead frontier — the zero-loss precondition.
-	placement, placementVer := members["A"].cp.PlacementFor("E")
+	placement, placementVer := members["A"].Control().PlacementFor("E")
 	if len(placement) != k {
 		return Result{}, fmt.Errorf("E18: placement for E = %v, want %d members", placement, k)
 	}
-	frontier := members["E"].mgr.Frontier("E")
+	frontier := members["E"].Replica().Frontier("E")
 	if frontier == 0 {
 		return Result{}, fmt.Errorf("E18: E's primary frontier is zero")
 	}
 	if !e17Wait(30*time.Second, func() bool {
 		for _, p := range placement {
-			if members[p].mgr.Frontier("E") < frontier {
+			if members[p].Replica().Frontier("E") < frontier {
 				return false
 			}
 		}
@@ -267,18 +137,18 @@ func E18Replication(cfg Config) (Result, error) {
 
 	// Kill the primary without a goodbye.
 	tKill := time.Now()
-	members["E"].crash()
+	_ = members["E"].Crash()
 	delete(members, "E")
 
 	// Promotion: the agreed death must re-home E onto one of its replicas.
 	var adopter string
 	if !e17Wait(30*time.Second, func() bool {
-		h := members["A"].cp.HostOf("E")
+		h := members["A"].Control().HostOf("E")
 		if h == "E" {
 			return false
 		}
 		m := members[h]
-		if m == nil || m.net.Peer("E") == nil {
+		if m == nil || m.Network().Peer("E") == nil {
 			return false
 		}
 		adopter = h
@@ -301,11 +171,11 @@ func E18Replication(cfg Config) (Result, error) {
 	// reference fix-point.
 	survivors := []string{"A", "B", "C", "D"}
 	if !e17Wait(60*time.Second, func() bool {
-		if members[adopter].net.Peer("E").DB().Dump() != ref.Peer("E").DB().Dump() {
+		if members[adopter].Network().Peer("E").DB().Dump() != ref.Peer("E").DB().Dump() {
 			return false
 		}
 		for _, node := range survivors {
-			if members[node].net.Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
+			if members[node].Network().Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
 				return false
 			}
 		}
@@ -318,12 +188,12 @@ func E18Replication(cfg Config) (Result, error) {
 	// Under-replication window: the adopter must re-establish k durable
 	// copies of everything it now hosts (E re-placed over the survivors).
 	if !e17Wait(60*time.Second, func() bool {
-		return members[adopter].mgr.Metrics().UnderReplicated == 0
+		return members[adopter].Replica().Metrics().UnderReplicated == 0
 	}) {
 		return Result{}, fmt.Errorf("E18: the under-replication window never closed")
 	}
 	window := time.Since(tKill)
-	am := members[adopter].mgr.Metrics()
+	am := members[adopter].Replica().Metrics()
 
 	cfg.collector.addRecord(RunRecord{
 		Mode:                     "delta",

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/rules"
 )
@@ -34,12 +33,6 @@ rule rb: C:c(X,T) -> B:b(X,T)
 rule ra: B:b(X,T) -> A:a(X,T)
 super A
 `
-
-// e19Member is one in-process cluster member over a real TCP listener.
-type e19Member struct {
-	net *core.Network
-	tr  *cluster.Transport
-}
 
 // e19Watch is one live coordinator watch plus its delivery ledger.
 type e19Watch struct {
@@ -67,36 +60,23 @@ func E19ServeLoad(cfg Config) (Result, error) {
 
 	names := []string{"A", "B", "C"}
 	book := map[string]string{}
-	members := map[string]*e19Member{}
+	members := map[string]*cluster.Member{}
 	defer func() {
 		for _, m := range members {
-			_ = m.net.Close()
+			_ = m.Close()
 		}
 	}()
 	for _, node := range names {
-		seed := map[string]string{}
-		for k, v := range book {
-			seed[k] = v
-		}
-		tr, err := cluster.New(node, "127.0.0.1:0", seed, cluster.Options{
-			HeartbeatEvery: 25 * time.Millisecond,
-			SuspectAfter:   150 * time.Millisecond,
-		})
+		// No control plane: the peers take the coordinator's kick-off verbs
+		// directly, so the run measures the serving path alone.
+		cfg := cluster.LoopbackConfig(def, node, book, "", 0, 0)
+		cfg.Control = nil
+		m, err := cluster.Boot(cfg)
 		if err != nil {
-			return Result{}, fmt.Errorf("E19: listen %s: %w", node, err)
+			return Result{}, fmt.Errorf("E19: boot %s: %w", node, err)
 		}
-		n, err := core.Build(def, core.Options{
-			Delta:       true,
-			Hosted:      []string{node},
-			Transport:   tr,
-			ResendEvery: 250 * time.Millisecond,
-		})
-		if err != nil {
-			return Result{}, fmt.Errorf("E19: build %s: %w", node, err)
-		}
-		tr.Announce()
-		members[node] = &e19Member{net: n, tr: tr}
-		book[node] = tr.Addr()
+		members[node] = m
+		book[node] = m.Transport().Addr()
 	}
 	coord, err := cluster.NewCoordinator(def, "127.0.0.1:0", book, cluster.CoordinatorOptions{
 		Membership: cluster.Options{HeartbeatEvery: 25 * time.Millisecond},
@@ -167,7 +147,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 		go func(node string) {
 			defer wg.Done()
 			rel := map[string]string{"A": "a", "B": "b", "C": "c"}[node]
-			p := members[node].net.Peer(node)
+			p := members[node].Network().Peer(node)
 			for i := 0; i < n; i++ {
 				tup := relalg.Tuple{
 					relalg.S(fmt.Sprintf("%s%05d", rel, i)),
@@ -264,9 +244,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	// shared path paid vs what one pump per watcher would have cost.
 	var extracted, naive, saved uint64
 	for _, node := range names {
-		m := members[node]
-		nm := cluster.CollectNodeMetrics(m.net, m.tr, nil, node)
-		if nm.Serving != nil {
+		if nm := members[node].Metrics(); nm.Serving != nil {
 			extracted += nm.Serving.Extractions
 			naive += nm.Serving.NaiveExtractions
 			saved += nm.Serving.SavedExtractions

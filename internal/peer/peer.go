@@ -49,53 +49,24 @@ func (s UpdateState) String() string {
 	return "open"
 }
 
-// SemiNaiveMode selects how a source evaluates a subscription's conjunction
-// when re-answering in delta mode.
-type SemiNaiveMode uint8
-
-const (
-	// SemiNaiveAuto is the zero value: semi-naive evaluation is enabled (the
-	// default; use SemiNaiveOff for the legacy full re-evaluation).
-	SemiNaiveAuto SemiNaiveMode = iota
-	// SemiNaiveOn forces semi-naive evaluation explicitly.
-	SemiNaiveOn
-	// SemiNaiveOff re-runs the full conjunction on every re-answer and
-	// filters previously sent tuples through a per-subscription set (the
-	// original delta implementation; O(result) per push).
-	SemiNaiveOff
-)
-
-// Enabled reports whether the mode turns the semi-naive path on.
-func (m SemiNaiveMode) Enabled() bool { return m != SemiNaiveOff }
-
-// String renders the mode.
-func (m SemiNaiveMode) String() string {
-	if m == SemiNaiveOff {
-		return "off"
-	}
-	return "on"
-}
-
 // Options tunes a peer's behaviour.
 type Options struct {
 	// Delta enables the paper's delta optimisation ("minimize data transfer
-	// and duplication"): answers and pushes carry only tuples not
-	// previously sent on that subscription, and a node forwards its own
-	// queries once per epoch instead of once per incoming query (the
-	// faithful A4 re-forwards every time, enumerating every dependency
-	// path — measurably exponential on diamond-rich DAGs and cliques).
-	// Fresh pulls triggered by news, probes or topology changes are always
-	// sent; cyclic closure liveness is unaffected.
+	// and duplication"): each subscription tracks per-relation high-water
+	// marks, and a re-answer joins only the tuples inserted since the marks
+	// against the full extents of the remaining atoms (semi-naive), so
+	// answers and pushes carry only what was not previously shipped; a node
+	// also forwards its own queries once per epoch instead of once per
+	// incoming query (the faithful A4 re-forwards every time, enumerating
+	// every dependency path — measurably exponential on diamond-rich DAGs
+	// and cliques). Fresh subscriptions (new rule, changed columns,
+	// unsubscribe/resubscribe) run one full evaluation that primes the
+	// marks. Fresh pulls triggered by news, probes or topology changes are
+	// always sent; cyclic closure liveness is unaffected. With Delta off the
+	// faithful mode deliberately re-ships full results and re-joins the
+	// whole accumulated part results — the independent reference the
+	// oracles compare delta mode against.
 	Delta bool
-	// SemiNaive selects the evaluation strategy behind delta-mode answers
-	// (default on): each subscription tracks per-relation high-water marks
-	// and a re-answer joins only the tuples inserted since the marks against
-	// the full extents of the remaining atoms, instead of re-running the
-	// whole conjunction and re-scanning an O(result) sent-set. Fresh
-	// subscriptions (new rule, changed columns, unsubscribe/resubscribe)
-	// fall back to one full evaluation that primes the marks. Ignored when
-	// Delta is false: the faithful mode deliberately re-ships full results.
-	SemiNaive SemiNaiveMode
 	// InsertMode selects exact or core (subsumption) redundancy checking.
 	InsertMode storage.InsertMode
 	// MaxNullDepth bounds existential-null invention (0 = default).
@@ -120,14 +91,6 @@ type Options struct {
 	// the subscriptions after an unclean shutdown only when the
 	// acknowledgment handshake was not in force — see wal.Recovered.Clean.
 	Restore *wal.State
-	// WatchDedupCap, when positive, bounds every watcher's delivered-tuple
-	// dedup cache: once a streamed batch has been delivered, the oldest
-	// entries beyond the cap are evicted. Result tuples re-derived after
-	// falling out of the window may then be streamed again — delivery
-	// degrades from exactly-once to at-least-once beyond the cap — which is
-	// the trade that lets a node carry thousands of standing queries without
-	// unbounded per-watcher memory. Zero keeps the exact, unbounded cache.
-	WatchDedupCap int
 	// SyncForAck, when set, runs before this peer acknowledges a received
 	// answer (AnswerAck): orchestration wires it to the durable store's Sync,
 	// so the acknowledged tuples are on stable storage before the source is
@@ -151,8 +114,8 @@ type Options struct {
 	// frontier are bounded (an explicit trigger — acknowledgment progress,
 	// member rejoin, a new epoch — resets the budget), so a permanently dead
 	// dependent cannot keep the network chattering forever. Only meaningful
-	// with Delta + semi-naive marks; zero disables the loop (deterministic
-	// in-process runs rely on epoch-bump re-pulls instead).
+	// with Delta (the marks it rewinds exist only there); zero disables the
+	// loop (deterministic in-process runs rely on epoch-bump re-pulls instead).
 	ResendEvery time.Duration
 }
 
@@ -160,7 +123,7 @@ type Options struct {
 // paper's owner relation. The source re-answers its subscribers whenever its
 // data changes (A5).
 //
-// In semi-naive delta mode the frontier is split in three, each advanced by
+// In delta mode the frontier is split in three, each advanced by
 // a different class of evidence: marks is the in-flight frontier — advanced
 // the moment an evaluation extracts a delta, whether or not the send
 // survives the transport; acked is the receipt-confirmed frontier —
@@ -182,11 +145,10 @@ type subscription struct {
 	epoch        uint64
 	conj         cq.Conjunction
 	cols         []string
-	sent         *relalg.TupleSet // tuples already shipped (delta mode, semi-naive off)
-	marks        storage.Marks    // in-flight frontier (delta mode, semi-naive on)
-	acked        storage.Marks    // receipt-confirmed frontier (contiguous ack extension)
-	ackedDurable storage.Marks    // durability-confirmed frontier (Durable acks only; persisted)
-	primed       bool             // full evaluation done; marks are authoritative
+	marks        storage.Marks // in-flight frontier (delta mode; nil in faithful mode)
+	acked        storage.Marks // receipt-confirmed frontier (contiguous ack extension)
+	ackedDurable storage.Marks // durability-confirmed frontier (Durable acks only; persisted)
+	primed       bool          // full evaluation done; marks are authoritative
 
 	lastInc     uint64    // dependent incarnation of the last carried query
 	lastSent    time.Time // last answer carrying a frontier
@@ -334,7 +296,7 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 		seenChanges:  map[string]bool{},
 		statsReports: map[string]stats.Snapshot{},
 	}
-	p.hub = serving.NewHub(db, &p.mu, serving.Options{DedupCap: opts.WatchDedupCap})
+	p.hub = serving.NewHub(db, &p.mu)
 	p.remoteWatches = map[remoteWatchKey]*remoteWatch{}
 	for _, r := range ruleSet {
 		if r.HeadNode != id {
@@ -347,7 +309,7 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 		p.applyRestore(opts.Restore)
 	}
 	p.db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { p.notifyWatchers(rel) })
-	if opts.ResendEvery > 0 && opts.Delta && opts.SemiNaive.Enabled() {
+	if opts.ResendEvery > 0 && opts.Delta {
 		p.resendQuit = make(chan struct{})
 		go p.resendLoop(opts.ResendEvery)
 	}
@@ -390,37 +352,31 @@ func (p *Peer) applyRestore(st *wal.State) {
 			cols:      append([]string(nil), rs.Cols...),
 		}
 		if p.opts.Delta {
-			if p.opts.SemiNaive.Enabled() {
-				// The persisted marks are the acknowledged frontier. Clamp
-				// each one to the recovered relation's actual sequence high
-				// water: a crash may have lost log tail the frontier record
-				// outlived, and tuples re-derived after the restart would
-				// reuse the lost sequence range — a frontier above it would
-				// silently skip them. Clamping only re-sends more, never
-				// less, and receivers deduplicate.
-				m := storage.Marks{}
-				for rel, seq := range rs.Marks {
-					m[rel] = seq
-				}
-				rels := make([]string, 0, len(m))
-				for rel := range m {
-					rels = append(rels, rel)
-				}
-				have := p.db.MarksFor(rels)
-				for rel, seq := range m {
-					if cur := have[rel]; seq > cur {
-						m[rel] = cur
-					}
-				}
-				sub.marks = m
-				sub.acked = m.Clone()
-				sub.ackedDurable = m.Clone()
-				sub.primed = rs.Primed
-			} else {
-				// The legacy sent-set is not persisted: the first re-answer
-				// re-ships the full result and receivers deduplicate.
-				sub.sent = &relalg.TupleSet{}
+			// The persisted marks are the acknowledged frontier. Clamp each
+			// one to the recovered relation's actual sequence high water: a
+			// crash may have lost log tail the frontier record outlived, and
+			// tuples re-derived after the restart would reuse the lost
+			// sequence range — a frontier above it would silently skip them.
+			// Clamping only re-sends more, never less, and receivers
+			// deduplicate.
+			m := storage.Marks{}
+			for rel, seq := range rs.Marks {
+				m[rel] = seq
 			}
+			rels := make([]string, 0, len(m))
+			for rel := range m {
+				rels = append(rels, rel)
+			}
+			have := p.db.MarksFor(rels)
+			for rel, seq := range m {
+				if cur := have[rel]; seq > cur {
+					m[rel] = cur
+				}
+			}
+			sub.marks = m
+			sub.acked = m.Clone()
+			sub.ackedDurable = m.Clone()
+			sub.primed = rs.Primed
 		}
 		p.subSeq++
 		sub.id = p.subSeq

@@ -237,28 +237,6 @@ func TestDeltaModeSendsOnlyNewTuples(t *testing.T) {
 	}
 }
 
-// TestDeltaModeSendsOnlyNewTuplesLegacyPath pins the same property on the
-// sent-set implementation (semi-naive off), which stays available as the
-// ablation baseline.
-func TestDeltaModeSendsOnlyNewTuplesLegacyPath(t *testing.T) {
-	hs := newHarness(t, Options{Delta: true, SemiNaive: SemiNaiveOff})
-	hs.h.StartUpdateWave()
-	hs.quiesce(t)
-	sentBefore := hs.s.Counters().Snapshot().BytesSent
-	if err := hs.s.Seed("s", relalg.Tuple{relalg.S("c"), relalg.S("d")}); err != nil {
-		t.Fatal(err)
-	}
-	hs.h.StartUpdateWave()
-	hs.quiesce(t)
-	if hs.h.DB().Count("h") != 2 {
-		t.Fatalf("h = %d", hs.h.DB().Count("h"))
-	}
-	sentAfter := hs.s.Counters().Snapshot().BytesSent
-	if sentAfter-sentBefore > sentBefore*3 {
-		t.Errorf("delta epoch cost %d bytes vs %d for the first", sentAfter-sentBefore, sentBefore)
-	}
-}
-
 // TestSemiNaiveMarksTrackSubscription inspects the subscription state behind
 // the semi-naive path: marks must prime on the first answer, advance with
 // new data, and reset to a full re-evaluation when the subscription is torn
@@ -276,9 +254,6 @@ func TestSemiNaiveMarksTrackSubscription(t *testing.T) {
 	sub := subOf()
 	if sub == nil {
 		t.Fatal("no subscription registered at S")
-	}
-	if sub.sent != nil {
-		t.Error("semi-naive subscription must not carry a sent-set")
 	}
 	if !sub.primed || sub.marks["s"] != 1 {
 		t.Fatalf("marks not primed: primed=%v marks=%v", sub.primed, sub.marks)

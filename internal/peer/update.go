@@ -55,7 +55,7 @@ func (p *Peer) handleStartUpdate(from string, m wire.StartUpdate) {
 // Accumulated part results (p.parts) survive the epoch bump deliberately:
 // the model is monotone (no retraction), so everything a source ever
 // answered stays true, and sources holding per-subscription high-water
-// marks or sent-sets ship only deltas on re-query — a head that restarted
+// marks ship only deltas on re-query — a head that restarted
 // its parts from scratch would lose old×new join combinations of
 // multi-source rules forever. Parts are dropped only when their rule is
 // deleted or redefined.
@@ -175,53 +175,47 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		// data would never ship.
 		prev, carry := p.subs[key]
 		carry = carry && sameCols(prev.cols, m.Cols) && prev.conj.String() == sub.conj.String()
-		if p.opts.SemiNaive.Enabled() {
-			if carry && prev.marks != nil {
-				sub.id = prev.id
-				sub.acked = prev.acked
-				sub.ackedDurable = prev.ackedDurable
-				sub.primed = prev.primed
-				sub.lastInc = m.Incarnation
-				switch {
-				case m.Incarnation != prev.lastInc:
-					// The requester runs in a fresh process lifetime: it
-					// only still holds what reached its stable storage, so
-					// the re-answer resumes from the DURABILITY-confirmed
-					// frontier. A cleanly restarted dependent costs nothing
-					// (its close sealed everything it had received); a
-					// crashed one gets exactly what its durability gate
-					// never confirmed.
-					sub.marks = sub.ackedDurable.Clone()
-				case m.Epoch > prev.epoch:
-					// A fresh epoch within one requester lifetime re-pulls
-					// from the RECEIPT-confirmed frontier, not the in-flight
-					// one: everything evaluated but never acknowledged —
-					// sends that failed while the dependent was unreachable,
-					// answers a transport dropped — ships again here. On a
-					// healthy network the frontiers coincide at the epoch
-					// bump (quiescence drained the acks), so this costs
-					// nothing; same-epoch re-queries keep the in-flight
-					// marks, so chatty cyclic cascades do not re-ship data
-					// whose ack is merely still in flight.
-					sub.marks = sub.acked.Clone()
-				default:
-					sub.marks = prev.marks
-				}
-				if sub.marks == nil {
-					sub.marks = storage.Marks{}
-				}
-			} else {
-				sub.marks = storage.Marks{}
-				sub.acked = storage.Marks{}
-				sub.ackedDurable = storage.Marks{}
-				sub.lastInc = m.Incarnation
-				p.subSeq++
-				sub.id = p.subSeq
+		if carry && prev.marks != nil {
+			sub.id = prev.id
+			sub.acked = prev.acked
+			sub.ackedDurable = prev.ackedDurable
+			sub.primed = prev.primed
+			sub.lastInc = m.Incarnation
+			switch {
+			case m.Incarnation != prev.lastInc:
+				// The requester runs in a fresh process lifetime: it
+				// only still holds what reached its stable storage, so
+				// the re-answer resumes from the DURABILITY-confirmed
+				// frontier. A cleanly restarted dependent costs nothing
+				// (its close sealed everything it had received); a
+				// crashed one gets exactly what its durability gate
+				// never confirmed.
+				sub.marks = sub.ackedDurable.Clone()
+			case m.Epoch > prev.epoch:
+				// A fresh epoch within one requester lifetime re-pulls
+				// from the RECEIPT-confirmed frontier, not the in-flight
+				// one: everything evaluated but never acknowledged —
+				// sends that failed while the dependent was unreachable,
+				// answers a transport dropped — ships again here. On a
+				// healthy network the frontiers coincide at the epoch
+				// bump (quiescence drained the acks), so this costs
+				// nothing; same-epoch re-queries keep the in-flight
+				// marks, so chatty cyclic cascades do not re-ship data
+				// whose ack is merely still in flight.
+				sub.marks = sub.acked.Clone()
+			default:
+				sub.marks = prev.marks
 			}
-		} else if carry && prev.sent != nil {
-			sub.sent = prev.sent
+			if sub.marks == nil {
+				sub.marks = storage.Marks{}
+			}
 		} else {
-			sub.sent = &relalg.TupleSet{}
+			sub.marks = storage.Marks{}
+			sub.acked = storage.Marks{}
+			sub.ackedDurable = storage.Marks{}
+			sub.lastInc = m.Incarnation
+			p.subSeq++
+			sub.id = p.subSeq
 		}
 	}
 	p.subs[key] = sub
@@ -270,7 +264,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 // persisted); the base is what lets the source extend its confirmed
 // frontiers contiguously, so an ack for a later answer cannot conceal an
 // earlier one that was dropped. A no-op for subscriptions without marks
-// (faithful mode, sent-set delta mode) or not yet primed.
+// (faithful mode) or not yet primed.
 func (sub *subscription) stamp(a *wire.Answer, base storage.Marks) {
 	if sub.marks == nil || !sub.primed {
 		return
@@ -304,7 +298,8 @@ func sameCols(a, b []string) bool {
 }
 
 // evalForSub evaluates a subscription's conjunction, returning the payload
-// to ship (full result, or unsent tuples in delta mode). Callers hold mu.
+// to ship (the full result in faithful mode, the delta past the marks in
+// delta mode). Callers hold mu.
 func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 	p.ct.AddQueries(1)
 	if sub.marks != nil {
@@ -314,16 +309,7 @@ func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 	if err != nil {
 		return nil
 	}
-	if sub.sent == nil {
-		return result
-	}
-	out := result[:0:0]
-	for _, t := range result {
-		if sub.sent.Add(t) {
-			out = append(out, t)
-		}
-	}
-	return out
+	return result
 }
 
 // evalDeltaForSub is the semi-naive path: the first evaluation runs the full
@@ -400,10 +386,9 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 		pr = &partResult{cols: m.Columns}
 		byPart[m.Part] = pr
 	}
-	semiNaive := p.opts.Delta && p.opts.SemiNaive.Enabled()
 	dm := p.opts.Maps.For(m.Part, p.id)
 	var fresh []relalg.Tuple
-	collectFresh := semiNaive || p.opts.PersistParts != nil
+	collectFresh := p.opts.Delta || p.opts.PersistParts != nil
 	for _, t := range m.Tuples {
 		t = dm.TranslateTuple(t)
 		if pr.tuples.Add(t) && collectFresh {
@@ -423,11 +408,11 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 		})
 	}
 
-	// A6: chase the rule with the joined parts. Semi-naively, only bindings
-	// a newly received tuple contributes to are re-derived; the legacy path
+	// A6: chase the rule with the joined parts. In delta mode only bindings
+	// a newly received tuple contributes to are re-derived; the faithful path
 	// re-joins and re-chases the whole accumulated result set every time.
 	var bindings []relalg.Tuple
-	if semiNaive {
+	if p.opts.Delta {
 		bindings = p.joinPartsDeltaLocked(r, m.Part, fresh)
 	} else {
 		bindings = p.joinPartsLocked(r)

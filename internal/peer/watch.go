@@ -22,20 +22,17 @@ import (
 // per-class semi-naive evaluation across every watcher, and fans the results
 // out through bounded per-watcher queues. The accumulated batches of a
 // watcher equal the query's result set at any quiescent moment — the
-// invariant the oracle tests pin down. With Options.WatchDedupCap set, each
-// watcher's dedup cache becomes a bounded window: the result-set invariant
-// still holds, but tuples re-derived after leaving the window may stream
-// more than once.
+// invariant the oracle tests pin down.
 
 // Watcher is a continuous query registered at one peer; see serving.Watcher.
 type Watcher = serving.Watcher
 
 // Watch registers a continuous query over this peer's local database. The
-// first batch on the channel is the query's current result (possibly empty —
+// first batch on Out() is the query's current result (possibly empty —
 // it is always sent, so it doubles as the registration sync point); every
 // later batch is the non-empty set of result tuples newly derivable from
 // tuples that arrived since (imported by the protocol or written locally),
-// each result tuple streamed exactly once within the dedup window.
+// each result tuple streamed exactly once.
 func (p *Peer) Watch(body string, outVars []string) (*Watcher, error) {
 	return p.WatchWith(body, outVars, serving.WatchOptions{})
 }
@@ -83,7 +80,7 @@ func (p *Peer) notifyWatchers(rel string) { p.hub.Notify(rel) }
 // the next hub pass (rule redefinition may have changed what the local
 // database derives; the data itself is monotone, so this is robustness). One
 // shared evaluation per class serves all its re-primed watchers, and the
-// per-watcher dedup windows keep deliveries exactly-once.
+// per-watcher dedup sets keep deliveries exactly-once.
 func (p *Peer) reprimeWatchers() { p.hub.Reprime() }
 
 // CloseWatchers closes every live watcher and rejects future registrations

@@ -79,8 +79,8 @@ func TestWatcherCloseWithAbandonedConsumer(t *testing.T) {
 	closed := make(chan int, 1)
 	go func() {
 		n := 0
-		for batch := range w.C() {
-			n += len(batch)
+		for batch := range w.Out() {
+			n += len(batch.Tuples)
 		}
 		closed <- n
 	}()
@@ -105,8 +105,8 @@ func TestWatcherDrainingConsumerGetsEverything(t *testing.T) {
 	got := make(chan map[string]int, 1)
 	go func() {
 		seen := map[string]int{}
-		for batch := range w.C() {
-			for _, tup := range batch {
+		for batch := range w.Out() {
+			for _, tup := range batch.Tuples {
 				seen[tup.Key()]++
 			}
 		}
@@ -130,107 +130,6 @@ func TestWatcherDrainingConsumerGetsEverything(t *testing.T) {
 	}
 }
 
-// TestWatcherDedupCapBoundsMemory: with Options.WatchDedupCap set, the
-// per-watcher sent-set stays within the window while a long stream flows
-// through, and every result tuple is still delivered (single-atom queries
-// cannot re-derive, so delivery here stays exactly-once even with eviction).
-func TestWatcherDedupCapBoundsMemory(t *testing.T) {
-	tr := transport.NewMem(transport.MemOptions{})
-	t.Cleanup(func() { _ = tr.Close() })
-	const cap = 16
-	p, err := New("W", []relalg.Schema{relalg.MakeSchema("p", 1)}, nil, tr, Options{WatchDedupCap: cap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := p.Watch("p(X)", []string{"X"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan map[string]int, 1)
-	go func() {
-		seen := map[string]int{}
-		for batch := range w.C() {
-			for _, tup := range batch {
-				seen[tup.Key()]++
-			}
-		}
-		got <- seen
-	}()
-	const total = 500
-	for i := 0; i < total; i++ {
-		if _, err := p.InsertLocal("p", relalg.Tuple{relalg.S(fmt.Sprintf("v%d", i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	seen := <-got
-	if len(seen) != total {
-		t.Fatalf("consumer saw %d distinct tuples, want %d", len(seen), total)
-	}
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("tuple %s delivered %d times", k, n)
-		}
-	}
-	// The serving hub evicts at stage time, so the dedup window respects the
-	// cap whenever a pass is not mid-flight — and every pass is done here.
-	if n := w.DedupLen(); n > cap {
-		t.Fatalf("sent-set holds %d entries, cap %d", n, cap)
-	}
-}
-
-// TestWatcherDedupCapJoinStaysSound: under a join query whose re-derivations
-// would normally be suppressed by the unbounded cache, a tiny window may
-// deliver duplicates (at-least-once) but never loses or invents results: the
-// union of delivered batches equals the query's final result set.
-func TestWatcherDedupCapJoinStaysSound(t *testing.T) {
-	tr := transport.NewMem(transport.MemOptions{})
-	t.Cleanup(func() { _ = tr.Close() })
-	schemas := []relalg.Schema{relalg.MakeSchema("b", 2), relalg.MakeSchema("c", 2)}
-	p, err := New("W", schemas, nil, tr, Options{WatchDedupCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := p.Watch("b(X,Y), c(Y,Z)", []string{"X", "Z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan map[string]bool, 1)
-	go func() {
-		seen := map[string]bool{}
-		for batch := range w.C() {
-			for _, tup := range batch {
-				seen[tup.Key()] = true
-			}
-		}
-		got <- seen
-	}()
-	// Interleave so later c-inserts re-derive joins through old b-tuples.
-	for i := 0; i < 30; i++ {
-		k := fmt.Sprintf("k%d", i%5)
-		if _, err := p.InsertLocal("b", relalg.Tuple{relalg.S(fmt.Sprintf("l%d", i)), relalg.S(k)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.InsertLocal("c", relalg.Tuple{relalg.S(k), relalg.S(fmt.Sprintf("r%d", i))}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	seen := <-got
-	want, err := p.LocalQuery("b(X,Y), c(Y,Z)", []string{"X", "Z"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("delivered %d distinct results, oracle has %d", len(seen), len(want))
-	}
-	for _, tup := range want {
-		if !seen[tup.Key()] {
-			t.Fatalf("result %v never delivered", tup)
-		}
-	}
-}
-
 func TestWatchAfterCloseWatchersFails(t *testing.T) {
 	p := newWatchPeer(t)
 	w, err := p.Watch("p(X)", []string{"X"})
@@ -238,9 +137,9 @@ func TestWatchAfterCloseWatchersFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.CloseWatchers()
-	if _, open := <-w.C(); open {
+	if _, open := <-w.Out(); open {
 		// prime batch (empty result, always sent) then close
-		if _, open := <-w.C(); open {
+		if _, open := <-w.Out(); open {
 			t.Fatal("watcher channel must close after CloseWatchers")
 		}
 	}

@@ -6,15 +6,13 @@ import "sort"
 // identity of the system. Membership is decided by Tuple.Hash plus
 // Tuple.Equal on hit, so neither lookups nor inserts build a key string;
 // iteration follows insertion order, so output never depends on the
-// per-process hash seed. Every member has a position — its insertion index,
-// counted from the set's creation — that stays valid until the member is
-// dropped. The zero value is an empty set ready for use. A TupleSet is not
-// safe for concurrent use.
+// per-process hash seed. Every member has a position — its insertion index —
+// and members are never removed, so positions stay valid. The zero value is
+// an empty set ready for use. A TupleSet is not safe for concurrent use.
 type TupleSet struct {
-	log  []Tuple // log[i] holds position base+i
-	base int     // members dropped from the front
+	log []Tuple // log[i] holds position i
 
-	// first maps a hash to the earliest live position carrying it; more
+	// first maps a hash to the earliest position carrying it; more
 	// holds any further positions with the same hash, ascending (distinct
 	// tuples colliding on all 64 bits — empty in practice).
 	first map[uint64]int
@@ -36,11 +34,11 @@ func (s *TupleSet) find(t Tuple, h uint64) int {
 	if !ok {
 		return -1
 	}
-	if s.log[pos-s.base].Equal(t) {
+	if s.log[pos].Equal(t) {
 		return pos
 	}
 	for _, pos := range s.more[h] {
-		if s.log[pos-s.base].Equal(t) {
+		if s.log[pos].Equal(t) {
 			return pos
 		}
 	}
@@ -49,7 +47,7 @@ func (s *TupleSet) find(t Tuple, h uint64) int {
 
 // append stores t, known to be absent, under hash h and returns its position.
 func (s *TupleSet) append(t Tuple, h uint64) int {
-	pos := s.base + len(s.log)
+	pos := len(s.log)
 	s.log = append(s.log, t)
 	if s.first == nil {
 		s.first = make(map[uint64]int)
@@ -105,28 +103,4 @@ func (s *TupleSet) Sorted() []Tuple {
 	copy(out, s.log)
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
-}
-
-// DropOldest removes the earliest-inserted member (a no-op on an empty set);
-// with Add it makes the set a FIFO dedup window.
-func (s *TupleSet) DropOldest() {
-	if len(s.log) == 0 {
-		return
-	}
-	h := s.hash(s.log[0])
-	// The oldest member is the earliest position of its hash, so it is the
-	// one first points at.
-	if rest := s.more[h]; len(rest) > 0 {
-		s.first[h] = rest[0]
-		if len(rest) == 1 {
-			delete(s.more, h)
-		} else {
-			s.more[h] = rest[1:]
-		}
-	} else {
-		delete(s.first, h)
-	}
-	s.log[0] = nil
-	s.log = s.log[1:]
-	s.base++
 }

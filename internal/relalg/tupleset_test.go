@@ -49,14 +49,6 @@ func (o *setOracle) add(t Tuple) bool {
 	return true
 }
 
-func (o *setOracle) dropOldest() {
-	if len(o.order) == 0 {
-		return
-	}
-	delete(o.idx, o.order[0].Key())
-	o.order = o.order[1:]
-}
-
 func checkAgainstOracle(t *testing.T, s *TupleSet, o *setOracle) {
 	t.Helper()
 	if s.Len() != len(o.order) {
@@ -70,7 +62,7 @@ func checkAgainstOracle(t *testing.T, s *TupleSet, o *setOracle) {
 }
 
 // runOps drives a set and the oracle through the same random mix of Add,
-// AddClone, Has and DropOldest.
+// AddClone and Has.
 func runOps(t *testing.T, s *TupleSet, rng *rand.Rand, steps int) {
 	t.Helper()
 	var o setOracle
@@ -90,13 +82,10 @@ func runOps(t *testing.T, s *TupleSet, rng *rand.Rand, steps int) {
 			for j := range scratch {
 				scratch[j] = S("overwritten") // the set must hold its own copy
 			}
-		case op < 7:
+		default:
 			if got, want := s.Has(tp), o.idx[tp.Key()]; got != want {
 				t.Fatalf("step %d: Has(%v) = %v, oracle says %v", i, tp, got, want)
 			}
-		default:
-			s.DropOldest()
-			o.dropOldest()
 		}
 		if i%16 == 0 {
 			checkAgainstOracle(t, s, &o)
@@ -117,8 +106,7 @@ func TestTupleSetAgreesWithKeyOracle(t *testing.T) {
 }
 
 // TestTupleSetVerifiesEqualityOnHit forces every tuple onto one hash: the
-// set must still tell them apart, and keep doing so while its oldest members
-// are dropped out of the collision chain.
+// set must still tell them apart.
 func TestTupleSetVerifiesEqualityOnHit(t *testing.T) {
 	constant := func(Tuple) uint64 { return 42 }
 	for seed := int64(0); seed < 20; seed++ {
@@ -200,11 +188,6 @@ func FuzzTupleSet(f *testing.F) {
 			for i := 0; i+1 < len(data); {
 				op, arity := data[i]%8, int(data[i+1]%4)
 				i += 2
-				if op == 7 {
-					s.DropOldest()
-					o.dropOldest()
-					continue
-				}
 				tp := make(Tuple, 0, arity)
 				for ; arity > 0 && i < len(data); arity-- {
 					tp = append(tp, adversarialValues[int(data[i])%len(adversarialValues)])

@@ -23,6 +23,7 @@ package replica
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -230,6 +231,23 @@ func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.
 	// not a full FlushEvery tick.
 	db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.kickFlush() })
 	m.kickFlush()
+}
+
+// Resign is BecomePrimary's inverse: the agreed log re-homed a node this
+// member hosted to another member, so its outbound streams stop. st is the
+// store Promote handed out for it (nil for an in-memory mirror): the deposed
+// copy may hold writes the new primary never saw, so it is discarded with its
+// directory, and a later mirror of the node starts from the new primary's
+// stream instead. The lock is held throughout so the reconcile loop cannot
+// reopen the directory in between.
+func (m *Manager) Resign(node string, st *wal.Store) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.primaries, node)
+	if st != nil {
+		st.Abort()
+		_ = os.RemoveAll(filepath.Join(m.opts.DataDir, node+".replica"))
+	}
 }
 
 // Frontier reports this member's durable replication frontier for a node:

@@ -11,7 +11,7 @@
 // exactly one delta extraction over the union of watched relations, one
 // semi-naive evaluation per affected class, and fans the class result out to
 // every watcher of the class through its own bounded queue with its own
-// exactly-once dedup window. Re-primes (rule redefinition) share the same
+// exactly-once dedup set. Re-primes (rule redefinition) share the same
 // path: one full evaluation per class serves all its re-primed watchers.
 //
 // Extraction and evaluation run under the peer's mutex (serialising with
@@ -32,14 +32,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Options tunes a Hub.
-type Options struct {
-	// DedupCap bounds each watcher's exactly-once dedup cache (0 = unbounded;
-	// the peer's Options.WatchDedupCap). Beyond the window delivery degrades
-	// to at-least-once, never lossy.
-	DedupCap int
-}
-
 // WatchOptions tunes one watcher registration.
 type WatchOptions struct {
 	// Policy picks the slow-consumer behaviour once the queue is full
@@ -51,7 +43,7 @@ type WatchOptions struct {
 	// frontier instead of priming with the full current result: the first
 	// batch is the delta derivable from tuples past the given per-relation
 	// high-water marks — exactly the suffix a reconnecting consumer has not
-	// confirmed. The dedup window starts empty, so join results re-derived
+	// confirmed. The dedup set starts empty, so join results re-derived
 	// across the boundary may repeat (at-least-once on resume).
 	Resume map[string]uint64
 }
@@ -63,8 +55,6 @@ type WatchOptions struct {
 type Hub struct {
 	db *storage.DB
 	mu sync.Locker // the peer's mutex: extraction serialises with inserts
-
-	dedupCap int
 
 	// Registration state. Guarded by wmu, not the peer mutex: Notify runs
 	// from the insert listener, possibly while the peer mutex is held.
@@ -108,16 +98,15 @@ type class struct {
 // NewHub builds the fan-out hub over one node's database. mu is the peer's
 // mutex; evaluation runs under it. The pump goroutine starts lazily with the
 // first registration.
-func NewHub(db *storage.DB, mu sync.Locker, opts Options) *Hub {
+func NewHub(db *storage.DB, mu sync.Locker) *Hub {
 	return &Hub{
-		db:       db,
-		mu:       mu,
-		dedupCap: opts.DedupCap,
-		classes:  map[string]*class{},
-		relRefs:  map[string]int{},
-		sig:      make(chan struct{}, 1),
-		quit:     make(chan struct{}),
-		marks:    storage.Marks{},
+		db:      db,
+		mu:      mu,
+		classes: map[string]*class{},
+		relRefs: map[string]int{},
+		sig:     make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		marks:   storage.Marks{},
 	}
 }
 
@@ -190,7 +179,7 @@ func (h *Hub) Notify(rel string) {
 
 // Reprime asks every class to re-run its full conjunction on the next pass
 // (rule redefinition may have changed what the local database derives). One
-// evaluation per class serves all its watchers; the per-watcher dedup windows
+// evaluation per class serves all its watchers; the per-watcher dedup sets
 // keep deliveries exactly-once.
 func (h *Hub) Reprime() {
 	if h.nwatch.Load() == 0 {

@@ -19,10 +19,10 @@ type harness struct {
 	hub *Hub
 }
 
-func newHarness(t *testing.T, opts Options, schemas ...relalg.Schema) *harness {
+func newHarness(t *testing.T, schemas ...relalg.Schema) *harness {
 	t.Helper()
 	h := &harness{db: storage.New(schemas...)}
-	h.hub = NewHub(h.db, &h.mu, opts)
+	h.hub = NewHub(h.db, &h.mu)
 	h.db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { h.hub.Notify(rel) })
 	t.Cleanup(h.hub.Close)
 	return h
@@ -85,7 +85,7 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 func TestSingleExtractionPerChange(t *testing.T) {
 	for _, W := range []int{1, 64, 512} {
 		t.Run(fmt.Sprintf("W=%d", W), func(t *testing.T) {
-			h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+			h := newHarness(t, relalg.MakeSchema("p", 1))
 			conj := mustConj(t, "p(X)")
 			ws := make([]*Watcher, W)
 			for i := range ws {
@@ -127,7 +127,7 @@ func TestSingleExtractionPerChange(t *testing.T) {
 // (conjunction, columns) pairs pay one evaluation each — sharing is per class,
 // not a single global query.
 func TestDistinctClassesEvaluateIndependently(t *testing.T) {
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 2))
+	h := newHarness(t, relalg.MakeSchema("p", 2))
 	wa, err := h.hub.Register(mustConj(t, "p(X,Y)"), []string{"X"}, WatchOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestDistinctClassesEvaluateIndependently(t *testing.T) {
 // and the dedup windows keep it silent when nothing changed.
 func TestReprimeSharesEvaluation(t *testing.T) {
 	const W = 8
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+	h := newHarness(t, relalg.MakeSchema("p", 1))
 	conj := mustConj(t, "p(X)")
 	h.insert(t, "p", "v0")
 	ws := make([]*Watcher, W)
@@ -196,7 +196,7 @@ func TestReprimeSharesEvaluation(t *testing.T) {
 // most its queue bound in pending batches (lossless coalescing) while other
 // watchers of the same relation — and the inserter — proceed at full speed.
 func TestStalledBlockWatcherStallsNobody(t *testing.T) {
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+	h := newHarness(t, relalg.MakeSchema("p", 1))
 	conj := mustConj(t, "p(X)")
 	stalled, err := h.hub.Register(conj, []string{"X"}, WatchOptions{QueueCap: 4})
 	if err != nil {
@@ -272,7 +272,7 @@ func TestStalledBlockWatcherStallsNobody(t *testing.T) {
 // batches under overflow, but a reconnect with the resume token of its last
 // consumed batch re-receives everything it missed — at-least-once end to end.
 func TestDropOldestStaysAtLeastOnceWithResume(t *testing.T) {
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+	h := newHarness(t, relalg.MakeSchema("p", 1))
 	conj := mustConj(t, "p(X)")
 	w, err := h.hub.Register(conj, []string{"X"}, WatchOptions{Policy: DropOldest, QueueCap: 2})
 	if err != nil {
@@ -329,7 +329,7 @@ func TestDropOldestStaysAtLeastOnceWithResume(t *testing.T) {
 // TestCancelPolicyClosesTheSlowWatcher: overflow under Cancel ends the stream
 // with a reason, counts the cancellation, and leaves the hub serving others.
 func TestCancelPolicyClosesTheSlowWatcher(t *testing.T) {
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+	h := newHarness(t, relalg.MakeSchema("p", 1))
 	conj := mustConj(t, "p(X)")
 	doomed, err := h.hub.Register(conj, []string{"X"}, WatchOptions{Policy: Cancel, QueueCap: 2})
 	if err != nil {
@@ -372,7 +372,7 @@ func TestCancelPolicyClosesTheSlowWatcher(t *testing.T) {
 // TestJoinClassSharesOneDelta: a two-atom class still pays one extraction and
 // one semi-naive evaluation per change, whichever atom's relation changed.
 func TestJoinClassSharesOneDelta(t *testing.T) {
-	h := newHarness(t, Options{},
+	h := newHarness(t,
 		relalg.MakeSchema("b", 2), relalg.MakeSchema("c", 2))
 	conj := mustConj(t, "b(X,Y), c(Y,Z)")
 	var ws []*Watcher
@@ -401,7 +401,7 @@ func TestJoinClassSharesOneDelta(t *testing.T) {
 
 // TestWatchAfterCloseFails pins the shutdown contract.
 func TestWatchAfterCloseFails(t *testing.T) {
-	h := newHarness(t, Options{}, relalg.MakeSchema("p", 1))
+	h := newHarness(t, relalg.MakeSchema("p", 1))
 	h.hub.Close()
 	if _, err := h.hub.Register(mustConj(t, "p(X)"), []string{"X"}, WatchOptions{}); err == nil {
 		t.Fatal("register after Close must fail")

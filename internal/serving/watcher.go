@@ -74,8 +74,7 @@ type Batch struct {
 	Marks  map[string]uint64
 }
 
-// Watcher is one continuous query registered at a Hub. Consume either Out()
-// (metadata-bearing batches) or C() (bare tuple batches) — not both.
+// Watcher is one continuous query registered at a Hub; Out() is its stream.
 type Watcher struct {
 	hub    *Hub
 	class  *class
@@ -87,9 +86,7 @@ type Watcher struct {
 	primed bool
 	resume map[string]uint64
 	seq    uint64
-	sent   relalg.TupleSet // exactly-once dedup window, oldest first
-	// Dedup-cache bound (0 = unbounded).
-	sentCap int
+	sent   relalg.TupleSet // exactly-once dedup: every tuple ever staged
 
 	qmu     sync.Mutex
 	qcond   *sync.Cond
@@ -106,9 +103,6 @@ type Watcher struct {
 	out  chan Batch
 	quit chan struct{}
 
-	legacyOnce sync.Once
-	legacy     chan []relalg.Tuple
-
 	closeMu sync.Mutex
 	closed  bool
 	errMsg  atomic.Value // string: why the hub cancelled the watcher
@@ -121,15 +115,14 @@ type Watcher struct {
 
 func newWatcher(h *Hub, cl *class, id uint64, o WatchOptions) *Watcher {
 	w := &Watcher{
-		hub:     h,
-		class:   cl,
-		id:      id,
-		policy:  o.Policy,
-		qcap:    o.QueueCap,
-		resume:  o.Resume,
-		sentCap: h.dedupCap,
-		out:     make(chan Batch, 16),
-		quit:    make(chan struct{}),
+		hub:    h,
+		class:  cl,
+		id:     id,
+		policy: o.Policy,
+		qcap:   o.QueueCap,
+		resume: o.Resume,
+		out:    make(chan Batch, 16),
+		quit:   make(chan struct{}),
 	}
 	w.qcond = sync.NewCond(&w.qmu)
 	return w
@@ -141,33 +134,6 @@ func (w *Watcher) ID() uint64 { return w.id }
 // Out returns the metadata-bearing delivery stream. It closes after Close
 // (or a policy cancellation) once the final batches have drained.
 func (w *Watcher) Out() <-chan Batch { return w.out }
-
-// C adapts the delivery stream to bare tuple batches — the original Watch
-// channel shape. The first batch is the prime (possibly empty; always sent).
-func (w *Watcher) C() <-chan []relalg.Tuple {
-	w.legacyOnce.Do(func() {
-		w.legacy = make(chan []relalg.Tuple, 16)
-		go func() {
-			defer close(w.legacy)
-			for b := range w.out {
-				select {
-				case w.legacy <- b.Tuples:
-				case <-w.quit:
-					// Bounded grace for a late drainer, then drop the tail:
-					// the channel always closes, the goroutine always exits.
-					t := time.NewTimer(CloseDrainTimeout)
-					select {
-					case w.legacy <- b.Tuples:
-						t.Stop()
-					case <-t.C:
-						return
-					}
-				}
-			}
-		}()
-	})
-	return w.legacy
-}
 
 // Err reports why the hub closed the watcher ("" for a consumer-requested
 // Close or an orchestration shutdown; non-empty after a Cancel-policy
@@ -197,13 +163,6 @@ func (w *Watcher) Lag() uint64 {
 
 // Dropped reports the batches this queue discarded (DropOldest overflow).
 func (w *Watcher) Dropped() uint64 { return w.droppedN.Load() }
-
-// DedupLen reports the exactly-once cache size (tests pin the window bound).
-func (w *Watcher) DedupLen() int {
-	w.hub.passMu.Lock()
-	defer w.hub.passMu.Unlock()
-	return w.sent.Len()
-}
 
 // Policy returns the watcher's slow-consumer policy.
 func (w *Watcher) Policy() Policy { return w.policy }
@@ -239,13 +198,12 @@ func (w *Watcher) shutdown(finalPass bool, reason string) {
 	close(w.quit)
 }
 
-// stage records a batch against the dedup window and stamps its sequence and
+// stage records a batch against the dedup set and stamps its sequence and
 // frontier. Prime batches carry every tuple not already sent and are staged
 // even when empty (the sync point). Callers hold the hub's passMu.
 func (w *Watcher) stage(tuples []relalg.Tuple, frontier map[string]uint64, prime bool) Batch {
 	fresh := w.dedup(tuples)
 	w.seq++
-	w.evictSent()
 	return Batch{Seq: w.seq, Prime: prime, Tuples: fresh, Marks: frontier}
 }
 
@@ -253,7 +211,6 @@ func (w *Watcher) stage(tuples []relalg.Tuple, frontier map[string]uint64, prime
 // remains after dedup (empty deltas are not delivered). Callers hold passMu.
 func (w *Watcher) stageFresh(tuples []relalg.Tuple, frontier map[string]uint64) (Batch, bool) {
 	fresh := w.dedup(tuples)
-	w.evictSent()
 	if len(fresh) == 0 {
 		return Batch{}, false
 	}
@@ -269,19 +226,6 @@ func (w *Watcher) dedup(tuples []relalg.Tuple) []relalg.Tuple {
 		}
 	}
 	return fresh
-}
-
-// evictSent trims the dedup cache to the configured window. Entries drop in
-// insertion order; a result tuple re-derived after its entry left the window
-// streams again (at-least-once beyond the window) — the documented trade for
-// bounded per-watcher memory. Callers hold passMu.
-func (w *Watcher) evictSent() {
-	if w.sentCap <= 0 {
-		return
-	}
-	for w.sent.Len() > w.sentCap {
-		w.sent.DropOldest()
-	}
 }
 
 // enqueue places one staged batch on the bounded queue, applying the

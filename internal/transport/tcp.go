@@ -238,6 +238,14 @@ func (t *TCP) Register(node string, h Handler) error {
 	return nil
 }
 
+// Unregister detaches a local peer: frames addressed to it are dropped from
+// now on, and the name can be registered again.
+func (t *TCP) Unregister(node string) {
+	t.mu.Lock()
+	delete(t.local, node)
+	t.mu.Unlock()
+}
+
 // Send implements Transport: local peers short-circuit in process (still
 // asynchronously, preserving the actor discipline); remote peers get a
 // framed envelope.

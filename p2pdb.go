@@ -33,10 +33,10 @@
 // implied tuples arrive:
 //
 //	w, _ := net.Node("A").Watch("a(X,Y)", []string{"X", "Y"})
-//	current := <-w.C()              // first batch: the current result (maybe empty)
+//	current := <-w.Out()            // first batch: the current result (.Tuples maybe empty)
 //	_, _ = net.Node("B").Insert(ctx, "b", p2pdb.Tuple{p2pdb.S("3"), p2pdb.S("4")})
 //	_ = net.Quiesce(ctx)            // let the implied data finish propagating
-//	delta := <-w.C()                // the a-tuples newly derived from the insert
+//	delta := <-w.Out()              // .Tuples: the a-tuples newly derived from the insert
 //
 // Networks are transport-agnostic: Options.Transport (or BuildWith) accepts
 // any message carrier. The default is the deterministic in-memory router;
@@ -52,11 +52,11 @@
 // and the README's Deployment walkthrough.
 //
 // Options.Delta enables the paper's delta optimisation (ship only unsent
-// tuples per subscription); with it, Options.SemiNaive (default on) selects
-// semi-naive evaluation: sources track per-relation high-water marks per
-// subscription and re-answer by joining only the tuples inserted since the
-// marks, so fix-point cost tracks the changed data rather than growing
-// quadratically with the materialised result. See SemiNaiveMode.
+// tuples per subscription), evaluated semi-naively: sources track
+// per-relation high-water marks per subscription and re-answer by joining
+// only the tuples inserted since the marks, so fix-point cost tracks the
+// changed data rather than growing quadratically with the materialised
+// result. Without it the network runs the paper's faithful mode.
 //
 // Options.DataDir makes the network durable: every node runs over a
 // log-structured store (internal/wal) and a rebuilt network recovers its
@@ -141,22 +141,6 @@ const (
 	FsyncInterval = wal.FsyncInterval
 	FsyncAlways   = wal.FsyncAlways
 	FsyncNever    = wal.FsyncNever
-)
-
-// SemiNaiveMode selects how sources evaluate subscription re-answers when
-// the delta optimisation is on (Options.Delta). The default (SemiNaiveAuto)
-// is semi-naive: each subscription keeps per-relation high-water marks and a
-// re-answer joins only the tuples inserted since the marks against the full
-// extents of the remaining body atoms, making fix-point cost proportional to
-// the changed data instead of the materialised result. SemiNaiveOff restores
-// the original full re-evaluation with a per-subscription sent-set.
-type SemiNaiveMode = core.SemiNaiveMode
-
-// Semi-naive evaluation modes for Options.SemiNaive.
-const (
-	SemiNaiveAuto = core.SemiNaiveAuto
-	SemiNaiveOn   = core.SemiNaiveOn
-	SemiNaiveOff  = core.SemiNaiveOff
 )
 
 // ParseNetwork parses a network-description file (see rules.ParseNetwork

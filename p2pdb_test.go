@@ -138,8 +138,8 @@ func TestFacadeTCPTransport(t *testing.T) {
 	streamed := make(chan int, 1)
 	go func() {
 		total := 0
-		for batch := range w.C() {
-			total += len(batch)
+		for batch := range w.Out() {
+			total += len(batch.Tuples)
 		}
 		streamed <- total
 	}()
