@@ -209,6 +209,9 @@ func ctlStatus(ctx context.Context, coord *cluster.Coordinator) error {
 				state = "closed"
 			}
 			line += fmt.Sprintf("   epoch=%d state=%s paths_ready=%v tuples=%d", st.Epoch, state, st.PathsReady, st.Tuples)
+			if st.BadFrames > 0 {
+				line += fmt.Sprintf(" bad_frames=%d (undecodable: mixed wire versions?)", st.BadFrames)
+			}
 		}
 		fmt.Println(line)
 		if st, ok := states[m.Name]; ok && (st.Watchers > 0 || st.WatchExtracted > 0 ||

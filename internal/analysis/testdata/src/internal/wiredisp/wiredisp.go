@@ -13,6 +13,8 @@ func Dispatch(e Env, out chan<- any) {
 		out <- m
 	case wirefix.Pong:
 		out <- m
+	case wirefix.Mute:
+		out <- m
 	case wirefix.AnswerBatch: // want "split path ignores field\\(s\\) Pongs"
 		for _, p := range m.Pings {
 			out <- p

@@ -10,6 +10,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Ping{N: 1},
 		Pong{S: "s"},
 		AnswerBatch{},
+		Mute{},
 	}
 	_ = seeds
 	_ = f

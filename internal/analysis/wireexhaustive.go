@@ -9,26 +9,32 @@ import (
 )
 
 // WireExhaustive keeps the wire protocol's vocabulary and its consumers in
-// lock-step. The protocol registry is the gob.Register list in the wire
-// package's init(); every registered frame kind must be
+// lock-step. The protocol registry is the codec's kind table: the constants
+// of the package-level type `kind` in the wire package, one per frame kind.
+// Every kind must have
 //
-//  1. handled by at least one dispatch type-switch somewhere in the loaded
-//     packages (a frame nobody dispatches is dead vocabulary or, worse, a
-//     silently dropped message),
-//  2. seeded in FuzzDecodeEnvelope, so the decode boundary is fuzzed over
+//  1. an encode arm — a case of the codec's type switch that writes the
+//     constant — which is also what ties the kind to its message type,
+//  2. a decode arm — a case for the constant in a switch over the kind byte
+//     (the compiler checks neither: a kind nobody writes and a kind nobody
+//     reads both build; that the two arms agree is the round-trip test's job),
+//  3. at least one dispatch type-switch somewhere in the loaded packages
+//     handling its message type (a frame nobody dispatches is dead
+//     vocabulary or, worse, a silently dropped message),
+//  4. a seed in FuzzDecodeEnvelope, so the decode boundary is fuzzed over
 //     the full vocabulary, and
-//  3. when the frame is the batch container (AnswerBatch): every one of its
+//  5. when the frame is the batch container (AnswerBatch): every one of its
 //     fields must be referenced in every split path — each `case
 //     wire.AnswerBatch` dispatch arm, and each function that builds the
 //     batch — because "handled the new field in one of the two split paths
 //     but not the other" is exactly the bug PR 9 shipped with WatchDeltas.
 //
-// The analyzer is generic over "a package that gob.Registers its exported
-// message structs in init()", which is what makes it testable on fixture
-// packages; in this repo that package is repro/internal/wire.
+// The analyzer is generic over "a package with a kind table", which is what
+// makes it testable on fixture packages; in this repo that package is
+// repro/internal/wire.
 var WireExhaustive = &Analyzer{
 	Name:     "wireexhaustive",
-	Doc:      "every registered wire frame kind is dispatched, fuzz-seeded, and fully split out of batch frames",
+	Doc:      "every kind of the wire codec's kind table is encoded, decoded, dispatched, fuzz-seeded, and fully split out of batch frames",
 	Run:      runWireExhaustive,
 	Finish:   finishWireExhaustive,
 	NewState: func() { wireState = &wireProgram{registries: map[string]*wireRegistry{}} },
@@ -40,14 +46,17 @@ const batchTypeName = "AnswerBatch"
 
 type wireRegistry struct {
 	pkgPath string
-	// kinds maps registered type name -> gob.Register call site.
+	// kinds maps a message type's name -> its constant in the kind table.
 	kinds map[string]token.Position
+	// codec is the registry's own type switch (the encode arms): it handles
+	// every kind by construction and is no dispatch site.
+	codec *ast.TypeSwitchStmt
 	// handled marks kinds seen in a dispatch case clause anywhere.
 	handled map[string]bool
 	// seeds marks kinds constructed inside FuzzDecodeEnvelope.
-	seeds   map[string]bool
-	hasFuzz bool
-	initPos token.Position
+	seeds    map[string]bool
+	hasFuzz  bool
+	tablePos token.Position
 	// sawDispatch records that at least one type switch over this
 	// registry's types was loaded: without any dispatcher in scope (an
 	// analysis of the wire package alone) the "unhandled" check would flag
@@ -67,42 +76,89 @@ func runWireExhaustive(pass *Pass) error {
 	return nil
 }
 
-// collectRegistry detects a registry package (gob.Register calls in init)
-// and records its vocabulary and fuzz seeds.
+// collectRegistry detects a registry package (one with a kind table), holds
+// every kind to its encode and decode arm, and records the vocabulary and
+// its fuzz seeds.
 func collectRegistry(pass *Pass) {
-	var reg *wireRegistry
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "init" || fd.Recv != nil || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				c, ok := n.(*ast.CallExpr)
-				if !ok || calleeFullName(pass.TypesInfo, c) != "encoding/gob.Register" || len(c.Args) != 1 {
-					return true
-				}
-				name := namedTypeName(pass.TypesInfo, c.Args[0], pass.Pkg)
-				if name == "" {
-					return true
-				}
-				if reg == nil {
-					reg = &wireRegistry{
-						pkgPath: pass.Pkg.Path(),
-						kinds:   map[string]token.Position{},
-						handled: map[string]bool{},
-						seeds:   map[string]bool{},
-						initPos: pass.Fset.Position(fd.Pos()),
-					}
-					wireState.registries[reg.pkgPath] = reg
-				}
-				reg.kinds[name] = pass.Fset.Position(c.Pos())
-				return true
-			})
+	kindType, _ := pass.Pkg.Scope().Lookup("kind").(*types.TypeName)
+	if kindType == nil {
+		return
+	}
+	var table []*types.Const // the kind table
+	for _, name := range pass.Pkg.Scope().Names() {
+		if c, ok := pass.Pkg.Scope().Lookup(name).(*types.Const); ok && types.Identical(c.Type(), kindType.Type()) {
+			table = append(table, c)
 		}
 	}
-	if reg == nil {
+	if len(table) == 0 {
 		return
+	}
+	reg := &wireRegistry{
+		pkgPath:  pass.Pkg.Path(),
+		kinds:    map[string]token.Position{},
+		handled:  map[string]bool{},
+		seeds:    map[string]bool{},
+		tablePos: pass.Fset.Position(table[0].Pos()),
+	}
+	wireState.registries[reg.pkgPath] = reg
+
+	kindsIn := func(n ast.Node) (out []*types.Const) {
+		ast.Inspect(n, func(m ast.Node) bool {
+			if id, ok := m.(*ast.Ident); ok {
+				if c, ok := pass.TypesInfo.Uses[id].(*types.Const); ok && types.Identical(c.Type(), kindType.Type()) {
+					out = append(out, c)
+				}
+			}
+			return true
+		})
+		return out
+	}
+	encodes := map[*types.Const]*types.Named{} // kind -> the type whose encode arm writes it
+	decodes := map[*types.Const]bool{}
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch sw := n.(type) {
+			case *ast.TypeSwitchStmt:
+				for _, c := range sw.Body.List {
+					cc := c.(*ast.CaseClause)
+					if len(cc.List) != 1 {
+						continue
+					}
+					named := namedOf(pass.TypesInfo.TypeOf(cc.List[0]))
+					if named == nil || named.Obj().Pkg() != pass.Pkg {
+						continue
+					}
+					for _, stmt := range cc.Body {
+						for _, k := range kindsIn(stmt) {
+							encodes[k] = named
+							reg.codec = sw
+						}
+					}
+				}
+			case *ast.SwitchStmt:
+				if sw.Tag == nil || !types.Identical(pass.TypesInfo.TypeOf(sw.Tag), kindType.Type()) {
+					return true
+				}
+				for _, c := range sw.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						for _, k := range kindsIn(e) {
+							decodes[k] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, k := range table {
+		if named := encodes[k]; named == nil {
+			pass.Reportf(k.Pos(), "kind %s has no encode arm: no case of the codec's type switch writes it", k.Name())
+		} else {
+			reg.kinds[named.Obj().Name()] = pass.Fset.Position(k.Pos())
+		}
+		if !decodes[k] {
+			pass.Reportf(k.Pos(), "kind %s has no decode arm: no switch over the kind byte has a case for it", k.Name())
+		}
 	}
 	// Fuzz seeds: scan the (untype-checked) test files for the decode fuzz
 	// harness and record which registered kinds appear as composite
@@ -157,8 +213,8 @@ func collectDispatch(pass *Pass) {
 					handleTypeSwitch(pass, x, walk, &inBatchCase)
 					return false
 				case *ast.CompositeLit:
-					// An element-less literal is a zero value (gob.Register,
-					// a reset), not a batch under construction.
+					// An element-less literal is a zero value (a reset), not
+					// a batch under construction.
 					if reg, name := registryTypeOf(pass.TypesInfo, x.Type); reg != nil &&
 						name == batchTypeName && len(x.Elts) > 0 && !depth() {
 						checkBatchBuildSite(pass, f, x)
@@ -174,6 +230,9 @@ func collectDispatch(pass *Pass) {
 // handleTypeSwitch records handled kinds and runs the split-arm check, then
 // continues the walk inside each case body with batch-case context.
 func handleTypeSwitch(pass *Pass, sw *ast.TypeSwitchStmt, walk func(ast.Node), inBatchCase *[]bool) {
+	if reg := wireState.registries[pass.Pkg.Path()]; reg != nil && reg.codec == sw {
+		return
+	}
 	for _, c := range sw.Body.List {
 		cc, ok := c.(*ast.CaseClause)
 		if !ok {
@@ -309,20 +368,6 @@ func registryStruct(info *types.Info, te ast.Expr) *types.Struct {
 	return st
 }
 
-// namedTypeName resolves a gob.Register argument (T{} or &T{}) to the name
-// of a type declared in pkg.
-func namedTypeName(info *types.Info, arg ast.Expr, pkg *types.Package) string {
-	tv, ok := info.Types[ast.Unparen(arg)]
-	if !ok || tv.Type == nil {
-		return ""
-	}
-	n := namedOf(tv.Type)
-	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != pkg.Path() {
-		return ""
-	}
-	return n.Obj().Name()
-}
-
 func finishWireExhaustive(report func(Diagnostic)) error {
 	for _, reg := range wireState.registries {
 		names := make([]string, 0, len(reg.kinds))
@@ -336,21 +381,21 @@ func finishWireExhaustive(report func(Diagnostic)) error {
 				report(Diagnostic{
 					Analyzer: "wireexhaustive",
 					Pos:      pos,
-					Message:  "registered frame " + name + " is not handled by any dispatch switch in the analyzed packages",
+					Message:  "frame " + name + " is not handled by any dispatch switch in the analyzed packages",
 				})
 			}
 			if reg.hasFuzz && !reg.seeds[name] {
 				report(Diagnostic{
 					Analyzer: "wireexhaustive",
 					Pos:      pos,
-					Message:  "registered frame " + name + " is not seeded in FuzzDecodeEnvelope; add a representative envelope seed",
+					Message:  "frame " + name + " is not seeded in FuzzDecodeEnvelope; add a representative envelope seed",
 				})
 			}
 		}
 		if !reg.hasFuzz && len(reg.kinds) > 0 {
 			report(Diagnostic{
 				Analyzer: "wireexhaustive",
-				Pos:      reg.initPos,
+				Pos:      reg.tablePos,
 				Message:  "registry package has no FuzzDecodeEnvelope harness seeding the frame vocabulary",
 			})
 		}

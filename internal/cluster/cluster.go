@@ -755,6 +755,10 @@ func (c *Transport) Abandon() error {
 // TCP exposes the underlying socket transport (deadline/backoff tuning).
 func (c *Transport) TCP() *transport.TCP { return c.tcp }
 
+// BadFrames reports the frames this process received but could not decode;
+// hosted peers copy it into their StateReport for `ctl status`.
+func (c *Transport) BadFrames() uint64 { return c.tcp.BadFrames() }
+
 // BatchStats reports the Batcher's frame accounting; ok is false when the
 // member runs unbatched (Options.BatchWindow zero).
 func (c *Transport) BatchStats() (transport.BatchStats, bool) {

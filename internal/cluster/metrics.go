@@ -23,10 +23,10 @@ import (
 
 // NodeMetrics is one serve process's observability snapshot. The message-loss
 // surface — SendErrors from the peer's statistical module, the TCP outbox's
-// overflow and write-error counters — is lifted to the top level: a lost
-// delta used to be invisible (peer.send swallowed transport errors), and
-// these are the numbers an operator watches to see the lost-delta window the
-// acknowledgment handshake then closes.
+// overflow and write-error counters, the undecodable-frame count — is lifted
+// to the top level: a lost delta used to be invisible (peer.send swallowed
+// transport errors), and these are the numbers an operator watches to see the
+// lost-delta window the acknowledgment handshake then closes.
 type NodeMetrics struct {
 	Node        string         `json:"node"`
 	Addr        string         `json:"addr"`
@@ -39,6 +39,7 @@ type NodeMetrics struct {
 	SendErrors  uint64         `json:"send_errors"`      // peer-level failed sends
 	OutboxDrops uint64         `json:"outbox_drops"`     // frames dropped on outbox overflow
 	OutboxErrs  uint64         `json:"outbox_errs"`      // frames lost to write/dial errors
+	BadFrames   uint64         `json:"bad_frames"`       // frames received but undecodable (mixed wire versions)
 	WireFrames  uint64         `json:"wire_frames"`      // frames shipped (batched protocol; 0 unbatched)
 	Coalesced   uint64         `json:"frames_coalesced"` // messages that shared a frame instead of paying their own
 	PiggyAcks   uint64         `json:"acks_piggybacked"` // acks that rode in a batched frame
@@ -118,6 +119,7 @@ func CollectNodeMetrics(n *core.Network, tr *Transport, cp *ControlPlane, node s
 		}
 	}
 	m.OutboxDrops, m.OutboxErrs = tr.TCP().OutboxStats()
+	m.BadFrames = tr.BadFrames()
 	if bs, ok := tr.BatchStats(); ok {
 		m.WireFrames = bs.Frames
 		m.Coalesced = bs.Coalesced

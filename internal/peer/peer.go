@@ -958,6 +958,10 @@ func (p *Peer) dispatchLocked(env wire.Envelope) {
 		}
 	case wire.StateRequest:
 		sm := p.hub.Metrics()
+		var badFrames uint64
+		if fc, ok := p.tr.(interface{ BadFrames() uint64 }); ok {
+			badFrames = fc.BadFrames()
+		}
 		p.send(env.From, wire.StateReport{
 			Node:           p.id,
 			Epoch:          p.epoch,
@@ -971,6 +975,7 @@ func (p *Peer) dispatchLocked(env wire.Envelope) {
 			WatchDropped:   sm.DroppedBatches,
 			WatchCanceled:  sm.CanceledWatchers,
 			WatchExtracted: sm.Extractions,
+			BadFrames:      badFrames,
 		})
 	case wire.QueryRequest:
 		p.handleQueryRequest(env.From, m)

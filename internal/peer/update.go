@@ -276,7 +276,8 @@ func (sub *subscription) stamp(a *wire.Answer, base storage.Marks) {
 }
 
 // seqsOf renders marks as a wire frontier map (always non-nil on the sender
-// side; gob delivers an empty map as nil, which readers treat as all-zero).
+// side; the wire codec delivers an empty map as nil, which readers treat as
+// all-zero).
 func seqsOf(m storage.Marks) map[string]uint64 {
 	out := make(map[string]uint64, len(m))
 	for rel, seq := range m {

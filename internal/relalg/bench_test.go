@@ -125,18 +125,16 @@ func BenchmarkSubsumedByExisting(b *testing.B) {
 	}
 }
 
-// BenchmarkValueEncode measures the binary codec used by the TCP transport.
-func BenchmarkValueEncode(b *testing.B) {
-	v := S("conf/edbt/franconi04")
+// BenchmarkTupleCodec measures the byte codec the WAL and the wire share.
+func BenchmarkTupleCodec(b *testing.B) {
+	t := Tuple{S("conf/edbt/franconi04"), S("Robust Data Sharing"), I(2004)}
+	var buf []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		data, err := v.MarshalBinary()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var back Value
-		if err := back.UnmarshalBinary(data); err != nil {
-			b.Fatal(err)
+		buf = AppendTuple(buf[:0], t)
+		r := NewReader(buf)
+		if back := r.Tuple(); r.Err() != nil || !back.Equal(t) {
+			b.Fatal(back, r.Err())
 		}
 	}
 }

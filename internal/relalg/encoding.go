@@ -2,57 +2,245 @@ package relalg
 
 import (
 	"encoding/binary"
-	"fmt"
+	"errors"
 )
 
-// MarshalBinary implements encoding.BinaryMarshaler so that Values (and
-// therefore Tuples) can travel inside gob-encoded protocol messages. The
-// format is one kind byte followed by the payload (varint for ints, raw
-// bytes for strings and null labels).
-func (v Value) MarshalBinary() ([]byte, error) {
-	switch v.kind {
-	case KindInt:
-		buf := make([]byte, 1+binary.MaxVarintLen64)
-		buf[0] = byte(KindInt)
-		n := binary.PutVarint(buf[1:], v.num)
-		return buf[:1+n], nil
-	case KindNull:
-		return append([]byte{byte(KindNull)}, v.str...), nil
-	default:
-		return append([]byte{byte(KindString)}, v.str...), nil
-	}
+// The byte codec of values and tuples: one definition, here, for the WAL
+// record (internal/wal) and the wire frame (internal/wire). The bytes are a
+// format — a WAL directory written by any build replays under any other —
+// and never change:
+//
+//	value   := uvarint(1+len(payload)) kind payload
+//	           payload: zig-zag varint (int) | raw bytes (string, null label)
+//	tuple   := uvarint(arity) value*
+//	tuples  := uvarint(count) tuple*
+//	string  := uvarint(len) bytes
+//	strings := uvarint(count) string*
+//
+// The Append functions allocate nothing beyond growing b; the Reader copies
+// what it returns, so a decoded value never keeps a frame or record alive.
+
+// AppendString appends a length-prefixed string.
+func AppendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (v *Value) UnmarshalBinary(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("relalg: empty value encoding")
+// AppendStrings appends a counted list of strings.
+func AppendStrings(b []byte, ss []string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ss)))
+	for _, s := range ss {
+		b = AppendString(b, s)
 	}
-	switch Kind(data[0]) {
-	case KindInt:
-		n, read := binary.Varint(data[1:])
-		if read <= 0 {
-			return fmt.Errorf("relalg: bad varint in value encoding")
-		}
-		*v = I(n)
-	case KindNull:
-		*v = Null(string(data[1:]))
-	case KindString:
-		*v = S(string(data[1:]))
-	default:
-		return fmt.Errorf("relalg: unknown value kind %d", data[0])
-	}
-	return nil
+	return b
 }
 
-// EncodedSize returns the length of MarshalBinary's output without
-// allocating, used for message-size accounting on the in-memory transport.
+// AppendValue appends one value.
+func AppendValue(b []byte, v Value) []byte {
+	if v.kind == KindInt {
+		var buf [binary.MaxVarintLen64]byte
+		n := binary.PutVarint(buf[:], v.num)
+		b = append(b, byte(1+n), byte(KindInt))
+		return append(b, buf[:n]...)
+	}
+	b = binary.AppendUvarint(b, uint64(1+len(v.str)))
+	b = append(b, byte(v.kind))
+	return append(b, v.str...)
+}
+
+// AppendTuple appends one tuple.
+func AppendTuple(b []byte, t Tuple) []byte {
+	b = binary.AppendUvarint(b, uint64(len(t)))
+	for _, v := range t {
+		b = AppendValue(b, v)
+	}
+	return b
+}
+
+// AppendTuples appends a counted list of tuples.
+func AppendTuples(b []byte, ts []Tuple) []byte {
+	b = binary.AppendUvarint(b, uint64(len(ts)))
+	for _, t := range ts {
+		b = AppendTuple(b, t)
+	}
+	return b
+}
+
+// EncodedSize returns the length of the value's kind byte and payload, for
+// message-size accounting on the in-memory transport.
 func (v Value) EncodedSize() int {
-	switch v.kind {
-	case KindInt:
-		buf := make([]byte, binary.MaxVarintLen64)
-		return 1 + binary.PutVarint(buf, v.num)
-	default:
-		return 1 + len(v.str)
+	if v.kind == KindInt {
+		var buf [binary.MaxVarintLen64]byte
+		return 1 + binary.PutVarint(buf[:], v.num)
 	}
+	return 1 + len(v.str)
+}
+
+// ErrCorrupt reports input that is truncated or is not the encoding above.
+var ErrCorrupt = errors.New("relalg: truncated or corrupt encoding")
+
+// Reader decodes what the Append functions wrote. Its error is sticky: after
+// the first failure every read returns a zero value, so a caller decodes a
+// whole record field by field and checks Err once. Every count is checked
+// against the bytes that remain before anything is allocated for it, so a
+// short hostile buffer cannot cost a large allocation. Empty lists decode
+// as nil.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader reads from b, which it never modifies or retains past its reads.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Err returns the first decoding failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Len returns the number of unread bytes.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Fail makes the reader fail with err (unless it already has), for callers
+// that find a well-formed field holding a value they cannot accept.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+	r.b = nil
+}
+
+func (r *Reader) take(n uint64) []byte {
+	if n > uint64(len(r.b)) {
+		r.Fail(ErrCorrupt)
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// Varint reads a zig-zag signed varint.
+func (r *Reader) Varint() int64 {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if raw := r.take(1); raw != nil {
+		return raw[0]
+	}
+	return 0
+}
+
+// Count reads a list length and fails unless that many elements of at least
+// min bytes each can still follow.
+func (r *Reader) Count(min int) int {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)/min) {
+		r.Fail(ErrCorrupt)
+		return 0
+	}
+	return int(n)
+}
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string { return string(r.take(r.Uvarint())) }
+
+// Bytes reads a length-prefixed byte string into memory of its own.
+func (r *Reader) Bytes() []byte {
+	raw := r.take(r.Uvarint())
+	if len(raw) == 0 {
+		return nil
+	}
+	return append([]byte(nil), raw...)
+}
+
+// Strs reads a counted list of strings.
+func (r *Reader) Strs() []string {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.Str()
+	}
+	return out
+}
+
+// Tuple reads one tuple. The text of all its values is copied out of the
+// input in one piece — one allocation per tuple however many strings it has —
+// and the values are substrings of that copy.
+func (r *Reader) Tuple() Tuple {
+	n := r.Count(2) // a value is a length byte and a kind byte at least
+	if n == 0 {
+		return nil
+	}
+	body, hasText := r.b, false
+	for i := 0; i < n; i++ { // find where the tuple ends, checking every length
+		raw := r.take(r.Uvarint())
+		if len(raw) == 0 {
+			r.Fail(ErrCorrupt)
+			return nil
+		}
+		hasText = hasText || Kind(raw[0]) != KindInt
+	}
+	var text string
+	if hasText {
+		text = string(body[:len(body)-len(r.b)])
+	}
+	t := make(Tuple, n)
+	off := 0
+	for i := range t {
+		size, w := binary.Uvarint(body[off:])
+		off += w
+		end := off + int(size)
+		switch Kind(body[off]) {
+		case KindInt:
+			num, read := binary.Varint(body[off+1 : end])
+			if read <= 0 || off+1+read != end {
+				r.Fail(ErrCorrupt)
+				return nil
+			}
+			t[i] = I(num)
+		case KindNull:
+			t[i] = Null(text[off+1 : end])
+		case KindString:
+			t[i] = S(text[off+1 : end])
+		default:
+			r.Fail(ErrCorrupt)
+			return nil
+		}
+		off = end
+	}
+	return t
+}
+
+// Tuples reads a counted list of tuples.
+func (r *Reader) Tuples() []Tuple {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Tuple, n)
+	for i := range out {
+		out[i] = r.Tuple()
+	}
+	return out
 }

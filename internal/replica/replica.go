@@ -22,7 +22,6 @@ package replica
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"sort"
@@ -293,8 +292,7 @@ func (m *Manager) Promote(node string) (*storage.DB, *wal.Store, *wal.State, err
 	m.mu.Unlock()
 	var restore *wal.State
 	if len(blob) > 0 {
-		var st wal.State
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&st); err == nil {
+		if st, err := wal.UnmarshalState(blob); err == nil {
 			restore = &st
 		}
 	}
@@ -550,7 +548,7 @@ func (m *Manager) flushOnce() {
 			}
 			if shipState {
 				if blob == nil {
-					blob = encodeState(p.stateFn())
+					blob = wal.MarshalState(p.stateFn())
 				}
 				if len(blob) > 0 && !bytes.Equal(blob, d.lastState) {
 					d.lastState = blob
@@ -636,7 +634,7 @@ func (m *Manager) openMirrorLocked(node string) (*mirror, error) {
 			// A previous lifetime promoted this mirror and the adopted peer
 			// wrote its protocol state into this store; surface it so a boot
 			// re-adoption restores subscriptions instead of starting unprimed.
-			mi.state = encodeState(rec.State)
+			mi.state = wal.MarshalState(rec.State)
 		}
 		// Attach logs every applied insert; recovery above already replayed
 		// the previous lifetime's log into the database, so the durable
@@ -763,12 +761,4 @@ func marksSum(m storage.Marks) uint64 {
 		n += v
 	}
 	return n
-}
-
-func encodeState(st wal.State) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil
-	}
-	return buf.Bytes()
 }

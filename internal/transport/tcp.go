@@ -2,6 +2,7 @@ package transport
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,11 +13,27 @@ import (
 	"repro/internal/wire"
 )
 
-// TCP is a transport running each peer over real sockets: frames are
-// 4-byte big-endian length prefixes followed by a gob-encoded wire.Envelope.
-// One TCP value serves one process, which may host one or many local peers
-// (Register). Remote peers are reached through a static address book; dials
-// are lazy, connections are cached and re-dialled on failure.
+// Framing: a 4-byte big-endian length, then that many bytes of wire.Encode
+// output. MaxFrame bounds the length at both ends — a sender refuses a larger
+// frame with ErrFrameTooLarge instead of shipping something the receiver
+// would hang up on (and the ack frontier would then re-ship forever), and a
+// receiver treats a larger length as a protocol violation.
+const (
+	frameHeader = 4
+	MaxFrame    = 64 << 20
+	// readBuf is the size of a connection's reusable read buffer.
+	readBuf = 4096
+)
+
+// ErrFrameTooLarge is returned by Send for a message that encodes to more
+// than MaxFrame bytes.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
+
+// TCP is a transport running each peer over real sockets, one length-prefixed
+// wire.Envelope per frame. One TCP value serves one process, which may host
+// one or many local peers (Register). Remote peers are reached through a
+// static address book; dials are lazy, connections are cached and re-dialled
+// on failure.
 type TCP struct {
 	mu       sync.Mutex
 	self     string // listen address
@@ -34,6 +51,7 @@ type TCP struct {
 
 	obDropped   atomic.Uint64 // frames dropped oldest-first on outbox overflow
 	obWriteErrs atomic.Uint64 // frames lost to write/dial errors in writer loops
+	badFrames   atomic.Uint64 // frames received whole but rejected by wire.Decode
 
 	// DialTimeout bounds connection attempts (default 2s).
 	DialTimeout time.Duration
@@ -68,8 +86,8 @@ type TCP struct {
 	OutboxSize int
 }
 
-// obFrame is one queued encoded envelope; exempt frames (control plane,
-// membership, acks) are never evicted on overflow.
+// obFrame is one queued frame (header and encoded envelope); exempt frames
+// (control plane, membership, acks) are never evicted on overflow.
 type obFrame struct {
 	data   []byte
 	exempt bool
@@ -161,8 +179,10 @@ func evictionExempt(msg wire.Message) bool {
 	case wire.ReplicaAck, wire.ReplicaSyncReq, wire.ReplicaState:
 		return true
 	}
-	return wire.ControlKinds()[msg.Kind()]
+	return controlKinds[msg.Kind()]
 }
+
+var controlKinds = wire.ControlKinds() // read-only; built once, not per frame
 
 // dialFailure tracks the reconnect backoff for one unreachable peer.
 type dialFailure struct {
@@ -274,21 +294,26 @@ func (t *TCP) Send(from, to string, msg wire.Message) error {
 	if !ok {
 		return addressError("send to", to)
 	}
-	data, err := wire.Encode(wire.Envelope{From: from, To: to, Msg: msg})
+	frame, err := wire.EncodeFrame(frameHeader, wire.Envelope{From: from, To: to, Msg: msg})
 	if err != nil {
 		return err
 	}
-	if async {
-		return t.enqueue(to, data, evictionExempt(msg))
+	size := len(frame) - frameHeader
+	if size > MaxFrame {
+		return fmt.Errorf("%w: %s for %s is %d bytes", ErrFrameTooLarge, msg.Kind(), to, size)
 	}
-	return t.write(to, addr, data)
+	binary.BigEndian.PutUint32(frame, uint32(size))
+	if async {
+		return t.enqueue(to, frame, evictionExempt(msg))
+	}
+	return t.write(to, addr, frame)
 }
 
-// enqueue hands one encoded envelope to the peer's writer goroutine,
+// enqueue hands one frame to the peer's writer goroutine,
 // creating outbox and writer on first use. Enqueueing never blocks: a full
 // outbox drops its oldest non-exempt frame (counted; the ack frontier
 // re-ships lost deltas).
-func (t *TCP) enqueue(node string, data []byte, exempt bool) error {
+func (t *TCP) enqueue(node string, frame []byte, exempt bool) error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -302,7 +327,7 @@ func (t *TCP) enqueue(node string, data []byte, exempt bool) error {
 		go t.writerLoop(node, ob)
 	}
 	t.mu.Unlock()
-	dropped, ok := ob.push(data, exempt)
+	dropped, ok := ob.push(frame, exempt)
 	if dropped {
 		t.obDropped.Add(1)
 	}
@@ -320,7 +345,7 @@ func (t *TCP) enqueue(node string, data []byte, exempt bool) error {
 func (t *TCP) writerLoop(node string, ob *outbox) {
 	defer t.obWG.Done()
 	for {
-		data, ok := ob.pop()
+		frame, ok := ob.pop()
 		if !ok {
 			return
 		}
@@ -332,7 +357,7 @@ func (t *TCP) writerLoop(node string, ob *outbox) {
 		if !booked {
 			err = addressError("send to", node)
 		} else {
-			err = t.write(node, addr, data)
+			err = t.write(node, addr, frame)
 		}
 		if err != nil {
 			t.obWriteErrs.Add(1)
@@ -356,14 +381,18 @@ func (t *TCP) OutboxStats() (dropped, writeErrs uint64) {
 	return t.obDropped.Load(), t.obWriteErrs.Load()
 }
 
-func (t *TCP) write(node, addr string, data []byte) error {
+// BadFrames reports how many frames arrived whole but failed wire.Decode —
+// another format version, an unknown kind, or corruption. The connection
+// survives each one; a count that keeps rising next to healthy peers means
+// members of different wire versions share the cluster.
+func (t *TCP) BadFrames() uint64 { return t.badFrames.Load() }
+
+// write puts one frame (header included) on the node's connection.
+func (t *TCP) write(node, addr string, frame []byte) error {
 	conn, err := t.conn(node, addr)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, 4+len(data))
-	binary.BigEndian.PutUint32(frame, uint32(len(data)))
-	copy(frame[4:], data)
 	_ = conn.SetWriteDeadline(time.Now().Add(t.WriteTimeout))
 	if _, err := conn.Write(frame); err != nil {
 		// Drop the cached connection and retry once with a fresh dial.
@@ -474,7 +503,13 @@ func (t *TCP) readLoop(conn net.Conn) {
 		delete(t.accepted, conn)
 		t.mu.Unlock()
 	}()
-	header := make([]byte, 4)
+	header := make([]byte, frameHeader)
+	// Frames up to readBuf bytes — acks, beats, single-tuple deltas, most
+	// batches — are read into one buffer per connection: Decode copies
+	// whatever it keeps, and the handler has returned before the next frame
+	// overwrites it. A larger frame gets memory of its own, so a priming
+	// answer does not stay pinned by every idle connection.
+	buf := make([]byte, readBuf)
 	for {
 		// Waiting for the first byte of the next frame may take arbitrarily
 		// long (an idle but healthy connection); once a frame has started,
@@ -489,18 +524,21 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, header[1:]); err != nil {
 			return
 		}
-		size := binary.BigEndian.Uint32(header)
-		const maxFrame = 64 << 20
-		if size == 0 || size > maxFrame {
+		size := int(binary.BigEndian.Uint32(header))
+		if size == 0 || size > MaxFrame {
 			return // protocol violation; drop the connection
 		}
-		data := make([]byte, size)
+		data := buf[:min(size, readBuf)]
+		if size > readBuf {
+			data = make([]byte, size)
+		}
 		if _, err := io.ReadFull(conn, data); err != nil {
 			return
 		}
 		env, err := wire.Decode(data)
 		if err != nil {
-			continue // skip undecodable frame, keep the connection
+			t.badFrames.Add(1)
+			continue // skip the frame, keep the connection
 		}
 		t.mu.Lock()
 		h, ok := t.local[env.To]

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/relalg"
 	"repro/internal/wire"
 )
 
@@ -298,5 +300,93 @@ func TestTCPMeshDelivery(t *testing.T) {
 	}
 	if err := m.Register("C", func(wire.Envelope) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("register after close = %v, want ErrClosed", err)
+	}
+}
+
+// TestTCPOversizeFrameIsASendError pins the frame limit at the sending end:
+// a message that encodes past MaxFrame used to be written anyway, the
+// receiver hung up without a trace, and the ack frontier re-shipped the same
+// answer forever. Send now refuses it (peer.send counts the error), nothing
+// reaches the socket, and the connection keeps working.
+func TestTCPOversizeFrameIsASendError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 64 MiB message")
+	}
+	got := make(chan wire.Envelope, 1)
+	b, err := NewTCP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Register("B", func(env wire.Envelope) { got <- env }); err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewTCP("127.0.0.1:0", map[string]string{"B": b.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	huge := wire.Answer{RuleID: "r", Tuples: []relalg.Tuple{{relalg.S(strings.Repeat("x", MaxFrame))}}}
+	if err := a.Send("A", "B", huge); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversize send: got %v, want ErrFrameTooLarge", err)
+	}
+	if err := a.Send("A", "B", wire.StartUpdate{Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case env := <-got:
+		if _, ok := env.Msg.(wire.StartUpdate); !ok {
+			t.Fatalf("delivered %T, want the StartUpdate sent after the refusal", env.Msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("send after a refused oversize frame never delivered")
+	}
+}
+
+// TestTCPUndecodableFrameIsCounted: a frame in another format version (what
+// every frame of a mixed-version cluster looks like) is counted in BadFrames
+// and skipped; the connection survives and the next good frame is delivered.
+func TestTCPUndecodableFrameIsCounted(t *testing.T) {
+	got := make(chan wire.Envelope, 1)
+	b, err := NewTCP("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Register("B", func(env wire.Envelope) { got <- env }); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	good, err := wire.Encode(wire.Envelope{From: "A", To: "B", Msg: wire.StartUpdate{Epoch: 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[0]++ // the version byte
+	if _, err := wire.Decode(bad); !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("decode of a wrong-version frame: got %v, want ErrVersion", err)
+	}
+	for _, payload := range [][]byte{bad, good} {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+		if _, err := conn.Write(append(frame, payload...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case env := <-got:
+		if m, ok := env.Msg.(wire.StartUpdate); !ok || m.Epoch != 7 {
+			t.Fatalf("delivered %+v, want the good frame behind the bad one", env.Msg)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("good frame behind an undecodable one never delivered")
+	}
+	if n := b.BadFrames(); n != 1 {
+		t.Fatalf("BadFrames = %d, want 1", n)
 	}
 }

@@ -3,7 +3,7 @@
 // in-memory router (deterministic, with seeded delay injection, partitions, a
 // global quiescence detector, and a synchronous/BSP stepping mode used by the
 // "synchronous alternative" the paper mentions), a TCP transport
-// (length-prefixed gob frames over stdlib net) for running peers as separate
+// (length-prefixed wire frames over stdlib net) for running peers as separate
 // processes, and a TCP mesh that gives every registered peer its own socket
 // listener so a whole network runs over loopback sockets in one process.
 //

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -102,7 +103,7 @@ func writeSnapshot(dir string, counter, coversBelow uint64, schemas []relalg.Sch
 	if _, err := w.WriteString(snapMagic); err != nil {
 		return discard(err)
 	}
-	head := appendUvarint([]byte{recSnapHead}, coversBelow)
+	head := binary.AppendUvarint([]byte{recSnapHead}, coversBelow)
 	if err := writeFrame(w, head); err != nil {
 		return discard(err)
 	}
@@ -116,20 +117,12 @@ func writeSnapshot(dir string, counter, coversBelow uint64, schemas []relalg.Sch
 		if rel == nil || rel.Len() == 0 {
 			continue
 		}
-		payload := appendString([]byte{recRelation}, sch.Name)
-		payload, err := appendTuples(payload, rel.All())
-		if err != nil {
-			return discard(err)
-		}
-		if err := writeFrame(w, payload); err != nil {
+		payload := relalg.AppendString([]byte{recRelation}, sch.Name)
+		if err := writeFrame(w, relalg.AppendTuples(payload, rel.All())); err != nil {
 			return discard(err)
 		}
 	}
-	statePayload, err := encodeState(st, false)
-	if err != nil {
-		return discard(err)
-	}
-	if err := writeFrame(w, statePayload); err != nil {
+	if err := writeFrame(w, encodeState(st, false)); err != nil {
 		return discard(err)
 	}
 	if err := writeFrame(w, []byte{recSnapEnd}); err != nil {
@@ -177,43 +170,32 @@ func loadSnapshot(path string) (db *storage.DB, st State, coversBelow uint64, er
 		if ferr != nil {
 			return nil, State{}, 0, ferr
 		}
-		r := &reader{b: payload[1:]}
+		r := relalg.NewReader(payload[1:])
 		switch payload[0] {
 		case recSnapHead:
-			if coversBelow, err = r.uvarint(); err != nil {
-				return nil, State{}, 0, err
-			}
+			coversBelow = r.Uvarint()
 			sawHead = true
 		case recSchema:
-			sch, err := decodeSchema(r)
-			if err != nil {
-				return nil, State{}, 0, err
-			}
-			if err := db.AddSchema(sch); err != nil {
-				return nil, State{}, 0, err
+			if sch := decodeSchema(&r); r.Err() == nil {
+				err = db.AddSchema(sch)
 			}
 		case recRelation:
-			name, err := r.str()
-			if err != nil {
-				return nil, State{}, 0, err
-			}
-			tuples, err := r.tuples()
-			if err != nil {
-				return nil, State{}, 0, err
-			}
-			for _, t := range tuples {
-				if _, err := db.Insert(name, t, storage.InsertExact); err != nil {
-					return nil, State{}, 0, err
-				}
+			name, tuples := r.Str(), r.Tuples()
+			for i := 0; i < len(tuples) && r.Err() == nil && err == nil; i++ {
+				_, err = db.Insert(name, tuples[i], storage.InsertExact)
 			}
 		case recState:
-			if st, _, err = decodeState(r); err != nil {
-				return nil, State{}, 0, err
-			}
+			st, _ = decodeState(&r)
 		case recSnapEnd:
 			sawEnd = true
 		default:
 			return nil, State{}, 0, fmt.Errorf("wal: %s: unknown snapshot record kind %d", path, payload[0])
+		}
+		if err == nil {
+			err = r.Err()
+		}
+		if err != nil {
+			return nil, State{}, 0, err
 		}
 	}
 	if !sawHead || !sawEnd {

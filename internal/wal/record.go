@@ -82,255 +82,85 @@ func readFrame(r io.Reader) ([]byte, error) {
 var errTornRecord = fmt.Errorf("wal: torn or corrupt record")
 
 // ---------------------------------------------------------------------------
-// Payload encoding primitives
-
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-
-func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendValue(b []byte, v relalg.Value) ([]byte, error) {
-	enc, err := v.MarshalBinary()
-	if err != nil {
-		return b, err
-	}
-	b = appendUvarint(b, uint64(len(enc)))
-	return append(b, enc...), nil
-}
-
-func appendTuple(b []byte, t relalg.Tuple) ([]byte, error) {
-	b = appendUvarint(b, uint64(len(t)))
-	var err error
-	for _, v := range t {
-		if b, err = appendValue(b, v); err != nil {
-			return b, err
-		}
-	}
-	return b, nil
-}
-
-func appendStrings(b []byte, ss []string) []byte {
-	b = appendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-// reader decodes a record payload.
-type reader struct{ b []byte }
-
-var errShortRecord = fmt.Errorf("wal: truncated record payload")
-
-func (r *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		return 0, errShortRecord
-	}
-	r.b = r.b[n:]
-	return v, nil
-}
-
-func (r *reader) take(n uint64) ([]byte, error) {
-	if uint64(len(r.b)) < n {
-		return nil, errShortRecord
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out, nil
-}
-
-func (r *reader) byteval() (byte, error) {
-	raw, err := r.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return raw[0], nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
-	}
-	raw, err := r.take(n)
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
-}
-
-func (r *reader) strings() ([]string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		s, err := r.str()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func (r *reader) value() (relalg.Value, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return relalg.Value{}, err
-	}
-	raw, err := r.take(n)
-	if err != nil {
-		return relalg.Value{}, err
-	}
-	var v relalg.Value
-	if err := v.UnmarshalBinary(raw); err != nil {
-		return relalg.Value{}, err
-	}
-	return v, nil
-}
-
-func (r *reader) tuple() (relalg.Tuple, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	t := make(relalg.Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, err := r.value()
-		if err != nil {
-			return nil, err
-		}
-		t = append(t, v)
-	}
-	return t, nil
-}
-
-func (r *reader) tuples() ([]relalg.Tuple, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]relalg.Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		t, err := r.tuple()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Record payloads
+// Record payloads. Strings, values and tuples use the one byte codec of
+// package relalg (shared with the wire frame); decoders read field by field
+// from a sticky-error relalg.Reader and the caller checks Err once.
 
 func encodeSchema(s relalg.Schema) []byte {
-	b := []byte{recSchema}
-	b = appendString(b, s.Name)
-	return appendStrings(b, s.Attrs)
+	b := relalg.AppendString([]byte{recSchema}, s.Name)
+	return relalg.AppendStrings(b, s.Attrs)
 }
 
-func decodeSchema(r *reader) (relalg.Schema, error) {
-	name, err := r.str()
-	if err != nil {
-		return relalg.Schema{}, err
-	}
-	attrs, err := r.strings()
-	if err != nil {
-		return relalg.Schema{}, err
-	}
-	return relalg.Schema{Name: name, Attrs: attrs}, nil
+func decodeSchema(r *relalg.Reader) relalg.Schema {
+	return relalg.Schema{Name: r.Str(), Attrs: r.Strs()}
 }
 
-func encodeInsert(rel string, seq uint64, t relalg.Tuple) ([]byte, error) {
-	b := []byte{recInsert}
-	b = appendString(b, rel)
-	b = appendUvarint(b, seq)
-	return appendTuple(b, t)
+func encodeInsert(rel string, seq uint64, t relalg.Tuple) []byte {
+	b := append(make([]byte, 0, 128), recInsert) // most tuples fit: one allocation per record
+	b = relalg.AppendString(b, rel)
+	b = binary.AppendUvarint(b, seq)
+	return relalg.AppendTuple(b, t)
 }
 
-func decodeInsert(r *reader) (rel string, seq uint64, t relalg.Tuple, err error) {
-	if rel, err = r.str(); err != nil {
-		return
+func decodeInsert(r *relalg.Reader) (rel string, seq uint64, t relalg.Tuple) {
+	return r.Str(), r.Uvarint(), r.Tuple()
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	if seq, err = r.uvarint(); err != nil {
-		return
-	}
-	t, err = r.tuple()
-	return
+	return append(b, 0)
 }
 
 // appendSubState encodes one subscription's durable form (shared by the full
 // state record and the marks-only record).
 func appendSubState(b []byte, sub SubState) []byte {
-	b = appendString(b, sub.Dependent)
-	b = appendString(b, sub.RuleID)
-	b = appendUvarint(b, sub.Epoch)
-	b = appendString(b, sub.Conj)
-	b = appendStrings(b, sub.Cols)
+	b = relalg.AppendString(b, sub.Dependent)
+	b = relalg.AppendString(b, sub.RuleID)
+	b = binary.AppendUvarint(b, sub.Epoch)
+	b = relalg.AppendString(b, sub.Conj)
+	b = relalg.AppendStrings(b, sub.Cols)
 	rels := make([]string, 0, len(sub.Marks))
 	for rel := range sub.Marks {
 		rels = append(rels, rel)
 	}
 	sort.Strings(rels)
-	b = appendUvarint(b, uint64(len(rels)))
+	b = binary.AppendUvarint(b, uint64(len(rels)))
 	for _, rel := range rels {
-		b = appendString(b, rel)
-		b = appendUvarint(b, sub.Marks[rel])
+		b = relalg.AppendString(b, rel)
+		b = binary.AppendUvarint(b, sub.Marks[rel])
 	}
-	if sub.Primed {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+	return appendBool(b, sub.Primed)
+}
+
+func readSubState(r *relalg.Reader) SubState {
+	sub := SubState{Dependent: r.Str(), RuleID: r.Str(), Epoch: r.Uvarint(), Conj: r.Str(), Cols: r.Strs()}
+	nmarks := r.Count(2)
+	sub.Marks = make(storage.Marks, nmarks)
+	for j := 0; j < nmarks; j++ {
+		rel := r.Str()
+		sub.Marks[rel] = r.Uvarint()
+	}
+	sub.Primed = r.Byte() == 1
+	return sub
+}
+
+func appendSubStates(b []byte, subs []SubState) []byte {
+	b = binary.AppendUvarint(b, uint64(len(subs)))
+	for _, sub := range subs {
+		b = appendSubState(b, sub)
 	}
 	return b
 }
 
-func (r *reader) subState() (SubState, error) {
-	var sub SubState
-	var err error
-	if sub.Dependent, err = r.str(); err != nil {
-		return sub, err
+func readSubStates(r *relalg.Reader) []SubState {
+	n := r.Count(7) // six fields and the primed byte, a byte each at least
+	var subs []SubState
+	for i := 0; i < n; i++ {
+		subs = append(subs, readSubState(r))
 	}
-	if sub.RuleID, err = r.str(); err != nil {
-		return sub, err
-	}
-	if sub.Epoch, err = r.uvarint(); err != nil {
-		return sub, err
-	}
-	if sub.Conj, err = r.str(); err != nil {
-		return sub, err
-	}
-	if sub.Cols, err = r.strings(); err != nil {
-		return sub, err
-	}
-	nmarks, err := r.uvarint()
-	if err != nil {
-		return sub, err
-	}
-	sub.Marks = make(storage.Marks, nmarks)
-	for j := uint64(0); j < nmarks; j++ {
-		rel, err := r.str()
-		if err != nil {
-			return sub, err
-		}
-		seq, err := r.uvarint()
-		if err != nil {
-			return sub, err
-		}
-		sub.Marks[rel] = seq
-	}
-	pb, err := r.byteval()
-	if err != nil {
-		return sub, err
-	}
-	sub.Primed = pb == 1
-	return sub, nil
+	return subs
 }
 
 // encodeSubMarks is the marks-only frontier record: the full subscription set
@@ -338,28 +168,7 @@ func (r *reader) subState() (SubState, error) {
 // It deliberately omits part results — those are persisted incrementally by
 // recPartDelta records — so the per-ack append stays small.
 func encodeSubMarks(subs []SubState) []byte {
-	b := []byte{recSubMarks}
-	b = appendUvarint(b, uint64(len(subs)))
-	for _, sub := range subs {
-		b = appendSubState(b, sub)
-	}
-	return b
-}
-
-func decodeSubMarks(r *reader) ([]SubState, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	subs := make([]SubState, 0, n)
-	for i := uint64(0); i < n; i++ {
-		sub, err := r.subState()
-		if err != nil {
-			return nil, err
-		}
-		subs = append(subs, sub)
-	}
-	return subs, nil
+	return appendSubStates([]byte{recSubMarks}, subs)
 }
 
 // encodeSyncPoint is the group-commit marker: it records the append sequence
@@ -368,112 +177,55 @@ func decodeSubMarks(r *reader) ([]SubState, error) {
 // crash. It is what lets FsyncNever stores gate acknowledgments on real
 // durability without paying a per-record fsync.
 func encodeSyncPoint(covered uint64) []byte {
-	b := []byte{recSyncPoint}
-	return appendUvarint(b, covered)
+	return binary.AppendUvarint([]byte{recSyncPoint}, covered)
+}
+
+func appendPartState(b []byte, p PartState) []byte {
+	b = relalg.AppendString(b, p.RuleID)
+	b = relalg.AppendString(b, p.Part)
+	b = relalg.AppendStrings(b, p.Cols)
+	return relalg.AppendTuples(b, p.Tuples)
+}
+
+func readPartState(r *relalg.Reader) PartState {
+	return PartState{RuleID: r.Str(), Part: r.Str(), Cols: r.Strs(), Tuples: r.Tuples()}
 }
 
 // encodePartDelta records the tuples newly merged into one rule part's
 // accumulated result set, so crash recovery can rebuild the parts a node
 // acknowledged without a full re-answer from its sources.
-func encodePartDelta(p PartState) ([]byte, error) {
-	b := []byte{recPartDelta}
-	b = appendString(b, p.RuleID)
-	b = appendString(b, p.Part)
-	b = appendStrings(b, p.Cols)
-	return appendTuples(b, p.Tuples)
+func encodePartDelta(p PartState) []byte {
+	return appendPartState([]byte{recPartDelta}, p)
 }
 
-func decodePartDelta(r *reader) (PartState, error) {
-	var p PartState
-	var err error
-	if p.RuleID, err = r.str(); err != nil {
-		return p, err
-	}
-	if p.Part, err = r.str(); err != nil {
-		return p, err
-	}
-	if p.Cols, err = r.strings(); err != nil {
-		return p, err
-	}
-	p.Tuples, err = r.tuples()
-	return p, err
-}
-
-func encodeState(st State, clean bool) ([]byte, error) {
-	b := []byte{recState}
-	if clean {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendUvarint(b, st.Epoch)
-	b = appendUvarint(b, uint64(len(st.Subs)))
-	var err error
-	for _, sub := range st.Subs {
-		b = appendSubState(b, sub)
-	}
-	b = appendUvarint(b, uint64(len(st.Parts)))
+func encodeState(st State, clean bool) []byte {
+	b := appendBool([]byte{recState}, clean)
+	b = binary.AppendUvarint(b, st.Epoch)
+	b = appendSubStates(b, st.Subs)
+	b = binary.AppendUvarint(b, uint64(len(st.Parts)))
 	for _, part := range st.Parts {
-		b = appendString(b, part.RuleID)
-		b = appendString(b, part.Part)
-		b = appendStrings(b, part.Cols)
-		if b, err = appendTuples(b, part.Tuples); err != nil {
-			return nil, err
-		}
+		b = appendPartState(b, part)
 	}
-	return b, nil
+	return b
 }
 
-func appendTuples(b []byte, ts []relalg.Tuple) ([]byte, error) {
-	b = appendUvarint(b, uint64(len(ts)))
-	var err error
-	for _, t := range ts {
-		if b, err = appendTuple(b, t); err != nil {
-			return b, err
-		}
+func decodeState(r *relalg.Reader) (st State, clean bool) {
+	clean = r.Byte() == 1
+	st.Epoch = r.Uvarint()
+	st.Subs = readSubStates(r)
+	for i, n := 0, r.Count(4); i < n; i++ {
+		st.Parts = append(st.Parts, readPartState(r))
 	}
-	return b, nil
+	return st, clean
 }
 
-func decodeState(r *reader) (st State, clean bool, err error) {
-	cb, err := r.byteval()
-	if err != nil {
-		return st, false, err
-	}
-	clean = cb == 1
-	if st.Epoch, err = r.uvarint(); err != nil {
-		return st, false, err
-	}
-	nsubs, err := r.uvarint()
-	if err != nil {
-		return st, false, err
-	}
-	for i := uint64(0); i < nsubs; i++ {
-		sub, err := r.subState()
-		if err != nil {
-			return st, false, err
-		}
-		st.Subs = append(st.Subs, sub)
-	}
-	nparts, err := r.uvarint()
-	if err != nil {
-		return st, false, err
-	}
-	for i := uint64(0); i < nparts; i++ {
-		var part PartState
-		if part.RuleID, err = r.str(); err != nil {
-			return st, false, err
-		}
-		if part.Part, err = r.str(); err != nil {
-			return st, false, err
-		}
-		if part.Cols, err = r.strings(); err != nil {
-			return st, false, err
-		}
-		if part.Tuples, err = r.tuples(); err != nil {
-			return st, false, err
-		}
-		st.Parts = append(st.Parts, part)
-	}
-	return st, clean, nil
+// MarshalState encodes protocol state in the state record's format, for
+// callers that ship it rather than log it (the replica stream).
+func MarshalState(st State) []byte { return encodeState(st, false)[1:] }
+
+// UnmarshalState decodes MarshalState's output.
+func UnmarshalState(data []byte) (State, error) {
+	r := relalg.NewReader(data)
+	st, _ := decodeState(&r)
+	return st, r.Err()
 }

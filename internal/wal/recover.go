@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/relalg"
 	"repro/internal/storage"
 )
 
@@ -98,20 +99,19 @@ func replaySegment(path string, rec *Recovered) (int, bool, error) {
 // without error (the record is internally valid but inconsistent with the
 // recovered prefix, e.g. a sequence gap after a mid-log tear).
 func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
-	r := &reader{b: payload[1:]}
+	// Throughout: a record that is CRC-valid yet undecodable is treated as
+	// the tail.
+	r := relalg.NewReader(payload[1:])
 	switch payload[0] {
 	case recSchema:
-		sch, err := decodeSchema(r)
-		if err != nil {
-			return false, false, nil // undecodable yet CRC-valid: treat as tail
-		}
-		if err := rec.DB.AddSchema(sch); err != nil {
-			return false, false, nil // conflicting redeclaration: stop here
+		sch := decodeSchema(&r)
+		if r.Err() != nil || rec.DB.AddSchema(sch) != nil {
+			return false, false, nil // undecodable, or a conflicting redeclaration
 		}
 		return true, false, nil
 	case recInsert:
-		rel, seq, t, err := decodeInsert(r)
-		if err != nil {
+		rel, seq, t := decodeInsert(&r)
+		if r.Err() != nil {
 			return false, false, nil
 		}
 		cur := rec.DB.Rel(rel)
@@ -130,16 +130,16 @@ func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
 			return false, false, nil // sequence gap: stop at the prefix
 		}
 	case recState:
-		st, cl, err := decodeState(r)
-		if err != nil {
+		st, cl := decodeState(&r)
+		if r.Err() != nil {
 			return false, false, nil
 		}
 		rec.State = st
 		rec.partIdx, rec.partSeen = nil, nil // parts replaced wholesale
 		return true, cl, nil
 	case recSubMarks:
-		subs, err := decodeSubMarks(r)
-		if err != nil {
+		subs := readSubStates(&r)
+		if r.Err() != nil {
 			return false, false, nil
 		}
 		// The newest frontier record wins. A marks record written before a
@@ -148,8 +148,8 @@ func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
 		rec.State.Subs = subs
 		return true, false, nil
 	case recPartDelta:
-		pd, err := decodePartDelta(r)
-		if err != nil {
+		pd := readPartState(&r)
+		if r.Err() != nil {
 			return false, false, nil
 		}
 		rec.mergePart(pd)
@@ -158,10 +158,8 @@ func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
 		// Group-commit marker: everything before it was durable when it was
 		// written. Recovery needs no action — surviving the crash is the
 		// proof — but the kind must be recognised or replay would stop here.
-		if _, err := r.uvarint(); err != nil {
-			return false, false, nil
-		}
-		return true, false, nil
+		r.Uvarint()
+		return r.Err() == nil, false, nil
 	default:
 		return false, false, nil // unknown kind: written by a future version
 	}

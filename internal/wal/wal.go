@@ -353,18 +353,10 @@ func (s *Store) SaveMarks() error {
 // durable before the call returns; under FsyncInterval the pre-ack Sync
 // covers it.
 func (s *Store) AppendParts(p PartState) error {
-	payload, err := encodePartDelta(p)
-	if err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
-		return err
-	}
+	payload := encodePartDelta(p)
 	s.mu.Lock()
 	n, ok := s.appendLocked(payload)
-	err = s.err
+	err := s.err
 	s.mu.Unlock()
 	if ok && s.opts.Fsync == FsyncAlways {
 		return s.syncTo(n)
@@ -405,15 +397,7 @@ func (s *Store) appendSchema(sch relalg.Schema) {
 }
 
 func (s *Store) appendInsert(rel string, t relalg.Tuple, seq uint64) {
-	payload, err := encodeInsert(rel, seq, t)
-	if err != nil {
-		s.mu.Lock()
-		if s.err == nil {
-			s.err = err
-		}
-		s.mu.Unlock()
-		return
-	}
+	payload := encodeInsert(rel, seq, t)
 	s.mu.Lock()
 	n, ok := s.appendLocked(payload)
 	s.mu.Unlock()
@@ -598,20 +582,17 @@ func (s *Store) captureState() State {
 func (s *Store) Close() error {
 	s.stopBackground()
 	st := s.captureState()
-	payload, encErr := encodeState(st, true)
+	payload := encodeState(st, true)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return s.err
 	}
 	s.closed = true
-	if s.err == nil && encErr == nil {
+	if s.err == nil {
 		if err := s.seg.append(payload); err != nil {
 			s.err = err
 		}
-	}
-	if s.err == nil && encErr != nil {
-		s.err = encErr
 	}
 	if err := s.seg.seal(); err != nil && s.err == nil {
 		s.err = err

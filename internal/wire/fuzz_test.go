@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/relalg"
@@ -9,9 +10,10 @@ import (
 
 // FuzzDecodeEnvelope hardens the frame boundary: whatever bytes arrive off a
 // socket, Decode must either return a valid envelope or an error — never
-// panic. Seeds cover the entire registered frame vocabulary — the
-// wireexhaustive analyzer fails the build if a newly registered frame has no
-// seed here.
+// panic, and never allocate more than a constant multiple of the frame's
+// length (every count in the format is checked against the bytes that remain
+// before anything is made for it). Seeds cover the entire kind table — the
+// wireexhaustive analyzer fails the build if a kind has no seed here.
 func FuzzDecodeEnvelope(f *testing.F) {
 	seedMsgs := []Message{
 		Query{Epoch: 2, RuleID: "r", Conj: "S:s(X,Y)", Cols: []string{"X"}, Path: []string{"H"}},
@@ -48,7 +50,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			Tuples: []relalg.Tuple{{relalg.S("p"), relalg.S("q")}, {relalg.S("r")}}},
 		ReplicaAck{Node: "A", Rel: "s", To: 5, Durable: true},
 		ReplicaSyncReq{Node: "A", Frontier: map[string]uint64{"s": 3, "t": 0}},
-		ReplicaState{Node: "A", Epoch: 2, State: []byte("gob wal.State")},
+		ReplicaState{Node: "A", Epoch: 2, State: []byte("wal.MarshalState")},
 		ReplicaStatusRequest{},
 		ReplicaStatusReport{Member: "H1", K: 2, UnderReplicated: 1,
 			Entries: []ReplicaStatus{{Node: "A", Role: "primary", Peer: "H2", Applied: 4, Target: 5}}},
@@ -97,7 +99,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Heartbeat{Node: "A", Addr: "127.0.0.1:1"},
 		Goodbye{Node: "B"},
 		// Remote orchestration verbs (empty-body requests still need decode
-		// coverage: a zero-length gob payload is its own corner).
+		// coverage: a frame that ends at its kind byte is its own corner).
 		DiscoverRequest{},
 		UpdateRequest{},
 		ProbeRequest{},
@@ -115,10 +117,20 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			f.Add(data)
 		}
 	}
-	f.Add([]byte("not gob at all"))
+	f.Add([]byte("not a frame at all"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		env, err := Decode(data)
+		runtime.ReadMemStats(&after)
+		// The largest blow-ups are a map (some 40 bytes of table per two-byte
+		// entry) and a list of tuples (a 24-byte slice header per input
+		// byte). The slack covers what the runtime's own goroutines allocate
+		// meanwhile.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<16); got > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -132,7 +144,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	})
 }
 
-// FuzzAnswerAckRoundTrip round-trips arbitrary ack frontiers through the gob
+// FuzzAnswerAckRoundTrip round-trips arbitrary ack frontiers through the wire
 // encoding: the source trusts the echoed values verbatim, so any lossy or
 // corrupting encoding here would silently skip tuples after a crash restart.
 func FuzzAnswerAckRoundTrip(f *testing.F) {

@@ -3,15 +3,11 @@
 // messages (A4–A5), and the control plane a super-peer uses (rule broadcast,
 // dynamic add/delete notifications, statistics collection). Messages are
 // self-describing (Kind) and size-accountable (Size); the TCP transport
-// encodes them with gob, the in-memory transport passes them by value and
-// uses Size for byte accounting.
+// encodes them with the binary codec of codec.go, the in-memory transport
+// passes them by value and uses Size for byte accounting.
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"repro/internal/relalg"
 	"repro/internal/stats"
 )
@@ -461,9 +457,9 @@ func mapSize(m map[string]string) int {
 // it has applied) for instance garbage-collection.
 
 // Command is one replicated control-plane log entry. It is deliberately one
-// flat struct rather than an interface: gob stays simple, fuzzing reaches
-// every field, and unknown Kinds are skipped by appliers instead of failing
-// to decode (forward compatibility across member versions).
+// flat struct rather than an interface: the codec stays simple, fuzzing
+// reaches every field, and unknown Kinds are skipped by appliers instead of
+// failing to decode (forward compatibility across member versions).
 type Command struct {
 	// Kind discriminates the entry: "noop" (gap fill), "member" (agreed
 	// status change), "discover", "update", "updateDone", "addRule",
@@ -706,7 +702,7 @@ func (m ReplicaSyncReq) Size() int {
 	return n
 }
 
-// ReplicaState ships the primary's protocol state (a gob-encoded wal.State:
+// ReplicaState ships the primary's protocol state (wal.MarshalState bytes:
 // epoch, source-side subscription marks, part results) to its replicas, so a
 // promoted replica restores the peer's standing subscriptions and re-joins
 // delta-only instead of re-answering the world. State is shipped through the
@@ -837,6 +833,10 @@ type StateReport struct {
 	WatchSaved     uint64 // extractions saved vs one-per-watcher
 	WatchDropped   uint64 // batches discarded by drop-oldest queues
 	WatchCanceled  uint64 // watchers closed by the cancel policy
+	// BadFrames counts frames the node's transport received but could not
+	// decode — the visible symptom of members speaking different wire
+	// format versions.
+	BadFrames uint64
 }
 
 // Kind implements Message.
@@ -905,8 +905,8 @@ type WatchRequest struct {
 	QueueCap int      // 0 = server default
 	// Resume marks a reconnect: Marks is the per-relation frontier from the
 	// client's resume token and the prime becomes exactly the unconfirmed
-	// suffix past it. A flag rather than Marks != nil — gob flattens empty
-	// maps to nil, and resume-from-zero is not a fresh prime.
+	// suffix past it. A flag rather than Marks != nil — an empty map decodes
+	// as nil, and resume-from-zero is not a fresh prime.
 	Resume bool
 	Marks  map[string]uint64
 }
@@ -993,76 +993,4 @@ func ControlKinds() map[string]bool {
 		KindAccepted: true, KindLearn: true, KindCatchUp: true,
 		KindSnapshot: true,
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Encoding (TCP transport)
-
-func init() {
-	gob.Register(RequestNodes{})
-	gob.Register(DiscoveryAnswer{})
-	gob.Register(StartUpdate{})
-	gob.Register(Query{})
-	gob.Register(Answer{})
-	gob.Register(AnswerAck{})
-	gob.Register(AnswerBatch{})
-	gob.Register(Unsubscribe{})
-	gob.Register(AddRuleNotice{})
-	gob.Register(DeleteRuleNotice{})
-	gob.Register(TopoChanged{})
-	gob.Register(SetNetwork{})
-	gob.Register(StatsRequest{})
-	gob.Register(StatsReport{})
-	gob.Register(StatsReset{})
-	gob.Register(Join{})
-	gob.Register(JoinAck{})
-	gob.Register(Heartbeat{})
-	gob.Register(Goodbye{})
-	gob.Register(Prepare{})
-	gob.Register(Promise{})
-	gob.Register(Accept{})
-	gob.Register(Accepted{})
-	gob.Register(Learn{})
-	gob.Register(CatchUp{})
-	gob.Register(Snapshot{})
-	gob.Register(DiscoverRequest{})
-	gob.Register(UpdateRequest{})
-	gob.Register(ProbeRequest{})
-	gob.Register(StateRequest{})
-	gob.Register(StateReport{})
-	gob.Register(QueryRequest{})
-	gob.Register(QueryResult{})
-	gob.Register(ReplicaAppend{})
-	gob.Register(ReplicaAck{})
-	gob.Register(ReplicaSyncReq{})
-	gob.Register(ReplicaState{})
-	gob.Register(ReplicaStatusRequest{})
-	gob.Register(ReplicaStatusReport{})
-	gob.Register(WatchRequest{})
-	gob.Register(WatchDelta{})
-	gob.Register(WatchCancel{})
-}
-
-// Encode serialises an envelope with gob.
-func Encode(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("wire: encode %s: %w", env.Msg.Kind(), err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserialises an envelope produced by Encode. An envelope whose Msg
-// is absent decodes without a gob error but is unusable — every receive path
-// calls Msg.Kind() — so it is rejected here instead of crashing a peer on a
-// corrupt or hostile frame (found by FuzzDecodeEnvelope).
-func Decode(data []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decode: %w", err)
-	}
-	if env.Msg == nil {
-		return Envelope{}, fmt.Errorf("wire: decode: envelope carries no message")
-	}
-	return env, nil
 }
