@@ -80,6 +80,9 @@ func cmdCtl(args []string) error {
 			return err
 		}
 		fmt.Printf("update closed in %v\n", time.Since(t0).Round(time.Millisecond))
+		if n := coord.ProbeRounds(); n > 0 {
+			fmt.Printf("warning: the wave settled with nodes open and needed %d closure-probe round(s)\n", n)
+		}
 		return nil
 	case "quiesce":
 		return coord.Quiesce(ctx)

@@ -139,14 +139,15 @@ func cmdServe(args []string) error {
 	fmt.Printf("serving %s at %s (pid %d)\n", node, m.Transport().Addr(), os.Getpid())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	select {
 	case s := <-sig:
 		fmt.Printf("%s: closing %s cleanly\n", s, node)
+		return m.Close()
 	case <-m.Deposed():
-		// The agreed log re-homed this process's own node: serving on would
-		// fork the fix-point.
-		fmt.Fprintf(os.Stderr, "deposed: %s is hosted elsewhere now; shutting down\n", node)
+		// The agreed log re-homed this process's own node and the member is
+		// shutting itself down; Close only waits for that to finish.
+		_ = m.Close()
+		return fmt.Errorf("deposed: %s is hosted elsewhere now", node)
 	}
-	signal.Stop(sig)
-	return m.Close()
 }

@@ -16,8 +16,8 @@ import (
 // same core.Build facade as the in-memory runs: the TCP mesh gives each peer
 // its own loopback listener, and orchestration — lacking a global quiescence
 // oracle on a real network, exactly as in the paper's JXTA deployment —
-// falls back to polling peer states and counters, with closure probes
-// recovering any swallowed cascade.
+// judges quiescence by polling the peers' message counters until they hold
+// still.
 func cmdTCP(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: p2pdb tcp <net-file>")

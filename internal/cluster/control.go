@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
+	"fmt"
+	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/core"
 	"repro/internal/peer"
 	"repro/internal/rules"
 	"repro/internal/wire"
@@ -20,15 +25,15 @@ import (
 // table, when an update or discovery wave starts, which coordination rules
 // exist — become agreed log entries applied in sequence by every member.
 // Any member can host a ctl request (the coordinator now just picks a live
-// one), and the member that kicks an update doubles as its *driver*: it polls
-// the others' protocol states and probes open nodes until the wave closes,
-// then commits an updateDone entry. The driver role itself is derived
-// deterministically from the agreed member view, so when the acting driver
-// dies mid-update, the suspicion-driven member entry that records its death
-// also elects its successor — which re-kicks the wave instead of letting the
-// network stall. Rumour-level membership (Join/Heartbeat gossip) stays the
-// failure detector and address book underneath; the agreed view is what
-// control decisions read.
+// one), and the member that kicks an update doubles as its *driver*: it runs
+// the one update driver (core.DriveUpdate) over the others' polled protocol
+// states until the wave closes, then commits an updateDone entry. The driver
+// role itself is derived deterministically from the agreed member view, so
+// when the acting driver dies mid-update, the suspicion-driven member entry
+// that records its death also elects its successor — which re-kicks the wave
+// instead of letting the network stall. Rumour-level membership
+// (Join/Heartbeat gossip) stays the failure detector and address book
+// underneath; the agreed view is what control decisions read.
 
 // HostedPeer is the slice of the peer runtime the control plane drives.
 // *peer.Peer satisfies it.
@@ -50,9 +55,10 @@ type ControlPlaneOptions struct {
 	PollEvery time.Duration
 	// RoundTimeout bounds one driver poll round (default 2s).
 	RoundTimeout time.Duration
-	// Settle is how many consecutive complete all-closed rounds the driver
-	// requires before committing updateDone (default 3) — one round can race
-	// a still-traveling confirming cascade.
+	// Settle is how many consecutive complete rounds must read the same
+	// before the driver judges the wave (default 3): all closed commits
+	// updateDone, anything open is probed — one round can race a
+	// still-traveling confirming cascade.
 	Settle int
 	// ReconcileEvery is the cadence of the gossip→log reconciliation loop
 	// (default 500ms): agreed member statuses that drifted from what the
@@ -127,6 +133,7 @@ type ControlPlaneMetrics struct {
 	Driver      string `json:"driver"`         // elected update driver ("" when none eligible)
 	Failovers   uint64 `json:"failovers"`      // driver changes while an update was in flight
 	PendingInst uint64 `json:"pending_update"` // log instance of the in-flight update (0 = none)
+	ProbeRounds uint64 `json:"probe_rounds"`   // closure-probe rounds the updates this member drove needed (healthy: 0)
 
 	// Replication slice (zero-valued when Replication.K == 0).
 	Adopted       []string `json:"adopted,omitempty"`        // nodes this member hosts besides its own
@@ -156,7 +163,7 @@ type ControlPlane struct {
 	pending   *pendingUpdate
 	driver    string
 	failovers uint64
-	states    map[string]report[wire.StateReport]
+	states    inbox[wire.StateReport]
 	rules     map[string]string // agreed rule set: rule ID -> rule text
 	driveGen  uint64            // invalidates superseded driver goroutines
 	replaying bool              // control-log replay in progress: fold only, no side effects
@@ -167,7 +174,10 @@ type ControlPlane struct {
 	elections  map[string]map[string]uint64 // open promotions: node -> bidder -> frontier
 	promotions uint64                       // elections this member won
 
-	quit chan struct{}
+	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
+
+	ctx  context.Context // cancelled by Close: every loop and driver selects on it
+	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
@@ -190,21 +200,17 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 		members:   append([]string(nil), members...),
 		opts:      opts,
 		view:      map[string]Status{},
-		states:    map[string]report[wire.StateReport]{},
 		rules:     map[string]string{},
 		hosts:     map[string]string{},
 		elections: map[string]map[string]uint64{},
 		replaying: true,
-		quit:      make(chan struct{}),
 	}
+	cp.ctx, cp.stop = context.WithCancel(context.Background())
 	sort.Strings(cp.members)
-	send := func(to string, msg wire.Message) error {
-		return tr.Send(cp.self, to, msg)
-	}
 	copts := opts.Consensus
 	copts.Snapshot = cp.snapshotState
 	copts.Restore = cp.restoreState
-	cons, err := consensus.New(cp.self, cp.members, send, cp.applyEntry, copts)
+	cons, err := consensus.New(cp.self, cp.members, cp.send, cp.applyEntry, copts)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +221,7 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 	cp.mu.Lock()
 	cp.replaying = false
 	cp.startDrivingLocked()
-	// Elections still open after replay really are undecided: re-submit this
+	// Elections that replay left open really are undecided: re-submit this
 	// member's bid (max-merge in the fold makes duplicates harmless) and
 	// re-check completion now that side effects may fire.
 	for node := range cp.elections {
@@ -239,9 +245,14 @@ func (cp *ControlPlane) Close() {
 	}
 	cp.closed = true
 	cp.mu.Unlock()
-	close(cp.quit)
+	cp.stop()
 	cp.wg.Wait()
 	cp.cons.Close()
+}
+
+// send ships one control-plane frame from this member.
+func (cp *ControlPlane) send(to string, msg wire.Message) error {
+	return cp.tr.Send(cp.self, to, msg)
 }
 
 // Consensus exposes the underlying replicated log node.
@@ -310,12 +321,9 @@ func (cp *ControlPlane) Deposed() bool {
 	return cp.hostOfLocked(cp.self) != cp.self
 }
 
-// ReplicationK returns the configured replica count (0 = replication off).
-func (cp *ControlPlane) ReplicationK() int { return cp.opts.Replication.K }
-
 // Metrics snapshots the control plane for the serve metrics endpoint.
 func (cp *ControlPlane) Metrics() ControlPlaneMetrics {
-	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics()}
+	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics(), ProbeRounds: cp.probeRounds.Load()}
 	cp.mu.Lock()
 	m.ViewVersion = cp.version
 	m.Driver = cp.driver
@@ -352,9 +360,7 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 	}
 	switch m := env.Msg.(type) {
 	case wire.StateReport:
-		cp.mu.Lock()
-		cp.states[m.Node] = report[wire.StateReport]{at: time.Now(), val: m}
-		cp.mu.Unlock()
+		cp.states.put(m.Node, m)
 		return true
 	case wire.DiscoverRequest:
 		go cp.submitAsync(wire.Command{Kind: "discover", Node: cp.self})
@@ -392,7 +398,7 @@ func (cp *ControlPlane) submitAsync(cmd wire.Command) {
 	}()
 	select {
 	case <-done:
-	case <-cp.quit:
+	case <-cp.ctx.Done():
 		cancel()
 		<-done
 	}
@@ -715,33 +721,64 @@ func (cp *ControlPlane) stillDriving(inst, gen uint64) bool {
 		cp.driver == cp.self && cp.driveGen == gen
 }
 
-// drive is the update driver loop: kick a wave from this member, poll every
-// eligible member's protocol state, probe open nodes, and — once every
-// member has reported closed for Settle consecutive complete rounds — commit
-// updateDone. Retries are unbounded: a dead member blocks closure until it
-// restarts (its WAL and the resend machinery then let the wave finish), so
-// the driver waits rather than declaring a half-done update finished.
+// errSuperseded ends a drive whose update is no longer this member's to
+// drive: it completed, a newer one replaced it, or the role moved on.
+var errSuperseded = errors.New("cluster: update driver superseded")
+
+// drive is the elected member's update driver: the one update driver
+// (core.DriveUpdate) observed through the agreed member view, then
+// updateDone. Patience is unbounded: a wave the driver gives up on — a dead
+// member's dependents stay open until it restarts, a partition outlasts the
+// probe budget — is kicked afresh, so the next epoch re-pulls from the
+// acknowledged frontiers, rather than a half-done update being declared
+// finished.
 func (cp *ControlPlane) drive(inst, gen uint64) {
 	defer cp.wg.Done()
-	// Re-check before the kick, not just before each poll: a newer update (or
-	// this one's updateDone) may have been applied between startDrivingLocked
-	// and this goroutine getting scheduled, and a stale kick is a full
-	// cluster-wide epoch bump.
-	if !cp.stillDriving(inst, gen) {
-		return
-	}
-	kickEpoch := cp.peer.StartUpdateWave()
-	settle := 0
 	for {
-		select {
-		case <-cp.quit:
+		probes, err := core.DriveUpdate(cp.ctx, &planeWave{cp: cp, inst: inst, gen: gen})
+		cp.probeRounds.Add(uint64(probes))
+		if err == nil {
+			cp.commitDone(inst, gen)
 			return
-		case <-time.After(cp.opts.PollEvery):
 		}
 		if !cp.stillDriving(inst, gen) {
 			return
 		}
+		fmt.Fprintf(os.Stderr, "%s: update %d: %v; kicking a fresh wave\n", cp.self, inst, err)
+	}
+}
 
+// planeWave observes one update wave from the elected driver: its own peer
+// directly, every other eligible member through StateRequest rounds.
+type planeWave struct {
+	cp        *ControlPlane
+	inst, gen uint64
+	kickEpoch uint64
+	states    map[string]wire.StateReport // the round the wave settled on
+}
+
+// Kick re-checks before the kick, not just before each poll: a newer update
+// (or this one's updateDone) may have been applied between startDrivingLocked
+// and this goroutine getting scheduled, and a stale kick is a full
+// cluster-wide epoch bump.
+func (w *planeWave) Kick(context.Context, int) (bool, error) {
+	if !w.cp.stillDriving(w.inst, w.gen) {
+		return false, errSuperseded
+	}
+	w.kickEpoch = w.cp.peer.StartUpdateWave()
+	return true, nil
+}
+
+// Settle waits until Settle consecutive complete rounds read the same: every
+// eligible member at the same epoch with the same open set — one clean round
+// can race a still-traveling confirming cascade — and, while any node is
+// open, the same tuple counts, so a wave that is still moving data is not
+// probed. A member that does not answer keeps the round incomplete, so the
+// driver waits for it.
+func (w *planeWave) Settle(ctx context.Context) error {
+	cp := w.cp
+	need := func(string) int { return cp.opts.Settle - 1 }
+	_, err := core.HoldStill(ctx, cp.opts.PollEvery, need, func(ctx context.Context) (string, bool, error) {
 		cp.mu.Lock()
 		var targets []string
 		for _, m := range cp.members {
@@ -750,71 +787,46 @@ func (cp *ControlPlane) drive(inst, gen uint64) {
 			}
 		}
 		cp.mu.Unlock()
-
-		reports, complete := cp.pollStates(targets)
-		if !cp.stillDriving(inst, gen) {
-			return
+		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, cp.opts.RoundTimeout, &cp.states)
+		if err != nil {
+			return "", false, err
 		}
-		var open []string
-		for node, st := range reports {
-			if st.Activated && !st.Closed {
-				open = append(open, node)
+		if !cp.stillDriving(w.inst, w.gen) {
+			return "", false, errSuperseded
+		}
+		states[cp.self] = wire.StateReport{Node: cp.self, Epoch: cp.peer.Epoch(),
+			Activated: cp.peer.Activated(), Closed: cp.peer.State() == peer.Closed}
+		w.states = states
+		// What must hold still, per node (fmt prints maps in key order, so
+		// equal rounds print equal).
+		type still struct {
+			epoch             uint64
+			activated, closed bool
+			tuples            int
+		}
+		moving := len(openNodes(states)) > 0
+		sum := map[string]still{}
+		for node, st := range states {
+			if !moving {
+				st.Tuples = 0
 			}
+			sum[node] = still{st.Epoch, st.Activated, st.Closed, st.Tuples}
 		}
-		selfOpen := cp.peer.Activated() && cp.peer.State() != peer.Closed
-		if selfOpen {
-			open = append(open, cp.self)
-		}
-		if complete && len(open) == 0 && cp.peer.Epoch() >= kickEpoch && !selfOpen {
-			settle++
-			if settle >= cp.opts.Settle {
-				cp.commitDone(inst, gen)
-				return
-			}
-			continue
-		}
-		settle = 0
-		for _, node := range open {
-			if node == cp.self {
-				cp.peer.Probe()
-			} else {
-				_ = cp.tr.Send(cp.self, node, wire.ProbeRequest{})
-			}
-		}
-	}
+		return fmt.Sprint(sum), complete && states[cp.self].Epoch >= w.kickEpoch, nil
+	})
+	return err
 }
 
-// pollStates runs one StateRequest round against targets and returns the
-// replies fresher than the round start, plus whether every target answered.
-func (cp *ControlPlane) pollStates(targets []string) (map[string]wire.StateReport, bool) {
-	start := time.Now()
-	for _, node := range targets {
-		_ = cp.tr.Send(cp.self, node, wire.StateRequest{})
-	}
-	deadline := start.Add(cp.opts.RoundTimeout)
-	for {
-		fresh := map[string]wire.StateReport{}
-		cp.mu.Lock()
-		for node, r := range cp.states {
-			if !r.at.Before(start) {
-				fresh[node] = r.val
-			}
-		}
-		cp.mu.Unlock()
-		complete := true
-		for _, node := range targets {
-			if _, ok := fresh[node]; !ok {
-				complete = false
-				break
-			}
-		}
-		if complete || time.Now().After(deadline) {
-			return fresh, complete
-		}
-		select {
-		case <-cp.quit:
-			return fresh, false
-		case <-time.After(5 * time.Millisecond):
+func (w *planeWave) Open(context.Context) ([]core.OpenNode, bool, error) {
+	return openNodes(w.states), true, nil
+}
+
+func (w *planeWave) Probe(open []core.OpenNode) {
+	for _, on := range open {
+		if on.Name == w.cp.self {
+			w.cp.peer.Probe()
+		} else {
+			_ = w.cp.send(on.Name, wire.ProbeRequest{})
 		}
 	}
 }
@@ -854,7 +866,7 @@ func (cp *ControlPlane) reconcileLoop() {
 	suspectSince := map[string]time.Time{}
 	for {
 		select {
-		case <-cp.quit:
+		case <-cp.ctx.Done():
 			return
 		case <-time.After(cp.opts.ReconcileEvery):
 		}

@@ -441,6 +441,46 @@ type openHosted struct{ fakeHosted }
 
 func (h *openHosted) State() peer.UpdateState { return peer.Open }
 
+// gatedHosted stays open until told to close.
+type gatedHosted struct {
+	fakeHosted
+	closed atomic.Bool
+}
+
+func (h *gatedHosted) State() peer.UpdateState {
+	if h.closed.Load() {
+		return peer.Closed
+	}
+	return peer.Open
+}
+
+// TestSupersededDriverDoesNotCommit: a second agreed update supersedes the
+// drive of the first. When the waves then close, only the current driver may
+// commit updateDone — a stale one naming the older instance would be a
+// proposal too many.
+func TestSupersededDriverDoesNotCommit(t *testing.T) {
+	h := &gatedHosted{}
+	tr, cp := bootSoloCP(t, filepath.Join(t.TempDir(), "A.control.log"), h)
+	defer func() {
+		cp.Close()
+		_ = tr.Close()
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for want := uint64(1); want <= 2; want++ {
+		if _, err := cp.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 10*time.Second, func() bool { return h.waves.Load() >= want }, "an agreed update was never kicked")
+	}
+	h.closed.Store(true)
+	waitFor(t, 10*time.Second, func() bool { return cp.Metrics().PendingInst == 0 }, "the current driver never committed updateDone")
+	time.Sleep(250 * time.Millisecond) // several poll periods for a stale driver to show itself
+	if got := cp.Metrics().Proposals; got != 3 {
+		t.Fatalf("%d proposals, want 3 (two updates, one updateDone)", got)
+	}
+}
+
 // bootSoloCP boots a single-member control plane around a stub peer (quorum
 // one: every submit decides locally, replay is the whole story on restart).
 func bootSoloCP(t *testing.T, logPath string, h HostedPeer) (*Transport, *ControlPlane) {

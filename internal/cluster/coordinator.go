@@ -2,11 +2,14 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/relalg"
 	"repro/internal/rules"
 	"repro/internal/stats"
@@ -22,13 +25,6 @@ type CoordinatorOptions struct {
 	// RoundTimeout bounds one request round — how long to wait for every
 	// alive peer's report before treating the round as incomplete (default 2s).
 	RoundTimeout time.Duration
-	// Settle is how many consecutive still, balanced polling rounds declare
-	// quiescence (default 5); an unbalanced sent/recv sum needs SettleDeficit
-	// rounds (default 25) — in-flight and lost traffic look identical from
-	// counters, so the deficit case gets several times longer to drain.
-	Settle, SettleDeficit int
-	// Probes bounds the closure probes of Update (default 8).
-	Probes int
 	// Name is this coordinator's member name (default CoordinatorName). A
 	// long-lived session sharing a cluster with other coordinator processes
 	// — a `ctl watch` stream running beside one-shot ctl verbs — must pick a
@@ -44,15 +40,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.RoundTimeout <= 0 {
 		o.RoundTimeout = 2 * time.Second
 	}
-	if o.Settle <= 0 {
-		o.Settle = 5
-	}
-	if o.SettleDeficit <= 0 {
-		o.SettleDeficit = 25
-	}
-	if o.Probes <= 0 {
-		o.Probes = 8
-	}
 	if o.Name == "" {
 		o.Name = CoordinatorName
 	}
@@ -66,6 +53,58 @@ type report[T any] struct {
 	val T
 }
 
+// inbox keeps the latest reply of one kind per sender.
+type inbox[T any] struct {
+	mu   sync.Mutex
+	last map[string]report[T]
+}
+
+func (in *inbox[T]) put(from string, val T) {
+	in.mu.Lock()
+	if in.last == nil {
+		in.last = map[string]report[T]{}
+	}
+	in.last[from] = report[T]{at: time.Now(), val: val}
+	in.mu.Unlock()
+}
+
+// round runs one request round against targets: send one request to each,
+// then wait until every one of them has a reply fresher than the round start
+// (or timeout passes). It returns the fresh replies and whether the round was
+// complete. The coordinator's polls and the control plane's driver polls are
+// both this function.
+func round[T any](ctx context.Context, send func(to string, msg wire.Message) error, targets []string, req wire.Message, timeout time.Duration, in *inbox[T]) (map[string]T, bool, error) {
+	start := time.Now()
+	for _, p := range targets {
+		_ = send(p, req)
+	}
+	for {
+		fresh := map[string]T{}
+		in.mu.Lock()
+		for name, r := range in.last {
+			if !r.at.Before(start) {
+				fresh[name] = r.val
+			}
+		}
+		in.mu.Unlock()
+		complete := true
+		for _, p := range targets {
+			if _, ok := fresh[p]; !ok {
+				complete = false
+				break
+			}
+		}
+		if complete || time.Since(start) > timeout {
+			return fresh, complete, nil
+		}
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
 // Coordinator is the remote control plane: it joins the cluster under
 // CoordinatorName and orchestrates the serve processes through wire control
 // verbs — the super-peer role of Section 5 played from outside the database
@@ -76,14 +115,17 @@ type Coordinator struct {
 	tr   *Transport
 	opts CoordinatorOptions
 
-	mu       sync.Mutex
-	stats    map[string]report[stats.Snapshot]
-	states   map[string]report[wire.StateReport]
-	replicas map[string]report[wire.ReplicaStatusReport]
-	queries  map[uint64]chan wire.QueryResult
-	qseq     uint64
-	watches  map[uint64]*RemoteWatch
-	wseq     uint64
+	stats    inbox[stats.Snapshot]
+	states   inbox[wire.StateReport]
+	replicas inbox[wire.ReplicaStatusReport]
+
+	probeRounds atomic.Uint64 // closure-probe rounds the updates needed
+
+	mu      sync.Mutex
+	queries map[uint64]chan wire.QueryResult
+	qseq    uint64
+	watches map[uint64]*RemoteWatch
+	wseq    uint64
 }
 
 // NewCoordinator joins the cluster as the control plane. The address book is
@@ -103,14 +145,11 @@ func NewCoordinator(def *rules.Network, listenAddr string, extra map[string]stri
 		return nil, err
 	}
 	c := &Coordinator{
-		def:      def,
-		tr:       tr,
-		opts:     opts,
-		stats:    map[string]report[stats.Snapshot]{},
-		states:   map[string]report[wire.StateReport]{},
-		replicas: map[string]report[wire.ReplicaStatusReport]{},
-		queries:  map[uint64]chan wire.QueryResult{},
-		watches:  map[uint64]*RemoteWatch{},
+		def:     def,
+		tr:      tr,
+		opts:    opts,
+		queries: map[uint64]chan wire.QueryResult{},
+		watches: map[uint64]*RemoteWatch{},
 	}
 	if err := tr.Register(opts.Name, c.handle); err != nil {
 		_ = tr.Close()
@@ -130,17 +169,11 @@ func (c *Coordinator) Transport() *Transport { return c.tr }
 func (c *Coordinator) handle(env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.StatsReport:
-		c.mu.Lock()
-		c.stats[m.Snapshot.Node] = report[stats.Snapshot]{at: time.Now(), val: m.Snapshot}
-		c.mu.Unlock()
+		c.stats.put(m.Snapshot.Node, m.Snapshot)
 	case wire.StateReport:
-		c.mu.Lock()
-		c.states[m.Node] = report[wire.StateReport]{at: time.Now(), val: m}
-		c.mu.Unlock()
+		c.states.put(m.Node, m)
 	case wire.ReplicaStatusReport:
-		c.mu.Lock()
-		c.replicas[m.Member] = report[wire.ReplicaStatusReport]{at: time.Now(), val: m}
-		c.mu.Unlock()
+		c.replicas.put(m.Member, m)
 	case wire.QueryResult:
 		c.mu.Lock()
 		ch := c.queries[m.ID]
@@ -187,19 +220,20 @@ func (c *Coordinator) alivePeers() []string {
 // order — any member of a consensus-run cluster can host a control request
 // (a rule change travels as an agreed log entry and applies at its head node
 // whenever that returns), so an unreachable super-peer or head falls through
-// to the next live member instead of erroring out.
-func (c *Coordinator) kickTarget(prefer string) (string, error) {
+// to the next live member instead of erroring out. Retries (attempt > 0)
+// rotate through the other live members.
+func (c *Coordinator) kickTarget(prefer string, attempt int) (string, error) {
 	alive := c.alivePeers()
+	if len(alive) == 0 {
+		return "", fmt.Errorf("cluster: no alive member to target (preferred %q)", prefer)
+	}
 	sort.Strings(alive)
-	for _, p := range alive {
+	for i, p := range alive {
 		if p == prefer {
-			return p, nil
+			alive[0], alive[i] = alive[i], alive[0]
 		}
 	}
-	if len(alive) > 0 {
-		return alive[0], nil
-	}
-	return "", fmt.Errorf("cluster: no alive member to target (preferred %q)", prefer)
+	return alive[attempt%len(alive)], nil
 }
 
 // WaitMembers blocks until at least want database peers are alive (the
@@ -217,55 +251,27 @@ func (c *Coordinator) WaitMembers(ctx context.Context, want int) error {
 	}
 }
 
-// round runs one request round against the alive peers: send one request per
-// peer, wait until every one of them has a reply fresher than the round
-// start (or the round times out). It returns the fresh replies and whether
-// the round was complete.
-func round[T any](ctx context.Context, c *Coordinator, req wire.Message, table func() map[string]report[T]) (map[string]T, bool, error) {
-	peers := c.alivePeers()
-	start := time.Now()
-	for _, p := range peers {
-		_ = c.tr.Send(c.opts.Name, p, req)
-	}
-	deadline := start.Add(c.opts.RoundTimeout)
-	for {
-		fresh := map[string]T{}
-		c.mu.Lock()
-		for name, r := range table() {
-			if !r.at.Before(start) {
-				fresh[name] = r.val
-			}
-		}
-		c.mu.Unlock()
-		complete := true
-		for _, p := range peers {
-			if _, ok := fresh[p]; !ok {
-				complete = false
-				break
-			}
-		}
-		if complete || time.Now().After(deadline) {
-			return fresh, complete, nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
+// send ships one control verb from the coordinator.
+func (c *Coordinator) send(to string, msg wire.Message) error {
+	return c.tr.Send(c.opts.Name, to, msg)
+}
+
+// ask runs one request round against the alive peers.
+func ask[T any](ctx context.Context, c *Coordinator, req wire.Message, in *inbox[T]) (map[string]T, bool, error) {
+	return round(ctx, c.send, c.alivePeers(), req, c.opts.RoundTimeout, in)
 }
 
 // CollectStats gathers every alive peer's statistics snapshot through the
 // wire (the super-peer verb of Section 5, played remotely).
 func (c *Coordinator) CollectStats(ctx context.Context) (map[string]stats.Snapshot, error) {
-	snaps, _, err := round(ctx, c, wire.StatsRequest{}, func() map[string]report[stats.Snapshot] { return c.stats })
+	snaps, _, err := ask(ctx, c, wire.StatsRequest{}, &c.stats)
 	return snaps, err
 }
 
 // ResetStats zeroes every alive peer's counters.
 func (c *Coordinator) ResetStats() {
 	for _, p := range c.alivePeers() {
-		_ = c.tr.Send(c.opts.Name, p, wire.StatsReset{})
+		_ = c.send(p, wire.StatsReset{})
 	}
 }
 
@@ -274,13 +280,13 @@ func (c *Coordinator) ResetStats() {
 // -replicas never answer, so the round is allowed to come back partial: the
 // fresh reports are returned as they stand at the round deadline.
 func (c *Coordinator) ReplicaStatuses(ctx context.Context) (map[string]wire.ReplicaStatusReport, error) {
-	reps, _, err := round(ctx, c, wire.ReplicaStatusRequest{}, func() map[string]report[wire.ReplicaStatusReport] { return c.replicas })
+	reps, _, err := ask(ctx, c, wire.ReplicaStatusRequest{}, &c.replicas)
 	return reps, err
 }
 
 // States polls every alive peer's protocol state.
 func (c *Coordinator) States(ctx context.Context) (map[string]wire.StateReport, error) {
-	states, _, err := round(ctx, c, wire.StateRequest{}, func() map[string]report[wire.StateReport] { return c.states })
+	states, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
 	return states, err
 }
 
@@ -307,40 +313,17 @@ func protocolTotals(snaps map[string]stats.Snapshot) (sent, recv uint64) {
 
 // Quiesce blocks until the database network has settled, judged purely by
 // protocol-visible signals: the protocol counter sums across all alive peers
-// must hold still for several consecutive complete rounds — longer when the
-// sent/received totals do not balance, since in-flight and lost messages are
-// indistinguishable from outside (see core.Network.Quiesce's polling
-// fallback, of which this is the cross-process form).
+// must hold still for several consecutive complete rounds — 5, or 25 when
+// the sent/received totals do not balance, since in-flight and lost messages
+// are indistinguishable from outside (core.HoldStill; this is the
+// cross-process form of core.Network.Quiesce's polling fallback).
 func (c *Coordinator) Quiesce(ctx context.Context) error {
-	var last [2]uint64
-	stable := 0
-	first := true
-	for {
-		snaps, complete, err := round(ctx, c, wire.StatsRequest{}, func() map[string]report[stats.Snapshot] { return c.stats })
-		if err != nil {
-			return err
-		}
+	_, err := core.HoldStill(ctx, c.opts.PollEvery, core.CounterWindow(5, 25), func(ctx context.Context) ([2]uint64, bool, error) {
+		snaps, complete, err := ask(ctx, c, wire.StatsRequest{}, &c.stats)
 		sent, recv := protocolTotals(snaps)
-		cur := [2]uint64{sent, recv}
-		if complete && !first && cur == last {
-			stable++
-			need := c.opts.Settle
-			if sent != recv {
-				need = c.opts.SettleDeficit
-			}
-			if stable >= need {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		last, first = cur, false
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(c.opts.PollEvery):
-		}
-	}
+		return [2]uint64{sent, recv}, complete, err
+	})
+	return err
 }
 
 // Discover kicks a topology-discovery wave — at the super-peer when it is
@@ -348,11 +331,11 @@ func (c *Coordinator) Quiesce(ctx context.Context) error {
 // reached node then knows its maximal dependency paths; participants
 // self-discover lazily, as in the in-process runs).
 func (c *Coordinator) Discover(ctx context.Context) error {
-	target, err := c.kickTarget(c.Super())
+	target, err := c.kickTarget(c.Super(), 0)
 	if err != nil {
 		return err
 	}
-	if err := c.tr.Send(c.opts.Name, target, wire.DiscoverRequest{}); err != nil {
+	if err := c.send(target, wire.DiscoverRequest{}); err != nil {
 		return fmt.Errorf("cluster: discover kick-off: %w", err)
 	}
 	return c.Quiesce(ctx)
@@ -369,107 +352,98 @@ func maxEpoch(states map[string]wire.StateReport) uint64 {
 	return max
 }
 
-// Update runs the global update to completion: kick the wave at the
+// openNodes lists the activated, not closed nodes among polled states, sorted.
+func openNodes(states map[string]wire.StateReport) []core.OpenNode {
+	var open []core.OpenNode
+	for node, st := range states {
+		if st.Activated && !st.Closed {
+			open = append(open, core.OpenNode{Name: node})
+		}
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i].Name < open[j].Name })
+	return open
+}
+
+// Update runs the global update to completion through the one update driver
+// (core.DriveUpdate), observed over the wire: kick the wave at the
 // super-peer, wait for quiescence, and verify closure through state polling.
-// If the network went quiescent with open nodes (a race swallowed a
-// confirming cascade — or a message died with a process), closure probes ask
-// the open nodes to re-issue their queries, each probe at fix-point cost.
 func (c *Coordinator) Update(ctx context.Context) error {
 	// Pin the epoch before kicking: with the replicated control plane the
 	// kick lands asynchronously (request → agreed log entry → elected driver
 	// starts the wave), so quiescence must not be declared against the
 	// still-settled counters of the PREVIOUS epoch. Waiting for the epoch to
-	// advance closes that window; the pre-consensus path advances it
+	// advance closes that window; a plane-less member advances it
 	// synchronously, so the wait is immediate there.
-	before, _, err := round(ctx, c, wire.StateRequest{}, func() map[string]report[wire.StateReport] { return c.states })
+	before, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
 	if err != nil {
 		return err
 	}
-	epoch0 := maxEpoch(before)
-	// Kick, then verify the kick LANDED by watching the epoch advance. A
-	// kick can be swallowed whole — the target crashed right after the send,
-	// or the elected driver sits in a partition — and declaring success by
-	// polling an already-settled network at the old epoch would report an
-	// update that never ran. A deadline without an epoch bump retries the
-	// kick against the next live member; only exhausting the attempt budget
-	// with the epoch still pinned is an error.
-	kicked := false
-	var tried []string
-	for attempt := 0; !kicked; attempt++ {
-		alive := c.alivePeers()
-		sort.Strings(alive)
-		if len(alive) == 0 {
-			return fmt.Errorf("cluster: no alive member to kick the update")
+	w := &wireWave{c: c, epoch0: maxEpoch(before)}
+	probes, err := core.DriveUpdate(ctx, w)
+	c.probeRounds.Add(uint64(probes))
+	if errors.Is(err, core.ErrKickLost) {
+		return fmt.Errorf("cluster: %w: epoch still %d after kicking %v", err, w.epoch0, w.tried)
+	}
+	return err
+}
+
+// ProbeRounds reports how many closure-probe rounds this coordinator's
+// updates needed; zero is the healthy answer.
+func (c *Coordinator) ProbeRounds() uint64 { return c.probeRounds.Load() }
+
+// wireWave observes one update wave through wire rounds only.
+type wireWave struct {
+	c      *Coordinator
+	epoch0 uint64   // highest epoch before the kick
+	tried  []string // kick targets so far
+}
+
+// Kick sends the kick-off, then verifies the kick LANDED by watching the
+// epoch advance. A kick can be swallowed whole — the target crashed right
+// after the send, or the elected driver sits in a partition — and declaring
+// success by polling an already-settled network at the old epoch would report
+// an update that never ran. A deadline without an epoch bump reports the kick
+// as not landed; the next attempt goes to the next live member.
+func (w *wireWave) Kick(ctx context.Context, attempt int) (bool, error) {
+	c := w.c
+	target, err := c.kickTarget(c.Super(), attempt)
+	if err != nil {
+		return false, err
+	}
+	w.tried = append(w.tried, target)
+	if err := c.send(target, wire.UpdateRequest{}); err != nil {
+		return false, fmt.Errorf("cluster: update kick-off: %w", err)
+	}
+	deadline := time.Now().Add(c.opts.RoundTimeout)
+	for {
+		states, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
+		if err != nil {
+			return false, err
 		}
-		// Preferred member first, then rotate through the others on retries.
-		if super := c.Super(); super != "" {
-			for i, p := range alive {
-				if p == super {
-					alive[0], alive[i] = alive[i], alive[0]
-					break
-				}
-			}
+		if maxEpoch(states) > w.epoch0 {
+			return true, nil
 		}
-		target := alive[attempt%len(alive)]
-		tried = append(tried, target)
-		if err := c.tr.Send(c.opts.Name, target, wire.UpdateRequest{}); err != nil {
-			return fmt.Errorf("cluster: update kick-off: %w", err)
+		if time.Now().After(deadline) {
+			return false, nil
 		}
-		kickDeadline := time.Now().Add(c.opts.RoundTimeout)
-		for !kicked {
-			states, _, err := round(ctx, c, wire.StateRequest{}, func() map[string]report[wire.StateReport] { return c.states })
-			if err != nil {
-				return err
-			}
-			if maxEpoch(states) > epoch0 {
-				kicked = true
-				break
-			}
-			if time.Now().After(kickDeadline) {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(c.opts.PollEvery):
-			}
-		}
-		if !kicked && attempt+1 >= c.opts.Probes {
-			return fmt.Errorf("cluster: update kick never took: epoch still %d after kicking %v", epoch0, tried)
+		select {
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-time.After(c.opts.PollEvery):
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		if err := c.Quiesce(ctx); err != nil {
-			return err
-		}
-		states, complete, err := round(ctx, c, wire.StateRequest{}, func() map[string]report[wire.StateReport] { return c.states })
-		if err != nil {
-			return err
-		}
-		if !complete {
-			// A peer's state never arrived: absence must not read as
-			// closure. Retry (bounded by the probe budget).
-			if attempt >= c.opts.Probes {
-				return fmt.Errorf("cluster: state round incomplete after %d attempts (members %v)", attempt, c.tr.Members())
-			}
-			continue
-		}
-		var open []string
-		for node, st := range states {
-			if st.Activated && !st.Closed {
-				open = append(open, node)
-			}
-		}
-		if len(open) == 0 {
-			return nil
-		}
-		sort.Strings(open)
-		if attempt >= c.opts.Probes {
-			return fmt.Errorf("cluster: %d node(s) still open after %d closure probes: %v", len(open), c.opts.Probes, open)
-		}
-		for _, node := range open {
-			_ = c.tr.Send(c.opts.Name, node, wire.ProbeRequest{})
-		}
+}
+
+func (w *wireWave) Settle(ctx context.Context) error { return w.c.Quiesce(ctx) }
+
+func (w *wireWave) Open(ctx context.Context) ([]core.OpenNode, bool, error) {
+	states, complete, err := ask(ctx, w.c, wire.StateRequest{}, &w.c.states)
+	return openNodes(states), complete, err
+}
+
+func (w *wireWave) Probe(open []core.OpenNode) {
+	for _, on := range open {
+		_ = w.c.send(on.Name, wire.ProbeRequest{})
 	}
 }
 
@@ -539,7 +513,7 @@ func (c *Coordinator) AddLink(ruleText string) error {
 	if err := r.Validate(c.def.Lookup()); err != nil {
 		return err
 	}
-	target, err := c.kickTarget(r.HeadNode)
+	target, err := c.kickTarget(r.HeadNode, 0)
 	if err != nil {
 		return err
 	}
@@ -551,7 +525,7 @@ func (c *Coordinator) AddLink(ruleText string) error {
 // deleteRule entry is a no-op everywhere but the head, which applies it —
 // live or from its control log on restart).
 func (c *Coordinator) DeleteLink(headNode, ruleID string) error {
-	target, err := c.kickTarget(headNode)
+	target, err := c.kickTarget(headNode, 0)
 	if err != nil {
 		return err
 	}

@@ -65,6 +65,9 @@ type Member struct {
 
 	deposed    chan struct{}
 	deposeOnce sync.Once
+
+	closeOnce sync.Once // Close, Crash and a deposal of the member's own node race; the first one shuts it down
+	closeErr  error
 }
 
 // Boot starts one member and joins it to the cluster. It fails when the
@@ -202,11 +205,15 @@ func (m *Member) promote(node string) {
 // depose stops hosting a node the agreed log re-homed to another member. An
 // adopted node is released outright — peer stopped, name unregistered, the
 // deposed copy discarded. The member's own node cannot be taken out from
-// under its control plane: Deposed() fires and the owner shuts the member
-// down.
+// under its control plane, so the whole member shuts down: Deposed() fires
+// first (an owner waiting on it can tell why), then the member closes — a
+// deposed primary that kept its listener up would go on accepting writes
+// until somebody noticed.
 func (m *Member) depose(node string) {
 	if node == m.node {
 		m.deposeOnce.Do(func() { close(m.deposed) })
+		<-m.mgrReady
+		_ = m.Close()
 		return
 	}
 	<-m.mgrReady
@@ -233,8 +240,8 @@ func (m *Member) Control() *ControlPlane { return m.cp }
 func (m *Member) Replica() *replica.Manager { return m.mgr }
 
 // Deposed is closed once the agreed log has re-homed the member's own node:
-// the cluster declared this member dead while it lived, and it must be shut
-// down rather than serve on.
+// the cluster declared this member dead while it lived. The member stops
+// serving by itself; Close then only waits for that to finish.
 func (m *Member) Deposed() <-chan struct{} { return m.deposed }
 
 // Metrics snapshots the member for the serve metrics endpoint.
@@ -250,10 +257,14 @@ func (m *Member) Metrics() NodeMetrics {
 // Close leaves the cluster cleanly: the control plane stops proposing and
 // driving before the transport goes away, the mirror stores seal with
 // clean-close records, watchers drain, the transport says Goodbye and the
-// durable stores seal.
+// durable stores seal. Closing twice, or after Crash, is a no-op returning
+// the first shutdown's error.
 func (m *Member) Close() error {
-	m.stopPlanes()
-	return m.net.Close()
+	m.closeOnce.Do(func() {
+		m.stopPlanes()
+		m.closeErr = m.net.Close()
+	})
+	return m.closeErr
 }
 
 // Crash kills the member without a goodbye: the listener dies first, so the
@@ -261,10 +272,12 @@ func (m *Member) Close() error {
 // abandoned mid-flight. The remaining members must detect the loss through
 // suspicion.
 func (m *Member) Crash() error {
-	_ = m.tr.Abandon()
-	err := m.net.Crash()
-	m.stopPlanes()
-	return err
+	m.closeOnce.Do(func() {
+		_ = m.tr.Abandon()
+		m.closeErr = m.net.Crash()
+		m.stopPlanes()
+	})
+	return m.closeErr
 }
 
 func (m *Member) stopPlanes() {

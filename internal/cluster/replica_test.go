@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"net"
 	"path/filepath"
 	"testing"
 	"time"
@@ -289,6 +290,50 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 		t.Errorf("E lost data across two re-homings:\n got: %s\nwant: %s", got, wantE)
 	}
 	waitFor(t, 30*time.Second, settled, "an under-replication window stayed open after the second re-homing")
+
+	// A member deposed of its OWN node shuts itself down. Cut a live member
+	// off until the survivors suspect it, submit the death verdict, and once
+	// its node is re-homed let it hear the log again: it must fire Deposed()
+	// and stop listening without anyone calling Close on it.
+	var victim string
+	for _, node := range []string{"B", "C", "D"} {
+		if node != first && node != second {
+			victim = node
+			break
+		}
+	}
+	v := members[victim]
+	cut := func(down bool) {
+		for _, node := range names { // E too: its adopter answers under that name
+			if node != victim {
+				v.tr.SetLinkDown(node, down)
+			}
+		}
+	}
+	cut(true)
+	waitFor(t, 30*time.Second, func() bool {
+		view, _ := members["A"].cp.AgreedView()
+		return view[victim] == StatusSuspect
+	}, "the survivors never agreed "+victim+" was suspect")
+	cmd := wire.Command{Kind: "member", Node: victim, Status: uint8(StatusDead)}
+	if _, err := members["A"].cp.Submit(ctx, cmd); err != nil {
+		t.Fatalf("submit member %s dead: %v", victim, err)
+	}
+	waitFor(t, 30*time.Second, func() bool { return members["A"].cp.HostOf(victim) != victim },
+		victim+" was never re-homed")
+	cut(false)
+	select {
+	case <-v.Deposed():
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s never learned it was deposed", victim)
+	}
+	waitFor(t, 30*time.Second, func() bool {
+		conn, err := net.DialTimeout("tcp", v.tr.Addr(), time.Second)
+		if err == nil {
+			_ = conn.Close()
+		}
+		return err != nil
+	}, "deposed "+victim+" kept its listener up")
 }
 
 // TestReplicaChurnSoak is the long referee run: a five-member ring with k=2

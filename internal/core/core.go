@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/baseline"
@@ -108,12 +109,6 @@ type Options struct {
 	Hosted []string
 }
 
-// closureProbes bounds the closure-probe retries of Update and UpdateStaged:
-// probes re-issue queries at still-open peers when the network went quiescent
-// before every node closed (a race swallowed a confirming cascade); each
-// probe runs at fix-point cost.
-const closureProbes = 8
-
 // Network is a running P2P database network over any transport.
 type Network struct {
 	defMu   sync.Mutex // guards def (Broadcast replaces it, Insert appends facts)
@@ -125,6 +120,8 @@ type Network struct {
 	order   []string
 	super   string
 	opts    Options
+
+	probeRounds atomic.Uint64 // closure-probe rounds the updates needed (see ProbeRounds)
 }
 
 // Build constructs peers, pipes and seed data from a network description.
@@ -481,28 +478,23 @@ func (n *Network) Quiesce(ctx context.Context) error {
 
 // quiesceByPolling approximates quiescence without a transport oracle: the
 // sums of every peer's sent and received message counters must hold still
-// for several consecutive samples. When the totals balance (every message
-// sent was received) the base window suffices — on a fully hosted network a
-// zero deficit with still counters is quiescence. When they do not balance,
-// messages may still be in flight (stalled in a socket buffer, crossing to a
-// slow peer) or lost to a dead one, and the two are indistinguishable from
-// counters alone; the window is then extended several-fold, so a delivery
-// must stall longer than the extended window — not merely the base one — to
-// draw a premature verdict, while traffic genuinely lost to dead or remote
-// peers (the deficit never clears) still terminates the wait. The probe
-// loops in Update and UpdateStaged additionally absorb any residue, just as
-// they absorb swallowed cascades; bare Quiesce callers (Insert-then-Quiesce)
-// rely on the windows alone.
+// for several consecutive samples (HoldStill). When the totals balance (every
+// message sent was received) the base window suffices — on a fully hosted
+// network a zero deficit with still counters is quiescence. When they do not
+// balance, messages may still be in flight (stalled in a socket buffer,
+// crossing to a slow peer) or lost to a dead one, and the two are
+// indistinguishable from counters alone; the window is then extended
+// several-fold, so a delivery must stall longer than the extended window —
+// not merely the base one — to draw a premature verdict, while traffic
+// genuinely lost to dead or remote peers (the deficit never clears) still
+// terminates the wait.
 func (n *Network) quiesceByPolling(ctx context.Context) error {
 	const (
 		interval      = 20 * time.Millisecond
 		settle        = 10 // consecutive still samples ≈ 200ms of silence
 		settleDeficit = 50 // sent != recv: ≈ 1s — stalled or lost, give it time
 	)
-	var last [2]uint64
-	stable := 0
-	first := true
-	for {
+	_, err := HoldStill(ctx, interval, CounterWindow(settle, settleDeficit), func(context.Context) ([2]uint64, bool, error) {
 		peers, _, order := n.hosted()
 		var sent, recv uint64
 		for _, id := range order {
@@ -510,26 +502,9 @@ func (n *Network) quiesceByPolling(ctx context.Context) error {
 			sent += s.TotalSent()
 			recv += s.TotalReceived()
 		}
-		cur := [2]uint64{sent, recv}
-		if !first && cur == last {
-			stable++
-			need := settle
-			if sent != recv {
-				need = settleDeficit
-			}
-			if stable >= need {
-				return nil
-			}
-		} else {
-			stable = 0
-		}
-		last, first = cur, false
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(interval):
-		}
-	}
+		return [2]uint64{sent, recv}, true, nil
+	})
+	return err
 }
 
 // Discover runs phase one: the super-peer starts topology discovery (every
@@ -546,33 +521,15 @@ func (n *Network) Discover(ctx context.Context) error {
 
 // Update runs phase two to completion: the super-peer floods the update
 // kick-off; the call returns once the network is quiescent and every node
-// reports state_u = closed. If quiescence is reached with open nodes (an
-// asynchronous race swallowed a confirming cascade), closure probes re-issue
-// queries at the open nodes, each probe running at fix-point cost.
+// reports state_u = closed (DriveUpdate). Nodes close by themselves; a wave
+// that settles with nodes open is probed, counted in ProbeRounds, and — past
+// the budget — reported with what each open node was waiting on.
 func (n *Network) Update(ctx context.Context) error {
 	sp := n.Peer(n.super)
 	if sp == nil {
 		return fmt.Errorf("core: super-peer %q not in network", n.super)
 	}
-	sp.StartUpdateWave()
-	for attempt := 0; ; attempt++ {
-		if err := n.Quiesce(ctx); err != nil {
-			return err
-		}
-		open := n.OpenPeers()
-		if len(open) == 0 {
-			return nil
-		}
-		if attempt >= closureProbes {
-			return fmt.Errorf("core: %d node(s) still open after %d closure probes: %v",
-				len(open), closureProbes, open)
-		}
-		for _, id := range open {
-			if p := n.Peer(id); p != nil {
-				p.Probe()
-			}
-		}
-	}
+	return n.drive(ctx, localWave{kick: func() { sp.StartUpdateWave() }})
 }
 
 // OpenPeers returns the activated nodes that have not reached state closed,
@@ -580,13 +537,10 @@ func (n *Network) Update(ctx context.Context) error {
 // components) are not counted: the wave covers its own component, as in the
 // paper.
 func (n *Network) OpenPeers() []string {
-	peers, _, order := n.hosted()
+	open, _, _ := localWave{n: n}.Open(context.Background())
 	var out []string
-	for _, id := range order {
-		p := peers[id]
-		if p.Activated() && p.State() != peer.Closed {
-			out = append(out, id)
-		}
+	for _, on := range open {
+		out = append(out, on.Name)
 	}
 	return out
 }

@@ -1,0 +1,192 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"time"
+
+	"repro/internal/peer"
+)
+
+// The update driver. The paper's update phase closes a node by itself once
+// every maximal dependency path it sits on has reported (Lemma 1), so a
+// settled network with open nodes is a defect, not a state to be polled out
+// of: the driver probes such nodes a bounded number of times, counts the
+// rounds, and fails naming what each open node was waiting on. Who can see the
+// network differs — peers in this process, a coordinator with wire rounds, the
+// control plane's elected member — so the loop works through an UpdateObserver
+// and exists once.
+
+// closureProbes bounds the driver: kick attempts until one lands, and
+// settled-but-open rounds (each probed, at fix-point cost) until the wave
+// closes.
+const closureProbes = 8
+
+// ErrKickLost is DriveUpdate's error when no kick attempt took effect.
+var ErrKickLost = errors.New("update: kick never landed")
+
+// OpenNode is an activated node an observer found not closed, with what it is
+// waiting on (peer.WaitingOn) when the observer can look inside the peer.
+type OpenNode struct {
+	Name    string
+	Waiting []string
+}
+
+func (o OpenNode) String() string {
+	if len(o.Waiting) == 0 {
+		return o.Name
+	}
+	return o.Name + ": waiting on " + strings.Join(o.Waiting, ", ")
+}
+
+// UpdateObserver is the driver's view of one update wave.
+type UpdateObserver interface {
+	// Kick starts the wave; attempt counts from zero so an observer that
+	// addresses members can rotate its target. A kick that did not
+	// demonstrably land is retried, not trusted.
+	Kick(ctx context.Context, attempt int) (landed bool, err error)
+	// Settle blocks until the wave holds still.
+	Settle(ctx context.Context) error
+	// Open lists the activated nodes that are not closed, sorted by name.
+	// complete is false when some node's state could not be read: absence
+	// must never read as closure.
+	Open(ctx context.Context) (open []OpenNode, complete bool, err error)
+	// Probe asks the open nodes to regenerate their confirming cascades.
+	Probe(open []OpenNode)
+}
+
+// DriveUpdate runs one update wave to closure and reports how many probe
+// rounds that took; zero is the healthy answer. Observer errors end the drive
+// and are returned as they are.
+func DriveUpdate(ctx context.Context, o UpdateObserver) (probes int, err error) {
+	for attempt, landed := 0, false; !landed; attempt++ {
+		if attempt >= closureProbes {
+			return 0, ErrKickLost
+		}
+		if landed, err = o.Kick(ctx, attempt); err != nil {
+			return 0, err
+		}
+	}
+	for attempt := 0; ; attempt++ {
+		if err := ctx.Err(); err != nil {
+			return probes, err
+		}
+		if err := o.Settle(ctx); err != nil {
+			return probes, err
+		}
+		open, complete, err := o.Open(ctx)
+		if err != nil || complete && len(open) == 0 {
+			return probes, err
+		}
+		if attempt >= closureProbes {
+			names, unheard := make([]string, len(open)), ""
+			for i, on := range open {
+				names[i] = on.String()
+			}
+			if !complete {
+				unheard = " (and not every node reported)"
+			}
+			return probes, fmt.Errorf("update: %d node(s) still open after %d closure probes%s: %s",
+				len(open), probes, unheard, strings.Join(names, "; "))
+		}
+		if complete {
+			o.Probe(open)
+			probes++
+		}
+	}
+}
+
+// HoldStill samples until the same complete sample has repeated need(sample)
+// times in a row, pausing every between samples, and returns it. It is the
+// one notion of "settled" for observers without a transport oracle: protocol
+// counter sums here and in the coordinator, state reports in the control
+// plane. An incomplete sample restarts the count.
+func HoldStill[S comparable](ctx context.Context, every time.Duration, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
+	var last S
+	have, still := false, 0
+	for {
+		cur, complete, err := sample(ctx)
+		if err != nil {
+			return cur, err
+		}
+		if complete && have && cur == last {
+			still++
+		} else {
+			still = 0
+		}
+		if complete && still >= need(cur) {
+			return cur, nil
+		}
+		last, have = cur, complete
+		select {
+		case <-ctx.Done():
+			return cur, ctx.Err()
+		case <-time.After(every):
+		}
+	}
+}
+
+// CounterWindow is need for HoldStill over a (sent, received) counter pair:
+// balanced totals settle after the base window; a deficit — in flight, or
+// lost to a dead peer, indistinguishable from counters alone — gets the
+// longer one.
+func CounterWindow(settle, settleDeficit int) func([2]uint64) int {
+	return func(c [2]uint64) int {
+		if c[0] != c[1] {
+			return settleDeficit
+		}
+		return settle
+	}
+}
+
+// localWave observes a wave from inside the process that hosts the peers.
+type localWave struct {
+	n     *Network
+	kick  func()
+	nodes []string // the nodes that must close; nil: every hosted node
+}
+
+func (w localWave) Kick(context.Context, int) (bool, error) {
+	w.kick()
+	return true, nil
+}
+
+func (w localWave) Settle(ctx context.Context) error { return w.n.Quiesce(ctx) }
+
+func (w localWave) Open(context.Context) ([]OpenNode, bool, error) {
+	peers, _, order := w.n.hosted()
+	nodes := w.nodes
+	if nodes == nil {
+		nodes = order
+	}
+	var open []OpenNode
+	for _, id := range nodes {
+		if p := peers[id]; p.Activated() && p.State() != peer.Closed {
+			open = append(open, OpenNode{Name: id, Waiting: p.WaitingOn()})
+		}
+	}
+	return open, true, nil
+}
+
+func (w localWave) Probe(open []OpenNode) {
+	for _, on := range open {
+		if p := w.n.Peer(on.Name); p != nil {
+			p.Probe()
+		}
+	}
+}
+
+// drive runs one in-process wave through the driver and keeps the count of
+// probe rounds it needed.
+func (n *Network) drive(ctx context.Context, w localWave) error {
+	w.n = n
+	probes, err := DriveUpdate(ctx, w)
+	n.probeRounds.Add(uint64(probes))
+	return err
+}
+
+// ProbeRounds reports how many closure-probe rounds this network's updates
+// have needed so far. Anything but zero means a wave settled with nodes open.
+func (n *Network) ProbeRounds() uint64 { return n.probeRounds.Load() }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/rules"
 	"repro/internal/stats"
 	"repro/internal/wal"
+	"repro/internal/workload"
 )
 
 func mustParse(t *testing.T, text string) *rules.Network {
@@ -336,5 +337,49 @@ func TestDurableFailedBuildStaysUnclean(t *testing.T) {
 	runToFixpoint(t, n2)
 	if err := n2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebuiltCliqueClosesUnprobed is the statistical twin of
+// TestPinnedSchedulesCloseUnprobed on the real in-memory router: a clique
+// brought to its fix-point, crashed and rebuilt from its DataDir re-discovers
+// inside the next update epoch while every re-sent answer is a duplicate —
+// the wave that used to settle with two nodes open about once in fifty. Every
+// rebuilt wave must close by itself: no error, no probe round.
+func TestRebuiltCliqueClosesUnprobed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300 crash/rebuild rounds skipped in -short mode")
+	}
+	def, err := workload.Generate(workload.Clique(4), workload.DataSpec{RecordsPerNode: 40, Seed: 1, Style: workload.StyleCopy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for i := 0; i < 300; i++ {
+		opts := Options{Delta: true, DataDir: filepath.Join(t.TempDir(), "data")}
+		n, err := Build(def, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.RunToFixpoint(ctx); err != nil {
+			t.Fatalf("round %d: first fix-point: %v", i, err)
+		}
+		if err := n.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		n, err = Build(def, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Update(ctx); err != nil {
+			t.Fatalf("round %d: rebuilt update: %v", i, err)
+		}
+		if got := n.ProbeRounds(); got != 0 {
+			t.Fatalf("round %d: the rebuilt wave needed %d probe round(s)", i, got)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

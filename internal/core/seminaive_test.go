@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/relalg"
@@ -152,8 +153,10 @@ fact B:b('1','k')
 fact C:c('k','9')
 super A
 `
-	for _, mode := range []string{"delta", "faithful"} {
-		n := build(t, net, Options{Delta: mode == "delta"})
+	// The second wave runs flooded and staged: a quiet activation is an epoch
+	// bump like any other and must keep the parts too.
+	for _, mode := range []string{"delta", "faithful", "delta staged", "faithful staged"} {
+		n := build(t, net, Options{Delta: strings.HasPrefix(mode, "delta")})
 		if err := n.RunToFixpoint(ctx(t)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
@@ -164,7 +167,11 @@ super A
 		if err := n.Peer("B").Seed("b", relalg.Tuple{relalg.S("2"), relalg.S("k")}); err != nil {
 			t.Fatal(err)
 		}
-		if err := n.Update(ctx(t)); err != nil {
+		second := n.Update
+		if strings.HasSuffix(mode, "staged") {
+			second = n.UpdateStaged
+		}
+		if err := second(ctx(t)); err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
 		if got := n.Peer("A").DB().Count("a"); got != 2 {

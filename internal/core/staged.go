@@ -2,10 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/graph"
-	"repro/internal/peer"
 )
 
 // UpdateStaged runs the topology-aware update strategy the paper's §3 hints
@@ -48,53 +46,23 @@ func (n *Network) UpdateStaged(ctx context.Context) error {
 	order := topoOrderSCCs(g, sccs)
 
 	// Sources first: reverse topological order of the condensation
-	// (dependency edges point head -> source, so sources are sinks).
+	// (dependency edges point head -> source, so sources are sinks). Each
+	// stage is a wave of its own — the component pulls, and must close before
+	// the stage above reads it; cyclic components iterate internally.
 	for i := len(order) - 1; i >= 0; i-- {
 		comp := order[i]
-		for _, id := range comp {
-			peers[id].ForcePull()
-		}
-		if err := n.Quiesce(ctx); err != nil {
-			return err
-		}
-		// Cyclic components may need confirmation probes to flag their
-		// internal paths; run them before moving up-stage.
-		for probe := 0; probe < 4; probe++ {
-			open := false
+		pull := func() {
 			for _, id := range comp {
-				p := peers[id]
-				if p.Activated() && p.State() != peer.Closed {
-					open = true
-					p.Probe()
-				}
-			}
-			if !open {
-				break
-			}
-			if err := n.Quiesce(ctx); err != nil {
-				return err
+				peers[id].ForcePull()
 			}
 		}
-	}
-
-	// Final safety net, identical to Update's closure probes.
-	for attempt := 0; ; attempt++ {
-		if err := n.Quiesce(ctx); err != nil {
+		if err := n.drive(ctx, localWave{kick: pull, nodes: comp}); err != nil {
 			return err
 		}
-		open := n.OpenPeers()
-		if len(open) == 0 {
-			return nil
-		}
-		if attempt >= closureProbes {
-			return fmt.Errorf("core: staged update left %d node(s) open: %v", len(open), open)
-		}
-		for _, id := range open {
-			if p := n.Peer(id); p != nil {
-				p.Probe()
-			}
-		}
 	}
+	// Every stage closed its own component; the network as a whole must have
+	// stayed closed.
+	return n.drive(ctx, localWave{kick: func() {}})
 }
 
 // topoOrderSCCs orders the components so that every dependency edge goes

@@ -198,14 +198,11 @@ func (p *Peer) DeleteRuleLocal(ruleID string) {
 	p.handleDeleteRule(wire.DeleteRuleNotice{RuleID: ruleID})
 }
 
-// Probe re-issues this peer's own queries (fresh requester chain). The
-// orchestration layer uses it as a closure probe: when the network is
-// quiescent but some nodes remain open (a race swallowed a confirming
-// cascade), a probe regenerates the cascades at fix-point cost.
+// Probe is the orchestration layer's closure probe: when the network is
+// settled but this node is still open, it regenerates the confirming cascades
+// (see probeLocked), each probe at fix-point cost.
 func (p *Peer) Probe() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.activated && p.stateU == Open {
-		p.sendQueriesLocked(nil, false, nil)
-	}
+	p.probeLocked()
 }

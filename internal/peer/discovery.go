@@ -138,9 +138,11 @@ func (p *Peer) handleDiscoveryAnswer(from string, m wire.DiscoveryAnswer) {
 
 	if grew {
 		// Gossip: push improved knowledge to every requester of every
-		// still-relevant wave, and keep local paths fresh.
-		if p.pathsReady {
-			p.recomputePaths()
+		// still-relevant wave, and keep local paths fresh. A path that only
+		// appears now starts unflagged like the ones completeOwnWave computes,
+		// and is owed the same regenerated cascades.
+		if p.pathsReady && p.recomputePaths() {
+			p.probeLocked()
 		}
 		seen := map[string]bool{}
 		for waveID, lw := range p.waves {
@@ -163,9 +165,8 @@ func (p *Peer) completeOwnWave(w *discWave) {
 	p.recomputePaths()
 	p.pathsReady = true
 	p.ct.SetDiscoveryClosed(time.Since(p.discStarted))
-	// If an update epoch is already running, the freshly computed paths may
-	// need confirming cascades: re-pull from all sources (closure liveness).
-	if p.activated && p.stateU == Open {
-		p.sendQueriesLocked(nil, false, nil)
-	}
+	// If an update epoch is already running, the freshly computed paths start
+	// unflagged and the cascades that would have confirmed them may already
+	// have passed: regenerate them (closure liveness).
+	p.probeLocked()
 }

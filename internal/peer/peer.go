@@ -951,11 +951,9 @@ func (p *Peer) dispatchLocked(env wire.Envelope) {
 	case wire.DiscoverRequest:
 		p.startDiscoveryLocked()
 	case wire.UpdateRequest:
-		p.activateLocked(p.epoch+1, "")
+		p.activateLocked(p.epoch+1, "", false)
 	case wire.ProbeRequest:
-		if p.activated && p.stateU == Open {
-			p.sendQueriesLocked(nil, false, nil)
-		}
+		p.probeLocked()
 	case wire.StateRequest:
 		sm := p.hub.Metrics()
 		var badFrames uint64
@@ -1182,7 +1180,9 @@ func (p *Peer) knowledgeGraph() *graph.Graph {
 }
 
 // recomputePaths re-derives the maximal dependency paths from current
-// knowledge, preserving stability flags of surviving paths. Callers hold mu.
+// knowledge, preserving stability flags of surviving paths, and reports
+// whether a path appeared that was not tracked before (it starts unflagged).
+// Callers hold mu.
 //
 // Only *confirmable* maximal paths enter the closure flag set: those ending
 // at a dead-end node or cycling back to this node. A maximal path ending at
@@ -1193,7 +1193,7 @@ func (p *Peer) knowledgeGraph() *graph.Graph {
 // closure propagates through rule-completeness; keeping the unconfirmable
 // paths in the flag set would block closure forever on any clique of three
 // or more nodes.
-func (p *Peer) recomputePaths() {
+func (p *Peer) recomputePaths() (added bool) {
 	g := p.knowledgeGraph()
 	fresh := map[string]bool{}
 	cyclic := false
@@ -1205,10 +1205,13 @@ func (p *Peer) recomputePaths() {
 			continue // inner-repeat ending: unconfirmable by construction
 		}
 		k := path.Key()
-		fresh[k] = p.paths[k] // unknown paths start unflagged (false)
+		stable, known := p.paths[k]
+		fresh[k] = stable // unknown paths start unflagged (false)
+		added = added || !known
 	}
 	p.paths = fresh
 	p.cyclic = cyclic
+	return added
 }
 
 // pathKeyOf converts a route (oldest node first) arriving at this peer into

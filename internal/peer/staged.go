@@ -1,9 +1,5 @@
 package peer
 
-import (
-	"time"
-)
-
 // Support for the topology-aware update strategy (the paper's §3 note that
 // optimisations can "exploit the knowledge of specific topological
 // structures"). The orchestrator activates every peer quietly, then drives
@@ -16,27 +12,8 @@ import (
 func (p *Peer) ActivateQuiet(epoch uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.activated && p.epoch >= epoch {
-		return
-	}
-	p.epoch = epoch
-	p.activated = true
-	p.started = time.Now()
-	p.ruleComplete = map[string]map[string]bool{}
-	p.parts = map[string]map[string]*partResult{}
-	p.forwarded = false
-	for k := range p.paths {
-		p.paths[k] = false
-	}
-	if len(p.rules) == 0 {
-		p.stateU = Closed
-		p.ct.SetUpdateClosed(0)
-		p.notifySubsLocked(true)
-		return
-	}
-	p.stateU = Open
-	if p.selfWave == "" {
-		p.startDiscoveryLocked()
+	if !p.activated || p.epoch < epoch {
+		p.activateLocked(epoch, "", true)
 	}
 }
 
@@ -50,19 +27,4 @@ func (p *Peer) ForcePull() {
 		return
 	}
 	p.sendQueriesLocked(nil, false, nil)
-}
-
-// ReopenForEpoch is used by orchestration when staging discovers that a
-// closed node must incorporate more data (defensive; the protocol's own
-// self-stabilisation normally handles it).
-func (p *Peer) ReopenForEpoch(epoch uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.epoch != epoch || len(p.rules) == 0 {
-		return
-	}
-	if p.stateU == Closed {
-		p.stateU = Open
-		p.notifySubsLocked(false)
-	}
 }

@@ -29,6 +29,15 @@ import (
 // rules' parts are complete (acyclic closure) or all its maximal dependency
 // paths are flagged stable (cyclic closure); new data re-opens it, making
 // the protocol self-stabilising under races and dynamic change.
+//
+// A node whose paths become known mid-epoch re-originates. A cyclic path
+// X→…→Y→X is only ever flagged by a no-news cascade whose route starts at X
+// (X answers its dependent Y with route [X], Y relays it onward), and a
+// confirmation arriving before X knows the path is dropped. So whenever X's
+// path set is (re)computed while X is activated and open — its own discovery
+// wave completing inside an epoch, gossip adding a path afterwards, a closure
+// probe — X re-queries its sources (cascades that start there) AND re-answers
+// its subscribers with route [X] (the cascades that start here): probeLocked.
 
 // StartUpdateWave makes this peer the update super-node: it bumps the epoch,
 // activates itself and floods StartUpdate over acquaintance links. It
@@ -37,7 +46,7 @@ func (p *Peer) StartUpdateWave() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	epoch := p.epoch + 1
-	p.activateLocked(epoch, "")
+	p.activateLocked(epoch, "", false)
 	return epoch
 }
 
@@ -46,11 +55,13 @@ func (p *Peer) handleStartUpdate(from string, m wire.StartUpdate) {
 	if p.activated && m.Epoch <= p.epoch {
 		return
 	}
-	p.activateLocked(m.Epoch, from)
+	p.activateLocked(m.Epoch, from, false)
 }
 
 // activateLocked (re)enters the update epoch: reset per-epoch state, flood
 // the kick-off onward, lazily self-discover, and pull from all rule sources.
+// A quiet activation (the staged strategy's) neither floods nor pulls: the
+// orchestrator decides when this peer pulls.
 //
 // Accumulated part results (p.parts) survive the epoch bump deliberately:
 // the model is monotone (no retraction), so everything a source ever
@@ -59,7 +70,7 @@ func (p *Peer) handleStartUpdate(from string, m wire.StartUpdate) {
 // its parts from scratch would lose old×new join combinations of
 // multi-source rules forever. Parts are dropped only when their rule is
 // deleted or redefined.
-func (p *Peer) activateLocked(epoch uint64, from string) {
+func (p *Peer) activateLocked(epoch uint64, from string, quiet bool) {
 	p.epoch = epoch
 	p.activated = true
 	p.started = time.Now()
@@ -72,7 +83,7 @@ func (p *Peer) activateLocked(epoch uint64, from string) {
 
 	// Flood over acquaintances (both rule directions) except the sender.
 	for n := range p.neighbors {
-		if n != from {
+		if n != from && !quiet {
 			p.send(n, wire.StartUpdate{Epoch: epoch, Origin: p.id})
 		}
 	}
@@ -86,7 +97,9 @@ func (p *Peer) activateLocked(epoch uint64, from string) {
 	if p.selfWave == "" {
 		p.startDiscoveryLocked()
 	}
-	p.sendQueriesLocked(nil, false, nil)
+	if !quiet {
+		p.sendQueriesLocked(nil, false, nil)
+	}
 }
 
 // sendQueriesLocked sends this node's own queries for every rule part, with
@@ -146,7 +159,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		// activation matters: the node must also forward the kick-off
 		// flood, otherwise a query racing ahead of the StartUpdate message
 		// would swallow the wave and leave parts of the component asleep.
-		p.activateLocked(m.Epoch, "")
+		p.activateLocked(m.Epoch, "", false)
 	}
 
 	conj, err := cq.ParseConjunction(m.Conj)
@@ -364,7 +377,7 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 			return // stale epoch
 		}
 		// Future epoch: full activation (see handleQuery).
-		p.activateLocked(m.Epoch, "")
+		p.activateLocked(m.Epoch, "", false)
 	}
 	r, ok := p.rules[m.RuleID]
 	if !ok {
@@ -629,6 +642,19 @@ func (p *Peer) checkClosureLocked() {
 	}
 }
 
+// probeLocked regenerates the confirming cascades of an open node in both
+// directions: re-pulling makes the sources re-answer (routes that start at
+// them and confirm the paths of the nodes they pass), re-originating this
+// node's own result set to its subscribers (an empty delta per subscription
+// in delta mode) starts the routes that come back around and confirm this
+// node's own cyclic paths. Callers hold mu.
+func (p *Peer) probeLocked() {
+	if p.activated && p.stateU == Open {
+		p.sendQueriesLocked(nil, false, nil)
+		p.pushToSubsLocked([]string{p.id})
+	}
+}
+
 // closureHoldsLocked evaluates Lemma 1's fix-point condition per rule part:
 // for every source either the source declared itself complete (acyclic
 // closure: its data is final and incorporated) or every cyclic dependency
@@ -669,6 +695,30 @@ func (p *Peer) closureHoldsLocked() bool {
 		}
 	}
 	return true
+}
+
+// WaitingOn lists what an open node's closure is waiting on, sorted: its
+// unflagged cyclic dependency paths ("X→Y→X") and the sources that have not
+// declared themselves complete. The update driver prints it for a node still
+// open at a settled network.
+func (p *Peer) WaitingOn() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []string
+	for key, stable := range p.paths {
+		if parts := strings.Split(key, "\x00"); !stable && parts[len(parts)-1] == p.id {
+			out = append(out, strings.Join(parts, "→"))
+		}
+	}
+	for id, r := range p.rules {
+		for _, src := range r.SourceNodes() {
+			if !p.ruleComplete[id][src] {
+				out = append(out, "source "+src+" of rule "+id)
+			}
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // QueryDependentUpdate starts a scoped pull wave that materialises only the

@@ -795,8 +795,9 @@ func (UpdateRequest) Kind() string { return "updateRequest" }
 // Size implements Message.
 func (UpdateRequest) Size() int { return 8 }
 
-// ProbeRequest asks a still-open receiver to re-issue its own queries (the
-// remote form of the closure probe orchestration uses after quiescence).
+// ProbeRequest asks a still-open receiver to re-issue its own queries and
+// re-originate its result set to its subscribers (the remote form of the
+// closure probe the update driver sends at a settled wave with open nodes).
 type ProbeRequest struct{}
 
 // Kind implements Message.
