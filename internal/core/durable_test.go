@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +253,73 @@ func TestDurableRestartResumesLiveSubscriptions(t *testing.T) {
 	agg := stats.Merge(n2.Stats())
 	if agg.TuplesInserted != 2 { // d at D (local) + m at A (imported)
 		t.Fatalf("post-restart insert materialised %d tuples, want 2", agg.TuplesInserted)
+	}
+}
+
+// TestSingleSourceRuleRecordsNoParts: a rule with one source keeps no part
+// history, so a durable head logs an imported tuple once (the insert), not
+// twice; the multi-source rule beside it still records its parts. After a
+// crash the rebuilt network holds and re-converges to the referee's fix-point
+// — also from a DataDir that does carry part records for single-source
+// rules, which is what every build before this one wrote.
+func TestSingleSourceRuleRecordsNoParts(t *testing.T) {
+	dir := t.TempDir()
+	text := durableChainDef(40)
+	n := buildDurable(t, text, dir, wal.FsyncAlways)
+	runToFixpoint(t, n)
+	if err := n.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	partTuples := func() map[string]int {
+		t.Helper()
+		out := map[string]int{}
+		for _, node := range []string{"A", "B", "C", "D"} {
+			rec, err := wal.Inspect(filepath.Join(dir, node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range rec.State.Parts {
+				out[node+" "+p.RuleID+" "+p.Part] += len(p.Tuples)
+			}
+		}
+		return out
+	}
+	wantParts := map[string]int{"A rm B": 40, "A rm D": 2}
+	if got := partTuples(); !reflect.DeepEqual(got, wantParts) {
+		t.Fatalf("part records after the crash = %v, want only the multi-source rule's: %v", got, wantParts)
+	}
+
+	// An older build's leftovers: part records for the single-source rules.
+	for node, pd := range map[string]wal.PartState{
+		"B": {RuleID: "rb", Part: "C", Cols: []string{"X", "Y"}, Tuples: []relalg.Tuple{{relalg.S("k0"), relalg.S("v0")}, {relalg.S("k1"), relalg.S("v1")}}},
+		"A": {RuleID: "ra", Part: "B", Cols: []string{"Y", "X"}, Tuples: []relalg.Tuple{{relalg.S("v0"), relalg.S("k0")}}},
+	} {
+		st, _, err := wal.Open(filepath.Join(dir, node), wal.Options{Fsync: wal.FsyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendParts(pd); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st.Abort()
+	}
+	if got := partTuples(); got["B rb C"] != 2 || got["A ra B"] != 1 {
+		t.Fatalf("the old-format part records did not land: %v", got)
+	}
+
+	n2 := buildDurable(t, text, dir, wal.FsyncAlways)
+	if err := n2.ValidateAgainstCentralized(); err != nil {
+		t.Fatalf("rebuilt network does not hold the fix-point: %v", err)
+	}
+	runToFixpoint(t, n2)
+	if err := n2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := partTuples(); !reflect.DeepEqual(got, wantParts) {
+		t.Fatalf("part records after a clean close = %v, want %v", got, wantParts)
 	}
 }
 

@@ -25,9 +25,14 @@ type MapSource map[string]*relalg.Relation
 func (m MapSource) Rel(name string) *relalg.Relation { return m[name] }
 
 // Eval evaluates the conjunction against src and returns the distinct
-// projections of all satisfying bindings onto outVars, in a deterministic
-// order. Every variable in outVars must occur in some atom of the
-// conjunction (range restriction); otherwise an error is returned.
+// projections of all satisfying bindings onto outVars. Every variable in
+// outVars must occur in some atom of the conjunction (range restriction);
+// otherwise an error is returned.
+//
+// The result is a set in first-derivation order: the same relation logs in
+// give the same order out, whatever the process's hash seed, but the order is
+// not canonical — a caller that shows rows to a person sorts them
+// (relalg.SortTuples). The slice is the caller's.
 //
 // Node qualifiers on atoms are ignored: the caller is responsible for
 // evaluating a conjunction against the right node's database (rules are
@@ -44,7 +49,7 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 	}
 	var out relalg.TupleSet
 	ProjectInto(&out, rows, outSlots)
-	return out.Sorted(), nil
+	return out.All(), nil
 }
 
 // EvalDelta evaluates the conjunction semi-naively: delta holds, per relation
@@ -54,6 +59,8 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 // include the delta). Accumulating an initial full Eval with the EvalDelta of
 // every subsequent delta therefore reproduces the full Eval of the final
 // state, at cost proportional to the deltas instead of the whole database.
+// The result order follows Eval's contract: first derivation, a function of
+// the relation logs and the delta slices alone.
 //
 // The semi-naive expansion runs one pass per atom whose relation has new
 // tuples, with that atom seeded from the delta. Passes are ordered
@@ -118,7 +125,7 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 			exclude[i] = set
 		}
 	}
-	return out.Sorted(), nil
+	return out.All(), nil
 }
 
 // EvalBindings evaluates the conjunction and returns all satisfying bindings
@@ -145,8 +152,9 @@ func EvalBindings(src Source, c Conjunction) ([]Binding, error) {
 }
 
 // ProjectInto adds the projection of every row onto the given slots to out,
-// allocating a tuple only for projections not seen before.
+// which copies only the projections not seen before.
 func ProjectInto(out *relalg.TupleSet, rows [][]relalg.Value, slots []int) {
+	out.Grow(len(rows))
 	proj := make(relalg.Tuple, len(slots))
 	for _, row := range rows {
 		for i, s := range slots {

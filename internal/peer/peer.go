@@ -13,6 +13,7 @@ package peer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -145,6 +146,7 @@ type subscription struct {
 	epoch        uint64
 	conj         cq.Conjunction
 	cols         []string
+	rels         []string      // the distinct relations conj reads, in body order
 	marks        storage.Marks // in-flight frontier (delta mode; nil in faithful mode)
 	acked        storage.Marks // receipt-confirmed frontier (contiguous ack extension)
 	ackedDurable storage.Marks // durability-confirmed frontier (Durable acks only; persisted)
@@ -153,6 +155,16 @@ type subscription struct {
 	lastInc     uint64    // dependent incarnation of the last carried query
 	lastSent    time.Time // last answer carrying a frontier
 	resendTries int       // bounded retransmit budget for the current stalled frontier
+}
+
+func newSubscription(dependent, ruleID string, epoch uint64, conj cq.Conjunction, cols []string) *subscription {
+	sub := &subscription{dependent: dependent, ruleID: ruleID, epoch: epoch, conj: conj, cols: cols}
+	for _, a := range conj.Atoms {
+		if !slices.Contains(sub.rels, a.Rel) {
+			sub.rels = append(sub.rels, a.Rel)
+		}
+	}
+	return sub
 }
 
 // pendingAck is an acknowledgment owed for an answer applied under the peer
@@ -175,7 +187,8 @@ type ackWork struct {
 func (w ackWork) empty() bool { return len(w.parts) == 0 && len(w.acks) == 0 && !w.dirty }
 
 // partResult accumulates the result set received for one body part of a
-// rule (multi-source rules join their parts at the head node).
+// multi-source rule: the head node joins a new answer against the other
+// parts' history. A rule with one source keeps none (see handleAnswer).
 type partResult struct {
 	cols   []string
 	tuples relalg.TupleSet
@@ -344,13 +357,7 @@ func (p *Peer) applyRestore(st *wal.State) {
 		if err != nil {
 			continue // a subscription that no longer parses is re-created by its owner
 		}
-		sub := &subscription{
-			dependent: rs.Dependent,
-			ruleID:    rs.RuleID,
-			epoch:     rs.Epoch,
-			conj:      conj,
-			cols:      append([]string(nil), rs.Cols...),
-		}
+		sub := newSubscription(rs.Dependent, rs.RuleID, rs.Epoch, conj, append([]string(nil), rs.Cols...))
 		if p.opts.Delta {
 			// The persisted marks are the acknowledged frontier. Clamp each
 			// one to the recovered relation's actual sequence high water: a
@@ -383,8 +390,12 @@ func (p *Peer) applyRestore(st *wal.State) {
 		p.subs[subKey(rs.Dependent, rs.RuleID)] = sub
 	}
 	for _, rp := range st.Parts {
-		if _, ok := p.rules[rp.RuleID]; !ok {
-			continue // the rule was dropped from this node's definition
+		r, ok := p.rules[rp.RuleID]
+		if !ok || len(r.SourceNodes()) == 1 {
+			// The rule was dropped from this node's definition, or it has
+			// one source and needs no part history (a DataDir from before
+			// single-source rules stopped recording one).
+			continue
 		}
 		byPart := p.parts[rp.RuleID]
 		if byPart == nil {
@@ -608,14 +619,16 @@ func (p *Peer) Rules() []string {
 
 // LocalQuery evaluates a conjunctive query against the local database only
 // (Definition 4: after a completed update, local answers are global
-// answers).
+// answers). The rows come back in canonical order.
 func (p *Peer) LocalQuery(body string, outVars []string) ([]relalg.Tuple, error) {
 	conj, err := cq.ParseConjunction(body)
 	if err != nil {
 		return nil, err
 	}
 	p.ct.AddQueries(1)
-	return cq.Eval(p.db, conj, outVars)
+	rows, err := cq.Eval(p.db, conj, outVars)
+	relalg.SortTuples(rows)
+	return rows, err
 }
 
 // StatsReports returns the per-node snapshots a super-peer has collected.
@@ -1012,6 +1025,7 @@ func (p *Peer) handleQueryRequest(from string, m wire.QueryRequest) {
 	if err != nil {
 		res.Err = err.Error()
 	} else {
+		relalg.SortTuples(rows)
 		res.Tuples = rows
 	}
 	p.send(from, res)

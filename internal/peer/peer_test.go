@@ -2,6 +2,7 @@ package peer
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -152,6 +153,43 @@ rule r2: S:s(X,Y) -> H:h2(X)
 	}
 	if hs.h.DB().Count("h") != 0 {
 		t.Errorf("h = %d (imported through a replaced rule)", hs.h.DB().Count("h"))
+	}
+}
+
+// TestQueryRepliesAreCanonical: evaluation returns rows in first-derivation
+// order, but what a person reads — LocalQuery and the QueryRequest reply — is
+// sorted.
+func TestQueryRepliesAreCanonical(t *testing.T) {
+	hs := newHarness(t, Options{})
+	for _, x := range []string{"z", "m", "b"} { // the harness seeded ('a','b') first
+		if err := hs.s.Seed("s", relalg.Tuple{relalg.S(x), relalg.S("y")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = "[(a) (b) (m) (z)]"
+	rows, err := hs.s.LocalQuery("s(X,Y)", []string{"X"})
+	if err != nil || fmt.Sprint(rows) != want {
+		t.Errorf("LocalQuery = %v, %v; want %s", rows, err, want)
+	}
+	replies := make(chan wire.QueryResult, 1)
+	if err := hs.tr.Register("asker", func(env wire.Envelope) {
+		if res, ok := env.Msg.(wire.QueryResult); ok {
+			replies <- res
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs.tr.Send("asker", "S", wire.QueryRequest{ID: 1, Body: "s(X,Y)", Cols: []string{"X"}}); err != nil {
+		t.Fatal(err)
+	}
+	hs.quiesce(t)
+	select {
+	case res := <-replies:
+		if res.Err != "" || fmt.Sprint(res.Tuples) != want {
+			t.Errorf("QueryResult = %v (err %q), want %s", res.Tuples, res.Err, want)
+		}
+	default:
+		t.Fatal("no QueryResult came back")
 	}
 }
 

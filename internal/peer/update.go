@@ -174,13 +174,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 	if prev, ok := p.subs[key]; ok && prev.epoch == m.Epoch {
 		p.ct.AddDuplicateQueries(1)
 	}
-	sub := &subscription{
-		dependent: from,
-		ruleID:    m.RuleID,
-		epoch:     m.Epoch,
-		conj:      conj,
-		cols:      m.Cols,
-	}
+	sub := newSubscription(from, m.RuleID, m.Epoch, conj, m.Cols)
 	if p.opts.Delta {
 		// Delta state carries over only while the subscription asks the same
 		// question: a changed conjunction or column list (rule redefinition)
@@ -335,9 +329,8 @@ func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 // step deduplicates, so only bytes — not correctness — are at stake. Callers
 // hold mu.
 func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
-	rels := conjRels(sub.conj)
 	if !sub.primed {
-		sub.marks = p.db.MarksFor(rels)
+		sub.marks = p.db.MarksFor(sub.rels)
 		sub.primed = true
 		result, err := cq.Eval(p.db, sub.conj, sub.cols)
 		if err != nil {
@@ -345,7 +338,7 @@ func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 		}
 		return result
 	}
-	delta, next := p.db.DeltaSince(sub.marks, rels)
+	delta, next := p.db.DeltaSince(sub.marks, sub.rels)
 	sub.marks = next
 	if len(delta) == 0 {
 		return nil
@@ -353,19 +346,6 @@ func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 	out, err := cq.EvalDelta(p.db, sub.conj, sub.cols, delta)
 	if err != nil {
 		return nil
-	}
-	return out
-}
-
-// conjRels lists the distinct relation names read by a conjunction.
-func conjRels(c cq.Conjunction) []string {
-	seen := map[string]bool{}
-	out := make([]string, 0, len(c.Atoms))
-	for _, a := range c.Atoms {
-		if !seen[a.Rel] {
-			seen[a.Rel] = true
-			out = append(out, a.Rel)
-		}
 	}
 	return out
 }
@@ -386,50 +366,17 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 		return
 	}
 
-	// Accumulate the part result (monotone union; no retraction in the
-	// model, so delta and full answers merge identically). The semi-naive
-	// path additionally remembers which of the incoming tuples are new to
-	// this part, so the chase below can be seeded from them alone.
-	byPart := p.parts[m.RuleID]
-	if byPart == nil {
-		byPart = map[string]*partResult{}
-		p.parts[m.RuleID] = byPart
-	}
-	pr := byPart[m.Part]
-	if pr == nil {
-		pr = &partResult{cols: m.Columns}
-		byPart[m.Part] = pr
-	}
+	// A6: chase the rule with the joined parts. A rule with one source has
+	// no other part to join a later answer against, so nothing of the answer
+	// is kept: every received tuple goes to the chase, and the relation's own
+	// duplicate check absorbs a re-sent one (Skolem labels are a function of
+	// the binding, so it re-derives an identical head).
 	dm := p.opts.Maps.For(m.Part, p.id)
-	var fresh []relalg.Tuple
-	collectFresh := p.opts.Delta || p.opts.PersistParts != nil
-	for _, t := range m.Tuples {
-		t = dm.TranslateTuple(t)
-		if pr.tuples.Add(t) && collectFresh {
-			fresh = append(fresh, t)
-		}
-	}
-	if p.opts.PersistParts != nil && len(fresh) > 0 {
-		// Persist the newly accumulated part tuples before the answer is
-		// acknowledged: the source will never re-send below the acked
-		// frontier, so anything backing future multi-source joins must be
-		// recoverable here, not only at the next checkpoint.
-		p.pendingParts = append(p.pendingParts, wal.PartState{
-			RuleID: m.RuleID,
-			Part:   m.Part,
-			Cols:   append([]string(nil), pr.cols...),
-			Tuples: append([]relalg.Tuple(nil), fresh...),
-		})
-	}
-
-	// A6: chase the rule with the joined parts. In delta mode only bindings
-	// a newly received tuple contributes to are re-derived; the faithful path
-	// re-joins and re-chases the whole accumulated result set every time.
 	var bindings []relalg.Tuple
-	if p.opts.Delta {
-		bindings = p.joinPartsDeltaLocked(r, m.Part, fresh)
+	if len(r.SourceNodes()) == 1 {
+		bindings = rules.JoinParts(r, map[string]rules.PartTuples{m.Part: {Cols: m.Columns, Tuples: dm.TranslateTuples(m.Tuples)}})
 	} else {
-		bindings = p.joinPartsLocked(r)
+		bindings = p.joinAnswerLocked(r, m, dm)
 	}
 	res, err := rules.Apply(p.db, r, bindings, rules.ApplyOptions{
 		Mode:         p.opts.InsertMode,
@@ -537,6 +484,49 @@ func (p *Peer) handleAnswerAck(from string, m wire.AnswerAck) {
 	if advanced {
 		sub.resendTries = 0
 	}
+}
+
+// joinAnswerLocked merges one answer into the accumulated part results of a
+// multi-source rule (monotone union; no retraction in the model, so delta and
+// full answers merge identically) and joins it with the other parts. In delta
+// mode only bindings a newly received tuple contributes to are derived; the
+// faithful path re-joins the whole accumulated result set every time. Callers
+// hold mu.
+func (p *Peer) joinAnswerLocked(r rules.Rule, m wire.Answer, dm *rules.DomainMap) []relalg.Tuple {
+	byPart := p.parts[m.RuleID]
+	if byPart == nil {
+		byPart = map[string]*partResult{}
+		p.parts[m.RuleID] = byPart
+	}
+	pr := byPart[m.Part]
+	if pr == nil {
+		pr = &partResult{cols: m.Columns}
+		byPart[m.Part] = pr
+	}
+	var fresh []relalg.Tuple
+	collectFresh := p.opts.Delta || p.opts.PersistParts != nil
+	for _, t := range m.Tuples {
+		t = dm.TranslateTuple(t)
+		if pr.tuples.Add(t) && collectFresh {
+			fresh = append(fresh, t)
+		}
+	}
+	if p.opts.PersistParts != nil && len(fresh) > 0 {
+		// Persist the newly accumulated part tuples before the answer is
+		// acknowledged: the source will never re-send below the acked
+		// frontier, so anything backing future multi-source joins must be
+		// recoverable here, not only at the next checkpoint.
+		p.pendingParts = append(p.pendingParts, wal.PartState{
+			RuleID: m.RuleID,
+			Part:   m.Part,
+			Cols:   append([]string(nil), pr.cols...),
+			Tuples: append([]relalg.Tuple(nil), fresh...),
+		})
+	}
+	if p.opts.Delta {
+		return p.joinPartsDeltaLocked(r, m.Part, fresh)
+	}
+	return p.joinPartsLocked(r)
 }
 
 // joinPartsLocked joins the accumulated part results of a rule into bindings

@@ -176,11 +176,16 @@ func (r *Relation) Since(mark uint64) ([]Tuple, uint64) {
 
 // Sorted returns the tuples in canonical (Tuple.Compare) order; a fresh
 // slice, safe to retain.
-func (r *Relation) Sorted() []Tuple { return r.set.Sorted() }
+func (r *Relation) Sorted() []Tuple {
+	out := append([]Tuple(nil), r.set.log...)
+	SortTuples(out)
+	return out
+}
 
 // Clone deep-copies the relation (schema shared, tuples copied).
 func (r *Relation) Clone() *Relation {
 	c := NewRelation(r.schema)
+	c.set.Grow(r.Len())
 	for _, t := range r.set.log {
 		c.set.AddClone(t)
 	}

@@ -3,6 +3,7 @@ package relalg
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -89,6 +90,12 @@ func (t Tuple) Compare(u Tuple) int {
 		}
 	}
 	return len(t) - len(u)
+}
+
+// SortTuples puts ts in canonical (Tuple.Compare) order, in place: the order
+// of everything a person reads (query replies, Relation.String, DB.Dump).
+func SortTuples(ts []Tuple) {
+	slices.SortFunc(ts, Tuple.Compare)
 }
 
 // SubsumedBy reports whether t is subsumed by u: there is a homomorphism

@@ -9,10 +9,25 @@
 // finds members by hash and verifies them by equality, without building a
 // key. Serialised it is Tuple.Key, a canonical injective string that Skolem
 // null labels embed; its bytes are a format and never change.
+//
+// The hash lives in the value. S and Null hash their text once, with the
+// process's seed, and keep the result in the field an int keeps its number
+// in; Value.Hash and Tuple.Hash are arithmetic over that field, so a tuple
+// crossing cq, rules, a TupleSet and a Relation is hashed at each of them
+// without its strings being read again. The field is a function of the text,
+// so == is still equality of kind and text, and nothing serialises it: Key,
+// AppendValue and the wire write the text alone, and Reader rebuilds values
+// through S, I and Null.
+//
+// A tuple stored by Relation.Insert or TupleSet.AddClone is a copy, carved
+// from a value chunk its set shares between many members; it aliases nothing
+// of the caller's, never moves and is never overwritten, so slices returned
+// by All and Since stay valid while the set grows, and keeping one member
+// keeps its chunk (at most 32 KiB) reachable. TupleSet.Add stores the
+// caller's slice itself.
 package relalg
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"hash/maphash"
@@ -35,11 +50,13 @@ const (
 
 // Value is a single attribute value: a shared constant (string or int, the
 // paper's URI assumption) or a labelled null. The zero Value is the empty
-// string constant.
+// string constant. Values are built by S, I and Null only: for a string or a
+// null, num carries the hash of str, computed once there, so that Hash never
+// reads the bytes again; equal strings therefore stay == values.
 type Value struct {
 	kind Kind
 	str  string // string constant or null label
-	num  int64  // int constant
+	num  int64  // the int constant; for strings and nulls, strHash(str)
 }
 
 // String returns a display rendering: bare text for string constants,
@@ -88,7 +105,12 @@ func (v Value) IsConst() bool { return v.kind != KindNull }
 func (v Value) Str() string { return v.str }
 
 // Int returns the integer payload; zero unless KindInt.
-func (v Value) Int() int64 { return v.num }
+func (v Value) Int() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return v.num
+}
 
 // NullLabel returns the label of a null value, or "" for constants.
 func (v Value) NullLabel() string {
@@ -99,13 +121,13 @@ func (v Value) NullLabel() string {
 }
 
 // S builds a string-constant Value.
-func S(s string) Value { return Value{kind: KindString, str: s} }
+func S(s string) Value { return Value{kind: KindString, str: s, num: strHash(s)} }
 
 // I builds an integer-constant Value.
 func I(n int64) Value { return Value{kind: KindInt, num: n} }
 
 // Null builds a labelled null with the given label.
-func Null(label string) Value { return Value{kind: KindNull, str: label} }
+func Null(label string) Value { return Value{kind: KindNull, str: label, num: strHash(label)} }
 
 // Equal reports exact equality (same kind and payload). Two nulls are equal
 // iff their labels are equal.
@@ -206,16 +228,26 @@ func (v Value) appendKey(b []byte) []byte {
 // hashSeed seeds every Value and Tuple hash of the process.
 var hashSeed = maphash.MakeSeed()
 
+// hashMix is the seed's share of Value.Hash.
+var hashMix = maphash.String(hashSeed, "relalg")
+
+// strHash is the hash S and Null store beside their text. The empty string
+// hashes to 0, which keeps Value{} == S("").
+func strHash(s string) int64 {
+	if s == "" {
+		return 0
+	}
+	return int64(maphash.String(hashSeed, s))
+}
+
 // Hash returns a process-local 64-bit hash of the value, consistent with ==
 // (equal values hash equally; the kind is mixed in, so S("1"), I(1) and
-// Null("1") differ) and computed without allocating.
+// Null("1") differ). It is arithmetic on num: a string's bytes were hashed
+// once, when the value was built.
 func (v Value) Hash() uint64 {
-	if v.kind == KindInt {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.num))
-		return maphash.Bytes(hashSeed, b[:]) + uint64(KindInt)
-	}
-	return maphash.String(hashSeed, v.str) + uint64(v.kind)
+	h := (uint64(v.num) + uint64(v.kind)) ^ hashMix
+	h *= 0x9e3779b97f4a7c15
+	return h ^ h>>29
 }
 
 // ParseValue parses the surface syntax produced by Quoted: single-quoted

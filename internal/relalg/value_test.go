@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,52 @@ func pickValue(k uint8, n int64, s string) Value {
 		return I(n)
 	default:
 		return Null(s)
+	}
+}
+
+// TestValueCarriesItsHash pins what carrying a string's hash in the value must
+// not change: the zero value is still the empty string, equal texts are still
+// == however they were built, Int is 0 for non-ints, and the hash is no part
+// of any serialised form.
+func TestValueCarriesItsHash(t *testing.T) {
+	if (Value{}) != S("") || (Value{}).Hash() != S("").Hash() {
+		t.Error("the zero Value is no longer S(\"\")")
+	}
+	if S("") == Null("") || S("").Hash() == Null("").Hash() {
+		t.Error("S(\"\") and Null(\"\") are conflated")
+	}
+	for _, text := range []string{"", "a", "Grace Hopper", strings.Repeat("3:sab", 40)} {
+		built := strings.Join(strings.Split(text, ""), "") // equal text, separate bytes
+		for name, pair := range map[string][2]Value{"S": {S(text), S(built)}, "Null": {Null(text), Null(built)}} {
+			if pair[0] != pair[1] || pair[0].Hash() != pair[1].Hash() {
+				t.Errorf("%s(%q): equal texts give different values", name, text)
+			}
+			if pair[0].Int() != 0 {
+				t.Errorf("%s(%q).Int() = %d, want 0", name, text, pair[0].Int())
+			}
+		}
+		if S(text).Key() != "s"+text || Null(text).Key() != "n"+text {
+			t.Errorf("Key of %q carries more than kind and text", text)
+		}
+	}
+	if I(7).Int() != 7 || I(7).Hash() == I(8).Hash() || I(0).Hash() == S("").Hash() {
+		t.Error("int payload or its hash is off")
+	}
+
+	// A decoded tuple is the tuple that was encoded: equal, and equal in hash,
+	// though the bytes on the wire hold texts only.
+	want := Tuple{S("Grace Hopper"), I(1952), Null("d1|r|V|3:sab"), S("")}
+	wire := AppendTuple(nil, want)
+	if len(wire) != 1+(2+12)+(2+2)+(2+12)+2 {
+		t.Errorf("encoded tuple is %d bytes: something besides kind and text was written", len(wire))
+	}
+	r := NewReader(wire)
+	got := r.Tuple()
+	if r.Err() != nil || !got.Equal(want) || got.Hash() != want.Hash() {
+		t.Errorf("decoded %v (hash %x), want %v (hash %x), err %v", got, got.Hash(), want, want.Hash(), r.Err())
+	}
+	var set TupleSet
+	if set.Add(want); !set.Has(got) {
+		t.Error("a decoded tuple is not found where its original was stored")
 	}
 }

@@ -75,6 +75,19 @@ func (d *DomainMap) TranslateTuple(t relalg.Tuple) relalg.Tuple {
 	return out
 }
 
+// TranslateTuples rewrites a batch of tuples; without a map it returns ts
+// itself.
+func (d *DomainMap) TranslateTuples(ts []relalg.Tuple) []relalg.Tuple {
+	if d == nil || len(d.Pairs) == 0 {
+		return ts
+	}
+	out := make([]relalg.Tuple, len(ts))
+	for i, t := range ts {
+		out[i] = d.TranslateTuple(t)
+	}
+	return out
+}
+
 // Len returns the number of pairs.
 func (d *DomainMap) Len() int { return len(d.Pairs) }
 

@@ -15,7 +15,8 @@ type PartTuples struct {
 // JoinParts joins per-source body-part result sets into bindings over the
 // rule's export variables (in ExportVars order), applying cross-part
 // built-ins. A missing or empty part yields an empty result. The output is
-// deduplicated and canonically ordered.
+// distinct and in first-derivation order (see cq.Eval): a function of the
+// order of the parts' tuples, never of the hash seed.
 func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 	// Number the part columns once; bindings are rows indexed by slot.
 	sources := r.SourceNodes()
@@ -64,7 +65,7 @@ func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 	}
 	var out relalg.TupleSet
 	cq.ProjectInto(&out, rows, exportSlots)
-	return out.Sorted()
+	return out.All()
 }
 
 // operand resolves a built-in's term against a row; ok=false means the term
@@ -168,13 +169,7 @@ func EvaluateBody(r Rule, src func(node string) cq.Source, maps MapSet) ([]relal
 		if err != nil {
 			return nil, err
 		}
-		if dm := maps.For(node, r.HeadNode); dm != nil {
-			translated := make([]relalg.Tuple, len(tuples))
-			for i, t := range tuples {
-				translated[i] = dm.TranslateTuple(t)
-			}
-			tuples = translated
-		}
+		tuples = maps.For(node, r.HeadNode).TranslateTuples(tuples)
 		parts[node] = PartTuples{Cols: cols, Tuples: tuples}
 	}
 	return JoinParts(r, parts), nil

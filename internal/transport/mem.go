@@ -97,6 +97,7 @@ func (m *Mem) dispatch(box *mailbox) {
 			return
 		}
 		env := box.queue[0]
+		box.queue[0] = wire.Envelope{} // or the array keeps the message reachable
 		box.queue = box.queue[1:]
 		box.mu.Unlock()
 
