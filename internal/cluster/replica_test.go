@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,6 +226,12 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 			rm.shutdown()
 		}
 	}()
+	// A wait that gives up says what it was looking at (runs before shutdown).
+	defer func() {
+		if t.Failed() {
+			t.Log("cluster state at the failure:" + rehomingState(members, names))
+		}
+	}()
 	coord, err := NewCoordinator(def, "127.0.0.1:0", book, fastCoordOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +343,34 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 		}
 		return err != nil
 	}, "deposed "+victim+" kept its listener up")
+}
+
+// rehomingState renders what the re-homing waits look at, at every member
+// still in the map: the agreed view, the agreed host of every node and whether
+// the member serves it, and the promotion counters — enough to tell a verdict
+// that was never agreed from an election that never closed from an adopter
+// that never adopted.
+func rehomingState(members map[string]*replicaMember, nodes []string) string {
+	names := make([]string, 0, len(members))
+	for name := range members {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		rm := members[name]
+		view, version := rm.cp.AgreedView()
+		m := rm.cp.Metrics()
+		fmt.Fprintf(&b, "\n  at %s: view v%d=%v open_elections=%d promotions=%d adopted=%v hosts:",
+			name, version, view, m.OpenElections, m.Promotions, m.Adopted)
+		for _, node := range nodes {
+			fmt.Fprintf(&b, " %s@%s", node, rm.cp.HostOf(node))
+			if rm.n.Peer(node) != nil {
+				b.WriteString("(served here)")
+			}
+		}
+	}
+	return b.String()
 }
 
 // TestReplicaChurnSoak is the long referee run: a five-member ring with k=2

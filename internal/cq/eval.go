@@ -32,7 +32,9 @@ func (m MapSource) Rel(name string) *relalg.Relation { return m[name] }
 // The result is a set in first-derivation order: the same relation logs in
 // give the same order out, whatever the process's hash seed, but the order is
 // not canonical — a caller that shows rows to a person sorts them
-// (relalg.SortTuples). The slice is the caller's.
+// (relalg.SortTuples). The slice is the caller's. A conjunction of one atom
+// and no built-in is projected straight from the relation's log (see
+// evalSeeded), which keeps the contract: first derivation is log order.
 //
 // Node qualifiers on atoms are ignored: the caller is responsible for
 // evaluating a conjunction against the right node's database (rules are
@@ -43,11 +45,19 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	var out relalg.TupleSet
+	if e.direct() && !e.atoms[0].hasConst() {
+		// The whole extent seeds the one atom (a constant keeps the general
+		// path: a point query probes the index, it does not scan).
+		if rel := src.Rel(e.atoms[0].rel); rel != nil {
+			err = e.evalSeeded(&out, outSlots, 0, rel.All(), nil, nil)
+		}
+		return out.All(), err
+	}
 	rows, err := e.evalAll()
 	if err != nil {
 		return nil, err
 	}
-	var out relalg.TupleSet
 	ProjectInto(&out, rows, outSlots)
 	return out.All(), nil
 }
@@ -60,7 +70,9 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 // every subsequent delta therefore reproduces the full Eval of the final
 // state, at cost proportional to the deltas instead of the whole database.
 // The result order follows Eval's contract: first derivation, a function of
-// the relation logs and the delta slices alone.
+// the relation logs and the delta slices alone; for a conjunction of one atom
+// and no built-in that is the order of the delta slice, whose matches are
+// projected straight into the result. The delta slices are only read.
 //
 // The semi-naive expansion runs one pass per atom whose relation has new
 // tuples, with that atom seeded from the delta. Passes are ordered
@@ -109,11 +121,9 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 	var exclude map[int]*relalg.TupleSet
 	for k, i := range order {
 		seedTuples := delta[c.Atoms[i].Rel]
-		rows, err := e.evalSeeded(i, seedTuples, exclude, cache)
-		if err != nil {
+		if err := e.evalSeeded(&out, outSlots, i, seedTuples, exclude, cache); err != nil {
 			return nil, err
 		}
-		ProjectInto(&out, rows, outSlots)
 		if adaptive && k < len(order)-1 {
 			if exclude == nil {
 				exclude = map[int]*relalg.TupleSet{}
@@ -348,17 +358,56 @@ func (e *evaluator) evalAll() ([][]relalg.Value, error) {
 	return e.join(rows, make([]bool, e.slots.Len()), rest, nil, e.builtins, nil)
 }
 
+// direct reports whether seeding alone finishes the conjunction: one atom and
+// no built-in, so the projection of every tuple the atom matches is a result.
+func (e *evaluator) direct() bool { return len(e.atoms) == 1 && len(e.builtins) == 0 }
+
+func (a slotAtom) hasConst() bool {
+	for _, t := range a.terms {
+		if t.slot == noSlot {
+			return true
+		}
+	}
+	return false
+}
+
 // evalSeeded runs the pipelined join with atom `seed` restricted to the given
 // tuples, atoms in exclude restricted to their pre-delta extents, and every
-// other atom drawn from its full extent in src.
-func (e *evaluator) evalSeeded(seed int, seedTuples []relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) ([][]relalg.Value, error) {
+// other atom drawn from its full extent in src, and adds the projections of
+// the resulting rows onto outSlots to out. When the conjunction is direct the
+// seed loop writes each match's projection itself, in seedTuples order — no
+// row, no second pass; out still deduplicates (dropped columns can collide).
+func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed int, seedTuples []relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) error {
 	atom := e.atoms[seed]
 	bound := make([]bool, e.slots.Len())
 	m := newMatcher(atom, bound)
-	rows := make([][]relalg.Value, 0, len(seedTuples))
+	direct := e.direct()
+	var rows [][]relalg.Value
+	var proj relalg.Tuple // direct only: the projection scratch,
+	var projPos []int     // and the tuple position each of its columns reads
+	if direct {
+		out.Grow(len(seedTuples))
+		proj, projPos = make(relalg.Tuple, len(outSlots)), make([]int, len(outSlots))
+		for i, s := range outSlots {
+			for k, as := range m.assignSlot {
+				if as == s {
+					projPos[i] = m.assignPos[k]
+				}
+			}
+		}
+	} else {
+		rows = make([][]relalg.Value, 0, len(seedTuples))
+	}
 	for _, t := range seedTuples {
 		// Nothing is bound yet, so the fixed positions are the constants.
 		if len(t) != len(atom.terms) || !m.fixedMatch(t, nil) || !m.consistent(t) {
+			continue
+		}
+		if direct {
+			for i, p := range projPos {
+				proj[i] = t[p]
+			}
+			out.AddClone(proj)
 			continue
 		}
 		row := e.arena.Alloc(e.slots.Len())
@@ -368,7 +417,7 @@ func (e *evaluator) evalSeeded(seed int, seedTuples []relalg.Tuple, exclude map[
 		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
-		return nil, nil
+		return nil
 	}
 	for _, s := range m.assignSlot {
 		bound[s] = true
@@ -380,7 +429,12 @@ func (e *evaluator) evalSeeded(seed int, seedTuples []relalg.Tuple, exclude map[
 		}
 	}
 	pending := e.applyReadyBuiltins(e.builtins, bound, &rows)
-	return e.join(rows, bound, rest, exclude, pending, cache)
+	rows, err := e.join(rows, bound, rest, exclude, pending, cache)
+	if err != nil {
+		return err
+	}
+	ProjectInto(out, rows, outSlots)
+	return nil
 }
 
 // matcher is an atom split by what its positions do under a given set of

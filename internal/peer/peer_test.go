@@ -20,7 +20,7 @@ type harness struct {
 	s, h *Peer
 }
 
-func newHarness(t *testing.T, opts Options) *harness {
+func newHarness(t testing.TB, opts Options) *harness {
 	t.Helper()
 	tr := transport.NewMem(transport.MemOptions{})
 	t.Cleanup(func() { _ = tr.Close() })
@@ -44,7 +44,7 @@ func newHarness(t *testing.T, opts Options) *harness {
 	return &harness{tr: tr, s: s, h: h}
 }
 
-func (hs *harness) quiesce(t *testing.T) {
+func (hs *harness) quiesce(t testing.TB) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -368,20 +368,19 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 
 	// A6: chase the rule with the joined parts. A rule with one source has
 	// no other part to join a later answer against, so nothing of the answer
-	// is kept: every received tuple goes to the chase, and the relation's own
-	// duplicate check absorbs a re-sent one (Skolem labels are a function of
-	// the binding, so it re-derives an identical head).
+	// is kept and nothing is joined: the received tuples go to the chase as
+	// they are (rules.ApplyPart), and the relation's own duplicate check
+	// absorbs a re-sent one. An answer from a node that is not the rule's
+	// source derives nothing.
 	dm := p.opts.Maps.For(m.Part, p.id)
-	var bindings []relalg.Tuple
-	if len(r.SourceNodes()) == 1 {
-		bindings = rules.JoinParts(r, map[string]rules.PartTuples{m.Part: {Cols: m.Columns, Tuples: dm.TranslateTuples(m.Tuples)}})
-	} else {
-		bindings = p.joinAnswerLocked(r, m, dm)
+	opts := rules.ApplyOptions{Mode: p.opts.InsertMode, MaxNullDepth: p.opts.MaxNullDepth}
+	var res rules.ApplyResult
+	var err error
+	if sources := r.SourceNodes(); len(sources) != 1 {
+		res, err = rules.Apply(p.db, r, p.joinAnswerLocked(r, m, dm), opts)
+	} else if sources[0] == m.Part {
+		res, err = rules.ApplyPart(p.db, r, rules.PartTuples{Cols: m.Columns, Tuples: dm.TranslateTuples(m.Tuples)}, opts)
 	}
-	res, err := rules.Apply(p.db, r, bindings, rules.ApplyOptions{
-		Mode:         p.opts.InsertMode,
-		MaxNullDepth: p.opts.MaxNullDepth,
-	})
 	if err != nil {
 		return
 	}

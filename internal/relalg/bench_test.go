@@ -17,6 +17,34 @@ func BenchmarkRelationInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationInsertProbedPosition is BenchmarkRelationInsert for a
+// 3-ary relation whose join column (position 1, 1000 distinct values) has
+// been probed: each insert also appends to that one position's postings; the
+// other two positions stay unindexed.
+func BenchmarkRelationInsertProbedPosition(b *testing.B) {
+	b.ReportAllocs()
+	r := NewRelation(MakeSchema("bench", 3))
+	r.Probe([]int{1}, []Value{S("j0")})
+	keys := make([]Value, 1000)
+	for i := range keys {
+		keys[i] = S(fmt.Sprintf("j%d", i))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := Tuple{S(fmt.Sprintf("k%d", i)), keys[i%len(keys)], I(int64(i))}
+		if _, err := r.Insert(t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if got := len(r.Probe([]int{1}, []Value{keys[0]})); got != (b.N+len(keys)-1)/len(keys) {
+		b.Fatalf("probe of the indexed position found %d tuples, want %d", got, (b.N+len(keys)-1)/len(keys))
+	}
+	if r.posIdx[0] != nil || r.posIdx[2] != nil {
+		b.Fatal("an unprobed position was indexed")
+	}
+}
+
 // BenchmarkRelationInsertDuplicates measures the dedup fast path.
 func BenchmarkRelationInsertDuplicates(b *testing.B) {
 	r := NewRelation(MakeSchema("bench", 2))

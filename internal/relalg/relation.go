@@ -11,17 +11,25 @@ import (
 // sequence number, which subscribers use as a high-water mark to extract
 // deltas (the "delta optimization" of the paper). Relations are not safe for
 // concurrent use; the owning storage.DB serialises access.
+//
+// Attribute positions are indexed one by one, and only those a Probe has
+// named: a position's index is nil until AppendProbe first asks for it, is
+// then built from the log, and is maintained by Insert from there on. A
+// relation that is never probed — or probed on its join column only — pays
+// for nothing else. An index maps Value.Hash, the hash the value already
+// carries, to the log positions holding a value with that hash there; two
+// values may share a hash, so a probe verifies every candidate against all
+// the probed positions.
 type Relation struct {
 	schema Schema
 	set    TupleSet // insertion order; seq number = position + 1
 
-	// posIdx maps, per attribute position, a value to the log positions
-	// holding that value there. It is built lazily on the first Probe and
-	// maintained incrementally by Insert afterwards; pmu serialises the
-	// build against concurrent probes (the log itself follows the package's
-	// single-writer discipline).
+	// pmu serialises index builds against concurrent probes (the log itself
+	// follows the package's single-writer discipline).
 	pmu    sync.Mutex
-	posIdx []map[Value][]int
+	posIdx []map[uint64][]int32 // per position; nil slice or nil entry: never probed
+
+	valHash func(Value) uint64 // test seam: nil means Value.Hash
 }
 
 // NewRelation creates an empty relation with the given schema.
@@ -52,32 +60,40 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 		return false, nil
 	}
 	r.pmu.Lock()
-	if r.posIdx != nil {
-		pos := r.set.Len() - 1
-		for i, v := range r.set.log[pos] {
-			r.posIdx[i][v] = append(r.posIdx[i][v], pos)
+	pos := r.set.Len() - 1
+	for i, idx := range r.posIdx {
+		if idx != nil {
+			h := r.hash(t[i])
+			idx[h] = append(idx[h], int32(pos))
 		}
 	}
 	r.pmu.Unlock()
 	return true, nil
 }
 
-// ensurePosIdxLocked builds the per-position value index from the current
-// log. Callers hold pmu.
-func (r *Relation) ensurePosIdxLocked() {
-	if r.posIdx != nil {
-		return
+func (r *Relation) hash(v Value) uint64 {
+	if r.valHash != nil {
+		return r.valHash(v)
 	}
-	idx := make([]map[Value][]int, r.schema.Arity())
-	for i := range idx {
-		idx[i] = make(map[Value][]int)
+	return v.Hash()
+}
+
+// indexLocked returns the index of position p, building it from the log on
+// first use. Callers hold pmu.
+func (r *Relation) indexLocked(p int) map[uint64][]int32 {
+	if r.posIdx == nil {
+		r.posIdx = make([]map[uint64][]int32, r.schema.Arity())
 	}
-	for pos, t := range r.set.log {
-		for i, v := range t {
-			idx[i][v] = append(idx[i][v], pos)
+	idx := r.posIdx[p]
+	if idx == nil {
+		idx = make(map[uint64][]int32)
+		for pos, t := range r.set.log {
+			h := r.hash(t[p])
+			idx[h] = append(idx[h], int32(pos))
 		}
+		r.posIdx[p] = idx
 	}
-	r.posIdx = idx
+	return idx
 }
 
 // Probe returns the tuples whose components equal vals at the given
@@ -107,26 +123,22 @@ func (r *Relation) AppendProbe(dst []Tuple, positions []int, vals []Value) []Tup
 	}
 	r.pmu.Lock()
 	defer r.pmu.Unlock()
-	r.ensurePosIdxLocked()
-	best := 0
-	bestList := r.posIdx[positions[0]][vals[0]]
-	for i := 1; i < len(positions) && len(bestList) > 0; i++ {
-		if list := r.posIdx[positions[i]][vals[i]]; len(list) < len(bestList) {
-			best, bestList = i, list
+	var shortest []int32
+	for i, p := range positions {
+		list := r.indexLocked(p)[r.hash(vals[i])]
+		if i == 0 || len(list) < len(shortest) {
+			shortest = list
 		}
 	}
-	for _, pos := range bestList {
+candidates:
+	for _, pos := range shortest {
 		t := r.set.log[pos]
-		ok := true
 		for i, p := range positions {
-			if i != best && t[p] != vals[i] {
-				ok = false
-				break
+			if t[p] != vals[i] {
+				continue candidates
 			}
 		}
-		if ok {
-			dst = append(dst, t)
-		}
+		dst = append(dst, t)
 	}
 	return dst
 }
@@ -165,13 +177,16 @@ func (r *Relation) SubsumedByExisting(t Tuple) bool {
 func (r *Relation) All() []Tuple { return r.set.log }
 
 // Since returns the tuples inserted after the given high-water mark, in
-// insertion order, along with the new mark.
+// insertion order, along with the new mark. The slice is a read-only view of
+// the log: a log prefix is immutable (members never move and are never
+// overwritten), so it stays valid while the relation grows, and its capacity
+// is its length, so a caller's append copies instead of reaching the log.
 func (r *Relation) Since(mark uint64) ([]Tuple, uint64) {
 	n := uint64(r.set.Len())
 	if mark > n {
 		mark = n
 	}
-	return r.set.log[mark:], n
+	return r.set.log[mark:n:n], n
 }
 
 // Sorted returns the tuples in canonical (Tuple.Compare) order; a fresh

@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -294,5 +295,105 @@ func TestSubsumedByExistingIndexed(t *testing.T) {
 	// Arity mismatch can never be subsumed.
 	if r.SubsumedByExisting(Tuple{Null("n")}) {
 		t.Error("arity mismatch subsumed")
+	}
+}
+
+// scanProbe is the oracle of Probe: a linear scan of the log.
+func scanProbe(r *Relation, pos []int, vals []Value) []Tuple {
+	var want []Tuple
+	for _, u := range r.All() {
+		ok := true
+		for i, p := range pos {
+			ok = ok && u[p] == vals[i]
+		}
+		if ok {
+			want = append(want, u)
+		}
+	}
+	return want
+}
+
+// TestLazyIndexProbeOracle: a position is indexed when a probe first names it
+// and by the hash its values carry, so (a) positions are probed in every
+// order, with inserts before and after each position's first probe, and every
+// probe must agree with a scan of the log; (b) the value hash is degraded to
+// a constant and to one bit, so postings lists hold values that merely
+// collide and only the verification of every probed position keeps them out;
+// (c) a position no probe has named has no index.
+func TestLazyIndexProbeOracle(t *testing.T) {
+	hashes := map[string]func(Value) uint64{
+		"real":     nil,
+		"constant": func(Value) uint64 { return 0 },
+		"one-bit":  func(v Value) uint64 { return v.Hash() & 1 },
+	}
+	for name, hashFn := range hashes {
+		rng := rand.New(rand.NewSource(20261002))
+		for trial := 0; trial < 100; trial++ {
+			arity := 1 + rng.Intn(4)
+			r := NewRelation(MakeSchema("p", arity))
+			r.valHash = hashFn
+			probed := make([]bool, arity)
+			for step, n := 0, 20+rng.Intn(80); step < n; step++ {
+				if rng.Intn(3) > 0 {
+					tp := make(Tuple, arity)
+					for j := range tp {
+						tp[j] = adversarialValues[rng.Intn(8)]
+					}
+					mustInsert(t, r, tp)
+					continue
+				}
+				var pos []int
+				var vals []Value
+				for _, p := range rng.Perm(arity)[:1+rng.Intn(arity)] {
+					pos = append(pos, p)
+					vals = append(vals, adversarialValues[rng.Intn(8)])
+					probed[p] = true
+				}
+				if got, want := r.Probe(pos, vals), scanProbe(r, pos, vals); !sameTuples(got, want) {
+					t.Fatalf("%s hash, trial %d step %d: Probe(%v,%v) = %v, scan says %v", name, trial, step, pos, vals, got, want)
+				}
+				for p := range probed {
+					if (r.posIdx[p] != nil) != probed[p] {
+						t.Fatalf("%s hash, trial %d: position %d indexed=%v, probed=%v", name, trial, p, r.posIdx[p] != nil, probed[p])
+					}
+				}
+			}
+		}
+	}
+	// Probing with no position, or with one outside the schema, indexes nothing.
+	r := NewRelation(MakeSchema("p", 2))
+	mustInsert(t, r, Tuple{S("a"), S("b")})
+	r.Probe(nil, nil)
+	r.Probe([]int{0, 5}, []Value{S("a"), S("b")})
+	if r.posIdx != nil {
+		t.Fatalf("an unprobed relation built an index: %v", r.posIdx)
+	}
+}
+
+// TestSinceIsACappedView: the slice Since returns aliases the log's immutable
+// prefix and nothing beyond it — appending to it cannot reach the relation,
+// and it reads the same tuples after the relation grew past many
+// reallocations of its log.
+func TestSinceIsACappedView(t *testing.T) {
+	r := NewRelation(MakeSchema("p", 2))
+	for i := 0; i < 10; i++ {
+		mustInsert(t, r, Tuple{S("k"), I(int64(i))})
+	}
+	view, mark := r.Since(4)
+	if mark != 10 || len(view) != 6 || cap(view) != 6 {
+		t.Fatalf("Since(4) = %d tuples, cap %d, mark %d; want 6, 6, 10", len(view), cap(view), mark)
+	}
+	mustInsert(t, r, Tuple{S("k"), I(10)})
+	_ = append(view, Tuple{S("intruder"), I(-1)})
+	if got := r.All()[10]; !got.Equal(Tuple{S("k"), I(10)}) {
+		t.Fatalf("append to a Since view overwrote the log: %v", got)
+	}
+	for i := 11; i < 10011; i++ {
+		mustInsert(t, r, Tuple{S("k"), I(int64(i))})
+	}
+	for i, tp := range view {
+		if !tp.Equal(Tuple{S("k"), I(int64(4 + i))}) {
+			t.Fatalf("view[%d] = %v after 10000 further inserts", i, tp)
+		}
 	}
 }

@@ -20,11 +20,15 @@ type Tuple []Value
 // (see TupleSet).
 func (t Tuple) Key() string {
 	var stack [128]byte
-	b := stack[:0]
+	return string(t.AppendKey(stack[:0]))
+}
+
+// AppendKey appends the bytes of Key to b.
+func (t Tuple) AppendKey(b []byte) []byte {
 	for _, v := range t {
 		b = v.appendKey(b)
 	}
-	return string(b)
+	return b
 }
 
 // Hash returns a process-local 64-bit hash of the tuple, consistent with

@@ -206,6 +206,32 @@ func TestRelationInsertAllocations(t *testing.T) {
 	if perTuple := perRun / n; perTuple >= 0.2 {
 		t.Errorf("%d fresh 3-ary inserts cost %.0f allocations, %.3f per tuple; want < 0.2", n, perRun, perTuple)
 	}
+	if r.posIdx != nil {
+		t.Errorf("a never-probed relation holds an index: %v", r.posIdx)
+	}
+	// One probed position of three (97 distinct values: a join column): its
+	// postings grow geometrically, the other two positions stay unindexed, and
+	// the budget holds.
+	var probed *Relation
+	perRun = testing.AllocsPerRun(5, func() {
+		probed = NewRelation(MakeSchema("p", 3))
+		probed.Probe([]int{1}, []Value{S("title-0")})
+		for _, tp := range tuples {
+			copy(scratch, tp)
+			if added, err := probed.Insert(scratch); err != nil || !added {
+				t.Fatalf("Insert(%v) = %v, %v", tp, added, err)
+			}
+		}
+	})
+	if perTuple := perRun / n; perTuple >= 0.2 {
+		t.Errorf("%d inserts with position 1 indexed cost %.0f allocations, %.3f per tuple; want < 0.2", n, perRun, perTuple)
+	}
+	if probed.posIdx[0] != nil || probed.posIdx[1] == nil || probed.posIdx[2] != nil {
+		t.Errorf("indexed positions %v, want only position 1", probed.posIdx)
+	}
+	if got := probed.Probe([]int{1}, []Value{S("title-5")}); len(got) != 104 {
+		t.Errorf("probe of the indexed position found %d tuples, want 104", len(got))
+	}
 	if dup := testing.AllocsPerRun(100, func() {
 		copy(scratch, tuples[n/2])
 		if added, _ := r.Insert(scratch); added {
@@ -345,16 +371,7 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 				vals = append(vals, adversarialValues[rng.Intn(8)])
 			}
 		}
-		var want []Tuple
-		for _, u := range r.All() {
-			ok := true
-			for i, p := range pos {
-				ok = ok && u[p] == vals[i]
-			}
-			if ok {
-				want = append(want, u)
-			}
-		}
+		want := scanProbe(r, pos, vals)
 		prefix := []Tuple{{S("kept")}}
 		for name, got := range map[string][]Tuple{
 			"Probe":       r.Probe(pos, vals),

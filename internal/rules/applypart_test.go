@@ -1,0 +1,155 @@
+package rules
+
+import (
+	"fmt"
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"repro/internal/cq"
+	"repro/internal/relalg"
+	"repro/internal/storage"
+)
+
+// randomSingleSourceRule builds a rule with one body atom at B over k
+// variables and one or two head atoms at A whose terms are drawn — permuted
+// and with repeats — from the body variables, up to two existential variables
+// and constants. It returns the rule and the schemas of its head relations.
+func randomSingleSourceRule(rng *rand.Rand, id string) (Rule, []relalg.Schema) {
+	k := 1 + rng.Intn(4)
+	body := cq.Atom{Node: "B", Rel: "b"}
+	pool := []cq.Term{cq.C(relalg.S("const")), cq.C(relalg.I(7))}
+	for i := 0; i < k; i++ {
+		v := cq.V("X" + strconv.Itoa(i))
+		body.Terms = append(body.Terms, v)
+		pool = append(pool, v, v) // universal variables twice as likely
+	}
+	for i, n := 0, rng.Intn(3); i < n; i++ {
+		pool = append(pool, cq.V("E"+strconv.Itoa(i)))
+	}
+	r := Rule{ID: id, HeadNode: "A", Body: cq.Conjunction{Atoms: []cq.Atom{body}}}
+	var schemas []relalg.Schema
+	for i, n := 0, 1+rng.Intn(2); i < n; i++ {
+		head := cq.Atom{Rel: "h" + strconv.Itoa(i)}
+		for j, arity := 0, 1+rng.Intn(4); j < arity; j++ {
+			head.Terms = append(head.Terms, pool[rng.Intn(len(pool))])
+		}
+		r.Head = append(r.Head, head)
+		schemas = append(schemas, relalg.MakeSchema(head.Rel, len(head.Terms)))
+	}
+	return r, schemas
+}
+
+// TestApplyPartMatchesJoinThenApply: for a rule with one source, reading the
+// part's tuples through the column permutation (ApplyPart) must leave exactly
+// the database that joining, projecting and deduplicating them first
+// (Apply(JoinParts)) leaves, and report the same result — over random rules,
+// part tuples that are too short (skipped) or too long (the extra columns are
+// ignored), nulls deep enough to hit the invention bound, and column lists
+// that are sorted (what BodyPart sends), shuffled, or missing an export
+// variable (nothing may be derived).
+func TestApplyPartMatchesJoinThenApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261002))
+	values := []relalg.Value{
+		relalg.S("a"), relalg.S("b"), relalg.S("conf/edbt/04"), relalg.I(7), relalg.I(2004), relalg.S(""),
+		relalg.Null("foreign"), relalg.Null("d2|r|V|2:sa"), relalg.Null("d3|r|V|2:sb"), relalg.Null("d4|r|V|2:sc"),
+	}
+	derived, truncated := 0, 0
+	for trial := 0; trial < 400; trial++ {
+		r, schemas := randomSingleSourceRule(rng, fmt.Sprintf("r%d", trial))
+		_, cols := r.BodyPart("B")
+		switch trial % 4 {
+		case 1, 2:
+			rng.Shuffle(len(cols), func(i, j int) { cols[i], cols[j] = cols[j], cols[i] })
+		case 3:
+			if len(cols) > 0 {
+				cols = cols[1:]
+			}
+		}
+		// Distinct on the named columns, as a source's answer is.
+		var distinct relalg.TupleSet
+		var tuples []relalg.Tuple
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			width := len(cols)
+			switch rng.Intn(8) {
+			case 0:
+				width = rng.Intn(len(cols) + 1) // short, unless there are no columns
+			case 1:
+				width++
+			}
+			tp := make(relalg.Tuple, width)
+			for j := range tp {
+				tp[j] = values[rng.Intn(len(values))]
+			}
+			if width < len(cols) || distinct.AddClone(tp[:len(cols)]) {
+				tuples = append(tuples, tp)
+			}
+		}
+		part := PartTuples{Cols: cols, Tuples: tuples}
+		opts := ApplyOptions{Mode: storage.InsertMode(trial % 2)}
+
+		viaPerm, viaJoin := storage.New(schemas...), storage.New(schemas...)
+		got, err1 := ApplyPart(viaPerm, r, part, opts)
+		want, err2 := Apply(viaJoin, r, JoinParts(r, map[string]PartTuples{"B": part}), opts)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("trial %d, %s: errors %v / %v", trial, r, err1, err2)
+		}
+		if got != want {
+			t.Fatalf("trial %d, %s, cols %v: ApplyPart = %+v, Apply(JoinParts) = %+v", trial, r, cols, got, want)
+		}
+		if a, b := viaPerm.Dump(), viaJoin.Dump(); a != b {
+			t.Fatalf("trial %d, %s, cols %v: databases differ\nApplyPart:\n%s\nApply(JoinParts):\n%s", trial, r, cols, a, b)
+		}
+		if trial%4 == 3 && len(r.ExportVars()) > 0 && got != (ApplyResult{}) {
+			t.Fatalf("trial %d, %s: cols %v lack an export variable yet %+v was derived", trial, r, cols, got)
+		}
+		derived += got.Added
+		truncated += got.Truncated
+	}
+	if derived == 0 || truncated == 0 {
+		t.Fatalf("the trials derived %d tuples and truncated %d bindings: the generator exercises nothing", derived, truncated)
+	}
+
+	// The arity error of a binding stays an error; a part tuple of another
+	// width never is one.
+	r := parseRule(t, "r: B:b(X,Y) -> A:a(Y,X)")
+	db := storage.New(relalg.MakeSchema("a", 2))
+	if _, err := Apply(db, r, []relalg.Tuple{{relalg.S("x")}}, ApplyOptions{}); err == nil {
+		t.Error("Apply accepted a 1-column binding over two export variables")
+	}
+	res, err := ApplyPart(db, r, PartTuples{Cols: []string{"X", "Y"}, Tuples: []relalg.Tuple{{relalg.S("x")}, {relalg.S("x"), relalg.S("y")}}}, ApplyOptions{})
+	if err != nil || res.Added != 1 || db.Dump() != "a{(y, x)}\n" {
+		t.Errorf("ApplyPart = %+v, %v, db %q", res, err, db.Dump())
+	}
+}
+
+// TestSkolemLabelAppended: the label the chase appends into its reused buffer
+// is byte for byte the concatenation Skolemize used to build —
+// "d<depth>|rule|var|" + binding.Key() — for nulls nested up to the invention
+// bound and beyond, and costs one allocation: the label's string.
+func TestSkolemLabelAppended(t *testing.T) {
+	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004)}
+	var buf []byte
+	for depth := 1; depth <= DefaultMaxNullDepth+2; depth++ {
+		want := relalg.Null("d" + strconv.Itoa(depth) + "|r7|Id|" + binding.Key())
+		got := Skolemize("r7", "Id", []string{"K", "Y"}, binding)
+		if got != want {
+			t.Fatalf("depth %d: Skolemize = %s, want %s", depth, got.Quoted(), want.Quoted())
+		}
+		if d := bindingDepth(binding) + 1; d != depth || NullDepth(got) != depth {
+			t.Fatalf("depth %d: bindingDepth+1 = %d, NullDepth = %d", depth, d, NullDepth(got))
+		}
+		buf = appendSkolemLabel(buf[:0], depth, "r7", "Id", binding)
+		if string(buf) != want.NullLabel() {
+			t.Fatalf("depth %d: appended %q, want %q", depth, buf, want.NullLabel())
+		}
+		var sink relalg.Value
+		if allocs := testing.AllocsPerRun(100, func() {
+			buf = appendSkolemLabel(buf[:0], depth, "r7", "Id", binding)
+			sink = relalg.Null(string(buf))
+		}); allocs != 1 || sink != want {
+			t.Fatalf("depth %d: %.0f allocations per label, want 1", depth, allocs)
+		}
+		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
+	}
+}

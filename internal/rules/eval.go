@@ -17,6 +17,12 @@ type PartTuples struct {
 // built-ins. A missing or empty part yields an empty result. The output is
 // distinct and in first-derivation order (see cq.Eval): a function of the
 // order of the parts' tuples, never of the hash seed.
+//
+// It is the join of a rule with several sources. A rule with one source has
+// nothing to join and nothing to deduplicate — the source's answer is a set
+// over exactly the export variables, and the head relations refuse a repeat —
+// so the peer feeds that answer to ApplyPart instead, which must derive what
+// Apply(JoinParts(...)) derives (TestApplyPartMatchesJoinThenApply).
 func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 	// Number the part columns once; bindings are rows indexed by slot.
 	sources := r.SourceNodes()

@@ -221,14 +221,35 @@ func NullDepth(v relalg.Value) int {
 // encodes the invention depth (1 + max depth of the binding values), which
 // ApplyResult uses to cut off pathological cyclic invention.
 func Skolemize(ruleID, variable string, exportVars []string, binding relalg.Tuple) relalg.Value {
-	depth := 1
+	_ = exportVars // part of the contract: binding is ordered by exportVars
+	var stack [128]byte
+	return relalg.Null(string(appendSkolemLabel(stack[:0], bindingDepth(binding)+1, ruleID, variable, binding)))
+}
+
+// bindingDepth is the deepest invention depth among the binding's values.
+func bindingDepth(binding relalg.Tuple) int {
+	depth := 0
 	for _, v := range binding {
-		if d := NullDepth(v) + 1; d > depth {
+		if d := NullDepth(v); d > depth {
 			depth = d
 		}
 	}
-	_ = exportVars // part of the contract: binding is ordered by exportVars
-	return relalg.Null("d" + strconv.Itoa(depth) + "|" + ruleID + "|" + variable + "|" + binding.Key())
+	return depth
+}
+
+// appendSkolemLabel appends the label of the null invented at the given depth
+// for a rule's existential variable under a binding:
+// d<depth>|<rule>|<variable>|<binding.Key()>. The bytes are a persisted
+// format (see TestSkolemLabelGolden).
+func appendSkolemLabel(b []byte, depth int, ruleID, variable string, binding relalg.Tuple) []byte {
+	b = append(b, 'd')
+	b = strconv.AppendInt(b, int64(depth), 10)
+	b = append(b, '|')
+	b = append(b, ruleID...)
+	b = append(b, '|')
+	b = append(b, variable...)
+	b = append(b, '|')
+	return binding.AppendKey(b)
 }
 
 // ApplyOptions tunes the chase step.
@@ -254,8 +275,44 @@ type ApplyResult struct {
 // Apply performs the local-update step A6: given the rule and the result set
 // of its body (bindings over ExportVars, in that column order), instantiate
 // every head atom — inventing deterministic nulls for existential variables —
-// and insert the tuples that are not already present.
+// and insert the tuples that are not already present. A binding of another
+// width is an error.
 func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (ApplyResult, error) {
+	return chase(db, r, bindings, nil, 0, opts)
+}
+
+// ApplyPart is Apply for a rule with one source, fed that source's part
+// result as it arrived. With no other part to join and every built-in applied
+// by the source, the part's columns are the export variables (sorted, see
+// BodyPart), so what JoinParts would do — join, project onto ExportVars,
+// deduplicate — is a column permutation of a set that is already distinct.
+// The chase reads each tuple through the permutation; the head relations'
+// duplicate check absorbs a repeated tuple (it re-derives identical Skolem
+// labels; only Truncated may count it twice). JoinParts' edge cases are kept:
+// a column list missing an export variable derives nothing, a tuple shorter
+// than the column list is skipped, a repeated column reads its last
+// occurrence.
+func ApplyPart(db *storage.DB, r Rule, part PartTuples, opts ApplyOptions) (ApplyResult, error) {
+	exportVars := r.ExportVars()
+	perm := make([]int, len(exportVars))
+	for i, v := range exportVars {
+		perm[i] = -1
+		for j, c := range part.Cols {
+			if c == v {
+				perm[i] = j
+			}
+		}
+		if perm[i] < 0 {
+			return ApplyResult{}, nil
+		}
+	}
+	return chase(db, r, part.Tuples, perm, len(part.Cols), opts)
+}
+
+// chase is the one loop behind Apply and ApplyPart. With a nil perm a tuple is
+// a binding over ExportVars; otherwise it is a part tuple of at least cols
+// columns and export variable i is read from column perm[i].
+func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, opts ApplyOptions) (ApplyResult, error) {
 	var res ApplyResult
 	exportVars := r.ExportVars()
 	maxDepth := opts.MaxNullDepth
@@ -284,33 +341,40 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 		}
 	}
 	env := make([]relalg.Value, slots.Len())
+	binding := relalg.Tuple(env[:len(exportVars)])
 	// One scratch tuple per head atom: the database copies what it stores.
 	scratch := make([]relalg.Tuple, len(r.Head))
 	for i, atom := range r.Head {
 		scratch[i] = make(relalg.Tuple, len(atom.Terms))
 	}
+	var label []byte // Skolem label scratch: one string allocation per null
 
-	for _, binding := range bindings {
-		if len(binding) != len(exportVars) {
-			return res, fmt.Errorf("rules: rule %s expects %d-column bindings over %v, got %d columns",
-				r.ID, len(exportVars), exportVars, len(binding))
+	for _, t := range tuples {
+		if perm == nil {
+			if len(t) != len(exportVars) {
+				return res, fmt.Errorf("rules: rule %s expects %d-column bindings over %v, got %d columns",
+					r.ID, len(exportVars), exportVars, len(t))
+			}
+			copy(binding, t)
+		} else {
+			if len(t) < cols {
+				continue
+			}
+			for i, c := range perm {
+				binding[i] = t[c]
+			}
 		}
-		copy(env, binding)
 		if len(existential) > 0 {
 			// Depth bound: inventing from a binding at depth >= max would
 			// create a null of depth max+1; skip and count.
-			depth := 0
-			for _, v := range binding {
-				if d := NullDepth(v); d > depth {
-					depth = d
-				}
-			}
+			depth := bindingDepth(binding)
 			if depth >= maxDepth {
 				res.Truncated++
 				continue
 			}
 			for i, ev := range existential {
-				env[len(exportVars)+i] = Skolemize(r.ID, ev, exportVars, binding)
+				label = appendSkolemLabel(label[:0], depth+1, r.ID, ev, binding)
+				env[len(exportVars)+i] = relalg.Null(string(label))
 			}
 		}
 		for i, atom := range r.Head {

@@ -311,7 +311,10 @@ func (db *DB) MarksFor(rels []string) Marks {
 }
 
 // DeltaSince returns, for each named relation, the tuples inserted after the
-// marks, and the advanced marks. Pass nil marks for "everything".
+// marks, and the advanced marks. Pass nil marks for "everything". The slices
+// are read-only views of the relations' logs (see relalg.Relation.Since):
+// nothing is copied under the lock, and they stay valid, unchanged, while the
+// relations grow.
 func (db *DB) DeltaSince(marks Marks, rels []string) (map[string][]relalg.Tuple, Marks) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
@@ -328,9 +331,7 @@ func (db *DB) DeltaSince(marks Marks, rels []string) (map[string][]relalg.Tuple,
 		}
 		delta, newMark := r.Since(mark)
 		if len(delta) > 0 {
-			cp := make([]relalg.Tuple, len(delta))
-			copy(cp, delta)
-			out[name] = cp
+			out[name] = delta
 		}
 		next[name] = newMark
 	}

@@ -220,3 +220,64 @@ func TestAddSchemaRejectsAttributeDrift(t *testing.T) {
 		t.Fatal("different-arity redeclaration must error")
 	}
 }
+
+// TestDeltaSinceAliasesAnImmutablePrefix: DeltaSince hands out views of the
+// relations' logs instead of copies. A view's capacity ends where it does, so
+// a caller's append cannot reach the relation; and it reads the same tuples
+// after 10 000 further inserts — made here by a concurrent inserter while the
+// reader walks its views and takes new ones, which is the access pattern of a
+// peer answering subscribers during an insert burst (run under -race).
+func TestDeltaSinceAliasesAnImmutablePrefix(t *testing.T) {
+	db := New(relalg.MakeSchema("p", 2))
+	tuple := func(i int) relalg.Tuple { return relalg.Tuple{relalg.S("k"), relalg.I(int64(i))} }
+	for i := 0; i < 10; i++ {
+		if _, err := db.Insert("p", tuple(i), InsertExact); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta, marks := db.DeltaSince(Marks{"p": 4}, []string{"p"})
+	view := delta["p"]
+	if len(view) != 6 || cap(view) != 6 || marks["p"] != 10 {
+		t.Fatalf("DeltaSince(4) = %d tuples, cap %d, mark %d; want 6, 6, 10", len(view), cap(view), marks["p"])
+	}
+	if _, err := db.Insert("p", tuple(10), InsertExact); err != nil {
+		t.Fatal(err)
+	}
+	_ = append(view, relalg.Tuple{relalg.S("intruder"), relalg.I(-1)})
+	if got := db.Rel("p").All()[10]; !got.Equal(tuple(10)) {
+		t.Fatalf("append to a DeltaSince view overwrote the log: %v", got)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 11; i < 10011; i++ {
+			if _, err := db.Insert("p", tuple(i), InsertExact); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	check := func(view []relalg.Tuple, from int) {
+		for i, tp := range view {
+			if !tp.Equal(tuple(from + i)) {
+				t.Fatalf("view[%d] from mark %d = %v", i, from, tp)
+			}
+		}
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		check(view, 4)
+		from := int(marks["p"])
+		delta, marks = db.DeltaSince(marks, []string{"p"})
+		check(delta["p"], from)
+	}
+	check(view, 4)
+	if marks["p"] != 10011 {
+		t.Fatalf("final mark %d, want 10011", marks["p"])
+	}
+}
