@@ -91,6 +91,7 @@ func (p *Peer) activateLocked(epoch uint64, from string, quiet bool) {
 		// A node with no incoming rules holds final data from the start.
 		p.stateU = Closed
 		p.ct.SetUpdateClosed(0)
+		p.dropIfClosedLocked()
 		p.notifySubsLocked(true)
 		return
 	}
@@ -162,7 +163,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		p.activateLocked(m.Epoch, "", false)
 	}
 
-	conj, err := cq.ParseConjunction(m.Conj)
+	q, err := p.questionLocked(m.Conj, m.Cols)
 	if err != nil {
 		// Malformed query: answer empty so the requester does not hang.
 		p.send(from, wire.Answer{Epoch: m.Epoch, RuleID: m.RuleID, Part: p.id,
@@ -170,19 +171,17 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		return
 	}
 
-	key := subKey(from, m.RuleID)
-	if prev, ok := p.subs[key]; ok && prev.epoch == m.Epoch {
+	prev, resub := p.subs[subKey(from, m.RuleID)]
+	if resub && prev.epoch == m.Epoch {
 		p.ct.AddDuplicateQueries(1)
 	}
-	sub := newSubscription(from, m.RuleID, m.Epoch, conj, m.Cols)
+	sub := &subscription{dependent: from, ruleID: m.RuleID, epoch: m.Epoch, q: q}
 	if p.opts.Delta {
 		// Delta state carries over only while the subscription asks the same
 		// question: a changed conjunction or column list (rule redefinition)
 		// re-primes from scratch, otherwise results of the new body over old
 		// data would never ship.
-		prev, carry := p.subs[key]
-		carry = carry && sameCols(prev.cols, m.Cols) && prev.conj.String() == sub.conj.String()
-		if carry && prev.marks != nil {
+		if resub && prev.q == q && prev.marks != nil {
 			sub.id = prev.id
 			sub.acked = prev.acked
 			sub.ackedDurable = prev.ackedDurable
@@ -225,7 +224,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 			sub.id = p.subSeq
 		}
 	}
-	p.subs[key] = sub
+	p.subscribeLocked(sub)
 
 	// Immediate answer with the current evaluation (A4's first step).
 	base := sub.marks.Clone()
@@ -234,7 +233,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		Epoch:    m.Epoch,
 		RuleID:   m.RuleID,
 		Part:     p.id,
-		Columns:  sub.cols,
+		Columns:  q.cols,
 		Tuples:   tuples,
 		Complete: p.stateU == Closed,
 		Delta:    p.opts.Delta,
@@ -242,6 +241,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 	}
 	sub.stamp(&ans, base)
 	p.send(from, ans)
+	p.dropIfClosedLocked()
 
 	// Forward own queries while open and not already on the chain (A4).
 	// In delta mode the forwarding is deduplicated per epoch: re-forwarding
@@ -255,8 +255,8 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		var need map[string]bool
 		if m.Scoped {
 			need = map[string]bool{}
-			for _, a := range conj.Atoms {
-				need[a.Rel] = true
+			for _, rel := range q.rels {
+				need[rel] = true
 			}
 		}
 		p.sendQueriesLocked(m.Path, m.Scoped, need)
@@ -271,49 +271,29 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 // persisted); the base is what lets the source extend its confirmed
 // frontiers contiguously, so an ack for a later answer cannot conceal an
 // earlier one that was dropped. A no-op for subscriptions without marks
-// (faithful mode) or not yet primed.
+// (faithful mode) or not yet primed. Both frontiers leave non-nil (the wire
+// codec delivers an empty map as nil, which readers treat as all-zero).
 func (sub *subscription) stamp(a *wire.Answer, base storage.Marks) {
 	if sub.marks == nil || !sub.primed {
 		return
 	}
 	a.SubID = sub.id
-	a.Base = seqsOf(base)
-	a.Seqs = seqsOf(sub.marks)
+	a.Base = base // the caller's own clone
+	a.Seqs = sub.marks.Clone()
 	sub.lastSent = time.Now()
 }
 
-// seqsOf renders marks as a wire frontier map (always non-nil on the sender
-// side; the wire codec delivers an empty map as nil, which readers treat as
-// all-zero).
-func seqsOf(m storage.Marks) map[string]uint64 {
-	out := make(map[string]uint64, len(m))
-	for rel, seq := range m {
-		out[rel] = seq
-	}
-	return out
-}
-
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// evalForSub evaluates a subscription's conjunction, returning the payload
-// to ship (the full result in faithful mode, the delta past the marks in
-// delta mode). Callers hold mu.
+// evalForSub evaluates a subscription's question, returning the payload to
+// ship (the full result in faithful mode, the delta past the marks in delta
+// mode). QueriesExecuted counts answers computed for a subscriber, shared or
+// not; evals counts the evaluations actually run. Callers hold mu.
 func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 	p.ct.AddQueries(1)
 	if sub.marks != nil {
 		return p.evalDeltaForSub(sub)
 	}
-	result, err := cq.Eval(p.db, sub.conj, sub.cols)
+	p.evals++
+	result, err := cq.Eval(p.db, sub.q.conj, sub.q.cols)
 	if err != nil {
 		return nil
 	}
@@ -326,28 +306,39 @@ func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 // those against the remaining atoms' full extents, so a push after a small
 // change costs O(delta) instead of O(result). A projection occasionally
 // re-derived through a new tuple may ship twice; the subscriber's insert
-// step deduplicates, so only bytes — not correctness — are at stake. Callers
-// hold mu.
+// step deduplicates, so only bytes — not correctness — are at stake. The
+// evaluation is the question's: a subscription it fits takes its tuples (see
+// question). The marks advance only past an evaluation that succeeded.
+// Callers hold mu.
 func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
-	if !sub.primed {
-		sub.marks = p.db.MarksFor(sub.rels)
-		sub.primed = true
-		result, err := cq.Eval(p.db, sub.conj, sub.cols)
+	q := sub.q
+	var base, next storage.Marks // base nil: the full evaluation that primes
+	var delta map[string][]relalg.Tuple
+	if sub.primed {
+		base = sub.marks
+		if delta, next = p.db.DeltaSince(base, q.rels); len(delta) == 0 {
+			sub.marks = next
+			return nil
+		}
+	} else {
+		next = p.db.MarksFor(q.rels)
+	}
+	if !q.fits(base, next) {
+		var out []relalg.Tuple
+		var err error
+		p.evals++
+		if base == nil {
+			out, err = cq.Eval(p.db, q.conj, q.cols)
+		} else {
+			out, err = cq.EvalDelta(p.db, q.conj, q.cols, delta)
+		}
 		if err != nil {
 			return nil
 		}
-		return result
+		q.last = &evaluation{base: base, next: next, tuples: out}
 	}
-	delta, next := p.db.DeltaSince(sub.marks, sub.rels)
-	sub.marks = next
-	if len(delta) == 0 {
-		return nil
-	}
-	out, err := cq.EvalDelta(p.db, sub.conj, sub.cols, delta)
-	if err != nil {
-		return nil
-	}
-	return out
+	sub.marks, sub.primed = next, true
+	return q.last.tuples
 }
 
 // handleAnswer implements A5 + A6. Callers hold mu.
@@ -446,7 +437,7 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 
 	// Closure liveness in cycles: new data must trigger fresh confirming
 	// cascades along this node's dependency paths.
-	if news && p.cyclic && p.pathsReady && p.stateU == Open {
+	if news && len(p.cycleVia) > 0 && p.pathsReady && p.stateU == Open {
 		p.sendQueriesLocked(nil, false, nil)
 	}
 }
@@ -566,6 +557,7 @@ func (p *Peer) pushToSubsLocked(route []string) {
 	for _, k := range p.subKeysLocked() {
 		p.evalAndSendLocked(p.subs[k], route)
 	}
+	p.dropIfClosedLocked()
 }
 
 // evalAndSendLocked re-evaluates one subscription and ships the answer,
@@ -581,7 +573,7 @@ func (p *Peer) evalAndSendLocked(sub *subscription, route []string) {
 		Epoch:    epoch,
 		RuleID:   sub.ruleID,
 		Part:     p.id,
-		Columns:  sub.cols,
+		Columns:  sub.q.cols,
 		Tuples:   tuples,
 		Complete: p.stateU == Closed,
 		Delta:    p.opts.Delta,
@@ -604,7 +596,7 @@ func (p *Peer) notifySubsLocked(complete bool) {
 			Epoch:    epoch,
 			RuleID:   sub.ruleID,
 			Part:     p.id,
-			Columns:  sub.cols,
+			Columns:  sub.q.cols,
 			Complete: complete,
 			Delta:    true, // empty delta: a pure flag carrier
 			Route:    []string{p.id},
@@ -624,6 +616,7 @@ func (p *Peer) checkClosureLocked() {
 	case closed && p.stateU == Open:
 		p.stateU = Closed
 		p.ct.SetUpdateClosed(time.Since(p.started))
+		p.dropIfClosedLocked()
 		p.notifySubsLocked(true)
 	case !closed && p.stateU == Closed:
 		p.stateU = Open
@@ -668,12 +661,11 @@ func (p *Peer) closureHoldsLocked() bool {
 				return false
 			}
 			confirmed := false
-			for key, stable := range p.paths {
-				parts := strings.Split(key, "\x00")
-				if len(parts) < 3 || parts[1] != src || parts[len(parts)-1] != p.id {
+			for key, via := range p.cycleVia {
+				if via != src {
 					continue // not a cyclic path through this source
 				}
-				if !stable {
+				if !p.paths[key] {
 					return false
 				}
 				confirmed = true
@@ -694,9 +686,9 @@ func (p *Peer) WaitingOn() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string
-	for key, stable := range p.paths {
-		if parts := strings.Split(key, "\x00"); !stable && parts[len(parts)-1] == p.id {
-			out = append(out, strings.Join(parts, "→"))
+	for key := range p.cycleVia {
+		if !p.paths[key] {
+			out = append(out, strings.ReplaceAll(key, "\x00", "→"))
 		}
 	}
 	for id, r := range p.rules {

@@ -311,9 +311,14 @@ func ApplyPart(db *storage.DB, r Rule, part PartTuples, opts ApplyOptions) (Appl
 
 // chase is the one loop behind Apply and ApplyPart. With a nil perm a tuple is
 // a binding over ExportVars; otherwise it is a part tuple of at least cols
-// columns and export variable i is read from column perm[i].
+// columns and export variable i is read from column perm[i]. Handed no tuples
+// it returns before any set-up: nearly every answer of an update is an empty
+// confirmation, and the slot table would be built for nothing.
 func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, opts ApplyOptions) (ApplyResult, error) {
 	var res ApplyResult
+	if len(tuples) == 0 {
+		return res, nil
+	}
 	exportVars := r.ExportVars()
 	maxDepth := opts.MaxNullDepth
 	if maxDepth <= 0 {
