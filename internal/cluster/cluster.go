@@ -116,10 +116,11 @@ type Options struct {
 	OutboxSize int
 	// BatchWindow, when positive, batches the wire protocol: Answers and
 	// AnswerAcks bound for the same member coalesce into wire.AnswerBatch
-	// frames within this window, and pending heartbeats piggyback on those
-	// frames instead of paying their own (transport.NewBatcher, shared by
-	// the hosted peer's traffic and the membership plane). Zero keeps one
-	// frame per message.
+	// frames, and pending heartbeats piggyback on those frames instead of
+	// paying their own (transport.NewBatcher, shared by the hosted peer's
+	// traffic and the membership plane). The window is the longest hold: a
+	// message to a quiet member leaves at once, one that finds the link busy
+	// waits at most this long. Zero keeps one frame per message.
 	BatchWindow time.Duration
 	// BatchBytes flushes a batch early once its payload estimate reaches
 	// this size (default 64KiB). Ignored without BatchWindow.

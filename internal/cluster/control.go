@@ -173,6 +173,10 @@ type ControlPlane struct {
 	hosts      map[string]string            // node -> member hosting it (absent = itself)
 	elections  map[string]map[string]uint64 // open promotions: node -> bidder -> frontier
 	promotions uint64                       // elections this member won
+	// deadAt is when this member folded each agreed death: local evidence
+	// bookkeeping, not agreed state (a restart starts it, and the detector
+	// it is compared against, afresh).
+	deadAt map[string]time.Time
 
 	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
 
@@ -203,6 +207,7 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 		rules:     map[string]string{},
 		hosts:     map[string]string{},
 		elections: map[string]map[string]uint64{},
+		deadAt:    map[string]time.Time{},
 		replaying: true,
 	}
 	cp.ctx, cp.stop = context.WithCancel(context.Background())
@@ -420,6 +425,7 @@ func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 			// A death declaration opens a promotion election for the dead
 			// member's own node and for every node it had adopted — all of
 			// them just lost their primary.
+			cp.deadAt[cmd.Node] = time.Now()
 			cp.startElectionLocked(cmd.Node)
 			for n, h := range cp.hosts {
 				if h == cmd.Node {
@@ -894,16 +900,7 @@ func (cp *ControlPlane) reconcileLoop() {
 			} else {
 				delete(suspectSince, m.Name)
 			}
-			cp.mu.Lock()
-			agreed := cp.view[m.Name]
-			cp.mu.Unlock()
-			// Death is sticky: once agreed dead, only a live return of the
-			// member itself may overwrite it. Proposing mere suspicion over
-			// an agreed death would re-open a decided election's premise.
-			if agreed == StatusDead && want != StatusAlive {
-				continue
-			}
-			if agreed == want {
+			if !cp.mayPropose(m, want) {
 				continue
 			}
 			// Re-check right before proposing: the quorum wait below can
@@ -919,6 +916,27 @@ func (cp *ControlPlane) reconcileLoop() {
 			cancel()
 		}
 	}
+}
+
+// mayPropose reports whether the detector's reading m of one member justifies
+// proposing want over its agreed status. Death is sticky: once agreed dead,
+// only a live return of the member itself may overwrite it — proposing mere
+// suspicion would re-open a decided election's premise, and so would an
+// "alive" from a detector that simply has not timed the member out yet: its
+// alive entry deletes the open election and nobody re-declares the death. An
+// alive over an agreed death must rest on evidence the dead member cannot
+// have left behind: a heartbeat heard more than one suspicion window after
+// this member folded the death. Inside that window an alive reading says
+// nothing (the member's last frames may still be queued here); past it, a
+// detector that had merely not timed the member out has.
+func (cp *ControlPlane) mayPropose(m MemberInfo, want Status) bool {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	agreed := cp.view[m.Name]
+	if agreed == StatusDead {
+		return want == StatusAlive && m.LastSeen.After(cp.deadAt[m.Name].Add(cp.tr.opts.SuspectAfter))
+	}
+	return agreed != want
 }
 
 // gossipStatus reads the failure detector's current belief about one member.
@@ -995,9 +1013,13 @@ func (cp *ControlPlane) restoreState(_ uint64, data []byte) {
 		return
 	}
 	cp.mu.Lock()
+	prevView := cp.view
 	cp.view = make(map[string]Status, len(st.View))
 	for n, s := range st.View {
 		cp.view[n] = Status(s)
+		if Status(s) == StatusDead && prevView[n] != StatusDead {
+			cp.deadAt[n] = time.Now() // a death learned by transfer is folded now
+		}
 	}
 	cp.version = st.Version
 	old := cp.rules

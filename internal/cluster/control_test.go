@@ -648,3 +648,65 @@ func TestAddLinkValidatesRule(t *testing.T) {
 		t.Fatalf("well-formed rule rejected by validation: %v", err)
 	}
 }
+
+// TestStaleAliveDoesNotCloseAnElection replays the fold trace behind the
+// TestRehomedNodeHasOneHost flake: E is agreed dead and its promotion election
+// opens; D's detector has not timed E out yet, so it still reads E alive — on
+// heartbeats older than the death. Proposing that reading would fold an alive
+// entry, which deletes the election, and nobody re-declares the death. The
+// proposer must hold back until it hears E a suspicion window after it folded
+// the death: E's last frames may still be queued at D when it does.
+func TestStaleAliveDoesNotCloseAnElection(t *testing.T) {
+	cp := &ControlPlane{
+		self:      "D",
+		members:   []string{"A", "B", "C", "D", "E"},
+		view:      map[string]Status{},
+		rules:     map[string]string{},
+		hosts:     map[string]string{},
+		elections: map[string]map[string]uint64{},
+		deadAt:    map[string]time.Time{},
+		replaying: true, // fold only: no bids, no drivers
+	}
+	cp.opts.Replication.K = 2
+	const suspectAfter = 150 * time.Millisecond
+	// Only the detector's settings are read from the transport.
+	cp.tr = &Transport{opts: Options{SuspectAfter: suspectAfter}}
+	heard := time.Now() // E's last heartbeat, before anyone declared it dead
+	member := func(st Status) wire.Command {
+		return wire.Command{Kind: "member", Node: "E", Status: uint8(st)}
+	}
+	cp.applyEntry(1, member(StatusAlive))
+	cp.applyEntry(2, member(StatusDead))
+	if n := len(cp.elections); n != 1 {
+		t.Fatalf("the agreed death opened %d elections, want 1", n)
+	}
+
+	stale := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: heard}
+	if cp.mayPropose(stale, StatusAlive) {
+		t.Fatal("a detector that last heard E before its death may propose it alive")
+	}
+	// E's last frames, still queued at D when it folded the death.
+	stale.LastSeen = cp.deadAt["E"].Add(suspectAfter)
+	if cp.mayPropose(stale, StatusAlive) {
+		t.Fatal("a heartbeat inside the suspicion window after the death may propose E alive")
+	}
+	if cp.mayPropose(MemberInfo{Name: "E", Status: StatusSuspect, LastSeen: heard}, StatusSuspect) {
+		t.Fatal("suspicion may be proposed over an agreed death")
+	}
+	if n := len(cp.elections); n != 1 {
+		t.Fatalf("%d elections open after the stale readings, want the one still open", n)
+	}
+
+	back := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: cp.deadAt["E"].Add(suspectAfter + 1)}
+	if !cp.mayPropose(back, StatusAlive) {
+		t.Fatal("a heartbeat heard a suspicion window after the death must be allowed to propose E alive")
+	}
+	// What the stale proposal would have done, and the fresh one rightly does.
+	cp.applyEntry(3, member(StatusAlive))
+	if n := len(cp.elections); n != 0 {
+		t.Fatalf("E is back and %d elections stay open", n)
+	}
+	if cp.mayPropose(back, StatusAlive) {
+		t.Fatal("alive over agreed alive is not a proposal")
+	}
+}

@@ -89,11 +89,13 @@ type Options struct {
 	ResendEvery time.Duration
 	// BatchWindow, when positive, wraps the transport in a Batcher
 	// (transport.NewBatcher): Answers and AnswerAcks bound for the same peer
-	// coalesce into wire.AnswerBatch frames within this window, and pending
-	// acks piggyback on the next outgoing frame instead of paying their own
-	// — the batched, ack-piggybacked wire protocol. Zero sends every message
-	// as its own frame, as before. Ignored in Synchronous mode, whose BSP
-	// stepping needs every send delivered by the next round.
+	// coalesce into wire.AnswerBatch frames, and pending acks piggyback on
+	// the next outgoing frame instead of paying their own — the batched,
+	// ack-piggybacked wire protocol. The window is the longest hold: a
+	// message to a quiet peer leaves at once, one that finds the link busy
+	// waits at most this long. Zero sends every message as its own frame.
+	// Ignored in Synchronous mode, whose BSP stepping needs every send
+	// delivered by the next round.
 	BatchWindow time.Duration
 	// Hosted, when non-empty, restricts the network to hosting only the named
 	// nodes of the definition: only their peers are built, seeded and (with

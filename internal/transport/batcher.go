@@ -27,23 +27,30 @@ import (
 // Quiescence: when the inner transport offers WorkTracker (the in-memory
 // router), every held message is accounted as in-flight work until its frame
 // reaches the inner transport, so the quiescence oracle never declares a
-// network settled with batches still buffered. A background flusher bounds
-// how long a message may wait (flush-on-idle); Close flushes everything
-// before closing the inner transport (flush-on-Close), so final acks and
-// trailing frames still drain.
+// network settled with batches still buffered.
+//
+// Flush rule, as Nagle's: a message is held only while its link is busy. A
+// data message to a destination that has been quiet is handed to the flusher
+// goroutine at once and leaves with whatever the same handler turn added
+// before the hand-off completed; what follows while the link stays busy
+// waits, at most one window from the oldest held message — the window is the
+// longest hold, not the usual one. Close ships everything still held.
 type Batcher struct {
 	inner   Transport
 	window  time.Duration
 	maxByte int
-	tracker WorkTracker // inner's quiescence accounting, when offered
+	tracker WorkTracker      // inner's quiescence accounting, when offered
+	now     func() time.Time // time.Now; tests substitute a clock they set
 
 	mu     sync.Mutex
-	bufs   map[[2]string]*batchBuf
+	bufs   map[[2]string]*batchBuf // kept across flushes while lastData matters
 	closed bool
 
+	wake     chan struct{} // cap 1: a buffer is ready, started holding, or came due
 	quit     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+	passes   atomic.Uint64 // flusher passes; an idle Batcher makes none
 
 	frames    atomic.Uint64 // frames handed to the inner transport
 	coalesced atomic.Uint64 // messages that shared a frame instead of paying their own
@@ -53,8 +60,9 @@ type Batcher struct {
 
 // BatcherOptions tunes a Batcher.
 type BatcherOptions struct {
-	// Window bounds how long a held message may wait for companions before
-	// its buffer flushes (default 2ms).
+	// Window is the longest hold (default 2ms): a message to a quiet
+	// destination ships at once, one that arrives while the link is busy
+	// leaves at most this long after the oldest message held with it.
 	Window time.Duration
 	// MaxBytes flushes a destination's buffer once its estimated payload
 	// reaches this size, so a burst never builds an oversized frame
@@ -86,6 +94,8 @@ type batchBuf struct {
 	deltas     []wire.WatchDelta
 	bytes      int
 	since      time.Time // when the oldest held message arrived
+	lastData   time.Time // when the latest data message arrived, across flushes
+	ready      bool      // a message found the link quiet: ship at the next flusher pass
 }
 
 func (b *batchBuf) held() int {
@@ -109,7 +119,9 @@ func NewBatcher(inner Transport, opts BatcherOptions) *Batcher {
 		inner:   inner,
 		window:  opts.Window,
 		maxByte: opts.MaxBytes,
+		now:     time.Now,
 		bufs:    map[[2]string]*batchBuf{},
+		wake:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
 	b.tracker, _ = inner.(WorkTracker)
@@ -145,86 +157,63 @@ func (b *Batcher) TrackWork(delta int) {
 	}
 }
 
-// Send implements Transport. Answers, AnswerAcks and Heartbeats are held for
-// coalescing; any other kind flushes the destination first and passes
-// through, preserving order.
+// quietDiv sets when a link counts as quiet: no data message to the
+// destination for window/quietDiv (250µs by default). The messages of one
+// handler turn, and of back-to-back turns of an update wave, follow each
+// other within microseconds, so only the first of a burst finds the link
+// quiet and the rest coalesce behind it; live events further apart each ship
+// at once. It is a dial between latency and frames, measured at 4, 8 and 64:
+// 4 reads like 8; 64 takes live-fanout's p50 from 2.3 to 0.9–1.9 ms and E16's
+// frame reduction from 52–58× to 18–20× (clique) and 18–22× to 12–17× (ring),
+// against a floor of 10×.
+const quietDiv = 8
+
+// Send implements Transport. Answers, acks, replica and watch traffic and
+// Heartbeats are held for coalescing; any other kind flushes the destination
+// first and passes through, preserving order.
 func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	key := [2]string{from, to}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed {
-		b.mu.Unlock()
 		return ErrClosed
+	}
+	buf := b.bufs[key]
+	if buf == nil {
+		buf = &batchBuf{}
+		b.bufs[key] = buf
+	}
+	now, first := b.now(), buf.held() == 0
+	if first {
+		buf.since = now
 	}
 	switch m := msg.(type) {
 	case wire.Answer:
-		buf := b.buf(key)
 		buf.answers = append(buf.answers, m)
-		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.AnswerAck:
-		buf := b.buf(key)
 		buf.acks = append(buf.acks, m)
-		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
-	case wire.Heartbeat:
-		buf := b.buf(key)
-		if buf.beat == nil {
-			b.TrackWork(1)
-		}
-		hb := m
-		buf.beat = &hb // latest wins: a heartbeat only asserts "still alive"
-		b.mu.Unlock()
-		return nil
 	case wire.ReplicaAppend:
 		// The replication stream batches like the answer stream it mirrors:
 		// a primary's flush round produces one append per relation per
 		// mirror, and they share a frame per destination.
-		buf := b.buf(key)
 		buf.repAppends = append(buf.repAppends, m)
-		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.ReplicaAck:
-		buf := b.buf(key)
 		buf.repAcks = append(buf.repAcks, m)
-		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
-		}
-		b.mu.Unlock()
-		return err
 	case wire.WatchDelta:
 		// Watch-stream deliveries batch like the answer stream: a hot relation
 		// fanning out to many remote watchers of one client shares frames.
-		buf := b.buf(key)
 		buf.deltas = append(buf.deltas, m)
-		buf.bytes += m.Size()
-		b.TrackWork(1)
-		var err error
-		if buf.bytes >= b.maxByte {
-			err = b.flushLocked(key)
+	case wire.Heartbeat:
+		// A heartbeat never ships early and does not make the link busy: it
+		// rides the next frame or waits the window.
+		if buf.beat == nil {
+			b.TrackWork(1)
 		}
-		b.mu.Unlock()
-		return err
+		buf.beat = &m // latest wins: a heartbeat only asserts "still alive"
+		if first {
+			b.poke() // only to arm the timer for it
+		}
+		return nil
 	default:
 		err := b.flushLocked(key)
 		b.frames.Add(1)
@@ -232,24 +221,33 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		// interleave a frame between them and break FIFO per destination.
 		// Both inner transports enqueue or spawn without waiting on delivery.
 		serr := b.inner.Send(from, to, msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
-		b.mu.Unlock()
 		if serr != nil {
 			return serr
 		}
 		return err
 	}
+	// Every data kind: a full buffer ships inline, a message that found the
+	// link quiet makes its buffer ready, anything else waits for the timer.
+	b.TrackWork(1)
+	buf.bytes += msg.Size()
+	quiet := now.Sub(buf.lastData) >= b.window/quietDiv
+	buf.lastData = now
+	if buf.bytes >= b.maxByte {
+		return b.flushLocked(key)
+	}
+	buf.ready = buf.ready || quiet
+	if quiet || first {
+		b.poke()
+	}
+	return nil
 }
 
-// buf returns (creating on demand) the destination's buffer. Callers hold mu.
-func (b *Batcher) buf(key [2]string) *batchBuf {
-	buf := b.bufs[key]
-	if buf == nil {
-		buf = &batchBuf{since: time.Now()}
-		b.bufs[key] = buf
-	} else if buf.held() == 0 {
-		buf.since = time.Now()
+// poke wakes the flusher for a pass. It never blocks, so callers may hold mu.
+func (b *Batcher) poke() {
+	select {
+	case b.wake <- struct{}{}:
+	default: // a wake-up is already pending; its pass will see this buffer too
 	}
-	return buf
 }
 
 // flushLocked ships one destination's held traffic: a lone message goes out
@@ -257,13 +255,10 @@ func (b *Batcher) buf(key [2]string) *batchBuf {
 // or more coalesce into an AnswerBatch. Callers hold mu.
 func (b *Batcher) flushLocked(key [2]string) error {
 	buf := b.bufs[key]
-	if buf == nil {
+	if buf == nil || buf.held() == 0 {
 		return nil
 	}
 	n := buf.held()
-	if n == 0 {
-		return nil
-	}
 	var msg wire.Message
 	switch {
 	case n == 1 && len(buf.answers) == 1:
@@ -292,56 +287,58 @@ func (b *Batcher) flushLocked(key [2]string) error {
 			b.piggyHB.Add(1)
 		}
 	}
-	delete(b.bufs, key)
+	*buf = batchBuf{lastData: buf.lastData}
 	b.frames.Add(1)
 	err := b.inner.Send(key[0], key[1], msg)
 	b.TrackWork(-n)
 	return err
 }
 
-// flushAllLocked drains every buffer. Callers hold mu.
-func (b *Batcher) flushAllLocked() error {
-	var first error
-	for key := range b.bufs {
-		if err := b.flushLocked(key); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Flush forces every held message onto the inner transport immediately.
-func (b *Batcher) Flush() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.flushAllLocked()
-}
-
-// flushLoop is the flush-on-idle timer: any buffer older than the window is
-// shipped, so a lone trailing message never waits on traffic that is not
-// coming.
+// flushLoop is the flusher goroutine: woken by Send for a ready buffer, and
+// by one timer armed for the earliest since+window among the held buffers.
+// While nothing is held the timer is parked and the goroutine never wakes.
 func (b *Batcher) flushLoop() {
 	defer b.wg.Done()
-	tick := b.window / 2
-	if tick < 500*time.Microsecond {
-		tick = 500 * time.Microsecond
-	}
-	t := time.NewTicker(tick)
+	t := time.AfterFunc(b.window, b.poke)
+	t.Stop() // parked until a pass finds something held
 	defer t.Stop()
 	for {
 		select {
 		case <-b.quit:
 			return
-		case now := <-t.C:
-			b.mu.Lock()
-			for key, buf := range b.bufs {
-				if buf.held() > 0 && now.Sub(buf.since) >= b.window {
-					_ = b.flushLocked(key)
-				}
-			}
-			b.mu.Unlock()
+		case <-b.wake:
+		}
+		if wait := b.flushDue(); wait > 0 {
+			t.Reset(wait)
+		} else {
+			t.Stop()
 		}
 	}
+}
+
+// flushDue is one flusher pass: it ships every buffer that is ready or one
+// window old, and returns how long until the next held buffer is due (zero:
+// nothing is held, the timer parks).
+func (b *Batcher) flushDue() time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.passes.Add(1)
+	now := b.now()
+	var wait time.Duration
+	for key, buf := range b.bufs {
+		if buf.held() == 0 {
+			if now.Sub(buf.lastData) >= b.window {
+				delete(b.bufs, key) // long quiet: a missing buffer reads as quiet too
+			}
+			continue
+		}
+		if due := buf.since.Add(b.window).Sub(now); buf.ready || due <= 0 {
+			_ = b.flushLocked(key)
+		} else if wait == 0 || due < wait {
+			wait = due
+		}
+	}
+	return wait
 }
 
 // Close flushes every buffer and closes the inner transport (flush-on-Close:
@@ -353,7 +350,9 @@ func (b *Batcher) Close() error {
 		return b.inner.Close()
 	}
 	b.closed = true
-	_ = b.flushAllLocked() // shutdown send errors surface via inner.Close
+	for key := range b.bufs {
+		_ = b.flushLocked(key) // shutdown send errors surface via inner.Close
+	}
 	b.mu.Unlock()
 	b.stopOnce.Do(func() { close(b.quit) })
 	b.wg.Wait()
