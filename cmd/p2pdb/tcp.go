@@ -16,8 +16,7 @@ import (
 // same core.Build facade as the in-memory runs: the TCP mesh gives each peer
 // its own loopback listener, and orchestration — lacking a global quiescence
 // oracle on a real network, exactly as in the paper's JXTA deployment —
-// judges quiescence by polling the peers' message counters until they hold
-// still.
+// judges quiescence by balancing the peers' message counters.
 func cmdTCP(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: p2pdb tcp <net-file>")

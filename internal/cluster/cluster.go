@@ -771,6 +771,6 @@ func (c *Transport) BatchStats() (transport.BatchStats, bool) {
 
 // IsCoordinator reports whether a member name belongs to the control plane
 // rather than the database network.
-func IsCoordinator(name string) bool { return strings.HasPrefix(name, "@") }
+func IsCoordinator(name string) bool { return strings.HasPrefix(name, wire.CoordinatorPrefix) }
 
 var _ transport.Transport = (*Transport)(nil)

@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/relalg"
 	"repro/internal/rules"
+	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -425,5 +429,169 @@ func TestOnMemberUpFiresOnRejoin(t *testing.T) {
 		case <-deadline:
 			t.Fatal("OnMemberUp never fired for the rejoined member")
 		}
+	}
+}
+
+// stallPoll is the coordinator's cadence in the stalled-handler tests: long
+// enough that two rounds and five still ones are told apart by more than a
+// loaded box's jitter.
+const stallPoll = 100 * time.Millisecond
+
+// chainCluster boots chainNet as three plain members and a coordinator polling
+// every stallPoll, and runs discovery and the first update.
+func chainCluster(t *testing.T) (*Coordinator, map[string]*core.Network) {
+	def := mustDef(t, chainNet)
+	book := map[string]string{}
+	nets := map[string]*core.Network{}
+	for _, decl := range def.Nodes {
+		seed := map[string]string{}
+		for k, v := range book {
+			seed[k] = v
+		}
+		n, tr := startMember(t, chainNet, decl.Name, seed, "")
+		t.Cleanup(func() { n.Close() })
+		nets[decl.Name] = n
+		book[decl.Name] = tr.Addr()
+	}
+	opts := fastCoordOpts()
+	opts.PollEvery = stallPoll
+	coord, err := NewCoordinator(def, "127.0.0.1:0", book, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	ctx := testCtx(t)
+	if err := coord.WaitMembers(ctx, len(def.Nodes)); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Update(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return coord, nets
+}
+
+// quiesceAcrossAStall inserts at C while B's insert listener stalls once, past
+// the five still rounds that used to settle; want is what A must hold when
+// Quiesce returns, which must be about two rounds after the handler and not
+// the five still ones (five polls and more) that used to follow it.
+func quiesceAcrossAStall(t *testing.T, coord *Coordinator, nets map[string]*core.Network, want int) {
+	ctx := testCtx(t)
+	var once sync.Once
+	var handlerDone time.Time // written inside once, read after Quiesce returned
+	nets["B"].Peer("B").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+		once.Do(func() {
+			time.Sleep(6 * stallPoll)
+			handlerDone = time.Now()
+		})
+	})
+	if _, err := nets["C"].Node("C").Insert(ctx, "c", relalg.Tuple{relalg.S("9"), relalg.S("10")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Quiesce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	returned := time.Now()
+	rows, err := coord.Query(ctx, "A", "a(X,Y)", []string{"X", "Y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != want {
+		t.Fatalf("quiesce returned while B was still handling C's answer: A holds %v", rows)
+	}
+	once.Do(func() { t.Error("B's listener never ran") })
+	lag := returned.Sub(handlerDone)
+	t.Logf("quiesce returned %v after the stalled handler", lag)
+	if lag > 7*stallPoll/2 {
+		t.Errorf("quiesce returned %v after the stalled handler finished, want about two rounds", lag)
+	}
+}
+
+// TestCoordinatorQuiesceStalledHandler is core's stalled-handler case judged
+// over the wire. While B's handler stalls B answers no round, and the round
+// that finally completes mixes reports read half a second apart: A and C as
+// they were when the round was asked, B as it is after forwarding to A. It
+// must not be taken for settled together with whatever came before, and the
+// confirming round must not be one that was asked before B had finished.
+func TestCoordinatorQuiesceStalledHandler(t *testing.T) {
+	coord, nets := chainCluster(t)
+	quiesceAcrossAStall(t, coord, nets, 3)
+}
+
+// TestCoordinatorVerbsLeaveTheCountersBalanced: a coordinator keeps no
+// counters, so what it sends — a broadcast, a rule notice — is started by
+// nobody and must be finished by nobody. Counted received, each would leave
+// the totals one surplus message at rest, and a wave with exactly that many
+// in flight would read balanced in two rounds running.
+func TestCoordinatorVerbsLeaveTheCountersBalanced(t *testing.T) {
+	coord, nets := chainCluster(t)
+	ctx := testCtx(t)
+	if err := coord.Broadcast(chainNet); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.AddLink("rx: C:c(X,Y) -> A:a(X,Y)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Update(ctx); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := coord.CollectStats(ctx)
+	if err != nil || len(snaps) != 3 {
+		t.Fatalf("CollectStats = %d snapshots, err %v", len(snaps), err)
+	}
+	if started, finished := protocolTotals(snaps); started != finished {
+		t.Fatalf("at rest after a broadcast and an addLink: %d started, %d finished", started, finished)
+	}
+	// So the next wave is judged from zero: not early, and with no window.
+	quiesceAcrossAStall(t, coord, nets, 6)
+}
+
+// TestDiscoverWaitsForAnAsynchronousKick pins Discover against a member that
+// behaves as one under the control plane does: the request becomes an agreed
+// log entry first and the wave starts later. A scripted member (real
+// transport, no peer) runs its "wave" 200 ms after taking the request and
+// reports it started (StateReport.Waves) from then on; a balance read before
+// that is a network that has not begun. Discover must wait for the wave, and
+// return a round or two after it rather than a window later.
+func TestDiscoverWaitsForAnAsynchronousKick(t *testing.T) {
+	tr, err := New("A", "127.0.0.1:0", nil, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const kickDelay = 200 * time.Millisecond
+	var waves atomic.Uint64
+	if err := tr.Register("A", func(env wire.Envelope) {
+		switch m := env.Msg.(type) {
+		case wire.DiscoverRequest:
+			time.AfterFunc(kickDelay, func() { waves.Add(1) })
+		case wire.StateRequest:
+			_ = tr.Send("A", env.From, wire.StateReport{Node: "A", Waves: waves.Load()})
+		case wire.StatsRequest:
+			n := waves.Load()
+			_ = tr.Send("A", env.From, wire.StatsReport{Seq: m.Seq, Snapshot: stats.Snapshot{Node: "A",
+				MsgsSent: map[string]uint64{"requestNodes": n}, MsgsReceived: map[string]uint64{"discoveryAnswer": n}}})
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tr.Announce()
+	coord, err := NewCoordinator(mustDef(t, "node A { rel a(x,y) }\n"), "127.0.0.1:0", map[string]string{"A": tr.Addr()}, fastCoordOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx := testCtx(t)
+	if err := coord.WaitMembers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := coord.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); waves.Load() != 1 || took > kickDelay+12*fastCoordOpts().PollEvery {
+		t.Fatalf("Discover returned after %v with %d waves run, want the one wave and a few rounds past %v", took, waves.Load(), kickDelay)
 	}
 }

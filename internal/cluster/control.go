@@ -177,6 +177,11 @@ type ControlPlane struct {
 	// bookkeeping, not agreed state (a restart starts it, and the detector
 	// it is compared against, afresh).
 	deadAt map[string]time.Time
+	// deadInst is the instance that folded each agreed death; folded the last
+	// member entry folded here, the premise (Ref) of this member's proposals:
+	// an alive premised on less than the death it meets had not seen it.
+	deadInst map[string]uint64
+	folded   atomic.Uint64
 
 	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
 
@@ -208,6 +213,7 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 		hosts:     map[string]string{},
 		elections: map[string]map[string]uint64{},
 		deadAt:    map[string]time.Time{},
+		deadInst:  map[string]uint64{},
 		replaying: true,
 	}
 	cp.ctx, cp.stop = context.WithCancel(context.Background())
@@ -417,7 +423,14 @@ func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 	switch cmd.Kind {
 	case "member":
 		cp.mu.Lock()
+		cp.folded.Store(instance)
 		prev := cp.view[cmd.Node]
+		if prev == StatusDead && Status(cmd.Status) == StatusAlive && cmd.Ref != 0 && cmd.Ref < cp.deadInst[cmd.Node] {
+			// Proposed before its proposer had folded the death (Ref 0: no
+			// premise, honoured): it would delete the election for nothing.
+			cp.mu.Unlock()
+			return
+		}
 		cp.view[cmd.Node] = Status(cmd.Status)
 		cp.version++
 		switch {
@@ -426,6 +439,7 @@ func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 			// member's own node and for every node it had adopted — all of
 			// them just lost their primary.
 			cp.deadAt[cmd.Node] = time.Now()
+			cp.deadInst[cmd.Node] = instance
 			cp.startElectionLocked(cmd.Node)
 			for n, h := range cp.hosts {
 				if h == cmd.Node {
@@ -793,7 +807,7 @@ func (w *planeWave) Settle(ctx context.Context) error {
 			}
 		}
 		cp.mu.Unlock()
-		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, cp.opts.RoundTimeout, &cp.states)
+		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, cp.opts.RoundTimeout, &cp.states, nil)
 		if err != nil {
 			return "", false, err
 		}
@@ -900,6 +914,7 @@ func (cp *ControlPlane) reconcileLoop() {
 			} else {
 				delete(suspectSince, m.Name)
 			}
+			premise := cp.folded.Load() // read before judging: what the proposal knows of the log
 			if !cp.mayPropose(m, want) {
 				continue
 			}
@@ -911,7 +926,7 @@ func (cp *ControlPlane) reconcileLoop() {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), cp.opts.RoundTimeout)
 			_, _ = cp.cons.Submit(ctx, wire.Command{
-				Kind: "member", Node: m.Name, Addr: m.Addr, Status: uint8(want),
+				Kind: "member", Node: m.Name, Addr: m.Addr, Status: uint8(want), Ref: premise,
 			})
 			cancel()
 		}
@@ -924,11 +939,10 @@ func (cp *ControlPlane) reconcileLoop() {
 // suspicion would re-open a decided election's premise, and so would an
 // "alive" from a detector that simply has not timed the member out yet: its
 // alive entry deletes the open election and nobody re-declares the death. An
-// alive over an agreed death must rest on evidence the dead member cannot
-// have left behind: a heartbeat heard more than one suspicion window after
-// this member folded the death. Inside that window an alive reading says
-// nothing (the member's last frames may still be queued here); past it, a
-// detector that had merely not timed the member out has.
+// alive over a death this member has folded (one it has not is refused by the
+// fold, applyEntry) must rest on evidence the dead member cannot have left
+// behind: a heartbeat heard more than a suspicion window after the fold —
+// inside it the member's last frames may still be queued here.
 func (cp *ControlPlane) mayPropose(m MemberInfo, want Status) bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -961,6 +975,7 @@ type controlState struct {
 	Rules       map[string]string            // rule ID -> rule text
 	Hosts       map[string]string            // node -> hosting member
 	Elections   map[string]map[string]uint64 // open promotions: node -> bidder -> frontier
+	DeadInst    map[string]uint64            // node -> instance that folded its agreed death
 }
 
 // snapshotState serialises the current fold for a catching-up peer.
@@ -989,6 +1004,10 @@ func (cp *ControlPlane) snapshotState() []byte {
 		}
 		st.Elections[n] = cp2
 	}
+	st.DeadInst = make(map[string]uint64, len(cp.deadInst))
+	for n, i := range cp.deadInst {
+		st.DeadInst[n] = i
+	}
 	if cp.pending != nil {
 		st.PendingInst = cp.pending.instance
 		st.PendingNode = cp.pending.node
@@ -1007,12 +1026,13 @@ func (cp *ControlPlane) snapshotState() []byte {
 // this member's head-local rules. Runs on the consensus applier goroutine,
 // or synchronously inside New when the applied log opens with a snapshot
 // marker from an earlier transfer.
-func (cp *ControlPlane) restoreState(_ uint64, data []byte) {
+func (cp *ControlPlane) restoreState(through uint64, data []byte) {
 	var st controlState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return
 	}
 	cp.mu.Lock()
+	cp.folded.Store(through)
 	prevView := cp.view
 	cp.view = make(map[string]Status, len(st.View))
 	for n, s := range st.View {
@@ -1035,6 +1055,10 @@ func (cp *ControlPlane) restoreState(_ uint64, data []byte) {
 	cp.elections = st.Elections
 	if cp.elections == nil {
 		cp.elections = map[string]map[string]uint64{}
+	}
+	cp.deadInst = st.DeadInst
+	if cp.deadInst == nil {
+		cp.deadInst = map[string]uint64{}
 	}
 	cp.pending = nil
 	if st.PendingInst > 0 {

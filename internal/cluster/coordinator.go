@@ -70,10 +70,12 @@ func (in *inbox[T]) put(from string, val T) {
 
 // round runs one request round against targets: send one request to each,
 // then wait until every one of them has a reply fresher than the round start
-// (or timeout passes). It returns the fresh replies and whether the round was
-// complete. The coordinator's polls and the control plane's driver polls are
-// both this function.
-func round[T any](ctx context.Context, send func(to string, msg wire.Message) error, targets []string, req wire.Message, timeout time.Duration, in *inbox[T]) (map[string]T, bool, error) {
+// (or timeout passes) that answers req — a nil answers takes any: arrival time
+// alone cannot tell a late reply to an earlier round from this one's. It
+// returns the fresh replies and whether the round was complete. The
+// coordinator's polls and the control plane's driver polls are both this
+// function.
+func round[T any](ctx context.Context, send func(to string, msg wire.Message) error, targets []string, req wire.Message, timeout time.Duration, in *inbox[T], answers func(T) bool) (map[string]T, bool, error) {
 	start := time.Now()
 	for _, p := range targets {
 		_ = send(p, req)
@@ -82,7 +84,7 @@ func round[T any](ctx context.Context, send func(to string, msg wire.Message) er
 		fresh := map[string]T{}
 		in.mu.Lock()
 		for name, r := range in.last {
-			if !r.at.Before(start) {
+			if !r.at.Before(start) && (answers == nil || answers(r.val)) {
 				fresh[name] = r.val
 			}
 		}
@@ -115,7 +117,8 @@ type Coordinator struct {
 	tr   *Transport
 	opts CoordinatorOptions
 
-	stats    inbox[stats.Snapshot]
+	stats    inbox[wire.StatsReport]
+	statsSeq atomic.Uint64 // last StatsRequest.Seq; starts at the clock, so a namesake's late replies read stale
 	states   inbox[wire.StateReport]
 	replicas inbox[wire.ReplicaStatusReport]
 
@@ -151,6 +154,7 @@ func NewCoordinator(def *rules.Network, listenAddr string, extra map[string]stri
 		queries: map[uint64]chan wire.QueryResult{},
 		watches: map[uint64]*RemoteWatch{},
 	}
+	c.statsSeq.Store(uint64(time.Now().UnixNano()))
 	if err := tr.Register(opts.Name, c.handle); err != nil {
 		_ = tr.Close()
 		return nil, err
@@ -169,7 +173,7 @@ func (c *Coordinator) Transport() *Transport { return c.tr }
 func (c *Coordinator) handle(env wire.Envelope) {
 	switch m := env.Msg.(type) {
 	case wire.StatsReport:
-		c.stats.put(m.Snapshot.Node, m.Snapshot)
+		c.stats.put(m.Snapshot.Node, m)
 	case wire.StateReport:
 		c.states.put(m.Node, m)
 	case wire.ReplicaStatusReport:
@@ -258,13 +262,26 @@ func (c *Coordinator) send(to string, msg wire.Message) error {
 
 // ask runs one request round against the alive peers.
 func ask[T any](ctx context.Context, c *Coordinator, req wire.Message, in *inbox[T]) (map[string]T, bool, error) {
-	return round(ctx, c.send, c.alivePeers(), req, c.opts.RoundTimeout, in)
+	return round(ctx, c.send, c.alivePeers(), req, c.opts.RoundTimeout, in, nil)
+}
+
+// askStats runs one statistics round. The request carries a number the reports
+// echo, so every snapshot returned was taken after this round's request left.
+func (c *Coordinator) askStats(ctx context.Context) (map[string]stats.Snapshot, bool, error) {
+	seq := c.statsSeq.Add(1)
+	reps, complete, err := round(ctx, c.send, c.alivePeers(), wire.StatsRequest{Seq: seq}, c.opts.RoundTimeout, &c.stats,
+		func(r wire.StatsReport) bool { return r.Seq >= seq })
+	snaps := make(map[string]stats.Snapshot, len(reps))
+	for name, r := range reps {
+		snaps[name] = r.Snapshot
+	}
+	return snaps, complete, err
 }
 
 // CollectStats gathers every alive peer's statistics snapshot through the
 // wire (the super-peer verb of Section 5, played remotely).
 func (c *Coordinator) CollectStats(ctx context.Context) (map[string]stats.Snapshot, error) {
-	snaps, _, err := ask(ctx, c, wire.StatsRequest{}, &c.stats)
+	snaps, _, err := c.askStats(ctx)
 	return snaps, err
 }
 
@@ -290,53 +307,115 @@ func (c *Coordinator) States(ctx context.Context) (map[string]wire.StateReport, 
 	return states, err
 }
 
-// protocolTotals sums the peers' sent/received counters, excluding the
-// control-plane kinds: the polling itself must not look like traffic, and
-// replies flowing to the counter-less coordinator must not register as a
-// permanent deficit.
-func protocolTotals(snaps map[string]stats.Snapshot) (sent, recv uint64) {
-	ctl := wire.ControlKinds()
+// protocolTotals sums the peers' sent (started) and received (finished)
+// counters, excluding the control-plane kinds: the polling itself must not
+// look like traffic, and replies flowing to the counter-less coordinator must
+// not register as a permanent deficit.
+func protocolTotals(snaps map[string]stats.Snapshot) (started, finished uint64) {
 	for _, s := range snaps {
 		for kind, n := range s.MsgsSent {
-			if !ctl[kind] {
-				sent += n
+			if !wire.ControlKinds[kind] {
+				started += n
 			}
 		}
 		for kind, n := range s.MsgsReceived {
-			if !ctl[kind] {
-				recv += n
+			if !wire.ControlKinds[kind] {
+				finished += n
 			}
 		}
 	}
-	return sent, recv
+	return started, finished
 }
 
 // Quiesce blocks until the database network has settled, judged purely by
-// protocol-visible signals: the protocol counter sums across all alive peers
-// must hold still for several consecutive complete rounds — 5, or 25 when
-// the sent/received totals do not balance, since in-flight and lost messages
-// are indistinguishable from outside (core.HoldStill; this is the
-// cross-process form of core.Network.Quiesce's polling fallback).
+// protocol-visible signals: core.Network.Quiesce's counter balance across wire
+// rounds. When one complete round's finished total equals the started total
+// of the next, over the same members, nothing was in flight between them — a
+// round that balances within itself is confirmed at once by a second. That is
+// exact while the counters read are every node's since it booted; when a node
+// is missing from the round (dead, re-homed) a balance proves nothing, and
+// like totals that do not balance (a lost message) the wait ends once 25
+// rounds have read the same. A member that restarted, or a StatsReset that
+// landed mid-wave, has forgotten messages the others still count: a surplus
+// of finished over started gives that away and is treated alike.
 func (c *Coordinator) Quiesce(ctx context.Context) error {
-	_, err := core.HoldStill(ctx, c.opts.PollEvery, core.CounterWindow(5, 25), func(ctx context.Context) ([2]uint64, bool, error) {
-		snaps, complete, err := ask(ctx, c, wire.StatsRequest{}, &c.stats)
-		sent, recv := protocolTotals(snaps)
-		return [2]uint64{sent, recv}, complete, err
+	return core.AwaitBalance(ctx, c.opts.PollEvery, 25, func(ctx context.Context) (core.Balance, bool, error) {
+		first, complete, err := c.askStats(ctx)
+		b := core.Balance{Exact: true}
+		b.Started, b.Finished = protocolTotals(first)
+		for _, d := range c.def.Nodes {
+			_, heard := first[d.Name]
+			b.Exact = b.Exact && heard
+		}
+		if err != nil || !complete || !b.Exact || b.Started != b.Finished {
+			return b, complete, err
+		}
+		second, complete, err := c.askStats(ctx)
+		complete = complete && len(first) == len(second)
+		for name := range first {
+			_, heard := second[name]
+			complete = complete && heard
+		}
+		b.Started, _ = protocolTotals(second)
+		return b, complete, err
 	})
-	return err
+}
+
+// awaitKick polls the peers' states until landed sees the kick in them, or
+// reports false when a round timeout passes first.
+func (c *Coordinator) awaitKick(ctx context.Context, landed func(map[string]wire.StateReport) bool) (bool, error) {
+	deadline := time.Now().Add(c.opts.RoundTimeout)
+	for {
+		states, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
+		if err != nil {
+			return false, err
+		}
+		if landed(states) {
+			return true, nil
+		}
+		if time.Now().After(deadline) {
+			return false, nil
+		}
+		select {
+		case <-ctx.Done():
+			return false, ctx.Err()
+		case <-time.After(c.opts.PollEvery):
+		}
+	}
 }
 
 // Discover kicks a topology-discovery wave — at the super-peer when it is
 // alive, else at the next live member — and returns at quiescence (every
 // reached node then knows its maximal dependency paths; participants
-// self-discover lazily, as in the in-process runs).
+// self-discover lazily, as in the in-process runs). With a control plane the
+// kick lands asynchronously (request → agreed entry → the elected member
+// starts the wave), so the network is judged only once the kick shows: some
+// node reports more discovery waves started (StateReport.Waves) than before.
 func (c *Coordinator) Discover(ctx context.Context) error {
+	before, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
+	if err != nil {
+		return err
+	}
 	target, err := c.kickTarget(c.Super(), 0)
 	if err != nil {
 		return err
 	}
 	if err := c.send(target, wire.DiscoverRequest{}); err != nil {
 		return fmt.Errorf("cluster: discover kick-off: %w", err)
+	}
+	landed, err := c.awaitKick(ctx, func(now map[string]wire.StateReport) bool {
+		for node, st := range now {
+			if st.Waves > before[node].Waves {
+				return true
+			}
+		}
+		return false
+	})
+	if err != nil {
+		return err
+	}
+	if !landed {
+		return fmt.Errorf("cluster: %w: no discovery wave started after kicking %s", core.ErrKickLost, target)
 	}
 	return c.Quiesce(ctx)
 }
@@ -414,24 +493,7 @@ func (w *wireWave) Kick(ctx context.Context, attempt int) (bool, error) {
 	if err := c.send(target, wire.UpdateRequest{}); err != nil {
 		return false, fmt.Errorf("cluster: update kick-off: %w", err)
 	}
-	deadline := time.Now().Add(c.opts.RoundTimeout)
-	for {
-		states, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
-		if err != nil {
-			return false, err
-		}
-		if maxEpoch(states) > w.epoch0 {
-			return true, nil
-		}
-		if time.Now().After(deadline) {
-			return false, nil
-		}
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-time.After(c.opts.PollEvery):
-		}
-	}
+	return c.awaitKick(ctx, func(states map[string]wire.StateReport) bool { return maxEpoch(states) > w.epoch0 })
 }
 
 func (w *wireWave) Settle(ctx context.Context) error { return w.c.Quiesce(ctx) }

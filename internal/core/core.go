@@ -453,8 +453,8 @@ func (n *Network) Faults() transport.FaultInjector {
 // Quiesce waits until the network has settled. With a Stepper transport in
 // synchronous mode it drives BSP rounds (checking ctx between rounds); with
 // a Quiescer it waits on the global in-flight oracle; with neither — a real
-// network, the paper's JXTA situation — it falls back to polling the peers'
-// protocol counters until they hold still for a settle window.
+// network, the paper's JXTA situation — it polls the peers' message counters
+// for a balance (quiesceByPolling).
 func (n *Network) Quiesce(ctx context.Context) error {
 	if n.opts.Synchronous {
 		if st, ok := n.capTransport().(transport.Stepper); ok {
@@ -478,35 +478,24 @@ func (n *Network) Quiesce(ctx context.Context) error {
 	return n.quiesceByPolling(ctx)
 }
 
-// quiesceByPolling approximates quiescence without a transport oracle: the
-// sums of every peer's sent and received message counters must hold still
-// for several consecutive samples (HoldStill). When the totals balance (every
-// message sent was received) the base window suffices — on a fully hosted
-// network a zero deficit with still counters is quiescence. When they do not
-// balance, messages may still be in flight (stalled in a socket buffer,
-// crossing to a slow peer) or lost to a dead one, and the two are
-// indistinguishable from counters alone; the window is then extended
-// several-fold, so a delivery must stall longer than the extended window —
-// not merely the base one — to draw a premature verdict, while traffic
-// genuinely lost to dead or remote peers (the deficit never clears) still
-// terminates the wait.
+// quiesceByPolling detects quiescence without a transport oracle, from what
+// a real deployment has: the peers' message counters. One balanced sample
+// (readBalance) is exact on a fully hosted network, so the first ends the
+// wait. Totals that do not balance are messages in flight — or lost to a dead
+// peer, which counters cannot tell apart: such a sample ends the wait only
+// after standing still for about a second, and so does every sample of a
+// network with a node hosted elsewhere, whose counters are not in the sums.
 func (n *Network) quiesceByPolling(ctx context.Context) error {
-	const (
-		interval      = 20 * time.Millisecond
-		settle        = 10 // consecutive still samples ≈ 200ms of silence
-		settleDeficit = 50 // sent != recv: ≈ 1s — stalled or lost, give it time
-	)
-	_, err := HoldStill(ctx, interval, CounterWindow(settle, settleDeficit), func(context.Context) ([2]uint64, bool, error) {
-		peers, _, order := n.hosted()
-		var sent, recv uint64
-		for _, id := range order {
-			s := peers[id].Counters().Snapshot()
-			sent += s.TotalSent()
-			recv += s.TotalReceived()
-		}
-		return [2]uint64{sent, recv}, true, nil
+	return AwaitBalance(ctx, 20*time.Millisecond, 50, func(context.Context) (Balance, bool, error) {
+		n.defMu.Lock()
+		peers, order, all := n.peers, n.order, len(n.def.Nodes)
+		n.defMu.Unlock()
+		b := readBalance(len(order), func(i int) (uint64, uint64) {
+			return peers[order[i]].Counters().Totals()
+		})
+		b.Exact = len(order) == all
+		return b, true, nil
 	})
-	return err
 }
 
 // Discover runs phase one: the super-peer starts topology discovery (every
@@ -692,13 +681,17 @@ func (n *Network) Broadcast(text string) error {
 	if err != nil {
 		return err
 	}
+	peers, _, order := n.hosted()
+	sp, ok := peers[n.super]
+	if !ok {
+		return fmt.Errorf("core: super-peer %q not in network", n.super)
+	}
 	n.defMu.Lock()
 	def.Facts = n.def.Facts // databases are not reseeded; keep the originals
 	n.def = def
 	n.defMu.Unlock()
-	_, _, order := n.hosted()
 	for _, id := range order {
-		if err := n.tr.Send(n.super, id, wire.SetNetwork{Text: text}); err != nil {
+		if err := sp.Send(id, wire.SetNetwork{Text: text}); err != nil {
 			return err
 		}
 	}
@@ -718,7 +711,7 @@ func (n *Network) CollectStats(ctx context.Context) (map[string]stats.Snapshot, 
 		if id == n.super {
 			continue
 		}
-		if err := n.tr.Send(n.super, id, wire.StatsRequest{}); err != nil {
+		if err := sp.Send(id, wire.StatsRequest{}); err != nil {
 			return nil, err
 		}
 	}

@@ -99,10 +99,9 @@ func DriveUpdate(ctx context.Context, o UpdateObserver) (probes int, err error) 
 }
 
 // HoldStill samples until the same complete sample has repeated need(sample)
-// times in a row, pausing every between samples, and returns it. It is the
-// one notion of "settled" for observers without a transport oracle: protocol
-// counter sums here and in the coordinator, state reports in the control
-// plane. An incomplete sample restarts the count.
+// times in a row, pausing every between samples, and returns it; an incomplete
+// sample restarts the count. It is the polling loop of every observer without
+// a transport oracle: of state reports (the control plane), of AwaitBalance.
 func HoldStill[S comparable](ctx context.Context, every time.Duration, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
 	var last S
 	have, still := false, 0
@@ -128,17 +127,44 @@ func HoldStill[S comparable](ctx context.Context, every time.Duration, need func
 	}
 }
 
-// CounterWindow is need for HoldStill over a (sent, received) counter pair:
-// balanced totals settle after the base window; a deficit — in flight, or
-// lost to a dead peer, indistinguishable from counters alone — gets the
-// longer one.
-func CounterWindow(settle, settleDeficit int) func([2]uint64) int {
-	return func(c [2]uint64) int {
-		if c[0] != c[1] {
-			return settleDeficit
+// Balance is one termination-detection sample: the messages started and
+// finished, and whether the counters read cover the whole network.
+type Balance struct {
+	Started, Finished uint64
+	Exact             bool
+}
+
+// AwaitBalance samples until an exact balance — nothing is in flight, no window
+// needed — or until a sample has repeated stall times: a lost message never
+// clears, and counters that miss a peer (Exact unset) prove nothing by
+// balancing. Nor do counters that read more finished than started: some were
+// lost (a restart, a member gone), and from then on only standing still counts.
+func AwaitBalance(ctx context.Context, every time.Duration, stall int, sample func(context.Context) (Balance, bool, error)) error {
+	skewed := false
+	_, err := HoldStill(ctx, every, func(b Balance) int {
+		skewed = skewed || b.Finished > b.Started
+		if b.Exact && !skewed && b.Started == b.Finished {
+			return 0
 		}
-		return settle
+		return stall
+	}, sample)
+	return err
+}
+
+// readBalance takes one sample (Mattern's counter method) over n peers: every
+// finished total, then every started total. Both only grow, and a message
+// finishes after all it caused has started (peer.received), so equal sums
+// mean nothing was in flight between the passes.
+func readBalance(n int, totals func(i int) (started, finished uint64)) (b Balance) {
+	for i := 0; i < n; i++ {
+		_, finished := totals(i)
+		b.Finished += finished
 	}
+	for i := 0; i < n; i++ {
+		started, _ := totals(i)
+		b.Started += started
+	}
+	return b
 }
 
 // localWave observes a wave from inside the process that hosts the peers.

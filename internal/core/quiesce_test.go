@@ -135,3 +135,222 @@ func TestPollingQuiesceHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPollingQuiesceStalledHandler is the case a silence window cannot get
+// right at any length: every message has been delivered, and one handler is
+// still working on its own. B's insert listener stalls once for longer than
+// the 200 ms window that used to pass for quiescence — a slow disk, a watcher
+// — while it applies C's answer, so the tuple has not yet been pushed on to A.
+// Counted at delivery, sent = received throughout the stall; counted when
+// handling is finished, the balance is out until B has forwarded it.
+func TestPollingQuiesceStalledHandler(t *testing.T) {
+	def := mustParse(t, chainNet)
+	n, err := BuildWith(def, transport.NewTCPMesh("127.0.0.1:0"), Options{Delta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	c, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := n.RunToFixpoint(c); err != nil {
+		t.Fatal(err)
+	}
+
+	const stall = 400 * time.Millisecond
+	var once sync.Once
+	var handlerDone time.Time // written inside once, read after Quiesce returned
+	n.Peer("B").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+		once.Do(func() {
+			time.Sleep(stall)
+			handlerDone = time.Now()
+		})
+	})
+	if _, err := n.Node("C").Insert(c, "c", relalg.Tuple{relalg.S("9"), relalg.S("10")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Quiesce(c); err != nil {
+		t.Fatal(err)
+	}
+	returned := time.Now()
+	if err := n.ValidateAgainstCentralized(); err != nil {
+		t.Fatalf("quiesce returned while B was still handling C's answer: %v", err)
+	}
+	once.Do(func() { t.Error("B's listener never ran") })
+	// No window after the balance: the verdict follows the handler by a poll
+	// or two (5–21 ms here), not by a fifth of a second; the bound leaves room
+	// for a loaded box without admitting the old window.
+	lag := returned.Sub(handlerDone)
+	t.Logf("quiesce returned %v after the stalled handler", lag)
+	if lag > 150*time.Millisecond {
+		t.Errorf("quiesce returned %v after the stalled handler finished", lag)
+	}
+}
+
+// TestReadBalance pins the sampling order that makes one sample decide. A
+// token travels a three-peer ring by scripted steps (send: started+1 at the
+// holder; finish: finished+1 at the receiver, after anything the receiver
+// sends on), and the reader's 2n reads are interleaved with the script at
+// every possible pair of instants. Whenever the token is outstanding at the
+// instant between the two passes, the sample must not balance; when a sample
+// does balance, the script must have nothing left that happens without an
+// outside input.
+func TestReadBalance(t *testing.T) {
+	const peers = 3
+	type step struct {
+		peer     int
+		started  bool // else finished
+		external bool // an outside input (an Insert), not an effect of a message
+	}
+	// Two waves: peer 0 sends to 1 (outside input); 1 forwards to 2 before it
+	// finishes; 2 finishes; 1 finishes. Then the same from peer 2 round to 1.
+	script := []step{
+		{0, true, true}, {1, true, false}, {2, false, false}, {1, false, false},
+		{2, true, true}, {0, true, false}, {1, false, false}, {0, false, false},
+	}
+	inFlight := func(upto int) (n int) {
+		for _, s := range script[:upto] {
+			if s.started {
+				n++
+			} else {
+				n--
+			}
+		}
+		return n
+	}
+	// The reader performs 2*peers reads; cut[i] is how many script steps have
+	// run before read i. Cuts are non-decreasing; enumerating the instant of
+	// every read independently covers every interleaving.
+	var cut [2 * peers]int
+	var enumerate func(read int)
+	samples, balanced := 0, 0
+	enumerate = func(read int) {
+		if read == len(cut) {
+			reads := 0
+			b := readBalance(peers, func(i int) (s, f uint64) {
+				for _, st := range script[:cut[reads]] {
+					if st.peer == i && st.started {
+						s++
+					} else if st.peer == i {
+						f++
+					}
+				}
+				reads++
+				return s, f
+			})
+			started, finished := b.Started, b.Finished
+			samples++
+			// Any instant between the passes: after the last finished read,
+			// before the first started read.
+			for at := cut[peers-1]; at <= cut[peers]; at++ {
+				if inFlight(at) > 0 && started == finished {
+					t.Fatalf("cuts %v: %d in flight after step %d, sample reads %d = %d", cut, inFlight(at), at, started, finished)
+				}
+			}
+			if started == finished {
+				balanced++
+				for _, st := range script[cut[peers-1]:] {
+					if st.external {
+						break
+					}
+					t.Fatalf("cuts %v: balanced at %d, yet step %+v follows with no outside input", cut, started, st)
+				}
+			}
+			return
+		}
+		lo := 0
+		if read > 0 {
+			lo = cut[read-1]
+		}
+		for at := lo; at <= len(script); at++ {
+			cut[read] = at
+			enumerate(read + 1)
+		}
+	}
+	enumerate(0)
+	if balanced == 0 || balanced == samples {
+		t.Fatalf("%d of %d samples balanced: the script exercises one side only", balanced, samples)
+	}
+}
+
+// TestOrchestrationSendsAreCounted: CollectStats and Broadcast speak in the
+// super-peer's name, and a balance only sees what the counters saw. Sent past
+// them, a request would be in flight with sent = received (the collection
+// returns before a report is in), and its receipt an excess that no later
+// sample balances (every later Quiesce waits out the standstill window).
+func TestOrchestrationSendsAreCounted(t *testing.T) {
+	def := mustParse(t, chainNet)
+	n, err := BuildWith(def, transport.NewTCPMesh("127.0.0.1:0"), Options{Delta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	c, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := n.RunToFixpoint(c); err != nil {
+		t.Fatal(err)
+	}
+	reports, err := n.CollectStats(c)
+	if err != nil || len(reports) != 3 {
+		t.Fatalf("CollectStats = %d reports (err %v), want one per node", len(reports), err)
+	}
+	if err := n.Broadcast(def.Format()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := n.Quiesce(c); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("Quiesce after the orchestration verbs took %v: their messages left the counters out of balance", took)
+	}
+}
+
+// TestAwaitBalanceTrustsOnlyCoveringCounters: a balance ends the wait at once
+// only when the counters cover the network and have never read a surplus —
+// finished ahead of started is a message somebody forgot having sent (a
+// restart, a member gone), and with one forgotten, a wave with one in flight
+// reads balanced. Everything else must stand still for the stall window.
+func TestAwaitBalanceTrustsOnlyCoveringCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		script  []Balance // the last one repeats
+		samples int       // how many the wait must take
+	}{
+		{"exact balance decides", []Balance{{3, 2, true}, {3, 3, true}}, 2},
+		{"a balance over a missing peer proves nothing", []Balance{{3, 3, false}}, 5},
+		{"a deficit stands still", []Balance{{4, 3, true}}, 5},
+		{"no balance is trusted after a surplus", []Balance{{2, 3, true}, {3, 3, true}}, 6},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			taken := 0
+			err := AwaitBalance(context.Background(), time.Microsecond, 4, func(context.Context) (Balance, bool, error) {
+				b := tc.script[min(taken, len(tc.script)-1)]
+				taken++
+				return b, true, nil
+			})
+			if err != nil || taken != tc.samples {
+				t.Fatalf("took %d samples (err %v), want %d", taken, err, tc.samples)
+			}
+		})
+	}
+}
+
+// TestPollingQuiescePartiallyHosted: with a node hosted elsewhere the hosted
+// counters miss one side of every message that crosses, so equal sums are a
+// coincidence — here A's request to the absent B is refused and taken back,
+// every total reads zero — and the wait must be the standstill window's.
+func TestPollingQuiescePartiallyHosted(t *testing.T) {
+	def := mustParse(t, "node A { rel a(X,Y) }\nnode B { rel b(X,Y) }\nrule r1: B:b(X,Y) -> A:a(X,Y)\n")
+	n, err := BuildWith(def, transport.NewTCPMesh("127.0.0.1:0"), Options{Delta: true, Hosted: []string{"A"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	start := time.Now()
+	if err := n.Quiesce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 900*time.Millisecond {
+		t.Errorf("Quiesce over 1 of 2 nodes returned after %v: it trusted a balance of counters that miss a peer", took)
+	}
+}

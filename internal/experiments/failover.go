@@ -123,6 +123,19 @@ func E17Failover(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("E17: baseline update: %w", err)
 	}
 	baseline := time.Since(t0)
+	// The wave has closed; the plane's driver may not have committed updateDone
+	// yet, and the kill below must meet the NEXT update in flight, not this one.
+	idle := func() bool {
+		for _, m := range members {
+			if m.Control().Metrics().PendingInst != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if !e17Wait(10*time.Second, idle) {
+		return Result{}, fmt.Errorf("E17: baseline update never committed updateDone")
+	}
 
 	// New facts at the source, mirrored into the reference.
 	extra := cfg.RecordsPerNode
@@ -168,14 +181,7 @@ func E17Failover(cfg Config) (Result, error) {
 	if err := boot("E"); err != nil {
 		return Result{}, err
 	}
-	if !e17Wait(30*time.Second, func() bool {
-		for _, m := range members {
-			if m.Control().Metrics().PendingInst != 0 {
-				return false
-			}
-		}
-		return true
-	}) {
+	if !e17Wait(30*time.Second, idle) {
 		return Result{}, fmt.Errorf("E17: re-driven update never committed updateDone")
 	}
 	redrive := time.Since(tKill)

@@ -243,9 +243,15 @@ func TestResendUnackedToTargetsOneDependent(t *testing.T) {
 func TestSendErrorsCounted(t *testing.T) {
 	hs := newHarness(t, Options{Delta: true})
 	before := hs.s.Counters().Snapshot().SendErrors
-	hs.s.send("NO-SUCH-PEER", wire.StatsRequest{})
+	started, _ := hs.s.Counters().Totals()
+	hs.s.Send("NO-SUCH-PEER", wire.StatsRequest{})
 	if got := hs.s.Counters().Snapshot().SendErrors; got != before+1 {
 		t.Fatalf("send error not counted: %d -> %d", before, got)
+	}
+	// Nobody will ever receive it: left in the started total it would read
+	// as in flight to every later quiescence poll.
+	if got, _ := hs.s.Counters().Totals(); got != started {
+		t.Fatalf("a refused send moved the started total: %d -> %d", started, got)
 	}
 }
 
@@ -313,5 +319,79 @@ func TestMergeAcksBases(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAnswerBeingAcknowledgedIsNotFinished pins where Received is counted on
+// a durable peer: after the acknowledgment the message caused has been sent,
+// not when its handler started. While H's pre-ack sync is still running the
+// answer reads started at S and not finished at H — a poller must see it in
+// flight — and once it is finished its ack is already counted sent.
+func TestAnswerBeingAcknowledgedIsNotFinished(t *testing.T) {
+	gate := make(chan struct{}, 64) // one token lets one sync through
+	opts := Options{Delta: true, SyncForAck: func() error { <-gate; return nil }}
+	hs := newHarness(t, opts)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // the baseline wave syncs as often as it likes
+		defer close(stopped)
+		for {
+			select {
+			case gate <- struct{}{}:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	hs.h.StartUpdateWave()
+	hs.quiesce(t)
+	close(stop)
+	<-stopped
+	for len(gate) > 0 {
+		<-gate
+	}
+	balance := func() (started, finished uint64) {
+		for _, p := range []*Peer{hs.s, hs.h} {
+			s, f := p.Counters().Totals()
+			started, finished = started+s, finished+f
+		}
+		return started, finished
+	}
+	if s, f := balance(); s != f {
+		t.Fatalf("quiescent pair reads %d started, %d finished", s, f)
+	}
+	answers := func() uint64 { return hs.h.Counters().Snapshot().MsgsReceived["answer"] }
+	acks := func() uint64 { return hs.h.Counters().Snapshot().MsgsSent["answerAck"] }
+	answers0, acks0 := answers(), acks()
+
+	if _, err := hs.s.InsertLocal("s", relalg.Tuple{relalg.S("c"), relalg.S("d")}); err != nil {
+		t.Fatal(err)
+	}
+	// H applies the answer and parks in the sync gate.
+	deadline := time.Now().Add(5 * time.Second)
+	for hs.h.DB().Count("h") < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("H never applied the pushed answer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // Handle has long returned; only the gate holds the ack
+	if s, f := balance(); s != f+1 || answers() != answers0 || acks() != acks0 {
+		t.Fatalf("while H is still acknowledging: %d started, %d finished, %d answers received (before: %d), %d acks sent (before: %d); want exactly the answer outstanding",
+			s, f, answers(), answers0, acks(), acks0)
+	}
+	gate <- struct{}{}
+	for answers() == answers0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the acknowledged answer was never counted received")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if acks() != acks0+1 {
+		t.Fatalf("answer counted received with %d acks sent, want %d: the effect must start before its cause finishes", acks(), acks0+1)
+	}
+	gate <- struct{}{} // S persists the advanced frontier behind its own gate
+	hs.quiesce(t)
+	if s, f := balance(); s != f {
+		t.Fatalf("settled pair reads %d started, %d finished", s, f)
 	}
 }

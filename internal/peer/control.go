@@ -47,7 +47,7 @@ func (p *Peer) handleAddRule(m wire.AddRuleNotice) {
 			if len(part.Atoms) == 0 {
 				continue
 			}
-			p.send(src, wire.Query{
+			p.Send(src, wire.Query{
 				Epoch:       p.epoch,
 				RuleID:      r.ID,
 				Conj:        part.String(),
@@ -70,7 +70,7 @@ func (p *Peer) handleDeleteRule(m wire.DeleteRuleNotice) {
 	delete(p.parts, m.RuleID)
 	p.reprimeWatchers()
 	for _, src := range r.SourceNodes() {
-		p.send(src, wire.Unsubscribe{RuleID: m.RuleID})
+		p.Send(src, wire.Unsubscribe{RuleID: m.RuleID})
 	}
 	p.afterTopologyChangeLocked()
 	// Fewer rules can only make closure easier; recheck.
@@ -86,7 +86,7 @@ func (p *Peer) afterTopologyChangeLocked() {
 	changeID := fmt.Sprintf("%s@%d", p.id, p.ownVersion)
 	p.seenChanges[changeID] = true
 	for _, dep := range p.dependentsLocked() {
-		p.send(dep, wire.TopoChanged{ChangeID: changeID})
+		p.Send(dep, wire.TopoChanged{ChangeID: changeID})
 	}
 	if len(p.rules) > 0 || p.selfWave != "" {
 		p.startDiscoveryLocked()
@@ -114,7 +114,7 @@ func (p *Peer) handleTopoChanged(m wire.TopoChanged) {
 	}
 	p.seenChanges[m.ChangeID] = true
 	for _, dep := range p.dependentsLocked() {
-		p.send(dep, wire.TopoChanged{ChangeID: m.ChangeID})
+		p.Send(dep, wire.TopoChanged{ChangeID: m.ChangeID})
 	}
 	if len(p.rules) > 0 {
 		p.startDiscoveryLocked() // recomputes paths; re-pulls when it completes
@@ -153,7 +153,7 @@ func (p *Peer) handleSetNetwork(m wire.SetNetwork) {
 	for id, r := range p.rules {
 		if kept, ok := fresh[id]; !ok {
 			for _, src := range r.SourceNodes() {
-				p.send(src, wire.Unsubscribe{RuleID: id})
+				p.Send(src, wire.Unsubscribe{RuleID: id})
 			}
 			delete(p.ruleComplete, id)
 			delete(p.parts, id)

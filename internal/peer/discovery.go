@@ -48,7 +48,7 @@ func (p *Peer) startDiscoveryLocked() string {
 		return wave
 	}
 	for src := range w.pendingSrc {
-		p.send(src, wire.RequestNodes{Wave: wave})
+		p.Send(src, wire.RequestNodes{Wave: wave})
 	}
 	return wave
 }
@@ -93,14 +93,14 @@ func (p *Peer) handleRequestNodes(from string, m wire.RequestNodes) {
 		if len(w.pendingSrc) == 0 {
 			// Leaf: answer immediately, branch finished.
 			w.finished = true
-			p.send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
+			p.Send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
 			return
 		}
 		for src := range w.pendingSrc {
-			p.send(src, wire.RequestNodes{Wave: m.Wave})
+			p.Send(src, wire.RequestNodes{Wave: m.Wave})
 		}
 		// Streaming partial answer (A2 answers the requester right away).
-		p.send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: false})
+		p.Send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: false})
 		return
 	}
 	// Repeat request (non-tree edge / loop): answer immediately with the
@@ -110,7 +110,7 @@ func (p *Peer) handleRequestNodes(from string, m wire.RequestNodes) {
 	// at the origin is guaranteed by the spanning tree, which visits every
 	// reachable node exactly once.
 	w.requesters[from] = true
-	p.send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
+	p.Send(from, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
 }
 
 // handleDiscoveryAnswer implements A3. Callers hold mu.
@@ -130,7 +130,7 @@ func (p *Peer) handleDiscoveryAnswer(from string, m wire.DiscoveryAnswer) {
 			// Echo completion (with full knowledge) to everyone awaiting
 			// this wave.
 			for r := range w.requesters {
-				p.send(r, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
+				p.Send(r, wire.DiscoveryAnswer{Wave: m.Wave, Knowledge: p.knowledgeList(), Finished: true})
 			}
 			grew = false // the sends above already carry the latest state
 		}
@@ -151,7 +151,7 @@ func (p *Peer) handleDiscoveryAnswer(from string, m wire.DiscoveryAnswer) {
 					continue
 				}
 				seen[r+waveID] = true
-				p.send(r, wire.DiscoveryAnswer{Wave: waveID, Knowledge: p.knowledgeList(), Finished: lw.finished})
+				p.Send(r, wire.DiscoveryAnswer{Wave: waveID, Knowledge: p.knowledgeList(), Finished: lw.finished})
 			}
 		}
 	}

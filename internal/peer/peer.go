@@ -281,8 +281,9 @@ type pendingAck struct {
 
 // ackWork is one Handle's acknowledgment side effects, handed to the ack
 // worker (durable peers) so the pre-ack fsync pipelines with the actor
-// instead of serialising behind it.
+// instead of serialising behind it; cause is counted received after them.
 type ackWork struct {
+	cause wire.Envelope
 	parts []wal.PartState
 	acks  []pendingAck
 	dirty bool
@@ -740,8 +741,9 @@ func (p *Peer) StatsReports() map[string]stats.Snapshot {
 // ---------------------------------------------------------------------------
 // Messaging helpers
 
-// send dispatches a message, recording statistics and trace events.
-func (p *Peer) send(to string, m wire.Message) {
+// Send dispatches a message, recording statistics and trace events; the error
+// is for orchestration that sends in the node's name, the protocol tolerates it.
+func (p *Peer) Send(to string, m wire.Message) error {
 	p.ct.Sent(m.Kind(), m.Size())
 	if p.opts.Recorder != nil {
 		note := ""
@@ -757,18 +759,20 @@ func (p *Peer) send(to string, m wire.Message) {
 		}
 		p.opts.Recorder.Record(p.id, to, m.Kind(), note)
 	}
-	if err := p.tr.Send(p.id, to, m); err != nil {
+	err := p.tr.Send(p.id, to, m)
+	if err != nil {
 		// Unknown or unreachable peers are a dynamic-network fact of life
 		// the protocol tolerates (Section 4) — but a lost message must be
 		// observable, not invisible: the statistical module counts it and
 		// the recorder traces it. Payload recovery is the acknowledgment
 		// frontier's job: an answer that never arrives is never acked, so
 		// its tuples ship again from the acked marks.
-		p.ct.AddSendErrors(1)
+		p.ct.SendFailed(m.Kind(), m.Size())
 		if p.opts.Recorder != nil {
 			p.opts.Recorder.Record(p.id, to, "sendError", m.Kind()+": "+err.Error())
 		}
 	}
+	return err
 }
 
 // Handle processes one incoming envelope; transports call it serially. The
@@ -780,29 +784,13 @@ func (p *Peer) send(to string, m wire.Message) {
 // work toward the transport's quiescence oracle (WorkTracker); elsewhere
 // they run inline, still inside Handle.
 func (p *Peer) Handle(env wire.Envelope) {
-	if ab, ok := env.Msg.(wire.AnswerBatch); ok {
-		// A batched frame counts as its contained messages: the statistical
-		// module measures the protocol, not the framing (the Batcher's own
-		// stats measure the framing).
-		for _, a := range ab.Acks {
-			p.ct.Received(a.Kind(), a.Size())
-		}
-		for _, a := range ab.Answers {
-			p.ct.Received(a.Kind(), a.Size())
-		}
-	} else {
-		p.ct.Received(env.Msg.Kind(), env.Msg.Size())
-	}
 	p.mu.Lock()
 	p.dispatchLocked(env)
-	work := ackWork{parts: p.pendingParts, acks: p.pendingAcks, dirty: p.ackDirty}
+	work := ackWork{cause: env, parts: p.pendingParts, acks: p.pendingAcks, dirty: p.ackDirty}
 	p.pendingAcks, p.pendingParts, p.ackDirty = nil, nil, false
 	p.mu.Unlock()
 
-	if work.empty() {
-		return
-	}
-	if p.ackCh != nil {
+	if p.ackCh != nil && !work.empty() {
 		p.ackMu.Lock()
 		if !p.ackClosed {
 			if p.tw != nil {
@@ -821,6 +809,29 @@ func (p *Peer) Handle(env wire.Envelope) {
 		// acks, which is the correct shutdown behaviour.
 	}
 	p.applyAckWork([]ackWork{work})
+}
+
+// received counts a message Received. Invariant: everything it caused is
+// already counted Sent, and it was counted Sent itself — a coordinator keeps
+// no counters, so what it sends is not counted here either — so network-wide
+// sent = received means nothing is in flight. A batched frame counts as its
+// contained messages: the statistical module measures the protocol, the
+// Batcher's stats the framing.
+func (p *Peer) received(env wire.Envelope) {
+	if strings.HasPrefix(env.From, wire.CoordinatorPrefix) {
+		return
+	}
+	m := env.Msg
+	if ab, ok := m.(wire.AnswerBatch); ok {
+		for _, a := range ab.Acks {
+			p.ct.Received(a.Kind(), a.Size())
+		}
+		for _, a := range ab.Answers {
+			p.ct.Received(a.Kind(), a.Size())
+		}
+		return
+	}
+	p.ct.Received(m.Kind(), m.Size())
 }
 
 // ackLoop is the durable peers' acknowledgment pipeline: it batches whatever
@@ -856,8 +867,8 @@ func (p *Peer) ackLoop() {
 
 // applyAckWork runs the acknowledgment side effects for one batch of Handle
 // rounds: persist the part tuples, pass ONE durability gate, send the merged
-// acks, persist the advanced frontier once. Options hooks are set before
-// construction and never change, so reading them without the mutex is safe.
+// acks, persist the advanced frontier once, count the causes received. Hooks
+// are set before construction and never change: no mutex needed to read them.
 func (p *Peer) applyAckWork(batch []ackWork) {
 	syncForAck := p.opts.SyncForAck
 	persistParts := p.opts.PersistParts
@@ -900,9 +911,12 @@ func (p *Peer) applyAckWork(batch []ackWork) {
 				// frontier. Ungated acks (no store) still advance the
 				// in-memory receipt frontier that drives live retransmission.
 				a.msg.Durable = syncForAck != nil
-				p.send(a.to, a.msg)
+				p.Send(a.to, a.msg)
 			}
 		}
+	}
+	for _, w := range batch {
+		p.received(w.cause)
 	}
 }
 
@@ -1051,7 +1065,7 @@ func (p *Peer) dispatchLocked(env wire.Envelope) {
 		p.handleSetNetwork(m)
 	case wire.StatsRequest:
 		snap := p.ct.Snapshot()
-		p.send(env.From, wire.StatsReport{Snapshot: snap})
+		p.Send(env.From, wire.StatsReport{Snapshot: snap, Seq: m.Seq})
 	case wire.StatsReport:
 		p.statsReports[m.Snapshot.Node] = m.Snapshot
 	case wire.StatsReset:
@@ -1068,12 +1082,13 @@ func (p *Peer) dispatchLocked(env wire.Envelope) {
 		if fc, ok := p.tr.(interface{ BadFrames() uint64 }); ok {
 			badFrames = fc.BadFrames()
 		}
-		p.send(env.From, wire.StateReport{
+		p.Send(env.From, wire.StateReport{
 			Node:           p.id,
 			Epoch:          p.epoch,
 			Activated:      p.activated,
 			Closed:         p.stateU == Closed,
 			PathsReady:     p.pathsReady,
+			Waves:          p.waveSeq,
 			Tuples:         p.db.TotalTuples(),
 			Watchers:       sm.Watchers,
 			WatchQueued:    servingDepth(sm),
@@ -1112,7 +1127,7 @@ func (p *Peer) handleQueryRequest(from string, m wire.QueryRequest) {
 	conj, err := cq.ParseConjunction(m.Body)
 	if err != nil {
 		res.Err = err.Error()
-		p.send(from, res)
+		p.Send(from, res)
 		return
 	}
 	p.ct.AddQueries(1)
@@ -1123,7 +1138,7 @@ func (p *Peer) handleQueryRequest(from string, m wire.QueryRequest) {
 		relalg.SortTuples(rows)
 		res.Tuples = rows
 	}
-	p.send(from, res)
+	p.Send(from, res)
 }
 
 // WatcherCount reports the number of live continuous-query watchers (exposed

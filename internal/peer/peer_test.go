@@ -114,7 +114,7 @@ func TestStatsVerbs(t *testing.T) {
 	hs.h.StartUpdateWave()
 	hs.quiesce(t)
 	// Super-peer H asks S for stats.
-	hs.h.send("S", wire.StatsRequest{})
+	hs.h.Send("S", wire.StatsRequest{})
 	hs.quiesce(t)
 	reports := hs.h.StatsReports()
 	if _, ok := reports["S"]; !ok {
@@ -124,7 +124,7 @@ func TestStatsVerbs(t *testing.T) {
 		t.Error("S report looks empty")
 	}
 	// Reset wipes counters.
-	hs.h.send("S", wire.StatsReset{})
+	hs.h.Send("S", wire.StatsReset{})
 	hs.quiesce(t)
 	if got := hs.s.Counters().Snapshot().TotalSent(); got != 0 {
 		t.Errorf("S counters not reset: %d sent", got)

@@ -33,7 +33,7 @@ type remoteWatch struct {
 func (p *Peer) serveRemoteWatch(from string, m wire.WatchRequest) {
 	policy, ok := serving.ParsePolicy(m.Policy)
 	if !ok {
-		p.send(from, wire.WatchDelta{ID: m.ID, Closed: true,
+		p.Send(from, wire.WatchDelta{ID: m.ID, Closed: true,
 			Err: "unknown slow-consumer policy " + m.Policy})
 		return
 	}
@@ -46,7 +46,7 @@ func (p *Peer) serveRemoteWatch(from string, m wire.WatchRequest) {
 	}
 	w, err := p.WatchWith(m.Body, m.Cols, o)
 	if err != nil {
-		p.send(from, wire.WatchDelta{ID: m.ID, Closed: true, Err: err.Error()})
+		p.Send(from, wire.WatchDelta{ID: m.ID, Closed: true, Err: err.Error()})
 		return
 	}
 	key := remoteWatchKey{client: from, id: m.ID}
@@ -65,7 +65,7 @@ func (p *Peer) serveRemoteWatch(from string, m wire.WatchRequest) {
 // watcher closes, then sends the terminal frame and drops the registration.
 func (p *Peer) forwardWatch(to string, id uint64, w *serving.Watcher) {
 	for b := range w.Out() {
-		p.send(to, wire.WatchDelta{
+		p.Send(to, wire.WatchDelta{
 			ID:     id,
 			Seq:    b.Seq,
 			Prime:  b.Prime,
@@ -73,7 +73,7 @@ func (p *Peer) forwardWatch(to string, id uint64, w *serving.Watcher) {
 			Marks:  b.Marks,
 		})
 	}
-	p.send(to, wire.WatchDelta{ID: id, Closed: true, Err: w.Err()})
+	p.Send(to, wire.WatchDelta{ID: id, Closed: true, Err: w.Err()})
 	key := remoteWatchKey{client: to, id: id}
 	p.rwmu.Lock()
 	if rw := p.remoteWatches[key]; rw != nil && rw.w == w {

@@ -84,7 +84,7 @@ func (p *Peer) activateLocked(epoch uint64, from string, quiet bool) {
 	// Flood over acquaintances (both rule directions) except the sender.
 	for n := range p.neighbors {
 		if n != from && !quiet {
-			p.send(n, wire.StartUpdate{Epoch: epoch, Origin: p.id})
+			p.Send(n, wire.StartUpdate{Epoch: epoch, Origin: p.id})
 		}
 	}
 	if len(p.rules) == 0 {
@@ -127,7 +127,7 @@ func (p *Peer) sendQueriesLocked(basePath []string, scoped bool, needRels map[st
 			if len(part.Atoms) == 0 {
 				continue
 			}
-			p.send(src, wire.Query{
+			p.Send(src, wire.Query{
 				Epoch:       p.epoch,
 				RuleID:      r.ID,
 				Conj:        part.String(),
@@ -166,7 +166,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 	q, err := p.questionLocked(m.Conj, m.Cols)
 	if err != nil {
 		// Malformed query: answer empty so the requester does not hang.
-		p.send(from, wire.Answer{Epoch: m.Epoch, RuleID: m.RuleID, Part: p.id,
+		p.Send(from, wire.Answer{Epoch: m.Epoch, RuleID: m.RuleID, Part: p.id,
 			Complete: p.stateU == Closed, Route: []string{p.id}})
 		return
 	}
@@ -240,7 +240,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		Route:    []string{p.id},
 	}
 	sub.stamp(&ans, base)
-	p.send(from, ans)
+	p.Send(from, ans)
 	p.dropIfClosedLocked()
 
 	// Forward own queries while open and not already on the chain (A4).
@@ -353,7 +353,7 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	r, ok := p.rules[m.RuleID]
 	if !ok {
 		// The rule was deleted while the answer was in flight.
-		p.send(from, wire.Unsubscribe{RuleID: m.RuleID})
+		p.Send(from, wire.Unsubscribe{RuleID: m.RuleID})
 		return
 	}
 
@@ -580,7 +580,7 @@ func (p *Peer) evalAndSendLocked(sub *subscription, route []string) {
 		Route:    route,
 	}
 	sub.stamp(&a, base)
-	p.send(sub.dependent, a)
+	p.Send(sub.dependent, a)
 }
 
 // notifySubsLocked ships empty state-change notifications (closure or
@@ -592,7 +592,7 @@ func (p *Peer) notifySubsLocked(complete bool) {
 		if p.epoch > epoch {
 			epoch = p.epoch
 		}
-		p.send(sub.dependent, wire.Answer{
+		p.Send(sub.dependent, wire.Answer{
 			Epoch:    epoch,
 			RuleID:   sub.ruleID,
 			Part:     p.id,

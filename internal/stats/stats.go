@@ -18,6 +18,9 @@ import (
 type Counters struct {
 	mu sync.Mutex
 	s  Snapshot
+	// started and finished count every message sent (and not refused) and
+	// received; Reset leaves them, so a quiescence balance survives one.
+	started, finished uint64
 }
 
 // Snapshot is an immutable copy of the counters, mergeable across nodes.
@@ -50,17 +53,19 @@ func NewCounters(node string) *Counters {
 	}}
 }
 
-// Sent records an outgoing message of a kind with an encoded size.
+// Sent records an outgoing message, before the transport gets it.
 func (c *Counters) Sent(kind string, bytes int) {
 	c.mu.Lock()
+	c.started++
 	c.s.MsgsSent[kind]++
 	c.s.BytesSent += uint64(bytes)
 	c.mu.Unlock()
 }
 
-// Received records an incoming message.
+// Received records an incoming message, once its handling is finished.
 func (c *Counters) Received(kind string, bytes int) {
 	c.mu.Lock()
+	c.finished++
 	c.s.MsgsReceived[kind]++
 	c.s.BytesRecv += uint64(bytes)
 	c.mu.Unlock()
@@ -87,10 +92,28 @@ func (c *Counters) AddDuplicateQueries(n uint64) {
 // AddTruncated counts null-depth-bound hits.
 func (c *Counters) AddTruncated(n uint64) { c.add(func(s *Snapshot) { s.Truncated += n }) }
 
-// AddSendErrors counts transport sends that failed: the message is lost (the
-// protocol tolerates that by design, Section 4), but losing it silently made
-// the lost-delta window invisible — operators read this counter to see it.
-func (c *Counters) AddSendErrors(n uint64) { c.add(func(s *Snapshot) { s.SendErrors += n }) }
+// SendFailed takes back a Sent the transport refused — nobody will receive it,
+// so it must not read as in flight — and counts the loss (the protocol
+// tolerates it by design, Section 4) where operators can see it.
+func (c *Counters) SendFailed(kind string, bytes int) {
+	c.mu.Lock()
+	c.started--
+	if c.s.MsgsSent[kind] > 0 { // a Reset may have come between
+		c.s.MsgsSent[kind]--
+		c.s.BytesSent -= min(c.s.BytesSent, uint64(bytes))
+	}
+	c.s.SendErrors++
+	c.mu.Unlock()
+}
+
+// Totals reads the messages started (sent) and finished (received) since the
+// counters were made. Over a whole network, finished read first and started
+// second, the sums are equal exactly when nothing is in flight.
+func (c *Counters) Totals() (started, finished uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.started, c.finished
+}
 
 // SetDiscoveryClosed records the discovery closure latency (first wins).
 func (c *Counters) SetDiscoveryClosed(d time.Duration) {

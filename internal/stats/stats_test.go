@@ -143,3 +143,40 @@ func TestCountersConcurrentUse(t *testing.T) {
 		t.Errorf("lost updates: %+v", s)
 	}
 }
+
+// TestTotalsTrackTheKindMaps pins the totals read against the per-kind maps
+// it spares a poller from copying, through a failed send, up to a reset.
+func TestTotalsTrackTheKindMaps(t *testing.T) {
+	c := NewCounters("A")
+	check := func(when string) {
+		t.Helper()
+		s := c.Snapshot()
+		if started, finished := c.Totals(); started != s.TotalSent() || finished != s.TotalReceived() {
+			t.Errorf("%s: totals %d/%d, maps %d/%d", when, started, finished, s.TotalSent(), s.TotalReceived())
+		}
+	}
+	c.Sent("query", 100)
+	c.Sent("answer", 10)
+	c.Received("answer", 30)
+	check("after traffic")
+	// A refused send was never started: it must not read as in flight.
+	c.Sent("answer", 7)
+	c.SendFailed("answer", 7)
+	check("after a failed send")
+	s := c.Snapshot()
+	if s.MsgsSent["answer"] != 1 || s.BytesSent != 110 || s.SendErrors != 1 {
+		t.Errorf("failed send left answer=%d bytes=%d errors=%d, want 1, 110, 1", s.MsgsSent["answer"], s.BytesSent, s.SendErrors)
+	}
+	// A reset zeroes the statistics, not the balance: a message in flight
+	// across it must still read started here and finished there. And a send
+	// refused after it takes back nothing the maps no longer hold.
+	c.Sent("answer", 7)
+	c.Reset()
+	c.SendFailed("answer", 7)
+	if started, finished := c.Totals(); started != 2 || finished != 1 {
+		t.Errorf("reset and a refused send left totals %d/%d, want 2/1", started, finished)
+	}
+	if s := c.Snapshot(); s.TotalSent() != 0 || s.BytesSent != 0 || s.SendErrors != 1 {
+		t.Errorf("after reset, a refused send left sent=%d bytes=%d errors=%d, want 0, 0, 1", s.TotalSent(), s.BytesSent, s.SendErrors)
+	}
+}

@@ -12,9 +12,9 @@ import (
 // short-circuit, unlike a single TCP value hosting many peers). It
 // demonstrates — and tests — that the protocol needs nothing beyond reliable
 // point-to-point messaging: the mesh offers no quiescence oracle, no
-// stepping, no fault injection, so orchestration runs in its
-// polling/probing fallback mode, exactly as a deployment over the paper's
-// JXTA pipes would.
+// stepping, no fault injection — it implements Transport and nothing else —
+// so orchestration detects quiescence from the peers' own counters, exactly
+// as a deployment over the paper's JXTA pipes would.
 type TCPMesh struct {
 	mu     sync.Mutex
 	listen string // listen address pattern, e.g. "127.0.0.1:0"

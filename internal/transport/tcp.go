@@ -179,10 +179,8 @@ func evictionExempt(msg wire.Message) bool {
 	case wire.ReplicaAck, wire.ReplicaSyncReq, wire.ReplicaState:
 		return true
 	}
-	return controlKinds[msg.Kind()]
+	return wire.ControlKinds[msg.Kind()]
 }
-
-var controlKinds = wire.ControlKinds() // read-only; built once, not per frame
 
 // dialFailure tracks the reconnect backoff for one unreachable peer.
 type dialFailure struct {

@@ -13,8 +13,8 @@
 // may not have: a global quiescence oracle (Quiescer), BSP round stepping
 // (Stepper), partition/drop fault injection (FaultInjector). Orchestration
 // type-asserts for the capability and falls back to protocol-visible signals
-// (polling peer states and counters) when it is absent — the paper's JXTA
-// situation, where no global oracle exists.
+// when it is absent (the paper's JXTA situation): the peers' state reports,
+// and their counters, which balance exactly when nothing is in flight.
 package transport
 
 import (
@@ -43,7 +43,7 @@ type Transport interface {
 // Quiescer is the capability of detecting global quiescence: no message
 // undelivered, in a handler, or scheduled for delayed delivery anywhere.
 // Only transports that see all traffic (the in-memory router) can offer it;
-// distributed transports cannot, and orchestration falls back to polling.
+// distributed transports cannot, and orchestration balances peer counters.
 type Quiescer interface {
 	// WaitQuiescent blocks until nothing is in flight or ctx is cancelled.
 	WaitQuiescent(ctx context.Context) error

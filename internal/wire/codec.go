@@ -31,7 +31,7 @@ import (
 
 // formatVersion is the first byte of every frame. Bump it on any change to
 // the bytes of an existing kind.
-const formatVersion = 1
+const formatVersion = 2
 
 // kind is a frame's discriminator byte; the constants are the kind table, the
 // protocol's whole vocabulary. Their values are the format: append new kinds,
@@ -226,13 +226,13 @@ func (e *encoder) message(msg Message) error {
 	case SetNetwork:
 		e.kind(kSetNetwork).str(m.Text)
 	case StatsRequest:
-		e.kind(kStatsRequest)
+		e.kind(kStatsRequest).uint(m.Seq)
 	case StatsReport:
 		s := m.Snapshot
 		e.kind(kStatsReport).str(s.Node).marks(s.MsgsSent).marks(s.MsgsReceived).
 			uint(s.BytesSent).uint(s.BytesRecv).uint(s.QueriesExecuted).uint(s.UpdatesApplied).
 			uint(s.TuplesInserted).uint(s.TuplesDuplicate).uint(s.DuplicateQueries).uint(s.Truncated).
-			uint(s.SendErrors).int(int64(s.DiscoveryClosed)).int(int64(s.UpdateClosed))
+			uint(s.SendErrors).int(int64(s.DiscoveryClosed)).int(int64(s.UpdateClosed)).uint(m.Seq)
 	case StatsReset:
 		e.kind(kStatsReset)
 	case Join:
@@ -268,7 +268,7 @@ func (e *encoder) message(msg Message) error {
 		e.kind(kStateRequest)
 	case StateReport:
 		e.kind(kStateReport).str(m.Node).uint(m.Epoch).bool(m.Activated).bool(m.Closed).bool(m.PathsReady).
-			int(int64(m.Tuples)).int(int64(m.Watchers)).int(int64(m.WatchQueued)).uint(m.WatchExtracted).
+			uint(m.Waves).int(int64(m.Tuples)).int(int64(m.Watchers)).int(int64(m.WatchQueued)).uint(m.WatchExtracted).
 			uint(m.WatchSaved).uint(m.WatchDropped).uint(m.WatchCanceled).uint(m.BadFrames)
 	case QueryRequest:
 		e.kind(kQueryRequest).uint(m.ID).str(m.Body).strs(m.Cols)
@@ -374,7 +374,7 @@ func (r *reader) message(k kind) Message {
 	case kSetNetwork:
 		return SetNetwork{Text: r.Str()}
 	case kStatsRequest:
-		return StatsRequest{}
+		return StatsRequest{Seq: r.Uvarint()}
 	case kStatsReport:
 		return StatsReport{Snapshot: stats.Snapshot{
 			Node: r.Str(), MsgsSent: r.marks(), MsgsReceived: r.marks(),
@@ -382,7 +382,7 @@ func (r *reader) message(k kind) Message {
 			UpdatesApplied: r.Uvarint(), TuplesInserted: r.Uvarint(), TuplesDuplicate: r.Uvarint(),
 			DuplicateQueries: r.Uvarint(), Truncated: r.Uvarint(), SendErrors: r.Uvarint(),
 			DiscoveryClosed: time.Duration(r.Varint()), UpdateClosed: time.Duration(r.Varint()),
-		}}
+		}, Seq: r.Uvarint()}
 	case kStatsReset:
 		return StatsReset{}
 	case kJoin:
@@ -419,7 +419,7 @@ func (r *reader) message(k kind) Message {
 		return StateRequest{}
 	case kStateReport:
 		return StateReport{Node: r.Str(), Epoch: r.Uvarint(), Activated: r.bool(), Closed: r.bool(),
-			PathsReady: r.bool(), Tuples: r.int(), Watchers: r.int(), WatchQueued: r.int(),
+			PathsReady: r.bool(), Waves: r.Uvarint(), Tuples: r.int(), Watchers: r.int(), WatchQueued: r.int(),
 			WatchExtracted: r.Uvarint(), WatchSaved: r.Uvarint(), WatchDropped: r.Uvarint(),
 			WatchCanceled: r.Uvarint(), BadFrames: r.Uvarint()}
 	case kQueryRequest:

@@ -342,8 +342,9 @@ func (SetNetwork) Kind() string { return "setNetwork" }
 // Size implements Message.
 func (m SetNetwork) Size() int { return 10 + len(m.Text) }
 
-// StatsRequest asks a peer for its statistics snapshot.
-type StatsRequest struct{}
+// StatsRequest asks a peer for its statistics snapshot. The report echoes
+// Seq, so a poller can tell the answer to this request from a late one.
+type StatsRequest struct{ Seq uint64 }
 
 // Kind implements Message.
 func (StatsRequest) Kind() string { return "statsRequest" }
@@ -354,6 +355,7 @@ func (StatsRequest) Size() int { return 8 }
 // StatsReport carries a peer's statistics snapshot to the super-peer.
 type StatsReport struct {
 	Snapshot stats.Snapshot
+	Seq      uint64 // the request's
 }
 
 // Kind implements Message.
@@ -482,7 +484,8 @@ type Command struct {
 	Text string
 	// Ref links an entry to an earlier instance: an "updateDone" names the
 	// log instance of the "update" it closes, so a stale done from a deposed
-	// driver cannot clear a newer in-flight update.
+	// driver cannot clear a newer in-flight update; a "member" names the last
+	// member entry its proposer had folded (0: none), its premise.
 	Ref uint64
 }
 
@@ -825,6 +828,7 @@ type StateReport struct {
 	Activated  bool
 	Closed     bool
 	PathsReady bool
+	Waves      uint64 // discovery waves this node has started since it booted
 	Tuples     int
 	// Serving gauges (internal/serving): live watchers, their summed queue
 	// depth, and the hub's sharing/loss counters since start.
@@ -971,9 +975,13 @@ func (WatchCancel) Kind() string { return "watchCancel" }
 // Size implements Message.
 func (m WatchCancel) Size() int { return 10 }
 
-// ControlKinds is the set of message kinds that belong to the remote control
-// plane rather than the distributed algorithm itself: statistics collection
-// and the coordinator verbs above. Quiescence detection by counter polling
+// CoordinatorPrefix starts the name of every control-plane endpoint. One keeps
+// no message counters: what it sends is counted by nobody, its receiver included.
+const CoordinatorPrefix = "@"
+
+// ControlKinds is the (read-only) set of message kinds that belong to the
+// remote control plane rather than the distributed algorithm itself: statistics
+// collection and the coordinator verbs above. Quiescence detection by counters
 // must exclude them — the polling itself generates them, and their replies
 // flow to a coordinator that keeps no counters, so including them would
 // either never settle or register as a permanent send/receive deficit.
@@ -982,16 +990,14 @@ func (m WatchCancel) Size() int { return 10 }
 // counter sums is moot, but membership in this set also makes them exempt
 // from TCP outbox eviction — dropping a Promise or Learn to make room for a
 // re-shippable data frame would stall agreement for a full retry cycle.
-func ControlKinds() map[string]bool {
-	return map[string]bool{
-		"statsRequest": true, "statsReport": true, "statsReset": true,
-		"discoverRequest": true, "updateRequest": true, "probeRequest": true,
-		"stateRequest": true, "stateReport": true,
-		"queryRequest": true, "queryResult": true,
-		"watchRequest": true, "watchDelta": true, "watchCancel": true,
-		"replicaStatusRequest": true, "replicaStatusReport": true,
-		KindPrepare: true, KindPromise: true, KindAccept: true,
-		KindAccepted: true, KindLearn: true, KindCatchUp: true,
-		KindSnapshot: true,
-	}
+var ControlKinds = map[string]bool{
+	"statsRequest": true, "statsReport": true, "statsReset": true,
+	"discoverRequest": true, "updateRequest": true, "probeRequest": true,
+	"stateRequest": true, "stateReport": true,
+	"queryRequest": true, "queryResult": true,
+	"watchRequest": true, "watchDelta": true, "watchCancel": true,
+	"replicaStatusRequest": true, "replicaStatusReport": true,
+	KindPrepare: true, KindPromise: true, KindAccept: true,
+	KindAccepted: true, KindLearn: true, KindCatchUp: true,
+	KindSnapshot: true,
 }

@@ -20,15 +20,15 @@ var goldenFrames = []struct {
 	msg Message
 	hex string
 }{
-	{RequestNodes{Wave: "A#1"}, "01015801590103412331"},
-	{DiscoveryAnswer{Wave: "A#1", Knowledge: []NodeEdges{{Node: "A", Version: 2, Targets: []string{"B", "C"}}}, Finished: true}, "0101580159020341233101014102020142014301"},
-	{StartUpdate{Epoch: 3, Origin: "A"}, "010158015903030141"},
-	{Query{Epoch: 3, RuleID: "r2", Conj: "B:b(X,Y)", Cols: []string{"X", "Y"}, Path: []string{"C", "A"}, Scoped: true, Incarnation: 300}, "0101580159040302723208423a6228582c59290201580159020143014101ac02"},
+	{RequestNodes{Wave: "A#1"}, "02015801590103412331"},
+	{DiscoveryAnswer{Wave: "A#1", Knowledge: []NodeEdges{{Node: "A", Version: 2, Targets: []string{"B", "C"}}}, Finished: true}, "0201580159020341233101014102020142014301"},
+	{StartUpdate{Epoch: 3, Origin: "A"}, "020158015903030141"},
+	{Query{Epoch: 3, RuleID: "r2", Conj: "B:b(X,Y)", Cols: []string{"X", "Y"}, Path: []string{"C", "A"}, Scoped: true, Incarnation: 300}, "0201580159040302723208423a6228582c59290201580159020143014101ac02"},
 	{Answer{Epoch: 3, RuleID: "r2", Part: "B", Columns: []string{"X", "Z"},
 		Tuples:   []relalg.Tuple{{relalg.S("a"), relalg.I(-42)}, {relalg.Null("d1|r|V|k"), relalg.S("it's")}},
 		Complete: true, Delta: true, Route: []string{"B", "A"}, SubID: 9,
-		Base: map[string]uint64{"b": 12}, Seqs: map[string]uint64{"c": 4, "b": 17}}, "010158015905030272320142020158015a020202006102015302090264317c727c567c6b05006974277301010201420141090101620c02016211016304"},
-	{AnswerAck{RuleID: "r2", SubID: 9, Base: map[string]uint64{"b": 12}, Seqs: map[string]uint64{"b": 17}, Durable: true}, "010158015906027232090101620c0101621101"},
+		Base: map[string]uint64{"b": 12}, Seqs: map[string]uint64{"c": 4, "b": 17}}, "020158015905030272320142020158015a020202006102015302090264317c727c567c6b05006974277301010201420141090101620c02016211016304"},
+	{AnswerAck{RuleID: "r2", SubID: 9, Base: map[string]uint64{"b": 12}, Seqs: map[string]uint64{"b": 17}, Durable: true}, "020158015906027232090101620c0101621101"},
 	{AnswerBatch{
 		Answers:     []Answer{{RuleID: "r", Tuples: []relalg.Tuple{{relalg.S("v")}}, Seqs: map[string]uint64{"s": 7}}},
 		Acks:        []AnswerAck{{RuleID: "r", SubID: 3, Seqs: map[string]uint64{"s": 7}}},
@@ -36,48 +36,48 @@ var goldenFrames = []struct {
 		RepAppends:  []ReplicaAppend{{Node: "A", Rel: "s", To: 1, Tuples: []relalg.Tuple{{relalg.I(5)}}}},
 		RepAcks:     []ReplicaAck{{Node: "A", Rel: "s", To: 1, Durable: true}},
 		WatchDeltas: []WatchDelta{{ID: 1, Seq: 2, Tuples: []relalg.Tuple{{relalg.S("w")}}, Marks: map[string]uint64{"s": 8}}},
-	}, "01015801590701000172000001010200760000000000010173070101720300010173070001014103683a310101410173000001010102010a01014101730101010102000101020077010173080000"},
-	{Unsubscribe{RuleID: "r9"}, "010158015908027239"},
-	{AddRuleNotice{RuleText: "r9: A:a(X) -> B:b(X)"}, "0101580159091472393a20413a61285829202d3e20423a62285829"},
-	{DeleteRuleNotice{RuleID: "r9"}, "01015801590a027239"},
-	{TopoChanged{ChangeID: "c1"}, "01015801590b026331"},
-	{SetNetwork{Text: "node A"}, "01015801590c066e6f64652041"},
-	{StatsRequest{}, "01015801590d"},
+	}, "02015801590701000172000001010200760000000000010173070101720300010173070001014103683a310101410173000001010102010a01014101730101010102000101020077010173080000"},
+	{Unsubscribe{RuleID: "r9"}, "020158015908027239"},
+	{AddRuleNotice{RuleText: "r9: A:a(X) -> B:b(X)"}, "0201580159091472393a20413a61285829202d3e20423a62285829"},
+	{DeleteRuleNotice{RuleID: "r9"}, "02015801590a027239"},
+	{TopoChanged{ChangeID: "c1"}, "02015801590b026331"},
+	{SetNetwork{Text: "node A"}, "02015801590c066e6f64652041"},
+	{StatsRequest{Seq: 9}, "02015801590d09"},
 	{StatsReport{Snapshot: stats.Snapshot{Node: "A", MsgsSent: map[string]uint64{"query": 3}, MsgsReceived: map[string]uint64{"answer": 2},
 		BytesSent: 64, BytesRecv: 65, QueriesExecuted: 1, UpdatesApplied: 2, TuplesInserted: 7, TuplesDuplicate: 3,
-		DuplicateQueries: 4, Truncated: 5, SendErrors: 6, DiscoveryClosed: time.Millisecond, UpdateClosed: -1}}, "01015801590e014101057175657279030106616e737765720240410102070304050680897a01"},
-	{StatsReset{}, "01015801590f"},
-	{Join{Node: "A", Addr: "h:1", Members: map[string]string{"C": "h:3", "B": "h:2"}}, "010158015910014103683a3102014203683a32014303683a33"},
-	{JoinAck{Members: map[string]string{"A": "h:1"}}, "01015801591101014103683a31"},
-	{Heartbeat{Node: "B", Addr: "h:2"}, "010158015912014203683a32"},
-	{Goodbye{Node: "C"}, "0101580159130143"},
-	{Prepare{Instance: 3, Ballot: 12, Done: 2}, "010158015914030c02"},
+		DuplicateQueries: 4, Truncated: 5, SendErrors: 6, DiscoveryClosed: time.Millisecond, UpdateClosed: -1}, Seq: 9}, "02015801590e014101057175657279030106616e737765720240410102070304050680897a0109"},
+	{StatsReset{}, "02015801590f"},
+	{Join{Node: "A", Addr: "h:1", Members: map[string]string{"C": "h:3", "B": "h:2"}}, "020158015910014103683a3102014203683a32014303683a33"},
+	{JoinAck{Members: map[string]string{"A": "h:1"}}, "02015801591101014103683a31"},
+	{Heartbeat{Node: "B", Addr: "h:2"}, "020158015912014203683a32"},
+	{Goodbye{Node: "C"}, "0201580159130143"},
+	{Prepare{Instance: 3, Ballot: 12, Done: 2}, "020158015914030c02"},
 	{Promise{Instance: 3, Ballot: 12, OK: true, Promised: 1, AccBallot: 5, HasVal: true,
-		Val: Command{Kind: "member", Origin: "A", Seq: 1, Node: "C", Addr: "h:3", Status: 2, Text: "t", Ref: 41}, Done: 2}, "010158015915030c01010501066d656d626572014101014303683a330201742902"},
-	{Accept{Instance: 3, Ballot: 12, Val: Command{Kind: "update", Origin: "B", Seq: 4, Node: "B"}, Done: 1}, "010158015916030c0675706461746501420401420000000001"},
-	{Accepted{Instance: 3, Ballot: 12, OK: true, Promised: 13, Done: 2}, "010158015917030c010d02"},
-	{Learn{Instance: 3, Val: Command{Kind: "noop", Origin: "B", Seq: 5}, Done: 3}, "01015801591803046e6f6f70014205000000000003"},
-	{CatchUp{From: 4, Done: 3}, "0101580159190403"},
-	{Snapshot{Through: 40, State: []byte("fold"), Done: 40}, "01015801591a2804666f6c6428"},
-	{DiscoverRequest{}, "01015801591b"},
-	{UpdateRequest{}, "01015801591c"},
-	{ProbeRequest{}, "01015801591d"},
-	{StateRequest{}, "01015801591e"},
-	{StateReport{Node: "A", Epoch: 4, Activated: true, Closed: true, PathsReady: true, Tuples: 12, Watchers: 1,
-		WatchQueued: 2, WatchExtracted: 5, WatchSaved: 3, WatchDropped: 1, WatchCanceled: 1, BadFrames: 9}, "01015801591f0141040101011802040503010109"},
-	{QueryRequest{ID: 7, Body: "a(X,Y)", Cols: []string{"X", "Y"}}, "01015801592007066128582c59290201580159"},
-	{QueryResult{ID: 7, Columns: []string{"X"}, Tuples: []relalg.Tuple{{relalg.S("v")}, nil}, Err: "e"}, "010158015921070101580201020076000165"},
+		Val: Command{Kind: "member", Origin: "A", Seq: 1, Node: "C", Addr: "h:3", Status: 2, Text: "t", Ref: 41}, Done: 2}, "020158015915030c01010501066d656d626572014101014303683a330201742902"},
+	{Accept{Instance: 3, Ballot: 12, Val: Command{Kind: "update", Origin: "B", Seq: 4, Node: "B"}, Done: 1}, "020158015916030c0675706461746501420401420000000001"},
+	{Accepted{Instance: 3, Ballot: 12, OK: true, Promised: 13, Done: 2}, "020158015917030c010d02"},
+	{Learn{Instance: 3, Val: Command{Kind: "noop", Origin: "B", Seq: 5}, Done: 3}, "02015801591803046e6f6f70014205000000000003"},
+	{CatchUp{From: 4, Done: 3}, "0201580159190403"},
+	{Snapshot{Through: 40, State: []byte("fold"), Done: 40}, "02015801591a2804666f6c6428"},
+	{DiscoverRequest{}, "02015801591b"},
+	{UpdateRequest{}, "02015801591c"},
+	{ProbeRequest{}, "02015801591d"},
+	{StateRequest{}, "02015801591e"},
+	{StateReport{Node: "A", Epoch: 4, Activated: true, Closed: true, PathsReady: true, Waves: 2, Tuples: 12, Watchers: 1,
+		WatchQueued: 2, WatchExtracted: 5, WatchSaved: 3, WatchDropped: 1, WatchCanceled: 1, BadFrames: 9}, "02015801591f014104010101021802040503010109"},
+	{QueryRequest{ID: 7, Body: "a(X,Y)", Cols: []string{"X", "Y"}}, "02015801592007066128582c59290201580159"},
+	{QueryResult{ID: 7, Columns: []string{"X"}, Tuples: []relalg.Tuple{{relalg.S("v")}, nil}, Err: "e"}, "020158015921070101580201020076000165"},
 	{ReplicaAppend{Node: "A", Rel: "s", Attrs: []string{"x", "y"}, Base: 3, To: 5,
-		Tuples: []relalg.Tuple{{relalg.S("p"), relalg.S("q")}, {relalg.S("r"), relalg.I(1 << 40)}}}, "01015801592201410173020178017903050202020070020071020200720701808080808040"},
-	{ReplicaAck{Node: "A", Rel: "s", To: 5, Durable: true}, "010158015923014101730501"},
-	{ReplicaSyncReq{Node: "A", Frontier: map[string]uint64{"t": 0, "s": 3}}, "010158015924014102017303017400"},
-	{ReplicaState{Node: "A", Epoch: 2, State: []byte{0, 1, 2}}, "01015801592501410203000102"},
-	{ReplicaStatusRequest{}, "010158015926"},
+		Tuples: []relalg.Tuple{{relalg.S("p"), relalg.S("q")}, {relalg.S("r"), relalg.I(1 << 40)}}}, "02015801592201410173020178017903050202020070020071020200720701808080808040"},
+	{ReplicaAck{Node: "A", Rel: "s", To: 5, Durable: true}, "020158015923014101730501"},
+	{ReplicaSyncReq{Node: "A", Frontier: map[string]uint64{"t": 0, "s": 3}}, "020158015924014102017303017400"},
+	{ReplicaState{Node: "A", Epoch: 2, State: []byte{0, 1, 2}}, "02015801592501410203000102"},
+	{ReplicaStatusRequest{}, "020158015926"},
 	{ReplicaStatusReport{Member: "H1", K: 2, UnderReplicated: 1,
-		Entries: []ReplicaStatus{{Node: "A", Role: "primary", Peer: "H2", Applied: 4, Target: 5}}}, "0101580159270248310402010141077072696d6172790248320405"},
-	{WatchRequest{ID: 2, Body: "a(X,Y)", Cols: []string{"X"}, Policy: "block", QueueCap: 16, Resume: true, Marks: map[string]uint64{"a": 9}}, "01015801592802066128582c592901015805626c6f636b200101016109"},
-	{WatchDelta{ID: 2, Seq: 4, Prime: true, Tuples: []relalg.Tuple{{relalg.S("v")}}, Marks: map[string]uint64{"a": 10}, Closed: true, Err: "slow"}, "01015801592902040101010200760101610a0104736c6f77"},
-	{WatchCancel{ID: 2}, "01015801592a02"},
+		Entries: []ReplicaStatus{{Node: "A", Role: "primary", Peer: "H2", Applied: 4, Target: 5}}}, "0201580159270248310402010141077072696d6172790248320405"},
+	{WatchRequest{ID: 2, Body: "a(X,Y)", Cols: []string{"X"}, Policy: "block", QueueCap: 16, Resume: true, Marks: map[string]uint64{"a": 9}}, "02015801592802066128582c592901015805626c6f636b200101016109"},
+	{WatchDelta{ID: 2, Seq: 4, Prime: true, Tuples: []relalg.Tuple{{relalg.S("v")}}, Marks: map[string]uint64{"a": 10}, Closed: true, Err: "slow"}, "02015801592902040101010200760101610a0104736c6f77"},
+	{WatchCancel{ID: 2}, "02015801592a02"},
 }
 
 // TestGoldenFrames checks every row both ways and that the rows are the kind
@@ -275,7 +275,7 @@ func TestSizesArePositiveAndMonotone(t *testing.T) {
 // TestControlKindsCoverControlPlane pins the exclusion set the polling
 // quiescers rely on: every control-plane kind is in it, no protocol kind is.
 func TestControlKindsCoverControlPlane(t *testing.T) {
-	ck := ControlKinds()
+	ck := ControlKinds
 	for _, m := range []Message{
 		StatsRequest{}, StatsReport{}, StatsReset{},
 		DiscoverRequest{}, UpdateRequest{}, ProbeRequest{},
