@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/peer"
-	"repro/internal/rules"
 	"repro/internal/wire"
 )
 
@@ -34,6 +31,10 @@ import (
 // instead of letting the network stall. Rumour-level membership
 // (Join/Heartbeat gossip) stays the failure detector and address book
 // underneath; the agreed view is what control decisions read.
+//
+// The agreed state and its transitions are the pure fold in fold.go; the
+// ControlPlane is its shell: it feeds the fold the applied entries and runs
+// the effects addressed to this member.
 
 // HostedPeer is the slice of the peer runtime the control plane drives.
 // *peer.Peer satisfies it.
@@ -142,12 +143,6 @@ type ControlPlaneMetrics struct {
 	Promotions    uint64   `json:"promotions,omitempty"`     // elections this member won
 }
 
-// pendingUpdate is the agreed update entry not yet matched by an updateDone.
-type pendingUpdate struct {
-	instance uint64 // the update entry's log instance (updateDone's Ref)
-	node     string // preferred driver: the member that accepted the kick
-}
-
 // ControlPlane is one serve member's agreed control plane.
 type ControlPlane struct {
 	tr      *Transport
@@ -155,34 +150,15 @@ type ControlPlane struct {
 	self    string
 	members []string
 	opts    ControlPlaneOptions
-	cons    *consensus.Node
+	cons    *consensus.Node // nil while consensus.New replays the control log
 
-	mu        sync.Mutex
-	view      map[string]Status // agreed statuses (absent = book)
-	version   uint64
-	pending   *pendingUpdate
-	driver    string
-	failovers uint64
-	states    inbox[wire.StateReport]
-	rules     map[string]string // agreed rule set: rule ID -> rule text
-	driveGen  uint64            // invalidates superseded driver goroutines
-	replaying bool              // control-log replay in progress: fold only, no side effects
-	closed    bool
+	mu       sync.Mutex
+	st       *foldState // the agreed fold
+	states   inbox[wire.StateReport]
+	driveGen uint64 // invalidates superseded driver goroutines
+	closed   bool
 
-	// Replication fold (all agreed state, rebuilt by log replay).
-	hosts      map[string]string            // node -> member hosting it (absent = itself)
-	elections  map[string]map[string]uint64 // open promotions: node -> bidder -> frontier
-	promotions uint64                       // elections this member won
-	// deadAt is when this member folded each agreed death: local evidence
-	// bookkeeping, not agreed state (a restart starts it, and the detector
-	// it is compared against, afresh).
-	deadAt map[string]time.Time
-	// deadInst is the instance that folded each agreed death; folded the last
-	// member entry folded here, the premise (Ref) of this member's proposals:
-	// an alive premised on less than the death it meets had not seen it.
-	deadInst map[string]uint64
-	folded   atomic.Uint64
-
+	promotions  atomic.Uint64 // elections this member won
 	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
 
 	ctx  context.Context // cancelled by Close: every loop and driver selects on it
@@ -193,31 +169,24 @@ type ControlPlane struct {
 // NewControlPlane starts the agreed control plane for one serve member.
 // members is the fixed consensus set — the net-file's database nodes,
 // identical at every member — and must include tr.Self(). The hosted peer
-// must already be registered on tr (control-log replay applies rule and
-// kick entries to it synchronously, before any network frame flows).
-// Replay is fold-only: it rebuilds the agreed view, rule set and pending
-// update, but fires none of the entries' side effects — in particular a
+// must already be registered on tr (control-log replay applies rule entries
+// to it synchronously, before any network frame flows). Replay re-folds the
+// log and runs only the rule changes of the effects: in particular a
 // replayed update entry must not re-kick a cluster-wide wave for an update
 // that completed before the restart. Only after replay finishes does the
-// plane act on what remains genuinely pending.
+// plane act on what remains genuinely owed (foldState.resume).
 func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts ControlPlaneOptions) (*ControlPlane, error) {
 	opts = opts.withDefaults()
 	cp := &ControlPlane{
-		tr:        tr,
-		peer:      hosted,
-		self:      tr.Self(),
-		members:   append([]string(nil), members...),
-		opts:      opts,
-		view:      map[string]Status{},
-		rules:     map[string]string{},
-		hosts:     map[string]string{},
-		elections: map[string]map[string]uint64{},
-		deadAt:    map[string]time.Time{},
-		deadInst:  map[string]uint64{},
-		replaying: true,
+		tr:      tr,
+		peer:    hosted,
+		self:    tr.Self(),
+		members: append([]string(nil), members...),
+		opts:    opts,
 	}
 	cp.ctx, cp.stop = context.WithCancel(context.Background())
 	sort.Strings(cp.members)
+	cp.st = newFoldState(cp.members, opts.Replication.K)
 	copts := opts.Consensus
 	copts.Snapshot = cp.snapshotState
 	copts.Restore = cp.restoreState
@@ -226,19 +195,14 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 		return nil, err
 	}
 	cp.cons = cons
-	// Replay done (New replays the control log synchronously). If an update
-	// entry survived without its updateDone, it really is still in flight:
-	// elect and drive it now, exactly once.
+	// Replay done (New replays the control log synchronously). An update
+	// entry that survived without its updateDone really is still in flight,
+	// and elections replay left open really are undecided: drive and bid now,
+	// exactly once (max-merge in the fold makes a duplicate bid harmless).
 	cp.mu.Lock()
-	cp.replaying = false
-	cp.startDrivingLocked()
-	// Elections that replay left open really are undecided: re-submit this
-	// member's bid (max-merge in the fold makes duplicates harmless) and
-	// re-check completion now that side effects may fire.
-	for node := range cp.elections {
-		cp.checkElectionLocked(node)
-	}
+	effs := cp.st.resume()
 	cp.mu.Unlock()
+	cp.run(effs)
 	tr.SetConsensus(cp.intercept)
 	cons.Start()
 	cp.wg.Add(1)
@@ -278,16 +242,16 @@ func (cp *ControlPlane) AgreedView() (map[string]Status, uint64) {
 	defer cp.mu.Unlock()
 	out := make(map[string]Status, len(cp.members))
 	for _, m := range cp.members {
-		out[m] = cp.view[m]
+		out[m] = cp.st.View[m]
 	}
-	return out, cp.version
+	return out, cp.st.Version
 }
 
 // Driver returns the currently elected update driver.
 func (cp *ControlPlane) Driver() string {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.driver
+	return cp.st.driver()
 }
 
 // PlacementFor returns the members that should hold a node's replicas under
@@ -296,7 +260,7 @@ func (cp *ControlPlane) Driver() string {
 func (cp *ControlPlane) PlacementFor(node string) ([]string, uint64) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.electorateLocked(node), cp.version
+	return cp.st.electorate(node), cp.st.Version
 }
 
 // HostOf returns the member hosting a node's primary — the node itself until
@@ -304,7 +268,7 @@ func (cp *ControlPlane) PlacementFor(node string) ([]string, uint64) {
 func (cp *ControlPlane) HostOf(node string) string {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.hostOfLocked(node)
+	return cp.st.hostOf(node)
 }
 
 // AdoptedNodes lists the nodes (other than its own) whose primaries this
@@ -313,14 +277,7 @@ func (cp *ControlPlane) HostOf(node string) string {
 func (cp *ControlPlane) AdoptedNodes() []string {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	var out []string
-	for n, h := range cp.hosts {
-		if h == cp.self && n != cp.self {
-			out = append(out, n)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return cp.st.adopted(cp.self)
 }
 
 // Deposed reports whether the agreed log has re-homed this member's own node
@@ -329,29 +286,21 @@ func (cp *ControlPlane) AdoptedNodes() []string {
 func (cp *ControlPlane) Deposed() bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return cp.hostOfLocked(cp.self) != cp.self
+	return cp.st.hostOf(cp.self) != cp.self
 }
 
 // Metrics snapshots the control plane for the serve metrics endpoint.
 func (cp *ControlPlane) Metrics() ControlPlaneMetrics {
-	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics(), ProbeRounds: cp.probeRounds.Load()}
+	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics(), ProbeRounds: cp.probeRounds.Load(), Promotions: cp.promotions.Load()}
 	cp.mu.Lock()
-	m.ViewVersion = cp.version
-	m.Driver = cp.driver
-	m.Failovers = cp.failovers
-	if cp.pending != nil {
-		m.PendingInst = cp.pending.instance
-	}
-	for n, h := range cp.hosts {
-		if h == cp.self && n != cp.self {
-			m.Adopted = append(m.Adopted, n)
-		}
-	}
-	sort.Strings(m.Adopted)
-	m.Deposed = cp.hostOfLocked(cp.self) != cp.self
-	m.OpenElections = len(cp.elections)
-	m.Promotions = cp.promotions
-	cp.mu.Unlock()
+	defer cp.mu.Unlock()
+	m.ViewVersion = cp.st.Version
+	m.Driver = cp.st.driver()
+	m.Failovers = cp.st.Failovers
+	m.PendingInst = cp.st.PendingInst
+	m.Adopted = cp.st.adopted(cp.self)
+	m.Deposed = cp.st.hostOf(cp.self) != cp.self
+	m.OpenElections = len(cp.st.Elections)
 	return m
 }
 
@@ -415,320 +364,118 @@ func (cp *ControlPlane) submitAsync(cmd wire.Command) {
 	}
 }
 
-// applyEntry folds one agreed entry into the control state. Runs on the
-// consensus applier goroutine, in instance order, identically at every
-// member; per-node side effects (starting a wave, adding a rule) fire only
-// at the member the entry names.
+// applyEntry folds one agreed entry and runs what it asks of this member. It
+// runs on the consensus applier goroutine in instance order — or inside
+// consensus.New, replaying the control log.
 func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
-	switch cmd.Kind {
-	case "member":
-		cp.mu.Lock()
-		cp.folded.Store(instance)
-		prev := cp.view[cmd.Node]
-		if prev == StatusDead && Status(cmd.Status) == StatusAlive && cmd.Ref != 0 && cmd.Ref < cp.deadInst[cmd.Node] {
-			// Proposed before its proposer had folded the death (Ref 0: no
-			// premise, honoured): it would delete the election for nothing.
-			cp.mu.Unlock()
-			return
+	cp.mu.Lock()
+	effs := cp.st.fold(instance, cmd)
+	cp.mu.Unlock()
+	cp.run(effs)
+}
+
+// snapshotState encodes the fold for a catching-up peer.
+func (cp *ControlPlane) snapshotState() []byte {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.st.snapshot()
+}
+
+// restoreState installs a transferred fold in place of the per-entry folds of
+// the prefix it covers, and runs what the difference between the two states
+// asks of this member. It runs where applyEntry runs, or inside
+// consensus.New when the control log opens with a snapshot marker from an
+// earlier transfer.
+func (cp *ControlPlane) restoreState(through uint64, data []byte) {
+	next, err := cp.st.restore(through, data) // reads only the fold's configuration
+	if err != nil {
+		return
+	}
+	cp.mu.Lock()
+	effs := cp.st.transfer(next)
+	cp.st = next
+	cp.mu.Unlock()
+	cp.run(effs)
+}
+
+// run carries out the effects addressed to this member: rule changes in log
+// order on the applier goroutine, a drive under a fresh generation, and what
+// calls out or proposes — a bid, a promotion, a deposal, a discovery kick —
+// on a goroutine of its own. During control-log replay (consensus.New
+// replays before it returns, so cons is still nil) only the rule changes run:
+// the rest happened before the restart, and the resume step re-derives what
+// is still owed.
+func (cp *ControlPlane) run(effs []effect) {
+	replay := cp.cons == nil
+	for _, e := range effs {
+		if e.member != cp.self && e.member != everyMember {
+			continue
 		}
-		cp.view[cmd.Node] = Status(cmd.Status)
-		cp.version++
+		if e.kind == effPromote {
+			cp.promotions.Add(1)
+		}
 		switch {
-		case Status(cmd.Status) == StatusDead && prev != StatusDead:
-			// A death declaration opens a promotion election for the dead
-			// member's own node and for every node it had adopted — all of
-			// them just lost their primary.
-			cp.deadAt[cmd.Node] = time.Now()
-			cp.deadInst[cmd.Node] = instance
-			cp.startElectionLocked(cmd.Node)
-			for n, h := range cp.hosts {
-				if h == cmd.Node {
-					cp.startElectionLocked(n)
-				}
-			}
-		case Status(cmd.Status) == StatusAlive:
-			// The member is heard from again before any election decided: the
-			// sitting primary is back, the elections are moot. (After a
-			// decision this entry usually records the adopter heartbeating on
-			// the dead name's behalf — the elections are long gone by then.)
-			delete(cp.elections, cmd.Node)
-			for n, h := range cp.hosts {
-				if h == cmd.Node {
-					delete(cp.elections, n)
-				}
-			}
+		case e.kind == effAddRule:
+			_ = cp.peer.AddRuleLocal(e.text)
+		case e.kind == effDeleteRule:
+			cp.peer.DeleteRuleLocal(e.text)
+		case replay: // happened before the restart
+		case e.kind == effDrive:
+			cp.startDriving(e.inst)
+		default:
+			//lint:allow goroshutdown bounded: a callback that returns, or a proposal through submitAsync, which selects on quit
+			go cp.runAsync(e)
 		}
-		// Any view change can shrink an election's expected electorate (a
-		// bidder died) or re-add a bidder: re-check every open election.
-		for node := range cp.elections {
-			cp.checkElectionLocked(node)
-		}
-		wasDriver := cp.driver
-		cp.reelectLocked()
-		// A view change hands the driver role over only on an actual change
-		// of holder; the sitting driver's goroutine keeps running untouched.
-		if cp.driver == cp.self && wasDriver != cp.self {
-			cp.startDrivingLocked()
-		}
-		cp.mu.Unlock()
-	case "promoteBid":
-		cp.mu.Lock()
-		if bids, open := cp.elections[cmd.Node]; open {
-			// Max-merge: a bidder may re-submit after a restart with a fresher
-			// frontier; presence in the map is what marks the bid cast.
-			if old, ok := bids[cmd.Origin]; !ok || cmd.Ref > old {
-				bids[cmd.Origin] = cmd.Ref
-			}
-			cp.checkElectionLocked(cmd.Node)
-		}
-		cp.mu.Unlock()
-	case "discover":
-		cp.mu.Lock()
-		starter := cp.electLocked(cmd.Node)
-		replay := cp.replaying
-		cp.mu.Unlock()
-		// A replayed discover already ran before the restart; re-folding it
-		// must not re-flood the cluster.
-		if starter == cp.self && !replay {
-			//lint:allow goroshutdown bounded kick: StartDiscovery floods the wave request and returns; answers flow back through the transport
-			go cp.peer.StartDiscovery()
-		}
-	case "update":
-		cp.mu.Lock()
-		cp.pending = &pendingUpdate{instance: instance, node: cmd.Node}
-		cp.reelectLocked()
-		// Always start a fresh drive for the new instance — even when this
-		// member was already driving an older update (that goroutine notices
-		// the superseded instance and exits).
-		cp.startDrivingLocked()
-		cp.mu.Unlock()
-	case "updateDone":
-		cp.mu.Lock()
-		if cp.pending != nil && cp.pending.instance == cmd.Ref {
-			cp.pending = nil
-			cp.reelectLocked()
-		}
-		cp.mu.Unlock()
-	case "addRule":
-		r, err := rules.ParseRule(cmd.Text)
-		if err != nil {
-			return
-		}
-		cp.mu.Lock()
-		cp.rules[r.ID] = cmd.Text
-		cp.mu.Unlock()
-		if r.HeadNode == cp.self {
-			_ = cp.peer.AddRuleLocal(cmd.Text)
-		}
-	case "deleteRule":
-		// Delete-by-id is a no-op at every member but the rule's head, so the
-		// entry needs no routing — any member can host the request and a dead
-		// head applies it from its control log on restart.
-		cp.mu.Lock()
-		delete(cp.rules, cmd.Text)
-		cp.mu.Unlock()
-		cp.peer.DeleteRuleLocal(cmd.Text)
 	}
 }
 
-// statusOKLocked reports whether a member is eligible for driver duty (and
-// replica placement) under the agreed view: never-heard-from (book) counts as
-// eligible so a freshly booted cluster with an empty log can still elect.
-// Re-homed members are never eligible even when the view shows them alive —
-// after a promotion the adopter heartbeats on the dead name's behalf (so
-// sends re-route), and electing a name with no consensus node behind it as
-// update driver would stall the wave forever. Callers hold mu.
-func (cp *ControlPlane) statusOKLocked(name string) bool {
-	if h, ok := cp.hosts[name]; ok && h != name {
-		return false
-	}
-	st := cp.view[name]
-	return st == StatusBook || st == StatusAlive
-}
-
-// electLocked picks the member responsible for a kick: the preferred member
-// when eligible, else the first eligible in sorted order. Callers hold mu.
-func (cp *ControlPlane) electLocked(prefer string) string {
-	if prefer != "" && cp.statusOKLocked(prefer) {
-		return prefer
-	}
-	for _, m := range cp.members {
-		if cp.statusOKLocked(m) {
-			return m
-		}
-	}
-	return ""
-}
-
-// reelectLocked recomputes the update driver after view or pending changes.
-// A change of holder while an update is in flight counts as a fail-over.
-// Callers hold mu.
-func (cp *ControlPlane) reelectLocked() {
-	if cp.pending == nil {
-		cp.driver = ""
-		return
-	}
-	next := cp.electLocked(cp.pending.node)
-	if next != cp.driver && cp.driver != "" && next != "" {
-		cp.failovers++
-	}
-	cp.driver = next
-}
-
-// hostOfLocked resolves the member currently hosting a node's primary (the
-// node itself until a promotion re-homed it). Callers hold mu.
-func (cp *ControlPlane) hostOfLocked(node string) string {
-	if h, ok := cp.hosts[node]; ok && h != "" {
-		return h
-	}
-	return node
-}
-
-// electorateLocked computes a node's promotion electorate — the members that
-// should hold its replicas under the current agreed view: the k
-// rendezvous-highest eligible members, excluding the node's current host (the
-// primary is not its own replica). Every member computes the same set from
-// the same fold, so election completion is agreed without its own protocol.
-// Callers hold mu.
-func (cp *ControlPlane) electorateLocked(node string) []string {
-	host := cp.hostOfLocked(node)
-	return RendezvousPlacement(node, cp.members, cp.opts.Replication.K,
-		func(m string) bool { return m != host && cp.statusOKLocked(m) })
-}
-
-// startElectionLocked opens a promotion election for a node that lost its
-// primary, and casts this member's bid when it is in the electorate. Callers
-// hold mu.
-func (cp *ControlPlane) startElectionLocked(node string) {
-	if cp.opts.Replication.K <= 0 {
-		return
-	}
-	if _, open := cp.elections[node]; open {
-		return
-	}
-	cp.elections[node] = map[string]uint64{}
-	cp.bidLocked(node)
-}
-
-// bidLocked submits this member's promotion bid for an open election it
-// belongs to: an agreed promoteBid entry carrying the durable replication
-// frontier of its mirror. Replay never bids (the log already holds whatever
-// this member bid before the restart; NewControlPlane re-bids after replay if
-// the election is still open). Callers hold mu.
-func (cp *ControlPlane) bidLocked(node string) {
-	if cp.replaying || cp.closed {
-		return
-	}
-	inSet := false
-	for _, e := range cp.electorateLocked(node) {
-		if e == cp.self {
-			inSet = true
-			break
-		}
-	}
-	if !inSet {
-		return
-	}
-	frontier := cp.opts.Replication.Frontier
-	self := cp.self
-	// Frontier and Submit both run off the applier goroutine: the frontier
-	// callback takes the replica manager's lock, and Submit blocks on quorum
-	// — a minority member parks here until the partition heals, which is the
-	// "minority replicas refuse promotion" rule falling out of consensus.
-	//lint:allow goroshutdown bounded: one frontier read, then submitAsync, which selects on quit
-	go func() {
+// runAsync carries out one effect that leaves the plane.
+func (cp *ControlPlane) runAsync(e effect) {
+	rep := cp.opts.Replication
+	switch e.kind {
+	case effDiscover:
+		cp.peer.StartDiscovery()
+	case effBid:
+		// The frontier callback takes the replica manager's lock, and Submit
+		// blocks on quorum — a minority member parks here until the partition
+		// heals, which is the "minority replicas refuse promotion" rule falling
+		// out of consensus.
 		var f uint64
-		if frontier != nil {
-			f = frontier(node)
+		if rep.Frontier != nil {
+			f = rep.Frontier(e.node)
 		}
-		cp.submitAsync(wire.Command{Kind: "promoteBid", Origin: self, Node: node, Ref: f})
-	}()
-}
-
-// checkElectionLocked decides an open election once every expected bidder has
-// bid: the highest durable frontier wins (ties to the lexicographically least
-// name), the host map re-homes the node, and — outside replay — the winner
-// starts its promotion while a deposed previous host learns its fate. When this
-// member's own bid is the missing one (a bidder died and the electorate
-// shrank onto us, or we just finished replay), it re-bids. Callers hold mu.
-func (cp *ControlPlane) checkElectionLocked(node string) {
-	bids, open := cp.elections[node]
-	if !open {
-		return
-	}
-	expect := cp.electorateLocked(node)
-	if len(expect) == 0 {
-		// Nobody eligible can host the node right now; the election stays
-		// open until a member entry changes the electorate.
-		return
-	}
-	for _, e := range expect {
-		if _, ok := bids[e]; !ok {
-			if e == cp.self {
-				cp.bidLocked(node)
-			}
-			return
+		cp.submitAsync(wire.Command{Kind: "promoteBid", Origin: cp.self, Node: e.node, Ref: f})
+	case effPromote:
+		// Adopt the node (rebuild its peer from the mirror and the shipped
+		// subscription state), then kick a cluster-wide update so re-driven
+		// subscriptions and resends re-converge the fix-point through the new
+		// home.
+		if rep.OnPromote != nil {
+			rep.OnPromote(e.node)
 		}
-	}
-	var winner string
-	var best uint64
-	for _, e := range expect {
-		if f := bids[e]; winner == "" || f > best || (f == best && e < winner) {
-			winner, best = e, f
-		}
-	}
-	delete(cp.elections, node)
-	loser := cp.hostOfLocked(node)
-	cp.hosts[node] = winner
-	if winner == cp.self {
-		cp.promotions++
-	}
-	if !cp.replaying {
-		if winner == cp.self {
-			//lint:allow goroshutdown bounded: OnPromote adopts the node and returns, then submitAsync selects on quit
-			go cp.runPromotion(node)
-		} else if loser == cp.self {
-			// This process is alive but the cluster agreed it was dead — a
-			// partition or stall outlasted DeadAfter — and the node it hosted
-			// (its own or an adopted one) now lives elsewhere. A node has at
-			// most one live host: this one must stop serving it.
-			cp.deposeLocked(node)
+		cp.submitAsync(wire.Command{Kind: "update", Node: cp.self})
+	case effDepose:
+		// This process is alive but the cluster agreed it was dead — a
+		// partition or stall outlasted DeadAfter — and the node it hosted (its
+		// own or an adopted one) now lives elsewhere. A node has at most one
+		// live host: this one must stop serving it.
+		if rep.OnDeposed != nil {
+			rep.OnDeposed(e.node)
 		}
 	}
 }
 
-// deposeLocked tells the member, off the applier goroutine, that a node it
-// hosted was re-homed elsewhere. Callers hold mu.
-func (cp *ControlPlane) deposeLocked(node string) {
-	if fn := cp.opts.Replication.OnDeposed; fn != nil {
-		//lint:allow goroshutdown bounded callback: OnDeposed stops serving the node and returns
-		go fn(node)
-	}
-}
-
-// runPromotion executes a won election off the applier goroutine: adopt the
-// node (rebuild its peer from the mirror and shipped subscription state),
-// then kick a cluster-wide update wave so re-driven subscriptions and resends
-// re-converge the fix-point through the new home.
-func (cp *ControlPlane) runPromotion(node string) {
-	if fn := cp.opts.Replication.OnPromote; fn != nil {
-		fn(node)
-	}
-	cp.submitAsync(wire.Command{Kind: "update", Node: cp.self})
-}
-
-// startDrivingLocked spawns a driver goroutine for the pending update under
-// a fresh generation. Callers hold mu and have established that this member
-// is the driver.
-func (cp *ControlPlane) startDrivingLocked() {
-	if cp.driver != cp.self || cp.pending == nil || cp.closed || cp.replaying {
+// startDriving spawns a driver goroutine for update inst under a fresh
+// generation; an older one notices it was superseded and exits.
+func (cp *ControlPlane) startDriving(inst uint64) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.closed {
 		return
 	}
 	cp.driveGen++
-	inst := cp.pending.instance
-	gen := cp.driveGen
 	cp.wg.Add(1)
-	go cp.drive(inst, gen)
+	go cp.drive(inst, cp.driveGen)
 }
 
 // stillDriving reports whether a driver goroutine remains current: the same
@@ -737,8 +484,7 @@ func (cp *ControlPlane) startDrivingLocked() {
 func (cp *ControlPlane) stillDriving(inst, gen uint64) bool {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return !cp.closed && cp.pending != nil && cp.pending.instance == inst &&
-		cp.driver == cp.self && cp.driveGen == gen
+	return !cp.closed && cp.st.PendingInst == inst && cp.st.driver() == cp.self && cp.driveGen == gen
 }
 
 // errSuperseded ends a drive whose update is no longer this member's to
@@ -778,8 +524,8 @@ type planeWave struct {
 }
 
 // Kick re-checks before the kick, not just before each poll: a newer update
-// (or this one's updateDone) may have been applied between startDrivingLocked
-// and this goroutine getting scheduled, and a stale kick is a full
+// (or this one's updateDone) may have been applied between startDriving and
+// this goroutine getting scheduled, and a stale kick is a full
 // cluster-wide epoch bump.
 func (w *planeWave) Kick(context.Context, int) (bool, error) {
 	if !w.cp.stillDriving(w.inst, w.gen) {
@@ -802,7 +548,7 @@ func (w *planeWave) Settle(ctx context.Context) error {
 		cp.mu.Lock()
 		var targets []string
 		for _, m := range cp.members {
-			if m != cp.self && cp.statusOKLocked(m) {
+			if m != cp.self && cp.st.statusOK(m) {
 				targets = append(targets, m)
 			}
 		}
@@ -884,6 +630,15 @@ func (cp *ControlPlane) reconcileLoop() {
 	// that triggers promotion. Any other status resets the clock, so a
 	// crash-restart (or a heal) inside the window never escalates.
 	suspectSince := map[string]time.Time{}
+	// deadAt is when this loop first read each agreed death, by the instance
+	// that folded it: the evidence mayPropose weighs a return against. Local
+	// bookkeeping, not agreed state — a restart starts it, and the detector it
+	// is compared with, afresh.
+	type death struct {
+		inst uint64
+		at   time.Time
+	}
+	deadAt := map[string]death{}
 	for {
 		select {
 		case <-cp.ctx.Done():
@@ -894,12 +649,21 @@ func (cp *ControlPlane) reconcileLoop() {
 			if !inSet[m.Name] || m.Status == StatusBook {
 				continue
 			}
+			cp.mu.Lock()
+			agreed, died, rehomed := cp.st.View[m.Name], cp.st.DeadInst[m.Name], cp.st.hostOf(m.Name) != m.Name
+			premise := cp.st.Applied // what the proposal knows of the log
+			cp.mu.Unlock()
+			if agreed != StatusDead {
+				delete(deadAt, m.Name)
+			} else if deadAt[m.Name].inst != died {
+				deadAt[m.Name] = death{died, time.Now()}
+			}
 			// A re-homed name has no liveness of its own: what the detector
 			// sees under it is its adopter's heartbeats, and an adopter that
 			// merely stalls must not get the name declared dead a second
 			// time while it still serves it. The adopter's own death already
 			// reopens elections for everything it hosted.
-			if cp.HostOf(m.Name) != m.Name {
+			if rehomed {
 				delete(suspectSince, m.Name)
 				continue
 			}
@@ -914,8 +678,7 @@ func (cp *ControlPlane) reconcileLoop() {
 			} else {
 				delete(suspectSince, m.Name)
 			}
-			premise := cp.folded.Load() // read before judging: what the proposal knows of the log
-			if !cp.mayPropose(m, want) {
+			if !mayPropose(agreed, deadAt[m.Name].at, m, want, cp.tr.opts.SuspectAfter) {
 				continue
 			}
 			// Re-check right before proposing: the quorum wait below can
@@ -939,16 +702,14 @@ func (cp *ControlPlane) reconcileLoop() {
 // suspicion would re-open a decided election's premise, and so would an
 // "alive" from a detector that simply has not timed the member out yet: its
 // alive entry deletes the open election and nobody re-declares the death. An
-// alive over a death this member has folded (one it has not is refused by the
-// fold, applyEntry) must rest on evidence the dead member cannot have left
-// behind: a heartbeat heard more than a suspicion window after the fold —
-// inside it the member's last frames may still be queued here.
-func (cp *ControlPlane) mayPropose(m MemberInfo, want Status) bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	agreed := cp.view[m.Name]
+// alive over a death this member has read (one it has not is refused by the
+// fold, through the proposal's premise) must rest on evidence the dead member
+// cannot have left behind: a heartbeat heard more than a suspicion window
+// after deadAt, when the proposer first read the death — inside it the
+// member's last frames may still be queued here.
+func mayPropose(agreed Status, deadAt time.Time, m MemberInfo, want Status, suspectAfter time.Duration) bool {
 	if agreed == StatusDead {
-		return want == StatusAlive && m.LastSeen.After(cp.deadAt[m.Name].Add(cp.tr.opts.SuspectAfter))
+		return want == StatusAlive && m.LastSeen.After(deadAt.Add(suspectAfter))
 	}
 	return agreed != want
 }
@@ -961,147 +722,4 @@ func (cp *ControlPlane) gossipStatus(name string) (Status, bool) {
 		}
 	}
 	return StatusBook, false
-}
-
-// controlState is the gob-encoded control-plane fold shipped in a consensus
-// state transfer (consensus.Options.Snapshot/Restore): everything applyEntry
-// derives from the log prefix, so a member that lost its disk can resume
-// from a peer's applied frontier instead of stalling below the GC floor.
-type controlState struct {
-	View        map[string]uint8
-	Version     uint64
-	PendingInst uint64
-	PendingNode string
-	Rules       map[string]string            // rule ID -> rule text
-	Hosts       map[string]string            // node -> hosting member
-	Elections   map[string]map[string]uint64 // open promotions: node -> bidder -> frontier
-	DeadInst    map[string]uint64            // node -> instance that folded its agreed death
-}
-
-// snapshotState serialises the current fold for a catching-up peer.
-func (cp *ControlPlane) snapshotState() []byte {
-	cp.mu.Lock()
-	st := controlState{
-		View:    make(map[string]uint8, len(cp.view)),
-		Version: cp.version,
-		Rules:   make(map[string]string, len(cp.rules)),
-	}
-	for n, s := range cp.view {
-		st.View[n] = uint8(s)
-	}
-	for id, text := range cp.rules {
-		st.Rules[id] = text
-	}
-	st.Hosts = make(map[string]string, len(cp.hosts))
-	for n, h := range cp.hosts {
-		st.Hosts[n] = h
-	}
-	st.Elections = make(map[string]map[string]uint64, len(cp.elections))
-	for n, bids := range cp.elections {
-		cp2 := make(map[string]uint64, len(bids))
-		for b, f := range bids {
-			cp2[b] = f
-		}
-		st.Elections[n] = cp2
-	}
-	st.DeadInst = make(map[string]uint64, len(cp.deadInst))
-	for n, i := range cp.deadInst {
-		st.DeadInst[n] = i
-	}
-	if cp.pending != nil {
-		st.PendingInst = cp.pending.instance
-		st.PendingNode = cp.pending.node
-	}
-	cp.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// restoreState installs a transferred fold: the agreed view, pending update
-// and rule set are replaced wholesale, then the local side effects are
-// re-derived — driver election (gated like any apply during log replay) and
-// this member's head-local rules. Runs on the consensus applier goroutine,
-// or synchronously inside New when the applied log opens with a snapshot
-// marker from an earlier transfer.
-func (cp *ControlPlane) restoreState(through uint64, data []byte) {
-	var st controlState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return
-	}
-	cp.mu.Lock()
-	cp.folded.Store(through)
-	prevView := cp.view
-	cp.view = make(map[string]Status, len(st.View))
-	for n, s := range st.View {
-		cp.view[n] = Status(s)
-		if Status(s) == StatusDead && prevView[n] != StatusDead {
-			cp.deadAt[n] = time.Now() // a death learned by transfer is folded now
-		}
-	}
-	cp.version = st.Version
-	old := cp.rules
-	cp.rules = st.Rules
-	if cp.rules == nil {
-		cp.rules = map[string]string{}
-	}
-	oldHosts := cp.hosts
-	cp.hosts = st.Hosts
-	if cp.hosts == nil {
-		cp.hosts = map[string]string{}
-	}
-	cp.elections = st.Elections
-	if cp.elections == nil {
-		cp.elections = map[string]map[string]uint64{}
-	}
-	cp.deadInst = st.DeadInst
-	if cp.deadInst == nil {
-		cp.deadInst = map[string]uint64{}
-	}
-	cp.pending = nil
-	if st.PendingInst > 0 {
-		cp.pending = &pendingUpdate{instance: st.PendingInst, node: st.PendingNode}
-	}
-	cp.reelectLocked()
-	cp.startDrivingLocked()
-	// Promotions the transferred fold decided while this member was away:
-	// anything newly homed on us must be adopted now (outside replay; boot
-	// recovery re-adopts from AdoptedNodes instead), and anything we hosted
-	// that is homed elsewhere now — our own node included — must stop being
-	// served here. Open elections get our bid re-cast via the usual check.
-	var promote []string
-	if !cp.replaying {
-		for n, h := range cp.hosts {
-			was := oldHosts[n] == cp.self || (oldHosts[n] == "" && n == cp.self)
-			switch {
-			case h == cp.self && n != cp.self && !was:
-				promote = append(promote, n)
-			case h != cp.self && was:
-				cp.deposeLocked(n)
-			}
-		}
-		for node := range cp.elections {
-			cp.checkElectionLocked(node)
-		}
-	}
-	cp.mu.Unlock()
-	sort.Strings(promote)
-	for _, n := range promote {
-		//lint:allow goroshutdown bounded: OnPromote adopts the node and returns, then submitAsync selects on quit
-		go cp.runPromotion(n)
-	}
-	for _, text := range st.Rules {
-		if r, err := rules.ParseRule(text); err == nil && r.HeadNode == cp.self {
-			_ = cp.peer.AddRuleLocal(text)
-		}
-	}
-	// Rules this member knew before the transfer but the snapshot no longer
-	// carries were deleted while it was away.
-	for id := range old {
-		if _, ok := st.Rules[id]; !ok {
-			cp.peer.DeleteRuleLocal(id)
-		}
-	}
 }

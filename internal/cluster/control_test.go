@@ -648,114 +648,3 @@ func TestAddLinkValidatesRule(t *testing.T) {
 		t.Fatalf("well-formed rule rejected by validation: %v", err)
 	}
 }
-
-// foldOnlyPlane is member D's control plane with nothing behind it: entries
-// fold, nothing bids, drives or sends.
-func foldOnlyPlane() *ControlPlane {
-	cp := &ControlPlane{
-		self:      "D",
-		members:   []string{"A", "B", "C", "D", "E"},
-		view:      map[string]Status{},
-		rules:     map[string]string{},
-		hosts:     map[string]string{},
-		elections: map[string]map[string]uint64{},
-		deadAt:    map[string]time.Time{},
-		deadInst:  map[string]uint64{},
-		replaying: true, // fold only: no bids, no drivers
-	}
-	cp.opts.Replication.K = 2
-	return cp
-}
-
-// TestAliveProposedBeforeTheDeathIsIgnored replays the second path to the
-// same flake. B proposed E alive while E's death was not yet in B's log, so
-// no evidence rule at the proposer could have seen it; the proposal landed
-// one instance after the death, folded dead→alive, and the election was gone
-// for good. The fold itself must refuse an alive whose premise — the last
-// member entry its proposer had folded — is older than the death.
-func TestAliveProposedBeforeTheDeathIsIgnored(t *testing.T) {
-	cp := foldOnlyPlane()
-	member := func(origin string, st Status, premise uint64) wire.Command {
-		return wire.Command{Kind: "member", Origin: origin, Node: "E", Status: uint8(st), Ref: premise}
-	}
-	cp.applyEntry(9, member("C", StatusAlive, 8))
-	cp.applyEntry(10, member("A", StatusDead, 9))
-	cp.applyEntry(11, member("B", StatusAlive, 9))
-	if view, ver := cp.AgreedView(); view["E"] != StatusDead || ver != 2 || len(cp.elections) != 1 {
-		t.Fatalf("after an alive premised on instance 9 over the death at 10: E is %v at version %d with %d elections open, want dead, 2, 1",
-			view["E"], ver, len(cp.elections))
-	}
-	if cp.folded.Load() != 11 {
-		t.Fatalf("folded = %d after the ignored entry, want 11: it is still an entry this member has seen", cp.folded.Load())
-	}
-	// A restored member must fold the same way: the rule's input travels.
-	twin := foldOnlyPlane()
-	twin.restoreState(10, cp.snapshotState())
-	twin.applyEntry(11, member("B", StatusAlive, 9))
-	if view, _ := twin.AgreedView(); view["E"] != StatusDead || len(twin.elections) != 1 {
-		t.Fatalf("a member restored at instance 10 folds the stale alive: E is %v with %d elections open", view["E"], len(twin.elections))
-	}
-	// A proposer that has folded the death — or states no premise, as old
-	// logs and hand-made verdicts do — is honoured.
-	for _, premise := range []uint64{10, 0} {
-		cp := foldOnlyPlane()
-		cp.applyEntry(10, member("A", StatusDead, 9))
-		cp.applyEntry(12, member("B", StatusAlive, premise))
-		if view, _ := cp.AgreedView(); view["E"] != StatusAlive || len(cp.elections) != 0 {
-			t.Errorf("alive with premise %d over the death at 10: E is %v with %d elections open, want alive and none",
-				premise, view["E"], len(cp.elections))
-		}
-	}
-}
-
-// TestStaleAliveDoesNotCloseAnElection replays the fold trace behind the
-// TestRehomedNodeHasOneHost flake: E is agreed dead and its promotion election
-// opens; D's detector has not timed E out yet, so it still reads E alive — on
-// heartbeats older than the death. Proposing that reading would fold an alive
-// entry, which deletes the election, and nobody re-declares the death. The
-// proposer must hold back until it hears E a suspicion window after it folded
-// the death: E's last frames may still be queued at D when it does.
-func TestStaleAliveDoesNotCloseAnElection(t *testing.T) {
-	cp := foldOnlyPlane()
-	const suspectAfter = 150 * time.Millisecond
-	// Only the detector's settings are read from the transport.
-	cp.tr = &Transport{opts: Options{SuspectAfter: suspectAfter}}
-	heard := time.Now() // E's last heartbeat, before anyone declared it dead
-	member := func(st Status) wire.Command {
-		return wire.Command{Kind: "member", Node: "E", Status: uint8(st)}
-	}
-	cp.applyEntry(1, member(StatusAlive))
-	cp.applyEntry(2, member(StatusDead))
-	if n := len(cp.elections); n != 1 {
-		t.Fatalf("the agreed death opened %d elections, want 1", n)
-	}
-
-	stale := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: heard}
-	if cp.mayPropose(stale, StatusAlive) {
-		t.Fatal("a detector that last heard E before its death may propose it alive")
-	}
-	// E's last frames, still queued at D when it folded the death.
-	stale.LastSeen = cp.deadAt["E"].Add(suspectAfter)
-	if cp.mayPropose(stale, StatusAlive) {
-		t.Fatal("a heartbeat inside the suspicion window after the death may propose E alive")
-	}
-	if cp.mayPropose(MemberInfo{Name: "E", Status: StatusSuspect, LastSeen: heard}, StatusSuspect) {
-		t.Fatal("suspicion may be proposed over an agreed death")
-	}
-	if n := len(cp.elections); n != 1 {
-		t.Fatalf("%d elections open after the stale readings, want the one still open", n)
-	}
-
-	back := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: cp.deadAt["E"].Add(suspectAfter + 1)}
-	if !cp.mayPropose(back, StatusAlive) {
-		t.Fatal("a heartbeat heard a suspicion window after the death must be allowed to propose E alive")
-	}
-	// What the stale proposal would have done, and the fresh one rightly does.
-	cp.applyEntry(3, member(StatusAlive))
-	if n := len(cp.elections); n != 0 {
-		t.Fatalf("E is back and %d elections stay open", n)
-	}
-	if cp.mayPropose(back, StatusAlive) {
-		t.Fatal("alive over agreed alive is not a proposal")
-	}
-}

@@ -485,7 +485,7 @@ type Command struct {
 	// Ref links an entry to an earlier instance: an "updateDone" names the
 	// log instance of the "update" it closes, so a stale done from a deposed
 	// driver cannot clear a newer in-flight update; a "member" names the last
-	// member entry its proposer had folded (0: none), its premise.
+	// entry its proposer had folded (0: none), its premise.
 	Ref uint64
 }
 

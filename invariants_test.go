@@ -1,0 +1,222 @@
+package p2pdb_test
+
+// Source invariants that no compiler or analyzer enforces, each the residue
+// of a measured design decision. A failure names what came back.
+
+import (
+	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// programFiles lists the tree's non-test .go files, skipping testdata and dot
+// directories as the go tool does.
+func programFiles(t *testing.T) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			out = append(out, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestNoGobOnTheTuplePath: the wire frame and the WAL record share one
+// hand-written byte codec; gob survives only in the cold consensus and control
+// logs. Test files count too.
+func TestNoGobOnTheTuplePath(t *testing.T) {
+	for _, dir := range []string{"internal/wire", "internal/transport", "internal/replica", "internal/storage", "internal/relalg"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/gob"` {
+					t.Errorf("encoding/gob is back on the tuple path: %s", path)
+				}
+			}
+		}
+	}
+}
+
+// TestOnePassPerTuplePerHop: an answer is a set. Evaluation, the part join
+// and the peer's update path return first-derivation order and never sort it
+// (canonical order lives in relalg.SortTuples, for LocalQuery, the
+// QueryRequest reply and the printers). TupleSet is a log, an open-addressing
+// table of positions and value chunks — no hash-keyed map. A relation's
+// per-position index is keyed by the hash a value carries, never by the value
+// (the built-in map would hash the string's bytes again). Only multi-source
+// rules join parts: a single-source answer goes to the chase as it is
+// (rules.ApplyPart).
+func TestOnePassPerTuplePerHop(t *testing.T) {
+	for _, path := range []string{"internal/cq/eval.go", "internal/rules/eval.go", "internal/peer/update.go"} {
+		for _, sorting := range []string{"Sorted()", "sort.Slice(", "slices.Sort", "SortTuples("} {
+			if bytes.Contains(readFile(t, path), []byte(sorting)) {
+				t.Errorf("a canonical sort is back on the answer path: %s calls %s", path, sorting)
+			}
+		}
+	}
+	if bytes.Contains(readFile(t, "internal/relalg/tupleset.go"), []byte("map[uint64]")) {
+		t.Error("TupleSet grew a hash-keyed map again")
+	}
+	if bytes.Contains(readFile(t, "internal/relalg/relation.go"), []byte("map[Value]")) {
+		t.Error("a relation index is keyed by Value again")
+	}
+	if n := bytes.Count(readFile(t, "internal/peer/update.go"), []byte("rules.JoinParts(")); n != 2 {
+		t.Errorf("rules.JoinParts( has %d call sites in peer/update.go, want 2 (joinPartsLocked, joinPartsDeltaLocked)", n)
+	}
+}
+
+// TestOneUpdateDriver: core.DriveUpdate is the only loop that decides
+// "settled but open → probe → retry"; Network.Update/UpdateStaged,
+// Coordinator.Update and ControlPlane.drive observe for it. A second
+// closureProbes, a second "still open after" error, a ProbeRequest built
+// outside the two wire observers, or a Probes/SettleDeficit option is a forked
+// driver.
+func TestOneUpdateDriver(t *testing.T) {
+	defines := regexp.MustCompile(`closureProbes *=`)
+	var probes, stillOpen []string
+	fset := token.NewFileSet()
+	for _, path := range programFiles(t) {
+		src := readFile(t, path)
+		for _, line := range bytes.Split(src, []byte("\n")) {
+			if defines.Match(line) {
+				probes = append(probes, path)
+			}
+		}
+		if bytes.Contains(src, []byte("still open after")) {
+			stillOpen = append(stillOpen, path)
+		}
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg := filepath.ToSlash(filepath.Dir(path))
+		for _, site := range probeRequestSites(f) {
+			if pkg != "internal/cluster" || (site != "(*wireWave).Probe" && site != "(*planeWave).Probe") {
+				t.Errorf("wire.ProbeRequest{} built outside the driver's observers: %s in %s", site, pkg)
+			}
+		}
+		if pkg == "internal/cluster" {
+			for _, field := range structFields(f, "CoordinatorOptions") {
+				if field == "Probes" || field == "SettleDeficit" {
+					t.Errorf("CoordinatorOptions grew a probe knob again: %s", field)
+				}
+			}
+		}
+	}
+	if len(probes) != 1 {
+		t.Errorf("closureProbes is defined %d times, want 1: %v", len(probes), probes)
+	}
+	if len(stillOpen) != 1 {
+		t.Errorf("\"still open after\" occurs in %d non-test files, want 1: %v", len(stillOpen), stillOpen)
+	}
+}
+
+// probeRequestSites names the function around each wire.ProbeRequest literal
+// in f, as "(*Recv).Name" or "Name".
+func probeRequestSites(f *ast.File) []string {
+	wireName := ""
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/wire" {
+			wireName = "wire"
+			if imp.Name != nil {
+				wireName = imp.Name.Name
+			}
+		}
+	}
+	if wireName == "" {
+		return nil
+	}
+	var sites []string
+	for _, decl := range f.Decls {
+		ast.Inspect(decl, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if sel, ok := lit.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "ProbeRequest" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == wireName {
+					sites = append(sites, funcName(decl))
+				}
+			}
+			return true
+		})
+	}
+	return sites
+}
+
+func funcName(decl ast.Decl) string {
+	fd, ok := decl.(*ast.FuncDecl)
+	if !ok {
+		return "package level"
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	recv := fd.Recv.List[0].Type
+	star := ""
+	if s, ok := recv.(*ast.StarExpr); ok {
+		star, recv = "*", s.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return "(" + star + id.Name + ")." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
+// structFields lists the field names of the struct type name declared in f.
+func structFields(f *ast.File, name string) []string {
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != name {
+			return true
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					out = append(out, id.Name)
+				}
+			}
+		}
+		return false
+	})
+	return out
+}
