@@ -953,20 +953,18 @@ func (n *Node) applyLoop() {
 				n.opts.Restore(s.Through, s.State)
 				continue
 			}
+			// A cursor of its own reads the batch: applied (and done) pass
+			// an entry only once it is applied, so a snapshot bracketed by
+			// applied never claims an entry its state lacks.
 			var batch []wire.Command
-			var first uint64
+			first := n.applied + 1
 			for {
-				in, ok := n.insts[n.applied+1]
+				in, ok := n.insts[first+uint64(len(batch))]
 				if !ok || !in.decided {
 					break
 				}
-				if first == 0 {
-					first = n.applied + 1
-				}
 				batch = append(batch, in.val)
-				n.applied++
 			}
-			n.done[n.self] = n.applied
 			n.gcLocked()
 			n.mu.Unlock()
 			if len(batch) == 0 {
@@ -975,6 +973,10 @@ func (n *Node) applyLoop() {
 			for i, cmd := range batch {
 				n.log.append(logEntry{Instance: first + uint64(i), Cmd: cmd}, false)
 				n.apply(first+uint64(i), cmd)
+				n.mu.Lock()
+				n.applied = first + uint64(i)
+				n.done[n.self] = n.applied
+				n.mu.Unlock()
 			}
 		}
 	}

@@ -670,6 +670,50 @@ func TestLostDiskStateTransferCatchUp(t *testing.T) {
 	})
 }
 
+// TestSnapshotLabelMatchesItsState parks the applier inside a batch of three
+// decided entries and takes a state transfer: its Through must name the
+// entries the state holds, not the last instance of the batch being applied.
+func TestSnapshotLabelMatchesItsState(t *testing.T) {
+	al := &applyLog{}
+	parked, release := make(chan struct{}), make(chan struct{})
+	apply := func(i uint64, c wire.Command) {
+		if i == 2 {
+			close(parked)
+			<-release
+		}
+		al.apply(i, c)
+	}
+	opts := fastOpts()
+	opts.Snapshot = al.stateBytes
+	n, err := New("A", []string{"A"}, func(string, wire.Message) error { return nil }, apply, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	for i := uint64(1); i <= 3; i++ {
+		n.decide(i, wire.Command{Kind: "noop", Text: fmt.Sprint(i)})
+	}
+	n.Start() // the applier takes all three in one batch
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("the applier never reached the second entry")
+	}
+	snap, ok := n.takeSnapshot()
+	close(release)
+	if !ok {
+		t.Fatal("no snapshot while the applier was parked")
+	}
+	var held []logEntry
+	if err := gob.NewDecoder(bytes.NewReader(snap.State)).Decode(&held); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Through != uint64(len(held)) {
+		t.Fatalf("snapshot labelled through %d holds %d entries", snap.Through, len(held))
+	}
+}
+
 // TestAdoptsAcceptedValue pins the core safety rule: a new ballot must adopt
 // a value any acceptor has already accepted, not its own.
 func TestAdoptsAcceptedValue(t *testing.T) {

@@ -29,7 +29,7 @@ func subState(p *Peer, dependent, ruleID string) (marks, acked, ackedDurable sto
 	if !ok {
 		return nil, nil, nil, false
 	}
-	return sub.marks.Clone(), sub.acked.Clone(), sub.ackedDurable.Clone(), true
+	return sub.st.Shipped().Clone(), sub.st.Frontier(storage.Received).Clone(), sub.st.Frontier(storage.Durable).Clone(), true
 }
 
 func TestAckAdvancesConfirmedFrontiers(t *testing.T) {

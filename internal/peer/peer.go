@@ -240,31 +240,20 @@ func (p *Peer) dropIfClosedLocked() {
 // asks. The source re-answers its subscribers whenever its data changes (A5),
 // evaluating each question once per change however many ask it.
 //
-// In delta mode the frontier is split in three, each advanced by
-// a different class of evidence: marks is the in-flight frontier — advanced
-// the moment an evaluation extracts a delta, whether or not the send
-// survives the transport; acked is the receipt-confirmed frontier —
-// extended contiguously by AnswerAcks carrying this subscription's id (an
-// ack whose Base the frontier does not cover is a gap left by a dropped
-// earlier answer and is ignored); and ackedDurable is the
-// durability-confirmed frontier — extended the same way, but only by acks
-// whose sender synced its store first (AnswerAck.Durable). Live
-// retransmission (timeouts, same-incarnation epoch bumps) rewinds to acked;
-// persistence, recovery, and re-sends to a possibly-restarted dependent
-// (member rejoin, incarnation change) use ackedDurable — so neither a lost
-// send, a dropped answer in a sequence, nor a dependent that crashed after
-// acknowledging without durability can leave tuples below a frontier that
-// skips them.
+// In delta mode st is what the dependent holds: evaluations ship on it,
+// AnswerAcks carrying this subscription's id acknowledge on it. Live
+// retransmission (timeouts, same-incarnation epoch bumps) rewinds to the
+// received frontier; persistence, recovery, and re-sends to a
+// possibly-restarted dependent (member rejoin, incarnation change) use the
+// durable one.
 type subscription struct {
-	dependent    string
-	ruleID       string
-	id           uint64 // instance id echoed by AnswerAck (stale-ack guard)
-	epoch        uint64
-	q            *question
-	marks        storage.Marks // in-flight frontier (delta mode; nil in faithful mode)
-	acked        storage.Marks // receipt-confirmed frontier (contiguous ack extension)
-	ackedDurable storage.Marks // durability-confirmed frontier (Durable acks only; persisted)
-	primed       bool          // full evaluation done; marks are authoritative
+	dependent string
+	ruleID    string
+	id        uint64 // instance id echoed by AnswerAck (stale-ack guard)
+	epoch     uint64
+	q         *question
+	st        *storage.Stream // delta mode only (nil in faithful mode)
+	primed    bool            // full evaluation done; st's shipped frontier is authoritative
 
 	lastInc     uint64    // dependent incarnation of the last carried query
 	lastSent    time.Time // last answer carrying a frontier
@@ -469,21 +458,8 @@ func (p *Peer) applyRestore(st *wal.State) {
 		}
 		sub := &subscription{dependent: rs.Dependent, ruleID: rs.RuleID, epoch: rs.Epoch, q: q}
 		if p.opts.Delta {
-			// The persisted marks are the acknowledged frontier. Clamp each
-			// one to the recovered relation's actual sequence high water: a
-			// crash may have lost log tail the frontier record outlived, and
-			// tuples re-derived after the restart would reuse the lost
-			// sequence range — a frontier above it would silently skip them.
-			// Clamping only re-sends more, never less, and receivers
-			// deduplicate.
-			have := p.db.MarksFor(q.rels)
-			m := storage.Marks{}
-			for rel, seq := range rs.Marks {
-				m[rel] = min(seq, have[rel])
-			}
-			sub.marks = m
-			sub.acked = m.Clone()
-			sub.ackedDurable = m.Clone()
+			// The persisted marks are the durable frontier.
+			sub.st = storage.RestoreStream(rs.Marks, p.db.MarksFor(q.rels))
 			sub.primed = rs.Primed
 		}
 		p.subSeq++
@@ -512,8 +488,8 @@ func (p *Peer) applyRestore(st *wal.State) {
 }
 
 // durableSubsLocked renders the subscriptions in their durable form, sorted.
-// The persisted marks are the DURABILITY-confirmed frontier (ackedDurable),
-// not the in-flight or merely receipt-confirmed ones: a restart may only
+// The persisted marks are the DURABILITY-confirmed frontier, not the
+// shipped or merely receipt-confirmed ones: a restart may only
 // trust what dependents confirmed having on stable storage — everything
 // beyond that frontier must ship again. SealFrontiers promotes receipt to
 // durability grade at a clean close, where the sealing store makes it so.
@@ -530,11 +506,8 @@ func (p *Peer) durableSubsLocked() []wal.SubState {
 			Cols:      append([]string(nil), sub.q.cols...),
 			Primed:    sub.primed,
 		}
-		if sub.marks != nil {
-			ss.Marks = storage.Marks{}
-			for rel, seq := range sub.ackedDurable {
-				ss.Marks[rel] = seq
-			}
+		if sub.st != nil {
+			ss.Marks = sub.st.Frontier(storage.Durable).Clone()
 		}
 		out = append(out, ss)
 	}
@@ -554,8 +527,8 @@ func (p *Peer) SealFrontiers() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, sub := range p.subs {
-		if sub.acked != nil {
-			sub.ackedDurable = sub.acked.Clone()
+		if sub.st != nil {
+			sub.st.Seal()
 		}
 	}
 }
@@ -1189,14 +1162,14 @@ func (p *Peer) resendStale(minAge time.Duration) {
 	now := time.Now()
 	for _, k := range p.subKeysLocked() {
 		sub := p.subs[k]
-		if sub.marks == nil || !sub.primed || sub.acked.Covers(sub.marks) {
+		if sub.st == nil || !sub.primed || !sub.st.Pending(storage.Received) {
 			continue
 		}
 		if now.Sub(sub.lastSent) < minAge || sub.resendTries >= maxAckResends {
 			continue
 		}
 		sub.resendTries++
-		p.resendFromLocked(sub, sub.acked)
+		p.resendFromLocked(sub, storage.Received)
 	}
 }
 
@@ -1213,26 +1186,20 @@ func (p *Peer) ResendUnackedTo(dependent string) {
 	defer p.mu.Unlock()
 	for _, k := range p.subKeysLocked() {
 		sub := p.subs[k]
-		if sub.dependent != dependent || sub.marks == nil || !sub.primed {
-			continue
-		}
-		if sub.ackedDurable.Covers(sub.marks) {
+		if sub.dependent != dependent || sub.st == nil || !sub.primed || !sub.st.Pending(storage.Durable) {
 			continue
 		}
 		sub.resendTries = 0
-		p.resendFromLocked(sub, sub.ackedDurable)
+		p.resendFromLocked(sub, storage.Durable)
 	}
 }
 
 // resendFromLocked re-evaluates a subscription from a confirmed frontier:
-// the in-flight marks rewind to it, so the evaluation re-ships exactly the
+// the shipped frontier rewinds to it, so the evaluation re-ships exactly the
 // unconfirmed suffix (receivers deduplicate any overlap with answers that
 // did arrive). Callers hold mu.
-func (p *Peer) resendFromLocked(sub *subscription, frontier storage.Marks) {
-	sub.marks = frontier.Clone()
-	if sub.marks == nil {
-		sub.marks = storage.Marks{}
-	}
+func (p *Peer) resendFromLocked(sub *subscription, from storage.Level) {
+	sub.st.Rewind(from)
 	p.evalAndSendLocked(sub, []string{p.id})
 	p.dropIfClosedLocked()
 }

@@ -293,8 +293,8 @@ func TestSemiNaiveMarksTrackSubscription(t *testing.T) {
 	if sub == nil {
 		t.Fatal("no subscription registered at S")
 	}
-	if !sub.primed || sub.marks["s"] != 1 {
-		t.Fatalf("marks not primed: primed=%v marks=%v", sub.primed, sub.marks)
+	if !sub.primed || sub.st.Shipped()["s"] != 1 {
+		t.Fatalf("marks not primed: primed=%v marks=%v", sub.primed, sub.st.Shipped())
 	}
 
 	// New data plus a new epoch: the mark must advance past it.
@@ -303,8 +303,8 @@ func TestSemiNaiveMarksTrackSubscription(t *testing.T) {
 	}
 	hs.h.StartUpdateWave()
 	hs.quiesce(t)
-	if sub = subOf(); sub.marks["s"] != 2 {
-		t.Fatalf("marks after second epoch = %v", sub.marks)
+	if sub = subOf(); sub.st.Shipped()["s"] != 2 {
+		t.Fatalf("marks after second epoch = %v", sub.st.Shipped())
 	}
 	if hs.h.DB().Count("h") != 2 {
 		t.Fatalf("h = %d", hs.h.DB().Count("h"))
@@ -315,7 +315,7 @@ func TestSemiNaiveMarksTrackSubscription(t *testing.T) {
 	hs.s.Handle(wire.Envelope{From: "H", To: "S", Msg: wire.Unsubscribe{RuleID: "r"}})
 	hs.h.StartUpdateWave()
 	hs.quiesce(t)
-	if sub = subOf(); sub == nil || !sub.primed || sub.marks["s"] != 2 {
+	if sub = subOf(); sub == nil || !sub.primed || sub.st.Shipped()["s"] != 2 {
 		t.Fatalf("re-created subscription not re-primed: %+v", sub)
 	}
 	if hs.h.DB().Count("h") != 2 {

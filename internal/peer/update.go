@@ -181,12 +181,8 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 		// question: a changed conjunction or column list (rule redefinition)
 		// re-primes from scratch, otherwise results of the new body over old
 		// data would never ship.
-		if resub && prev.q == q && prev.marks != nil {
-			sub.id = prev.id
-			sub.acked = prev.acked
-			sub.ackedDurable = prev.ackedDurable
-			sub.primed = prev.primed
-			sub.lastInc = m.Incarnation
+		if resub && prev.q == q && prev.st != nil {
+			sub.id, sub.st, sub.primed = prev.id, prev.st, prev.primed
 			switch {
 			case m.Incarnation != prev.lastInc:
 				// The requester runs in a fresh process lifetime: it
@@ -196,50 +192,40 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 				// (its close sealed everything it had received); a
 				// crashed one gets exactly what its durability gate
 				// never confirmed.
-				sub.marks = sub.ackedDurable.Clone()
+				sub.st.Rewind(storage.Durable)
 			case m.Epoch > prev.epoch:
 				// A fresh epoch within one requester lifetime re-pulls
-				// from the RECEIPT-confirmed frontier, not the in-flight
+				// from the RECEIPT-confirmed frontier, not the shipped
 				// one: everything evaluated but never acknowledged —
 				// sends that failed while the dependent was unreachable,
 				// answers a transport dropped — ships again here. On a
 				// healthy network the frontiers coincide at the epoch
 				// bump (quiescence drained the acks), so this costs
-				// nothing; same-epoch re-queries keep the in-flight
-				// marks, so chatty cyclic cascades do not re-ship data
+				// nothing; same-epoch re-queries keep the shipped
+				// frontier, so chatty cyclic cascades do not re-ship data
 				// whose ack is merely still in flight.
-				sub.marks = sub.acked.Clone()
-			default:
-				sub.marks = prev.marks
-			}
-			if sub.marks == nil {
-				sub.marks = storage.Marks{}
+				sub.st.Rewind(storage.Received)
 			}
 		} else {
-			sub.marks = storage.Marks{}
-			sub.acked = storage.Marks{}
-			sub.ackedDurable = storage.Marks{}
-			sub.lastInc = m.Incarnation
+			sub.st = storage.NewStream(nil)
 			p.subSeq++
 			sub.id = p.subSeq
 		}
+		sub.lastInc = m.Incarnation
 	}
 	p.subscribeLocked(sub)
 
 	// Immediate answer with the current evaluation (A4's first step).
-	base := sub.marks.Clone()
-	tuples := p.evalForSub(sub)
 	ans := wire.Answer{
 		Epoch:    m.Epoch,
 		RuleID:   m.RuleID,
 		Part:     p.id,
 		Columns:  q.cols,
-		Tuples:   tuples,
 		Complete: p.stateU == Closed,
 		Delta:    p.opts.Delta,
 		Route:    []string{p.id},
 	}
-	sub.stamp(&ans, base)
+	p.evalForSub(sub, &ans)
 	p.Send(from, ans)
 	p.dropIfClosedLocked()
 
@@ -263,41 +249,28 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 	}
 }
 
-// stamp marks an answer with the subscription instance and the sequence
-// range its payload covers: base is the frontier the evaluation started
-// from (captured BEFORE evalForSub advanced the marks), the current marks
-// are the frontier it reaches. The dependent echoes the whole stamp back in
-// an AnswerAck once the payload is applied (and, on a durable node,
-// persisted); the base is what lets the source extend its confirmed
-// frontiers contiguously, so an ack for a later answer cannot conceal an
-// earlier one that was dropped. A no-op for subscriptions without marks
-// (faithful mode) or not yet primed. Both frontiers leave non-nil (the wire
-// codec delivers an empty map as nil, which readers treat as all-zero).
-func (sub *subscription) stamp(a *wire.Answer, base storage.Marks) {
-	if sub.marks == nil || !sub.primed {
+// evalForSub evaluates a subscription's question into a's payload: the full
+// result in faithful mode, the delta past the shipped frontier in delta mode,
+// stamped once primed with the instance and the range it covers (the
+// stream's shipped maps before and after). The dependent echoes the stamp in
+// an AnswerAck once the payload is applied (on a durable node, persisted).
+// QueriesExecuted counts answers computed for a subscriber, shared or not;
+// evals counts the evaluations actually run. Callers hold mu.
+func (p *Peer) evalForSub(sub *subscription, a *wire.Answer) {
+	p.ct.AddQueries(1)
+	if sub.st == nil {
+		p.evals++
+		if result, err := cq.Eval(p.db, sub.q.conj, sub.q.cols); err == nil {
+			a.Tuples = result
+		}
 		return
 	}
-	a.SubID = sub.id
-	a.Base = base // the caller's own clone
-	a.Seqs = sub.marks.Clone()
-	sub.lastSent = time.Now()
-}
-
-// evalForSub evaluates a subscription's question, returning the payload to
-// ship (the full result in faithful mode, the delta past the marks in delta
-// mode). QueriesExecuted counts answers computed for a subscriber, shared or
-// not; evals counts the evaluations actually run. Callers hold mu.
-func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
-	p.ct.AddQueries(1)
-	if sub.marks != nil {
-		return p.evalDeltaForSub(sub)
+	base := sub.st.Shipped()
+	a.Tuples = p.evalDeltaForSub(sub)
+	if sub.primed {
+		a.SubID, a.Base, a.Seqs = sub.id, base, sub.st.Shipped()
+		sub.lastSent = time.Now()
 	}
-	p.evals++
-	result, err := cq.Eval(p.db, sub.q.conj, sub.q.cols)
-	if err != nil {
-		return nil
-	}
-	return result
 }
 
 // evalDeltaForSub is the semi-naive path: the first evaluation runs the full
@@ -308,16 +281,16 @@ func (p *Peer) evalForSub(sub *subscription) []relalg.Tuple {
 // re-derived through a new tuple may ship twice; the subscriber's insert
 // step deduplicates, so only bytes — not correctness — are at stake. The
 // evaluation is the question's: a subscription it fits takes its tuples (see
-// question). The marks advance only past an evaluation that succeeded.
+// question). The stream ships only past an evaluation that succeeded.
 // Callers hold mu.
 func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 	q := sub.q
 	var base, next storage.Marks // base nil: the full evaluation that primes
 	var delta map[string][]relalg.Tuple
 	if sub.primed {
-		base = sub.marks
+		base = sub.st.Shipped()
 		if delta, next = p.db.DeltaSince(base, q.rels); len(delta) == 0 {
-			sub.marks = next
+			sub.st.Ship(next)
 			return nil
 		}
 	} else {
@@ -337,7 +310,8 @@ func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 		}
 		q.last = &evaluation{base: base, next: next, tuples: out}
 	}
-	sub.marks, sub.primed = next, true
+	sub.st.Ship(next)
+	sub.primed = true
 	return q.last.tuples
 }
 
@@ -442,37 +416,29 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	}
 }
 
-// handleAnswerAck extends a subscription's confirmed frontiers: the
-// dependent has confirmed receiving — and, when Durable, persisting — the
-// answer covering the echoed range (Base, Seqs]. Each frontier extends per
-// relation only where it already covers the range's base: an ack whose base
-// lies beyond the frontier is the shadow of an earlier answer that was
-// dropped (outbox overflow, write error), and skipping past it would bury
-// the dropped delta below the frontier forever — instead the gap stays
-// open and the retransmission paths re-ship it from the frontier. A stale
-// instance id — the subscription was re-primed or re-created with a
-// different question since the answer shipped — is ignored: acknowledged
-// seqs of the old question say nothing about what of the new one has
-// arrived. Callers hold mu.
+// handleAnswerAck acknowledges the echoed range (Base, Seqs] on the
+// subscription's stream: the dependent has confirmed receiving — and, when
+// Durable, persisting — the answer covering it. An ack whose base lies
+// beyond a frontier is the shadow of an earlier answer that was dropped
+// (outbox overflow, write error): the stream leaves that gap open and the
+// retransmission paths re-ship it. A stale instance id — the subscription
+// was re-primed or re-created with a different question since the answer
+// shipped — is ignored: acknowledged seqs of the old question say nothing
+// about what of the new one has arrived. Callers hold mu.
 func (p *Peer) handleAnswerAck(from string, m wire.AnswerAck) {
 	sub, ok := p.subs[subKey(from, m.RuleID)]
-	if !ok || sub.id != m.SubID || sub.acked == nil {
+	if !ok || sub.id != m.SubID || sub.st == nil {
 		return
 	}
-	advanced := false
 	for rel, seq := range m.Seqs {
-		base := m.Base[rel] // nil-safe: a missing base reads as zero
-		if sub.acked[rel] >= base && seq > sub.acked[rel] {
-			sub.acked[rel] = seq
-			advanced = true
+		// A missing base reads as zero: the priming answer's empty frontier.
+		received, durable := sub.st.Ack(rel, m.Base[rel], seq, m.Durable)
+		if received {
+			sub.resendTries = 0
 		}
-		if m.Durable && sub.ackedDurable != nil && sub.ackedDurable[rel] >= base && seq > sub.ackedDurable[rel] {
-			sub.ackedDurable[rel] = seq
+		if durable {
 			p.ackDirty = true // Handle persists the new durable frontier after unlock
 		}
-	}
-	if advanced {
-		sub.resendTries = 0
 	}
 }
 
@@ -563,8 +529,6 @@ func (p *Peer) pushToSubsLocked(route []string) {
 // evalAndSendLocked re-evaluates one subscription and ships the answer,
 // stamped with the sequence range the evaluation covered. Callers hold mu.
 func (p *Peer) evalAndSendLocked(sub *subscription, route []string) {
-	base := sub.marks.Clone()
-	tuples := p.evalForSub(sub)
 	epoch := sub.epoch
 	if p.epoch > epoch {
 		epoch = p.epoch
@@ -574,12 +538,11 @@ func (p *Peer) evalAndSendLocked(sub *subscription, route []string) {
 		RuleID:   sub.ruleID,
 		Part:     p.id,
 		Columns:  sub.q.cols,
-		Tuples:   tuples,
 		Complete: p.stateU == Closed,
 		Delta:    p.opts.Delta,
 		Route:    route,
 	}
-	sub.stamp(&a, base)
+	p.evalForSub(sub, &a)
 	p.Send(sub.dependent, a)
 }
 

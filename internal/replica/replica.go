@@ -6,11 +6,10 @@
 // that finds itself in a node's placement opens a durable mirror store and
 // solicits the stream with a ReplicaSyncReq carrying its recovered frontier;
 // the primary then ships WAL-seq-stamped suffixes (ReplicaAppend, batched by
-// transport.Batcher alongside the answer traffic) and advances the stream on
-// durable acknowledgments only — a mirror syncs its store before it acks, so
-// an acked frontier is on stable storage at the mirror. Because a mirror
-// applies only contiguous extensions of its frontier (overlaps are trimmed,
-// gaps trigger anti-entropy), its relation sequence numbers equal the
+// transport.Batcher alongside the answer traffic) over one storage.Stream per
+// mirror — the frontier rule subscriptions use too. A mirror applies a suffix
+// as storage.Extend says and syncs its store before it acks, and only durable
+// acks advance the stream, so its relation sequence numbers equal the
 // primary's — which is what lets the primary's shipped subscription marks
 // remain valid against the mirror after a promotion re-homes the node.
 //
@@ -103,12 +102,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// destStream is a primary's outbound replication stream to one mirror.
+// destStream is a primary's outbound replication stream to one mirror. Only
+// durable acks reach the stream, so its received and durable frontiers agree.
 type destStream struct {
-	sent      storage.Marks // frontier shipped (per relation)
-	acked     storage.Marks // frontier durably acknowledged by the mirror
-	progress  time.Time     // last ack advance (or stream establishment)
-	lastState []byte        // last protocol-state blob shipped (dedup)
+	*storage.Stream
+	progress  time.Time // last ack advance (or stream establishment)
+	lastState []byte    // last protocol-state blob shipped (dedup)
 }
 
 // primary is one node whose relations this member ships outward.
@@ -320,10 +319,10 @@ func (m *Manager) Handle(env wire.Envelope) bool {
 	return true
 }
 
-// applyAppend ingests one shipped suffix at a mirror. Only contiguous
-// extensions of the durable frontier apply: an overlap is trimmed (the
-// primary rewound further back than needed), a gap triggers anti-entropy.
-// The store syncs before the ack leaves, so an acked frontier is durable.
+// applyAppend ingests one shipped suffix at a mirror: storage.Extend decides
+// against the durable frontier. An overlap is trimmed (the primary rewound
+// further back than needed), a gap triggers anti-entropy. The store syncs
+// before the ack leaves, so an acked frontier is durable.
 func (m *Manager) applyAppend(from string, msg wire.ReplicaAppend) {
 	m.mu.Lock()
 	mi := m.mirrors[msg.Node]
@@ -341,17 +340,18 @@ func (m *Manager) applyAppend(from string, msg wire.ReplicaAppend) {
 		}
 	}
 	frontier := mi.db.MarksFor([]string{msg.Rel})[msg.Rel]
-	switch {
-	case msg.Base > frontier:
-		// Gap: a frame before this one was lost or we restarted behind the
+	switch storage.Extend(frontier, msg.Base, msg.To) {
+	case storage.Gap:
+		// A frame before this one was lost or we restarted behind the
 		// stream. Re-solicit from our durable frontier.
-		m.syncReqLocked(mi)
+		out := m.syncReqLocked(mi, nil)
 		m.mu.Unlock()
+		m.sendAll(out)
 		return
-	case msg.To <= frontier:
-		// Entirely old (a rewound primary re-shipping); re-ack so the
-		// primary's stream advances past it.
-	default:
+	case storage.Old:
+		// A rewound primary re-shipping; re-ack so the primary's stream
+		// advances past it.
+	case storage.Extends:
 		for _, t := range msg.Tuples[frontier-msg.Base:] {
 			if _, err := mi.db.Insert(msg.Rel, t, storage.InsertExact); err != nil {
 				m.mu.Unlock()
@@ -365,8 +365,9 @@ func (m *Manager) applyAppend(from string, msg wire.ReplicaAppend) {
 			// both apply in insertion order). Count it and fall back to
 			// anti-entropy rather than acking a frontier we do not hold.
 			mi.diverged++
-			m.syncReqLocked(mi)
+			out := m.syncReqLocked(mi, nil)
 			m.mu.Unlock()
+			m.sendAll(out)
 			return
 		}
 		frontier = now
@@ -404,11 +405,12 @@ func (m *Manager) applyAck(from string, msg wire.ReplicaAck) {
 	if d == nil {
 		return // stream re-established meanwhile; a fresh sync req re-keys it
 	}
-	if d.sent[msg.Rel] >= msg.To && d.acked[msg.Rel] < msg.To {
-		if d.acked == nil {
-			d.acked = storage.Marks{}
-		}
-		d.acked[msg.Rel] = msg.To
+	// A mirror acks its whole frontier, (0, To]. One beyond anything this
+	// stream shipped predates the re-key that started it.
+	if msg.To > d.Shipped()[msg.Rel] {
+		return
+	}
+	if advanced, _ := d.Ack(msg.Rel, 0, msg.To, true); advanced {
 		d.progress = time.Now()
 	}
 }
@@ -424,15 +426,7 @@ func (m *Manager) applySyncReq(member string, msg wire.ReplicaSyncReq) {
 		m.mu.Unlock()
 		return
 	}
-	start := storage.Marks{}
-	for rel, seq := range msg.Frontier {
-		start[rel] = seq
-	}
-	p.dests[member] = &destStream{
-		sent:     start,
-		acked:    start.Clone(),
-		progress: time.Now(),
-	}
+	p.dests[member] = &destStream{Stream: storage.NewStream(msg.Frontier), progress: time.Now()}
 	m.mu.Unlock()
 	m.kickFlush()
 }
@@ -450,21 +444,20 @@ func (m *Manager) applyState(msg wire.ReplicaState) {
 	mi.state = msg.State
 }
 
-// syncReqLocked sends (rate-limited) an anti-entropy request for one mirror
-// to the node's current primary host. Callers hold m.mu.
-func (m *Manager) syncReqLocked(mi *mirror) {
+// syncReqLocked appends to out (rate-limited) an anti-entropy request for
+// one mirror, addressed to the node's current primary host; the caller sends
+// it once m.mu is released. Callers hold m.mu.
+func (m *Manager) syncReqLocked(mi *mirror, out []shipment) []shipment {
 	if time.Since(mi.lastSyncReq) < m.opts.SyncReqEvery {
-		return
+		return out
 	}
 	mi.lastSyncReq = time.Now()
 	req := wire.ReplicaSyncReq{Node: mi.node, Frontier: map[string]uint64{}}
 	for rel, seq := range dbMarks(mi.db) {
 		req.Frontier[rel] = seq
 	}
-	host := m.ctl.HostOf(mi.node)
 	m.syncReqs++
-	//lint:allow goroshutdown bounded: a single transport send, spawned only to get off m.mu
-	go func() { _ = m.send(m.opts.Member, host, req) }()
+	return append(out, shipment{to: m.ctl.HostOf(mi.node), msg: req})
 }
 
 // flushLoop is the primary-side shipper: every FlushEvery (or immediately on
@@ -493,10 +486,16 @@ func (m *Manager) kickFlush() {
 	}
 }
 
-// shipment is one ReplicaAppend prepared under the lock, sent outside it.
+// shipment is one frame prepared under the lock, sent outside it.
 type shipment struct {
 	to  string
 	msg wire.Message
+}
+
+func (m *Manager) sendAll(out []shipment) {
+	for _, s := range out {
+		_ = m.send(m.opts.Member, s.to, s.msg)
+	}
 }
 
 func (m *Manager) flushOnce() {
@@ -511,41 +510,27 @@ func (m *Manager) flushOnce() {
 		}
 		var blob []byte
 		for member, d := range p.dests {
-			// Rewind-on-silence: sent beyond acked with no progress for
+			// Rewind-on-silence: shipped beyond acked with no progress for
 			// ResendAfter means a frame (or its ack) was lost — re-ship the
 			// unacknowledged suffix.
-			if !marksCover(d.acked, d.sent) && time.Since(d.progress) >= m.opts.ResendAfter {
-				d.sent = d.acked.Clone()
-				if d.sent == nil {
-					d.sent = storage.Marks{}
-				}
+			if d.Pending(storage.Durable) && time.Since(d.progress) >= m.opts.ResendAfter {
+				d.Rewind(storage.Durable)
 				d.progress = time.Now()
 				m.rewinds++
 			}
-			delta, next := p.db.DeltaSince(d.sent, rels)
+			delta, next := p.db.DeltaSince(d.Shipped(), rels)
 			for rel, tuples := range delta {
-				var base uint64
-				if d.sent != nil {
-					base = d.sent[rel]
-				}
 				out = append(out, shipment{to: member, msg: wire.ReplicaAppend{
 					Node:   p.node,
 					Rel:    rel,
 					Attrs:  relAttrs(p.db, rel),
-					Base:   base,
+					Base:   d.Shipped()[rel],
 					To:     next[rel],
 					Tuples: tuples,
 				}})
 				m.appends++
 			}
-			if d.sent == nil {
-				d.sent = storage.Marks{}
-			}
-			for rel, seq := range next {
-				if seq > d.sent[rel] {
-					d.sent[rel] = seq
-				}
-			}
+			d.Ship(next)
 			if shipState {
 				if blob == nil {
 					blob = wal.MarshalState(p.stateFn())
@@ -561,9 +546,7 @@ func (m *Manager) flushOnce() {
 		}
 	}
 	m.mu.Unlock()
-	for _, s := range out {
-		_ = m.send(m.opts.Member, s.to, s.msg)
-	}
+	m.sendAll(out)
 }
 
 // reconcileLoop is the mirror-side placement follower: every ReconcileEvery
@@ -584,10 +567,11 @@ func (m *Manager) reconcileLoop() {
 
 func (m *Manager) reconcileOnce() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		return
 	}
+	var out []shipment
 	for _, node := range m.opts.Nodes {
 		if m.primaries[node] != nil || m.ctl.HostOf(node) == m.opts.Member {
 			continue // we host it (or are about to): primaries do not mirror themselves
@@ -614,9 +598,11 @@ func (m *Manager) reconcileOnce() {
 			}
 		}
 		if time.Since(mi.lastAppend) >= m.opts.SyncReqEvery {
-			m.syncReqLocked(mi)
+			out = m.syncReqLocked(mi, out)
 		}
 	}
+	m.mu.Unlock()
+	m.sendAll(out)
 }
 
 // openMirrorLocked creates (or re-opens from disk) the mirror for one node
@@ -678,7 +664,7 @@ func (m *Manager) underReplicatedLocked() int {
 		placement, _ := m.ctl.PlacementFor(p.node)
 		for _, member := range placement {
 			d := p.dests[member]
-			if d == nil || !marksCover(d.acked, frontier) {
+			if d == nil || !d.Frontier(storage.Durable).Covers(frontier) {
 				short++
 			}
 		}
@@ -701,7 +687,7 @@ func (m *Manager) StatusReport() wire.ReplicaStatusReport {
 		for member, d := range p.dests {
 			rep.Entries = append(rep.Entries, wire.ReplicaStatus{
 				Node: p.node, Role: "primary", Peer: member,
-				Applied: marksSum(d.acked), Target: target,
+				Applied: marksSum(d.Frontier(storage.Durable)), Target: target,
 			})
 		}
 	}
@@ -745,14 +731,6 @@ func relAttrs(db *storage.DB, rel string) []string {
 		}
 	}
 	return nil
-}
-
-// marksCover reports whether a covers b (a nil a covers only an empty b).
-func marksCover(a, b storage.Marks) bool {
-	if a == nil {
-		a = storage.Marks{}
-	}
-	return a.Covers(b)
 }
 
 func marksSum(m storage.Marks) uint64 {

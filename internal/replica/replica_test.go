@@ -29,8 +29,8 @@ func (fakeControl) HostOf(node string) string {
 	return node
 }
 
-// outbox captures what a manager sends. Anti-entropy requests leave on their
-// own goroutine, so reads wait.
+// outbox captures what a manager sends. Appends leave from the flusher's
+// goroutine, so reads wait.
 type outbox struct {
 	mu     sync.Mutex
 	frames []wire.Envelope

@@ -270,11 +270,8 @@ func (db *DB) Stats() (inserts, rejected uint64) {
 // for a particular subscriber ("delta optimization").
 type Marks map[string]uint64
 
-// Clone returns an independent copy (nil stays nil).
+// Clone returns an independent copy, never nil.
 func (m Marks) Clone() Marks {
-	if m == nil {
-		return nil
-	}
 	out := make(Marks, len(m))
 	for rel, seq := range m {
 		out[rel] = seq

@@ -11,16 +11,12 @@ import (
 
 // MemOptions configures the in-memory router.
 type MemOptions struct {
-	// Seed drives the deterministic jitter/drop generator.
+	// Seed drives the deterministic jitter generator.
 	Seed int64
 	// MaxDelay, when positive, delays each delivery by a deterministic
 	// pseudo-random duration in [0, MaxDelay). Only meaningful in
 	// asynchronous mode.
 	MaxDelay time.Duration
-	// DropProb drops each message with this probability (0 disables; the
-	// paper assumes reliable transport, so experiments use 0 and only
-	// robustness tests raise it).
-	DropProb float64
 	// Synchronous switches to BSP mode: sends buffer until Step delivers
 	// them as one round. WaitQuiescent is then equivalent to draining
 	// rounds via StepAll.
@@ -29,7 +25,7 @@ type MemOptions struct {
 
 // Mem is the in-memory transport: a router with one serial dispatcher per
 // node, unbounded mailboxes, a global in-flight counter for quiescence
-// detection, delay/drop injection and pairwise partitions.
+// detection, delay injection and pairwise partitions.
 type Mem struct {
 	opts MemOptions
 
@@ -133,11 +129,6 @@ func (m *Mem) Send(from, to string, msg wire.Message) error {
 		m.dropped++
 		m.mu.Unlock()
 		return nil // partitions silently eat messages, like a dead link
-	}
-	if m.opts.DropProb > 0 && m.rng.Float64() < m.opts.DropProb {
-		m.dropped++
-		m.mu.Unlock()
-		return nil
 	}
 	env := wire.Envelope{From: from, To: to, Msg: msg}
 	m.inflight++
@@ -254,7 +245,7 @@ func (m *Mem) TrackWork(delta int) {
 	m.mu.Unlock()
 }
 
-// Dropped reports how many messages partitions or drop injection ate.
+// Dropped reports how many messages partitions ate.
 func (m *Mem) Dropped() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -81,7 +81,7 @@ type FaultInjector interface {
 	Partition(a, b string)
 	// Heal removes a partition.
 	Heal(a, b string)
-	// Dropped reports how many messages partitions or drop injection ate.
+	// Dropped reports how many messages partitions ate.
 	Dropped() uint64
 }
 

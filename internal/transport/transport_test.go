@@ -168,27 +168,6 @@ func TestMemPartitionAndHeal(t *testing.T) {
 	}
 }
 
-func TestMemDropInjection(t *testing.T) {
-	m := NewMem(MemOptions{Seed: 42, DropProb: 0.5})
-	defer m.Close()
-	var got int32
-	_ = m.Register("A", func(wire.Envelope) {})
-	_ = m.Register("B", func(wire.Envelope) { atomic.AddInt32(&got, 1) })
-	for i := 0; i < 200; i++ {
-		_ = m.Send("A", "B", wire.StartUpdate{})
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = m.WaitQuiescent(ctx)
-	delivered := atomic.LoadInt32(&got)
-	if delivered == 0 || delivered == 200 {
-		t.Fatalf("drop injection ineffective: %d/200", delivered)
-	}
-	if uint64(delivered)+m.Dropped() != 200 {
-		t.Fatalf("accounting: %d delivered + %d dropped != 200", delivered, m.Dropped())
-	}
-}
-
 func TestMemSynchronousRounds(t *testing.T) {
 	m := NewMem(MemOptions{Synchronous: true})
 	defer m.Close()
