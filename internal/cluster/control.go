@@ -544,7 +544,7 @@ func (w *planeWave) Kick(context.Context, int) (bool, error) {
 func (w *planeWave) Settle(ctx context.Context) error {
 	cp := w.cp
 	need := func(string) int { return cp.opts.Settle - 1 }
-	_, err := core.HoldStill(ctx, cp.opts.PollEvery, need, func(ctx context.Context) (string, bool, error) {
+	_, err := core.HoldStill(ctx, cp.opts.PollEvery, nil, need, func(ctx context.Context) (string, bool, error) {
 		cp.mu.Lock()
 		var targets []string
 		for _, m := range cp.members {

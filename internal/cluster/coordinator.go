@@ -339,7 +339,7 @@ func protocolTotals(snaps map[string]stats.Snapshot) (started, finished uint64) 
 // landed mid-wave, has forgotten messages the others still count: a surplus
 // of finished over started gives that away and is treated alike.
 func (c *Coordinator) Quiesce(ctx context.Context) error {
-	return core.AwaitBalance(ctx, c.opts.PollEvery, 25, func(ctx context.Context) (core.Balance, bool, error) {
+	return core.AwaitBalance(ctx, c.opts.PollEvery, nil, 25, func(ctx context.Context) (core.Balance, bool, error) {
 		first, complete, err := c.askStats(ctx)
 		b := core.Balance{Exact: true}
 		b.Started, b.Finished = protocolTotals(first)

@@ -123,6 +123,7 @@ type Network struct {
 	super   string
 	opts    Options
 
+	inflight    *stats.Tally  // every hosted peer's counters joined: quiesceByPolling's wake
 	probeRounds atomic.Uint64 // closure-probe rounds the updates needed (see ProbeRounds)
 }
 
@@ -162,7 +163,7 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 		batcher = transport.NewBatcher(tr, transport.BatcherOptions{Window: opts.BatchWindow})
 		tr = batcher
 	}
-	n := &Network{def: def, tr: tr, batcher: batcher, peers: map[string]*peer.Peer{}, stores: map[string]*wal.Store{}, opts: opts}
+	n := &Network{def: def, tr: tr, batcher: batcher, peers: map[string]*peer.Peer{}, stores: map[string]*wal.Store{}, opts: opts, inflight: stats.NewTally()}
 
 	// Hosted-subset mode: build only the named peers; everything else in the
 	// definition is a remote node reached through the transport.
@@ -333,6 +334,7 @@ func (n *Network) newPeer(decl rules.NodeDecl, w nodeWires, db *storage.DB, st *
 	if err != nil {
 		return nil, err
 	}
+	p.Counters().Join(n.inflight)
 	if st != nil {
 		st.SetStateSource(p.DurableState)
 		st.SetMarksSource(p.DurableSubs)
@@ -481,12 +483,14 @@ func (n *Network) Quiesce(ctx context.Context) error {
 // quiesceByPolling detects quiescence without a transport oracle, from what
 // a real deployment has: the peers' message counters. One balanced sample
 // (readBalance) is exact on a fully hosted network, so the first ends the
-// wait. Totals that do not balance are messages in flight — or lost to a dead
-// peer, which counters cannot tell apart: such a sample ends the wait only
-// after standing still for about a second, and so does every sample of a
-// network with a node hosted elsewhere, whose counters are not in the sums.
+// wait. It is taken when the hosted peers' in-flight tally comes back to zero,
+// or 20 ms after the last sample, whichever is first. Totals that do not
+// balance are messages in flight — or lost to a dead peer, which counters
+// cannot tell apart: such a sample ends the wait only after standing still for
+// about a second, and so does every sample of a network with a node hosted
+// elsewhere, whose counters are not in the sums.
 func (n *Network) quiesceByPolling(ctx context.Context) error {
-	return AwaitBalance(ctx, 20*time.Millisecond, 50, func(context.Context) (Balance, bool, error) {
+	return AwaitBalance(ctx, 20*time.Millisecond, n.inflight.Zero(), 50, func(context.Context) (Balance, bool, error) {
 		n.defMu.Lock()
 		peers, order, all := n.peers, n.order, len(n.def.Nodes)
 		n.defMu.Unlock()

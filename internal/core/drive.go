@@ -99,10 +99,12 @@ func DriveUpdate(ctx context.Context, o UpdateObserver) (probes int, err error) 
 }
 
 // HoldStill samples until the same complete sample has repeated need(sample)
-// times in a row, pausing every between samples, and returns it; an incomplete
-// sample restarts the count. It is the polling loop of every observer without
-// a transport oracle: of state reports (the control plane), of AwaitBalance.
-func HoldStill[S comparable](ctx context.Context, every time.Duration, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
+// times in a row, pausing between samples until wake receives or every has
+// passed, and returns it; an incomplete sample restarts the count. It is the
+// polling loop of every observer without a transport oracle: of state reports
+// (the control plane), of AwaitBalance. A nil wake waits out every; a wake is
+// a reason to look sooner, never a verdict.
+func HoldStill[S comparable](ctx context.Context, every time.Duration, wake <-chan struct{}, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
 	var last S
 	have, still := false, 0
 	for {
@@ -122,6 +124,7 @@ func HoldStill[S comparable](ctx context.Context, every time.Duration, need func
 		select {
 		case <-ctx.Done():
 			return cur, ctx.Err()
+		case <-wake:
 		case <-time.After(every):
 		}
 	}
@@ -139,9 +142,11 @@ type Balance struct {
 // clears, and counters that miss a peer (Exact unset) prove nothing by
 // balancing. Nor do counters that read more finished than started: some were
 // lost (a restart, a member gone), and from then on only standing still counts.
-func AwaitBalance(ctx context.Context, every time.Duration, stall int, sample func(context.Context) (Balance, bool, error)) error {
+// wake (stats.Tally.Zero in process; nil over the wire, where no member can
+// poke the waiter) may cut a pause short, but only a sample decides.
+func AwaitBalance(ctx context.Context, every time.Duration, wake <-chan struct{}, stall int, sample func(context.Context) (Balance, bool, error)) error {
 	skewed := false
-	_, err := HoldStill(ctx, every, func(b Balance) int {
+	_, err := HoldStill(ctx, every, wake, func(b Balance) int {
 		skewed = skewed || b.Finished > b.Started
 		if b.Exact && !skewed && b.Started == b.Finished {
 			return 0

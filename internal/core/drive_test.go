@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fakeRound is what a fakeWave reports after one settle.
@@ -156,7 +157,9 @@ func TestDriveUpdate(t *testing.T) {
 
 // TestHoldStill pins the settle rule every polling observer shares: the same
 // complete sample need times in a row, an incomplete or different sample
-// starting the count over.
+// starting the count over. A wake only takes the next sample sooner: woken
+// rows wait an hour between samples unless poked, and every sample pokes, so
+// they count exactly as the nil-wake rows do.
 func TestHoldStill(t *testing.T) {
 	type sample struct {
 		v        int
@@ -166,17 +169,29 @@ func TestHoldStill(t *testing.T) {
 		name    string
 		need    int
 		script  []sample
-		samples int // how many samples the call takes
+		samples int  // how many samples the call takes
+		woken   bool // a wake channel poked by every sample; else nil
 	}{
-		{"need zero returns the first complete sample", 0, []sample{{1, false}, {1, true}}, 2},
-		{"one repeat", 1, []sample{{1, true}, {2, true}, {2, true}}, 3},
-		{"an incomplete sample restarts the count", 2, []sample{{1, true}, {1, true}, {1, false}, {1, true}, {1, true}, {1, true}}, 6},
+		{"need zero returns the first complete sample", 0, []sample{{1, false}, {1, true}}, 2, false},
+		{"one repeat", 1, []sample{{1, true}, {2, true}, {2, true}}, 3, false},
+		{"an incomplete sample restarts the count", 2, []sample{{1, true}, {1, true}, {1, false}, {1, true}, {1, true}, {1, true}}, 6, false},
+		{"woken: one repeat", 1, []sample{{1, true}, {2, true}, {2, true}}, 3, true},
+		{"woken: an incomplete sample restarts the count", 2, []sample{{1, true}, {1, true}, {1, false}, {1, true}, {1, true}, {1, true}}, 6, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			taken := 0
-			got, err := HoldStill(context.Background(), 0, func(int) int { return tc.need }, func(context.Context) (int, bool, error) {
+			every, wake := time.Duration(0), chan struct{}(nil)
+			if tc.woken {
+				every, wake = time.Hour, make(chan struct{}, 1)
+			}
+			c, cancel := context.WithTimeout(context.Background(), 5*time.Second) // an unheard wake fails, not hangs
+			defer cancel()
+			got, err := HoldStill(c, every, wake, func(int) int { return tc.need }, func(context.Context) (int, bool, error) {
 				s := tc.script[taken]
 				taken++
+				if wake != nil {
+					wake <- struct{}{}
+				}
 				return s.v, s.complete, nil
 			})
 			if err != nil || taken != tc.samples || got != tc.script[tc.samples-1].v {

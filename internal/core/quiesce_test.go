@@ -3,13 +3,16 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/relalg"
+	"repro/internal/stats"
 	"repro/internal/transport"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // Polling-quiescence fallback under adversarial delivery timing (the cluster
@@ -323,7 +326,7 @@ func TestAwaitBalanceTrustsOnlyCoveringCounters(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			taken := 0
-			err := AwaitBalance(context.Background(), time.Microsecond, 4, func(context.Context) (Balance, bool, error) {
+			err := AwaitBalance(context.Background(), time.Microsecond, nil, 4, func(context.Context) (Balance, bool, error) {
 				b := tc.script[min(taken, len(tc.script)-1)]
 				taken++
 				return b, true, nil
@@ -332,6 +335,121 @@ func TestAwaitBalanceTrustsOnlyCoveringCounters(t *testing.T) {
 				t.Fatalf("took %d samples (err %v), want %d", taken, err, tc.samples)
 			}
 		})
+	}
+}
+
+// TestAwaitBalanceWakesOnTheLastFinish: with an hour between polls, the wait
+// still ends as soon as the last message in flight finishes — through the
+// tally's wake, since the timer cannot have fired.
+func TestAwaitBalanceWakesOnTheLastFinish(t *testing.T) {
+	tally := stats.NewTally()
+	a, b := stats.NewCounters("A"), stats.NewCounters("B")
+	a.Join(tally)
+	b.Join(tally)
+	a.Sent("answer", 1)
+	sampled := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		<-sampled // the wait has seen the message in flight
+		time.Sleep(20 * time.Millisecond)
+		b.Received("answer", 1)
+	}()
+	counters := []*stats.Counters{a, b}
+	samples := 0
+	c, cancel := context.WithTimeout(context.Background(), 5*time.Second) // fail, not hang, without a wake
+	defer cancel()
+	start := time.Now()
+	err := AwaitBalance(c, time.Hour, tally.Zero(), 50, func(context.Context) (Balance, bool, error) {
+		if samples++; samples == 1 {
+			close(sampled)
+		}
+		bal := readBalance(len(counters), func(i int) (uint64, uint64) { return counters[i].Totals() })
+		bal.Exact = true
+		return bal, true, nil
+	})
+	<-done
+	if took := time.Since(start); err != nil || took > time.Second || samples != 2 {
+		t.Fatalf("AwaitBalance = %v after %v and %d samples, want nil within 1s after 2", err, took, samples)
+	}
+}
+
+// TestAwaitBalanceWakeIsNoVerdict: on a partially hosted network the hosted
+// counters' tally crosses zero while the samples, which miss a peer, prove
+// nothing. Wakes may bring samples sooner, but the wait still needs stall
+// identical samples after the last move, and all but the first of them a full
+// period apart.
+func TestAwaitBalanceWakeIsNoVerdict(t *testing.T) {
+	tally := stats.NewTally()
+	c := stats.NewCounters("A")
+	c.Join(tally)
+	const moving, stall, every = 20, 5, 10 * time.Millisecond
+	samples := 0
+	var lastMove time.Time
+	err := AwaitBalance(context.Background(), every, tally.Zero(), stall, func(context.Context) (Balance, bool, error) {
+		if samples++; samples <= moving { // a zero crossing per sample: a wake is always waiting
+			c.Sent("answer", 1)
+			c.Received("answer", 1)
+			lastMove = time.Now()
+		}
+		started, finished := c.Totals()
+		return Balance{Started: started, Finished: finished}, true, nil
+	})
+	if err != nil || samples != moving+stall {
+		t.Fatalf("AwaitBalance = %v after %d samples, want %d", err, samples, moving+stall)
+	}
+	if still := time.Since(lastMove); still < (stall-1)*every {
+		t.Errorf("standstill took %v after the last move, want at least %v", still, (stall-1)*every)
+	}
+}
+
+// TestMemOracleAgreesWithTheBalance: Mem settles by its own oracle, every
+// deployment by the counter balance. Wherever the oracle says quiescent, the
+// deployment rule must say so too: readBalance over the peers exact and
+// balanced, and the in-flight tally at zero.
+func TestMemOracleAgreesWithTheBalance(t *testing.T) {
+	topos := []workload.Topology{workload.Tree(2, 2), workload.Tree(3, 2), workload.Ring(3), workload.Ring(5), workload.Clique(3)}
+	if !testing.Short() {
+		topos = append(topos, workload.Clique(4))
+	}
+	for _, topo := range topos {
+		for _, opts := range []Options{
+			{}, {Delta: true}, {Delta: true, BatchWindow: time.Millisecond},
+			{Delta: true, Seed: 3, MaxDelay: 200 * time.Microsecond},
+			{Delta: true, BatchWindow: time.Millisecond, DataDir: t.TempDir()}, // acks leave from the ack worker
+		} {
+			def, err := workload.Generate(topo, workload.DataSpec{RecordsPerNode: 8, Seed: 5, Style: workload.StyleCopy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := Build(def, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(after string) {
+				t.Helper()
+				peers, _, order := n.hosted()
+				b := readBalance(len(order), func(i int) (uint64, uint64) { return peers[order[i]].Counters().Totals() })
+				if len(order) != len(def.Nodes) || b.Started != b.Finished || n.inflight.Load() != 0 {
+					t.Errorf("%s %+v, after %s: %d of %d peers read started %d finished %d, tally %d",
+						topo, opts, after, len(order), len(def.Nodes), b.Started, b.Finished, n.inflight.Load())
+				}
+			}
+			if err := n.Discover(ctx(t)); err != nil {
+				t.Fatal(err)
+			}
+			check("Discover")
+			for i := 0; i < 2; i++ {
+				if err := n.Update(ctx(t)); err != nil {
+					t.Fatal(err)
+				}
+				check(fmt.Sprintf("Update %d", i+1))
+			}
+			if err := n.ValidateAgainstCentralized(); err != nil {
+				t.Fatal(err)
+			}
+			_ = n.Close()
+		}
 	}
 }
 

@@ -123,6 +123,22 @@ func TestApplyPartMatchesJoinThenApply(t *testing.T) {
 	}
 }
 
+// TestApplyPartEmptyAllocatesNothing: nearly every answer of a clique update
+// is an empty confirmation, and applying one must not build the export
+// variables or the permutation it would never read.
+func TestApplyPartEmptyAllocatesNothing(t *testing.T) {
+	r := parseRule(t, "r: B:b(X,Y) -> A:a(Y,X,Z)")
+	db := storage.New(relalg.MakeSchema("a", 3))
+	empty := PartTuples{Cols: []string{"X", "Y"}}
+	var res ApplyResult
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() {
+		res, err = ApplyPart(db, r, empty, ApplyOptions{})
+	}); allocs != 0 || err != nil || res != (ApplyResult{}) {
+		t.Errorf("ApplyPart(empty) = %+v, %v with %.0f allocations, want nothing and 0", res, err, allocs)
+	}
+}
+
 // TestSkolemLabelAppended: the label the chase appends into its reused buffer
 // is byte for byte the concatenation Skolemize used to build —
 // "d<depth>|rule|var|" + binding.Key() — for nulls nested up to the invention

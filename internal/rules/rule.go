@@ -291,8 +291,11 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 // labels; only Truncated may count it twice). JoinParts' edge cases are kept:
 // a column list missing an export variable derives nothing, a tuple shorter
 // than the column list is skipped, a repeated column reads its last
-// occurrence.
+// occurrence. An empty part, the usual confirmation, costs no allocation.
 func ApplyPart(db *storage.DB, r Rule, part PartTuples, opts ApplyOptions) (ApplyResult, error) {
+	if len(part.Tuples) == 0 {
+		return ApplyResult{}, nil
+	}
 	exportVars := r.ExportVars()
 	perm := make([]int, len(exportVars))
 	for i, v := range exportVars {

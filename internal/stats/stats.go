@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"text/tabwriter"
 	"time"
 )
@@ -21,6 +22,44 @@ type Counters struct {
 	// started and finished count every message sent (and not refused) and
 	// received; Reset leaves them, so a quiescence balance survives one.
 	started, finished uint64
+	tally             *Tally // moves with started − finished once joined
+}
+
+// Tally is the in-flight count shared by the counters of one process's peers:
+// the sum of started − finished over every joined Counters. It is a hint, not
+// a verdict — a waiter re-reads the exact totals when woken — so its one job is
+// to say when that sum comes back to zero.
+type Tally struct {
+	n    atomic.Int64
+	zero chan struct{}
+}
+
+// NewTally makes an empty tally.
+func NewTally() *Tally { return &Tally{zero: make(chan struct{}, 1)} }
+
+// Zero receives when a move has brought the tally to zero since the last
+// receive; the one slot keeps a move from ever blocking.
+func (t *Tally) Zero() <-chan struct{} { return t.zero }
+
+// Load reads the tally.
+func (t *Tally) Load() int64 { return t.n.Load() }
+
+func (t *Tally) move(d int64) {
+	if t != nil && d != 0 && t.n.Add(d) == 0 {
+		select {
+		case t.zero <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Join makes the counters move t from now on, bringing in what they already
+// have in flight, so a peer that received before joining leaves t exact.
+func (c *Counters) Join(t *Tally) {
+	c.mu.Lock()
+	c.tally = t
+	t.move(int64(c.started) - int64(c.finished))
+	c.mu.Unlock()
 }
 
 // Snapshot is an immutable copy of the counters, mergeable across nodes.
@@ -57,6 +96,7 @@ func NewCounters(node string) *Counters {
 func (c *Counters) Sent(kind string, bytes int) {
 	c.mu.Lock()
 	c.started++
+	c.tally.move(1)
 	c.s.MsgsSent[kind]++
 	c.s.BytesSent += uint64(bytes)
 	c.mu.Unlock()
@@ -66,6 +106,7 @@ func (c *Counters) Sent(kind string, bytes int) {
 func (c *Counters) Received(kind string, bytes int) {
 	c.mu.Lock()
 	c.finished++
+	c.tally.move(-1)
 	c.s.MsgsReceived[kind]++
 	c.s.BytesRecv += uint64(bytes)
 	c.mu.Unlock()
@@ -98,6 +139,7 @@ func (c *Counters) AddTruncated(n uint64) { c.add(func(s *Snapshot) { s.Truncate
 func (c *Counters) SendFailed(kind string, bytes int) {
 	c.mu.Lock()
 	c.started--
+	c.tally.move(-1)
 	if c.s.MsgsSent[kind] > 0 { // a Reset may have come between
 		c.s.MsgsSent[kind]--
 		c.s.BytesSent -= min(c.s.BytesSent, uint64(bytes))

@@ -144,6 +144,52 @@ func TestCountersConcurrentUse(t *testing.T) {
 	}
 }
 
+// TestTallyIsTheJoinedBalance drives three counters through sends, refusals,
+// receipts and a reset, joining one of them late with messages of its own in
+// flight. After every step the tally must equal the joined counters' started −
+// finished, and a wake must be waiting exactly when a step brought it to zero.
+func TestTallyIsTheJoinedBalance(t *testing.T) {
+	tally := NewTally()
+	a, b, late := NewCounters("A"), NewCounters("B"), NewCounters("C")
+	a.Join(tally)
+	b.Join(tally)
+	joined := []*Counters{a, b}
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"A sends", func() { a.Sent("query", 1) }},
+		{"B receives", func() { b.Received("query", 1) }},
+		{"A sends twice", func() { a.Sent("answer", 1); a.Sent("answer", 1) }},
+		{"one is refused", func() { a.SendFailed("answer", 1) }},
+		{"B receives the other", func() { b.Received("answer", 1) }},
+		{"B sends, then a reset", func() { b.Sent("answer", 1); b.Reset() }},
+		{"the late one receives before joining", func() { late.Received("answer", 1) }},
+		{"the late one joins", func() { late.Join(tally); joined = append(joined, late) }},
+		{"the late one sends", func() { late.Sent("query", 1) }},
+		{"the last one is refused", func() { late.SendFailed("query", 1) }},
+		{"A sends to nobody hosted", func() { a.Sent("query", 1) }},
+		{"and it is refused", func() { a.SendFailed("query", 1) }},
+	}
+	for _, st := range steps {
+		st.do()
+		var balance int64
+		for _, c := range joined {
+			started, finished := c.Totals()
+			balance += int64(started) - int64(finished)
+		}
+		woken := false
+		select {
+		case <-tally.Zero():
+			woken = true
+		default:
+		}
+		if got := tally.Load(); got != balance || woken != (balance == 0) {
+			t.Errorf("%s: tally %d (woken %v), joined balance %d", st.name, got, woken, balance)
+		}
+	}
+}
+
 // TestTotalsTrackTheKindMaps pins the totals read against the per-kind maps
 // it spares a poller from copying, through a failed send, up to a reset.
 func TestTotalsTrackTheKindMaps(t *testing.T) {
