@@ -14,9 +14,9 @@ import (
 
 // cmdTCP runs every peer of the network over real TCP sockets through the
 // same core.Build facade as the in-memory runs: the TCP mesh gives each peer
-// its own loopback listener, and orchestration — lacking a global quiescence
-// oracle on a real network, exactly as in the paper's JXTA deployment —
-// judges quiescence by balancing the peers' message counters.
+// its own loopback listener, and orchestration judges quiescence by balancing
+// the peers' message counters — as it does in memory, and as the paper's JXTA
+// deployment must.
 func cmdTCP(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: p2pdb tcp <net-file>")

@@ -4,8 +4,8 @@
 // semi-naively) while a continuous query at the library streams every newly
 // derived book as it lands. The same program runs unchanged over the
 // in-memory router or over real TCP sockets (pass -tcp): the facade is
-// transport-agnostic, and without a global quiescence oracle orchestration
-// falls back to polling peer states, as in the paper's JXTA deployment.
+// transport-agnostic, and on both orchestration judges quiescence from the
+// peers' own message counters, as in the paper's JXTA deployment.
 package main
 
 import (

@@ -19,8 +19,8 @@
 // verbs against the live serve processes — broadcast rules, start discovery
 // and update waves, add and delete links, collect statistics, evaluate
 // remote queries, and detect quiescence and closure by polling the peers'
-// protocol counters and states over the wire, exactly the fallback the
-// in-process orchestration uses when its transport offers no global oracle.
+// protocol counters and states over the wire, the rule in-process
+// orchestration applies to its own peers on every transport.
 //
 // Because Transport implements transport.Transport, core.Build and the peer
 // runtime run unchanged inside each serve process (Options.Hosted restricts

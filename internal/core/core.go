@@ -35,8 +35,8 @@ type Options struct {
 	// MaxDelay, when positive, delays message delivery pseudo-randomly (the
 	// asynchronous model's adversarial scheduling).
 	MaxDelay time.Duration
-	// Synchronous switches the transport to BSP rounds (the paper's
-	// "synchronous alternative").
+	// Synchronous switches the built-in router to BSP rounds (the paper's
+	// "synchronous alternative"), which Quiesce steps.
 	Synchronous bool
 	// Delta enables the delta optimisation on all peers (semi-naive
 	// re-answers from per-subscription marks; see peer.Options.Delta). Off is
@@ -48,13 +48,11 @@ type Options struct {
 	MaxNullDepth int
 	// Transport, when set, carries all protocol messages and the network
 	// takes ownership of it (Close closes it). When nil, Build constructs an
-	// in-memory router from Seed/MaxDelay/Synchronous; Seed and MaxDelay
-	// only configure the built-in router and are ignored for a supplied
-	// transport, while Synchronous additionally makes Quiesce drive BSP
-	// rounds on any transport implementing Stepper. Mem-only powers (global
-	// quiescence, BSP stepping, fault injection) are discovered per
-	// capability interface; orchestration falls back to polling peer states
-	// when the transport lacks them.
+	// in-memory router from Seed/MaxDelay/Synchronous, which configure only
+	// that router. Every transport settles by the same rule, the peers'
+	// counter balance (Quiesce); one implementing transport.Stepper is
+	// stepped first, and one implementing transport.FaultInjector is what
+	// Faults returns.
 	Transport transport.Transport
 	// Recorder, when set, records all protocol sends for sequence charts.
 	Recorder *trace.Recorder
@@ -123,14 +121,15 @@ type Network struct {
 	super   string
 	opts    Options
 
-	inflight    *stats.Tally  // every hosted peer's counters joined: quiesceByPolling's wake
+	inflight    *stats.Tally  // every hosted peer's counters joined: Quiesce's wake
 	probeRounds atomic.Uint64 // closure-probe rounds the updates needed (see ProbeRounds)
+	closed      atomic.Bool   // Close or Crash ran: Quiesce returns transport.ErrClosed
 }
 
 // Build constructs peers, pipes and seed data from a network description.
 // With Options.Transport unset the network runs over the in-memory router;
-// any transport.Transport works, with orchestration degrading gracefully to
-// polling when the transport lacks a global quiescence oracle.
+// any transport.Transport works, and every one settles by the peers'
+// counters.
 func Build(def *rules.Network, opts Options) (*Network, error) {
 	if err := def.Validate(); err != nil {
 		if opts.Transport != nil {
@@ -156,7 +155,7 @@ func Build(def *rules.Network, opts Options) (*Network, error) {
 	if opts.BatchWindow > 0 && !opts.Synchronous {
 		// The batched wire protocol: peers send through the Batcher, which
 		// coalesces Answers and piggybacks acks per destination. Capability
-		// asserts (quiescence, stepping, faults) go to the inner transport —
+		// asserts (stepping, faults) go to the inner transport —
 		// see capTransport. Synchronous mode is exempt: BSP rounds require
 		// every send buffered for the NEXT Step, not held in a side buffer
 		// the stepper cannot see.
@@ -360,6 +359,7 @@ func BuildWith(def *rules.Network, tr transport.Transport, opts Options) (*Netwo
 // flight: marks written at Close cover everything evaluated and sent, and a
 // quiescent network is what guarantees all of it was also received.
 func (n *Network) Close() error {
+	n.closed.Store(true)
 	peers, stores, order := n.hosted()
 	for _, p := range peers {
 		p.CloseWatchers()
@@ -386,6 +386,7 @@ func (n *Network) Close() error {
 // process leaves on disk. A subsequent Build with the same DataDir exercises
 // crash recovery. On an in-memory network it behaves like Close.
 func (n *Network) Crash() error {
+	n.closed.Store(true)
 	peers, stores, order := n.hosted()
 	for _, p := range peers {
 		p.CloseWatchers()
@@ -428,7 +429,7 @@ func (n *Network) Transport() transport.Transport { return n.tr }
 
 // capTransport is where transport capabilities are asserted: the base
 // transport under any Batcher wrapper. The Batcher is a send-side buffer —
-// quiescence oracles, BSP stepping and fault injection live underneath it.
+// BSP stepping and fault injection live underneath it.
 func (n *Network) capTransport() transport.Transport {
 	if n.batcher != nil {
 		return n.batcher.Inner()
@@ -452,45 +453,28 @@ func (n *Network) Faults() transport.FaultInjector {
 	return f
 }
 
-// Quiesce waits until the network has settled. With a Stepper transport in
-// synchronous mode it drives BSP rounds (checking ctx between rounds); with
-// a Quiescer it waits on the global in-flight oracle; with neither — a real
-// network, the paper's JXTA situation — it polls the peers' message counters
-// for a balance (quiesceByPolling).
+// Quiesce waits until the network has settled. On every transport it judges
+// that as a deployment must (the paper's JXTA situation): from the peers'
+// message counters, which balance when nothing is in flight. One balanced
+// sample (readBalance) is exact on a fully hosted network, so the first ends
+// the wait. It is taken when the hosted peers' in-flight tally comes back to
+// zero, or 20 ms after the last sample, whichever is first. A Stepper
+// transport delivers only when stepped, so each sample first steps it until
+// nothing is scheduled (checking ctx between steps): a durable peer's ack
+// worker may send after a round has returned, and the next sample delivers
+// that. Totals that do not balance are messages in flight — or lost to a dead
+// peer, which counters cannot tell apart: such a sample ends the wait only
+// after standing still for about a second, and so does every sample of a
+// network with a node hosted elsewhere, whose counters are not in the sums.
+// After Close or Crash it returns transport.ErrClosed at the next sample.
 func (n *Network) Quiesce(ctx context.Context) error {
-	if n.opts.Synchronous {
-		if st, ok := n.capTransport().(transport.Stepper); ok {
-			for round := 0; round < 1_000_000; round++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if st.Step() == 0 {
-					break
-				}
-			}
-			// Fall through: a drained stepper confirms quiescence through
-			// the oracle (or polling) below, which also covers a transport
-			// that buffers nothing per round (e.g. an asynchronous router
-			// mistakenly paired with Synchronous).
+	st, _ := n.capTransport().(transport.Stepper)
+	return AwaitBalance(ctx, 20*time.Millisecond, n.inflight.Zero(), 50, func(ctx context.Context) (Balance, bool, error) {
+		if n.closed.Load() {
+			return Balance{}, false, transport.ErrClosed
 		}
-	}
-	if q, ok := n.capTransport().(transport.Quiescer); ok {
-		return q.WaitQuiescent(ctx)
-	}
-	return n.quiesceByPolling(ctx)
-}
-
-// quiesceByPolling detects quiescence without a transport oracle, from what
-// a real deployment has: the peers' message counters. One balanced sample
-// (readBalance) is exact on a fully hosted network, so the first ends the
-// wait. It is taken when the hosted peers' in-flight tally comes back to zero,
-// or 20 ms after the last sample, whichever is first. Totals that do not
-// balance are messages in flight — or lost to a dead peer, which counters
-// cannot tell apart: such a sample ends the wait only after standing still for
-// about a second, and so does every sample of a network with a node hosted
-// elsewhere, whose counters are not in the sums.
-func (n *Network) quiesceByPolling(ctx context.Context) error {
-	return AwaitBalance(ctx, 20*time.Millisecond, n.inflight.Zero(), 50, func(context.Context) (Balance, bool, error) {
+		for st != nil && ctx.Err() == nil && st.Step() > 0 {
+		}
 		n.defMu.Lock()
 		peers, order, all := n.peers, n.order, len(n.def.Nodes)
 		n.defMu.Unlock()

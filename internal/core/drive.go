@@ -101,8 +101,8 @@ func DriveUpdate(ctx context.Context, o UpdateObserver) (probes int, err error) 
 // HoldStill samples until the same complete sample has repeated need(sample)
 // times in a row, pausing between samples until wake receives or every has
 // passed, and returns it; an incomplete sample restarts the count. It is the
-// polling loop of every observer without a transport oracle: of state reports
-// (the control plane), of AwaitBalance. A nil wake waits out every; a wake is
+// polling loop of every observer: of state reports (the control plane), of
+// AwaitBalance. A nil wake waits out every; a wake is
 // a reason to look sooner, never a verdict.
 func HoldStill[S comparable](ctx context.Context, every time.Duration, wake <-chan struct{}, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
 	var last S

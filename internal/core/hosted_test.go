@@ -46,8 +46,11 @@ func TestHostedSubsetReachesFixpoint(t *testing.T) {
 		}
 	}
 
-	// The process hosting the super-peer drives the run; the shared router's
-	// quiescence oracle covers all three "processes".
+	// The process hosting the super-peer drives the run. Its counters are A's
+	// alone, so no balance it reads is exact: each of the two settles
+	// (Discover, Update) ends by the standstill, about a second each. No
+	// router shortcut helps: sharedTransport embeds the Transport interface,
+	// so the router's own methods are not even visible through it.
 	if err := nets["A"].RunToFixpoint(ctx(t)); err != nil {
 		t.Fatal(err)
 	}

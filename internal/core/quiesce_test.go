@@ -15,16 +15,15 @@ import (
 	"repro/internal/workload"
 )
 
-// Polling-quiescence fallback under adversarial delivery timing (the cluster
-// deployment's only quiescence mechanism). A slowTransport models a TCP peer
-// whose deliveries stall in transit — longer than the base settle window —
-// without offering any of the in-memory router's capabilities, so Quiesce
-// must run in its polling fallback and must not conclude early while the
-// stalled messages are still on their way.
+// Polling quiescence — the counter balance, the only settle rule on every
+// transport — under adversarial delivery timing. A slowTransport models a TCP
+// peer whose deliveries stall in transit — longer than the base settle window
+// — without offering any of the in-memory router's capabilities, and Quiesce
+// must not conclude early while the stalled messages are still on their way.
 
 // slowTransport wraps a transport, delaying every delivery by a fixed lag.
-// It deliberately implements only the base Transport interface: no Quiescer,
-// no Stepper, no FaultInjector — orchestration sees a bare real-world pipe.
+// It deliberately implements only the base Transport interface: no Stepper,
+// no FaultInjector — orchestration sees a bare real-world pipe.
 type slowTransport struct {
 	inner transport.Transport
 	lag   time.Duration
@@ -403,10 +402,13 @@ func TestAwaitBalanceWakeIsNoVerdict(t *testing.T) {
 	}
 }
 
-// TestMemOracleAgreesWithTheBalance: Mem settles by its own oracle, every
-// deployment by the counter balance. Wherever the oracle says quiescent, the
-// deployment rule must say so too: readBalance over the peers exact and
-// balanced, and the in-flight tally at zero.
+// TestMemOracleAgreesWithTheBalance audits the settle rule on Mem, which
+// settles by the counter balance like every deployment while its router still
+// sees every mailbox. Wherever the balance ends a wait, the router must agree:
+// readBalance over every peer exact and balanced, the tally at zero, and
+// nothing left in a mailbox — the router drains at once, its in-flight count
+// is zero, and the balance reads the same afterwards, so nothing was
+// delivered or sent after the verdict.
 func TestMemOracleAgreesWithTheBalance(t *testing.T) {
 	topos := []workload.Topology{workload.Tree(2, 2), workload.Tree(3, 2), workload.Ring(3), workload.Ring(5), workload.Clique(3)}
 	if !testing.Short() {
@@ -426,13 +428,27 @@ func TestMemOracleAgreesWithTheBalance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			mem := n.capTransport().(*transport.Mem)
 			check := func(after string) {
 				t.Helper()
 				peers, _, order := n.hosted()
-				b := readBalance(len(order), func(i int) (uint64, uint64) { return peers[order[i]].Counters().Totals() })
+				balance := func() Balance {
+					return readBalance(len(order), func(i int) (uint64, uint64) { return peers[order[i]].Counters().Totals() })
+				}
+				b := balance()
 				if len(order) != len(def.Nodes) || b.Started != b.Finished || n.inflight.Load() != 0 {
 					t.Errorf("%s %+v, after %s: %d of %d peers read started %d finished %d, tally %d",
 						topo, opts, after, len(order), len(def.Nodes), b.Started, b.Finished, n.inflight.Load())
+				}
+				// A handler may still be returning after it counted its message.
+				drained, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				if err := mem.WaitQuiescent(drained); err != nil || mem.Inflight() != 0 {
+					t.Errorf("%s %+v, after %s: the balance settled with the router holding %d message(s) (%v)",
+						topo, opts, after, mem.Inflight(), err)
+				}
+				if again := balance(); again != b {
+					t.Errorf("%s %+v, after %s: balance %+v at the verdict, %+v once the router drained", topo, opts, after, b, again)
 				}
 			}
 			if err := n.Discover(ctx(t)); err != nil {
@@ -470,5 +486,110 @@ func TestPollingQuiescePartiallyHosted(t *testing.T) {
 	}
 	if took := time.Since(start); took < 900*time.Millisecond {
 		t.Errorf("Quiesce over 1 of 2 nodes returned after %v: it trusted a balance of counters that miss a peer", took)
+	}
+}
+
+// TestQuiesceWaitsForAHeldMessage: a message the Batcher holds was counted
+// sent when its sender handed it over and is finished by nobody until its
+// frame is delivered and handled, so the balance keeps Quiesce waiting until
+// the window ships it. A heartbeat is the message held for certain: it never
+// ships before the window, busy link or not. The window is shorter than the
+// standstill, which would otherwise end the wait first.
+func TestQuiesceWaitsForAHeldMessage(t *testing.T) {
+	const window = 300 * time.Millisecond
+	n := build(t, chainNet, Options{Delta: true, BatchWindow: window})
+	b := n.Peer("B")
+	_, before := b.Counters().Totals()
+	sent := time.Now()
+	if err := n.Peer("A").Send("B", wire.Heartbeat{Node: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Quiesce(ctx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(sent); took < window {
+		t.Errorf("Quiesce returned %v after the send, while the Batcher held the message for %v", took, window)
+	}
+	if _, after := b.Counters().Totals(); after != before+1 {
+		t.Errorf("Quiesce returned with B's finished total at %d, want %d: the held message was not handled", after, before+1)
+	}
+}
+
+// TestPartitionIsARefusedSend: a send across a Mem partition is refused, so
+// the sender takes it back (SendFailed) and the balance stays exact — a
+// Quiesce across the partition returns at once instead of standing still for
+// the second a lost message costs. Dropped still counts it.
+func TestPartitionIsARefusedSend(t *testing.T) {
+	n := build(t, chainNet, Options{Delta: true})
+	runAndValidate(t, n)
+	held := n.Peer("B").DB().Count("b")
+	n.Faults().Partition("B", "C")
+	if _, err := n.Node("C").Insert(ctx(t), "c", relalg.Tuple{relalg.S("9"), relalg.S("10")}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := n.Quiesce(ctx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("Quiesce across a partition took %v: the refused send read as in flight", took)
+	}
+	if errs := n.Peer("C").Counters().Snapshot().SendErrors; errs == 0 {
+		t.Error("C's answer across the partition was not counted as a send error")
+	}
+	if n.Faults().Dropped() == 0 {
+		t.Error("the partition dropped nothing")
+	}
+	if got := n.Peer("B").DB().Count("b"); got != held {
+		t.Errorf("B holds %d b-tuples behind the partition, want %d", got, held)
+	}
+}
+
+// TestClosedNetworkStopsWaiting: Close or Crash ends a running wait with
+// transport.ErrClosed at the next sample, and refuses every later one, on every
+// transport. Over TCP a crash loses the messages in flight, so without this
+// the interrupted driver stood still for about a second per settle. A stalled
+// handler at A keeps the wave open until the crash.
+func TestClosedNetworkStopsWaiting(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tr   func() transport.Transport
+	}{
+		{"mem", func() transport.Transport { return transport.NewMem(transport.MemOptions{}) }},
+		{"tcp-mesh", func() transport.Transport { return transport.NewTCPMesh("127.0.0.1:0") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, err := BuildWith(mustParse(t, durableChainDef(20)), tc.tr(), Options{Delta: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stalled := make(chan struct{})
+			var once sync.Once
+			n.Peer("A").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+				once.Do(func() {
+					close(stalled)
+					time.Sleep(100 * time.Millisecond)
+				})
+			})
+			done := make(chan error, 1)
+			go func() { done <- n.RunToFixpoint(context.Background()) }()
+			<-stalled
+			_ = n.Crash()
+			crashed := time.Now()
+			select {
+			case err := <-done:
+				if took := time.Since(crashed); took > 200*time.Millisecond {
+					t.Errorf("the interrupted run returned %v after the crash (err %v)", took, err)
+				}
+				if !errors.Is(err, transport.ErrClosed) {
+					t.Errorf("the interrupted run returned %v, want transport.ErrClosed", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the interrupted run never returned")
+			}
+			if err := n.Quiesce(context.Background()); !errors.Is(err, transport.ErrClosed) {
+				t.Errorf("Quiesce after the crash = %v, want transport.ErrClosed", err)
+			}
+		})
 	}
 }

@@ -12,15 +12,15 @@ import (
 )
 
 // stepTransport is a single-threaded transport: every link is a FIFO, Send
-// only enqueues, and WaitQuiescent delivers on the caller's goroutine — the
-// next link picked by a seeded generator among the non-empty ones in sorted
-// order — until every queue is empty. A schedule is a function of the seed
-// alone, so a failure replays exactly.
+// only enqueues, and Step delivers one message on the caller's goroutine — the
+// head of the next link picked by a seeded generator among the non-empty ones
+// in sorted order. Quiesce steps it until nothing is scheduled, so a schedule
+// is a function of the seed alone and a failure replays exactly.
 type stepTransport struct {
 	rng       *rand.Rand
 	handlers  map[string]transport.Handler
 	queues    map[[2]string][]wire.Envelope
-	settles   int
+	settles   int // Steps that found nothing scheduled: one per settle of a balanced network
 	delivered int
 }
 
@@ -48,38 +48,29 @@ func (s *stepTransport) Send(from, to string, msg wire.Message) error {
 
 func (s *stepTransport) Close() error { return nil }
 
-func (s *stepTransport) Inflight() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-func (s *stepTransport) WaitQuiescent(ctx context.Context) error {
-	s.settles++
-	for {
-		var links [][2]string
-		for k, q := range s.queues {
-			if len(q) > 0 {
-				links = append(links, k)
-			}
+func (s *stepTransport) Step() int {
+	var links [][2]string
+	for k, q := range s.queues {
+		if len(q) > 0 {
+			links = append(links, k)
 		}
-		if len(links) == 0 {
-			return nil
-		}
-		sort.Slice(links, func(i, j int) bool {
-			if links[i][0] != links[j][0] {
-				return links[i][0] < links[j][0]
-			}
-			return links[i][1] < links[j][1]
-		})
-		k := links[s.rng.Intn(len(links))]
-		env := s.queues[k][0]
-		s.queues[k] = s.queues[k][1:]
-		s.handlers[k[1]](env)
-		s.delivered++
 	}
+	if len(links) == 0 {
+		s.settles++
+		return 0
+	}
+	sort.Slice(links, func(i, j int) bool {
+		if links[i][0] != links[j][0] {
+			return links[i][0] < links[j][0]
+		}
+		return links[i][1] < links[j][1]
+	})
+	k := links[s.rng.Intn(len(links))]
+	env := s.queues[k][0]
+	s.queues[k] = s.queues[k][1:]
+	s.handlers[k[1]](env)
+	s.delivered++
+	return 1
 }
 
 // TestPinnedSchedulesCloseUnprobed replays the delivery schedules on which a

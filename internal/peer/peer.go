@@ -367,15 +367,13 @@ type Peer struct {
 	// Pipelined acknowledgment worker (durable peers only): Handle hands its
 	// ack side effects over a channel so the group-commit fsync overlaps the
 	// actor's next dispatch instead of serialising with it. Guarded by ackMu
-	// so an enqueue can never race the close; tw (the transport's WorkTracker
-	// capability, when present) accounts queued work toward the quiescence
-	// oracle.
+	// so an enqueue can never race the close. Queued work needs no accounting
+	// of its own: its cause is counted received only once it is applied.
 	ackCh     chan ackWork
 	ackMu     sync.Mutex
 	ackClosed bool
 	ackOnce   sync.Once
 	ackWG     sync.WaitGroup
-	tw        transport.WorkTracker
 }
 
 // New creates a peer with its schemas and the rules targeting it.
@@ -425,7 +423,6 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 		p.resendQuit = make(chan struct{})
 		go p.resendLoop(opts.ResendEvery)
 	}
-	p.tw, _ = tr.(transport.WorkTracker)
 	if opts.SyncForAck != nil {
 		// Durable peers pipeline the pre-ack group commit: Handle enqueues,
 		// the worker batches whatever accumulated behind one fsync.
@@ -753,9 +750,9 @@ func (p *Peer) Send(to string, m wire.Message) error {
 // persistence, the pre-ack fsync, the AnswerAck sends, the durable-frontier
 // persist) run after it is released — an fsync must not block the actor. On
 // durable peers they are handed to the ack worker, which pipelines the
-// group-commit fsync with the actor's next dispatch and accounts the queued
-// work toward the transport's quiescence oracle (WorkTracker); elsewhere
-// they run inline, still inside Handle.
+// group-commit fsync with the actor's next dispatch; elsewhere they run
+// inline, still inside Handle. Either way the envelope is counted received
+// only after them.
 func (p *Peer) Handle(env wire.Envelope) {
 	p.mu.Lock()
 	p.dispatchLocked(env)
@@ -766,9 +763,6 @@ func (p *Peer) Handle(env wire.Envelope) {
 	if p.ackCh != nil && !work.empty() {
 		p.ackMu.Lock()
 		if !p.ackClosed {
-			if p.tw != nil {
-				p.tw.TrackWork(1)
-			}
 			// The mutex exists solely to fence this send against Close's
 			// close(ackCh); the consumer (ackLoop) never takes ackMu, so a
 			// full queue delays Handle but cannot form a lock cycle.
@@ -832,9 +826,6 @@ func (p *Peer) ackLoop() {
 			}
 		}
 		p.applyAckWork(batch)
-		if p.tw != nil {
-			p.tw.TrackWork(-len(batch))
-		}
 	}
 }
 

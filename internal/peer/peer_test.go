@@ -44,13 +44,57 @@ func newHarness(t testing.TB, opts Options) *harness {
 	return &harness{tr: tr, s: s, h: h}
 }
 
+// quiesce waits until the harness has settled. Mem sees its mailboxes and
+// handlers, but not a durable peer's ack worker, which applies a message's
+// acknowledgment after Handle returned; the peer counts the message received
+// only then. So where the harness peers run ack workers, their counters must
+// also balance, with Mem idle on both sides of the reading. Only these two
+// peers keep counters: a test that injects messages from a tap (a handler, not
+// a peer) does so on peers without ack workers, which Mem alone covers.
 func (hs *harness) quiesce(t testing.TB) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := hs.tr.WaitQuiescent(ctx); err != nil {
-		t.Fatal(err)
+	for {
+		if err := hs.tr.WaitQuiescent(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if hs.acksApplied() && hs.tr.Inflight() == 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			t.Fatal("the harness peers' counters never balanced")
+		case <-time.After(time.Millisecond):
+		}
 	}
+}
+
+// acksApplied reports whether no harness peer has acknowledgment work pending:
+// true without ack workers, else the peers' counter balance, every finished
+// total read before every started one as core's readBalance does.
+func (hs *harness) acksApplied() bool {
+	var peers []*Peer
+	workers := false
+	for _, p := range []*Peer{hs.s, hs.h} {
+		if p != nil {
+			peers = append(peers, p)
+			workers = workers || p.ackCh != nil
+		}
+	}
+	if !workers {
+		return true
+	}
+	var started, finished uint64
+	for _, p := range peers {
+		_, f := p.Counters().Totals()
+		finished += f
+	}
+	for _, p := range peers {
+		s, _ := p.Counters().Totals()
+		started += s
+	}
+	return started == finished
 }
 
 func TestNewRejectsForeignRules(t *testing.T) {

@@ -19,9 +19,9 @@ import (
 )
 
 // stepTransport is internal/core's test transport of the same name, kept to
-// what this file needs: every link is a FIFO, Send only enqueues, and
-// WaitQuiescent delivers on the caller's goroutine, the next link picked by a
-// seeded generator among the non-empty ones in sorted order. A run is a
+// what this file needs: every link is a FIFO, Send only enqueues, and Step
+// delivers one message on the caller's goroutine, from the next link picked by
+// a seeded generator among the non-empty ones in sorted order. A run is a
 // function of the seed alone, so the counters below repeat exactly and can be
 // compared with what the parent commit printed for the same seed.
 type stepTransport struct {
@@ -50,33 +50,24 @@ func (s *stepTransport) Send(from, to string, msg wire.Message) error {
 
 func (s *stepTransport) Close() error { return nil }
 
-func (s *stepTransport) Inflight() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-func (s *stepTransport) WaitQuiescent(context.Context) error {
-	for {
-		var links [][2]string
-		for k, q := range s.queues {
-			if len(q) > 0 {
-				links = append(links, k)
-			}
+func (s *stepTransport) Step() int {
+	var links [][2]string
+	for k, q := range s.queues {
+		if len(q) > 0 {
+			links = append(links, k)
 		}
-		if len(links) == 0 {
-			return nil
-		}
-		sort.Slice(links, func(i, j int) bool {
-			return links[i][0] < links[j][0] || links[i][0] == links[j][0] && links[i][1] < links[j][1]
-		})
-		k := links[s.rng.Intn(len(links))]
-		env := s.queues[k][0]
-		s.queues[k] = s.queues[k][1:]
-		s.handlers[k[1]](env)
 	}
+	if len(links) == 0 {
+		return 0
+	}
+	sort.Slice(links, func(i, j int) bool {
+		return links[i][0] < links[j][0] || links[i][0] == links[j][0] && links[i][1] < links[j][1]
+	})
+	k := links[s.rng.Intn(len(links))]
+	env := s.queues[k][0]
+	s.queues[k] = s.queues[k][1:]
+	s.handlers[k[1]](env)
+	return 1
 }
 
 // fanOut is the topology Star is not: node 0 is the one source and every

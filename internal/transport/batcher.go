@@ -24,10 +24,10 @@ import (
 // changing the fix-point — receivers apply a batch's contents exactly as if
 // each message had arrived alone.
 //
-// Quiescence: when the inner transport offers WorkTracker (the in-memory
-// router), every held message is accounted as in-flight work until its frame
-// reaches the inner transport, so the quiescence oracle never declares a
-// network settled with batches still buffered.
+// Quiescence: the Batcher accounts for nothing. Its sender counted a held
+// message sent when Send returned, and nobody counts it received before its
+// frame is delivered and handled, so the counter balance reads it in flight
+// until then. A frame whose flush fails is lost like any dropped message.
 //
 // Flush rule, as Nagle's: a message is held only while its link is busy. A
 // data message to a destination that has been quiet is handed to the flusher
@@ -39,7 +39,6 @@ type Batcher struct {
 	inner   Transport
 	window  time.Duration
 	maxByte int
-	tracker WorkTracker      // inner's quiescence accounting, when offered
 	now     func() time.Time // time.Now; tests substitute a clock they set
 
 	mu     sync.Mutex
@@ -124,15 +123,14 @@ func NewBatcher(inner Transport, opts BatcherOptions) *Batcher {
 		wake:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
-	b.tracker, _ = inner.(WorkTracker)
 	b.wg.Add(1)
 	go b.flushLoop()
 	return b
 }
 
 // Inner returns the wrapped transport. Orchestration asserts transport
-// capabilities (Quiescer, Stepper, FaultInjector) against it: the Batcher
-// itself is a send-side buffer, not an oracle.
+// capabilities (Stepper, FaultInjector) against it: the Batcher itself is a
+// send-side buffer.
 func (b *Batcher) Inner() Transport { return b.inner }
 
 // Stats snapshots the frame accounting.
@@ -148,14 +146,6 @@ func (b *Batcher) Stats() BatchStats {
 // Register implements Transport (handlers attach to the inner transport;
 // receiving is untouched by batching).
 func (b *Batcher) Register(node string, h Handler) error { return b.inner.Register(node, h) }
-
-// TrackWork implements WorkTracker by delegation, so layers above the
-// Batcher (a peer's pipelined ack worker) reach the inner oracle through it.
-func (b *Batcher) TrackWork(delta int) {
-	if b.tracker != nil {
-		b.tracker.TrackWork(delta)
-	}
-}
 
 // quietDiv sets when a link counts as quiet: no data message to the
 // destination for window/quietDiv (250µs by default). The messages of one
@@ -206,29 +196,24 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	case wire.Heartbeat:
 		// A heartbeat never ships early and does not make the link busy: it
 		// rides the next frame or waits the window.
-		if buf.beat == nil {
-			b.TrackWork(1)
-		}
 		buf.beat = &m // latest wins: a heartbeat only asserts "still alive"
 		if first {
 			b.poke() // only to arm the timer for it
 		}
 		return nil
 	default:
-		err := b.flushLocked(key)
+		// A failed flush loses the held frame, not msg: only msg's own error
+		// goes back to the sender, whose counters take back exactly what it
+		// reports refused.
+		_ = b.flushLocked(key)
 		b.frames.Add(1)
 		// The lock must span flush + pass-through or another sender could
 		// interleave a frame between them and break FIFO per destination.
 		// Both inner transports enqueue or spawn without waiting on delivery.
-		serr := b.inner.Send(from, to, msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
-		if serr != nil {
-			return serr
-		}
-		return err
+		return b.inner.Send(from, to, msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
 	}
 	// Every data kind: a full buffer ships inline, a message that found the
 	// link quiet makes its buffer ready, anything else waits for the timer.
-	b.TrackWork(1)
 	buf.bytes += msg.Size()
 	quiet := now.Sub(buf.lastData) >= b.window/quietDiv
 	buf.lastData = now
@@ -289,9 +274,7 @@ func (b *Batcher) flushLocked(key [2]string) error {
 	}
 	*buf = batchBuf{lastData: buf.lastData}
 	b.frames.Add(1)
-	err := b.inner.Send(key[0], key[1], msg)
-	b.TrackWork(-n)
-	return err
+	return b.inner.Send(key[0], key[1], msg)
 }
 
 // flushLoop is the flusher goroutine: woken by Send for a ready buffer, and
@@ -359,7 +342,4 @@ func (b *Batcher) Close() error {
 	return b.inner.Close()
 }
 
-var (
-	_ Transport   = (*Batcher)(nil)
-	_ WorkTracker = (*Batcher)(nil)
-)
+var _ Transport = (*Batcher)(nil)

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -403,42 +402,33 @@ func TestBatcherMaxBytesFlushesEarly(t *testing.T) {
 	}
 }
 
-// TestBatcherTracksHeldWorkWithMem drives a Batcher over the in-memory
-// router and checks the quiescence oracle accounts for every held message
-// until its frame is delivered, on the immediate path and on the held one.
-func TestBatcherTracksHeldWorkWithMem(t *testing.T) {
-	mem := NewMem(MemOptions{Seed: 1})
-	clk := newTestClock()
-	b := NewBatcher(mem, BatcherOptions{Window: testWindow})
-	b.SetClock(clk)
+// refusingInner refuses every frame but a Query, as a link that lost its
+// batched traffic.
+type refusingInner struct{ *recordingInner }
+
+func (r refusingInner) Send(from, to string, msg wire.Message) error {
+	if _, ok := msg.(wire.Query); !ok {
+		return ErrPartitioned
+	}
+	return r.recordingInner.Send(from, to, msg)
+}
+
+// TestBatcherPassThroughReportsOnlyItsOwnError: a control message flushes what
+// its link holds before it passes through. When that flush fails and the
+// message itself leaves, its sender must hear nil: an error would make the
+// sender take back a message that was delivered, and the counter balance would
+// read a surplus from then on.
+func TestBatcherPassThroughReportsOnlyItsOwnError(t *testing.T) {
+	inner := refusingInner{newRecordingInner()}
+	b := NewBatcher(inner, BatcherOptions{Window: testWindow})
 	defer b.Close()
-	recv := make(chan wire.Message, 4) // the test sends two
-	if err := b.Register("B", func(env wire.Envelope) { recv <- env.Msg }); err != nil {
+	if err := b.Send("A", "B", wire.Heartbeat{Node: "A"}); err != nil { // held: it never ships early
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	settled := func(when string) {
-		t.Helper()
-		select {
-		case <-recv:
-		case <-ctx.Done():
-			t.Fatalf("%s: the answer never came through Mem", when)
-		}
-		if err := mem.WaitQuiescent(ctx); err != nil {
-			t.Fatalf("%s: %v", when, err)
-		}
-		if n := mem.Inflight(); n != 0 {
-			t.Fatalf("%s: after delivery Inflight()=%d, want 0", when, n)
-		}
+	if err := b.Send("A", "B", wire.Query{RuleID: "r"}); err != nil {
+		t.Fatalf("the query left, yet Send reported %v (the lost flush's error)", err)
 	}
-	_ = b.Send("A", "B", testAnswer(0))
-	settled("immediate path")
-	_ = b.Send("A", "B", testAnswer(1)) // busy link: held
-	if n := mem.Inflight(); n != 1 {
-		t.Fatalf("held answer invisible to the quiescence oracle: Inflight()=%d, want 1", n)
+	if got := inner.frames(); len(got) != 1 {
+		t.Fatalf("%d frames reached the wire, want the query alone", len(got))
 	}
-	clk.Advance(testWindow)
-	b.Pass()
-	settled("held path")
 }

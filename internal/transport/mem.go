@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -18,14 +19,15 @@ type MemOptions struct {
 	// asynchronous mode.
 	MaxDelay time.Duration
 	// Synchronous switches to BSP mode: sends buffer until Step delivers
-	// them as one round. WaitQuiescent is then equivalent to draining
-	// rounds via StepAll.
+	// them as one round.
 	Synchronous bool
 }
 
 // Mem is the in-memory transport: a router with one serial dispatcher per
-// node, unbounded mailboxes, a global in-flight counter for quiescence
-// detection, delay injection and pairwise partitions.
+// node, unbounded mailboxes, delay injection and pairwise partitions. It
+// counts the messages in its mailboxes and handlers, but only to pace Step:
+// whether the network has settled is the peers' counter balance, as on every
+// other transport.
 type Mem struct {
 	opts MemOptions
 
@@ -128,7 +130,7 @@ func (m *Mem) Send(from, to string, msg wire.Message) error {
 	if m.blocked[pairKey(from, to)] {
 		m.dropped++
 		m.mu.Unlock()
-		return nil // partitions silently eat messages, like a dead link
+		return fmt.Errorf("%w: %s -> %s", ErrPartitioned, from, to)
 	}
 	env := wire.Envelope{From: from, To: to, Msg: msg}
 	m.inflight++
@@ -164,9 +166,9 @@ func (m *Mem) enqueue(box *mailbox, env wire.Envelope) {
 }
 
 // Step delivers the currently buffered round in synchronous mode and waits
-// until every handler (including cascading same-round sends? no — sends made
-// while handling go to the NEXT round) has finished. It returns the number
-// of messages delivered. In asynchronous mode it is a no-op returning 0.
+// until every handler has returned; sends made while handling go to the next
+// round. It returns the number of messages delivered. In asynchronous mode it
+// is a no-op returning 0.
 func (m *Mem) Step() int {
 	m.mu.Lock()
 	if !m.opts.Synchronous || m.closed {
@@ -192,21 +194,10 @@ func (m *Mem) Step() int {
 	return len(round)
 }
 
-// StepAll drives synchronous rounds until no messages remain, returning the
-// number of rounds. A safety cap guards against protocol bugs.
-func (m *Mem) StepAll(maxRounds int) (rounds int) {
-	for rounds < maxRounds {
-		if m.Step() == 0 {
-			return rounds
-		}
-		rounds++
-	}
-	return rounds
-}
-
 // WaitQuiescent blocks until no message is in flight anywhere (all mailboxes
 // empty, all handlers returned, no delayed deliveries pending) or the
-// context is cancelled.
+// context is cancelled. Orchestration does not use it; it stays for
+// benchmark/trace.go and for the router's own tests.
 func (m *Mem) WaitQuiescent(ctx context.Context) error {
 	done := make(chan struct{})
 	//lint:allow goroshutdown exits when the net quiesces or Close broadcasts; a cancelled ctx broadcasts below to re-check
@@ -229,15 +220,15 @@ func (m *Mem) WaitQuiescent(ctx context.Context) error {
 }
 
 // Inflight reports the number of undelivered or currently handled messages.
+// It stays for benchmark/trace.go and for tests that audit the balance.
 func (m *Mem) Inflight() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.inflight
 }
 
-// TrackWork implements WorkTracker: external layers (the Batcher, a peer's
-// pipelined ack worker) account their held work in the same in-flight
-// counter the quiescence oracle waits on.
+// TrackWork adds delta to the in-flight count. Nothing in the program calls
+// it; it stays only because benchmark/trace.go delegates to it.
 func (m *Mem) TrackWork(delta int) {
 	m.mu.Lock()
 	m.inflight += delta
@@ -245,7 +236,7 @@ func (m *Mem) TrackWork(delta int) {
 	m.mu.Unlock()
 }
 
-// Dropped reports how many messages partitions ate.
+// Dropped reports how many sends partitions refused.
 func (m *Mem) Dropped() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -307,8 +298,6 @@ func (m *Mem) Close() error {
 
 var (
 	_ Transport     = (*Mem)(nil)
-	_ Quiescer      = (*Mem)(nil)
 	_ Stepper       = (*Mem)(nil)
 	_ FaultInjector = (*Mem)(nil)
-	_ WorkTracker   = (*Mem)(nil)
 )

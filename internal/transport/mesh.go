@@ -11,9 +11,9 @@ import (
 // and every send between two peers traverses a real socket (no in-process
 // short-circuit, unlike a single TCP value hosting many peers). It
 // demonstrates — and tests — that the protocol needs nothing beyond reliable
-// point-to-point messaging: the mesh offers no quiescence oracle, no
-// stepping, no fault injection — it implements Transport and nothing else —
-// so orchestration detects quiescence from the peers' own counters, exactly
+// point-to-point messaging: the mesh offers no stepping and no fault
+// injection — it implements Transport and nothing else — and orchestration
+// detects quiescence from the peers' own counters, as on every transport and
 // as a deployment over the paper's JXTA pipes would.
 type TCPMesh struct {
 	mu     sync.Mutex

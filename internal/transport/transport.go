@@ -1,20 +1,19 @@
 // Package transport carries protocol messages between peers. It replaces the
 // paper's JXTA layer with implementations sharing one interface: an
-// in-memory router (deterministic, with seeded delay injection, partitions, a
-// global quiescence detector, and a synchronous/BSP stepping mode used by the
-// "synchronous alternative" the paper mentions), a TCP transport
-// (length-prefixed wire frames over stdlib net) for running peers as separate
-// processes, and a TCP mesh that gives every registered peer its own socket
-// listener so a whole network runs over loopback sockets in one process.
+// in-memory router (deterministic, with seeded delay injection, partitions,
+// and a synchronous/BSP stepping mode used by the "synchronous alternative"
+// the paper mentions), a TCP transport (length-prefixed wire frames over
+// stdlib net) for running peers as separate processes, and a TCP mesh that
+// gives every registered peer its own socket listener so a whole network runs
+// over loopback sockets in one process.
 //
 // The base Transport interface is deliberately minimal — register, send,
-// close — because that is all the protocol needs. Everything beyond reliable
-// point-to-point messaging is a capability a particular implementation may or
-// may not have: a global quiescence oracle (Quiescer), BSP round stepping
-// (Stepper), partition/drop fault injection (FaultInjector). Orchestration
-// type-asserts for the capability and falls back to protocol-visible signals
-// when it is absent (the paper's JXTA situation): the peers' state reports,
-// and their counters, which balance exactly when nothing is in flight.
+// close — because that is all the protocol needs. Two capabilities go beyond
+// it: BSP round stepping (Stepper), which delivers only when stepped, and
+// partition/drop fault injection (FaultInjector). No transport decides when a
+// network has settled: on every one, as in the paper's JXTA deployment,
+// orchestration reads the peers' counters, which balance exactly when nothing
+// is in flight.
 package transport
 
 import (
@@ -40,10 +39,9 @@ type Transport interface {
 	Close() error
 }
 
-// Quiescer is the capability of detecting global quiescence: no message
-// undelivered, in a handler, or scheduled for delayed delivery anywhere.
-// Only transports that see all traffic (the in-memory router) can offer it;
-// distributed transports cannot, and orchestration balances peer counters.
+// Quiescer is the in-memory router's own view of quiescence: no message
+// undelivered or in a handler. Orchestration does not consult it; it stays
+// only because benchmark/trace.go asserts it.
 type Quiescer interface {
 	// WaitQuiescent blocks until nothing is in flight or ctx is cancelled.
 	WaitQuiescent(ctx context.Context) error
@@ -51,37 +49,31 @@ type Quiescer interface {
 	Inflight() int
 }
 
-// Stepper is the capability of BSP round stepping (the paper's "synchronous
-// alternative"): sends buffer until Step delivers them as one round.
+// Stepper is the capability of delivering only when stepped: BSP rounds (the
+// paper's "synchronous alternative"), or a test's seeded scheduler.
 type Stepper interface {
-	// Step delivers the buffered round, returning how many messages it held.
+	// Step delivers what is scheduled next — the buffered round, or one
+	// message — and returns how many messages it delivered; 0 means nothing
+	// was scheduled.
 	Step() int
-	// StepAll drives rounds until none remain, returning the round count.
-	StepAll(maxRounds int) int
 }
 
-// WorkTracker is the capability of accounting work held OUTSIDE the
-// transport's own queues toward its quiescence oracle: a layer that buffers
-// messages before handing them over (the Batcher), or a peer that defers
-// acknowledgment side effects to a background worker, tracks each pending
-// item with TrackWork(+1) and releases it with TrackWork(-1) once the work
-// reaches the transport (or completes). Without it, a quiescence oracle
-// would declare the network settled while batched frames or pipelined
-// fsync/ack work were still pending.
+// WorkTracker adjusts a router's in-flight count from outside it. Nothing in
+// the program calls it; it stays only because benchmark/trace.go asserts it.
 type WorkTracker interface {
-	// TrackWork adjusts the in-flight work accounted by the quiescence
-	// oracle by delta (positive when work is taken on, negative when done).
+	// TrackWork adjusts the router's in-flight count by delta.
 	TrackWork(delta int)
 }
 
 // FaultInjector is the capability of injecting link faults for robustness
 // experiments: pairwise partitions and a drop counter.
 type FaultInjector interface {
-	// Partition blocks both directions between two nodes.
+	// Partition blocks both directions between two nodes: a send across it
+	// fails with ErrPartitioned.
 	Partition(a, b string)
 	// Heal removes a partition.
 	Heal(a, b string)
-	// Dropped reports how many messages partitions ate.
+	// Dropped reports how many sends partitions refused.
 	Dropped() uint64
 }
 
@@ -90,6 +82,10 @@ var ErrUnknownPeer = errors.New("transport: unknown peer")
 
 // ErrClosed is returned when using a transport after Close.
 var ErrClosed = errors.New("transport: closed")
+
+// ErrPartitioned is returned for a send across an injected partition: the
+// message is refused, so the sender's counters take it back, as for a dead link.
+var ErrPartitioned = errors.New("transport: partitioned")
 
 func addressError(op, node string) error {
 	return fmt.Errorf("%w: %s %q", ErrUnknownPeer, op, node)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -150,7 +151,9 @@ func TestMemPartitionAndHeal(t *testing.T) {
 	_ = m.Register("A", func(wire.Envelope) {})
 	_ = m.Register("B", func(wire.Envelope) { atomic.AddInt32(&got, 1) })
 	m.Partition("A", "B")
-	_ = m.Send("A", "B", wire.StartUpdate{})
+	if err := m.Send("A", "B", wire.StartUpdate{}); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("send across a partition = %v, want ErrPartitioned", err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	_ = m.WaitQuiescent(ctx)
@@ -219,7 +222,10 @@ func TestMemStepAll(t *testing.T) {
 		}
 	})
 	_ = m.Send("A", "A", wire.StartUpdate{})
-	rounds := m.StepAll(100)
+	rounds := 0
+	for rounds < 100 && m.Step() > 0 {
+		rounds++
+	}
 	if rounds != 6 {
 		t.Fatalf("rounds = %d", rounds)
 	}

@@ -149,6 +149,26 @@ func TestOneUpdateDriver(t *testing.T) {
 	}
 }
 
+// TestOneSettleRule: every transport settles by the peers' counter balance.
+// The in-memory router's own in-flight view (Quiescer, WaitQuiescent) and the
+// hook that fed it (WorkTracker, TrackWork) survive in internal/transport only
+// for benchmark/trace.go; nothing else in the program may name them — not
+// core's Quiesce, not the Batcher, not a peer.
+func TestOneSettleRule(t *testing.T) {
+	oracle := regexp.MustCompile(`\b(Quiescer|WorkTracker|WaitQuiescent|TrackWork)\b`)
+	for _, path := range programFiles(t) {
+		path = filepath.ToSlash(path)
+		switch {
+		case strings.HasPrefix(path, "benchmark/"),
+			path == "internal/transport/mem.go", path == "internal/transport/transport.go":
+			continue
+		}
+		if m := oracle.Find(readFile(t, path)); m != nil {
+			t.Errorf("%s names %s: only the counter balance decides when a network has settled", path, m)
+		}
+	}
+}
+
 // probeRequestSites names the function around each wire.ProbeRequest literal
 // in f, as "(*Recv).Name" or "Name".
 func probeRequestSites(f *ast.File) []string {

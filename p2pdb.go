@@ -40,9 +40,9 @@
 //
 // Networks are transport-agnostic: Options.Transport (or BuildWith) accepts
 // any message carrier. The default is the deterministic in-memory router;
-// NewTCPMesh runs every peer behind its own real loopback socket, in which
-// case orchestration — lacking a global quiescence oracle, exactly as in the
-// paper's JXTA deployment — falls back to polling peer states and counters.
+// NewTCPMesh runs every peer behind its own real loopback socket. On either,
+// orchestration judges quiescence as the paper's JXTA deployment must: from
+// the peers' own message counters, never from the transport.
 //
 // The network also deploys as one peer per OS process: Options.Hosted
 // restricts a Build to a subset of the definition's nodes, and
@@ -101,8 +101,8 @@ type Options = core.Options
 
 // Transport carries protocol messages between peers. The in-memory router
 // (default) and the TCP mesh both implement it; orchestration discovers
-// optional powers (quiescence oracle, BSP stepping, fault injection) through
-// the capability interfaces in the transport package.
+// optional powers (BSP stepping, fault injection) through the capability
+// interfaces in the transport package.
 type Transport = transport.Transport
 
 // Definition is a parsed network description (nodes, schemas, rules, seed
