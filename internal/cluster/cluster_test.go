@@ -346,6 +346,50 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsReportTheSymbolTable: a serving member's /metrics and its expvar
+// "p2pdb" variable both size the process's symbol table, and an insert of a
+// text never seen before shows in both.
+func TestMetricsReportTheSymbolTable(t *testing.T) {
+	cfg := LoopbackConfig(mustDef(t, chainNet), "C", nil, "", 0, 0)
+	cfg.Control = nil
+	m := bootMember(t, cfg)
+	defer m.Close()
+	addr, closeMetrics, err := StartMetrics("127.0.0.1:0", m.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeMetrics()
+
+	before, beforeBytes := relalg.SymbolStats()
+	fresh := fmt.Sprintf("symbol-metrics-%d", time.Now().UnixNano())
+	if _, err := m.Network().Peer("C").InsertLocal("c", relalg.Tuple{relalg.S(fresh), relalg.I(1)}); err != nil {
+		t.Fatal(err)
+	}
+	get := func(path string, into any) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	var metrics NodeMetrics
+	get("/metrics", &metrics)
+	var vars struct {
+		P2PDB NodeMetrics `json:"p2pdb"`
+	}
+	get("/debug/vars", &vars)
+	for name, got := range map[string]NodeMetrics{"/metrics": metrics, "expvar p2pdb": vars.P2PDB} {
+		if got.Symbols < before+1 || got.SymbolBytes < beforeBytes+len(fresh) {
+			t.Errorf("%s reports %d symbols, %d bytes; before the insert of %q the table held %d, %d",
+				name, got.Symbols, got.SymbolBytes, fresh, before, beforeBytes)
+		}
+	}
+}
+
 func mustDef(t *testing.T, text string) *rules.Network {
 	t.Helper()
 	def, err := rules.ParseNetwork(text)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/relalg"
 	"repro/internal/replica"
 	"repro/internal/serving"
 	"repro/internal/stats"
@@ -46,6 +47,11 @@ type NodeMetrics struct {
 	PiggyBeats  uint64         `json:"beats_piggybacked"`
 	Stats       stats.Snapshot `json:"stats"`
 	Members     []MemberInfo   `json:"members"`
+	// Symbols and SymbolBytes size the process's symbol table (every distinct
+	// string constant and null label, relalg.SymbolStats). Like the relations,
+	// it never shrinks.
+	Symbols     int `json:"symbols"`
+	SymbolBytes int `json:"symbol_bytes"`
 	// Consensus is the replicated control plane's state (nil when the member
 	// runs without one): log frontiers, quorum size, elected driver and the
 	// fail-over count — the numbers an operator watches during a
@@ -101,6 +107,7 @@ func CollectReplicationMetrics(mgr *replica.Manager, cp *ControlPlane, self stri
 // cluster transport. cp may be nil (no replicated control plane).
 func CollectNodeMetrics(n *core.Network, tr *Transport, cp *ControlPlane, node string) NodeMetrics {
 	m := NodeMetrics{Node: node, Addr: tr.Addr(), Members: tr.Members()}
+	m.Symbols, m.SymbolBytes = relalg.SymbolStats()
 	if cp != nil {
 		cm := cp.Metrics()
 		m.Consensus = &cm

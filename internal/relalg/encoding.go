@@ -17,8 +17,10 @@ import (
 //	string  := uvarint(len) bytes
 //	strings := uvarint(count) string*
 //
-// The Append functions allocate nothing beyond growing b; the Reader copies
-// what it returns, so a decoded value never keeps a frame or record alive.
+// A string or null is written as its text, read back from the symbol table,
+// and decoded by interning the text where it lies in the input. The Append
+// functions allocate nothing beyond growing b; nothing the Reader returns
+// refers to its input, so a decoded value never keeps a frame or record alive.
 
 // AppendString appends a length-prefixed string.
 func AppendString(b []byte, s string) []byte {
@@ -43,9 +45,10 @@ func AppendValue(b []byte, v Value) []byte {
 		b = append(b, byte(1+n), byte(KindInt))
 		return append(b, buf[:n]...)
 	}
-	b = binary.AppendUvarint(b, uint64(1+len(v.str)))
+	text := v.text()
+	b = binary.AppendUvarint(b, uint64(1+len(text)))
 	b = append(b, byte(v.kind))
-	return append(b, v.str...)
+	return append(b, text...)
 }
 
 // AppendTuple appends one tuple.
@@ -73,7 +76,7 @@ func (v Value) EncodedSize() int {
 		var buf [binary.MaxVarintLen64]byte
 		return 1 + binary.PutVarint(buf[:], v.num)
 	}
-	return 1 + len(v.str)
+	return 1 + len(v.text())
 }
 
 // ErrCorrupt reports input that is truncated or is not the encoding above.
@@ -184,50 +187,34 @@ func (r *Reader) Strs() []string {
 	return out
 }
 
-// Tuple reads one tuple. The text of all its values is copied out of the
-// input in one piece — one allocation per tuple however many strings it has —
-// and the values are substrings of that copy.
+// Tuple reads one tuple. Its texts are interned straight from the input, so
+// a tuple of known values costs its slice and nothing else.
 func (r *Reader) Tuple() Tuple {
 	n := r.Count(2) // a value is a length byte and a kind byte at least
 	if n == 0 {
 		return nil
 	}
-	body, hasText := r.b, false
-	for i := 0; i < n; i++ { // find where the tuple ends, checking every length
+	t := make(Tuple, n)
+	for i := range t {
 		raw := r.take(r.Uvarint())
 		if len(raw) == 0 {
 			r.Fail(ErrCorrupt)
 			return nil
 		}
-		hasText = hasText || Kind(raw[0]) != KindInt
-	}
-	var text string
-	if hasText {
-		text = string(body[:len(body)-len(r.b)])
-	}
-	t := make(Tuple, n)
-	off := 0
-	for i := range t {
-		size, w := binary.Uvarint(body[off:])
-		off += w
-		end := off + int(size)
-		switch Kind(body[off]) {
+		switch kind := Kind(raw[0]); kind {
 		case KindInt:
-			num, read := binary.Varint(body[off+1 : end])
-			if read <= 0 || off+1+read != end {
+			num, read := binary.Varint(raw[1:])
+			if read <= 0 || 1+read != len(raw) {
 				r.Fail(ErrCorrupt)
 				return nil
 			}
 			t[i] = I(num)
-		case KindNull:
-			t[i] = Null(text[off+1 : end])
-		case KindString:
-			t[i] = S(text[off+1 : end])
+		case KindNull, KindString:
+			t[i] = Value{num: symbols.internBytes(raw[1:]), kind: kind}
 		default:
 			r.Fail(ErrCorrupt)
 			return nil
 		}
-		off = end
 	}
 	return t
 }

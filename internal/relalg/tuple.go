@@ -111,7 +111,7 @@ func (t Tuple) SubsumedBy(u Tuple) bool {
 	if len(t) != len(u) {
 		return false
 	}
-	var m map[string]Value
+	var m map[Value]Value
 	for i, v := range t {
 		if v.IsConst() {
 			if v != u[i] {
@@ -120,15 +120,15 @@ func (t Tuple) SubsumedBy(u Tuple) bool {
 			continue
 		}
 		if m == nil {
-			m = make(map[string]Value, 2)
+			m = make(map[Value]Value, 2)
 		}
-		if prev, ok := m[v.NullLabel()]; ok {
+		if prev, ok := m[v]; ok {
 			if prev != u[i] {
 				return false
 			}
 			continue
 		}
-		m[v.NullLabel()] = u[i]
+		m[v] = u[i]
 	}
 	return true
 }

@@ -12,9 +12,10 @@ import "math/bits"
 //
 // Storage is three flat slices and no per-member allocation: the log of
 // members, an open-addressing table of their positions (no stored hashes: a
-// resize re-hashes, which is arithmetic since values carry their string
-// hash), and, for AddClone, value chunks the stored copies are carved from.
-// Positions are int32, so a set holds at most 2^31-1 members.
+// resize re-hashes, which is arithmetic over symbol ids), and, for AddClone,
+// value chunks the stored copies are carved from; a Value holds no pointer, so
+// the collector never scans a chunk. Positions are int32, so a set holds at
+// most 2^31-1 members.
 type TupleSet struct {
 	log []Tuple // log[i] holds position i
 
@@ -32,7 +33,7 @@ type TupleSet struct {
 const (
 	minTable = 8
 	// maxChunk bounds a value chunk, and so the values a long-lived set
-	// holds in reserve, to 32 KiB.
+	// holds in reserve, to 16 KiB.
 	maxChunk = 1024
 )
 

@@ -274,8 +274,8 @@ func TestOutputIndependentOfHashSeed(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		r := NewRelation(MakeSchema("p", 2))
 		for i := 0; i < 500; i++ {
-			// Values carry the hash of their text, so they are rebuilt under
-			// each seed (pickValue goes through S, I and Null).
+			// Values are rebuilt under each seed, as another process would
+			// build them (pickValue goes through S, I and Null).
 			v := adversarialValues[rng.Intn(len(adversarialValues))]
 			tp := Tuple{pickValue(uint8(v.Kind()), v.Int(), v.Str()), I(int64(rng.Intn(9)))}
 			if _, err := r.Insert(tp); err != nil {
@@ -286,7 +286,7 @@ func TestOutputIndependentOfHashSeed(t *testing.T) {
 	}
 	all1, sorted1, probe1 := run()
 	all2, sorted2, probe2 := run()
-	// Values of different seeds are never ==; their serialised identity is.
+	// Compared by serialised identity, the one another process shares.
 	keys := func(ts []Tuple) (out []string) {
 		for _, tp := range ts {
 			out = append(out, tp.Key())

@@ -10,20 +10,22 @@
 // key. Serialised it is Tuple.Key, a canonical injective string that Skolem
 // null labels embed; its bytes are a format and never change.
 //
-// The hash lives in the value. S and Null hash their text once, with the
-// process's seed, and keep the result in the field an int keeps its number
-// in; Value.Hash and Tuple.Hash are arithmetic over that field, so a tuple
-// crossing cq, rules, a TupleSet and a Relation is hashed at each of them
-// without its strings being read again. The field is a function of the text,
-// so == is still equality of kind and text, and nothing serialises it: Key,
-// AppendValue and the wire write the text alone, and Reader rebuilds values
-// through S, I and Null.
+// A value's identity is a symbol id. S and Null look their text up in one
+// process-wide, append-only symbol table (symtab.go) and keep the id of that
+// text in the field an int keeps its number in, so a Value is 16 bytes with no
+// pointer: == and Tuple.Equal are integer compares, Value.Hash and Tuple.Hash
+// are arithmetic over the id, and the value chunks of a TupleSet are never
+// scanned by the collector. The table holds each distinct text for the life of
+// the process (SymbolStats reports its size). Ids are never written anywhere:
+// Key, AppendValue and the wire write the text, read back from the table, and
+// Reader interns what it decodes, so every format is what it was when values
+// held their strings.
 //
 // A tuple stored by Relation.Insert or TupleSet.AddClone is a copy, carved
 // from a value chunk its set shares between many members; it aliases nothing
 // of the caller's, never moves and is never overwritten, so slices returned
 // by All and Since stay valid while the set grows, and keeping one member
-// keeps its chunk (at most 32 KiB) reachable. TupleSet.Add stores the
+// keeps its chunk (at most 16 KiB) reachable. TupleSet.Add stores the
 // caller's slice itself.
 package relalg
 
@@ -49,15 +51,19 @@ const (
 )
 
 // Value is a single attribute value: a shared constant (string or int, the
-// paper's URI assumption) or a labelled null. The zero Value is the empty
-// string constant. Values are built by S, I and Null only: for a string or a
-// null, num carries the hash of str, computed once there, so that Hash never
-// reads the bytes again; equal strings therefore stay == values.
+// paper's URI assumption) or a labelled null. Values are built by S, I, Null
+// and NullBytes only. For a string or a null, num is the symbol id of its text
+// (see the package doc): the same text is the same id at every call, so equal
+// values are == whatever memory their text came from, S(x) and Null(x) differ
+// by kind alone, and the zero Value is S("") (id 0 is ""). Value holds no
+// pointer; TestValueIsPointerFree (the repository root) keeps it that way.
 type Value struct {
+	num  int64 // the int constant; for strings and nulls, the symbol id of the text
 	kind Kind
-	str  string // string constant or null label
-	num  int64  // the int constant; for strings and nulls, strHash(str)
 }
+
+// text returns the text of a string constant or null label.
+func (v Value) text() string { return symbols.sym(v.num).text }
 
 // String returns a display rendering: bare text for string constants,
 // decimal for ints, and "⊥label" for nulls. Long Skolem labels are shortened
@@ -68,14 +74,15 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.num, 10)
 	case KindNull:
-		if len(v.str) > 24 {
+		label := v.text()
+		if len(label) > 24 {
 			h := fnv.New32a()
-			_, _ = h.Write([]byte(v.str))
-			return fmt.Sprintf("⊥%s…%08x", v.str[:strings.IndexByte(v.str+"|", '|')], h.Sum32())
+			_, _ = h.Write([]byte(label))
+			return fmt.Sprintf("⊥%s…%08x", label[:strings.IndexByte(label+"|", '|')], h.Sum32())
 		}
-		return "⊥" + v.str
+		return "⊥" + label
 	default:
-		return v.str
+		return v.text()
 	}
 }
 
@@ -86,9 +93,9 @@ func (v Value) Quoted() string {
 	case KindInt:
 		return strconv.FormatInt(v.num, 10)
 	case KindNull:
-		return "⊥" + v.str
+		return "⊥" + v.text()
 	default:
-		return "'" + strings.ReplaceAll(v.str, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.text(), "'", "''") + "'"
 	}
 }
 
@@ -101,8 +108,14 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 // IsConst reports whether v is a constant (string or int).
 func (v Value) IsConst() bool { return v.kind != KindNull }
 
-// Str returns the string payload (string constant text or null label).
-func (v Value) Str() string { return v.str }
+// Str returns the string payload (string constant text or null label); ""
+// for an int.
+func (v Value) Str() string {
+	if v.kind == KindInt {
+		return ""
+	}
+	return v.text()
+}
 
 // Int returns the integer payload; zero unless KindInt.
 func (v Value) Int() int64 {
@@ -115,19 +128,35 @@ func (v Value) Int() int64 {
 // NullLabel returns the label of a null value, or "" for constants.
 func (v Value) NullLabel() string {
 	if v.kind == KindNull {
-		return v.str
+		return v.text()
 	}
 	return ""
 }
 
-// S builds a string-constant Value.
-func S(s string) Value { return Value{kind: KindString, str: s, num: strHash(s)} }
+// NullDepth returns the invention depth a null's label records — n for a
+// Skolem label "d<n>|…", 1 for a foreign label — read from the symbol table,
+// which parsed it when the label was first interned; 0 for a constant.
+func (v Value) NullDepth() int {
+	if v.kind != KindNull {
+		return 0
+	}
+	return symbols.sym(v.num).depth
+}
+
+// S builds a string-constant Value. It interns s: a text seen before costs a
+// lookup and no allocation; a new one is copied into the symbol table.
+func S(s string) Value { return Value{num: symbols.intern(s), kind: KindString} }
 
 // I builds an integer-constant Value.
-func I(n int64) Value { return Value{kind: KindInt, num: n} }
+func I(n int64) Value { return Value{num: n, kind: KindInt} }
 
-// Null builds a labelled null with the given label.
-func Null(label string) Value { return Value{kind: KindNull, str: label, num: strHash(label)} }
+// Null builds a labelled null with the given label, interned as S interns.
+func Null(label string) Value { return Value{num: symbols.intern(label), kind: KindNull} }
+
+// NullBytes is Null for a label held in a byte slice, which it does not
+// retain: the caller may reuse the buffer, and a known label allocates
+// nothing.
+func NullBytes(label []byte) Value { return Value{num: symbols.internBytes(label), kind: KindNull} }
 
 // Equal reports exact equality (same kind and payload). Two nulls are equal
 // iff their labels are equal.
@@ -151,7 +180,10 @@ func (v Value) Compare(w Value) int {
 		}
 		return 0
 	default:
-		return strings.Compare(v.str, w.str)
+		if v.num == w.num {
+			return 0
+		}
+		return strings.Compare(v.text(), w.text())
 	}
 }
 
@@ -186,7 +218,7 @@ func asInt(v Value) (int64, bool) {
 		return v.num, true
 	}
 	if v.kind == KindString {
-		if n, err := strconv.ParseInt(v.str, 10, 64); err == nil {
+		if n, err := strconv.ParseInt(v.text(), 10, 64); err == nil {
 			return n, true
 		}
 	}
@@ -200,9 +232,9 @@ func (v Value) Key() string {
 	case KindInt:
 		return "i" + strconv.FormatInt(v.num, 10)
 	case KindNull:
-		return "n" + v.str
+		return "n" + v.text()
 	default:
-		return "s" + v.str
+		return "s" + v.text()
 	}
 }
 
@@ -220,32 +252,21 @@ func (v Value) appendKey(b []byte) []byte {
 	case KindNull:
 		tag = 'n'
 	}
-	b = strconv.AppendInt(b, int64(len(v.str)+1), 10)
+	text := v.text()
+	b = strconv.AppendInt(b, int64(len(text)+1), 10)
 	b = append(b, ':', tag)
-	return append(b, v.str...)
+	return append(b, text...)
 }
 
-// hashSeed seeds every Value and Tuple hash of the process.
-var hashSeed = maphash.MakeSeed()
-
-// hashMix is the seed's share of Value.Hash.
-var hashMix = maphash.String(hashSeed, "relalg")
-
-// strHash is the hash S and Null store beside their text. The empty string
-// hashes to 0, which keeps Value{} == S("").
-func strHash(s string) int64 {
-	if s == "" {
-		return 0
-	}
-	return int64(maphash.String(hashSeed, s))
-}
+// hashMix is the process's random share of every Value and Tuple hash.
+var hashMix = maphash.String(maphash.MakeSeed(), "relalg")
 
 // Hash returns a process-local 64-bit hash of the value, consistent with ==
-// (equal values hash equally; the kind is mixed in, so S("1"), I(1) and
-// Null("1") differ). It is arithmetic on num: a string's bytes were hashed
-// once, when the value was built.
+// (equal values hash equally). It is arithmetic on num — a symbol id for a
+// string or null — with the kind added in the top byte, so S("1"), I(1) and
+// Null("1") differ and small ids never meet small ints.
 func (v Value) Hash() uint64 {
-	h := (uint64(v.num) + uint64(v.kind)) ^ hashMix
+	h := (uint64(v.num) + uint64(v.kind)<<56) ^ hashMix
 	h *= 0x9e3779b97f4a7c15
 	return h ^ h>>29
 }

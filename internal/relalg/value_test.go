@@ -158,10 +158,10 @@ func pickValue(k uint8, n int64, s string) Value {
 	}
 }
 
-// TestValueCarriesItsHash pins what carrying a string's hash in the value must
-// not change: the zero value is still the empty string, equal texts are still
-// == however they were built, Int is 0 for non-ints, and the hash is no part
-// of any serialised form.
+// TestValueCarriesItsHash pins what carrying a symbol id instead of the text
+// must not change: the zero value is still the empty string, equal texts are
+// still == however they were built, Int is 0 for non-ints, and the id is no
+// part of any serialised form.
 func TestValueCarriesItsHash(t *testing.T) {
 	if (Value{}) != S("") || (Value{}).Hash() != S("").Hash() {
 		t.Error("the zero Value is no longer S(\"\")")

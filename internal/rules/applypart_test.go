@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cq"
@@ -142,7 +143,7 @@ func TestApplyPartEmptyAllocatesNothing(t *testing.T) {
 // TestSkolemLabelAppended: the label the chase appends into its reused buffer
 // is byte for byte the concatenation Skolemize used to build —
 // "d<depth>|rule|var|" + binding.Key() — for nulls nested up to the invention
-// bound and beyond, and costs one allocation: the label's string.
+// bound and beyond, and a label already interned costs no allocation.
 func TestSkolemLabelAppended(t *testing.T) {
 	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004)}
 	var buf []byte
@@ -162,10 +163,51 @@ func TestSkolemLabelAppended(t *testing.T) {
 		var sink relalg.Value
 		if allocs := testing.AllocsPerRun(100, func() {
 			buf = appendSkolemLabel(buf[:0], depth, "r7", "Id", binding)
-			sink = relalg.Null(string(buf))
-		}); allocs != 1 || sink != want {
-			t.Fatalf("depth %d: %.0f allocations per label, want 1", depth, allocs)
+			sink = relalg.NullBytes(buf)
+		}); allocs != 0 || sink != want {
+			t.Fatalf("depth %d: %.0f allocations per known label, want 0", depth, allocs)
 		}
 		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
+	}
+}
+
+// parsedDepth is the reference for NullDepth: a parse of the label on every
+// call.
+func parsedDepth(v relalg.Value) int {
+	if !v.IsNull() {
+		return 0
+	}
+	if rest, ok := strings.CutPrefix(v.NullLabel(), "d"); ok {
+		if i := strings.IndexByte(rest, '|'); i > 0 {
+			if d, err := strconv.Atoi(rest[:i]); err == nil {
+				return d
+			}
+		}
+	}
+	return 1
+}
+
+// TestNullDepthIsTheLabelParse: the depth the symbol table parsed once is
+// what parsing the label on every call gave, for Skolem labels nested past
+// the invention bound, for foreign and malformed labels, and for a text that
+// was a string constant before it was a label.
+func TestNullDepthIsTheLabelParse(t *testing.T) {
+	values := []relalg.Value{relalg.S("d3|r|V|"), relalg.I(3)}
+	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004)}
+	for depth := 1; depth <= DefaultMaxNullDepth+2; depth++ {
+		got := Skolemize("r7", "Id", []string{"K", "Y"}, binding)
+		values = append(values, got)
+		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
+	}
+	for _, label := range []string{"foreign", "d|x", "d7x|", "d0|", "", "d", "d3|r|V|", "d-2|x", "d+5|x", "d12|", "x|d3|", "d99999999999999999999|x"} {
+		values = append(values, relalg.Null(label), relalg.NullBytes([]byte(label)))
+	}
+	for _, v := range values {
+		if got, want := NullDepth(v), parsedDepth(v); got != want {
+			t.Errorf("NullDepth(%s) = %d, the label parse says %d", v.Quoted(), got, want)
+		}
+	}
+	if NullDepth(relalg.S("d3|r|V|")) != 0 || NullDepth(relalg.Null("d3|r|V|")) != 3 {
+		t.Error("a text's depth leaked across kinds")
 	}
 }

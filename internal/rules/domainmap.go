@@ -17,30 +17,16 @@ import (
 // the URI assumption remains the default.
 type DomainMap struct {
 	From, To string
-	Pairs    map[string]relalg.Value // keyed by relalg.Value.Key() of the source value
-	order    []string                // insertion order of keys, for stable formatting
-	display  map[string]relalg.Value // key -> original source value, for formatting
+	Pairs    map[relalg.Value]relalg.Value // source value -> target value
 }
 
 // NewDomainMap creates an empty map between two nodes.
 func NewDomainMap(from, to string) *DomainMap {
-	return &DomainMap{
-		From:    from,
-		To:      to,
-		Pairs:   map[string]relalg.Value{},
-		display: map[string]relalg.Value{},
-	}
+	return &DomainMap{From: from, To: to, Pairs: map[relalg.Value]relalg.Value{}}
 }
 
 // Add registers one translation pair (last write wins).
-func (d *DomainMap) Add(src, dst relalg.Value) {
-	k := src.Key()
-	if _, ok := d.Pairs[k]; !ok {
-		d.order = append(d.order, k)
-	}
-	d.Pairs[k] = dst
-	d.display[k] = src
-}
+func (d *DomainMap) Add(src, dst relalg.Value) { d.Pairs[src] = dst }
 
 // Translate rewrites one value; unmapped values (and all nulls) pass
 // through.
@@ -48,7 +34,7 @@ func (d *DomainMap) Translate(v relalg.Value) relalg.Value {
 	if d == nil || v.IsNull() {
 		return v
 	}
-	if out, ok := d.Pairs[v.Key()]; ok {
+	if out, ok := d.Pairs[v]; ok {
 		return out
 	}
 	return v
@@ -91,14 +77,18 @@ func (d *DomainMap) TranslateTuples(ts []relalg.Tuple) []relalg.Tuple {
 // Len returns the number of pairs.
 func (d *DomainMap) Len() int { return len(d.Pairs) }
 
-// Format renders the map in network-file syntax.
+// Format renders the map in network-file syntax, pairs in the order of their
+// source values' keys.
 func (d *DomainMap) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "map %s -> %s {", d.From, d.To)
-	keys := append([]string(nil), d.order...)
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, " %s => %s ", d.display[k].Quoted(), d.Pairs[k].Quoted())
+	srcs := make([]relalg.Value, 0, len(d.Pairs))
+	for src := range d.Pairs {
+		srcs = append(srcs, src)
+	}
+	sort.Slice(srcs, func(i, j int) bool { return srcs[i].Key() < srcs[j].Key() })
+	for _, src := range srcs {
+		fmt.Fprintf(&b, " %s => %s ", src.Quoted(), d.Pairs[src].Quoted())
 	}
 	b.WriteString("}")
 	return b.String()

@@ -197,22 +197,10 @@ func (r Rule) Validate(lookup SchemaLookup) error {
 	return nil
 }
 
-// NullDepth extracts the invention depth encoded in a labelled null created
-// by Skolemize; constants have depth 0, foreign nulls depth 1.
-func NullDepth(v relalg.Value) int {
-	if !v.IsNull() {
-		return 0
-	}
-	label := v.NullLabel()
-	if rest, ok := strings.CutPrefix(label, "d"); ok {
-		if i := strings.IndexByte(rest, '|'); i > 0 {
-			if d, err := strconv.Atoi(rest[:i]); err == nil {
-				return d
-			}
-		}
-	}
-	return 1
-}
+// NullDepth returns the invention depth encoded in a labelled null created
+// by Skolemize; constants have depth 0, foreign nulls depth 1. The label was
+// parsed once, when it was interned (relalg.Value.NullDepth): this is a load.
+func NullDepth(v relalg.Value) int { return v.NullDepth() }
 
 // Skolemize invents the labelled null for an existential head variable under
 // a binding of the export variables. The label is a deterministic function of
@@ -223,7 +211,7 @@ func NullDepth(v relalg.Value) int {
 func Skolemize(ruleID, variable string, exportVars []string, binding relalg.Tuple) relalg.Value {
 	_ = exportVars // part of the contract: binding is ordered by exportVars
 	var stack [128]byte
-	return relalg.Null(string(appendSkolemLabel(stack[:0], bindingDepth(binding)+1, ruleID, variable, binding)))
+	return relalg.NullBytes(appendSkolemLabel(stack[:0], bindingDepth(binding)+1, ruleID, variable, binding))
 }
 
 // bindingDepth is the deepest invention depth among the binding's values.
@@ -355,7 +343,7 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 	for i, atom := range r.Head {
 		scratch[i] = make(relalg.Tuple, len(atom.Terms))
 	}
-	var label []byte // Skolem label scratch: one string allocation per null
+	var label []byte // Skolem label scratch, interned in place: a known null allocates nothing
 
 	for _, t := range tuples {
 		if perm == nil {
@@ -382,7 +370,7 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 			}
 			for i, ev := range existential {
 				label = appendSkolemLabel(label[:0], depth+1, r.ID, ev, binding)
-				env[len(exportVars)+i] = relalg.Null(string(label))
+				env[len(exportVars)+i] = relalg.NullBytes(label)
 			}
 		}
 		for i, atom := range r.Head {

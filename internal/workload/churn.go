@@ -183,7 +183,7 @@ func Churn(n int, spec ChurnSpec) []ChurnEvent {
 			// keys never collide with Generate's.
 			r := genRecord(rng, target, 1<<20+inserted[target])
 			inserted[target]++
-			facts = append(facts, shapeFacts(node, shape, r)...)
+			facts = appendShapeFacts(facts, node, shape, r)
 		}
 		events = append(events, ChurnEvent{Op: ChurnInsert, Node: node, Facts: facts})
 

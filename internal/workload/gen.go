@@ -40,13 +40,10 @@ type DataSpec struct {
 }
 
 // record is one abstract DBLP-like publication record, projected into a
-// node's schema shape when seeding.
+// node's schema shape when seeding. Its values are built once, by genRecord:
+// a record duplicated at a neighbour shares them.
 type record struct {
-	key    string
-	author string
-	title  string
-	year   int64
-	venue  string
+	key, author, title, year, venue relalg.Value
 }
 
 var (
@@ -62,7 +59,7 @@ func genRecord(rng *rand.Rand, node, i int) record {
 	author := firstNames[rng.Intn(len(firstNames))] + "_" + lastNames[rng.Intn(len(lastNames))]
 	title := titleWords[rng.Intn(len(titleWords))] + "_" + titleWords[rng.Intn(len(titleWords))] + fmt.Sprintf("_%d_%d", node, i)
 	key := fmt.Sprintf("conf/%s/%s%d-%d-%d", venue, lastNames[rng.Intn(len(lastNames))], year%100, node, i)
-	return record{key: key, author: author, title: title, year: year, venue: venue}
+	return record{key: relalg.S(key), author: relalg.S(author), title: relalg.S(title), year: relalg.I(year), venue: relalg.S(venue)}
 }
 
 // NodeName renders the canonical node name for an index.
@@ -91,20 +88,19 @@ func shapeSchemas(shape int) []relalg.Schema {
 	}
 }
 
-// shapeFacts projects a record into a node's shape relations.
-func shapeFacts(node string, shape int, r record) []rules.Fact {
-	k, a, ti := relalg.S(r.key), relalg.S(r.author), relalg.S(r.title)
-	y, v := relalg.I(r.year), relalg.S(r.venue)
+// appendShapeFacts appends a record's projection into a node's shape
+// relations to facts.
+func appendShapeFacts(facts []rules.Fact, node string, shape int, r record) []rules.Fact {
+	k, a, ti, y, v := r.key, r.author, r.title, r.year, r.venue
 	switch shape {
 	case 1:
-		return []rules.Fact{{Node: node, Rel: "article", Tuple: relalg.Tuple{k, a, ti}}}
+		return append(facts, rules.Fact{Node: node, Rel: "article", Tuple: relalg.Tuple{k, a, ti}})
 	case 2:
-		return []rules.Fact{{Node: node, Rel: "rec", Tuple: relalg.Tuple{k, a, y, v}}}
+		return append(facts, rules.Fact{Node: node, Rel: "rec", Tuple: relalg.Tuple{k, a, y, v}})
 	default:
-		return []rules.Fact{
-			{Node: node, Rel: "pub", Tuple: relalg.Tuple{k, ti, y}},
-			{Node: node, Rel: "wrote", Tuple: relalg.Tuple{a, k}},
-		}
+		return append(facts,
+			rules.Fact{Node: node, Rel: "pub", Tuple: relalg.Tuple{k, ti, y}},
+			rules.Fact{Node: node, Rel: "wrote", Tuple: relalg.Tuple{a, k}})
 	}
 }
 
@@ -190,7 +186,7 @@ func Generate(topo Topology, spec DataSpec) (*rules.Network, error) {
 				r = genRecord(rng, i, j)
 			}
 			recs[i] = append(recs[i], r)
-			net.Facts = append(net.Facts, shapeFacts(node, shapes[i], r)...)
+			net.Facts = appendShapeFacts(net.Facts, node, shapes[i], r)
 		}
 	}
 	if err := net.Validate(); err != nil {

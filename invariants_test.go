@@ -11,10 +11,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/relalg"
 )
 
 // programFiles lists the tree's non-test .go files, skipping testdata and dot
@@ -165,6 +169,24 @@ func TestOneSettleRule(t *testing.T) {
 		}
 		if m := oracle.Find(readFile(t, path)); m != nil {
 			t.Errorf("%s names %s: only the counter balance decides when a network has settled", path, m)
+		}
+	}
+}
+
+// TestValueIsPointerFree: a relalg.Value is 16 bytes and holds no pointer — a
+// string or null is a symbol id — so value chunks are never scanned by the
+// collector, which was dblp-mem's top cost when a Value carried its string.
+func TestValueIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(relalg.Value{}); size != 16 {
+		t.Errorf("relalg.Value is %d bytes, want 16", size)
+	}
+	typ := reflect.TypeOf(relalg.Value{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("relalg.Value.%s is a %s: a Value must hold no pointer", f.Name, f.Type)
 		}
 	}
 }
