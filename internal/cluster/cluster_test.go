@@ -365,28 +365,30 @@ func TestMetricsReportTheSymbolTable(t *testing.T) {
 	if _, err := m.Network().Peer("C").InsertLocal("c", relalg.Tuple{relalg.S(fresh), relalg.I(1)}); err != nil {
 		t.Fatal(err)
 	}
-	get := func(path string, into any) {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-	}
 	var metrics NodeMetrics
-	get("/metrics", &metrics)
+	getJSON(t, addr, "/metrics", &metrics)
 	var vars struct {
 		P2PDB NodeMetrics `json:"p2pdb"`
 	}
-	get("/debug/vars", &vars)
+	getJSON(t, addr, "/debug/vars", &vars)
 	for name, got := range map[string]NodeMetrics{"/metrics": metrics, "expvar p2pdb": vars.P2PDB} {
 		if got.Symbols < before+1 || got.SymbolBytes < beforeBytes+len(fresh) {
 			t.Errorf("%s reports %d symbols, %d bytes; before the insert of %q the table held %d, %d",
 				name, got.Symbols, got.SymbolBytes, fresh, before, beforeBytes)
 		}
+	}
+}
+
+// getJSON decodes the JSON a metrics endpoint serves at path.
+func getJSON(t *testing.T, addr, path string, into any) {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
 }
 

@@ -178,3 +178,73 @@ func TestRemoteWatchLiveDeltaAfterPrime(t *testing.T) {
 		t.Fatal("token empty after confirmed delta")
 	}
 }
+
+// TestMetricsReportOneRetainedSetPerClass: a member serving W remote watches
+// of one class retains each delivered tuple once, not W times. After N
+// inserts /metrics and expvar "p2pdb" both report retained == N, for W = 1
+// and W = 16.
+func TestMetricsReportOneRetainedSetPerClass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("remote watch skipped in -short mode")
+	}
+	const N = 40
+	for _, W := range []int{1, 16} {
+		t.Run(fmt.Sprintf("W=%d", W), func(t *testing.T) {
+			def := mustDef(t, watchNet)
+			cfg := LoopbackConfig(def, "A", map[string]string{}, "", 0, 0)
+			cfg.Control = nil
+			m := bootMember(t, cfg)
+			defer m.Close()
+			addr, closeMetrics, err := StartMetrics("127.0.0.1:0", m.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeMetrics()
+			coord, err := NewCoordinator(def, "127.0.0.1:0", map[string]string{"A": m.Transport().Addr()}, fastCoordOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			ctx := testCtx(t)
+			if err := coord.WaitMembers(ctx, 1); err != nil {
+				t.Fatal(err)
+			}
+			ws := make([]*RemoteWatch, W)
+			for i := range ws {
+				if ws[i], err = coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				defer ws[i].Close()
+				if d, err := ws[i].Next(ctx); err != nil || !d.Prime {
+					t.Fatalf("watch %d: prime expected, got %+v err=%v", i, d, err)
+				}
+			}
+			for i := 0; i < N; i++ {
+				if _, err := m.Network().Peer("A").InsertLocal("a", relalg.Tuple{relalg.S(fmt.Sprintf("r%02d", i)), relalg.I(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, w := range ws {
+				for got := 0; got < N; {
+					d, err := w.Next(ctx)
+					if err != nil {
+						t.Fatalf("watch %d after %d/%d tuples: %v", i, got, N, err)
+					}
+					got += len(d.Tuples)
+				}
+			}
+			var metrics NodeMetrics
+			getJSON(t, addr, "/metrics", &metrics)
+			var vars struct {
+				P2PDB NodeMetrics `json:"p2pdb"`
+			}
+			getJSON(t, addr, "/debug/vars", &vars)
+			for name, got := range map[string]NodeMetrics{"/metrics": metrics, "expvar p2pdb": vars.P2PDB} {
+				s := got.Serving
+				if s == nil || s.Watchers != W || s.Classes != 1 || s.Retained != N {
+					t.Errorf("%s: serving %+v; want %d watchers in 1 class retaining %d tuples", name, s, W, N)
+				}
+			}
+		})
+	}
+}

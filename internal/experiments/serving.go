@@ -241,13 +241,16 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	p50, p95, p99 := pctile(lats, 0.50), pctile(lats, 0.95), pctile(lats, 0.99)
 
 	// Fan-out accounting from the members' serving hubs: extractions the
-	// shared path paid vs what one pump per watcher would have cost.
+	// shared path paid vs what one pump per watcher would have cost, and the
+	// tuples the class sets retain for exactly-once delivery.
 	var extracted, naive, saved uint64
+	var retained int
 	for _, node := range names {
 		if nm := members[node].Metrics(); nm.Serving != nil {
 			extracted += nm.Serving.Extractions
 			naive += nm.Serving.NaiveExtractions
 			saved += nm.Serving.SavedExtractions
+			retained += nm.Serving.Retained
 		}
 	}
 
@@ -278,6 +281,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 		fmt.Fprintf(w, "delta extractions paid\t%d\n", extracted)
 		fmt.Fprintf(w, "extractions per-watcher pumps would pay\t%d\n", naive)
 		fmt.Fprintf(w, "extractions saved by sharing\t%d\n", saved)
+		fmt.Fprintf(w, "tuples retained by class sets\t%d\n", retained)
 		fmt.Fprintf(w, "delivery latency p50\t%.2f ms\n", p50)
 		fmt.Fprintf(w, "delivery latency p95\t%.2f ms\n", p95)
 		fmt.Fprintf(w, "delivery latency p99\t%.2f ms\n", p99)

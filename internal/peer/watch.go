@@ -19,10 +19,11 @@ import (
 //
 // Watchers are hosted by the peer's serving hub (internal/serving): one
 // extraction goroutine per peer shares each change's delta extraction and
-// per-class semi-naive evaluation across every watcher, and fans the results
-// out through bounded per-watcher queues. The accumulated batches of a
-// watcher equal the query's result set at any quiescent moment — the
-// invariant the oracle tests pin down.
+// per-class semi-naive evaluation across every watcher, deduplicates once per
+// class against one exactly-once set (the class result delivered so far), and
+// fans the results out through bounded per-watcher queues. The accumulated
+// batches of a watcher equal the query's result set at any quiescent moment —
+// the invariant the oracle tests pin down.
 
 // Watcher is a continuous query registered at one peer; see serving.Watcher.
 type Watcher = serving.Watcher
@@ -79,8 +80,8 @@ func (p *Peer) notifyWatchers(rel string) { p.hub.Notify(rel) }
 // reprimeWatchers asks every watcher class to re-run its full conjunction on
 // the next hub pass (rule redefinition may have changed what the local
 // database derives; the data itself is monotone, so this is robustness). One
-// shared evaluation per class serves all its re-primed watchers, and the
-// per-watcher dedup sets keep deliveries exactly-once.
+// shared evaluation per class serves all its re-primed watchers, and only
+// what the class's exactly-once set does not hold yet is delivered.
 func (p *Peer) reprimeWatchers() { p.hub.Reprime() }
 
 // CloseWatchers closes every live watcher and rejects future registrations

@@ -15,6 +15,12 @@ type QueueGauge struct {
 // queue gauges.
 type Metrics struct {
 	Watchers int `json:"watchers"`
+	// Classes counts the distinct (conjunction, columns) pairs watched.
+	Classes int `json:"classes"`
+	// Retained is the tuples held in the classes' exactly-once sets, summed
+	// over classes: one copy of each class result delivered so far, however
+	// many watchers share it.
+	Retained int `json:"retained"`
 	// Extractions counts change-driven shared delta extractions: with W
 	// watchers on a relation, one change still costs exactly one.
 	Extractions uint64 `json:"extractions"`
@@ -50,8 +56,10 @@ func (h *Hub) Metrics() Metrics {
 		m.SavedExtractions = m.NaiveExtractions - m.Evaluations
 	}
 	h.wmu.Lock()
+	m.Classes = len(h.classes)
 	var ws []*Watcher
 	for _, cl := range h.classes {
+		m.Retained += int(cl.retained.Load())
 		for _, w := range cl.watchers {
 			ws = append(ws, w)
 		}

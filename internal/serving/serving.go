@@ -10,9 +10,10 @@
 // pair — and a single pump goroutine services all of them: each wake-up does
 // exactly one delta extraction over the union of watched relations, one
 // semi-naive evaluation per affected class, and fans the class result out to
-// every watcher of the class through its own bounded queue with its own
-// exactly-once dedup set. Re-primes (rule redefinition) share the same
-// path: one full evaluation per class serves all its re-primed watchers.
+// every watcher of the class through its own bounded queue. Deduplication is
+// per class too — one exactly-once set per class, not per watcher. Re-primes
+// (rule redefinition) share the same path: one full evaluation per class
+// serves all its re-primed watchers.
 //
 // Extraction and evaluation run under the peer's mutex (serialising with
 // protocol inserts, like every other evaluation); queue delivery happens
@@ -43,8 +44,9 @@ type WatchOptions struct {
 	// frontier instead of priming with the full current result: the first
 	// batch is the delta derivable from tuples past the given per-relation
 	// high-water marks — exactly the suffix a reconnecting consumer has not
-	// confirmed. The dedup set starts empty, so join results re-derived
-	// across the boundary may repeat (at-least-once on resume).
+	// confirmed. Join results re-derived across the boundary may repeat in
+	// the catch-up (at-least-once on resume); after it the watcher is
+	// exactly-once, like every other watcher of its class.
 	Resume map[string]uint64
 }
 
@@ -93,6 +95,25 @@ type class struct {
 	relSet   map[string]bool
 	watchers map[uint64]*Watcher
 	reprime  bool // next pass must re-run the full conjunction (rule change)
+
+	// sent is the class result delivered so far. Every primed watcher
+	// already covers it, so a derived tuple is fresh for all of them or for
+	// none. Pump-owned (guarded by the hub's passMu); retained mirrors its
+	// size for Metrics.
+	sent     relalg.TupleSet
+	retained atomic.Int64
+}
+
+// admit adds tuples to the class set and returns the ones it did not hold: a
+// view of the set's log, shared by every watcher the pass stages it for.
+// Callers hold the hub's passMu.
+func (cl *class) admit(tuples []relalg.Tuple) []relalg.Tuple {
+	n := cl.sent.Len()
+	for _, t := range tuples {
+		cl.sent.Add(t)
+	}
+	cl.retained.Store(int64(cl.sent.Len()))
+	return cl.sent.All()[n:]
 }
 
 // NewHub builds the fan-out hub over one node's database. mu is the peer's
@@ -179,8 +200,8 @@ func (h *Hub) Notify(rel string) {
 
 // Reprime asks every class to re-run its full conjunction on the next pass
 // (rule redefinition may have changed what the local database derives). One
-// evaluation per class serves all its watchers; the per-watcher dedup sets
-// keep deliveries exactly-once.
+// evaluation per class serves all its watchers; only what the class set does
+// not hold yet is delivered, so deliveries stay exactly-once.
 func (h *Hub) Reprime() {
 	if h.nwatch.Load() == 0 {
 		return
@@ -269,6 +290,7 @@ func (h *Hub) pump() {
 type classWork struct {
 	cl       *class
 	full     bool // run the full conjunction (reprime or a fresh watcher)
+	primed   int  // watchers already primed: the class's news goes to them
 	watchers []*Watcher
 }
 
@@ -279,9 +301,9 @@ type delivery struct {
 }
 
 // pass runs one shared extraction round: exactly one DeltaSince over the
-// union of watched relations, one evaluation per affected class, per-watcher
-// dedup and staging, then queue delivery outside the peer mutex. Serialised
-// by passMu with the final pass Close runs.
+// union of watched relations, one evaluation and one dedup per affected
+// class, then queue delivery outside the peer mutex. Serialised by passMu
+// with the final pass Close runs.
 func (h *Hub) pass() {
 	h.passMu.Lock()
 	defer h.passMu.Unlock()
@@ -295,13 +317,16 @@ func (h *Hub) pass() {
 		rels = append(rels, rel)
 	}
 	for _, cl := range h.classes {
-		cw := classWork{cl: cl, full: cl.reprime}
+		cw := classWork{cl: cl}
 		for _, w := range cl.watchers {
 			cw.watchers = append(cw.watchers, w)
-			if !w.primed && w.resume == nil {
+			if w.primed {
+				cw.primed++
+			} else if w.resume == nil {
 				cw.full = true
 			}
 		}
+		cw.full = cw.full || cl.reprime && cw.primed > 0
 		cl.reprime = false
 		work = append(work, cw)
 	}
@@ -354,49 +379,37 @@ func (h *Hub) pass() {
 		// What the one-pump-per-watcher model would have paid this change:
 		// one extraction per already-primed watcher of an affected class.
 		if len(classDelta) > 0 {
-			for _, w := range cw.watchers {
-				if w.primed {
-					h.naive.Add(1)
-				}
-			}
+			h.naive.Add(uint64(cw.primed))
 		}
-		var fullRes, deltaRes []relalg.Tuple
-		haveFull, haveDelta := false, false
-		evalFull := func() []relalg.Tuple {
-			if !haveFull {
-				fullRes, _ = cq.Eval(h.db, cl.conj, cl.cols)
-				haveFull = true
-				h.evaluations.Add(1)
-			}
-			return fullRes
+		// One evaluation and one dedup serve the class: every primed watcher
+		// already covers the class set, so what it lacks is news to them all.
+		var res []relalg.Tuple
+		switch {
+		case cw.full:
+			res, _ = cq.Eval(h.db, cl.conj, cl.cols)
+			h.evaluations.Add(1)
+		case len(classDelta) > 0 && cw.primed > 0:
+			res, _ = cq.EvalDelta(h.db, cl.conj, cl.cols, classDelta)
+			h.evaluations.Add(1)
 		}
+		news := cl.admit(res)
 		for _, w := range cw.watchers {
 			switch {
-			case !w.primed && w.resume != nil:
-				// Resume catch-up: one extra extraction at registration only,
-				// from the consumer's confirmed frontier to the shared one.
-				res := h.resumeCatchUp(cl, w.resume)
+			case w.primed:
+				if len(news) > 0 {
+					out = append(out, delivery{w, w.stage(news, frontier, false)})
+				}
+			case w.resume == nil:
 				w.primed = true
 				out = append(out, delivery{w, w.stage(res, frontier, true)})
-			case !w.primed:
-				res := evalFull()
+			default:
+				// The token covers everything up to its frontier and the
+				// catch-up the rest, so from here on the watcher covers the
+				// class set too.
+				catch := h.resumeCatchUp(cl, w.resume)
+				cl.admit(catch)
 				w.primed = true
-				out = append(out, delivery{w, w.stage(res, frontier, true)})
-			case cw.full:
-				// Reprime: the one shared full evaluation re-serves every
-				// watcher of the class; dedup keeps it exactly-once.
-				if b, ok := w.stageFresh(evalFull(), frontier); ok {
-					out = append(out, delivery{w, b})
-				}
-			case len(classDelta) > 0:
-				if !haveDelta {
-					deltaRes, _ = cq.EvalDelta(h.db, cl.conj, cl.cols, classDelta)
-					haveDelta = true
-					h.evaluations.Add(1)
-				}
-				if b, ok := w.stageFresh(deltaRes, frontier); ok {
-					out = append(out, delivery{w, b})
-				}
+				out = append(out, delivery{w, w.stage(catch, frontier, true)})
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -408,5 +409,276 @@ func TestWatchAfterCloseFails(t *testing.T) {
 	}
 	if n := h.hub.WatcherCount(); n != 0 {
 		t.Fatalf("closed hub reports %d watchers", n)
+	}
+}
+
+// stream records every batch one watcher receives, until its channel closes.
+type stream struct {
+	w       *Watcher
+	mu      sync.Mutex
+	batches []Batch
+	done    chan struct{}
+}
+
+func follow(w *Watcher) *stream {
+	s := &stream{w: w, done: make(chan struct{})}
+	go func() {
+		defer close(s.done)
+		for b := range w.Out() {
+			s.mu.Lock()
+			s.batches = append(s.batches, b)
+			s.mu.Unlock()
+		}
+	}()
+	return s
+}
+
+// counts tallies each tuple over the stream's batches.
+func (s *stream) counts() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := map[string]int{}
+	for _, b := range s.batches {
+		for _, tup := range b.Tuples {
+			n[tup.Key()]++
+		}
+	}
+	return n
+}
+
+func (s *stream) batchCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.batches)
+}
+
+func (s *stream) batch(i int) Batch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.batches[i]
+}
+
+func sameKeys(got map[string]int, want map[string]bool) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range got {
+		if !want[k] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOneDedupSetPerClass is the exactly-once spec under one shared set per
+// class. X is re-derived through different Y; watchers join at three passes
+// around a Reprime, one resumes from a token and one drops oldest. Every
+// freshly primed watcher's batches still union to cq.Eval's result with no
+// tuple twice, the resumed stream repeats nothing after its catch-up, and the
+// hub holds one copy of the result however many watchers share it.
+func TestOneDedupSetPerClass(t *testing.T) {
+	const W = 512
+	h := newHarness(t, relalg.MakeSchema("p", 2), relalg.MakeSchema("q", 1))
+	conj := mustConj(t, "p(X,Y), q(Y)")
+	cols := []string{"X"}
+	derive := func(x, y string) {
+		h.insert(t, "p", x, y)
+		h.insert(t, "q", y)
+	}
+	want := func() map[string]bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		res, err := cq.Eval(h.db, conj, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, tup := range res {
+			out[tup.Key()] = true
+		}
+		return out
+	}
+	watch := func(o WatchOptions) *stream {
+		w, err := h.hub.Register(conj, cols, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return follow(w)
+	}
+	primed := func(ss ...*stream) {
+		for _, s := range ss {
+			waitUntil(t, "a prime", func() bool { return s.batchCount() > 0 })
+		}
+	}
+	settle := func(ss ...*stream) {
+		for _, s := range ss {
+			waitUntil(t, "the watcher to cover the result", func() bool { return sameKeys(s.counts(), want()) })
+		}
+	}
+
+	derive("a", "1")
+	h.insert(t, "p", "b", "2")
+	// Pass 1: the class is born with one watcher, whose prime seeds the set.
+	first := watch(WatchOptions{})
+	primed(first)
+	token := first.batch(0).Marks
+	derive("a", "3") // a again, through a new Y: news to nobody
+	h.insert(t, "q", "2")
+	settle(first)
+
+	// Pass 2: a drop-oldest watcher joins the primed class; then a rule change
+	// re-primes it — one full evaluation, nothing new for anyone.
+	dropper := watch(WatchOptions{Policy: DropOldest})
+	primed(dropper)
+	eval0 := h.hub.Metrics().Evaluations
+	h.hub.Reprime()
+	waitUntil(t, "the re-prime pass", func() bool { return h.hub.Metrics().Evaluations > eval0 })
+	derive("c", "4")
+	derive("b", "5")
+	settle(first, dropper)
+
+	// Pass 3: one watcher resumes from first's prime, the rest are fresh.
+	resumed := watch(WatchOptions{Resume: token})
+	fresh := []*stream{first, dropper}
+	for len(fresh) < W-1 {
+		fresh = append(fresh, watch(WatchOptions{}))
+	}
+	primed(fresh...)
+	primed(resumed)
+	for i := 0; i < 16; i++ {
+		derive(fmt.Sprintf("x%02d", i), fmt.Sprintf("y%02d", i))
+		derive(fmt.Sprintf("x%02d", i/2), fmt.Sprintf("z%02d", i))
+	}
+	derive("a", "6")
+	settle(fresh...)
+	result := want()
+	waitUntil(t, "the token and the resumed watcher to cover the result", func() bool {
+		got := resumed.counts()
+		for _, tup := range first.batch(0).Tuples {
+			got[tup.Key()]++
+		}
+		return sameKeys(got, result)
+	})
+	if m := h.hub.Metrics(); m.Classes != 1 || m.Retained != len(result) {
+		t.Fatalf("%d watchers of one class: metrics report %d classes retaining %d tuples, want 1 class retaining the %d distinct results",
+			W, m.Classes, m.Retained, len(result))
+	}
+
+	h.hub.Close()
+	for _, s := range append(fresh, resumed) {
+		<-s.done
+	}
+	for i, s := range fresh {
+		got := s.counts()
+		if !sameKeys(got, result) {
+			t.Fatalf("fresh watcher %d: batches union to %d tuples, cq.Eval has %d", i, len(got), len(result))
+		}
+		for k, n := range got {
+			if n != 1 {
+				t.Fatalf("fresh watcher %d was sent %s %d times", i, k, n)
+			}
+		}
+	}
+	if dropper.w.Dropped() != 0 {
+		t.Fatalf("drop-oldest watcher dropped %d batches; the spec needs its full stream", dropper.w.Dropped())
+	}
+	// The catch-up is a set and everything after it is news to the class.
+	for k, n := range resumed.counts() {
+		if n != 1 {
+			t.Fatalf("resumed watcher was sent %s %d times", k, n)
+		}
+	}
+}
+
+// TestCoalescingReachesOnlyItsOwnWatcher: a batch's tuples are one slice
+// shared by the class's watchers — a view of the class set's log — so a
+// stalled Block watcher coalescing later deltas into its tail must copy, not
+// append into the shared array. Rows from before the watchers' frontier enter
+// the set only through a later catch-up from zero; after that the set's log
+// holds rows nobody was sent as news, which an in-place append would
+// overwrite, and the next appends would overwrite the other watcher's batches.
+func TestCoalescingReachesOnlyItsOwnWatcher(t *testing.T) {
+	h := newHarness(t, relalg.MakeSchema("p", 1))
+	conj := mustConj(t, "p(X)")
+	cols := []string{"X"}
+	h.insert(t, "p", "old")
+	h.mu.Lock()
+	front := h.db.MarksFor([]string{"p"})
+	h.mu.Unlock()
+	stalled, err := h.hub.Register(conj, cols, WatchOptions{QueueCap: 1, Resume: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := h.hub.Register(conj, cols, WatchOptions{Resume: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvBatch(t, live)
+	// Room in the class log for every row below: the log never moves, so a
+	// stalled tail that is a view of it always has the log's spare capacity.
+	h.hub.passMu.Lock()
+	h.hub.wmu.Lock()
+	for _, cl := range h.hub.classes {
+		cl.sent.Grow(4096)
+	}
+	h.hub.wmu.Unlock()
+	h.hub.passMu.Unlock()
+	var held []Batch
+	var sent [][]relalg.Tuple
+	rows := 0
+	step := func() {
+		h.insert(t, "p", fmt.Sprintf("v%03d", rows))
+		rows++
+		b := recvBatch(t, live)
+		held = append(held, b)
+		sent = append(sent, append([]relalg.Tuple(nil), b.Tuples...))
+	}
+	// Stall the watcher: its channel full, its delivery goroutine holding a
+	// batch it cannot send and one batch queued. From here on every delta
+	// coalesces into that tail.
+	undelivered := func() uint64 {
+		return stalled.staged.Load() - stalled.coalesced.Load() - stalled.delivered.Load()
+	}
+	for len(stalled.out) < cap(stalled.out) || undelivered() < 2 {
+		step()
+	}
+	zero, err := h.hub.Register(conj, cols, WatchOptions{Resume: map[string]uint64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := recvBatch(t, zero); len(b.Tuples) != rows+1 {
+		t.Fatalf("catch-up from zero carried %d rows, want %d", len(b.Tuples), rows+1)
+	}
+	zero.Close()
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if n := stalled.coalesced.Load(); n < 16 {
+		t.Fatalf("stalled watcher coalesced %d batches; the test needs it to coalesce every delta", n)
+	}
+	for k, b := range held {
+		if len(b.Tuples) != len(sent[k]) || !slices.EqualFunc(b.Tuples, sent[k], relalg.Tuple.Equal) {
+			t.Fatalf("live watcher's batch %d now holds %v; it was sent %v", b.Seq, b.Tuples, sent[k])
+		}
+	}
+	got := map[string]int{}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for b := range stalled.Out() {
+			for _, tup := range b.Tuples {
+				got[tup.Key()]++
+			}
+		}
+	}()
+	stalled.Close()
+	<-drained
+	if len(got) != rows {
+		t.Fatalf("stalled watcher drained %d distinct rows, want %d", len(got), rows)
+	}
+	for k, n := range got {
+		if n != 1 {
+			t.Fatalf("stalled watcher was sent %s %d times", k, n)
+		}
 	}
 }

@@ -68,8 +68,10 @@ var CloseDrainTimeout = 5 * time.Second
 // echoed back as a resume token, it makes a reconnect re-receive exactly the
 // unconfirmed suffix.
 type Batch struct {
-	Seq    uint64 // per-watcher, contiguous from 1 (the prime)
-	Prime  bool   // registration sync point: the current result, or the resume catch-up
+	Seq   uint64 // per-watcher, contiguous from 1 (the prime)
+	Prime bool   // registration sync point: the current result, or the resume catch-up
+	// Tuples is read-only: the slice is shared with the other watchers of the
+	// class the pass staged it for.
 	Tuples []relalg.Tuple
 	Marks  map[string]uint64
 }
@@ -86,7 +88,6 @@ type Watcher struct {
 	primed bool
 	resume map[string]uint64
 	seq    uint64
-	sent   relalg.TupleSet // exactly-once dedup: every tuple ever staged
 
 	qmu     sync.Mutex
 	qcond   *sync.Cond
@@ -198,34 +199,14 @@ func (w *Watcher) shutdown(finalPass bool, reason string) {
 	close(w.quit)
 }
 
-// stage records a batch against the dedup set and stamps its sequence and
-// frontier. Prime batches carry every tuple not already sent and are staged
-// even when empty (the sync point). Callers hold the hub's passMu.
+// stage stamps a batch with the watcher's next sequence number and the
+// frontier. The tuples are shared with every watcher the pass stages them
+// for, so the slice is capacity-clipped: a Block coalesce appending to it
+// copies instead of writing into another watcher's batch or the class set's
+// log. Callers hold the hub's passMu.
 func (w *Watcher) stage(tuples []relalg.Tuple, frontier map[string]uint64, prime bool) Batch {
-	fresh := w.dedup(tuples)
 	w.seq++
-	return Batch{Seq: w.seq, Prime: prime, Tuples: fresh, Marks: frontier}
-}
-
-// stageFresh stages a non-prime batch, reporting false when nothing new
-// remains after dedup (empty deltas are not delivered). Callers hold passMu.
-func (w *Watcher) stageFresh(tuples []relalg.Tuple, frontier map[string]uint64) (Batch, bool) {
-	fresh := w.dedup(tuples)
-	if len(fresh) == 0 {
-		return Batch{}, false
-	}
-	w.seq++
-	return Batch{Seq: w.seq, Tuples: fresh, Marks: frontier}, true
-}
-
-func (w *Watcher) dedup(tuples []relalg.Tuple) []relalg.Tuple {
-	fresh := tuples[:0:0]
-	for _, t := range tuples {
-		if w.sent.Add(t) {
-			fresh = append(fresh, t)
-		}
-	}
-	return fresh
+	return Batch{Seq: w.seq, Prime: prime, Tuples: tuples[:len(tuples):len(tuples)], Marks: frontier}
 }
 
 // enqueue places one staged batch on the bounded queue, applying the
@@ -285,6 +266,7 @@ func (w *Watcher) enqueue(b Batch) {
 		w.hub.canceled.Add(1)
 		w.shutdown(false, "slow consumer: queue overflow")
 	default: // Block: lossless coalescing into the newest queued batch
+		// A staged slice is capacity-clipped, so the first append copies.
 		tail := &w.queue[len(w.queue)-1]
 		tail.Tuples = append(tail.Tuples, b.Tuples...)
 		tail.Seq = b.Seq
@@ -319,6 +301,8 @@ func (w *Watcher) run() {
 		}
 		b := w.queue[0]
 		copy(w.queue, w.queue[1:])
+		// The vacated slot must not pin a view of an outgrown class log.
+		w.queue[len(w.queue)-1] = Batch{}
 		w.queue = w.queue[:len(w.queue)-1]
 		w.lastPop = b.Marks
 		w.qmu.Unlock()

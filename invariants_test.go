@@ -19,6 +19,7 @@ import (
 	"unsafe"
 
 	"repro/internal/relalg"
+	"repro/internal/serving"
 )
 
 // programFiles lists the tree's non-test .go files, skipping testdata and dot
@@ -187,6 +188,19 @@ func TestValueIsPointerFree(t *testing.T) {
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
 		default:
 			t.Errorf("relalg.Value.%s is a %s: a Value must hold no pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestNoPerWatcherDedupSet: the exactly-once set lives on the watcher class,
+// one per (conjunction, columns) pair. A set per watcher held W copies of the
+// same result, most of live-fanout's heap with its 16 watchers.
+func TestNoPerWatcherDedupSet(t *testing.T) {
+	set := reflect.TypeOf(relalg.TupleSet{})
+	typ := reflect.TypeOf((*serving.Watcher)(nil)).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type == set || f.Type == reflect.PointerTo(set) {
+			t.Errorf("serving.Watcher.%s is a %s: the dedup set belongs to the class", f.Name, f.Type)
 		}
 	}
 }
