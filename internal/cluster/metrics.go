@@ -117,7 +117,7 @@ func CollectNodeMetrics(n *core.Network, tr *Transport, cp *ControlPlane, node s
 		m.State = p.State().String()
 		m.PathsReady = p.PathsReady()
 		m.Tuples = p.DB().TotalTuples()
-		m.Watchers = p.WatcherCount()
+		m.Watchers = p.Serving().WatcherCount()
 		m.Stats = p.Counters().Snapshot()
 		m.SendErrors = m.Stats.SendErrors
 		if sm := p.Serving().Metrics(); sm.Watchers > 0 || sm.Extractions > 0 ||

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"maps"
 	"reflect"
 	"testing"
 	"time"
@@ -283,7 +284,7 @@ func TestMergeAcksBases(t *testing.T) {
 			in   []pendingAck
 		}{{"forward", []pendingAck{tc.a, tc.b}}, {"reversed", []pendingAck{tc.b, tc.a}}} {
 			t.Run(tc.name+"/"+order.name, func(t *testing.T) {
-				inBase, inSeqs := cloneSeqMap(order.in[0].msg.Base), cloneSeqMap(order.in[0].msg.Seqs)
+				inBase, inSeqs := maps.Clone(order.in[0].msg.Base), maps.Clone(order.in[0].msg.Seqs)
 				out := mergeAcks(order.in)
 				if tc.apart {
 					if len(out) != 2 {

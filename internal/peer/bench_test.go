@@ -83,9 +83,7 @@ func BenchmarkPushSharedQuestion(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				f.s.mu.Lock()
-				f.s.pushToSubsLocked([]string{"S"})
-				f.s.mu.Unlock()
+				f.s.do(localNews{}, nil) // a push with nothing inserted through InsertLocal
 			}
 			b.StopTimer()
 			f.quiesce()

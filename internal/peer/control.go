@@ -3,6 +3,8 @@ package peer
 import (
 	"fmt"
 
+	"repro/internal/cq"
+	"repro/internal/relalg"
 	"repro/internal/rules"
 	"repro/internal/wire"
 )
@@ -17,192 +19,161 @@ import (
 // super-peer can broadcast a whole network file (SetNetwork) and collect or
 // reset statistics.
 
-// handleAddRule implements the addLink notification. Callers hold mu.
-func (p *Peer) handleAddRule(m wire.AddRuleNotice) {
+// handleAddRule implements the addLink notification.
+func (s *peerState) handleAddRule(m wire.AddRuleNotice) {
 	r, err := rules.ParseRule(m.RuleText)
-	if err != nil || r.HeadNode != p.id {
+	if err != nil || r.HeadNode != s.id {
 		return
 	}
 	// Redefining an existing id invalidates its accumulated part results
 	// (different body, different columns); fresh pulls rebuild them.
-	if prev, ok := p.rules[r.ID]; ok && prev.String() != r.String() {
-		delete(p.parts, r.ID)
-		delete(p.ruleComplete, r.ID)
-		p.reprimeWatchers()
+	if prev, ok := s.rules[r.ID]; ok && prev.String() != r.String() {
+		s.forgetRule(r.ID)
 	}
-	p.rules[r.ID] = r
+	s.rules[r.ID] = r
 	for _, src := range r.SourceNodes() {
-		p.neighbors[src] = true
+		s.neighbors[src] = true
 	}
-	p.afterTopologyChangeLocked()
+	s.afterTopologyChange()
 
 	// Pull through the new rule immediately when an update is running.
-	if p.activated {
-		if p.stateU == Closed {
-			p.stateU = Open
-			p.notifySubsLocked(false)
-		}
-		for _, src := range r.SourceNodes() {
-			part, cols := r.BodyPart(src)
-			if len(part.Atoms) == 0 {
-				continue
-			}
-			p.Send(src, wire.Query{
-				Epoch:       p.epoch,
-				RuleID:      r.ID,
-				Conj:        part.String(),
-				Cols:        cols,
-				Path:        []string{p.id},
-				Incarnation: p.inc,
-			})
-		}
+	if s.activated {
+		s.reopen()
+		s.sendRuleQueries(r, []string{s.id}, false)
 	}
 }
 
-// handleDeleteRule implements the deleteLink notification. Callers hold mu.
-func (p *Peer) handleDeleteRule(m wire.DeleteRuleNotice) {
-	r, ok := p.rules[m.RuleID]
+// forgetRule drops what a deleted or redefined rule accumulated here; the
+// watchers re-evaluate, since the local database may now derive otherwise.
+func (s *peerState) forgetRule(id string) {
+	delete(s.ruleComplete, id)
+	delete(s.parts, id)
+	s.emit(effReprime)
+}
+
+// handleDeleteRule implements the deleteLink notification.
+func (s *peerState) handleDeleteRule(m wire.DeleteRuleNotice) {
+	r, ok := s.rules[m.RuleID]
 	if !ok {
 		return
 	}
-	delete(p.rules, m.RuleID)
-	delete(p.ruleComplete, m.RuleID)
-	delete(p.parts, m.RuleID)
-	p.reprimeWatchers()
+	delete(s.rules, m.RuleID)
+	s.forgetRule(m.RuleID)
 	for _, src := range r.SourceNodes() {
-		p.Send(src, wire.Unsubscribe{RuleID: m.RuleID})
+		s.send(src, wire.Unsubscribe{RuleID: m.RuleID})
 	}
-	p.afterTopologyChangeLocked()
+	s.afterTopologyChange()
 	// Fewer rules can only make closure easier; recheck.
-	p.checkClosureLocked()
+	s.checkClosure()
 }
 
-// afterTopologyChangeLocked re-asserts this node's edges, floods a
-// TopoChanged hint to the transitive dependents, and starts a fresh
-// discovery wave so paths are recomputed against current topology. Callers
-// hold mu.
-func (p *Peer) afterTopologyChangeLocked() {
-	p.refreshOwnEdges()
-	changeID := fmt.Sprintf("%s@%d", p.id, p.ownVersion)
-	p.seenChanges[changeID] = true
-	for _, dep := range p.dependentsLocked() {
-		p.Send(dep, wire.TopoChanged{ChangeID: changeID})
-	}
-	if len(p.rules) > 0 || p.selfWave != "" {
-		p.startDiscoveryLocked()
+// afterTopologyChange re-asserts this node's edges, floods a TopoChanged hint
+// to the transitive dependents, and starts a fresh discovery wave so paths
+// are recomputed against current topology.
+func (s *peerState) afterTopologyChange() {
+	s.refreshOwnEdges()
+	changeID := fmt.Sprintf("%s@%d", s.id, s.ownVersion)
+	s.seenChanges[changeID] = true
+	s.tellDependents(changeID)
+	if len(s.rules) > 0 || s.selfWave != "" {
+		s.startDiscovery()
 	}
 }
 
-// dependentsLocked lists the distinct subscribers of this node.
-func (p *Peer) dependentsLocked() []string {
-	set := map[string]bool{}
-	for _, sub := range p.subs {
-		set[sub.dependent] = true
+// tellDependents forwards a TopoChanged hint to each distinct subscriber.
+func (s *peerState) tellDependents(changeID string) {
+	told := map[string]bool{}
+	for _, k := range sortedKeys(s.subs) {
+		if dep := s.subs[k].dependent; !told[dep] {
+			told[dep] = true
+			s.send(dep, wire.TopoChanged{ChangeID: changeID})
+		}
 	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	return out
 }
 
 // handleTopoChanged marks discovered paths stale and lazily re-discovers,
-// forwarding the hint to this node's own dependents. Callers hold mu.
-func (p *Peer) handleTopoChanged(m wire.TopoChanged) {
-	if p.seenChanges[m.ChangeID] {
+// forwarding the hint to this node's own dependents.
+func (s *peerState) handleTopoChanged(m wire.TopoChanged) {
+	if s.seenChanges[m.ChangeID] {
 		return
 	}
-	p.seenChanges[m.ChangeID] = true
-	for _, dep := range p.dependentsLocked() {
-		p.Send(dep, wire.TopoChanged{ChangeID: m.ChangeID})
-	}
-	if len(p.rules) > 0 {
-		p.startDiscoveryLocked() // recomputes paths; re-pulls when it completes
+	s.seenChanges[m.ChangeID] = true
+	s.tellDependents(m.ChangeID)
+	if len(s.rules) > 0 {
+		s.startDiscovery() // recomputes paths; re-pulls when it completes
 	}
 }
 
 // handleSetNetwork adopts the relevant part of a broadcast network file
 // (Section 5: the super-peer "can read coordination rules for all peers from
-// a file and broadcast this file to all peers"). Callers hold mu.
-func (p *Peer) handleSetNetwork(m wire.SetNetwork) {
+// a file and broadcast this file to all peers").
+func (s *peerState) handleSetNetwork(m wire.SetNetwork) {
 	net, err := rules.ParseNetwork(m.Text)
 	if err != nil {
 		return
 	}
-	if decl, ok := net.Node(p.id); ok {
-		for _, s := range decl.Schemas {
-			_ = p.db.AddSchema(s)
+	if decl, ok := net.Node(s.id); ok {
+		for _, sc := range decl.Schemas {
+			_ = s.db.AddSchema(sc)
 		}
 	}
 	fresh := map[string]rules.Rule{}
 	for _, r := range net.Rules {
-		if r.HeadNode == p.id {
+		if r.HeadNode == s.id {
 			fresh[r.ID] = r
 			for _, src := range r.SourceNodes() {
-				p.neighbors[src] = true
+				s.neighbors[src] = true
 			}
 		}
 		for _, src := range r.SourceNodes() {
-			if src == p.id {
-				p.neighbors[r.HeadNode] = true
+			if src == s.id {
+				s.neighbors[r.HeadNode] = true
 			}
 		}
 	}
 	// Unsubscribe from sources of dropped rules; redefined rules lose their
 	// accumulated part results too (fresh pulls rebuild them).
-	for id, r := range p.rules {
+	for _, id := range sortedKeys(s.rules) {
+		r := s.rules[id]
 		if kept, ok := fresh[id]; !ok {
 			for _, src := range r.SourceNodes() {
-				p.Send(src, wire.Unsubscribe{RuleID: id})
+				s.send(src, wire.Unsubscribe{RuleID: id})
 			}
-			delete(p.ruleComplete, id)
-			delete(p.parts, id)
-			p.reprimeWatchers()
+			s.forgetRule(id)
 		} else if kept.String() != r.String() {
-			delete(p.ruleComplete, id)
-			delete(p.parts, id)
-			p.reprimeWatchers()
+			s.forgetRule(id)
 		}
 	}
-	p.rules = fresh
-	p.afterTopologyChangeLocked()
-	if p.activated && len(p.rules) > 0 {
-		if p.stateU == Closed {
-			p.stateU = Open
-			p.notifySubsLocked(false)
-		}
-		p.sendQueriesLocked(nil, false, nil)
+	s.rules = fresh
+	s.afterTopologyChange()
+	if s.activated && len(s.rules) > 0 {
+		s.reopen()
+		s.sendQueries(nil, false, nil)
 	}
 }
 
-// AddRuleLocal applies addLink directly on this peer (the in-process
-// equivalent of receiving an AddRuleNotice; used by orchestration).
-func (p *Peer) AddRuleLocal(ruleText string) error {
-	r, err := rules.ParseRule(ruleText)
+// handleQueryRequest evaluates a remote local query (the coordinator's form
+// of Definition 4) and ships the rows — or the error — back.
+func (s *peerState) handleQueryRequest(from string, m wire.QueryRequest) {
+	res := wire.QueryResult{ID: m.ID, Columns: m.Cols}
+	if rows, err := s.localQuery(m.Body, m.Cols); err != nil {
+		res.Err = err.Error()
+	} else {
+		res.Tuples = rows
+	}
+	s.send(from, res)
+}
+
+// localQuery evaluates a conjunctive query against the local database only
+// (Definition 4: after a completed update, local answers are global
+// answers). The rows come back in canonical order.
+func (s *peerState) localQuery(body string, outVars []string) ([]relalg.Tuple, error) {
+	conj, err := cq.ParseConjunction(body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if r.HeadNode != p.id {
-		return fmt.Errorf("peer %s: rule %s targets %s", p.id, r.ID, r.HeadNode)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.handleAddRule(wire.AddRuleNotice{RuleText: ruleText})
-	return nil
-}
-
-// DeleteRuleLocal applies deleteLink directly on this peer.
-func (p *Peer) DeleteRuleLocal(ruleID string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.handleDeleteRule(wire.DeleteRuleNotice{RuleID: ruleID})
-}
-
-// Probe is the orchestration layer's closure probe: when the network is
-// settled but this node is still open, it regenerates the confirming cascades
-// (see probeLocked), each probe at fix-point cost.
-func (p *Peer) Probe() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.probeLocked()
+	s.ct.AddQueries(1)
+	rows, err := cq.Eval(s.db, conj, outVars)
+	relalg.SortTuples(rows)
+	return rows, err
 }

@@ -6,9 +6,20 @@
 //
 // A Peer corresponds to one node of the P2P system: a local database with a
 // shared schema, the set of coordination rules of which the node is the
-// target, and the protocol state. Transports invoke Handle from a single
-// goroutine per peer (actor discipline); the internal mutex additionally
-// protects the public inspection API used by orchestration and tests.
+// target, and the protocol state.
+//
+// The protocol is one pure step: peerState (step.go) holds everything the
+// algorithm keeps, and step(now, from, event) applies one message, local verb
+// or resend tick to it and returns effects — send, persist part tuples, owe an
+// acknowledgment, a durable frontier moved, re-prime the watchers, arm the
+// resend timer. The step takes no lock, reads no clock, starts no goroutine
+// and touches no transport, log or watcher hub, so a model checker drives it
+// directly (step_check_test.go). Peer is the shell that runs the effects: the
+// mutex over the state, the transport, the counters and recorder every send
+// goes through, the durability hooks, the ack worker, the resend timer, the
+// serving hub and the remote watches. Handle is lock → step → unlock → run
+// the effects; the mutex orders concurrent Handles (TCP runs one per
+// connection), the local verbs and the inspection API.
 //
 // The paper's owner relation — a source re-answers every subscriber when its
 // data changes — is kept as a table of the distinct questions asked, with the
@@ -18,10 +29,12 @@ package peer
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cq"
@@ -113,164 +126,29 @@ type Options struct {
 	// subscription's durable frontier (orchestration wires it to
 	// wal.Store.SaveMarks), outside the peer mutex.
 	PersistMarks func()
-	// ResendEvery, when positive, starts a background loop re-answering
-	// subscriptions whose shipped frontier stayed unacknowledged for a full
-	// tick: the re-answer rewinds to the acked frontier, so a delta lost to a
-	// transport error or a dead dependent ships again. Retries per stalled
-	// frontier are bounded (an explicit trigger — acknowledgment progress,
-	// member rejoin, a new epoch — resets the budget), so a permanently dead
-	// dependent cannot keep the network chattering forever. Only meaningful
-	// with Delta (the marks it rewinds exist only there); zero disables the
-	// loop (deterministic in-process runs rely on epoch-bump re-pulls instead).
+	// ResendEvery, when positive, re-answers subscriptions whose shipped
+	// frontier stayed unacknowledged for that long: the re-answer rewinds to
+	// the acked frontier, so a delta lost to a transport error or a dead
+	// dependent ships again. The timer runs only while a frontier is out.
+	// Retries per stalled frontier are bounded (an explicit trigger —
+	// acknowledgment progress, member rejoin, a new epoch — resets the
+	// budget), so a permanently dead dependent cannot keep the network
+	// chattering forever. Only meaningful with Delta (the marks it rewinds
+	// exist only there); zero disables it (deterministic in-process runs rely
+	// on epoch-bump re-pulls instead).
 	ResendEvery time.Duration
 }
 
-// question is what subscriptions ask: a rule body part and the columns it is
-// projected on. A certain answer is a function of the source's data and the
-// question alone, never of who asked, so a peer keeps one question per
-// distinct (conjunction text, column list), parsed and validated once, when
-// it enters the table; it leaves with its last subscription. In-tree senders
-// render the text with Conjunction.String, so text identity is canonical
-// identity; a differently spelled equal conjunction is merely another
-// question, whose subscriber re-primes.
-//
-// last is the latest evaluation: of the delta between the frontiers base and
-// next, or (nil base) of the whole relations as they stood at next. Both are
-// pure functions of append-only logs, so nothing is ever invalidated:
-// comparing a subscription's marks with base and the relations' with next IS
-// the validity check (fits), and a rewound subscription simply fails it and
-// evaluates from its own frontier. The tuples are read-only for every holder:
-// Batcher, codec and, over Mem, the receivers themselves
-// (DomainMap.TranslateTuples copies when it maps).
-//
-// Retention: inside one push the sharing is unconditional; across dispatches
-// an evaluation is kept only while the node is open (a clique's three primes
-// of one question arrive in three dispatches): closing drops them all, and a
-// closed node that evaluates drops them when done. Kept unconditionally they
-// pinned every tree leaf's prime result: dblp-mem heap_mb 55.84 → 58.24,
-// +4.3 % against a 5 % bound.
-type question struct {
-	key  string // conjunction text + columns: the table key
-	conj cq.Conjunction
-	cols []string
-	rels []string // the distinct relations conj reads, in body order
-	subs int      // subscriptions pointing here
-	last *evaluation
-}
-
-type evaluation struct {
-	base, next storage.Marks
-	tuples     []relalg.Tuple
-}
-
-// fits reports whether the held evaluation answers a subscription standing at
-// marks (nil: unprimed, it wants the full result) with the relations at now.
-func (q *question) fits(marks, now storage.Marks) bool {
-	e := q.last
-	if e == nil || (marks == nil) != (e.base == nil) {
-		return false
-	}
-	for _, rel := range q.rels {
-		if e.base[rel] != marks[rel] || e.next[rel] != now[rel] {
-			return false
-		}
-	}
-	return true
-}
-
-// questionLocked returns the table's question for a conjunction text and
-// column list, or a fresh one on a miss (subscribeLocked enters it). One that
-// cannot be evaluated — unparsable, or an output column no atom binds, which
-// every cq.Eval rejects — is an error, not a subscription that silently ships
-// nothing. Callers hold mu.
-func (p *Peer) questionLocked(text string, cols []string) (*question, error) {
-	key := text + "\x00" + strings.Join(cols, "\x00")
-	if q, ok := p.questions[key]; ok {
-		return q, nil
-	}
-	conj, err := cq.ParseConjunction(text)
-	if err == nil {
-		// Over no data only the slot resolution runs: range restriction.
-		_, err = cq.Eval(cq.MapSource(nil), conj, cols)
-	}
-	if err != nil {
-		return nil, err
-	}
-	q := &question{key: key, conj: conj, cols: cols}
-	for _, a := range conj.Atoms {
-		if !slices.Contains(q.rels, a.Rel) {
-			q.rels = append(q.rels, a.Rel)
-		}
-	}
-	return q, nil
-}
-
-// subscribeLocked installs a subscription (over the one it replaces) and
-// unsubscribeLocked removes one; the table holds exactly the questions asked.
-func (p *Peer) subscribeLocked(sub *subscription) {
-	sub.q.subs++
-	p.questions[sub.q.key] = sub.q
-	key := subKey(sub.dependent, sub.ruleID)
-	p.unsubscribeLocked(key)
-	p.subs[key] = sub
-}
-
-func (p *Peer) unsubscribeLocked(key string) {
-	if sub, ok := p.subs[key]; ok {
-		delete(p.subs, key)
-		if sub.q.subs--; sub.q.subs == 0 {
-			delete(p.questions, sub.q.key)
-		}
-	}
-}
-
-// dropIfClosedLocked is the retention rule: a closed node keeps no evaluation
-// past the push that made it. Callers hold mu.
-func (p *Peer) dropIfClosedLocked() {
-	if p.stateU != Closed {
-		return
-	}
-	for _, q := range p.questions {
-		q.last = nil
-	}
-}
-
-// subscription is the source-side registration created by a Query: one edge
-// of the paper's owner relation, from a dependent's rule to the question it
-// asks. The source re-answers its subscribers whenever its data changes (A5),
-// evaluating each question once per change however many ask it.
-//
-// In delta mode st is what the dependent holds: evaluations ship on it,
-// AnswerAcks carrying this subscription's id acknowledge on it. Live
-// retransmission (timeouts, same-incarnation epoch bumps) rewinds to the
-// received frontier; persistence, recovery, and re-sends to a
-// possibly-restarted dependent (member rejoin, incarnation change) use the
-// durable one.
-type subscription struct {
-	dependent string
-	ruleID    string
-	id        uint64 // instance id echoed by AnswerAck (stale-ack guard)
-	epoch     uint64
-	q         *question
-	st        *storage.Stream // delta mode only (nil in faithful mode)
-	primed    bool            // full evaluation done; st's shipped frontier is authoritative
-
-	lastInc     uint64    // dependent incarnation of the last carried query
-	lastSent    time.Time // last answer carrying a frontier
-	resendTries int       // bounded retransmit budget for the current stalled frontier
-}
-
-// pendingAck is an acknowledgment owed for an answer applied under the peer
-// mutex; it is sent after the mutex is released (and after the durability
-// hooks ran), so an fsync never blocks the actor.
+// pendingAck is an acknowledgment owed for an applied answer; it is sent once
+// the durability hooks ran, so an fsync never blocks the actor.
 type pendingAck struct {
 	to  string
 	msg wire.AnswerAck
 }
 
-// ackWork is one Handle's acknowledgment side effects, handed to the ack
-// worker (durable peers) so the pre-ack fsync pipelines with the actor
-// instead of serialising behind it; cause is counted received after them.
+// ackWork is one Handle's acknowledgment effects, handed to the ack worker
+// (durable peers) so the pre-ack fsync pipelines with the actor instead of
+// serialising behind it; cause is counted received after them.
 type ackWork struct {
 	cause wire.Envelope
 	parts []wal.PartState
@@ -280,74 +158,14 @@ type ackWork struct {
 
 func (w ackWork) empty() bool { return len(w.parts) == 0 && len(w.acks) == 0 && !w.dirty }
 
-// partResult accumulates the result set received for one body part of a
-// multi-source rule: the head node joins a new answer against the other
-// parts' history. A rule with one source keeps none (see handleAnswer).
-type partResult struct {
-	cols   []string
-	tuples relalg.TupleSet
-}
-
-// discWave is the per-wave discovery state (A2–A3): the spanning-tree echo
-// bookkeeping for one origin's discovery run.
-type discWave struct {
-	parent     string          // "" when this peer is the wave origin
-	requesters map[string]bool // everyone awaiting answers for this wave
-	pendingSrc map[string]bool // rule sources whose branch has not finished
-	finished   bool
-}
-
-// Peer is one node of the P2P database network.
+// Peer is one node of the P2P database network: the shell around its
+// protocol state.
 type Peer struct {
-	id  string
-	inc uint64 // incarnation nonce: fresh per process lifetime (stamped on queries)
-	db  *storage.DB
-	tr  transport.Transport
-	ct  *stats.Counters
+	*peerState // guarded by mu; id, db, ct and opts never change
 
-	mu   sync.Mutex
-	opts Options
-
-	// Static-ish configuration.
-	rules     map[string]rules.Rule // rules of which this node is the target
-	neighbors map[string]bool       // pipe-level acquaintances (both directions)
-
-	// Topology knowledge: per asserting node, its versioned edge targets.
-	knowledge  map[string]wire.NodeEdges
-	ownVersion uint64
-	waves      map[string]*discWave
-	waveSeq    uint64
-	selfWave   string // id of this peer's own discovery wave ("" = none yet)
-	pathsReady bool
-	paths      map[string]bool // maximal dependency path key -> flagged stable
-	// cycleVia is derived from paths and rebuilt with it: the key of each path
-	// cycling back here -> the source it leaves through ("" under three nodes).
-	cycleVia    map[string]string
-	discStarted time.Time
-
-	// Update state.
-	epoch        uint64
-	activated    bool
-	forwarded    bool // own queries sent this epoch (delta-mode dedup)
-	stateU       UpdateState
-	ruleComplete map[string]map[string]bool // ruleID -> part -> sender complete
-	parts        map[string]map[string]*partResult
-	subs         map[string]*subscription // key dependent+"\x00"+ruleID
-	questions    map[string]*question     // what the subscriptions ask, by question.key
-	evals        uint64                   // cq evaluations actually run (read by tests)
-	subSeq       uint64                   // subscription instance ids (AnswerAck matching)
-	started      time.Time
-
-	// Acknowledgment side effects collected under mu during Handle and
-	// flushed after it unlocks: part persistence, fsync, the acks themselves,
-	// and the durable-frontier persist hook.
-	pendingAcks  []pendingAck
-	pendingParts []wal.PartState
-	ackDirty     bool // an AnswerAck advanced a durable frontier
-
-	// Dynamic-change bookkeeping.
-	seenChanges  map[string]bool
-	statsReports map[string]stats.Snapshot // super-peer: collected reports
+	mu    sync.Mutex
+	tr    transport.Transport
+	spare atomic.Pointer[[]effect] // Handle's effect buffer, reused; a concurrent Handle (one per TCP connection) takes a fresh one
 
 	// Continuous-query fan-out (watch.go, internal/serving): one shared
 	// extraction per change serves every watcher. The hub keeps its own
@@ -360,12 +178,11 @@ type Peer struct {
 	rwmu          sync.Mutex
 	remoteWatches map[remoteWatchKey]*remoteWatch
 
-	// Ack-resend loop (Options.ResendEvery): stopped by CloseWatchers.
-	resendQuit chan struct{}
-	resendOnce sync.Once
+	// Set by CloseWatchers: a resend timer that fires later does nothing.
+	resendStopped atomic.Bool
 
 	// Pipelined acknowledgment worker (durable peers only): Handle hands its
-	// ack side effects over a channel so the group-commit fsync overlaps the
+	// ack effects over a channel so the group-commit fsync overlaps the
 	// actor's next dispatch instead of serialising with it. Guarded by ackMu
 	// so an enqueue can never race the close. Queued work needs no accounting
 	// of its own: its cause is counted received only once it is applied.
@@ -387,42 +204,17 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 			return nil, fmt.Errorf("peer %s: %w", id, err)
 		}
 	}
-	p := &Peer{
-		id:           id,
-		inc:          uint64(time.Now().UnixNano()),
-		db:           db,
-		tr:           tr,
-		ct:           stats.NewCounters(id),
-		opts:         opts,
-		rules:        map[string]rules.Rule{},
-		neighbors:    map[string]bool{},
-		knowledge:    map[string]wire.NodeEdges{},
-		waves:        map[string]*discWave{},
-		paths:        map[string]bool{},
-		ruleComplete: map[string]map[string]bool{},
-		parts:        map[string]map[string]*partResult{},
-		subs:         map[string]*subscription{},
-		questions:    map[string]*question{},
-		seenChanges:  map[string]bool{},
-		statsReports: map[string]stats.Snapshot{},
+	st, err := newPeerState(id, uint64(time.Now().UnixNano()), db, ruleSet, opts)
+	if err != nil {
+		return nil, err
 	}
-	p.hub = serving.NewHub(db, &p.mu)
-	p.remoteWatches = map[remoteWatchKey]*remoteWatch{}
-	for _, r := range ruleSet {
-		if r.HeadNode != id {
-			return nil, fmt.Errorf("peer %s: rule %s targets %s", id, r.ID, r.HeadNode)
-		}
-		p.rules[r.ID] = r
-	}
-	p.refreshOwnEdges()
 	if opts.Restore != nil {
-		p.applyRestore(opts.Restore)
+		restore(st, opts.Restore)
 	}
-	p.db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { p.notifyWatchers(rel) })
-	if opts.ResendEvery > 0 && opts.Delta {
-		p.resendQuit = make(chan struct{})
-		go p.resendLoop(opts.ResendEvery)
-	}
+	p := &Peer{peerState: st, tr: tr, remoteWatches: map[remoteWatchKey]*remoteWatch{}}
+	p.hub = serving.NewHub(db, &p.mu)
+	// The insert listener may run under mu: the hub's Notify never blocks.
+	db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { p.hub.Notify(rel) })
 	if opts.SyncForAck != nil {
 		// Durable peers pipeline the pre-ack group commit: Handle enqueues,
 		// the worker batches whatever accumulated behind one fsync.
@@ -431,76 +223,72 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 		go p.ackLoop()
 	}
 	if err := tr.Register(id, p.Handle); err != nil {
-		p.stopResend()
 		p.stopAck()
 		return nil, err
 	}
 	return p, nil
 }
 
-// applyRestore reloads protocol state persisted by a durable store. It runs
-// during construction, before the transport can deliver messages.
-func (p *Peer) applyRestore(st *wal.State) {
-	p.epoch = st.Epoch
+// restore reloads protocol state persisted by a durable store into a state
+// no message has reached yet.
+func restore(s *peerState, st *wal.State) {
+	s.epoch = st.Epoch
 	// Offset the subscription-id namespace by the restart epoch: ids are the
 	// AnswerAck stale-instance guard, and a fresh process counting from 1
 	// could collide with a previous lifetime's ids — a late ack still queued
 	// somewhere (a dependent's outbox) across a fast restart would then
 	// advance a frontier it does not describe.
-	p.subSeq = st.Epoch << 20
+	s.subSeq = st.Epoch << 20
 	for _, rs := range st.Subs {
-		q, err := p.questionLocked(rs.Conj, append([]string(nil), rs.Cols...))
+		q, err := s.question(rs.Conj, slices.Clone(rs.Cols))
 		if err != nil {
 			continue // a subscription that no longer parses is re-created by its owner
 		}
 		sub := &subscription{dependent: rs.Dependent, ruleID: rs.RuleID, epoch: rs.Epoch, q: q}
-		if p.opts.Delta {
+		if s.opts.Delta {
 			// The persisted marks are the durable frontier.
-			sub.st = storage.RestoreStream(rs.Marks, p.db.MarksFor(q.rels))
+			sub.st = storage.RestoreStream(rs.Marks, s.db.MarksFor(q.rels))
 			sub.primed = rs.Primed
 		}
-		p.subSeq++
-		sub.id = p.subSeq
-		p.subscribeLocked(sub)
+		s.subSeq++
+		sub.id = s.subSeq
+		s.subscribe(sub)
 	}
 	for _, rp := range st.Parts {
-		r, ok := p.rules[rp.RuleID]
+		r, ok := s.rules[rp.RuleID]
 		if !ok || len(r.SourceNodes()) == 1 {
 			// The rule was dropped from this node's definition, or it has
 			// one source and needs no part history (a DataDir from before
 			// single-source rules stopped recording one).
 			continue
 		}
-		byPart := p.parts[rp.RuleID]
-		if byPart == nil {
-			byPart = map[string]*partResult{}
-			p.parts[rp.RuleID] = byPart
+		if s.parts[rp.RuleID] == nil {
+			s.parts[rp.RuleID] = map[string]*partResult{}
 		}
-		pr := &partResult{cols: append([]string(nil), rp.Cols...)}
+		pr := &partResult{cols: slices.Clone(rp.Cols)}
 		for _, t := range rp.Tuples {
 			pr.tuples.Add(t)
 		}
-		byPart[rp.Part] = pr
+		s.parts[rp.RuleID][rp.Part] = pr
 	}
 }
 
-// durableSubsLocked renders the subscriptions in their durable form, sorted.
-// The persisted marks are the DURABILITY-confirmed frontier, not the
-// shipped or merely receipt-confirmed ones: a restart may only
-// trust what dependents confirmed having on stable storage — everything
-// beyond that frontier must ship again. SealFrontiers promotes receipt to
-// durability grade at a clean close, where the sealing store makes it so.
-// Callers hold mu.
-func (p *Peer) durableSubsLocked() []wal.SubState {
-	out := make([]wal.SubState, 0, len(p.subs))
-	for _, k := range p.subKeysLocked() {
-		sub := p.subs[k]
+// durableSubs renders the subscriptions in their durable form, sorted. The
+// persisted marks are the DURABILITY-confirmed frontier, not the shipped or
+// merely receipt-confirmed ones: a restart may only trust what dependents
+// confirmed having on stable storage — everything beyond that frontier must
+// ship again. SealFrontiers promotes receipt to durability grade at a clean
+// close, where the sealing store makes it so.
+func durableSubs(s *peerState) []wal.SubState {
+	out := make([]wal.SubState, 0, len(s.subs))
+	for _, k := range sortedKeys(s.subs) {
+		sub := s.subs[k]
 		ss := wal.SubState{
 			Dependent: sub.dependent,
 			RuleID:    sub.ruleID,
 			Epoch:     sub.epoch,
 			Conj:      sub.q.conj.String(),
-			Cols:      append([]string(nil), sub.q.cols...),
+			Cols:      slices.Clone(sub.q.cols),
 			Primed:    sub.primed,
 		}
 		if sub.st != nil {
@@ -509,6 +297,25 @@ func (p *Peer) durableSubsLocked() []wal.SubState {
 		out = append(out, ss)
 	}
 	return out
+}
+
+// durableState is the protocol state a durable store persists beside the
+// database: the update epoch, the subscriptions this node serves with their
+// acknowledged frontiers, and the accumulated part results of its rules.
+func durableState(s *peerState) wal.State {
+	st := wal.State{Epoch: s.epoch, Subs: durableSubs(s)}
+	for _, id := range sortedKeys(s.parts) {
+		for _, part := range sortedKeys(s.parts[id]) {
+			pr := s.parts[id][part]
+			st.Parts = append(st.Parts, wal.PartState{
+				RuleID: id,
+				Part:   part,
+				Cols:   slices.Clone(pr.cols),
+				Tuples: pr.tuples.All(), // members are never dropped: a stable snapshot
+			})
+		}
+	}
+	return st
 }
 
 // SealFrontiers promotes every subscription's receipt-confirmed frontier to
@@ -535,41 +342,16 @@ func (p *Peer) SealFrontiers() {
 func (p *Peer) DurableSubs() []wal.SubState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.durableSubsLocked()
+	return durableSubs(p.peerState)
 }
 
 // DurableState snapshots the protocol state a durable store persists beside
-// the database: the update epoch, the subscriptions this node serves with
-// their acknowledged frontiers, and the accumulated part results of its
-// rules. Orchestration wires it as the store's state source, so checkpoints
-// and clean closes carry it to disk.
+// the database (see durableState). Orchestration wires it as the store's
+// state source, so checkpoints and clean closes carry it to disk.
 func (p *Peer) DurableState() wal.State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := wal.State{Epoch: p.epoch}
-	st.Subs = p.durableSubsLocked()
-	ruleIDs := make([]string, 0, len(p.parts))
-	for id := range p.parts {
-		ruleIDs = append(ruleIDs, id)
-	}
-	sort.Strings(ruleIDs)
-	for _, id := range ruleIDs {
-		partNames := make([]string, 0, len(p.parts[id]))
-		for part := range p.parts[id] {
-			partNames = append(partNames, part)
-		}
-		sort.Strings(partNames)
-		for _, part := range partNames {
-			pr := p.parts[id][part]
-			st.Parts = append(st.Parts, wal.PartState{
-				RuleID: id,
-				Part:   part,
-				Cols:   append([]string(nil), pr.cols...),
-				Tuples: pr.tuples.All(), // members are never dropped: a stable snapshot
-			})
-		}
-	}
-	return st
+	return durableState(p.peerState)
 }
 
 // ID returns the node identifier.
@@ -646,8 +428,8 @@ func (p *Peer) Paths() map[string]bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]bool, len(p.paths))
-	for k, v := range p.paths {
-		out[k] = v
+	for k, rec := range p.paths {
+		out[k] = rec.stable
 	}
 	return out
 }
@@ -675,41 +457,126 @@ func (p *Peer) KnownEdges() []graph.Edge {
 func (p *Peer) Rules() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.rules))
-	for id := range p.rules {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(p.rules)
 }
 
-// LocalQuery evaluates a conjunctive query against the local database only
-// (Definition 4: after a completed update, local answers are global
-// answers). The rows come back in canonical order.
-func (p *Peer) LocalQuery(body string, outVars []string) ([]relalg.Tuple, error) {
-	conj, err := cq.ParseConjunction(body)
-	if err != nil {
-		return nil, err
-	}
-	p.ct.AddQueries(1)
-	rows, err := cq.Eval(p.db, conj, outVars)
-	relalg.SortTuples(rows)
-	return rows, err
+// WaitingOn lists what an open node's closure is waiting on, sorted: its
+// unflagged cyclic dependency paths ("X→Y→X") and the sources that have not
+// declared themselves complete. The update driver prints it for a node still
+// open at a settled network.
+func (p *Peer) WaitingOn() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.waitingOn()
 }
 
 // StatsReports returns the per-node snapshots a super-peer has collected.
 func (p *Peer) StatsReports() map[string]stats.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make(map[string]stats.Snapshot, len(p.statsReports))
-	for k, v := range p.statsReports {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(p.statsReports)
+}
+
+// LocalQuery evaluates a conjunctive query against the local database only
+// (Definition 4: after a completed update, local answers are global
+// answers). The rows come back in canonical order.
+func (p *Peer) LocalQuery(body string, outVars []string) ([]relalg.Tuple, error) {
+	return p.localQuery(body, outVars) // reads only the database, which locks itself
 }
 
 // ---------------------------------------------------------------------------
-// Messaging helpers
+// Local verbs: each is one event into step.
+
+// do runs one local event through step, reads the state with read (if any)
+// under the same hold of the mutex, and carries out the effects.
+func (p *Peer) do(ev any, read func()) {
+	p.mu.Lock()
+	effs := p.step(time.Now(), "", ev, nil)
+	if read != nil {
+		read()
+	}
+	p.mu.Unlock()
+	p.run(wire.Envelope{}, effs)
+}
+
+// StartDiscovery begins a fresh discovery wave with this peer as origin
+// (algorithm A1, run by the super-peer). It returns the wave id.
+func (p *Peer) StartDiscovery() (wave string) {
+	p.do(wire.DiscoverRequest{}, func() { wave = p.selfWave })
+	return wave
+}
+
+// StartUpdateWave makes this peer the update super-node: it bumps the epoch,
+// activates itself and floods StartUpdate over acquaintance links. It
+// returns the new epoch.
+func (p *Peer) StartUpdateWave() (epoch uint64) {
+	p.do(wire.UpdateRequest{}, func() { epoch = p.epoch })
+	return epoch
+}
+
+// Probe is the orchestration layer's closure probe: when the network is
+// settled but this node is still open, it regenerates the confirming cascades
+// (see probe), each probe at fix-point cost.
+func (p *Peer) Probe() { p.do(closureProbe{}, nil) }
+
+// ActivateQuiet joins the update epoch without flooding the kick-off and
+// without pulling: the staged strategy's orchestrator (the paper's §3 note on
+// exploiting known topological structure) drives pulls SCC by SCC in
+// dependency order, so each stage reads already-final sources. A peer with no
+// rules closes immediately, as in the normal activation.
+func (p *Peer) ActivateQuiet(epoch uint64) { p.do(activateQuiet{epoch}, nil) }
+
+// ForcePull issues this peer's own queries unconditionally (fresh requester
+// chain), regardless of state or forwarding dedup. Used by the staged update
+// strategy and by operators.
+func (p *Peer) ForcePull() { p.do(forcePull{}, nil) }
+
+// QueryDependentUpdate starts a scoped pull wave that materialises only the
+// data relevant to the given local query body (Section 5's query-dependent
+// updates). The caller should wait for network quiescence and then evaluate
+// the query locally.
+func (p *Peer) QueryDependentUpdate(body string) error {
+	conj, err := cq.ParseConjunction(body)
+	if err != nil {
+		return err
+	}
+	need := map[string]bool{}
+	for _, a := range conj.Atoms {
+		need[a.Rel] = true
+	}
+	p.do(scopedPull{need}, nil)
+	return nil
+}
+
+// AddRuleLocal applies addLink directly on this peer (the in-process
+// equivalent of receiving an AddRuleNotice; used by orchestration).
+func (p *Peer) AddRuleLocal(ruleText string) error {
+	r, err := rules.ParseRule(ruleText)
+	if err != nil {
+		return err
+	}
+	if r.HeadNode != p.id {
+		return fmt.Errorf("peer %s: rule %s targets %s", p.id, r.ID, r.HeadNode)
+	}
+	p.do(wire.AddRuleNotice{RuleText: ruleText}, nil)
+	return nil
+}
+
+// DeleteRuleLocal applies deleteLink directly on this peer.
+func (p *Peer) DeleteRuleLocal(ruleID string) { p.do(wire.DeleteRuleNotice{RuleID: ruleID}, nil) }
+
+// ResendUnackedTo rewinds every subscription of one dependent to its
+// DURABILITY-confirmed frontier and re-answers immediately, resetting the
+// retry budget. The cluster layer calls it when a suspected or departed
+// member comes back alive: the return may be a healed partition (the member
+// still holds everything it received) or a crash restart (it only holds
+// what its durability gate confirmed), and the transport cannot tell the
+// two apart — so the re-send covers the larger window and the member
+// deduplicates the overlap.
+func (p *Peer) ResendUnackedTo(dependent string) { p.do(resendTo{dependent}, nil) }
+
+// ---------------------------------------------------------------------------
+// The shell: messages in, effects out
 
 // Send dispatches a message, recording statistics and trace events; the error
 // is for orchestration that sends in the node's name, the protocol tolerates it.
@@ -745,20 +612,38 @@ func (p *Peer) Send(to string, m wire.Message) error {
 	return err
 }
 
-// Handle processes one incoming envelope; transports call it serially. The
-// protocol reaction runs under the mutex; acknowledgment side effects (part
-// persistence, the pre-ack fsync, the AnswerAck sends, the durable-frontier
-// persist) run after it is released — an fsync must not block the actor. On
-// durable peers they are handed to the ack worker, which pipelines the
-// group-commit fsync with the actor's next dispatch; elsewhere they run
-// inline, still inside Handle. Either way the envelope is counted received
-// only after them.
+// Handle processes one incoming envelope: step under the mutex, effects after
+// it (an fsync must not block the actor). The acknowledgment effects go to
+// the ack worker on durable peers, which pipelines the group-commit fsync
+// with the next dispatch; elsewhere they run inline, still inside Handle.
+// Either way the envelope is counted received only after them. StateRequest
+// and the remote watches read what only the shell holds.
 func (p *Peer) Handle(env wire.Envelope) {
+	buf := p.spare.Swap(nil)
+	if buf == nil {
+		buf = new([]effect)
+	}
 	p.mu.Lock()
-	p.dispatchLocked(env)
-	work := ackWork{cause: env, parts: p.pendingParts, acks: p.pendingAcks, dirty: p.ackDirty}
-	p.pendingAcks, p.pendingParts, p.ackDirty = nil, nil, false
+	effs := (*buf)[:0]
+	switch m := env.Msg.(type) {
+	case wire.StateRequest:
+		effs = append(effs, effect{kind: effSend, to: env.From, msg: p.stateReport()})
+	case wire.WatchRequest:
+		// Registration reaches the hub's pass lock and, through it, this
+		// peer's mutex — which Handle holds here. Serve it off the actor.
+		//lint:allow goroshutdown bounded: registers the watch and returns; the long-lived forwarder it spawns ranges over the watcher's channel, ended by Close
+		go p.serveRemoteWatch(env.From, m)
+	case wire.WatchCancel:
+		//lint:allow goroshutdown bounded: looks up the watch under rwmu and closes it
+		go p.cancelRemoteWatch(env.From, m.ID)
+	default:
+		effs = p.step(time.Now(), env.From, env.Msg, effs)
+	}
 	p.mu.Unlock()
+	work := p.run(env, effs)
+	clear(effs) // drop the messages: the buffer must pin no answer's tuples
+	*buf = effs[:0]
+	p.spare.Store(buf)
 
 	if p.ackCh != nil && !work.empty() {
 		p.ackMu.Lock()
@@ -776,6 +661,69 @@ func (p *Peer) Handle(env wire.Envelope) {
 		// acks, which is the correct shutdown behaviour.
 	}
 	p.applyAckWork([]ackWork{work})
+}
+
+// run carries out a step's effects in order: sends, watcher re-primes and the
+// resend timer at once; the acknowledgment effects are returned as the work
+// of cause.
+func (p *Peer) run(cause wire.Envelope, effs []effect) ackWork {
+	work := ackWork{cause: cause}
+	for _, e := range effs {
+		switch e.kind {
+		case effSend:
+			p.Send(e.to, e.msg)
+		case effPersistParts:
+			work.parts = append(work.parts, wal.PartState{RuleID: e.parts.rule, Part: e.parts.part, Cols: e.parts.cols, Tuples: e.parts.tuples})
+		case effOweAck:
+			work.acks = append(work.acks, pendingAck{to: e.to, msg: e.msg.(wire.AnswerAck)})
+		case effFrontierDirty:
+			work.dirty = true
+		case effReprime:
+			p.hub.Reprime()
+		case effArmTimer:
+			p.armResend()
+		}
+	}
+	return work
+}
+
+// stateReport answers a StateRequest. Callers hold mu.
+func (p *Peer) stateReport() wire.StateReport {
+	sm := p.hub.Metrics()
+	var badFrames uint64
+	if fc, ok := p.tr.(interface{ BadFrames() uint64 }); ok {
+		badFrames = fc.BadFrames()
+	}
+	depth := 0
+	for _, g := range sm.Queues {
+		depth += g.Depth
+	}
+	return wire.StateReport{
+		Node:           p.id,
+		Epoch:          p.epoch,
+		Activated:      p.activated,
+		Closed:         p.stateU == Closed,
+		PathsReady:     p.pathsReady,
+		Waves:          p.waveSeq,
+		Tuples:         p.db.TotalTuples(),
+		Watchers:       sm.Watchers,
+		WatchQueued:    depth,
+		WatchSaved:     sm.SavedExtractions,
+		WatchDropped:   sm.DroppedBatches,
+		WatchCanceled:  sm.CanceledWatchers,
+		WatchExtracted: sm.Extractions,
+		BadFrames:      badFrames,
+	}
+}
+
+// armResend starts a one-shot resend timer; its tick is one more event into
+// step, which re-arms it while a frontier is still out.
+func (p *Peer) armResend() {
+	time.AfterFunc(p.opts.ResendEvery, func() {
+		if !p.resendStopped.Load() {
+			p.do(resendTick{}, nil)
+		}
+	})
 }
 
 // received counts a message Received. Invariant: everything it caused is
@@ -914,8 +862,8 @@ func mergeAcks(in []pendingAck) []pendingAck {
 			// Clone the maps: the merged ack must not mutate frontier maps
 			// shared with the answers they were built from.
 			c := a
-			c.msg.Base = cloneSeqMap(a.msg.Base)
-			c.msg.Seqs = cloneSeqMap(a.msg.Seqs)
+			c.msg.Base = maps.Clone(a.msg.Base)
+			c.msg.Seqs = maps.Clone(a.msg.Seqs)
 			idx[k] = len(out)
 			out = append(out, c)
 			continue
@@ -963,17 +911,6 @@ func rangesTouch(a, b wire.AnswerAck) bool {
 	return true
 }
 
-func cloneSeqMap(in map[string]uint64) map[string]uint64 {
-	if in == nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
 // stopAck shuts the acknowledgment worker down and waits for its backlog to
 // drain, so orchestration can seal the stores knowing no fsync or ack send
 // is still in flight. Handles racing the stop fall back to the inline path.
@@ -988,334 +925,4 @@ func (p *Peer) stopAck() {
 		p.ackMu.Unlock()
 		p.ackWG.Wait()
 	})
-}
-
-// dispatchLocked routes one envelope to its protocol handler. Callers hold mu.
-func (p *Peer) dispatchLocked(env wire.Envelope) {
-	switch m := env.Msg.(type) {
-	case wire.RequestNodes:
-		p.handleRequestNodes(env.From, m)
-	case wire.DiscoveryAnswer:
-		p.handleDiscoveryAnswer(env.From, m)
-	case wire.StartUpdate:
-		p.handleStartUpdate(env.From, m)
-	case wire.Query:
-		p.handleQuery(env.From, m)
-	case wire.Answer:
-		p.handleAnswer(env.From, m)
-	case wire.AnswerAck:
-		p.handleAnswerAck(env.From, m)
-	//lint:allow wireexhaustive Beats/RepAppends/RepAcks/WatchDeltas are consumed by the cluster layer before a batch reaches a hosted peer; without a cluster those planes are never emitted
-	case wire.AnswerBatch:
-		// A coalesced frame applies exactly as its contents would have
-		// alone: acks first (they were owed before the answers were built),
-		// then the answers in send order. Heartbeats are membership-plane;
-		// the cluster layer consumed them before forwarding.
-		for _, ack := range m.Acks {
-			p.handleAnswerAck(env.From, ack)
-		}
-		for _, ans := range m.Answers {
-			p.handleAnswer(env.From, ans)
-		}
-	case wire.Unsubscribe:
-		p.unsubscribeLocked(subKey(env.From, m.RuleID))
-	case wire.AddRuleNotice:
-		p.handleAddRule(m)
-	case wire.DeleteRuleNotice:
-		p.handleDeleteRule(m)
-	case wire.TopoChanged:
-		p.handleTopoChanged(m)
-	case wire.SetNetwork:
-		p.handleSetNetwork(m)
-	case wire.StatsRequest:
-		snap := p.ct.Snapshot()
-		p.Send(env.From, wire.StatsReport{Snapshot: snap, Seq: m.Seq})
-	case wire.StatsReport:
-		p.statsReports[m.Snapshot.Node] = m.Snapshot
-	case wire.StatsReset:
-		p.ct.Reset()
-	case wire.DiscoverRequest:
-		p.startDiscoveryLocked()
-	case wire.UpdateRequest:
-		p.activateLocked(p.epoch+1, "", false)
-	case wire.ProbeRequest:
-		p.probeLocked()
-	case wire.StateRequest:
-		sm := p.hub.Metrics()
-		var badFrames uint64
-		if fc, ok := p.tr.(interface{ BadFrames() uint64 }); ok {
-			badFrames = fc.BadFrames()
-		}
-		p.Send(env.From, wire.StateReport{
-			Node:           p.id,
-			Epoch:          p.epoch,
-			Activated:      p.activated,
-			Closed:         p.stateU == Closed,
-			PathsReady:     p.pathsReady,
-			Waves:          p.waveSeq,
-			Tuples:         p.db.TotalTuples(),
-			Watchers:       sm.Watchers,
-			WatchQueued:    servingDepth(sm),
-			WatchSaved:     sm.SavedExtractions,
-			WatchDropped:   sm.DroppedBatches,
-			WatchCanceled:  sm.CanceledWatchers,
-			WatchExtracted: sm.Extractions,
-			BadFrames:      badFrames,
-		})
-	case wire.QueryRequest:
-		p.handleQueryRequest(env.From, m)
-	case wire.WatchRequest:
-		// Registration reaches the hub's pass lock and, through it, this
-		// peer's mutex — which Handle holds here. Serve it off the actor.
-		//lint:allow goroshutdown bounded: registers the watch and returns; the long-lived forwarder it spawns ranges over the watcher's channel, ended by Close
-		go p.serveRemoteWatch(env.From, m)
-	case wire.WatchCancel:
-		//lint:allow goroshutdown bounded: looks up the watch under rwmu and closes it
-		go p.cancelRemoteWatch(env.From, m.ID)
-	}
-}
-
-// servingDepth sums the queue depth across every watcher class.
-func servingDepth(m serving.Metrics) int {
-	depth := 0
-	for _, g := range m.Queues {
-		depth += g.Depth
-	}
-	return depth
-}
-
-// handleQueryRequest evaluates a remote local query (the coordinator's form
-// of Definition 4) and ships the rows — or the error — back. Callers hold mu.
-func (p *Peer) handleQueryRequest(from string, m wire.QueryRequest) {
-	res := wire.QueryResult{ID: m.ID, Columns: m.Cols}
-	conj, err := cq.ParseConjunction(m.Body)
-	if err != nil {
-		res.Err = err.Error()
-		p.Send(from, res)
-		return
-	}
-	p.ct.AddQueries(1)
-	rows, err := cq.Eval(p.db, conj, m.Cols)
-	if err != nil {
-		res.Err = err.Error()
-	} else {
-		relalg.SortTuples(rows)
-		res.Tuples = rows
-	}
-	p.Send(from, res)
-}
-
-// WatcherCount reports the number of live continuous-query watchers (exposed
-// by the serve metrics endpoint).
-func (p *Peer) WatcherCount() int { return p.hub.WatcherCount() }
-
-func subKey(dependent, ruleID string) string { return dependent + "\x00" + ruleID }
-
-// ---------------------------------------------------------------------------
-// Acknowledgment-driven retransmission
-
-// maxAckResends bounds the timeout-driven retransmits per stalled frontier:
-// a dependent that is gone for good must not keep the network chattering
-// (and polling quiescence detectors churning) forever. The budget resets
-// whenever the frontier makes progress, a member rejoins, or a new epoch
-// re-pulls.
-const maxAckResends = 3
-
-// resendLoop periodically re-ships unacknowledged deltas (Options.
-// ResendEvery). Stopped by CloseWatchers (orchestration shutdown).
-func (p *Peer) resendLoop(every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.resendQuit:
-			return
-		case <-t.C:
-			p.resendStale(every)
-		}
-	}
-}
-
-func (p *Peer) stopResend() {
-	p.resendOnce.Do(func() {
-		if p.resendQuit != nil {
-			close(p.resendQuit)
-		}
-	})
-}
-
-// resendStale rewinds every subscription whose shipped frontier has been
-// waiting unacknowledged for at least minAge back to the acked frontier and
-// re-answers it, within the per-frontier retry budget.
-func (p *Peer) resendStale(minAge time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := time.Now()
-	for _, k := range p.subKeysLocked() {
-		sub := p.subs[k]
-		if sub.st == nil || !sub.primed || !sub.st.Pending(storage.Received) {
-			continue
-		}
-		if now.Sub(sub.lastSent) < minAge || sub.resendTries >= maxAckResends {
-			continue
-		}
-		sub.resendTries++
-		p.resendFromLocked(sub, storage.Received)
-	}
-}
-
-// ResendUnackedTo rewinds every subscription of one dependent to its
-// DURABILITY-confirmed frontier and re-answers immediately, resetting the
-// retry budget. The cluster layer calls it when a suspected or departed
-// member comes back alive: the return may be a healed partition (the member
-// still holds everything it received) or a crash restart (it only holds
-// what its durability gate confirmed), and the transport cannot tell the
-// two apart — so the re-send covers the larger window and the member
-// deduplicates the overlap.
-func (p *Peer) ResendUnackedTo(dependent string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, k := range p.subKeysLocked() {
-		sub := p.subs[k]
-		if sub.dependent != dependent || sub.st == nil || !sub.primed || !sub.st.Pending(storage.Durable) {
-			continue
-		}
-		sub.resendTries = 0
-		p.resendFromLocked(sub, storage.Durable)
-	}
-}
-
-// resendFromLocked re-evaluates a subscription from a confirmed frontier:
-// the shipped frontier rewinds to it, so the evaluation re-ships exactly the
-// unconfirmed suffix (receivers deduplicate any overlap with answers that
-// did arrive). Callers hold mu.
-func (p *Peer) resendFromLocked(sub *subscription, from storage.Level) {
-	sub.st.Rewind(from)
-	p.evalAndSendLocked(sub, []string{p.id})
-	p.dropIfClosedLocked()
-}
-
-// subKeysLocked lists the subscription keys in deterministic order. Callers
-// hold mu.
-func (p *Peer) subKeysLocked() []string {
-	keys := make([]string, 0, len(p.subs))
-	for k := range p.subs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// refreshOwnEdges recomputes this node's self-asserted dependency edges from
-// its rule set and bumps the version.
-func (p *Peer) refreshOwnEdges() {
-	targets := map[string]bool{}
-	for _, r := range p.rules {
-		for _, src := range r.SourceNodes() {
-			targets[src] = true
-		}
-	}
-	list := make([]string, 0, len(targets))
-	for t := range targets {
-		list = append(list, t)
-	}
-	sort.Strings(list)
-	p.ownVersion++
-	p.knowledge[p.id] = wire.NodeEdges{Node: p.id, Version: p.ownVersion, Targets: list}
-}
-
-// mergeKnowledge folds received edge assertions in, replacing stale versions.
-// It reports whether anything changed.
-func (p *Peer) mergeKnowledge(in []wire.NodeEdges) bool {
-	changed := false
-	for _, ne := range in {
-		cur, ok := p.knowledge[ne.Node]
-		if ok && cur.Version >= ne.Version {
-			continue
-		}
-		p.knowledge[ne.Node] = ne
-		changed = true
-	}
-	return changed
-}
-
-// knowledgeList snapshots the knowledge map in deterministic order.
-func (p *Peer) knowledgeList() []wire.NodeEdges {
-	out := make([]wire.NodeEdges, 0, len(p.knowledge))
-	for _, ne := range p.knowledge {
-		out = append(out, ne)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-// knowledgeGraph materialises the known edges as a graph.
-func (p *Peer) knowledgeGraph() *graph.Graph {
-	g := graph.New()
-	g.AddNode(p.id)
-	for _, ne := range p.knowledge {
-		g.AddNode(ne.Node)
-		for _, t := range ne.Targets {
-			g.AddEdge(ne.Node, t)
-		}
-	}
-	return g
-}
-
-// recomputePaths re-derives the maximal dependency paths from current
-// knowledge, preserving stability flags of surviving paths, and reports
-// whether a path appeared that was not tracked before (it starts unflagged).
-// Callers hold mu.
-//
-// Only *confirmable* maximal paths enter the closure flag set: those ending
-// at a dead-end node or cycling back to this node. A maximal path ending at
-// an inner repeat (say X→Y→Z→Y seen from X) can never be traversed by a
-// no-news cascade — the paper's own stop rule halts the result set at the
-// repeated node (Y), so the confirmation can never reach X. The stability of
-// such inner cycles is certified at their own nodes (Y's path Y→Z→Y), whose
-// closure propagates through rule-completeness; keeping the unconfirmable
-// paths in the flag set would block closure forever on any clique of three
-// or more nodes.
-func (p *Peer) recomputePaths() (added bool) {
-	g := p.knowledgeGraph()
-	fresh := map[string]bool{}
-	cycleVia := map[string]string{}
-	for _, path := range g.MaximalPaths(p.id) {
-		last := path[len(path)-1]
-		if last != p.id && len(g.Succ(last)) > 0 {
-			continue // inner-repeat ending: unconfirmable by construction
-		}
-		k := path.Key()
-		if last == p.id {
-			cycleVia[k] = ""
-			if len(path) >= 3 {
-				cycleVia[k] = path[1]
-			}
-		}
-		stable, known := p.paths[k]
-		fresh[k] = stable // unknown paths start unflagged (false)
-		added = added || !known
-	}
-	p.paths, p.cycleVia = fresh, cycleVia
-	return added
-}
-
-// pathKeyOf converts a route (oldest node first) arriving at this peer into
-// the dependency-path key it confirms: reverse(route) prefixed with this id.
-func (p *Peer) pathKeyOf(route []string) string {
-	parts := make([]string, 0, len(route)+1)
-	parts = append(parts, p.id)
-	for i := len(route) - 1; i >= 0; i-- {
-		parts = append(parts, route[i])
-	}
-	return strings.Join(parts, "\x00")
-}
-
-func routeContains(route []string, id string) bool {
-	for _, n := range route {
-		if n == id {
-			return true
-		}
-	}
-	return false
 }

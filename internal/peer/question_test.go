@@ -361,9 +361,9 @@ func TestQuestionLeavesWithItsLastSubscription(t *testing.T) {
 	}
 }
 
-// refClosureHolds and refWaitingOn are closureHoldsLocked and WaitingOn as
-// they were while they split every path key on every call: the reference the
-// derived cycleVia map is checked against.
+// refClosureHolds and refWaitingOn are closureHolds and WaitingOn as they
+// were while they split every path key on every call: the reference the
+// per-path records (cyclic, via) are checked against.
 func refClosureHolds(p *Peer) bool {
 	if len(p.rules) == 0 {
 		return true
@@ -378,12 +378,12 @@ func refClosureHolds(p *Peer) bool {
 				return false
 			}
 			confirmed := false
-			for key, stable := range p.paths {
+			for key, rec := range p.paths {
 				parts := strings.Split(key, "\x00")
 				if len(parts) < 3 || parts[1] != src || parts[len(parts)-1] != p.id {
 					continue
 				}
-				if !stable {
+				if !rec.stable {
 					return false
 				}
 				confirmed = true
@@ -398,8 +398,8 @@ func refClosureHolds(p *Peer) bool {
 
 func refWaitingOn(p *Peer) []string {
 	var out []string
-	for key, stable := range p.paths {
-		if parts := strings.Split(key, "\x00"); !stable && parts[len(parts)-1] == p.id {
+	for key, rec := range p.paths {
+		if parts := strings.Split(key, "\x00"); !rec.stable && parts[len(parts)-1] == p.id {
 			out = append(out, strings.Join(parts, "→"))
 		}
 	}
@@ -444,7 +444,7 @@ func TestClosureReadsDerivedPathShape(t *testing.T) {
 		}
 		p.recomputePaths()
 		for k := range p.paths {
-			p.paths[k] = rng.Intn(4) > 0
+			p.paths[k].stable = rng.Intn(4) > 0
 			if parts := strings.Split(k, "\x00"); len(parts) < 3 && parts[len(parts)-1] == "N0" {
 				shortSeen++
 			}
@@ -471,8 +471,8 @@ func TestClosureReadsDerivedPathShape(t *testing.T) {
 			}
 		}
 		want := refClosureHolds(p)
-		if got := p.closureHoldsLocked(); got != want {
-			t.Fatalf("round %d: closureHoldsLocked = %v, reference %v; paths %v rules %v", round, got, want, p.paths, p.rules)
+		if got := p.closureHolds(); got != want {
+			t.Fatalf("round %d: closureHolds = %v, reference %v; paths %v rules %v", round, got, want, p.paths, p.rules)
 		}
 		if got, want := p.WaitingOn(), refWaitingOn(p); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: WaitingOn = %q, reference %q", round, got, want)

@@ -1,15 +1,14 @@
 package peer
 
 import (
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/cq"
 	"repro/internal/relalg"
 	"repro/internal/rules"
 	"repro/internal/storage"
-	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -37,146 +36,121 @@ import (
 // path set is (re)computed while X is activated and open — its own discovery
 // wave completing inside an epoch, gossip adding a path afterwards, a closure
 // probe — X re-queries its sources (cascades that start there) AND re-answers
-// its subscribers with route [X] (the cascades that start here): probeLocked.
+// its subscribers with route [X] (the cascades that start here): probe.
 
-// StartUpdateWave makes this peer the update super-node: it bumps the epoch,
-// activates itself and floods StartUpdate over acquaintance links. It
-// returns the new epoch.
-func (p *Peer) StartUpdateWave() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	epoch := p.epoch + 1
-	p.activateLocked(epoch, "", false)
-	return epoch
-}
-
-// handleStartUpdate implements the kick-off flood. Callers hold mu.
-func (p *Peer) handleStartUpdate(from string, m wire.StartUpdate) {
-	if p.activated && m.Epoch <= p.epoch {
-		return
-	}
-	p.activateLocked(m.Epoch, from, false)
-}
-
-// activateLocked (re)enters the update epoch: reset per-epoch state, flood
-// the kick-off onward, lazily self-discover, and pull from all rule sources.
-// A quiet activation (the staged strategy's) neither floods nor pulls: the
+// activate (re)enters the update epoch: reset per-epoch state, flood the
+// kick-off onward, lazily self-discover, and pull from all rule sources. A
+// quiet activation (the staged strategy's) neither floods nor pulls: the
 // orchestrator decides when this peer pulls.
 //
-// Accumulated part results (p.parts) survive the epoch bump deliberately:
+// Accumulated part results (s.parts) survive the epoch bump deliberately:
 // the model is monotone (no retraction), so everything a source ever
 // answered stays true, and sources holding per-subscription high-water
 // marks ship only deltas on re-query — a head that restarted
 // its parts from scratch would lose old×new join combinations of
 // multi-source rules forever. Parts are dropped only when their rule is
 // deleted or redefined.
-func (p *Peer) activateLocked(epoch uint64, from string, quiet bool) {
-	p.epoch = epoch
-	p.activated = true
-	p.started = time.Now()
-	p.ruleComplete = map[string]map[string]bool{}
-	p.forwarded = false
-	for k := range p.paths {
-		p.paths[k] = false
-	}
-	p.stateU = Open
+func (s *peerState) activate(epoch uint64, from string, quiet bool) {
+	s.epoch = epoch
+	s.activated = true
+	s.started = s.now
+	s.ruleComplete = map[string]map[string]bool{}
+	s.forwarded = false
+	s.unflagPaths()
+	s.stateU = Open
 
 	// Flood over acquaintances (both rule directions) except the sender.
-	for n := range p.neighbors {
-		if n != from && !quiet {
-			p.Send(n, wire.StartUpdate{Epoch: epoch, Origin: p.id})
+	if !quiet {
+		for _, n := range sortedKeys(s.neighbors) {
+			if n != from {
+				s.send(n, wire.StartUpdate{Epoch: epoch, Origin: s.id})
+			}
 		}
 	}
-	if len(p.rules) == 0 {
+	if len(s.rules) == 0 {
 		// A node with no incoming rules holds final data from the start.
-		p.stateU = Closed
-		p.ct.SetUpdateClosed(0)
-		p.dropIfClosedLocked()
-		p.notifySubsLocked(true)
+		s.stateU = Closed
+		s.ct.SetUpdateClosed(0)
+		s.dropIfClosed()
+		s.notifySubs(true)
 		return
 	}
-	if p.selfWave == "" {
-		p.startDiscoveryLocked()
+	if s.selfWave == "" || !s.pathsReady {
+		// No wave of its own yet, or one that a lost message (a crashed
+		// member) keeps from finishing: a new epoch starts a fresh one.
+		s.startDiscovery()
 	}
 	if !quiet {
-		p.sendQueriesLocked(nil, false, nil)
+		s.sendQueries(nil, false, nil)
 	}
 }
 
-// sendQueriesLocked sends this node's own queries for every rule part, with
-// requester chain [self]+basePath (A4's ID+SN). Scoped pulls restrict to
-// rules whose head relations intersect needRels.
-func (p *Peer) sendQueriesLocked(basePath []string, scoped bool, needRels map[string]bool) {
-	p.forwarded = true
-	path := make([]string, 0, len(basePath)+1)
-	path = append(path, p.id)
-	path = append(path, basePath...)
-
-	ids := make([]string, 0, len(p.rules))
-	for id := range p.rules {
-		ids = append(ids, id)
+// unflagPaths clears every path's stability flag: new data, or a new epoch.
+func (s *peerState) unflagPaths() {
+	for _, rec := range s.paths {
+		rec.stable = false
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		r := p.rules[id]
-		if scoped && !ruleTargets(r, needRels) {
+}
+
+// sendQueries sends this node's own queries for every rule part, with
+// requester chain [self]+basePath (A4's ID+SN). Scoped pulls restrict to
+// rules with a head atom writing a relation in needRels.
+func (s *peerState) sendQueries(basePath []string, scoped bool, needRels map[string]bool) {
+	s.forwarded = true
+	path := make([]string, 0, len(basePath)+1)
+	path = append(path, s.id)
+	path = append(path, basePath...)
+	for _, id := range sortedKeys(s.rules) {
+		r := s.rules[id]
+		if !scoped || slices.ContainsFunc(r.Head, func(a cq.Atom) bool { return needRels[a.Rel] }) {
+			s.sendRuleQueries(r, path, scoped)
+		}
+	}
+}
+
+// sendRuleQueries asks every source of r for its body part.
+func (s *peerState) sendRuleQueries(r rules.Rule, path []string, scoped bool) {
+	for _, src := range r.SourceNodes() {
+		part, cols := r.BodyPart(src)
+		if len(part.Atoms) == 0 {
 			continue
 		}
-		for _, src := range r.SourceNodes() {
-			part, cols := r.BodyPart(src)
-			if len(part.Atoms) == 0 {
-				continue
-			}
-			p.Send(src, wire.Query{
-				Epoch:       p.epoch,
-				RuleID:      r.ID,
-				Conj:        part.String(),
-				Cols:        cols,
-				Path:        path,
-				Scoped:      scoped,
-				Incarnation: p.inc,
-			})
-		}
+		s.send(src, wire.Query{
+			Epoch:       s.epoch,
+			RuleID:      r.ID,
+			Conj:        part.String(),
+			Cols:        cols,
+			Path:        path,
+			Scoped:      scoped,
+			Incarnation: s.inc,
+		})
 	}
 }
 
-// ruleTargets reports whether any head atom of r writes a relation in rels.
-func ruleTargets(r rules.Rule, rels map[string]bool) bool {
-	if rels == nil {
-		return true
-	}
-	for _, a := range r.Head {
-		if rels[a.Rel] {
-			return true
-		}
-	}
-	return false
-}
-
-// handleQuery implements A4 (source side). Callers hold mu.
-func (p *Peer) handleQuery(from string, m wire.Query) {
-	if m.Epoch > p.epoch {
+// handleQuery implements A4 (source side).
+func (s *peerState) handleQuery(from string, m wire.Query) {
+	if m.Epoch > s.epoch {
 		// A query from a newer epoch activates this node for it. Full
 		// activation matters: the node must also forward the kick-off
 		// flood, otherwise a query racing ahead of the StartUpdate message
 		// would swallow the wave and leave parts of the component asleep.
-		p.activateLocked(m.Epoch, "", false)
+		s.activate(m.Epoch, "", false)
 	}
 
-	q, err := p.questionLocked(m.Conj, m.Cols)
+	q, err := s.question(m.Conj, m.Cols)
 	if err != nil {
 		// Malformed query: answer empty so the requester does not hang.
-		p.Send(from, wire.Answer{Epoch: m.Epoch, RuleID: m.RuleID, Part: p.id,
-			Complete: p.stateU == Closed, Route: []string{p.id}})
+		s.send(from, wire.Answer{Epoch: m.Epoch, RuleID: m.RuleID, Part: s.id,
+			Complete: s.stateU == Closed, Route: []string{s.id}})
 		return
 	}
 
-	prev, resub := p.subs[subKey(from, m.RuleID)]
+	prev, resub := s.subs[subKey(from, m.RuleID)]
 	if resub && prev.epoch == m.Epoch {
-		p.ct.AddDuplicateQueries(1)
+		s.ct.AddDuplicateQueries(1)
 	}
 	sub := &subscription{dependent: from, ruleID: m.RuleID, epoch: m.Epoch, q: q}
-	if p.opts.Delta {
+	if s.opts.Delta {
 		// Delta state carries over only while the subscription asks the same
 		// question: a changed conjunction or column list (rule redefinition)
 		// re-primes from scratch, otherwise results of the new body over old
@@ -208,36 +182,36 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 			}
 		} else {
 			sub.st = storage.NewStream(nil)
-			p.subSeq++
-			sub.id = p.subSeq
+			s.subSeq++
+			sub.id = s.subSeq
 		}
 		sub.lastInc = m.Incarnation
 	}
-	p.subscribeLocked(sub)
+	s.subscribe(sub)
 
 	// Immediate answer with the current evaluation (A4's first step).
 	ans := wire.Answer{
 		Epoch:    m.Epoch,
 		RuleID:   m.RuleID,
-		Part:     p.id,
+		Part:     s.id,
 		Columns:  q.cols,
-		Complete: p.stateU == Closed,
-		Delta:    p.opts.Delta,
-		Route:    []string{p.id},
+		Complete: s.stateU == Closed,
+		Delta:    s.opts.Delta,
+		Route:    []string{s.id},
 	}
-	p.evalForSub(sub, &ans)
-	p.Send(from, ans)
-	p.dropIfClosedLocked()
+	s.evalForSub(sub, &ans)
+	s.send(from, ans)
+	s.dropIfClosed()
 
 	// Forward own queries while open and not already on the chain (A4).
 	// In delta mode the forwarding is deduplicated per epoch: re-forwarding
 	// on every incoming query (the faithful behaviour) enumerates every
 	// dependency path, which is the message blow-up the paper's delta
 	// optimisation exists to avoid.
-	if p.opts.Delta && p.forwarded {
+	if s.opts.Delta && s.forwarded {
 		return
 	}
-	if p.stateU == Open && !routeContains(m.Path, p.id) {
+	if s.stateU == Open && !slices.Contains(m.Path, s.id) {
 		var need map[string]bool
 		if m.Scoped {
 			need = map[string]bool{}
@@ -245,7 +219,7 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 				need[rel] = true
 			}
 		}
-		p.sendQueriesLocked(m.Path, m.Scoped, need)
+		s.sendQueries(m.Path, m.Scoped, need)
 	}
 }
 
@@ -255,21 +229,22 @@ func (p *Peer) handleQuery(from string, m wire.Query) {
 // stream's shipped maps before and after). The dependent echoes the stamp in
 // an AnswerAck once the payload is applied (on a durable node, persisted).
 // QueriesExecuted counts answers computed for a subscriber, shared or not;
-// evals counts the evaluations actually run. Callers hold mu.
-func (p *Peer) evalForSub(sub *subscription, a *wire.Answer) {
-	p.ct.AddQueries(1)
+// evals counts the evaluations actually run.
+func (s *peerState) evalForSub(sub *subscription, a *wire.Answer) {
+	s.ct.AddQueries(1)
 	if sub.st == nil {
-		p.evals++
-		if result, err := cq.Eval(p.db, sub.q.conj, sub.q.cols); err == nil {
+		s.evals++
+		if result, err := cq.Eval(s.db, sub.q.conj, sub.q.cols); err == nil {
 			a.Tuples = result
 		}
 		return
 	}
 	base := sub.st.Shipped()
-	a.Tuples = p.evalDeltaForSub(sub)
+	a.Tuples = s.evalDeltaForSub(sub)
 	if sub.primed {
 		a.SubID, a.Base, a.Seqs = sub.id, base, sub.st.Shipped()
-		sub.lastSent = time.Now()
+		sub.lastSent = s.now
+		s.armResend()
 	}
 }
 
@@ -282,28 +257,27 @@ func (p *Peer) evalForSub(sub *subscription, a *wire.Answer) {
 // step deduplicates, so only bytes — not correctness — are at stake. The
 // evaluation is the question's: a subscription it fits takes its tuples (see
 // question). The stream ships only past an evaluation that succeeded.
-// Callers hold mu.
-func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
+func (s *peerState) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 	q := sub.q
 	var base, next storage.Marks // base nil: the full evaluation that primes
 	var delta map[string][]relalg.Tuple
 	if sub.primed {
 		base = sub.st.Shipped()
-		if delta, next = p.db.DeltaSince(base, q.rels); len(delta) == 0 {
+		if delta, next = s.db.DeltaSince(base, q.rels); len(delta) == 0 {
 			sub.st.Ship(next)
 			return nil
 		}
 	} else {
-		next = p.db.MarksFor(q.rels)
+		next = s.db.MarksFor(q.rels)
 	}
 	if !q.fits(base, next) {
 		var out []relalg.Tuple
 		var err error
-		p.evals++
+		s.evals++
 		if base == nil {
-			out, err = cq.Eval(p.db, q.conj, q.cols)
+			out, err = cq.Eval(s.db, q.conj, q.cols)
 		} else {
-			out, err = cq.EvalDelta(p.db, q.conj, q.cols, delta)
+			out, err = cq.EvalDelta(s.db, q.conj, q.cols, delta)
 		}
 		if err != nil {
 			return nil
@@ -315,19 +289,19 @@ func (p *Peer) evalDeltaForSub(sub *subscription) []relalg.Tuple {
 	return q.last.tuples
 }
 
-// handleAnswer implements A5 + A6. Callers hold mu.
-func (p *Peer) handleAnswer(from string, m wire.Answer) {
-	if m.Epoch != p.epoch {
-		if m.Epoch < p.epoch {
+// handleAnswer implements A5 + A6.
+func (s *peerState) handleAnswer(from string, m wire.Answer) {
+	if m.Epoch != s.epoch {
+		if m.Epoch < s.epoch {
 			return // stale epoch
 		}
 		// Future epoch: full activation (see handleQuery).
-		p.activateLocked(m.Epoch, "", false)
+		s.activate(m.Epoch, "", false)
 	}
-	r, ok := p.rules[m.RuleID]
+	r, ok := s.rules[m.RuleID]
 	if !ok {
 		// The rule was deleted while the answer was in flight.
-		p.Send(from, wire.Unsubscribe{RuleID: m.RuleID})
+		s.send(from, wire.Unsubscribe{RuleID: m.RuleID})
 		return
 	}
 
@@ -337,58 +311,52 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	// they are (rules.ApplyPart), and the relation's own duplicate check
 	// absorbs a re-sent one. An answer from a node that is not the rule's
 	// source derives nothing.
-	dm := p.opts.Maps.For(m.Part, p.id)
-	opts := rules.ApplyOptions{Mode: p.opts.InsertMode, MaxNullDepth: p.opts.MaxNullDepth}
+	dm := s.opts.Maps.For(m.Part, s.id)
+	opts := rules.ApplyOptions{Mode: s.opts.InsertMode, MaxNullDepth: s.opts.MaxNullDepth}
 	var res rules.ApplyResult
 	var err error
 	if sources := r.SourceNodes(); len(sources) != 1 {
-		res, err = rules.Apply(p.db, r, p.joinAnswerLocked(r, m, dm), opts)
+		res, err = rules.Apply(s.db, r, s.joinAnswer(r, m, dm), opts)
 	} else if sources[0] == m.Part {
-		res, err = rules.ApplyPart(p.db, r, rules.PartTuples{Cols: m.Columns, Tuples: dm.TranslateTuples(m.Tuples)}, opts)
+		res, err = rules.ApplyPart(s.db, r, rules.PartTuples{Cols: m.Columns, Tuples: dm.TranslateTuples(m.Tuples)}, opts)
 	}
 	if err != nil {
 		return
 	}
 	if m.Seqs != nil {
 		// The answer carried a sequence range: owe the source an
-		// acknowledgment echoing it. It is sent after the mutex is released
-		// — and, on a durable node, after the store synced, which is also
-		// when its Durable flag is decided — so the source's persisted
-		// frontier never runs ahead of what this node can actually recover.
-		p.pendingAcks = append(p.pendingAcks, pendingAck{
-			to:  from,
-			msg: wire.AnswerAck{RuleID: m.RuleID, SubID: m.SubID, Base: m.Base, Seqs: m.Seqs},
-		})
+		// acknowledgment echoing it. The shell sends it after the store
+		// synced — which is also when its Durable flag is decided — so the
+		// source's persisted frontier never runs ahead of what this node can
+		// actually recover.
+		s.out = append(s.out, effect{kind: effOweAck, to: from,
+			msg: wire.AnswerAck{RuleID: m.RuleID, SubID: m.SubID, Base: m.Base, Seqs: m.Seqs}})
 	}
 	news := res.Added > 0
-	p.ct.AddInserted(uint64(res.Added))
-	p.ct.AddTruncated(uint64(res.Truncated))
+	s.ct.AddInserted(uint64(res.Added))
+	s.ct.AddTruncated(uint64(res.Truncated))
 	if news {
-		p.ct.AddUpdates(1)
+		s.ct.AddUpdates(1)
 	} else {
-		p.ct.AddDuplicate(1)
+		s.ct.AddDuplicate(1)
 	}
 
 	// Rule-part completeness (acyclic closure input).
-	rc := p.ruleComplete[m.RuleID]
+	rc := s.ruleComplete[m.RuleID]
 	if rc == nil {
 		rc = map[string]bool{}
-		p.ruleComplete[m.RuleID] = rc
+		s.ruleComplete[m.RuleID] = rc
 	}
 	rc[m.Part] = m.Complete
 
 	if news {
 		// New data invalidates path stability and may re-open the node.
-		for k := range p.paths {
-			p.paths[k] = false
-		}
-	} else {
+		s.unflagPaths()
+	} else if len(m.Route) > 0 {
 		// The fix-point rule's positive side: a no-news round trip along a
 		// maximal dependency path flags it stable.
-		if k := p.pathKeyOf(m.Route); len(m.Route) > 0 {
-			if _, exists := p.paths[k]; exists {
-				p.paths[k] = true
-			}
+		if rec := s.paths[s.pathKeyOf(m.Route)]; rec != nil {
+			rec.stable = true
 		}
 	}
 
@@ -399,20 +367,20 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 	// no-news cascades are what eventually traverse (and flag) every
 	// maximal dependency path.
 	if news {
-		p.pushToSubsLocked([]string{p.id})
-	} else if !routeContains(m.Route, p.id) {
+		s.pushToSubs([]string{s.id})
+	} else if !slices.Contains(m.Route, s.id) {
 		route := make([]string, 0, len(m.Route)+1)
 		route = append(route, m.Route...)
-		route = append(route, p.id)
-		p.pushToSubsLocked(route)
+		route = append(route, s.id)
+		s.pushToSubs(route)
 	}
 
-	p.checkClosureLocked()
+	s.checkClosure()
 
 	// Closure liveness in cycles: new data must trigger fresh confirming
 	// cascades along this node's dependency paths.
-	if news && len(p.cycleVia) > 0 && p.pathsReady && p.stateU == Open {
-		p.sendQueriesLocked(nil, false, nil)
+	if news && s.cycles > 0 && s.pathsReady && s.stateU == Open {
+		s.sendQueries(nil, false, nil)
 	}
 }
 
@@ -424,35 +392,39 @@ func (p *Peer) handleAnswer(from string, m wire.Answer) {
 // retransmission paths re-ship it. A stale instance id — the subscription
 // was re-primed or re-created with a different question since the answer
 // shipped — is ignored: acknowledged seqs of the old question say nothing
-// about what of the new one has arrived. Callers hold mu.
-func (p *Peer) handleAnswerAck(from string, m wire.AnswerAck) {
-	sub, ok := p.subs[subKey(from, m.RuleID)]
+// about what of the new one has arrived.
+func (s *peerState) handleAnswerAck(from string, m wire.AnswerAck) {
+	sub, ok := s.subs[subKey(from, m.RuleID)]
 	if !ok || sub.id != m.SubID || sub.st == nil {
 		return
 	}
+	dirty := false
 	for rel, seq := range m.Seqs {
 		// A missing base reads as zero: the priming answer's empty frontier.
 		received, durable := sub.st.Ack(rel, m.Base[rel], seq, m.Durable)
 		if received {
 			sub.resendTries = 0
+			if sub.st.Pending(storage.Received) {
+				s.armResend()
+			}
 		}
-		if durable {
-			p.ackDirty = true // Handle persists the new durable frontier after unlock
-		}
+		dirty = dirty || durable
+	}
+	if dirty {
+		s.emit(effFrontierDirty)
 	}
 }
 
-// joinAnswerLocked merges one answer into the accumulated part results of a
+// joinAnswer merges one answer into the accumulated part results of a
 // multi-source rule (monotone union; no retraction in the model, so delta and
 // full answers merge identically) and joins it with the other parts. In delta
 // mode only bindings a newly received tuple contributes to are derived; the
-// faithful path re-joins the whole accumulated result set every time. Callers
-// hold mu.
-func (p *Peer) joinAnswerLocked(r rules.Rule, m wire.Answer, dm *rules.DomainMap) []relalg.Tuple {
-	byPart := p.parts[m.RuleID]
+// faithful path re-joins the whole accumulated result set every time.
+func (s *peerState) joinAnswer(r rules.Rule, m wire.Answer, dm *rules.DomainMap) []relalg.Tuple {
+	byPart := s.parts[m.RuleID]
 	if byPart == nil {
 		byPart = map[string]*partResult{}
-		p.parts[m.RuleID] = byPart
+		s.parts[m.RuleID] = byPart
 	}
 	pr := byPart[m.Part]
 	if pr == nil {
@@ -460,35 +432,31 @@ func (p *Peer) joinAnswerLocked(r rules.Rule, m wire.Answer, dm *rules.DomainMap
 		byPart[m.Part] = pr
 	}
 	var fresh []relalg.Tuple
-	collectFresh := p.opts.Delta || p.opts.PersistParts != nil
+	persist := s.opts.PersistParts != nil
 	for _, t := range m.Tuples {
 		t = dm.TranslateTuple(t)
-		if pr.tuples.Add(t) && collectFresh {
+		if pr.tuples.Add(t) && (s.opts.Delta || persist) {
 			fresh = append(fresh, t)
 		}
 	}
-	if p.opts.PersistParts != nil && len(fresh) > 0 {
+	if persist && len(fresh) > 0 {
 		// Persist the newly accumulated part tuples before the answer is
 		// acknowledged: the source will never re-send below the acked
 		// frontier, so anything backing future multi-source joins must be
 		// recoverable here, not only at the next checkpoint.
-		p.pendingParts = append(p.pendingParts, wal.PartState{
-			RuleID: m.RuleID,
-			Part:   m.Part,
-			Cols:   append([]string(nil), pr.cols...),
-			Tuples: append([]relalg.Tuple(nil), fresh...),
-		})
+		s.out = append(s.out, effect{kind: effPersistParts, parts: &partDelta{
+			rule: m.RuleID, part: m.Part, cols: slices.Clone(pr.cols), tuples: slices.Clone(fresh)}})
 	}
-	if p.opts.Delta {
-		return p.joinPartsDeltaLocked(r, m.Part, fresh)
+	if s.opts.Delta {
+		return s.joinPartsDelta(r, m.Part, fresh)
 	}
-	return p.joinPartsLocked(r)
+	return s.joinParts(r)
 }
 
-// joinPartsLocked joins the accumulated part results of a rule into bindings
-// over the rule's export variables (in ExportVars order). Callers hold mu.
-func (p *Peer) joinPartsLocked(r rules.Rule) []relalg.Tuple {
-	byPart := p.parts[r.ID]
+// joinParts joins the accumulated part results of a rule into bindings over
+// the rule's export variables (in ExportVars order).
+func (s *peerState) joinParts(r rules.Rule) []relalg.Tuple {
+	byPart := s.parts[r.ID]
 	parts := make(map[string]rules.PartTuples, len(byPart))
 	for src, pr := range byPart {
 		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: pr.tuples.All()}
@@ -496,16 +464,16 @@ func (p *Peer) joinPartsLocked(r rules.Rule) []relalg.Tuple {
 	return rules.JoinParts(r, parts)
 }
 
-// joinPartsDeltaLocked joins the newly received tuples of one part against
-// the full accumulated extents of the other parts (semi-naive at the answer
+// joinPartsDelta joins the newly received tuples of one part against the
+// full accumulated extents of the other parts (semi-naive at the answer
 // level). Every binding of the full join that uses at least one new tuple of
 // this part is produced; bindings over old tuples only were already chased by
-// an earlier answer. Callers hold mu.
-func (p *Peer) joinPartsDeltaLocked(r rules.Rule, part string, fresh []relalg.Tuple) []relalg.Tuple {
+// an earlier answer.
+func (s *peerState) joinPartsDelta(r rules.Rule, part string, fresh []relalg.Tuple) []relalg.Tuple {
 	if len(fresh) == 0 {
 		return nil
 	}
-	byPart := p.parts[r.ID]
+	byPart := s.parts[r.ID]
 	parts := make(map[string]rules.PartTuples, len(byPart))
 	for src, pr := range byPart {
 		if src == part {
@@ -517,118 +485,112 @@ func (p *Peer) joinPartsDeltaLocked(r rules.Rule, part string, fresh []relalg.Tu
 	return rules.JoinParts(r, parts)
 }
 
-// pushToSubsLocked re-answers every subscriber with the current evaluation
-// (A5's owner push), extending the route. Callers hold mu.
-func (p *Peer) pushToSubsLocked(route []string) {
-	for _, k := range p.subKeysLocked() {
-		p.evalAndSendLocked(p.subs[k], route)
+// pushToSubs re-answers every subscriber with the current evaluation (A5's
+// owner push), extending the route.
+func (s *peerState) pushToSubs(route []string) {
+	for _, k := range sortedKeys(s.subs) {
+		s.evalAndSend(s.subs[k], route)
 	}
-	p.dropIfClosedLocked()
+	s.dropIfClosed()
 }
 
-// evalAndSendLocked re-evaluates one subscription and ships the answer,
-// stamped with the sequence range the evaluation covered. Callers hold mu.
-func (p *Peer) evalAndSendLocked(sub *subscription, route []string) {
-	epoch := sub.epoch
-	if p.epoch > epoch {
-		epoch = p.epoch
-	}
-	a := wire.Answer{
-		Epoch:    epoch,
+// answerTo starts an answer to sub carrying this node's state.
+func (s *peerState) answerTo(sub *subscription, route []string) wire.Answer {
+	return wire.Answer{
+		Epoch:    max(sub.epoch, s.epoch),
 		RuleID:   sub.ruleID,
-		Part:     p.id,
+		Part:     s.id,
 		Columns:  sub.q.cols,
-		Complete: p.stateU == Closed,
-		Delta:    p.opts.Delta,
+		Complete: s.stateU == Closed,
+		Delta:    s.opts.Delta,
 		Route:    route,
 	}
-	p.evalForSub(sub, &a)
-	p.Send(sub.dependent, a)
 }
 
-// notifySubsLocked ships empty state-change notifications (closure or
-// re-opening) to all subscribers. Callers hold mu.
-func (p *Peer) notifySubsLocked(complete bool) {
-	for _, k := range p.subKeysLocked() {
-		sub := p.subs[k]
-		epoch := sub.epoch
-		if p.epoch > epoch {
-			epoch = p.epoch
-		}
-		p.Send(sub.dependent, wire.Answer{
-			Epoch:    epoch,
-			RuleID:   sub.ruleID,
-			Part:     p.id,
-			Columns:  sub.q.cols,
-			Complete: complete,
-			Delta:    true, // empty delta: a pure flag carrier
-			Route:    []string{p.id},
-		})
+// evalAndSend re-evaluates one subscription and ships the answer, stamped
+// with the sequence range the evaluation covered.
+func (s *peerState) evalAndSend(sub *subscription, route []string) {
+	a := s.answerTo(sub, route)
+	s.evalForSub(sub, &a)
+	s.send(sub.dependent, a)
+}
+
+// notifySubs ships empty state-change notifications (closure or re-opening)
+// to all subscribers.
+func (s *peerState) notifySubs(complete bool) {
+	for _, k := range sortedKeys(s.subs) {
+		sub := s.subs[k]
+		a := s.answerTo(sub, []string{s.id})
+		a.Complete, a.Delta = complete, true // empty delta: a pure flag carrier
+		s.send(sub.dependent, a)
 	}
 }
 
-// checkClosureLocked recomputes state_u from the closure conditions and
-// performs the open↔closed transition with subscriber notification. Callers
-// hold mu.
-func (p *Peer) checkClosureLocked() {
-	if !p.activated {
+// checkClosure recomputes state_u from the closure conditions and performs
+// the open↔closed transition with subscriber notification.
+func (s *peerState) checkClosure() {
+	if !s.activated {
 		return
 	}
-	closed := p.closureHoldsLocked()
+	closed := s.closureHolds()
 	switch {
-	case closed && p.stateU == Open:
-		p.stateU = Closed
-		p.ct.SetUpdateClosed(time.Since(p.started))
-		p.dropIfClosedLocked()
-		p.notifySubsLocked(true)
-	case !closed && p.stateU == Closed:
-		p.stateU = Open
-		p.notifySubsLocked(false)
+	case closed && s.stateU == Open:
+		s.stateU = Closed
+		s.ct.SetUpdateClosed(s.now.Sub(s.started))
+		s.dropIfClosed()
+		s.notifySubs(true)
+	case !closed && s.stateU == Closed:
+		s.reopen()
 	}
 }
 
-// probeLocked regenerates the confirming cascades of an open node in both
+// reopen makes a closed node open again and tells its subscribers.
+func (s *peerState) reopen() {
+	if s.stateU == Closed {
+		s.stateU = Open
+		s.notifySubs(false)
+	}
+}
+
+// probe regenerates the confirming cascades of an open node in both
 // directions: re-pulling makes the sources re-answer (routes that start at
 // them and confirm the paths of the nodes they pass), re-originating this
 // node's own result set to its subscribers (an empty delta per subscription
 // in delta mode) starts the routes that come back around and confirm this
-// node's own cyclic paths. Callers hold mu.
-func (p *Peer) probeLocked() {
-	if p.activated && p.stateU == Open {
-		p.sendQueriesLocked(nil, false, nil)
-		p.pushToSubsLocked([]string{p.id})
+// node's own cyclic paths.
+func (s *peerState) probe() {
+	if s.activated && s.stateU == Open {
+		s.sendQueries(nil, false, nil)
+		s.pushToSubs([]string{s.id})
 	}
 }
 
-// closureHoldsLocked evaluates Lemma 1's fix-point condition per rule part:
-// for every source either the source declared itself complete (acyclic
-// closure: its data is final and incorporated) or every cyclic dependency
-// path through that source — the paths whose confirming cascades this node
+// closureHolds evaluates Lemma 1's fix-point condition per rule part: for
+// every source either the source declared itself complete (acyclic closure:
+// its data is final and incorporated) or every cyclic dependency path
+// through that source — the paths whose confirming cascades this node
 // itself regenerates by re-querying — is flagged stable. Dead-end paths
 // through a source are subsumed by that source's own completeness; mixing
 // the two conditions globally would deadlock two open cycle partners whose
 // other branches lead into already-closed regions (closed nodes never
 // re-query, so those branch confirmations could not regenerate).
-func (p *Peer) closureHoldsLocked() bool {
-	if len(p.rules) == 0 {
-		return true
-	}
-	for id, r := range p.rules {
-		rc := p.ruleComplete[id]
+func (s *peerState) closureHolds() bool {
+	for id, r := range s.rules {
+		rc := s.ruleComplete[id]
 		for _, src := range r.SourceNodes() {
-			if rc != nil && rc[src] {
+			if rc[src] {
 				continue
 			}
 			// Source not complete: fall back to cyclic confirmation.
-			if !p.pathsReady {
+			if !s.pathsReady {
 				return false
 			}
 			confirmed := false
-			for key, via := range p.cycleVia {
-				if via != src {
+			for _, rec := range s.paths {
+				if !rec.cyclic || rec.via != src {
 					continue // not a cyclic path through this source
 				}
-				if !p.paths[key] {
+				if !rec.stable {
 					return false
 				}
 				confirmed = true
@@ -641,22 +603,19 @@ func (p *Peer) closureHoldsLocked() bool {
 	return true
 }
 
-// WaitingOn lists what an open node's closure is waiting on, sorted: its
+// waitingOn lists what an open node's closure is waiting on, sorted: its
 // unflagged cyclic dependency paths ("X→Y→X") and the sources that have not
-// declared themselves complete. The update driver prints it for a node still
-// open at a settled network.
-func (p *Peer) WaitingOn() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// declared themselves complete.
+func (s *peerState) waitingOn() []string {
 	var out []string
-	for key := range p.cycleVia {
-		if !p.paths[key] {
+	for key, rec := range s.paths {
+		if rec.cyclic && !rec.stable {
 			out = append(out, strings.ReplaceAll(key, "\x00", "→"))
 		}
 	}
-	for id, r := range p.rules {
+	for id, r := range s.rules {
 		for _, src := range r.SourceNodes() {
-			if !p.ruleComplete[id][src] {
+			if !s.ruleComplete[id][src] {
 				out = append(out, "source "+src+" of rule "+id)
 			}
 		}
@@ -665,21 +624,12 @@ func (p *Peer) WaitingOn() []string {
 	return out
 }
 
-// QueryDependentUpdate starts a scoped pull wave that materialises only the
-// data relevant to the given local query body (Section 5's query-dependent
-// updates). The caller should wait for network quiescence and then evaluate
-// the query locally.
-func (p *Peer) QueryDependentUpdate(body string) error {
-	conj, err := cq.ParseConjunction(body)
-	if err != nil {
-		return err
+// sortedKeys lists a set's members in order: the step sends in a fixed order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	need := map[string]bool{}
-	for _, a := range conj.Atoms {
-		need[a.Rel] = true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sendQueriesLocked(nil, true, need)
-	return nil
+	sort.Strings(out)
+	return out
 }

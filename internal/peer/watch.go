@@ -2,10 +2,12 @@ package peer
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cq"
 	"repro/internal/relalg"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // Continuous queries (watchers) and online local writes: the live half of the
@@ -72,26 +74,14 @@ func (p *Peer) WatchWith(body string, outVars []string, o serving.WatchOptions) 
 // Serving exposes the peer's fan-out hub (metrics, tests).
 func (p *Peer) Serving() *serving.Hub { return p.hub }
 
-// notifyWatchers wakes the serving hub for a relation change. It runs from
-// the database's insert listener — possibly while the peer's mutex is held —
-// and never blocks.
-func (p *Peer) notifyWatchers(rel string) { p.hub.Notify(rel) }
-
-// reprimeWatchers asks every watcher class to re-run its full conjunction on
-// the next hub pass (rule redefinition may have changed what the local
-// database derives; the data itself is monotone, so this is robustness). One
-// shared evaluation per class serves all its re-primed watchers, and only
-// what the class's exactly-once set does not hold yet is delivered.
-func (p *Peer) reprimeWatchers() { p.hub.Reprime() }
-
 // CloseWatchers closes every live watcher and rejects future registrations
 // (used by orchestration shutdown; a Watch racing it either joins this close
 // or fails cleanly, never leaks an unclosable stream). It also stops the
-// acknowledgment-resend loop and drains the pipelined ack worker, being the
+// acknowledgment-resend timer and drains the pipelined ack worker, being the
 // one shutdown hook orchestration already calls on every peer — the stores
 // seal after it returns, so no fsync or ack send may still be in flight.
 func (p *Peer) CloseWatchers() {
-	p.stopResend()
+	p.resendStopped.Store(true)
 	p.stopAck()
 	p.hub.Close()
 }
@@ -105,8 +95,6 @@ func (p *Peer) CloseWatchers() {
 // returned error means no tuple was written. It returns how many tuples
 // were new.
 func (p *Peer) InsertLocal(rel string, tuples ...relalg.Tuple) (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	arity := p.db.Arity(rel)
 	if arity < 0 {
 		return 0, fmt.Errorf("peer %s: insert into undeclared relation %q", p.id, rel)
@@ -117,22 +105,23 @@ func (p *Peer) InsertLocal(rel string, tuples ...relalg.Tuple) (int, error) {
 				p.id, len(t), rel, arity)
 		}
 	}
+	p.mu.Lock()
 	added := 0
+	var err error
 	for _, t := range tuples {
-		ok, err := p.db.Insert(rel, t, p.opts.InsertMode)
-		if err != nil {
-			return added, err // unreachable after validation; defensive
+		var ok bool
+		if ok, err = p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
+			break // unreachable after validation; defensive
 		}
 		if ok {
 			added++
 		}
 	}
+	var effs []effect
 	if added > 0 {
-		p.ct.AddInserted(uint64(added))
-		// Local news restarts a push route here, exactly like a derived
-		// change in A5; receivers chase it, re-open if their closure breaks,
-		// and the fix-point rule terminates the cascade.
-		p.pushToSubsLocked([]string{p.id})
+		effs = p.step(time.Now(), "", localNews{added}, nil)
 	}
-	return added, nil
+	p.mu.Unlock()
+	p.run(wire.Envelope{}, effs)
+	return added, err
 }

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -104,7 +105,7 @@ func TestOnePassPerTuplePerHop(t *testing.T) {
 		t.Error("a relation index is keyed by Value again")
 	}
 	if n := bytes.Count(readFile(t, "internal/peer/update.go"), []byte("rules.JoinParts(")); n != 2 {
-		t.Errorf("rules.JoinParts( has %d call sites in peer/update.go, want 2 (joinPartsLocked, joinPartsDeltaLocked)", n)
+		t.Errorf("rules.JoinParts( has %d call sites in peer/update.go, want 2 (joinParts, joinPartsDelta)", n)
 	}
 }
 
@@ -203,6 +204,79 @@ func TestNoPerWatcherDedupSet(t *testing.T) {
 			t.Errorf("serving.Watcher.%s is a %s: the dedup set belongs to the class", f.Name, f.Type)
 		}
 	}
+}
+
+// TestPeerStepIsPure: the paper's protocol is peer.peerState and its step,
+// which the model checker drives directly, so the files that declare the
+// state or a method on it take no lock, start no goroutine, read no clock
+// (time is a value passed in: only time.Time and time.Duration may be named)
+// and reach no transport, log or watcher hub — those are the shell's.
+func TestPeerStepIsPure(t *testing.T) {
+	banned := map[string]bool{"sync": true, "sync/atomic": true, "repro/internal/transport": true,
+		"repro/internal/wal": true, "repro/internal/serving": true}
+	paths, err := filepath.Glob("internal/peer/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pure []string
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, readFile(t, path), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !holdsPeerState(f) {
+			continue
+		}
+		pure = append(pure, path)
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); banned[p] {
+				t.Errorf("%s holds the protocol step and imports %s", path, p)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s holds the protocol step and starts a goroutine", path)
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "time" && n.Sel.Name != "Time" && n.Sel.Name != "Duration" {
+					t.Errorf("%s holds the protocol step and calls time.%s: the time is step's argument", path, n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+	if !slices.Contains(pure, filepath.Join("internal", "peer", "step.go")) {
+		t.Errorf("peerState or its step left internal/peer/step.go (the step files found: %v)", pure)
+	}
+}
+
+// holdsPeerState reports whether f declares the type peerState or a method on
+// it.
+func holdsPeerState(f *ast.File) bool {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				recv := d.Recv.List[0].Type
+				if s, ok := recv.(*ast.StarExpr); ok {
+					recv = s.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && id.Name == "peerState" {
+					return true
+				}
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "peerState" {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // probeRequestSites names the function around each wire.ProbeRequest literal
