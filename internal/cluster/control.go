@@ -323,45 +323,43 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 		cp.states.put(m.Node, m)
 		return true
 	case wire.DiscoverRequest:
-		go cp.submitAsync(wire.Command{Kind: "discover", Node: cp.self})
+		cp.submitAsync(wire.Command{Kind: "discover", Node: cp.self})
 		return true
 	case wire.UpdateRequest:
-		go cp.submitAsync(wire.Command{Kind: "update", Node: cp.self})
+		cp.submitAsync(wire.Command{Kind: "update", Node: cp.self})
 		return true
 	case wire.AddRuleNotice:
 		if IsCoordinator(env.From) {
-			go cp.submitAsync(wire.Command{Kind: "addRule", Text: m.RuleText})
+			cp.submitAsync(wire.Command{Kind: "addRule", Text: m.RuleText})
 			return true
 		}
 	case wire.DeleteRuleNotice:
 		if IsCoordinator(env.From) {
-			go cp.submitAsync(wire.Command{Kind: "deleteRule", Text: m.RuleID})
+			cp.submitAsync(wire.Command{Kind: "deleteRule", Text: m.RuleID})
 			return true
 		}
 	}
 	return false
 }
 
-// submitAsync proposes one command off the transport goroutine. A member cut
-// off with a minority blocks here until the partition heals — by design: a
-// minority must not start waves or change the member table. Close unparks a
-// blocked proposal by cancelling its context, so a shutdown never waits out
-// the quorum timeout.
+// submitAsync proposes one command on a goroutine of its own, off the
+// transport goroutine. A member cut off with a minority blocks there until
+// the partition heals — by design: a minority must not start waves or change
+// the member table. The proposal's context is the plane's, so Close unparks
+// it and then drains it; after Close nothing is proposed.
 func (cp *ControlPlane) submitAsync(cmd wire.Command) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	done := make(chan struct{})
-	//lint:allow goroshutdown bounded: Submit returns once ctx is cancelled, which the select below guarantees on quit
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.closed {
+		return
+	}
+	cp.wg.Add(1)
 	go func() {
-		defer close(done)
+		defer cp.wg.Done()
+		ctx, cancel := context.WithTimeout(cp.ctx, 5*time.Minute)
+		defer cancel()
 		_, _ = cp.cons.Submit(ctx, cmd)
 	}()
-	select {
-	case <-done:
-	case <-cp.ctx.Done():
-		cancel()
-		<-done
-	}
 }
 
 // applyEntry folds one agreed entry and runs what it asks of this member. It
@@ -423,7 +421,7 @@ func (cp *ControlPlane) run(effs []effect) {
 		case e.kind == effDrive:
 			cp.startDriving(e.inst)
 		default:
-			//lint:allow goroshutdown bounded: a callback that returns, or a proposal through submitAsync, which selects on quit
+			//lint:allow goroshutdown bounded: a callback that returns, or a proposal handed to submitAsync, which Close cancels and drains
 			go cp.runAsync(e)
 		}
 	}

@@ -9,6 +9,17 @@
 // member can host control requests and a killed proposer's in-flight work is
 // re-driven by a survivor instead of stalling the network.
 //
+// The protocol is one pure step (step.go): a member's acceptor, learner and
+// proposer state is a state value, and step(now, from, event) takes a
+// consensus frame, a submit, an abandoned submit, an applied entry or a timer
+// tick and returns effects — send a frame, persist a vote, append an applied
+// entry, apply or restore it, serve a snapshot, complete a submit, arm the
+// one timer. A proposal is a record the step advances on each Promise,
+// Accepted or tick. Node is the shell: it locks, steps and runs the effects,
+// owns the files, the timer and the applier goroutine, and wakes a blocked
+// Submit when its value is decided. TestConsensusModelCheck drives step
+// directly.
+//
 // Guarantees and their boundaries:
 //
 //   - Agreement: two members never apply different commands at the same
@@ -27,7 +38,7 @@
 //     must not change the member table or kick epochs).
 //   - Ordering: Apply is called exactly once per instance, in instance order,
 //     with no gaps, from one goroutine. Gaps left by dead proposers are
-//     filled with no-ops after GapFill.
+//     filled with no-ops after 4×Retry (times one plus the member's index).
 //   - Restart: applied entries are replayed from an append-only log file
 //     (Options.LogPath), so a restarted member rebuilds its applied state
 //     offline and catches up only the suffix from its peers; the acceptor
@@ -46,9 +57,8 @@ package consensus
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -56,8 +66,8 @@ import (
 )
 
 // Sender ships one consensus frame to a named peer. Sends are asynchronous
-// and may fail silently — the proposer retry loop, the Learn echo on decided
-// instances and the catch-up ticker together tolerate arbitrary loss.
+// and may fail silently — the proposer retries, the Learn echo on decided
+// instances and the catch-up rounds together tolerate arbitrary loss.
 type Sender func(to string, msg wire.Message) error
 
 // Apply consumes one decided entry. It is called in strict instance order
@@ -75,15 +85,10 @@ type Options struct {
 	// on a busy disk) still decides instead of timing every ballot out.
 	// Partitioned proposers retry at the capped cadence forever.
 	Retry time.Duration
-	// SyncEvery is the catch-up ticker cadence (default 500ms): each tick
+	// SyncEvery is the catch-up cadence (default 500ms): each round
 	// advertises the done-frontier to one peer round-robin and pulls any
 	// decided instances this member missed.
 	SyncEvery time.Duration
-	// GapFill is how long an undecided instance may block the applier while
-	// later instances are known decided before a no-op is proposed for it
-	// (default 4×Retry). Gaps appear when a proposer dies between Accept and
-	// Learn.
-	GapFill time.Duration
 	// KeepWindow is how many applied instances are retained below the
 	// collective done floor so restarted members can catch up from peers
 	// (default 256).
@@ -114,9 +119,6 @@ func (o Options) withDefaults() Options {
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 500 * time.Millisecond
 	}
-	if o.GapFill <= 0 {
-		o.GapFill = 4 * o.Retry
-	}
 	if o.KeepWindow == 0 {
 		o.KeepWindow = 256
 	}
@@ -137,57 +139,26 @@ type Metrics struct {
 	NoopFills   uint64 `json:"noop_fills"`   // gap instances this member filled
 }
 
-// inst is one log instance's acceptor/learner state.
-type inst struct {
-	promised  uint64 // highest ballot promised (acceptor phase 1)
-	accBallot uint64 // highest ballot accepted (acceptor phase 2)
-	accVal    wire.Command
-	decided   bool
-	val       wire.Command
-	gapSince  time.Time // when the applier first saw this instance block a decided successor
-}
+var errClosed = errors.New("consensus: closed")
 
-// round collects one proposer ballot's votes.
-type round struct {
-	promises map[string]wire.Promise
-	accepts  map[string]wire.Accepted
-}
+// compactAt is how many votes the acceptor log takes before it is rewritten
+// down to the live ones.
+const compactAt = 4096
 
-type roundKey struct {
-	instance, ballot uint64
-}
-
-// Node is one member's consensus state over the fixed peer set.
+// Node is one member's consensus node: the state and the shell around it.
 type Node struct {
-	self   string
-	peers  []string // sorted, includes self
-	idx    uint64   // self's position (ballot uniqueness)
-	quorum int
-	send   Sender
+	sender Sender
 	apply  Apply
-	opts   Options
 
-	mu       sync.Mutex
-	insts    map[uint64]*inst
-	rounds   map[roundKey]*round
-	done     map[string]uint64 // latest done-frontier reported per peer
-	applied  uint64            // contiguous applied frontier
-	floor    uint64            // GC floor: instances <= floor forgotten
-	maxSeen  uint64            // highest instance seen in any message
-	seq      uint64            // Submit sequence (Origin#Seq dedup)
-	chosen   map[uint64]uint64 // our Seq -> instance it was decided at
-	proposed uint64            // metrics: highest instance we opened a ballot for
-	accepted uint64            // metrics: highest instance we accepted in
-	props    uint64            // metrics: Submit count
-	noops    uint64            // metrics: gap fills
-	filling  map[uint64]bool   // instances with an in-flight gap-fill proposer
-	balK     uint64            // proposer ballot epoch (see nextBallot)
-	rrNext   int               // round-robin catch-up target
-	closed   bool
+	mu sync.Mutex
+	*state
+	waiters map[uint64]chan uint64 // blocked Submits by Seq
+	queue   []logEntry             // handed to the applier, not yet applied
+	timer   *time.Timer            // nil until Start
+	closed  bool
 
 	log     *frameLog[logEntry]
 	acc     *frameLog[accEntry]
-	snap    *wire.Snapshot // pending state transfer, installed by the applier
 	applyCh chan struct{}
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -195,105 +166,37 @@ type Node struct {
 
 // New builds a consensus node for self over the fixed peer set (self must be
 // listed). When Options.LogPath names an existing log, its entries replay
-// through apply before New returns. Call Start to run the applier and
-// catch-up loops, Handle on every incoming consensus frame.
+// through apply before New returns. Call Start to run the applier and the
+// timer, Handle on every incoming consensus frame.
 func New(self string, peers []string, send Sender, apply Apply, opts Options) (*Node, error) {
 	opts = opts.withDefaults()
-	sorted := append([]string(nil), peers...)
-	sort.Strings(sorted)
-	idx := -1
-	for i, p := range sorted {
-		if p == self {
-			idx = i
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("consensus: self %q not in peer set %v", self, sorted)
+	st := newState(self, peers, opts, uint64(time.Now().UnixNano()))
+	if st == nil {
+		return nil, fmt.Errorf("consensus: self %q not in peer set %v", self, peers)
 	}
 	n := &Node{
-		self:    self,
-		peers:   sorted,
-		idx:     uint64(idx),
-		quorum:  len(sorted)/2 + 1,
-		send:    send,
+		sender:  send,
 		apply:   apply,
-		opts:    opts,
-		insts:   map[uint64]*inst{},
-		rounds:  map[roundKey]*round{},
-		done:    map[string]uint64{},
-		chosen:  map[uint64]uint64{},
-		filling: map[uint64]bool{},
+		state:   st,
+		waiters: map[uint64]chan uint64{},
 		applyCh: make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 	}
-	if opts.LogPath != "" {
-		entries, w, err := openFrameLog[logEntry](opts.LogPath)
-		if err != nil {
-			return nil, err
-		}
-		n.log = w
-		for _, e := range entries {
-			if e.Cmd.Kind == snapshotMarker {
-				// A state-transfer marker: entries up to Instance were never
-				// held locally; the recorded state stands in for them.
-				if e.Instance < n.applied {
-					break // implausible ordering: trust only the prefix so far
-				}
-				n.applied = e.Instance
-				if e.Instance > n.maxSeen {
-					n.maxSeen = e.Instance
-				}
-				if e.Instance > n.floor {
-					n.floor = e.Instance
-				}
-				if opts.Restore != nil {
-					opts.Restore(e.Instance, []byte(e.Cmd.Text))
-				}
-				continue
-			}
-			if e.Instance != n.applied+1 {
-				// A torn or reordered log tail: trust only the contiguous
-				// prefix, the rest comes back through catch-up.
-				break
-			}
-			n.applied = e.Instance
-			if e.Instance > n.maxSeen {
-				n.maxSeen = e.Instance
-			}
-			if e.Cmd.Origin == self {
-				n.chosen[e.Cmd.Seq] = e.Instance
-				if e.Cmd.Seq >= n.seq {
-					n.seq = e.Cmd.Seq
-				}
-			}
-			apply(e.Instance, e.Cmd)
-		}
-		n.done[self] = n.applied
-
-		// Replay this member's durable votes for instances still in play, so
-		// promises and accepted values survive a crash-restart (the agreement
-		// guarantee; see the package comment). Stale votes — instances already
-		// applied or below the floor — are dropped here and removed from the
-		// file at the next compaction.
-		votes, aw, err := openFrameLog[accEntry](opts.LogPath + ".acc")
-		if err != nil {
-			n.log.close()
-			return nil, err
-		}
-		n.acc = aw
-		for _, v := range votes {
-			if v.Instance <= n.applied || v.Instance <= n.floor {
-				continue
-			}
-			in := &inst{promised: v.Promised, accBallot: v.AccBallot}
-			if v.HasVal {
-				in.accVal = v.Val
-			}
-			n.insts[v.Instance] = in // latest entry per instance wins
-			if v.Instance > n.maxSeen {
-				n.maxSeen = v.Instance
-			}
-		}
+	if opts.LogPath == "" {
+		return n, nil
+	}
+	entries, lw, err := openFrameLog[logEntry](opts.LogPath)
+	if err != nil {
+		return nil, err
+	}
+	votes, aw, err := openFrameLog[accEntry](opts.LogPath + ".acc")
+	if err != nil {
+		lw.close()
+		return nil, err
+	}
+	n.log, n.acc = lw, aw
+	for _, e := range st.replay(entries, votes) {
+		n.applyEntry(e.entry)
 	}
 	return n, nil
 }
@@ -303,14 +206,27 @@ func New(self string, peers []string, send Sender, apply Apply, opts Options) (*
 // one), so the name cannot collide with real command kinds.
 const snapshotMarker = "\x00snapshot"
 
-// Start runs the applier and catch-up goroutines.
-func (n *Node) Start() {
-	n.wg.Add(2)
-	go n.applyLoop()
-	go n.syncLoop()
+// applyEntry runs Apply for one entry, or Restore for a marker.
+func (n *Node) applyEntry(e logEntry) {
+	if e.Cmd.Kind != snapshotMarker {
+		n.apply(e.Instance, e.Cmd)
+	} else if n.opts.Restore != nil {
+		n.opts.Restore(e.Instance, []byte(e.Cmd.Text))
+	}
 }
 
-// Close stops the loops. In-flight Submits return with an error.
+// Start runs the applier goroutine and the timer; the first tick starts the
+// catch-up cadence.
+func (n *Node) Start() {
+	n.wg.Add(1)
+	go n.applyLoop()
+	n.mu.Lock()
+	n.timer = time.AfterFunc(0, func() { n.deliver("", tick{}) })
+	n.mu.Unlock()
+}
+
+// Close stops the timer and the applier. In-flight Submits return with an
+// error.
 func (n *Node) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -318,6 +234,9 @@ func (n *Node) Close() {
 		return
 	}
 	n.closed = true
+	if n.timer != nil {
+		n.timer.Stop()
+	}
 	n.mu.Unlock()
 	close(n.quit)
 	n.wg.Wait()
@@ -340,6 +259,7 @@ func (n *Node) Metrics() Metrics {
 		Peers:       len(n.peers),
 		MaxProposed: n.proposed,
 		MaxAccepted: n.accepted,
+		MaxDecided:  n.applied,
 		Applied:     n.applied,
 		Floor:       n.floor,
 		Proposals:   n.props,
@@ -350,9 +270,6 @@ func (n *Node) Metrics() Metrics {
 			m.MaxDecided = i
 		}
 	}
-	if n.applied > m.MaxDecided {
-		m.MaxDecided = n.applied
-	}
 	return m
 }
 
@@ -362,516 +279,130 @@ func (n *Node) Metrics() Metrics {
 // in Submit until the partition heals — by design, that member must not make
 // control-plane progress.
 func (n *Node) Submit(ctx context.Context, cmd wire.Command) (uint64, error) {
+	decided := make(chan uint64, 1)
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return 0, fmt.Errorf("consensus: closed")
+		return 0, errClosed
 	}
-	n.seq++
-	cmd.Origin = n.self
-	cmd.Seq = n.seq
-	n.props++
-	target := n.nextFreeLocked()
+	effs := n.step(time.Now(), "", submitCmd{cmd})
+	seq := n.seq
+	n.waiters[seq] = decided
+	later := n.run(effs)
 	n.mu.Unlock()
+	n.flush(later)
 
-	for {
-		decidedAt, val, err := n.proposeOnce(ctx, target, cmd)
-		if err != nil {
-			return 0, err
-		}
-		if val.Origin == cmd.Origin && val.Seq == cmd.Seq {
-			return decidedAt, nil
-		}
-		// Another proposer won this instance; ours is still unchosen. But a
-		// concurrent retry path (gap fill racing us, a peer echoing a Learn)
-		// may have decided it elsewhere meanwhile — check before moving on.
-		n.mu.Lock()
-		if at, ok := n.chosen[cmd.Seq]; ok {
-			n.mu.Unlock()
-			return at, nil
-		}
-		next := n.nextFreeLocked()
-		n.mu.Unlock()
-		if next <= target {
-			next = target + 1
-		}
-		target = next
-	}
-}
-
-// nextFreeLocked picks the lowest instance not known decided and above
-// everything seen so far. Callers hold mu.
-func (n *Node) nextFreeLocked() uint64 {
-	i := n.maxSeen + 1
-	if i <= n.applied {
-		i = n.applied + 1
-	}
-	for {
-		if in, ok := n.insts[i]; !ok || !in.decided {
-			return i
-		}
-		i++
-	}
-}
-
-// proposeOnce drives ONE instance to a decision (retrying ballots with
-// backoff until it is decided by anyone) and reports the decided value —
-// which may be another proposer's. Paxos obliges a proposer that learns of
-// an earlier accepted value to adopt it, so "my command won" is checked by
-// the caller, not here.
-func (n *Node) proposeOnce(ctx context.Context, instance uint64, cmd wire.Command) (uint64, wire.Command, error) {
-	ballot := n.nextBallot(0)
-	for attempt := 0; ; attempt++ {
-		if done, val := n.decidedValue(instance); done {
-			return instance, val, nil
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, wire.Command{}, err
-		}
-		shift := attempt
-		if shift > 4 {
-			shift = 4
-		}
-		base := n.opts.Retry << uint(shift)
-		outcome := n.runBallot(ctx, instance, ballot, cmd, 2*base)
-		switch outcome.state {
-		case ballotDecided:
-			return instance, outcome.val, nil
-		case ballotRejected:
-			// Jump past the conflicting ballot instead of walking.
-			ballot = n.nextBallot(outcome.conflict)
-		case ballotTimeout:
-			ballot = n.nextBallot(ballot)
-		}
-		// Randomised, exponentially growing backoff un-synchronises duelling
-		// proposers: with a fixed interval, N contenders re-arriving faster
-		// than a two-phase round completes preempt each other's Accepts
-		// forever, and the ballot numbers escalate without a decision.
-		pause := base + time.Duration(rand.Int63n(int64(base)))
-		select {
-		case <-ctx.Done():
-			return 0, wire.Command{}, ctx.Err()
-		case <-n.quit:
-			return 0, wire.Command{}, fmt.Errorf("consensus: closed")
-		case <-time.After(pause):
-		}
-	}
-}
-
-// Ballot numbering: ballots are unique per proposer (b ≡ idx mod len(peers),
-// offset by one so 0 means "none") and totally ordered across proposers. The
-// per-node epoch counter additionally makes every LOCAL round's ballot
-// unique: this node's proposers can run concurrently (a Submit against a
-// gap-fill no-op, two hosted control verbs), and two rounds sharing one
-// (instance, ballot) key would ship two different values under one ballot —
-// acceptors could then accept either, splitting a quorum on a single ballot.
-// Pass the ballot to beat (a rejection's conflict, or the round's own timed-
-// out ballot); zero asks for the next fresh ballot.
-func (n *Node) nextBallot(above uint64) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	k := n.balK + 1
-	if ak := above/uint64(len(n.peers)) + 1; ak > k {
-		k = ak
-	}
-	n.balK = k
-	return k*uint64(len(n.peers)) + n.idx + 1
-}
-
-type ballotState int
-
-const (
-	ballotDecided ballotState = iota
-	ballotRejected
-	ballotTimeout
-)
-
-type ballotOutcome struct {
-	state    ballotState
-	val      wire.Command
-	conflict uint64 // rejected: the ballot an acceptor is bound to
-}
-
-// runBallot runs one full Prepare/Accept round for (instance, ballot), giving
-// each phase up to wait for its quorum.
-func (n *Node) runBallot(ctx context.Context, instance, ballot uint64, cmd wire.Command, wait time.Duration) ballotOutcome {
-	key := roundKey{instance, ballot}
-	n.mu.Lock()
-	n.rounds[key] = &round{promises: map[string]wire.Promise{}, accepts: map[string]wire.Accepted{}}
-	if instance > n.proposed {
-		n.proposed = instance
-	}
-	done := n.applied
-	n.mu.Unlock()
-	defer func() {
-		n.mu.Lock()
-		delete(n.rounds, key)
-		n.mu.Unlock()
-	}()
-
-	n.broadcast(wire.Prepare{Instance: instance, Ballot: ballot, Done: done})
-
-	// Phase 1: majority of promises (or a rejection / a decision).
-	deadline := time.Now().Add(wait)
-	var adopted wire.Command
-	var adoptedBallot uint64
-	useCmd := true
-	for {
-		n.mu.Lock()
-		if in, ok := n.insts[instance]; ok && in.decided {
-			val := in.val
-			n.mu.Unlock()
-			return ballotOutcome{state: ballotDecided, val: val}
-		}
-		r := n.rounds[key]
-		if r == nil {
-			// Unreachable by construction (nextBallot makes local round keys
-			// unique), but a panic here would unwind into the cleanup defer
-			// with n.mu still held and wedge the whole node.
-			n.mu.Unlock()
-			return ballotOutcome{state: ballotTimeout}
-		}
-		oks := 0
-		var conflict uint64
-		for _, p := range r.promises {
-			if !p.OK {
-				if p.Promised > conflict {
-					conflict = p.Promised
-				}
-				continue
-			}
-			oks++
-			if p.HasVal && p.AccBallot > adoptedBallot {
-				adoptedBallot, adopted = p.AccBallot, p.Val
-				useCmd = false
-			}
-		}
-		n.mu.Unlock()
-		if conflict > 0 {
-			return ballotOutcome{state: ballotRejected, conflict: conflict}
-		}
-		if oks >= n.quorum {
-			break
-		}
-		if time.Now().After(deadline) {
-			return ballotOutcome{state: ballotTimeout}
-		}
-		if !sleepCtx(ctx, n.quit, 2*time.Millisecond) {
-			return ballotOutcome{state: ballotTimeout}
-		}
-	}
-
-	val := cmd
-	if !useCmd {
-		val = adopted
-	}
-	n.broadcast(wire.Accept{Instance: instance, Ballot: ballot, Val: val, Done: done})
-
-	// Phase 2: majority of accepts.
-	deadline = time.Now().Add(wait)
-	for {
-		n.mu.Lock()
-		if in, ok := n.insts[instance]; ok && in.decided {
-			v := in.val
-			n.mu.Unlock()
-			return ballotOutcome{state: ballotDecided, val: v}
-		}
-		r := n.rounds[key]
-		if r == nil {
-			n.mu.Unlock()
-			return ballotOutcome{state: ballotTimeout}
-		}
-		oks := 0
-		var conflict uint64
-		for _, a := range r.accepts {
-			if !a.OK {
-				if a.Promised > conflict {
-					conflict = a.Promised
-				}
-				continue
-			}
-			oks++
-		}
-		n.mu.Unlock()
-		if conflict > 0 {
-			return ballotOutcome{state: ballotRejected, conflict: conflict}
-		}
-		if oks >= n.quorum {
-			n.decide(instance, val)
-			n.broadcast(wire.Learn{Instance: instance, Val: val, Done: done})
-			return ballotOutcome{state: ballotDecided, val: val}
-		}
-		if time.Now().After(deadline) {
-			return ballotOutcome{state: ballotTimeout}
-		}
-		if !sleepCtx(ctx, n.quit, 2*time.Millisecond) {
-			return ballotOutcome{state: ballotTimeout}
-		}
-	}
-}
-
-// sleepCtx pauses briefly, returning false when ctx or quit fired.
-func sleepCtx(ctx context.Context, quit <-chan struct{}, d time.Duration) bool {
 	select {
+	case at := <-decided:
+		return at, nil
 	case <-ctx.Done():
-		return false
-	case <-quit:
-		return false
-	case <-time.After(d):
-		return true
+	case <-n.quit:
 	}
-}
-
-// decidedValue reports whether instance is known decided, and its value.
-func (n *Node) decidedValue(instance uint64) (bool, wire.Command) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if instance <= n.applied {
-		// Applied but possibly forgotten: report decided with what we have.
-		if in, ok := n.insts[instance]; ok {
-			return true, in.val
-		}
-		return true, wire.Command{Kind: "noop"}
+	delete(n.waiters, seq)
+	n.mu.Unlock()
+	n.deliver("", abandon{seq})
+	select {
+	case at := <-decided: // decided while we gave up
+		return at, nil
+	default:
 	}
-	if in, ok := n.insts[instance]; ok && in.decided {
-		return true, in.val
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
-	return false, wire.Command{}
-}
-
-// broadcast ships one frame to every peer; the self-copy short-circuits
-// through Handle without touching the transport.
-func (n *Node) broadcast(msg wire.Message) {
-	for _, p := range n.peers {
-		if p == n.self {
-			n.Handle(wire.Envelope{From: n.self, To: n.self, Msg: msg})
-			continue
-		}
-		_ = n.send(p, msg)
-	}
-}
-
-// reply ships one frame to a single peer (self short-circuits as above).
-func (n *Node) reply(to string, msg wire.Message) {
-	if to == n.self {
-		n.Handle(wire.Envelope{From: n.self, To: n.self, Msg: msg})
-		return
-	}
-	_ = n.send(to, msg)
+	return 0, errClosed
 }
 
 // Handle consumes one consensus frame; it reports false when the envelope is
 // not consensus vocabulary (the cluster dispatcher then routes it onward).
-// Frames from names outside the fixed peer set are dropped: a coordinator or
-// a renamed process must not vote.
 func (n *Node) Handle(env wire.Envelope) bool {
-	switch m := env.Msg.(type) {
-	case wire.Prepare:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.handlePrepare(env.From, m)
-	case wire.Promise:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.recordPromise(env.From, m)
-	case wire.Accept:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.handleAccept(env.From, m)
-	case wire.Accepted:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.recordAccepted(env.From, m)
-	case wire.Learn:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.decide(m.Instance, m.Val)
-	case wire.CatchUp:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.handleCatchUp(env.From, m)
-	case wire.Snapshot:
-		if !n.isPeer(env.From) {
-			return true
-		}
-		n.observeDone(env.From, m.Done)
-		n.acceptSnapshot(m)
-	default:
+	if _, ok := frameDone(env.Msg); !ok {
 		return false
 	}
+	n.deliver(env.From, env.Msg)
 	return true
 }
 
-func (n *Node) isPeer(name string) bool {
-	for _, p := range n.peers {
-		if p == name {
-			return true
-		}
-	}
-	return false
+// decide learns one decided instance as if a peer had reported it.
+func (n *Node) decide(instance uint64, val wire.Command) {
+	n.deliver(n.self, wire.Learn{Instance: instance, Val: val})
 }
 
-// instLocked returns (creating if needed) the state of one instance. Callers
-// hold mu. Forgotten instances (at or below the GC floor) return nil.
-func (n *Node) instLocked(i uint64) *inst {
-	if i <= n.floor {
-		return nil
-	}
-	in, ok := n.insts[i]
-	if !ok {
-		in = &inst{}
-		n.insts[i] = in
-	}
-	if i > n.maxSeen {
-		n.maxSeen = i
-	}
-	return in
-}
-
-func (n *Node) handlePrepare(from string, m wire.Prepare) {
+// deliver steps one event and carries out its effects.
+func (n *Node) deliver(from string, ev any) {
 	n.mu.Lock()
-	in := n.instLocked(m.Instance)
-	if in == nil {
-		n.mu.Unlock()
-		return // forgotten: globally applied, nothing to promise
-	}
-	if in.decided {
-		msg := wire.Learn{Instance: m.Instance, Val: in.val, Done: n.applied}
-		n.mu.Unlock()
-		n.reply(from, msg)
-		return
-	}
-	var msg wire.Promise
-	if m.Ballot > in.promised {
-		in.promised = m.Ballot
-		n.persistVoteLocked(m.Instance, in)
-		msg = wire.Promise{Instance: m.Instance, Ballot: m.Ballot, OK: true,
-			AccBallot: in.accBallot, HasVal: in.accBallot > 0, Val: in.accVal, Done: n.applied}
-	} else {
-		msg = wire.Promise{Instance: m.Instance, Ballot: m.Ballot, Promised: in.promised, Done: n.applied}
-	}
-	n.mu.Unlock()
-	n.reply(from, msg)
-}
-
-func (n *Node) handleAccept(from string, m wire.Accept) {
-	n.mu.Lock()
-	in := n.instLocked(m.Instance)
-	if in == nil {
+	if n.closed {
 		n.mu.Unlock()
 		return
 	}
-	if in.decided {
-		msg := wire.Learn{Instance: m.Instance, Val: in.val, Done: n.applied}
-		n.mu.Unlock()
-		n.reply(from, msg)
-		return
-	}
-	var msg wire.Accepted
-	if m.Ballot >= in.promised {
-		in.promised = m.Ballot
-		in.accBallot = m.Ballot
-		in.accVal = m.Val
-		n.persistVoteLocked(m.Instance, in)
-		if m.Instance > n.accepted {
-			n.accepted = m.Instance
-		}
-		msg = wire.Accepted{Instance: m.Instance, Ballot: m.Ballot, OK: true, Done: n.applied}
-	} else {
-		msg = wire.Accepted{Instance: m.Instance, Ballot: m.Ballot, Promised: in.promised, Done: n.applied}
-	}
+	later := n.run(n.step(time.Now(), from, ev))
 	n.mu.Unlock()
-	n.reply(from, msg)
+	n.flush(later)
 }
 
-// persistVoteLocked makes one acceptor vote durable before its reply leaves
-// (callers hold mu and send the Promise/Accepted only after this returns).
-// Once the file accumulates enough dead entries it is compacted down to the
-// live votes — instances above the floor and not yet decided. No-op for
-// memory-only nodes.
-func (n *Node) persistVoteLocked(instance uint64, in *inst) {
-	if n.acc == nil {
-		return
-	}
-	n.acc.append(accEntry{
-		Instance:  instance,
-		Promised:  in.promised,
-		AccBallot: in.accBallot,
-		HasVal:    in.accBallot > 0,
-		Val:       in.accVal,
-	}, true)
-	const compactAt = 4096
-	if n.acc.count < compactAt {
-		return
-	}
-	var live []accEntry
-	for i, st := range n.insts {
-		if i <= n.floor || st.decided || (st.promised == 0 && st.accBallot == 0) {
-			continue
-		}
-		live = append(live, accEntry{Instance: i, Promised: st.promised,
-			AccBallot: st.accBallot, HasVal: st.accBallot > 0, Val: st.accVal})
-	}
-	n.acc.rewrite(live)
-}
-
-func (n *Node) recordPromise(from string, m wire.Promise) {
-	n.mu.Lock()
-	if r, ok := n.rounds[roundKey{m.Instance, m.Ballot}]; ok {
-		r.promises[from] = m
-	}
-	n.mu.Unlock()
-}
-
-func (n *Node) recordAccepted(from string, m wire.Accepted) {
-	n.mu.Lock()
-	if r, ok := n.rounds[roundKey{m.Instance, m.Ballot}]; ok {
-		r.accepts[from] = m
-	}
-	n.mu.Unlock()
-}
-
-func (n *Node) handleCatchUp(from string, m wire.CatchUp) {
-	const maxLearns = 64
-	n.mu.Lock()
-	// A request below the GC floor asks for instances this member has
-	// forgotten: no Learn can serve it, so a member that lost its log would
-	// stall at applied zero forever (and its zero done-frontier would halt GC
-	// cluster-wide). State transfer covers the forgotten prefix instead.
-	needSnap := m.From <= n.floor && n.opts.Snapshot != nil
-	var out []wire.Learn
-	for i := m.From; i <= n.maxSeen && len(out) < maxLearns; i++ {
-		if in, ok := n.insts[i]; ok && in.decided {
-			out = append(out, wire.Learn{Instance: i, Val: in.val, Done: n.applied})
+// run carries out effs in order, under mu: votes are fsynced and entries
+// appended before any frame leaves, entries go to the applier's queue and
+// decided submits to their waiters. It returns the effects that leave the
+// node — the sends and the snapshots to serve — for flush, once mu is
+// released.
+func (n *Node) run(effs []effect) []effect {
+	var later []effect
+	for _, e := range effs {
+		switch e.kind {
+		case effPersistVote:
+			n.acc.append(e.vote, true)
+			if n.acc != nil && n.acc.count >= compactAt {
+				n.acc.rewrite(n.liveVotes())
+			}
+		case effAppend:
+			if e.entry.Cmd.Kind == snapshotMarker {
+				n.log.rewrite([]logEntry{e.entry})
+			} else {
+				n.log.append(e.entry, false)
+			}
+		case effApply:
+			n.queue = append(n.queue, e.entry)
+			select {
+			case n.applyCh <- struct{}{}:
+			default:
+			}
+		case effComplete:
+			if ch, ok := n.waiters[e.seq]; ok {
+				delete(n.waiters, e.seq)
+				select {
+				case ch <- e.at: // buffered, one value ever
+				default:
+				}
+			}
+		case effArmTimer:
+			if n.timer != nil {
+				n.timer.Reset(time.Until(e.when))
+			}
+		default:
+			later = append(later, e)
 		}
 	}
-	n.mu.Unlock()
-	if needSnap {
-		if snap, ok := n.takeSnapshot(); ok {
-			n.reply(from, snap)
+	return later
+}
+
+// flush sends what run left for after the lock.
+func (n *Node) flush(later []effect) {
+	for _, e := range later {
+		switch e.kind {
+		case effSend:
+			_ = n.sender(e.to, e.msg)
+		case effServeSnapshot:
+			if snap, ok := n.takeSnapshot(); ok {
+				_ = n.sender(e.to, snap)
+			}
 		}
-	}
-	for _, l := range out {
-		n.reply(from, l)
 	}
 }
 
 // takeSnapshot captures the application state together with the applied
 // frontier it covers. The two reads race the applier, so retry until a
 // Snapshot call is bracketed by an unchanged frontier; a busy applier just
-// defers the transfer to the requester's next catch-up tick.
+// defers the transfer to the requester's next catch-up round.
 func (n *Node) takeSnapshot() (wire.Snapshot, bool) {
 	for tries := 0; tries < 4; tries++ {
 		n.mu.Lock()
@@ -888,57 +419,10 @@ func (n *Node) takeSnapshot() (wire.Snapshot, bool) {
 	return wire.Snapshot{}, false
 }
 
-// acceptSnapshot queues a received state transfer for the applier (Restore
-// must run where Apply runs, strictly ordered against it). Snapshots that
-// do not advance the applied frontier are dropped.
-func (n *Node) acceptSnapshot(m wire.Snapshot) {
-	if n.opts.Restore == nil {
-		return
-	}
-	n.mu.Lock()
-	if m.Through <= n.applied || (n.snap != nil && n.snap.Through >= m.Through) {
-		n.mu.Unlock()
-		return
-	}
-	n.snap = &m
-	n.mu.Unlock()
-	select {
-	case n.applyCh <- struct{}{}:
-	default:
-	}
-}
-
-// decide marks an instance decided and wakes the applier.
-func (n *Node) decide(instance uint64, val wire.Command) {
-	n.mu.Lock()
-	in := n.instLocked(instance)
-	if in == nil || in.decided {
-		n.mu.Unlock()
-		return
-	}
-	in.decided = true
-	in.val = val
-	if val.Origin == n.self {
-		n.chosen[val.Seq] = instance
-	}
-	n.mu.Unlock()
-	select {
-	case n.applyCh <- struct{}{}:
-	default:
-	}
-}
-
-// observeDone records a peer's advertised applied frontier. Latest wins, not
-// maximum: a restarted member re-reports zero, and the floor must follow it
-// back down so GC pauses until the member has caught up.
-func (n *Node) observeDone(peer string, done uint64) {
-	n.mu.Lock()
-	n.done[peer] = done
-	n.mu.Unlock()
-}
-
-// applyLoop applies decided instances in order and garbage-collects below
-// the collective done floor (minus the keep window).
+// applyLoop runs the queued Apply and Restore calls in order, reporting
+// each back to the step once it returns: applied (and done) pass an entry
+// only once it is applied, so a snapshot bracketed by applied never claims
+// an entry its state lacks.
 func (n *Node) applyLoop() {
 	defer n.wg.Done()
 	for {
@@ -949,196 +433,15 @@ func (n *Node) applyLoop() {
 		}
 		for {
 			n.mu.Lock()
-			if s := n.installSnapshotLocked(); /* unlocks when non-nil */ s != nil {
-				n.opts.Restore(s.Through, s.State)
-				continue
-			}
-			// A cursor of its own reads the batch: applied (and done) pass
-			// an entry only once it is applied, so a snapshot bracketed by
-			// applied never claims an entry its state lacks.
-			var batch []wire.Command
-			first := n.applied + 1
-			for {
-				in, ok := n.insts[first+uint64(len(batch))]
-				if !ok || !in.decided {
-					break
-				}
-				batch = append(batch, in.val)
-			}
-			n.gcLocked()
-			n.mu.Unlock()
-			if len(batch) == 0 {
+			if len(n.queue) == 0 || n.closed {
+				n.mu.Unlock()
 				break
 			}
-			for i, cmd := range batch {
-				n.log.append(logEntry{Instance: first + uint64(i), Cmd: cmd}, false)
-				n.apply(first+uint64(i), cmd)
-				n.mu.Lock()
-				n.applied = first + uint64(i)
-				n.done[n.self] = n.applied
-				n.mu.Unlock()
-			}
-		}
-	}
-}
-
-// installSnapshotLocked moves the node past a queued state transfer: the
-// applied frontier jumps to Through, everything at or below it is forgotten
-// (the floor follows — this member cannot serve a prefix it never held), and
-// the applied log restarts from a marker entry so the next replay restores
-// the same state instead of finding a gap. Called with mu held; when a
-// transfer was pending it unlocks mu and returns it so the caller can run
-// Restore (and then re-check for decided successors), otherwise mu stays
-// held and nil is returned.
-func (n *Node) installSnapshotLocked() *wire.Snapshot {
-	s := n.snap
-	n.snap = nil
-	if s == nil || s.Through <= n.applied {
-		return nil
-	}
-	for i := range n.insts {
-		if i <= s.Through {
-			delete(n.insts, i)
-		}
-	}
-	n.applied = s.Through
-	if s.Through > n.maxSeen {
-		n.maxSeen = s.Through
-	}
-	if s.Through > n.floor {
-		n.floor = s.Through
-	}
-	n.done[n.self] = n.applied
-	n.mu.Unlock()
-	n.log.rewrite([]logEntry{{Instance: s.Through,
-		Cmd: wire.Command{Kind: snapshotMarker, Text: string(s.State)}}})
-	return s
-}
-
-// gcLocked forgets instances every peer has applied, keeping a tail window
-// for restarted members. Callers hold mu.
-func (n *Node) gcLocked() {
-	min := n.applied
-	for _, p := range n.peers {
-		if d := n.done[p]; d < min {
-			min = d
-		}
-	}
-	if min <= n.opts.KeepWindow {
-		return
-	}
-	floor := min - n.opts.KeepWindow
-	if floor <= n.floor {
-		return
-	}
-	for i := n.floor + 1; i <= floor; i++ {
-		delete(n.insts, i)
-	}
-	n.floor = floor
-}
-
-// syncLoop is the catch-up ticker: every SyncEvery it advertises the applied
-// frontier to one peer round-robin (pulling any decided instances this member
-// missed), and fills gaps that have blocked the applier past GapFill with
-// no-op proposals.
-func (n *Node) syncLoop() {
-	defer n.wg.Done()
-	ticker := time.NewTicker(n.opts.SyncEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.quit:
-			return
-		case <-ticker.C:
-		}
-
-		n.mu.Lock()
-		// Behind (a later instance is known or advertised beyond applied)?
-		behind := n.maxSeen > n.applied
-		for _, d := range n.done {
-			if d > n.applied {
-				behind = true
-			}
-		}
-		var target string
-		if len(n.peers) > 1 {
-			for range n.peers {
-				t := n.peers[n.rrNext%len(n.peers)]
-				n.rrNext++
-				if t != n.self {
-					target = t
-					break
-				}
-			}
-		}
-		msg := wire.CatchUp{From: n.applied + 1, Done: n.applied}
-
-		// Gap fill: the lowest unapplied instance undecided while a higher
-		// one is decided means its proposer died mid-round; propose a no-op
-		// so the applier can move (Paxos adopts any already-accepted value
-		// instead, so a merely-slow proposer's command survives).
-		var gap uint64
-		if behind {
-			i := n.applied + 1
-			in, ok := n.insts[i]
-			if !ok || !in.decided {
-				if ok && in.gapSince.IsZero() {
-					in.gapSince = time.Now()
-				} else if !ok {
-					in = n.instLocked(i)
-					if in != nil {
-						in.gapSince = time.Now()
-					}
-				}
-				// Stagger the trigger by member index: the lowest-index member
-				// fills first and the others step in only if the gap outlives
-				// their (longer) fuse — N symmetric fillers would duel.
-				fuse := n.opts.GapFill * time.Duration(1+n.idx)
-				if in != nil && !in.gapSince.IsZero() && time.Since(in.gapSince) > fuse &&
-					n.decidedAboveLocked(i) && !n.filling[i] {
-					// One in-flight filler per instance: stacking a fresh
-					// proposer on every tick escalates ballots faster than any
-					// of them can finish both phases — with several members
-					// doing the same, the instance livelocks and the applier
-					// (and everything folded from the log) stalls behind it.
-					gap = i
-					n.filling[i] = true
-					in.gapSince = time.Now() // restart the clock; don't spam proposals
-				}
-			}
-		}
-		n.mu.Unlock()
-
-		if target != "" {
-			_ = n.send(target, msg)
-		}
-		if gap > 0 {
-			n.mu.Lock()
-			n.noops++
+			e := n.queue[0]
+			n.queue = n.queue[1:]
 			n.mu.Unlock()
-			//lint:allow goroshutdown bounded by the 40×Retry context below; the filling guard caps it at one per instance
-			go func(i uint64) {
-				// A generous budget: a filler that dies mid-duel just forces
-				// its successor to an even higher ballot. The filling guard
-				// above keeps this to one proposer per instance per member.
-				ctx, cancel := context.WithTimeout(context.Background(), 40*n.opts.Retry)
-				defer cancel()
-				_, _, _ = n.proposeOnce(ctx, i, wire.Command{Kind: "noop", Origin: n.self})
-				n.mu.Lock()
-				delete(n.filling, i)
-				n.mu.Unlock()
-			}(gap)
+			n.applyEntry(e)
+			n.deliver("", appliedThrough{e.Instance})
 		}
 	}
-}
-
-// decidedAboveLocked reports whether any instance above i is known decided —
-// the applier is genuinely blocked, not merely idle. Callers hold mu.
-func (n *Node) decidedAboveLocked(i uint64) bool {
-	for j, in := range n.insts {
-		if j > i && in.decided {
-			return true
-		}
-	}
-	return false
 }

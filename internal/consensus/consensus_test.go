@@ -116,7 +116,7 @@ func (l *applyLog) installState(_ uint64, data []byte) {
 }
 
 func fastOpts() Options {
-	return Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, GapFill: 40 * time.Millisecond, KeepWindow: 1 << 20}
+	return Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, KeepWindow: 1 << 20}
 }
 
 // startCluster builds and starts n members A, B, C, ... on one fabric.
@@ -433,9 +433,18 @@ func TestGCBoundsInstanceState(t *testing.T) {
 		m := n.Metrics()
 		n.mu.Lock()
 		kept := len(n.insts)
+		var own []uint64
+		for _, p := range n.proposals {
+			if p.seq != 0 {
+				own = append(own, p.seq)
+			}
+		}
 		n.mu.Unlock()
 		if uint64(kept) > m.Applied-m.Floor+4 {
 			t.Errorf("%s retains %d instances above floor %d (applied %d)", name, kept, m.Floor, m.Applied)
+		}
+		if len(own) > 0 {
+			t.Errorf("%s still keeps records of its completed submits %v", name, own)
 		}
 	}
 }

@@ -207,55 +207,82 @@ func TestNoPerWatcherDedupSet(t *testing.T) {
 }
 
 // TestPeerStepIsPure: the paper's protocol is peer.peerState and its step,
-// which the model checker drives directly, so the files that declare the
-// state or a method on it take no lock, start no goroutine, read no clock
-// (time is a value passed in: only time.Time and time.Duration may be named)
-// and reach no transport, log or watcher hub — those are the shell's.
+// and the replicated log under the control plane is consensus.state and its
+// step; the model checkers drive both directly. So the files that declare
+// either state or a method on it take no lock, start no goroutine, read no
+// clock (time is a value passed in: only time.Time and time.Duration may be
+// named), call no package-level math/rand function (those draw from one
+// process-wide source; jitter comes from a source the state owns) and reach
+// no transport, log, watcher hub or file — those are the shells'.
 func TestPeerStepIsPure(t *testing.T) {
-	banned := map[string]bool{"sync": true, "sync/atomic": true, "repro/internal/transport": true,
-		"repro/internal/wal": true, "repro/internal/serving": true}
-	paths, err := filepath.Glob("internal/peer/*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pure []string
-	for _, path := range paths {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
+	for _, in := range []struct {
+		dir, typ string
+		banned   []string
+	}{
+		{"internal/peer", "peerState", []string{"repro/internal/transport", "repro/internal/wal", "repro/internal/serving"}},
+		{"internal/consensus", "state", []string{"os"}},
+	} {
+		banned := map[string]bool{"sync": true, "sync/atomic": true}
+		for _, p := range in.banned {
+			banned[p] = true
 		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, readFile(t, path), 0)
+		paths, err := filepath.Glob(filepath.Join(in.dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !holdsPeerState(f) {
-			continue
-		}
-		pure = append(pure, path)
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); banned[p] {
-				t.Errorf("%s holds the protocol step and imports %s", path, p)
+		var pure []string
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
 			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GoStmt:
-				t.Errorf("%s holds the protocol step and starts a goroutine", path)
-			case *ast.SelectorExpr:
-				if x, ok := n.X.(*ast.Ident); ok && x.Name == "time" && n.Sel.Name != "Time" && n.Sel.Name != "Duration" {
-					t.Errorf("%s holds the protocol step and calls time.%s: the time is step's argument", path, n.Sel.Name)
+			f, err := parser.ParseFile(token.NewFileSet(), path, readFile(t, path), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !holdsType(f, in.typ) {
+				continue
+			}
+			pure = append(pure, path)
+			rand := map[string]bool{}
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				if banned[p] {
+					t.Errorf("%s holds the step and imports %s", path, p)
+				}
+				if p == "math/rand" || p == "math/rand/v2" {
+					name := filepath.Base(strings.TrimSuffix(p, "/v2"))
+					if imp.Name != nil {
+						name = imp.Name.Name
+					}
+					rand[name] = true
 				}
 			}
-			return true
-		})
-	}
-	if !slices.Contains(pure, filepath.Join("internal", "peer", "step.go")) {
-		t.Errorf("peerState or its step left internal/peer/step.go (the step files found: %v)", pure)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s holds the step and starts a goroutine", path)
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && rand[x.Name] {
+							t.Errorf("%s holds the step and calls %s.%s: jitter comes from a source the state owns", path, x.Name, sel.Sel.Name)
+						}
+					}
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "time" && n.Sel.Name != "Time" && n.Sel.Name != "Duration" {
+						t.Errorf("%s holds the step and calls time.%s: the time is step's argument", path, n.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+		if !slices.Contains(pure, filepath.Join(in.dir, "step.go")) {
+			t.Errorf("%s or its step left %s (the step files found: %v)", in.typ, filepath.Join(in.dir, "step.go"), pure)
+		}
 	}
 }
 
-// holdsPeerState reports whether f declares the type peerState or a method on
-// it.
-func holdsPeerState(f *ast.File) bool {
+// holdsType reports whether f declares the type name or a method on it.
+func holdsType(f *ast.File, name string) bool {
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -264,13 +291,13 @@ func holdsPeerState(f *ast.File) bool {
 				if s, ok := recv.(*ast.StarExpr); ok {
 					recv = s.X
 				}
-				if id, ok := recv.(*ast.Ident); ok && id.Name == "peerState" {
+				if id, ok := recv.(*ast.Ident); ok && id.Name == name {
 					return true
 				}
 			}
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == "peerState" {
+				if ts, ok := spec.(*ast.TypeSpec); ok && ts.Name.Name == name {
 					return true
 				}
 			}
