@@ -140,13 +140,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// member is the mutable table entry behind a MemberInfo row.
-type member struct {
-	addr     string
-	status   Status
-	lastSeen time.Time
-}
-
 // Transport is the cluster membership transport: a transport.Transport that
 // hosts one local name (the process's database peer, or the coordinator) plus
 // any names it adopted after a promotion, and routes every other name through
@@ -162,8 +155,15 @@ type Transport struct {
 	out     transport.Transport
 	batcher *transport.Batcher // non-nil when out is the Batcher
 
-	mu      sync.Mutex
-	members map[string]*member
+	mu  sync.Mutex
+	det *detector // the failure detector and member table (detector.go)
+	// timer delivers the detector's ticks; the step arms it.
+	timer *time.Timer
+	// stepping counts steps whose effects are still running: Close waits for
+	// them, so no heartbeat or JoinAck leaves after the Goodbye.
+	stepping sync.WaitGroup
+	// changed is fired on every member-status change (WaitMembers wakes on it).
+	changed wake
 	// handlers holds the handler of every name this process answers for: its
 	// own (absent until Register) and the adopted peers of re-homed nodes.
 	// Heartbeats for an adopted name carry this process's listen address, so
@@ -173,6 +173,9 @@ type Transport struct {
 	// onStatus is fired on every member-status transition (alive, suspect,
 	// left). Runs outside the table lock.
 	onStatus func(node string, st Status)
+	// propose submits the detector's member commands through the attached
+	// control plane (nil: none attached).
+	propose func(cmd wire.Command)
 	// intercept, when set, sees every non-membership frame before the hosted
 	// peer; returning true consumes it. The replicated control plane hooks
 	// its consensus rounds and control verbs here (SetConsensus).
@@ -188,9 +191,6 @@ type Transport struct {
 	// on each side).
 	linkDown map[string]bool
 	closed   bool
-
-	quit chan struct{}
-	wg   sync.WaitGroup
 }
 
 // New starts a cluster member: a TCP listener on listenAddr and a member
@@ -215,11 +215,10 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		opts:     opts,
 		tcp:      tcp,
 		out:      tcp,
-		members:  map[string]*member{},
+		det:      newDetector(self, tcp.Addr(), book, opts, time.Now()),
 		handlers: map[string]transport.Handler{},
 		linkDown: map[string]bool{},
 		aliasOK:  map[string]bool{},
-		quit:     make(chan struct{}),
 	}
 	if opts.BatchWindow > 0 {
 		c.batcher = transport.NewBatcher(tcp, transport.BatcherOptions{
@@ -228,19 +227,15 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		})
 		c.out = c.batcher
 	}
-	for node, addr := range book {
-		if node == self || addr == "" {
-			continue
-		}
-		c.members[node] = &member{addr: addr, status: StatusBook}
-		tcp.SetPeerAddr(node, addr)
-	}
+	// Set under the lock the callback's step takes, so a tick never finds it unset.
+	c.mu.Lock()
+	c.timer = time.AfterFunc(time.Until(c.det.armed), func() { c.deliver(detTick{}) })
+	c.mu.Unlock()
 	if err := tcp.Register(self, func(env wire.Envelope) { c.dispatch(self, env) }); err != nil {
+		c.stop()
 		_ = tcp.Close()
 		return nil, err
 	}
-	c.wg.Add(1)
-	go c.heartbeatLoop()
 	return c, nil
 }
 
@@ -255,8 +250,8 @@ func (c *Transport) Addr() string { return c.tcp.Addr() }
 func (c *Transport) Members() []MemberInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]MemberInfo, 0, len(c.members))
-	for name, m := range c.members {
+	out := make([]MemberInfo, 0, len(c.det.members))
+	for name, m := range c.det.members {
 		out = append(out, MemberInfo{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -265,61 +260,67 @@ func (c *Transport) Members() []MemberInfo {
 
 // Announce runs the join handshake: a Join (name, listen address, gossiped
 // member table) to every known member. Acknowledgments and their gossip feed
-// the table, and the heartbeat loop keeps re-announcing to members that have
-// not answered yet, so a process started before its dependencies converges
-// once they come up.
-func (c *Transport) Announce() {
-	for _, name := range c.targets(func(m *member) bool { return m.status != StatusLeft }) {
-		c.sendJoin(name)
-	}
-}
+// the table, and the detector keeps re-announcing to members that have not
+// answered yet, so a process started before its dependencies converges once
+// they come up.
+func (c *Transport) Announce() { c.deliver(announce{}) }
 
-// targets lists member names matching the filter. It takes and releases the
-// lock: callers send outside it.
-func (c *Transport) targets(keep func(*member) bool) []string {
+// deliver steps the detector with one event and carries out its effects: the
+// timer is re-armed under the lock, everything else runs after it. After
+// Close or Abandon events are dropped.
+func (c *Transport) deliver(ev any) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.members))
-	for name, m := range c.members {
-		if keep(m) {
-			out = append(out, name)
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.stepping.Add(1)
+	defer c.stepping.Done()
+	effs := c.det.step(time.Now(), ev)
+	for _, e := range effs {
+		if e.kind == detArm {
+			c.timer.Reset(time.Until(e.when))
 		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// bookSnapshot renders the member table as gossip (name -> address),
-// including the local member. Departed members are withheld: gossiping a
-// Goodbye'd member's dead address would make every later joiner adopt it
-// and retry joins against it forever (a returning member re-announces
-// itself directly, which overrides Left everywhere it matters).
-func (c *Transport) bookSnapshot() map[string]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]string, len(c.members)+1)
-	out[c.self] = c.tcp.Addr()
-	for name, m := range c.members {
-		if m.addr != "" && m.status != StatusLeft {
-			out[name] = m.addr
+	up, onStatus, propose := c.onMemberUp, c.onStatus, c.propose
+	c.mu.Unlock()
+	for _, e := range effs {
+		switch e.kind {
+		case detSend:
+			_ = c.transmit(e.from, e.node, e.msg)
+		case detStatus:
+			if e.up && up != nil {
+				up(e.node)
+			}
+			if onStatus != nil {
+				onStatus(e.node, e.status)
+			}
+			c.changed.fire()
+		case detPropose:
+			if propose != nil {
+				propose(e.cmd)
+			}
 		}
 	}
-	return out
-}
-
-func (c *Transport) sendJoin(to string) {
-	_ = c.transmit(c.self, to, wire.Join{Node: c.self, Addr: c.tcp.Addr(), Members: c.bookSnapshot()})
 }
 
 // transmit is the single egress point: every frame this process originates
-// (membership, hosted peer, control plane) passes the link-fault filter
+// (membership, hosted peer, control plane) passes the link-fault filter, and
+// points the socket layer at the member table's address for its addressee,
 // before reaching the wire.
 func (c *Transport) transmit(from, to string, msg wire.Message) error {
 	c.mu.Lock()
-	down := c.linkDown[to]
+	down, m := c.linkDown[to], c.det.members[to]
+	var addr string
+	if m != nil {
+		addr = m.addr
+	}
 	c.mu.Unlock()
 	if down {
 		return nil // a cut link eats frames silently, like a real partition
+	}
+	if addr != "" {
+		c.tcp.SetPeerAddr(to, addr)
 	}
 	return c.out.Send(from, to, msg)
 }
@@ -351,25 +352,13 @@ func (c *Transport) dispatch(name string, env wire.Envelope) {
 	}
 	switch m := env.Msg.(type) {
 	case wire.Join:
-		c.observe(m.Node, m.Addr)
-		c.merge(m.Members)
-		_ = c.transmit(name, m.Node, wire.JoinAck{Members: c.bookSnapshot()})
+		c.deliver(heard{node: m.Node, addr: m.Addr, book: m.Members, ackFrom: name})
 	case wire.JoinAck:
-		c.observe(env.From, "") // address already known: we dialled it
-		c.merge(m.Members)
+		c.deliver(heard{node: env.From, book: m.Members}) // address already known: we dialled it
 	case wire.Heartbeat:
-		c.observe(m.Node, m.Addr)
+		c.deliver(heard{node: m.Node, addr: m.Addr})
 	case wire.Goodbye:
-		c.mu.Lock()
-		var fire func(string, Status)
-		if entry, ok := c.members[m.Node]; ok && entry.status != StatusLeft {
-			entry.status = StatusLeft
-			fire = c.onStatus
-		}
-		c.mu.Unlock()
-		if fire != nil {
-			fire(m.Node, StatusLeft)
-		}
+		c.deliver(goodbye{node: m.Node})
 	case wire.AnswerBatch:
 		// A batched frame carries up to four planes. Piggybacked heartbeats
 		// are membership (consumed as a bare Heartbeat would be); replication
@@ -377,7 +366,7 @@ func (c *Transport) dispatch(name string, env wire.Envelope) {
 		// as if each had paid its own frame; the database-plane remainder —
 		// if any — reaches the peer as a batch.
 		for _, hb := range m.Beats {
-			c.observe(hb.Node, hb.Addr)
+			c.deliver(heard{node: hb.Node, addr: hb.Addr})
 		}
 		for _, ra := range m.RepAcks {
 			c.route(name, wire.Envelope{From: env.From, To: env.To, Msg: ra})
@@ -457,14 +446,25 @@ func (c *Transport) SetConsensus(fn func(env wire.Envelope) bool) {
 // SetOnStatusChange registers a callback fired on every member-status
 // transition this process observes (alive, suspect, left) — the failure
 // detector's edge events. Member uses it to drop the wire watches of a client
-// that said Goodbye; the control plane's reconciliation loop polls Members()
-// instead, so a transition seen during a minority partition never blocks a
-// transport goroutine on an unreachable quorum. Runs on transport goroutines,
+// that said Goodbye. Runs on transport goroutines and the detector's timer,
 // outside the table lock.
 func (c *Transport) SetOnStatusChange(fn func(node string, st Status)) {
 	c.mu.Lock()
 	c.onStatus = fn
 	c.mu.Unlock()
+}
+
+// attachPlane hands reconciliation to a control plane: from now on the
+// detector compares its readings with the agreed view (view first, then each
+// one the plane delivers) every reconcileEvery, escalates deadAfter of
+// continuous suspicion to death (zero: never), and proposes what differs
+// through propose, which must not block.
+func (c *Transport) attachPlane(propose func(cmd wire.Command), reconcileEvery, deadAfter time.Duration, view agreedView) {
+	c.mu.Lock()
+	c.propose = propose
+	c.det.attach(time.Now(), reconcileEvery, deadAfter)
+	c.mu.Unlock()
+	c.deliver(view)
 }
 
 // SetOnMemberUp registers a callback fired when a member previously marked
@@ -481,150 +481,12 @@ func (c *Transport) SetOnMemberUp(fn func(node string)) {
 	c.mu.Unlock()
 }
 
-// observe records direct contact with a member: it becomes alive and, when
-// it asserted an address, that address wins over anything gossiped or stale
-// (the restarted-process case).
-func (c *Transport) observe(node, addr string) {
-	if node == c.self || node == "" {
-		return
-	}
-	c.mu.Lock()
-	m, ok := c.members[node]
-	if !ok {
-		m = &member{}
-		c.members[node] = m
-	}
-	// First contact (book entries, brand-new members) is not a rejoin: only
-	// a member this process had already written off coming back counts.
-	rejoined := ok && (m.status == StatusSuspect || m.status == StatusLeft)
-	becameAlive := m.status != StatusAlive
-	if addr != "" {
-		m.addr = addr
-	}
-	m.status = StatusAlive
-	m.lastSeen = time.Now()
-	addr = m.addr
-	up := c.onMemberUp
-	statusFn := c.onStatus
-	c.mu.Unlock()
-	if addr != "" {
-		c.tcp.SetPeerAddr(node, addr)
-	}
-	if rejoined && up != nil {
-		up(node)
-	}
-	if becameAlive && statusFn != nil {
-		statusFn(node, StatusAlive)
-	}
-}
-
-// merge folds gossiped book entries in. Gossip only fills names this process
-// has never seen — it never overwrites a known address, so a stale gossiped
-// entry cannot undo a direct observation.
-func (c *Transport) merge(book map[string]string) {
-	var added []string
-	c.mu.Lock()
-	for name, addr := range book {
-		if name == c.self || addr == "" {
-			continue
-		}
-		if _, known := c.members[name]; known {
-			continue
-		}
-		c.members[name] = &member{addr: addr, status: StatusBook}
-		added = append(added, name)
-	}
-	c.mu.Unlock()
-	for _, name := range added {
-		c.tcp.SetPeerAddr(name, book[name])
-		c.sendJoin(name) // transitive announce: the new member learns us too
-	}
-}
-
-// heartbeatLoop keeps liveness fresh: alive members get heartbeats, members
-// never (or no longer) confirmed get join retries, silent members become
-// suspect.
-func (c *Transport) heartbeatLoop() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.opts.HeartbeatEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		type task struct {
-			name string
-			join bool
-		}
-		var tasks []task
-		var suspected []string
-		var hosted []string
-		c.mu.Lock()
-		for name := range c.handlers {
-			if name == c.self {
-				continue
-			}
-			// Adopted peers live exactly as long as this process: their table
-			// entries never age into suspicion here, and the loop announces
-			// them below so everyone else keeps them alive too.
-			if m, ok := c.members[name]; ok {
-				m.status = StatusAlive
-				m.lastSeen = now
-			}
-			hosted = append(hosted, name)
-		}
-		for name, m := range c.members {
-			switch m.status {
-			case StatusAlive:
-				if now.Sub(m.lastSeen) > c.opts.SuspectAfter {
-					m.status = StatusSuspect
-					suspected = append(suspected, name)
-					tasks = append(tasks, task{name, true})
-				} else {
-					tasks = append(tasks, task{name, false})
-				}
-			case StatusBook, StatusSuspect:
-				tasks = append(tasks, task{name, true})
-			}
-		}
-		statusFn := c.onStatus
-		c.mu.Unlock()
-		if statusFn != nil {
-			for _, name := range suspected {
-				statusFn(name, StatusSuspect)
-			}
-		}
-		addr := c.tcp.Addr()
-		sort.Strings(hosted)
-		for _, tk := range tasks {
-			if tk.join {
-				c.sendJoin(tk.name)
-			} else {
-				// Through transmit/out: with batching on, the heartbeat waits
-				// one window for a data frame to ride on (latest wins when
-				// several queue) instead of always paying its own frame.
-				_ = c.transmit(c.self, tk.name, wire.Heartbeat{Node: c.self, Addr: addr})
-				// Heartbeats on behalf of adopted peers assert this process's
-				// address under their names — the re-homing signal.
-				for _, alias := range hosted {
-					if alias != tk.name {
-						_ = c.transmit(alias, tk.name, wire.Heartbeat{Node: alias, Addr: addr})
-					}
-				}
-			}
-		}
-	}
-}
-
 // Register implements transport.Transport. A cluster transport hosts its own
 // node (or the coordinator), whose name was fixed at New — plus any adopted
 // peers whose names were pre-authorised with AllowAlias (replica promotion
 // re-homes a dead member's database peer into this process). An adopted name
 // is an ordinary registration: frames addressed to it that reach this
-// process's listener take the same dispatch, and the heartbeat loop starts
+// process's listener take the same dispatch, and the failure detector starts
 // announcing the name at this process's address so the rest of the cluster
 // re-homes it (every member's observe adopts the newest directly-asserted
 // address). Sources then fire their member-up resend hook for the name, which
@@ -644,35 +506,17 @@ func (c *Transport) Register(node string, h transport.Handler) error {
 		return fmt.Errorf("cluster: %q already registered", node)
 	}
 	c.handlers[node] = h
+	c.mu.Unlock()
 	if node == c.self {
-		c.mu.Unlock()
 		return nil
 	}
-	// The local table entry stops aging: this process answers for the name
-	// now, so its own failure detector must not keep calling it suspect.
-	m, ok := c.members[node]
-	if !ok {
-		m = &member{}
-		c.members[node] = m
-	}
-	m.status = StatusAlive
-	m.lastSeen = time.Now()
-	m.addr = c.tcp.Addr()
-	c.mu.Unlock()
 	if err := c.tcp.Register(node, func(env wire.Envelope) { c.dispatch(node, env) }); err != nil {
 		c.mu.Lock()
 		delete(c.handlers, node)
 		c.mu.Unlock()
 		return err
 	}
-	// Announce immediately on behalf of the name: a Join asserting this
-	// process's address re-homes it everywhere without waiting a heartbeat
-	// tick.
-	for _, name := range c.targets(func(m *member) bool { return m.status != StatusLeft }) {
-		if name != node {
-			_ = c.transmit(node, name, wire.Join{Node: node, Addr: c.tcp.Addr(), Members: c.bookSnapshot()})
-		}
-	}
+	c.deliver(hosting{node: node, on: true})
 	return nil
 }
 
@@ -687,7 +531,7 @@ func (c *Transport) AllowAlias(node string) {
 }
 
 // Unregister stops answering for an adopted name (the agreed log re-homed it
-// to another member): its frames are no longer dispatched, the heartbeat loop
+// to another member): its frames are no longer dispatched, the detector
 // stops asserting this process's address under it, and the table entry ages
 // like any other member's again. The process's own name cannot be
 // unregistered.
@@ -700,6 +544,7 @@ func (c *Transport) Unregister(node string) {
 	delete(c.aliasOK, node)
 	c.mu.Unlock()
 	c.tcp.Unregister(node)
+	c.deliver(hosting{node: node})
 }
 
 // Send implements transport.Transport: the member table has already fed the
@@ -712,20 +557,15 @@ func (c *Transport) Send(from, to string, msg wire.Message) error {
 
 // Close implements transport.Transport: a clean leave. Alive members get a
 // Goodbye (so they mark this process left instead of suspecting it), the
-// heartbeat loop stops, and the listener closes. The Goodbye goes through
+// detector stops, and the listener closes. The Goodbye goes through
 // the Batcher, whose flush-on-Close drains it behind any held answers.
 func (c *Transport) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.quit)
-	c.wg.Wait()
-	for _, name := range c.targets(func(m *member) bool { return m.status == StatusAlive }) {
+	alive, ok := c.stop()
+	for _, name := range alive {
 		_ = c.transmit(c.self, name, wire.Goodbye{Node: c.self})
+	}
+	if !ok {
+		return nil
 	}
 	return c.out.Close()
 }
@@ -735,15 +575,9 @@ func (c *Transport) Close() error {
 // simulation; a real crash needs no call at all.) Held batches are dropped
 // with the sockets, as a real crash would drop them.
 func (c *Transport) Abandon() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if _, ok := c.stop(); !ok {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
-	close(c.quit)
-	c.wg.Wait()
 	err := c.tcp.Close()
 	if c.batcher != nil {
 		// Stop the flusher goroutine; its remaining flushes hit the closed
@@ -751,6 +585,28 @@ func (c *Transport) Abandon() error {
 		_ = c.batcher.Close()
 	}
 	return err
+}
+
+// stop ends the detector — no event is stepped after it, and the steps in
+// flight have run their effects when it returns — and lists the members then
+// alive. It reports false when the transport was stopped already.
+func (c *Transport) stop() ([]string, bool) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, false
+	}
+	c.closed = true
+	c.timer.Stop()
+	var alive []string
+	for _, name := range sortedKeys(c.det.members) {
+		if c.det.members[name].status == StatusAlive {
+			alive = append(alive, name)
+		}
+	}
+	c.mu.Unlock()
+	c.stepping.Wait()
+	return alive, true
 }
 
 // TCP exposes the underlying socket transport (deadline/backoff tuning).
@@ -767,6 +623,32 @@ func (c *Transport) BatchStats() (transport.BatchStats, bool) {
 		return transport.BatchStats{}, false
 	}
 	return c.batcher.Stats(), true
+}
+
+// wake is a broadcast: fire closes the channel every waiter holds.
+type wake struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+// wait returns a channel the next fire closes. Take it before reading what
+// the fire announces, so that no fire in between is missed.
+func (w *wake) wait() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ch == nil {
+		w.ch = make(chan struct{})
+	}
+	return w.ch
+}
+
+func (w *wake) fire() {
+	w.mu.Lock()
+	if w.ch != nil {
+		close(w.ch)
+		w.ch = nil
+	}
+	w.mu.Unlock()
 }
 
 // IsCoordinator reports whether a member name belongs to the control plane

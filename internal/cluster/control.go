@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,8 +52,9 @@ type HostedPeer interface {
 
 // ControlPlaneOptions tunes the agreed control plane.
 type ControlPlaneOptions struct {
-	// PollEvery is the driver's state-poll cadence while an update is in
-	// flight (default 100ms).
+	// PollEvery is the period at which the update driver samples the members'
+	// states while a wave settles (default 100ms). Each sample is one state
+	// round, which ends as soon as every member has answered.
 	PollEvery time.Duration
 	// RoundTimeout bounds one driver poll round (default 2s).
 	RoundTimeout time.Duration
@@ -61,9 +63,10 @@ type ControlPlaneOptions struct {
 	// updateDone, anything open is probed — one round can race a
 	// still-traveling confirming cascade.
 	Settle int
-	// ReconcileEvery is the cadence of the gossip→log reconciliation loop
-	// (default 500ms): agreed member statuses that drifted from what the
-	// failure detector sees are re-proposed until the log catches up.
+	// ReconcileEvery is the period of the failure detector's reconciliation
+	// pass (default 500ms), a step on the detector's timer: agreed member
+	// statuses that drifted from what the detector sees are proposed, one
+	// proposal in flight at a time, until the log catches up.
 	ReconcileEvery time.Duration
 	// Consensus tunes the underlying replicated log (including LogPath for
 	// the applied-entry control log).
@@ -83,8 +86,8 @@ type ReplicationOptions struct {
 	// RendezvousPlacement. Zero disables replication entirely.
 	K int
 	// DeadAfter is how long a member must stay continuously suspect before
-	// the reconciliation loop proposes declaring it permanently dead —
-	// the trigger for promotion. Crash-restarts faster than this window
+	// the failure detector's reconciliation proposes declaring it
+	// permanently dead — the trigger for promotion. Crash-restarts faster than this window
 	// rejoin unharmed (default 10s). Declaring death is a judgement call no
 	// failure detector gets right in all worlds: a member partitioned away
 	// longer than DeadAfter is deposed and must rejoin as a fresh process.
@@ -161,7 +164,7 @@ type ControlPlane struct {
 	promotions  atomic.Uint64 // elections this member won
 	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
 
-	ctx  context.Context // cancelled by Close: every loop and driver selects on it
+	ctx  context.Context // cancelled by Close: every driver and proposal selects on it
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
@@ -201,17 +204,21 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 	// exactly once (max-merge in the fold makes a duplicate bid harmless).
 	cp.mu.Lock()
 	effs := cp.st.resume()
+	view := cp.agreedView()
 	cp.mu.Unlock()
 	cp.run(effs)
 	tr.SetConsensus(cp.intercept)
+	var deadAfter time.Duration
+	if opts.Replication.K > 0 {
+		deadAfter = opts.Replication.DeadAfter
+	}
+	tr.attachPlane(cp.proposeMember, opts.ReconcileEvery, deadAfter, view)
 	cons.Start()
-	cp.wg.Add(1)
-	go cp.reconcileLoop()
 	return cp, nil
 }
 
-// Close stops the control plane (driver and reconciliation loops, then the
-// consensus node). Call before the network/transport closes.
+// Close stops the control plane (drivers and proposals, then the consensus
+// node). Call before the network/transport closes.
 func (cp *ControlPlane) Close() {
 	cp.mu.Lock()
 	if cp.closed {
@@ -347,7 +354,16 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 // the partition heals — by design: a minority must not start waves or change
 // the member table. The proposal's context is the plane's, so Close unparks
 // it and then drains it; after Close nothing is proposed.
-func (cp *ControlPlane) submitAsync(cmd wire.Command) {
+func (cp *ControlPlane) submitAsync(cmd wire.Command) { cp.goSubmit(cmd, 5*time.Minute, func() {}) }
+
+// proposeMember is submitAsync for the failure detector's member commands: it
+// waits at most RoundTimeout, then tells the detector the proposal returned,
+// decided or not, so its reconciliation pass goes on.
+func (cp *ControlPlane) proposeMember(cmd wire.Command) {
+	cp.goSubmit(cmd, cp.opts.RoundTimeout, func() { cp.tr.deliver(proposed{node: cmd.Node}) })
+}
+
+func (cp *ControlPlane) goSubmit(cmd wire.Command, timeout time.Duration, then func()) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.closed {
@@ -356,9 +372,10 @@ func (cp *ControlPlane) submitAsync(cmd wire.Command) {
 	cp.wg.Add(1)
 	go func() {
 		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(cp.ctx, 5*time.Minute)
-		defer cancel()
+		ctx, cancel := context.WithTimeout(cp.ctx, timeout)
 		_, _ = cp.cons.Submit(ctx, cmd)
+		cancel()
+		then()
 	}()
 }
 
@@ -368,8 +385,29 @@ func (cp *ControlPlane) submitAsync(cmd wire.Command) {
 func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 	cp.mu.Lock()
 	effs := cp.st.fold(instance, cmd)
+	// Only member entries and decided elections change what the detector
+	// reads; while replaying (no cons yet) the plane attaches with the result.
+	news := cp.cons != nil && (cmd.Kind == "member" || slices.ContainsFunc(effs, func(e effect) bool { return e.kind == effPromote }))
+	var view agreedView
+	if news {
+		view = cp.agreedView()
+	}
 	cp.mu.Unlock()
 	cp.run(effs)
+	if news {
+		cp.tr.deliver(view)
+	}
+}
+
+// agreedView renders the fold for the failure detector. Callers hold cp.mu.
+func (cp *ControlPlane) agreedView() agreedView {
+	v := agreedView{members: make(map[string]agreedMember, len(cp.members)), premise: cp.st.Applied}
+	for _, m := range cp.members {
+		if m != cp.self {
+			v.members[m] = agreedMember{status: cp.st.View[m], deadInst: cp.st.DeadInst[m], rehomed: cp.st.hostOf(m) != m}
+		}
+	}
+	return v
 }
 
 // snapshotState encodes the fold for a catching-up peer.
@@ -392,8 +430,12 @@ func (cp *ControlPlane) restoreState(through uint64, data []byte) {
 	cp.mu.Lock()
 	effs := cp.st.transfer(next)
 	cp.st = next
+	view := cp.agreedView()
 	cp.mu.Unlock()
 	cp.run(effs)
+	if cp.cons != nil {
+		cp.tr.deliver(view)
+	}
 }
 
 // run carries out the effects addressed to this member: rule changes in log
@@ -607,117 +649,4 @@ func (cp *ControlPlane) commitDone(inst, gen uint64) {
 			return
 		}
 	}
-}
-
-// reconcileLoop keeps the agreed member view converged with the failure
-// detector: whenever a consensus member's gossip status (alive, suspect,
-// left) differs from the agreed view, propose the correction. Proposals are
-// cheap no-ops when a concurrent proposer got there first (apply is
-// idempotent), and a member holding stale suspicions after a heal simply
-// re-proposes the fresh status on the next tick — the loop converges on
-// whatever the detector currently believes.
-func (cp *ControlPlane) reconcileLoop() {
-	defer cp.wg.Done()
-	inSet := map[string]bool{}
-	for _, m := range cp.members {
-		inSet[m] = true
-	}
-	// suspectSince tracks how long each member has been *continuously*
-	// suspect by the local detector; past Replication.DeadAfter the loop
-	// escalates the proposal from suspect to dead — the agreed declaration
-	// that triggers promotion. Any other status resets the clock, so a
-	// crash-restart (or a heal) inside the window never escalates.
-	suspectSince := map[string]time.Time{}
-	// deadAt is when this loop first read each agreed death, by the instance
-	// that folded it: the evidence mayPropose weighs a return against. Local
-	// bookkeeping, not agreed state — a restart starts it, and the detector it
-	// is compared with, afresh.
-	type death struct {
-		inst uint64
-		at   time.Time
-	}
-	deadAt := map[string]death{}
-	for {
-		select {
-		case <-cp.ctx.Done():
-			return
-		case <-time.After(cp.opts.ReconcileEvery):
-		}
-		for _, m := range cp.tr.Members() {
-			if !inSet[m.Name] || m.Status == StatusBook {
-				continue
-			}
-			cp.mu.Lock()
-			agreed, died, rehomed := cp.st.View[m.Name], cp.st.DeadInst[m.Name], cp.st.hostOf(m.Name) != m.Name
-			premise := cp.st.Applied // what the proposal knows of the log
-			cp.mu.Unlock()
-			if agreed != StatusDead {
-				delete(deadAt, m.Name)
-			} else if deadAt[m.Name].inst != died {
-				deadAt[m.Name] = death{died, time.Now()}
-			}
-			// A re-homed name has no liveness of its own: what the detector
-			// sees under it is its adopter's heartbeats, and an adopter that
-			// merely stalls must not get the name declared dead a second
-			// time while it still serves it. The adopter's own death already
-			// reopens elections for everything it hosted.
-			if rehomed {
-				delete(suspectSince, m.Name)
-				continue
-			}
-			want := m.Status
-			if cp.opts.Replication.K > 0 && m.Status == StatusSuspect {
-				since, ok := suspectSince[m.Name]
-				if !ok {
-					suspectSince[m.Name] = time.Now()
-				} else if time.Since(since) >= cp.opts.Replication.DeadAfter {
-					want = StatusDead
-				}
-			} else {
-				delete(suspectSince, m.Name)
-			}
-			if !mayPropose(agreed, deadAt[m.Name].at, m, want, cp.tr.opts.SuspectAfter) {
-				continue
-			}
-			// Re-check right before proposing: the quorum wait below can
-			// outlive the transition that motivated it.
-			cur, ok := cp.gossipStatus(m.Name)
-			if !ok || cur != m.Status {
-				continue
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), cp.opts.RoundTimeout)
-			_, _ = cp.cons.Submit(ctx, wire.Command{
-				Kind: "member", Node: m.Name, Addr: m.Addr, Status: uint8(want), Ref: premise,
-			})
-			cancel()
-		}
-	}
-}
-
-// mayPropose reports whether the detector's reading m of one member justifies
-// proposing want over its agreed status. Death is sticky: once agreed dead,
-// only a live return of the member itself may overwrite it — proposing mere
-// suspicion would re-open a decided election's premise, and so would an
-// "alive" from a detector that simply has not timed the member out yet: its
-// alive entry deletes the open election and nobody re-declares the death. An
-// alive over a death this member has read (one it has not is refused by the
-// fold, through the proposal's premise) must rest on evidence the dead member
-// cannot have left behind: a heartbeat heard more than a suspicion window
-// after deadAt, when the proposer first read the death — inside it the
-// member's last frames may still be queued here.
-func mayPropose(agreed Status, deadAt time.Time, m MemberInfo, want Status, suspectAfter time.Duration) bool {
-	if agreed == StatusDead {
-		return want == StatusAlive && m.LastSeen.After(deadAt.Add(suspectAfter))
-	}
-	return agreed != want
-}
-
-// gossipStatus reads the failure detector's current belief about one member.
-func (cp *ControlPlane) gossipStatus(name string) (Status, bool) {
-	for _, m := range cp.tr.Members() {
-		if m.Name == name {
-			return m.Status, true
-		}
-	}
-	return StatusBook, false
 }

@@ -20,7 +20,10 @@ import (
 type CoordinatorOptions struct {
 	// Membership is the underlying member-table tuning.
 	Membership Options
-	// PollEvery is the pause between quiescence polling rounds (default 50ms).
+	// PollEvery is the period at which Quiesce samples the members' counter
+	// balance and a kick-off verb samples their states for the kick (default
+	// 50ms). Each sample is one request round, which ends as soon as every
+	// member has answered; WaitMembers wakes on status changes instead.
 	PollEvery time.Duration
 	// RoundTimeout bounds one request round — how long to wait for every
 	// alive peer's report before treating the round as incomplete (default 2s).
@@ -46,17 +49,20 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	return o
 }
 
-// report is one collected reply with its arrival time (rounds only accept
-// replies fresher than the round's start).
+// report is one collected reply with its arrival number.
 type report[T any] struct {
-	at  time.Time
+	n   uint64
 	val T
 }
 
-// inbox keeps the latest reply of one kind per sender.
+// inbox keeps the latest reply of one kind per sender. Each reply is numbered
+// in arrival order, so a round can tell the replies that arrived after its
+// request left from the ones stored before.
 type inbox[T any] struct {
-	mu   sync.Mutex
-	last map[string]report[T]
+	mu      sync.Mutex
+	n       uint64 // arrivals so far
+	last    map[string]report[T]
+	arrived wake
 }
 
 func (in *inbox[T]) put(from string, val T) {
@@ -64,27 +70,34 @@ func (in *inbox[T]) put(from string, val T) {
 	if in.last == nil {
 		in.last = map[string]report[T]{}
 	}
-	in.last[from] = report[T]{at: time.Now(), val: val}
+	in.n++
+	in.last[from] = report[T]{n: in.n, val: val}
 	in.mu.Unlock()
+	in.arrived.fire()
 }
 
 // round runs one request round against targets: send one request to each,
-// then wait until every one of them has a reply fresher than the round start
-// (or timeout passes) that answers req — a nil answers takes any: arrival time
-// alone cannot tell a late reply to an earlier round from this one's. It
-// returns the fresh replies and whether the round was complete. The
-// coordinator's polls and the control plane's driver polls are both this
-// function.
+// then wait, waking on each arrival, until every one of them has a reply that
+// arrived after the request left (or timeout passes) and answers req — a nil
+// answers takes any: arrival order alone cannot tell a late reply to an
+// earlier round from this one's. It returns the fresh replies and whether the
+// round was complete. The coordinator's polls and the control plane's driver
+// polls are both this function.
 func round[T any](ctx context.Context, send func(to string, msg wire.Message) error, targets []string, req wire.Message, timeout time.Duration, in *inbox[T], answers func(T) bool) (map[string]T, bool, error) {
-	start := time.Now()
+	in.mu.Lock()
+	start := in.n
+	in.mu.Unlock()
 	for _, p := range targets {
 		_ = send(p, req)
 	}
+	deadline, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	for {
+		arrived := in.arrived.wait()
 		fresh := map[string]T{}
 		in.mu.Lock()
 		for name, r := range in.last {
-			if !r.at.Before(start) && (answers == nil || answers(r.val)) {
+			if r.n > start && (answers == nil || answers(r.val)) {
 				fresh[name] = r.val
 			}
 		}
@@ -96,13 +109,16 @@ func round[T any](ctx context.Context, send func(to string, msg wire.Message) er
 				break
 			}
 		}
-		if complete || time.Since(start) > timeout {
-			return fresh, complete, nil
+		if complete {
+			return fresh, true, nil
 		}
 		select {
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		case <-time.After(5 * time.Millisecond):
+		case <-deadline.Done():
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			return fresh, false, nil
+		case <-arrived:
 		}
 	}
 }
@@ -241,16 +257,18 @@ func (c *Coordinator) kickTarget(prefer string, attempt int) (string, error) {
 }
 
 // WaitMembers blocks until at least want database peers are alive (the
-// join handshake and heartbeat retries run underneath).
+// join handshake and heartbeat retries run underneath). It wakes on each
+// member-status change.
 func (c *Coordinator) WaitMembers(ctx context.Context, want int) error {
 	for {
+		changed := c.tr.changed.wait()
 		if len(c.alivePeers()) >= want {
 			return nil
 		}
 		select {
 		case <-ctx.Done():
 			return fmt.Errorf("cluster: %d of %d members alive: %w", len(c.alivePeers()), want, ctx.Err())
-		case <-time.After(10 * time.Millisecond):
+		case <-changed:
 		}
 	}
 }
@@ -361,27 +379,23 @@ func (c *Coordinator) Quiesce(ctx context.Context) error {
 	})
 }
 
-// awaitKick polls the peers' states until landed sees the kick in them, or
-// reports false when a round timeout passes first.
+// awaitKick samples the peers' states once per PollEvery until landed sees
+// the kick in them, or reports false when a round timeout passes first. It is
+// a poll, on the sampler Quiesce uses: no member pushes its state when a kick
+// lands, so there is no arrival to wake on.
 func (c *Coordinator) awaitKick(ctx context.Context, landed func(map[string]wire.StateReport) bool) (bool, error) {
-	deadline := time.Now().Add(c.opts.RoundTimeout)
-	for {
+	expired, cancel := context.WithTimeout(ctx, c.opts.RoundTimeout)
+	defer cancel()
+	// A sample counts as complete only once the kick shows; then it is final.
+	ok, _ := core.HoldStill(expired, c.opts.PollEvery, nil, func(bool) int { return 0 }, func(context.Context) (bool, bool, error) {
 		states, _, err := ask(ctx, c, wire.StateRequest{}, &c.states)
-		if err != nil {
-			return false, err
-		}
-		if landed(states) {
-			return true, nil
-		}
-		if time.Now().After(deadline) {
-			return false, nil
-		}
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-time.After(c.opts.PollEvery):
-		}
+		ok := err == nil && landed(states)
+		return ok, ok, err
+	})
+	if ok {
+		return true, nil
 	}
+	return false, ctx.Err() // ask fails only on ctx; past the round timeout ctx is still live
 }
 
 // Discover kicks a topology-discovery wave — at the super-peer when it is

@@ -63,60 +63,6 @@ func TestAliveProposedBeforeTheDeathIsIgnored(t *testing.T) {
 	}
 }
 
-// TestStaleAliveDoesNotCloseAnElection replays the fold trace behind the
-// TestRehomedNodeHasOneHost flake: E is agreed dead and its promotion election
-// opens; D's detector has not timed E out yet, so it still reads E alive — on
-// heartbeats older than the death. Proposing that reading would fold an alive
-// entry, which deletes the election, and nobody re-declares the death. The
-// proposer must hold back until it hears E a suspicion window after it read
-// the death: E's last frames may still be queued at D when it does.
-func TestStaleAliveDoesNotCloseAnElection(t *testing.T) {
-	s := newFoldState(members5, 2)
-	const suspectAfter = 150 * time.Millisecond
-	heard := time.Now() // E's last heartbeat, before anyone declared it dead
-	member := func(st Status) wire.Command {
-		return wire.Command{Kind: "member", Node: "E", Status: uint8(st)}
-	}
-	s.fold(1, member(StatusAlive))
-	s.fold(2, member(StatusDead))
-	if n := len(s.Elections); n != 1 {
-		t.Fatalf("the agreed death opened %d elections, want 1", n)
-	}
-	deadAt := time.Now() // when D's proposer first read the death
-	propose := func(m MemberInfo, want Status) bool {
-		return mayPropose(s.View["E"], deadAt, m, want, suspectAfter)
-	}
-
-	stale := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: heard}
-	if propose(stale, StatusAlive) {
-		t.Fatal("a detector that last heard E before its death may propose it alive")
-	}
-	// E's last frames, still queued at D when it read the death.
-	stale.LastSeen = deadAt.Add(suspectAfter)
-	if propose(stale, StatusAlive) {
-		t.Fatal("a heartbeat inside the suspicion window after the death may propose E alive")
-	}
-	if propose(MemberInfo{Name: "E", Status: StatusSuspect, LastSeen: heard}, StatusSuspect) {
-		t.Fatal("suspicion may be proposed over an agreed death")
-	}
-	if n := len(s.Elections); n != 1 {
-		t.Fatalf("%d elections open after the stale readings, want the one still open", n)
-	}
-
-	back := MemberInfo{Name: "E", Status: StatusAlive, LastSeen: deadAt.Add(suspectAfter + 1)}
-	if !propose(back, StatusAlive) {
-		t.Fatal("a heartbeat heard a suspicion window after the death must be allowed to propose E alive")
-	}
-	// What the stale proposal would have done, and the fresh one rightly does.
-	s.fold(3, member(StatusAlive))
-	if n := len(s.Elections); n != 0 {
-		t.Fatalf("E is back and %d elections stay open", n)
-	}
-	if propose(back, StatusAlive) {
-		t.Fatal("alive over agreed alive is not a proposal")
-	}
-}
-
 // snapshotLog is the log behind testdata/control-snapshot.gob: a decided
 // election (E re-homed to A), an open one (C, one bid of two), a pending
 // update, two rules, and deaths, suspicion and life in the view.

@@ -61,16 +61,19 @@ type Options struct {
 	DataDir string
 	// WAL tunes the mirror stores (ignored without DataDir).
 	WAL wal.Options
-	// FlushEvery is the primary's ship cadence: deltas accumulated since the
-	// last flush go out at least this often (default 20ms; inserts also kick
-	// the flusher directly).
+	// FlushEvery is the shortest pause between two passes the manager's
+	// timer starts (default 20ms): a rewind or a state ship due sooner waits
+	// for it. Inserts and sync requests do not wait: they start a pass at
+	// once, which ships the new suffix.
 	FlushEvery time.Duration
 	// ResendAfter rewinds a stream to its acked frontier after this long
 	// without acknowledgment progress, so a frame lost to a link error or a
 	// restarting mirror ships again (default 750ms).
 	ResendAfter time.Duration
-	// ReconcileEvery is the placement reconciliation cadence: how often this
-	// member re-derives which nodes it should mirror (default 250ms).
+	// ReconcileEvery is the period of the placement pass (default 250ms): how
+	// often this member re-derives which nodes it should mirror, opens the
+	// missing mirrors and re-solicits quiet streams. An idle manager's timer
+	// fires for nothing else.
 	ReconcileEvery time.Duration
 	// SyncReqEvery rate-limits anti-entropy requests per node: a mirror that
 	// received nothing for this long re-solicits the stream from the current
@@ -112,13 +115,12 @@ type destStream struct {
 
 // primary is one node whose relations this member ships outward.
 type primary struct {
-	node      string
-	db        *storage.DB
-	stateFn   func() wal.State // live protocol state (nil: no state shipping)
-	dests     map[string]*destStream
-	lastShip  time.Time // last state-ship attempt
-	stateSeq  uint64    // monotonic protocol-state ship counter
-	stateBlob []byte    // last encoded state (recomputed each StateEvery)
+	node     string
+	db       *storage.DB
+	stateFn  func() wal.State // live protocol state (nil: no state shipping)
+	dests    map[string]*destStream
+	lastShip time.Time // last state-ship attempt
+	stateSeq uint64    // monotonic protocol-state ship counter
 }
 
 // mirror is one node whose relations this member replicates inward.
@@ -163,9 +165,13 @@ type Manager struct {
 	rewinds    uint64
 	promotions uint64
 
-	kick chan struct{}
-	quit chan struct{}
-	wg   sync.WaitGroup
+	// The one goroutine (run) makes a pass on every kick; the timer kicks it
+	// when the earliest deadline is due.
+	kick          chan struct{}
+	timer         *time.Timer
+	nextReconcile time.Time // owned by run
+	quit          chan struct{}
+	wg            sync.WaitGroup
 }
 
 // New starts a replica manager. send carries frames to other members (wire
@@ -181,13 +187,14 @@ func New(ctl Control, send func(from, to string, msg wire.Message) error, opts O
 		kick:      make(chan struct{}, 1),
 		quit:      make(chan struct{}),
 	}
-	m.wg.Add(2)
-	go m.flushLoop()
-	go m.reconcileLoop()
+	m.nextReconcile = time.Now().Add(m.opts.ReconcileEvery)
+	m.timer = time.AfterFunc(m.opts.ReconcileEvery, m.kickFlush)
+	m.wg.Add(1)
+	go m.run()
 	return m
 }
 
-// Close stops the loops and cleanly closes every mirror store (their state
+// Close stops the goroutine and cleanly closes every mirror store (their state
 // records make the next open recover the applied frontier without replay
 // distrust; a crash instead recovers from the log tail).
 func (m *Manager) Close() {
@@ -202,6 +209,7 @@ func (m *Manager) Close() {
 		mirrors = append(mirrors, mi)
 	}
 	m.mu.Unlock()
+	m.timer.Stop()
 	close(m.quit)
 	m.wg.Wait()
 	for _, mi := range mirrors {
@@ -218,16 +226,18 @@ func (m *Manager) Close() {
 // refreshes the callbacks.
 func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.State) {
 	m.mu.Lock()
-	if p := m.primaries[node]; p != nil {
+	p := m.primaries[node]
+	fresh := p == nil || p.db != db
+	if p == nil {
+		m.primaries[node] = &primary{node: node, db: db, stateFn: stateFn, dests: map[string]*destStream{}}
+	} else {
 		p.db, p.stateFn = db, stateFn
-		m.mu.Unlock()
-		return
 	}
-	m.primaries[node] = &primary{node: node, db: db, stateFn: stateFn, dests: map[string]*destStream{}}
 	m.mu.Unlock()
-	// Inserts kick the flusher so replication latency is one scheduling hop,
-	// not a full FlushEvery tick.
-	db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.kickFlush() })
+	// Inserts kick a pass, so replication latency is one scheduling hop.
+	if fresh {
+		db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.kickFlush() })
+	}
 	m.kickFlush()
 }
 
@@ -236,7 +246,7 @@ func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.
 // store Promote handed out for it (nil for an in-memory mirror): the deposed
 // copy may hold writes the new primary never saw, so it is discarded with its
 // directory, and a later mirror of the node starts from the new primary's
-// stream instead. The lock is held throughout so the reconcile loop cannot
+// stream instead. The lock is held throughout so the placement pass cannot
 // reopen the directory in between.
 func (m *Manager) Resign(node string, st *wal.Store) {
 	m.mu.Lock()
@@ -460,22 +470,31 @@ func (m *Manager) syncReqLocked(mi *mirror, out []shipment) []shipment {
 	return append(out, shipment{to: m.ctl.HostOf(mi.node), msg: req})
 }
 
-// flushLoop is the primary-side shipper: every FlushEvery (or immediately on
-// an insert kick), each primary's un-shipped suffix goes to every
-// established stream, stalled streams rewind to their acked frontier, and
-// changed protocol state ships at the StateEvery cadence.
-func (m *Manager) flushLoop() {
+// run is the manager's one goroutine. Every kick — an insert, a sync request,
+// the timer — makes a pass: the placement pass when ReconcileEvery has come
+// round, then the primary-side shipping. The timer is then armed for the
+// earliest deadline left, no sooner than FlushEvery from now.
+func (m *Manager) run() {
 	defer m.wg.Done()
-	t := time.NewTicker(m.opts.FlushEvery)
-	defer t.Stop()
 	for {
 		select {
 		case <-m.quit:
 			return
-		case <-t.C:
 		case <-m.kick:
 		}
-		m.flushOnce()
+		now := time.Now()
+		if !now.Before(m.nextReconcile) {
+			m.reconcileOnce()
+			m.nextReconcile = now.Add(m.opts.ReconcileEvery)
+		}
+		due := m.flushOnce(now)
+		if m.nextReconcile.Before(due) {
+			due = m.nextReconcile
+		}
+		if floor := now.Add(m.opts.FlushEvery); due.Before(floor) {
+			due = floor
+		}
+		m.timer.Reset(time.Until(due))
 	}
 }
 
@@ -498,24 +517,32 @@ func (m *Manager) sendAll(out []shipment) {
 	}
 }
 
-func (m *Manager) flushOnce() {
+// flushOnce is the primary-side shipping: each primary's un-shipped suffix
+// goes to every established stream, streams silent for ResendAfter rewind to
+// their acked frontier, and changed protocol state ships every StateEvery. It
+// returns when the next rewind or state ship is due (far off when none is).
+func (m *Manager) flushOnce(now time.Time) time.Time {
 	var out []shipment
+	due := now.Add(m.opts.ReconcileEvery)
 	m.mu.Lock()
 	for _, p := range m.primaries {
 		rels := relNames(p.db)
 		shipState := false
-		if p.stateFn != nil && time.Since(p.lastShip) >= m.opts.StateEvery {
-			p.lastShip = time.Now()
+		if p.stateFn != nil && now.Sub(p.lastShip) >= m.opts.StateEvery {
+			p.lastShip = now
 			shipState = true
+		}
+		if p.stateFn != nil && len(p.dests) > 0 {
+			due = earlier(due, p.lastShip.Add(m.opts.StateEvery))
 		}
 		var blob []byte
 		for member, d := range p.dests {
 			// Rewind-on-silence: shipped beyond acked with no progress for
 			// ResendAfter means a frame (or its ack) was lost — re-ship the
 			// unacknowledged suffix.
-			if d.Pending(storage.Durable) && time.Since(d.progress) >= m.opts.ResendAfter {
+			if d.Pending(storage.Durable) && now.Sub(d.progress) >= m.opts.ResendAfter {
 				d.Rewind(storage.Durable)
-				d.progress = time.Now()
+				d.progress = now
 				m.rewinds++
 			}
 			delta, next := p.db.DeltaSince(d.Shipped(), rels)
@@ -531,6 +558,9 @@ func (m *Manager) flushOnce() {
 				m.appends++
 			}
 			d.Ship(next)
+			if d.Pending(storage.Durable) {
+				due = earlier(due, d.progress.Add(m.opts.ResendAfter))
+			}
 			if shipState {
 				if blob == nil {
 					blob = wal.MarshalState(p.stateFn())
@@ -547,24 +577,20 @@ func (m *Manager) flushOnce() {
 	}
 	m.mu.Unlock()
 	m.sendAll(out)
+	return due
 }
 
-// reconcileLoop is the mirror-side placement follower: every ReconcileEvery
-// this member re-derives which nodes' placements include it, opens missing
-// mirrors (recovering whatever an earlier lifetime left on disk) and
-// re-solicits streams that have gone quiet — the join/lag anti-entropy.
-func (m *Manager) reconcileLoop() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.quit:
-			return
-		case <-time.After(m.opts.ReconcileEvery):
-		}
-		m.reconcileOnce()
+func earlier(a, b time.Time) time.Time {
+	if b.Before(a) {
+		return b
 	}
+	return a
 }
 
+// reconcileOnce is the mirror-side placement pass: this member re-derives
+// which nodes' placements include it, opens missing mirrors (recovering
+// whatever an earlier lifetime left on disk) and re-solicits streams that
+// have gone quiet — the join/lag anti-entropy.
 func (m *Manager) reconcileOnce() {
 	m.mu.Lock()
 	if m.closed {

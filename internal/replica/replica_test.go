@@ -271,3 +271,41 @@ func TestPromoteHandsTheMirrorOver(t *testing.T) {
 		t.Fatalf("promoting a node never mirrored here: db %v err %v, want an empty database", db, err)
 	}
 }
+
+// TestStalledStreamRewindsOnTheTimer: with no insert and no solicitation to
+// kick it, the manager's one timer still rewinds a stream left unacknowledged
+// for ResendAfter — and not sooner — then stays quiet once the ack arrives.
+func TestStalledStreamRewindsOnTheTimer(t *testing.T) {
+	var out outbox
+	const resendAfter = 100 * time.Millisecond
+	p := New(fakeControl{}, out.send, Options{
+		Member: "P", Nodes: []string{"E", "M", "P"}, K: 1,
+		FlushEvery:     time.Millisecond,
+		ResendAfter:    resendAfter,
+		ReconcileEvery: time.Hour,
+		SyncReqEvery:   time.Hour,
+		StateEvery:     time.Hour,
+	})
+	t.Cleanup(p.Close)
+	db := storage.New(relalg.MakeSchema("e", 1))
+	if _, err := db.Insert("e", tup(0), storage.InsertExact); err != nil {
+		t.Fatal(err)
+	}
+	p.BecomePrimary("E", db, nil)
+	start := time.Now()
+	p.Handle(wire.Envelope{From: "M", To: "P", Msg: wire.ReplicaSyncReq{Node: "E"}})
+	for i := 0; i < 2; i++ {
+		if a, ok := out.next(t).Msg.(wire.ReplicaAppend); !ok || a.Base != 0 || a.To != 1 {
+			t.Fatalf("shipment %d = %+v, want E's range (0,1]", i, a)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < resendAfter {
+		t.Fatalf("the stream rewound after %v, before ResendAfter (%v)", elapsed, resendAfter)
+	}
+	if got := p.Metrics().Rewinds; got != 1 {
+		t.Fatalf("rewinds = %d, want 1", got)
+	}
+	p.Handle(wire.Envelope{From: "M", To: "P", Msg: wire.ReplicaAck{Node: "E", Rel: "e", To: 1, Durable: true}})
+	time.Sleep(2 * resendAfter)
+	out.none(t)
+}

@@ -207,20 +207,26 @@ func TestNoPerWatcherDedupSet(t *testing.T) {
 }
 
 // TestPeerStepIsPure: the paper's protocol is peer.peerState and its step,
-// and the replicated log under the control plane is consensus.state and its
-// step; the model checkers drive both directly. So the files that declare
-// either state or a method on it take no lock, start no goroutine, read no
-// clock (time is a value passed in: only time.Time and time.Duration may be
-// named), call no package-level math/rand function (those draw from one
-// process-wide source; jitter comes from a source the state owns) and reach
-// no transport, log, watcher hub or file — those are the shells'.
+// the replicated log under the control plane is consensus.state and its
+// step, the control plane's agreed state is cluster.foldState and its fold,
+// and the failure detector is cluster.detector and its step; the model
+// checkers drive the steps directly. So the files that declare one of these
+// states or a method on it take no lock, start no goroutine, read no clock
+// (time is a value passed in: only time.Time and time.Duration may be named),
+// call no package-level math/rand function (those draw from one process-wide
+// source; jitter comes from a source the state owns) and reach no transport,
+// log, watcher hub, peer or file — those are the shells'. Each state lives in
+// the file named beside it.
 func TestPeerStepIsPure(t *testing.T) {
+	shells := []string{"os", "repro/internal/transport", "repro/internal/consensus", "repro/internal/peer", "repro/internal/replica", "repro/internal/core"}
 	for _, in := range []struct {
-		dir, typ string
-		banned   []string
+		dir, typ, file string
+		banned         []string
 	}{
-		{"internal/peer", "peerState", []string{"repro/internal/transport", "repro/internal/wal", "repro/internal/serving"}},
-		{"internal/consensus", "state", []string{"os"}},
+		{"internal/peer", "peerState", "step.go", []string{"repro/internal/transport", "repro/internal/wal", "repro/internal/serving"}},
+		{"internal/consensus", "state", "step.go", []string{"os"}},
+		{"internal/cluster", "foldState", "fold.go", shells},
+		{"internal/cluster", "detector", "detector.go", shells},
 	} {
 		banned := map[string]bool{"sync": true, "sync/atomic": true}
 		for _, p := range in.banned {
@@ -275,8 +281,69 @@ func TestPeerStepIsPure(t *testing.T) {
 				return true
 			})
 		}
-		if !slices.Contains(pure, filepath.Join(in.dir, "step.go")) {
-			t.Errorf("%s or its step left %s (the step files found: %v)", in.typ, filepath.Join(in.dir, "step.go"), pure)
+		if !slices.Contains(pure, filepath.Join(in.dir, in.file)) {
+			t.Errorf("%s or its step left %s (the step files found: %v)", in.typ, filepath.Join(in.dir, in.file), pure)
+		}
+	}
+}
+
+// TestNoPollingLoops: the protocol packages wake on events, not on the wall
+// clock. A timer is a time.AfterFunc armed by a step's effect (the peer's
+// resend, the consensus retries, the failure detector) or by the replica
+// shipper's pass; a ticker, or a time.After, time.NewTimer or time.Sleep
+// inside a loop, is a poll. A one-shot deadline outside a loop (a query's
+// RoundTimeout) is not. Sampling remote state — Quiesce, the plane's Settle,
+// a kick-off verb's wait for its kick — polls by design and runs on core's
+// samplers (HoldStill, AwaitBalance), outside these packages: no member
+// pushes its state.
+func TestNoPollingLoops(t *testing.T) {
+	for _, dir := range []string{"internal/peer", "internal/consensus", "internal/cluster", "internal/replica"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, readFile(t, path), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			timeCall := func(n ast.Node, names ...string) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return false
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return false
+				}
+				x, ok := sel.X.(*ast.Ident)
+				return ok && x.Name == "time" && slices.Contains(names, sel.Sel.Name)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if timeCall(n, "NewTicker", "Tick") {
+					t.Errorf("%s: a ticker: arm a time.AfterFunc for the next due deadline instead", fset.Position(n.Pos()))
+				}
+				var body *ast.BlockStmt
+				switch loop := n.(type) {
+				case *ast.ForStmt:
+					body = loop.Body
+				case *ast.RangeStmt:
+					body = loop.Body
+				}
+				if body != nil {
+					ast.Inspect(body, func(n ast.Node) bool {
+						if timeCall(n, "After", "NewTimer", "Sleep") {
+							t.Errorf("%s: a timer inside a loop polls: wake on the event instead", fset.Position(n.Pos()))
+						}
+						return true
+					})
+				}
+				return true
+			})
 		}
 	}
 }
