@@ -180,16 +180,27 @@ func TestRemoteWatchLiveDeltaAfterPrime(t *testing.T) {
 }
 
 // TestMetricsReportOneRetainedSetPerClass: a member serving W remote watches
-// of one class retains each delivered tuple once, not W times. After N
-// inserts /metrics and expvar "p2pdb" both report retained == N, for W = 1
-// and W = 16.
+// of one class retains each delivered tuple once, not W times. The class
+// a(X,Y) with columns [X] drops Y, so it keeps a set: after N inserts of
+// distinct X /metrics and expvar "p2pdb" both report retained == N, for W = 1
+// and W = 16. The set-free class a(X,Y) with columns [X,Y] retains nothing.
 func TestMetricsReportOneRetainedSetPerClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("remote watch skipped in -short mode")
 	}
 	const N = 40
-	for _, W := range []int{1, 16} {
-		t.Run(fmt.Sprintf("W=%d", W), func(t *testing.T) {
+	for _, arm := range []struct {
+		name     string
+		W        int
+		cols     []string
+		retained int
+	}{
+		{"W=1", 1, []string{"X"}, N},
+		{"W=16", 16, []string{"X"}, N},
+		{"set-free", 16, []string{"X", "Y"}, 0},
+	} {
+		W := arm.W
+		t.Run(arm.name, func(t *testing.T) {
 			def := mustDef(t, watchNet)
 			cfg := LoopbackConfig(def, "A", map[string]string{}, "", 0, 0)
 			cfg.Control = nil
@@ -211,7 +222,7 @@ func TestMetricsReportOneRetainedSetPerClass(t *testing.T) {
 			}
 			ws := make([]*RemoteWatch, W)
 			for i := range ws {
-				if ws[i], err = coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{}); err != nil {
+				if ws[i], err = coord.Watch("A", "a(X,Y)", arm.cols, WatchOptions{}); err != nil {
 					t.Fatal(err)
 				}
 				defer ws[i].Close()
@@ -241,8 +252,8 @@ func TestMetricsReportOneRetainedSetPerClass(t *testing.T) {
 			getJSON(t, addr, "/debug/vars", &vars)
 			for name, got := range map[string]NodeMetrics{"/metrics": metrics, "expvar p2pdb": vars.P2PDB} {
 				s := got.Serving
-				if s == nil || s.Watchers != W || s.Classes != 1 || s.Retained != N {
-					t.Errorf("%s: serving %+v; want %d watchers in 1 class retaining %d tuples", name, s, W, N)
+				if s == nil || s.Watchers != W || s.Classes != 1 || s.Retained != arm.retained {
+					t.Errorf("%s: serving %+v; want %d watchers in 1 class retaining %d tuples", name, s, W, arm.retained)
 				}
 			}
 		})

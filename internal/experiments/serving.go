@@ -242,7 +242,8 @@ func E19ServeLoad(cfg Config) (Result, error) {
 
 	// Fan-out accounting from the members' serving hubs: extractions the
 	// shared path paid vs what one pump per watcher would have cost, and the
-	// tuples the class sets retain for exactly-once delivery.
+	// tuples the class sets retain for exactly-once delivery (at most one set
+	// per class, none for a set-free class).
 	var extracted, naive, saved uint64
 	var retained int
 	for _, node := range names {

@@ -43,8 +43,11 @@ func (s *peerState) handleAddRule(m wire.AddRuleNotice) {
 	}
 }
 
-// forgetRule drops what a deleted or redefined rule accumulated here; the
-// watchers re-evaluate, since the local database may now derive otherwise.
+// forgetRule drops what a deleted or redefined rule accumulated here and
+// re-primes the watchers. The hub evaluates over stored, append-only
+// relations, so a re-prime can only confirm what was already sent: a class
+// with a set still pays one evaluation that its set filters to nothing, a
+// set-free class pays none.
 func (s *peerState) forgetRule(id string) {
 	delete(s.ruleComplete, id)
 	delete(s.parts, id)

@@ -375,8 +375,11 @@ func (p *Peer) AddNeighbor(n string) {
 }
 
 // Seed inserts ground facts into the local database (initial data loading;
-// not part of the protocol).
+// not part of the protocol). Like every insert it holds the peer's mutex, so
+// a watcher's prime never sees a tuple its next delta also carries.
 func (p *Peer) Seed(rel string, tuples ...relalg.Tuple) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for _, t := range tuples {
 		if _, err := p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
 			return err

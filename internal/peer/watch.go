@@ -22,8 +22,9 @@ import (
 // Watchers are hosted by the peer's serving hub (internal/serving): one
 // extraction goroutine per peer shares each change's delta extraction and
 // per-class semi-naive evaluation across every watcher, deduplicates once per
-// class against one exactly-once set (the class result delivered so far), and
-// fans the results out through bounded per-watcher queues. The accumulated
+// class against at most one exactly-once set (the class result delivered so
+// far; none for a set-free class, one atom whose every variable is a column),
+// and fans the results out through bounded per-watcher queues. The accumulated
 // batches of a watcher equal the query's result set at any quiescent moment —
 // the invariant the oracle tests pin down.
 

@@ -2,6 +2,7 @@ package peer
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,5 +146,76 @@ func TestWatchAfterCloseWatchersFails(t *testing.T) {
 	}
 	if _, err := p.Watch("p(X)", []string{"X"}); err == nil {
 		t.Fatal("watch after CloseWatchers must fail")
+	}
+}
+
+// TestSeedInsertLocalAndWatchRaceExactlyOnce: seeding, online inserts and
+// registrations race on a set-free class (one atom, every variable a column),
+// whose watchers rely on the peer's mutex alone for exactly-once delivery: a
+// prime must cover precisely the frontier its pass extracted up to, so no
+// insert may land between the extraction and the evaluation. Every watcher's
+// batches union to every tuple, each once. Run it under -race.
+func TestSeedInsertLocalAndWatchRaceExactlyOnce(t *testing.T) {
+	const N, W = 400, 24
+	p := newWatchPeer(t)
+	var wg sync.WaitGroup
+	var seen []map[string]int // appended by the registering goroutine alone
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < N; i++ {
+			if err := p.Seed("p", relalg.Tuple{relalg.S(fmt.Sprintf("s%d", i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < N; i++ {
+			if _, err := p.InsertLocal("p", relalg.Tuple{relalg.S(fmt.Sprintf("l%d", i))}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var drained sync.WaitGroup
+	go func() {
+		defer wg.Done()
+		for i := 0; i < W; i++ {
+			w, err := p.Watch("p(X)", []string{"X"})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got := map[string]int{}
+			seen = append(seen, got)
+			drained.Add(1)
+			go func() {
+				defer drained.Done()
+				for b := range w.Out() {
+					for _, tup := range b.Tuples {
+						got[tup.Key()]++
+					}
+				}
+			}()
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	wg.Wait()
+	p.CloseWatchers()
+	drained.Wait()
+	if len(seen) != W {
+		t.Fatalf("%d watchers registered, want %d", len(seen), W)
+	}
+	for i, got := range seen {
+		if len(got) != 2*N {
+			t.Errorf("watcher %d saw %d distinct tuples, want %d", i, len(got), 2*N)
+		}
+		for k, n := range got {
+			if n != 1 {
+				t.Errorf("watcher %d was sent %s %d times", i, k, n)
+			}
+		}
 	}
 }

@@ -18,8 +18,9 @@ type Metrics struct {
 	// Classes counts the distinct (conjunction, columns) pairs watched.
 	Classes int `json:"classes"`
 	// Retained is the tuples held in the classes' exactly-once sets, summed
-	// over classes: one copy of each class result delivered so far, however
-	// many watchers share it.
+	// over classes: at most one set per class, holding one copy of the class
+	// result delivered so far however many watchers share it, and none for a
+	// set-free class (one atom, every variable of it a column).
 	Retained int `json:"retained"`
 	// Extractions counts change-driven shared delta extractions: with W
 	// watchers on a relation, one change still costs exactly one.
@@ -28,7 +29,8 @@ type Metrics struct {
 	// once per reconnect-with-token, outside the shared path.
 	ResumeExtractions uint64 `json:"resume_extractions,omitempty"`
 	// Evaluations counts Eval/EvalDelta calls: one per affected watcher
-	// class per change, however many watchers share the class.
+	// class per change, however many watchers share the class (two when a
+	// set-free class primes a fresh watcher in the same pass).
 	Evaluations uint64 `json:"evaluations"`
 	// NaiveExtractions is what the replaced one-pump-per-watcher model would
 	// have paid: one extraction per primed watcher per change it watches.

@@ -11,9 +11,10 @@
 // exactly one delta extraction over the union of watched relations, one
 // semi-naive evaluation per affected class, and fans the class result out to
 // every watcher of the class through its own bounded queue. Deduplication is
-// per class too — one exactly-once set per class, not per watcher. Re-primes
-// (rule redefinition) share the same path: one full evaluation per class
-// serves all its re-primed watchers.
+// per class too — at most one exactly-once set per class, not per watcher,
+// and none for a set-free class (see setFree). Re-primes (rule redefinition)
+// share the same path: one full evaluation per class with a set serves all
+// its re-primed watchers.
 //
 // Extraction and evaluation run under the peer's mutex (serialising with
 // protocol inserts, like every other evaluation); queue delivery happens
@@ -23,6 +24,7 @@ package serving
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -95,25 +97,48 @@ type class struct {
 	relSet   map[string]bool
 	watchers map[uint64]*Watcher
 	reprime  bool // next pass must re-run the full conjunction (rule change)
+	setFree  bool // no sent set: see setFree
 
 	// sent is the class result delivered so far. Every primed watcher
 	// already covers it, so a derived tuple is fresh for all of them or for
 	// none. Pump-owned (guarded by the hub's passMu); retained mirrors its
-	// size for Metrics.
+	// size for Metrics. A set-free class leaves it empty.
 	sent     relalg.TupleSet
 	retained atomic.Int64
 }
 
 // admit adds tuples to the class set and returns the ones it did not hold: a
-// view of the set's log, shared by every watcher the pass stages it for.
-// Callers hold the hub's passMu.
+// view of the set's log, shared by every watcher the pass stages it for. A
+// set-free class holds no set: every tuple it is given is news. Callers hold
+// the hub's passMu.
 func (cl *class) admit(tuples []relalg.Tuple) []relalg.Tuple {
+	if cl.setFree {
+		return tuples
+	}
 	n := cl.sent.Len()
 	for _, t := range tuples {
 		cl.sent.Add(t)
 	}
 	cl.retained.Store(int64(cl.sent.Len()))
 	return cl.sent.All()[n:]
+}
+
+// setFree reports whether a class needs no exactly-once set: its conjunction
+// is one atom and every variable of that atom is a column. Storage is
+// append-only and deduplicates each relation on insert, so each stored tuple
+// maps to its own result tuple and no later pass can derive a result again.
+// Constants, repeated variables and built-ins only filter, so they keep the
+// projection injective; a join or a dropped variable can re-derive a result.
+func setFree(conj cq.Conjunction, cols []string) bool {
+	if len(conj.Atoms) != 1 {
+		return false
+	}
+	for _, v := range conj.Atoms[0].Vars() {
+		if !slices.Contains(cols, v) {
+			return false
+		}
+	}
+	return true
 }
 
 // NewHub builds the fan-out hub over one node's database. mu is the peer's
@@ -152,6 +177,7 @@ func (h *Hub) Register(conj cq.Conjunction, cols []string, o WatchOptions) (*Wat
 			key:      key,
 			conj:     conj,
 			cols:     append([]string(nil), cols...),
+			setFree:  setFree(conj, cols),
 			relSet:   map[string]bool{},
 			watchers: map[uint64]*Watcher{},
 		}
@@ -198,17 +224,18 @@ func (h *Hub) Notify(rel string) {
 	h.wake()
 }
 
-// Reprime asks every class to re-run its full conjunction on the next pass
-// (rule redefinition may have changed what the local database derives). One
-// evaluation per class serves all its watchers; only what the class set does
-// not hold yet is delivered, so deliveries stay exactly-once.
+// Reprime asks every class with a set to re-run its full conjunction on the
+// next pass (a rule changed). One evaluation per class serves all its
+// watchers; only what the class set does not hold yet is delivered, so
+// deliveries stay exactly-once. A set-free class skips it: its prime and
+// deltas already add up to its full result over the append-only relations.
 func (h *Hub) Reprime() {
 	if h.nwatch.Load() == 0 {
 		return
 	}
 	h.wmu.Lock()
 	for _, cl := range h.classes {
-		cl.reprime = true
+		cl.reprime = !cl.setFree
 	}
 	h.wmu.Unlock()
 	h.wake()
@@ -381,18 +408,23 @@ func (h *Hub) pass() {
 		if len(classDelta) > 0 {
 			h.naive.Add(uint64(cw.primed))
 		}
-		// One evaluation and one dedup serve the class: every primed watcher
-		// already covers the class set, so what it lacks is news to them all.
-		var res []relalg.Tuple
-		switch {
-		case cw.full:
+		// One evaluation and one dedup serve a class with a set: every primed
+		// watcher already covers the class set, so what it lacks is news to
+		// them all. A set-free class's news is its delta's result as it is,
+		// and a fresh watcher's prime the full result at the frontier.
+		var res, news []relalg.Tuple
+		if cw.full {
 			res, _ = cq.Eval(h.db, cl.conj, cl.cols)
 			h.evaluations.Add(1)
+		}
+		switch {
+		case cw.full && !cl.setFree:
+			news = res
 		case len(classDelta) > 0 && cw.primed > 0:
-			res, _ = cq.EvalDelta(h.db, cl.conj, cl.cols, classDelta)
+			news, _ = cq.EvalDelta(h.db, cl.conj, cl.cols, classDelta)
 			h.evaluations.Add(1)
 		}
-		news := cl.admit(res)
+		news = cl.admit(news)
 		for _, w := range cw.watchers {
 			switch {
 			case w.primed:

@@ -154,12 +154,14 @@ func TestDistinctClassesEvaluateIndependently(t *testing.T) {
 
 // TestReprimeSharesEvaluation is the re-prime satellite: a rule-redefinition
 // re-prime pays one shared full evaluation per class — not one per watcher —
-// and the dedup windows keep it silent when nothing changed.
+// and the class set keeps it silent when nothing changed. The class drops Y,
+// so it keeps a set; a set-free class skips the re-prime altogether
+// (TestSetFreeClassExactlyOnce).
 func TestReprimeSharesEvaluation(t *testing.T) {
 	const W = 8
-	h := newHarness(t, relalg.MakeSchema("p", 1))
-	conj := mustConj(t, "p(X)")
-	h.insert(t, "p", "v0")
+	h := newHarness(t, relalg.MakeSchema("p", 2))
+	conj := mustConj(t, "p(X,Y)")
+	h.insert(t, "p", "v0", "w0")
 	ws := make([]*Watcher, W)
 	for i := range ws {
 		w, err := h.hub.Register(conj, []string{"X"}, WatchOptions{})
@@ -182,9 +184,9 @@ func TestReprimeSharesEvaluation(t *testing.T) {
 	if got := m.Extractions - extr0; got != 0 {
 		t.Fatalf("re-prime paid %d delta extractions, want 0", got)
 	}
-	// Nothing changed, so the dedup windows must have swallowed the re-primed
+	// Nothing changed, so the class set must have swallowed the re-primed
 	// result: the next batch each watcher sees is the fresh insert, alone.
-	h.insert(t, "p", "v1")
+	h.insert(t, "p", "v1", "w1")
 	for _, w := range ws {
 		b := recvBatch(t, w)
 		if len(b.Tuples) != 1 || b.Tuples[0].Key() != (relalg.Tuple{relalg.S("v1")}).Key() {
@@ -680,5 +682,249 @@ func TestCoalescingReachesOnlyItsOwnWatcher(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("stalled watcher was sent %s %d times", k, n)
 		}
+	}
+}
+
+// TestCoalescingReachesOnlyItsOwnWatcherWithSet runs
+// TestCoalescingReachesOnlyItsOwnWatcher's schedule on a class that keeps a
+// set: p(X,Y) projected on X drops Y, so each batch is a view of the set's
+// log. Every row has its own X, so the projection is one row per insert and
+// the counts match the set-free test's.
+func TestCoalescingReachesOnlyItsOwnWatcherWithSet(t *testing.T) {
+	h := newHarness(t, relalg.MakeSchema("p", 2))
+	conj := mustConj(t, "p(X,Y)")
+	cols := []string{"X"}
+	h.insert(t, "p", "old", "y")
+	h.mu.Lock()
+	front := h.db.MarksFor([]string{"p"})
+	h.mu.Unlock()
+	stalled, err := h.hub.Register(conj, cols, WatchOptions{QueueCap: 1, Resume: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := h.hub.Register(conj, cols, WatchOptions{Resume: front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvBatch(t, live)
+	h.hub.passMu.Lock()
+	h.hub.wmu.Lock()
+	for _, cl := range h.hub.classes {
+		if cl.setFree {
+			t.Fatal("p(X,Y) on [X] drops Y; its class must keep a set")
+		}
+		cl.sent.Grow(4096)
+	}
+	h.hub.wmu.Unlock()
+	h.hub.passMu.Unlock()
+	var held []Batch
+	var sent [][]relalg.Tuple
+	rows := 0
+	step := func() {
+		h.insert(t, "p", fmt.Sprintf("v%03d", rows), "y")
+		rows++
+		b := recvBatch(t, live)
+		held = append(held, b)
+		sent = append(sent, append([]relalg.Tuple(nil), b.Tuples...))
+	}
+	undelivered := func() uint64 {
+		return stalled.staged.Load() - stalled.coalesced.Load() - stalled.delivered.Load()
+	}
+	for len(stalled.out) < cap(stalled.out) || undelivered() < 2 {
+		step()
+	}
+	zero, err := h.hub.Register(conj, cols, WatchOptions{Resume: map[string]uint64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := recvBatch(t, zero); len(b.Tuples) != rows+1 {
+		t.Fatalf("catch-up from zero carried %d rows, want %d", len(b.Tuples), rows+1)
+	}
+	zero.Close()
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if n := stalled.coalesced.Load(); n < 16 {
+		t.Fatalf("stalled watcher coalesced %d batches; the test needs it to coalesce every delta", n)
+	}
+	for k, b := range held {
+		if len(b.Tuples) != len(sent[k]) || !slices.EqualFunc(b.Tuples, sent[k], relalg.Tuple.Equal) {
+			t.Fatalf("live watcher's batch %d now holds %v; it was sent %v", b.Seq, b.Tuples, sent[k])
+		}
+	}
+	got := map[string]int{}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for b := range stalled.Out() {
+			for _, tup := range b.Tuples {
+				got[tup.Key()]++
+			}
+		}
+	}()
+	stalled.Close()
+	<-drained
+	if len(got) != rows {
+		t.Fatalf("stalled watcher drained %d distinct rows, want %d", len(got), rows)
+	}
+	for k, n := range got {
+		if n != 1 {
+			t.Fatalf("stalled watcher was sent %s %d times", k, n)
+		}
+	}
+}
+
+// TestSetFreeClassExactlyOnce runs TestOneDedupSetPerClass's schedule over
+// classes of one atom. Where every variable of the atom is a column — with a
+// constant, a repeated variable or a built-in filtering it — the class is
+// set-free: it retains nothing and a re-prime costs no evaluation and stages
+// nothing, yet every freshly primed watcher's batches still union to
+// cq.Eval's result with no tuple twice. The projection arm drops Y, so X is
+// re-derived through a new Y: that class keeps its set and still delivers
+// each X once.
+func TestSetFreeClassExactlyOnce(t *testing.T) {
+	for _, arm := range []struct {
+		name, conj string
+		cols       []string
+		setFree    bool
+	}{
+		{"columns", "p(X,Y)", []string{"X", "Y"}, true},
+		{"constant", "p(a,Y)", []string{"Y"}, true},
+		{"repeated", "p(X,X)", []string{"X"}, true},
+		{"builtin", "p(X,Y), X <> Y", []string{"Y", "X"}, true},
+		{"projection", "p(X,Y)", []string{"X"}, false},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			testSetFreeSchedule(t, mustConj(t, arm.conj), arm.cols, arm.setFree)
+		})
+	}
+}
+
+func testSetFreeSchedule(t *testing.T, conj cq.Conjunction, cols []string, setFree bool) {
+	const W = 64
+	h := newHarness(t, relalg.MakeSchema("p", 2))
+	want := func() map[string]bool {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		res, err := cq.Eval(h.db, conj, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, tup := range res {
+			out[tup.Key()] = true
+		}
+		return out
+	}
+	watch := func(o WatchOptions) *stream {
+		w, err := h.hub.Register(conj, cols, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return follow(w)
+	}
+	primed := func(ss ...*stream) {
+		for _, s := range ss {
+			waitUntil(t, "a prime", func() bool { return s.batchCount() > 0 })
+		}
+	}
+	settle := func(ss ...*stream) {
+		for _, s := range ss {
+			waitUntil(t, "the watcher to cover the result", func() bool { return sameKeys(s.counts(), want()) })
+		}
+	}
+	// rows inserts p(x, y) for each pair: every arm matches some of each call.
+	rows := func(pairs ...string) {
+		for i := 0; i < len(pairs); i += 2 {
+			h.insert(t, "p", pairs[i], pairs[i+1])
+		}
+	}
+
+	rows("a", "1", "b", "b", "b", "2")
+	// Pass 1: the class is born with one watcher.
+	first := watch(WatchOptions{})
+	primed(first)
+	token := first.batch(0).Marks
+	rows("a", "3", "c", "c", "b", "4") // a and b again, through a new Y
+	settle(first)
+
+	// Pass 2: a drop-oldest watcher joins the primed class; then a rule change
+	// re-primes it. Nothing is new, so nobody is staged a batch; only a class
+	// with a set pays its one full evaluation to find that out.
+	dropper := watch(WatchOptions{Policy: DropOldest})
+	primed(dropper)
+	staged := func() uint64 { return first.w.staged.Load() + dropper.w.staged.Load() }
+	eval0, staged0 := h.hub.Metrics().Evaluations, staged()
+	h.hub.Reprime()
+	h.hub.pass() // returns once the re-prime's pass, the pump's or this one, is done
+	wantEvals := uint64(1)
+	if setFree {
+		wantEvals = 0
+	}
+	if got := h.hub.Metrics().Evaluations - eval0; got != wantEvals {
+		t.Fatalf("re-prime cost %d evaluations, want %d", got, wantEvals)
+	}
+	if got := staged() - staged0; got != 0 {
+		t.Fatalf("re-prime with nothing new staged %d batches", got)
+	}
+	rows("c", "5", "a", "a", "b", "6")
+	settle(first, dropper)
+
+	// Pass 3: one watcher resumes from first's prime, the rest are fresh.
+	resumed := watch(WatchOptions{Resume: token})
+	fresh := []*stream{first, dropper}
+	for len(fresh) < W-1 {
+		fresh = append(fresh, watch(WatchOptions{}))
+	}
+	primed(fresh...)
+	primed(resumed)
+	for i := 0; i < 16; i++ {
+		rows(fmt.Sprintf("x%02d", i), fmt.Sprintf("y%02d", i),
+			fmt.Sprintf("x%02d", i/2), fmt.Sprintf("z%02d", i),
+			"a", fmt.Sprintf("w%02d", i),
+			fmt.Sprintf("v%02d", i), fmt.Sprintf("v%02d", i))
+	}
+	rows("a", "7")
+	settle(fresh...)
+	result := want()
+	waitUntil(t, "the token and the resumed watcher to cover the result", func() bool {
+		got := resumed.counts()
+		for _, tup := range first.batch(0).Tuples {
+			got[tup.Key()]++
+		}
+		return sameKeys(got, result)
+	})
+	m := h.hub.Metrics()
+
+	h.hub.Close()
+	for _, s := range append(fresh, resumed) {
+		<-s.done
+	}
+	for i, s := range fresh {
+		got := s.counts()
+		if !sameKeys(got, result) {
+			t.Fatalf("fresh watcher %d: batches union to %d tuples, cq.Eval has %d", i, len(got), len(result))
+		}
+		for k, n := range got {
+			if n != 1 {
+				t.Fatalf("fresh watcher %d was sent %s %d times", i, k, n)
+			}
+		}
+	}
+	if dropper.w.Dropped() != 0 {
+		t.Fatalf("drop-oldest watcher dropped %d batches; the spec needs its full stream", dropper.w.Dropped())
+	}
+	for k, n := range resumed.counts() {
+		if n != 1 {
+			t.Fatalf("resumed watcher was sent %s %d times", k, n)
+		}
+	}
+	wantRetained := len(result)
+	if setFree {
+		wantRetained = 0
+	}
+	if m.Classes != 1 || m.Retained != wantRetained {
+		t.Fatalf("%d watchers of one class: metrics report %d classes retaining %d tuples, want 1 class retaining %d",
+			W, m.Classes, m.Retained, wantRetained)
 	}
 }
