@@ -27,7 +27,7 @@ var (
 	hbEvery      = flag.Duration("hb", time.Second, "cluster heartbeat cadence")
 	suspectAfter = flag.Duration("suspect", 0, "silence window before suspecting a member (0 = 3×hb)")
 	batchWindow  = flag.Duration("batch-window", 2*time.Millisecond, "longest hold: answers/acks to a member whose link is busy coalesce into batched frames for at most this long; a message to a quiet member leaves at once (0 = one frame per message)")
-	batchBytes   = flag.Int("batch-bytes", 64<<10, "flush a batch early past this payload size")
+	batchBytes   = flag.Int("batch-bytes", 64<<10, "flush a batch early past this encoded payload size")
 	replicasK    = flag.Int("replicas", 0, "mirror each node's extensional relations on this many other members, with promotion fail-over (0 = off)")
 	deadAfter    = flag.Duration("dead-after", 0, "continuous suspicion before a member is declared permanently dead and its nodes fail over (0 = 10s)")
 )

@@ -122,7 +122,7 @@ type Options struct {
 	// message to a quiet member leaves at once, one that finds the link busy
 	// waits at most this long. Zero keeps one frame per message.
 	BatchWindow time.Duration
-	// BatchBytes flushes a batch early once its payload estimate reaches
+	// BatchBytes flushes a batch early once its encoded payload reaches
 	// this size (default 64KiB). Ignored without BatchWindow.
 	BatchBytes int
 }

@@ -43,15 +43,13 @@ func (s *peerState) handleAddRule(m wire.AddRuleNotice) {
 	}
 }
 
-// forgetRule drops what a deleted or redefined rule accumulated here and
-// re-primes the watchers. The hub evaluates over stored, append-only
-// relations, so a re-prime can only confirm what was already sent: a class
-// with a set still pays one evaluation that its set filters to nothing, a
-// set-free class pays none.
+// forgetRule drops what a deleted or redefined rule accumulated here. The
+// watchers are left alone: the hub evaluates over stored, append-only
+// relations, which a rule change does not rewrite, so every class's prime
+// plus its deltas still are its full result at the frontier.
 func (s *peerState) forgetRule(id string) {
 	delete(s.ruleComplete, id)
 	delete(s.parts, id)
-	s.emit(effReprime)
 }
 
 // handleDeleteRule implements the deleteLink notification.

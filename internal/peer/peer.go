@@ -11,10 +11,10 @@
 // The protocol is one pure step: peerState (step.go) holds everything the
 // algorithm keeps, and step(now, from, event) applies one message, local verb
 // or resend tick to it and returns effects — send, persist part tuples, owe an
-// acknowledgment, a durable frontier moved, re-prime the watchers, arm the
-// resend timer. The step takes no lock, reads no clock, starts no goroutine
-// and touches no transport, log or watcher hub, so a model checker drives it
-// directly (step_check_test.go). Peer is the shell that runs the effects: the
+// acknowledgment, a durable frontier moved, arm the resend timer. The step
+// takes no lock, reads no clock, starts no goroutine and touches no
+// transport, log or watcher hub, so a model checker drives it directly
+// (step_check_test.go). Peer is the shell that runs the effects: the
 // mutex over the state, the transport, the counters and recorder every send
 // goes through, the durability hooks, the ack worker, the resend timer, the
 // serving hub and the remote watches. Handle is lock → step → unlock → run
@@ -584,7 +584,7 @@ func (p *Peer) ResendUnackedTo(dependent string) { p.do(resendTo{dependent}, nil
 // Send dispatches a message, recording statistics and trace events; the error
 // is for orchestration that sends in the node's name, the protocol tolerates it.
 func (p *Peer) Send(to string, m wire.Message) error {
-	p.ct.Sent(m.Kind(), m.Size())
+	p.ct.Sent(m.Kind(), wire.Size(m))
 	if p.opts.Recorder != nil {
 		note := ""
 		switch msg := m.(type) {
@@ -607,7 +607,7 @@ func (p *Peer) Send(to string, m wire.Message) error {
 		// the recorder traces it. Payload recovery is the acknowledgment
 		// frontier's job: an answer that never arrives is never acked, so
 		// its tuples ship again from the acked marks.
-		p.ct.SendFailed(m.Kind(), m.Size())
+		p.ct.SendFailed(m.Kind(), wire.Size(m))
 		if p.opts.Recorder != nil {
 			p.opts.Recorder.Record(p.id, to, "sendError", m.Kind()+": "+err.Error())
 		}
@@ -666,9 +666,8 @@ func (p *Peer) Handle(env wire.Envelope) {
 	p.applyAckWork([]ackWork{work})
 }
 
-// run carries out a step's effects in order: sends, watcher re-primes and the
-// resend timer at once; the acknowledgment effects are returned as the work
-// of cause.
+// run carries out a step's effects in order: sends and the resend timer at
+// once; the acknowledgment effects are returned as the work of cause.
 func (p *Peer) run(cause wire.Envelope, effs []effect) ackWork {
 	work := ackWork{cause: cause}
 	for _, e := range effs {
@@ -681,8 +680,6 @@ func (p *Peer) run(cause wire.Envelope, effs []effect) ackWork {
 			work.acks = append(work.acks, pendingAck{to: e.to, msg: e.msg.(wire.AnswerAck)})
 		case effFrontierDirty:
 			work.dirty = true
-		case effReprime:
-			p.hub.Reprime()
 		case effArmTimer:
 			p.armResend()
 		}
@@ -742,14 +739,14 @@ func (p *Peer) received(env wire.Envelope) {
 	m := env.Msg
 	if ab, ok := m.(wire.AnswerBatch); ok {
 		for _, a := range ab.Acks {
-			p.ct.Received(a.Kind(), a.Size())
+			p.ct.Received(a.Kind(), wire.Size(a))
 		}
 		for _, a := range ab.Answers {
-			p.ct.Received(a.Kind(), a.Size())
+			p.ct.Received(a.Kind(), wire.Size(a))
 		}
 		return
 	}
-	p.ct.Received(m.Kind(), m.Size())
+	p.ct.Received(m.Kind(), wire.Size(m))
 }
 
 // ackLoop is the durable peers' acknowledgment pipeline: it batches whatever

@@ -89,7 +89,6 @@ const (
 	effPersistParts                    // log part tuples newly accumulated, before the ack that covers them
 	effOweAck                          // acknowledge an applied answer once it is durable
 	effFrontierDirty                   // an ack advanced a durable frontier: persist the marks
-	effReprime                         // a rule change: every watcher class re-evaluates in full
 	effArmTimer                        // deliver a resendTick after Options.ResendEvery
 )
 

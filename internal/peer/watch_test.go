@@ -149,6 +149,50 @@ func TestWatchAfterCloseWatchersFails(t *testing.T) {
 	}
 }
 
+// TestRuleChangeCostsTheHubNothing: adding, redefining and deleting a rule
+// leave the watchers alone. The hub evaluates over stored, append-only
+// relations, which a rule change does not rewrite, so no class re-evaluates
+// — not even one that keeps an exactly-once set (p(X,Y) watched on [X]) —
+// and no watcher is staged a batch. Closing the hub runs one last pass, which
+// would serve any re-evaluation still pending.
+func TestRuleChangeCostsTheHubNothing(t *testing.T) {
+	const W = 8
+	tr := transport.NewMem(transport.MemOptions{})
+	t.Cleanup(func() { _ = tr.Close() })
+	p, err := New("W", []relalg.Schema{relalg.MakeSchema("p", 2)}, nil, tr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Seed("p", relalg.Tuple{relalg.S("v0"), relalg.S("w0")}); err != nil {
+		t.Fatal(err)
+	}
+	ws := make([]*Watcher, W)
+	for i := range ws {
+		if ws[i], err = p.Watch("p(X,Y)", []string{"X"}); err != nil {
+			t.Fatal(err)
+		}
+		if b := <-ws[i].Out(); !b.Prime || len(b.Tuples) != 1 {
+			t.Fatalf("prime carried %d tuples, want the 1 existing", len(b.Tuples))
+		}
+	}
+	eval0 := p.hub.Metrics().Evaluations
+	for _, rule := range []string{"r1: S:s(X,Y) -> W:p(X,Y)", "r1: S:s(Y,X) -> W:p(X,Y)"} {
+		if err := p.AddRuleLocal(rule); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.DeleteRuleLocal("r1")
+	p.CloseWatchers()
+	if got := p.hub.Metrics().Evaluations - eval0; got != 0 {
+		t.Fatalf("rule changes cost the hub %d evaluations, want 0", got)
+	}
+	for _, w := range ws {
+		for b := range w.Out() {
+			t.Fatalf("a rule change staged a batch of %d tuples", len(b.Tuples))
+		}
+	}
+}
+
 // TestSeedInsertLocalAndWatchRaceExactlyOnce: seeding, online inserts and
 // registrations race on a set-free class (one atom, every variable a column),
 // whose watchers rely on the peer's mutex alone for exactly-once delivery: a

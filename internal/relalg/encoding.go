@@ -3,6 +3,7 @@ package relalg
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 )
 
 // The byte codec of values and tuples: one definition, here, for the WAL
@@ -69,12 +70,30 @@ func AppendTuples(b []byte, ts []Tuple) []byte {
 	return b
 }
 
+// UvarintSize returns the length of v's uvarint encoding.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// StringSize returns the length AppendString writes for s.
+func StringSize(s string) int { return UvarintSize(uint64(len(s))) + len(s) }
+
+// TuplesSize returns the length AppendTuples writes for ts, without writing.
+func TuplesSize(ts []Tuple) int {
+	n := UvarintSize(uint64(len(ts)))
+	for _, t := range ts {
+		n += UvarintSize(uint64(len(t)))
+		for _, v := range t {
+			m := v.EncodedSize()
+			n += UvarintSize(uint64(m)) + m
+		}
+	}
+	return n
+}
+
 // EncodedSize returns the length of the value's kind byte and payload, for
-// message-size accounting on the in-memory transport.
+// TuplesSize.
 func (v Value) EncodedSize() int {
 	if v.kind == KindInt {
-		var buf [binary.MaxVarintLen64]byte
-		return 1 + binary.PutVarint(buf[:], v.num)
+		return 1 + UvarintSize(uint64(v.num<<1)^uint64(v.num>>63)) // zig-zag
 	}
 	return 1 + len(v.text())
 }

@@ -32,10 +32,13 @@ func TestCodecGolden(t *testing.T) {
 	if got := AppendStrings(nil, []string{"x", ""}); hex.EncodeToString(got) != "02017800" {
 		t.Fatalf("strings encode to %x", got)
 	}
-	for _, v := range ts[0] {
+	for _, v := range append(ts[0], ts[1]...) {
 		if n := len(AppendValue(nil, v)) - 1; n != v.EncodedSize() {
 			t.Errorf("%v: EncodedSize %d, encoded payload %d", v, v.EncodedSize(), n)
 		}
+	}
+	if n := TuplesSize(ts); n != len(got) {
+		t.Errorf("TuplesSize %d, encoded %d", n, len(got))
 	}
 }
 

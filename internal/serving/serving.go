@@ -12,9 +12,9 @@
 // semi-naive evaluation per affected class, and fans the class result out to
 // every watcher of the class through its own bounded queue. Deduplication is
 // per class too — at most one exactly-once set per class, not per watcher,
-// and none for a set-free class (see setFree). Re-primes (rule redefinition)
-// share the same path: one full evaluation per class with a set serves all
-// its re-primed watchers.
+// and none for a set-free class (see setFree). A rule redefinition costs the
+// hub nothing: it evaluates over stored, append-only relations, so a class's
+// prime plus its deltas already are its full result at the frontier.
 //
 // Extraction and evaluation run under the peer's mutex (serialising with
 // protocol inserts, like every other evaluation); queue delivery happens
@@ -96,7 +96,6 @@ type class struct {
 	rels     []string
 	relSet   map[string]bool
 	watchers map[uint64]*Watcher
-	reprime  bool // next pass must re-run the full conjunction (rule change)
 	setFree  bool // no sent set: see setFree
 
 	// sent is the class result delivered so far. Every primed watcher
@@ -224,23 +223,6 @@ func (h *Hub) Notify(rel string) {
 	h.wake()
 }
 
-// Reprime asks every class with a set to re-run its full conjunction on the
-// next pass (a rule changed). One evaluation per class serves all its
-// watchers; only what the class set does not hold yet is delivered, so
-// deliveries stay exactly-once. A set-free class skips it: its prime and
-// deltas already add up to its full result over the append-only relations.
-func (h *Hub) Reprime() {
-	if h.nwatch.Load() == 0 {
-		return
-	}
-	h.wmu.Lock()
-	for _, cl := range h.classes {
-		cl.reprime = !cl.setFree
-	}
-	h.wmu.Unlock()
-	h.wake()
-}
-
 // WatcherCount reports the live watchers.
 func (h *Hub) WatcherCount() int { return int(h.nwatch.Load()) }
 
@@ -316,7 +298,7 @@ func (h *Hub) pump() {
 // classWork is one pass's snapshot of a class.
 type classWork struct {
 	cl       *class
-	full     bool // run the full conjunction (reprime or a fresh watcher)
+	full     bool // run the full conjunction (a fresh watcher)
 	primed   int  // watchers already primed: the class's news goes to them
 	watchers []*Watcher
 }
@@ -353,8 +335,6 @@ func (h *Hub) pass() {
 				cw.full = true
 			}
 		}
-		cw.full = cw.full || cl.reprime && cw.primed > 0
-		cl.reprime = false
 		work = append(work, cw)
 	}
 	h.wmu.Unlock()

@@ -152,49 +152,6 @@ func TestDistinctClassesEvaluateIndependently(t *testing.T) {
 	}
 }
 
-// TestReprimeSharesEvaluation is the re-prime satellite: a rule-redefinition
-// re-prime pays one shared full evaluation per class — not one per watcher —
-// and the class set keeps it silent when nothing changed. The class drops Y,
-// so it keeps a set; a set-free class skips the re-prime altogether
-// (TestSetFreeClassExactlyOnce).
-func TestReprimeSharesEvaluation(t *testing.T) {
-	const W = 8
-	h := newHarness(t, relalg.MakeSchema("p", 2))
-	conj := mustConj(t, "p(X,Y)")
-	h.insert(t, "p", "v0", "w0")
-	ws := make([]*Watcher, W)
-	for i := range ws {
-		w, err := h.hub.Register(conj, []string{"X"}, WatchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws[i] = w
-		if b := recvBatch(t, w); !b.Prime || len(b.Tuples) != 1 {
-			t.Fatalf("prime carried %d tuples, want the 1 existing", len(b.Tuples))
-		}
-	}
-	eval0 := h.hub.Metrics().Evaluations
-	extr0 := h.hub.Metrics().Extractions
-	h.hub.Reprime()
-	waitUntil(t, "the re-prime pass", func() bool { return h.hub.Metrics().Evaluations > eval0 })
-	m := h.hub.Metrics()
-	if got := m.Evaluations - eval0; got != 1 {
-		t.Fatalf("re-priming %d watchers cost %d evaluations, want exactly 1 shared", W, got)
-	}
-	if got := m.Extractions - extr0; got != 0 {
-		t.Fatalf("re-prime paid %d delta extractions, want 0", got)
-	}
-	// Nothing changed, so the class set must have swallowed the re-primed
-	// result: the next batch each watcher sees is the fresh insert, alone.
-	h.insert(t, "p", "v1", "w1")
-	for _, w := range ws {
-		b := recvBatch(t, w)
-		if len(b.Tuples) != 1 || b.Tuples[0].Key() != (relalg.Tuple{relalg.S("v1")}).Key() {
-			t.Fatalf("post-reprime batch not the fresh insert alone: %v", b.Tuples)
-		}
-	}
-}
-
 // TestStalledBlockWatcherStallsNobody: a consumer that never reads holds at
 // most its queue bound in pending batches (lossless coalescing) while other
 // watchers of the same relation — and the inserter — proceed at full speed.
@@ -473,8 +430,8 @@ func sameKeys(got map[string]int, want map[string]bool) bool {
 }
 
 // TestOneDedupSetPerClass is the exactly-once spec under one shared set per
-// class. X is re-derived through different Y; watchers join at three passes
-// around a Reprime, one resumes from a token and one drops oldest. Every
+// class. X is re-derived through different Y; watchers join at three passes,
+// one resumes from a token and one drops oldest. Every
 // freshly primed watcher's batches still union to cq.Eval's result with no
 // tuple twice, the resumed stream repeats nothing after its catch-up, and the
 // hub holds one copy of the result however many watchers share it.
@@ -528,13 +485,9 @@ func TestOneDedupSetPerClass(t *testing.T) {
 	h.insert(t, "q", "2")
 	settle(first)
 
-	// Pass 2: a drop-oldest watcher joins the primed class; then a rule change
-	// re-primes it — one full evaluation, nothing new for anyone.
+	// Pass 2: a drop-oldest watcher joins the primed class.
 	dropper := watch(WatchOptions{Policy: DropOldest})
 	primed(dropper)
-	eval0 := h.hub.Metrics().Evaluations
-	h.hub.Reprime()
-	waitUntil(t, "the re-prime pass", func() bool { return h.hub.Metrics().Evaluations > eval0 })
 	derive("c", "4")
 	derive("b", "5")
 	settle(first, dropper)
@@ -777,11 +730,10 @@ func TestCoalescingReachesOnlyItsOwnWatcherWithSet(t *testing.T) {
 // TestSetFreeClassExactlyOnce runs TestOneDedupSetPerClass's schedule over
 // classes of one atom. Where every variable of the atom is a column — with a
 // constant, a repeated variable or a built-in filtering it — the class is
-// set-free: it retains nothing and a re-prime costs no evaluation and stages
-// nothing, yet every freshly primed watcher's batches still union to
-// cq.Eval's result with no tuple twice. The projection arm drops Y, so X is
-// re-derived through a new Y: that class keeps its set and still delivers
-// each X once.
+// set-free: it retains nothing, yet every freshly primed watcher's batches
+// still union to cq.Eval's result with no tuple twice. The projection arm
+// drops Y, so X is re-derived through a new Y: that class keeps its set and
+// still delivers each X once.
 func TestSetFreeClassExactlyOnce(t *testing.T) {
 	for _, arm := range []struct {
 		name, conj string
@@ -848,25 +800,9 @@ func testSetFreeSchedule(t *testing.T, conj cq.Conjunction, cols []string, setFr
 	rows("a", "3", "c", "c", "b", "4") // a and b again, through a new Y
 	settle(first)
 
-	// Pass 2: a drop-oldest watcher joins the primed class; then a rule change
-	// re-primes it. Nothing is new, so nobody is staged a batch; only a class
-	// with a set pays its one full evaluation to find that out.
+	// Pass 2: a drop-oldest watcher joins the primed class.
 	dropper := watch(WatchOptions{Policy: DropOldest})
 	primed(dropper)
-	staged := func() uint64 { return first.w.staged.Load() + dropper.w.staged.Load() }
-	eval0, staged0 := h.hub.Metrics().Evaluations, staged()
-	h.hub.Reprime()
-	h.hub.pass() // returns once the re-prime's pass, the pump's or this one, is done
-	wantEvals := uint64(1)
-	if setFree {
-		wantEvals = 0
-	}
-	if got := h.hub.Metrics().Evaluations - eval0; got != wantEvals {
-		t.Fatalf("re-prime cost %d evaluations, want %d", got, wantEvals)
-	}
-	if got := staged() - staged0; got != 0 {
-		t.Fatalf("re-prime with nothing new staged %d batches", got)
-	}
 	rows("c", "5", "a", "a", "b", "6")
 	settle(first, dropper)
 

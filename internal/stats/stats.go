@@ -68,7 +68,7 @@ type Snapshot struct {
 
 	MsgsSent     map[string]uint64 // by message kind
 	MsgsReceived map[string]uint64
-	BytesSent    uint64
+	BytesSent    uint64 // encoded message bytes (wire.Size), no envelope
 	BytesRecv    uint64
 
 	QueriesExecuted  uint64 // local body evaluations

@@ -63,9 +63,9 @@ type BatcherOptions struct {
 	// destination ships at once, one that arrives while the link is busy
 	// leaves at most this long after the oldest message held with it.
 	Window time.Duration
-	// MaxBytes flushes a destination's buffer once its estimated payload
-	// reaches this size, so a burst never builds an oversized frame
-	// (default 64KiB).
+	// MaxBytes flushes a destination's buffer once its encoded payload
+	// (wire.Size, summed over the held messages) reaches this size, so a
+	// burst never builds an oversized frame (default 64KiB).
 	MaxBytes int
 }
 
@@ -214,7 +214,7 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	}
 	// Every data kind: a full buffer ships inline, a message that found the
 	// link quiet makes its buffer ready, anything else waits for the timer.
-	buf.bytes += msg.Size()
+	buf.bytes += wire.Size(msg)
 	quiet := now.Sub(buf.lastData) >= b.window/quietDiv
 	buf.lastData = now
 	if buf.bytes >= b.maxByte {

@@ -391,7 +391,7 @@ func TestBatcherFlushOnClose(t *testing.T) {
 
 func TestBatcherMaxBytesFlushesEarly(t *testing.T) {
 	a := testAnswer(1)
-	b, inner, _ := clockedBatcher(BatcherOptions{MaxBytes: 2 * a.Size()})
+	b, inner, _ := clockedBatcher(BatcherOptions{MaxBytes: 2 * wire.Size(a)})
 	defer b.Close()
 	lead(t, b, inner)
 	for i := 1; i <= 6; i++ {

@@ -50,6 +50,22 @@ func BenchmarkWireEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkWireSize prices the byte count the statistical module and the
+// Batcher take of every message: the codec's arms, counting.
+func BenchmarkWireSize(b *testing.B) {
+	for _, n := range benchSizes {
+		msg := benchBatch(n).Msg
+		b.Run(fmt.Sprintf("tuples=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			size := 0
+			for i := 0; i < b.N; i++ {
+				size = Size(msg)
+			}
+			b.ReportMetric(float64(size), "msg-bytes")
+		})
+	}
+}
+
 func BenchmarkWireDecode(b *testing.B) {
 	for _, n := range benchSizes {
 		data, err := Encode(benchBatch(n))

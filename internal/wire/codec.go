@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -119,6 +120,22 @@ func EncodeFrame(room int, env Envelope) ([]byte, error) {
 	return out, nil
 }
 
+// Size returns the length of msg's encoding: the bytes Encode writes for it
+// behind the envelope header (version byte, From, To). It runs Encode's arms
+// in counting mode, so it cannot disagree with the frame, and allocates
+// nothing. A message outside the kind table counts 0.
+func Size(msg Message) int {
+	e := scratch.Get().(*encoder)
+	e.count, e.n = true, 0
+	if e.message(msg) != nil {
+		e.n = 0
+	}
+	n := e.n
+	e.count = false
+	scratch.Put(e)
+	return n
+}
+
 // Decode deserialises an envelope produced by Encode. The result shares no
 // memory with data.
 func Decode(data []byte) (Envelope, error) {
@@ -141,17 +158,66 @@ func Decode(data []byte) (Envelope, error) {
 // Encode arms
 
 // encoder appends fields to a frame; its methods chain, so an arm reads as
-// the struct's field list.
-type encoder struct{ b []byte }
+// the struct's field list. A counting encoder (Size) adds each field's length
+// to n instead, so a frame's layout is written once, in the arms below.
+type encoder struct {
+	b     []byte
+	count bool
+	n     int
+}
 
-func (e *encoder) kind(k kind) *encoder     { e.b = append(e.b, byte(k)); return e }
-func (e *encoder) byte(v byte) *encoder     { e.b = append(e.b, v); return e }
-func (e *encoder) uint(v uint64) *encoder   { e.b = binary.AppendUvarint(e.b, v); return e }
-func (e *encoder) int(v int64) *encoder     { e.b = binary.AppendVarint(e.b, v); return e }
-func (e *encoder) str(s string) *encoder    { e.b = relalg.AppendString(e.b, s); return e }
-func (e *encoder) strs(s []string) *encoder { e.b = relalg.AppendStrings(e.b, s); return e }
-func (e *encoder) bytes(v []byte) *encoder  { e.b = append(e.uint(uint64(len(v))).b, v...); return e }
+func (e *encoder) kind(k kind) *encoder { return e.byte(byte(k)) }
+func (e *encoder) int(v int64) *encoder { return e.uint(uint64(v<<1) ^ uint64(v>>63)) } // zig-zag
+
+func (e *encoder) byte(v byte) *encoder {
+	if e.count {
+		e.n++
+		return e
+	}
+	e.b = append(e.b, v)
+	return e
+}
+
+func (e *encoder) uint(v uint64) *encoder {
+	if e.count {
+		e.n += relalg.UvarintSize(v)
+		return e
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+	return e
+}
+
+func (e *encoder) str(s string) *encoder {
+	if e.count {
+		e.n += relalg.StringSize(s)
+		return e
+	}
+	e.b = relalg.AppendString(e.b, s)
+	return e
+}
+
+func (e *encoder) strs(ss []string) *encoder {
+	e.uint(uint64(len(ss)))
+	for _, s := range ss {
+		e.str(s)
+	}
+	return e
+}
+
+func (e *encoder) bytes(v []byte) *encoder {
+	if e.count {
+		e.n += relalg.UvarintSize(uint64(len(v))) + len(v)
+		return e
+	}
+	e.b = append(e.uint(uint64(len(v))).b, v...)
+	return e
+}
+
 func (e *encoder) tuples(ts []relalg.Tuple) *encoder {
+	if e.count {
+		e.n += relalg.TuplesSize(ts)
+		return e
+	}
 	e.b = relalg.AppendTuples(e.b, ts)
 	return e
 }
@@ -165,8 +231,15 @@ func (e *encoder) bool(v bool) *encoder {
 
 // encodeMap writes a string-keyed map as counted pairs sorted by key, so
 // equal maps encode to equal bytes; the keys sort in stack memory when few.
+// A count skips the sort: the length does not depend on the order.
 func encodeMap[V any](e *encoder, m map[string]V, val func(*encoder, V) *encoder) *encoder {
 	e.uint(uint64(len(m)))
+	if e.count {
+		for k, v := range m {
+			val(e.str(k), v)
+		}
+		return e
+	}
 	var buf [8]string
 	keys := buf[:0]
 	for k := range m {
@@ -295,7 +368,7 @@ func (e *encoder) message(msg Message) error {
 	case WatchCancel:
 		e.kind(kWatchCancel).uint(m.ID)
 	default:
-		return fmt.Errorf("%w: cannot encode %T", ErrKind, msg)
+		return fmt.Errorf("%w: cannot encode %v", ErrKind, reflect.TypeOf(msg))
 	}
 	return nil
 }

@@ -138,9 +138,15 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			t.Fatal("nil message decoded without error")
 		}
 		// The decoded message must be internally usable: Kind and Size are
-		// read on every receive path.
+		// read on every receive path, and Size is its re-encoded length.
 		_ = env.Msg.Kind()
-		_ = env.Msg.Size()
+		frame, err := Encode(env)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if got, want := Size(env.Msg), len(frame)-1-relalg.StringSize(env.From)-relalg.StringSize(env.To); got != want {
+			t.Fatalf("%s: Size %d, encoded %d", env.Msg.Kind(), got, want)
+		}
 	})
 }
 

@@ -2,9 +2,10 @@
 // the discovery-phase messages (A1–A3 of the paper), the update-phase
 // messages (A4–A5), and the control plane a super-peer uses (rule broadcast,
 // dynamic add/delete notifications, statistics collection). Messages are
-// self-describing (Kind) and size-accountable (Size); the TCP transport
-// encodes them with the binary codec of codec.go, the in-memory transport
-// passes them by value and uses Size for byte accounting.
+// self-describing (Kind); the TCP transport encodes them with the binary
+// codec of codec.go and the in-memory transport passes them by value. Either
+// way a message's bytes, as the statistical module and the Batcher count
+// them, are its encoded length (Size), which the codec's own arms compute.
 package wire
 
 import (
@@ -16,9 +17,6 @@ import (
 type Message interface {
 	// Kind returns a short stable name used for statistics and tracing.
 	Kind() string
-	// Size estimates the encoded size in bytes (used by the in-memory
-	// transport for byte accounting; the TCP transport counts real frames).
-	Size() int
 }
 
 // Envelope wraps a message with addressing for transports.
@@ -49,9 +47,6 @@ type RequestNodes struct {
 // Kind implements Message.
 func (RequestNodes) Kind() string { return "requestNodes" }
 
-// Size implements Message.
-func (m RequestNodes) Size() int { return 16 + len(m.Wave) }
-
 // DiscoveryAnswer streams accumulated dependency-edge knowledge back towards
 // the wave origin (the paper's processAnswer). Finished reports that
 // discovery through the answering branch is complete (echo).
@@ -63,18 +58,6 @@ type DiscoveryAnswer struct {
 
 // Kind implements Message.
 func (DiscoveryAnswer) Kind() string { return "processAnswer" }
-
-// Size implements Message.
-func (m DiscoveryAnswer) Size() int {
-	n := 18 + len(m.Wave)
-	for _, ne := range m.Knowledge {
-		n += len(ne.Node) + 10
-		for _, t := range ne.Targets {
-			n += len(t) + 1
-		}
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // Update phase (A4–A5)
@@ -90,9 +73,6 @@ type StartUpdate struct {
 
 // Kind implements Message.
 func (StartUpdate) Kind() string { return "startUpdate" }
-
-// Size implements Message.
-func (m StartUpdate) Size() int { return 24 + len(m.Origin) }
 
 // Query asks the receiver to evaluate one body part of a coordination rule
 // on behalf of the sender (the paper's Query(IDs, Q, SN)). The conjunction
@@ -117,18 +97,6 @@ type Query struct {
 
 // Kind implements Message.
 func (Query) Kind() string { return "query" }
-
-// Size implements Message.
-func (m Query) Size() int {
-	n := 34 + len(m.RuleID) + len(m.Conj)
-	for _, c := range m.Cols {
-		n += len(c) + 1
-	}
-	for _, p := range m.Path {
-		n += len(p) + 1
-	}
-	return n
-}
 
 // Answer returns (or pushes) the result set of a rule's body part (the
 // paper's Answer(ID, QA, SN, state)). Route lists the nodes the result set
@@ -163,30 +131,6 @@ type Answer struct {
 // Kind implements Message.
 func (Answer) Kind() string { return "answer" }
 
-// Size implements Message.
-func (m Answer) Size() int {
-	n := 28 + len(m.RuleID) + len(m.Part)
-	for _, c := range m.Columns {
-		n += len(c) + 1
-	}
-	for _, p := range m.Route {
-		n += len(p) + 1
-	}
-	for _, t := range m.Tuples {
-		for _, v := range t {
-			n += v.EncodedSize()
-		}
-		n += 2
-	}
-	for rel := range m.Base {
-		n += len(rel) + 9
-	}
-	for rel := range m.Seqs {
-		n += len(rel) + 9
-	}
-	return n
-}
-
 // AnswerAck confirms receipt — and, when Durable, persistence — of an
 // Answer's result set covering the sequence range (Base, Seqs]. The
 // dependent echoes the answer's SubID and range back to the source, which
@@ -210,18 +154,6 @@ type AnswerAck struct {
 
 // Kind implements Message.
 func (AnswerAck) Kind() string { return "answerAck" }
-
-// Size implements Message.
-func (m AnswerAck) Size() int {
-	n := 23 + len(m.RuleID)
-	for rel := range m.Base {
-		n += len(rel) + 9
-	}
-	for rel := range m.Seqs {
-		n += len(rel) + 9
-	}
-	return n
-}
 
 // AnswerBatch coalesces several update-phase messages bound for one peer
 // into a single wire frame: the Answers a source produced within a batching
@@ -253,30 +185,6 @@ type AnswerBatch struct {
 // Kind implements Message.
 func (AnswerBatch) Kind() string { return "answerBatch" }
 
-// Size implements Message.
-func (m AnswerBatch) Size() int {
-	n := 12
-	for _, a := range m.Answers {
-		n += a.Size()
-	}
-	for _, a := range m.Acks {
-		n += a.Size()
-	}
-	for _, b := range m.Beats {
-		n += b.Size()
-	}
-	for _, r := range m.RepAppends {
-		n += r.Size()
-	}
-	for _, r := range m.RepAcks {
-		n += r.Size()
-	}
-	for _, d := range m.WatchDeltas {
-		n += d.Size()
-	}
-	return n
-}
-
 // Unsubscribe cancels the sender's subscription for a rule at the receiver
 // (sent when a coordination rule is deleted at runtime).
 type Unsubscribe struct {
@@ -285,9 +193,6 @@ type Unsubscribe struct {
 
 // Kind implements Message.
 func (Unsubscribe) Kind() string { return "unsubscribe" }
-
-// Size implements Message.
-func (m Unsubscribe) Size() int { return 12 + len(m.RuleID) }
 
 // ---------------------------------------------------------------------------
 // Control plane (Section 4 notifications and Section 5 super-peer verbs)
@@ -302,9 +207,6 @@ type AddRuleNotice struct {
 // Kind implements Message.
 func (AddRuleNotice) Kind() string { return "addRule" }
 
-// Size implements Message.
-func (m AddRuleNotice) Size() int { return 10 + len(m.RuleText) }
-
 // DeleteRuleNotice notifies the head node of deleteLink(i,j,id).
 type DeleteRuleNotice struct {
 	RuleID string
@@ -312,9 +214,6 @@ type DeleteRuleNotice struct {
 
 // Kind implements Message.
 func (DeleteRuleNotice) Kind() string { return "deleteRule" }
-
-// Size implements Message.
-func (m DeleteRuleNotice) Size() int { return 10 + len(m.RuleID) }
 
 // TopoChanged propagates a topology-change hint from the head node of a
 // changed rule to its transitive dependents, which mark their discovered
@@ -326,9 +225,6 @@ type TopoChanged struct {
 // Kind implements Message.
 func (TopoChanged) Kind() string { return "topoChanged" }
 
-// Size implements Message.
-func (m TopoChanged) Size() int { return 10 + len(m.ChangeID) }
-
 // SetNetwork broadcasts a full network-description file; each peer adopts
 // the rules targeting it (Section 5: "one peer can change the network
 // topology at runtime").
@@ -339,18 +235,12 @@ type SetNetwork struct {
 // Kind implements Message.
 func (SetNetwork) Kind() string { return "setNetwork" }
 
-// Size implements Message.
-func (m SetNetwork) Size() int { return 10 + len(m.Text) }
-
 // StatsRequest asks a peer for its statistics snapshot. The report echoes
 // Seq, so a poller can tell the answer to this request from a late one.
 type StatsRequest struct{ Seq uint64 }
 
 // Kind implements Message.
 func (StatsRequest) Kind() string { return "statsRequest" }
-
-// Size implements Message.
-func (StatsRequest) Size() int { return 8 }
 
 // StatsReport carries a peer's statistics snapshot to the super-peer.
 type StatsReport struct {
@@ -361,17 +251,11 @@ type StatsReport struct {
 // Kind implements Message.
 func (StatsReport) Kind() string { return "statsReport" }
 
-// Size implements Message.
-func (m StatsReport) Size() int { return 64 }
-
 // StatsReset zeroes a peer's statistics.
 type StatsReset struct{}
 
 // Kind implements Message.
 func (StatsReset) Kind() string { return "statsReset" }
-
-// Size implements Message.
-func (StatsReset) Size() int { return 8 }
 
 // ---------------------------------------------------------------------------
 // Cluster membership (multi-process deployment)
@@ -396,9 +280,6 @@ type Join struct {
 // Kind implements Message.
 func (Join) Kind() string { return "join" }
 
-// Size implements Message.
-func (m Join) Size() int { return 16 + len(m.Node) + len(m.Addr) + mapSize(m.Members) }
-
 // JoinAck acknowledges a Join with the receiver's merged member table, so the
 // joiner learns members reachable only transitively.
 type JoinAck struct {
@@ -407,9 +288,6 @@ type JoinAck struct {
 
 // Kind implements Message.
 func (JoinAck) Kind() string { return "joinAck" }
-
-// Size implements Message.
-func (m JoinAck) Size() int { return 12 + mapSize(m.Members) }
 
 // Heartbeat keeps a membership entry alive; Addr re-asserts the sender's
 // listen address so a restarted process corrects stale book entries.
@@ -421,9 +299,6 @@ type Heartbeat struct {
 // Kind implements Message.
 func (Heartbeat) Kind() string { return "heartbeat" }
 
-// Size implements Message.
-func (m Heartbeat) Size() int { return 12 + len(m.Node) + len(m.Addr) }
-
 // Goodbye is a clean leave: receivers mark the member as departed instead of
 // waiting out the suspicion window.
 type Goodbye struct {
@@ -432,17 +307,6 @@ type Goodbye struct {
 
 // Kind implements Message.
 func (Goodbye) Kind() string { return "goodbye" }
-
-// Size implements Message.
-func (m Goodbye) Size() int { return 10 + len(m.Node) }
-
-func mapSize(m map[string]string) int {
-	n := 0
-	for k, v := range m {
-		n += len(k) + len(v) + 2
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // Replicated consensus control plane (internal/consensus)
@@ -510,9 +374,6 @@ type Prepare struct {
 // Kind implements Message.
 func (Prepare) Kind() string { return KindPrepare }
 
-// Size implements Message.
-func (Prepare) Size() int { return 32 }
-
 // Promise answers a Prepare (phase 1b). OK false is a rejection; Promised
 // then carries the ballot the acceptor is already bound to, so the proposer
 // can jump past it instead of walking ballots one by one. When the acceptor
@@ -532,9 +393,6 @@ type Promise struct {
 // Kind implements Message.
 func (Promise) Kind() string { return KindPromise }
 
-// Size implements Message.
-func (m Promise) Size() int { return 52 + cmdSize(m.Val) }
-
 // Accept asks acceptors to accept a value under a ballot (phase 2a).
 type Accept struct {
 	Instance uint64
@@ -545,9 +403,6 @@ type Accept struct {
 
 // Kind implements Message.
 func (Accept) Kind() string { return KindAccept }
-
-// Size implements Message.
-func (m Accept) Size() int { return 32 + cmdSize(m.Val) }
 
 // Accepted answers an Accept (phase 2b). OK false is a rejection with the
 // conflicting promised ballot.
@@ -562,9 +417,6 @@ type Accepted struct {
 // Kind implements Message.
 func (Accepted) Kind() string { return KindAccepted }
 
-// Size implements Message.
-func (Accepted) Size() int { return 41 }
-
 // Learn announces a decided instance (the proposer broadcasts it on reaching
 // a majority of Accepted; acceptors also reply with it when a round arrives
 // for an instance they already know decided, which is the catch-up path).
@@ -577,9 +429,6 @@ type Learn struct {
 // Kind implements Message.
 func (Learn) Kind() string { return KindLearn }
 
-// Size implements Message.
-func (m Learn) Size() int { return 24 + cmdSize(m.Val) }
-
 // CatchUp asks a peer to re-send Learns for decided instances at or above
 // From. Members also send it periodically as a done-frontier advertisement:
 // it is the only consensus frame an idle, fully caught-up cluster exchanges.
@@ -590,9 +439,6 @@ type CatchUp struct {
 
 // Kind implements Message.
 func (CatchUp) Kind() string { return KindCatchUp }
-
-// Size implements Message.
-func (CatchUp) Size() int { return 24 }
 
 // Snapshot is a state transfer: the answer to a CatchUp whose From fell
 // below the sender's instance-GC floor (the requester lost its control log,
@@ -608,13 +454,6 @@ type Snapshot struct {
 
 // Kind implements Message.
 func (Snapshot) Kind() string { return KindSnapshot }
-
-// Size implements Message.
-func (m Snapshot) Size() int { return 28 + len(m.State) }
-
-func cmdSize(c Command) int {
-	return 26 + len(c.Kind) + len(c.Origin) + len(c.Node) + len(c.Addr) + len(c.Text)
-}
 
 // ---------------------------------------------------------------------------
 // Replication (internal/replica)
@@ -650,21 +489,6 @@ type ReplicaAppend struct {
 // Kind implements Message.
 func (ReplicaAppend) Kind() string { return "replicaAppend" }
 
-// Size implements Message.
-func (m ReplicaAppend) Size() int {
-	n := 28 + len(m.Node) + len(m.Rel)
-	for _, a := range m.Attrs {
-		n += len(a) + 2
-	}
-	for _, t := range m.Tuples {
-		for _, v := range t {
-			n += v.EncodedSize()
-		}
-		n += 2
-	}
-	return n
-}
-
 // ReplicaAck confirms a replica applied (and, when Durable, persisted) one
 // relation of a replicated peer through sequence To. The primary extends the
 // destination's acked frontier monotonically — a replica only ever acks a
@@ -680,9 +504,6 @@ type ReplicaAck struct {
 // Kind implements Message.
 func (ReplicaAck) Kind() string { return "replicaAck" }
 
-// Size implements Message.
-func (m ReplicaAck) Size() int { return 21 + len(m.Node) + len(m.Rel) }
-
 // ReplicaSyncReq is the anti-entropy request: a replica (newly assigned,
 // restarted, or handed a gapped append) tells the primary its applied
 // frontier per relation, and the primary rewinds its sent frontier to it so
@@ -695,15 +516,6 @@ type ReplicaSyncReq struct {
 
 // Kind implements Message.
 func (ReplicaSyncReq) Kind() string { return "replicaSync" }
-
-// Size implements Message.
-func (m ReplicaSyncReq) Size() int {
-	n := 12 + len(m.Node)
-	for rel := range m.Frontier {
-		n += len(rel) + 9
-	}
-	return n
-}
 
 // ReplicaState ships the primary's protocol state (wal.MarshalState bytes:
 // epoch, source-side subscription marks, part results) to its replicas, so a
@@ -721,9 +533,6 @@ type ReplicaState struct {
 
 // Kind implements Message.
 func (ReplicaState) Kind() string { return "replicaState" }
-
-// Size implements Message.
-func (m ReplicaState) Size() int { return 20 + len(m.Node) + len(m.State) }
 
 // ReplicaStatus is one row of a member's replication report: a replicated
 // peer, the role this member plays for it, the counterpart member, and the
@@ -743,9 +552,6 @@ type ReplicaStatusRequest struct{}
 // Kind implements Message.
 func (ReplicaStatusRequest) Kind() string { return "replicaStatusRequest" }
 
-// Size implements Message.
-func (ReplicaStatusRequest) Size() int { return 8 }
-
 // ReplicaStatusReport carries a member's replication report: its placement
 // rows and the under-replication gauge (hosted peers whose live, caught-up
 // replica count is below K).
@@ -758,15 +564,6 @@ type ReplicaStatusReport struct {
 
 // Kind implements Message.
 func (ReplicaStatusReport) Kind() string { return "replicaStatusReport" }
-
-// Size implements Message.
-func (m ReplicaStatusReport) Size() int {
-	n := 20 + len(m.Member)
-	for _, e := range m.Entries {
-		n += len(e.Node) + len(e.Role) + len(e.Peer) + 18
-	}
-	return n
-}
 
 // ---------------------------------------------------------------------------
 // Remote control plane (cluster coordinator verbs)
@@ -785,18 +582,12 @@ type DiscoverRequest struct{}
 // Kind implements Message.
 func (DiscoverRequest) Kind() string { return "discoverRequest" }
 
-// Size implements Message.
-func (DiscoverRequest) Size() int { return 8 }
-
 // UpdateRequest asks the receiver to become the update super-node: bump the
 // epoch and flood the kick-off (the remote form of StartUpdateWave).
 type UpdateRequest struct{}
 
 // Kind implements Message.
 func (UpdateRequest) Kind() string { return "updateRequest" }
-
-// Size implements Message.
-func (UpdateRequest) Size() int { return 8 }
 
 // ProbeRequest asks a still-open receiver to re-issue its own queries and
 // re-originate its result set to its subscribers (the remote form of the
@@ -806,18 +597,12 @@ type ProbeRequest struct{}
 // Kind implements Message.
 func (ProbeRequest) Kind() string { return "probeRequest" }
 
-// Size implements Message.
-func (ProbeRequest) Size() int { return 8 }
-
 // StateRequest asks a peer for its protocol state (answered with a
 // StateReport to the sender).
 type StateRequest struct{}
 
 // Kind implements Message.
 func (StateRequest) Kind() string { return "stateRequest" }
-
-// Size implements Message.
-func (StateRequest) Size() int { return 8 }
 
 // StateReport carries one peer's protocol state to the coordinator: the
 // update epoch, whether the node joined the current wave, whether it reached
@@ -847,9 +632,6 @@ type StateReport struct {
 // Kind implements Message.
 func (StateReport) Kind() string { return "stateReport" }
 
-// Size implements Message.
-func (m StateReport) Size() int { return 72 + len(m.Node) }
-
 // QueryRequest evaluates a conjunctive query against the receiver's local
 // database (Definition 4 through the wire; sound and complete globally once
 // the network is quiescent). ID matches the QueryResult to the caller.
@@ -862,15 +644,6 @@ type QueryRequest struct {
 // Kind implements Message.
 func (QueryRequest) Kind() string { return "queryRequest" }
 
-// Size implements Message.
-func (m QueryRequest) Size() int {
-	n := 18 + len(m.Body)
-	for _, c := range m.Cols {
-		n += len(c) + 1
-	}
-	return n
-}
-
 // QueryResult returns a QueryRequest's rows (or its error).
 type QueryResult struct {
 	ID      uint64
@@ -881,21 +654,6 @@ type QueryResult struct {
 
 // Kind implements Message.
 func (QueryResult) Kind() string { return "queryResult" }
-
-// Size implements Message.
-func (m QueryResult) Size() int {
-	n := 20 + len(m.Err)
-	for _, c := range m.Columns {
-		n += len(c) + 1
-	}
-	for _, t := range m.Tuples {
-		for _, v := range t {
-			n += v.EncodedSize()
-		}
-		n += 2
-	}
-	return n
-}
 
 // WatchRequest registers a continuous query at the receiver (the wire face of
 // internal/serving): the current result arrives as a Prime WatchDelta, then
@@ -919,18 +677,6 @@ type WatchRequest struct {
 // Kind implements Message.
 func (WatchRequest) Kind() string { return "watchRequest" }
 
-// Size implements Message.
-func (m WatchRequest) Size() int {
-	n := 24 + len(m.Body) + len(m.Policy)
-	for _, c := range m.Cols {
-		n += len(c) + 1
-	}
-	for rel := range m.Marks {
-		n += len(rel) + 9
-	}
-	return n
-}
-
 // WatchDelta is one delivery on a wire watch: the batch's tuples plus the
 // per-relation frontier the client's accumulated state covers after applying
 // it (the resume-token payload). The terminal frame carries Closed — with Err
@@ -948,21 +694,6 @@ type WatchDelta struct {
 // Kind implements Message.
 func (WatchDelta) Kind() string { return "watchDelta" }
 
-// Size implements Message.
-func (m WatchDelta) Size() int {
-	n := 26 + len(m.Err)
-	for _, t := range m.Tuples {
-		for _, v := range t {
-			n += v.EncodedSize()
-		}
-		n += 2
-	}
-	for rel := range m.Marks {
-		n += len(rel) + 9
-	}
-	return n
-}
-
 // WatchCancel ends a wire watch; the server still sends the terminal Closed
 // delta so the client can tell a drained stream from a lost one.
 type WatchCancel struct {
@@ -971,9 +702,6 @@ type WatchCancel struct {
 
 // Kind implements Message.
 func (WatchCancel) Kind() string { return "watchCancel" }
-
-// Size implements Message.
-func (m WatchCancel) Size() int { return 10 }
 
 // CoordinatorPrefix starts the name of every control-plane endpoint. One keeps
 // no message counters: what it sends is counted by nobody, its receiver included.

@@ -241,34 +241,40 @@ func TestAnswerTuplesSurviveCodec(t *testing.T) {
 	}
 }
 
-func TestSizesArePositiveAndMonotone(t *testing.T) {
-	small := Answer{RuleID: "r", Columns: []string{"X"}}
-	big := small
-	for i := 0; i < 100; i++ {
-		big.Tuples = append(big.Tuples, relalg.Tuple{relalg.S("abcdefgh")})
+// TestSizeIsTheEncodedLength: Size is the frame Encode writes minus the
+// envelope header, for every kind — the golden rows and random values alike,
+// maps of several keys included — and no two kinds share a name.
+func TestSizeIsTheEncodedLength(t *testing.T) {
+	check := func(env Envelope, frame []byte) {
+		t.Helper()
+		header := 1 + relalg.StringSize(env.From) + relalg.StringSize(env.To)
+		if got, want := Size(env.Msg), len(frame)-header; got != want {
+			t.Fatalf("%s: Size %d, encoded %d", env.Msg.Kind(), got, want)
+		}
 	}
-	if small.Size() <= 0 || big.Size() <= small.Size() {
-		t.Errorf("sizes: small=%d big=%d", small.Size(), big.Size())
-	}
-	all := []Message{
-		RequestNodes{}, DiscoveryAnswer{}, StartUpdate{}, Query{}, Answer{},
-		AnswerAck{}, Unsubscribe{}, AddRuleNotice{}, DeleteRuleNotice{}, TopoChanged{},
-		SetNetwork{}, StatsRequest{}, StatsReport{}, StatsReset{},
-		Join{}, JoinAck{}, Heartbeat{}, Goodbye{},
-		DiscoverRequest{}, UpdateRequest{}, ProbeRequest{},
-		StateRequest{}, StateReport{}, QueryRequest{}, QueryResult{},
-		WatchRequest{}, WatchDelta{}, WatchCancel{},
-		Prepare{}, Promise{}, Accept{}, Accepted{}, Learn{}, CatchUp{},
-	}
+	rng := rand.New(rand.NewSource(2))
 	kinds := map[string]bool{}
-	for _, m := range all {
-		if m.Size() <= 0 {
-			t.Errorf("%s: non-positive size", m.Kind())
+	for _, g := range goldenFrames {
+		frame, _ := hex.DecodeString(g.hex)
+		check(Envelope{From: "X", To: "Y", Msg: g.msg}, frame)
+		if kinds[g.msg.Kind()] {
+			t.Errorf("duplicate kind %s", g.msg.Kind())
 		}
-		if kinds[m.Kind()] {
-			t.Errorf("duplicate kind %s", m.Kind())
+		kinds[g.msg.Kind()] = true
+		for i := 0; i < 100; i++ {
+			mp := reflect.New(reflect.TypeOf(g.msg))
+			fill(mp.Elem(), rng)
+			env := Envelope{From: randStr(rng), To: randStr(rng), Msg: mp.Elem().Interface().(Message)}
+			frame, err := Encode(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(env, frame)
 		}
-		kinds[m.Kind()] = true
+	}
+	type notInTheTable struct{ Message }
+	if n := Size(notInTheTable{}); n != 0 {
+		t.Errorf("a type outside the kind table sized %d, want 0", n)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/relalg"
 	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 // programFiles lists the tree's non-test .go files, skipping testdata and dot
@@ -202,6 +203,41 @@ func TestNoPerWatcherDedupSet(t *testing.T) {
 	for i := 0; i < typ.NumField(); i++ {
 		if f := typ.Field(i); f.Type == set || f.Type == reflect.PointerTo(set) {
 			t.Errorf("serving.Watcher.%s is a %s: the dedup set belongs to the class", f.Name, f.Type)
+		}
+	}
+}
+
+// TestOneMessageSize: a message's bytes, as the statistics and the Batcher
+// count them, are its encoded length, which wire.Size takes from the codec's
+// own arms. Hand-written Size estimates restated the frame layout and
+// disagreed with it (an AnswerAck of 19 bytes was counted as 50), so
+// wire.Message declares Kind alone and no program file of internal/wire
+// declares a Size() int method: a new kind cannot bring an estimate back.
+func TestOneMessageSize(t *testing.T) {
+	if n := reflect.TypeOf((*wire.Message)(nil)).Elem().NumMethod(); n != 1 {
+		t.Errorf("wire.Message declares %d methods, want Kind alone", n)
+	}
+	paths, err := filepath.Glob(filepath.Join("internal", "wire", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "Size" || fn.Type.Params.NumFields() != 0 || fn.Type.Results.NumFields() != 1 {
+				continue
+			}
+			if res, ok := fn.Type.Results.List[0].Type.(*ast.Ident); ok && res.Name == "int" {
+				t.Errorf("%s: a Size() int estimate is back; count bytes with wire.Size", fset.Position(fn.Pos()))
+			}
 		}
 	}
 }
