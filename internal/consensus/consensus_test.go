@@ -458,7 +458,9 @@ func TestRestartReplaysControlLog(t *testing.T) {
 	f := newFakeNet()
 	nodes := map[string]*Node{}
 	logs := map[string]*applyLog{}
-	mk := func(name string) {
+	// open builds a member from its control log; join attaches it to the
+	// fabric and starts it. Between the two the member has only replayed.
+	open := func(name string) {
 		al := &applyLog{}
 		opts := fastOpts()
 		opts.LogPath = filepath.Join(dir, name+".control.log")
@@ -467,13 +469,16 @@ func TestRestartReplaysControlLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		nodes[name], logs[name] = n, al
+	}
+	join := func(name string) {
 		f.mu.Lock()
-		f.nodes[name] = n
+		f.nodes[name] = nodes[name]
 		f.mu.Unlock()
-		n.Start()
+		nodes[name].Start()
 	}
 	for _, name := range names {
-		mk(name)
+		open(name)
+		join(name)
 	}
 	defer func() {
 		for _, n := range nodes {
@@ -504,10 +509,13 @@ func TestRestartReplaysControlLog(t *testing.T) {
 	submit(t, nodes["A"], "noop", "while-down-1")
 	submit(t, nodes["B"], "noop", "while-down-2")
 
-	// Restart C from its control log (mk installs a fresh applyLog): New
-	// replays the persisted prefix synchronously, before any network frame.
-	mk("C")
+	// Restart C from its control log (open installs a fresh applyLog): New
+	// replays the persisted prefix synchronously, before any network frame —
+	// so read what it replayed before C joins the fabric, where catching up
+	// on the two entries decided while it was down may start at once.
+	open("C")
 	replayed := logs["C"].snapshot()
+	join("C")
 	if len(replayed) != len(preCrash) {
 		t.Fatalf("replay produced %d entries, want %d", len(replayed), len(preCrash))
 	}

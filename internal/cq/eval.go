@@ -29,12 +29,13 @@ func (m MapSource) Rel(name string) *relalg.Relation { return m[name] }
 // outVars must occur in some atom of the conjunction (range restriction);
 // otherwise an error is returned.
 //
-// The result is a set in first-derivation order: the same relation logs in
-// give the same order out, whatever the process's hash seed, but the order is
-// not canonical — a caller that shows rows to a person sorts them
-// (relalg.SortTuples). The slice is the caller's. A conjunction of one atom
-// and no built-in is projected straight from the relation's log (see
-// evalSeeded), which keeps the contract: first derivation is log order.
+// The result is a set in first-derivation order: the same relations (in
+// insertion order) in give the same order out, whatever the process's hash
+// seed, but the order is not canonical — a caller that shows rows to a person
+// sorts them (relalg.SortTuples). The slice is the caller's. A conjunction of
+// one atom and no built-in is projected straight from the relation's rows,
+// walked by position (see evalSeeded), which keeps the contract: first
+// derivation is insertion order.
 //
 // Node qualifiers on atoms are ignored: the caller is responsible for
 // evaluating a conjunction against the right node's database (rules are
@@ -45,12 +46,12 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out relalg.TupleSet
+	out := relalg.MakeTupleSet(len(outSlots))
 	if e.direct() && !e.atoms[0].hasConst() {
 		// The whole extent seeds the one atom (a constant keeps the general
 		// path: a point query probes the index, it does not scan).
 		if rel := src.Rel(e.atoms[0].rel); rel != nil {
-			err = e.evalSeeded(&out, outSlots, 0, rel.All(), nil, nil)
+			err = e.evalSeeded(&out, outSlots, 0, rel.Len(), rel.At, nil, nil)
 		}
 		return out.All(), err
 	}
@@ -70,9 +71,10 @@ func Eval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, error) {
 // every subsequent delta therefore reproduces the full Eval of the final
 // state, at cost proportional to the deltas instead of the whole database.
 // The result order follows Eval's contract: first derivation, a function of
-// the relation logs and the delta slices alone; for a conjunction of one atom
-// and no built-in that is the order of the delta slice, whose matches are
-// projected straight into the result. The delta slices are only read.
+// the relations' insertion order and the delta slices alone; for a
+// conjunction of one atom and no built-in that is the order of the delta
+// slice, whose matches are projected straight into the result. The delta
+// slices are only read.
 //
 // The semi-naive expansion runs one pass per atom whose relation has new
 // tuples, with that atom seeded from the delta. Passes are ordered
@@ -110,7 +112,7 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 			return len(delta[c.Atoms[order[a]].Rel]) < len(delta[c.Atoms[order[b]].Rel])
 		})
 	}
-	var out relalg.TupleSet
+	out := relalg.MakeTupleSet(len(outSlots))
 	var cache *joinCache
 	if share {
 		cache = &joinCache{ctxs: map[expandCtx]int{}, m: map[prefixKey]*prefix{}}
@@ -121,7 +123,8 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 	var exclude map[int]*relalg.TupleSet
 	for k, i := range order {
 		seedTuples := delta[c.Atoms[i].Rel]
-		if err := e.evalSeeded(&out, outSlots, i, seedTuples, exclude, cache); err != nil {
+		at := func(j int) relalg.Tuple { return seedTuples[j] }
+		if err := e.evalSeeded(&out, outSlots, i, len(seedTuples), at, exclude, cache); err != nil {
 			return nil, err
 		}
 		if adaptive && k < len(order)-1 {
@@ -170,7 +173,7 @@ func ProjectInto(out *relalg.TupleSet, rows [][]relalg.Value, slots []int) {
 		for i, s := range slots {
 			proj[i] = row[s]
 		}
-		out.AddClone(proj)
+		out.Add(proj)
 	}
 }
 
@@ -371,13 +374,14 @@ func (a slotAtom) hasConst() bool {
 	return false
 }
 
-// evalSeeded runs the pipelined join with atom `seed` restricted to the given
-// tuples, atoms in exclude restricted to their pre-delta extents, and every
+// evalSeeded runs the pipelined join with atom `seed` restricted to the n
+// seed tuples at(0)..at(n-1) — a delta slice, or a relation's rows walked by
+// position — atoms in exclude restricted to their pre-delta extents, and every
 // other atom drawn from its full extent in src, and adds the projections of
 // the resulting rows onto outSlots to out. When the conjunction is direct the
-// seed loop writes each match's projection itself, in seedTuples order — no
-// row, no second pass; out still deduplicates (dropped columns can collide).
-func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed int, seedTuples []relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) error {
+// seed loop writes each match's projection itself, in seed order — no row, no
+// second pass; out still deduplicates (dropped columns can collide).
+func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed, n int, at func(int) relalg.Tuple, exclude map[int]*relalg.TupleSet, cache *joinCache) error {
 	atom := e.atoms[seed]
 	bound := make([]bool, e.slots.Len())
 	m := newMatcher(atom, bound)
@@ -386,7 +390,7 @@ func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed int, s
 	var proj relalg.Tuple // direct only: the projection scratch,
 	var projPos []int     // and the tuple position each of its columns reads
 	if direct {
-		out.Grow(len(seedTuples))
+		out.Grow(n)
 		proj, projPos = make(relalg.Tuple, len(outSlots)), make([]int, len(outSlots))
 		for i, s := range outSlots {
 			for k, as := range m.assignSlot {
@@ -396,9 +400,10 @@ func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed int, s
 			}
 		}
 	} else {
-		rows = make([][]relalg.Value, 0, len(seedTuples))
+		rows = make([][]relalg.Value, 0, n)
 	}
-	for _, t := range seedTuples {
+	for j := range n {
+		t := at(j)
 		// Nothing is bound yet, so the fixed positions are the constants.
 		if len(t) != len(atom.terms) || !m.fixedMatch(t, nil) || !m.consistent(t) {
 			continue
@@ -407,7 +412,7 @@ func (e *evaluator) evalSeeded(out *relalg.TupleSet, outSlots []int, seed int, s
 			for i, p := range projPos {
 				proj[i] = t[p]
 			}
-			out.AddClone(proj)
+			out.Add(proj)
 			continue
 		}
 		row := e.arena.Alloc(e.slots.Len())
@@ -664,12 +669,8 @@ func (e *evaluator) expand(rows [][]relalg.Value, ai int, skip *relalg.TupleSet,
 		if hit != nil {
 			exts, n = hit.exts, hit.n
 		} else {
-			matches := rel.All()
-			if len(probed) > 0 {
-				cands = rel.AppendProbe(cands[:0], probed, vals)
-				matches = cands
-			}
-			for _, tuple := range matches {
+			cands = rel.AppendProbe(cands[:0], probed, vals)
+			for _, tuple := range cands {
 				if !m.consistent(tuple) || skip != nil && skip.Has(tuple) {
 					continue
 				}

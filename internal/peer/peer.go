@@ -265,7 +265,7 @@ func restore(s *peerState, st *wal.State) {
 		if s.parts[rp.RuleID] == nil {
 			s.parts[rp.RuleID] = map[string]*partResult{}
 		}
-		pr := &partResult{cols: slices.Clone(rp.Cols)}
+		pr := &partResult{cols: slices.Clone(rp.Cols), tuples: relalg.MakeTupleSet(len(rp.Cols))}
 		for _, t := range rp.Tuples {
 			pr.tuples.Add(t)
 		}

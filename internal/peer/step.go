@@ -50,6 +50,7 @@ type peerState struct {
 	stateU       UpdateState
 	ruleComplete map[string]map[string]bool // ruleID -> part -> sender complete
 	parts        map[string]map[string]*partResult
+	partBuf      []relalg.Tuple           // scratch of the part joins (see partsOf)
 	subs         map[string]*subscription // key dependent+"\x00"+ruleID
 	questions    map[string]*question     // what the subscriptions ask, by question.key
 	evals        uint64                   // cq evaluations actually run (read by tests)
@@ -367,7 +368,9 @@ type subscription struct {
 
 // partResult accumulates the result set received for one body part of a
 // multi-source rule: the head node joins a new answer against the other
-// parts' history. A rule with one source keeps none (see handleAnswer).
+// parts' history. A rule with one source keeps none (see handleAnswer). The
+// set takes its arity from cols (relalg.MakeTupleSet), so a received tuple of
+// another width is skipped: it is never stored.
 type partResult struct {
 	cols   []string
 	tuples relalg.TupleSet

@@ -428,15 +428,14 @@ func (s *peerState) joinAnswer(r rules.Rule, m wire.Answer, dm *rules.DomainMap)
 	}
 	pr := byPart[m.Part]
 	if pr == nil {
-		pr = &partResult{cols: m.Columns}
+		pr = &partResult{cols: m.Columns, tuples: relalg.MakeTupleSet(len(m.Columns))}
 		byPart[m.Part] = pr
 	}
 	var fresh []relalg.Tuple
 	persist := s.opts.PersistParts != nil
 	for _, t := range m.Tuples {
-		t = dm.TranslateTuple(t)
-		if pr.tuples.Add(t) && (s.opts.Delta || persist) {
-			fresh = append(fresh, t)
+		if pr.tuples.Add(dm.TranslateTuple(t)) && (s.opts.Delta || persist) {
+			fresh = append(fresh, pr.tuples.At(pr.tuples.Len()-1))
 		}
 	}
 	if persist && len(fresh) > 0 {
@@ -456,12 +455,7 @@ func (s *peerState) joinAnswer(r rules.Rule, m wire.Answer, dm *rules.DomainMap)
 // joinParts joins the accumulated part results of a rule into bindings over
 // the rule's export variables (in ExportVars order).
 func (s *peerState) joinParts(r rules.Rule) []relalg.Tuple {
-	byPart := s.parts[r.ID]
-	parts := make(map[string]rules.PartTuples, len(byPart))
-	for src, pr := range byPart {
-		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: pr.tuples.All()}
-	}
-	return rules.JoinParts(r, parts)
+	return rules.JoinParts(r, s.partsOf(r, "", nil))
 }
 
 // joinPartsDelta joins the newly received tuples of one part against the
@@ -473,16 +467,26 @@ func (s *peerState) joinPartsDelta(r rules.Rule, part string, fresh []relalg.Tup
 	if len(fresh) == 0 {
 		return nil
 	}
-	byPart := s.parts[r.ID]
-	parts := make(map[string]rules.PartTuples, len(byPart))
-	for src, pr := range byPart {
-		if src == part {
-			parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: fresh}
-			continue
+	return rules.JoinParts(r, s.partsOf(r, part, fresh))
+}
+
+// partsOf lists a rule's part results for rules.JoinParts, the named part as
+// fresh and every other one walked by position, as views of its rows, into
+// the reused scratch partBuf: the lists hold until the next part join.
+func (s *peerState) partsOf(r rules.Rule, part string, fresh []relalg.Tuple) map[string]rules.PartTuples {
+	parts := make(map[string]rules.PartTuples, len(s.parts[r.ID]))
+	s.partBuf = s.partBuf[:0]
+	for src, pr := range s.parts[r.ID] {
+		tuples, from := fresh, len(s.partBuf)
+		if src != part {
+			for i := range pr.tuples.Len() {
+				s.partBuf = append(s.partBuf, pr.tuples.At(i))
+			}
+			tuples = s.partBuf[from:len(s.partBuf):len(s.partBuf)]
 		}
-		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: pr.tuples.All()}
+		parts[src] = rules.PartTuples{Cols: pr.cols, Tuples: tuples}
 	}
-	return rules.JoinParts(r, parts)
+	return parts
 }
 
 // pushToSubs re-answers every subscriber with the current evaluation (A5's

@@ -108,6 +108,27 @@ func BenchmarkRelationProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkRelationSince measures the delta view a subscriber extracts from
+// a 10k-tuple relation at 1, 30 and 250 new tuples: one slice of row views,
+// no copied value.
+func BenchmarkRelationSince(b *testing.B) {
+	r := NewRelation(MakeSchema("bench", 3))
+	for i := 0; i < 10000; i++ {
+		_, _ = r.Insert(Tuple{S(fmt.Sprintf("k%d", i%1000)), I(int64(i)), S("c")})
+	}
+	for _, d := range []int{1, 30, 250} {
+		b.Run(fmt.Sprint(d), func(b *testing.B) {
+			mark := uint64(r.Len() - d)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if delta, _ := r.Since(mark); len(delta) != d {
+					b.Fatalf("Since returned %d tuples, want %d", len(delta), d)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkTupleSetAddHas measures the in-memory identity every dedup site
 // uses: one Add of a tuple already present and one Has, on a 4-column tuple
 // with a long Skolem null. Neither may allocate.

@@ -6,26 +6,27 @@ import (
 	"sync"
 )
 
-// Relation is a duplicate-free multiset of tuples of fixed arity with an
-// append log. The log assigns every inserted tuple a monotonically increasing
-// sequence number, which subscribers use as a high-water mark to extract
-// deltas (the "delta optimization" of the paper). Relations are not safe for
-// concurrent use; the owning storage.DB serialises access.
+// Relation is a duplicate-free multiset of tuples of fixed arity, stored in
+// insertion order as the rows of a TupleSet. A tuple's position assigns it a
+// monotonically increasing sequence number, which subscribers use as a
+// high-water mark to extract deltas (the "delta optimization" of the paper).
+// Relations are not safe for concurrent use; the owning storage.DB serialises
+// access.
 //
 // Attribute positions are indexed one by one, and only those a Probe has
 // named: a position's index is nil until AppendProbe first asks for it, is
-// then built from the log, and is maintained by Insert from there on. A
+// then built from the stored rows, and is maintained by Insert from there on. A
 // relation that is never probed — or probed on its join column only — pays
 // for nothing else. An index maps Value.Hash, the hash the value already
-// carries, to the log positions holding a value with that hash there; two
+// carries, to the positions holding a value with that hash there; two
 // values may share a hash, so a probe verifies every candidate against all
 // the probed positions.
 type Relation struct {
 	schema Schema
 	set    TupleSet // insertion order; seq number = position + 1
 
-	// pmu serialises index builds against concurrent probes (the log itself
-	// follows the package's single-writer discipline).
+	// pmu serialises index builds against concurrent probes (the rows
+	// themselves follow the package's single-writer discipline).
 	pmu    sync.Mutex
 	posIdx []map[uint64][]int32 // per position; nil slice or nil entry: never probed
 
@@ -34,7 +35,7 @@ type Relation struct {
 
 // NewRelation creates an empty relation with the given schema.
 func NewRelation(schema Schema) *Relation {
-	return &Relation{schema: schema}
+	return &Relation{schema: schema, set: MakeTupleSet(schema.Arity())}
 }
 
 // Schema returns the relation schema.
@@ -56,7 +57,7 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 	if len(t) != r.schema.Arity() {
 		return false, fmt.Errorf("relalg: arity mismatch inserting %d-tuple into %s", len(t), r.schema)
 	}
-	if !r.set.AddClone(t) {
+	if !r.set.Add(t) {
 		return false, nil
 	}
 	r.pmu.Lock()
@@ -78,7 +79,7 @@ func (r *Relation) hash(v Value) uint64 {
 	return v.Hash()
 }
 
-// indexLocked returns the index of position p, building it from the log on
+// indexLocked returns the index of position p, building it from the rows on
 // first use. Callers hold pmu.
 func (r *Relation) indexLocked(p int) map[uint64][]int32 {
 	if r.posIdx == nil {
@@ -87,8 +88,8 @@ func (r *Relation) indexLocked(p int) map[uint64][]int32 {
 	idx := r.posIdx[p]
 	if idx == nil {
 		idx = make(map[uint64][]int32)
-		for pos, t := range r.set.log {
-			h := r.hash(t[p])
+		for pos := range r.set.Len() {
+			h := r.hash(r.set.At(pos)[p])
 			idx[h] = append(idx[h], int32(pos))
 		}
 		r.posIdx[p] = idx
@@ -100,12 +101,9 @@ func (r *Relation) indexLocked(p int) map[uint64][]int32 {
 // positions, in insertion order. It walks the smallest per-position postings
 // list and verifies the remaining constraints, so its cost is proportional to
 // the fan-out of the most selective position rather than to the relation
-// size. With no positions it returns every tuple (aliasing the log, like
-// All); positions outside the schema arity match nothing.
+// size. The tuples are views of the stored rows (see At). With no positions
+// it returns every tuple; positions outside the schema arity match nothing.
 func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
-	if len(positions) == 0 {
-		return r.set.log
-	}
 	return r.AppendProbe(nil, positions, vals)
 }
 
@@ -113,7 +111,10 @@ func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
 // a loop can reuse one buffer.
 func (r *Relation) AppendProbe(dst []Tuple, positions []int, vals []Value) []Tuple {
 	if len(positions) == 0 {
-		return append(dst, r.set.log...)
+		for pos := range r.set.Len() {
+			dst = append(dst, r.set.At(pos))
+		}
+		return dst
 	}
 	arity := r.schema.Arity()
 	for _, p := range positions {
@@ -132,7 +133,7 @@ func (r *Relation) AppendProbe(dst []Tuple, positions []int, vals []Value) []Tup
 	}
 candidates:
 	for _, pos := range shortest {
-		t := r.set.log[pos]
+		t := r.set.At(int(pos))
 		for i, p := range positions {
 			if t[p] != vals[i] {
 				continue candidates
@@ -147,7 +148,7 @@ candidates:
 // (core-mode redundancy check for tuples carrying nulls). Constant-only
 // tuples reduce to Contains. Since subsumption fixes constants, only tuples
 // agreeing with t on its constant positions can subsume it, so the check
-// probes the per-position index instead of scanning the log; a tuple with no
+// probes the per-position index instead of scanning the rows; a tuple with no
 // constants at all still falls back to the full scan.
 func (r *Relation) SubsumedByExisting(t Tuple) bool {
 	if !t.HasNull() {
@@ -164,7 +165,7 @@ func (r *Relation) SubsumedByExisting(t Tuple) bool {
 			vals = append(vals, v)
 		}
 	}
-	for _, u := range r.Probe(positions, vals) {
+	for _, u := range r.AppendProbe(nil, positions, vals) {
 		if t.SubsumedBy(u) {
 			return true
 		}
@@ -172,39 +173,34 @@ func (r *Relation) SubsumedByExisting(t Tuple) bool {
 	return false
 }
 
-// All returns the tuples in insertion order. The returned slice aliases the
-// log; callers must not modify it or the tuples.
-func (r *Relation) All() []Tuple { return r.set.log }
+// At returns the tuple at position i (sequence number i+1), 0 <= i < Len, as
+// a read-only view of its row that stays valid while the relation grows.
+func (r *Relation) At(i int) Tuple { return r.set.At(i) }
+
+// All returns the tuples in insertion order, as views (see At), in a fresh
+// slice. It is a copying accessor: a hot path walks positions with At.
+func (r *Relation) All() []Tuple { return r.set.All() }
 
 // Since returns the tuples inserted after the given high-water mark, in
-// insertion order, along with the new mark. The slice is a read-only view of
-// the log: a log prefix is immutable (members never move and are never
-// overwritten), so it stays valid while the relation grows, and its capacity
-// is its length, so a caller's append copies instead of reaching the log.
+// insertion order, along with the new mark: one fresh slice of the views At
+// returns, which read the same while the relation grows and whose capacity
+// is their length, so a caller's append copies instead of reaching a row.
 func (r *Relation) Since(mark uint64) ([]Tuple, uint64) {
-	n := uint64(r.set.Len())
-	if mark > n {
-		mark = n
-	}
-	return r.set.log[mark:n:n], n
+	n := r.set.Len()
+	return r.set.views(int(min(mark, uint64(n))), n), uint64(n)
 }
 
 // Sorted returns the tuples in canonical (Tuple.Compare) order; a fresh
 // slice, safe to retain.
 func (r *Relation) Sorted() []Tuple {
-	out := append([]Tuple(nil), r.set.log...)
+	out := r.set.All()
 	SortTuples(out)
 	return out
 }
 
-// Clone deep-copies the relation (schema shared, tuples copied).
+// Clone deep-copies the relation (schema shared, rows copied chunk by chunk).
 func (r *Relation) Clone() *Relation {
-	c := NewRelation(r.schema)
-	c.set.Grow(r.Len())
-	for _, t := range r.set.log {
-		c.set.AddClone(t)
-	}
-	return c
+	return &Relation{schema: r.schema, set: r.set.clone()}
 }
 
 // Equal reports whether two relations hold exactly the same tuple sets
@@ -213,8 +209,8 @@ func (r *Relation) Equal(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for _, t := range r.set.log {
-		if !o.set.Has(t) {
+	for pos := range r.set.Len() {
+		if !o.set.Has(r.set.At(pos)) {
 			return false
 		}
 	}

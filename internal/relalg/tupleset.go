@@ -1,41 +1,58 @@
 package relalg
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// TupleSet is an insertion-ordered set of tuples: the one in-memory tuple
-// identity of the system. Membership is decided by Tuple.Hash plus
-// Tuple.Equal on hit, so neither lookups nor inserts build a key string;
+// TupleSet is an insertion-ordered set of tuples of one arity: the one
+// in-memory tuple identity of the system. Membership is decided by Tuple.Hash
+// plus Tuple.Equal on hit, so neither lookups nor inserts build a key string;
 // iteration follows insertion order, so output never depends on the
-// per-process hash seed. Every member has a position — its insertion index —
-// and members are never removed, so positions stay valid. The zero value is
-// an empty set ready for use. A TupleSet is not safe for concurrent use.
+// per-process hash seed. Members have positions (insertion indexes, int32) and
+// are never removed. The zero value is an empty set that takes its arity from
+// its first member (MakeTupleSet fixes it); a tuple of another arity is never
+// a member. A TupleSet is not safe for concurrent use.
 //
-// Storage is three flat slices and no per-member allocation: the log of
-// members, an open-addressing table of their positions (no stored hashes: a
-// resize re-hashes, which is arithmetic over symbol ids), and, for AddClone,
-// value chunks the stored copies are carved from; a Value holds no pointer, so
-// the collector never scans a chunk. Positions are int32, so a set holds at
-// most 2^31-1 members.
+// A member is one row of arity values in a pointer-free row chunk of 1<<k
+// rows, at most 16 KiB, found through an open-addressing table of positions
+// (no stored hashes: a resize re-hashes, arithmetic over symbol ids). The
+// first chunk grows by copying while it is the only one, so a small set stays
+// small; no row is ever overwritten, so the views At returns stay valid.
 type TupleSet struct {
-	log []Tuple // log[i] holds position i
+	chunks [][]Value // row i is chunks[i>>k][(i&mask)*arity:][:arity]
+	n      int
+	arity  int
+	typed  bool // the arity is fixed
+	k      uint
+	mask   int // 1<<k - 1
 
 	// table holds position+1 at the first free slot at or after the member's
 	// home slot (the top bits of its hash), 0 where empty; its length is a
-	// power of two at least twice len(log).
+	// power of two at least twice n.
 	table []int32
 	shift uint // 64 - log2(len(table))
-
-	chunk []Value // unused tail of the newest value chunk
 
 	hashFn func(Tuple) uint64 // test seam: nil means Tuple.Hash
 }
 
 const (
 	minTable = 8
-	// maxChunk bounds a value chunk, and so the values a long-lived set
-	// holds in reserve, to 16 KiB.
-	maxChunk = 1024
+	maxChunk = 1024 // values in a row chunk: 16 KiB
 )
+
+// MakeTupleSet returns an empty set of the given arity.
+func MakeTupleSet(arity int) TupleSet {
+	var s TupleSet
+	s.fix(arity)
+	return s
+}
+
+func (s *TupleSet) fix(arity int) {
+	s.arity, s.typed = arity, true
+	s.k = uint(bits.Len(uint(max(1, maxChunk/max(1, arity))))) - 1
+	s.mask = 1<<s.k - 1
+}
 
 func (s *TupleSet) hash(t Tuple) uint64 {
 	if s.hashFn != nil {
@@ -44,7 +61,14 @@ func (s *TupleSet) hash(t Tuple) uint64 {
 	return t.Hash()
 }
 
-// find returns the position of t given its hash, or -1.
+// At returns member i as a read-only view of its row, capacity-capped so
+// that a caller's append copies instead of reaching the next row.
+func (s *TupleSet) At(i int) Tuple {
+	o := (i & s.mask) * s.arity
+	return Tuple(s.chunks[i>>s.k][o : o+s.arity : o+s.arity])
+}
+
+// find returns the position of t, of the set's arity, given its hash, or -1.
 func (s *TupleSet) find(t Tuple, h uint64) int {
 	if len(s.table) == 0 {
 		return -1
@@ -55,7 +79,7 @@ func (s *TupleSet) find(t Tuple, h uint64) int {
 		if p == 0 {
 			return -1
 		}
-		if s.log[p-1].Equal(t) {
+		if s.At(int(p - 1)).Equal(t) {
 			return int(p - 1)
 		}
 	}
@@ -83,78 +107,86 @@ func (s *TupleSet) reserve(n int) {
 	}
 	s.table = make([]int32, size)
 	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for pos, t := range s.log {
-		s.place(pos, s.hash(t))
+	for pos := range s.n {
+		s.place(pos, s.hash(s.At(pos)))
 	}
 }
 
-// Grow reserves room for n more members, so that adding them neither
-// re-hashes the set nor reallocates its log, and sizes the next value chunk
-// for them.
+// growFirst makes the first chunk, while it is the only one, room for rows
+// rows (at most a full chunk).
+func (s *TupleSet) growFirst(rows int) {
+	rows = min(rows, s.mask+1)
+	if len(s.chunks) == 0 {
+		s.chunks = [][]Value{make([]Value, 0, rows*s.arity)}
+	} else if len(s.chunks) == 1 && cap(s.chunks[0]) < rows*s.arity {
+		s.chunks[0] = append(make([]Value, 0, rows*s.arity), s.chunks[0]...)
+	}
+}
+
+// Grow reserves room for n more members, so that adding them does not
+// re-hash the set and, once its arity is fixed, copies no first chunk.
 func (s *TupleSet) Grow(n int) {
-	if need := len(s.log) + n; need > cap(s.log) {
-		log := make([]Tuple, len(s.log), need)
-		copy(log, s.log)
-		s.log = log
+	s.reserve(s.n + n)
+	if s.typed {
+		s.growFirst(s.n + n)
 	}
-	s.reserve(len(s.log) + n)
-}
-
-// append stores t, known to be absent, under hash h and returns its position.
-func (s *TupleSet) append(t Tuple, h uint64) int {
-	pos := len(s.log)
-	s.reserve(pos + 1)
-	s.log = append(s.log, t)
-	s.place(pos, h)
-	return pos
-}
-
-// clone copies t into the set's value chunks. A new chunk is sized for the
-// members the log has room for (Grow's promise, or append's own geometric
-// growth) up to maxChunk, so a set allocates per chunk, not per tuple.
-func (s *TupleSet) clone(t Tuple) Tuple {
-	n := len(t)
-	if n > len(s.chunk) {
-		room := cap(s.log) - len(s.log) + 1 // the log already holds this member
-		s.chunk = make([]Value, max(n, min(maxChunk, room*n)))
-	}
-	out := Tuple(s.chunk[:n:n])
-	s.chunk = s.chunk[n:]
-	copy(out, t)
-	return out
 }
 
 // Has reports whether the set holds a tuple equal to t.
-func (s *TupleSet) Has(t Tuple) bool { return s.find(t, s.hash(t)) >= 0 }
+func (s *TupleSet) Has(t Tuple) bool { return len(t) == s.arity && s.find(t, s.hash(t)) >= 0 }
 
-// Add inserts t itself (no copy: the caller must not modify it afterwards)
-// unless an equal tuple is present, and reports whether the set changed.
+// Add stores a copy of t unless an equal tuple is present or t has another
+// arity, and reports whether the set changed.
 func (s *TupleSet) Add(t Tuple) bool {
+	if !s.typed {
+		s.fix(len(t))
+	} else if len(t) != s.arity {
+		return false
+	}
 	h := s.hash(t)
 	if s.find(t, h) >= 0 {
 		return false
 	}
-	s.append(t, h)
-	return true
-}
-
-// AddClone is Add for a tuple the caller goes on to reuse: it stores a copy,
-// made only when the tuple is new. The copy is a slice of one of the set's
-// value chunks, so whoever keeps a member keeps its chunk alive.
-func (s *TupleSet) AddClone(t Tuple) bool {
-	h := s.hash(t)
-	if s.find(t, h) >= 0 {
-		return false
+	s.reserve(s.n + 1)
+	switch c := s.n >> s.k; {
+	case c == 0 && (len(s.chunks) == 0 || len(s.chunks[0]) == cap(s.chunks[0])):
+		s.growFirst(max(4, 2*s.n))
+	case c == len(s.chunks):
+		s.chunks = append(s.chunks, make([]Value, 0, s.arity<<s.k))
 	}
-	pos := s.append(nil, h)
-	s.log[pos] = s.clone(t)
+	s.chunks[s.n>>s.k] = append(s.chunks[s.n>>s.k], t...)
+	s.place(s.n, h)
+	s.n++
 	return true
 }
 
 // Len returns the number of members.
-func (s *TupleSet) Len() int { return len(s.log) }
+func (s *TupleSet) Len() int { return s.n }
 
-// All returns the members in insertion order. The slice aliases the set's
-// storage: callers must not modify it or the tuples, and it is only a
-// snapshot once the set changes — the members it lists stay what they were.
-func (s *TupleSet) All() []Tuple { return s.log }
+// views returns members from..to-1 as views (see At) in a fresh slice.
+func (s *TupleSet) views(from, to int) []Tuple {
+	if from >= to {
+		return nil
+	}
+	out := make([]Tuple, to-from)
+	for i := range out {
+		out[i] = s.At(from + i)
+	}
+	return out
+}
+
+// All returns the members in insertion order as views (see At) in a fresh
+// slice: a copying accessor for tests and snapshots, where a hot path walks
+// positions with At.
+func (s *TupleSet) All() []Tuple { return s.views(0, s.n) }
+
+// clone copies the set chunk by chunk.
+func (s *TupleSet) clone() TupleSet {
+	c := *s
+	c.chunks = make([][]Value, len(s.chunks))
+	for i, ch := range s.chunks {
+		c.chunks[i] = append(make([]Value, 0, cap(ch)), ch...)
+	}
+	c.table = slices.Clone(s.table)
+	return c
+}

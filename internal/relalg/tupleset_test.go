@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // adversarialValues are values whose renderings or payloads coincide while
@@ -21,14 +22,29 @@ var adversarialValues = []Value{
 	Null("d1|r|V|" + strings.Repeat("3:sab", 40) + "x"),
 }
 
-// randomAdversarialTuple draws arity 0–3 from adversarialValues, so tuples
-// of differing arities with equal prefixes turn up often.
-func randomAdversarialTuple(rng *rand.Rand) Tuple {
-	t := make(Tuple, rng.Intn(4))
+// randomAdversarialTuple draws a tuple of the given arity from
+// adversarialValues.
+func randomAdversarialTuple(rng *rand.Rand, arity int) Tuple {
+	t := make(Tuple, arity)
 	for i := range t {
 		t[i] = adversarialValues[rng.Intn(len(adversarialValues))]
 	}
 	return t
+}
+
+// otherArity returns a tuple of another arity (0–4) than t that agrees with
+// t as far as both go: a prefix of t, or t extended.
+func otherArity(rng *rand.Rand, t Tuple) Tuple {
+	n := rng.Intn(4)
+	if n >= len(t) {
+		n++
+	}
+	u := make(Tuple, n)
+	copy(u, t)
+	for i := len(t); i < n; i++ {
+		u[i] = adversarialValues[rng.Intn(len(adversarialValues))]
+	}
+	return u
 }
 
 // setOracle is the string-keyed set TupleSet replaced: Key() is injective,
@@ -56,28 +72,33 @@ func checkAgainstOracle(t *testing.T, s *TupleSet, o *setOracle) {
 		t.Fatalf("Len = %d, oracle holds %d", s.Len(), len(o.order))
 	}
 	for i, u := range s.All() {
-		if !u.Equal(o.order[i]) {
-			t.Fatalf("All()[%d] = %v, oracle (insertion order) says %v", i, u, o.order[i])
+		if !u.Equal(o.order[i]) || !s.At(i).Equal(u) {
+			t.Fatalf("All()[%d] = %v, At(%[1]d) = %v, oracle (insertion order) says %v", i, u, s.At(i), o.order[i])
 		}
 	}
 }
 
-// runOps drives a set and its oracle through the same random mix of Add,
-// AddClone and Has.
-func runOps(t *testing.T, s *TupleSet, o *setOracle, rng *rand.Rand, steps int) {
+// runOps drives a set and its oracle through the same random mix of Add and
+// Has over tuples of one arity. Once the set has a member, a quarter of the
+// steps try a tuple of another arity with an equal prefix instead: it is
+// never a member, and adding it stores nothing.
+func runOps(t *testing.T, s *TupleSet, o *setOracle, rng *rand.Rand, steps, arity int) {
 	t.Helper()
 	for i := 0; i < steps; i++ {
-		tp := randomAdversarialTuple(rng)
-		switch op := rng.Intn(8); {
-		case op < 3:
-			if got, want := s.Add(tp), o.add(tp); got != want {
-				t.Fatalf("step %d: Add(%v) = %v, oracle says %v", i, tp, got, want)
+		tp := randomAdversarialTuple(rng, arity)
+		if s.Len() > 0 && rng.Intn(4) == 0 {
+			u, n := otherArity(rng, tp), s.Len()
+			if s.Has(u) || s.Add(u) || s.Len() != n {
+				t.Fatalf("step %d: a %d-ary set took the %d-tuple %v as a member", i, arity, len(u), u)
 			}
+			continue
+		}
+		switch op := rng.Intn(8); {
 		case op < 5:
 			scratch := tp.Clone()
-			got, want := s.AddClone(scratch), o.add(tp)
+			got, want := s.Add(scratch), o.add(tp)
 			if got != want {
-				t.Fatalf("step %d: AddClone(%v) = %v, oracle says %v", i, tp, got, want)
+				t.Fatalf("step %d: Add(%v) = %v, oracle says %v", i, tp, got, want)
 			}
 			for j := range scratch {
 				scratch[j] = S("overwritten") // the set must hold its own copy
@@ -92,6 +113,9 @@ func runOps(t *testing.T, s *TupleSet, o *setOracle, rng *rand.Rand, steps int) 
 		}
 	}
 	checkAgainstOracle(t, s, o)
+	if arity == 0 && s.Len() > 1 {
+		t.Fatalf("a 0-ary set holds %d members, want at most the empty tuple", s.Len())
+	}
 	for _, u := range o.order {
 		if !s.Has(u) {
 			t.Fatalf("member %v not found", u)
@@ -99,51 +123,75 @@ func runOps(t *testing.T, s *TupleSet, o *setOracle, rng *rand.Rand, steps int) 
 	}
 }
 
+// TestTupleSetAgreesWithKeyOracle runs one arity per set, 0 to 3, on the
+// zero value (which takes its arity from its first member) and on
+// MakeTupleSet.
 func TestTupleSetAgreesWithKeyOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		runOps(t, &TupleSet{}, &setOracle{}, rand.New(rand.NewSource(seed)), 400)
+		arity := int(seed % 4)
+		s := &TupleSet{}
+		if seed%8 >= 4 {
+			made := MakeTupleSet(arity)
+			s = &made
+		}
+		runOps(t, s, &setOracle{}, rand.New(rand.NewSource(seed)), 400, arity)
 	}
 }
 
 // TestTupleSetVerifiesEqualityOnHit forces every tuple onto one hash: the
-// set must still tell them apart.
+// set must still tell them apart, and tell a member from an equal-prefix
+// tuple of another arity.
 func TestTupleSetVerifiesEqualityOnHit(t *testing.T) {
 	constant := func(Tuple) uint64 { return 42 }
 	for seed := int64(0); seed < 20; seed++ {
-		runOps(t, &TupleSet{hashFn: constant}, &setOracle{}, rand.New(rand.NewSource(seed)), 300)
+		runOps(t, &TupleSet{hashFn: constant}, &setOracle{}, rand.New(rand.NewSource(seed)), 300, int(seed%4))
 	}
 	s := &TupleSet{hashFn: constant}
 	a, b := Tuple{S("1")}, Tuple{I(1)}
 	if !s.Add(a) || s.Has(b) || !s.Add(b) || s.Add(a) || s.Len() != 2 {
 		t.Fatalf("colliding distinct tuples were conflated: %v", s.All())
 	}
+	if wider := (Tuple{S("1"), I(1)}); s.Has(wider) || s.Add(wider) || s.Has(Tuple{}) || s.Add(Tuple{}) || s.Len() != 2 {
+		t.Fatalf("a 1-ary set took a tuple of another arity: %v", s.All())
+	}
+	empty := &TupleSet{hashFn: constant}
+	if !empty.Add(Tuple{}) || empty.Add(Tuple{}) || !empty.Has(Tuple{}) || empty.Has(a) || empty.Add(a) || empty.Len() != 1 {
+		t.Fatalf("a 0-ary set holds %v, want the empty tuple alone", empty.All())
+	}
 }
 
 // TestTupleSetOracleAcrossResizes: with every member on one hash, and on two,
 // the table is one long probe run; the set must agree with the oracle while
-// that run is re-placed by at least three resizes, or by a Grow half-way.
+// that run is re-placed by at least three resizes, or by a Grow half-way. A
+// 0-ary set holds at most one member, so it only has to agree.
 func TestTupleSetOracleAcrossResizes(t *testing.T) {
 	hashes := map[string]func(Tuple) uint64{
 		"constant": func(Tuple) uint64 { return 42 },
-		"one bit":  func(tp Tuple) uint64 { return uint64(len(tp)&1) << 63 },
+		"one bit": func(tp Tuple) uint64 {
+			if len(tp) == 0 {
+				return 0
+			}
+			return uint64(tp[0].Kind()&1) << 63
+		},
 	}
 	for name, fn := range hashes {
-		for seed := int64(0); seed < 10; seed++ {
+		for seed := int64(0); seed < 12; seed++ {
+			arity := int(seed % 4)
 			s, o := &TupleSet{hashFn: fn}, &setOracle{}
 			rng := rand.New(rand.NewSource(seed))
-			runOps(t, s, o, rng, 200)
+			runOps(t, s, o, rng, 200, arity)
 			if seed%2 == 1 {
 				s.Grow(500)
 			}
-			runOps(t, s, o, rng, 200)
-			if len(s.table) < minTable<<3 {
+			runOps(t, s, o, rng, 200, arity)
+			if arity > 0 && len(s.table) < minTable<<3 {
 				t.Fatalf("%s hash, seed %d: a table of %d slots has not been resized three times", name, seed, len(s.table))
 			}
 		}
 	}
 }
 
-// TestStoredTuplesAliasNothingOfTheCaller: AddClone and Relation.Insert copy,
+// TestStoredTuplesAliasNothingOfTheCaller: Add and Relation.Insert copy,
 // so the caller's scratch tuple can be reused; and a slice taken from All or
 // Since keeps reading the same tuples while the set grows under it.
 func TestStoredTuplesAliasNothingOfTheCaller(t *testing.T) {
@@ -156,14 +204,14 @@ func TestStoredTuplesAliasNothingOfTheCaller(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		mustInsert(t, r, fill(i))
-		s.AddClone(fill(i))
+		s.Add(fill(i))
 	}
 	allBefore, setBefore := r.All(), s.All()
 	sinceBefore, _ := r.Since(2)
 	want := []Tuple{{S("k0"), I(0)}, {S("k1"), I(1)}, {S("k2"), I(2)}, {S("k3"), I(3)}, {S("k4"), I(4)}}
 	for i := 5; i < 5000; i++ { // log, table and chunks all grow many times over
 		mustInsert(t, r, fill(i))
-		s.AddClone(fill(i))
+		s.Add(fill(i))
 	}
 	scratch[0], scratch[1] = S("overwritten"), I(-1)
 	for name, got := range map[string][]Tuple{"Relation.All": allBefore, "TupleSet.All": setBefore, "Since(2)": sinceBefore} {
@@ -184,8 +232,8 @@ func TestStoredTuplesAliasNothingOfTheCaller(t *testing.T) {
 }
 
 // TestRelationInsertAllocations pins the per-tuple cost of the tuple path's
-// sink: a stored tuple is a slice of a shared chunk, the table and the log
-// grow geometrically, and a duplicate is refused without allocating.
+// sink: a stored tuple is a row of a shared chunk, the table grows
+// geometrically, and a duplicate is refused without allocating.
 func TestRelationInsertAllocations(t *testing.T) {
 	const n = 10000
 	tuples := make([]Tuple, n)
@@ -314,15 +362,29 @@ func sameTuples(a, b []Tuple) bool {
 
 // FuzzTupleSet decodes the input into operations over a small value
 // alphabet and checks the set against the string-keyed oracle, under the
-// real hash and under a 2-bucket hash that makes every chain long.
+// real hash and under a 2-bucket hash that makes every chain long. The first
+// byte fixes the set's arity, 0 to 3; an operation on a tuple of another
+// arity must find nothing and store nothing.
 func FuzzTupleSet(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add([]byte("\x00\x00\x00\x01\x00\x00\x07\x07\x01\x02\x03\x07\x07\x07"))
 	f.Add([]byte{3, 0, 1, 3, 1, 0, 7, 3, 0, 1, 7, 7, 2, 0, 1})
+	f.Add([]byte{1, 0, 1, 3, 0, 0, 0, 1, 7, 0, 1, 0, 2, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, s := range []*TupleSet{{}, {hashFn: func(tp Tuple) uint64 { return uint64(len(tp)) & 1 }}} {
+		if len(data) == 0 {
+			return
+		}
+		setArity := int(data[0] % 4)
+		plain, bucketed := MakeTupleSet(setArity), MakeTupleSet(setArity)
+		bucketed.hashFn = func(tp Tuple) uint64 {
+			if len(tp) == 0 {
+				return 0
+			}
+			return uint64(tp[0].Kind()) & 1
+		}
+		for _, s := range []*TupleSet{&plain, &bucketed} {
 			var o setOracle
-			for i := 0; i+1 < len(data); {
+			for i := 1; i+1 < len(data); {
 				op, arity := data[i]%8, int(data[i+1]%4)
 				i += 2
 				tp := make(Tuple, 0, arity)
@@ -331,7 +393,7 @@ func FuzzTupleSet(f *testing.F) {
 					i++
 				}
 				if op < 5 {
-					if got, want := s.Add(tp), o.add(tp); got != want {
+					if got, want := s.Add(tp), len(tp) == setArity && o.add(tp); got != want {
 						t.Fatalf("Add(%v) = %v, oracle says %v", tp, got, want)
 					}
 				} else if got, want := s.Has(tp), o.idx[tp.Key()]; got != want {
@@ -379,6 +441,66 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 		} {
 			if !sameTuples(got, want) {
 				t.Fatalf("trial %d: %s(%v,%v) = %v, scan says %v", trial, name, pos, vals, got, want)
+			}
+		}
+	}
+}
+
+// TestTupleSetFootprint: a member costs its row and its share of the table,
+// nothing per member besides. Summed over the capacity of every field, a
+// 10 000-row 3-ary set holds at most 64 bytes per member (48 of them the
+// row); a log of one slice header per member put it near 100.
+func TestTupleSetFootprint(t *testing.T) {
+	const n = 10000
+	s := MakeTupleSet(3)
+	for i := 0; i < n; i++ {
+		s.Add(Tuple{S("k" + strconv.Itoa(i)), I(int64(i)), S("c")})
+	}
+	bytes := cap(s.chunks)*int(unsafe.Sizeof([]Value(nil))) + cap(s.table)*int(unsafe.Sizeof(int32(0)))
+	for _, ch := range s.chunks {
+		bytes += cap(ch) * int(unsafe.Sizeof(Value{}))
+	}
+	if per := float64(bytes) / n; per > 64 {
+		t.Errorf("%d 3-ary members hold %d bytes, %.1f per member; want at most 64", n, bytes, per)
+	}
+}
+
+// TestViewsSurviveGrowthAcrossChunks: views taken from At, Since and All
+// while the set is a few rows in its first chunk, and again at chunk
+// boundaries, read the same after 100 000 further inserts — through every
+// copy of the first chunk and across many chunk boundaries.
+func TestViewsSurviveGrowthAcrossChunks(t *testing.T) {
+	const more = 100000
+	r := NewRelation(MakeSchema("p", 3))
+	tuple := func(i int) Tuple { return Tuple{S("k"), I(int64(i)), I(int64(-i))} }
+	type view struct {
+		name string
+		from int // the position the view's first tuple was inserted at
+		ts   []Tuple
+	}
+	var views []view
+	take := func() {
+		n := r.Len()
+		since, _ := r.Since(uint64(n / 2))
+		views = append(views,
+			view{"At(" + strconv.Itoa(n-1) + ")", n - 1, []Tuple{r.At(n - 1)}},
+			view{"Since(" + strconv.Itoa(n/2) + ")", n / 2, since},
+			view{"All at " + strconv.Itoa(n), 0, r.All()})
+	}
+	boundary := r.set.mask + 1
+	for i := 0; i < 3+more; i++ {
+		mustInsert(t, r, tuple(i))
+		if n := r.Len(); n <= 3 || n%boundary == 0 && n <= 8*boundary || n == boundary+1 {
+			take()
+		}
+	}
+	if len(r.set.chunks) < 100 {
+		t.Fatalf("%d rows fill %d chunks; want the views to cross many chunk boundaries", r.Len(), len(r.set.chunks))
+	}
+	for _, v := range views {
+		for i, tp := range v.ts {
+			if !tp.Equal(tuple(v.from+i)) || cap(tp) != 3 {
+				t.Fatalf("%s: view %d reads %v (cap %d) after the growth, want %v", v.name, i, tp, cap(tp), tuple(v.from+i))
 			}
 		}
 	}

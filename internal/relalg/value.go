@@ -1,7 +1,7 @@
 // Package relalg provides the relational substrate of the P2P database
 // network: typed values (constants and labelled nulls), tuples, schemas and
-// relations with duplicate elimination, append logs for delta extraction, and
-// tuple-level homomorphism/subsumption checks used by the chase-style local
+// relations with duplicate elimination, insertion order for delta extraction,
+// and tuple-level homomorphism/subsumption checks used by the chase-style local
 // update step.
 //
 // Tuples have two identities. In memory it is Tuple.Hash plus Tuple.Equal:
@@ -14,19 +14,19 @@
 // process-wide, append-only symbol table (symtab.go) and keep the id of that
 // text in the field an int keeps its number in, so a Value is 16 bytes with no
 // pointer: == and Tuple.Equal are integer compares, Value.Hash and Tuple.Hash
-// are arithmetic over the id, and the value chunks of a TupleSet are never
+// are arithmetic over the id, and the row chunks of a TupleSet are never
 // scanned by the collector. The table holds each distinct text for the life of
 // the process (SymbolStats reports its size). Ids are never written anywhere:
 // Key, AppendValue and the wire write the text, read back from the table, and
 // Reader interns what it decodes, so every format is what it was when values
 // held their strings.
 //
-// A tuple stored by Relation.Insert or TupleSet.AddClone is a copy, carved
-// from a value chunk its set shares between many members; it aliases nothing
-// of the caller's, never moves and is never overwritten, so slices returned
-// by All and Since stay valid while the set grows, and keeping one member
-// keeps its chunk (at most 16 KiB) reachable. TupleSet.Add stores the
-// caller's slice itself.
+// A tuple stored by Relation.Insert or TupleSet.Add is a copy: one row of
+// arity values in a row chunk its set shares between many members, with no
+// slice header of its own. It aliases nothing of the caller's, never moves
+// and is never overwritten, so the views At, Since and All return (each a
+// capacity-capped slice of its row) stay valid, unchanged, while the set
+// grows, and keeping one view keeps its chunk (at most 16 KiB) reachable.
 package relalg
 
 import (

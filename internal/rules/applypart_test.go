@@ -82,7 +82,7 @@ func TestApplyPartMatchesJoinThenApply(t *testing.T) {
 			for j := range tp {
 				tp[j] = values[rng.Intn(len(values))]
 			}
-			if width < len(cols) || distinct.AddClone(tp[:len(cols)]) {
+			if width < len(cols) || distinct.Add(tp[:len(cols)]) {
 				tuples = append(tuples, tp)
 			}
 		}

@@ -69,7 +69,7 @@ func JoinParts(r Rule, parts map[string]PartTuples) []relalg.Tuple {
 			return nil // defensive: part columns missing an export variable
 		}
 	}
-	var out relalg.TupleSet
+	out := relalg.MakeTupleSet(len(exportSlots))
 	cq.ProjectInto(&out, rows, exportSlots)
 	return out.All()
 }

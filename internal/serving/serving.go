@@ -106,20 +106,22 @@ type class struct {
 	retained atomic.Int64
 }
 
-// admit adds tuples to the class set and returns the ones it did not hold: a
-// view of the set's log, shared by every watcher the pass stages it for. A
-// set-free class holds no set: every tuple it is given is news. Callers hold
-// the hub's passMu.
+// admit adds tuples to the class set and returns the ones it did not hold,
+// as views of the set's rows, shared by every watcher the pass stages them
+// for. A set-free class holds no set: every tuple it is given is news.
+// Callers hold the hub's passMu.
 func (cl *class) admit(tuples []relalg.Tuple) []relalg.Tuple {
 	if cl.setFree {
 		return tuples
 	}
-	n := cl.sent.Len()
+	var news []relalg.Tuple
 	for _, t := range tuples {
-		cl.sent.Add(t)
+		if cl.sent.Add(t) {
+			news = append(news, cl.sent.At(cl.sent.Len()-1))
+		}
 	}
 	cl.retained.Store(int64(cl.sent.Len()))
-	return cl.sent.All()[n:]
+	return news
 }
 
 // setFree reports whether a class needs no exactly-once set: its conjunction

@@ -308,10 +308,10 @@ func (db *DB) MarksFor(rels []string) Marks {
 }
 
 // DeltaSince returns, for each named relation, the tuples inserted after the
-// marks, and the advanced marks. Pass nil marks for "everything". The slices
-// are read-only views of the relations' logs (see relalg.Relation.Since):
-// nothing is copied under the lock, and they stay valid, unchanged, while the
-// relations grow.
+// marks, and the advanced marks. Pass nil marks for "everything". Each slice
+// holds read-only views of a relation's rows (see relalg.Relation.Since): no
+// value is copied under the lock, and the views stay valid, unchanged, while
+// the relations grow.
 func (db *DB) DeltaSince(marks Marks, rels []string) (map[string][]relalg.Tuple, Marks) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -74,6 +74,24 @@ func TestMarksAndPartRecordsSurviveCrash(t *testing.T) {
 	}
 }
 
+// TestPartReplaySkipsShortTuples: a replayed part set has the arity of its
+// columns. A logged tuple of another width is skipped, even as the part's
+// first tuple: no record can panic replay or fix the set's arity.
+func TestPartReplaySkipsShortTuples(t *testing.T) {
+	pair := func(x, y string) relalg.Tuple { return relalg.Tuple{relalg.S(x), relalg.S(y)} }
+	var r Recovered
+	cols := []string{"X", "Y"}
+	r.mergePart(PartState{RuleID: "r", Part: "S", Cols: cols, Tuples: []relalg.Tuple{tup("short"), pair("a", "b")}})
+	r.mergePart(PartState{RuleID: "r", Part: "S", Cols: cols, Tuples: []relalg.Tuple{{relalg.S("e"), relalg.S("f"), relalg.S("extra")}, {}, pair("c", "d")}})
+	if len(r.State.Parts) != 1 {
+		t.Fatalf("replayed %d part sets, want 1", len(r.State.Parts))
+	}
+	got, want := r.State.Parts[0].Tuples, []relalg.Tuple{pair("a", "b"), pair("c", "d")}
+	if len(got) != len(want) || !got[0].Equal(want[0]) || !got[1].Equal(want[1]) {
+		t.Fatalf("replayed part tuples %v, want %v", got, want)
+	}
+}
+
 func TestCleanCloseSupersedesMarksRecords(t *testing.T) {
 	dir := t.TempDir()
 	st, rec, err := Open(dir, Options{NoCheckpointer: true})

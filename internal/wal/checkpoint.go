@@ -83,8 +83,8 @@ func (s *Store) prune(coversBelow, keepSnap uint64) {
 // writeSnapshot renders one snapshot file atomically (tmp + rename + dir
 // fsync). Layout: magic, snap-header record (coverage boundary), a schema
 // record per relation in declaration order, a bulk relation record per
-// non-empty relation (tuples in log order, so replayed sequence numbers are
-// reproduced exactly), the protocol state, and an end marker whose presence
+// non-empty relation (tuples in insertion order, so replayed sequence numbers
+// are reproduced exactly), the protocol state, and an end marker whose presence
 // distinguishes a complete snapshot from a torn one. rels is a private
 // clone (storage.DB.Snapshot); a schema with no entry was declared after
 // the cut and its tuples live in the still-active segment.
@@ -118,7 +118,11 @@ func writeSnapshot(dir string, counter, coversBelow uint64, schemas []relalg.Sch
 			continue
 		}
 		payload := relalg.AppendString([]byte{recRelation}, sch.Name)
-		if err := writeFrame(w, relalg.AppendTuples(payload, rel.All())); err != nil {
+		payload = binary.AppendUvarint(payload, uint64(rel.Len())) // relalg.AppendTuples, by position
+		for i := range rel.Len() {
+			payload = relalg.AppendTuple(payload, rel.At(i))
+		}
+		if err := writeFrame(w, payload); err != nil {
 			return discard(err)
 		}
 	}

@@ -171,20 +171,16 @@ type Recovered struct {
 
 // mergePart folds one replayed part-delta record into the recovered state,
 // deduplicating tuples (re-sent answers append the same tuples again; the
-// merge is idempotent, like insert replay).
+// merge is idempotent, like insert replay). A part's set has the arity of its
+// columns, so a tuple of another width is skipped.
 func (r *Recovered) mergePart(pd PartState) {
 	if r.partIdx == nil {
 		r.partIdx = map[string]int{}
 		r.partSeen = map[string]*relalg.TupleSet{}
-		for i := range r.State.Parts {
-			p := &r.State.Parts[i]
-			key := p.RuleID + "\x00" + p.Part
-			r.partIdx[key] = i
-			seen := &relalg.TupleSet{}
-			for _, t := range p.Tuples {
-				seen.Add(t)
-			}
-			r.partSeen[key] = seen
+		parts := r.State.Parts
+		r.State.Parts = nil
+		for _, p := range parts {
+			r.mergePart(p)
 		}
 	}
 	key := pd.RuleID + "\x00" + pd.Part
@@ -193,13 +189,15 @@ func (r *Recovered) mergePart(pd PartState) {
 		r.State.Parts = append(r.State.Parts, PartState{RuleID: pd.RuleID, Part: pd.Part, Cols: pd.Cols})
 		i = len(r.State.Parts) - 1
 		r.partIdx[key] = i
-		r.partSeen[key] = &relalg.TupleSet{}
+		seen := relalg.MakeTupleSet(len(pd.Cols))
+		r.partSeen[key] = &seen
 	}
-	seen := r.partSeen[key]
+	p, seen := &r.State.Parts[i], r.partSeen[key]
 	for _, t := range pd.Tuples {
-		seen.Add(t)
+		if seen.Add(t) {
+			p.Tuples = append(p.Tuples, seen.At(seen.Len()-1))
+		}
 	}
-	r.State.Parts[i].Tuples = seen.All()
 }
 
 // Store is an open write-ahead log for one node.

@@ -85,8 +85,8 @@ func TestNoGobOnTheTuplePath(t *testing.T) {
 // TestOnePassPerTuplePerHop: an answer is a set. Evaluation, the part join
 // and the peer's update path return first-derivation order and never sort it
 // (canonical order lives in relalg.SortTuples, for LocalQuery, the
-// QueryRequest reply and the printers). TupleSet is a log, an open-addressing
-// table of positions and value chunks — no hash-keyed map. A relation's
+// QueryRequest reply and the printers). TupleSet is row chunks and an
+// open-addressing table of positions — no hash-keyed map. A relation's
 // per-position index is keyed by the hash a value carries, never by the value
 // (the built-in map would hash the string's bytes again). Only multi-source
 // rules join parts: a single-source answer goes to the chase as it is
@@ -190,6 +190,26 @@ func TestValueIsPointerFree(t *testing.T) {
 			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
 		default:
 			t.Errorf("relalg.Value.%s is a %s: a Value must hold no pointer", f.Name, f.Type)
+		}
+	}
+}
+
+// TestOneRowPerStoredTuple: a stored tuple is one row of its set's row
+// chunks, read back through TupleSet.At, and nothing else. A log of one
+// Tuple per member cost a 24-byte slice header each — the only pointers the
+// collector scanned in a relation, ~7 MB of dblp-mem's heap — so no field of
+// a TupleSet or a Relation holds relalg.Tuple elements.
+func TestOneRowPerStoredTuple(t *testing.T) {
+	tuple := reflect.TypeOf(relalg.Tuple{})
+	for _, typ := range []reflect.Type{reflect.TypeOf(relalg.TupleSet{}), reflect.TypeOf(relalg.Relation{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Slice, reflect.Array, reflect.Map, reflect.Chan, reflect.Pointer:
+				if f.Type.Elem() == tuple {
+					t.Errorf("relalg.%s.%s is a %s: stored tuples are rows of the set's chunks", typ.Name(), f.Name, f.Type)
+				}
+			}
 		}
 	}
 }
