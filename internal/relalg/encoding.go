@@ -19,7 +19,8 @@ import (
 //	strings := uvarint(count) string*
 //
 // A string or null is written as its text, read back from the symbol table,
-// and decoded by interning the text where it lies in the input. The Append
+// and decoded by interning the text where it lies in the input; an int is
+// written as its number whether the Value holds it inline or boxed. The Append
 // functions allocate nothing beyond growing b; nothing the Reader returns
 // refers to its input, so a decoded value never keeps a frame or record alive.
 
@@ -40,15 +41,16 @@ func AppendStrings(b []byte, ss []string) []byte {
 
 // AppendValue appends one value.
 func AppendValue(b []byte, v Value) []byte {
-	if v.kind == KindInt {
+	kind := v.Kind()
+	if kind == KindInt {
 		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], v.num)
+		n := binary.PutVarint(buf[:], v.Int())
 		b = append(b, byte(1+n), byte(KindInt))
 		return append(b, buf[:n]...)
 	}
 	text := v.text()
 	b = binary.AppendUvarint(b, uint64(1+len(text)))
-	b = append(b, byte(v.kind))
+	b = append(b, byte(kind))
 	return append(b, text...)
 }
 
@@ -92,8 +94,9 @@ func TuplesSize(ts []Tuple) int {
 // EncodedSize returns the length of the value's kind byte and payload, for
 // TuplesSize.
 func (v Value) EncodedSize() int {
-	if v.kind == KindInt {
-		return 1 + UvarintSize(uint64(v.num<<1)^uint64(v.num>>63)) // zig-zag
+	if v.Kind() == KindInt {
+		n := v.Int()
+		return 1 + UvarintSize(uint64(n<<1)^uint64(n>>63)) // zig-zag
 	}
 	return 1 + len(v.text())
 }
@@ -229,7 +232,7 @@ func (r *Reader) Tuple() Tuple {
 			}
 			t[i] = I(num)
 		case KindNull, KindString:
-			t[i] = Value{num: symbols.internBytes(raw[1:]), kind: kind}
+			t[i] = sym(symbols.internBytes(raw[1:]), kind)
 		default:
 			r.Fail(ErrCorrupt)
 			return nil

@@ -9,13 +9,13 @@ import (
 	"unsafe"
 )
 
-// The symbol table holds every string constant's text and every null's
-// label, once, for the life of the process: a Value of those kinds carries the
-// id of its text here, so equal texts are equal ids however they were built,
-// and the text is read back only where bytes leave the process (Key,
-// AppendValue) or are ordered or shown (Compare, String). Ids are dense and
-// assigned in first-use order; they are never persisted or sent. The table
-// never shrinks.
+// The symbol table holds every string constant's text, every null's label and
+// the 8 big-endian bytes of every int too wide to hold inline, once, for the
+// life of the process: a Value of those kinds carries the id of its text here,
+// so equal texts are equal ids however they were built, and the text is read
+// back only where bytes leave the process (Key, AppendValue) or are ordered or
+// shown (Compare, String, Int). Ids are dense and assigned in first-use
+// order; they are never persisted or sent. The table never shrinks.
 //
 // Symbols live in pages that never move and texts in shared chunks; an index
 // maps a text's hash to its id. The index is extendible hashing: a directory
@@ -214,8 +214,8 @@ func labelDepth(label string) int {
 }
 
 // SymbolStats reports the symbol table's size: the distinct texts it holds
-// (string constants and null labels, "" included) and their bytes. Both only
-// grow.
+// (string constants, null labels and the 8 bytes of each boxed int, "" included)
+// and their bytes. Both only grow.
 func SymbolStats() (count, textBytes int) {
 	symbols.mu.Lock()
 	defer symbols.mu.Unlock()

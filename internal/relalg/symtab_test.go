@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,8 +16,8 @@ import (
 // strings and as byte slices, into a table that starts at its smallest room
 // and grows several times under them; every goroutine gets the same id for a
 // text, distinct texts get distinct ids, and every id reads back its text
-// while the table grows. Then the same through S, Null and NullBytes on the
-// process's table. Run it with -race.
+// while the table grows. Then the same through S, Null, NullBytes and boxed
+// ints on the process's table. Run it with -race.
 func TestSymbolTableOneIDPerText(t *testing.T) {
 	const workers, texts, each = 8, 12000, 6000
 	tab := newSymtab()
@@ -64,14 +65,16 @@ func TestSymbolTableOneIDPerText(t *testing.T) {
 		t.Errorf("table holds %d symbols, want %d; its directory has depth %d, want at least three doublings", tab.n, texts+1, depth)
 	}
 
-	// The process's table, through the constructors.
+	// The process's table, through the constructors: texts, and ints outside
+	// the inline range, whose 8 bytes are interned as a text is.
 	vals := make([][]Value, workers)
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				text := fmt.Sprintf("spec-%d", (g*250+i)%3000)
+				k := (g*250 + i) % 3000
+				text := fmt.Sprintf("spec-%d", k)
 				v := S(text)
 				if i%2 == 1 {
 					v = Null(text)
@@ -83,15 +86,23 @@ func TestSymbolTableOneIDPerText(t *testing.T) {
 					t.Errorf("%s reads back %q", text, v.Str())
 					return
 				}
-				vals[g] = append(vals[g], v)
+				n := int64(math.MaxInt64 - k)
+				if i%2 == 1 {
+					n = math.MinInt64 + int64(k)
+				}
+				if boxed := I(n); boxed.Int() != n {
+					t.Errorf("I(%d) reads back %d", n, boxed.Int())
+					return
+				}
+				vals[g] = append(vals[g], v, I(n))
 			}
 		}(g)
 	}
 	wg.Wait()
 	for g := range vals {
 		for _, v := range vals[g] {
-			if v != S(v.Str()) && v != Null(v.Str()) {
-				t.Fatalf("%s built by goroutine %d is not the value its text builds now", v.Quoted(), g)
+			if v != S(v.Str()) && v != Null(v.Str()) && v != I(v.Int()) {
+				t.Fatalf("%s built by goroutine %d is not the value its text or number builds now", v.Quoted(), g)
 			}
 		}
 	}
@@ -157,11 +168,12 @@ func TestSymbolTableGrowsInSmallSteps(t *testing.T) {
 var (
 	sinkValue Value
 	sinkTuple Tuple
+	sinkInt   int64
 )
 
 // TestInternedValuesAllocateNothing: a known text costs a lookup — S of a
-// string, NullBytes of a reused buffer — and a decoded tuple of known values
-// costs its slice.
+// string, NullBytes of a reused buffer, I of a boxed int — and a decoded tuple
+// of known values costs its slice.
 func TestInternedValuesAllocateNothing(t *testing.T) {
 	text, label := "conf/edbt/Kementsietsidis04", []byte("d2|r7|Id|13:sconf/edbt/045:i2004")
 	known := Tuple{S(text), I(2004), NullBytes(label), S("")}
@@ -170,6 +182,9 @@ func TestInternedValuesAllocateNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sinkValue = NullBytes(label) }); allocs != 0 {
 		t.Errorf("NullBytes of a known label: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sinkInt = I(math.MinInt64).Int() }); allocs != 0 {
+		t.Errorf("a known boxed int built and read back: %.0f allocations, want 0", allocs)
 	}
 	wire := AppendTuple(nil, known)
 	if allocs := testing.AllocsPerRun(100, func() {

@@ -38,7 +38,7 @@ type TupleSet struct {
 
 const (
 	minTable = 8
-	maxChunk = 1024 // values in a row chunk: 16 KiB
+	maxChunk = 2048 // values in a row chunk: 16 KiB of 8-byte values
 )
 
 // MakeTupleSet returns an empty set of the given arity.

@@ -10,8 +10,9 @@ import (
 )
 
 // adversarialValues are values whose renderings or payloads coincide while
-// the values differ — the cases a sloppy identity would conflate.
-var adversarialValues = []Value{
+// the values differ — the cases a sloppy identity would conflate — and the
+// ints at the edges of the inline range (intBoundaries).
+var adversarialValues = append([]Value{
 	S("1"), I(1), Null("1"),
 	S(""), Null(""), I(0),
 	S("a:b"), S("a"), S("b"), S(":"),
@@ -20,6 +21,14 @@ var adversarialValues = []Value{
 	I(-1), I(10), S("10"), S("-1"),
 	Null("d1|r|V|" + strings.Repeat("3:sab", 40)),
 	Null("d1|r|V|" + strings.Repeat("3:sab", 40) + "x"),
+}, boundaryValues()...)
+
+func boundaryValues() []Value {
+	vs := make([]Value, len(intBoundaries))
+	for i, n := range intBoundaries {
+		vs[i] = I(n)
+	}
+	return vs
 }
 
 // randomAdversarialTuple draws a tuple of the given arity from
@@ -448,8 +457,9 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 
 // TestTupleSetFootprint: a member costs its row and its share of the table,
 // nothing per member besides. Summed over the capacity of every field, a
-// 10 000-row 3-ary set holds at most 64 bytes per member (48 of them the
-// row); a log of one slice header per member put it near 100.
+// 10 000-row 3-ary set holds at most 40 bytes per member (24 of them the
+// row); a log of one slice header per member put it near 100, and 16-byte
+// values near 60.
 func TestTupleSetFootprint(t *testing.T) {
 	const n = 10000
 	s := MakeTupleSet(3)
@@ -460,8 +470,8 @@ func TestTupleSetFootprint(t *testing.T) {
 	for _, ch := range s.chunks {
 		bytes += cap(ch) * int(unsafe.Sizeof(Value{}))
 	}
-	if per := float64(bytes) / n; per > 64 {
-		t.Errorf("%d 3-ary members hold %d bytes, %.1f per member; want at most 64", n, bytes, per)
+	if per := float64(bytes) / n; per > 40 {
+		t.Errorf("%d 3-ary members hold %d bytes, %.1f per member; want at most 40", n, bytes, per)
 	}
 }
 

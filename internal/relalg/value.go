@@ -10,16 +10,18 @@
 // key. Serialised it is Tuple.Key, a canonical injective string that Skolem
 // null labels embed; its bytes are a format and never change.
 //
-// A value's identity is a symbol id. S and Null look their text up in one
-// process-wide, append-only symbol table (symtab.go) and keep the id of that
-// text in the field an int keeps its number in, so a Value is 16 bytes with no
-// pointer: == and Tuple.Equal are integer compares, Value.Hash and Tuple.Hash
-// are arithmetic over the id, and the row chunks of a TupleSet are never
-// scanned by the collector. The table holds each distinct text for the life of
-// the process (SymbolStats reports its size). Ids are never written anywhere:
-// Key, AppendValue and the wire write the text, read back from the table, and
-// Reader interns what it decodes, so every format is what it was when values
-// held their strings.
+// A value's identity is one tagged 64-bit word, so a Value is 8 bytes with no
+// pointer (the tag table is on Value). A string or null holds the id of its
+// text in one process-wide, append-only symbol table (symtab.go); S and Null
+// look the text up there. An int that fits in 62 signed bits is held inline;
+// any other int is boxed: the id of its 8 big-endian bytes in the same table.
+// Every value has exactly one word, so == and Tuple.Equal are integer
+// compares, Value.Hash and Tuple.Hash are arithmetic over words, and the row
+// chunks of a TupleSet are never scanned by the collector. The table holds
+// each distinct text for the life of the process (SymbolStats reports its
+// size). Ids are never written anywhere: Key, AppendValue and the wire write
+// the text or the number, and Reader interns what it decodes, so every format
+// is what it was when values held their strings.
 //
 // A tuple stored by Relation.Insert or TupleSet.Add is a copy: one row of
 // arity values in a row chunk its set shares between many members, with no
@@ -30,6 +32,7 @@
 package relalg
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"hash/maphash"
@@ -52,27 +55,49 @@ const (
 
 // Value is a single attribute value: a shared constant (string or int, the
 // paper's URI assumption) or a labelled null. Values are built by S, I, Null
-// and NullBytes only. For a string or a null, num is the symbol id of its text
-// (see the package doc): the same text is the same id at every call, so equal
-// values are == whatever memory their text came from, S(x) and Null(x) differ
-// by kind alone, and the zero Value is S("") (id 0 is ""). Value holds no
-// pointer; TestValueIsPointerFree (the repository root) keeps it that way.
+// and NullBytes only. It is one word, payload<<2 | tag:
+//
+//	tag 0  string   symbol id of its text
+//	tag 1  int      the int itself, when it lies in [-2^61, 2^61)
+//	tag 2  null     symbol id of its label
+//	tag 3  int      boxed: symbol id of its 8 big-endian bytes
+//
+// Each value has one word, so equal values are == whatever memory their text
+// came from, S(x) and Null(x) differ by tag alone, and the zero Value is
+// S("") (id 0 is ""). Value holds no pointer; TestValueIsPointerFree (the
+// repository root) keeps it that way.
 type Value struct {
-	num  int64 // the int constant; for strings and nulls, the symbol id of the text
-	kind Kind
+	w uint64
 }
 
+const (
+	tagBits  = 2
+	tagMask  = 1<<tagBits - 1
+	tagBoxed = 3 // an int outside the inline range
+
+	minInline = -1 << (63 - tagBits) // the inline ints are [minInline, -minInline)
+)
+
+// sym builds a string or null from the symbol id of its text.
+func sym(id int64, kind Kind) Value { return Value{w: uint64(id)<<tagBits | uint64(kind)} }
+
+// tag returns the word's low bits.
+func (v Value) tag() uint64 { return v.w & tagMask }
+
+// id returns the symbol id of a string, a null or a boxed int.
+func (v Value) id() int64 { return int64(v.w >> tagBits) }
+
 // text returns the text of a string constant or null label.
-func (v Value) text() string { return symbols.sym(v.num).text }
+func (v Value) text() string { return symbols.sym(v.id()).text }
 
 // String returns a display rendering: bare text for string constants,
 // decimal for ints, and "⊥label" for nulls. Long Skolem labels are shortened
 // to a stable digest for readability; Quoted keeps the full label, and
 // identity always uses the full label.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindNull:
 		label := v.text()
 		if len(label) > 24 {
@@ -89,9 +114,9 @@ func (v Value) String() string {
 // Quoted renders the value in surface syntax: single-quoted strings with
 // internal quotes doubled, bare integers, and ⊥-prefixed null labels.
 func (v Value) Quoted() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(v.num, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindNull:
 		return "⊥" + v.text()
 	default:
@@ -100,18 +125,23 @@ func (v Value) Quoted() string {
 }
 
 // Kind reports the value's kind.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if t := v.tag(); t != tagBoxed {
+		return Kind(t)
+	}
+	return KindInt
+}
 
 // IsNull reports whether v is a labelled null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
+func (v Value) IsNull() bool { return v.tag() == uint64(KindNull) }
 
 // IsConst reports whether v is a constant (string or int).
-func (v Value) IsConst() bool { return v.kind != KindNull }
+func (v Value) IsConst() bool { return !v.IsNull() }
 
 // Str returns the string payload (string constant text or null label); ""
 // for an int.
 func (v Value) Str() string {
-	if v.kind == KindInt {
+	if v.Kind() == KindInt {
 		return ""
 	}
 	return v.text()
@@ -119,15 +149,18 @@ func (v Value) Str() string {
 
 // Int returns the integer payload; zero unless KindInt.
 func (v Value) Int() int64 {
-	if v.kind != KindInt {
-		return 0
+	switch v.tag() {
+	case uint64(KindInt):
+		return int64(v.w) >> tagBits
+	case tagBoxed:
+		return int64(binary.BigEndian.Uint64([]byte(v.text())))
 	}
-	return v.num
+	return 0
 }
 
 // NullLabel returns the label of a null value, or "" for constants.
 func (v Value) NullLabel() string {
-	if v.kind == KindNull {
+	if v.IsNull() {
 		return v.text()
 	}
 	return ""
@@ -137,26 +170,34 @@ func (v Value) NullLabel() string {
 // Skolem label "d<n>|…", 1 for a foreign label — read from the symbol table,
 // which parsed it when the label was first interned; 0 for a constant.
 func (v Value) NullDepth() int {
-	if v.kind != KindNull {
+	if !v.IsNull() {
 		return 0
 	}
-	return symbols.sym(v.num).depth
+	return symbols.sym(v.id()).depth
 }
 
 // S builds a string-constant Value. It interns s: a text seen before costs a
 // lookup and no allocation; a new one is copied into the symbol table.
-func S(s string) Value { return Value{num: symbols.intern(s), kind: KindString} }
+func S(s string) Value { return sym(symbols.intern(s), KindString) }
 
-// I builds an integer-constant Value.
-func I(n int64) Value { return Value{num: n, kind: KindInt} }
+// I builds an integer-constant Value: inline when n lies in the inline range,
+// else boxed, interning its 8 big-endian bytes as S interns a text.
+func I(n int64) Value {
+	if n >= minInline && n < -minInline {
+		return Value{w: uint64(n)<<tagBits | uint64(KindInt)}
+	}
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(n))
+	return Value{w: uint64(symbols.internBytes(b[:]))<<tagBits | tagBoxed}
+}
 
 // Null builds a labelled null with the given label, interned as S interns.
-func Null(label string) Value { return Value{num: symbols.intern(label), kind: KindNull} }
+func Null(label string) Value { return sym(symbols.intern(label), KindNull) }
 
 // NullBytes is Null for a label held in a byte slice, which it does not
 // retain: the caller may reuse the buffer, and a known label allocates
 // nothing.
-func NullBytes(label []byte) Value { return Value{num: symbols.internBytes(label), kind: KindNull} }
+func NullBytes(label []byte) Value { return sym(symbols.internBytes(label), KindNull) }
 
 // Equal reports exact equality (same kind and payload). Two nulls are equal
 // iff their labels are equal.
@@ -167,22 +208,18 @@ func (v Value) Equal(w Value) bool { return v == w }
 // lexicographically. Used for canonical rendering and sorted output, not for
 // semantic built-ins (see CompareAs).
 func (v Value) Compare(w Value) int {
-	if v.kind != w.kind {
-		return int(v.kind) - int(w.kind)
+	if vk, wk := v.Kind(), w.Kind(); vk != wk {
+		return int(vk) - int(wk)
 	}
-	switch v.kind {
-	case KindInt:
-		switch {
-		case v.num < w.num:
-			return -1
-		case v.num > w.num:
-			return 1
-		}
+	switch {
+	case v == w:
 		return 0
-	default:
-		if v.num == w.num {
-			return 0
+	case v.Kind() == KindInt:
+		if v.Int() < w.Int() {
+			return -1
 		}
+		return 1
+	default:
 		return strings.Compare(v.text(), w.text())
 	}
 }
@@ -193,7 +230,7 @@ func (v Value) Compare(w Value) int {
 // Comparisons involving nulls report ok=false (unknown) except equality of
 // identical nulls.
 func CompareAs(v, w Value) (cmp int, ok bool) {
-	if v.kind == KindNull || w.kind == KindNull {
+	if v.IsNull() || w.IsNull() {
 		if v == w {
 			return 0, true
 		}
@@ -214,10 +251,10 @@ func CompareAs(v, w Value) (cmp int, ok bool) {
 }
 
 func asInt(v Value) (int64, bool) {
-	if v.kind == KindInt {
-		return v.num, true
-	}
-	if v.kind == KindString {
+	switch v.Kind() {
+	case KindInt:
+		return v.Int(), true
+	case KindString:
 		if n, err := strconv.ParseInt(v.text(), 10, 64); err == nil {
 			return n, true
 		}
@@ -228,9 +265,9 @@ func asInt(v Value) (int64, bool) {
 // Key returns a canonical encoding of the value as a string. The encoding
 // is injective across kinds.
 func (v Value) Key() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return "i" + strconv.FormatInt(v.num, 10)
+		return "i" + strconv.FormatInt(v.Int(), 10)
 	case KindNull:
 		return "n" + v.text()
 	default:
@@ -242,10 +279,10 @@ func (v Value) Key() string {
 // of Key(), a colon, then Key() itself.
 func (v Value) appendKey(b []byte) []byte {
 	tag := byte('s')
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
 		var digits [20]byte
-		d := strconv.AppendInt(digits[:0], v.num, 10)
+		d := strconv.AppendInt(digits[:0], v.Int(), 10)
 		b = strconv.AppendInt(b, int64(len(d)+1), 10)
 		b = append(b, ':', 'i')
 		return append(b, d...)
@@ -262,11 +299,10 @@ func (v Value) appendKey(b []byte) []byte {
 var hashMix = maphash.String(maphash.MakeSeed(), "relalg")
 
 // Hash returns a process-local 64-bit hash of the value, consistent with ==
-// (equal values hash equally). It is arithmetic on num — a symbol id for a
-// string or null — with the kind added in the top byte, so S("1"), I(1) and
-// Null("1") differ and small ids never meet small ints.
+// (equal values hash equally). It is arithmetic on the word, whose tag keeps
+// S("1"), I(1) and Null("1") apart.
 func (v Value) Hash() uint64 {
-	h := (uint64(v.num) + uint64(v.kind)<<56) ^ hashMix
+	h := v.w ^ hashMix
 	h *= 0x9e3779b97f4a7c15
 	return h ^ h>>29
 }

@@ -1,6 +1,12 @@
 package relalg
 
 import (
+	"cmp"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -202,5 +208,70 @@ func TestValueCarriesItsHash(t *testing.T) {
 	var set TupleSet
 	if set.Add(want); !set.Has(got) {
 		t.Error("a decoded tuple is not found where its original was stored")
+	}
+}
+
+// intBoundaries are the ints at the edges of a Value's inline range
+// [-2^61, 2^61) and of int64: the first five are inline, the last four boxed.
+var intBoundaries = []int64{0, 1, -1, 1<<61 - 1, -1 << 61, 1 << 61, -1<<61 - 1, math.MaxInt64, math.MinInt64}
+
+// TestValueIntBoundaries: an int is the same value, with the same bytes in
+// every format, whether its Value holds it inline or boxed in the symbol
+// table.
+func TestValueIntBoundaries(t *testing.T) {
+	for _, n := range intBoundaries {
+		v := I(n)
+		if v.Int() != n || v.Kind() != KindInt || v.IsNull() || v.Str() != "" {
+			t.Errorf("I(%d) reads back %d of kind %v", n, v.Int(), v.Kind())
+		}
+		if v != I(n) || v.Hash() != I(n).Hash() {
+			t.Errorf("I(%d) built twice gives two values", n)
+		}
+		var be [8]byte
+		binary.BigEndian.PutUint64(be[:], uint64(n))
+		if v == S(string(be[:])) || v == Null(string(be[:])) {
+			t.Errorf("I(%d) is the string or null of its own 8 bytes", n)
+		}
+		if want := "i" + strconv.FormatInt(n, 10); v.Key() != want || (Tuple{v}).Key() != strconv.Itoa(len(want))+":"+want {
+			t.Errorf("I(%d).Key() = %q, want %q", n, v.Key(), want)
+		}
+		if back, err := ParseValue(v.Quoted()); err != nil || back != v {
+			t.Errorf("I(%d) -> %q -> %v, %v", n, v.Quoted(), back, err)
+		}
+		enc := AppendValue(nil, v)
+		if m := v.EncodedSize(); UvarintSize(uint64(m))+m != len(enc) {
+			t.Errorf("I(%d): EncodedSize %d, encoded %d bytes", n, m, len(enc))
+		}
+		r := NewReader(append([]byte{1}, enc...))
+		if back := r.Tuple(); r.Err() != nil || len(back) != 1 || back[0] != v {
+			t.Errorf("I(%d) decodes to %v, %v", n, back, r.Err())
+		}
+	}
+	for _, a := range intBoundaries {
+		for _, b := range intBoundaries {
+			want := cmp.Compare(a, b)
+			if got := sign(I(a).Compare(I(b))); got != want {
+				t.Errorf("I(%d).Compare(I(%d)) = %d, want %d", a, b, got, want)
+			}
+			if got, ok := CompareAs(I(a), I(b)); !ok || sign(got) != want {
+				t.Errorf("CompareAs(I(%d), I(%d)) = %d, %v, want %d", a, b, got, ok, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		ns := slices.Clone(intBoundaries)
+		rng.Shuffle(len(ns), func(i, j int) { ns[i], ns[j] = ns[j], ns[i] })
+		vs := make(Tuple, len(ns))
+		for i, n := range ns {
+			vs[i] = I(n)
+		}
+		slices.Sort(ns)
+		slices.SortFunc(vs, Value.Compare)
+		for i := range ns {
+			if vs[i].Int() != ns[i] {
+				t.Fatalf("sorted values %v, want the int64 order %v", vs, ns)
+			}
+		}
 	}
 }
