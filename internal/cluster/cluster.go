@@ -41,6 +41,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/shell"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -143,7 +144,9 @@ func (o Options) withDefaults() Options {
 // Transport is the cluster membership transport: a transport.Transport that
 // hosts one local name (the process's database peer, or the coordinator) plus
 // any names it adopted after a promotion, and routes every other name through
-// the member table.
+// the member table. The failure detector's step (detector.go) runs in the
+// transport's shell: lock → step → unlock → effects, with the one timer the
+// step arms.
 type Transport struct {
 	self string
 	opts Options
@@ -155,13 +158,11 @@ type Transport struct {
 	out     transport.Transport
 	batcher *transport.Batcher // non-nil when out is the Batcher
 
-	mu  sync.Mutex
+	// sh runs the detector's step; its lock guards the fields below. Close
+	// waits for the steps in flight, so no heartbeat or JoinAck leaves after
+	// the Goodbye.
+	sh  *shell.Shell[detEffect]
 	det *detector // the failure detector and member table (detector.go)
-	// timer delivers the detector's ticks; the step arms it.
-	timer *time.Timer
-	// stepping counts steps whose effects are still running: Close waits for
-	// them, so no heartbeat or JoinAck leaves after the Goodbye.
-	stepping sync.WaitGroup
 	// changed is fired on every member-status change (WaitMembers wakes on it).
 	changed wake
 	// handlers holds the handler of every name this process answers for: its
@@ -190,7 +191,6 @@ type Transport struct {
 	// injection for tests and experiments (cut both directions by calling it
 	// on each side).
 	linkDown map[string]bool
-	closed   bool
 }
 
 // New starts a cluster member: a TCP listener on listenAddr and a member
@@ -227,10 +227,12 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		})
 		c.out = c.batcher
 	}
-	// Set under the lock the callback's step takes, so a tick never finds it unset.
-	c.mu.Lock()
-	c.timer = time.AfterFunc(time.Until(c.det.armed), func() { c.deliver(detTick{}) })
-	c.mu.Unlock()
+	c.sh = shell.New(c.run, func(e detEffect) (time.Time, bool) { return e.when, e.kind == detArm },
+		func(now time.Time, _ []detEffect) []detEffect { return c.det.step(now, detTick{}) })
+	// The first beat is due a beat from now.
+	c.sh.Step(func(_ time.Time, buf []detEffect) []detEffect {
+		return append(buf, detEffect{kind: detArm, when: c.det.armed})
+	})
 	if err := tcp.Register(self, func(env wire.Envelope) { c.dispatch(self, env) }); err != nil {
 		c.stop()
 		_ = tcp.Close()
@@ -248,8 +250,8 @@ func (c *Transport) Addr() string { return c.tcp.Addr() }
 // Members snapshots the member table, sorted by name. The local member is
 // not listed.
 func (c *Transport) Members() []MemberInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.sh.Lock()
+	defer c.sh.Unlock()
 	out := make([]MemberInfo, 0, len(c.det.members))
 	for name, m := range c.det.members {
 		out = append(out, MemberInfo{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen})
@@ -265,25 +267,17 @@ func (c *Transport) Members() []MemberInfo {
 // they come up.
 func (c *Transport) Announce() { c.deliver(announce{}) }
 
-// deliver steps the detector with one event and carries out its effects: the
-// timer is re-armed under the lock, everything else runs after it. After
-// Close or Abandon events are dropped.
+// deliver steps the detector with one event. After Close or Abandon events
+// are dropped.
 func (c *Transport) deliver(ev any) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.stepping.Add(1)
-	defer c.stepping.Done()
-	effs := c.det.step(time.Now(), ev)
-	for _, e := range effs {
-		if e.kind == detArm {
-			c.timer.Reset(time.Until(e.when))
-		}
-	}
+	c.sh.Step(func(now time.Time, _ []detEffect) []detEffect { return c.det.step(now, ev) })
+}
+
+// run carries out the detector's effects once the lock is released.
+func (c *Transport) run(effs []detEffect) {
+	c.sh.Lock()
 	up, onStatus, propose := c.onMemberUp, c.onStatus, c.propose
-	c.mu.Unlock()
+	c.sh.Unlock()
 	for _, e := range effs {
 		switch e.kind {
 		case detSend:
@@ -309,13 +303,13 @@ func (c *Transport) deliver(ev any) {
 // points the socket layer at the member table's address for its addressee,
 // before reaching the wire.
 func (c *Transport) transmit(from, to string, msg wire.Message) error {
-	c.mu.Lock()
+	c.sh.Lock()
 	down, m := c.linkDown[to], c.det.members[to]
 	var addr string
 	if m != nil {
 		addr = m.addr
 	}
-	c.mu.Unlock()
+	c.sh.Unlock()
 	if down {
 		return nil // a cut link eats frames silently, like a real partition
 	}
@@ -331,9 +325,9 @@ func (c *Transport) transmit(from, to string, msg wire.Message) error {
 // stop crossing a cut link, so suspicion and the agreed member view react
 // exactly as they would to a dropped network segment.
 func (c *Transport) SetLinkDown(to string, down bool) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.linkDown[to] = down
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // dispatch is the TCP handler of every name this process answers for — its
@@ -344,9 +338,9 @@ func (c *Transport) dispatch(name string, env wire.Envelope) {
 	// Frames from a member this process considers cut are dropped on ingress
 	// too: a partition severs both directions even when only this side
 	// injected it (the TCP socket itself stays up).
-	c.mu.Lock()
+	c.sh.Lock()
 	down := c.linkDown[env.From]
-	c.mu.Unlock()
+	c.sh.Unlock()
 	if down {
 		return
 	}
@@ -394,9 +388,9 @@ func (c *Transport) dispatch(name string, env wire.Envelope) {
 // member's Paxos identity is not inherited — answering rounds under a second
 // name would double-count this process's vote.
 func (c *Transport) route(name string, env wire.Envelope) {
-	c.mu.Lock()
+	c.sh.Lock()
 	rep, ic, h := c.replica, c.intercept, c.handlers[name]
-	c.mu.Unlock()
+	c.sh.Unlock()
 	switch env.Msg.(type) {
 	case wire.ReplicaAppend, wire.ReplicaAck, wire.ReplicaSyncReq,
 		wire.ReplicaState, wire.ReplicaStatusRequest:
@@ -426,9 +420,9 @@ func (c *Transport) route(name string, env wire.Envelope) {
 // status requests) below the control plane and the hosted peer. The callback
 // runs on transport goroutines; it must not block on quorum waits.
 func (c *Transport) SetReplica(fn func(env wire.Envelope) bool) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.replica = fn
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // SetConsensus installs the control-plane interceptor: it sees every frame
@@ -438,9 +432,9 @@ func (c *Transport) SetReplica(fn func(env wire.Envelope) bool) {
 // not block on quorum waits (the control plane submits from fresh
 // goroutines).
 func (c *Transport) SetConsensus(fn func(env wire.Envelope) bool) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.intercept = fn
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // SetOnStatusChange registers a callback fired on every member-status
@@ -449,9 +443,9 @@ func (c *Transport) SetConsensus(fn func(env wire.Envelope) bool) {
 // that said Goodbye. Runs on transport goroutines and the detector's timer,
 // outside the table lock.
 func (c *Transport) SetOnStatusChange(fn func(node string, st Status)) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.onStatus = fn
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // attachPlane hands reconciliation to a control plane: from now on the
@@ -460,11 +454,11 @@ func (c *Transport) SetOnStatusChange(fn func(node string, st Status)) {
 // continuous suspicion to death (zero: never), and proposes what differs
 // through propose, which must not block.
 func (c *Transport) attachPlane(propose func(cmd wire.Command), reconcileEvery, deadAfter time.Duration, view agreedView) {
-	c.mu.Lock()
-	c.propose = propose
-	c.det.attach(time.Now(), reconcileEvery, deadAfter)
-	c.mu.Unlock()
-	c.deliver(view)
+	c.sh.Step(func(now time.Time, _ []detEffect) []detEffect {
+		c.propose = propose
+		c.det.attach(now, reconcileEvery, deadAfter)
+		return c.det.step(now, view)
+	})
 }
 
 // SetOnMemberUp registers a callback fired when a member previously marked
@@ -476,9 +470,9 @@ func (c *Transport) attachPlane(propose func(cmd wire.Command), reconcileEvery, 
 // callback runs on transport goroutines, outside the member-table lock; keep
 // it non-blocking towards the cluster layer.
 func (c *Transport) SetOnMemberUp(fn func(node string)) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.onMemberUp = fn
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // Register implements transport.Transport. A cluster transport hosts its own
@@ -493,27 +487,27 @@ func (c *Transport) SetOnMemberUp(fn func(node string)) {
 // re-ships whatever accumulated past its acked frontiers while the original
 // host was dying.
 func (c *Transport) Register(node string, h transport.Handler) error {
-	c.mu.Lock()
+	c.sh.Lock()
 	switch {
-	case c.closed:
-		c.mu.Unlock()
+	case c.sh.Closed():
+		c.sh.Unlock()
 		return transport.ErrClosed
 	case node != c.self && !c.aliasOK[node]:
-		c.mu.Unlock()
+		c.sh.Unlock()
 		return fmt.Errorf("cluster: this process hosts %q, cannot register %q", c.self, node)
 	case c.handlers[node] != nil:
-		c.mu.Unlock()
+		c.sh.Unlock()
 		return fmt.Errorf("cluster: %q already registered", node)
 	}
 	c.handlers[node] = h
-	c.mu.Unlock()
+	c.sh.Unlock()
 	if node == c.self {
 		return nil
 	}
 	if err := c.tcp.Register(node, func(env wire.Envelope) { c.dispatch(node, env) }); err != nil {
-		c.mu.Lock()
+		c.sh.Lock()
 		delete(c.handlers, node)
-		c.mu.Unlock()
+		c.sh.Unlock()
 		return err
 	}
 	c.deliver(hosting{node: node, on: true})
@@ -525,9 +519,9 @@ func (c *Transport) Register(node string, h transport.Handler) error {
 // binds it instead of being rejected. Replica promotion calls it right
 // before re-building the dead member's peer in this process.
 func (c *Transport) AllowAlias(node string) {
-	c.mu.Lock()
+	c.sh.Lock()
 	c.aliasOK[node] = true
-	c.mu.Unlock()
+	c.sh.Unlock()
 }
 
 // Unregister stops answering for an adopted name (the agreed log re-homed it
@@ -539,10 +533,10 @@ func (c *Transport) Unregister(node string) {
 	if node == c.self {
 		return
 	}
-	c.mu.Lock()
+	c.sh.Lock()
 	delete(c.handlers, node)
 	delete(c.aliasOK, node)
-	c.mu.Unlock()
+	c.sh.Unlock()
 	c.tcp.Unregister(node)
 	c.deliver(hosting{node: node})
 }
@@ -591,21 +585,17 @@ func (c *Transport) Abandon() error {
 // flight have run their effects when it returns — and lists the members then
 // alive. It reports false when the transport was stopped already.
 func (c *Transport) stop() ([]string, bool) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if !c.sh.Close() {
 		return nil, false
 	}
-	c.closed = true
-	c.timer.Stop()
+	c.sh.Lock()
+	defer c.sh.Unlock()
 	var alive []string
 	for _, name := range sortedKeys(c.det.members) {
 		if c.det.members[name].status == StatusAlive {
 			alive = append(alive, name)
 		}
 	}
-	c.mu.Unlock()
-	c.stepping.Wait()
 	return alive, true
 }
 

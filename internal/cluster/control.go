@@ -7,13 +7,13 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/consensus"
 	"repro/internal/core"
 	"repro/internal/peer"
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -98,15 +98,16 @@ type ReplicationOptions struct {
 	Frontier func(node string) uint64
 	// OnPromote fires when this member wins a node's promotion election:
 	// adopt the node's peer (rebuild it from the mirror and the shipped
-	// subscription state) and start replicating it onward. Fired from a
-	// fresh goroutine, never during control-log replay (boot recovery asks
-	// AdoptedNodes instead).
+	// subscription state) and start replicating it onward. Fired on the
+	// plane's runner, which Close waits for, never during control-log replay
+	// (boot recovery asks AdoptedNodes instead).
 	OnPromote func(node string)
 	// OnDeposed fires when the agreed log re-homes a node this member hosts —
 	// its own or an adopted one — to another member (this process was
 	// declared dead, usually wrongly from its point of view: a long
 	// partition). It must stop serving the node; a deposed primary that kept
-	// accepting writes would fork the fix-point.
+	// accepting writes would fork the fix-point. Fired on the plane's runner,
+	// like OnPromote, so it must not wait for the plane to close.
 	OnDeposed func(node string)
 }
 
@@ -155,18 +156,15 @@ type ControlPlane struct {
 	opts    ControlPlaneOptions
 	cons    *consensus.Node // nil while consensus.New replays the control log
 
-	mu       sync.Mutex
+	// sh folds the applied entries; its lock guards the fields below, and its
+	// runner carries the drivers, the proposals and the callbacks.
+	sh       *shell.Shell[effect]
 	st       *foldState // the agreed fold
 	states   inbox[wire.StateReport]
 	driveGen uint64 // invalidates superseded driver goroutines
-	closed   bool
 
 	promotions  atomic.Uint64 // elections this member won
 	probeRounds atomic.Uint64 // closure-probe rounds the driven updates needed
-
-	ctx  context.Context // cancelled by Close: every driver and proposal selects on it
-	stop context.CancelFunc
-	wg   sync.WaitGroup
 }
 
 // NewControlPlane starts the agreed control plane for one serve member.
@@ -187,7 +185,7 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 		members: append([]string(nil), members...),
 		opts:    opts,
 	}
-	cp.ctx, cp.stop = context.WithCancel(context.Background())
+	cp.sh = shell.New(cp.run, nil, nil)
 	sort.Strings(cp.members)
 	cp.st = newFoldState(cp.members, opts.Replication.K)
 	copts := opts.Consensus
@@ -202,11 +200,12 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 	// entry that survived without its updateDone really is still in flight,
 	// and elections replay left open really are undecided: drive and bid now,
 	// exactly once (max-merge in the fold makes a duplicate bid harmless).
-	cp.mu.Lock()
-	effs := cp.st.resume()
-	view := cp.agreedView()
-	cp.mu.Unlock()
-	cp.run(effs)
+	var view agreedView
+	cp.sh.Step(func(time.Time, []effect) []effect {
+		effs := cp.st.resume()
+		view = cp.agreedView()
+		return effs
+	})
 	tr.SetConsensus(cp.intercept)
 	var deadAfter time.Duration
 	if opts.Replication.K > 0 {
@@ -217,19 +216,12 @@ func NewControlPlane(tr *Transport, hosted HostedPeer, members []string, opts Co
 	return cp, nil
 }
 
-// Close stops the control plane (drivers and proposals, then the consensus
-// node). Call before the network/transport closes.
+// Close stops the control plane: the consensus node first, so no entry is
+// applied after the fold stops, then the drivers, the proposals and the
+// callbacks, which Close waits for. Call before the network/transport closes.
 func (cp *ControlPlane) Close() {
-	cp.mu.Lock()
-	if cp.closed {
-		cp.mu.Unlock()
-		return
-	}
-	cp.closed = true
-	cp.mu.Unlock()
-	cp.stop()
-	cp.wg.Wait()
 	cp.cons.Close()
+	cp.sh.Close()
 }
 
 // send ships one control-plane frame from this member.
@@ -245,8 +237,8 @@ func (cp *ControlPlane) Consensus() *consensus.Node { return cp.cons }
 // the same version is identical by construction: it is a fold over the same
 // log prefix.
 func (cp *ControlPlane) AgreedView() (map[string]Status, uint64) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	out := make(map[string]Status, len(cp.members))
 	for _, m := range cp.members {
 		out[m] = cp.st.View[m]
@@ -256,8 +248,8 @@ func (cp *ControlPlane) AgreedView() (map[string]Status, uint64) {
 
 // Driver returns the currently elected update driver.
 func (cp *ControlPlane) Driver() string {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.driver()
 }
 
@@ -265,16 +257,16 @@ func (cp *ControlPlane) Driver() string {
 // the current agreed view, plus the view version pinning this placement
 // epoch. Deterministic across members at the same version.
 func (cp *ControlPlane) PlacementFor(node string) ([]string, uint64) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.electorate(node), cp.st.Version
 }
 
 // HostOf returns the member hosting a node's primary — the node itself until
 // a promotion election re-homed it.
 func (cp *ControlPlane) HostOf(node string) string {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.hostOf(node)
 }
 
@@ -282,8 +274,8 @@ func (cp *ControlPlane) HostOf(node string) string {
 // member hosts per the agreed log — what a restarting serve process must
 // re-adopt before traffic flows.
 func (cp *ControlPlane) AdoptedNodes() []string {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.adopted(cp.self)
 }
 
@@ -291,16 +283,16 @@ func (cp *ControlPlane) AdoptedNodes() []string {
 // to another member: the cluster declared this process dead while it lived.
 // A deposed process must not serve.
 func (cp *ControlPlane) Deposed() bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.hostOf(cp.self) != cp.self
 }
 
 // Metrics snapshots the control plane for the serve metrics endpoint.
 func (cp *ControlPlane) Metrics() ControlPlaneMetrics {
 	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics(), ProbeRounds: cp.probeRounds.Load(), Promotions: cp.promotions.Load()}
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	m.ViewVersion = cp.st.Version
 	m.Driver = cp.st.driver()
 	m.Failovers = cp.st.Failovers
@@ -349,11 +341,11 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 	return false
 }
 
-// submitAsync proposes one command on a goroutine of its own, off the
-// transport goroutine. A member cut off with a minority blocks there until
-// the partition heals — by design: a minority must not start waves or change
-// the member table. The proposal's context is the plane's, so Close unparks
-// it and then drains it; after Close nothing is proposed.
+// submitAsync proposes one command on the plane's runner, off the transport
+// goroutine. A member cut off with a minority blocks there until the
+// partition heals — by design: a minority must not start waves or change the
+// member table. The proposal's context is the runner's, so Close unparks it
+// and then drains it; after Close nothing is proposed.
 func (cp *ControlPlane) submitAsync(cmd wire.Command) { cp.goSubmit(cmd, 5*time.Minute, func() {}) }
 
 // proposeMember is submitAsync for the failure detector's member commands: it
@@ -364,38 +356,31 @@ func (cp *ControlPlane) proposeMember(cmd wire.Command) {
 }
 
 func (cp *ControlPlane) goSubmit(cmd wire.Command, timeout time.Duration, then func()) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.closed {
-		return
-	}
-	cp.wg.Add(1)
-	go func() {
-		defer cp.wg.Done()
-		ctx, cancel := context.WithTimeout(cp.ctx, timeout)
+	cp.sh.Go(func(ctx context.Context) {
+		ctx, cancel := context.WithTimeout(ctx, timeout)
 		_, _ = cp.cons.Submit(ctx, cmd)
 		cancel()
 		then()
-	}()
+	})
 }
 
 // applyEntry folds one agreed entry and runs what it asks of this member. It
 // runs on the consensus applier goroutine in instance order — or inside
 // consensus.New, replaying the control log.
 func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
-	cp.mu.Lock()
-	effs := cp.st.fold(instance, cmd)
-	// Only member entries and decided elections change what the detector
-	// reads; while replaying (no cons yet) the plane attaches with the result.
-	news := cp.cons != nil && (cmd.Kind == "member" || slices.ContainsFunc(effs, func(e effect) bool { return e.kind == effPromote }))
-	var view agreedView
-	if news {
-		view = cp.agreedView()
-	}
-	cp.mu.Unlock()
-	cp.run(effs)
-	if news {
-		cp.tr.deliver(view)
+	var view *agreedView
+	cp.sh.Step(func(time.Time, []effect) []effect {
+		effs := cp.st.fold(instance, cmd)
+		// Only member entries and decided elections change what the detector
+		// reads; while replaying (no cons yet) the plane attaches with the result.
+		if cp.cons != nil && (cmd.Kind == "member" || slices.ContainsFunc(effs, func(e effect) bool { return e.kind == effPromote })) {
+			v := cp.agreedView()
+			view = &v
+		}
+		return effs
+	})
+	if view != nil {
+		cp.tr.deliver(*view)
 	}
 }
 
@@ -412,8 +397,8 @@ func (cp *ControlPlane) agreedView() agreedView {
 
 // snapshotState encodes the fold for a catching-up peer.
 func (cp *ControlPlane) snapshotState() []byte {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
 	return cp.st.snapshot()
 }
 
@@ -427,13 +412,13 @@ func (cp *ControlPlane) restoreState(through uint64, data []byte) {
 	if err != nil {
 		return
 	}
-	cp.mu.Lock()
-	effs := cp.st.transfer(next)
-	cp.st = next
-	view := cp.agreedView()
-	cp.mu.Unlock()
-	cp.run(effs)
-	if cp.cons != nil {
+	var view agreedView
+	if cp.sh.Step(func(time.Time, []effect) []effect {
+		effs := cp.st.transfer(next)
+		cp.st = next
+		view = cp.agreedView()
+		return effs
+	}) && cp.cons != nil {
 		cp.tr.deliver(view)
 	}
 }
@@ -441,10 +426,10 @@ func (cp *ControlPlane) restoreState(through uint64, data []byte) {
 // run carries out the effects addressed to this member: rule changes in log
 // order on the applier goroutine, a drive under a fresh generation, and what
 // calls out or proposes — a bid, a promotion, a deposal, a discovery kick —
-// on a goroutine of its own. During control-log replay (consensus.New
-// replays before it returns, so cons is still nil) only the rule changes run:
-// the rest happened before the restart, and the resume step re-derives what
-// is still owed.
+// on a goroutine of the runner, which Close waits for. During control-log
+// replay (consensus.New replays before it returns, so cons is still nil) only
+// the rule changes run: the rest happened before the restart, and the resume
+// step re-derives what is still owed.
 func (cp *ControlPlane) run(effs []effect) {
 	replay := cp.cons == nil
 	for _, e := range effs {
@@ -463,8 +448,7 @@ func (cp *ControlPlane) run(effs []effect) {
 		case e.kind == effDrive:
 			cp.startDriving(e.inst)
 		default:
-			//lint:allow goroshutdown bounded: a callback that returns, or a proposal handed to submitAsync, which Close cancels and drains
-			go cp.runAsync(e)
+			cp.sh.Go(func(context.Context) { cp.runAsync(e) })
 		}
 	}
 }
@@ -505,26 +489,23 @@ func (cp *ControlPlane) runAsync(e effect) {
 	}
 }
 
-// startDriving spawns a driver goroutine for update inst under a fresh
-// generation; an older one notices it was superseded and exits.
+// startDriving runs a driver for update inst under a fresh generation; an
+// older one notices it was superseded and exits.
 func (cp *ControlPlane) startDriving(inst uint64) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if cp.closed {
-		return
-	}
+	cp.sh.Lock()
 	cp.driveGen++
-	cp.wg.Add(1)
-	go cp.drive(inst, cp.driveGen)
+	gen := cp.driveGen
+	cp.sh.Unlock()
+	cp.sh.Go(func(ctx context.Context) { cp.drive(ctx, inst, gen) })
 }
 
 // stillDriving reports whether a driver goroutine remains current: the same
 // update is pending, this member is still the driver, and no newer driver
 // generation superseded it.
 func (cp *ControlPlane) stillDriving(inst, gen uint64) bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return !cp.closed && cp.st.PendingInst == inst && cp.st.driver() == cp.self && cp.driveGen == gen
+	cp.sh.Lock()
+	defer cp.sh.Unlock()
+	return !cp.sh.Closed() && cp.st.PendingInst == inst && cp.st.driver() == cp.self && cp.driveGen == gen
 }
 
 // errSuperseded ends a drive whose update is no longer this member's to
@@ -538,10 +519,9 @@ var errSuperseded = errors.New("cluster: update driver superseded")
 // probe budget — is kicked afresh, so the next epoch re-pulls from the
 // acknowledged frontiers, rather than a half-done update being declared
 // finished.
-func (cp *ControlPlane) drive(inst, gen uint64) {
-	defer cp.wg.Done()
+func (cp *ControlPlane) drive(ctx context.Context, inst, gen uint64) {
 	for {
-		probes, err := core.DriveUpdate(cp.ctx, &planeWave{cp: cp, inst: inst, gen: gen})
+		probes, err := core.DriveUpdate(ctx, &planeWave{cp: cp, inst: inst, gen: gen})
 		cp.probeRounds.Add(uint64(probes))
 		if err == nil {
 			cp.commitDone(inst, gen)
@@ -585,14 +565,14 @@ func (w *planeWave) Settle(ctx context.Context) error {
 	cp := w.cp
 	need := func(string) int { return cp.opts.Settle - 1 }
 	_, err := core.HoldStill(ctx, cp.opts.PollEvery, nil, need, func(ctx context.Context) (string, bool, error) {
-		cp.mu.Lock()
+		cp.sh.Lock()
 		var targets []string
 		for _, m := range cp.members {
 			if m != cp.self && cp.st.statusOK(m) {
 				targets = append(targets, m)
 			}
 		}
-		cp.mu.Unlock()
+		cp.sh.Unlock()
 		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, cp.opts.RoundTimeout, &cp.states, nil)
 		if err != nil {
 			return "", false, err

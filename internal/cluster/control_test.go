@@ -481,6 +481,53 @@ func TestSupersededDriverDoesNotCommit(t *testing.T) {
 	}
 }
 
+// blockingHosted parks StartDiscovery until released.
+type blockingHosted struct {
+	fakeHosted
+	entered, release chan struct{}
+}
+
+func (h *blockingHosted) StartDiscovery() string {
+	close(h.entered)
+	<-h.release
+	return ""
+}
+
+// TestCloseWaitsForThePlanesCallbacks: a callback the plane runs — here an
+// agreed discovery kick into a peer that blocks — finishes before Close
+// returns, so nothing the plane started still runs after it.
+func TestCloseWaitsForThePlanesCallbacks(t *testing.T) {
+	h := &blockingHosted{entered: make(chan struct{}), release: make(chan struct{})}
+	tr, cp := bootSoloCP(t, filepath.Join(t.TempDir(), "A.control.log"), h)
+	defer func() { _ = tr.Close() }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := cp.Submit(ctx, wire.Command{Kind: "discover", Node: "A"}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-h.entered:
+	case <-ctx.Done():
+		t.Fatal("the agreed discovery never reached the peer")
+	}
+	closed := make(chan struct{})
+	go func() {
+		cp.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while StartDiscovery was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(h.release)
+	select {
+	case <-closed:
+	case <-ctx.Done():
+		t.Fatal("Close never returned after StartDiscovery did")
+	}
+}
+
 // bootSoloCP boots a single-member control plane around a stub peer (quorum
 // one: every submit decides locally, replay is the whole story on restart).
 func bootSoloCP(t *testing.T, logPath string, h HostedPeer) (*Transport, *ControlPlane) {

@@ -9,9 +9,9 @@ import (
 // The failure detector as one pure step: the member table, heartbeats and
 // join retries, suspicion and — once a control plane attaches — the
 // reconciliation of the agreed member view with what the detector sees.
-// Transport guards it with its mutex, runs the effects and owns the one
-// time.AfterFunc timer the step arms. TestPeerStepIsPure keeps this file free
-// of locks, clocks, goroutines and I/O.
+// Transport runs it in a shell.Shell, whose lock guards it and whose one timer
+// the step arms, and carries out the effects. TestPeerStepIsPure keeps this
+// file free of locks, clocks, goroutines and I/O.
 
 // member is one row of the table.
 type member struct {

@@ -212,8 +212,12 @@ func (m *Member) promote(node string) {
 func (m *Member) depose(node string) {
 	if node == m.node {
 		m.deposeOnce.Do(func() { close(m.deposed) })
-		<-m.mgrReady
-		_ = m.Close()
+		// This runs on the control plane's runner, which the plane's Close
+		// waits for: the member closes on a goroutine of its own.
+		go func() {
+			<-m.mgrReady
+			_ = m.Close()
+		}()
 		return
 	}
 	<-m.mgrReady

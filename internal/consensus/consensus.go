@@ -15,10 +15,11 @@
 // tick and returns effects — send a frame, persist a vote, append an applied
 // entry, apply or restore it, serve a snapshot, complete a submit, arm the
 // one timer. A proposal is a record the step advances on each Promise,
-// Accepted or tick. Node is the shell: it locks, steps and runs the effects,
-// owns the files, the timer and the applier goroutine, and wakes a blocked
-// Submit when its value is decided. TestConsensusModelCheck drives step
-// directly.
+// Accepted or tick. Node runs the step in a shell.Shell — the lock, the one
+// timer, the runner the applier goroutine lives on — and owns the files: it
+// persists votes and appends entries under the lock, sends after it, and wakes
+// a blocked Submit when its value is decided. TestConsensusModelCheck drives
+// step directly.
 //
 // Guarantees and their boundaries:
 //
@@ -59,9 +60,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -150,18 +151,15 @@ type Node struct {
 	sender Sender
 	apply  Apply
 
-	mu sync.Mutex
+	sh *shell.Shell[effect]
 	*state
+	started bool                   // the timer runs from Start on
 	waiters map[uint64]chan uint64 // blocked Submits by Seq
 	queue   []logEntry             // handed to the applier, not yet applied
-	timer   *time.Timer            // nil until Start
-	closed  bool
 
 	log     *frameLog[logEntry]
 	acc     *frameLog[accEntry]
 	applyCh chan struct{}
-	quit    chan struct{}
-	wg      sync.WaitGroup
 }
 
 // New builds a consensus node for self over the fixed peer set (self must be
@@ -180,8 +178,9 @@ func New(self string, peers []string, send Sender, apply Apply, opts Options) (*
 		state:   st,
 		waiters: map[uint64]chan uint64{},
 		applyCh: make(chan struct{}, 1),
-		quit:    make(chan struct{}),
 	}
+	n.sh = shell.New(n.flush, func(e effect) (time.Time, bool) { return e.when, e.kind == effArmTimer && n.started },
+		func(now time.Time, buf []effect) []effect { return n.run(n.step(now, "", tick{}), buf) })
 	if opts.LogPath == "" {
 		return n, nil
 	}
@@ -215,33 +214,23 @@ func (n *Node) applyEntry(e logEntry) {
 	}
 }
 
-// Start runs the applier goroutine and the timer; the first tick starts the
-// catch-up cadence.
+// Start runs the applier on the shell's runner and the first tick, which
+// starts the catch-up cadence; the timer runs from here on.
 func (n *Node) Start() {
-	n.wg.Add(1)
-	go n.applyLoop()
-	n.mu.Lock()
-	n.timer = time.AfterFunc(0, func() { n.deliver("", tick{}) })
-	n.mu.Unlock()
+	n.sh.Go(n.applyLoop)
+	n.sh.Step(func(now time.Time, buf []effect) []effect {
+		n.started = true
+		return n.run(n.step(now, "", tick{}), buf)
+	})
 }
 
 // Close stops the timer and the applier. In-flight Submits return with an
 // error.
 func (n *Node) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
+	if n.sh.Close() {
+		n.log.close()
+		n.acc.close()
 	}
-	n.closed = true
-	if n.timer != nil {
-		n.timer.Stop()
-	}
-	n.mu.Unlock()
-	close(n.quit)
-	n.wg.Wait()
-	n.log.close()
-	n.acc.close()
 }
 
 // Self returns the member name.
@@ -252,8 +241,8 @@ func (n *Node) Quorum() int { return n.quorum }
 
 // Metrics snapshots the observability counters.
 func (n *Node) Metrics() Metrics {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+	n.sh.Lock()
+	defer n.sh.Unlock()
 	m := Metrics{
 		Quorum:      n.quorum,
 		Peers:       len(n.peers),
@@ -280,28 +269,25 @@ func (n *Node) Metrics() Metrics {
 // control-plane progress.
 func (n *Node) Submit(ctx context.Context, cmd wire.Command) (uint64, error) {
 	decided := make(chan uint64, 1)
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
+	var seq uint64
+	if !n.sh.Step(func(now time.Time, buf []effect) []effect {
+		effs := n.step(now, "", submitCmd{cmd})
+		seq = n.seq
+		n.waiters[seq] = decided
+		return n.run(effs, buf)
+	}) {
 		return 0, errClosed
 	}
-	effs := n.step(time.Now(), "", submitCmd{cmd})
-	seq := n.seq
-	n.waiters[seq] = decided
-	later := n.run(effs)
-	n.mu.Unlock()
-	n.flush(later)
-
 	select {
 	case at := <-decided:
 		return at, nil
 	case <-ctx.Done():
-	case <-n.quit:
+	case <-n.sh.Done():
 	}
-	n.mu.Lock()
-	delete(n.waiters, seq)
-	n.mu.Unlock()
-	n.deliver("", abandon{seq})
+	n.sh.Step(func(now time.Time, buf []effect) []effect {
+		delete(n.waiters, seq)
+		return n.run(n.step(now, "", abandon{seq}), buf)
+	})
 	select {
 	case at := <-decided: // decided while we gave up
 		return at, nil
@@ -328,25 +314,17 @@ func (n *Node) decide(instance uint64, val wire.Command) {
 	n.deliver(n.self, wire.Learn{Instance: instance, Val: val})
 }
 
-// deliver steps one event and carries out its effects.
+// deliver steps one event.
 func (n *Node) deliver(from string, ev any) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	later := n.run(n.step(time.Now(), from, ev))
-	n.mu.Unlock()
-	n.flush(later)
+	n.sh.Step(func(now time.Time, buf []effect) []effect { return n.run(n.step(now, from, ev), buf) })
 }
 
-// run carries out effs in order, under mu: votes are fsynced and entries
-// appended before any frame leaves, entries go to the applier's queue and
-// decided submits to their waiters. It returns the effects that leave the
-// node — the sends and the snapshots to serve — for flush, once mu is
-// released.
-func (n *Node) run(effs []effect) []effect {
-	var later []effect
+// run carries out the effects that must happen under the lock, in order:
+// votes are fsynced and entries appended before any frame leaves, entries go
+// to the applier's queue and decided submits to their waiters. It appends to
+// buf what the shell does after the lock — the sends, the snapshots to serve
+// (flush) and the timer arm.
+func (n *Node) run(effs, buf []effect) []effect {
 	for _, e := range effs {
 		switch e.kind {
 		case effPersistVote:
@@ -374,15 +352,11 @@ func (n *Node) run(effs []effect) []effect {
 				default:
 				}
 			}
-		case effArmTimer:
-			if n.timer != nil {
-				n.timer.Reset(time.Until(e.when))
-			}
 		default:
-			later = append(later, e)
+			buf = append(buf, e)
 		}
 	}
-	return later
+	return buf
 }
 
 // flush sends what run left for after the lock.
@@ -405,13 +379,13 @@ func (n *Node) flush(later []effect) {
 // defers the transfer to the requester's next catch-up round.
 func (n *Node) takeSnapshot() (wire.Snapshot, bool) {
 	for tries := 0; tries < 4; tries++ {
-		n.mu.Lock()
+		n.sh.Lock()
 		before := n.applied
-		n.mu.Unlock()
+		n.sh.Unlock()
 		state := n.opts.Snapshot()
-		n.mu.Lock()
+		n.sh.Lock()
 		after := n.applied
-		n.mu.Unlock()
+		n.sh.Unlock()
 		if before == after {
 			return wire.Snapshot{Through: after, State: state, Done: after}, true
 		}
@@ -423,23 +397,22 @@ func (n *Node) takeSnapshot() (wire.Snapshot, bool) {
 // each back to the step once it returns: applied (and done) pass an entry
 // only once it is applied, so a snapshot bracketed by applied never claims
 // an entry its state lacks.
-func (n *Node) applyLoop() {
-	defer n.wg.Done()
+func (n *Node) applyLoop(ctx context.Context) {
 	for {
 		select {
-		case <-n.quit:
+		case <-ctx.Done():
 			return
 		case <-n.applyCh:
 		}
 		for {
-			n.mu.Lock()
-			if len(n.queue) == 0 || n.closed {
-				n.mu.Unlock()
+			n.sh.Lock()
+			if len(n.queue) == 0 || n.sh.Closed() {
+				n.sh.Unlock()
 				break
 			}
 			e := n.queue[0]
 			n.queue = n.queue[1:]
-			n.mu.Unlock()
+			n.sh.Unlock()
 			n.applyEntry(e)
 			n.deliver("", appliedThrough{e.Instance})
 		}

@@ -431,7 +431,7 @@ func TestGCBoundsInstanceState(t *testing.T) {
 	})
 	for name, n := range nodes {
 		m := n.Metrics()
-		n.mu.Lock()
+		n.sh.Lock()
 		kept := len(n.insts)
 		var own []uint64
 		for _, p := range n.proposals {
@@ -439,7 +439,7 @@ func TestGCBoundsInstanceState(t *testing.T) {
 				own = append(own, p.seq)
 			}
 		}
-		n.mu.Unlock()
+		n.sh.Unlock()
 		if uint64(kept) > m.Applied-m.Floor+4 {
 			t.Errorf("%s retains %d instances above floor %d (applied %d)", name, kept, m.Floor, m.Applied)
 		}

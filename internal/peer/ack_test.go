@@ -24,8 +24,8 @@ func durableOpts() Options {
 
 // subState snapshots one subscription's frontiers under the peer mutex.
 func subState(p *Peer, dependent, ruleID string) (marks, acked, ackedDurable storage.Marks, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	sub, ok := p.subs[subKey(dependent, ruleID)]
 	if !ok {
 		return nil, nil, nil, false
@@ -113,9 +113,9 @@ func TestGappedAckIgnored(t *testing.T) {
 	hs := newHarness(t, durableOpts())
 	hs.h.StartUpdateWave()
 	hs.quiesce(t)
-	hs.s.mu.Lock()
+	hs.s.sh.Lock()
 	subID := hs.s.subs[subKey("H", "r")].id
-	hs.s.mu.Unlock()
+	hs.s.sh.Unlock()
 	_, before, _, _ := subState(hs.s, "H", "r")
 	gapBase := before["s"] + 5
 	hs.s.Handle(wire.Envelope{From: "H", To: "S", Msg: wire.AnswerAck{

@@ -83,7 +83,7 @@ func BenchmarkPushSharedQuestion(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				f.s.do(localNews{}, nil) // a push with nothing inserted through InsertLocal
+				f.s.local(localNews{}) // a push with nothing inserted through InsertLocal
 			}
 			b.StopTimer()
 			f.quiesce()

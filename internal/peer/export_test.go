@@ -8,8 +8,8 @@ package peer
 // most one per question per change, however many subscriptions ask it.
 // (stats.QueriesExecuted counts one per answer computed for a subscriber.)
 func (p *Peer) Evaluations() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.evals
 }
 
@@ -17,8 +17,8 @@ func (p *Peer) Evaluations() uint64 {
 // hold an evaluation (an empty result is still one) and how many tuples those
 // evaluations pin.
 func (p *Peer) Questions() (n, held, pinned int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	for _, q := range p.questions {
 		if q.last != nil {
 			held++

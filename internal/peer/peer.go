@@ -14,12 +14,13 @@
 // acknowledgment, a durable frontier moved, arm the resend timer. The step
 // takes no lock, reads no clock, starts no goroutine and touches no
 // transport, log or watcher hub, so a model checker drives it directly
-// (step_check_test.go). Peer is the shell that runs the effects: the
-// mutex over the state, the transport, the counters and recorder every send
-// goes through, the durability hooks, the ack worker, the resend timer, the
-// serving hub and the remote watches. Handle is lock → step → unlock → run
-// the effects; the mutex orders concurrent Handles (TCP runs one per
-// connection), the local verbs and the inspection API.
+// (step_check_test.go). Peer runs the step in a shell.Shell — the mutex over
+// the state, the resend timer, the runner the ack worker and the remote
+// watches live on — and carries out the effects: the transport, the counters
+// and recorder every send goes through, the durability hooks, the ack worker,
+// the serving hub. Handle and every local verb are one shell step, lock →
+// step → unlock → effects; the mutex orders concurrent Handles (TCP runs one
+// per connection), the local verbs and the inspection API.
 //
 // The paper's owner relation — a source re-answers every subscriber when its
 // data changes — is kept as a table of the distinct questions asked, with the
@@ -28,13 +29,13 @@
 package peer
 
 import (
+	"context"
 	"fmt"
 	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cq"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/relalg"
 	"repro/internal/rules"
 	"repro/internal/serving"
+	"repro/internal/shell"
 	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -150,7 +152,7 @@ type pendingAck struct {
 // (durable peers) so the pre-ack fsync pipelines with the actor instead of
 // serialising behind it; cause is counted received after them.
 type ackWork struct {
-	cause wire.Envelope
+	cause wire.Envelope // Msg nil for a local verb
 	parts []wal.PartState
 	acks  []pendingAck
 	dirty bool
@@ -161,36 +163,29 @@ func (w ackWork) empty() bool { return len(w.parts) == 0 && len(w.acks) == 0 && 
 // Peer is one node of the P2P database network: the shell around its
 // protocol state.
 type Peer struct {
-	*peerState // guarded by mu; id, db, ct and opts never change
+	*peerState // guarded by sh; id, db, ct and opts never change
 
-	mu    sync.Mutex
-	tr    transport.Transport
-	spare atomic.Pointer[[]effect] // Handle's effect buffer, reused; a concurrent Handle (one per TCP connection) takes a fresh one
+	sh *shell.Shell[effect]
+	tr transport.Transport
 
 	// Continuous-query fan-out (watch.go, internal/serving): one shared
 	// extraction per change serves every watcher. The hub keeps its own
-	// registration lock — the database's insert listener wakes it while mu
-	// may be held.
+	// registration lock — the database's insert listener wakes it while the
+	// shell's lock may be held.
 	hub *serving.Hub
 
 	// Remote watches served over the wire (remote_watch.go). Guarded by rwmu,
-	// not mu: registration runs off the actor goroutine.
+	// not sh: registration runs off the actor goroutine.
 	rwmu          sync.Mutex
 	remoteWatches map[remoteWatchKey]*remoteWatch
 
-	// Set by CloseWatchers: a resend timer that fires later does nothing.
-	resendStopped atomic.Bool
-
 	// Pipelined acknowledgment worker (durable peers only): Handle hands its
 	// ack effects over a channel so the group-commit fsync overlaps the
-	// actor's next dispatch instead of serialising with it. Guarded by ackMu
-	// so an enqueue can never race the close. Queued work needs no accounting
-	// of its own: its cause is counted received only once it is applied.
-	ackCh     chan ackWork
-	ackMu     sync.Mutex
-	ackClosed bool
-	ackOnce   sync.Once
-	ackWG     sync.WaitGroup
+	// actor's next dispatch instead of serialising with it. Only steps send,
+	// and the shell's Close stops the worker after the last step, so no
+	// enqueue races the stop. Queued work needs no accounting of its own: its
+	// cause is counted received only once it is applied.
+	ackCh chan ackWork
 }
 
 // New creates a peer with its schemas and the rules targeting it.
@@ -212,18 +207,19 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 		restore(st, opts.Restore)
 	}
 	p := &Peer{peerState: st, tr: tr, remoteWatches: map[remoteWatchKey]*remoteWatch{}}
-	p.hub = serving.NewHub(db, &p.mu)
-	// The insert listener may run under mu: the hub's Notify never blocks.
+	p.sh = shell.New(p.run, func(e effect) (time.Time, bool) { return e.when, e.kind == effArmTimer },
+		func(now time.Time, buf []effect) []effect { return p.step(now, "", resendTick{}, buf) })
+	p.hub = serving.NewHub(db, p.sh)
+	// The insert listener may run under the lock: the hub's Notify never blocks.
 	db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { p.hub.Notify(rel) })
 	if opts.SyncForAck != nil {
 		// Durable peers pipeline the pre-ack group commit: Handle enqueues,
 		// the worker batches whatever accumulated behind one fsync.
 		p.ackCh = make(chan ackWork, 256)
-		p.ackWG.Add(1)
-		go p.ackLoop()
+		p.sh.Go(p.ackLoop)
 	}
 	if err := tr.Register(id, p.Handle); err != nil {
-		p.stopAck()
+		p.sh.Close()
 		return nil, err
 	}
 	return p, nil
@@ -328,8 +324,8 @@ func durableState(s *peerState) wal.State {
 // it on a crash path — that is exactly the laundering the two-frontier
 // split exists to prevent.
 func (p *Peer) SealFrontiers() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	for _, sub := range p.subs {
 		if sub.st != nil {
 			sub.st.Seal()
@@ -340,8 +336,8 @@ func (p *Peer) SealFrontiers() {
 // DurableSubs snapshots the subscriptions with their acknowledged frontiers
 // (the payload of the store's marks records; see wal.Store.SaveMarks).
 func (p *Peer) DurableSubs() []wal.SubState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return durableSubs(p.peerState)
 }
 
@@ -349,8 +345,8 @@ func (p *Peer) DurableSubs() []wal.SubState {
 // the database (see durableState). Orchestration wires it as the store's
 // state source, so checkpoints and clean closes carry it to disk.
 func (p *Peer) DurableState() wal.State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return durableState(p.peerState)
 }
 
@@ -367,19 +363,19 @@ func (p *Peer) Counters() *stats.Counters { return p.ct }
 // AddNeighbor records a pipe-level acquaintance (used by the StartUpdate
 // flood; the paper's prototype opens pipes in both rule directions).
 func (p *Peer) AddNeighbor(n string) {
-	p.mu.Lock()
+	p.sh.Lock()
 	if n != p.id {
 		p.neighbors[n] = true
 	}
-	p.mu.Unlock()
+	p.sh.Unlock()
 }
 
 // Seed inserts ground facts into the local database (initial data loading;
 // not part of the protocol). Like every insert it holds the peer's mutex, so
 // a watcher's prime never sees a tuple its next delta also carries.
 func (p *Peer) Seed(rel string, tuples ...relalg.Tuple) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	for _, t := range tuples {
 		if _, err := p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
 			return err
@@ -390,29 +386,29 @@ func (p *Peer) Seed(rel string, tuples ...relalg.Tuple) error {
 
 // State returns the current update state.
 func (p *Peer) State() UpdateState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.stateU
 }
 
 // Activated reports whether the peer has joined the current update epoch.
 func (p *Peer) Activated() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.activated
 }
 
 // Epoch returns the current update epoch.
 func (p *Peer) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.epoch
 }
 
 // PathsReady reports whether the peer's own discovery wave has completed.
 func (p *Peer) PathsReady() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.pathsReady
 }
 
@@ -420,16 +416,16 @@ func (p *Peer) PathsReady() bool {
 // this node (Definitions 6–7) computed over current knowledge, including the
 // unconfirmable inner-repeat paths excluded from the closure flag set.
 func (p *Peer) AllMaximalPaths() []graph.Path {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.knowledgeGraph().MaximalPaths(p.id)
 }
 
 // Paths returns the peer's closure-tracked maximal dependency paths (the
 // confirmable subset; see recomputePaths) and their stability flags.
 func (p *Peer) Paths() map[string]bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	out := make(map[string]bool, len(p.paths))
 	for k, rec := range p.paths {
 		out[k] = rec.stable
@@ -439,8 +435,8 @@ func (p *Peer) Paths() map[string]bool {
 
 // KnownEdges returns the currently known dependency edges, sorted.
 func (p *Peer) KnownEdges() []graph.Edge {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	var out []graph.Edge
 	for _, ne := range p.knowledge {
 		for _, t := range ne.Targets {
@@ -458,8 +454,8 @@ func (p *Peer) KnownEdges() []graph.Edge {
 
 // Rules returns the ids of the rules targeting this node, sorted.
 func (p *Peer) Rules() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return sortedKeys(p.rules)
 }
 
@@ -468,15 +464,15 @@ func (p *Peer) Rules() []string {
 // declared themselves complete. The update driver prints it for a node still
 // open at a settled network.
 func (p *Peer) WaitingOn() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return p.waitingOn()
 }
 
 // StatsReports returns the per-node snapshots a super-peer has collected.
 func (p *Peer) StatsReports() map[string]stats.Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.sh.Lock()
+	defer p.sh.Unlock()
 	return maps.Clone(p.statsReports)
 }
 
@@ -490,22 +486,19 @@ func (p *Peer) LocalQuery(body string, outVars []string) ([]relalg.Tuple, error)
 // ---------------------------------------------------------------------------
 // Local verbs: each is one event into step.
 
-// do runs one local event through step, reads the state with read (if any)
-// under the same hold of the mutex, and carries out the effects.
-func (p *Peer) do(ev any, read func()) {
-	p.mu.Lock()
-	effs := p.step(time.Now(), "", ev, nil)
-	if read != nil {
-		read()
-	}
-	p.mu.Unlock()
-	p.run(wire.Envelope{}, effs)
+// local steps one local event.
+func (p *Peer) local(ev any) {
+	p.sh.Step(func(now time.Time, buf []effect) []effect { return p.step(now, "", ev, buf) })
 }
 
 // StartDiscovery begins a fresh discovery wave with this peer as origin
 // (algorithm A1, run by the super-peer). It returns the wave id.
 func (p *Peer) StartDiscovery() (wave string) {
-	p.do(wire.DiscoverRequest{}, func() { wave = p.selfWave })
+	p.sh.Step(func(now time.Time, buf []effect) []effect {
+		buf = p.step(now, "", wire.DiscoverRequest{}, buf)
+		wave = p.selfWave
+		return buf
+	})
 	return wave
 }
 
@@ -513,26 +506,30 @@ func (p *Peer) StartDiscovery() (wave string) {
 // activates itself and floods StartUpdate over acquaintance links. It
 // returns the new epoch.
 func (p *Peer) StartUpdateWave() (epoch uint64) {
-	p.do(wire.UpdateRequest{}, func() { epoch = p.epoch })
+	p.sh.Step(func(now time.Time, buf []effect) []effect {
+		buf = p.step(now, "", wire.UpdateRequest{}, buf)
+		epoch = p.epoch
+		return buf
+	})
 	return epoch
 }
 
 // Probe is the orchestration layer's closure probe: when the network is
 // settled but this node is still open, it regenerates the confirming cascades
 // (see probe), each probe at fix-point cost.
-func (p *Peer) Probe() { p.do(closureProbe{}, nil) }
+func (p *Peer) Probe() { p.local(closureProbe{}) }
 
 // ActivateQuiet joins the update epoch without flooding the kick-off and
 // without pulling: the staged strategy's orchestrator (the paper's §3 note on
 // exploiting known topological structure) drives pulls SCC by SCC in
 // dependency order, so each stage reads already-final sources. A peer with no
 // rules closes immediately, as in the normal activation.
-func (p *Peer) ActivateQuiet(epoch uint64) { p.do(activateQuiet{epoch}, nil) }
+func (p *Peer) ActivateQuiet(epoch uint64) { p.local(activateQuiet{epoch}) }
 
 // ForcePull issues this peer's own queries unconditionally (fresh requester
 // chain), regardless of state or forwarding dedup. Used by the staged update
 // strategy and by operators.
-func (p *Peer) ForcePull() { p.do(forcePull{}, nil) }
+func (p *Peer) ForcePull() { p.local(forcePull{}) }
 
 // QueryDependentUpdate starts a scoped pull wave that materialises only the
 // data relevant to the given local query body (Section 5's query-dependent
@@ -547,7 +544,7 @@ func (p *Peer) QueryDependentUpdate(body string) error {
 	for _, a := range conj.Atoms {
 		need[a.Rel] = true
 	}
-	p.do(scopedPull{need}, nil)
+	p.local(scopedPull{need})
 	return nil
 }
 
@@ -561,12 +558,12 @@ func (p *Peer) AddRuleLocal(ruleText string) error {
 	if r.HeadNode != p.id {
 		return fmt.Errorf("peer %s: rule %s targets %s", p.id, r.ID, r.HeadNode)
 	}
-	p.do(wire.AddRuleNotice{RuleText: ruleText}, nil)
+	p.local(wire.AddRuleNotice{RuleText: ruleText})
 	return nil
 }
 
 // DeleteRuleLocal applies deleteLink directly on this peer.
-func (p *Peer) DeleteRuleLocal(ruleID string) { p.do(wire.DeleteRuleNotice{RuleID: ruleID}, nil) }
+func (p *Peer) DeleteRuleLocal(ruleID string) { p.local(wire.DeleteRuleNotice{RuleID: ruleID}) }
 
 // ResendUnackedTo rewinds every subscription of one dependent to its
 // DURABILITY-confirmed frontier and re-answers immediately, resetting the
@@ -576,7 +573,7 @@ func (p *Peer) DeleteRuleLocal(ruleID string) { p.do(wire.DeleteRuleNotice{RuleI
 // what its durability gate confirmed), and the transport cannot tell the
 // two apart — so the re-send covers the larger window and the member
 // deduplicates the overlap.
-func (p *Peer) ResendUnackedTo(dependent string) { p.do(resendTo{dependent}, nil) }
+func (p *Peer) ResendUnackedTo(dependent string) { p.local(resendTo{dependent}) }
 
 // ---------------------------------------------------------------------------
 // The shell: messages in, effects out
@@ -615,61 +612,38 @@ func (p *Peer) Send(to string, m wire.Message) error {
 	return err
 }
 
-// Handle processes one incoming envelope: step under the mutex, effects after
-// it (an fsync must not block the actor). The acknowledgment effects go to
-// the ack worker on durable peers, which pipelines the group-commit fsync
+// Handle processes one incoming envelope in one shell step: effects after
+// the lock (an fsync must not block the actor). The acknowledgment effects go
+// to the ack worker on durable peers, which pipelines the group-commit fsync
 // with the next dispatch; elsewhere they run inline, still inside Handle.
 // Either way the envelope is counted received only after them. StateRequest
-// and the remote watches read what only the shell holds.
+// and the remote watches read what only the shell holds; a watch registers
+// on the runner, since registration reaches the hub's pass lock and, through
+// it, this peer's mutex.
 func (p *Peer) Handle(env wire.Envelope) {
-	buf := p.spare.Swap(nil)
-	if buf == nil {
-		buf = new([]effect)
-	}
-	p.mu.Lock()
-	effs := (*buf)[:0]
 	switch m := env.Msg.(type) {
-	case wire.StateRequest:
-		effs = append(effs, effect{kind: effSend, to: env.From, msg: p.stateReport()})
 	case wire.WatchRequest:
-		// Registration reaches the hub's pass lock and, through it, this
-		// peer's mutex — which Handle holds here. Serve it off the actor.
-		//lint:allow goroshutdown bounded: registers the watch and returns; the long-lived forwarder it spawns ranges over the watcher's channel, ended by Close
-		go p.serveRemoteWatch(env.From, m)
+		p.sh.Go(func(context.Context) { p.serveRemoteWatch(env.From, m) })
 	case wire.WatchCancel:
-		//lint:allow goroshutdown bounded: looks up the watch under rwmu and closes it
-		go p.cancelRemoteWatch(env.From, m.ID)
-	default:
-		effs = p.step(time.Now(), env.From, env.Msg, effs)
+		p.sh.Go(func(context.Context) { p.cancelRemoteWatch(env.From, m.ID) })
 	}
-	p.mu.Unlock()
-	work := p.run(env, effs)
-	clear(effs) // drop the messages: the buffer must pin no answer's tuples
-	*buf = effs[:0]
-	p.spare.Store(buf)
-
-	if p.ackCh != nil && !work.empty() {
-		p.ackMu.Lock()
-		if !p.ackClosed {
-			// The mutex exists solely to fence this send against Close's
-			// close(ackCh); the consumer (ackLoop) never takes ackMu, so a
-			// full queue delays Handle but cannot form a lock cycle.
-			p.ackCh <- work //lint:allow locksend ackMu only fences close(ackCh); ackLoop drains without taking it, so no cycle
-			p.ackMu.Unlock()
-			return
+	p.sh.Step(func(now time.Time, buf []effect) []effect {
+		switch env.Msg.(type) {
+		case wire.StateRequest:
+			buf = append(buf, effect{kind: effSend, to: env.From, msg: p.stateReport()})
+		case wire.WatchRequest, wire.WatchCancel:
+		default:
+			buf = p.step(now, env.From, env.Msg, buf)
 		}
-		p.ackMu.Unlock()
-		// Worker already stopped (shutdown is in progress): apply inline.
-		// The store may be sealed by now; the sync gate then withholds the
-		// acks, which is the correct shutdown behaviour.
-	}
-	p.applyAckWork([]ackWork{work})
+		return append(buf, effect{kind: effReceived, to: env.From, msg: env.Msg})
+	})
 }
 
-// run carries out a step's effects in order: sends and the resend timer at
-// once; the acknowledgment effects are returned as the work of cause.
-func (p *Peer) run(cause wire.Envelope, effs []effect) ackWork {
-	work := ackWork{cause: cause}
+// run carries out a step's effects in order: sends at once, the
+// acknowledgment effects as one work item, handed to the ack worker or
+// applied inline.
+func (p *Peer) run(effs []effect) {
+	var work ackWork
 	for _, e := range effs {
 		switch e.kind {
 		case effSend:
@@ -680,14 +654,19 @@ func (p *Peer) run(cause wire.Envelope, effs []effect) ackWork {
 			work.acks = append(work.acks, pendingAck{to: e.to, msg: e.msg.(wire.AnswerAck)})
 		case effFrontierDirty:
 			work.dirty = true
-		case effArmTimer:
-			p.armResend()
+		case effReceived:
+			work.cause = wire.Envelope{From: e.to, Msg: e.msg}
 		}
 	}
-	return work
+	switch {
+	case p.ackCh != nil && !work.empty():
+		p.ackCh <- work
+	case !work.empty() || work.cause.Msg != nil:
+		p.applyAckWork([]ackWork{work})
+	}
 }
 
-// stateReport answers a StateRequest. Callers hold mu.
+// stateReport answers a StateRequest. Callers hold the lock.
 func (p *Peer) stateReport() wire.StateReport {
 	sm := p.hub.Metrics()
 	var badFrames uint64
@@ -714,16 +693,6 @@ func (p *Peer) stateReport() wire.StateReport {
 		WatchExtracted: sm.Extractions,
 		BadFrames:      badFrames,
 	}
-}
-
-// armResend starts a one-shot resend timer; its tick is one more event into
-// step, which re-arms it while a frontier is still out.
-func (p *Peer) armResend() {
-	time.AfterFunc(p.opts.ResendEvery, func() {
-		if !p.resendStopped.Load() {
-			p.do(resendTick{}, nil)
-		}
-	})
 }
 
 // received counts a message Received. Invariant: everything it caused is
@@ -753,25 +722,27 @@ func (p *Peer) received(env wire.Envelope) {
 // Handle enqueued since the last round behind ONE group-commit fsync, so
 // fsync latency overlaps dispatch and network latency instead of adding to
 // them, and frontiers persist once per batch rather than once per answer.
-func (p *Peer) ackLoop() {
-	defer p.ackWG.Done()
+// Once the shell's Close has seen the last step out it cancels ctx; the
+// worker then drains the queue and returns.
+func (p *Peer) ackLoop(ctx context.Context) {
 	for {
-		w, ok := <-p.ackCh
-		if !ok {
-			return
+		var batch []ackWork
+		select {
+		case w := <-p.ackCh:
+			batch = append(batch, w)
+		case <-ctx.Done():
 		}
-		batch := []ackWork{w}
 	drain:
 		for {
 			select {
-			case w2, ok2 := <-p.ackCh:
-				if !ok2 {
-					break drain
-				}
-				batch = append(batch, w2)
+			case w := <-p.ackCh:
+				batch = append(batch, w)
 			default:
 				break drain
 			}
+		}
+		if len(batch) == 0 {
+			return // cancelled, and nothing is queued
 		}
 		p.applyAckWork(batch)
 	}
@@ -828,7 +799,9 @@ func (p *Peer) applyAckWork(batch []ackWork) {
 		}
 	}
 	for _, w := range batch {
-		p.received(w.cause)
+		if w.cause.Msg != nil {
+			p.received(w.cause)
+		}
 	}
 }
 
@@ -909,20 +882,4 @@ func rangesTouch(a, b wire.AnswerAck) bool {
 		}
 	}
 	return true
-}
-
-// stopAck shuts the acknowledgment worker down and waits for its backlog to
-// drain, so orchestration can seal the stores knowing no fsync or ack send
-// is still in flight. Handles racing the stop fall back to the inline path.
-func (p *Peer) stopAck() {
-	p.ackOnce.Do(func() {
-		if p.ackCh == nil {
-			return
-		}
-		p.ackMu.Lock()
-		p.ackClosed = true
-		close(p.ackCh)
-		p.ackMu.Unlock()
-		p.ackWG.Wait()
-	})
 }

@@ -123,9 +123,9 @@ func TestDuplicateQueriesCounted(t *testing.T) {
 	hs.h.StartUpdateWave()
 	hs.quiesce(t)
 	// Re-probing re-issues the same (rule, epoch) query: S must count it.
-	hs.h.mu.Lock()
+	hs.h.sh.Lock()
 	hs.h.stateU = Open
-	hs.h.mu.Unlock()
+	hs.h.sh.Unlock()
 	hs.h.Probe()
 	hs.quiesce(t)
 	if got := hs.s.Counters().Snapshot().DuplicateQueries; got == 0 {
@@ -145,9 +145,9 @@ func TestUnsubscribeStopsPushes(t *testing.T) {
 	// Trigger S's push path via a fake no-news answer processing: directly
 	// exercise pushToSubsLocked through a query from another peer is
 	// overkill; simply assert the subscription is gone.
-	hs.s.mu.Lock()
+	hs.s.sh.Lock()
 	n := len(hs.s.subs)
-	hs.s.mu.Unlock()
+	hs.s.sh.Unlock()
 	if n != 0 {
 		t.Fatalf("subscriptions remain: %d", n)
 	}
@@ -329,8 +329,8 @@ func TestSemiNaiveMarksTrackSubscription(t *testing.T) {
 	hs.quiesce(t)
 
 	subOf := func() *subscription {
-		hs.s.mu.Lock()
-		defer hs.s.mu.Unlock()
+		hs.s.sh.Lock()
+		defer hs.s.sh.Unlock()
 		return hs.s.subs[subKey("H", "r")]
 	}
 	sub := subOf()

@@ -8,8 +8,8 @@ import (
 // Remote watches: the wire face of the serving hub. A client (the coordinator,
 // `ctl watch`, a bench goroutine) sends WatchRequest to a hosted member; the
 // peer registers the continuous query with its hub like any local Watch and a
-// forwarder goroutine streams every staged batch back as WatchDelta frames —
-// riding the transport's Batcher alongside answer traffic. The final frame
+// goroutine of the peer's runner streams every staged batch back as
+// WatchDelta frames — riding the transport's Batcher alongside answer traffic. The final frame
 // carries Closed (and the cancellation reason, if any). Each delta carries the
 // per-relation frontier its batch covers; the client folds those into a resume
 // token, and a reconnect with the token re-receives exactly the unconfirmed
@@ -27,9 +27,10 @@ type remoteWatch struct {
 	w *serving.Watcher
 }
 
-// serveRemoteWatch registers a wire watch and starts its forwarder. It runs
-// off the actor goroutine: registration reaches the hub's pass lock and the
-// peer mutex, which Handle holds while dispatching the request.
+// serveRemoteWatch registers a wire watch and then forwards it. It runs on
+// the peer's runner, off the transport goroutine: registration reaches the
+// hub's pass lock and the peer mutex, and forwarding lasts as long as the
+// watch.
 func (p *Peer) serveRemoteWatch(from string, m wire.WatchRequest) {
 	policy, ok := serving.ParsePolicy(m.Policy)
 	if !ok {
@@ -58,7 +59,7 @@ func (p *Peer) serveRemoteWatch(from string, m wire.WatchRequest) {
 		// A re-sent id is a reconnect: the old stream's consumer is gone.
 		prev.w.Close()
 	}
-	go p.forwardWatch(from, m.ID, w)
+	p.forwardWatch(from, m.ID, w)
 }
 
 // forwardWatch streams one watcher's batches to its wire client until the
@@ -82,8 +83,8 @@ func (p *Peer) forwardWatch(to string, id uint64, w *serving.Watcher) {
 	p.rwmu.Unlock()
 }
 
-// cancelRemoteWatch closes one wire watch (WatchCancel). Runs off the actor
-// goroutine: Close runs a final shared pass through the peer mutex.
+// cancelRemoteWatch closes one wire watch (WatchCancel). Runs on the peer's
+// runner: Close runs a final shared pass through the peer mutex.
 func (p *Peer) cancelRemoteWatch(from string, id uint64) {
 	p.rwmu.Lock()
 	rw := p.remoteWatches[remoteWatchKey{client: from, id: id}]

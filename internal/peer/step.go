@@ -78,9 +78,10 @@ type pathRec struct {
 // effect is one thing a step asks of the shell, in order.
 type effect struct {
 	kind  effectKind
-	to    string       // send, oweAck: the addressee
-	msg   wire.Message // send: the message; oweAck: the wire.AnswerAck
+	to    string       // send, oweAck: the addressee; received: the sender
+	msg   wire.Message // send: the message; oweAck: the wire.AnswerAck; received: the message
 	parts *partDelta   // persistParts
+	when  time.Time    // armTimer
 }
 
 type effectKind uint8
@@ -90,7 +91,8 @@ const (
 	effPersistParts                    // log part tuples newly accumulated, before the ack that covers them
 	effOweAck                          // acknowledge an applied answer once it is durable
 	effFrontierDirty                   // an ack advanced a durable frontier: persist the marks
-	effArmTimer                        // deliver a resendTick after Options.ResendEvery
+	effArmTimer                        // deliver a resendTick at when
+	effReceived                        // Handle's own: count the message received once its acks are out
 )
 
 // partDelta is what one answer added to a multi-source rule's part result.
@@ -402,7 +404,7 @@ const maxAckResends = 3
 func (s *peerState) armResend() {
 	if s.opts.ResendEvery > 0 && !s.resendArmed {
 		s.resendArmed = true
-		s.emit(effArmTimer)
+		s.out = append(s.out, effect{kind: effArmTimer, when: s.now.Add(s.opts.ResendEvery)})
 	}
 }
 

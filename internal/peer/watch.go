@@ -7,7 +7,6 @@ import (
 	"repro/internal/cq"
 	"repro/internal/relalg"
 	"repro/internal/serving"
-	"repro/internal/wire"
 )
 
 // Continuous queries (watchers) and online local writes: the live half of the
@@ -77,14 +76,15 @@ func (p *Peer) Serving() *serving.Hub { return p.hub }
 
 // CloseWatchers closes every live watcher and rejects future registrations
 // (used by orchestration shutdown; a Watch racing it either joins this close
-// or fails cleanly, never leaks an unclosable stream). It also stops the
-// acknowledgment-resend timer and drains the pipelined ack worker, being the
-// one shutdown hook orchestration already calls on every peer — the stores
-// seal after it returns, so no fsync or ack send may still be in flight.
+// or fails cleanly, never leaks an unclosable stream). It then closes the
+// peer's shell, being the one shutdown hook orchestration already calls on
+// every peer: no message or verb is stepped after it, the resend timer stops,
+// and the pipelined ack worker and the remote watches' goroutines finish —
+// the stores seal after it returns, so no fsync or ack send may still be in
+// flight.
 func (p *Peer) CloseWatchers() {
-	p.resendStopped.Store(true)
-	p.stopAck()
 	p.hub.Close()
+	p.sh.Close()
 }
 
 // InsertLocal applies an online local write: the tuples enter the local
@@ -92,9 +92,9 @@ func (p *Peer) CloseWatchers() {
 // an incremental re-answer (semi-naive when the delta optimisation is on) —
 // the data keeps flowing without restarting a full Update, as the paper's
 // long-lived network model demands. The batch is validated up front
-// (declared relation, matching arities) and applied all-or-nothing, so a
-// returned error means no tuple was written. It returns how many tuples
-// were new.
+// (declared relation, matching arities) and applied all-or-nothing, and a
+// closed peer takes none of it, so a returned error means no tuple was
+// written. It returns how many tuples were new.
 func (p *Peer) InsertLocal(rel string, tuples ...relalg.Tuple) (int, error) {
 	arity := p.db.Arity(rel)
 	if arity < 0 {
@@ -106,23 +106,24 @@ func (p *Peer) InsertLocal(rel string, tuples ...relalg.Tuple) (int, error) {
 				p.id, len(t), rel, arity)
 		}
 	}
-	p.mu.Lock()
 	added := 0
 	var err error
-	for _, t := range tuples {
-		var ok bool
-		if ok, err = p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
-			break // unreachable after validation; defensive
+	if !p.sh.Step(func(now time.Time, buf []effect) []effect {
+		for _, t := range tuples {
+			var ok bool
+			if ok, err = p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
+				break // unreachable after validation; defensive
+			}
+			if ok {
+				added++
+			}
 		}
-		if ok {
-			added++
+		if added == 0 {
+			return buf
 		}
+		return p.step(now, "", localNews{added}, buf)
+	}) {
+		return 0, fmt.Errorf("peer %s: closed", p.id)
 	}
-	var effs []effect
-	if added > 0 {
-		effs = p.step(time.Now(), "", localNews{added}, nil)
-	}
-	p.mu.Unlock()
-	p.run(wire.Envelope{}, effs)
 	return added, err
 }

@@ -273,8 +273,9 @@ func TestOneMessageSize(t *testing.T) {
 // (time is a value passed in: only time.Time and time.Duration may be named),
 // call no package-level math/rand function (those draw from one process-wide
 // source; jitter comes from a source the state owns) and reach no transport,
-// log, watcher hub, peer or file — those are the shells'. Each state lives in
-// the file named beside it.
+// log, watcher hub, peer or file — those are the shells' (each runs its step
+// in a shell.Shell; see TestOneShell). Each state lives in the file named
+// beside it.
 func TestPeerStepIsPure(t *testing.T) {
 	shells := []string{"os", "repro/internal/transport", "repro/internal/consensus", "repro/internal/peer", "repro/internal/replica", "repro/internal/core"}
 	for _, in := range []struct {
@@ -346,11 +347,11 @@ func TestPeerStepIsPure(t *testing.T) {
 }
 
 // TestNoPollingLoops: the protocol packages wake on events, not on the wall
-// clock. A timer is a time.AfterFunc armed by a step's effect (the peer's
-// resend, the consensus retries, the failure detector) or by the replica
-// shipper's pass; a ticker, or a time.After, time.NewTimer or time.Sleep
-// inside a loop, is a poll. A one-shot deadline outside a loop (a query's
-// RoundTimeout) is not. Sampling remote state — Quiesce, the plane's Settle,
+// clock. A timer is the one a state's shell.Shell arms for a step's arm
+// effect (the peer's resend, the consensus retries, the failure detector; see
+// TestOneShell) or the replica shipper's; a ticker, or a time.After,
+// time.NewTimer or time.Sleep inside a loop, is a poll. A one-shot deadline
+// outside a loop (a query's RoundTimeout) is not. Sampling remote state — Quiesce, the plane's Settle,
 // a kick-off verb's wait for its kick — polls by design and runs on core's
 // samplers (HoldStill, AwaitBalance), outside these packages: no member
 // pushes its state.
@@ -402,6 +403,68 @@ func TestNoPollingLoops(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+}
+
+// TestOneShell: the peer, the Paxos log, the failure detector and the agreed
+// fold run their steps in internal/shell, which owns the one timer per state
+// and the runner every goroutine of theirs starts on, so Close waits for them.
+// Nothing else in these packages makes a timer or starts a goroutine, but the
+// survivors named here with their reasons.
+func TestOneShell(t *testing.T) {
+	survivors := map[string]string{
+		"internal/cluster/metrics.go StartMetrics go":    "srv.Serve returns when the closer StartMetrics hands back shuts the listener",
+		"internal/cluster/member.go depose go":           "a member deposed of its own node closes itself, and the plane's Close waits for the callback that found out",
+		"internal/replica/replica.go New time.AfterFunc": "replica.Manager keeps its own flush loop and timer",
+		"internal/replica/replica.go New go":             "replica.Manager keeps its own flush loop and timer",
+	}
+	seen := map[string]bool{}
+	for _, dir := range []string{"internal/peer", "internal/consensus", "internal/cluster", "internal/replica"} {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, readFile(t, path), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					what := ""
+					switch n := n.(type) {
+					case *ast.GoStmt:
+						what = "go"
+					case *ast.SelectorExpr:
+						if x, ok := n.X.(*ast.Ident); ok && x.Name == "time" && (n.Sel.Name == "AfterFunc" || n.Sel.Name == "NewTimer") {
+							what = "time." + n.Sel.Name
+						}
+					}
+					if what == "" {
+						return true
+					}
+					key := filepath.ToSlash(path) + " " + fd.Name.Name + " " + what
+					seen[key] = true
+					if survivors[key] == "" {
+						t.Errorf("%s: %s in %s: step through the state's shell.Shell, or start it on its runner (Shell.Go)", fset.Position(n.Pos()), what, fd.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for key := range survivors {
+		if !seen[key] {
+			t.Errorf("survivor %q is gone: take it off the list", key)
 		}
 	}
 }
