@@ -336,13 +336,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.WalSeq == 0 {
 		t.Error("wal_seq must reflect the seeded appends")
 	}
-	vars, err := http.Get(fmt.Sprintf("http://%s/debug/vars", addr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vars.Body.Close()
-	if vars.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", vars.StatusCode)
+	for _, path := range []string{"/debug/vars", "/debug/pprof/", "/debug/pprof/heap?debug=1"} {
+		resp, err := http.Get(fmt.Sprintf("http://%s%s", addr, path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"expvar"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -20,7 +21,7 @@ import (
 // already keeps — the statistical module of Section 5 (internal/stats), the
 // peer's protocol state, the watcher registry, the durable store's record
 // high water and the member table — plus the Go runtime's expvar surface at
-// /debug/vars.
+// /debug/vars and its profiles (net/http/pprof) under /debug/pprof/.
 
 // NodeMetrics is one serve process's observability snapshot. The message-loss
 // surface — SendErrors from the peer's statistical module, the TCP outbox's
@@ -172,6 +173,11 @@ func StartMetrics(listenAddr string, collect func() NodeMetrics) (string, func()
 	publishExpvar(collect)
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)

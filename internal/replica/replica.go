@@ -13,6 +13,12 @@
 // primary's — which is what lets the primary's shipped subscription marks
 // remain valid against the mirror after a promotion re-homes the node.
 //
+// A Manager runs both halves in a shell.Shell: each inbound frame is one
+// step, and the pass that ships is the shell's tick, which an insert or a
+// solicitation kicks and the shell's timer fires. Frames leave as effects
+// after the lock; ticks run one at a time, effects included, so a stream's
+// appends leave in the order they were cut.
+//
 // The control plane (internal/cluster) owns the decisions: it declares
 // primaries permanently dead, runs the promotion election over the durable
 // frontiers this package reports, and calls back into the winner, which
@@ -23,11 +29,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/relalg"
+	"repro/internal/shell"
 	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -62,9 +69,9 @@ type Options struct {
 	// WAL tunes the mirror stores (ignored without DataDir).
 	WAL wal.Options
 	// FlushEvery is the shortest pause between two passes the manager's
-	// timer starts (default 20ms): a rewind or a state ship due sooner waits
-	// for it. Inserts and sync requests do not wait: they start a pass at
-	// once, which ships the new suffix.
+	// shell timer starts (default 20ms): a rewind or a state ship due sooner
+	// waits for it. Inserts and sync requests do not wait: they kick a pass
+	// at once, which ships the new suffix.
 	FlushEvery time.Duration
 	// ResendAfter rewinds a stream to its acked frontier after this long
 	// without acknowledgment progress, so a frame lost to a link error or a
@@ -72,8 +79,8 @@ type Options struct {
 	ResendAfter time.Duration
 	// ReconcileEvery is the period of the placement pass (default 250ms): how
 	// often this member re-derives which nodes it should mirror, opens the
-	// missing mirrors and re-solicits quiet streams. An idle manager's timer
-	// fires for nothing else.
+	// missing mirrors and re-solicits quiet streams. An idle manager's shell
+	// timer fires for nothing else.
 	ReconcileEvery time.Duration
 	// SyncReqEvery rate-limits anti-entropy requests per node: a mirror that
 	// received nothing for this long re-solicits the stream from the current
@@ -148,30 +155,33 @@ type Metrics struct {
 	Diverged        uint64 `json:"diverged"`         // appends that left a mirror off the seq stamp
 }
 
-// Manager runs both halves of the replication data path for one serve member.
+// Manager runs both halves of the replication data path for one serve member,
+// as steps of one shell.Shell (see the package comment).
 type Manager struct {
 	opts Options
 	ctl  Control
 	send func(from, to string, msg wire.Message) error
+	sh   *shell.Shell[effect] // guards everything below
 
-	mu        sync.Mutex
-	primaries map[string]*primary
-	mirrors   map[string]*mirror
-	closed    bool
+	primaries     map[string]*primary
+	mirrors       map[string]*mirror
+	nextReconcile time.Time
 
 	appends    uint64
 	acks       uint64
 	syncReqs   uint64
 	rewinds    uint64
 	promotions uint64
+}
 
-	// The one goroutine (run) makes a pass on every kick; the timer kicks it
-	// when the earliest deadline is due.
-	kick          chan struct{}
-	timer         *time.Timer
-	nextReconcile time.Time // owned by run
-	quit          chan struct{}
-	wg            sync.WaitGroup
+// effect is one frame a step sends once the lock is released, or, with no
+// frame, the timer armed for when. A frame with a store is an ack: it leaves
+// only once the store has synced, so the acknowledged range is durable.
+type effect struct {
+	to   string
+	msg  wire.Message
+	st   *wal.Store
+	when time.Time
 }
 
 // New starts a replica manager. send carries frames to other members (wire
@@ -184,37 +194,35 @@ func New(ctl Control, send func(from, to string, msg wire.Message) error, opts O
 		send:      send,
 		primaries: map[string]*primary{},
 		mirrors:   map[string]*mirror{},
-		kick:      make(chan struct{}, 1),
-		quit:      make(chan struct{}),
 	}
 	m.nextReconcile = time.Now().Add(m.opts.ReconcileEvery)
-	m.timer = time.AfterFunc(m.opts.ReconcileEvery, m.kickFlush)
-	m.wg.Add(1)
-	go m.run()
+	m.sh = shell.New(m.run, func(e effect) (time.Time, bool) { return e.when, e.msg == nil }, m.tick)
+	m.sh.Kick() // the first tick arms the timer for the first placement pass
 	return m
 }
 
-// Close stops the goroutine and cleanly closes every mirror store (their state
-// records make the next open recover the applied frontier without replay
-// distrust; a crash instead recovers from the log tail).
+// run sends one step's frames in order. An ack whose store fails to sync is
+// not sent: the primary re-sends.
+func (m *Manager) run(effs []effect) {
+	for _, e := range effs {
+		if e.msg != nil && (e.st == nil || e.st.Sync() == nil) {
+			_ = m.send(m.opts.Member, e.to, e.msg)
+		}
+	}
+}
+
+// Close refuses further steps, waits for those in flight, and cleanly closes
+// every mirror store (their state records make the next open recover the
+// applied frontier without replay distrust; a crash instead recovers from
+// the log tail).
 func (m *Manager) Close() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	m.closed = true
-	mirrors := make([]*mirror, 0, len(m.mirrors))
-	for _, mi := range m.mirrors {
-		mirrors = append(mirrors, mi)
-	}
-	m.mu.Unlock()
-	m.timer.Stop()
-	close(m.quit)
-	m.wg.Wait()
-	for _, mi := range mirrors {
-		if mi.st != nil {
-			_ = mi.st.Close()
+	if m.sh.Close() {
+		m.sh.Lock()
+		defer m.sh.Unlock()
+		for _, mi := range m.mirrors {
+			if mi.st != nil {
+				_ = mi.st.Close()
+			}
 		}
 	}
 }
@@ -225,7 +233,7 @@ func (m *Manager) Close() {
 // a promotion. Idempotent — a repeated promotion of the same node just
 // refreshes the callbacks.
 func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.State) {
-	m.mu.Lock()
+	m.sh.Lock()
 	p := m.primaries[node]
 	fresh := p == nil || p.db != db
 	if p == nil {
@@ -233,12 +241,14 @@ func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.
 	} else {
 		p.db, p.stateFn = db, stateFn
 	}
-	m.mu.Unlock()
-	// Inserts kick a pass, so replication latency is one scheduling hop.
+	m.sh.Unlock()
+	// Inserts kick a pass, so replication latency is one scheduling hop. The
+	// listener runs under the peer's lock, which a pass takes through
+	// stateFn, so it must not take the manager's: Kick takes none.
 	if fresh {
-		db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.kickFlush() })
+		db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.sh.Kick() })
 	}
-	m.kickFlush()
+	m.sh.Kick()
 }
 
 // Resign is BecomePrimary's inverse: the agreed log re-homed a node this
@@ -249,8 +259,8 @@ func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.
 // stream instead. The lock is held throughout so the placement pass cannot
 // reopen the directory in between.
 func (m *Manager) Resign(node string, st *wal.Store) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.sh.Lock()
+	defer m.sh.Unlock()
 	delete(m.primaries, node)
 	if st != nil {
 		st.Abort()
@@ -263,8 +273,8 @@ func (m *Manager) Resign(node string, st *wal.Store) {
 // bid. Zero without a mirror. (A promoted or primary node reports its live
 // database's frontier: the member already has everything.)
 func (m *Manager) Frontier(node string) uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.sh.Lock()
+	defer m.sh.Unlock()
 	var db *storage.DB
 	if p := m.primaries[node]; p != nil {
 		db = p.db
@@ -285,20 +295,20 @@ func (m *Manager) Frontier(node string) uint64 {
 // fresh members — gets an empty database and a fresh store: the data is
 // gone, but the node's name lives on and re-derivations repopulate it.
 func (m *Manager) Promote(node string) (*storage.DB, *wal.Store, *wal.State, error) {
-	m.mu.Lock()
+	m.sh.Lock()
 	mi := m.mirrors[node]
 	delete(m.mirrors, node)
 	if mi == nil {
 		var err error
 		if mi, err = m.openMirrorLocked(node); err != nil {
-			m.mu.Unlock()
+			m.sh.Unlock()
 			return nil, nil, nil, err
 		}
 		delete(m.mirrors, node)
 	}
 	m.promotions++
 	blob := mi.state
-	m.mu.Unlock()
+	m.sh.Unlock()
 	var restore *wal.State
 	if len(blob) > 0 {
 		if st, err := wal.UnmarshalState(blob); err == nil {
@@ -308,45 +318,48 @@ func (m *Manager) Promote(node string) (*storage.DB, *wal.Store, *wal.State, err
 	return mi.db, mi.st, restore, nil
 }
 
-// Handle consumes one inbound replication frame; it reports false for
-// anything that is not one (the cluster dispatcher then routes it onward).
+// Handle consumes one inbound replication frame as one step; it reports
+// false for anything that is not one (the cluster dispatcher then routes it
+// onward). After Close a frame is consumed and does nothing.
 func (m *Manager) Handle(env wire.Envelope) bool {
-	switch msg := env.Msg.(type) {
-	case wire.ReplicaAppend:
-		m.applyAppend(env.From, msg)
-	case wire.ReplicaAck:
-		m.applyAck(env.From, msg)
-	case wire.ReplicaSyncReq:
-		m.applySyncReq(env.From, msg)
-	case wire.ReplicaState:
-		m.applyState(msg)
-	case wire.ReplicaStatusRequest:
-		report := m.StatusReport()
-		_ = m.send(m.opts.Member, env.From, report)
+	switch env.Msg.(type) {
+	case wire.ReplicaAppend, wire.ReplicaAck, wire.ReplicaSyncReq, wire.ReplicaState, wire.ReplicaStatusRequest:
 	default:
 		return false
 	}
+	m.sh.Step(func(now time.Time, buf []effect) []effect {
+		switch msg := env.Msg.(type) {
+		case wire.ReplicaAppend:
+			return m.applyAppend(now, env.From, msg, buf)
+		case wire.ReplicaAck:
+			m.applyAck(now, env.From, msg)
+		case wire.ReplicaSyncReq:
+			m.applySyncReq(now, env.From, msg)
+		case wire.ReplicaState:
+			m.applyState(msg)
+		case wire.ReplicaStatusRequest:
+			return append(buf, effect{to: env.From, msg: m.statusReport()})
+		}
+		return buf
+	})
 	return true
 }
 
 // applyAppend ingests one shipped suffix at a mirror: storage.Extend decides
 // against the durable frontier. An overlap is trimmed (the primary rewound
-// further back than needed), a gap triggers anti-entropy. The store syncs
-// before the ack leaves, so an acked frontier is durable.
-func (m *Manager) applyAppend(from string, msg wire.ReplicaAppend) {
-	m.mu.Lock()
+// further back than needed), a gap triggers anti-entropy. The ack carries
+// the mirror's store, so it leaves only once that has synced.
+func (m *Manager) applyAppend(now time.Time, from string, msg wire.ReplicaAppend, buf []effect) []effect {
 	mi := m.mirrors[msg.Node]
 	if mi == nil {
 		// Not (or no longer) our mirror — placement moved, or the frame
 		// predates a promotion. Drop; the primary's stream to us ages out.
-		m.mu.Unlock()
-		return
+		return buf
 	}
-	mi.lastAppend = time.Now()
+	mi.lastAppend = now
 	if !mi.db.HasRelation(msg.Rel) {
 		if err := mi.db.AddSchema(relalg.Schema{Name: msg.Rel, Attrs: msg.Attrs}); err != nil {
-			m.mu.Unlock()
-			return
+			return buf
 		}
 	}
 	frontier := mi.db.MarksFor([]string{msg.Rel})[msg.Rel]
@@ -354,58 +367,38 @@ func (m *Manager) applyAppend(from string, msg wire.ReplicaAppend) {
 	case storage.Gap:
 		// A frame before this one was lost or we restarted behind the
 		// stream. Re-solicit from our durable frontier.
-		out := m.syncReqLocked(mi, nil)
-		m.mu.Unlock()
-		m.sendAll(out)
-		return
+		return m.syncReq(now, mi, buf)
 	case storage.Old:
 		// A rewound primary re-shipping; re-ack so the primary's stream
 		// advances past it.
 	case storage.Extends:
 		for _, t := range msg.Tuples[frontier-msg.Base:] {
 			if _, err := mi.db.Insert(msg.Rel, t, storage.InsertExact); err != nil {
-				m.mu.Unlock()
-				return
+				return buf
 			}
 		}
-		now := mi.db.MarksFor([]string{msg.Rel})[msg.Rel]
-		if now != msg.To {
+		applied := mi.db.MarksFor([]string{msg.Rel})[msg.Rel]
+		if applied != msg.To {
 			// The mirror accepted a different tuple count than the primary
 			// stamped — the replicas diverged (should be impossible while
 			// both apply in insertion order). Count it and fall back to
 			// anti-entropy rather than acking a frontier we do not hold.
 			mi.diverged++
-			out := m.syncReqLocked(mi, nil)
-			m.mu.Unlock()
-			m.sendAll(out)
-			return
+			return m.syncReq(now, mi, buf)
 		}
-		frontier = now
-	}
-	st := mi.st
-	node, rel := msg.Node, msg.Rel
-	m.mu.Unlock()
-	if st != nil {
-		if err := st.Sync(); err != nil {
-			return // not durable: no ack, the primary re-sends
-		}
+		frontier = applied
 	}
 	// Ack the frame's stamp (or our frontier when it was entirely old): the
-	// acknowledged range is on stable storage here.
-	ack := msg.To
-	if frontier < ack {
-		ack = frontier
-	}
-	_ = m.send(m.opts.Member, from, wire.ReplicaAck{Node: node, Rel: rel, To: ack, Durable: true})
+	// acknowledged range is on stable storage once the store has synced.
+	ack := wire.ReplicaAck{Node: msg.Node, Rel: msg.Rel, To: min(msg.To, frontier), Durable: true}
+	return append(buf, effect{to: from, msg: ack, st: mi.st})
 }
 
 // applyAck advances a primary's stream on a mirror's durable acknowledgment.
-func (m *Manager) applyAck(from string, msg wire.ReplicaAck) {
+func (m *Manager) applyAck(now time.Time, from string, msg wire.ReplicaAck) {
 	if !msg.Durable {
 		return // only durable acks advance the stream
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.acks++
 	p := m.primaries[msg.Node]
 	if p == nil {
@@ -421,31 +414,27 @@ func (m *Manager) applyAck(from string, msg wire.ReplicaAck) {
 		return
 	}
 	if advanced, _ := d.Ack(msg.Rel, 0, msg.To, true); advanced {
-		d.progress = time.Now()
+		d.progress = now
 	}
 }
 
 // applySyncReq (primary side) establishes or rewinds a stream to the
-// mirror's durable frontier — the anti-entropy handshake. Streams exist only
-// mirror-solicited: a primary never pushes to a member that has not told it
-// where to start, which makes full re-ships explicit rather than accidental.
-func (m *Manager) applySyncReq(member string, msg wire.ReplicaSyncReq) {
-	m.mu.Lock()
+// mirror's durable frontier — the anti-entropy handshake — and kicks a pass
+// to ship it. Streams exist only mirror-solicited: a primary never pushes to
+// a member that has not told it where to start, which makes full re-ships
+// explicit rather than accidental.
+func (m *Manager) applySyncReq(now time.Time, member string, msg wire.ReplicaSyncReq) {
 	p := m.primaries[msg.Node]
 	if p == nil {
-		m.mu.Unlock()
 		return
 	}
-	p.dests[member] = &destStream{Stream: storage.NewStream(msg.Frontier), progress: time.Now()}
-	m.mu.Unlock()
-	m.kickFlush()
+	p.dests[member] = &destStream{Stream: storage.NewStream(msg.Frontier), progress: now}
+	m.sh.Kick()
 }
 
 // applyState (mirror side) retains the latest shipped protocol state; the
 // blob becomes the adopted peer's restore state after a promotion.
 func (m *Manager) applyState(msg wire.ReplicaState) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	mi := m.mirrors[msg.Node]
 	if mi == nil || msg.Epoch < mi.stateEpoch {
 		return
@@ -454,83 +443,44 @@ func (m *Manager) applyState(msg wire.ReplicaState) {
 	mi.state = msg.State
 }
 
-// syncReqLocked appends to out (rate-limited) an anti-entropy request for
-// one mirror, addressed to the node's current primary host; the caller sends
-// it once m.mu is released. Callers hold m.mu.
-func (m *Manager) syncReqLocked(mi *mirror, out []shipment) []shipment {
-	if time.Since(mi.lastSyncReq) < m.opts.SyncReqEvery {
-		return out
+// syncReq appends to buf (rate-limited) an anti-entropy request for one
+// mirror, addressed to the node's current primary host.
+func (m *Manager) syncReq(now time.Time, mi *mirror, buf []effect) []effect {
+	if now.Sub(mi.lastSyncReq) < m.opts.SyncReqEvery {
+		return buf
 	}
-	mi.lastSyncReq = time.Now()
-	req := wire.ReplicaSyncReq{Node: mi.node, Frontier: map[string]uint64{}}
-	for rel, seq := range dbMarks(mi.db) {
-		req.Frontier[rel] = seq
-	}
+	mi.lastSyncReq = now
 	m.syncReqs++
-	return append(out, shipment{to: m.ctl.HostOf(mi.node), msg: req})
+	req := wire.ReplicaSyncReq{Node: mi.node, Frontier: dbMarks(mi.db)}
+	return append(buf, effect{to: m.ctl.HostOf(mi.node), msg: req})
 }
 
-// run is the manager's one goroutine. Every kick — an insert, a sync request,
-// the timer — makes a pass: the placement pass when ReconcileEvery has come
-// round, then the primary-side shipping. The timer is then armed for the
-// earliest deadline left, no sooner than FlushEvery from now.
-func (m *Manager) run() {
-	defer m.wg.Done()
-	for {
-		select {
-		case <-m.quit:
-			return
-		case <-m.kick:
-		}
-		now := time.Now()
-		if !now.Before(m.nextReconcile) {
-			m.reconcileOnce()
-			m.nextReconcile = now.Add(m.opts.ReconcileEvery)
-		}
-		due := m.flushOnce(now)
-		if m.nextReconcile.Before(due) {
-			due = m.nextReconcile
-		}
-		if floor := now.Add(m.opts.FlushEvery); due.Before(floor) {
-			due = floor
-		}
-		m.timer.Reset(time.Until(due))
+// tick is the pass every kick and the timer start: the placement pass when
+// ReconcileEvery has come round, then the primary-side shipping. It re-arms
+// the timer for the earliest deadline left, no sooner than FlushEvery.
+func (m *Manager) tick(now time.Time, buf []effect) []effect {
+	if !now.Before(m.nextReconcile) {
+		buf = m.reconcile(now, buf)
+		m.nextReconcile = now.Add(m.opts.ReconcileEvery)
 	}
-}
-
-func (m *Manager) kickFlush() {
-	select {
-	case m.kick <- struct{}{}:
-	default:
+	buf, due := m.flush(now, buf)
+	if floor := now.Add(m.opts.FlushEvery); due.Before(floor) {
+		due = floor
 	}
+	return append(buf, effect{when: due})
 }
 
-// shipment is one frame prepared under the lock, sent outside it.
-type shipment struct {
-	to  string
-	msg wire.Message
-}
-
-func (m *Manager) sendAll(out []shipment) {
-	for _, s := range out {
-		_ = m.send(m.opts.Member, s.to, s.msg)
-	}
-}
-
-// flushOnce is the primary-side shipping: each primary's un-shipped suffix
-// goes to every established stream, streams silent for ResendAfter rewind to
+// flush is the primary-side shipping: each primary's un-shipped suffix goes
+// to every established stream, streams silent for ResendAfter rewind to
 // their acked frontier, and changed protocol state ships every StateEvery. It
-// returns when the next rewind or state ship is due (far off when none is).
-func (m *Manager) flushOnce(now time.Time) time.Time {
-	var out []shipment
-	due := now.Add(m.opts.ReconcileEvery)
-	m.mu.Lock()
+// returns when the next rewind, state ship or placement pass is due.
+func (m *Manager) flush(now time.Time, buf []effect) ([]effect, time.Time) {
+	due := m.nextReconcile
 	for _, p := range m.primaries {
 		rels := relNames(p.db)
-		shipState := false
-		if p.stateFn != nil && now.Sub(p.lastShip) >= m.opts.StateEvery {
+		shipState := p.stateFn != nil && now.Sub(p.lastShip) >= m.opts.StateEvery
+		if shipState {
 			p.lastShip = now
-			shipState = true
 		}
 		if p.stateFn != nil && len(p.dests) > 0 {
 			due = earlier(due, p.lastShip.Add(m.opts.StateEvery))
@@ -547,7 +497,7 @@ func (m *Manager) flushOnce(now time.Time) time.Time {
 			}
 			delta, next := p.db.DeltaSince(d.Shipped(), rels)
 			for rel, tuples := range delta {
-				out = append(out, shipment{to: member, msg: wire.ReplicaAppend{
+				buf = append(buf, effect{to: member, msg: wire.ReplicaAppend{
 					Node:   p.node,
 					Rel:    rel,
 					Attrs:  relAttrs(p.db, rel),
@@ -568,16 +518,14 @@ func (m *Manager) flushOnce(now time.Time) time.Time {
 				if len(blob) > 0 && !bytes.Equal(blob, d.lastState) {
 					d.lastState = blob
 					p.stateSeq++
-					out = append(out, shipment{to: member, msg: wire.ReplicaState{
+					buf = append(buf, effect{to: member, msg: wire.ReplicaState{
 						Node: p.node, Epoch: p.stateSeq, State: blob,
 					}})
 				}
 			}
 		}
 	}
-	m.mu.Unlock()
-	m.sendAll(out)
-	return due
+	return buf, due
 }
 
 func earlier(a, b time.Time) time.Time {
@@ -587,52 +535,37 @@ func earlier(a, b time.Time) time.Time {
 	return a
 }
 
-// reconcileOnce is the mirror-side placement pass: this member re-derives
-// which nodes' placements include it, opens missing mirrors (recovering
-// whatever an earlier lifetime left on disk) and re-solicits streams that
-// have gone quiet — the join/lag anti-entropy.
-func (m *Manager) reconcileOnce() {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
-	var out []shipment
+// reconcile is the mirror-side placement pass: this member re-derives which
+// nodes' placements include it, opens missing mirrors (recovering whatever
+// an earlier lifetime left on disk) and re-solicits streams that have gone
+// quiet — the join/lag anti-entropy.
+func (m *Manager) reconcile(now time.Time, buf []effect) []effect {
 	for _, node := range m.opts.Nodes {
 		if m.primaries[node] != nil || m.ctl.HostOf(node) == m.opts.Member {
 			continue // we host it (or are about to): primaries do not mirror themselves
 		}
-		placement, _ := m.ctl.PlacementFor(node)
-		ours := false
-		for _, p := range placement {
-			if p == m.opts.Member {
-				ours = true
-				break
-			}
-		}
-		mi := m.mirrors[node]
-		if !ours {
+		if placement, _ := m.ctl.PlacementFor(node); !slices.Contains(placement, m.opts.Member) {
 			// Out of the placement: keep the mirror (it may swing back under
 			// churn, and stale data only trims future re-ships), just stop
 			// soliciting.
 			continue
 		}
+		mi := m.mirrors[node]
 		if mi == nil {
 			var err error
 			if mi, err = m.openMirrorLocked(node); err != nil {
 				continue // disk trouble: retry next tick
 			}
 		}
-		if time.Since(mi.lastAppend) >= m.opts.SyncReqEvery {
-			out = m.syncReqLocked(mi, out)
+		if now.Sub(mi.lastAppend) >= m.opts.SyncReqEvery {
+			buf = m.syncReq(now, mi, buf)
 		}
 	}
-	m.mu.Unlock()
-	m.sendAll(out)
+	return buf
 }
 
 // openMirrorLocked creates (or re-opens from disk) the mirror for one node
-// and registers it. Callers hold m.mu.
+// and registers it. Callers hold the lock.
 func (m *Manager) openMirrorLocked(node string) (*mirror, error) {
 	mi := &mirror{node: node}
 	if m.opts.DataDir != "" {
@@ -661,8 +594,8 @@ func (m *Manager) openMirrorLocked(node string) (*mirror, error) {
 
 // Metrics snapshots the manager.
 func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.sh.Lock()
+	defer m.sh.Unlock()
 	out := Metrics{
 		Primaries:  len(m.primaries),
 		Mirrors:    len(m.mirrors),
@@ -682,7 +615,7 @@ func (m *Manager) Metrics() Metrics {
 // underReplicatedLocked counts, across hosted primaries, how many of the K
 // wanted replica streams are missing or behind the primary frontier right
 // now. Zero means every replica of everything this member hosts is caught
-// up. Callers hold m.mu.
+// up. Callers hold the lock.
 func (m *Manager) underReplicatedLocked() int {
 	short := 0
 	for _, p := range m.primaries {
@@ -701,8 +634,12 @@ func (m *Manager) underReplicatedLocked() int {
 // StatusReport builds the wire status snapshot: one entry per outbound
 // stream and one per mirror, for `p2pdb ctl status` and the E18 experiment.
 func (m *Manager) StatusReport() wire.ReplicaStatusReport {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.sh.Lock()
+	defer m.sh.Unlock()
+	return m.statusReport()
+}
+
+func (m *Manager) statusReport() wire.ReplicaStatusReport {
 	rep := wire.ReplicaStatusReport{
 		Member:          m.opts.Member,
 		K:               m.opts.K,

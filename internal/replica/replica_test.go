@@ -2,12 +2,14 @@ package replica
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/relalg"
 	"repro/internal/storage"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -29,7 +31,7 @@ func (fakeControl) HostOf(node string) string {
 	return node
 }
 
-// outbox captures what a manager sends. Appends leave from the flusher's
+// outbox captures what a manager sends. Appends leave from a tick's
 // goroutine, so reads wait.
 type outbox struct {
 	mu     sync.Mutex
@@ -75,9 +77,9 @@ func (o *outbox) none(t *testing.T) {
 	}
 }
 
-// newManager builds a manager for one member whose background loops never
-// tick on their own: the reconcile pass runs when the test calls it, and the
-// flusher only on a kick (an insert, a solicitation, or kickFlush).
+// newManager builds a manager for one member whose timer never fires within a
+// test: the reconcile pass runs when the test calls it, and the shipping pass
+// only on a kick (an insert, a solicitation, or sh.Kick).
 func newManager(t *testing.T, member string, out *outbox) *Manager {
 	t.Helper()
 	m := New(fakeControl{}, out.send, Options{
@@ -91,6 +93,10 @@ func newManager(t *testing.T, member string, out *outbox) *Manager {
 	t.Cleanup(m.Close)
 	return m
 }
+
+// reconcileOnce runs the placement pass now, as a tick does once
+// ReconcileEvery has come round.
+func (m *Manager) reconcileOnce() { m.sh.Step(m.reconcile) }
 
 func tup(i int) relalg.Tuple { return relalg.Tuple{relalg.S(fmt.Sprintf("v%d", i))} }
 
@@ -136,11 +142,11 @@ func TestMirrorAppliesOnlyContiguousExtensions(t *testing.T) {
 	ackAfter(appendOf(1, 3, 1), 3, 3) // overlap (Base < frontier < To): v1 trimmed, v2 applied
 	ackAfter(appendOf(0, 2, 0), 2, 3) // entirely old: nothing applied, its own stamp re-acked
 
-	m.mu.Lock()
+	m.sh.Lock()
 	mi := m.mirrors["E"]
 	got := mi.db.Rel("e").All()
 	mi.lastSyncReq = time.Time{} // the boot solicitation is an hour old, as far as the limiter knows
-	m.mu.Unlock()
+	m.sh.Unlock()
 	if len(got) != 3 || !got[0].Equal(tup(0)) || !got[1].Equal(tup(1)) || !got[2].Equal(tup(2)) {
 		t.Fatalf("mirror holds %v, want v0 v1 v2 in the primary's order", got)
 	}
@@ -207,7 +213,7 @@ func TestPrimaryShipsOnSolicitationAndAdvancesOnDurableAcks(t *testing.T) {
 	}
 	// Nothing acknowledged: the next flush treats the silence as a lost frame
 	// and re-ships from the acked frontier.
-	p.kickFlush()
+	p.sh.Kick()
 	shipped(0, 2)
 	if got := p.Metrics().Rewinds; got != 1 {
 		t.Fatalf("rewinds = %d, want 1", got)
@@ -216,12 +222,12 @@ func TestPrimaryShipsOnSolicitationAndAdvancesOnDurableAcks(t *testing.T) {
 	if got := p.Metrics().UnderReplicated; got != 0 {
 		t.Fatalf("under_replicated = %d after the durable ack, want 0", got)
 	}
-	p.kickFlush()
+	p.sh.Kick()
 	out.none(t) // caught up: no rewind, nothing to ship
 
 	insert(2)
 	shipped(2, 3)
-	p.kickFlush()
+	p.sh.Kick()
 	shipped(2, 3) // unacknowledged: rewound to the acked frontier 2, not to 0
 	ack("M", 3, true)
 
@@ -308,4 +314,173 @@ func TestStalledStreamRewindsOnTheTimer(t *testing.T) {
 	p.Handle(wire.Envelope{From: "M", To: "P", Msg: wire.ReplicaAck{Node: "E", Rel: "e", To: 1, Durable: true}})
 	time.Sleep(2 * resendAfter)
 	out.none(t)
+}
+
+// TestNoDurableAckAfterClose: after Close a mirror takes no step, so an
+// append neither lands nor is acknowledged — its closed store could not have
+// made it durable — and the store recovers the frontier Close left.
+func TestNoDurableAckAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	var out outbox
+	m := New(fakeControl{}, out.send, Options{
+		Member: "M", Nodes: []string{"E", "M", "P"}, K: 1,
+		DataDir:        dir,
+		WAL:            wal.Options{Fsync: wal.FsyncInterval},
+		FlushEvery:     time.Hour,
+		ReconcileEvery: time.Hour,
+		SyncReqEvery:   time.Hour,
+		StateEvery:     time.Hour,
+	})
+	t.Cleanup(m.Close)
+	m.reconcileOnce()
+	out.next(t) // the solicitation
+	m.Handle(wire.Envelope{From: "P", To: "M", Msg: appendOf(0, 2, 0)})
+	if ack, ok := out.next(t).Msg.(wire.ReplicaAck); !ok || ack.To != 2 || !ack.Durable {
+		t.Fatalf("append (0,2] was answered with %+v, want a durable ack to 2", ack)
+	}
+	m.Close()
+	m.Handle(wire.Envelope{From: "P", To: "M", Msg: appendOf(2, 4, 2)})
+	out.none(t)
+	rec, err := wal.Inspect(filepath.Join(dir, "E.replica"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := marksSum(dbMarks(rec.DB)); got != 2 {
+		t.Fatalf("the mirror store recovers frontier %d, want 2", got)
+	}
+}
+
+// TestAppendsLeaveInStreamOrder: under inserts from 4 goroutines, the passes
+// that ship them run one at a time, effects included, so each ReplicaAppend
+// to the mirror starts where the previous one of its relation ended, and the
+// mirror never finds a gap to re-solicit.
+func TestAppendsLeaveInStreamOrder(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		appends []wire.ReplicaAppend
+		reqs    int
+		p, m    *Manager
+	)
+	opts := func(member string) Options {
+		return Options{
+			Member: member, Nodes: []string{"E", "M", "P"}, K: 1,
+			FlushEvery:     time.Hour,
+			ReconcileEvery: time.Hour,
+			SyncReqEvery:   time.Hour,
+			StateEvery:     time.Hour,
+		}
+	}
+	p = New(fakeControl{}, func(from, to string, msg wire.Message) error {
+		if a, ok := msg.(wire.ReplicaAppend); ok {
+			mu.Lock()
+			appends = append(appends, a)
+			mu.Unlock()
+		}
+		m.Handle(wire.Envelope{From: from, To: to, Msg: msg})
+		return nil
+	}, opts("P"))
+	m = New(fakeControl{}, func(from, to string, msg wire.Message) error {
+		if _, ok := msg.(wire.ReplicaSyncReq); ok {
+			mu.Lock()
+			reqs++
+			mu.Unlock()
+		}
+		p.Handle(wire.Envelope{From: from, To: to, Msg: msg})
+		return nil
+	}, opts("M"))
+	t.Cleanup(p.Close)
+	t.Cleanup(m.Close)
+	db := storage.New(relalg.MakeSchema("e", 1), relalg.MakeSchema("f", 1))
+	p.BecomePrimary("E", db, nil)
+	m.reconcileOnce() // the first ReplicaSyncReq opens the stream
+
+	const perG = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rel := []string{"e", "f"}[g%2]
+			for i := 0; i < perG; i++ {
+				if _, err := db.Insert(rel, tup(g*perG+i), storage.InsertExact); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	deadline := time.Now().Add(10 * time.Second)
+	for m.Frontier("E") < 4*perG {
+		if time.Now().After(deadline) {
+			t.Fatalf("the mirror's frontier is %d, want %d", m.Frontier("E"), 4*perG)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	ended := map[string]uint64{}
+	for i, a := range appends {
+		if a.Base != ended[a.Rel] {
+			t.Fatalf("append %d ships %s (%d,%d], but the previous one ended at %d", i, a.Rel, a.Base, a.To, ended[a.Rel])
+		}
+		ended[a.Rel] = a.To
+	}
+	if reqs != 1 {
+		t.Fatalf("%d sync requests, want only the first", reqs)
+	}
+}
+
+// TestInsertDoesNotWaitForAPass: the insert listener only kicks. An insert
+// made under a lock the primary's stateFn takes (the peer's, in a member)
+// returns while a pass is parked inside stateFn waiting for that lock.
+func TestInsertDoesNotWaitForAPass(t *testing.T) {
+	var out outbox
+	p := New(fakeControl{}, out.send, Options{
+		Member: "P", Nodes: []string{"E", "M", "P"}, K: 1,
+		FlushEvery:     time.Hour,
+		ReconcileEvery: time.Hour,
+		SyncReqEvery:   time.Hour,
+		StateEvery:     time.Nanosecond, // every pass with a stream asks for the state
+	})
+	t.Cleanup(p.Close)
+	db := storage.New(relalg.MakeSchema("e", 1))
+	var peerMu sync.Mutex
+	parked := make(chan struct{})
+	var once sync.Once
+	p.BecomePrimary("E", db, func() wal.State {
+		once.Do(func() { close(parked) })
+		peerMu.Lock()
+		defer peerMu.Unlock()
+		return wal.State{Epoch: 1}
+	})
+	peerMu.Lock()
+	p.Handle(wire.Envelope{From: "M", To: "P", Msg: wire.ReplicaSyncReq{Node: "E"}})
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		peerMu.Unlock()
+		t.Fatal("no pass asked for the protocol state")
+	}
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := db.Insert("e", tup(0), storage.InsertExact)
+		inserted <- err
+	}()
+	select {
+	case err := <-inserted:
+		peerMu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		peerMu.Unlock()
+		t.Fatal("an insert under the lock stateFn takes waited for the pass parked in stateFn")
+	}
+	if _, ok := out.next(t).Msg.(wire.ReplicaState); !ok {
+		t.Fatal("the parked pass did not ship the state")
+	}
+	if a, ok := out.next(t).Msg.(wire.ReplicaAppend); !ok || a.Base != 0 || a.To != 1 {
+		t.Fatalf("the insert's kick shipped %+v, want E's range (0,1]", a)
+	}
 }

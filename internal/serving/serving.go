@@ -7,19 +7,21 @@
 // each pump paid its own DeltaSince + EvalDelta per change: W watchers of one
 // relation cost W extractions per insert. A Hub inverts that. Watchers
 // register into *classes* — one class per distinct (conjunction, columns)
-// pair — and a single pump goroutine services all of them: each wake-up does
-// exactly one delta extraction over the union of watched relations, one
-// semi-naive evaluation per affected class, and fans the class result out to
-// every watcher of the class through its own bounded queue. Deduplication is
+// pair — and one pass services all of them: each does exactly one delta
+// extraction over the union of watched relations, one semi-naive evaluation
+// per affected class, and fans the class result out to every watcher of the
+// class through its own bounded queue. Deduplication is
 // per class too — at most one exactly-once set per class, not per watcher,
 // and none for a set-free class (see setFree). A rule redefinition costs the
 // hub nothing: it evaluates over stored, append-only relations, so a class's
 // prime plus its deltas already are its full result at the frontier.
 //
-// Extraction and evaluation run under the peer's mutex (serialising with
-// protocol inserts, like every other evaluation); queue delivery happens
-// after it is released and never blocks the pump, so a stalled consumer can
-// slow only itself — never the fix-point, never another watcher.
+// The pass is the tick of a shell.Shell: a watched insert or a registration
+// kicks it, and passes run one at a time, deliveries included. Extraction and
+// evaluation run under the peer's mutex (serialising with protocol inserts,
+// like every other evaluation); queue delivery happens after it is released
+// and never blocks the pass, so a stalled consumer can slow only itself —
+// never the fix-point, never another watcher.
 package serving
 
 import (
@@ -29,9 +31,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cq"
 	"repro/internal/relalg"
+	"repro/internal/shell"
 	"repro/internal/storage"
 )
 
@@ -67,15 +71,12 @@ type Hub struct {
 	relRefs map[string]int // watched relation -> watcher count
 	nextID  uint64
 	closed  bool
-	started bool
 	nwatch  atomic.Int32 // fast path for Notify
 
-	sig  chan struct{} // capacity 1: wake-up, coalescing
-	quit chan struct{}
-	wg   sync.WaitGroup
+	sh *shell.Shell[struct{}] // runs the pass as its tick
 
-	// Pump state, serialised by passMu (the pump goroutine and the final
-	// pass a Close runs share it).
+	// Pass state, serialised by passMu (a tick and the final pass a Close
+	// runs share it).
 	passMu sync.Mutex
 	marks  storage.Marks // shared frontier over every watched relation
 
@@ -100,7 +101,7 @@ type class struct {
 
 	// sent is the class result delivered so far. Every primed watcher
 	// already covers it, so a derived tuple is fresh for all of them or for
-	// none. Pump-owned (guarded by the hub's passMu); retained mirrors its
+	// none. Pass-owned (guarded by the hub's passMu); retained mirrors its
 	// size for Metrics. A set-free class leaves it empty.
 	sent     relalg.TupleSet
 	retained atomic.Int64
@@ -143,18 +144,20 @@ func setFree(conj cq.Conjunction, cols []string) bool {
 }
 
 // NewHub builds the fan-out hub over one node's database. mu is the peer's
-// mutex; evaluation runs under it. The pump goroutine starts lazily with the
-// first registration.
+// mutex; evaluation runs under it.
 func NewHub(db *storage.DB, mu sync.Locker) *Hub {
-	return &Hub{
+	h := &Hub{
 		db:      db,
 		mu:      mu,
 		classes: map[string]*class{},
 		relRefs: map[string]int{},
-		sig:     make(chan struct{}, 1),
-		quit:    make(chan struct{}),
 		marks:   storage.Marks{},
 	}
+	h.sh = shell.New(func([]struct{}) {}, nil, func(_ time.Time, buf []struct{}) []struct{} {
+		h.pass()
+		return buf
+	})
+	return h
 }
 
 // Register adds a continuous query to the hub. The first batch staged for the
@@ -197,21 +200,16 @@ func (h *Hub) Register(conj cq.Conjunction, cols []string, o WatchOptions) (*Wat
 	for _, rel := range cl.rels {
 		h.relRefs[rel]++
 	}
-	if !h.started {
-		h.started = true
-		h.wg.Add(1)
-		go h.pump()
-	}
 	h.wmu.Unlock()
 	h.nwatch.Add(1)
 	go w.run()
-	h.wake()
+	h.sh.Kick()
 	return w, nil
 }
 
-// Notify wakes the pump when the relation is watched. It runs from the
+// Notify kicks a pass when the relation is watched. It runs from the
 // database's insert listener — possibly while the peer's mutex is held — so
-// it must not take that mutex and never blocks (capacity-1 signal).
+// it must not take that mutex and never blocks (Kick takes no lock).
 func (h *Hub) Notify(rel string) {
 	if h.nwatch.Load() == 0 {
 		return
@@ -222,14 +220,15 @@ func (h *Hub) Notify(rel string) {
 	if n == 0 {
 		return
 	}
-	h.wake()
+	h.sh.Kick()
 }
 
 // WatcherCount reports the live watchers.
 func (h *Hub) WatcherCount() int { return int(h.nwatch.Load()) }
 
-// Close drains one final shared pass into every queue, closes every watcher
-// and rejects future registrations (orchestration shutdown).
+// Close rejects future registrations, waits for a pass in flight, drains one
+// final shared pass into every queue and closes every watcher (orchestration
+// shutdown).
 func (h *Hub) Close() {
 	h.wmu.Lock()
 	if h.closed {
@@ -243,24 +242,13 @@ func (h *Hub) Close() {
 			ws = append(ws, w)
 		}
 	}
-	started := h.started
 	h.wmu.Unlock()
+	h.sh.Close()
 	if len(ws) > 0 {
 		h.pass()
 	}
 	for _, w := range ws {
 		w.shutdown(false, "")
-	}
-	if started {
-		close(h.quit)
-		h.wg.Wait()
-	}
-}
-
-func (h *Hub) wake() {
-	select {
-	case h.sig <- struct{}{}:
-	default:
 	}
 }
 
@@ -284,19 +272,6 @@ func (h *Hub) detach(w *Watcher) {
 	h.wmu.Unlock()
 }
 
-// pump is the hub's single extraction goroutine.
-func (h *Hub) pump() {
-	defer h.wg.Done()
-	for {
-		select {
-		case <-h.sig:
-			h.pass()
-		case <-h.quit:
-			return
-		}
-	}
-}
-
 // classWork is one pass's snapshot of a class.
 type classWork struct {
 	cl       *class
@@ -314,7 +289,7 @@ type delivery struct {
 // pass runs one shared extraction round: exactly one DeltaSince over the
 // union of watched relations, one evaluation and one dedup per affected
 // class, then queue delivery outside the peer mutex. Serialised by passMu
-// with the final pass Close runs.
+// with the final passes Close and Watcher.Close run.
 func (h *Hub) pass() {
 	h.passMu.Lock()
 	defer h.passMu.Unlock()
@@ -430,7 +405,7 @@ func (h *Hub) pass() {
 	h.mu.Unlock()
 
 	// Queue delivery outside the peer mutex: enqueue never blocks, so a full
-	// queue costs its own watcher (per policy), never the pump.
+	// queue costs its own watcher (per policy), never the pass.
 	for _, d := range out {
 		d.w.enqueue(d.b)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // Policy is a watcher's slow-consumer behaviour once its bounded queue is
-// full. Whatever the policy, the hub's pump never waits on a consumer.
+// full. Whatever the policy, the hub's pass never waits on a consumer.
 type Policy uint8
 
 const (
@@ -84,7 +84,7 @@ type Watcher struct {
 	policy Policy
 	qcap   int
 
-	// Pump-owned state (guarded by the hub's passMu).
+	// Pass-owned state (guarded by the hub's passMu).
 	primed bool
 	resume map[string]uint64
 	seq    uint64
@@ -210,7 +210,7 @@ func (w *Watcher) stage(tuples []relalg.Tuple, frontier map[string]uint64, prime
 }
 
 // enqueue places one staged batch on the bounded queue, applying the
-// slow-consumer policy on overflow. It never blocks: the hub's pump calls it
+// slow-consumer policy on overflow. It never blocks: the hub's pass calls it
 // with no locks held.
 func (w *Watcher) enqueue(b Batch) {
 	w.qmu.Lock()

@@ -1,8 +1,8 @@
-// Package shell is the one loop every pure protocol step runs in — the peer,
-// the Paxos log, the failure detector and the agreed fold. Each keeps its own
-// state, step and effect type; a Shell owns the rest: the mutex, lock → step
-// → unlock → effects in order, one timer for the earliest armed deadline, a
-// Close that waits for the steps in flight, and a runner for the goroutines.
+// Package shell is the one loop every protocol step runs in. Each state keeps
+// its own step and effect type; a Shell owns the rest: the mutex, lock → step →
+// unlock → effects in order, one timer for the earliest armed deadline, a
+// lock-free Kick, ticks that run one at a time, a Close that waits for the
+// steps in flight, and a runner for the goroutines.
 package shell
 
 import (
@@ -40,6 +40,7 @@ type Shell[E any] struct {
 	timer  timer     // made by the first arm, under the lock
 	at     time.Time // the armed deadline; zero: none
 	closed bool
+	kicks  atomic.Int32        // kicks no tick has covered yet; the first starts ticks
 	steps  sync.WaitGroup      // steps whose effects are running
 	spare  atomic.Pointer[[]E] // an effect buffer no step holds
 	ctx    context.Context     // the runner's; Close cancels it
@@ -49,7 +50,7 @@ type Shell[E any] struct {
 
 // New returns a shell that runs each step's effects with run. due, when not
 // nil, picks out the effects that arm the timer; once the earliest armed
-// deadline passes, the timer steps tick.
+// deadline passes, the timer steps tick, as Kick does at once.
 func New[E any](run func(effs []E), due func(e E) (time.Time, bool), tick func(now time.Time, buf []E) []E) *Shell[E] {
 	s := &Shell[E]{run: run, due: due, tick: tick, clk: wallClock{}}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -93,21 +94,47 @@ func (s *Shell[E]) Step(f func(now time.Time, buf []E) []E) bool {
 	return true
 }
 
-// fire is the timer's callback: the tick step, once the deadline has come.
-// A fire that finds none armed is stale (its deadline ticked) and does
-// nothing.
+// fire is the timer's callback: once the deadline has come, it disarms the
+// timer and kicks the tick. A fire that finds none armed is stale (its
+// deadline ticked) and does nothing.
 func (s *Shell[E]) fire() {
 	s.Step(func(now time.Time, buf []E) []E {
 		switch {
 		case s.at.IsZero():
-			return buf
 		case now.Before(s.at):
 			s.timer.Reset(s.at.Sub(now))
-			return buf
+		default:
+			s.at = time.Time{}
+			s.Kick()
 		}
-		s.at = time.Time{}
-		return s.tick(now, buf)
+		return buf
 	})
+}
+
+// Kick steps tick soon without blocking or taking the lock: kicks before that
+// tick share it, one during a tick gets one more, and after Close none runs.
+func (s *Shell[E]) Kick() {
+	if s.kicks.Add(1) == 1 {
+		go ticks(s)
+	}
+}
+
+// ticks steps tick, kicked or fired, one tick at a time and effects included,
+// until every kick is covered by a tick begun after it. Close waits for it.
+func ticks[E any](s *Shell[E]) {
+	s.Lock()
+	if s.closed {
+		s.Unlock()
+		return
+	}
+	s.steps.Add(1)
+	s.Unlock()
+	defer s.steps.Done()
+	for n := s.kicks.Load(); n > 0; n = s.kicks.Add(-n) {
+		if !s.Step(s.tick) {
+			return
+		}
+	}
 }
 
 // Go runs f on a goroutine of the runner; Close cancels ctx and waits for f.

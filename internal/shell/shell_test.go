@@ -80,41 +80,53 @@ func due(e eff) (time.Time, bool) { return e.at, !e.at.IsZero() }
 
 func noRun([]eff) {}
 
+// TestEarliestArmWins: the timer fires for the earliest deadline armed, and a
+// later arm does not delay it. A fire kicks the tick, which runs on the kick's
+// goroutine, so the test waits for each tick before it moves the clock on.
 func TestEarliestArmWins(t *testing.T) {
 	clk := &manual{t: time.Unix(1000, 0)}
 	t0 := clk.t
-	var ticks []time.Duration
+	ticked := make(chan time.Duration, 8)
 	s := New(noRun, due, func(now time.Time, buf []eff) []eff {
-		ticks = append(ticks, now.Sub(t0))
+		ticked <- now.Sub(t0)
 		return buf
 	})
 	s.clk = clk
+	defer s.Close()
 	arm := func(after time.Duration) {
 		s.Step(func(now time.Time, buf []eff) []eff { return append(buf, eff{at: now.Add(after)}) })
+	}
+	tickAt := func(want time.Duration) {
+		t.Helper()
+		select {
+		case got := <-ticked:
+			if got != want {
+				t.Fatalf("ticked at %v, want %v", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no tick at %v", want)
+		}
 	}
 	ms := time.Millisecond
 
 	arm(10 * ms)
 	arm(5 * ms) // earlier: replaces the 10 ms deadline
 	clk.advance(5 * ms)
+	tickAt(5 * ms)
 	arm(30 * ms) // later than 20 ms below: must not delay it
 	arm(15 * ms) // 20 ms since t0
 	clk.advance(15 * ms)
+	tickAt(20 * ms)
 	clk.advance(30 * ms)
-	want := []time.Duration{5 * ms, 20 * ms}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks at %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks at %v, want %v", ticks, want)
-		}
+	select {
+	case got := <-ticked:
+		t.Fatalf("a third tick at %v: the 30 ms deadline was replaced by the earlier one", got)
+	case <-time.After(20 * time.Millisecond):
 	}
 }
 
 // TestTimerArmedInTheFirstStep: a deadline already due when the first step
-// arms it fires at once, on the timer's goroutine, and the tick re-arms the
-// timer. The timer must be stored by then (the race detector and a nil timer
+// arms it fires at once, kicking the tick, and the tick re-arms the timer. The timer must be stored by then (the race detector and a nil timer
 // both catch a store outside the lock).
 func TestTimerArmedInTheFirstStep(t *testing.T) {
 	for i := 0; i < 20; i++ {
@@ -246,4 +258,120 @@ func TestConcurrentStepsOwnTheirBuffers(t *testing.T) {
 	}
 	wg.Wait()
 	s.Close()
+}
+
+// TestKicksBeforeTheTickShareIt: kicks that come before the tick runs share
+// one tick; a kick after it gets its own. Holding the lock keeps the kicked
+// goroutine from beginning its tick until all three kicks are in.
+func TestKicksBeforeTheTickShareIt(t *testing.T) {
+	var ticks atomic.Int32
+	s := New(noRun, nil, func(_ time.Time, buf []eff) []eff {
+		ticks.Add(1)
+		return buf
+	})
+	defer s.Close()
+	s.Lock()
+	s.Kick()
+	s.Kick()
+	s.Kick()
+	s.Unlock()
+	for want := int32(1); want <= 2; want++ {
+		deadline := time.Now().Add(10 * time.Second)
+		for ticks.Load() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d ticks, want %d", ticks.Load(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if n := ticks.Load(); n != want {
+			t.Fatalf("%d ticks, want %d: kicks before a tick share it", n, want)
+		}
+		s.Kick()
+	}
+}
+
+// TestKickDuringATickGetsOneMore: kicks that arrive while a tick runs are
+// not lost — exactly one more tick runs after it.
+func TestKickDuringATickGetsOneMore(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var ticks atomic.Int32
+	s := New(noRun, nil, func(_ time.Time, buf []eff) []eff {
+		if ticks.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return buf
+	})
+	defer s.Close()
+	s.Kick()
+	<-entered
+	s.Kick()
+	s.Kick()
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for ticks.Load() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("a kick during a tick was lost")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n := ticks.Load(); n != 2 {
+		t.Fatalf("%d ticks, want 2: the kicks during the first share the second", n)
+	}
+}
+
+// TestTicksNeverOverlap: kicked and fired ticks, each with its effects, run
+// one at a time, however many goroutines kick (run under -race). Every tick
+// arms the timer a little ahead, so fires keep landing among the kicks.
+func TestTicksNeverOverlap(t *testing.T) {
+	var busy atomic.Bool
+	var ticks atomic.Int32
+	s := New(func(effs []eff) {
+		if len(effs) == 0 {
+			return // a fire's own step
+		}
+		time.Sleep(20 * time.Microsecond)
+		busy.Store(false)
+	}, due, func(now time.Time, buf []eff) []eff {
+		if !busy.CompareAndSwap(false, true) {
+			t.Error("a tick began while another tick's effects ran")
+		}
+		ticks.Add(1)
+		return append(buf, eff{at: now.Add(30 * time.Microsecond), tag: 1})
+	})
+	var wg sync.WaitGroup
+	deadline := time.Now().Add(10 * time.Second)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ticks.Load() < 300 && time.Now().Before(deadline) {
+				s.Kick()
+				time.Sleep(10 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	s.Close()
+	if n := ticks.Load(); n < 300 {
+		t.Fatalf("%d ticks in 10 s", n)
+	}
+}
+
+// TestKickAfterCloseRunsNothing: once Close has returned, a Kick starts no
+// tick.
+func TestKickAfterCloseRunsNothing(t *testing.T) {
+	var ticks atomic.Int32
+	s := New(noRun, nil, func(_ time.Time, buf []eff) []eff {
+		ticks.Add(1)
+		return buf
+	})
+	s.Close()
+	s.Kick()
+	time.Sleep(20 * time.Millisecond)
+	if n := ticks.Load(); n != 0 {
+		t.Fatalf("%d ticks after Close", n)
+	}
 }

@@ -23,8 +23,8 @@ import (
 
 // Checkpoint writes a snapshot of the attached database and protocol state,
 // then prunes the sealed segments and older snapshots it supersedes. It is
-// called by the background checkpointer after every segment roll and may be
-// invoked directly (tests, tooling).
+// the store shell's tick, which every segment roll kicks, and may be invoked
+// directly (tests, tooling).
 func (s *Store) Checkpoint() error {
 	s.mu.Lock()
 	if s.closed || s.err != nil {

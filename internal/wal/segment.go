@@ -14,7 +14,7 @@ import (
 // wal-<index>.seg; the store writes to exactly one (the active segment) and
 // rolls to a fresh one when the size threshold is crossed. Sealed segments
 // are immutable: they are flushed, fsynced and closed at the roll, which is
-// what makes them safe inputs for the background checkpointer. Every store
+// what makes them safe inputs for the checkpoint. Every store
 // generation opens a brand-new segment, so a torn tail from a crash is never
 // appended after — recovery can treat each segment's valid prefix as final.
 

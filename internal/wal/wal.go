@@ -13,8 +13,10 @@
 // write-behind. Durability is tunable per store (FsyncAlways — group-commit
 // fsync before the insert returns; FsyncInterval — a background flusher
 // bounds the loss window; FsyncNever — the OS decides, clean Close still
-// seals durably). A background checkpointer compacts sealed segments into a
-// snapshot keyed by per-relation sequence high-water marks; recovery loads
+// seals durably). A checkpoint, kicked by each segment roll, compacts sealed
+// segments into a snapshot keyed by per-relation sequence high-water marks;
+// both run in a shell.Shell (the checkpoint as its tick, the flusher on its
+// runner), so Close waits for them. Recovery loads
 // the newest complete snapshot and replays the log tail, tolerating torn
 // tails (a crash mid write costs the torn record and nothing before it).
 //
@@ -33,6 +35,7 @@
 package wal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -41,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/relalg"
+	"repro/internal/shell"
 	"repro/internal/storage"
 )
 
@@ -224,10 +228,7 @@ type Store struct {
 
 	snapCounter atomic.Uint64
 
-	sealCh   chan struct{}
-	quit     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	sh *shell.Shell[struct{}] // the checkpoint is its tick; the flusher runs on it
 }
 
 // Open recovers the store in dir (creating the directory when absent) and
@@ -248,9 +249,11 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		opts:      opts,
 		segIdx:    scan.maxSeg() + 1,
 		loggedSch: map[string]bool{},
-		sealCh:    make(chan struct{}, 1),
-		quit:      make(chan struct{}),
 	}
+	s.sh = shell.New(func([]struct{}) {}, nil, func(_ time.Time, buf []struct{}) []struct{} {
+		_ = s.Checkpoint()
+		return buf
+	})
 	for _, sch := range rec.DB.Schemas() {
 		s.loggedSch[sch.Name] = true
 	}
@@ -265,12 +268,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		return nil, nil, err
 	}
 	if opts.Fsync == FsyncInterval {
-		s.wg.Add(1)
-		go s.flushLoop()
-	}
-	if !opts.NoCheckpointer {
-		s.wg.Add(1)
-		go s.checkpointLoop()
+		s.sh.Go(s.flushLoop)
 	}
 	return s, rec, nil
 }
@@ -425,8 +423,8 @@ func (s *Store) appendLocked(payload []byte) (uint64, bool) {
 	return s.appendSeq, true
 }
 
-// rollLocked seals the active segment and opens the next one, waking the
-// checkpointer. Callers hold s.mu.
+// rollLocked seals the active segment and opens the next one, kicking a
+// checkpoint. Callers hold s.mu.
 func (s *Store) rollLocked() error {
 	if err := s.seg.seal(); err != nil {
 		return err
@@ -440,9 +438,8 @@ func (s *Store) rollLocked() error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	select {
-	case s.sealCh <- struct{}{}:
-	default:
+	if !s.opts.NoCheckpointer {
+		s.sh.Kick()
 	}
 	return nil
 }
@@ -523,37 +520,18 @@ func (s *Store) SyncPoint() error {
 	return s.syncTo(n)
 }
 
-// flushLoop is the FsyncInterval background flusher.
-func (s *Store) flushLoop() {
-	defer s.wg.Done()
+// flushLoop is the FsyncInterval background flusher, on the shell's runner.
+func (s *Store) flushLoop(ctx context.Context) {
 	t := time.NewTicker(s.opts.FsyncEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.quit:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 			_ = s.Sync()
 		}
 	}
-}
-
-// checkpointLoop compacts sealed segments whenever a roll signals one.
-func (s *Store) checkpointLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-s.sealCh:
-			_ = s.Checkpoint()
-		}
-	}
-}
-
-func (s *Store) stopBackground() {
-	s.stopOnce.Do(func() { close(s.quit) })
-	s.wg.Wait()
 }
 
 // captureState asks the registered source for the current protocol state,
@@ -578,7 +556,7 @@ func (s *Store) captureState() State {
 // the active segment durably — under every fsync policy, so a cleanly closed
 // store always reopens with trustworthy marks. Further appends no-op.
 func (s *Store) Close() error {
-	s.stopBackground()
+	s.sh.Close()
 	st := s.captureState()
 	payload := encodeState(st, true)
 	s.mu.Lock()
@@ -604,7 +582,7 @@ func (s *Store) Close() error {
 // be. No clean-close record is written — a subsequent Open reports
 // Clean=false.
 func (s *Store) Abort() {
-	s.stopBackground()
+	s.sh.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -349,7 +349,7 @@ func TestPeerStepIsPure(t *testing.T) {
 // TestNoPollingLoops: the protocol packages wake on events, not on the wall
 // clock. A timer is the one a state's shell.Shell arms for a step's arm
 // effect (the peer's resend, the consensus retries, the failure detector; see
-// TestOneShell) or the replica shipper's; a ticker, or a time.After,
+// TestOneShell); a ticker, or a time.After,
 // time.NewTimer or time.Sleep inside a loop, is a poll. A one-shot deadline
 // outside a loop (a query's RoundTimeout) is not. Sampling remote state — Quiesce, the plane's Settle,
 // a kick-off verb's wait for its kick — polls by design and runs on core's
@@ -407,20 +407,21 @@ func TestNoPollingLoops(t *testing.T) {
 	}
 }
 
-// TestOneShell: the peer, the Paxos log, the failure detector and the agreed
-// fold run their steps in internal/shell, which owns the one timer per state
-// and the runner every goroutine of theirs starts on, so Close waits for them.
-// Nothing else in these packages makes a timer or starts a goroutine, but the
-// survivors named here with their reasons.
+// TestOneShell: the peer, the Paxos log, the failure detector, the agreed
+// fold, the replica manager, the serving hub's pass and the WAL's checkpoint
+// run their steps in internal/shell, which owns the one timer per state, the
+// Kick that steps a tick, and the runner every goroutine of theirs starts on,
+// so Close waits for them. Nothing else in these packages makes a timer or
+// starts a goroutine, but the survivors named here with their reasons.
 func TestOneShell(t *testing.T) {
 	survivors := map[string]string{
-		"internal/cluster/metrics.go StartMetrics go":    "srv.Serve returns when the closer StartMetrics hands back shuts the listener",
-		"internal/cluster/member.go depose go":           "a member deposed of its own node closes itself, and the plane's Close waits for the callback that found out",
-		"internal/replica/replica.go New time.AfterFunc": "replica.Manager keeps its own flush loop and timer",
-		"internal/replica/replica.go New go":             "replica.Manager keeps its own flush loop and timer",
+		"internal/cluster/metrics.go StartMetrics go":   "srv.Serve returns when the closer StartMetrics hands back shuts the listener",
+		"internal/cluster/member.go depose go":          "a member deposed of its own node closes itself, and the plane's Close waits for the callback that found out",
+		"internal/serving/serving.go Register go":       "each watcher's delivery goroutine (w.run) waits on its own queue's condition variable and exits once the watcher closes",
+		"internal/serving/watcher.go run time.NewTimer": "a closed watcher's delivery goroutine gives its consumer CloseDrainTimeout to drain, then drops the tail",
 	}
 	seen := map[string]bool{}
-	for _, dir := range []string{"internal/peer", "internal/consensus", "internal/cluster", "internal/replica"} {
+	for _, dir := range []string{"internal/peer", "internal/consensus", "internal/cluster", "internal/replica", "internal/serving", "internal/wal"} {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
 			t.Fatal(err)
