@@ -29,14 +29,21 @@ type WatchOptions struct {
 	ResumeToken string
 }
 
+// watchBacklog bounds the deltas a RemoteWatch holds that Next has not
+// returned; a delta past it is dropped, and the client repairs the gap by
+// reconnecting with its token.
+const watchBacklog = 1024
+
 // RemoteWatch is one live watch against a hosted member.
 type RemoteWatch struct {
 	c    *Coordinator
 	node string
 	id   uint64
-	ch   chan wire.WatchDelta
+	wake chan struct{} // one slot: a delta was queued since Next last looked
 
 	mu    sync.Mutex
+	queue []wire.WatchDelta // queue[head:] await Next
+	head  int
 	marks map[string]uint64
 	seq   uint64
 	done  bool
@@ -58,7 +65,7 @@ func (c *Coordinator) Watch(node, body string, cols []string, o WatchOptions) (*
 		req.Resume = true
 		req.Marks = marks
 	}
-	w := &RemoteWatch{c: c, node: node, ch: make(chan wire.WatchDelta, 1024), marks: marks, seq: seq}
+	w := &RemoteWatch{c: c, node: node, wake: make(chan struct{}, 1), marks: marks, seq: seq}
 	if w.marks == nil {
 		w.marks = map[string]uint64{}
 	}
@@ -84,15 +91,30 @@ func (c *Coordinator) handleWatchDelta(m wire.WatchDelta) {
 	c.mu.Lock()
 	w := c.watches[m.ID]
 	if w != nil {
-		select {
-		case w.ch <- m:
-		default:
-		}
+		w.push(m)
 		if m.Closed {
 			delete(c.watches, m.ID)
 		}
 	}
 	c.mu.Unlock()
+}
+
+// push queues a delta for Next, or drops it when watchBacklog are queued.
+func (w *RemoteWatch) push(d wire.WatchDelta) {
+	w.mu.Lock()
+	if len(w.queue)-w.head < watchBacklog {
+		if len(w.queue) == cap(w.queue) && w.head > 0 { // reuse the slots Next emptied
+			n := copy(w.queue, w.queue[w.head:])
+			clear(w.queue[n:])
+			w.queue, w.head = w.queue[:n], 0
+		}
+		w.queue = append(w.queue, d)
+	}
+	w.mu.Unlock()
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Node returns the member the watch is registered at.
@@ -109,21 +131,31 @@ func (w *RemoteWatch) Next(ctx context.Context) (wire.WatchDelta, error) {
 	if done {
 		return wire.WatchDelta{}, fmt.Errorf("cluster: watch %d at %s is closed", w.id, w.node)
 	}
-	select {
-	case d := <-w.ch:
+	for {
 		w.mu.Lock()
-		if d.Closed {
-			w.done = true
-		} else {
-			for rel, seqno := range d.Marks {
-				w.marks[rel] = seqno
+		if w.head < len(w.queue) {
+			d := w.queue[w.head]
+			w.queue[w.head] = wire.WatchDelta{}
+			if w.head++; w.head == len(w.queue) {
+				w.queue, w.head = w.queue[:0], 0
 			}
-			w.seq = d.Seq
+			if d.Closed {
+				w.done = true
+			} else {
+				for rel, seqno := range d.Marks {
+					w.marks[rel] = seqno
+				}
+				w.seq = d.Seq
+			}
+			w.mu.Unlock()
+			return d, nil
 		}
 		w.mu.Unlock()
-		return d, nil
-	case <-ctx.Done():
-		return wire.WatchDelta{}, ctx.Err()
+		select {
+		case <-w.wake:
+		case <-ctx.Done():
+			return wire.WatchDelta{}, ctx.Err()
+		}
 	}
 }
 

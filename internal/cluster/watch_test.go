@@ -3,11 +3,14 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/relalg"
 	"repro/internal/rules"
+	"repro/internal/serving"
+	"repro/internal/wire"
 )
 
 const watchNet = `
@@ -257,5 +260,132 @@ func TestMetricsReportOneRetainedSetPerClass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sinkCoordinator returns a coordinator whose one member, A, is a bare
+// transport that discards whatever it receives: a watch registered there
+// stays idle unless the test hands it deltas itself.
+func sinkCoordinator(t *testing.T) *Coordinator {
+	t.Helper()
+	def, err := rules.ParseNetwork(watchNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err := New("A", "127.0.0.1:0", nil, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sink.Close() })
+	if err := sink.Register("A", func(wire.Envelope) {}); err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(def, "127.0.0.1:0", map[string]string{"A": sink.Addr()}, fastCoordOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = coord.Close() })
+	return coord
+}
+
+// TestIdleWatchesCostLittle: a watch holds nothing for deltas it has not
+// received. A queue made at its full 1 024-delta bound cost 80 KB per watch,
+// 1.25 MB of live-fanout's heap for its 16 watches.
+func TestIdleWatchesCostLittle(t *testing.T) {
+	coord := sinkCoordinator(t)
+	const n = 1000
+	watches := make([]*RemoteWatch, 0, n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		w, err := coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		watches = append(watches, w)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if per := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n; per > 1024 {
+		t.Errorf("%d idle watches hold %d bytes each, want well under 1 KB", n, per)
+	}
+	runtime.KeepAlive(watches)
+}
+
+// TestWatchDropsPastItsBacklog: a watch whose client stopped consuming holds
+// 1 024 deltas and drops the next without blocking the transport; Next hands
+// out the held ones in order, and once the client has caught up a delta is
+// queued again.
+func TestWatchDropsPastItsBacklog(t *testing.T) {
+	const backlog = 1024
+	coord := sinkCoordinator(t)
+	w, err := coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= backlog+1; seq++ {
+		coord.handleWatchDelta(wire.WatchDelta{ID: w.id, Seq: seq})
+	}
+	ctx := testCtx(t)
+	for seq := uint64(1); seq <= backlog; seq++ {
+		if d, err := w.Next(ctx); err != nil || d.Seq != seq {
+			t.Fatalf("Next = delta %d, %v; want delta %d", d.Seq, err, seq)
+		}
+	}
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if d, err := w.Next(short); err == nil {
+		t.Fatalf("delta %d, past the backlog of %d, was kept", d.Seq, backlog)
+	}
+	coord.handleWatchDelta(wire.WatchDelta{ID: w.id, Seq: backlog + 2})
+	if d, err := w.Next(ctx); err != nil || d.Seq != backlog+2 {
+		t.Fatalf("after catching up Next = delta %d, %v; want delta %d", d.Seq, err, backlog+2)
+	}
+}
+
+// TestWatchQueueKeepsOrder: deltas handed to a watch while its client
+// consumes reach Next in the order they arrived, with none lost while fewer
+// than the backlog wait, and the queue stays as long as the backlog it held.
+// Run it with -race.
+func TestWatchQueueKeepsOrder(t *testing.T) {
+	const n = 1000
+	coord := sinkCoordinator(t)
+	w, err := coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for seq := uint64(1); seq <= n; seq++ {
+			coord.handleWatchDelta(wire.WatchDelta{ID: w.id, Seq: seq})
+		}
+	}()
+	ctx := testCtx(t)
+	for seq := uint64(1); seq <= n; seq++ {
+		if d, err := w.Next(ctx); err != nil || d.Seq != seq {
+			t.Fatalf("Next = delta %d, %v; want delta %d", d.Seq, err, seq)
+		}
+	}
+	if tok := w.Token(); tok != serving.FormatToken(nil, n) {
+		t.Errorf("token %q after %d deltas", tok, n)
+	}
+
+	// A client one delta behind never empties the queue, yet the queue
+	// reuses the slots Next emptied instead of growing with the stream.
+	lag, err := coord.Watch("A", "a(X,Y)", []string{"X", "Y"}, WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.handleWatchDelta(wire.WatchDelta{ID: lag.id, Seq: 1})
+	for seq := uint64(1); seq <= 10*n; seq++ {
+		coord.handleWatchDelta(wire.WatchDelta{ID: lag.id, Seq: seq + 1})
+		if d, err := lag.Next(ctx); err != nil || d.Seq != seq {
+			t.Fatalf("Next = delta %d, %v; want delta %d", d.Seq, err, seq)
+		}
+	}
+	lag.mu.Lock()
+	defer lag.mu.Unlock()
+	if c := cap(lag.queue); c > 16 {
+		t.Errorf("a queue never more than 2 deltas long has grown to %d slots", c)
 	}
 }

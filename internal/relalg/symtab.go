@@ -17,37 +17,65 @@ import (
 // shown (Compare, String, Int). Ids are dense and assigned in first-use
 // order; they are never persisted or sent. The table never shrinks.
 //
-// Symbols live in pages that never move and texts in shared chunks; an index
-// maps a text's hash to its id. The index is extendible hashing: a directory
-// picks a bucket by the hash's top bits, and a bucket is a small
-// open-addressing table probed from the hash's low bits. A full bucket splits
-// in two, and the directory doubles when a bucket needs a bit it does not
-// have, so no addition ever rebuilds the whole index: growth comes in steps of
-// a few KiB, which keeps a decode's allocations proportional to its input
-// (FuzzDecodeEnvelope bounds them).
+// A symbol is one word with no pointer: where its text lies in the table's
+// text chunks (the chunk, the offset, the length) and the null depth of the
+// text, parsed once. Symbols live in pages that never move, so a page is 4 KiB
+// the collector never scans; an index maps a text's hash to its id. The index
+// is extendible hashing: a directory picks a bucket by the hash's top bits,
+// and a bucket is a small open-addressing table probed from the hash's low
+// bits. A full bucket splits in two, and the directory doubles when a bucket
+// needs a bit it does not have, so no addition ever rebuilds the whole index:
+// growth comes in steps of a few KiB, which keeps a decode's allocations
+// proportional to its input (FuzzDecodeEnvelope bounds them).
 //
 // A lookup that hits takes no lock: one maphash of the text, a probe of one
 // bucket, one text compare. A miss takes the lock, probes again (another
 // goroutine may have added the text meanwhile), writes the symbol and then
 // publishes it by an atomic store into its bucket — the store a reader's
 // probe loads before it reads the symbol. A new page is published before any
-// of its ids, a split bucket's halves are filled before the directory points
-// at them, and a doubled directory is filled before it is swapped in; a reader
-// still holding an old bucket or directory finds there every id it held.
+// of its ids and a new text chunk before any symbol that points into it, a
+// split bucket's halves are filled before the directory points at them, and a
+// doubled directory is filled before it is swapped in; a reader still holding
+// an old bucket or directory finds there every id it held.
 var symbols = newSymtab()
 
-// symbol is one table entry.
-type symbol struct {
-	text  string // in one of the table's text chunks
-	depth int    // labelDepth(text): what NullDepth reads
-}
+// symbol is one table entry. From the low bits up: the text's length
+// (wholeChunk for a text in a chunk of its own), its offset in its chunk, its
+// labelDepth (depthUnknown when that does not fit: NullDepth parses the text
+// again) and the chunk's index, which takes the bits left; there are never
+// more chunks than ids.
+type symbol uint64
 
 const (
-	pageBits    = 9 // a page holds 512 symbols, 12 KiB
+	lenBits    = 10 // a length up to textChunk/16, or wholeChunk
+	offBits    = 13 // an offset in a chunk
+	depthBits  = 8
+	offShift   = lenBits
+	depthShift = offShift + offBits
+	chunkShift = depthShift + depthBits
+
+	wholeChunk   = 1<<lenBits - 1   // the length of a text stored alone: its whole chunk
+	depthUnknown = 1<<depthBits - 1 // a depth below 0 or past the field
+)
+
+func packSymbol(chunk, off, n, depth int) symbol {
+	if depth < 0 || depth >= depthUnknown {
+		depth = depthUnknown
+	}
+	return symbol(chunk)<<chunkShift | symbol(depth)<<depthShift | symbol(off)<<offShift | symbol(n)
+}
+
+func (s symbol) len() int   { return int(s & (1<<lenBits - 1)) }
+func (s symbol) off() int   { return int(s >> offShift & (1<<offBits - 1)) }
+func (s symbol) depth() int { return int(s >> depthShift & depthUnknown) }
+func (s symbol) chunk() int { return int(s >> chunkShift) }
+
+const (
+	pageBits    = 9 // a page holds 512 symbols, 4 KiB
 	pageSize    = 1 << pageBits
 	bucketSlots = 512 // a bucket is 2 KiB and splits when half full
 	slotMask    = bucketSlots - 1
-	textChunk   = 8 << 10 // text bytes per chunk; a text over 1/16 of it is stored alone
+	textChunk   = 1 << offBits // text bytes per chunk, 8 KiB; a text over 1/16 of it is stored alone
 )
 
 type symPage [pageSize]symbol
@@ -67,21 +95,25 @@ type index struct {
 }
 
 type symtab struct {
-	seed  maphash.Seed
-	pages atomic.Pointer[[]*symPage] // page i holds ids i<<pageBits onwards
-	index atomic.Pointer[index]
+	seed   maphash.Seed
+	pages  atomic.Pointer[[]*symPage] // page i holds ids i<<pageBits onwards
+	chunks atomic.Pointer[[][]byte]   // the text chunks symbols point into
+	index  atomic.Pointer[index]
 
-	mu    sync.Mutex // serialises additions
-	n     int        // symbols held
-	bytes int        // their text bytes
-	free  []byte     // unused tail of the newest text chunk
+	mu     sync.Mutex // serialises additions
+	n      int        // symbols held
+	bytes  int        // their text bytes
+	active int        // the chunk small texts are copied into
+	used   int        // its bytes in use
 }
 
 func newSymtab() *symtab {
 	t := &symtab{seed: maphash.MakeSeed()}
-	pages, x := []*symPage{}, &index{dir: make([]atomic.Pointer[bucket], 1)}
+	pages, chunks := []*symPage{}, [][]byte{make([]byte, textChunk)}
+	x := &index{dir: make([]atomic.Pointer[bucket], 1)}
 	x.dir[0].Store(new(bucket))
 	t.pages.Store(&pages)
+	t.chunks.Store(&chunks)
 	t.index.Store(x)
 	t.add(maphash.String(t.seed, ""), "") // id 0 is "": Value{} is S("")
 	return t
@@ -107,8 +139,27 @@ func (t *symtab) internBytes(b []byte) int64 {
 }
 
 // sym returns the symbol of an id this process handed out.
-func (t *symtab) sym(id int64) *symbol {
-	return &(*t.pages.Load())[id>>pageBits][id&(pageSize-1)]
+func (t *symtab) sym(id int64) symbol {
+	return (*t.pages.Load())[id>>pageBits][id&(pageSize-1)]
+}
+
+// text returns the text of an id this process handed out.
+func (t *symtab) text(id int64) string {
+	s := t.sym(id)
+	b := (*t.chunks.Load())[s.chunk()]
+	if n := s.len(); n != wholeChunk {
+		b = b[s.off() : s.off()+n]
+	}
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// depth returns labelDepth of an id's text: the parse stored when it was
+// added, or, for a depth that did not fit, the parse made now.
+func (t *symtab) depth(id int64) int {
+	if d := t.sym(id).depth(); d != depthUnknown {
+		return d
+	}
+	return labelDepth(t.text(id))
 }
 
 func (x *index) bucket(h uint64) *bucket { return x.dir[h>>(64-x.depth)].Load() }
@@ -118,7 +169,7 @@ func (t *symtab) find(h uint64, s string) int32 {
 	b := t.index.Load().bucket(h)
 	for i := h; ; i++ {
 		id := b.slots[i&slotMask].Load() - 1
-		if id < 0 || t.sym(int64(id)).text == s {
+		if id < 0 || t.text(int64(id)) == s {
 			return id
 		}
 	}
@@ -141,11 +192,12 @@ func (t *symtab) add(h uint64, s string) int64 {
 		return int64(id)
 	}
 	id := t.n
-	if pages := *t.pages.Load(); id == len(pages)*pageSize {
+	pages := *t.pages.Load()
+	if id == len(pages)*pageSize {
 		pages = append(pages, new(symPage))
 		t.pages.Store(&pages)
 	}
-	*t.sym(int64(id)) = symbol{text: t.store(s), depth: labelDepth(s)}
+	pages[id>>pageBits][id&(pageSize-1)] = t.store(s)
 	t.n++
 	t.bytes += len(s)
 	for {
@@ -175,7 +227,7 @@ func (t *symtab) split(x *index, h uint64) {
 	halves := [2]*bucket{{depth: d}, {depth: d}}
 	for i := range old.slots {
 		if id := old.slots[i].Load() - 1; id >= 0 {
-			moved := maphash.String(t.seed, t.sym(int64(id)).text)
+			moved := maphash.String(t.seed, t.text(int64(id)))
 			halves[moved>>(64-d)&1].put(moved, id)
 		}
 	}
@@ -185,18 +237,24 @@ func (t *symtab) split(x *index, h uint64) {
 	}
 }
 
-// store copies s into the table's text chunks. Callers hold mu.
-func (t *symtab) store(s string) string {
+// store copies s into the table's text chunks and returns the symbol that
+// locates it. A text too long to share a chunk gets one of its own and leaves
+// the active chunk active. Callers hold mu.
+func (t *symtab) store(s string) symbol {
+	chunks := *t.chunks.Load()
 	if len(s) > textChunk/16 {
-		return strings.Clone(s)
+		chunks = append(chunks, []byte(s))
+		t.chunks.Store(&chunks)
+		return packSymbol(len(chunks)-1, 0, wholeChunk, labelDepth(s))
 	}
-	if len(s) > len(t.free) {
-		t.free = make([]byte, textChunk)
+	if len(s) > textChunk-t.used {
+		chunks = append(chunks, make([]byte, textChunk))
+		t.chunks.Store(&chunks)
+		t.active, t.used = len(chunks)-1, 0
 	}
-	n := copy(t.free, s)
-	text := unsafe.String(unsafe.SliceData(t.free), n)
-	t.free = t.free[n:]
-	return text
+	off := t.used
+	t.used += copy(chunks[t.active][off:], s)
+	return packSymbol(t.active, off, len(s), labelDepth(s))
 }
 
 // labelDepth is the invention depth a null label records: n for a label

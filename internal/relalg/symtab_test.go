@@ -5,19 +5,23 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // TestSymbolTableOneIDPerText: eight goroutines intern overlapping texts, as
 // strings and as byte slices, into a table that starts at its smallest room
-// and grows several times under them; every goroutine gets the same id for a
-// text, distinct texts get distinct ids, and every id reads back its text
-// while the table grows. Then the same through S, Null, NullBytes and boxed
-// ints on the process's table. Run it with -race.
+// and grows several times under them; every fifth text is too long to share a
+// chunk and gets one of its own meanwhile. Every goroutine gets the same id
+// for a text, distinct texts get distinct ids, and every id reads back its
+// text while the table grows. Then the same through S, Null, NullBytes and
+// boxed ints on the process's table. Run it with -race.
 func TestSymbolTableOneIDPerText(t *testing.T) {
 	const workers, texts, each = 8, 12000, 6000
 	tab := newSymtab()
@@ -31,11 +35,14 @@ func TestSymbolTableOneIDPerText(t *testing.T) {
 			for k := 0; k < each; k++ {
 				i := (g*texts/workers + k) % texts
 				text := fmt.Sprintf("text-%d", i)
+				if i%5 == 0 {
+					text += strings.Repeat("x", textChunk/16+i%300)
+				}
 				id := tab.intern(text)
 				if k%2 == 1 {
 					id = tab.internBytes([]byte(text))
 				}
-				if got := tab.sym(id).text; got != text {
+				if got := tab.text(id); got != text {
 					t.Errorf("id %d reads %q, want %q", id, got, text)
 					return
 				}
@@ -192,5 +199,78 @@ func TestInternedValuesAllocateNothing(t *testing.T) {
 		sinkTuple = r.Tuple()
 	}); allocs != 1 || !sinkTuple.Equal(known) {
 		t.Errorf("Reader.Tuple of known values: %.0f allocations, want 1 (the tuple)", allocs)
+	}
+}
+
+// TestSymbolFootprint: a symbol costs its text and about 19 bytes besides.
+// Summed over pages, text chunks and the index's buckets and directory,
+// 100 000 fresh 16-byte texts hold at most 40 bytes per symbol (34.8 when
+// written: 16 the text, 8 the symbol, 10.6 the index). A symbol holding a
+// string header and a depth spent 24 bytes on the page and came to 50.8.
+func TestSymbolFootprint(t *testing.T) {
+	const n = 100000
+	tab := newSymtab()
+	var text []byte
+	for i := 0; i < n; i++ {
+		text = strconv.AppendInt(append(text[:0], "footprint-"...), n+int64(i), 10) // 16 bytes
+		tab.internBytes(text)
+	}
+	pages, chunks, x := *tab.pages.Load(), *tab.chunks.Load(), tab.index.Load()
+	bytes := len(pages)*int(unsafe.Sizeof(symPage{})) + cap(pages)*int(unsafe.Sizeof(&symPage{}))
+	bytes += cap(chunks) * int(unsafe.Sizeof([]byte(nil)))
+	for _, c := range chunks {
+		bytes += cap(c)
+	}
+	buckets := map[*bucket]bool{}
+	for i := range x.dir {
+		buckets[x.dir[i].Load()] = true
+	}
+	bytes += len(buckets)*int(unsafe.Sizeof(bucket{})) + cap(x.dir)*int(unsafe.Sizeof(x.dir[0]))
+	if per := float64(bytes) / n; per > 40 {
+		t.Errorf("%d 16-byte texts hold %d bytes, %.1f per symbol; want at most 40", n, bytes, per)
+	}
+}
+
+// TestSymbolIsOneWord: a symbol is one 8-byte word with no pointer, so a page
+// of 512 is 4 KiB that the collector never scans.
+func TestSymbolIsOneWord(t *testing.T) {
+	if typ := reflect.TypeOf(symPage{}); typ.Elem().Kind() != reflect.Uint64 || typ.Size() != 4<<10 {
+		t.Errorf("a symbol page is %d bytes of %s, want 4 KiB of pointer-free words", typ.Size(), typ.Elem().Kind())
+	}
+}
+
+// TestSymbolDepthIsTheLabelParse: the depth a symbol reads back is
+// labelDepth of its text, for depths that fit the symbol's field, for the
+// field's edges and past them, for a negative depth and for labels that are
+// no Skolem label at all.
+func TestSymbolDepthIsTheLabelParse(t *testing.T) {
+	tab := newSymtab()
+	labels := []string{"d0|", "d4|", "d254|x", "d255|x", "d256|x", "d65535|", "d70000|", "d-1|", "dx|", "foreign", "", "d99999999999999999999|x"}
+	for _, label := range labels {
+		if got, want := tab.depth(tab.intern(label)), labelDepth(label); got != want {
+			t.Errorf("%q: symbol depth %d, the label parse says %d", label, got, want)
+		}
+		if got, want := Null(label).NullDepth(), labelDepth(label); got != want {
+			t.Errorf("Null(%q).NullDepth() = %d, the label parse says %d", label, got, want)
+		}
+	}
+}
+
+// TestLongTextLeavesTheActiveChunk: a text too long to share a chunk gets one
+// of its own, and the texts interned around it still share the chunk they
+// were filling; a long text made the active chunk abandons the small texts'
+// chunk after each long one.
+func TestLongTextLeavesTheActiveChunk(t *testing.T) {
+	tab := newSymtab()
+	long := strings.Repeat("L", textChunk/16+1)
+	a, l, b := tab.intern("small-a"), tab.intern(long), tab.intern("small-b")
+	if tab.text(a) != "small-a" || tab.text(l) != long || tab.text(b) != "small-b" {
+		t.Fatalf("texts read back %q, %d bytes, %q", tab.text(a), len(tab.text(l)), tab.text(b))
+	}
+	if ca, cl, cb := tab.sym(a).chunk(), tab.sym(l).chunk(), tab.sym(b).chunk(); ca != cb || cl == ca {
+		t.Errorf("small texts in chunks %d and %d around a long one in chunk %d; want the small ones to share theirs", ca, cb, cl)
+	}
+	if chunks := len(*tab.chunks.Load()); chunks != 2 {
+		t.Errorf("%d chunks, want 2: the small texts' and the long text's", chunks)
 	}
 }

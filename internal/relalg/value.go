@@ -19,7 +19,8 @@
 // compares, Value.Hash and Tuple.Hash are arithmetic over words, and the row
 // chunks of a TupleSet are never scanned by the collector. The table holds
 // each distinct text for the life of the process (SymbolStats reports its
-// size). Ids are never written anywhere: Key, AppendValue and the wire write
+// size), behind one pointer-free word of its own that locates the text and
+// carries a null's depth. Ids are never written anywhere: Key, AppendValue and the wire write
 // the text or the number, and Reader interns what it decodes, so every format
 // is what it was when values held their strings.
 //
@@ -88,7 +89,7 @@ func (v Value) tag() uint64 { return v.w & tagMask }
 func (v Value) id() int64 { return int64(v.w >> tagBits) }
 
 // text returns the text of a string constant or null label.
-func (v Value) text() string { return symbols.sym(v.id()).text }
+func (v Value) text() string { return symbols.text(v.id()) }
 
 // String returns a display rendering: bare text for string constants,
 // decimal for ints, and "⊥label" for nulls. Long Skolem labels are shortened
@@ -167,13 +168,14 @@ func (v Value) NullLabel() string {
 }
 
 // NullDepth returns the invention depth a null's label records — n for a
-// Skolem label "d<n>|…", 1 for a foreign label — read from the symbol table,
-// which parsed it when the label was first interned; 0 for a constant.
+// Skolem label "d<n>|…", 1 for a foreign label — read from the label's
+// symbol, which holds the parse made when the label was first interned (a
+// depth too large for it, or negative, is parsed again); 0 for a constant.
 func (v Value) NullDepth() int {
 	if !v.IsNull() {
 		return 0
 	}
-	return symbols.sym(v.id()).depth
+	return symbols.depth(v.id())
 }
 
 // S builds a string-constant Value. It interns s: a text seen before costs a

@@ -140,6 +140,22 @@ func TestApplyPartEmptyAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTruncatedCountsABindingOnce: part tuples that differ only in a column
+// the rule does not export fold into one binding; past the depth bound that
+// is one truncated binding, as Apply over the joined part counts it.
+func TestTruncatedCountsABindingOnce(t *testing.T) {
+	r := parseRule(t, "r: B:b(X,W) -> A:a(X,Y)")
+	deep := relalg.Null("d4|deep")
+	part := PartTuples{Cols: []string{"X", "W"}, Tuples: []relalg.Tuple{
+		{deep, relalg.S("u")}, {relalg.S("shallow"), relalg.S("u")}, {deep, relalg.S("v")},
+	}}
+	got, err1 := ApplyPart(storage.New(relalg.MakeSchema("a", 2)), r, part, ApplyOptions{})
+	want, err2 := Apply(storage.New(relalg.MakeSchema("a", 2)), r, JoinParts(r, map[string]PartTuples{"B": part}), ApplyOptions{})
+	if err1 != nil || err2 != nil || got != want || got != (ApplyResult{Added: 1, Truncated: 1}) {
+		t.Errorf("ApplyPart = %+v, %v; Apply(JoinParts) = %+v, %v; want one added and one truncated", got, err1, want, err2)
+	}
+}
+
 // TestSkolemLabelAppended: the label the chase appends into its reused buffer
 // is byte for byte the concatenation Skolemize used to build —
 // "d<depth>|rule|var|" + binding.Key() — for nulls nested up to the invention

@@ -257,7 +257,7 @@ const DefaultMaxNullDepth = 4
 // ApplyResult reports the effect of one chase step.
 type ApplyResult struct {
 	Added     int // tuples newly inserted
-	Truncated int // bindings skipped by the null-depth bound
+	Truncated int // distinct bindings skipped by the null-depth bound
 }
 
 // Apply performs the local-update step A6: given the rule and the result set
@@ -275,8 +275,8 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 // BodyPart), so what JoinParts would do — join, project onto ExportVars,
 // deduplicate — is a column permutation of a set that is already distinct.
 // The chase reads each tuple through the permutation; the head relations'
-// duplicate check absorbs a repeated tuple (it re-derives identical Skolem
-// labels; only Truncated may count it twice). JoinParts' edge cases are kept:
+// duplicate check absorbs a repeated binding (it re-derives identical Skolem
+// labels), and Truncated counts it once. JoinParts' edge cases are kept:
 // a column list missing an export variable derives nothing, a tuple shorter
 // than the column list is skipped, a repeated column reads its last
 // occurrence. An empty part, the usual confirmation, costs no allocation.
@@ -343,7 +343,8 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 	for i, atom := range r.Head {
 		scratch[i] = make(relalg.Tuple, len(atom.Terms))
 	}
-	var label []byte // Skolem label scratch, interned in place: a known null allocates nothing
+	var label []byte              // Skolem label scratch, interned in place: a known null allocates nothing
+	var truncated relalg.TupleSet // the bindings the depth bound cut; it allocates on the first
 
 	for _, t := range tuples {
 		if perm == nil {
@@ -365,7 +366,9 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 			// create a null of depth max+1; skip and count.
 			depth := bindingDepth(binding)
 			if depth >= maxDepth {
-				res.Truncated++
+				if truncated.Add(binding) {
+					res.Truncated++
+				}
 				continue
 			}
 			for i, ev := range existential {
