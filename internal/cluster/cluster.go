@@ -100,6 +100,14 @@ type MemberInfo struct {
 	LastSeen time.Time // zero for members never heard from
 }
 
+// outboxSize bounds the per-member asynchronous send queue of the underlying
+// TCP transport: a slow or dead member costs its dedicated writer goroutine
+// the dial/write timeouts instead of stalling the handler that sends to it,
+// and an overflowing queue drops its oldest data frames (counted; the
+// acknowledgment frontier re-ships lost deltas; control frames and acks are
+// exempt from eviction).
+const outboxSize = 256
+
 // Options tunes the membership layer.
 type Options struct {
 	// HeartbeatEvery is the liveness and join-retry cadence (default 1s).
@@ -107,14 +115,6 @@ type Options struct {
 	// SuspectAfter is the silence window after which an alive member becomes
 	// suspect (default 3×HeartbeatEvery).
 	SuspectAfter time.Duration
-	// OutboxSize bounds the per-member asynchronous send queue of the
-	// underlying TCP transport (default 256 frames): a slow or dead member
-	// costs its dedicated writer goroutine the dial/write timeouts instead
-	// of stalling the handler that sends to it, and an overflowing queue
-	// drops its oldest data frames (counted; the acknowledgment frontier
-	// re-ships lost deltas; control frames and acks are exempt from
-	// eviction). Negative restores synchronous sends.
-	OutboxSize int
 	// BatchWindow, when positive, batches the wire protocol: Answers and
 	// AnswerAcks bound for the same member coalesce into wire.AnswerBatch
 	// frames, and pending heartbeats piggyback on those frames instead of
@@ -134,9 +134,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SuspectAfter <= 0 {
 		o.SuspectAfter = 3 * o.HeartbeatEvery
-	}
-	if o.OutboxSize == 0 {
-		o.OutboxSize = 256
 	}
 	return o
 }
@@ -207,9 +204,7 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 	if err != nil {
 		return nil, err
 	}
-	if opts.OutboxSize > 0 {
-		tcp.OutboxSize = opts.OutboxSize
-	}
+	tcp.OutboxSize = outboxSize
 	c := &Transport{
 		self:     self,
 		opts:     opts,
@@ -231,7 +226,7 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		func(now time.Time, _ []detEffect) []detEffect { return c.det.step(now, detTick{}) })
 	// The first beat is due a beat from now.
 	c.sh.Step(func(_ time.Time, buf []detEffect) []detEffect {
-		return append(buf, detEffect{kind: detArm, when: c.det.armed})
+		return append(buf, detEffect{kind: detArm, when: c.det.nextBeat})
 	})
 	if err := tcp.Register(self, func(env wire.Envelope) { c.dispatch(self, env) }); err != nil {
 		c.stop()

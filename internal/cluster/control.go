@@ -56,8 +56,6 @@ type ControlPlaneOptions struct {
 	// states while a wave settles (default 100ms). Each sample is one state
 	// round, which ends as soon as every member has answered.
 	PollEvery time.Duration
-	// RoundTimeout bounds one driver poll round (default 2s).
-	RoundTimeout time.Duration
 	// Settle is how many consecutive complete rounds must read the same
 	// before the driver judges the wave (default 3): all closed commits
 	// updateDone, anything open is probed — one round can race a
@@ -114,9 +112,6 @@ type ReplicationOptions struct {
 func (o ControlPlaneOptions) withDefaults() ControlPlaneOptions {
 	if o.PollEvery <= 0 {
 		o.PollEvery = 100 * time.Millisecond
-	}
-	if o.RoundTimeout <= 0 {
-		o.RoundTimeout = 2 * time.Second
 	}
 	if o.Settle <= 0 {
 		o.Settle = 3
@@ -349,10 +344,10 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 func (cp *ControlPlane) submitAsync(cmd wire.Command) { cp.goSubmit(cmd, 5*time.Minute, func() {}) }
 
 // proposeMember is submitAsync for the failure detector's member commands: it
-// waits at most RoundTimeout, then tells the detector the proposal returned,
+// waits at most roundTimeout, then tells the detector the proposal returned,
 // decided or not, so its reconciliation pass goes on.
 func (cp *ControlPlane) proposeMember(cmd wire.Command) {
-	cp.goSubmit(cmd, cp.opts.RoundTimeout, func() { cp.tr.deliver(proposed{node: cmd.Node}) })
+	cp.goSubmit(cmd, roundTimeout, func() { cp.tr.deliver(proposed{node: cmd.Node}) })
 }
 
 func (cp *ControlPlane) goSubmit(cmd wire.Command, timeout time.Duration, then func()) {
@@ -573,7 +568,7 @@ func (w *planeWave) Settle(ctx context.Context) error {
 			}
 		}
 		cp.sh.Unlock()
-		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, cp.opts.RoundTimeout, &cp.states, nil)
+		states, complete, err := round(ctx, cp.send, targets, wire.StateRequest{}, roundTimeout, &cp.states, nil)
 		if err != nil {
 			return "", false, err
 		}
@@ -622,7 +617,7 @@ func (w *planeWave) Probe(open []core.OpenNode) {
 // driver re-drives and commits instead).
 func (cp *ControlPlane) commitDone(inst, gen uint64) {
 	for cp.stillDriving(inst, gen) {
-		ctx, cancel := context.WithTimeout(context.Background(), cp.opts.RoundTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), roundTimeout)
 		_, err := cp.cons.Submit(ctx, wire.Command{Kind: "updateDone", Ref: inst})
 		cancel()
 		if err == nil {

@@ -356,7 +356,7 @@ func TestUpdateErrorsWhenKickCannotLand(t *testing.T) {
 		}
 	}()
 	opts := fastCoordOpts()
-	opts.RoundTimeout = 300 * time.Millisecond
+	opts.roundTimeout = 300 * time.Millisecond
 	coord, err := NewCoordinator(mustDef(t, chainNet3), "127.0.0.1:0", book, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func TestUpdateRetargetsUnreachableSuper(t *testing.T) {
 		}
 	}()
 	opts := fastCoordOpts()
-	opts.RoundTimeout = 300 * time.Millisecond
+	opts.roundTimeout = 300 * time.Millisecond
 	coord, err := NewCoordinator(mustDef(t, chainNet3), "127.0.0.1:0", book, opts)
 	if err != nil {
 		t.Fatal(err)

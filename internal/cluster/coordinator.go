@@ -25,23 +25,25 @@ type CoordinatorOptions struct {
 	// 50ms). Each sample is one request round, which ends as soon as every
 	// member has answered; WaitMembers wakes on status changes instead.
 	PollEvery time.Duration
-	// RoundTimeout bounds one request round — how long to wait for every
-	// alive peer's report before treating the round as incomplete (default 2s).
-	RoundTimeout time.Duration
 	// Name is this coordinator's member name (default CoordinatorName). A
 	// long-lived session sharing a cluster with other coordinator processes
 	// — a `ctl watch` stream running beside one-shot ctl verbs — must pick a
 	// unique "@"-prefixed name, or the one-shot joins overwrite its address
 	// in every member's book and streamed frames route to a dead port.
 	Name string
+
+	// roundTimeout replaces the package's roundTimeout for this coordinator:
+	// tests that cut links shorten it, and the race detector's soak stretches
+	// it.
+	roundTimeout time.Duration
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.PollEvery <= 0 {
 		o.PollEvery = 50 * time.Millisecond
 	}
-	if o.RoundTimeout <= 0 {
-		o.RoundTimeout = 2 * time.Second
+	if o.roundTimeout <= 0 {
+		o.roundTimeout = roundTimeout
 	}
 	if o.Name == "" {
 		o.Name = CoordinatorName
@@ -75,6 +77,11 @@ func (in *inbox[T]) put(from string, val T) {
 	in.mu.Unlock()
 	in.arrived.fire()
 }
+
+// roundTimeout bounds one request round: how long to wait for every alive
+// peer's reply before treating the round as incomplete. It also bounds the
+// control plane's member proposals and updateDone submits.
+const roundTimeout = 2 * time.Second
 
 // round runs one request round against targets: send one request to each,
 // then wait, waking on each arrival, until every one of them has a reply that
@@ -280,14 +287,14 @@ func (c *Coordinator) send(to string, msg wire.Message) error {
 
 // ask runs one request round against the alive peers.
 func ask[T any](ctx context.Context, c *Coordinator, req wire.Message, in *inbox[T]) (map[string]T, bool, error) {
-	return round(ctx, c.send, c.alivePeers(), req, c.opts.RoundTimeout, in, nil)
+	return round(ctx, c.send, c.alivePeers(), req, c.opts.roundTimeout, in, nil)
 }
 
 // askStats runs one statistics round. The request carries a number the reports
 // echo, so every snapshot returned was taken after this round's request left.
 func (c *Coordinator) askStats(ctx context.Context) (map[string]stats.Snapshot, bool, error) {
 	seq := c.statsSeq.Add(1)
-	reps, complete, err := round(ctx, c.send, c.alivePeers(), wire.StatsRequest{Seq: seq}, c.opts.RoundTimeout, &c.stats,
+	reps, complete, err := round(ctx, c.send, c.alivePeers(), wire.StatsRequest{Seq: seq}, c.opts.roundTimeout, &c.stats,
 		func(r wire.StatsReport) bool { return r.Seq >= seq })
 	snaps := make(map[string]stats.Snapshot, len(reps))
 	for name, r := range reps {
@@ -384,7 +391,7 @@ func (c *Coordinator) Quiesce(ctx context.Context) error {
 // a poll, on the sampler Quiesce uses: no member pushes its state when a kick
 // lands, so there is no arrival to wake on.
 func (c *Coordinator) awaitKick(ctx context.Context, landed func(map[string]wire.StateReport) bool) (bool, error) {
-	expired, cancel := context.WithTimeout(ctx, c.opts.RoundTimeout)
+	expired, cancel := context.WithTimeout(ctx, c.opts.roundTimeout)
 	defer cancel()
 	// A sample counts as complete only once the kick shows; then it is final.
 	ok, _ := core.HoldStill(expired, c.opts.PollEvery, nil, func(bool) int { return 0 }, func(context.Context) (bool, bool, error) {
@@ -545,7 +552,7 @@ func (c *Coordinator) Query(ctx context.Context, node, body string, outVars []st
 			return nil, fmt.Errorf("cluster: query at %s: %s", node, res.Err)
 		}
 		return res.Tuples, nil
-	case <-time.After(c.opts.RoundTimeout):
+	case <-time.After(c.opts.roundTimeout):
 		c.mu.Lock()
 		delete(c.queries, id)
 		c.mu.Unlock()

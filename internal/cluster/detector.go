@@ -47,7 +47,7 @@ type detector struct {
 	premise                   uint64                  // the last instance the plane folded
 	proposing                 string                  // whose command is in flight ("": none)
 
-	nextBeat, nextReconcile, armed time.Time
+	nextBeat, nextReconcile time.Time
 
 	now time.Time // the step in progress
 	out []detEffect
@@ -101,7 +101,6 @@ type (
 func newDetector(self, addr string, book map[string]string, opts Options, now time.Time) *detector {
 	d := &detector{self: self, addr: addr, beatEvery: opts.HeartbeatEvery, suspectAfter: opts.SuspectAfter,
 		members: map[string]*member{}, hosted: map[string]bool{}, nextBeat: now.Add(opts.HeartbeatEvery)}
-	d.armed = d.nextBeat
 	for node, a := range book {
 		if node != self && a != "" {
 			d.members[node] = &member{addr: a, since: now}
@@ -144,7 +143,6 @@ func (d *detector) step(now time.Time, ev any) []detEffect {
 		d.refresh(e.node)
 		d.announce(e.node)
 	case detTick:
-		d.armed = time.Time{}
 		if !now.Before(d.nextBeat) {
 			d.beat()
 			d.nextBeat = now.Add(d.beatEvery)
@@ -162,7 +160,7 @@ func (d *detector) step(now time.Time, ev any) []detEffect {
 			d.apply(e)
 		}
 	}
-	d.arm()
+	d.out = append(d.out, detEffect{kind: detArm, when: d.deadline()})
 	out := d.out
 	d.out = nil
 	return out
@@ -350,15 +348,13 @@ func (d *detector) book() map[string]string {
 	return out
 }
 
-// arm asks for the timer at the next beat or reconciliation pass (none while
-// a pass waits on a proposal), when that moved.
-func (d *detector) arm() {
+// deadline is when the detector next needs a tick: the next beat or
+// reconciliation pass (none while a pass waits on a proposal). Every step
+// arms the timer for it; the shell keeps the earliest deadline.
+func (d *detector) deadline() time.Time {
 	next := d.nextBeat
 	if d.reconcileEvery > 0 && d.proposing == "" && d.nextReconcile.Before(next) {
 		next = d.nextReconcile
 	}
-	if !next.Equal(d.armed) {
-		d.armed = next
-		d.out = append(d.out, detEffect{kind: detArm, when: next})
-	}
+	return next
 }

@@ -438,7 +438,7 @@ func TestReplicaChurnSoak(t *testing.T) {
 	coord, err := NewCoordinator(mustDef(t, defText), "127.0.0.1:0", book, CoordinatorOptions{
 		Membership:   soakOpts,
 		PollEvery:    25 * time.Millisecond,
-		RoundTimeout: 5 * time.Second, // the race detector stretches every wave
+		roundTimeout: 5 * time.Second, // the race detector stretches every wave
 	})
 	if err != nil {
 		t.Fatal(err)

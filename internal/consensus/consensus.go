@@ -52,7 +52,7 @@
 // Instance garbage-collection rides on piggybacked done-frontiers: every
 // frame carries the sender's highest applied instance, each member remembers
 // the latest value per peer (latest, not maximum: a restarted member's zero
-// must pull the floor back down), and instances below min(done)-KeepWindow
+// must pull the floor back down), and instances below min(done)-keepWindow
 // are forgotten.
 package consensus
 
@@ -90,10 +90,6 @@ type Options struct {
 	// advertises the done-frontier to one peer round-robin and pulls any
 	// decided instances this member missed.
 	SyncEvery time.Duration
-	// KeepWindow is how many applied instances are retained below the
-	// collective done floor so restarted members can catch up from peers
-	// (default 256).
-	KeepWindow uint64
 	// LogPath, when set, appends every applied entry to this file and
 	// replays it on construction (through Apply) before any message flows.
 	// The acceptor log at LogPath+".acc" rides along: this member's votes
@@ -103,7 +99,7 @@ type Options struct {
 	LogPath string
 	// Snapshot and Restore, when both set, enable state-transfer catch-up
 	// for a member whose applied frontier fell below its peers' GC floor
-	// (it lost its log, or was down long past KeepWindow). Snapshot returns
+	// (it lost its log, or was down long past the GC window). Snapshot returns
 	// an opaque encoding of the application state after every applied entry
 	// so far; Restore installs such an encoding in place of the per-entry
 	// Apply calls for the skipped prefix. Restore runs where Apply runs: on
@@ -111,6 +107,11 @@ type Options struct {
 	// log ends in a state-transfer marker).
 	Snapshot func() []byte
 	Restore  func(through uint64, state []byte)
+
+	// keepWindow is how many applied instances are retained below the
+	// collective done floor so restarted members can catch up from peers
+	// (default 256); the GC tests shrink it.
+	keepWindow uint64
 }
 
 func (o Options) withDefaults() Options {
@@ -120,8 +121,8 @@ func (o Options) withDefaults() Options {
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 500 * time.Millisecond
 	}
-	if o.KeepWindow == 0 {
-		o.KeepWindow = 256
+	if o.keepWindow == 0 {
+		o.keepWindow = 256
 	}
 	return o
 }

@@ -116,7 +116,7 @@ func (l *applyLog) installState(_ uint64, data []byte) {
 }
 
 func fastOpts() Options {
-	return Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, KeepWindow: 1 << 20}
+	return Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, keepWindow: 1 << 20}
 }
 
 // startCluster builds and starts n members A, B, C, ... on one fabric.
@@ -404,7 +404,7 @@ func TestGapFill(t *testing.T) {
 
 func TestGCBoundsInstanceState(t *testing.T) {
 	opts := fastOpts()
-	opts.KeepWindow = 8
+	opts.keepWindow = 8
 	f := newFakeNet()
 	names := []string{"A", "B", "C"}
 	nodes, logs := startCluster(t, f, names, opts)
@@ -609,7 +609,7 @@ func TestLostDiskStateTransferCatchUp(t *testing.T) {
 	mk := func(name string) {
 		al := &applyLog{}
 		opts := fastOpts()
-		opts.KeepWindow = 4
+		opts.keepWindow = 4
 		opts.LogPath = filepath.Join(dir, name+".control.log")
 		opts.Snapshot = al.stateBytes
 		opts.Restore = al.installState

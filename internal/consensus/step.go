@@ -635,13 +635,13 @@ func (s *state) gc() {
 	for _, p := range s.peers {
 		low = min(low, s.done[p])
 	}
-	if low <= s.opts.KeepWindow || low-s.opts.KeepWindow <= s.floor {
+	if low <= s.opts.keepWindow || low-s.opts.keepWindow <= s.floor {
 		return
 	}
-	for i := s.floor + 1; i <= low-s.opts.KeepWindow; i++ {
+	for i := s.floor + 1; i <= low-s.opts.keepWindow; i++ {
 		delete(s.insts, i)
 	}
-	s.floor = low - s.opts.KeepWindow
+	s.floor = low - s.opts.keepWindow
 }
 
 // arm asks for the timer at the earliest deadline: the next catch-up round

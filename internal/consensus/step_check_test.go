@@ -99,7 +99,7 @@ var mcStart = time.Unix(1, 0)
 // mcOpts are the members' options. Snapshot and Restore are set so the step
 // serves and installs state transfers (the checker carries them out), and a
 // keep window of one lets the floor pass applied instances.
-var mcOpts = Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, KeepWindow: 1,
+var mcOpts = Options{Retry: 10 * time.Millisecond, SyncEvery: 25 * time.Millisecond, keepWindow: 1,
 	Snapshot: func() []byte { return nil }, Restore: func(uint64, []byte) {}}
 
 type mcChecker struct {

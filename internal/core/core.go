@@ -67,8 +67,8 @@ type Options struct {
 	// be persisted), so with Delta BOTH clean and crash restarts re-answer
 	// delta-only: the re-send after a crash is exactly the unconfirmed
 	// suffix, which receivers deduplicate. Under wal.FsyncNever routine
-	// appends skip fsync but acks still gate on a group-commit sync point
-	// (wal.Store.SyncPoint), so crash restarts are delta-only there too;
+	// appends skip fsync but acks still gate on a group commit
+	// (wal.Store.Sync), so crash restarts are delta-only there too;
 	// without the handshake (Delta off) crash restarts drop the
 	// subscriptions entirely. Empty DataDir keeps the network purely
 	// in-memory.
@@ -319,15 +319,11 @@ func (n *Network) newPeer(decl rules.NodeDecl, w nodeWires, db *storage.DB, st *
 		// Part tuples are logged before the ack, the store syncs before the
 		// ack leaves, and an advanced frontier is appended as a marks record.
 		// Under FsyncNever the per-record fsyncs stay off, but acks still
-		// gate on a group-commit sync point (many acks amortise one fsync),
-		// so crash restarts trust the recovered marks in every policy.
+		// gate on a group commit (many acks amortise one fsync), so crash
+		// restarts trust the recovered marks in every policy.
 		pOpts.PersistParts = func(pd wal.PartState) { _ = st.AppendParts(pd) }
 		pOpts.PersistMarks = func() { _ = st.SaveMarks() }
-		if n.opts.Fsync != wal.FsyncNever {
-			pOpts.SyncForAck = st.Sync
-		} else {
-			pOpts.SyncForAck = st.SyncPoint
-		}
+		pOpts.SyncForAck = st.Sync
 	}
 	p, err := peer.New(decl.Name, decl.Schemas, w.head, n.tr, pOpts)
 	if err != nil {

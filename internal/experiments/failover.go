@@ -53,76 +53,127 @@ func e17Wait(max time.Duration, cond func() bool) bool {
 	return false
 }
 
-// E17Failover runs the driver-kill scenario and reports its phase costs.
-func E17Failover(cfg Config) (Result, error) {
-	def, err := rules.ParseNetwork(e17Net)
-	if err != nil {
-		return Result{}, err
+// chainCluster is the setup E17 and E18 share: the e17Net chain as five
+// loopback members with data directories, an in-memory reference run of the
+// same network, and a coordinator that ran the baseline discover and update.
+type chainCluster struct {
+	id        string
+	def       *rules.Network
+	ref       *core.Network
+	dataRoot  string
+	k         int
+	deadAfter time.Duration
+	book      map[string]string
+	members   map[string]*cluster.Member
+	coord     *cluster.Coordinator
+	baseline  time.Duration // the baseline discover+update
+}
+
+var chainNodes = []string{"A", "B", "C", "D", "E"}
+
+// startChain boots the chain with k replicas per node and death declared
+// after deadAfter of suspicion (0, 0: no replication), then runs the baseline.
+// Close releases everything, also after an error.
+func startChain(ctx context.Context, id string, k int, deadAfter time.Duration) (*chainCluster, error) {
+	c := &chainCluster{id: id, k: k, deadAfter: deadAfter, book: map[string]string{}, members: map[string]*cluster.Member{}}
+	var err error
+	if c.def, err = rules.ParseNetwork(e17Net); err != nil {
+		return c, err
 	}
 	refDef, err := rules.ParseNetwork(e17Net)
 	if err != nil {
-		return Result{}, err
+		return c, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
-	defer cancel()
-
-	// The in-memory reference fix-point (same facts, same extra inserts).
-	ref, err := core.Build(refDef, core.Options{Delta: true})
-	if err != nil {
-		return Result{}, err
+	if c.ref, err = core.Build(refDef, core.Options{Delta: true}); err != nil {
+		return c, err
 	}
-	defer ref.Close()
-	if err := ref.RunToFixpoint(ctx); err != nil {
-		return Result{}, err
+	if err := c.ref.RunToFixpoint(ctx); err != nil {
+		return c, err
 	}
-
-	dataRoot, err := os.MkdirTemp("", "p2pdb-e17")
-	if err != nil {
-		return Result{}, err
+	if c.dataRoot, err = os.MkdirTemp("", "p2pdb-"+id); err != nil {
+		return c, err
 	}
-	defer os.RemoveAll(dataRoot)
-
-	names := []string{"A", "B", "C", "D", "E"}
-	book := map[string]string{}
-	members := map[string]*cluster.Member{}
-	defer func() {
-		for _, m := range members {
-			_ = m.Close()
-		}
-	}()
-	boot := func(node string) error {
-		m, err := cluster.Boot(cluster.LoopbackConfig(def, node, book, filepath.Join(dataRoot, node), 0, 0))
-		if err != nil {
-			return fmt.Errorf("E17: boot %s: %w", node, err)
-		}
-		members[node] = m
-		book[node] = m.Transport().Addr()
-		return nil
-	}
-	for _, node := range names {
-		if err := boot(node); err != nil {
-			return Result{}, err
+	for _, node := range chainNodes {
+		if err := c.boot(node); err != nil {
+			return c, err
 		}
 	}
-	coord, err := cluster.NewCoordinator(def, "127.0.0.1:0", book, cluster.CoordinatorOptions{
+	c.coord, err = cluster.NewCoordinator(c.def, "127.0.0.1:0", c.book, cluster.CoordinatorOptions{
 		Membership: cluster.Options{HeartbeatEvery: 25 * time.Millisecond},
 		PollEvery:  25 * time.Millisecond,
 	})
 	if err != nil {
-		return Result{}, err
+		return c, err
 	}
-	defer coord.Close()
-	if err := coord.WaitMembers(ctx, len(names)); err != nil {
-		return Result{}, fmt.Errorf("E17: join: %w", err)
+	if err := c.coord.WaitMembers(ctx, len(chainNodes)); err != nil {
+		return c, fmt.Errorf("%s: join: %w", id, err)
 	}
 	t0 := time.Now()
-	if err := coord.Discover(ctx); err != nil {
-		return Result{}, fmt.Errorf("E17: discover: %w", err)
+	if err := c.coord.Discover(ctx); err != nil {
+		return c, fmt.Errorf("%s: discover: %w", id, err)
 	}
-	if err := coord.Update(ctx); err != nil {
-		return Result{}, fmt.Errorf("E17: baseline update: %w", err)
+	if err := c.coord.Update(ctx); err != nil {
+		return c, fmt.Errorf("%s: baseline update: %w", id, err)
 	}
-	baseline := time.Since(t0)
+	c.baseline = time.Since(t0)
+	return c, nil
+}
+
+// boot starts node's member, or restarts it from its data directory.
+func (c *chainCluster) boot(node string) error {
+	m, err := cluster.Boot(cluster.LoopbackConfig(c.def, node, c.book, filepath.Join(c.dataRoot, node), c.k, c.deadAfter))
+	if err != nil {
+		return fmt.Errorf("%s: boot %s: %w", c.id, node, err)
+	}
+	c.members[node] = m
+	c.book[node] = m.Transport().Addr()
+	return nil
+}
+
+// insertAtSource inserts max(cfg.RecordsPerNode, 4) new facts tagged tag at
+// the source E, mirrors them into the reference and updates it. It returns
+// how many it inserted.
+func (c *chainCluster) insertAtSource(ctx context.Context, cfg Config, tag string) (int, error) {
+	n := max(cfg.RecordsPerNode, 4)
+	for i := 0; i < n; i++ {
+		tup := relalg.Tuple{relalg.S(fmt.Sprintf("k%d", i)), relalg.S(tag)}
+		if _, err := c.members["E"].Network().Peer("E").InsertLocal("e", tup); err != nil {
+			return 0, err
+		}
+		if _, err := c.ref.Peer("E").InsertLocal("e", tup); err != nil {
+			return 0, err
+		}
+	}
+	return n, c.ref.Update(ctx)
+}
+
+// Close stops what startChain and boot started and removes the data.
+func (c *chainCluster) Close() {
+	if c.coord != nil {
+		_ = c.coord.Close()
+	}
+	for _, m := range c.members {
+		_ = m.Close()
+	}
+	if c.dataRoot != "" {
+		_ = os.RemoveAll(c.dataRoot)
+	}
+	if c.ref != nil {
+		_ = c.ref.Close()
+	}
+}
+
+// E17Failover runs the driver-kill scenario and reports its phase costs.
+func E17Failover(cfg Config) (Result, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
+	defer cancel()
+	c, err := startChain(ctx, "E17", 0, 0)
+	defer c.Close()
+	if err != nil {
+		return Result{}, err
+	}
+	members := c.members
+
 	// The wave has closed; the plane's driver may not have committed updateDone
 	// yet, and the kill below must meet the NEXT update in flight, not this one.
 	idle := func() bool {
@@ -137,26 +188,12 @@ func E17Failover(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("E17: baseline update never committed updateDone")
 	}
 
-	// New facts at the source, mirrored into the reference.
-	extra := cfg.RecordsPerNode
-	if extra < 4 {
-		extra = 4
-	}
-	for i := 0; i < extra; i++ {
-		tup := relalg.Tuple{relalg.S(fmt.Sprintf("k%d", i)), relalg.S("failover")}
-		if _, err := members["E"].Network().Peer("E").InsertLocal("e", tup); err != nil {
-			return Result{}, err
-		}
-		if _, err := ref.Peer("E").InsertLocal("e", tup); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := ref.Update(ctx); err != nil {
+	if _, err := c.insertAtSource(ctx, cfg, "failover"); err != nil {
 		return Result{}, err
 	}
 
 	// Kick the second update at the source member and kill it mid-wave.
-	if err := coord.Transport().Send(cluster.CoordinatorName, "E", wire.UpdateRequest{}); err != nil {
+	if err := c.coord.Transport().Send(cluster.CoordinatorName, "E", wire.UpdateRequest{}); err != nil {
 		return Result{}, err
 	}
 	if !e17Wait(10*time.Second, func() bool { return members["B"].Control().Metrics().PendingInst > 0 }) {
@@ -178,7 +215,7 @@ func E17Failover(cfg Config) (Result, error) {
 
 	// Restart the killed member; the new driver's unbounded probes then pull
 	// the chain to closure and commit updateDone.
-	if err := boot("E"); err != nil {
+	if err := c.boot("E"); err != nil {
 		return Result{}, err
 	}
 	if !e17Wait(30*time.Second, idle) {
@@ -188,7 +225,7 @@ func E17Failover(cfg Config) (Result, error) {
 
 	if !e17Wait(30*time.Second, func() bool {
 		for node, m := range members {
-			if m.Network().Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
+			if m.Network().Peer(node).DB().Dump() != c.ref.Peer(node).DB().Dump() {
 				return false
 			}
 		}
@@ -202,7 +239,7 @@ func E17Failover(cfg Config) (Result, error) {
 	refView, refVer := members["A"].Control().AgreedView()
 	if !e17Wait(15*time.Second, func() bool {
 		refView, refVer = members["A"].Control().AgreedView()
-		for _, node := range names {
+		for _, node := range chainNodes {
 			view, ver := members[node].Control().AgreedView()
 			if ver != refVer {
 				return false
@@ -221,13 +258,13 @@ func E17Failover(cfg Config) (Result, error) {
 
 	tbl := table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "phase\tms")
-		fmt.Fprintf(w, "baseline discover+update\t%.1f\n", float64(baseline.Microseconds())/1000)
+		fmt.Fprintf(w, "baseline discover+update\t%.1f\n", float64(c.baseline.Microseconds())/1000)
 		fmt.Fprintf(w, "kill -> fail-over (new driver elected)\t%.1f\n", float64(failover.Microseconds())/1000)
 		fmt.Fprintf(w, "kill -> re-driven update committed\t%.1f\n", float64(redrive.Microseconds())/1000)
 		fmt.Fprintf(w, "kill -> full data convergence\t%.1f\n", float64(converge.Microseconds())/1000)
 		fmt.Fprintf(w, "\nlog instances applied\t%d\n", cm.Applied)
 		fmt.Fprintf(w, "driver fail-overs\t%d\n", cm.Failovers)
-		fmt.Fprintf(w, "agreed view version\t%d (identical at all %d members)\n", refVer, len(names))
+		fmt.Fprintf(w, "agreed view version\t%d (identical at all %d members)\n", refVer, len(chainNodes))
 		fmt.Fprintln(w, "\nnote:\tthe killed member was the elected update driver; the survivors'")
 		fmt.Fprintln(w, "\tquorum agreed on its suspicion, re-elected, and finished its update")
 	})

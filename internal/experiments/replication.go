@@ -3,16 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"text/tabwriter"
 	"time"
-
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/relalg"
-	"repro/internal/rules"
 )
 
 // E18: k-way replication under a primary kill. The E17 chain runs again, but
@@ -32,84 +25,18 @@ import (
 func E18Replication(cfg Config) (Result, error) {
 	const k = 2
 	const deadAfter = 400 * time.Millisecond
-	def, err := rules.ParseNetwork(e17Net)
-	if err != nil {
-		return Result{}, err
-	}
-	refDef, err := rules.ParseNetwork(e17Net)
-	if err != nil {
-		return Result{}, err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
-
-	ref, err := core.Build(refDef, core.Options{Delta: true})
+	c, err := startChain(ctx, "E18", k, deadAfter)
+	defer c.Close()
 	if err != nil {
 		return Result{}, err
 	}
-	defer ref.Close()
-	if err := ref.RunToFixpoint(ctx); err != nil {
-		return Result{}, err
-	}
+	members := c.members
 
-	dataRoot, err := os.MkdirTemp("", "p2pdb-e18")
-	if err != nil {
-		return Result{}, err
-	}
-	defer os.RemoveAll(dataRoot)
-
-	names := []string{"A", "B", "C", "D", "E"}
-	book := map[string]string{}
-	members := map[string]*cluster.Member{}
-	defer func() {
-		for _, m := range members {
-			_ = m.Close()
-		}
-	}()
-	for _, node := range names {
-		m, err := cluster.Boot(cluster.LoopbackConfig(def, node, book, filepath.Join(dataRoot, node), k, deadAfter))
-		if err != nil {
-			return Result{}, fmt.Errorf("E18: boot %s: %w", node, err)
-		}
-		members[node] = m
-		book[node] = m.Transport().Addr()
-	}
-	coord, err := cluster.NewCoordinator(def, "127.0.0.1:0", book, cluster.CoordinatorOptions{
-		Membership: cluster.Options{HeartbeatEvery: 25 * time.Millisecond},
-		PollEvery:  25 * time.Millisecond,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	defer coord.Close()
-	if err := coord.WaitMembers(ctx, len(names)); err != nil {
-		return Result{}, fmt.Errorf("E18: join: %w", err)
-	}
-	t0 := time.Now()
-	if err := coord.Discover(ctx); err != nil {
-		return Result{}, fmt.Errorf("E18: discover: %w", err)
-	}
-	if err := coord.Update(ctx); err != nil {
-		return Result{}, fmt.Errorf("E18: baseline update: %w", err)
-	}
-	baseline := time.Since(t0)
-
-	// New facts at the source, mirrored into the reference.
-	extra := cfg.RecordsPerNode
-	if extra < 4 {
-		extra = 4
-	}
 	tInsert := time.Now()
-	for i := 0; i < extra; i++ {
-		tup := relalg.Tuple{relalg.S(fmt.Sprintf("k%d", i)), relalg.S("replicated")}
-		if _, err := members["E"].Network().Peer("E").InsertLocal("e", tup); err != nil {
-			return Result{}, err
-		}
-		if _, err := ref.Peer("E").InsertLocal("e", tup); err != nil {
-			return Result{}, err
-		}
-	}
-	if err := ref.Update(ctx); err != nil {
+	extra, err := c.insertAtSource(ctx, cfg, "replicated")
+	if err != nil {
 		return Result{}, err
 	}
 
@@ -171,11 +98,11 @@ func E18Replication(cfg Config) (Result, error) {
 	// reference fix-point.
 	survivors := []string{"A", "B", "C", "D"}
 	if !e17Wait(60*time.Second, func() bool {
-		if members[adopter].Network().Peer("E").DB().Dump() != ref.Peer("E").DB().Dump() {
+		if members[adopter].Network().Peer("E").DB().Dump() != c.ref.Peer("E").DB().Dump() {
 			return false
 		}
 		for _, node := range survivors {
-			if members[node].Network().Peer(node).DB().Dump() != ref.Peer(node).DB().Dump() {
+			if members[node].Network().Peer(node).DB().Dump() != c.ref.Peer(node).DB().Dump() {
 				return false
 			}
 		}
@@ -197,10 +124,10 @@ func E18Replication(cfg Config) (Result, error) {
 
 	cfg.collector.addRecord(RunRecord{
 		Mode:                     "delta",
-		Nodes:                    len(names),
-		Rules:                    len(def.Rules),
+		Nodes:                    len(chainNodes),
+		Rules:                    len(c.def.Rules),
 		TuplesInserted:           uint64(extra),
-		UpdateMS:                 float64(baseline.Microseconds()) / 1000,
+		UpdateMS:                 float64(c.baseline.Microseconds()) / 1000,
 		PromotionMS:              float64(promotion.Microseconds()) / 1000,
 		ConvergenceMS:            float64(converge.Microseconds()) / 1000,
 		UnderReplicationWindowMS: float64(window.Microseconds()) / 1000,
@@ -209,7 +136,7 @@ func E18Replication(cfg Config) (Result, error) {
 	sort.Strings(placement)
 	tbl := table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "phase\tms")
-		fmt.Fprintf(w, "baseline discover+update\t%.1f\n", float64(baseline.Microseconds())/1000)
+		fmt.Fprintf(w, "baseline discover+update\t%.1f\n", float64(c.baseline.Microseconds())/1000)
 		fmt.Fprintf(w, "insert -> replicas durably caught up\t%.1f\n", float64(catchup.Microseconds())/1000)
 		fmt.Fprintf(w, "kill -> mirror promoted (adopter %s)\t%.1f\n", adopter, float64(promotion.Microseconds())/1000)
 		fmt.Fprintf(w, "kill -> full data convergence\t%.1f\n", float64(converge.Microseconds())/1000)

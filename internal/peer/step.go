@@ -56,7 +56,6 @@ type peerState struct {
 	evals        uint64                   // cq evaluations actually run (read by tests)
 	subSeq       uint64                   // subscription instance ids (AnswerAck matching)
 	started      time.Time
-	resendArmed  bool // an armTimer effect is out and its tick has not come
 
 	// Dynamic-change bookkeeping.
 	seenChanges  map[string]bool
@@ -218,7 +217,6 @@ func (s *peerState) step(now time.Time, from string, msg any, buf []effect) []ef
 	case resendTo:
 		s.resend(storage.Durable, m.dependent)
 	case resendTick:
-		s.resendArmed = false
 		s.resend(storage.Received, "")
 	}
 	out := s.out
@@ -399,11 +397,10 @@ func subKey(dependent, ruleID string) string { return dependent + "\x00" + ruleI
 // re-pulls.
 const maxAckResends = 3
 
-// armResend asks the shell for one resend tick (Options.ResendEvery), unless
-// one is already due.
+// armResend asks the shell for a resend tick Options.ResendEvery from now;
+// the shell keeps the earliest tick asked for, so one already due stands.
 func (s *peerState) armResend() {
-	if s.opts.ResendEvery > 0 && !s.resendArmed {
-		s.resendArmed = true
+	if s.opts.ResendEvery > 0 {
 		s.out = append(s.out, effect{kind: effArmTimer, when: s.now.Add(s.opts.ResendEvery)})
 	}
 }

@@ -71,8 +71,8 @@ func TestOutboxSendNeverBlocksOnDeadPeer(t *testing.T) {
 	}
 	defer a.Close()
 	a.OutboxSize = 4
-	a.DialTimeout = 200 * time.Millisecond
-	a.MaxBackoff = 100 * time.Millisecond
+	a.dialTimeout = 200 * time.Millisecond
+	a.maxBackoff = 100 * time.Millisecond
 
 	start := time.Now()
 	const n = 40

@@ -23,6 +23,10 @@ const (
 	MaxFrame    = 64 << 20
 	// readBuf is the size of a connection's reusable read buffer.
 	readBuf = 4096
+	// readTimeout bounds reading a frame body once its length header has
+	// arrived. Idle connections — no header in flight — carry no deadline:
+	// silence between frames is normal on a quiescent network.
+	readTimeout = 10 * time.Second
 )
 
 // ErrFrameTooLarge is returned by Send for a message that encodes to more
@@ -53,20 +57,16 @@ type TCP struct {
 	obWriteErrs atomic.Uint64 // frames lost to write/dial errors in writer loops
 	badFrames   atomic.Uint64 // frames received whole but rejected by wire.Decode
 
-	// DialTimeout bounds connection attempts (default 2s).
-	DialTimeout time.Duration
-	// WriteTimeout bounds each frame write, so a stalled remote whose socket
+	// dialTimeout bounds connection attempts (default 2s).
+	dialTimeout time.Duration
+	// writeTimeout bounds each frame write, so a stalled remote whose socket
 	// buffer filled up cannot wedge a sender indefinitely (default 5s).
-	WriteTimeout time.Duration
-	// ReadTimeout bounds reading a frame body once its length header has
-	// arrived (default 10s). Idle connections — no header in flight — carry
-	// no deadline: silence between frames is normal on a quiescent network.
-	ReadTimeout time.Duration
-	// MaxBackoff caps the exponential reconnect backoff after failed dials
+	writeTimeout time.Duration
+	// maxBackoff caps the exponential reconnect backoff after failed dials
 	// (default 2s). During the backoff window sends to the unreachable peer
 	// fail immediately instead of re-dialling, so a dead process costs one
 	// timed-out dial per window rather than one per message.
-	MaxBackoff time.Duration
+	maxBackoff time.Duration
 	// OutboxSize, when positive, makes remote sends asynchronous: each
 	// remote peer gets a bounded outbox drained by a dedicated writer
 	// goroutine, so a slow or dead remote costs its writer the dial/write
@@ -205,10 +205,9 @@ func NewTCP(listenAddr string, book map[string]string) (*TCP, error) {
 		accepted:     map[net.Conn]bool{},
 		fails:        map[string]*dialFailure{},
 		outboxes:     map[string]*outbox{},
-		DialTimeout:  2 * time.Second,
-		WriteTimeout: 5 * time.Second,
-		ReadTimeout:  10 * time.Second,
-		MaxBackoff:   2 * time.Second,
+		dialTimeout:  2 * time.Second,
+		writeTimeout: 5 * time.Second,
+		maxBackoff:   2 * time.Second,
 	}
 	for k, v := range book {
 		t.book[k] = v
@@ -391,7 +390,7 @@ func (t *TCP) write(node, addr string, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(t.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 	if _, err := conn.Write(frame); err != nil {
 		// Drop the cached connection and retry once with a fresh dial.
 		t.dropConn(node)
@@ -399,7 +398,7 @@ func (t *TCP) write(node, addr string, frame []byte) error {
 		if derr != nil {
 			return derr
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(t.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(t.writeTimeout))
 		if _, werr := conn.Write(frame); werr != nil {
 			t.dropConn(node)
 			return fmt.Errorf("transport: write to %s: %w", node, werr)
@@ -409,14 +408,14 @@ func (t *TCP) write(node, addr string, frame []byte) error {
 }
 
 // backoffFor returns the reconnect delay after n consecutive dial failures:
-// 50ms doubling per failure, capped at MaxBackoff.
+// 50ms doubling per failure, capped at maxBackoff.
 func (t *TCP) backoffFor(n int) time.Duration {
 	d := 50 * time.Millisecond
-	for i := 1; i < n && d < t.MaxBackoff; i++ {
+	for i := 1; i < n && d < t.maxBackoff; i++ {
 		d *= 2
 	}
-	if d > t.MaxBackoff {
-		d = t.MaxBackoff
+	if d > t.maxBackoff {
+		d = t.maxBackoff
 	}
 	return d
 }
@@ -431,7 +430,7 @@ func (t *TCP) conn(node, addr string) (net.Conn, error) {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("transport: %s backing off after %d failed dial(s): %w", node, f.count, f.err)
 	}
-	timeout := t.DialTimeout
+	timeout := t.dialTimeout
 	t.mu.Unlock()
 	c, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -518,7 +517,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if _, err := io.ReadFull(conn, header[:1]); err != nil {
 			return
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(t.ReadTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(readTimeout))
 		if _, err := io.ReadFull(conn, header[1:]); err != nil {
 			return
 		}

@@ -36,7 +36,7 @@ func TestTCPSendToDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.DialTimeout = 250 * time.Millisecond
+	tr.dialTimeout = 250 * time.Millisecond
 	if err := tr.Register("A", func(wire.Envelope) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -123,8 +123,8 @@ func TestTCPDialBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.DialTimeout = 250 * time.Millisecond
-	tr.MaxBackoff = 10 * time.Second
+	tr.dialTimeout = 250 * time.Millisecond
+	tr.maxBackoff = 10 * time.Second
 	if err := tr.Register("A", func(wire.Envelope) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestTCPWriteDeadlineUnwedgesStalledReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.WriteTimeout = 250 * time.Millisecond
+	tr.writeTimeout = 250 * time.Millisecond
 	if err := tr.Register("A", func(wire.Envelope) {}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ func TestTCPWriteDeadlineUnwedgesStalledReceiver(t *testing.T) {
 		start := time.Now()
 		_ = tr.write("stalled", ln.Addr().String(), payload)
 		// Worst case: two deadline-bounded writes plus a loopback redial.
-		if elapsed := time.Since(start); elapsed > 4*tr.WriteTimeout {
-			t.Fatalf("write %d blocked %v despite a %v deadline", i, elapsed, tr.WriteTimeout)
+		if elapsed := time.Since(start); elapsed > 4*tr.writeTimeout {
+			t.Fatalf("write %d blocked %v despite a %v deadline", i, elapsed, tr.writeTimeout)
 		}
 	}
 }

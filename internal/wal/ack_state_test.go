@@ -22,7 +22,7 @@ func ackSubs(seq uint64) []SubState {
 
 func TestMarksAndPartRecordsSurviveCrash(t *testing.T) {
 	dir := t.TempDir()
-	st, rec, err := Open(dir, Options{Fsync: FsyncAlways, NoCheckpointer: true})
+	st, rec, err := Open(dir, Options{Fsync: FsyncAlways, noCheckpointer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestPartReplaySkipsShortTuples(t *testing.T) {
 
 func TestCleanCloseSupersedesMarksRecords(t *testing.T) {
 	dir := t.TempDir()
-	st, rec, err := Open(dir, Options{NoCheckpointer: true})
+	st, rec, err := Open(dir, Options{noCheckpointer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCleanCloseSupersedesMarksRecords(t *testing.T) {
 
 func TestPartRecordsMergeAcrossStateRecord(t *testing.T) {
 	dir := t.TempDir()
-	st, rec, err := Open(dir, Options{NoCheckpointer: true})
+	st, rec, err := Open(dir, Options{noCheckpointer: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func oracleAfter(t *testing.T, ops []crashOp, k int) *storage.DB {
 // size after each op — the exact durable-prefix boundaries.
 func writeCrashLog(t *testing.T, dir string, ops []crashOp, segBytes int64) (lastSeg string, sizes []int64) {
 	t.Helper()
-	st, rec, err := Open(dir, Options{Fsync: FsyncNever, NoCheckpointer: true, SegmentBytes: segBytes})
+	st, rec, err := Open(dir, Options{Fsync: FsyncNever, noCheckpointer: true, segmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCrashDuringCheckpointedHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ops := genOps(rng, 150)
 	dir := t.TempDir()
-	st, rec, err := Open(dir, Options{Fsync: FsyncNever, NoCheckpointer: true, SegmentBytes: 1 << 10})
+	st, rec, err := Open(dir, Options{Fsync: FsyncNever, noCheckpointer: true, segmentBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

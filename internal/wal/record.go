@@ -174,8 +174,7 @@ func encodeSubMarks(subs []SubState) []byte {
 // encodeSyncPoint is the group-commit marker: it records the append sequence
 // it covers and is itself fsynced before the writer proceeds, so every record
 // at or below that sequence is known durable wherever the marker survives a
-// crash. It is what lets FsyncNever stores gate acknowledgments on real
-// durability without paying a per-record fsync.
+// crash. Recovery needs nothing from it; logs that hold it must still replay.
 func encodeSyncPoint(covered uint64) []byte {
 	return binary.AppendUvarint([]byte{recSyncPoint}, covered)
 }

@@ -47,7 +47,7 @@ func createSegment(dir string, idx uint64) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &segment{f: f, w: bufio.NewWriterSize(f, 1<<16), idx: idx}
+	s := &segment{f: f, w: bufio.NewWriter(f), idx: idx}
 	if _, err := s.w.WriteString(segMagic); err != nil {
 		_ = f.Close()
 		return nil, err

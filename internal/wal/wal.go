@@ -28,10 +28,10 @@
 // appends one small record per advance; AppendParts logs the part tuples a
 // dependent acknowledged), so they stay trustworthy even when the log does
 // NOT end with a clean-close record: a frontier only ever advanced after
-// the dependent had the data on stable storage — under FsyncNever that
-// guarantee comes from SyncPoint group commits rather than per-record
-// fsyncs. Orchestration that runs without the handshake still distrusts
-// unclean marks and re-answers in full (receivers deduplicate).
+// the dependent had the data on stable storage — the ack waits for a Sync
+// group commit under every policy, FsyncNever included. Orchestration that
+// runs without the handshake still distrusts unclean marks and re-answers in
+// full (receivers deduplicate).
 package wal
 
 import (
@@ -53,13 +53,13 @@ type FsyncPolicy uint8
 
 const (
 	// FsyncInterval (the default) flushes and fsyncs on a background cadence
-	// (Options.FsyncEvery): bounded loss window, near in-memory throughput.
+	// (every fsyncEvery): bounded loss window, near in-memory throughput.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways makes every append durable before it returns, with group
 	// commit: concurrent appends piggyback on one fsync.
 	FsyncAlways
 	// FsyncNever leaves routine flushing to segment rolls, checkpoints and
-	// Close; a crash may lose everything since the last seal or SyncPoint
+	// Close; a crash may lose everything since the last seal or Sync
 	// (explicit group commits — the acknowledgment gate — still hit disk).
 	FsyncNever
 )
@@ -93,22 +93,23 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 type Options struct {
 	// Fsync selects the durability policy (default FsyncInterval).
 	Fsync FsyncPolicy
-	// FsyncEvery is the background flush cadence under FsyncInterval
-	// (default 25ms).
-	FsyncEvery time.Duration
-	// SegmentBytes is the roll threshold of the active segment (default 1MiB).
-	SegmentBytes int64
-	// NoCheckpointer disables the background checkpointer (crash tests pin
-	// the on-disk layout; production stores leave it on).
-	NoCheckpointer bool
+	// segmentBytes overrides the active segment's roll threshold and
+	// noCheckpointer turns the background checkpointer off: crash tests pin
+	// the on-disk layout with them.
+	segmentBytes   int64
+	noCheckpointer bool
 }
 
+const (
+	// fsyncEvery is the background flush cadence under FsyncInterval.
+	fsyncEvery = 25 * time.Millisecond
+	// defaultSegmentBytes is the roll threshold of the active segment.
+	defaultSegmentBytes = 1 << 20
+)
+
 func (o Options) withDefaults() Options {
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 25 * time.Millisecond
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
 	return o
 }
@@ -409,7 +410,7 @@ func (s *Store) appendLocked(payload []byte) (uint64, bool) {
 	if s.closed || s.err != nil {
 		return 0, false
 	}
-	if s.seg.recs > 0 && s.seg.size+int64(len(payload)+frameOverhead) > s.opts.SegmentBytes {
+	if s.seg.recs > 0 && s.seg.size+int64(len(payload)+frameOverhead) > s.opts.segmentBytes {
 		if err := s.rollLocked(); err != nil {
 			s.err = err
 			return 0, false
@@ -438,7 +439,7 @@ func (s *Store) rollLocked() error {
 	if err := syncDir(s.dir); err != nil {
 		return err
 	}
-	if !s.opts.NoCheckpointer {
+	if !s.opts.noCheckpointer {
 		s.sh.Kick()
 	}
 	return nil
@@ -492,7 +493,10 @@ func (s *Store) syncTo(n uint64) error {
 	return nil
 }
 
-// Sync flushes and fsyncs everything appended so far.
+// Sync flushes and fsyncs everything appended so far, under every fsync
+// policy. It is the acknowledgment gate: an ack promising durability leaves
+// only after it, and concurrent callers share one fsync, so many acks
+// amortise one group commit even where the policy skips per-record fsyncs.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	n := s.appendSeq
@@ -502,12 +506,8 @@ func (s *Store) Sync() error {
 
 // SyncPoint appends a group-commit marker covering everything appended so
 // far and makes the log durable up to and including it, regardless of the
-// fsync policy. It is the acknowledgment gate for FsyncNever stores: the
-// policy skips per-record fsyncs, but an ack promising durability still gets
-// a real group commit — many acknowledgments pipeline onto one sync point —
-// so a crash restart trusts the recovered marks and re-answers delta-only
-// instead of distrusting every frontier. Concurrent callers group-commit
-// through the same sync lock as Sync.
+// fsync policy. Its durability is Sync's; recovery skips the marker.
+// Concurrent callers group-commit through the same sync lock as Sync.
 func (s *Store) SyncPoint() error {
 	s.mu.Lock()
 	payload := encodeSyncPoint(s.appendSeq)
@@ -522,7 +522,7 @@ func (s *Store) SyncPoint() error {
 
 // flushLoop is the FsyncInterval background flusher, on the shell's runner.
 func (s *Store) flushLoop(ctx context.Context) {
-	t := time.NewTicker(s.opts.FsyncEvery)
+	t := time.NewTicker(fsyncEvery)
 	defer t.Stop()
 	for {
 		select {

@@ -139,7 +139,7 @@ func TestCheckpointCompactsSealedSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force many rolls; the checkpointer is left off so the
 	// test can drive compaction deterministically.
-	st, db := openAttached(t, dir, Options{SegmentBytes: 256, NoCheckpointer: true, Fsync: FsyncNever},
+	st, db := openAttached(t, dir, Options{segmentBytes: 256, noCheckpointer: true, Fsync: FsyncNever},
 		relalg.MakeSchema("p", 2))
 	st.SetStateSource(func() State { return State{Epoch: 4} })
 	for i := 0; i < 200; i++ {
@@ -192,7 +192,7 @@ func TestCheckpointCompactsSealedSegments(t *testing.T) {
 // through its locked Snapshot, never the live relation logs.
 func TestCheckpointConcurrentWithInserts(t *testing.T) {
 	dir := t.TempDir()
-	st, rec, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 512})
+	st, rec, err := Open(dir, Options{Fsync: FsyncNever, segmentBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestCheckpointConcurrentWithInserts(t *testing.T) {
 
 func TestSecondSnapshotSupersedesFirst(t *testing.T) {
 	dir := t.TempDir()
-	st, db := openAttached(t, dir, Options{SegmentBytes: 256, NoCheckpointer: true, Fsync: FsyncNever},
+	st, db := openAttached(t, dir, Options{segmentBytes: 256, noCheckpointer: true, Fsync: FsyncNever},
 		relalg.MakeSchema("p", 1))
 	for i := 0; i < 50; i++ {
 		_, _ = db.Insert("p", tup(fmt.Sprint(i)), storage.InsertExact)

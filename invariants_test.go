@@ -8,6 +8,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/analysis/load"
 	"repro/internal/relalg"
 	"repro/internal/serving"
 	"repro/internal/wire"
@@ -565,4 +567,127 @@ func structFields(f *ast.File, name string) []string {
 		return false
 	})
 	return out
+}
+
+// TestEveryOptionHasACaller: an option survives only if a caller outside the
+// tests needs it. Every exported field of these option types is set somewhere
+// in the module's or the benchmark's non-test code, by a composite-literal key
+// or an assignment. The type's own defaulting does not count: a literal in its
+// constructor New<Type>, or an assignment through a parameter or receiver (a
+// value handed in, being defaulted). A field only tests set is an unexported
+// seam in its own package, and one nothing sets is a constant.
+func TestEveryOptionHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the benchmark")
+	}
+	options := []string{
+		"wal.Options", "consensus.Options", "cluster.Options", "cluster.ControlPlaneOptions",
+		"cluster.ReplicationOptions", "cluster.CoordinatorOptions", "cluster.MemberConfig",
+		"replica.Options", "transport.BatcherOptions", "transport.MemOptions", "transport.TCP",
+		"peer.Options", "serving.WatchOptions", "cluster.WatchOptions",
+	}
+	declared, set := map[string]bool{}, map[string]bool{} // "repro/internal/pkg.Type.Field"
+	for _, dir := range []string{".", "benchmark"} {
+		pkgs, err := load.Load(dir, "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, name := range options {
+				path, typ, _ := strings.Cut("repro/internal/"+name, ".")
+				if path != pkg.Path {
+					continue
+				}
+				st := pkg.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						declared[path+"."+typ+"."+f.Name()] = true
+					}
+				}
+			}
+			for _, f := range pkg.Files {
+				for _, decl := range f.Decls {
+					fd, _ := decl.(*ast.FuncDecl)
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch n := n.(type) {
+						case *ast.CompositeLit:
+							typ := typeKey(pkg.Info.TypeOf(n))
+							if fd != nil && fd.Recv == nil && typ == pkg.Path+"."+strings.TrimPrefix(fd.Name.Name, "New") {
+								return true
+							}
+							for _, elt := range n.Elts {
+								if kv, ok := elt.(*ast.KeyValueExpr); ok {
+									if id, ok := kv.Key.(*ast.Ident); ok {
+										set[typ+"."+id.Name] = true
+									}
+								}
+							}
+						case *ast.AssignStmt:
+							for _, lhs := range n.Lhs {
+								sel, ok := lhs.(*ast.SelectorExpr)
+								if !ok || pkg.Info.Selections[sel] == nil || handedIn(pkg.Info, fd, sel) {
+									continue
+								}
+								set[typeKey(pkg.Info.Selections[sel].Recv())+"."+sel.Sel.Name] = true
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	var unset []string
+	for field := range declared {
+		if !set[field] {
+			unset = append(unset, field)
+		}
+	}
+	slices.Sort(unset)
+	for _, field := range unset {
+		t.Errorf("%s is set by no caller outside the tests: make it a constant, or an unexported field its own package's tests set", field)
+	}
+}
+
+// typeKey names the named type behind t, through one pointer, as
+// "path.Name" ("" for anything else).
+func typeKey(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	if !ok || n.Obj().Pkg() == nil {
+		return ""
+	}
+	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
+}
+
+// handedIn reports whether the selector chain sel starts at a parameter or
+// the receiver of fd.
+func handedIn(info *types.Info, fd *ast.FuncDecl, sel *ast.SelectorExpr) bool {
+	x := sel.X
+	for {
+		inner, ok := x.(*ast.SelectorExpr)
+		if !ok {
+			break
+		}
+		x = inner.X
+	}
+	root, ok := x.(*ast.Ident)
+	if !ok || fd == nil {
+		return false
+	}
+	for _, list := range []*ast.FieldList{fd.Recv, fd.Type.Params} {
+		if list == nil {
+			continue
+		}
+		for _, field := range list.List {
+			for _, name := range field.Names {
+				if info.Defs[name] == info.Uses[root] {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -66,8 +66,8 @@
 // after applying — and persisting — it, sources persist only those acked
 // frontiers, and re-answers after restarts, timeouts or member rejoins
 // resume from them. Both clean Close and crash restarts therefore re-answer
-// delta-only (exactly the unacknowledged suffix); under FsyncNever a crash
-// falls back to a full re-answer, since its acks are not durability-gated.
+// delta-only (exactly the unacknowledged suffix), under every fsync policy:
+// an ack leaves only after the dependent's store synced, FsyncNever included.
 // Options.Fsync picks the durability/throughput trade (FsyncAlways,
 // FsyncInterval, FsyncNever).
 //
