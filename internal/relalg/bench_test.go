@@ -149,6 +149,39 @@ func BenchmarkTupleSetAddHas(b *testing.B) {
 	}
 }
 
+// BenchmarkTupleSetHasMiss measures the worst case of the position table:
+// Has of absent tuples against a set holding the most members a 1<<16-slot
+// table takes before it grows (3/4 of it), where linear-probe runs are
+// longest. It must not allocate.
+func BenchmarkTupleSetHasMiss(b *testing.B) {
+	member := func(i int) Tuple { return Tuple{S("m"), I(int64(i))} }
+	// The most members a 1<<16-slot table holds: one fewer than the count at
+	// which it grows to 1<<17.
+	probe, most := MakeTupleSet(2), 0
+	for len(probe.table) <= 1<<16 {
+		most = probe.Len()
+		probe.Add(member(most))
+	}
+	s := MakeTupleSet(2)
+	for i := range most {
+		s.Add(member(i))
+	}
+	if len(s.table) != 1<<16 {
+		b.Fatalf("%d members fill a %d-slot table, want 1<<16", most, len(s.table))
+	}
+	misses := make([]Tuple, 1024)
+	for i := range misses {
+		misses[i] = Tuple{S("miss"), I(int64(i))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Has(misses[i%len(misses)]) {
+			b.Fatal("absent tuple found")
+		}
+	}
+}
+
 // BenchmarkTupleKey measures the canonical key encoding.
 func BenchmarkTupleKey(b *testing.B) {
 	t := Tuple{S("conf/edbt/franconi04-1-2"), S("enrico_franconi"), I(2004), Null("d1|r|V|k")}

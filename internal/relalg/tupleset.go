@@ -16,9 +16,10 @@ import (
 //
 // A member is one row of arity values in a pointer-free row chunk of 1<<k
 // rows, at most 16 KiB, found through an open-addressing table of positions
-// (no stored hashes: a resize re-hashes, arithmetic over symbol ids). The
-// first chunk grows by copying while it is the only one, so a small set stays
-// small; no row is ever overwritten, so the views At returns stay valid.
+// that grows once it is more than 3/4 full (no stored hashes: a resize
+// re-hashes, arithmetic over symbol ids). The first chunk grows by copying
+// while it is the only one, so a small set stays small; no row is ever
+// overwritten, so the views At returns stay valid.
 type TupleSet struct {
 	chunks [][]Value // row i is chunks[i>>k][(i&mask)*arity:][:arity]
 	n      int
@@ -27,11 +28,13 @@ type TupleSet struct {
 	k      uint
 	mask   int // 1<<k - 1
 
-	// table holds position+1 at the first free slot at or after the member's
-	// home slot (the top bits of its hash), 0 where empty; its length is a
-	// power of two at least twice n.
-	table []int32
-	shift uint // 64 - log2(len(table))
+	// table has a power-of-two length 2^b whose 3/4 holds n. A member sits at
+	// the first free slot at or after its home slot (the top b bits of its
+	// hash); the slot's low b bits hold its position+1 (< 2^b, so 0 still
+	// means empty) and its high 32-b bits a tag, the hash bits just below the
+	// home bits, so a probe compares a row only when the tag matches.
+	table []uint32
+	shift uint // 64 - b
 
 	hashFn func(Tuple) uint64 // test seam: nil means Tuple.Hash
 }
@@ -73,39 +76,44 @@ func (s *TupleSet) find(t Tuple, h uint64) int {
 	if len(s.table) == 0 {
 		return -1
 	}
-	mask := len(s.table) - 1
-	for i := int(h >> s.shift); ; i = (i + 1) & mask {
-		p := s.table[i]
-		if p == 0 {
+	mask := uint32(len(s.table) - 1)
+	tag := s.tag(h)
+	for i := uint32(h >> s.shift); ; i = (i + 1) & mask {
+		e := s.table[i]
+		if e == 0 {
 			return -1
 		}
-		if s.At(int(p - 1)).Equal(t) {
-			return int(p - 1)
+		if p := int(e&mask) - 1; e&^mask == tag && s.At(p).Equal(t) {
+			return p
 		}
 	}
 }
 
+// tag returns the slot bits above the position for hash h: the 32-b hash
+// bits below the b home-slot bits.
+func (s *TupleSet) tag(h uint64) uint32 { return uint32(h>>32) << (64 - s.shift) }
+
 // place records position pos, known to be absent, under hash h.
 func (s *TupleSet) place(pos int, h uint64) {
-	mask := len(s.table) - 1
-	i := int(h >> s.shift)
+	mask := uint32(len(s.table) - 1)
+	i := uint32(h >> s.shift)
 	for s.table[i] != 0 {
 		i = (i + 1) & mask
 	}
-	s.table[i] = int32(pos + 1)
+	s.table[i] = s.tag(h) | uint32(pos+1)
 }
 
 // reserve makes the table large enough for n members, re-placing the present
 // ones when it has to grow.
 func (s *TupleSet) reserve(n int) {
-	if 2*n <= len(s.table) {
+	if 4*n <= 3*len(s.table) {
 		return
 	}
 	size := max(len(s.table), minTable)
-	for size < 2*n {
+	for 4*n > 3*size {
 		size *= 2
 	}
-	s.table = make([]int32, size)
+	s.table = make([]uint32, size)
 	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	for pos := range s.n {
 		s.place(pos, s.hash(s.At(pos)))

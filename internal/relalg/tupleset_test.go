@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -198,6 +199,66 @@ func TestTupleSetOracleAcrossResizes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestTupleSetTableLoad: the position table is the least power of two, at
+// least minTable, whose 3/4 holds the members — after every Add across
+// several resizes, after Grow (counting the room it reserved) and in a clone.
+// Each slot holds position+1 in its low log2(len) bits and, above them, the
+// hash bits just below the home-slot bits.
+func TestTupleSetTableLoad(t *testing.T) {
+	least := func(n int) int {
+		size := minTable
+		for size*3/4 < n {
+			size *= 2
+		}
+		return size
+	}
+	check := func(what string, s *TupleSet, n int) {
+		t.Helper()
+		if got, want := len(s.table), least(n); got != want {
+			t.Fatalf("%s: %d members, a table of %d slots; want %d", what, s.Len(), got, want)
+		}
+		b := uint(bits.TrailingZeros(uint(len(s.table))))
+		low := uint32(len(s.table) - 1)
+		held := 0
+		for i, e := range s.table {
+			if e == 0 {
+				continue
+			}
+			held++
+			pos := int(e&low) - 1
+			if pos < 0 || pos >= s.Len() {
+				t.Fatalf("%s: slot %d holds position %d of %d", what, i, pos, s.Len())
+			}
+			if h := s.hash(s.At(pos)); e&^low != uint32(h<<b>>32)&^low {
+				t.Fatalf("%s: slot %d tags position %d with %#x, its hash %#x says %#x", what, i, pos, e&^low, h, uint32(h<<b>>32)&^low)
+			}
+		}
+		if held != s.Len() {
+			t.Fatalf("%s: %d slots held for %d members", what, held, s.Len())
+		}
+	}
+	var s TupleSet
+	for i := 0; i < 1000; i++ {
+		s.Add(Tuple{S("k"), I(int64(i))})
+		check("Add", &s, s.Len())
+	}
+	if len(s.table) < minTable<<3 {
+		t.Fatalf("a table of %d slots has not been resized three times", len(s.table))
+	}
+	s.Grow(5000)
+	check("Grow(5000)", &s, s.Len()+5000)
+	c := s.clone()
+	check("clone", &c, s.Len()+5000)
+	for i := 0; i < s.Len(); i++ {
+		if !c.Has(s.At(i)) {
+			t.Fatalf("the clone lost member %v", s.At(i))
+		}
+	}
+	var g TupleSet
+	g.Grow(7)
+	check("Grow(7) of the zero value", &g, 7)
 }
 
 // TestStoredTuplesAliasNothingOfTheCaller: Add and Relation.Insert copy,
@@ -457,21 +518,21 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 
 // TestTupleSetFootprint: a member costs its row and its share of the table,
 // nothing per member besides. Summed over the capacity of every field, a
-// 10 000-row 3-ary set holds at most 40 bytes per member (24 of them the
-// row); a log of one slice header per member put it near 100, and 16-byte
-// values near 60.
+// 10 000-row 3-ary set holds at most 32 bytes per member (24 of them the
+// row); a log of one slice header per member put it near 100, 16-byte values
+// near 60, and a table grown at half load near 38.
 func TestTupleSetFootprint(t *testing.T) {
 	const n = 10000
 	s := MakeTupleSet(3)
 	for i := 0; i < n; i++ {
 		s.Add(Tuple{S("k" + strconv.Itoa(i)), I(int64(i)), S("c")})
 	}
-	bytes := cap(s.chunks)*int(unsafe.Sizeof([]Value(nil))) + cap(s.table)*int(unsafe.Sizeof(int32(0)))
+	bytes := cap(s.chunks)*int(unsafe.Sizeof([]Value(nil))) + cap(s.table)*int(unsafe.Sizeof(uint32(0)))
 	for _, ch := range s.chunks {
 		bytes += cap(ch) * int(unsafe.Sizeof(Value{}))
 	}
-	if per := float64(bytes) / n; per > 40 {
-		t.Errorf("%d 3-ary members hold %d bytes, %.1f per member; want at most 40", n, bytes, per)
+	if per := float64(bytes) / n; per > 32 {
+		t.Errorf("%d 3-ary members hold %d bytes, %.1f per member; want at most 32", n, bytes, per)
 	}
 }
 
