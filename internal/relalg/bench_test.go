@@ -2,6 +2,7 @@ package relalg
 
 import (
 	"fmt"
+	"hash/maphash"
 	"testing"
 )
 
@@ -178,6 +179,64 @@ func BenchmarkTupleSetHasMiss(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if s.Has(misses[i%len(misses)]) {
 			b.Fatal("absent tuple found")
+		}
+	}
+}
+
+// fullSymtab returns a table at the top of its load band, and the texts it
+// holds: 64 buckets of depth 6, each holding the most ids it takes before it
+// splits, so linear-probe runs are the longest its index has.
+func fullSymtab(b *testing.B) (*symtab, []string) {
+	const depth, buckets = 6, 1 << 6
+	tab, texts, full := newSymtab(), []string(nil), 0
+	for i := 0; full < buckets; i++ {
+		text := fmt.Sprintf("full-%d", i)
+		bk := tab.index.Load().bucket(maphash.String(tab.seed, text))
+		if bk.depth == depth && bk.full() {
+			continue // it would split
+		}
+		tab.intern(text)
+		texts = append(texts, text)
+		if bk.depth == depth && bk.full() {
+			full++
+		}
+	}
+	if x := tab.index.Load(); x.depth != depth {
+		b.Fatalf("a full table's directory has depth %d, want %d", x.depth, depth)
+	}
+	return tab, texts
+}
+
+// BenchmarkSymbolInternHit measures intern of a text the table holds, at the
+// top of the index's load band: one hash, one probe run, one text compare and
+// no lock. It must not allocate.
+func BenchmarkSymbolInternHit(b *testing.B) {
+	tab, texts := fullSymtab(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tab.intern(texts[i%len(texts)]) == 0 {
+			b.Fatal("a held text got the id of \"\"")
+		}
+	}
+}
+
+// BenchmarkSymbolInternMiss measures the lock-free lookup an intern of a new
+// text makes before it takes the lock, at the top of the index's load band:
+// one hash and a probe run to an empty slot. The addition that follows is
+// left out, since it would move the table off its band. It must not allocate.
+func BenchmarkSymbolInternMiss(b *testing.B) {
+	tab, _ := fullSymtab(b)
+	misses := make([]string, 1024)
+	for i := range misses {
+		misses[i] = fmt.Sprintf("miss-%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := misses[i%len(misses)]
+		if tab.find(maphash.String(tab.seed, s), s) >= 0 {
+			b.Fatal("an absent text found")
 		}
 	}
 }

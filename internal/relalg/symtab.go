@@ -23,8 +23,9 @@ import (
 // the collector never scans; an index maps a text's hash to its id. The index
 // is extendible hashing: a directory picks a bucket by the hash's top bits,
 // and a bucket is a small open-addressing table probed from the hash's low
-// bits. A full bucket splits in two, and the directory doubles when a bucket
-// needs a bit it does not have, so no addition ever rebuilds the whole index:
+// bits. A bucket splits in two when one more id would put it over 3/4 full,
+// and the directory doubles when a bucket needs a bit it does not have, so no
+// addition ever rebuilds the whole index:
 // growth comes in steps of a few KiB, which keeps a decode's allocations
 // proportional to its input (FuzzDecodeEnvelope bounds them).
 //
@@ -73,24 +74,30 @@ func (s symbol) chunk() int { return int(s >> chunkShift) }
 const (
 	pageBits    = 9 // a page holds 512 symbols, 4 KiB
 	pageSize    = 1 << pageBits
-	bucketSlots = 512 // a bucket is 2 KiB and splits when half full
-	slotMask    = bucketSlots - 1
+	bucketSlots = 511          // a bucket, its count and its depth are 2 KiB; it splits past 3/4 full
 	textChunk   = 1 << offBits // text bytes per chunk, 8 KiB; a text over 1/16 of it is stored alone
 )
 
 type symPage [pageSize]symbol
 
-// bucket holds the ids whose hashes share its directory prefix.
+// bucket holds the ids whose hashes share its directory prefix. It is
+// exactly 2 KiB, a size class of its own, so the allocator rounds nothing up.
 type bucket struct {
 	slots [bucketSlots]atomic.Int32 // id+1 at or probed past its home slot, 0 if empty
-	depth uint                      // prefix bits: the top depth bits of its ids' hashes agree
-	n     int                       // ids held; under symtab.mu
+	n     uint16                    // ids held; under symtab.mu
+	depth uint8                     // prefix bits: the top depth bits of its ids' hashes agree
 }
+
+// home is the slot a probe for hash h starts at; it wraps past the last.
+func home(h uint64) int { return int(uint32(h) % bucketSlots) }
+
+// full reports whether one more id would put b over 3/4 full.
+func (b *bucket) full() bool { return 4*(int(b.n)+1) > 3*bucketSlots }
 
 // index is the directory: entry i is the bucket of the hashes whose top depth
 // bits are i. A bucket of depth d < depth fills 2^(depth-d) adjacent entries.
 type index struct {
-	depth uint
+	depth uint8
 	dir   []atomic.Pointer[bucket]
 }
 
@@ -167,21 +174,29 @@ func (x *index) bucket(h uint64) *bucket { return x.dir[h>>(64-x.depth)].Load() 
 // find returns the id of s, whose hash is h, or -1.
 func (t *symtab) find(h uint64, s string) int32 {
 	b := t.index.Load().bucket(h)
-	for i := h; ; i++ {
-		id := b.slots[i&slotMask].Load() - 1
+	for i := home(h); ; i = next(i) {
+		id := b.slots[i].Load() - 1
 		if id < 0 || t.text(int64(id)) == s {
 			return id
 		}
 	}
 }
 
+// next is the slot a probe tries after slot i.
+func next(i int) int {
+	if i++; i == bucketSlots {
+		return 0
+	}
+	return i
+}
+
 // put records id, known to be absent, under hash h.
 func (b *bucket) put(h uint64, id int32) {
-	i := h
-	for b.slots[i&slotMask].Load() != 0 {
-		i++
+	i := home(h)
+	for b.slots[i].Load() != 0 {
+		i = next(i)
 	}
-	b.slots[i&slotMask].Store(id + 1)
+	b.slots[i].Store(id + 1)
 	b.n++
 }
 
@@ -202,7 +217,7 @@ func (t *symtab) add(h uint64, s string) int64 {
 	t.bytes += len(s)
 	for {
 		x := t.index.Load()
-		if b := x.bucket(h); 2*(b.n+1) <= bucketSlots {
+		if b := x.bucket(h); !b.full() {
 			b.put(h, int32(id))
 			return int64(id)
 		}

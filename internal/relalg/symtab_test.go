@@ -202,11 +202,14 @@ func TestInternedValuesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestSymbolFootprint: a symbol costs its text and about 19 bytes besides.
-// Summed over pages, text chunks and the index's buckets and directory,
-// 100 000 fresh 16-byte texts hold at most 40 bytes per symbol (34.8 when
-// written: 16 the text, 8 the symbol, 10.6 the index). A symbol holding a
-// string header and a depth spent 24 bytes on the page and came to 50.8.
+// TestSymbolFootprint: a symbol costs its text and about 17 bytes besides.
+// Summed over pages, text chunks and the index's buckets (at the size class
+// the allocator hands out) and directory, 100 000 fresh 16-byte texts hold at
+// most 33.5 bytes per symbol (32.7-33.0 when written: 16 the text, 8 the
+// symbol, 8.6-8.9 the index's ~420 buckets). Buckets that split at half full
+// and took a 2 304-byte class came to 36.0 (512 buckets, 12.0 the index); a
+// symbol holding a string header and a depth spent 24 bytes on the page and
+// came to 50.8.
 func TestSymbolFootprint(t *testing.T) {
 	const n = 100000
 	tab := newSymtab()
@@ -225,9 +228,124 @@ func TestSymbolFootprint(t *testing.T) {
 	for i := range x.dir {
 		buckets[x.dir[i].Load()] = true
 	}
-	bytes += len(buckets)*int(unsafe.Sizeof(bucket{})) + cap(x.dir)*int(unsafe.Sizeof(x.dir[0]))
-	if per := float64(bytes) / n; per > 40 {
-		t.Errorf("%d 16-byte texts hold %d bytes, %.1f per symbol; want at most 40", n, bytes, per)
+	bytes += len(buckets)*allocated(func() { sinkBucket = new(bucket) }) + cap(x.dir)*int(unsafe.Sizeof(x.dir[0]))
+	if per := float64(bytes) / n; per > 33.5 {
+		t.Errorf("%d 16-byte texts hold %d bytes in %d buckets, %.2f per symbol; want at most 33.5", n, bytes, len(buckets), per)
+	}
+}
+
+var sinkBucket *bucket
+
+// allocated returns the bytes the allocator hands out for one call of alloc:
+// its size class, not the size of the type it allocates.
+func allocated(alloc func()) int {
+	const calls = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		alloc()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / calls
+}
+
+// TestSymbolBucketIsOneSizeClass: a bucket, its count and its depth are
+// exactly 2 KiB, a size class of the allocator, so a bucket costs what its
+// fields hold. A word-sized count would make it 2 064 bytes, which the
+// allocator hands out as 2 304.
+func TestSymbolBucketIsOneSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(bucket{}); size != 2048 {
+		t.Errorf("a bucket is %d bytes, want 2048", size)
+	}
+}
+
+// TestSymbolIndexLoad: after each of ten thousand interns into a fresh
+// table, every bucket holds at most 3/4 of its slots; two buddy buckets of
+// equal depth hold more than 3/4 of a bucket between them, since a bucket
+// splits only when one more id would put it over 3/4; every id sits in the
+// bucket its hash's prefix picks, and a probe from its home slot reaches it
+// without passing an empty slot. Every bucket's slots are walked after a
+// split; otherwise an intern only filled one empty slot, and the new id's
+// probe is walked.
+func TestSymbolIndexLoad(t *testing.T) {
+	tab := newSymtab()
+	hashes := []uint64{maphash.String(tab.seed, "")}
+	buckets := 1
+	for i := 0; i < 10000; i++ {
+		text, id := fmt.Sprintf("load-%d", i), int32(len(hashes))
+		if got := tab.intern(text); got != int64(id) {
+			t.Fatalf("%q got id %d, want %d", text, got, id)
+		}
+		h := maphash.String(tab.seed, text)
+		hashes = append(hashes, h)
+		x := tab.index.Load()
+		held, count := 0, 0
+		for e := 0; e < len(x.dir); e++ {
+			b := x.dir[e].Load()
+			if 4*int(b.n) > 3*bucketSlots {
+				t.Fatalf("after %d interns a bucket holds %d of %d slots", i+1, b.n, bucketSlots)
+			}
+			span := 1 << (x.depth - b.depth)
+			if e%span != 0 {
+				continue // a bucket is checked at the first of its entries
+			}
+			if b.depth > 0 {
+				if buddy := x.dir[e^span].Load(); buddy.depth == b.depth && 4*(int(b.n)+int(buddy.n)) <= 3*bucketSlots {
+					t.Fatalf("after %d interns two buddy buckets of depth %d hold %d and %d ids of %d slots each", i+1, b.depth, b.n, buddy.n, bucketSlots)
+				}
+			}
+			held += int(b.n)
+			count++
+		}
+		if held != len(hashes) {
+			t.Fatalf("after %d interns the buckets hold %d ids, want %d", i+1, held, len(hashes))
+		}
+		if count == buckets {
+			b := x.bucket(h)
+			for s := home(h); b.slots[s].Load() != id+1; s = (s + 1) % bucketSlots {
+				if b.slots[s].Load() == 0 {
+					t.Fatalf("id %d is not reached from its home slot %d without passing an empty slot", id, home(h))
+				}
+			}
+			continue
+		}
+		buckets = count
+		for e := 0; e < len(x.dir); e += 1 << (x.depth - x.dir[e].Load().depth) {
+			checkBucket(t, x, x.dir[e].Load(), hashes)
+		}
+	}
+}
+
+// checkBucket checks that every id in b belongs there by its hash's prefix
+// and is reached from its home slot with no empty slot in between, and that
+// b counts the ids it holds.
+func checkBucket(t *testing.T, x *index, b *bucket, hashes []uint64) {
+	t.Helper()
+	start := 0 // an empty slot, which no probe run passes
+	for b.slots[start].Load() != 0 {
+		start++
+	}
+	held, empty := 0, start // empty: the last empty slot the walk passed
+	for k := 1; k <= bucketSlots; k++ {
+		i := (start + k) % bucketSlots
+		id := b.slots[i].Load() - 1
+		if id < 0 {
+			empty = i
+			continue
+		}
+		held++
+		h := hashes[id]
+		if x.bucket(h) != b {
+			t.Fatalf("id %d sits in a bucket its hash prefix does not pick", id)
+		}
+		// The run from the last empty slot up to i holds no empty slot, so
+		// the id is reachable if its home lies in that run.
+		if run, dist := (i-empty+bucketSlots)%bucketSlots, (i-home(h)+bucketSlots)%bucketSlots; dist >= run {
+			t.Fatalf("id %d sits in slot %d, past an empty slot on the probe from its home %d", id, i, home(h))
+		}
+	}
+	if held != int(b.n) {
+		t.Fatalf("a bucket counts %d ids and holds %d", b.n, held)
 	}
 }
 
