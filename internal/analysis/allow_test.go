@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 // TestAllowRequiresReason pins the suppression contract: a bare
 // `//lint:allow <analyzer>` with no reason keeps the diagnostic and flags
 // the missing justification.
 func TestAllowRequiresReason(t *testing.T) {
-	diags, _ := analysistest.Diagnostics(t, "testdata/src", analysis.BareSleep, "internal/allowfix")
+	diags, _ := diagnostics(t, "testdata/src", analysis.BareSleep, "internal/allowfix")
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1: %v", len(diags), diags)
 	}

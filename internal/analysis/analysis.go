@@ -46,7 +46,7 @@ type Analyzer struct {
 	Finish func(report func(Diagnostic)) error
 	// NewState, when set, is invoked by the driver before a run so an
 	// analyzer with cross-package state can be used for several independent
-	// runs (the analysistest harness runs fixtures back to back).
+	// runs (the package's fixture tests run fixtures back to back).
 	NewState func()
 }
 
@@ -212,15 +212,4 @@ func typePath(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return n.Obj().Pkg().Path() + "." + n.Obj().Name()
-}
-
-// isTestingFunc reports whether a FuncDecl is a test/bench/fuzz entry.
-func isTestingFunc(fd *ast.FuncDecl) bool {
-	name := fd.Name.Name
-	for _, prefix := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			return true
-		}
-	}
-	return false
 }

@@ -1,15 +1,4 @@
-// Package analysistest runs one analyzer over fixture packages and checks
-// its diagnostics against expectations written in the fixtures themselves —
-// the x/tools analysistest convention, rebuilt on the offline loader:
-//
-//	s.ch <- 1 // want "channel send while s.mu is held"
-//
-// A `// want "re1" "re2"` comment demands one diagnostic matching each
-// quoted regexp on its line; a diagnostic on a line with no matching want
-// fails the test, and so does a want no diagnostic satisfies. Fixtures live
-// under <pkg>/testdata/src/<import/path> and may import each other by those
-// relative paths (plus the standard library).
-package analysistest
+package analysis_test
 
 import (
 	"regexp"
@@ -30,11 +19,20 @@ type expectation struct {
 	met  bool
 }
 
-// Run loads the fixture packages rooted at dir and runs a (alone) over them,
-// comparing diagnostics to the fixtures' want comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
+// run loads the fixture packages rooted at dir and runs a (alone) over them,
+// comparing diagnostics to the fixtures' want comments — the x/tools
+// analysistest convention, rebuilt on the offline loader:
+//
+//	s.ch <- 1 // want "channel send while s.mu is held"
+//
+// A `// want "re1" "re2"` comment demands one diagnostic matching each
+// quoted regexp on its line; a diagnostic on a line with no matching want
+// fails the test, and so does a want no diagnostic satisfies. Fixtures live
+// under testdata/src/<import/path> and may import each other by those
+// relative paths (plus the standard library).
+func run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	diags, pkgs := Diagnostics(t, dir, a, paths...)
+	diags, pkgs := diagnostics(t, dir, a, paths...)
 	wants := collectWants(t, pkgs)
 
 	matched := make([]bool, len(diags))
@@ -60,10 +58,10 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	}
 }
 
-// Diagnostics loads the fixture packages and returns the analyzer's raw
+// diagnostics loads the fixture packages and returns the analyzer's raw
 // findings (after //lint:allow filtering), for tests asserting on messages
 // the want syntax cannot express (the allow mechanism itself).
-func Diagnostics(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) ([]analysis.Diagnostic, []*load.Package) {
+func diagnostics(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) ([]analysis.Diagnostic, []*load.Package) {
 	t.Helper()
 	pkgs, err := load.LoadFixture(dir, paths...)
 	if err != nil {

@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 func TestAtomicMix(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.AtomicMix,
+	run(t, "testdata/src", analysis.AtomicMix,
 		"internal/atomica", "internal/atomicb")
 }

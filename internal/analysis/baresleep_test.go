@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 func TestBareSleep(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.BareSleep, "internal/sleepy")
+	run(t, "testdata/src", analysis.BareSleep, "internal/sleepy")
 }
 
 // TestBareSleepScope pins the Match scoping: the sleep discipline binds

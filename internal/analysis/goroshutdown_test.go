@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 func TestGoroShutdown(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.GoroShutdown,
+	run(t, "testdata/src", analysis.GoroShutdown,
 		"internal/work2", "internal/goro")
 }

@@ -195,7 +195,7 @@ func newInfo() *types.Info {
 }
 
 // ---------------------------------------------------------------------------
-// Fixture loading (analysistest)
+// Fixture loading (the analyzer tests and the root caller check)
 
 // fixtureLoader type-checks packages under a testdata/src tree: an import
 // path that names a subdirectory of the tree resolves there (from source,

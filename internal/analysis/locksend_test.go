@@ -4,9 +4,8 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 func TestLockSend(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.LockSend, "internal/locky")
+	run(t, "testdata/src", analysis.LockSend, "internal/locky")
 }

@@ -4,10 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/analysistest"
 )
 
 func TestWireExhaustive(t *testing.T) {
-	analysistest.Run(t, "testdata/src", analysis.WireExhaustive,
+	run(t, "testdata/src", analysis.WireExhaustive,
 		"internal/wirefix", "internal/wiredisp")
 }

@@ -180,12 +180,3 @@ func Equal(a, b map[string]*storage.DB) (bool, string) {
 	}
 	return true, ""
 }
-
-// TotalTuples sums the tuples across all databases.
-func TotalTuples(dbs map[string]*storage.DB) int {
-	n := 0
-	for _, db := range dbs {
-		n += db.TotalTuples()
-	}
-	return n
-}

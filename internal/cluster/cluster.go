@@ -185,8 +185,8 @@ type Transport struct {
 	// aliasOK holds node names AllowAlias pre-authorised for Register.
 	aliasOK map[string]bool
 	// linkDown cuts outgoing frames per destination — transient-partition
-	// injection for tests and experiments (cut both directions by calling it
-	// on each side).
+	// injection for the tests (setLinkDown; cut both directions by calling
+	// it on each side).
 	linkDown map[string]bool
 }
 
@@ -312,17 +312,6 @@ func (c *Transport) transmit(from, to string, msg wire.Message) error {
 		c.tcp.SetPeerAddr(to, addr)
 	}
 	return c.out.Send(from, to, msg)
-}
-
-// SetLinkDown cuts (or restores) this process's outgoing frames to one
-// member — transient-partition injection for tests and experiments. A
-// symmetric partition needs the mirror call on the other side. Heartbeats
-// stop crossing a cut link, so suspicion and the agreed member view react
-// exactly as they would to a dropped network segment.
-func (c *Transport) SetLinkDown(to string, down bool) {
-	c.sh.Lock()
-	c.linkDown[to] = down
-	c.sh.Unlock()
 }
 
 // dispatch is the TCP handler of every name this process answers for — its

@@ -224,9 +224,6 @@ func (cp *ControlPlane) send(to string, msg wire.Message) error {
 	return cp.tr.Send(cp.self, to, msg)
 }
 
-// Consensus exposes the underlying replicated log node.
-func (cp *ControlPlane) Consensus() *consensus.Node { return cp.cons }
-
 // AgreedView snapshots the agreed member table (absent members are book) and
 // its version — the number of member entries applied. Every member's view at
 // the same version is identical by construction: it is a fold over the same
@@ -239,13 +236,6 @@ func (cp *ControlPlane) AgreedView() (map[string]Status, uint64) {
 		out[m] = cp.st.View[m]
 	}
 	return out, cp.st.Version
-}
-
-// Driver returns the currently elected update driver.
-func (cp *ControlPlane) Driver() string {
-	cp.sh.Lock()
-	defer cp.sh.Unlock()
-	return cp.st.driver()
 }
 
 // PlacementFor returns the members that should hold a node's replicas under
@@ -296,12 +286,6 @@ func (cp *ControlPlane) Metrics() ControlPlaneMetrics {
 	m.Deposed = cp.st.hostOf(cp.self) != cp.self
 	m.OpenElections = len(cp.st.Elections)
 	return m
-}
-
-// Submit proposes one control command through the log (exported for tests
-// and experiments; serve traffic arrives through the interceptor).
-func (cp *ControlPlane) Submit(ctx context.Context, cmd wire.Command) (uint64, error) {
-	return cp.cons.Submit(ctx, cmd)
 }
 
 // intercept consumes control-plane frames below the hosted peer: consensus

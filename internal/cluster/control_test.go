@@ -38,6 +38,16 @@ func fastCPOpts(logPath string) ControlPlaneOptions {
 	return o
 }
 
+// setLinkDown cuts (or restores) this process's outgoing frames to one
+// member. A symmetric partition needs the mirror call on the other side.
+// Heartbeats stop crossing a cut link, so suspicion and the agreed member
+// view react exactly as they would to a dropped network segment.
+func (c *Transport) setLinkDown(to string, down bool) {
+	c.sh.Lock()
+	c.linkDown[to] = down
+	c.sh.Unlock()
+}
+
 // startCPMember boots one "process" with the replicated control plane on it.
 func startCPMember(t *testing.T, defText, node string, book map[string]string, dataDir string) (*core.Network, *Transport, *ControlPlane) {
 	t.Helper()
@@ -135,7 +145,8 @@ func TestControlPlaneFailoverKillDriverMidUpdate(t *testing.T) {
 	// still be folding its updateDone at B, so a bare PendingInst > 0 can
 	// briefly reflect the OLD pending update (with its own driver).
 	waitFor(t, 10*time.Second, func() bool {
-		return cps["B"].Metrics().PendingInst > 0 && cps["B"].Driver() == "E"
+		m := cps["B"].Metrics()
+		return m.PendingInst > 0 && m.Driver == "E"
 	}, "the update entry from E never reached B's applied log")
 	if err := nets["E"].Crash(); err != nil {
 		t.Fatal(err)
@@ -247,7 +258,7 @@ func TestControlPlaneMinorityPartition(t *testing.T) {
 
 	// Warm-up decision proves the log works whole.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	warm, err := cps["A"].Submit(ctx, wire.Command{Kind: "noop"})
+	warm, err := cps["A"].cons.Submit(ctx, wire.Command{Kind: "noop"})
 	cancel()
 	if err != nil {
 		t.Fatal(err)
@@ -257,8 +268,8 @@ func TestControlPlaneMinorityPartition(t *testing.T) {
 	cut := func(down bool) {
 		for _, x := range []string{"A", "B", "C"} {
 			for _, y := range []string{"D", "E"} {
-				trs[x].SetLinkDown(y, down)
-				trs[y].SetLinkDown(x, down)
+				trs[x].setLinkDown(y, down)
+				trs[y].setLinkDown(x, down)
 			}
 		}
 	}
@@ -266,7 +277,7 @@ func TestControlPlaneMinorityPartition(t *testing.T) {
 
 	// The minority proposer must block until its context gives up.
 	ctx, cancel = context.WithTimeout(context.Background(), 500*time.Millisecond)
-	_, err = cps["D"].Submit(ctx, wire.Command{Kind: "noop"})
+	_, err = cps["D"].cons.Submit(ctx, wire.Command{Kind: "noop"})
 	cancel()
 	if err == nil {
 		t.Fatal("minority member decided a log entry without a quorum")
@@ -275,7 +286,7 @@ func TestControlPlaneMinorityPartition(t *testing.T) {
 
 	// The majority keeps deciding, and its agreed view records the cut.
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Second)
-	majority, err := cps["A"].Submit(ctx, wire.Command{Kind: "noop"})
+	majority, err := cps["A"].cons.Submit(ctx, wire.Command{Kind: "noop"})
 	cancel()
 	if err != nil {
 		t.Fatalf("majority member could not decide during the partition: %v", err)
@@ -366,8 +377,8 @@ func TestUpdateErrorsWhenKickCannotLand(t *testing.T) {
 	if err := coord.WaitMembers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	coord.Transport().SetLinkDown("B", true)
-	coord.Transport().SetLinkDown("C", true)
+	coord.Transport().setLinkDown("B", true)
+	coord.Transport().setLinkDown("C", true)
 	if err := coord.Update(ctx); err == nil {
 		t.Fatal("Update returned nil though its kick could not have landed")
 	}
@@ -412,7 +423,7 @@ func TestUpdateRetargetsUnreachableSuper(t *testing.T) {
 	}
 	// Cut the coordinator off from the super only; member-to-member links
 	// stay up, so the wave still crosses the whole chain.
-	coord.Transport().SetLinkDown("A", true)
+	coord.Transport().setLinkDown("A", true)
 	if err := coord.Update(ctx); err != nil {
 		t.Fatalf("update with an unreachable super: %v", err)
 	}
@@ -468,7 +479,7 @@ func TestSupersededDriverDoesNotCommit(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for want := uint64(1); want <= 2; want++ {
-		if _, err := cp.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
+		if _, err := cp.cons.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, 10*time.Second, func() bool { return h.waves.Load() >= want }, "an agreed update was never kicked")
@@ -502,7 +513,7 @@ func TestCloseWaitsForThePlanesCallbacks(t *testing.T) {
 	defer func() { _ = tr.Close() }()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := cp.Submit(ctx, wire.Command{Kind: "discover", Node: "A"}); err != nil {
+	if _, err := cp.cons.Submit(ctx, wire.Command{Kind: "discover", Node: "A"}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -552,7 +563,7 @@ func TestControlLogReplayDoesNotRekickUpdate(t *testing.T) {
 	h1 := &fakeHosted{}
 	tr1, cp1 := bootSoloCP(t, logPath, h1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if _, err := cp1.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
+	if _, err := cp1.cons.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -586,7 +597,7 @@ func TestControlLogReplayRedrivesPendingUpdate(t *testing.T) {
 	h1 := &openHosted{}
 	tr1, cp1 := bootSoloCP(t, logPath, h1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if _, err := cp1.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
+	if _, err := cp1.cons.Submit(ctx, wire.Command{Kind: "update", Node: "A"}); err != nil {
 		t.Fatal(err)
 	}
 	cancel()

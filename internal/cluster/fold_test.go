@@ -141,7 +141,7 @@ func TestTransferAppliesOnlyChangedRules(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	for _, text := range []string{"rx: B:b(X,Y) -> A:a(X,Y)", "ry: C:c(X,Y) -> A:a(Y,X)"} {
-		if _, err := cp.Submit(ctx, wire.Command{Kind: "addRule", Text: text}); err != nil {
+		if _, err := cp.cons.Submit(ctx, wire.Command{Kind: "addRule", Text: text}); err != nil {
 			t.Fatal(err)
 		}
 	}

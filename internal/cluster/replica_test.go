@@ -253,7 +253,7 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 	verdict := func(st Status) {
 		t.Helper()
 		cmd := wire.Command{Kind: "member", Node: "E", Status: uint8(st)}
-		if _, err := members["A"].cp.Submit(ctx, cmd); err != nil {
+		if _, err := members["A"].cp.cons.Submit(ctx, cmd); err != nil {
 			t.Fatalf("submit member E %s: %v", st, err)
 		}
 	}
@@ -315,7 +315,7 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 	cut := func(down bool) {
 		for _, node := range names { // E too: its adopter answers under that name
 			if node != victim {
-				v.tr.SetLinkDown(node, down)
+				v.tr.setLinkDown(node, down)
 			}
 		}
 	}
@@ -325,7 +325,7 @@ func TestRehomedNodeHasOneHost(t *testing.T) {
 		return view[victim] == StatusSuspect
 	}, "the survivors never agreed "+victim+" was suspect")
 	cmd := wire.Command{Kind: "member", Node: victim, Status: uint8(StatusDead)}
-	if _, err := members["A"].cp.Submit(ctx, cmd); err != nil {
+	if _, err := members["A"].cp.cons.Submit(ctx, cmd); err != nil {
 		t.Fatalf("submit member %s dead: %v", victim, err)
 	}
 	waitFor(t, 30*time.Second, func() bool { return members["A"].cp.HostOf(victim) != victim },
@@ -454,10 +454,9 @@ func TestReplicaChurnSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events := workload.Churn(nodes, workload.ChurnSpec{
+	events := churn(nodes, churnSpec{
 		Events:      110,
 		Seed:        11,
-		Style:       workload.StyleCopy,
 		CrashEvery:  8,
 		MaxDown:     1,
 		DownFor:     5,
@@ -467,7 +466,7 @@ func TestReplicaChurnSoak(t *testing.T) {
 	inserts, crashes, settles := 0, 0, 0
 	for i, ev := range events {
 		switch ev.Op {
-		case workload.ChurnInsert:
+		case churnInsert:
 			inserts++
 			for _, f := range ev.Facts {
 				if _, err := members[f.Node].n.Peer(f.Node).InsertLocal(f.Rel, f.Tuple); err != nil {
@@ -477,13 +476,13 @@ func TestReplicaChurnSoak(t *testing.T) {
 					t.Fatalf("event %d: oracle insert at %s: %v", i, f.Node, err)
 				}
 			}
-		case workload.ChurnCrash:
+		case churnCrash:
 			crashes++
 			members[ev.Node].crash()
 			delete(members, ev.Node)
-		case workload.ChurnRestart:
+		case churnRestart:
 			boot(ev.Node)
-		case workload.ChurnSettle:
+		case churnSettle:
 			if len(members) < nodes {
 				continue // a member is down; the final settle runs whole
 			}

@@ -117,9 +117,6 @@ func (w *RemoteWatch) push(d wire.WatchDelta) {
 	}
 }
 
-// Node returns the member the watch is registered at.
-func (w *RemoteWatch) Node() string { return w.node }
-
 // Next returns the next delta. Consuming a delta confirms it: the watch's
 // resume token advances to the delta's frontier. The terminal delta carries
 // Closed (with Err set when the server cancelled the stream); after it, or

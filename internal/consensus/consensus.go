@@ -234,12 +234,6 @@ func (n *Node) Close() {
 	}
 }
 
-// Self returns the member name.
-func (n *Node) Self() string { return n.self }
-
-// Quorum returns the majority size over the fixed peer set.
-func (n *Node) Quorum() int { return n.quorum }
-
 // Metrics snapshots the observability counters.
 func (n *Node) Metrics() Metrics {
 	n.sh.Lock()
@@ -308,11 +302,6 @@ func (n *Node) Handle(env wire.Envelope) bool {
 	}
 	n.deliver(env.From, env.Msg)
 	return true
-}
-
-// decide learns one decided instance as if a peer had reported it.
-func (n *Node) decide(instance uint64, val wire.Command) {
-	n.deliver(n.self, wire.Learn{Instance: instance, Val: val})
 }
 
 // deliver steps one event.

@@ -166,7 +166,7 @@ func submit(t *testing.T, n *Node, kind, text string) uint64 {
 	defer cancel()
 	at, err := n.Submit(ctx, wire.Command{Kind: kind, Text: text})
 	if err != nil {
-		t.Fatalf("submit %s/%s on %s: %v", kind, text, n.Self(), err)
+		t.Fatalf("submit %s/%s on %s: %v", kind, text, n.self, err)
 	}
 	return at
 }
@@ -227,7 +227,7 @@ func TestContendingProposersNeverDiverge(t *testing.T) {
 		go func(n *Node) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				submit(t, n, "noop", fmt.Sprintf("%s-%d", n.Self(), i))
+				submit(t, n, "noop", fmt.Sprintf("%s-%d", n.self, i))
 			}
 		}(nodes[name])
 	}
@@ -381,7 +381,7 @@ func TestGapFill(t *testing.T) {
 	names := []string{"A", "B", "C"}
 	nodes, logs := startCluster(t, f, names, fastOpts())
 	for _, n := range nodes {
-		n.Handle(wire.Envelope{From: "A", To: n.Self(),
+		n.Handle(wire.Envelope{From: "A", To: n.self,
 			Msg: wire.Learn{Instance: 2, Val: wire.Command{Kind: "member", Origin: "A", Seq: 99, Node: "Z"}}})
 	}
 	waitFor(t, 5*time.Second, "gap filled and both applied", func() bool {
@@ -708,7 +708,7 @@ func TestSnapshotLabelMatchesItsState(t *testing.T) {
 	}
 	defer n.Close()
 	for i := uint64(1); i <= 3; i++ {
-		n.decide(i, wire.Command{Kind: "noop", Text: fmt.Sprint(i)})
+		n.deliver(n.self, wire.Learn{Instance: i, Val: wire.Command{Kind: "noop", Text: fmt.Sprint(i)}})
 	}
 	n.Start() // the applier takes all three in one batch
 	select {

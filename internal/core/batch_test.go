@@ -83,7 +83,7 @@ func equivalenceRun(t *testing.T, window time.Duration, faults bool) (map[string
 	// N01 <-> N02 answers and acks while the writes land, and the heal +
 	// re-pull must close the gap.
 	if faults {
-		n.Faults().Partition("N01", "N02")
+		n.faults().Partition("N01", "N02")
 	}
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("conf/p2pdb/eq-%d", i)
@@ -98,7 +98,7 @@ func equivalenceRun(t *testing.T, window time.Duration, faults bool) (map[string
 		t.Fatal(err)
 	}
 	if faults {
-		n.Faults().Heal("N01", "N02")
+		n.faults().Heal("N01", "N02")
 	}
 	if err := n.RunToFixpoint(ctx); err != nil {
 		t.Fatal(err)

@@ -51,8 +51,7 @@ type Options struct {
 	// in-memory router from Seed/MaxDelay/Synchronous, which configure only
 	// that router. Every transport settles by the same rule, the peers'
 	// counter balance (Quiesce); one implementing transport.Stepper is
-	// stepped first, and one implementing transport.FaultInjector is what
-	// Faults returns.
+	// stepped first.
 	Transport transport.Transport
 	// Recorder, when set, records all protocol sends for sequence charts.
 	Recorder *trace.Recorder
@@ -122,7 +121,7 @@ type Network struct {
 	opts    Options
 
 	inflight    *stats.Tally  // every hosted peer's counters joined: Quiesce's wake
-	probeRounds atomic.Uint64 // closure-probe rounds the updates needed (see ProbeRounds)
+	probeRounds atomic.Uint64 // closure-probe rounds the updates needed (the tests read it)
 	closed      atomic.Bool   // Close or Crash ran: Quiesce returns transport.ErrClosed
 }
 
@@ -419,10 +418,6 @@ func (n *Network) Nodes() []string {
 	return append([]string(nil), order...)
 }
 
-// Transport exposes the transport carrying the network's messages (the
-// Batcher when Options.BatchWindow wrapped one around the base transport).
-func (n *Network) Transport() transport.Transport { return n.tr }
-
 // capTransport is where transport capabilities are asserted: the base
 // transport under any Batcher wrapper. The Batcher is a send-side buffer —
 // BSP stepping and fault injection live underneath it.
@@ -440,13 +435,6 @@ func (n *Network) BatchStats() (transport.BatchStats, bool) {
 		return transport.BatchStats{}, false
 	}
 	return n.batcher.Stats(), true
-}
-
-// Faults returns the transport's fault-injection capability (partitions,
-// drop counters), or nil when the transport has none.
-func (n *Network) Faults() transport.FaultInjector {
-	f, _ := n.capTransport().(transport.FaultInjector)
-	return f
 }
 
 // Quiesce waits until the network has settled. On every transport it judges
@@ -497,7 +485,7 @@ func (n *Network) Discover(ctx context.Context) error {
 // Update runs phase two to completion: the super-peer floods the update
 // kick-off; the call returns once the network is quiescent and every node
 // reports state_u = closed (DriveUpdate). Nodes close by themselves; a wave
-// that settles with nodes open is probed, counted in ProbeRounds, and — past
+// that settles with nodes open is probed, counted in probeRounds, and — past
 // the budget — reported with what each open node was waiting on.
 func (n *Network) Update(ctx context.Context) error {
 	sp := n.Peer(n.super)

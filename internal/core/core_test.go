@@ -9,6 +9,7 @@ import (
 	"repro/internal/peer"
 	"repro/internal/relalg"
 	"repro/internal/rules"
+	"repro/internal/transport"
 )
 
 func ctx(t *testing.T) context.Context {
@@ -30,6 +31,13 @@ func build(t *testing.T, src string, opts Options) *Network {
 	}
 	t.Cleanup(func() { _ = n.Close() })
 	return n
+}
+
+// faults returns the transport's fault-injection capability (partitions,
+// drop counters), or nil when the transport has none.
+func (n *Network) faults() transport.FaultInjector {
+	f, _ := n.capTransport().(transport.FaultInjector)
+	return f
 }
 
 func runAndValidate(t *testing.T, n *Network) {

@@ -217,7 +217,3 @@ func (n *Network) drive(ctx context.Context, w localWave) error {
 	n.probeRounds.Add(uint64(probes))
 	return err
 }
-
-// ProbeRounds reports how many closure-probe rounds this network's updates
-// have needed so far. Anything but zero means a wave settled with nodes open.
-func (n *Network) ProbeRounds() uint64 { return n.probeRounds.Load() }

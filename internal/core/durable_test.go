@@ -170,7 +170,7 @@ func TestCrashRestartResendsExactlyUnacked(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	n.Faults().Partition("B", "C")
+	n.faults().Partition("B", "C")
 	const lost = 5
 	var extraFacts strings.Builder
 	for i := 0; i < lost; i++ {
@@ -445,7 +445,7 @@ func TestRebuiltCliqueClosesUnprobed(t *testing.T) {
 		if err := n.Update(ctx); err != nil {
 			t.Fatalf("round %d: rebuilt update: %v", i, err)
 		}
-		if got := n.ProbeRounds(); got != 0 {
+		if got := n.probeRounds.Load(); got != 0 {
 			t.Fatalf("round %d: the rebuilt wave needed %d probe round(s)", i, got)
 		}
 		if err := n.Close(); err != nil {

@@ -329,7 +329,7 @@ func TestCrossTransportOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = tcp.Close() })
-	if tcp.Faults() != nil {
+	if tcp.faults() != nil {
 		t.Fatal("the TCP mesh must not advertise fault injection")
 	}
 	if err := tcp.RunToFixpoint(ctx(t)); err != nil {

@@ -35,22 +35,6 @@ func (n *Network) Node(id string) *Node {
 	return &Node{n: n, p: p, id: id}
 }
 
-// ID returns the node name.
-func (h *Node) ID() string {
-	if h == nil {
-		return ""
-	}
-	return h.id
-}
-
-// Peer exposes the underlying peer runtime (inspection, counters).
-func (h *Node) Peer() *peer.Peer {
-	if h == nil {
-		return nil
-	}
-	return h.p
-}
-
 // Insert performs an online local write: the tuples enter the node's
 // database immediately and anything new flows to all subscribed dependents
 // as an incremental re-answer (semi-naive under Options.Delta), without

@@ -523,7 +523,7 @@ func TestPartitionIsARefusedSend(t *testing.T) {
 	n := build(t, chainNet, Options{Delta: true})
 	runAndValidate(t, n)
 	held := n.Peer("B").DB().Count("b")
-	n.Faults().Partition("B", "C")
+	n.faults().Partition("B", "C")
 	if _, err := n.Node("C").Insert(ctx(t), "c", relalg.Tuple{relalg.S("9"), relalg.S("10")}); err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +537,7 @@ func TestPartitionIsARefusedSend(t *testing.T) {
 	if errs := n.Peer("C").Counters().Snapshot().SendErrors; errs == 0 {
 		t.Error("C's answer across the partition was not counted as a send error")
 	}
-	if n.Faults().Dropped() == 0 {
+	if n.faults().Dropped() == 0 {
 		t.Error("the partition dropped nothing")
 	}
 	if got := n.Peer("B").DB().Count("b"); got != held {

@@ -295,11 +295,11 @@ func TestPartitionHealRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := workload.NodeName(1), workload.NodeName(2)
-	n.Faults().Partition(a, b)
+	n.faults().Partition(a, b)
 	// The update may or may not manage to close with the link down (the
 	// probe budget is bounded); either way it must not hang.
 	_ = n.Update(ctx(t))
-	n.Faults().Heal(a, b)
+	n.faults().Heal(a, b)
 	if err := n.Update(ctx(t)); err != nil {
 		t.Fatalf("post-heal update: %v", err)
 	}

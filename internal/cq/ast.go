@@ -5,7 +5,7 @@
 // relations. An evaluation numbers the conjunction's variables once (Slots)
 // and carries its bindings as rows of values indexed by slot, carved from a
 // per-call Arena; the map-shaped Binding exists at the API edge only
-// (EvalBindings, containment, built-ins over user-supplied bindings).
+// (containment, built-ins over user-supplied bindings).
 //
 // Surface syntax, by example:
 //
@@ -289,18 +289,4 @@ func (b Binding) Clone() Binding {
 		out[k] = v
 	}
 	return out
-}
-
-// Project extracts the values of the named variables as a tuple; missing
-// variables yield an error (the caller guarantees range restriction).
-func (b Binding) Project(vars []string) (relalg.Tuple, error) {
-	out := make(relalg.Tuple, len(vars))
-	for i, v := range vars {
-		val, ok := b[v]
-		if !ok {
-			return nil, fmt.Errorf("cq: unbound variable %s in projection", v)
-		}
-		out[i] = val
-	}
-	return out, nil
 }

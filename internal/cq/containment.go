@@ -162,13 +162,3 @@ func builtinImplied(b2 Builtin, hom Binding, q1 Conjunction) bool {
 func isFrozen(v relalg.Value) bool {
 	return v.Kind() == relalg.KindString && len(v.Str()) > 0 && v.Str()[0] == '\x01'
 }
-
-// Equivalent reports whether the two queries are semantically equivalent
-// (mutual containment).
-func Equivalent(q1 Conjunction, out1 []string, q2 Conjunction, out2 []string) (bool, error) {
-	a, err := Contained(q1, out1, q2, out2)
-	if err != nil || !a {
-		return false, err
-	}
-	return Contained(q2, out2, q1, out1)
-}

@@ -63,22 +63,6 @@ func TestContainedArityMismatch(t *testing.T) {
 	}
 }
 
-func TestEquivalent(t *testing.T) {
-	// Classic redundancy: a duplicated atom is equivalent to the single one.
-	eq, err := Equivalent(
-		mustParse(t, "e(X,Y), e(X,Y)"), []string{"X", "Y"},
-		mustParse(t, "e(A,B)"), []string{"A", "B"})
-	if err != nil || !eq {
-		t.Errorf("duplicated atom should be equivalent: %v %v", eq, err)
-	}
-	eq, err = Equivalent(
-		mustParse(t, "e(X,Y), e(Y,Z)"), []string{"X"},
-		mustParse(t, "e(A,B)"), []string{"A"})
-	if err != nil || eq {
-		t.Errorf("join vs atom should not be equivalent: %v %v", eq, err)
-	}
-}
-
 // TestContainmentSemanticSoundness: whenever Contained says q1 ⊆ q2, every
 // database must satisfy eval(q1) ⊆ eval(q2). Random queries + random
 // databases.

@@ -215,7 +215,7 @@ func TestEvalUnsafeOutputVar(t *testing.T) {
 func TestEvalBuiltinUnboundVar(t *testing.T) {
 	src := MapSource{"a": mkrel(t, "a", 1, []string{"x"})}
 	c, _ := ParseConjunction("a(X), X <> Q")
-	if _, err := EvalBindings(src, c); err == nil {
+	if _, err := Eval(src, c, []string{"X"}); err == nil {
 		t.Error("builtin over unbound variable must error")
 	}
 }

@@ -29,6 +29,11 @@ func (m MapSource) Rel(name string) *relalg.Relation { return m[name] }
 // outVars must occur in some atom of the conjunction (range restriction);
 // otherwise an error is returned.
 //
+// The evaluation is a pipelined join: atoms are ordered greedily (most
+// already-bound variables first, then smallest extent), each step probes the
+// relations' per-position indexes on the bound positions, and built-ins fire
+// as soon as their variables are in scope.
+//
 // The result is a set in first-derivation order: the same relations (in
 // insertion order) in give the same order out, whatever the process's hash
 // seed, but the order is not canonical — a caller that shows rows to a person
@@ -141,29 +146,6 @@ func evalDelta(src Source, c Conjunction, outVars []string, delta map[string][]r
 	return out.All(), nil
 }
 
-// EvalBindings evaluates the conjunction and returns all satisfying bindings
-// over the conjunction's atom variables. The evaluation is a pipelined join:
-// atoms are ordered greedily (most already-bound variables first, then
-// smallest extent), each step probes the relations' per-position indexes on
-// the bound positions, and built-ins fire as soon as their variables are in
-// scope.
-func EvalBindings(src Source, c Conjunction) ([]Binding, error) {
-	e := compile(src, c)
-	rows, err := e.evalAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Binding, len(rows))
-	for i, row := range rows {
-		b := make(Binding, len(row))
-		for slot, v := range row {
-			b[e.slots.Name(slot)] = v
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // ProjectInto adds the projection of every row onto the given slots to out,
 // which copies only the projections not seen before.
 func ProjectInto(out *relalg.TupleSet, rows [][]relalg.Value, slots []int) {
@@ -209,9 +191,6 @@ func (s *Slots) Lookup(name string) int {
 
 // Len returns the number of slots, i.e. the width of a row.
 func (s *Slots) Len() int { return len(s.names) }
-
-// Name returns the variable numbered slot.
-func (s *Slots) Name(slot int) string { return s.names[slot] }
 
 // Arena hands out value slices carved from geometrically growing chunks, so
 // the rows of one evaluation cost a handful of allocations in total and are
@@ -293,7 +272,7 @@ func (sb slotBuiltin) holds(row []relalg.Value) bool {
 }
 
 // evaluator is one conjunction compiled against its slots: the state of a
-// single Eval, EvalBindings or EvalDelta call.
+// single Eval or EvalDelta call.
 type evaluator struct {
 	src      Source
 	slots    Slots // the atom variables, in first-occurrence order

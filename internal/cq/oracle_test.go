@@ -8,6 +8,20 @@ import (
 	"repro/internal/relalg"
 )
 
+// project extracts the values of the named variables as a tuple; missing
+// variables yield an error.
+func (b Binding) project(vars []string) (relalg.Tuple, error) {
+	out := make(relalg.Tuple, len(vars))
+	for i, v := range vars {
+		val, ok := b[v]
+		if !ok {
+			return nil, fmt.Errorf("cq: unbound variable %s in projection", v)
+		}
+		out[i] = val
+	}
+	return out, nil
+}
+
 // naiveEval is an independent oracle: enumerate every combination of tuples
 // for the atoms (cartesian product), attempt unification, filter through the
 // built-ins, and project. Exponential and obviously correct.
@@ -45,7 +59,7 @@ func naiveEval(src Source, c Conjunction, outVars []string) ([]relalg.Tuple, err
 	seen := map[string]bool{}
 	var out []relalg.Tuple
 	for _, b := range kept {
-		t, err := b.Project(outVars)
+		t, err := b.project(outVars)
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +111,7 @@ bindings:
 				continue bindings
 			}
 		}
-		t, err := fb.b.Project(outVars)
+		t, err := fb.b.project(outVars)
 		if err != nil {
 			return nil, err
 		}

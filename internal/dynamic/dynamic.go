@@ -169,12 +169,6 @@ func contained(a, b map[string]*storage.DB, label string) error {
 // ---------------------------------------------------------------------------
 // Definition 10: separation
 
-// Separated checks Definition 10.1 on a static rule set: no dependency path
-// from a node in a involves a node in b.
-func Separated(rs []rules.Rule, a, b []string) bool {
-	return graph.FromRules(rs).Separated(a, b)
-}
-
 // SeparatedUnderChange checks Definition 10.2 exactly for a finite change:
 // for every initial subchange (prefix, including the empty one), the network
 // obtained by applying it keeps a separated from b.
@@ -216,32 +210,7 @@ func SeparatedUnderChange(base *rules.Network, ch Change, a, b []string) (bool, 
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling
-
-// Scheduled is one operation fired a duration after the schedule starts.
-type Scheduled struct {
-	After time.Duration
-	Op    Op
-}
-
-// RunSchedule applies the operations at their offsets (asynchronously with
-// respect to the network's protocol traffic) and returns when all have been
-// applied. Errors are collected, not fatal: a change colliding with network
-// state is a legitimate dynamic-network event.
-func RunSchedule(n *core.Network, sched []Scheduled) []error {
-	start := time.Now()
-	var errs []error
-	for _, s := range sched {
-		if wait := time.Until(start.Add(s.After)); wait > 0 {
-			//lint:allow baresleep the schedule is wall-clock by contract (operations fire at fixed offsets); callers bound the whole run
-			time.Sleep(wait)
-		}
-		if err := Apply(n, s.Op); err != nil {
-			errs = append(errs, fmt.Errorf("dynamic: %s: %w", s.Op, err))
-		}
-	}
-	return errs
-}
+// Theorem 3: churn
 
 // Churn generates an endless alternating add/delete workload on the given
 // rule (used by the Theorem 3 harness: infinite change confined to one

@@ -288,23 +288,3 @@ func TestOpStrings(t *testing.T) {
 		t.Error("DeleteLink.String wrong")
 	}
 }
-
-func TestRunSchedule(t *testing.T) {
-	base := parse(t, baseNet)
-	n, err := core.Build(base, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = n.Close() })
-	errs := RunSchedule(n, []Scheduled{
-		{After: 0, Op: AddLink{RuleText: "rd: D:d(X,Y) -> A:a(X,Y)"}},
-		{After: time.Millisecond, Op: DeleteLink{HeadNode: "A", RuleID: "rd"}},
-	})
-	if len(errs) != 0 {
-		t.Fatalf("errs = %v", errs)
-	}
-	errs = RunSchedule(n, []Scheduled{{Op: AddLink{RuleText: "broken"}}})
-	if len(errs) != 1 {
-		t.Fatalf("expected 1 error, got %v", errs)
-	}
-}

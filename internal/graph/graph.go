@@ -42,15 +42,6 @@ func FromRules(rs []rules.Rule) *Graph {
 	return g
 }
 
-// FromEdges builds a graph from an edge list.
-func FromEdges(edges []Edge) *Graph {
-	g := New()
-	for _, e := range edges {
-		g.AddEdge(e.From, e.To)
-	}
-	return g
-}
-
 // AddNode registers a node (idempotent).
 func (g *Graph) AddNode(n string) {
 	g.nodes[n] = true
@@ -64,13 +55,6 @@ func (g *Graph) AddEdge(from, to string) {
 	g.AddNode(from)
 	g.AddNode(to)
 	g.succ[from][to] = true
-}
-
-// RemoveEdge deletes a directed edge if present.
-func (g *Graph) RemoveEdge(from, to string) {
-	if s, ok := g.succ[from]; ok {
-		delete(s, to)
-	}
 }
 
 // HasEdge reports edge presence.
@@ -111,20 +95,6 @@ func (g *Graph) Edges() []Edge {
 		return out[i].To < out[j].To
 	})
 	return out
-}
-
-// Clone deep-copies the graph.
-func (g *Graph) Clone() *Graph {
-	c := New()
-	for n := range g.nodes {
-		c.AddNode(n)
-	}
-	for from, set := range g.succ {
-		for to := range set {
-			c.AddEdge(from, to)
-		}
-	}
-	return c
 }
 
 // Reachable returns the set of nodes reachable from start (excluding start

@@ -135,7 +135,7 @@ func newClique(tb testing.TB, n, records int) []*Peer {
 	(&harness{tr: tr}).quiesce(tb)
 	for _, p := range peers {
 		if p.State() != Closed {
-			tb.Fatalf("%s did not close", p.ID())
+			tb.Fatalf("%s did not close", p.id)
 		}
 	}
 	return peers
@@ -149,16 +149,16 @@ func newClique(tb testing.TB, n, records int) []*Peer {
 // closure condition.
 func BenchmarkHandleEmptyAnswer(b *testing.B) {
 	peers := newClique(b, 4, 50)
-	p, from := peers[0], peers[1].ID()
+	p, from := peers[0], peers[1].id
 	var ruleID string
 	for id, r := range p.rules {
 		if r.SourceNodes()[0] == from {
 			ruleID = id
 		}
 	}
-	env := wire.Envelope{From: from, To: p.ID(), Msg: wire.Answer{
+	env := wire.Envelope{From: from, To: p.id, Msg: wire.Answer{
 		Epoch: p.Epoch(), RuleID: ruleID, Part: from, Columns: []string{"A", "K", "T", "Y"},
-		Delta: true, Route: []string{p.ID(), from},
+		Delta: true, Route: []string{p.id, from},
 	}}
 	before := p.DB().TotalTuples()
 	b.ReportAllocs()

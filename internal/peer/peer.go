@@ -350,9 +350,6 @@ func (p *Peer) DurableState() wal.State {
 	return durableState(p.peerState)
 }
 
-// ID returns the node identifier.
-func (p *Peer) ID() string { return p.id }
-
 // DB exposes the local database (reads are safe; writes must go through the
 // protocol or seeding helpers).
 func (p *Peer) DB() *storage.DB { return p.db }

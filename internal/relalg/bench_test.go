@@ -25,7 +25,7 @@ func BenchmarkRelationInsert(b *testing.B) {
 func BenchmarkRelationInsertProbedPosition(b *testing.B) {
 	b.ReportAllocs()
 	r := NewRelation(MakeSchema("bench", 3))
-	r.Probe([]int{1}, []Value{S("j0")})
+	r.probe([]int{1}, []Value{S("j0")})
 	keys := make([]Value, 1000)
 	for i := range keys {
 		keys[i] = S(fmt.Sprintf("j%d", i))
@@ -38,7 +38,7 @@ func BenchmarkRelationInsertProbedPosition(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if got := len(r.Probe([]int{1}, []Value{keys[0]})); got != (b.N+len(keys)-1)/len(keys) {
+	if got := len(r.probe([]int{1}, []Value{keys[0]})); got != (b.N+len(keys)-1)/len(keys) {
 		b.Fatalf("probe of the indexed position found %d tuples, want %d", got, (b.N+len(keys)-1)/len(keys))
 	}
 	if r.posIdx[0] != nil || r.posIdx[2] != nil {

@@ -13,7 +13,7 @@ import (
 // Relations are not safe for concurrent use; the owning storage.DB serialises
 // access.
 //
-// Attribute positions are indexed one by one, and only those a Probe has
+// Attribute positions are indexed one by one, and only those a probe has
 // named: a position's index is nil until AppendProbe first asks for it, is
 // then built from the stored rows, and is maintained by Insert from there on. A
 // relation that is never probed — or probed on its join column only — pays
@@ -97,18 +97,13 @@ func (r *Relation) indexLocked(p int) map[uint64][]int32 {
 	return idx
 }
 
-// Probe returns the tuples whose components equal vals at the given
-// positions, in insertion order. It walks the smallest per-position postings
-// list and verifies the remaining constraints, so its cost is proportional to
-// the fan-out of the most selective position rather than to the relation
-// size. The tuples are views of the stored rows (see At). With no positions
-// it returns every tuple; positions outside the schema arity match nothing.
-func (r *Relation) Probe(positions []int, vals []Value) []Tuple {
-	return r.AppendProbe(nil, positions, vals)
-}
-
-// AppendProbe is Probe appending its matches to dst, so a caller probing in
-// a loop can reuse one buffer.
+// AppendProbe appends to dst the tuples whose components equal vals at the
+// given positions, in insertion order, so a caller probing in a loop can
+// reuse one buffer. It walks the smallest per-position postings list and
+// verifies the remaining constraints, so its cost is proportional to the
+// fan-out of the most selective position rather than to the relation size.
+// The tuples are views of the stored rows (see At). With no positions it
+// appends every tuple; positions outside the schema arity match nothing.
 func (r *Relation) AppendProbe(dst []Tuple, positions []int, vals []Value) []Tuple {
 	if len(positions) == 0 {
 		for pos := range r.set.Len() {

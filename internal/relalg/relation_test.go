@@ -225,7 +225,7 @@ func TestProbeMatchesScan(t *testing.T) {
 		{[]int{7}, []Value{S("c")}}, // out-of-range position matches nothing
 	}
 	for _, tc := range cases {
-		got := r.Probe(tc.pos, tc.vals)
+		got := r.probe(tc.pos, tc.vals)
 		var want []Tuple
 		for _, u := range r.All() {
 			ok := true
@@ -253,21 +253,21 @@ func TestProbeMatchesScan(t *testing.T) {
 func TestProbeSeesPostBuildInserts(t *testing.T) {
 	r := NewRelation(MakeSchema("p", 2))
 	mustInsert(t, r, Tuple{S("a"), S("1")})
-	if got := r.Probe([]int{0}, []Value{S("a")}); len(got) != 1 {
+	if got := r.probe([]int{0}, []Value{S("a")}); len(got) != 1 {
 		t.Fatalf("probe before insert: %v", got)
 	}
 	// The index is built now; later inserts must be reflected.
 	mustInsert(t, r, Tuple{S("a"), S("2")})
-	if got := r.Probe([]int{0}, []Value{S("a")}); len(got) != 2 {
+	if got := r.probe([]int{0}, []Value{S("a")}); len(got) != 2 {
 		t.Fatalf("index missed a post-build insert: %v", got)
 	}
 	// Clones rebuild the index independently.
 	c := r.Clone()
 	mustInsert(t, c, Tuple{S("a"), S("3")})
-	if got := c.Probe([]int{0}, []Value{S("a")}); len(got) != 3 {
+	if got := c.probe([]int{0}, []Value{S("a")}); len(got) != 3 {
 		t.Fatalf("clone probe: %v", got)
 	}
-	if got := r.Probe([]int{0}, []Value{S("a")}); len(got) != 2 {
+	if got := r.probe([]int{0}, []Value{S("a")}); len(got) != 2 {
 		t.Fatalf("clone insert leaked into original: %v", got)
 	}
 }
@@ -298,7 +298,12 @@ func TestSubsumedByExistingIndexed(t *testing.T) {
 	}
 }
 
-// scanProbe is the oracle of Probe: a linear scan of the log.
+// probe is AppendProbe into a fresh slice.
+func (r *Relation) probe(positions []int, vals []Value) []Tuple {
+	return r.AppendProbe(nil, positions, vals)
+}
+
+// scanProbe is the oracle of probe: a linear scan of the log.
 func scanProbe(r *Relation, pos []int, vals []Value) []Tuple {
 	var want []Tuple
 	for _, u := range r.All() {
@@ -349,7 +354,7 @@ func TestLazyIndexProbeOracle(t *testing.T) {
 					vals = append(vals, adversarialValues[rng.Intn(8)])
 					probed[p] = true
 				}
-				if got, want := r.Probe(pos, vals), scanProbe(r, pos, vals); !sameTuples(got, want) {
+				if got, want := r.probe(pos, vals), scanProbe(r, pos, vals); !sameTuples(got, want) {
 					t.Fatalf("%s hash, trial %d step %d: Probe(%v,%v) = %v, scan says %v", name, trial, step, pos, vals, got, want)
 				}
 				for p := range probed {
@@ -363,8 +368,8 @@ func TestLazyIndexProbeOracle(t *testing.T) {
 	// Probing with no position, or with one outside the schema, indexes nothing.
 	r := NewRelation(MakeSchema("p", 2))
 	mustInsert(t, r, Tuple{S("a"), S("b")})
-	r.Probe(nil, nil)
-	r.Probe([]int{0, 5}, []Value{S("a"), S("b")})
+	r.probe(nil, nil)
+	r.probe([]int{0, 5}, []Value{S("a"), S("b")})
 	if r.posIdx != nil {
 		t.Fatalf("an unprobed relation built an index: %v", r.posIdx)
 	}

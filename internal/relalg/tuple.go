@@ -12,12 +12,13 @@ import (
 // Tuple after handing it to a Relation.
 type Tuple []Value
 
-// Key returns a canonical injective encoding of the tuple. Each component
-// key is length-prefixed, so arbitrary payload bytes (including separators)
-// cannot cause collisions. It is the tuple's serialised identity — Skolem
-// null labels embed it, so its bytes are part of the on-disk and on-wire
-// format and must never change. In-memory sets use Hash and Equal instead
-// (see TupleSet).
+// Key returns a canonical injective encoding of the tuple, as a string the
+// tests use as a map key. Each component key is length-prefixed, so
+// arbitrary payload bytes (including separators) cannot cause collisions.
+// The same bytes (AppendKey) are the tuple's serialised identity — Skolem
+// null labels embed them, so they are part of the on-disk and on-wire format
+// and must never change. In-memory sets use Hash and Equal instead (see
+// TupleSet).
 func (t Tuple) Key() string {
 	var stack [128]byte
 	return string(t.AppendKey(stack[:0]))

@@ -333,7 +333,7 @@ func TestRelationInsertAllocations(t *testing.T) {
 	var probed *Relation
 	perRun = testing.AllocsPerRun(5, func() {
 		probed = NewRelation(MakeSchema("p", 3))
-		probed.Probe([]int{1}, []Value{S("title-0")})
+		probed.probe([]int{1}, []Value{S("title-0")})
 		for _, tp := range tuples {
 			copy(scratch, tp)
 			if added, err := probed.Insert(scratch); err != nil || !added {
@@ -347,7 +347,7 @@ func TestRelationInsertAllocations(t *testing.T) {
 	if probed.posIdx[0] != nil || probed.posIdx[1] == nil || probed.posIdx[2] != nil {
 		t.Errorf("indexed positions %v, want only position 1", probed.posIdx)
 	}
-	if got := probed.Probe([]int{1}, []Value{S("title-5")}); len(got) != 104 {
+	if got := probed.probe([]int{1}, []Value{S("title-5")}); len(got) != 104 {
 		t.Errorf("probe of the indexed position found %d tuples, want 104", len(got))
 	}
 	if dup := testing.AllocsPerRun(100, func() {
@@ -400,7 +400,7 @@ func TestOutputIndependentOfHashSeed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return r.All(), r.Sorted(), r.Probe([]int{1}, []Value{I(3)})
+		return r.All(), r.Sorted(), r.probe([]int{1}, []Value{I(3)})
 	}
 	all1, sorted1, probe1 := run()
 	all2, sorted2, probe2 := run()
@@ -492,7 +492,7 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 				t.Fatal(err)
 			}
 			if i == n/2 {
-				r.Probe([]int{0}, []Value{S("1")}) // build the index mid-way: later inserts maintain it
+				r.probe([]int{0}, []Value{S("1")}) // build the index mid-way: later inserts maintain it
 			}
 		}
 		var pos []int
@@ -506,7 +506,7 @@ func TestProbeMatchesScanRandom(t *testing.T) {
 		want := scanProbe(r, pos, vals)
 		prefix := []Tuple{{S("kept")}}
 		for name, got := range map[string][]Tuple{
-			"Probe":       r.Probe(pos, vals),
+			"Probe":       r.probe(pos, vals),
 			"AppendProbe": r.AppendProbe(prefix, pos, vals)[1:],
 		} {
 			if !sameTuples(got, want) {

@@ -165,7 +165,7 @@ func TestSkolemLabelAppended(t *testing.T) {
 	var buf []byte
 	for depth := 1; depth <= DefaultMaxNullDepth+2; depth++ {
 		want := relalg.Null("d" + strconv.Itoa(depth) + "|r7|Id|" + binding.Key())
-		got := Skolemize("r7", "Id", []string{"K", "Y"}, binding)
+		got := skolemize("r7", "Id", []string{"K", "Y"}, binding)
 		if got != want {
 			t.Fatalf("depth %d: Skolemize = %s, want %s", depth, got.Quoted(), want.Quoted())
 		}
@@ -211,7 +211,7 @@ func TestNullDepthIsTheLabelParse(t *testing.T) {
 	values := []relalg.Value{relalg.S("d3|r|V|"), relalg.I(3)}
 	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004)}
 	for depth := 1; depth <= DefaultMaxNullDepth+2; depth++ {
-		got := Skolemize("r7", "Id", []string{"K", "Y"}, binding)
+		got := skolemize("r7", "Id", []string{"K", "Y"}, binding)
 		values = append(values, got)
 		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
 	}

@@ -74,9 +74,6 @@ func (d *DomainMap) TranslateTuples(ts []relalg.Tuple) []relalg.Tuple {
 	return out
 }
 
-// Len returns the number of pairs.
-func (d *DomainMap) Len() int { return len(d.Pairs) }
-
 // Format renders the map in network-file syntax, pairs in the order of their
 // source values' keys.
 func (d *DomainMap) Format() string {

@@ -64,7 +64,7 @@ fact B:b('beta_1')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(net.Maps) != 1 || net.Maps[0].Len() != 3 {
+	if len(net.Maps) != 1 || len(net.Maps[0].Pairs) != 3 {
 		t.Fatalf("maps = %+v", net.Maps)
 	}
 	ms := net.MapSet()
@@ -105,7 +105,7 @@ map B -> A { 'p' => 'q'  'it''s' => 'ok' }
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, net.Format())
 	}
-	if len(again.Maps) != 1 || again.Maps[0].Len() != 2 {
+	if len(again.Maps) != 1 || len(again.Maps[0].Pairs) != 2 {
 		t.Fatalf("round trip lost pairs: %s", again.Format())
 	}
 	if got := again.MapSet().For("B", "A").Translate(relalg.S("it's")); got != relalg.S("ok") {

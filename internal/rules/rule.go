@@ -197,22 +197,11 @@ func (r Rule) Validate(lookup SchemaLookup) error {
 	return nil
 }
 
-// NullDepth returns the invention depth encoded in a labelled null created
-// by Skolemize; constants have depth 0, foreign nulls depth 1. The label was
-// parsed once, when it was interned (relalg.Value.NullDepth): this is a load.
+// NullDepth returns the invention depth encoded in a labelled null the chase
+// created (appendSkolemLabel); constants have depth 0, foreign nulls depth 1.
+// The label was parsed once, when it was interned (relalg.Value.NullDepth):
+// this is a load.
 func NullDepth(v relalg.Value) int { return v.NullDepth() }
-
-// Skolemize invents the labelled null for an existential head variable under
-// a binding of the export variables. The label is a deterministic function of
-// (rule id, variable, binding), so re-derivations re-create the identical
-// null and exact-mode insertion deduplicates them. The label additionally
-// encodes the invention depth (1 + max depth of the binding values), which
-// ApplyResult uses to cut off pathological cyclic invention.
-func Skolemize(ruleID, variable string, exportVars []string, binding relalg.Tuple) relalg.Value {
-	_ = exportVars // part of the contract: binding is ordered by exportVars
-	var stack [128]byte
-	return relalg.NullBytes(appendSkolemLabel(stack[:0], bindingDepth(binding)+1, ruleID, variable, binding))
-}
 
 // bindingDepth is the deepest invention depth among the binding's values.
 func bindingDepth(binding relalg.Tuple) int {

@@ -129,9 +129,6 @@ func newWatcher(h *Hub, cl *class, id uint64, o WatchOptions) *Watcher {
 	return w
 }
 
-// ID returns the hub-local watcher id.
-func (w *Watcher) ID() uint64 { return w.id }
-
 // Out returns the metadata-bearing delivery stream. It closes after Close
 // (or a policy cancellation) once the final batches have drained.
 func (w *Watcher) Out() <-chan Batch { return w.out }
@@ -164,9 +161,6 @@ func (w *Watcher) Lag() uint64 {
 
 // Dropped reports the batches this queue discarded (DropOldest overflow).
 func (w *Watcher) Dropped() uint64 { return w.droppedN.Load() }
-
-// Policy returns the watcher's slow-consumer policy.
-func (w *Watcher) Policy() Policy { return w.policy }
 
 // Close deregisters the watcher after one final shared pass, so a draining
 // consumer still receives everything inserted before the Close. Safe to call

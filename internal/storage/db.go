@@ -20,8 +20,6 @@ type DB struct {
 	mu        sync.RWMutex
 	relations map[string]*relalg.Relation
 	schemas   []relalg.Schema // declaration order
-	inserts   uint64          // total successful inserts (stat)
-	rejected  uint64          // duplicate / subsumed insert attempts (stat)
 
 	lmu             sync.RWMutex
 	listeners       []InsertListener
@@ -208,17 +206,11 @@ func (db *DB) insert(rel string, t relalg.Tuple, mode InsertMode) (bool, uint64,
 		return false, 0, fmt.Errorf("storage: insert into undeclared relation %q", rel)
 	}
 	if mode == InsertCore && t.HasNull() && r.SubsumedByExisting(t) {
-		db.rejected++
 		return false, 0, nil
 	}
 	added, err := r.Insert(t)
 	if err != nil {
 		return false, 0, err
-	}
-	if added {
-		db.inserts++
-	} else {
-		db.rejected++
 	}
 	return added, r.Seq(), nil
 }
@@ -257,13 +249,6 @@ func (db *DB) TotalTuples() int {
 		n += r.Len()
 	}
 	return n
-}
-
-// Stats reports cumulative insert/reject counters.
-func (db *DB) Stats() (inserts, rejected uint64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.inserts, db.rejected
 }
 
 // Marks is a high-water-mark vector over relations, used to extract deltas
@@ -356,7 +341,6 @@ func (db *DB) Clone() *DB {
 	for name, r := range db.relations {
 		c.relations[name] = r.Clone()
 	}
-	c.inserts, c.rejected = db.inserts, db.rejected
 	return c
 }
 

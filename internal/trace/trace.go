@@ -4,7 +4,6 @@
 package trace
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -62,17 +61,6 @@ func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.dropped
-}
-
-// CountKind returns how many events of the kind were recorded.
-func (r *Recorder) CountKind(kind string) int {
-	n := 0
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
 }
 
 // Sequence renders a message sequence chart in the style of the paper's
@@ -148,20 +136,6 @@ func trimRight(line []byte) []byte {
 		end--
 	}
 	return line[:end]
-}
-
-// Summary renders a compact textual log (t+offset from->to kind note).
-func Summary(events []Event) string {
-	if len(events) == 0 {
-		return "(no events)\n"
-	}
-	start := events[0].At
-	var b strings.Builder
-	for _, e := range events {
-		fmt.Fprintf(&b, "%8.3fms  %s -> %s  %-14s %s\n",
-			float64(e.At.Sub(start).Microseconds())/1000.0, e.From, e.To, e.Kind, e.Note)
-	}
-	return b.String()
 }
 
 func max(a, b int) int {

@@ -14,9 +14,6 @@ func TestRecorderBasics(t *testing.T) {
 	if len(ev) != 2 || ev[0].Kind != "query" || ev[1].From != "B" {
 		t.Fatalf("events = %+v", ev)
 	}
-	if r.CountKind("query") != 1 || r.CountKind("answer") != 1 || r.CountKind("zzz") != 0 {
-		t.Error("CountKind wrong")
-	}
 }
 
 func TestRecorderLimit(t *testing.T) {
@@ -86,17 +83,5 @@ func TestSequenceSkipsUnknownParticipants(t *testing.T) {
 	out := Sequence(events, []string{"A", "B"})
 	if strings.Count(out, "\n") != 2 { // header + one arrow
 		t.Errorf("unexpected chart:\n%s", out)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	if got := Summary(nil); !strings.Contains(got, "no events") {
-		t.Errorf("empty summary = %q", got)
-	}
-	r := NewRecorder(0)
-	r.Record("A", "B", "query", "r1")
-	out := Summary(r.Events())
-	if !strings.Contains(out, "A -> B") || !strings.Contains(out, "r1") {
-		t.Errorf("summary = %q", out)
 	}
 }

@@ -67,8 +67,6 @@ func (s *segment) append(payload []byte) error {
 
 func (s *segment) flush() error { return s.w.Flush() }
 
-func (s *segment) sync() error { return s.f.Sync() }
-
 // seal flushes, fsyncs and closes the segment, making it immutable.
 func (s *segment) seal() error {
 	if err := s.w.Flush(); err != nil {

@@ -361,22 +361,12 @@ func (s *Store) AppendParts(p PartState) error {
 	return err
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Seq returns the number of records appended this generation (the commit
 // cohort high water). Exposed for observability (metrics endpoints).
 func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.appendSeq
-}
-
-// Err returns the sticky I/O error, if any append has failed.
-func (s *Store) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 func (s *Store) appendSchema(sch relalg.Schema) {

@@ -341,6 +341,13 @@ func TestInspectDoesNotWrite(t *testing.T) {
 	}
 }
 
+// stickyErr returns the sticky I/O error, if any append has failed.
+func (s *Store) stickyErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
 func TestAppendAfterCloseIsNoop(t *testing.T) {
 	dir := t.TempDir()
 	st, db := openAttached(t, dir, Options{}, relalg.MakeSchema("p", 1))
@@ -352,7 +359,7 @@ func TestAppendAfterCloseIsNoop(t *testing.T) {
 	if _, err := db.Insert("p", tup("late"), storage.InsertExact); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Err(); err != nil {
+	if err := st.stickyErr(); err != nil {
 		t.Fatalf("late append errored the store: %v", err)
 	}
 	rec, err := Inspect(dir)

@@ -1,6 +1,6 @@
 // Package workload generates the experimental setups of Section 5 of the
 // paper: topology families (trees, layered acyclic graphs, cliques, plus
-// chains, rings, stars and random DAGs), DBLP-like publication data spread
+// chains, rings, grids and random graphs), DBLP-like publication data spread
 // over three heterogeneous relational schemas (~1000 records per node, about
 // 20000 in the paper's 31-node runs), two data distributions (0% and 50%
 // neighbour overlap), and the coordination rules connecting the schema
@@ -215,16 +215,6 @@ func Ring(n int) Topology {
 	t := Topology{Name: fmt.Sprintf("ring(n=%d)", n), N: n}
 	for i := 0; i < n; i++ {
 		t.Links = append(t.Links, Link{Src: (i + 1) % n, Dst: i})
-	}
-	return t
-}
-
-// Star builds a hub-and-spokes topology: the hub (node 0) imports from every
-// spoke.
-func Star(n int) Topology {
-	t := Topology{Name: fmt.Sprintf("star(n=%d)", n), N: n}
-	for i := 1; i < n; i++ {
-		t.Links = append(t.Links, Link{Src: i, Dst: 0})
 	}
 	return t
 }

@@ -91,13 +91,6 @@ func TestClique(t *testing.T) {
 	}
 }
 
-func TestStar(t *testing.T) {
-	s := Star(5)
-	if len(s.Links) != 4 || s.Depth() != 1 {
-		t.Fatalf("star: %d links depth %d", len(s.Links), s.Depth())
-	}
-}
-
 func TestRandomDAGDeterministicAndAcyclic(t *testing.T) {
 	a := RandomDAG(12, 0.3, 42)
 	b := RandomDAG(12, 0.3, 42)

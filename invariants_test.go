@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -587,53 +588,47 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		"peer.Options", "serving.WatchOptions", "cluster.WatchOptions",
 	}
 	declared, set := map[string]bool{}, map[string]bool{} // "repro/internal/pkg.Type.Field"
-	for _, dir := range []string{".", "benchmark"} {
-		pkgs, err := load.Load(dir, "./...")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pkg := range pkgs {
-			for _, name := range options {
-				path, typ, _ := strings.Cut("repro/internal/"+name, ".")
-				if path != pkg.Path {
-					continue
-				}
-				st := pkg.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() {
-						declared[path+"."+typ+"."+f.Name()] = true
-					}
+	for _, pkg := range modulePackages(t) {
+		for _, name := range options {
+			path, typ, _ := strings.Cut("repro/internal/"+name, ".")
+			if path != pkg.Path {
+				continue
+			}
+			st := pkg.Types.Scope().Lookup(typ).Type().Underlying().(*types.Struct)
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					declared[path+"."+typ+"."+f.Name()] = true
 				}
 			}
-			for _, f := range pkg.Files {
-				for _, decl := range f.Decls {
-					fd, _ := decl.(*ast.FuncDecl)
-					ast.Inspect(decl, func(n ast.Node) bool {
-						switch n := n.(type) {
-						case *ast.CompositeLit:
-							typ := typeKey(pkg.Info.TypeOf(n))
-							if fd != nil && fd.Recv == nil && typ == pkg.Path+"."+strings.TrimPrefix(fd.Name.Name, "New") {
-								return true
-							}
-							for _, elt := range n.Elts {
-								if kv, ok := elt.(*ast.KeyValueExpr); ok {
-									if id, ok := kv.Key.(*ast.Ident); ok {
-										set[typ+"."+id.Name] = true
-									}
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, _ := decl.(*ast.FuncDecl)
+				ast.Inspect(decl, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						typ := typeKey(pkg.Info.TypeOf(n))
+						if fd != nil && fd.Recv == nil && typ == pkg.Path+"."+strings.TrimPrefix(fd.Name.Name, "New") {
+							return true
+						}
+						for _, elt := range n.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								if id, ok := kv.Key.(*ast.Ident); ok {
+									set[typ+"."+id.Name] = true
 								}
-							}
-						case *ast.AssignStmt:
-							for _, lhs := range n.Lhs {
-								sel, ok := lhs.(*ast.SelectorExpr)
-								if !ok || pkg.Info.Selections[sel] == nil || handedIn(pkg.Info, fd, sel) {
-									continue
-								}
-								set[typeKey(pkg.Info.Selections[sel].Recv())+"."+sel.Sel.Name] = true
 							}
 						}
-						return true
-					})
-				}
+					case *ast.AssignStmt:
+						for _, lhs := range n.Lhs {
+							sel, ok := lhs.(*ast.SelectorExpr)
+							if !ok || pkg.Info.Selections[sel] == nil || handedIn(pkg.Info, fd, sel) {
+								continue
+							}
+							set[typeKey(pkg.Info.Selections[sel].Recv())+"."+sel.Sel.Name] = true
+						}
+					}
+					return true
+				})
 			}
 		}
 	}
@@ -690,4 +685,200 @@ func handedIn(info *types.Info, fd *ast.FuncDecl, sel *ast.SelectorExpr) bool {
 		}
 	}
 	return false
+}
+
+var (
+	moduleOnce sync.Once
+	modulePkgs []*load.Package
+	moduleErr  error
+)
+
+// modulePackages type-checks the module and the benchmark once, for the
+// checks that ask who calls what.
+func modulePackages(t *testing.T) []*load.Package {
+	t.Helper()
+	moduleOnce.Do(func() {
+		for _, dir := range []string{".", "benchmark"} {
+			pkgs, err := load.Load(dir, "./...")
+			if err != nil {
+				moduleErr = err
+				return
+			}
+			modulePkgs = append(modulePkgs, pkgs...)
+		}
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return modulePkgs
+}
+
+// TestEveryFunctionHasACaller: a function survives only if the program needs
+// it. Every exported function or method declared in internal/ is used by the
+// module's or the benchmark's non-test code, and every unexported one by its
+// own package's. What only its own package's tests call lives in a _test.go
+// file there, and what one other package's tests call lives in theirs. The
+// kit is the exception: helpers that the tests of other packages call and
+// that cannot move into one package's tests (several need them, or they read
+// their own package's unexported state), each with the packages whose tests
+// call it.
+func TestEveryFunctionHasACaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the benchmark")
+	}
+	kit := map[string]string{ // name: the packages whose tests call it
+		"(repro/internal/relalg.Tuple).Key":               "core, cq, peer, rules, serving, storage, workload",
+		"(repro/internal/relalg.Value).NullLabel":         "rules, wal",
+		"(*repro/internal/stats.Tally).Load":              "core",
+		"(*repro/internal/graph.Graph).ReachableSubgraph": "core",
+		"(*repro/internal/peer.Peer).KnownEdges":          "core",
+		"(*repro/internal/peer.Peer).Paths":               "core",
+		"(*repro/internal/peer.Peer).AllMaximalPaths":     "core",
+		"repro/internal/workload.Grid":                    "core, the root package",
+		"repro/internal/workload.RandomDAG":               "core",
+		"repro/internal/workload.RandomDigraph":           "core",
+		"repro/internal/analysis/load.LoadFixture":        "analysis, the root package",
+	}
+	reported := map[string]bool{}
+	for _, name := range uncalled(modulePackages(t), "repro/internal/") {
+		reported[name] = true
+		if kit[name] == "" {
+			t.Errorf("%s has no caller outside the tests: delete it, move it into the _test.go files that call it, or put it on the kit", name)
+		}
+	}
+	for name := range kit {
+		if !reported[name] {
+			t.Errorf("kit entry %s is gone or has a caller outside the tests: take it off the list", name)
+		}
+	}
+}
+
+// TestEveryFunctionHasACallerSeesThrough: the check counts a use of a generic
+// method through an instantiation and of a method through an interface, and
+// still reports a function only a test calls.
+func TestEveryFunctionHasACallerSeesThrough(t *testing.T) {
+	pkgs, err := load.LoadFixture("internal/analysis/testdata/src", "internal/callermain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := uncalled(pkgs, "internal/"), []string{"internal/callers.TestOnly"}; !slices.Equal(got, want) {
+		t.Errorf("uncalled = %v, want %v", got, want)
+	}
+}
+
+// uncalled names, by (*types.Func).FullName, the functions and methods pkgs
+// declare that nothing in pkgs uses outside its own body: the exported ones of
+// packages under scope, and every unexported one. A method that satisfies an
+// interface is called through it, so it counts as used.
+func uncalled(pkgs []*load.Package, scope string) []string {
+	used := map[string]bool{}
+	var ifaces []*types.Interface
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+		for _, imp := range p.Imports() {
+			walk(imp)
+		}
+	}
+	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, pkg := range pkgs {
+		walk(pkg.Types)
+		for _, tv := range pkg.Info.Types {
+			if it, ok := tv.Type.Underlying().(*types.Interface); ok {
+				ifaces = append(ifaces, it)
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				var self types.Object
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					self = pkg.Info.Defs[fd.Name]
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+							used[fn.Origin().FullName()] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Name.Name == "_" || fd.Name.Name == "init" || fd.Name.Name == "main" && fd.Recv == nil {
+					continue
+				}
+				fn := pkg.Info.Defs[fd.Name].(*types.Func)
+				if used[fn.FullName()] || fn.Exported() && !strings.HasPrefix(pkg.Path, scope) {
+					continue
+				}
+				if recv := fn.Type().(*types.Signature).Recv(); recv != nil && satisfiesSome(recv.Type(), fn.Name(), ifaces) {
+					continue
+				}
+				out = append(out, fn.FullName())
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// satisfiesSome reports whether recv, or a pointer to it, satisfies one of
+// the ifaces that has a method called name. Signatures are compared by their
+// printed form: a load imports each dependency from export data, so one named
+// type can stand behind two objects.
+func satisfiesSome(recv types.Type, name string, ifaces []*types.Interface) bool {
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	methods := map[string]string{}
+	ms := types.NewMethodSet(types.NewPointer(recv))
+	for i := 0; i < ms.Len(); i++ {
+		m := ms.At(i).Obj()
+		methods[m.Name()] = signatureShape(m.Type().(*types.Signature))
+	}
+	for _, it := range ifaces {
+		declares, all := false, true
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			declares = declares || m.Name() == name
+			all = all && methods[m.Name()] == signatureShape(m.Type().(*types.Signature))
+		}
+		if declares && all {
+			return true
+		}
+	}
+	return false
+}
+
+// signatureShape prints sig's parameter and result types without their names.
+func signatureShape(sig *types.Signature) string {
+	var b strings.Builder
+	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+		b.WriteString("(")
+		for i := 0; i < tuple.Len(); i++ {
+			b.WriteString(types.TypeString(tuple.At(i).Type(), nil) + ",")
+		}
+		b.WriteString(")")
+	}
+	if sig.Variadic() {
+		b.WriteString("...")
+	}
+	return b.String()
 }
