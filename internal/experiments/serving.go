@@ -139,6 +139,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 
 	// The load phase: one inserter per node, one remote-query client at the
 	// head, and every watcher draining concurrently.
+	symbolsBefore, _ := relalg.SymbolStats()
 	t0 := time.Now()
 	var wg sync.WaitGroup
 	insertErr := make(chan error, len(names))
@@ -220,6 +221,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	}
 	cwg.Wait()
 	deliverWall := time.Since(t0)
+	symbolsAfter, _ := relalg.SymbolStats()
 	cancel() // stop the query client
 	<-queryDone
 	if queryErr != nil {
@@ -283,6 +285,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 		fmt.Fprintf(w, "extractions per-watcher pumps would pay\t%d\n", naive)
 		fmt.Fprintf(w, "extractions saved by sharing\t%d\n", saved)
 		fmt.Fprintf(w, "tuples retained by class sets\t%d\n", retained)
+		fmt.Fprintf(w, "symbols interned by the load\t%d\n", symbolsAfter-symbolsBefore)
 		fmt.Fprintf(w, "delivery latency p50\t%.2f ms\n", p50)
 		fmt.Fprintf(w, "delivery latency p95\t%.2f ms\n", p95)
 		fmt.Fprintf(w, "delivery latency p99\t%.2f ms\n", p99)

@@ -82,7 +82,7 @@ func TestReaderRejects(t *testing.T) {
 // that survive a further encode/decode unchanged; nothing panics.
 func FuzzTupleCodec(f *testing.F) {
 	f.Add(AppendTuples(nil, []Tuple{{S("ab"), I(-9), Null("d1|r")}, {I(1 << 62)}, nil}))
-	f.Add(AppendTuples(nil, []Tuple{{I(math.MinInt64), I(math.MaxInt64), I(1 << 61), I(-1 << 61)}}))
+	f.Add(AppendTuples(nil, []Tuple{{I(math.MinInt64), I(math.MaxInt64), I(1 << 61), I(-1 << 61), I(1 << 29), I(-1<<29 - 1)}}))
 	f.Add([]byte{1, 200, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

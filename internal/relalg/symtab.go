@@ -29,6 +29,10 @@ import (
 // growth comes in steps of a few KiB, which keeps a decode's allocations
 // proportional to its input (FuzzDecodeEnvelope bounds them).
 //
+// A slot holds an id+1 and two hash bits as a tag, so a probe reads the text
+// of an id only when those bits match; ids are capped below 2^30-1, which
+// leaves a slot room for the tag and fits a Value's 30-bit payload.
+//
 // A lookup that hits takes no lock: one maphash of the text, a probe of one
 // bucket, one text compare. A miss takes the lock, probes again (another
 // goroutine may have added the text meanwhile), writes the symbol and then
@@ -76,6 +80,10 @@ const (
 	pageSize    = 1 << pageBits
 	bucketSlots = 511          // a bucket, its count and its depth are 2 KiB; it splits past 3/4 full
 	textChunk   = 1 << offBits // text bytes per chunk, 8 KiB; a text over 1/16 of it is stored alone
+
+	idBits     = 32 - tagBits  // a Value's payload, and a slot's id+1 below its tag
+	slotIDMask = 1<<idBits - 1 // a slot's id+1; the bits above it are the tag
+	maxSymbols = slotIDMask    // ids are below it, so id+1 fits beside the tag
 )
 
 type symPage [pageSize]symbol
@@ -83,13 +91,21 @@ type symPage [pageSize]symbol
 // bucket holds the ids whose hashes share its directory prefix. It is
 // exactly 2 KiB, a size class of its own, so the allocator rounds nothing up.
 type bucket struct {
-	slots [bucketSlots]atomic.Int32 // id+1 at or probed past its home slot, 0 if empty
-	n     uint16                    // ids held; under symtab.mu
-	depth uint8                     // prefix bits: the top depth bits of its ids' hashes agree
+	slots [bucketSlots]atomic.Uint32 // slotTag | id+1 at or probed past its home slot, 0 if empty
+	n     uint16                     // ids held; under symtab.mu
+	depth uint8                      // prefix bits: the top depth bits of its ids' hashes agree
 }
 
 // home is the slot a probe for hash h starts at; it wraps past the last.
 func home(h uint64) int { return int(uint32(h) % bucketSlots) }
+
+// slotTag returns the tag a slot holds above the id for hash h: hash bits 32
+// and 33, which neither the home slot (the low 32 bits) nor the directory
+// prefix (the top bits) reads, so they tell apart ids that share both.
+func slotTag(h uint64) uint32 { return (uint32(h>>32) & 3) << idBits }
+
+// slotID returns the id a slot holds, or -1 for an empty slot.
+func slotID(e uint32) int32 { return int32(e&slotIDMask) - 1 }
 
 // full reports whether one more id would put b over 3/4 full.
 func (b *bucket) full() bool { return 4*(int(b.n)+1) > 3*bucketSlots }
@@ -173,10 +189,13 @@ func (x *index) bucket(h uint64) *bucket { return x.dir[h>>(64-x.depth)].Load() 
 
 // find returns the id of s, whose hash is h, or -1.
 func (t *symtab) find(h uint64, s string) int32 {
-	b := t.index.Load().bucket(h)
+	b, tag := t.index.Load().bucket(h), slotTag(h)
 	for i := home(h); ; i = next(i) {
-		id := b.slots[i].Load() - 1
-		if id < 0 || t.text(int64(id)) == s {
+		e := b.slots[i].Load()
+		if e == 0 {
+			return -1
+		}
+		if id := slotID(e); e&^slotIDMask == tag && t.text(int64(id)) == s {
 			return id
 		}
 	}
@@ -196,7 +215,7 @@ func (b *bucket) put(h uint64, id int32) {
 	for b.slots[i].Load() != 0 {
 		i = next(i)
 	}
-	b.slots[i].Store(id + 1)
+	b.slots[i].Store(slotTag(h) | uint32(id+1))
 	b.n++
 }
 
@@ -207,6 +226,12 @@ func (t *symtab) add(h uint64, s string) int64 {
 		return int64(id)
 	}
 	id := t.n
+	if id == maxSymbols {
+		// Past here an id would spill into a slot's tag and out of a Value's
+		// payload; 2^30 texts are tens of GB, so this is a loud stop where
+		// memory would run out anyway, never a silent wrap.
+		panic("relalg: symbol table full: " + strconv.Itoa(maxSymbols) + " distinct texts")
+	}
 	pages := *t.pages.Load()
 	if id == len(pages)*pageSize {
 		pages = append(pages, new(symPage))
@@ -241,7 +266,7 @@ func (t *symtab) split(x *index, h uint64) {
 	d := old.depth + 1
 	halves := [2]*bucket{{depth: d}, {depth: d}}
 	for i := range old.slots {
-		if id := old.slots[i].Load() - 1; id >= 0 {
+		if id := slotID(old.slots[i].Load()); id >= 0 {
 			moved := maphash.String(t.seed, t.text(int64(id)))
 			halves[moved>>(64-d)&1].put(moved, id)
 		}

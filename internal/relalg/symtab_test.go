@@ -263,10 +263,10 @@ func TestSymbolBucketIsOneSizeClass(t *testing.T) {
 // table, every bucket holds at most 3/4 of its slots; two buddy buckets of
 // equal depth hold more than 3/4 of a bucket between them, since a bucket
 // splits only when one more id would put it over 3/4; every id sits in the
-// bucket its hash's prefix picks, and a probe from its home slot reaches it
-// without passing an empty slot. Every bucket's slots are walked after a
-// split; otherwise an intern only filled one empty slot, and the new id's
-// probe is walked.
+// bucket its hash's prefix picks, under its hash's tag, and a probe from its
+// home slot reaches it without passing an empty slot. Every bucket's slots
+// are walked after a split; otherwise an intern only filled one empty slot,
+// and the new id's probe is walked.
 func TestSymbolIndexLoad(t *testing.T) {
 	tab := newSymtab()
 	hashes := []uint64{maphash.String(tab.seed, "")}
@@ -301,11 +301,14 @@ func TestSymbolIndexLoad(t *testing.T) {
 			t.Fatalf("after %d interns the buckets hold %d ids, want %d", i+1, held, len(hashes))
 		}
 		if count == buckets {
-			b := x.bucket(h)
-			for s := home(h); b.slots[s].Load() != id+1; s = (s + 1) % bucketSlots {
+			b, s := x.bucket(h), home(h)
+			for ; slotID(b.slots[s].Load()) != id; s = (s + 1) % bucketSlots {
 				if b.slots[s].Load() == 0 {
 					t.Fatalf("id %d is not reached from its home slot %d without passing an empty slot", id, home(h))
 				}
+			}
+			if tag := b.slots[s].Load() &^ slotIDMask; tag != slotTag(h) {
+				t.Fatalf("id %d sits under tag %#x, its hash's tag is %#x", id, tag, slotTag(h))
 			}
 			continue
 		}
@@ -314,11 +317,39 @@ func TestSymbolIndexLoad(t *testing.T) {
 			checkBucket(t, x, x.dir[e].Load(), hashes)
 		}
 	}
+
+	// The tag is hash bits that pick neither the bucket nor the home slot,
+	// so about one in four pairs of ids that share both share the tag; a tag
+	// taken from the prefix bits would be shared by every pair.
+	type place struct {
+		b    *bucket
+		home int
+	}
+	tags := map[place]*[4]int{}
+	x := tab.index.Load()
+	for _, h := range hashes {
+		p := place{x.bucket(h), home(h)}
+		if tags[p] == nil {
+			tags[p] = new([4]int)
+		}
+		tags[p][slotTag(h)>>idBits]++
+	}
+	pairs, same := 0, 0
+	for _, c := range tags {
+		n := c[0] + c[1] + c[2] + c[3]
+		pairs += n * (n - 1) / 2
+		for _, k := range c {
+			same += k * (k - 1) / 2
+		}
+	}
+	if 2*same > pairs {
+		t.Errorf("%d of %d pairs of ids that share a bucket and a home slot share the tag too", same, pairs)
+	}
 }
 
-// checkBucket checks that every id in b belongs there by its hash's prefix
-// and is reached from its home slot with no empty slot in between, and that
-// b counts the ids it holds.
+// checkBucket checks that every id in b belongs there by its hash's prefix,
+// sits under its hash's tag and is reached from its home slot with no empty
+// slot in between, and that b counts the ids it holds.
 func checkBucket(t *testing.T, x *index, b *bucket, hashes []uint64) {
 	t.Helper()
 	start := 0 // an empty slot, which no probe run passes
@@ -328,7 +359,8 @@ func checkBucket(t *testing.T, x *index, b *bucket, hashes []uint64) {
 	held, empty := 0, start // empty: the last empty slot the walk passed
 	for k := 1; k <= bucketSlots; k++ {
 		i := (start + k) % bucketSlots
-		id := b.slots[i].Load() - 1
+		e := b.slots[i].Load()
+		id := slotID(e)
 		if id < 0 {
 			empty = i
 			continue
@@ -337,6 +369,9 @@ func checkBucket(t *testing.T, x *index, b *bucket, hashes []uint64) {
 		h := hashes[id]
 		if x.bucket(h) != b {
 			t.Fatalf("id %d sits in a bucket its hash prefix does not pick", id)
+		}
+		if e&^slotIDMask != slotTag(h) {
+			t.Fatalf("id %d sits under tag %#x, its hash's tag is %#x", id, e&^slotIDMask, slotTag(h))
 		}
 		// The run from the last empty slot up to i holds no empty slot, so
 		// the id is reachable if its home lies in that run.
@@ -390,5 +425,42 @@ func TestLongTextLeavesTheActiveChunk(t *testing.T) {
 	}
 	if chunks := len(*tab.chunks.Load()); chunks != 2 {
 		t.Errorf("%d chunks, want 2: the small texts' and the long text's", chunks)
+	}
+}
+
+// TestSymbolTableFull: the table hands out ids up to maxSymbols-1, the
+// largest a Value's 30-bit payload holds and a slot holds as id+1 beside its
+// tag, and then refuses a new text with a panic that says why, while every
+// text it holds still resolves. The table is a private one whose count is set
+// just below the limit, its missing pages all one shared page.
+func TestSymbolTableFull(t *testing.T) {
+	tab := newSymtab()
+	known := tab.intern("known")
+	pages := make([]*symPage, (maxSymbols-1)>>pageBits+1)
+	pages[0] = (*tab.pages.Load())[0]
+	shared := new(symPage)
+	for i := 1; i < len(pages); i++ {
+		pages[i] = shared
+	}
+	tab.pages.Store(&pages)
+	tab.n = maxSymbols - 1
+
+	last := tab.intern("last")
+	if last != maxSymbols-1 || tab.text(last) != "last" || tab.intern("last") != last {
+		t.Fatalf("the last id is %d reading %q, want %d reading \"last\"", last, tab.text(last), maxSymbols-1)
+	}
+	if v := sym(last, KindNull); v.id() != last || !v.IsNull() {
+		t.Errorf("a Value holding id %d reads back id %d of kind %v", last, v.id(), v.Kind())
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, "relalg: symbol table full") {
+				t.Errorf("a text past the last id: panic %q, want \"relalg: symbol table full\"", msg)
+			}
+		}()
+		tab.intern("one too many")
+	}()
+	if tab.intern("known") != known || tab.intern("last") != last || tab.intern("") != 0 || tab.n != maxSymbols {
+		t.Errorf("a full table lost a text or grew: %d symbols", tab.n)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // a member. A TupleSet is not safe for concurrent use.
 //
 // A member is one row of arity values in a pointer-free row chunk of 1<<k
-// rows, at most 16 KiB, found through an open-addressing table of positions
+// rows, at most 8 KiB, found through an open-addressing table of positions
 // that grows once it is more than 3/4 full (no stored hashes: a resize
 // re-hashes, arithmetic over symbol ids). The first chunk grows by copying
 // while it is the only one, so a small set stays small; no row is ever
@@ -41,7 +41,7 @@ type TupleSet struct {
 
 const (
 	minTable = 8
-	maxChunk = 2048 // values in a row chunk: 16 KiB of 8-byte values
+	maxChunk = 2048 // values in a row chunk: 8 KiB of 4-byte values
 )
 
 // MakeTupleSet returns an empty set of the given arity.

@@ -10,10 +10,10 @@
 // key. Serialised it is Tuple.Key, a canonical injective string that Skolem
 // null labels embed; its bytes are a format and never change.
 //
-// A value's identity is one tagged 64-bit word, so a Value is 8 bytes with no
+// A value's identity is one tagged 32-bit word, so a Value is 4 bytes with no
 // pointer (the tag table is on Value). A string or null holds the id of its
 // text in one process-wide, append-only symbol table (symtab.go); S and Null
-// look the text up there. An int that fits in 62 signed bits is held inline;
+// look the text up there. An int that fits in 30 signed bits is held inline;
 // any other int is boxed: the id of its 8 big-endian bytes in the same table.
 // Every value has exactly one word, so == and Tuple.Equal are integer
 // compares, Value.Hash and Tuple.Hash are arithmetic over words, and the row
@@ -29,7 +29,7 @@
 // slice header of its own. It aliases nothing of the caller's, never moves
 // and is never overwritten, so the views At, Since and All return (each a
 // capacity-capped slice of its row) stay valid, unchanged, while the set
-// grows, and keeping one view keeps its chunk (at most 16 KiB) reachable.
+// grows, and keeping one view keeps its chunk (at most 8 KiB) reachable.
 package relalg
 
 import (
@@ -59,16 +59,20 @@ const (
 // and NullBytes only. It is one word, payload<<2 | tag:
 //
 //	tag 0  string   symbol id of its text
-//	tag 1  int      the int itself, when it lies in [-2^61, 2^61)
+//	tag 1  int      the int itself, when it lies in [-2^29, 2^29)
 //	tag 2  null     symbol id of its label
 //	tag 3  int      boxed: symbol id of its 8 big-endian bytes
+//
+// A symbol id has 30 bits (the symbol table refuses more ids than that), and
+// so has an inline int: years, counters and insert indexes are inline, a
+// nanosecond clock reading is boxed.
 //
 // Each value has one word, so equal values are == whatever memory their text
 // came from, S(x) and Null(x) differ by tag alone, and the zero Value is
 // S("") (id 0 is ""). Value holds no pointer; TestValueIsPointerFree (the
 // repository root) keeps it that way.
 type Value struct {
-	w uint64
+	w uint32
 }
 
 const (
@@ -76,14 +80,14 @@ const (
 	tagMask  = 1<<tagBits - 1
 	tagBoxed = 3 // an int outside the inline range
 
-	minInline = -1 << (63 - tagBits) // the inline ints are [minInline, -minInline)
+	minInline = -1 << (31 - tagBits) // the inline ints are [minInline, -minInline)
 )
 
 // sym builds a string or null from the symbol id of its text.
-func sym(id int64, kind Kind) Value { return Value{w: uint64(id)<<tagBits | uint64(kind)} }
+func sym(id int64, kind Kind) Value { return Value{w: uint32(id)<<tagBits | uint32(kind)} }
 
 // tag returns the word's low bits.
-func (v Value) tag() uint64 { return v.w & tagMask }
+func (v Value) tag() uint32 { return v.w & tagMask }
 
 // id returns the symbol id of a string, a null or a boxed int.
 func (v Value) id() int64 { return int64(v.w >> tagBits) }
@@ -134,7 +138,7 @@ func (v Value) Kind() Kind {
 }
 
 // IsNull reports whether v is a labelled null.
-func (v Value) IsNull() bool { return v.tag() == uint64(KindNull) }
+func (v Value) IsNull() bool { return v.tag() == uint32(KindNull) }
 
 // IsConst reports whether v is a constant (string or int).
 func (v Value) IsConst() bool { return !v.IsNull() }
@@ -151,8 +155,8 @@ func (v Value) Str() string {
 // Int returns the integer payload; zero unless KindInt.
 func (v Value) Int() int64 {
 	switch v.tag() {
-	case uint64(KindInt):
-		return int64(v.w) >> tagBits
+	case uint32(KindInt):
+		return int64(int32(v.w)) >> tagBits
 	case tagBoxed:
 		return int64(binary.BigEndian.Uint64([]byte(v.text())))
 	}
@@ -186,11 +190,11 @@ func S(s string) Value { return sym(symbols.intern(s), KindString) }
 // else boxed, interning its 8 big-endian bytes as S interns a text.
 func I(n int64) Value {
 	if n >= minInline && n < -minInline {
-		return Value{w: uint64(n)<<tagBits | uint64(KindInt)}
+		return Value{w: uint32(n)<<tagBits | uint32(KindInt)}
 	}
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], uint64(n))
-	return Value{w: uint64(symbols.internBytes(b[:]))<<tagBits | tagBoxed}
+	return Value{w: uint32(symbols.internBytes(b[:]))<<tagBits | tagBoxed}
 }
 
 // Null builds a labelled null with the given label, interned as S interns.
@@ -302,9 +306,10 @@ var hashMix = maphash.String(maphash.MakeSeed(), "relalg")
 
 // Hash returns a process-local 64-bit hash of the value, consistent with ==
 // (equal values hash equally). It is arithmetic on the word, whose tag keeps
-// S("1"), I(1) and Null("1") apart.
+// S("1"), I(1) and Null("1") apart; the multiply spreads its 32 bits over all
+// 64, which Tuple.Hash and a TupleSet's home slots and tags read.
 func (v Value) Hash() uint64 {
-	h := v.w ^ hashMix
+	h := uint64(v.w) ^ hashMix
 	h *= 0x9e3779b97f4a7c15
 	return h ^ h>>29
 }

@@ -3,6 +3,7 @@ package relalg
 import (
 	"cmp"
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"math/rand"
 	"slices"
@@ -212,17 +213,36 @@ func TestValueCarriesItsHash(t *testing.T) {
 }
 
 // intBoundaries are the ints at the edges of a Value's inline range
-// [-2^61, 2^61) and of int64: the first five are inline, the last four boxed.
-var intBoundaries = []int64{0, 1, -1, 1<<61 - 1, -1 << 61, 1 << 61, -1<<61 - 1, math.MaxInt64, math.MinInt64}
+// [-2^29, 2^29), of the wider inline range a 64-bit Value had, [-2^61, 2^61),
+// and of int64: the first inlineBoundaries are inline, the rest boxed.
+var intBoundaries = []int64{0, 1, -1, 1<<29 - 1, -1 << 29,
+	1 << 29, -1<<29 - 1, 1<<61 - 1, -1 << 61, 1 << 61, -1<<61 - 1, math.MaxInt64, math.MinInt64}
+
+const inlineBoundaries = 5
 
 // TestValueIntBoundaries: an int is the same value, with the same bytes in
 // every format, whether its Value holds it inline or boxed in the symbol
-// table.
+// table; the ints inside the inline range cost no symbol, and a new one
+// outside it costs one.
 func TestValueIntBoundaries(t *testing.T) {
-	for _, n := range intBoundaries {
+	for _, c := range []struct {
+		from, step int64
+		symbols    int // the symbols I adds: 0 inline, 1 boxed
+	}{{1<<29 - 1, -1, 0}, {-1 << 29, 1, 0}, {1 << 29, 1, 1}, {-1<<29 - 1, -1, 1}} {
+		n := freshInt(c.from, c.step)
+		before, _ := SymbolStats()
+		v := I(n)
+		if after, _ := SymbolStats(); v.Int() != n || after != before+c.symbols {
+			t.Errorf("I(%d), new to the table, reads back %d and added %d symbols, want %d", n, v.Int(), after-before, c.symbols)
+		}
+	}
+	for i, n := range intBoundaries {
 		v := I(n)
 		if v.Int() != n || v.Kind() != KindInt || v.IsNull() || v.Str() != "" {
 			t.Errorf("I(%d) reads back %d of kind %v", n, v.Int(), v.Kind())
+		}
+		if inline := v.tag() == uint32(KindInt); inline != (i < inlineBoundaries) {
+			t.Errorf("I(%d) is held inline: %v, want %v", n, inline, i < inlineBoundaries)
 		}
 		if v != I(n) || v.Hash() != I(n).Hash() {
 			t.Errorf("I(%d) built twice gives two values", n)
@@ -272,6 +292,19 @@ func TestValueIntBoundaries(t *testing.T) {
 			if vs[i].Int() != ns[i] {
 				t.Fatalf("sorted values %v, want the int64 order %v", vs, ns)
 			}
+		}
+	}
+}
+
+// freshInt returns the first of n, n+step, n+2*step, ... whose 8 big-endian
+// bytes the symbol table does not hold: an int whose boxing would add a
+// symbol, however many times the test has run in this process.
+func freshInt(n, step int64) int64 {
+	for ; ; n += step {
+		var be [8]byte
+		binary.BigEndian.PutUint64(be[:], uint64(n))
+		if symbols.find(maphash.String(symbols.seed, string(be[:])), string(be[:])) < 0 {
+			return n
 		}
 	}
 }

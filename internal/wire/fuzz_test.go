@@ -20,10 +20,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		Query{Epoch: 2, RuleID: "r", Conj: "S:s(X,Y)", Cols: []string{"X"}, Path: []string{"H"}},
 		Answer{Epoch: 2, RuleID: "r", Part: "S", Columns: []string{"X"},
 			Tuples: []relalg.Tuple{{relalg.S("v")}}, SubID: 3, Seqs: map[string]uint64{"s": 7}},
-		// Ints at the edges of a Value's inline range and of int64: the
-		// outer ones are boxed in the symbol table, the same bytes on the wire.
-		Answer{Epoch: 2, RuleID: "r", Part: "S", Columns: []string{"A", "B", "C", "D"},
-			Tuples: []relalg.Tuple{{relalg.I(math.MinInt64), relalg.I(math.MaxInt64), relalg.I(1 << 61), relalg.I(-1 << 61)}}},
+		// Ints just past the edges of a Value's inline range [-2^29, 2^29),
+		// at the edges of the wider range it once had and of int64: all are
+		// boxed in the symbol table, the same bytes on the wire.
+		Answer{Epoch: 2, RuleID: "r", Part: "S", Columns: []string{"A", "B", "C", "D", "E", "F"},
+			Tuples: []relalg.Tuple{{relalg.I(math.MinInt64), relalg.I(math.MaxInt64), relalg.I(1 << 61), relalg.I(-1 << 61),
+				relalg.I(1 << 29), relalg.I(-1<<29 - 1)}}},
 		AnswerAck{RuleID: "r", SubID: 3, Seqs: map[string]uint64{"s": 7}},
 		StartUpdate{Epoch: 1, Origin: "A"},
 		Join{Node: "A", Addr: "127.0.0.1:1", Members: map[string]string{"B": "127.0.0.1:2"}},

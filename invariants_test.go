@@ -179,14 +179,15 @@ func TestOneSettleRule(t *testing.T) {
 	}
 }
 
-// TestValueIsPointerFree: a relalg.Value is one 8-byte tagged word and holds
-// no pointer — a string, a null or an int outside the inline range is a
-// symbol id — so value chunks are never scanned by the collector, which was
-// dblp-mem's top cost when a Value carried its string, and a stored row spends
-// no padding on a kind byte.
+// TestValueIsPointerFree: a relalg.Value is one 4-byte tagged word and holds
+// no pointer — a string, a null or an int outside the inline range
+// [-2^29, 2^29) is a 30-bit symbol id — so value chunks are never scanned by
+// the collector, which was dblp-mem's top cost when a Value carried its
+// string, and a stored row spends no padding on a kind byte and no high word
+// on payloads that fit in 30 bits.
 func TestValueIsPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(relalg.Value{}); size != 8 {
-		t.Errorf("relalg.Value is %d bytes, want 8", size)
+	if size := unsafe.Sizeof(relalg.Value{}); size != 4 {
+		t.Errorf("relalg.Value is %d bytes, want 4", size)
 	}
 	typ := reflect.TypeOf(relalg.Value{})
 	for i := 0; i < typ.NumField(); i++ {
