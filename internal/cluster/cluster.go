@@ -39,6 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/shell"
@@ -184,10 +185,11 @@ type Transport struct {
 	replica func(env wire.Envelope) bool
 	// aliasOK holds node names AllowAlias pre-authorised for Register.
 	aliasOK map[string]bool
-	// linkDown cuts outgoing frames per destination — transient-partition
-	// injection for the tests (setLinkDown; cut both directions by calling
-	// it on each side).
-	linkDown map[string]bool
+	// linkDown names the members whose links are cut, frames to and from
+	// them dropped — transient-partition injection for the tests
+	// (setLinkDown). It is nil while no link is cut, so the frame paths read
+	// one pointer and take no lock; a cut replaces the whole map.
+	linkDown atomic.Pointer[map[string]bool]
 }
 
 // New starts a cluster member: a TCP listener on listenAddr and a member
@@ -212,7 +214,6 @@ func New(self, listenAddr string, book map[string]string, opts Options) (*Transp
 		out:      tcp,
 		det:      newDetector(self, tcp.Addr(), book, opts, time.Now()),
 		handlers: map[string]transport.Handler{},
-		linkDown: map[string]bool{},
 		aliasOK:  map[string]bool{},
 	}
 	if opts.BatchWindow > 0 {
@@ -293,21 +294,26 @@ func (c *Transport) run(effs []detEffect) {
 	}
 }
 
+// cut reports whether the link to member is cut (setLinkDown).
+func (c *Transport) cut(member string) bool {
+	down := c.linkDown.Load()
+	return down != nil && (*down)[member]
+}
+
 // transmit is the single egress point: every frame this process originates
 // (membership, hosted peer, control plane) passes the link-fault filter, and
 // points the socket layer at the member table's address for its addressee,
 // before reaching the wire.
 func (c *Transport) transmit(from, to string, msg wire.Message) error {
+	if c.cut(to) {
+		return nil // a cut link eats frames silently, like a real partition
+	}
 	c.sh.Lock()
-	down, m := c.linkDown[to], c.det.members[to]
 	var addr string
-	if m != nil {
+	if m := c.det.members[to]; m != nil {
 		addr = m.addr
 	}
 	c.sh.Unlock()
-	if down {
-		return nil // a cut link eats frames silently, like a real partition
-	}
 	if addr != "" {
 		c.tcp.SetPeerAddr(to, addr)
 	}
@@ -322,10 +328,7 @@ func (c *Transport) dispatch(name string, env wire.Envelope) {
 	// Frames from a member this process considers cut are dropped on ingress
 	// too: a partition severs both directions even when only this side
 	// injected it (the TCP socket itself stays up).
-	c.sh.Lock()
-	down := c.linkDown[env.From]
-	c.sh.Unlock()
-	if down {
+	if c.cut(env.From) {
 		return
 	}
 	switch m := env.Msg.(type) {

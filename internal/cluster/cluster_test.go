@@ -488,6 +488,20 @@ const stallPoll = 100 * time.Millisecond
 // chainCluster boots chainNet as three plain members and a coordinator polling
 // every stallPoll, and runs discovery and the first update.
 func chainCluster(t *testing.T) (*Coordinator, map[string]*core.Network) {
+	coord, nets := bootChain(t, stallPoll)
+	ctx := testCtx(t)
+	if err := coord.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Update(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return coord, nets
+}
+
+// bootChain boots chainNet as three plain members and a coordinator whose
+// longest pause is poll, and waits until it sees every member.
+func bootChain(t *testing.T, poll time.Duration) (*Coordinator, map[string]*core.Network) {
 	def := mustDef(t, chainNet)
 	book := map[string]string{}
 	nets := map[string]*core.Network{}
@@ -502,23 +516,45 @@ func chainCluster(t *testing.T) (*Coordinator, map[string]*core.Network) {
 		book[decl.Name] = tr.Addr()
 	}
 	opts := fastCoordOpts()
-	opts.PollEvery = stallPoll
+	opts.PollEvery = poll
 	coord, err := NewCoordinator(def, "127.0.0.1:0", book, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	ctx := testCtx(t)
-	if err := coord.WaitMembers(ctx, len(def.Nodes)); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Discover(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := coord.Update(ctx); err != nil {
+	if err := coord.WaitMembers(testCtx(t), len(def.Nodes)); err != nil {
 		t.Fatal(err)
 	}
 	return coord, nets
+}
+
+// TestCoordinatorSettlesAtTheSpeedOfTheWave: the coordinator's waits look
+// again soon while the samples move, so a wave that ends in milliseconds is
+// judged in milliseconds, whatever PollEvery is. With a one-second PollEvery,
+// a discovery and three updates — each a kick seen landing and an exact
+// counter balance — take well under a second together; a wait that paused a
+// full period after a sample that caught its wave in flight would take one
+// on its own.
+func TestCoordinatorSettlesAtTheSpeedOfTheWave(t *testing.T) {
+	coord, nets := bootChain(t, time.Second)
+	ctx := testCtx(t)
+	start := time.Now()
+	if err := coord.Discover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := coord.Update(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(start)
+	t.Logf("discover + 3 updates: %v", took)
+	if took >= time.Second {
+		t.Errorf("discover + 3 updates took %v with PollEvery 1s, want under 1s", took)
+	}
+	if got := nets["A"].Peer("A").DB().TotalTuples(); got != 2 {
+		t.Errorf("A holds %d tuples after the updates, want 2", got)
+	}
 }
 
 // quiesceAcrossAStall inserts at C while B's insert listener stalls once, past

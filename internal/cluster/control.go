@@ -52,8 +52,10 @@ type HostedPeer interface {
 
 // ControlPlaneOptions tunes the agreed control plane.
 type ControlPlaneOptions struct {
-	// PollEvery is the period at which the update driver samples the members'
-	// states while a wave settles (default 100ms). Each sample is one state
+	// PollEvery is the longest pause between the update driver's samples of
+	// the members' states while a wave settles (default 100ms), and the
+	// spacing of the Settle rounds that must read the same; while the rounds
+	// change, they come sooner (core.HoldStill). Each sample is one state
 	// round, which ends as soon as every member has answered.
 	PollEvery time.Duration
 	// Settle is how many consecutive complete rounds must read the same
@@ -534,12 +536,12 @@ func (w *planeWave) Kick(context.Context, int) (bool, error) {
 	return true, nil
 }
 
-// Settle waits until Settle consecutive complete rounds read the same: every
-// eligible member at the same epoch with the same open set — one clean round
-// can race a still-traveling confirming cascade — and, while any node is
-// open, the same tuple counts, so a wave that is still moving data is not
-// probed. A member that does not answer keeps the round incomplete, so the
-// driver waits for it.
+// Settle waits until Settle consecutive complete rounds, a full PollEvery
+// apart, read the same: every eligible member at the same epoch with the same
+// open set — one clean round can race a still-traveling confirming cascade —
+// and, while any node is open, the same tuple counts, so a wave that is still
+// moving data is not probed. A member that does not answer keeps the round
+// incomplete, so the driver waits for it.
 func (w *planeWave) Settle(ctx context.Context) error {
 	cp := w.cp
 	need := func(string) int { return cp.opts.Settle - 1 }

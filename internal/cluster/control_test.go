@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"maps"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -43,9 +44,22 @@ func fastCPOpts(logPath string) ControlPlaneOptions {
 // Heartbeats stop crossing a cut link, so suspicion and the agreed member
 // view react exactly as they would to a dropped network segment.
 func (c *Transport) setLinkDown(to string, down bool) {
-	c.sh.Lock()
-	c.linkDown[to] = down
-	c.sh.Unlock()
+	c.sh.Lock() // serialises the cuts; the frame paths only load the map
+	defer c.sh.Unlock()
+	next := map[string]bool{}
+	if cur := c.linkDown.Load(); cur != nil {
+		maps.Copy(next, *cur)
+	}
+	if down {
+		next[to] = true
+	} else {
+		delete(next, to)
+	}
+	if len(next) == 0 {
+		c.linkDown.Store(nil)
+		return
+	}
+	c.linkDown.Store(&next)
 }
 
 // startCPMember boots one "process" with the replicated control plane on it.

@@ -20,10 +20,12 @@ import (
 type CoordinatorOptions struct {
 	// Membership is the underlying member-table tuning.
 	Membership Options
-	// PollEvery is the period at which Quiesce samples the members' counter
-	// balance and a kick-off verb samples their states for the kick (default
-	// 50ms). Each sample is one request round, which ends as soon as every
-	// member has answered; WaitMembers wakes on status changes instead.
+	// PollEvery is the longest pause between Quiesce's samples of the
+	// members' counter balance, and between a kick-off verb's samples of their
+	// states for the kick (default 50ms); while the samples move, they come
+	// sooner (core.HoldStill). Each sample is one request round, which ends as
+	// soon as every member has answered; WaitMembers wakes on status changes
+	// instead.
 	PollEvery time.Duration
 	// Name is this coordinator's member name (default CoordinatorName). A
 	// long-lived session sharing a cluster with other coordinator processes
@@ -360,9 +362,12 @@ func protocolTotals(snaps map[string]stats.Snapshot) (started, finished uint64) 
 // exact while the counters read are every node's since it booted; when a node
 // is missing from the round (dead, re-homed) a balance proves nothing, and
 // like totals that do not balance (a lost message) the wait ends once 25
-// rounds have read the same. A member that restarted, or a StatsReset that
-// landed mid-wave, has forgotten messages the others still count: a surplus
-// of finished over started gives that away and is treated alike.
+// rounds, a full PollEvery apart, have read the same. While the totals move,
+// the rounds come sooner (core.HoldStill), so an exact balance ends the wait
+// within about one round of the wave's end. A member that restarted, or a
+// StatsReset that landed mid-wave, has forgotten messages the others still
+// count: a surplus of finished over started gives that away and is treated
+// alike.
 func (c *Coordinator) Quiesce(ctx context.Context) error {
 	return core.AwaitBalance(ctx, c.opts.PollEvery, nil, 25, func(ctx context.Context) (core.Balance, bool, error) {
 		first, complete, err := c.askStats(ctx)
@@ -386,10 +391,11 @@ func (c *Coordinator) Quiesce(ctx context.Context) error {
 	})
 }
 
-// awaitKick samples the peers' states once per PollEvery until landed sees
-// the kick in them, or reports false when a round timeout passes first. It is
-// a poll, on the sampler Quiesce uses: no member pushes its state when a kick
-// lands, so there is no arrival to wake on.
+// awaitKick samples the peers' states until landed sees the kick in them, or
+// reports false when a round timeout passes first. It is a poll, on the
+// sampler Quiesce uses, paced like it (at most PollEvery apart, sooner while
+// the wait is young): no member pushes its state when a kick lands, so there
+// is no arrival to wake on.
 func (c *Coordinator) awaitKick(ctx context.Context, landed func(map[string]wire.StateReport) bool) (bool, error) {
 	expired, cancel := context.WithTimeout(ctx, c.opts.roundTimeout)
 	defer cancel()

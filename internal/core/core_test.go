@@ -33,10 +33,10 @@ func build(t *testing.T, src string, opts Options) *Network {
 	return n
 }
 
-// faults returns the transport's fault-injection capability (partitions,
-// drop counters), or nil when the transport has none.
-func (n *Network) faults() transport.FaultInjector {
-	f, _ := n.capTransport().(transport.FaultInjector)
+// faults returns the in-memory router, which injects partitions and counts
+// the sends they refuse, or nil on any other transport.
+func (n *Network) faults() *transport.Mem {
+	f, _ := n.capTransport().(*transport.Mem)
 	return f
 }
 

@@ -98,34 +98,53 @@ func DriveUpdate(ctx context.Context, o UpdateObserver) (probes int, err error) 
 	}
 }
 
+// minPause is the shortest pause of a wait with no wake: about one loopback
+// round, so a sampler quicker than that does not spin.
+const minPause = 100 * time.Microsecond
+
 // HoldStill samples until the same complete sample has repeated need(sample)
-// times in a row, pausing between samples until wake receives or every has
-// passed, and returns it; an incomplete sample restarts the count. It is the
+// times in a row, each repeat at least every after the sample it repeats, and
+// returns it; a different or incomplete sample restarts the count. It is the
 // polling loop of every observer: of state reports (the control plane), of
-// AwaitBalance. A nil wake waits out every; a wake is
-// a reason to look sooner, never a verdict.
+// AwaitBalance. With a wake, it pauses until wake receives or every has
+// passed, and a wake ends the period: a wake is a reason to look sooner,
+// never a verdict. With no wake, nothing says when the samples will change,
+// so it paces itself: the next look comes after the time the wait has already
+// taken (at least minPause), so the pauses grow geometrically from about one
+// round, but never past the moment a repeat would count, and so never longer
+// than every. A sample that needs no repeat then ends the wait within about
+// one round of coming true, while a verdict that rests on standing still
+// still takes need full periods.
 func HoldStill[S comparable](ctx context.Context, every time.Duration, wake <-chan struct{}, need func(S) int, sample func(context.Context) (S, bool, error)) (S, error) {
 	var last S
 	have, still := false, 0
+	start := time.Now()
+	var due time.Time // from then on, a repeat of last counts
 	for {
 		cur, complete, err := sample(ctx)
 		if err != nil {
 			return cur, err
 		}
-		if complete && have && cur == last {
-			still++
-		} else {
-			still = 0
+		now := time.Now()
+		if !complete || !have || cur != last {
+			still, due = 0, now.Add(every)
+		} else if !now.Before(due) {
+			still, due = still+1, now.Add(every)
 		}
 		if complete && still >= need(cur) {
 			return cur, nil
 		}
 		last, have = cur, complete
+		pause := due.Sub(now)
+		if wake == nil {
+			pause = min(pause, max(now.Sub(start), minPause))
+		}
 		select {
 		case <-ctx.Done():
 			return cur, ctx.Err()
 		case <-wake:
-		case <-time.After(every):
+			due = time.Time{}
+		case <-time.After(pause):
 		}
 	}
 }
@@ -143,7 +162,10 @@ type Balance struct {
 // balancing. Nor do counters that read more finished than started: some were
 // lost (a restart, a member gone), and from then on only standing still counts.
 // wake (stats.Tally.Zero in process; nil over the wire, where no member can
-// poke the waiter) may cut a pause short, but only a sample decides.
+// poke the waiter) may cut a pause short, but only a sample decides. Without
+// a wake the pauses grow from about one round up to every (HoldStill), so an
+// exact balance is seen within about one round of the wave's end, while the
+// stall still takes stall full periods.
 func AwaitBalance(ctx context.Context, every time.Duration, wake <-chan struct{}, stall int, sample func(context.Context) (Balance, bool, error)) error {
 	skewed := false
 	_, err := HoldStill(ctx, every, wake, func(b Balance) int {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -198,5 +199,47 @@ func TestHoldStill(t *testing.T) {
 				t.Errorf("got %d after %d samples (err %v), want %d after %d", got, taken, err, tc.script[tc.samples-1].v, tc.samples)
 			}
 		})
+	}
+}
+
+// TestHoldStillLooksAgainSoon: with no wake, a wait whose samples keep
+// changing looks again after about as long as it has already waited, not a
+// full period, so a sample that needs no repeat ends it within a few rounds
+// of coming true even when the period is an hour.
+func TestHoldStillLooksAgainSoon(t *testing.T) {
+	taken := 0
+	c, cancel := context.WithTimeout(context.Background(), 5*time.Second) // fail, not hang
+	defer cancel()
+	start := time.Now()
+	got, err := HoldStill(c, time.Hour, nil, func(int) int { return 0 }, func(context.Context) (int, bool, error) {
+		taken++
+		return taken, taken >= 4, nil
+	})
+	if took := time.Since(start); err != nil || got != 4 || took > 100*time.Millisecond {
+		t.Fatalf("HoldStill = %d (err %v) after %v, want 4 within 100ms", got, err, took)
+	}
+}
+
+// TestHoldStillStandstillTakesFullPeriods: the quick looks never shorten a
+// verdict that rests on standing still. need repeats of an unchanging sample
+// still span need full periods, and the quick looks before the first period
+// ends are bounded: the pauses double from minPause up to every.
+func TestHoldStillStandstillTakesFullPeriods(t *testing.T) {
+	const need, every = 3, 20 * time.Millisecond
+	var at []time.Time
+	_, err := HoldStill(context.Background(), every, nil, func(int) int { return need }, func(context.Context) (int, bool, error) {
+		at = append(at, time.Now())
+		return 7, true, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span := at[len(at)-1].Sub(at[0]); span < need*every {
+		t.Errorf("standstill verdict after %v, want at least %d periods of %v", span, need, every)
+	}
+	// minPause doubles to every in under log2(every/minPause)+1 pauses.
+	quick := int(math.Ceil(math.Log2(float64(every/minPause)))) + 1
+	if len(at) > 1+quick+need {
+		t.Errorf("%d samples, want at most %d: the quick looks are not bounded", len(at), 1+quick+need)
 	}
 }

@@ -23,7 +23,7 @@ import (
 
 // slowTransport wraps a transport, delaying every delivery by a fixed lag.
 // It deliberately implements only the base Transport interface: no Stepper,
-// no FaultInjector — orchestration sees a bare real-world pipe.
+// no partitions — orchestration sees a bare real-world pipe.
 type slowTransport struct {
 	inner transport.Transport
 	lag   time.Duration

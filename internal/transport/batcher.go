@@ -129,8 +129,8 @@ func NewBatcher(inner Transport, opts BatcherOptions) *Batcher {
 }
 
 // Inner returns the wrapped transport. Orchestration asserts transport
-// capabilities (Stepper, FaultInjector) against it: the Batcher itself is a
-// send-side buffer.
+// capabilities (Stepper) against it: the Batcher itself is a send-side
+// buffer.
 func (b *Batcher) Inner() Transport { return b.inner }
 
 // Stats snapshots the frame accounting.

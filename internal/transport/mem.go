@@ -243,7 +243,8 @@ func (m *Mem) Dropped() uint64 {
 	return m.dropped
 }
 
-// Partition blocks both directions between two nodes.
+// Partition blocks both directions between two nodes: a send across it
+// fails with ErrPartitioned.
 func (m *Mem) Partition(a, b string) {
 	m.mu.Lock()
 	m.blocked[pairKey(a, b)] = true
@@ -297,7 +298,6 @@ func (m *Mem) Close() error {
 }
 
 var (
-	_ Transport     = (*Mem)(nil)
-	_ Stepper       = (*Mem)(nil)
-	_ FaultInjector = (*Mem)(nil)
+	_ Transport = (*Mem)(nil)
+	_ Stepper   = (*Mem)(nil)
 )

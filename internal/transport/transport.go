@@ -8,9 +8,10 @@
 // over loopback sockets in one process.
 //
 // The base Transport interface is deliberately minimal — register, send,
-// close — because that is all the protocol needs. Two capabilities go beyond
-// it: BSP round stepping (Stepper), which delivers only when stepped, and
-// partition/drop fault injection (FaultInjector). No transport decides when a
+// close — because that is all the protocol needs. One capability goes beyond
+// it: BSP round stepping (Stepper), which delivers only when stepped. The
+// in-memory router also injects partitions (Mem.Partition), for the tests.
+// No transport decides when a
 // network has settled: on every one, as in the paper's JXTA deployment,
 // orchestration reads the peers' counters, which balance exactly when nothing
 // is in flight.
@@ -63,18 +64,6 @@ type Stepper interface {
 type WorkTracker interface {
 	// TrackWork adjusts the router's in-flight count by delta.
 	TrackWork(delta int)
-}
-
-// FaultInjector is the capability of injecting link faults for robustness
-// experiments: pairwise partitions and a drop counter.
-type FaultInjector interface {
-	// Partition blocks both directions between two nodes: a send across it
-	// fails with ErrPartitioned.
-	Partition(a, b string)
-	// Heal removes a partition.
-	Heal(a, b string)
-	// Dropped reports how many sends partitions refused.
-	Dropped() uint64
 }
 
 // ErrUnknownPeer is returned when sending to an unregistered node.

@@ -731,6 +731,9 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 		"(repro/internal/relalg.Tuple).Key":               "core, cq, peer, rules, serving, storage, workload",
 		"(repro/internal/relalg.Value).NullLabel":         "rules, wal",
 		"(*repro/internal/stats.Tally).Load":              "core",
+		"(*repro/internal/transport.Mem).Partition":       "core",
+		"(*repro/internal/transport.Mem).Heal":            "core",
+		"(*repro/internal/transport.Mem).Dropped":         "core",
 		"(*repro/internal/graph.Graph).ReachableSubgraph": "core",
 		"(*repro/internal/peer.Peer).KnownEdges":          "core",
 		"(*repro/internal/peer.Peer).Paths":               "core",
