@@ -437,13 +437,13 @@ func (c *Transport) SetOnStatusChange(fn func(node string, st Status)) {
 
 // attachPlane hands reconciliation to a control plane: from now on the
 // detector compares its readings with the agreed view (view first, then each
-// one the plane delivers) every reconcileEvery, escalates deadAfter of
-// continuous suspicion to death (zero: never), and proposes what differs
-// through propose, which must not block.
+// one the plane delivers) whenever either changes, and every reconcileEvery
+// as a retry, escalates deadAfter of continuous suspicion to death (zero:
+// never), and proposes what differs through propose, which must not block.
 func (c *Transport) attachPlane(propose func(cmd wire.Command), reconcileEvery, deadAfter time.Duration, view agreedView) {
 	c.sh.Step(func(now time.Time, _ []detEffect) []detEffect {
 		c.propose = propose
-		c.det.attach(now, reconcileEvery, deadAfter)
+		c.det.attach(reconcileEvery, deadAfter)
 		return c.det.step(now, view)
 	})
 }

@@ -63,10 +63,13 @@ type ControlPlaneOptions struct {
 	// updateDone, anything open is probed — one round can race a
 	// still-traveling confirming cascade.
 	Settle int
-	// ReconcileEvery is the period of the failure detector's reconciliation
-	// pass (default 500ms), a step on the detector's timer: agreed member
-	// statuses that drifted from what the detector sees are proposed, one
-	// proposal in flight at a time, until the log catches up.
+	// ReconcileEvery is the retry/anti-entropy period of the failure
+	// detector's reconciliation pass (default 500ms). The pass runs when what
+	// it compares changes — a consensus member's status as the detector sees
+	// it, or the agreed view — and when a suspect member's DeadAfter runs out;
+	// agreed member statuses that drifted from what the detector sees are
+	// proposed, one proposal in flight at a time, until the log catches up.
+	// The period re-runs it after a proposal that was not decided.
 	ReconcileEvery time.Duration
 	// Consensus tunes the underlying replicated log (including LogPath for
 	// the applied-entry control log).
@@ -157,6 +160,7 @@ type ControlPlane struct {
 	// runner carries the drivers, the proposals and the callbacks.
 	sh       *shell.Shell[effect]
 	st       *foldState // the agreed fold
+	onView   func()     // called after each applied change to the agreed view (OnViewChange)
 	states   inbox[wire.StateReport]
 	driveGen uint64 // invalidates superseded driver goroutines
 
@@ -275,6 +279,16 @@ func (cp *ControlPlane) Deposed() bool {
 	return cp.st.hostOf(cp.self) != cp.self
 }
 
+// OnViewChange registers wake, called outside the plane's lock after every
+// applied entry that changes the agreed view or a host — where the failure
+// detector gets the new view. The replica manager's placement pass runs on
+// it.
+func (cp *ControlPlane) OnViewChange(wake func()) {
+	cp.sh.Lock()
+	cp.onView = wake
+	cp.sh.Unlock()
+}
+
 // Metrics snapshots the control plane for the serve metrics endpoint.
 func (cp *ControlPlane) Metrics() ControlPlaneMetrics {
 	m := ControlPlaneMetrics{Metrics: cp.cons.Metrics(), ProbeRounds: cp.probeRounds.Load(), Promotions: cp.promotions.Load()}
@@ -327,21 +341,29 @@ func (cp *ControlPlane) intercept(env wire.Envelope) bool {
 // partition heals — by design: a minority must not start waves or change the
 // member table. The proposal's context is the runner's, so Close unparks it
 // and then drains it; after Close nothing is proposed.
-func (cp *ControlPlane) submitAsync(cmd wire.Command) { cp.goSubmit(cmd, 5*time.Minute, func() {}) }
-
-// proposeMember is submitAsync for the failure detector's member commands: it
-// waits at most roundTimeout, then tells the detector the proposal returned,
-// decided or not, so its reconciliation pass goes on.
-func (cp *ControlPlane) proposeMember(cmd wire.Command) {
-	cp.goSubmit(cmd, roundTimeout, func() { cp.tr.deliver(proposed{node: cmd.Node}) })
+func (cp *ControlPlane) submitAsync(cmd wire.Command) {
+	cp.sh.Go(func(ctx context.Context) {
+		ctx, cancel := context.WithTimeout(ctx, 5*time.Minute)
+		defer cancel()
+		_, _ = cp.cons.Submit(ctx, cmd)
+	})
 }
 
-func (cp *ControlPlane) goSubmit(cmd wire.Command, timeout time.Duration, then func()) {
+// proposeMember is submitAsync for the failure detector's member commands: it
+// waits at most roundTimeout, then tells the detector the proposal returned
+// and at which instance it was decided (0: not decided), so its
+// reconciliation pass goes on once it has read that instance. It proposes at
+// one instance (consensus.Propose): a command carried past the entry that
+// took its instance would still be premised on the view before it — at boot
+// on none (Ref 0, which the fold honours even over a death) — and could land
+// after a death declared meanwhile. The detector proposes again on the view
+// it then reads.
+func (cp *ControlPlane) proposeMember(cmd wire.Command) {
 	cp.sh.Go(func(ctx context.Context) {
-		ctx, cancel := context.WithTimeout(ctx, timeout)
-		_, _ = cp.cons.Submit(ctx, cmd)
-		cancel()
-		then()
+		ctx, cancel := context.WithTimeout(ctx, roundTimeout)
+		defer cancel()
+		inst, _ := cp.cons.Propose(ctx, cmd)
+		cp.tr.deliver(proposed{node: cmd.Node, inst: inst})
 	})
 }
 
@@ -350,18 +372,22 @@ func (cp *ControlPlane) goSubmit(cmd wire.Command, timeout time.Duration, then f
 // consensus.New, replaying the control log.
 func (cp *ControlPlane) applyEntry(instance uint64, cmd wire.Command) {
 	var view *agreedView
+	var wake func()
 	cp.sh.Step(func(time.Time, []effect) []effect {
 		effs := cp.st.fold(instance, cmd)
 		// Only member entries and decided elections change what the detector
 		// reads; while replaying (no cons yet) the plane attaches with the result.
 		if cp.cons != nil && (cmd.Kind == "member" || slices.ContainsFunc(effs, func(e effect) bool { return e.kind == effPromote })) {
 			v := cp.agreedView()
-			view = &v
+			view, wake = &v, cp.onView
 		}
 		return effs
 	})
 	if view != nil {
 		cp.tr.deliver(*view)
+	}
+	if wake != nil {
+		wake()
 	}
 }
 
@@ -394,13 +420,17 @@ func (cp *ControlPlane) restoreState(through uint64, data []byte) {
 		return
 	}
 	var view agreedView
+	var wake func()
 	if cp.sh.Step(func(time.Time, []effect) []effect {
 		effs := cp.st.transfer(next)
 		cp.st = next
-		view = cp.agreedView()
+		view, wake = cp.agreedView(), cp.onView
 		return effs
 	}) && cp.cons != nil {
 		cp.tr.deliver(view)
+		if wake != nil {
+			wake()
+		}
 	}
 }
 

@@ -46,6 +46,9 @@ type detector struct {
 	agreed                    map[string]agreedMember // the consensus set but self
 	premise                   uint64                  // the last instance the plane folded
 	proposing                 string                  // whose command is in flight ("": none)
+	returned                  bool                    // its submit returned...
+	decided                   uint64                  // ...decided at this instance (0: undecided)
+	stale                     bool                    // what the pass compares changed since the pass began
 
 	nextBeat, nextReconcile time.Time
 
@@ -88,9 +91,12 @@ type (
 		node string
 		on   bool
 	}
-	detTick    struct{}              // the armed timer fired
-	proposed   struct{ node string } // the submit of node's command returned, decided or not
-	agreedView struct {              // the plane's fold after an applied entry
+	detTick  struct{} // the armed timer fired
+	proposed struct { // the submit of node's command returned, decided at inst (0: undecided)
+		node string
+		inst uint64
+	}
+	agreedView struct { // the plane's fold after an applied entry
 		members map[string]agreedMember
 		premise uint64
 	}
@@ -109,11 +115,11 @@ func newDetector(self, addr string, book map[string]string, opts Options, now ti
 	return d
 }
 
-// attach starts reconciliation every reconcileEvery, escalating deadAfter of
-// continuous suspicion to death (zero: never). The agreed view follows.
-func (d *detector) attach(now time.Time, reconcileEvery, deadAfter time.Duration) {
+// attach starts reconciliation, escalating deadAfter of continuous suspicion
+// to death (zero: never). The agreed view follows, and with it the first
+// pass; reconcileEvery is the retry/anti-entropy period.
+func (d *detector) attach(reconcileEvery, deadAfter time.Duration) {
 	d.reconcileEvery, d.deadAfter = reconcileEvery, deadAfter
-	d.nextReconcile = now.Add(reconcileEvery)
 	d.agreed = map[string]agreedMember{}
 }
 
@@ -147,18 +153,20 @@ func (d *detector) step(now time.Time, ev any) []detEffect {
 			d.beat()
 			d.nextBeat = now.Add(d.beatEvery)
 		}
-		if d.reconcileEvery > 0 && d.proposing == "" && !now.Before(d.nextReconcile) {
-			d.reconcile("")
-		}
 	case proposed:
-		if e.node == d.proposing {
-			d.proposing = ""
-			d.reconcile(e.node)
+		if e.node == d.proposing && !d.returned {
+			// A decided command waits for the plane's view of it — the
+			// applier delivers it apart from the submit — a period at most.
+			d.returned, d.decided = true, e.inst
+			d.nextReconcile = now.Add(d.reconcileEvery)
 		}
 	case agreedView:
 		if d.agreed != nil {
 			d.apply(e)
 		}
+	}
+	if d.reconcileEvery > 0 {
+		d.reconcileDue()
 	}
 	d.out = append(d.out, detEffect{kind: detArm, when: d.deadline()})
 	out := d.out
@@ -232,39 +240,77 @@ func (d *detector) beat() {
 	}
 }
 
+// reconcileDue runs the reconciliation pass where this step made it due. With
+// none in flight, a pass begins when what it compares changed (stale) or the
+// period came round. The one in flight goes on once its proposal returned
+// and, when decided, the plane's view has reached its instance — or a period
+// after it returned, should that view never come.
+func (d *detector) reconcileDue() {
+	switch {
+	case d.proposing == "":
+		if d.stale || !d.now.Before(d.nextReconcile) {
+			d.reconcile("")
+		}
+	case d.returned && (d.premise >= d.decided || !d.now.Before(d.nextReconcile)):
+		after := d.proposing
+		d.proposing = ""
+		d.reconcile(after)
+	}
+}
+
 // reconcile is the reconciliation pass over the consensus members in name
 // order, resumed after the member named after ("" starts it). It proposes the
 // detector's reading of the next member where that differs from the agreed
 // view and mayPropose allows it, and goes on when the proposal returns: one
-// command is in flight at a time, read off the table as it goes out. Through
-// the pass, the next is due reconcileEvery on. A member continuously suspect
-// for deadAfter is proposed dead — the agreed declaration that triggers
-// promotion. A re-homed name has no liveness of its own: the detector hears
-// its adopter's heartbeats under it, and an adopter that merely stalls must
-// not get the name declared dead a second time while it still serves it (the
-// adopter's own death reopens elections for everything it hosted).
+// command is in flight at a time, read off the table as it goes out. A pass
+// that ends with something changed since it began starts over from the first
+// name, so a change to a member it had passed is not left to the period. A
+// member continuously suspect for deadAfter is proposed dead — the agreed
+// declaration that triggers promotion — and the next pass is due no later
+// than that moment. A re-homed name has no liveness of its own: the detector
+// hears its adopter's heartbeats under it, and an adopter that merely stalls
+// must not get the name declared dead a second time while it still serves it
+// (the adopter's own death reopens elections for everything it hosted).
 func (d *detector) reconcile(after string) {
-	for _, name := range sortedKeys(d.agreed) {
-		m, a := d.members[name], d.agreed[name]
-		if name <= after || m == nil || m.status == StatusBook || a.rehomed {
-			continue
+	for ; ; after = "" {
+		if after == "" {
+			d.stale = false
 		}
-		want := m.status
-		if m.status == StatusSuspect && d.deadAfter > 0 && d.now.Sub(m.since) >= d.deadAfter {
-			want = StatusDead
+		for _, name := range sortedKeys(d.agreed) {
+			m, a := d.members[name], d.agreed[name]
+			if name <= after || m == nil || m.status == StatusBook || a.rehomed {
+				continue
+			}
+			want := m.status
+			if m.status == StatusSuspect && d.deadAfter > 0 && d.now.Sub(m.since) >= d.deadAfter {
+				want = StatusDead
+			}
+			if mayPropose(a.status, a.deadAt, MemberInfo{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen}, want, d.suspectAfter) {
+				d.proposing, d.returned = name, false
+				d.out = append(d.out, detEffect{kind: detPropose, cmd: wire.Command{
+					Kind: "member", Node: name, Addr: m.addr, Status: uint8(want), Ref: d.premise,
+				}})
+				return
+			}
 		}
-		if mayPropose(a.status, a.deadAt, MemberInfo{Name: name, Addr: m.addr, Status: m.status, LastSeen: m.lastSeen}, want, d.suspectAfter) {
-			d.proposing = name
-			d.out = append(d.out, detEffect{kind: detPropose, cmd: wire.Command{
-				Kind: "member", Node: name, Addr: m.addr, Status: uint8(want), Ref: d.premise,
-			}})
-			return
+		if !d.stale {
+			break
 		}
 	}
 	d.nextReconcile = d.now.Add(d.reconcileEvery)
+	for name, a := range d.agreed {
+		m := d.members[name]
+		if m == nil || m.status != StatusSuspect || a.rehomed || a.status == StatusDead || d.deadAfter == 0 {
+			continue
+		}
+		if death := m.since.Add(d.deadAfter); death.After(d.now) && death.Before(d.nextReconcile) {
+			d.nextReconcile = death
+		}
+	}
 }
 
-// apply takes an agreed view in, stamping each death when first read.
+// apply takes an agreed view in, stamping each death when first read: a pass
+// is due.
 func (d *detector) apply(v agreedView) {
 	for name, a := range v.members {
 		if old := d.agreed[name]; a.status == StatusDead && old.status == StatusDead && old.deadInst == a.deadInst {
@@ -275,6 +321,7 @@ func (d *detector) apply(v agreedView) {
 		d.agreed[name] = a
 	}
 	d.premise = v.premise
+	d.stale = true
 }
 
 // mayPropose reports whether the detector's reading m of one member justifies
@@ -295,9 +342,13 @@ func mayPropose(agreed Status, deadAt time.Time, m MemberInfo, want Status, susp
 	return agreed != want
 }
 
-// set moves a member to a new status and reports the change.
+// set moves a member to a new status and reports the change; a consensus
+// member's makes a pass due.
 func (d *detector) set(name string, m *member, st Status, up bool) {
 	m.status, m.since = st, d.now
+	if _, ok := d.agreed[name]; ok {
+		d.stale = true
+	}
 	d.out = append(d.out, detEffect{kind: detStatus, node: name, status: st, up: up})
 }
 
@@ -349,11 +400,11 @@ func (d *detector) book() map[string]string {
 }
 
 // deadline is when the detector next needs a tick: the next beat or
-// reconciliation pass (none while a pass waits on a proposal). Every step
-// arms the timer for it; the shell keeps the earliest deadline.
+// reconciliation pass (none while a pass waits on a submit). Every step arms
+// the timer for it; the shell keeps the earliest deadline.
 func (d *detector) deadline() time.Time {
 	next := d.nextBeat
-	if d.reconcileEvery > 0 && d.proposing == "" && d.nextReconcile.Before(next) {
+	if d.reconcileEvery > 0 && (d.proposing == "" || d.returned) && d.nextReconcile.Before(next) {
 		next = d.nextReconcile
 	}
 	return next

@@ -39,17 +39,21 @@ func renderDet(effs []detEffect) []string {
 }
 
 // attached is a test step, not an event: a control plane attaches
-// (reconciliation every 50ms, death after 200ms of continuous suspicion) and
-// its first view is stepped.
+// (a retry period of 50ms, death after 200ms of continuous suspicion) and its
+// first view is stepped.
 type attached agreedView
 
 func plane(premise uint64, view map[string]agreedMember) attached {
 	return attached{members: view, premise: premise}
 }
 
+// armedAt is a test step, not an event: the timer is armed for this offset.
+type armedAt time.Duration
+
 // TestDetectorStep drives the failure detector's step with no clock: A beats
 // every 10ms, suspects after 30ms of silence, and — once a plane attaches —
-// reconciles every 50ms and escalates 200ms of continuous suspicion to death.
+// reconciles when a member's status or the agreed view changes (and every
+// 50ms), and escalates 200ms of continuous suspicion to death.
 // Each case lists the effects every event asks for, in order.
 func TestDetectorStep(t *testing.T) {
 	ms := time.Millisecond
@@ -93,26 +97,44 @@ func TestDetectorStep(t *testing.T) {
 			{1010 * ms, detTick{}, []string{"join A>B", "beat A>X"}},
 			{1040 * ms, detTick{}, []string{"join A>B", "X suspect", "join A>X"}},
 		}},
+		{"the first pass runs at attach", []detStep{
+			{0, B(""), []string{"B alive"}},
+			{1 * ms, heard{node: "C", addr: "c:1"}, []string{"C alive"}},
+			{5 * ms, plane(1, map[string]agreedMember{"B": alive, "C": {status: StatusBook}}), []string{"propose C alive ref 1"}},
+		}},
 		{"dead is proposed only after DeadAfter of continuous suspicion", []detStep{
 			{0, plane(3, map[string]agreedMember{"B": alive}), []string{}},
 			{0, B(""), []string{"B alive"}},
-			{40 * ms, detTick{}, []string{"B suspect", "join A>B"}},
-			{50 * ms, detTick{}, []string{"join A>B", "propose B suspect ref 3"}},
+			{40 * ms, detTick{}, []string{"B suspect", "join A>B", "propose B suspect ref 3"}},
+			{50 * ms, detTick{}, []string{"join A>B"}},
 			{55 * ms, detTick{}, []string{}},
-			{56 * ms, proposed{"B"}, []string{}},
+			{56 * ms, proposed{node: "B", inst: 4}, []string{}},
 			{57 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusSuspect}}, premise: 4}, []string{}},
 			{200 * ms, detTick{}, []string{"join A>B"}}, // suspect for 160ms
 			{250 * ms, detTick{}, []string{"join A>B", "propose B dead ref 4"}},
 		}},
-		{"a heal inside DeadAfter starts the window again", []detStep{
-			{0, plane(3, map[string]agreedMember{"B": {status: StatusSuspect}}), []string{}},
+		{"dead is proposed at exactly since + DeadAfter", []detStep{
+			{0, plane(3, map[string]agreedMember{"B": alive}), []string{}},
 			{0, B(""), []string{"B alive"}},
-			{40 * ms, detTick{}, []string{"B suspect", "join A>B"}},
-			{50 * ms, detTick{}, []string{"join A>B"}},
-			{120 * ms, B(""), []string{"B alive up"}},
+			{40 * ms, detTick{}, []string{"B suspect", "join A>B", "propose B suspect ref 3"}},
+			{41 * ms, proposed{node: "B", inst: 4}, []string{}},
+			{42 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusSuspect}}, premise: 4}, []string{}},
+			{192 * ms, detTick{}, []string{"join A>B"}},
+			{239 * ms, detTick{}, []string{"join A>B"}}, // suspect for 199ms
+			{239 * ms, armedAt(240 * ms), nil},          // not the next beat (249ms) or period (242ms)
+			{240 * ms, detTick{}, []string{"propose B dead ref 4"}},
+		}},
+		{"a heal inside DeadAfter starts the window again", []detStep{
+			{0, plane(3, map[string]agreedMember{"B": alive}), []string{}},
+			{0, B(""), []string{"B alive"}},
+			{40 * ms, detTick{}, []string{"B suspect", "join A>B", "propose B suspect ref 3"}},
+			{41 * ms, proposed{node: "B", inst: 4}, []string{}},
+			{42 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusSuspect}}, premise: 4}, []string{}},
+			{120 * ms, B(""), []string{"B alive up", "propose B alive ref 4"}},
+			{121 * ms, proposed{node: "B"}, []string{}}, // not decided: the agreed view stays suspect
 			{160 * ms, detTick{}, []string{"B suspect", "join A>B"}},
 			{250 * ms, detTick{}, []string{"join A>B"}}, // 210ms since the first suspicion, 90ms since the second
-			{360 * ms, detTick{}, []string{"join A>B", "propose B dead ref 3"}},
+			{360 * ms, detTick{}, []string{"join A>B", "propose B dead ref 4"}},
 		}},
 		{"a re-homed name never escalates", []detStep{
 			{0, plane(3, map[string]agreedMember{"B": {status: StatusAlive, rehomed: true}}), []string{}},
@@ -125,26 +147,53 @@ func TestDetectorStep(t *testing.T) {
 			{0, B(""), []string{"B alive"}},
 			{10 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusDead, deadInst: 5}}, premise: 5}, []string{}},
 			{20 * ms, B(""), []string{}},
-			{40 * ms, B(""), []string{}}, // exactly a suspicion window after the death was read
-			{50 * ms, detTick{}, []string{"beat A>B"}},
+			{40 * ms, B(""), []string{}},               // exactly a suspicion window after the death was read
+			{60 * ms, detTick{}, []string{"beat A>B"}}, // the period's pass weighs it
 			{90 * ms, B(""), []string{}},
 			// The same death read again: the evidence is still weighed against the first read.
-			{95 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusDead, deadInst: 5}}, premise: 6}, []string{}},
-			{100 * ms, detTick{}, []string{"beat A>B", "propose B alive ref 6"}},
+			{95 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusDead, deadInst: 5}}, premise: 6}, []string{"propose B alive ref 6"}},
 		}},
 		{"one proposal in flight: the pass goes on when it returns", []detStep{
 			{0, plane(1, map[string]agreedMember{"B": alive, "C": alive}), []string{}},
 			{0, B(""), []string{"B alive"}},
 			{1 * ms, heard{node: "C", addr: "c:1"}, []string{"C alive"}},
-			{2 * ms, goodbye{"B"}, []string{"B left"}},
+			{2 * ms, goodbye{"B"}, []string{"B left", "propose B left ref 1"}},
+			{3 * ms, goodbye{"C"}, []string{"C left"}}, // waits for the one in flight
+			{50 * ms, detTick{}, []string{}},
+			{61 * ms, proposed{node: "C", inst: 2}, []string{}}, // not the one in flight
+			{62 * ms, proposed{node: "B", inst: 2}, []string{}}, // decided: the pass waits to read it
+			{63 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusLeft}, "C": alive}, premise: 2}, []string{"propose C left ref 2"}},
+			{64 * ms, agreedView{members: map[string]agreedMember{"B": {status: StatusLeft}, "C": {status: StatusLeft}}, premise: 3}, []string{}},
+			{65 * ms, proposed{node: "C", inst: 3}, []string{}}, // read already: the pass is through, the next is due at 115ms
+			{114 * ms, detTick{}, []string{}},
+			{114 * ms, armedAt(115 * ms), nil},
+		}},
+		{"a change during an in-flight proposal is proposed when it returns", []detStep{
+			{0, plane(1, map[string]agreedMember{"B": alive, "C": alive}), []string{}},
+			{0, B(""), []string{"B alive"}},
+			{1 * ms, heard{node: "C", addr: "c:1"}, []string{"C alive"}},
+			{2 * ms, goodbye{"C"}, []string{"C left", "propose C left ref 1"}},
+			{3 * ms, goodbye{"B"}, []string{"B left"}}, // before C in the pass, which has gone past it
+			{4 * ms, proposed{node: "C", inst: 2}, []string{}},
+			{5 * ms, agreedView{members: map[string]agreedMember{"B": alive, "C": {status: StatusLeft}}, premise: 2}, []string{"propose B left ref 2"}},
+		}},
+		{"an undecided proposal is retried one ReconcileEvery later", []detStep{
+			{0, plane(1, map[string]agreedMember{"B": alive}), []string{}},
+			{0, B(""), []string{"B alive"}},
+			{1 * ms, goodbye{"B"}, []string{"B left", "propose B left ref 1"}},
+			{2 * ms, proposed{node: "B"}, []string{}},
+			{51 * ms, detTick{}, []string{}},
+			{52 * ms, detTick{}, []string{"propose B left ref 1"}},
+		}},
+		{"a decided proposal whose view never comes is let go a period later", []detStep{
+			{0, plane(1, map[string]agreedMember{"B": alive, "C": alive}), []string{}},
+			{0, B(""), []string{"B alive"}},
+			{1 * ms, heard{node: "C", addr: "c:1"}, []string{"C alive"}},
+			{2 * ms, goodbye{"B"}, []string{"B left", "propose B left ref 1"}},
 			{3 * ms, goodbye{"C"}, []string{"C left"}},
-			{50 * ms, detTick{}, []string{"propose B left ref 1"}},
-			{60 * ms, detTick{}, []string{}},
-			{61 * ms, proposed{"C"}, []string{}}, // not the one in flight
-			{62 * ms, proposed{"B"}, []string{"propose C left ref 1"}},
-			{63 * ms, proposed{"C"}, []string{}}, // the pass is through: the next is due at 113ms
-			{100 * ms, detTick{}, []string{}},
-			{113 * ms, detTick{}, []string{"propose B left ref 1"}},
+			{4 * ms, proposed{node: "B", inst: 2}, []string{}},
+			{53 * ms, detTick{}, []string{}},
+			{54 * ms, detTick{}, []string{"propose C left ref 1"}},
 		}},
 	}
 	for _, c := range cases {
@@ -152,9 +201,15 @@ func TestDetectorStep(t *testing.T) {
 			t0 := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 			d := newDetector("A", "a:1", map[string]string{"B": "b:1"}, Options{HeartbeatEvery: 10 * ms, SuspectAfter: 30 * ms}, t0)
 			for i, s := range c.steps {
+				if at, ok := s.ev.(armedAt); ok {
+					if got := d.deadline().Sub(t0); got != time.Duration(at) {
+						t.Fatalf("step %d at %v: the timer is armed for %v, want %v", i, s.at, got, time.Duration(at))
+					}
+					continue
+				}
 				ev := s.ev
 				if a, ok := ev.(attached); ok {
-					d.attach(t0.Add(s.at), 50*ms, 200*ms)
+					d.attach(50*ms, 200*ms)
 					ev = agreedView(a)
 				}
 				effs := d.step(t0.Add(s.at), ev)

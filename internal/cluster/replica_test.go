@@ -188,6 +188,56 @@ func TestReplicaPromotionZeroLoss(t *testing.T) {
 	}, "the under-replication window never closed after the promotion")
 }
 
+// TestBootAgreesAtTheSpeedOfTheLog: at the deployment periods — the plane's
+// reconciliation every 500ms, the replica manager's placement pass every
+// 250ms — three booting members agree that all three are alive and close
+// every under-replication window within 150ms of the last boot. Both passes
+// run when the view they read changes; the periods are only the retry net.
+func TestBootAgreesAtTheSpeedOfTheLog(t *testing.T) {
+	nodes := []string{"A", "B", "C"}
+	book := map[string]string{}
+	var members []*replicaMember
+	for _, node := range nodes {
+		seed := map[string]string{}
+		for k, v := range book {
+			seed[k] = v
+		}
+		cfg := LoopbackConfig(mustDef(t, chainNet), node, seed, "", 2, time.Minute)
+		cfg.Control.ReconcileEvery = 500 * time.Millisecond
+		cfg.Replica.ReconcileEvery = 250 * time.Millisecond
+		m := bootMember(t, cfg)
+		defer m.Close()
+		members = append(members, &replicaMember{Member: m, n: m.Network(), tr: m.Transport(), cp: m.Control(), mgr: m.Replica()})
+		book[node] = m.Transport().Addr()
+	}
+	booted := time.Now()
+	settled := func() bool {
+		for _, rm := range members {
+			view, _ := rm.cp.AgreedView()
+			for _, node := range nodes {
+				if view[node] != StatusAlive {
+					return false
+				}
+			}
+			if rm.mgr.Metrics().UnderReplicated != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for !settled() {
+		if took := time.Since(booted); took > 150*time.Millisecond {
+			for _, rm := range members {
+				view, version := rm.cp.AgreedView()
+				t.Logf("%s: agreed view %v (version %d), replication %+v", rm.tr.Self(), view, version, rm.mgr.Metrics())
+			}
+			t.Fatalf("not agreed and replicated %v after the last boot, want within 150ms", took)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("agreed and replicated %v after the last boot", time.Since(booted))
+}
+
 // TestRehomedNodeHasOneHost pins "a node has at most one live host" across a
 // second death verdict on an already re-homed name. E dies and is adopted;
 // then the agreed log is told E is alive and dead again — what a stalled

@@ -263,10 +263,22 @@ func (n *Node) Metrics() Metrics {
 // in Submit until the partition heals — by design, that member must not make
 // control-plane progress.
 func (n *Node) Submit(ctx context.Context, cmd wire.Command) (uint64, error) {
+	return n.submit(ctx, submitCmd{cmd})
+}
+
+// Propose is Submit at one instance: when another value is decided at the
+// instance it is trying, it gives up and returns 0, so a command premised on
+// the log the caller read does not land past entries it never read. The
+// caller reads the new entries and proposes again if it still must.
+func (n *Node) Propose(ctx context.Context, cmd wire.Command) (uint64, error) {
+	return n.submit(ctx, proposeCmd{cmd})
+}
+
+func (n *Node) submit(ctx context.Context, ev any) (uint64, error) {
 	decided := make(chan uint64, 1)
 	var seq uint64
 	if !n.sh.Step(func(now time.Time, buf []effect) []effect {
-		effs := n.step(now, "", submitCmd{cmd})
+		effs := n.step(now, "", ev)
 		seq = n.seq
 		n.waiters[seq] = decided
 		return n.run(effs, buf)

@@ -764,6 +764,41 @@ func TestAdoptsAcceptedValue(t *testing.T) {
 	}
 }
 
+// TestProposeGivesUpItsLostInstance: a Propose whose instance is decided
+// with another value returns 0 instead of moving on to the next instance, as
+// a Submit does — its command, premised on the log before that value, must
+// not land after it.
+func TestProposeGivesUpItsLostInstance(t *testing.T) {
+	f := newFakeNet()
+	names := []string{"A", "B", "C"}
+	nodes, logs := startCluster(t, f, names, fastOpts())
+	// B holds an accepted value at instance 1, and every quorum of C's holds B
+	// (as in TestAdoptsAcceptedValue): C's round at instance 1 decides it.
+	early := wire.Command{Kind: "member", Origin: "Z", Seq: 1, Node: "N"}
+	nodes["B"].Handle(wire.Envelope{From: "A", To: "B", Msg: wire.Prepare{Instance: 1, Ballot: 5}})
+	nodes["B"].Handle(wire.Envelope{From: "A", To: "B", Msg: wire.Accept{Instance: 1, Ballot: 5, Val: early}})
+	f.partition([]string{"A"}, []string{"C"})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	inst, err := nodes["C"].Propose(ctx, wire.Command{Kind: "noop", Text: "late"})
+	if err != nil || inst != 0 {
+		t.Fatalf("Propose over a lost instance = %d, %v; want 0, nil", inst, err)
+	}
+	f.heal()
+	// The same command submitted moves on and decides at instance 2.
+	if inst, err := nodes["C"].Submit(ctx, wire.Command{Kind: "noop", Text: "late"}); err != nil || inst != 2 {
+		t.Fatalf("Submit = %d, %v; want instance 2", inst, err)
+	}
+	waitFor(t, 5*time.Second, "two entries applied", func() bool {
+		return len(logs["A"].snapshot()) >= 2
+	})
+	for i, e := range logs["A"].snapshot() {
+		if e.Cmd.Text == "late" && e.Cmd.Origin == "C" && e.Cmd.Seq == 1 {
+			t.Fatalf("the given-up Propose was decided at instance %d", i+1)
+		}
+	}
+}
+
 // TestSlowRoundTripsStillDecide: when every round trip outlasts the base
 // phase timeout (a loaded box, acceptors fsyncing votes on a busy disk — here
 // 30ms each way against 2×Retry = 20ms), a proposer must not time every
@@ -798,5 +833,37 @@ func TestMetricsShape(t *testing.T) {
 	}
 	if m.Applied != 1 || m.MaxDecided < 1 || m.MaxProposed < 1 || m.Proposals != 1 {
 		t.Fatalf("counters: %+v", m)
+	}
+}
+
+// TestLearnAboveAGapPullsTheGap: a member taught an instance above ones it
+// never learned (it joined after they were decided) asks the teacher for the
+// missing ones at once, once per stuck frontier, instead of waiting for its
+// next catch-up round.
+func TestLearnAboveAGapPullsTheGap(t *testing.T) {
+	s := newState("C", []string{"A", "B", "C"}, fastOpts().withDefaults(), 1)
+	pulls := func(effs []effect) []string {
+		var out []string
+		for _, e := range effs {
+			if m, ok := e.msg.(wire.CatchUp); ok && e.kind == effSend {
+				out = append(out, fmt.Sprintf("%s from %d", e.to, m.From))
+			}
+		}
+		return out
+	}
+	now := time.Now()
+	learn := func(i uint64) wire.Learn { return wire.Learn{Instance: i, Val: wire.Command{Kind: "noop", Text: fmt.Sprint(i)}} }
+	if got := pulls(s.step(now, "A", learn(3))); len(got) != 1 || got[0] != "A from 1" {
+		t.Fatalf("a Learn above a gap pulled %v, want one CatchUp from 1 to A", got)
+	}
+	if got := pulls(s.step(now, "B", learn(4))); len(got) != 0 {
+		t.Fatalf("a second Learn at the same stuck frontier pulled %v, want nothing", got)
+	}
+	s.step(now, "A", learn(1))
+	if got := pulls(s.step(now, "A", learn(5))); len(got) != 1 || got[0] != "A from 2" {
+		t.Fatalf("a Learn above the moved frontier pulled %v, want one CatchUp from 2 to A", got)
+	}
+	if got := pulls(s.step(now, "A", learn(2))); len(got) != 0 {
+		t.Fatalf("the Learn that closes the gap pulled %v", got)
 	}
 }

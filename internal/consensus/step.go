@@ -30,6 +30,7 @@ type state struct {
 	proposals []*proposal       // in flight: this member's submits and gap fills
 	balK      uint64            // proposer ballot epoch (see nextBallot)
 	rrNext    int               // round-robin catch-up target
+	pulled    uint64            // the first missing instance last asked for at once (pull)
 	rng       uint64            // jitter source (xorshift; never zero)
 	nextSync  time.Time         // when the next catch-up round is due
 	armed     time.Time         // when the armed timer fires (zero: not armed)
@@ -61,6 +62,7 @@ type inst struct {
 // dropped when its value is decided (or, for a gap fill, its instance is).
 type proposal struct {
 	seq      uint64 // the submit's Seq; 0 for a gap fill
+	once     bool   // a Propose: completes undecided when its instance is lost
 	cmd      wire.Command
 	instance uint64
 	ballot   uint64 // the current round's, or the next one's while pausing
@@ -102,13 +104,14 @@ const (
 	effAppend                          // append entry to the applied log
 	effApply                           // run Apply (or Restore) for entry on the applier
 	effServeSnapshot                   // ship the application state to to
-	effComplete                        // the submit seq was decided at instance at
+	effComplete                        // the submit seq was decided at instance at (0: lost, a Propose)
 	effArmTimer                        // deliver a tick at when
 )
 
 // The local events beside the consensus frames.
 type (
 	submitCmd      struct{ cmd wire.Command } // a Submit call: the step stamps Origin and Seq
+	proposeCmd     struct{ cmd wire.Command } // a Propose call: a submit at one instance
 	abandon        struct{ seq uint64 }       // the Submit's ctx is done
 	appliedThrough struct{ instance uint64 }  // the applier returned from entry instance
 	tick           struct{}                   // the armed timer fired
@@ -228,17 +231,15 @@ func (s *state) handle(from string, ev any) {
 		}
 	case wire.Learn:
 		s.decide(m.Instance, m.Val)
+		s.pull(from, m.Instance)
 	case wire.CatchUp:
 		s.handleCatchUp(from, m)
 	case wire.Snapshot:
 		s.install(m)
 	case submitCmd:
-		s.seq++
-		s.props++
-		m.cmd.Origin, m.cmd.Seq = s.self, s.seq
-		p := &proposal{seq: s.seq, cmd: m.cmd, instance: s.nextFree(0)}
-		s.proposals = append(s.proposals, p)
-		s.startRound(p, s.nextBallot(0))
+		s.submit(m.cmd, false)
+	case proposeCmd:
+		s.submit(m.cmd, true)
 	case abandon:
 		s.proposals = slices.DeleteFunc(s.proposals, func(p *proposal) bool { return p.seq == m.seq })
 	case appliedThrough:
@@ -272,6 +273,16 @@ func frameDone(msg any) (uint64, bool) {
 }
 
 func (s *state) emit(e effect) { s.out = append(s.out, e) }
+
+// submit opens a proposal for a local command at the next free instance.
+func (s *state) submit(cmd wire.Command, once bool) {
+	s.seq++
+	s.props++
+	cmd.Origin, cmd.Seq = s.self, s.seq
+	p := &proposal{seq: s.seq, once: once, cmd: cmd, instance: s.nextFree(0)}
+	s.proposals = append(s.proposals, p)
+	s.startRound(p, s.nextBallot(0))
+}
 
 // send ships one frame; a frame to this member is handled before the step
 // returns, without touching the transport.
@@ -339,6 +350,17 @@ func (s *state) handleAccept(from string, m wire.Accept) {
 		s.send(from, wire.Accepted{Instance: m.Instance, Ballot: m.Ballot, OK: true, Done: s.applied})
 	default:
 		s.send(from, wire.Accepted{Instance: m.Instance, Ballot: m.Ballot, Promised: in.promised, Done: s.applied})
+	}
+}
+
+// pull asks from at once for the instances missing below i, which it just
+// taught this member: a member that joined after they were decided would
+// otherwise wait for its next catch-up round. Once per stuck frontier; the
+// catch-up round covers a lost reply.
+func (s *state) pull(from string, i uint64) {
+	if from != s.self && i > s.queued && s.pulled != s.queued+1 {
+		s.pulled = s.queued + 1
+		s.send(from, wire.CatchUp{From: s.queued + 1, Done: s.applied})
 	}
 }
 
@@ -426,11 +448,16 @@ func (s *state) advance() {
 }
 
 // lost settles a proposal whose instance was decided with another value: a
-// gap fill is done, and a submit — still unchosen — moves to the next free
-// instance with a fresh ballot.
+// gap fill is done, a Propose completes undecided, and a submit — still
+// unchosen — moves to the next free instance with a fresh ballot.
 func (s *state) lost(p *proposal) {
-	if p.seq == 0 {
+	switch {
+	case p.seq == 0:
 		s.remove(p)
+		return
+	case p.once:
+		s.remove(p)
+		s.emit(effect{kind: effComplete, seq: p.seq})
 		return
 	}
 	p.instance = s.nextFree(p.instance)

@@ -247,11 +247,15 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	// Fan-out accounting from the members' serving hubs: extractions the
 	// shared path paid vs what one pump per watcher would have cost, and the
 	// tuples the class sets retain for exactly-once delivery (at most one set
-	// per class, none for a set-free class).
+	// per class, none for a set-free class). Frames each member's outboxes
+	// dropped on overflow are read beside the latencies they would inflate.
 	var extracted, naive, saved uint64
 	var retained int
+	drops := map[string]uint64{}
 	for _, node := range names {
-		if nm := members[node].Metrics(); nm.Serving != nil {
+		nm := members[node].Metrics()
+		drops[node] = nm.OutboxDrops
+		if nm.Serving != nil {
 			extracted += nm.Serving.Extractions
 			naive += nm.Serving.NaiveExtractions
 			saved += nm.Serving.SavedExtractions
@@ -291,6 +295,9 @@ func E19ServeLoad(cfg Config) (Result, error) {
 		fmt.Fprintf(w, "delivery latency p50\t%.2f ms\n", p50)
 		fmt.Fprintf(w, "delivery latency p95\t%.2f ms\n", p95)
 		fmt.Fprintf(w, "delivery latency p99\t%.2f ms\n", p99)
+		for _, node := range names {
+			fmt.Fprintf(w, "outbox drops at %s\t%d\n", node, drops[node])
+		}
 		fmt.Fprintln(w, "\nnote:\tevery insert at the chain's tail is delivered through two rule")
 		fmt.Fprintln(w, "\thops and then fanned out to every head watcher from one extraction")
 	})

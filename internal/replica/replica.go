@@ -49,6 +49,9 @@ type Control interface {
 	PlacementFor(node string) ([]string, uint64)
 	// HostOf returns the member currently hosting a node's primary.
 	HostOf(node string) string
+	// OnViewChange registers wake, to be called whenever what PlacementFor
+	// and HostOf answer may have changed; wake does not block.
+	OnViewChange(wake func())
 }
 
 // Options tunes a Manager.
@@ -77,10 +80,12 @@ type Options struct {
 	// without acknowledgment progress, so a frame lost to a link error or a
 	// restarting mirror ships again (default 750ms).
 	ResendAfter time.Duration
-	// ReconcileEvery is the period of the placement pass (default 250ms): how
-	// often this member re-derives which nodes it should mirror, opens the
-	// missing mirrors and re-solicits quiet streams. An idle manager's shell
-	// timer fires for nothing else.
+	// ReconcileEvery is the retry/anti-entropy period of the placement pass
+	// (default 250ms), which re-derives which nodes this member should
+	// mirror, opens the missing mirrors and re-solicits quiet streams. The
+	// pass also runs as soon as the control plane applies a new view
+	// (Control.OnViewChange). An idle manager's shell timer fires for nothing
+	// else.
 	ReconcileEvery time.Duration
 	// SyncReqEvery rate-limits anti-entropy requests per node: a mirror that
 	// received nothing for this long re-solicits the stream from the current
@@ -187,6 +192,7 @@ type effect struct {
 // New starts a replica manager. send carries frames to other members (wire
 // it through the Batcher so appends and acks coalesce); the caller must
 // route inbound replication frames to Handle (cluster.Transport.SetReplica).
+// Every view ctl applies makes the placement pass due at once.
 func New(ctl Control, send func(from, to string, msg wire.Message) error, opts Options) *Manager {
 	m := &Manager{
 		opts:      opts.withDefaults(),
@@ -198,17 +204,47 @@ func New(ctl Control, send func(from, to string, msg wire.Message) error, opts O
 	m.nextReconcile = time.Now().Add(m.opts.ReconcileEvery)
 	m.sh = shell.New(m.run, func(e effect) (time.Time, bool) { return e.when, e.msg == nil }, m.tick)
 	m.sh.Kick() // the first tick arms the timer for the first placement pass
+	ctl.OnViewChange(m.placementDue)
 	return m
 }
 
+// placementDue makes the placement pass due and kicks a tick to run it.
+func (m *Manager) placementDue() {
+	m.sh.Lock()
+	m.nextReconcile = time.Time{}
+	m.sh.Unlock()
+	m.sh.Kick()
+}
+
 // run sends one step's frames in order. An ack whose store fails to sync is
-// not sent: the primary re-sends.
+// not sent: the primary re-sends. A sync request the transport refused was
+// not sent (see unsent).
 func (m *Manager) run(effs []effect) {
 	for _, e := range effs {
 		if e.msg != nil && (e.st == nil || e.st.Sync() == nil) {
-			_ = m.send(m.opts.Member, e.to, e.msg)
+			if err := m.send(m.opts.Member, e.to, e.msg); err != nil {
+				if req, ok := e.msg.(wire.ReplicaSyncReq); ok {
+					m.unsent(req.Node)
+				}
+			}
 		}
 	}
+}
+
+// unsent takes back a sync request for node the transport refused: a
+// placement pass can run on a view that names the host before this member
+// has heard the host's address. It does not hold the next request back for
+// SyncReqEvery, and the placement pass runs again a FlushEvery from now
+// instead of a ReconcileEvery.
+func (m *Manager) unsent(node string) {
+	m.sh.Step(func(now time.Time, buf []effect) []effect {
+		m.syncReqs--
+		if mi := m.mirrors[node]; mi != nil {
+			mi.lastSyncReq = time.Time{}
+		}
+		m.nextReconcile = earlier(m.nextReconcile, now.Add(m.opts.FlushEvery))
+		return append(buf, effect{when: m.nextReconcile})
+	})
 }
 
 // Close refuses further steps, waits for those in flight, and cleanly closes
@@ -455,9 +491,10 @@ func (m *Manager) syncReq(now time.Time, mi *mirror, buf []effect) []effect {
 	return append(buf, effect{to: m.ctl.HostOf(mi.node), msg: req})
 }
 
-// tick is the pass every kick and the timer start: the placement pass when
-// ReconcileEvery has come round, then the primary-side shipping. It re-arms
-// the timer for the earliest deadline left, no sooner than FlushEvery.
+// tick is the pass every kick and the timer start: the placement pass when it
+// is due (a new view, or ReconcileEvery has come round), then the
+// primary-side shipping. It re-arms the timer for the earliest deadline left,
+// no sooner than FlushEvery.
 func (m *Manager) tick(now time.Time, buf []effect) []effect {
 	if !now.Before(m.nextReconcile) {
 		buf = m.reconcile(now, buf)

@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -14,8 +15,14 @@ import (
 )
 
 // fakeControl is a fixed agreed view: node E lives at member P and is
-// mirrored at member M.
-type fakeControl struct{}
+// mirrored at member M. wake, when set, receives the manager's wake.
+type fakeControl struct{ wake *func() }
+
+func (c fakeControl) OnViewChange(wake func()) {
+	if c.wake != nil {
+		*c.wake = wake
+	}
+}
 
 func (fakeControl) PlacementFor(node string) ([]string, uint64) {
 	if node == "E" {
@@ -166,6 +173,69 @@ func TestMirrorAppliesOnlyContiguousExtensions(t *testing.T) {
 	}
 	if sm := m.Metrics(); sm.SyncReqs != 2 || sm.Mirrors != 1 || sm.Diverged != 0 {
 		t.Fatalf("metrics %+v, want 2 sync requests, 1 mirror, 0 diverged", sm)
+	}
+}
+
+// TestViewChangeRunsThePlacementPass: the control plane's wake runs the
+// placement pass at once, not a ReconcileEvery (here an hour) later — the
+// mirror opens and solicits its stream from the node's host.
+func TestViewChangeRunsThePlacementPass(t *testing.T) {
+	var out outbox
+	var wake func()
+	m := New(fakeControl{wake: &wake}, out.send, Options{
+		Member: "M", Nodes: []string{"E", "M", "P"}, K: 1,
+		FlushEvery:     time.Hour,
+		ReconcileEvery: time.Hour,
+		SyncReqEvery:   time.Hour,
+		StateEvery:     time.Hour,
+	})
+	t.Cleanup(m.Close)
+	if wake == nil {
+		t.Fatal("New handed the control plane no wake")
+	}
+	out.none(t)
+	wake()
+	env := out.next(t)
+	if req, ok := env.Msg.(wire.ReplicaSyncReq); !ok || env.To != "P" || req.Node != "E" || len(req.Frontier) != 0 {
+		t.Fatalf("after the wake: sent %+v to %s, want an empty-frontier ReplicaSyncReq for E to P", env.Msg, env.To)
+	}
+	out.none(t)
+	if sm := m.Metrics(); sm.Mirrors != 1 || sm.SyncReqs != 1 {
+		t.Fatalf("after the wake: %+v, want 1 mirror and 1 sync request", sm)
+	}
+}
+
+// TestRefusedSyncReqIsRetriedSoon: a sync request the transport refuses (the
+// host's address is not known yet) does not count against SyncReqEvery, and
+// the placement pass asks again a FlushEvery later, not a ReconcileEvery.
+func TestRefusedSyncReqIsRetriedSoon(t *testing.T) {
+	var out outbox
+	var mu sync.Mutex
+	refuse := true
+	m := New(fakeControl{}, func(from, to string, msg wire.Message) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if refuse {
+			refuse = false
+			return errors.New("unknown peer")
+		}
+		return out.send(from, to, msg)
+	}, Options{
+		Member: "M", Nodes: []string{"E", "M", "P"}, K: 1,
+		FlushEvery:     5 * time.Millisecond,
+		ReconcileEvery: time.Hour,
+		SyncReqEvery:   time.Hour,
+		StateEvery:     time.Hour,
+	})
+	t.Cleanup(m.Close)
+	m.reconcileOnce()
+	if env := out.next(t); env.To != "P" || env.Msg.(wire.ReplicaSyncReq).Node != "E" {
+		t.Fatalf("after a refused request: sent %+v to %s, want a ReplicaSyncReq for E to P", env.Msg, env.To)
+	}
+	m.reconcileOnce()
+	out.none(t) // the one that left holds the next back
+	if got := m.Metrics().SyncReqs; got != 1 {
+		t.Fatalf("sync_reqs = %d, want 1: a refused request was not sent", got)
 	}
 }
 
