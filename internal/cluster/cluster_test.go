@@ -349,8 +349,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsReportTheSymbolTable: a serving member's /metrics and its expvar
-// "p2pdb" variable both size the process's symbol table, and an insert of a
-// text never seen before shows in both.
+// "p2pdb" variable both size the process's symbol table, texts and null terms
+// apart, and an insert of a text and a Skolem null never seen before shows in
+// both: the text among the symbols, the null among the nulls.
 func TestMetricsReportTheSymbolTable(t *testing.T) {
 	cfg := LoopbackConfig(mustDef(t, chainNet), "C", nil, "", 0, 0)
 	cfg.Control = nil
@@ -362,9 +363,10 @@ func TestMetricsReportTheSymbolTable(t *testing.T) {
 	}
 	defer closeMetrics()
 
-	before, beforeBytes := relalg.SymbolStats()
+	before := relalg.SymbolStats()
 	fresh := fmt.Sprintf("symbol-metrics-%d", time.Now().UnixNano())
-	if _, err := m.Network().Peer("C").InsertLocal("c", relalg.Tuple{relalg.S(fresh), relalg.I(1)}); err != nil {
+	null := relalg.Skolem(1, relalg.S("r"), relalg.S("V"), relalg.Tuple{relalg.I(time.Now().UnixNano())})
+	if _, err := m.Network().Peer("C").InsertLocal("c", relalg.Tuple{relalg.S(fresh), null}); err != nil {
 		t.Fatal(err)
 	}
 	var metrics NodeMetrics
@@ -374,9 +376,13 @@ func TestMetricsReportTheSymbolTable(t *testing.T) {
 	}
 	getJSON(t, addr, "/debug/vars", &vars)
 	for name, got := range map[string]NodeMetrics{"/metrics": metrics, "expvar p2pdb": vars.P2PDB} {
-		if got.Symbols < before+1 || got.SymbolBytes < beforeBytes+len(fresh) {
+		if got.Symbols < before.Texts+1 || got.SymbolBytes < before.TextBytes+len(fresh) {
 			t.Errorf("%s reports %d symbols, %d bytes; before the insert of %q the table held %d, %d",
-				name, got.Symbols, got.SymbolBytes, fresh, before, beforeBytes)
+				name, got.Symbols, got.SymbolBytes, fresh, before.Texts, before.TextBytes)
+		}
+		if got.Nulls < before.Nulls+1 || got.NullBytes <= before.NullBytes {
+			t.Errorf("%s reports %d nulls, %d bytes; before the insert of %s the table held %d, %d",
+				name, got.Nulls, got.NullBytes, null.Quoted(), before.Nulls, before.NullBytes)
 		}
 	}
 }

@@ -48,11 +48,15 @@ type NodeMetrics struct {
 	PiggyBeats  uint64         `json:"beats_piggybacked"`
 	Stats       stats.Snapshot `json:"stats"`
 	Members     []MemberInfo   `json:"members"`
-	// Symbols and SymbolBytes size the process's symbol table (every distinct
-	// string constant and null label, relalg.SymbolStats). Like the relations,
-	// it never shrinks.
+	// Symbols and SymbolBytes size the texts in the process's symbol table
+	// (every distinct string constant, foreign null label and boxed int);
+	// Nulls and NullBytes its Skolem terms and their packed keys, which hold
+	// no label text (relalg.SymbolStats). Like the relations, the table never
+	// shrinks.
 	Symbols     int `json:"symbols"`
 	SymbolBytes int `json:"symbol_bytes"`
+	Nulls       int `json:"nulls"`
+	NullBytes   int `json:"null_bytes"`
 	// Consensus is the replicated control plane's state (nil when the member
 	// runs without one): log frontiers, quorum size, elected driver and the
 	// fail-over count — the numbers an operator watches during a
@@ -108,7 +112,8 @@ func CollectReplicationMetrics(mgr *replica.Manager, cp *ControlPlane, self stri
 // cluster transport. cp may be nil (no replicated control plane).
 func CollectNodeMetrics(n *core.Network, tr *Transport, cp *ControlPlane, node string) NodeMetrics {
 	m := NodeMetrics{Node: node, Addr: tr.Addr(), Members: tr.Members()}
-	m.Symbols, m.SymbolBytes = relalg.SymbolStats()
+	sc := relalg.SymbolStats()
+	m.Symbols, m.SymbolBytes, m.Nulls, m.NullBytes = sc.Texts, sc.TextBytes, sc.Nulls, sc.NullBytes
 	if cp != nil {
 		cm := cp.Metrics()
 		m.Consensus = &cm

@@ -141,7 +141,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	// head, and every watcher draining concurrently. Each insert is stamped
 	// with the microseconds since the load began: that fits a Value's inline
 	// ints (±2^29 µs, about 537 s), so a stamp costs no symbol.
-	symbolsBefore, _ := relalg.SymbolStats()
+	symbolsBefore := relalg.SymbolStats()
 	t0 := time.Now()
 	var wg sync.WaitGroup
 	insertErr := make(chan error, len(names))
@@ -223,7 +223,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 	}
 	cwg.Wait()
 	deliverWall := time.Since(t0)
-	symbolsAfter, _ := relalg.SymbolStats()
+	symbolsAfter := relalg.SymbolStats()
 	cancel() // stop the query client
 	<-queryDone
 	if queryErr != nil {
@@ -291,7 +291,7 @@ func E19ServeLoad(cfg Config) (Result, error) {
 		fmt.Fprintf(w, "extractions per-watcher pumps would pay\t%d\n", naive)
 		fmt.Fprintf(w, "extractions saved by sharing\t%d\n", saved)
 		fmt.Fprintf(w, "tuples retained by class sets\t%d\n", retained)
-		fmt.Fprintf(w, "symbols interned by the load\t%d\n", symbolsAfter-symbolsBefore)
+		fmt.Fprintf(w, "symbols interned by the load\t%d\n", symbolsAfter.Texts+symbolsAfter.Nulls-symbolsBefore.Texts-symbolsBefore.Nulls)
 		fmt.Fprintf(w, "delivery latency p50\t%.2f ms\n", p50)
 		fmt.Fprintf(w, "delivery latency p95\t%.2f ms\n", p95)
 		fmt.Fprintf(w, "delivery latency p99\t%.2f ms\n", p99)

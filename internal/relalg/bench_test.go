@@ -235,7 +235,7 @@ func BenchmarkSymbolInternMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := misses[i%len(misses)]
-		if tab.find(maphash.String(tab.seed, s), s) >= 0 {
+		if tab.find(maphash.String(tab.seed, s), s, false) >= 0 {
 			b.Fatal("an absent text found")
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/bits"
+	"unsafe"
 )
 
 // The byte codec of values and tuples: one definition, here, for the WAL
@@ -18,9 +19,11 @@ import (
 //	string  := uvarint(len) bytes
 //	strings := uvarint(count) string*
 //
-// A string or null is written as its text, read back from the symbol table,
-// and decoded by interning the text where it lies in the input; an int is
-// written as its number whether the Value holds it inline or boxed. The Append
+// A string is written as its text, read back from the symbol table, and
+// decoded by interning the text where it lies in the input; a null is written
+// as its label, rendered from its term, and decoded as Null decodes a label,
+// in time and table space linear in it; an int is written as its number whether the Value
+// holds it inline or boxed. The Append
 // functions allocate nothing beyond growing b; nothing the Reader returns
 // refers to its input, so a decoded value never keeps a frame or record alive.
 
@@ -47,6 +50,10 @@ func AppendValue(b []byte, v Value) []byte {
 		n := binary.PutVarint(buf[:], v.Int())
 		b = append(b, byte(1+n), byte(KindInt))
 		return append(b, buf[:n]...)
+	}
+	if kind == KindNull {
+		b = binary.AppendUvarint(b, uint64(1+v.labelLen()))
+		return v.appendLabel(append(b, byte(KindNull)))
 	}
 	text := v.text()
 	b = binary.AppendUvarint(b, uint64(1+len(text)))
@@ -97,6 +104,9 @@ func (v Value) EncodedSize() int {
 	if v.Kind() == KindInt {
 		n := v.Int()
 		return 1 + UvarintSize(uint64(n<<1)^uint64(n>>63)) // zig-zag
+	}
+	if v.IsNull() {
+		return 1 + v.labelLen()
 	}
 	return 1 + len(v.text())
 }
@@ -231,8 +241,10 @@ func (r *Reader) Tuple() Tuple {
 				return nil
 			}
 			t[i] = I(num)
-		case KindNull, KindString:
+		case KindString:
 			t[i] = sym(symbols.internBytes(raw[1:]), kind)
+		case KindNull:
+			t[i] = decodeNull(unsafe.String(unsafe.SliceData(raw[1:]), len(raw)-1))
 		default:
 			r.Fail(ErrCorrupt)
 			return nil

@@ -9,18 +9,23 @@ import (
 	"unsafe"
 )
 
-// The symbol table holds every string constant's text, every null's label and
-// the 8 big-endian bytes of every int too wide to hold inline, once, for the
-// life of the process: a Value of those kinds carries the id of its text here,
-// so equal texts are equal ids however they were built, and the text is read
-// back only where bytes leave the process (Key, AppendValue) or are ordered or
-// shown (Compare, String, Int). Ids are dense and assigned in first-use
-// order; they are never persisted or sent. The table never shrinks.
+// The symbol table holds, once each and for the life of the process, every
+// string constant's text, every foreign null's label, the 8 big-endian bytes
+// of every int too wide to hold inline, and every Skolem term: a Value of
+// those kinds carries the id of its entry here, so equal texts (equal terms)
+// are equal ids however they were built. A text is read back only where
+// bytes leave the process (Key, AppendValue) or are ordered or shown
+// (Compare, String, Int). A term is a short packed key of integers (null.go)
+// and no label is stored: a Skolem null's label is rendered from its term
+// where a label is read. Ids are dense and assigned in first-use order; they
+// are never persisted or sent. The table never shrinks.
 //
-// A symbol is one word with no pointer: where its text lies in the table's
-// text chunks (the chunk, the offset, the length) and the null depth of the
-// text, parsed once. Symbols live in pages that never move, so a page is 4 KiB
-// the collector never scans; an index maps a text's hash to its id. The index
+// A symbol is one word with no pointer: where its bytes lie in the table's
+// text chunks (the chunk, the offset, the length) and whether they are a
+// text or a term's key. Symbols live in pages that never move, so a page is
+// 4 KiB the collector never scans; an index maps the hash of an entry's bytes
+// to its id, and a probe matches an id only if it is of the kind sought, so a
+// text and a term with the same bytes are two ids. The index
 // is extendible hashing: a directory picks a bucket by the hash's top bits,
 // and a bucket is a small open-addressing table probed from the hash's low
 // bits. A bucket splits in two when one more id would put it over 3/4 full,
@@ -33,9 +38,9 @@ import (
 // of an id only when those bits match; ids are capped below 2^30-1, which
 // leaves a slot room for the tag and fits a Value's 30-bit payload.
 //
-// A lookup that hits takes no lock: one maphash of the text, a probe of one
-// bucket, one text compare. A miss takes the lock, probes again (another
-// goroutine may have added the text meanwhile), writes the symbol and then
+// A lookup that hits takes no lock: one maphash of the bytes, a probe of one
+// bucket, one compare. A miss takes the lock, probes again (another
+// goroutine may have added the entry meanwhile), writes the symbol and then
 // publishes it by an atomic store into its bucket — the store a reader's
 // probe loads before it reads the symbol. A new page is published before any
 // of its ids and a new text chunk before any symbol that points into it, a
@@ -44,36 +49,42 @@ import (
 // an old bucket or directory finds there every id it held.
 var symbols = newSymtab()
 
-// symbol is one table entry. From the low bits up: the text's length
-// (wholeChunk for a text in a chunk of its own), its offset in its chunk, its
-// labelDepth (depthUnknown when that does not fit: NullDepth parses the text
-// again) and the chunk's index, which takes the bits left; there are never
-// more chunks than ids.
+// symbol is one table entry. From the low bits up: the length of its bytes
+// (wholeChunk for bytes in a chunk of their own), their offset in their
+// chunk, for a term the length of its label (labelUnknown when that does not
+// fit: the length is measured again) and a bit that marks it a term, and the
+// chunk's index, which takes the 30 bits left; there are never more chunks
+// than ids. The label's length makes a null's encoded size one load, as a
+// text's is; the label itself is never kept.
 type symbol uint64
 
 const (
 	lenBits    = 10 // a length up to textChunk/16, or wholeChunk
 	offBits    = 13 // an offset in a chunk
-	depthBits  = 8
+	labelBits  = 10 // a term's label length
 	offShift   = lenBits
-	depthShift = offShift + offBits
-	chunkShift = depthShift + depthBits
+	labelShift = offShift + offBits
+	termShift  = labelShift + labelBits
+	chunkShift = termShift + 1
 
-	wholeChunk   = 1<<lenBits - 1   // the length of a text stored alone: its whole chunk
-	depthUnknown = 1<<depthBits - 1 // a depth below 0 or past the field
+	wholeChunk   = 1<<lenBits - 1   // the length of bytes stored alone: their whole chunk
+	labelUnknown = 1<<labelBits - 1 // a label too long for the field
 )
 
-func packSymbol(chunk, off, n, depth int) symbol {
-	if depth < 0 || depth >= depthUnknown {
-		depth = depthUnknown
-	}
-	return symbol(chunk)<<chunkShift | symbol(depth)<<depthShift | symbol(off)<<offShift | symbol(n)
+func packSymbol(chunk, off, n int) symbol {
+	return symbol(chunk)<<chunkShift | symbol(off)<<offShift | symbol(n)
 }
 
-func (s symbol) len() int   { return int(s & (1<<lenBits - 1)) }
-func (s symbol) off() int   { return int(s >> offShift & (1<<offBits - 1)) }
-func (s symbol) depth() int { return int(s >> depthShift & depthUnknown) }
-func (s symbol) chunk() int { return int(s >> chunkShift) }
+// termBits returns the bits a term's symbol holds beside its key's place.
+func termBits(labelLen int) symbol {
+	return 1<<termShift | symbol(min(labelLen, labelUnknown))<<labelShift
+}
+
+func (s symbol) len() int      { return int(s & (1<<lenBits - 1)) }
+func (s symbol) off() int      { return int(s >> offShift & (1<<offBits - 1)) }
+func (s symbol) labelLen() int { return int(s >> labelShift & labelUnknown) }
+func (s symbol) term() bool    { return s>>termShift&1 == 1 }
+func (s symbol) chunk() int    { return int(s >> chunkShift) }
 
 const (
 	pageBits    = 9 // a page holds 512 symbols, 4 KiB
@@ -123,11 +134,13 @@ type symtab struct {
 	chunks atomic.Pointer[[][]byte]   // the text chunks symbols point into
 	index  atomic.Pointer[index]
 
-	mu     sync.Mutex // serialises additions
-	n      int        // symbols held
-	bytes  int        // their text bytes
-	active int        // the chunk small texts are copied into
-	used   int        // its bytes in use
+	mu        sync.Mutex // serialises additions
+	n         int        // symbols held: texts and terms
+	bytes     int        // the texts' bytes
+	terms     int        // the terms among them
+	termBytes int        // the terms' key bytes
+	active    int        // the chunk small entries are copied into
+	used      int        // its bytes in use
 }
 
 func newSymtab() *symtab {
@@ -138,21 +151,21 @@ func newSymtab() *symtab {
 	t.pages.Store(&pages)
 	t.chunks.Store(&chunks)
 	t.index.Store(x)
-	t.add(maphash.String(t.seed, ""), "") // id 0 is "": Value{} is S("")
+	t.add(maphash.String(t.seed, ""), "", 0) // id 0 is "": Value{} is S("")
 	return t
 }
 
-// intern returns the id of s, adding a copy of s if it is new; s itself is
-// never retained.
+// intern returns the id of the text s, adding a copy of s if it is new; s
+// itself is never retained.
 func (t *symtab) intern(s string) int64 {
 	if s == "" {
 		return 0
 	}
 	h := maphash.String(t.seed, s)
-	if id := t.find(h, s); id >= 0 {
+	if id := t.find(h, s, false); id >= 0 {
 		return int64(id)
 	}
-	return t.add(h, s)
+	return t.add(h, s, 0)
 }
 
 // internBytes is intern for text held in a byte slice, which it reads only
@@ -161,14 +174,25 @@ func (t *symtab) internBytes(b []byte) int64 {
 	return t.intern(unsafe.String(unsafe.SliceData(b), len(b)))
 }
 
+// internTerm returns the id of the term whose key is b (null.go), adding a
+// copy of the key if it is new, with its label's length measured once; b is
+// read only for the length of the call.
+func (t *symtab) internTerm(b []byte) int64 {
+	s := unsafe.String(unsafe.SliceData(b), len(b))
+	h := maphash.String(t.seed, s)
+	if id := t.find(h, s, true); id >= 0 {
+		return int64(id)
+	}
+	return t.add(h, s, termBits(termLabelLen(s)))
+}
+
 // sym returns the symbol of an id this process handed out.
 func (t *symtab) sym(id int64) symbol {
 	return (*t.pages.Load())[id>>pageBits][id&(pageSize-1)]
 }
 
-// text returns the text of an id this process handed out.
-func (t *symtab) text(id int64) string {
-	s := t.sym(id)
+// bytesOf returns the bytes a symbol locates: a text, or a term's key.
+func (t *symtab) bytesOf(s symbol) string {
 	b := (*t.chunks.Load())[s.chunk()]
 	if n := s.len(); n != wholeChunk {
 		b = b[s.off() : s.off()+n]
@@ -176,27 +200,25 @@ func (t *symtab) text(id int64) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
-// depth returns labelDepth of an id's text: the parse stored when it was
-// added, or, for a depth that did not fit, the parse made now.
-func (t *symtab) depth(id int64) int {
-	if d := t.sym(id).depth(); d != depthUnknown {
-		return d
-	}
-	return labelDepth(t.text(id))
-}
+// text returns the text of an id this process handed out (a term's key for
+// a term).
+func (t *symtab) text(id int64) string { return t.bytesOf(t.sym(id)) }
 
 func (x *index) bucket(h uint64) *bucket { return x.dir[h>>(64-x.depth)].Load() }
 
-// find returns the id of s, whose hash is h, or -1.
-func (t *symtab) find(h uint64, s string) int32 {
+// find returns the id of the text (or, with term set, the term key) s, whose
+// hash is h, or -1.
+func (t *symtab) find(h uint64, s string, term bool) int32 {
 	b, tag := t.index.Load().bucket(h), slotTag(h)
 	for i := home(h); ; i = next(i) {
 		e := b.slots[i].Load()
 		if e == 0 {
 			return -1
 		}
-		if id := slotID(e); e&^slotIDMask == tag && t.text(int64(id)) == s {
-			return id
+		if id := slotID(e); e&^slotIDMask == tag {
+			if sy := t.sym(int64(id)); sy.term() == term && t.bytesOf(sy) == s {
+				return id
+			}
 		}
 	}
 }
@@ -219,10 +241,12 @@ func (b *bucket) put(h uint64, id int32) {
 	b.n++
 }
 
-func (t *symtab) add(h uint64, s string) int64 {
+// add records s, a text (kind 0) or a term's key (kind its termBits), and
+// returns its id.
+func (t *symtab) add(h uint64, s string, kind symbol) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id := t.find(h, s); id >= 0 {
+	if id := t.find(h, s, kind.term()); id >= 0 {
 		return int64(id)
 	}
 	id := t.n
@@ -237,9 +261,14 @@ func (t *symtab) add(h uint64, s string) int64 {
 		pages = append(pages, new(symPage))
 		t.pages.Store(&pages)
 	}
-	pages[id>>pageBits][id&(pageSize-1)] = t.store(s)
+	pages[id>>pageBits][id&(pageSize-1)] = t.store(s) | kind
 	t.n++
-	t.bytes += len(s)
+	if kind.term() {
+		t.terms++
+		t.termBytes += len(s)
+	} else {
+		t.bytes += len(s)
+	}
 	for {
 		x := t.index.Load()
 		if b := x.bucket(h); !b.full() {
@@ -278,14 +307,14 @@ func (t *symtab) split(x *index, h uint64) {
 }
 
 // store copies s into the table's text chunks and returns the symbol that
-// locates it. A text too long to share a chunk gets one of its own and leaves
+// locates it. Bytes too long to share a chunk get one of their own and leave
 // the active chunk active. Callers hold mu.
 func (t *symtab) store(s string) symbol {
 	chunks := *t.chunks.Load()
 	if len(s) > textChunk/16 {
 		chunks = append(chunks, []byte(s))
 		t.chunks.Store(&chunks)
-		return packSymbol(len(chunks)-1, 0, wholeChunk, labelDepth(s))
+		return packSymbol(len(chunks)-1, 0, wholeChunk)
 	}
 	if len(s) > textChunk-t.used {
 		chunks = append(chunks, make([]byte, textChunk))
@@ -294,12 +323,12 @@ func (t *symtab) store(s string) symbol {
 	}
 	off := t.used
 	t.used += copy(chunks[t.active][off:], s)
-	return packSymbol(t.active, off, len(s), labelDepth(s))
+	return packSymbol(t.active, off, len(s))
 }
 
 // labelDepth is the invention depth a null label records: n for a label
-// "d<n>|…", the prefix of the Skolem labels the rules package writes, and 1
-// for any other (a foreign null).
+// "d<n>|…", the prefix of Skolem labels, and 1 for any other (a foreign
+// null).
 func labelDepth(label string) int {
 	if rest, ok := strings.CutPrefix(label, "d"); ok {
 		if i := strings.IndexByte(rest, '|'); i > 0 {
@@ -311,11 +340,17 @@ func labelDepth(label string) int {
 	return 1
 }
 
-// SymbolStats reports the symbol table's size: the distinct texts it holds
-// (string constants, null labels and the 8 bytes of each boxed int, "" included)
-// and their bytes. Both only grow.
-func SymbolStats() (count, textBytes int) {
+// SymbolCounts sizes the symbol table. Every field only grows.
+type SymbolCounts struct {
+	Texts     int // distinct texts: string constants, foreign null labels, the 8 bytes of each boxed int, "" included
+	TextBytes int // their bytes
+	Nulls     int // distinct Skolem terms
+	NullBytes int // their packed keys' bytes; no label is stored
+}
+
+// SymbolStats reports the symbol table's size, texts and null terms apart.
+func SymbolStats() SymbolCounts {
 	symbols.mu.Lock()
 	defer symbols.mu.Unlock()
-	return symbols.n, symbols.bytes
+	return SymbolCounts{Texts: symbols.n - symbols.terms, TextBytes: symbols.bytes, Nulls: symbols.terms, NullBytes: symbols.termBytes}
 }

@@ -20,8 +20,8 @@ import (
 // and grows several times under them; every fifth text is too long to share a
 // chunk and gets one of its own meanwhile. Every goroutine gets the same id
 // for a text, distinct texts get distinct ids, and every id reads back its
-// text while the table grows. Then the same through S, Null, NullBytes and
-// boxed ints on the process's table. Run it with -race.
+// text while the table grows. Then the same through S, Null and boxed ints on
+// the process's table. Run it with -race.
 func TestSymbolTableOneIDPerText(t *testing.T) {
 	const workers, texts, each = 8, 12000, 6000
 	tab := newSymtab()
@@ -85,9 +85,6 @@ func TestSymbolTableOneIDPerText(t *testing.T) {
 				v := S(text)
 				if i%2 == 1 {
 					v = Null(text)
-					if i%4 == 3 {
-						v = NullBytes([]byte(text))
-					}
 				}
 				if v.Str() != text {
 					t.Errorf("%s reads back %q", text, v.Str())
@@ -121,7 +118,7 @@ func TestSymbolIdentity(t *testing.T) {
 		if S(x) == Null(x) {
 			t.Errorf("S(%q) == Null(%q)", x, x)
 		}
-		if S(x) != S(strings.Clone(x)) || Null(x) != NullBytes([]byte(x)) {
+		if S(x) != S(strings.Clone(x)) || Null(x) != Null(strings.Clone(x)) {
 			t.Errorf("%q built from two copies gives two values", x)
 		}
 		if S(x).Str() != x || Null(x).NullLabel() != x || S(x).NullLabel() != "" {
@@ -132,14 +129,14 @@ func TestSymbolIdentity(t *testing.T) {
 		t.Error("the zero Value is no longer S(\"\")")
 	}
 	fresh := "symbol-stats"
-	for i := 0; symbols.find(maphash.String(symbols.seed, fresh), fresh) >= 0; i++ {
+	for i := 0; symbols.find(maphash.String(symbols.seed, fresh), fresh, false) >= 0; i++ {
 		fresh = fmt.Sprintf("symbol-stats-%d", i) // -count=N reruns in one process
 	}
-	before, bytes := SymbolStats()
+	before := SymbolStats()
 	S(fresh)
 	Null(fresh)
-	if n, b := SymbolStats(); n != before+1 || b != bytes+len(fresh) {
-		t.Errorf("one new text moved SymbolStats from (%d, %d) to (%d, %d)", before, bytes, n, b)
+	if got, want := SymbolStats(), (SymbolCounts{Texts: before.Texts + 1, TextBytes: before.TextBytes + len(fresh), Nulls: before.Nulls, NullBytes: before.NullBytes}); got != want {
+		t.Errorf("one new text moved SymbolStats from %+v to %+v, want %+v", before, got, want)
 	}
 }
 
@@ -179,16 +176,19 @@ var (
 )
 
 // TestInternedValuesAllocateNothing: a known text costs a lookup — S of a
-// string, NullBytes of a reused buffer, I of a boxed int — and a decoded tuple
-// of known values costs its slice.
+// string, Null of a known label (a term's and a foreign one), I of a boxed
+// int — and a decoded tuple of known values costs its slice.
 func TestInternedValuesAllocateNothing(t *testing.T) {
-	text, label := "conf/edbt/Kementsietsidis04", []byte("d2|r7|Id|13:sconf/edbt/045:i2004")
-	known := Tuple{S(text), I(2004), NullBytes(label), S("")}
+	text, label, foreign := "conf/edbt/Kementsietsidis04", "d2|r7|Id|13:sconf/edbt/045:i2004", "d02|r7"
+	known := Tuple{S(text), I(2004), Null(label), S(""), Null(foreign)}
 	if allocs := testing.AllocsPerRun(100, func() { sinkValue = S(text) }); allocs != 0 {
 		t.Errorf("S of a known text: %.0f allocations, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { sinkValue = NullBytes(label) }); allocs != 0 {
-		t.Errorf("NullBytes of a known label: %.0f allocations, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sinkValue = Null(label) }); allocs != 0 {
+		t.Errorf("Null of a known term's label: %.0f allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sinkValue = Null(foreign) }); allocs != 0 {
+		t.Errorf("Null of a known foreign label: %.0f allocations, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sinkInt = I(math.MinInt64).Int() }); allocs != 0 {
 		t.Errorf("a known boxed int built and read back: %.0f allocations, want 0", allocs)
@@ -218,6 +218,14 @@ func TestSymbolFootprint(t *testing.T) {
 		text = strconv.AppendInt(append(text[:0], "footprint-"...), n+int64(i), 10) // 16 bytes
 		tab.internBytes(text)
 	}
+	if per := float64(tableBytes(tab)) / n; per > 33.5 {
+		t.Errorf("%d 16-byte texts hold %.2f bytes per symbol; want at most 33.5", n, per)
+	}
+}
+
+// tableBytes sums what a table holds: its pages, text chunks, the index's
+// buckets (at the size class the allocator hands out) and directory.
+func tableBytes(tab *symtab) int {
 	pages, chunks, x := *tab.pages.Load(), *tab.chunks.Load(), tab.index.Load()
 	bytes := len(pages)*int(unsafe.Sizeof(symPage{})) + cap(pages)*int(unsafe.Sizeof(&symPage{}))
 	bytes += cap(chunks) * int(unsafe.Sizeof([]byte(nil)))
@@ -228,10 +236,7 @@ func TestSymbolFootprint(t *testing.T) {
 	for i := range x.dir {
 		buckets[x.dir[i].Load()] = true
 	}
-	bytes += len(buckets)*allocated(func() { sinkBucket = new(bucket) }) + cap(x.dir)*int(unsafe.Sizeof(x.dir[0]))
-	if per := float64(bytes) / n; per > 33.5 {
-		t.Errorf("%d 16-byte texts hold %d bytes in %d buckets, %.2f per symbol; want at most 33.5", n, bytes, len(buckets), per)
-	}
+	return bytes + len(buckets)*allocated(func() { sinkBucket = new(bucket) }) + cap(x.dir)*int(unsafe.Sizeof(x.dir[0]))
 }
 
 var sinkBucket *bucket
@@ -392,19 +397,33 @@ func TestSymbolIsOneWord(t *testing.T) {
 	}
 }
 
-// TestSymbolDepthIsTheLabelParse: the depth a symbol reads back is
-// labelDepth of its text, for depths that fit the symbol's field, for the
-// field's edges and past them, for a negative depth and for labels that are
-// no Skolem label at all.
+// TestSymbolDepthIsTheLabelParse: the depth a null reads back is labelDepth
+// of its label, whether the depth lives in a term or is parsed from a
+// foreign label: no term's rendering (too few fields, a non-canonical
+// number, a bad binding key), or the rendering of a null the table keeps by
+// its label (a depth outside [1, maxTermDepth], every depth an int64 holds,
+// negative ones included, or a nested null not of lower depth). The symbol
+// word holds no depth.
 func TestSymbolDepthIsTheLabelParse(t *testing.T) {
-	tab := newSymtab()
-	labels := []string{"d0|", "d4|", "d254|x", "d255|x", "d256|x", "d65535|", "d70000|", "d-1|", "dx|", "foreign", "", "d99999999999999999999|x"}
-	for _, label := range labels {
-		if got, want := tab.depth(tab.intern(label)), labelDepth(label); got != want {
-			t.Errorf("%q: symbol depth %d, the label parse says %d", label, got, want)
+	for _, c := range []struct {
+		label string
+		term  bool
+	}{
+		{"d1|r|V|", true}, {"d4|r|V|2:sa", true}, {"d64|r|V|", true}, {"d2|r|V|8:nd1|r|V|", true},
+		{"d0|r|V|", false}, {"d65|r|V|", false}, {"d254|r|V|", false}, {"d255|r|V|", false},
+		{"d70000|r|V|5:i2004", false}, {"d-1|r|V|", false}, {"d9223372036854775807|||", false},
+		{"d1|r|V|8:nd1|r|V|", false}, {"d2|r|V|9:nd+2|r|V|", false},
+		{"d0|", false}, {"d4|", false}, {"d254|x", false}, {"d65535|", false}, {"d70000|", false},
+		{"d-1|", false}, {"dx|", false}, {"foreign", false}, {"", false}, {"d99999999999999999999|x", false},
+		{"d01|r|V|", false}, {"d+1|r|V|", false}, {"d-0|r|V|", false}, {"d1|r|V|3:sa", false}, {"d1|r|V|2:xa", false},
+		{"d1|r|V|3:i07", false}, {"d1|r|V|02:sa", false}, {"d1|r|V|2:sa1", false},
+	} {
+		v := Null(c.label)
+		if got, want := v.NullDepth(), labelDepth(c.label); got != want {
+			t.Errorf("Null(%q).NullDepth() = %d, the label parse says %d", c.label, got, want)
 		}
-		if got, want := Null(label).NullDepth(), labelDepth(label); got != want {
-			t.Errorf("Null(%q).NullDepth() = %d, the label parse says %d", label, got, want)
+		if term := symbols.sym(v.id()).term(); term != c.term || v.NullLabel() != c.label {
+			t.Errorf("Null(%q): a term %v, want %v; reads back %q", c.label, term, c.term, v.NullLabel())
 		}
 	}
 }

@@ -11,18 +11,21 @@
 // null labels embed; its bytes are a format and never change.
 //
 // A value's identity is one tagged 32-bit word, so a Value is 4 bytes with no
-// pointer (the tag table is on Value). A string or null holds the id of its
-// text in one process-wide, append-only symbol table (symtab.go); S and Null
-// look the text up there. An int that fits in 30 signed bits is held inline;
-// any other int is boxed: the id of its 8 big-endian bytes in the same table.
+// pointer (the tag table is on Value). A string holds the id of its text in
+// one process-wide, append-only symbol table (symtab.go). A null is a term
+// (null.go): a Skolem null holds the id of its term in the same table — its
+// depth, the ids of its rule and variable, the words of its binding — and a
+// foreign null the id of its label's text. An int that fits in 30 signed bits
+// is held inline; any other int is boxed: the id of its 8 big-endian bytes.
 // Every value has exactly one word, so == and Tuple.Equal are integer
 // compares, Value.Hash and Tuple.Hash are arithmetic over words, and the row
 // chunks of a TupleSet are never scanned by the collector. The table holds
-// each distinct text for the life of the process (SymbolStats reports its
-// size), behind one pointer-free word of its own that locates the text and
-// carries a null's depth. Ids are never written anywhere: Key, AppendValue and the wire write
-// the text or the number, and Reader interns what it decodes, so every format
-// is what it was when values held their strings.
+// each distinct text and term for the life of the process (SymbolStats
+// reports its size), behind one pointer-free word of its own. Ids are never
+// written anywhere: Key, AppendValue and the wire write the text, the number
+// or the null's label — rendered from its term, never stored — and Null and
+// the Reader parse a label back into its term, so every format is what it was
+// when values held their strings.
 //
 // A tuple stored by Relation.Insert or TupleSet.Add is a copy: one row of
 // arity values in a row chunk its set shares between many members, with no
@@ -33,10 +36,12 @@
 package relalg
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"hash/maphash"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -56,11 +61,11 @@ const (
 
 // Value is a single attribute value: a shared constant (string or int, the
 // paper's URI assumption) or a labelled null. Values are built by S, I, Null
-// and NullBytes only. It is one word, payload<<2 | tag:
+// and Skolem only. It is one word, payload<<2 | tag:
 //
 //	tag 0  string   symbol id of its text
 //	tag 1  int      the int itself, when it lies in [-2^29, 2^29)
-//	tag 2  null     symbol id of its label
+//	tag 2  null     symbol id of its term (a foreign null: of its label's text)
 //	tag 3  int      boxed: symbol id of its 8 big-endian bytes
 //
 // A symbol id has 30 bits (the symbol table refuses more ids than that), and
@@ -68,7 +73,7 @@ const (
 // nanosecond clock reading is boxed.
 //
 // Each value has one word, so equal values are == whatever memory their text
-// came from, S(x) and Null(x) differ by tag alone, and the zero Value is
+// came from, a null is one word whether it was derived or decoded, and the zero Value is
 // S("") (id 0 is ""). Value holds no pointer; TestValueIsPointerFree (the
 // repository root) keeps it that way.
 type Value struct {
@@ -92,7 +97,7 @@ func (v Value) tag() uint32 { return v.w & tagMask }
 // id returns the symbol id of a string, a null or a boxed int.
 func (v Value) id() int64 { return int64(v.w >> tagBits) }
 
-// text returns the text of a string constant or null label.
+// text returns the text of a string constant or a boxed int's bytes.
 func (v Value) text() string { return symbols.text(v.id()) }
 
 // String returns a display rendering: bare text for string constants,
@@ -104,7 +109,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.Int(), 10)
 	case KindNull:
-		label := v.text()
+		label := v.label()
 		if len(label) > 24 {
 			h := fnv.New32a()
 			_, _ = h.Write([]byte(label))
@@ -123,7 +128,7 @@ func (v Value) Quoted() string {
 	case KindInt:
 		return strconv.FormatInt(v.Int(), 10)
 	case KindNull:
-		return "⊥" + v.text()
+		return "⊥" + v.label()
 	default:
 		return "'" + strings.ReplaceAll(v.text(), "'", "''") + "'"
 	}
@@ -146,8 +151,11 @@ func (v Value) IsConst() bool { return !v.IsNull() }
 // Str returns the string payload (string constant text or null label); ""
 // for an int.
 func (v Value) Str() string {
-	if v.Kind() == KindInt {
+	switch v.Kind() {
+	case KindInt:
 		return ""
+	case KindNull:
+		return v.label()
 	}
 	return v.text()
 }
@@ -166,20 +174,19 @@ func (v Value) Int() int64 {
 // NullLabel returns the label of a null value, or "" for constants.
 func (v Value) NullLabel() string {
 	if v.IsNull() {
-		return v.text()
+		return v.label()
 	}
 	return ""
 }
 
 // NullDepth returns the invention depth a null's label records — n for a
-// Skolem label "d<n>|…", 1 for a foreign label — read from the label's
-// symbol, which holds the parse made when the label was first interned (a
-// depth too large for it, or negative, is parsed again); 0 for a constant.
+// Skolem label "d<n>|…", 1 for a foreign label — which a term holds and a
+// foreign label is parsed for; 0 for a constant.
 func (v Value) NullDepth() int {
 	if !v.IsNull() {
 		return 0
 	}
-	return symbols.depth(v.id())
+	return v.nullDepth()
 }
 
 // S builds a string-constant Value. It interns s: a text seen before costs a
@@ -197,16 +204,14 @@ func I(n int64) Value {
 	return Value{w: uint32(symbols.internBytes(b[:]))<<tagBits | tagBoxed}
 }
 
-// Null builds a labelled null with the given label, interned as S interns.
-func Null(label string) Value { return sym(symbols.intern(label), KindNull) }
-
-// NullBytes is Null for a label held in a byte slice, which it does not
-// retain: the caller may reuse the buffer, and a known label allocates
-// nothing.
-func NullBytes(label []byte) Value { return sym(symbols.internBytes(label), KindNull) }
+// Null builds the labelled null with the given label: the Skolem term whose
+// rendering it is, if the table keeps that term as one (null.go), or a
+// foreign null interned as S interns. label is not retained, and a known
+// null allocates nothing.
+func Null(label string) Value { return decodeNull(label) }
 
 // Equal reports exact equality (same kind and payload). Two nulls are equal
-// iff their labels are equal.
+// iff their labels are equal: one label is one term or one text.
 func (v Value) Equal(w Value) bool { return v == w }
 
 // Compare orders values deterministically: by kind (string < int < null),
@@ -225,6 +230,9 @@ func (v Value) Compare(w Value) int {
 			return -1
 		}
 		return 1
+	case v.Kind() == KindNull:
+		var a, b [128]byte
+		return bytes.Compare(v.appendLabel(a[:0]), w.appendLabel(b[:0]))
 	default:
 		return strings.Compare(v.text(), w.text())
 	}
@@ -275,7 +283,7 @@ func (v Value) Key() string {
 	case KindInt:
 		return "i" + strconv.FormatInt(v.Int(), 10)
 	case KindNull:
-		return "n" + v.text()
+		return "n" + v.label()
 	default:
 		return "s" + v.text()
 	}
@@ -284,21 +292,42 @@ func (v Value) Key() string {
 // appendKey appends the value's component of Tuple.Key: the decimal length
 // of Key(), a colon, then Key() itself.
 func (v Value) appendKey(b []byte) []byte {
-	tag := byte('s')
-	switch v.Kind() {
-	case KindInt:
+	if !v.IsNull() {
+		return v.appendConstKey(b)
+	}
+	n := v.keyLen()
+	b = slices.Grow(b, n)
+	v.putKey(b[len(b) : len(b)+n])
+	return b[:len(b)+n]
+}
+
+// appendConstKey is appendKey for a string or an int.
+func (v Value) appendConstKey(b []byte) []byte {
+	if v.Kind() == KindInt {
 		var digits [20]byte
 		d := strconv.AppendInt(digits[:0], v.Int(), 10)
 		b = strconv.AppendInt(b, int64(len(d)+1), 10)
 		b = append(b, ':', 'i')
 		return append(b, d...)
-	case KindNull:
-		tag = 'n'
 	}
 	text := v.text()
 	b = strconv.AppendInt(b, int64(len(text)+1), 10)
-	b = append(b, ':', tag)
+	b = append(b, ':', 's')
 	return append(b, text...)
+}
+
+// keyLen returns the length appendKey writes, without writing it.
+func (v Value) keyLen() int {
+	var n int // the length of Key()
+	switch v.Kind() {
+	case KindInt:
+		n = 1 + decimalLen(v.Int())
+	case KindNull:
+		n = 1 + v.labelLen()
+	default:
+		n = 1 + len(v.text())
+	}
+	return decimalLen(int64(n)) + 1 + n
 }
 
 // hashMix is the process's random share of every Value and Tuple hash.

@@ -230,9 +230,9 @@ func TestValueIntBoundaries(t *testing.T) {
 		symbols    int // the symbols I adds: 0 inline, 1 boxed
 	}{{1<<29 - 1, -1, 0}, {-1 << 29, 1, 0}, {1 << 29, 1, 1}, {-1<<29 - 1, -1, 1}} {
 		n := freshInt(c.from, c.step)
-		before, _ := SymbolStats()
+		before := SymbolStats().Texts
 		v := I(n)
-		if after, _ := SymbolStats(); v.Int() != n || after != before+c.symbols {
+		if after := SymbolStats().Texts; v.Int() != n || after != before+c.symbols {
 			t.Errorf("I(%d), new to the table, reads back %d and added %d symbols, want %d", n, v.Int(), after-before, c.symbols)
 		}
 	}
@@ -303,7 +303,7 @@ func freshInt(n, step int64) int64 {
 	for ; ; n += step {
 		var be [8]byte
 		binary.BigEndian.PutUint64(be[:], uint64(n))
-		if symbols.find(maphash.String(symbols.seed, string(be[:])), string(be[:])) < 0 {
+		if symbols.find(maphash.String(symbols.seed, string(be[:])), string(be[:]), false) < 0 {
 			return n
 		}
 	}

@@ -156,15 +156,17 @@ func TestTruncatedCountsABindingOnce(t *testing.T) {
 	}
 }
 
-// TestSkolemLabelAppended: the label the chase appends into its reused buffer
-// is byte for byte the concatenation Skolemize used to build —
-// "d<depth>|rule|var|" + binding.Key() — for nulls nested up to the invention
-// bound and beyond, and a label already interned costs no allocation.
+// TestSkolemLabelAppended: the null the chase interns from its term renders,
+// byte for byte, the concatenation Skolemize used to build —
+// "d<depth>|rule|var|" + binding.Key() — and is the null that label decodes
+// to, for nulls nested up to the invention bound and beyond; a null already
+// interned costs no allocation.
 func TestSkolemLabelAppended(t *testing.T) {
 	binding := relalg.Tuple{relalg.S("conf/edbt/04"), relalg.I(2004)}
-	var buf []byte
+	rule, variable := relalg.S("r7"), relalg.S("Id")
 	for depth := 1; depth <= DefaultMaxNullDepth+2; depth++ {
-		want := relalg.Null("d" + strconv.Itoa(depth) + "|r7|Id|" + binding.Key())
+		label := "d" + strconv.Itoa(depth) + "|r7|Id|" + binding.Key()
+		want := relalg.Null(label)
 		got := skolemize("r7", "Id", []string{"K", "Y"}, binding)
 		if got != want {
 			t.Fatalf("depth %d: Skolemize = %s, want %s", depth, got.Quoted(), want.Quoted())
@@ -172,16 +174,14 @@ func TestSkolemLabelAppended(t *testing.T) {
 		if d := bindingDepth(binding) + 1; d != depth || NullDepth(got) != depth {
 			t.Fatalf("depth %d: bindingDepth+1 = %d, NullDepth = %d", depth, d, NullDepth(got))
 		}
-		buf = appendSkolemLabel(buf[:0], depth, "r7", "Id", binding)
-		if string(buf) != want.NullLabel() {
-			t.Fatalf("depth %d: appended %q, want %q", depth, buf, want.NullLabel())
+		if got.NullLabel() != label {
+			t.Fatalf("depth %d: rendered %q, want %q", depth, got.NullLabel(), label)
 		}
 		var sink relalg.Value
 		if allocs := testing.AllocsPerRun(100, func() {
-			buf = appendSkolemLabel(buf[:0], depth, "r7", "Id", binding)
-			sink = relalg.NullBytes(buf)
+			sink = relalg.Skolem(depth, rule, variable, binding)
 		}); allocs != 0 || sink != want {
-			t.Fatalf("depth %d: %.0f allocations per known label, want 0", depth, allocs)
+			t.Fatalf("depth %d: %.0f allocations per known null, want 0", depth, allocs)
 		}
 		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
 	}
@@ -216,7 +216,7 @@ func TestNullDepthIsTheLabelParse(t *testing.T) {
 		binding = relalg.Tuple{got, relalg.S("x"), relalg.Null("foreign")}
 	}
 	for _, label := range []string{"foreign", "d|x", "d7x|", "d0|", "", "d", "d3|r|V|", "d-2|x", "d+5|x", "d12|", "x|d3|", "d99999999999999999999|x"} {
-		values = append(values, relalg.Null(label), relalg.NullBytes([]byte(label)))
+		values = append(values, relalg.Null(label))
 	}
 	for _, v := range values {
 		if got, want := NullDepth(v), parsedDepth(v); got != want {

@@ -10,7 +10,6 @@ package rules
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/cq"
@@ -197,36 +196,16 @@ func (r Rule) Validate(lookup SchemaLookup) error {
 	return nil
 }
 
-// NullDepth returns the invention depth encoded in a labelled null the chase
-// created (appendSkolemLabel); constants have depth 0, foreign nulls depth 1.
-// The label was parsed once, when it was interned (relalg.Value.NullDepth):
-// this is a load.
-func NullDepth(v relalg.Value) int { return v.NullDepth() }
-
-// bindingDepth is the deepest invention depth among the binding's values.
+// bindingDepth is the deepest invention depth among the binding's values
+// (relalg.Value.NullDepth: 0 for a constant, 1 for a foreign null).
 func bindingDepth(binding relalg.Tuple) int {
 	depth := 0
 	for _, v := range binding {
-		if d := NullDepth(v); d > depth {
+		if d := v.NullDepth(); d > depth {
 			depth = d
 		}
 	}
 	return depth
-}
-
-// appendSkolemLabel appends the label of the null invented at the given depth
-// for a rule's existential variable under a binding:
-// d<depth>|<rule>|<variable>|<binding.Key()>. The bytes are a persisted
-// format (see TestSkolemLabelGolden).
-func appendSkolemLabel(b []byte, depth int, ruleID, variable string, binding relalg.Tuple) []byte {
-	b = append(b, 'd')
-	b = strconv.AppendInt(b, int64(depth), 10)
-	b = append(b, '|')
-	b = append(b, ruleID...)
-	b = append(b, '|')
-	b = append(b, variable...)
-	b = append(b, '|')
-	return binding.AppendKey(b)
 }
 
 // ApplyOptions tunes the chase step.
@@ -265,7 +244,7 @@ func Apply(db *storage.DB, r Rule, bindings []relalg.Tuple, opts ApplyOptions) (
 // deduplicate — is a column permutation of a set that is already distinct.
 // The chase reads each tuple through the permutation; the head relations'
 // duplicate check absorbs a repeated binding (it re-derives identical Skolem
-// labels), and Truncated counts it once. JoinParts' edge cases are kept:
+// nulls), and Truncated counts it once. JoinParts' edge cases are kept:
 // a column list missing an export variable derives nothing, a tuple shorter
 // than the column list is skipped, a repeated column reads its last
 // occurrence. An empty part, the usual confirmation, costs no allocation.
@@ -332,7 +311,14 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 	for i, atom := range r.Head {
 		scratch[i] = make(relalg.Tuple, len(atom.Terms))
 	}
-	var label []byte              // Skolem label scratch, interned in place: a known null allocates nothing
+	// The Skolem terms' rule and variables, as symbols, for a rule that has
+	// existentials: a known null costs a lookup and allocates nothing
+	// (relalg.Skolem).
+	var rule relalg.Value
+	variables := make([]relalg.Value, len(existential))
+	for i, ev := range existential {
+		rule, variables[i] = relalg.S(r.ID), relalg.S(ev)
+	}
 	var truncated relalg.TupleSet // the bindings the depth bound cut; it allocates on the first
 
 	for _, t := range tuples {
@@ -360,9 +346,8 @@ func chase(db *storage.DB, r Rule, tuples []relalg.Tuple, perm []int, cols int, 
 				}
 				continue
 			}
-			for i, ev := range existential {
-				label = appendSkolemLabel(label[:0], depth+1, r.ID, ev, binding)
-				env[len(exportVars)+i] = relalg.NullBytes(label)
+			for i, v := range variables {
+				env[len(exportVars)+i] = relalg.Skolem(depth+1, rule, v, binding)
 			}
 		}
 		for i, atom := range r.Head {

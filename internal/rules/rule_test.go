@@ -103,16 +103,18 @@ func TestValidate(t *testing.T) {
 }
 
 // skolemize invents the labelled null for an existential head variable under
-// a binding of the export variables, as the chase does: the label is a
-// deterministic function of (rule id, variable, binding), so re-derivations
+// a binding of the export variables, as the chase does: the null is a
+// deterministic term of (rule id, variable, binding), so re-derivations
 // re-create the identical null and exact-mode insertion deduplicates them. The
-// label additionally encodes the invention depth (1 + max depth of the binding
+// term additionally holds the invention depth (1 + max depth of the binding
 // values), which ApplyResult uses to cut off pathological cyclic invention.
 func skolemize(ruleID, variable string, exportVars []string, binding relalg.Tuple) relalg.Value {
 	_ = exportVars // binding is ordered by exportVars
-	var stack [128]byte
-	return relalg.NullBytes(appendSkolemLabel(stack[:0], bindingDepth(binding)+1, ruleID, variable, binding))
+	return relalg.Skolem(bindingDepth(binding)+1, relalg.S(ruleID), relalg.S(variable), binding)
 }
+
+// NullDepth is the depth the tests read: relalg.Value.NullDepth.
+func NullDepth(v relalg.Value) int { return v.NullDepth() }
 
 func TestSkolemizeDeterministicAndDepth(t *testing.T) {
 	bind := relalg.Tuple{relalg.S("k1"), relalg.S("p1")}
