@@ -571,7 +571,7 @@ func quiesceAcrossAStall(t *testing.T, coord *Coordinator, nets map[string]*core
 	ctx := testCtx(t)
 	var once sync.Once
 	var handlerDone time.Time // written inside once, read after Quiesce returned
-	nets["B"].Peer("B").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+	nets["B"].Peer("B").DB().AddInsertListener(func(string, []relalg.Tuple, uint64) {
 		once.Do(func() {
 			time.Sleep(6 * stallPoll)
 			handlerDone = time.Now()

@@ -852,7 +852,9 @@ func TestLearnAboveAGapPullsTheGap(t *testing.T) {
 		return out
 	}
 	now := time.Now()
-	learn := func(i uint64) wire.Learn { return wire.Learn{Instance: i, Val: wire.Command{Kind: "noop", Text: fmt.Sprint(i)}} }
+	learn := func(i uint64) wire.Learn {
+		return wire.Learn{Instance: i, Val: wire.Command{Kind: "noop", Text: fmt.Sprint(i)}}
+	}
 	if got := pulls(s.step(now, "A", learn(3))); len(got) != 1 || got[0] != "A from 1" {
 		t.Fatalf("a Learn above a gap pulled %v, want one CatchUp from 1 to A", got)
 	}

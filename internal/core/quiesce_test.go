@@ -161,7 +161,7 @@ func TestPollingQuiesceStalledHandler(t *testing.T) {
 	const stall = 400 * time.Millisecond
 	var once sync.Once
 	var handlerDone time.Time // written inside once, read after Quiesce returned
-	n.Peer("B").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+	n.Peer("B").DB().AddInsertListener(func(string, []relalg.Tuple, uint64) {
 		once.Do(func() {
 			time.Sleep(stall)
 			handlerDone = time.Now()
@@ -565,7 +565,7 @@ func TestClosedNetworkStopsWaiting(t *testing.T) {
 			}
 			stalled := make(chan struct{})
 			var once sync.Once
-			n.Peer("A").DB().AddInsertListener(func(string, relalg.Tuple, uint64) {
+			n.Peer("A").DB().AddInsertListener(func(string, []relalg.Tuple, uint64) {
 				once.Do(func() {
 					close(stalled)
 					time.Sleep(100 * time.Millisecond)

@@ -210,8 +210,9 @@ func New(id string, schemas []relalg.Schema, ruleSet []rules.Rule, tr transport.
 	p.sh = shell.New(p.run, func(e effect) (time.Time, bool) { return e.when, e.kind == effArmTimer },
 		func(now time.Time, buf []effect) []effect { return p.step(now, "", resendTick{}, buf) })
 	p.hub = serving.NewHub(db, p.sh)
-	// The insert listener may run under the lock: the hub's Notify never blocks.
-	db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { p.hub.Notify(rel) })
+	// The insert listener may run under the lock: the hub's Notify never
+	// blocks. It fires once per committed run of a batch.
+	db.AddInsertListener(func(rel string, _ []relalg.Tuple, _ uint64) { p.hub.Notify(rel) })
 	if opts.SyncForAck != nil {
 		// Durable peers pipeline the pre-ack group commit: Handle enqueues,
 		// the worker batches whatever accumulated behind one fsync.
@@ -373,12 +374,8 @@ func (p *Peer) AddNeighbor(n string) {
 func (p *Peer) Seed(rel string, tuples ...relalg.Tuple) error {
 	p.sh.Lock()
 	defer p.sh.Unlock()
-	for _, t := range tuples {
-		if _, err := p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := p.db.InsertAll(rel, tuples, p.opts.InsertMode)
+	return err
 }
 
 // State returns the current update state.

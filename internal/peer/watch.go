@@ -109,15 +109,7 @@ func (p *Peer) InsertLocal(rel string, tuples ...relalg.Tuple) (int, error) {
 	added := 0
 	var err error
 	if !p.sh.Step(func(now time.Time, buf []effect) []effect {
-		for _, t := range tuples {
-			var ok bool
-			if ok, err = p.db.Insert(rel, t, p.opts.InsertMode); err != nil {
-				break // unreachable after validation; defensive
-			}
-			if ok {
-				added++
-			}
-		}
+		added, err = p.db.InsertAll(rel, tuples, p.opts.InsertMode) // err is unreachable after validation
 		if added == 0 {
 			return buf
 		}

@@ -278,11 +278,12 @@ func (m *Manager) BecomePrimary(node string, db *storage.DB, stateFn func() wal.
 		p.db, p.stateFn = db, stateFn
 	}
 	m.sh.Unlock()
-	// Inserts kick a pass, so replication latency is one scheduling hop. The
-	// listener runs under the peer's lock, which a pass takes through
-	// stateFn, so it must not take the manager's: Kick takes none.
+	// Inserts kick a pass, once per committed run, so replication latency is
+	// one scheduling hop. The listener runs under the peer's lock, which a
+	// pass takes through stateFn, so it must not take the manager's: Kick
+	// takes none.
 	if fresh {
-		db.AddInsertListener(func(string, relalg.Tuple, uint64) { m.sh.Kick() })
+		db.AddInsertListener(func(string, []relalg.Tuple, uint64) { m.sh.Kick() })
 	}
 	m.sh.Kick()
 }
@@ -408,10 +409,8 @@ func (m *Manager) applyAppend(now time.Time, from string, msg wire.ReplicaAppend
 		// A rewound primary re-shipping; re-ack so the primary's stream
 		// advances past it.
 	case storage.Extends:
-		for _, t := range msg.Tuples[frontier-msg.Base:] {
-			if _, err := mi.db.Insert(msg.Rel, t, storage.InsertExact); err != nil {
-				return buf
-			}
+		if _, err := mi.db.InsertAll(msg.Rel, msg.Tuples[frontier-msg.Base:], storage.InsertExact); err != nil {
+			return buf
 		}
 		applied := mi.db.MarksFor([]string{msg.Rel})[msg.Rel]
 		if applied != msg.To {

@@ -24,7 +24,7 @@ func newHarness(t *testing.T, schemas ...relalg.Schema) *harness {
 	t.Helper()
 	h := &harness{db: storage.New(schemas...)}
 	h.hub = NewHub(h.db, &h.mu)
-	h.db.AddInsertListener(func(rel string, _ relalg.Tuple, _ uint64) { h.hub.Notify(rel) })
+	h.db.AddInsertListener(func(rel string, _ []relalg.Tuple, _ uint64) { h.hub.Notify(rel) })
 	t.Cleanup(h.hub.Close)
 	return h
 }

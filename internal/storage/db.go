@@ -26,15 +26,19 @@ type DB struct {
 	schemaListeners []SchemaListener
 }
 
-// InsertListener observes successful inserts; seq is the tuple's sequence
-// number in its relation's append log (the recovery cursor of the durable
-// backend). The tuple is the inserter's and only valid during the call: a
-// listener that keeps it must copy it. Listeners run after the tuple is committed and after the database
+// InsertListener observes committed inserts, one call per run of new tuples:
+// ts is a run of consecutive tuples of an InsertAll (or Insert) argument that
+// were all new, and last is the sequence number of its last tuple in rel's
+// append log, so the run holds seqs last-len(ts)+1 through last (the
+// recovery cursor of the durable backend). A duplicate or core-subsumed tuple
+// ends a run and is never passed. The slice and its tuples are the
+// inserter's and only valid during the call: a listener that keeps them must
+// copy them. Listeners run after the run is committed and after the database
 // lock is released, on the inserting goroutine; they may read the database
 // but must not block, and must tolerate being called concurrently with other
 // inserts. The peer runtime uses one to wake continuous-query watchers; the
-// wal store uses one to append log records.
-type InsertListener func(rel string, t relalg.Tuple, seq uint64)
+// wal store uses one to append a batch of log records.
+type InsertListener func(rel string, ts []relalg.Tuple, last uint64)
 
 // SchemaListener observes successful new schema registrations (identical
 // redeclarations do not fire). Like insert listeners, schema listeners run
@@ -56,14 +60,14 @@ func (db *DB) AddSchemaListener(f SchemaListener) {
 	db.lmu.Unlock()
 }
 
-// notifyInsert fires the listeners for one committed tuple. Callers must not
+// notifyInsert fires the listeners for one committed run. Callers must not
 // hold db.mu.
-func (db *DB) notifyInsert(rel string, t relalg.Tuple, seq uint64) {
+func (db *DB) notifyInsert(rel string, ts []relalg.Tuple, last uint64) {
 	db.lmu.RLock()
 	ls := db.listeners
 	db.lmu.RUnlock()
 	for _, f := range ls {
-		f(rel, t, seq)
+		f(rel, ts, last)
 	}
 }
 
@@ -188,43 +192,67 @@ const (
 )
 
 // Insert adds one tuple to the named relation, returning whether the database
-// changed. Undeclared relations are an error. Insert listeners fire after the
-// lock is released.
+// changed: an InsertAll of one.
 func (db *DB) Insert(rel string, t relalg.Tuple, mode InsertMode) (bool, error) {
-	added, seq, err := db.insert(rel, t, mode)
-	if added {
-		db.notifyInsert(rel, t, seq)
-	}
-	return added, err
+	n, err := db.InsertAll(rel, []relalg.Tuple{t}, mode)
+	return n == 1, err
 }
 
-func (db *DB) insert(rel string, t relalg.Tuple, mode InsertMode) (bool, uint64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	r, ok := db.relations[rel]
-	if !ok {
-		return false, 0, fmt.Errorf("storage: insert into undeclared relation %q", rel)
-	}
-	if mode == InsertCore && t.HasNull() && r.SubsumedByExisting(t) {
-		return false, 0, nil
-	}
-	added, err := r.Insert(t)
-	if err != nil {
-		return false, 0, err
-	}
-	return added, r.Seq(), nil
-}
+// maxRuns bounds the runs of new tuples one hold of db.mu records for its
+// listeners; a batch that ends more runs than that (many duplicates
+// interleaved with news) releases the lock to notify, then goes on.
+const maxRuns = 16
 
-// InsertAll inserts a batch, returning how many tuples were new.
+// InsertAll inserts a batch into the named relation in order, returning how
+// many tuples were new. Undeclared relations and tuples of another arity are
+// an error; the tuples before the failing one stay committed and notified.
+// The batch is committed under one hold of the lock (see maxRuns), and the
+// insert listeners fire after it is released, once per run of new tuples
+// (see InsertListener). ts is only read, and the call allocates nothing.
 func (db *DB) InsertAll(rel string, ts []relalg.Tuple, mode InsertMode) (int, error) {
+	var runs [maxRuns]struct {
+		from, to int
+		last     uint64
+	}
 	added := 0
-	for _, t := range ts {
-		ok, err := db.Insert(rel, t, mode)
+	for i := 0; i < len(ts); {
+		db.mu.Lock()
+		r, ok := db.relations[rel]
+		if !ok {
+			db.mu.Unlock()
+			return 0, fmt.Errorf("storage: insert into undeclared relation %q", rel)
+		}
+		n := 0
+		var err error
+		for ; i < len(ts); i++ {
+			if n == maxRuns && runs[n-1].to < i {
+				break // a new run would not fit: notify these first
+			}
+			t := ts[i]
+			if mode == InsertCore && t.HasNull() && r.SubsumedByExisting(t) {
+				continue
+			}
+			var isNew bool
+			if isNew, err = r.Insert(t); err != nil {
+				break
+			}
+			if !isNew {
+				continue
+			}
+			added++
+			if n > 0 && runs[n-1].to == i {
+				runs[n-1].to, runs[n-1].last = i+1, r.Seq()
+			} else {
+				runs[n].from, runs[n].to, runs[n].last = i, i+1, r.Seq()
+				n++
+			}
+		}
+		db.mu.Unlock()
+		for _, run := range runs[:n] {
+			db.notifyInsert(rel, ts[run.from:run.to], run.last)
+		}
 		if err != nil {
 			return added, err
-		}
-		if ok {
-			added++
 		}
 	}
 	return added, nil

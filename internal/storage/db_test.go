@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/relalg"
@@ -159,29 +160,78 @@ func TestConcurrentReadsDuringWrites(t *testing.T) {
 	}
 }
 
+// TestInsertListeners: a batch notifies once per run of new tuples — a
+// subslice of the caller's argument, never a copy — with the seq of its last
+// tuple; a duplicate, an earlier tuple of the same batch or a core-subsumed
+// tuple ends a run and is never passed; the argument is left as it was.
 func TestInsertListeners(t *testing.T) {
-	db := New(relalg.MakeSchema("p", 1))
-	var fired []string
-	db.AddInsertListener(func(rel string, tup relalg.Tuple, seq uint64) {
-		// Listeners run outside the database lock: reads must not deadlock.
-		_ = db.Count(rel)
-		fired = append(fired, fmt.Sprintf("%s@%d:%s", rel, seq, tup.Key()))
-	})
-	if _, err := db.Insert("p", relalg.Tuple{relalg.S("a")}, InsertExact); err != nil {
+	db := New(relalg.MakeSchema("p", 2))
+	s, n := relalg.S, relalg.Null
+	if _, err := db.Insert("p", relalg.Tuple{s("k"), s("v")}, InsertExact); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Insert("p", relalg.Tuple{relalg.S("a")}, InsertExact); err != nil {
+	batch := []relalg.Tuple{
+		{s("a"), s("1")}, {s("a"), s("2")},
+		{s("k"), s("v")},   // stored before
+		{s("k"), n("n|1")}, // subsumed by (k, v)
+		{s("b"), s("1")},
+		{s("a"), s("1")},                     // earlier in this batch
+		{s("c"), n("n|2")}, {s("c"), s("1")}, // nothing subsumes (c, n|2) yet
+		{s("c"), n("n|3")}, // subsumed by both
+	}
+	before := make([]relalg.Tuple, len(batch))
+	for i, tp := range batch {
+		before[i] = slices.Clone(tp)
+	}
+	var fired []string
+	db.AddInsertListener(func(rel string, ts []relalg.Tuple, last uint64) {
+		// Listeners run outside the database lock: reads must not deadlock.
+		if db.Count(rel) < int(last) {
+			t.Errorf("run ending at seq %d notified before it was stored", last)
+		}
+		at := slices.IndexFunc(batch, func(tp relalg.Tuple) bool { return len(ts) > 0 && &tp[0] == &ts[0][0] })
+		fired = append(fired, fmt.Sprintf("%s@%d..%d=batch[%d:%d]", rel, last-uint64(len(ts))+1, last, at, at+len(ts)))
+	})
+	added, err := db.InsertAll("p", batch, InsertCore)
+	if err != nil || added != 5 {
+		t.Fatalf("InsertAll = %d, %v; want 5 new", added, err)
+	}
+	want := []string{"p@2..3=batch[0:2]", "p@4..4=batch[4:5]", "p@5..6=batch[6:8]"}
+	if !slices.Equal(fired, want) {
+		t.Fatalf("listener fired %v, want %v", fired, want)
+	}
+	for i := range batch {
+		if !batch[i].Equal(before[i]) {
+			t.Fatalf("InsertAll wrote its argument: batch[%d] = %v, was %v", i, batch[i], before[i])
+		}
+	}
+
+	fired = nil
+	if _, err := db.Insert("p", relalg.Tuple{s("a"), s("1")}, InsertExact); err != nil {
 		t.Fatal(err) // duplicate: no notification
 	}
-	if _, err := db.Insert("q", relalg.Tuple{relalg.S("b")}, InsertExact); err == nil {
+	if _, err := db.Insert("q", relalg.Tuple{s("b")}, InsertExact); err == nil {
 		t.Fatal("undeclared relation must fail")
 	}
-	if _, err := db.Insert("p", relalg.Tuple{relalg.S("b")}, InsertExact); err != nil {
+	batch = []relalg.Tuple{{s("d"), s("1")}}
+	if _, err := db.Insert("p", batch[0], InsertExact); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"p@1:2:sa", "p@2:2:sb"}
-	if fmt.Sprint(fired) != fmt.Sprint(want) {
-		t.Fatalf("listener fired %v, want %v", fired, want)
+	if want := []string{"p@7..7=batch[0:1]"}; !slices.Equal(fired, want) {
+		t.Fatalf("single inserts fired %v, want %v", fired, want)
+	}
+}
+
+// TestInsertAllStopsAtAnArityError: the tuples before a tuple of another
+// arity stay committed and notified; it and those after it are not stored.
+func TestInsertAllStopsAtAnArityError(t *testing.T) {
+	db := New(relalg.MakeSchema("p", 1))
+	var runs []uint64
+	db.AddInsertListener(func(_ string, ts []relalg.Tuple, last uint64) { runs = append(runs, uint64(len(ts)), last) })
+	s := relalg.S
+	added, err := db.InsertAll("p", []relalg.Tuple{{s("a")}, {s("b")}, {s("c"), s("x")}, {s("d")}}, InsertExact)
+	if err == nil || added != 2 || db.Count("p") != 2 || !slices.Equal(runs, []uint64{2, 2}) {
+		t.Fatalf("InsertAll = %d, %v; %d stored, runs (len, last) %v; want 2, an error, 2, [2 2]", added, err, db.Count("p"), runs)
 	}
 }
 

@@ -184,9 +184,8 @@ func loadSnapshot(path string) (db *storage.DB, st State, coversBelow uint64, er
 				err = db.AddSchema(sch)
 			}
 		case recRelation:
-			name, tuples := r.Str(), r.Tuples()
-			for i := 0; i < len(tuples) && r.Err() == nil && err == nil; i++ {
-				_, err = db.Insert(name, tuples[i], storage.InsertExact)
+			if name, tuples := r.Str(), r.Tuples(); r.Err() == nil {
+				_, err = db.InsertAll(name, tuples, storage.InsertExact)
 			}
 		case recState:
 			st, _ = decodeState(&r)

@@ -45,13 +45,18 @@ var crcTable = crc32.MakeTable(crc32.IEEE)
 // writeFrame appends one framed record to w.
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [frameOverhead]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(frameHeader(&hdr, payload)); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// frameHeader fills hdr with payload's frame header and returns it.
+func frameHeader(hdr *[frameOverhead]byte, payload []byte) []byte {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	return hdr[:]
 }
 
 // readFrame reads one framed record. A clean EOF at a frame boundary returns
@@ -95,8 +100,9 @@ func decodeSchema(r *relalg.Reader) relalg.Schema {
 	return relalg.Schema{Name: r.Str(), Attrs: r.Strs()}
 }
 
-func encodeInsert(rel string, seq uint64, t relalg.Tuple) []byte {
-	b := append(make([]byte, 0, 128), recInsert) // most tuples fit: one allocation per record
+// appendInsertRecord appends the insert record of one committed tuple to b.
+func appendInsertRecord(b []byte, rel string, seq uint64, t relalg.Tuple) []byte {
+	b = append(b, recInsert)
 	b = relalg.AppendString(b, rel)
 	b = binary.AppendUvarint(b, seq)
 	return relalg.AppendTuple(b, t)

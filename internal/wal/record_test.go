@@ -9,6 +9,12 @@ import (
 	"repro/internal/storage"
 )
 
+// encodeInsert is one insert record on its own, as the store's insert
+// listener encodes each tuple of a run.
+func encodeInsert(rel string, seq uint64, t relalg.Tuple) []byte {
+	return appendInsertRecord(nil, rel, seq, t)
+}
+
 // TestRecordGolden pins the payload bytes of every record kind that carries
 // strings, values or tuples. The hex was produced by the encoders as they
 // stood before the value/tuple codec moved into package relalg (commit

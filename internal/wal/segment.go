@@ -40,6 +40,7 @@ type segment struct {
 	size int64
 	idx  uint64
 	recs int // records appended to this segment
+	hdr  [frameOverhead]byte
 }
 
 func createSegment(dir string, idx uint64) (*segment, error) {
@@ -56,8 +57,13 @@ func createSegment(dir string, idx uint64) (*segment, error) {
 	return s, nil
 }
 
+// append writes one framed record; the header is built in the segment's own
+// array, so an append allocates nothing.
 func (s *segment) append(payload []byte) error {
-	if err := writeFrame(s.w, payload); err != nil {
+	if _, err := s.w.Write(frameHeader(&s.hdr, payload)); err != nil {
+		return err
+	}
+	if _, err := s.w.Write(payload); err != nil {
 		return err
 	}
 	s.size += int64(len(payload) + frameOverhead)

@@ -215,6 +215,7 @@ type Store struct {
 	segIdx    uint64
 	loggedSch map[string]bool
 	appendSeq uint64 // records appended this generation (commit cohort counter)
+	buf       []byte // the insert record being appended
 	err       error  // sticky I/O error: the store goes read-only
 	closed    bool
 	db        *storage.DB // attached database (checkpoint source)
@@ -283,15 +284,16 @@ func Inspect(dir string) (*Recovered, error) {
 
 // Attach wires the store under a database: every already-declared schema is
 // logged (recovered ones are deduplicated), and listeners append a record per
-// future schema declaration and committed insert. The database must follow
-// the storage package's single-writer discipline per relation, so records
-// reach the log in sequence order.
+// future schema declaration and, for each committed run of inserts, one
+// insert record per tuple (appendInserts). The database must follow the
+// storage package's single-writer discipline per relation, so records reach
+// the log in sequence order.
 func (s *Store) Attach(db *storage.DB) {
 	s.mu.Lock()
 	s.db = db
 	s.mu.Unlock()
 	db.AddSchemaListener(func(sch relalg.Schema) { s.appendSchema(sch) })
-	db.AddInsertListener(func(rel string, t relalg.Tuple, seq uint64) { s.appendInsert(rel, t, seq) })
+	db.AddInsertListener(s.appendInserts)
 	for _, sch := range db.Schemas() {
 		s.appendSchema(sch)
 	}
@@ -383,10 +385,22 @@ func (s *Store) appendSchema(sch relalg.Schema) {
 	}
 }
 
-func (s *Store) appendInsert(rel string, t relalg.Tuple, seq uint64) {
-	payload := encodeInsert(rel, seq, t)
+// appendInserts is the insert listener: it logs a run of committed tuples,
+// seqs last-len(ts)+1 through last, as one insert record each, encoded in
+// turn into the store's one buffer. Under FsyncAlways the run is made durable
+// by one sync.
+func (s *Store) appendInserts(rel string, ts []relalg.Tuple, last uint64) {
+	var n uint64
+	ok := true
 	s.mu.Lock()
-	n, ok := s.appendLocked(payload)
+	seq := last - uint64(len(ts))
+	for _, t := range ts {
+		seq++
+		s.buf = appendInsertRecord(s.buf[:0], rel, seq, t)
+		if n, ok = s.appendLocked(s.buf); !ok {
+			break
+		}
+	}
 	s.mu.Unlock()
 	if ok && s.opts.Fsync == FsyncAlways {
 		_ = s.syncTo(n)

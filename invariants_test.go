@@ -6,6 +6,7 @@ package p2pdb_test
 import (
 	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -767,6 +768,32 @@ func TestEveryFunctionHasACallerSeesThrough(t *testing.T) {
 	}
 	if got, want := uncalled(pkgs, "internal/"), []string{"internal/callers.TestOnly"}; !slices.Equal(got, want) {
 		t.Errorf("uncalled = %v, want %v", got, want)
+	}
+}
+
+// TestSourceIsGofmted: every Go file of the module and the benchmark, tests
+// included, is as gofmt prints it, so CI's format step cannot be the first to
+// notice.
+func TestSourceIsGofmted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the benchmark")
+	}
+	checked := 0
+	for _, pkg := range modulePackages(t) {
+		for _, f := range slices.Concat(pkg.Files, pkg.TestFiles) {
+			path := pkg.Fset.File(f.Pos()).Name()
+			src := readFile(t, path)
+			out, err := format.Source(src)
+			if err != nil {
+				t.Errorf("%s: %v", path, err)
+			} else if !bytes.Equal(out, src) {
+				t.Errorf("%s is not gofmt-formatted: run gofmt -w on it", path)
+			}
+			checked++
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("checked %d files: the loader found too few", checked)
 	}
 }
 
