@@ -189,6 +189,10 @@ const (
 	// InsertCore additionally skips tuples subsumed by an existing tuple
 	// (nulls map homomorphically), yielding smaller materialisations.
 	InsertCore
+	// InsertFresh is InsertExact for a replayed log, where every tuple is
+	// new: InsertAll stops before the first tuple already present and
+	// returns fewer than len(ts) with no error.
+	InsertFresh
 )
 
 // Insert adds one tuple to the named relation, returning whether the database
@@ -214,8 +218,8 @@ func (db *DB) InsertAll(rel string, ts []relalg.Tuple, mode InsertMode) (int, er
 		from, to int
 		last     uint64
 	}
-	added := 0
-	for i := 0; i < len(ts); {
+	added, stop := 0, false
+	for i := 0; i < len(ts) && !stop; {
 		db.mu.Lock()
 		r, ok := db.relations[rel]
 		if !ok {
@@ -237,6 +241,9 @@ func (db *DB) InsertAll(rel string, ts []relalg.Tuple, mode InsertMode) (int, er
 				break
 			}
 			if !isNew {
+				if stop = mode == InsertFresh; stop {
+					break
+				}
 				continue
 			}
 			added++

@@ -235,6 +235,20 @@ func TestInsertAllStopsAtAnArityError(t *testing.T) {
 	}
 }
 
+// TestInsertFreshStopsAtAPresentTuple: in InsertFresh mode a tuple already
+// present ends the batch, with no error; what came before it is committed
+// and notified, nothing after it is inserted.
+func TestInsertFreshStopsAtAPresentTuple(t *testing.T) {
+	db := New(relalg.MakeSchema("p", 1))
+	var runs []uint64
+	db.AddInsertListener(func(_ string, ts []relalg.Tuple, last uint64) { runs = append(runs, uint64(len(ts)), last) })
+	s := relalg.S
+	added, err := db.InsertAll("p", []relalg.Tuple{{s("a")}, {s("b")}, {s("a")}, {s("d")}}, InsertFresh)
+	if err != nil || added != 2 || db.Count("p") != 2 || !slices.Equal(runs, []uint64{2, 2}) {
+		t.Fatalf("InsertAll = %d, %v; %d stored, runs (len, last) %v; want 2, no error, 2, [2 2]", added, err, db.Count("p"), runs)
+	}
+}
+
 func TestSchemaListeners(t *testing.T) {
 	db := New(relalg.MakeSchema("p", 1))
 	var fired []string

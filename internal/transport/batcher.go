@@ -29,12 +29,19 @@ import (
 // frame is delivered and handled, so the counter balance reads it in flight
 // until then. A frame whose flush fails is lost like any dropped message.
 //
-// Flush rule, as Nagle's: a message is held only while its link is busy. A
-// data message to a destination that has been quiet is handed to the flusher
-// goroutine at once and leaves with whatever the same handler turn added
-// before the hand-off completed; what follows while the link stays busy
-// waits, at most one window from the oldest held message — the window is the
-// longest hold, not the usual one. Close ships everything still held.
+// Flush rule, as Nagle's: a message is held only while its link is busy, and
+// a link is busy only once data has flowed on it for window/quietDiv with no
+// quiet gap. A data message of a younger run — the first after a quiet gap,
+// or one of a short burst behind it — is handed to the flusher goroutine at
+// once and leaves with whatever else arrived before the hand-off completed,
+// so a burst on a link that was quiet ships in full with no timer. What
+// follows once the run is older waits, at most one window from the oldest
+// held message — the window is the longest hold, not the usual one. Close
+// ships everything still held.
+//
+// A hold shorter than the window would not buy latency: when the process is
+// idle, Go's netpoller rounds any timer wait under 1 ms up to 1 ms, so a
+// held message leaves no sooner than ~1.1 ms whatever the timer asks for.
 type Batcher struct {
 	inner   Transport
 	window  time.Duration
@@ -59,9 +66,10 @@ type Batcher struct {
 
 // BatcherOptions tunes a Batcher.
 type BatcherOptions struct {
-	// Window is the longest hold (default 2ms): a message to a quiet
-	// destination ships at once, one that arrives while the link is busy
-	// leaves at most this long after the oldest message held with it.
+	// Window is the longest hold (default 2ms): a message of a short burst
+	// to a destination that was quiet ships at once, one that arrives while
+	// the link is busy leaves at most this long after the oldest message
+	// held with it.
 	Window time.Duration
 	// MaxBytes flushes a destination's buffer once its encoded payload
 	// (wire.Size, summed over the held messages) reaches this size, so a
@@ -94,7 +102,8 @@ type batchBuf struct {
 	bytes      int
 	since      time.Time // when the oldest held message arrived
 	lastData   time.Time // when the latest data message arrived, across flushes
-	ready      bool      // a message found the link quiet: ship at the next flusher pass
+	burst      time.Time // when the current run of data with no quiet gap began, across flushes
+	ready      bool      // a message of a young run arrived: ship at the next flusher pass
 }
 
 func (b *batchBuf) held() int {
@@ -147,15 +156,15 @@ func (b *Batcher) Stats() BatchStats {
 // receiving is untouched by batching).
 func (b *Batcher) Register(node string, h Handler) error { return b.inner.Register(node, h) }
 
-// quietDiv sets when a link counts as quiet: no data message to the
-// destination for window/quietDiv (250µs by default). The messages of one
-// handler turn, and of back-to-back turns of an update wave, follow each
-// other within microseconds, so only the first of a burst finds the link
-// quiet and the rest coalesce behind it; live events further apart each ship
-// at once. It is a dial between latency and frames, measured at 4, 8 and 64:
-// 4 reads like 8; 64 takes live-fanout's p50 from 2.3 to 0.9–1.9 ms and E16's
-// frame reduction from 52–58× to 18–20× (clique) and 18–22× to 12–17× (ring),
-// against a floor of 10×.
+// quietDiv sets both halves of "busy" (250µs each at the default window): a
+// gap of window/quietDiv with no data message to the destination ends a run,
+// and a run becomes busy window/quietDiv after it began. The messages of one
+// fan-out — one insert's watch deltas from as many forwarder goroutines —
+// arrive within tens of microseconds and ship eagerly, each pass taking what
+// came in meanwhile; an update wave keeps a link busy for longer, so the bulk
+// of it coalesces behind its first quarter-millisecond and E16 keeps its
+// frame reduction (≥10× on both topologies). A timer could not serve the
+// tail of a short burst sooner than the netpoller's 1 ms floor (see Batcher).
 const quietDiv = 8
 
 // Send implements Transport. Answers, acks, replica and watch traffic and
@@ -212,18 +221,21 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		// Both inner transports enqueue or spawn without waiting on delivery.
 		return b.inner.Send(from, to, msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
 	}
-	// Every data kind: a full buffer ships inline, a message that found the
-	// link quiet makes its buffer ready, anything else waits for the timer.
+	// Every data kind: a full buffer ships inline, a message of a young run
+	// makes its buffer ready, anything else waits for the timer.
 	buf.bytes += wire.Size(msg)
-	quiet := now.Sub(buf.lastData) >= b.window/quietDiv
+	if now.Sub(buf.lastData) >= b.window/quietDiv {
+		buf.burst = now // the link was quiet: a new run begins
+	}
 	buf.lastData = now
 	if buf.bytes >= b.maxByte {
 		return b.flushLocked(key)
 	}
-	buf.ready = buf.ready || quiet
-	if quiet || first {
+	young := now.Sub(buf.burst) < b.window/quietDiv
+	if young && !buf.ready || first { // a ready buffer has its pass coming
 		b.poke()
 	}
+	buf.ready = buf.ready || young
 	return nil
 }
 
@@ -272,7 +284,7 @@ func (b *Batcher) flushLocked(key [2]string) error {
 			b.piggyHB.Add(1)
 		}
 	}
-	*buf = batchBuf{lastData: buf.lastData}
+	*buf = batchBuf{lastData: buf.lastData, burst: buf.burst}
 	b.frames.Add(1)
 	return b.inner.Send(key[0], key[1], msg)
 }

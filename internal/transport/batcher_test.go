@@ -83,7 +83,8 @@ func clockedBatcher(opts BatcherOptions) (*Batcher, *recordingInner, *testClock)
 }
 
 // lead sends the first message on the A→B link and waits until the flusher
-// has shipped it, so that whatever follows finds the link busy.
+// has shipped it. It starts a run of data on the link: what follows at the
+// same instant is still young and ships too.
 func lead(t *testing.T, b *Batcher, inner *recordingInner) {
 	t.Helper()
 	if err := b.Send("A", "B", testAnswer(0)); err != nil {
@@ -93,6 +94,15 @@ func lead(t *testing.T, b *Batcher, inner *recordingInner) {
 	if a, ok := got[0].Msg.(wire.Answer); !ok || a.SubID != 0 {
 		t.Fatalf("lead left as %T %+v, want the plain Answer", got[0].Msg, got[0].Msg)
 	}
+}
+
+// busyLead is lead on a link whose run of data is already window/quietDiv
+// old (Busy), so that whatever follows without a quiet gap finds the link
+// busy and is held.
+func busyLead(t *testing.T, b *Batcher, inner *recordingInner) {
+	t.Helper()
+	lead(t, b, inner)
+	b.Busy("A", "B")
 }
 
 // subIDs lists the answers of a frame, plain or batched.
@@ -113,7 +123,8 @@ func subIDs(t *testing.T, env wire.Envelope) []uint64 {
 }
 
 // TestBatcherFlushRule pins the contract one case at a time: a message is
-// held only while its link is busy, and then for at most the window.
+// held only while its link is busy — once data has flowed on it for
+// window/quietDiv with no quiet gap — and then for at most the window.
 func TestBatcherFlushRule(t *testing.T) {
 	t.Run("a lone message ships without the clock moving", func(t *testing.T) {
 		b, inner, _ := clockedBatcher(BatcherOptions{})
@@ -126,7 +137,7 @@ func TestBatcherFlushRule(t *testing.T) {
 	t.Run("a message behind it is held until since+window", func(t *testing.T) {
 		b, inner, clk := clockedBatcher(BatcherOptions{})
 		defer b.Close()
-		lead(t, b, inner)
+		busyLead(t, b, inner)
 		clk.Advance(testWindow/quietDiv - 1) // one tick short of quiet
 		_ = b.Send("A", "B", testAnswer(1))
 		if wait := b.Pass(); wait != testWindow {
@@ -152,7 +163,7 @@ func TestBatcherFlushRule(t *testing.T) {
 	t.Run("a message after a quiet gap ships at once, with what was held", func(t *testing.T) {
 		b, inner, clk := clockedBatcher(BatcherOptions{})
 		defer b.Close()
-		lead(t, b, inner)
+		busyLead(t, b, inner)
 		_ = b.Send("A", "B", testAnswer(1)) // busy: held
 		clk.Advance(testWindow / quietDiv)
 		_ = b.Send("A", "B", testAnswer(2)) // quiet again: ready
@@ -161,21 +172,19 @@ func TestBatcherFlushRule(t *testing.T) {
 			t.Fatalf("second frame carries %v, want the held answer then the new one", ids)
 		}
 	})
-	t.Run("one turn's burst to one destination leaves in at most two frames", func(t *testing.T) {
-		b, inner, clk := clockedBatcher(BatcherOptions{})
+	t.Run("a young burst leaves in order with the clock stopped", func(t *testing.T) {
+		b, inner, _ := clockedBatcher(BatcherOptions{})
 		defer b.Close()
 		const n = 50
 		for i := 0; i < n; i++ {
 			_ = b.Send("A", "B", testAnswer(i))
 		}
-		// The first made the buffer ready; the flusher took it and however
-		// much of the burst was in by then. The rest waits for the window.
-		clk.Advance(testWindow)
-		b.Pass()
-		got := inner.frames()
-		if len(got) > 2 {
-			t.Fatalf("%d answers in one turn left in %d frames, want at most 2", n, len(got))
+		// The whole burst is one young run: the flusher took however much
+		// was in at each pass, and this pass takes the rest.
+		if wait := b.Pass(); wait != 0 {
+			t.Fatalf("timer armed for %v: part of a young burst was held", wait)
 		}
+		got := inner.frames()
 		var ids []uint64
 		for _, env := range got {
 			ids = append(ids, subIDs(t, env)...)
@@ -219,7 +228,7 @@ func TestBatcherFlushRule(t *testing.T) {
 	t.Run("each destination has its own link", func(t *testing.T) {
 		b, inner, _ := clockedBatcher(BatcherOptions{})
 		defer b.Close()
-		lead(t, b, inner)
+		busyLead(t, b, inner)
 		_ = b.Send("A", "B", testAnswer(1)) // B is busy
 		_ = b.Send("A", "C", testAnswer(2)) // C is quiet
 		got := inner.waitFrames(t, 2)
@@ -230,6 +239,104 @@ func TestBatcherFlushRule(t *testing.T) {
 			t.Fatalf("the answer held for B left early: %+v", inner.frames())
 		}
 	})
+	t.Run("the tail of a young burst ships at the next pass", func(t *testing.T) {
+		// One insert's watch deltas reach the link from as many forwarder
+		// goroutines at once, just behind the first: none waits the window.
+		b, inner, _ := clockedBatcher(BatcherOptions{})
+		defer b.Close()
+		lead(t, b, inner)
+		const n = 15
+		var wg sync.WaitGroup
+		for i := 1; i <= n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_ = b.Send("A", "B", testAnswer(i))
+			}(i)
+		}
+		wg.Wait()
+		if wait := b.Pass(); wait != 0 {
+			t.Fatalf("timer armed for %v: the tail of a young burst was held", wait)
+		}
+		seen := map[uint64]int{}
+		for _, env := range inner.frames()[1:] {
+			for _, id := range subIDs(t, env) {
+				seen[id]++
+			}
+		}
+		for i := uint64(1); i <= n; i++ {
+			if seen[i] != 1 {
+				t.Fatalf("answer %d shipped %d times, want once: %v", i, seen[i], seen)
+			}
+		}
+	})
+	t.Run("a quiet gap starts a new young run", func(t *testing.T) {
+		b, inner, clk := clockedBatcher(BatcherOptions{})
+		defer b.Close()
+		young := func(i int) {
+			t.Helper()
+			_ = b.Send("A", "B", testAnswer(i))
+			if wait := b.Pass(); wait != 0 {
+				t.Fatalf("answer %d held (timer %v), want it shipped with the young run", i, wait)
+			}
+		}
+		held := func(i int) {
+			t.Helper()
+			_ = b.Send("A", "B", testAnswer(i))
+			if wait := b.Pass(); wait != testWindow {
+				t.Fatalf("answer %d: timer %v, want it held the whole window", i, wait)
+			}
+		}
+		lead(t, b, inner)
+		clk.Advance(testWindow/quietDiv - 1)
+		young(1)
+		clk.Advance(1) // the run is window/quietDiv old, with no gap in it
+		held(2)
+		clk.Advance(testWindow / quietDiv)
+		young(3) // a gap: 3 starts a new run and takes 2 along
+		clk.Advance(testWindow/quietDiv - 1)
+		young(4) // the new run's age counts from 3, not from the lead
+		clk.Advance(1)
+		held(5)
+		got := inner.frames()
+		var frames [][]uint64
+		for _, env := range got {
+			frames = append(frames, subIDs(t, env))
+		}
+		if len(got) != 4 || len(frames[2]) != 2 || frames[2][0] != 2 || frames[2][1] != 3 || frames[3][0] != 4 {
+			t.Fatalf("frames carry %v, want [0] [1] [2 3] [4] with 5 held", frames)
+		}
+	})
+	t.Run("an old run waits since+window", func(t *testing.T) {
+		// Steady data — an update wave — coalesces: what follows the first
+		// quarter of a millisecond of a run leaves once a window.
+		b, inner, clk := clockedBatcher(BatcherOptions{})
+		defer b.Close()
+		lead(t, b, inner)
+		clk.Advance(testWindow/quietDiv - 1)
+		_ = b.Send("A", "B", testAnswer(1)) // still young
+		b.Pass()
+		clk.Advance(1)
+		for i := 2; i <= 4; i++ {
+			_ = b.Send("A", "B", testAnswer(i)) // the run is old: held
+		}
+		if wait := b.Pass(); wait != testWindow || len(inner.frames()) != 2 {
+			t.Fatalf("%d frames, timer %v; want the lead and 1 out, 2..4 held the whole window", len(inner.frames()), wait)
+		}
+		clk.Advance(testWindow - 1)
+		if wait := b.Pass(); wait != 1 || len(inner.frames()) != 2 {
+			t.Fatalf("one tick before the window closes: %d frames, timer %v; want 2 frames, 1ns", len(inner.frames()), wait)
+		}
+		clk.Advance(1)
+		if wait := b.Pass(); wait != 0 {
+			t.Fatalf("timer armed for %v with nothing held", wait)
+		}
+		if got := inner.frames(); len(got) != 3 {
+			t.Fatalf("got %d frames, want the lead, 1, then one batch of 2..4", len(got))
+		} else if ids := subIDs(t, got[2]); len(ids) != 3 || ids[0] != 2 || ids[2] != 4 {
+			t.Fatalf("the held batch carries %v, want 2..4", ids)
+		}
+	})
 }
 
 // TestBatcherCoalescesPerDestination: what is held for one destination
@@ -238,7 +345,7 @@ func TestBatcherFlushRule(t *testing.T) {
 func TestBatcherCoalescesPerDestination(t *testing.T) {
 	b, inner, clk := clockedBatcher(BatcherOptions{})
 	defer b.Close()
-	lead(t, b, inner)
+	busyLead(t, b, inner)
 	for i := 1; i <= 5; i++ {
 		if err := b.Send("A", "B", testAnswer(i)); err != nil {
 			t.Fatal(err)
@@ -274,7 +381,7 @@ func TestBatcherCoalescesPerDestination(t *testing.T) {
 func TestBatcherPiggybacksAcksAndLatestHeartbeat(t *testing.T) {
 	b, inner, clk := clockedBatcher(BatcherOptions{})
 	defer b.Close()
-	lead(t, b, inner)
+	busyLead(t, b, inner)
 	_ = b.Send("A", "B", testAnswer(1))
 	_ = b.Send("A", "B", wire.AnswerAck{RuleID: "r", SubID: 1, Seqs: map[string]uint64{"s": 3}})
 	_ = b.Send("A", "B", wire.Heartbeat{Node: "A", Addr: "old"})
@@ -309,7 +416,7 @@ func TestBatcherPiggybacksAcksAndLatestHeartbeat(t *testing.T) {
 func TestBatcherFlushesBeforePassthrough(t *testing.T) {
 	b, inner, _ := clockedBatcher(BatcherOptions{})
 	defer b.Close()
-	lead(t, b, inner)
+	busyLead(t, b, inner)
 	_ = b.Send("A", "B", testAnswer(1))
 	_ = b.Send("A", "B", testAnswer(2))
 	_ = b.Send("A", "B", wire.Query{Epoch: 1, RuleID: "r"})
@@ -368,7 +475,7 @@ func TestBatcherIdleMakesNoPasses(t *testing.T) {
 
 func TestBatcherFlushOnClose(t *testing.T) {
 	b, inner, _ := clockedBatcher(BatcherOptions{})
-	lead(t, b, inner)
+	busyLead(t, b, inner)
 	_ = b.Send("A", "B", testAnswer(1))
 	_ = b.Send("A", "B", testAnswer(2))
 	if err := b.Close(); err != nil {
@@ -393,7 +500,7 @@ func TestBatcherMaxBytesFlushesEarly(t *testing.T) {
 	a := testAnswer(1)
 	b, inner, _ := clockedBatcher(BatcherOptions{MaxBytes: 2 * wire.Size(a)})
 	defer b.Close()
-	lead(t, b, inner)
+	busyLead(t, b, inner)
 	for i := 1; i <= 6; i++ {
 		_ = b.Send("A", "B", testAnswer(i))
 	}

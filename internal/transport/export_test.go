@@ -46,3 +46,14 @@ func (b *Batcher) Links() int {
 	defer b.mu.Unlock()
 	return len(b.bufs)
 }
+
+// Busy backdates the from→to link's current run of data by window/quietDiv,
+// as if data had flowed on it that long with no quiet gap: the next data
+// message, if it comes before the link goes quiet, finds the link busy. Call
+// it after the link's last data message.
+func (b *Batcher) Busy(from, to string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	buf := b.bufs[[2]string{from, to}]
+	buf.burst = buf.lastData.Add(-b.window / quietDiv)
+}

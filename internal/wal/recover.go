@@ -77,11 +77,50 @@ func replaySegment(path string, rec *Recovered) (int, bool, error) {
 	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != segMagic {
 		return 0, false, nil // torn before the header: an empty generation
 	}
+	var run insertRun
 	applied, lastClean := 0, false
+	// commit applies the pending run and reports whether replay goes on.
+	commit := func() bool {
+		n, ok := run.commit(rec.DB)
+		if n > 0 {
+			applied, lastClean = applied+n, false
+		}
+		return ok
+	}
 	for {
 		payload, ferr := readFrame(br)
 		if ferr != nil {
+			commit()
 			return applied, lastClean, nil // io.EOF or torn tail: prefix ends
+		}
+		if payload[0] == recInsert {
+			r := relalg.NewReader(payload[1:])
+			rel, seq, t := decodeInsert(&r)
+			if r.Err() == nil && run.joins(rel, seq) {
+				run.ts = append(run.ts, t)
+				continue
+			}
+			if !commit() {
+				return applied, lastClean, nil
+			}
+			if r.Err() != nil {
+				return applied, lastClean, nil // CRC-valid yet undecodable: the tail
+			}
+			cur := rec.DB.Rel(rel)
+			switch {
+			case cur == nil:
+				return applied, lastClean, nil // insert before its schema: inconsistent
+			case seq <= cur.Seq():
+				applied, lastClean = applied+1, false // already covered by the snapshot
+			case seq == cur.Seq()+1:
+				run.rel, run.first, run.ts = rel, seq, append(run.ts[:0], t)
+			default:
+				return applied, lastClean, nil // sequence gap: stop at the prefix
+			}
+			continue
+		}
+		if !commit() {
+			return applied, lastClean, nil
 		}
 		ok, clean, err := applyRecord(payload, rec)
 		if err != nil {
@@ -95,9 +134,50 @@ func replaySegment(path string, rec *Recovered) (int, bool, error) {
 	}
 }
 
-// applyRecord folds one decoded record into rec. ok=false stops the replay
-// without error (the record is internally valid but inconsistent with the
-// recovered prefix, e.g. a sequence gap after a mid-log tear).
+// replayBatch bounds the insert records replay holds before it commits them.
+const replayBatch = 256
+
+// insertRun is a run of insert records of one relation with contiguous seqs,
+// the first of them the relation's next: replay commits it with one
+// InsertAll, and stops exactly where applying its records one at a time
+// would have stopped.
+type insertRun struct {
+	rel   string
+	first uint64 // the seq of ts[0]
+	ts    []relalg.Tuple
+}
+
+// joins reports whether the insert record (rel, seq) continues the run.
+func (run *insertRun) joins(rel string, seq uint64) bool {
+	n := len(run.ts)
+	return n > 0 && n < replayBatch && rel == run.rel && seq == run.first+uint64(n)
+}
+
+// commit inserts the run into db and empties it. It returns how many of its
+// records count as applied and whether replay goes on. A tuple of the wrong
+// arity is an inconsistent record: replay stops before it. A tuple already
+// present is a record that applies as a no-op without moving the seq, so
+// the run's next record would be a gap: replay stops after it.
+func (run *insertRun) commit(db *storage.DB) (int, bool) {
+	n := len(run.ts)
+	if n == 0 {
+		return 0, true
+	}
+	added, err := db.InsertAll(run.rel, run.ts, storage.InsertFresh)
+	run.ts = run.ts[:0]
+	switch {
+	case err != nil:
+		return added, false
+	case added < n:
+		return added + 1, added+1 == n
+	}
+	return n, true
+}
+
+// applyRecord folds one decoded record other than an insert (replaySegment
+// commits those in runs) into rec. ok=false stops the replay without error
+// (the record is internally valid but inconsistent with the recovered
+// prefix).
 func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
 	// Throughout: a record that is CRC-valid yet undecodable is treated as
 	// the tail.
@@ -109,26 +189,6 @@ func applyRecord(payload []byte, rec *Recovered) (ok, clean bool, err error) {
 			return false, false, nil // undecodable, or a conflicting redeclaration
 		}
 		return true, false, nil
-	case recInsert:
-		rel, seq, t := decodeInsert(&r)
-		if r.Err() != nil {
-			return false, false, nil
-		}
-		cur := rec.DB.Rel(rel)
-		if cur == nil {
-			return false, false, nil // insert before its schema: inconsistent
-		}
-		switch {
-		case seq <= cur.Seq():
-			return true, false, nil // already covered by the snapshot
-		case seq == cur.Seq()+1:
-			if _, err := rec.DB.Insert(rel, t, storage.InsertExact); err != nil {
-				return false, false, nil
-			}
-			return true, false, nil
-		default:
-			return false, false, nil // sequence gap: stop at the prefix
-		}
 	case recState:
 		st, cl := decodeState(&r)
 		if r.Err() != nil {
