@@ -300,13 +300,31 @@ func (c *Transport) cut(member string) bool {
 	return down != nil && (*down)[member]
 }
 
-// transmit is the single egress point: every frame this process originates
-// (membership, hosted peer, control plane) passes the link-fault filter, and
-// points the socket layer at the member table's address for its addressee,
-// before reaching the wire.
+// transmit is the egress point (SendRun the same for a run): every frame
+// this process originates (membership, hosted peer, control plane) passes the
+// link-fault filter, and points the socket layer at the member table's
+// address for its addressee, before reaching the wire.
 func (c *Transport) transmit(from, to string, msg wire.Message) error {
-	if c.cut(to) {
+	if !c.addressTo(to) {
 		return nil // a cut link eats frames silently, like a real partition
+	}
+	return c.out.Send(from, to, msg)
+}
+
+// SendRun implements transport.RunSender: one run through the Batcher, so
+// one pass's watch deltas to a client share a frame.
+func (c *Transport) SendRun(from, to string, msgs []wire.Message) (int, error) {
+	if !c.addressTo(to) {
+		return len(msgs), nil
+	}
+	return transport.SendRun(c.out, from, to, msgs)
+}
+
+// addressTo points the socket layer's address book at the member table's
+// address for to, and reports false when the link to it is cut.
+func (c *Transport) addressTo(to string) bool {
+	if c.cut(to) {
+		return false
 	}
 	c.sh.Lock()
 	var addr string
@@ -317,7 +335,7 @@ func (c *Transport) transmit(from, to string, msg wire.Message) error {
 	if addr != "" {
 		c.tcp.SetPeerAddr(to, addr)
 	}
-	return c.out.Send(from, to, msg)
+	return true
 }
 
 // dispatch is the TCP handler of every name this process answers for — its
@@ -632,4 +650,7 @@ func (w *wake) fire() {
 // rather than the database network.
 func IsCoordinator(name string) bool { return strings.HasPrefix(name, wire.CoordinatorPrefix) }
 
-var _ transport.Transport = (*Transport)(nil)
+var (
+	_ transport.Transport = (*Transport)(nil)
+	_ transport.RunSender = (*Transport)(nil)
+)

@@ -178,6 +178,9 @@ type Peer struct {
 	// not sh: registration runs off the actor goroutine.
 	rwmu          sync.Mutex
 	remoteWatches map[remoteWatchKey]*remoteWatch
+	// watchRun is the hub pass's deltas for one client, sent as one run
+	// when the pass flushes the client's watches. Owned by the pass.
+	watchRun []wire.Message
 
 	// Pipelined acknowledgment worker (durable peers only): Handle hands its
 	// ack effects over a channel so the group-commit fsync overlaps the
@@ -575,6 +578,28 @@ func (p *Peer) ResendUnackedTo(dependent string) { p.local(resendTo{dependent}) 
 // Send dispatches a message, recording statistics and trace events; the error
 // is for orchestration that sends in the node's name, the protocol tolerates it.
 func (p *Peer) Send(to string, m wire.Message) error {
+	p.sending(to, m)
+	err := p.tr.Send(p.id, to, m)
+	if err != nil {
+		p.refused(to, m, err)
+	}
+	return err
+}
+
+// sendRun dispatches msgs to one node as one run (transport.SendRun), with
+// Send's statistics and trace events for each.
+func (p *Peer) sendRun(to string, msgs []wire.Message) {
+	for _, m := range msgs {
+		p.sending(to, m)
+	}
+	n, err := transport.SendRun(p.tr, p.id, to, msgs)
+	for _, m := range msgs[n:] {
+		p.refused(to, m, err)
+	}
+}
+
+// sending counts a message sent and traces it.
+func (p *Peer) sending(to string, m wire.Message) {
 	p.ct.Sent(m.Kind(), wire.Size(m))
 	if p.opts.Recorder != nil {
 		note := ""
@@ -590,20 +615,19 @@ func (p *Peer) Send(to string, m wire.Message) error {
 		}
 		p.opts.Recorder.Record(p.id, to, m.Kind(), note)
 	}
-	err := p.tr.Send(p.id, to, m)
-	if err != nil {
-		// Unknown or unreachable peers are a dynamic-network fact of life
-		// the protocol tolerates (Section 4) — but a lost message must be
-		// observable, not invisible: the statistical module counts it and
-		// the recorder traces it. Payload recovery is the acknowledgment
-		// frontier's job: an answer that never arrives is never acked, so
-		// its tuples ship again from the acked marks.
-		p.ct.SendFailed(m.Kind(), wire.Size(m))
-		if p.opts.Recorder != nil {
-			p.opts.Recorder.Record(p.id, to, "sendError", m.Kind()+": "+err.Error())
-		}
+}
+
+// refused takes back a message the transport refused. Unknown or unreachable
+// peers are a dynamic-network fact of life the protocol tolerates (Section
+// 4) — but a lost message must be observable, not invisible: the statistical
+// module counts it and the recorder traces it. Payload recovery is the
+// acknowledgment frontier's job: an answer that never arrives is never
+// acked, so its tuples ship again from the acked marks.
+func (p *Peer) refused(to string, m wire.Message, err error) {
+	p.ct.SendFailed(m.Kind(), wire.Size(m))
+	if p.opts.Recorder != nil {
+		p.opts.Recorder.Record(p.id, to, "sendError", m.Kind()+": "+err.Error())
 	}
-	return err
 }
 
 // Handle processes one incoming envelope in one shell step: effects after

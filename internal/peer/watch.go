@@ -44,9 +44,22 @@ func (p *Peer) Watch(body string, outVars []string) (*Watcher, error) {
 // policy, queue bound, or resume frontier (the serving layer's remote-watch
 // entry point; Watch is the lossless default).
 func (p *Peer) WatchWith(body string, outVars []string, o serving.WatchOptions) (*Watcher, error) {
-	conj, err := cq.ParseConjunction(body)
+	conj, err := p.watchQuery(body, outVars)
 	if err != nil {
 		return nil, err
+	}
+	w, err := p.hub.Register(conj, outVars, o)
+	if err != nil {
+		return nil, fmt.Errorf("peer %s: %w", p.id, err)
+	}
+	return w, nil
+}
+
+// watchQuery parses and checks a watch's body and output variables.
+func (p *Peer) watchQuery(body string, outVars []string) (cq.Conjunction, error) {
+	conj, err := cq.ParseConjunction(body)
+	if err != nil {
+		return cq.Conjunction{}, err
 	}
 	// Reject doomed registrations now instead of letting the watcher stream
 	// nothing forever: an atom over an undeclared relation can never match
@@ -54,21 +67,17 @@ func (p *Peer) WatchWith(body string, outVars []string, o serving.WatchOptions) 
 	// the body is never bound. Both checks are syntactic — no evaluation.
 	for _, a := range conj.Atoms {
 		if !p.db.HasRelation(a.Rel) {
-			return nil, fmt.Errorf("peer %s: watch reads undeclared relation %q", p.id, a.Rel)
+			return cq.Conjunction{}, fmt.Errorf("peer %s: watch reads undeclared relation %q", p.id, a.Rel)
 		}
 	}
 	atomVars := conj.AtomVars()
 	for _, v := range outVars {
 		if !atomVars[v] {
-			return nil, fmt.Errorf("peer %s: watch output variable %s not range-restricted in %q",
+			return cq.Conjunction{}, fmt.Errorf("peer %s: watch output variable %s not range-restricted in %q",
 				p.id, v, body)
 		}
 	}
-	w, err := p.hub.Register(conj, outVars, o)
-	if err != nil {
-		return nil, fmt.Errorf("peer %s: %w", p.id, err)
-	}
-	return w, nil
+	return conj, nil
 }
 
 // Serving exposes the peer's fan-out hub (metrics, tests).
@@ -79,9 +88,9 @@ func (p *Peer) Serving() *serving.Hub { return p.hub }
 // or fails cleanly, never leaks an unclosable stream). It then closes the
 // peer's shell, being the one shutdown hook orchestration already calls on
 // every peer: no message or verb is stepped after it, the resend timer stops,
-// and the pipelined ack worker and the remote watches' goroutines finish —
-// the stores seal after it returns, so no fsync or ack send may still be in
-// flight.
+// and the pipelined ack worker finishes — the stores seal after it returns,
+// so no fsync or ack send may still be in flight. The hub's close sends every
+// remote watch its terminal frame.
 func (p *Peer) CloseWatchers() {
 	p.hub.Close()
 	p.sh.Close()

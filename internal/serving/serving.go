@@ -22,6 +22,13 @@
 // like every other evaluation); queue delivery happens after it is released
 // and never blocks the pass, so a stalled consumer can slow only itself —
 // never the fix-point, never another watcher.
+//
+// A local watcher's queue feeds its Out channel through a delivery goroutine
+// of its own. A remote watcher (RegisterRemote) has none: the pass itself
+// drains its queue into its Sink — the wire, for a peer — one client's
+// watchers in a row, then flushes them as one run, so one change's batches
+// for a client reach the transport together and share a frame; the End that
+// closes a stream follows the last batch of the pass that closed it.
 package serving
 
 import (
@@ -160,12 +167,36 @@ func NewHub(db *storage.DB, mu sync.Locker) *Hub {
 	return h
 }
 
-// Register adds a continuous query to the hub. The first batch staged for the
-// watcher is its prime (the current full result, or the resume catch-up
-// delta), always delivered even when empty — the registration sync point.
-// The conjunction is assumed validated by the caller (declared relations,
-// range-restricted columns).
+// Register adds a local continuous query to the hub; Out() is its stream.
+// The first batch staged for the watcher is its prime (the current full
+// result, or the resume catch-up delta), always delivered even when empty —
+// the registration sync point. The conjunction is assumed validated by the
+// caller (declared relations, range-restricted columns).
 func (h *Hub) Register(conj cq.Conjunction, cols []string, o WatchOptions) (*Watcher, error) {
+	w, err := h.register(conj, cols, o, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	go w.run()
+	h.sh.Kick()
+	return w, nil
+}
+
+// RegisterRemote adds a continuous query whose stream is sink: the pass that
+// stages a batch also hands it over, with no goroutine of the watcher's own,
+// and drains the remote watchers of one group (one client) in a row, then
+// flushes the group, so their batches reach the transport as one run.
+// Otherwise as Register.
+func (h *Hub) RegisterRemote(conj cq.Conjunction, cols []string, o WatchOptions, group string, sink Sink) (*Watcher, error) {
+	w, err := h.register(conj, cols, o, group, sink)
+	if err != nil {
+		return nil, err
+	}
+	h.sh.Kick()
+	return w, nil
+}
+
+func (h *Hub) register(conj cq.Conjunction, cols []string, o WatchOptions, group string, sink Sink) (*Watcher, error) {
 	if o.QueueCap <= 0 {
 		o.QueueCap = defaultQueueCap
 	}
@@ -195,15 +226,13 @@ func (h *Hub) Register(conj cq.Conjunction, cols []string, o WatchOptions) (*Wat
 		h.classes[key] = cl
 	}
 	h.nextID++
-	w := newWatcher(h, cl, h.nextID, o)
+	w := newWatcher(h, cl, h.nextID, o, group, sink)
 	cl.watchers[w.id] = w
 	for _, rel := range cl.rels {
 		h.relRefs[rel]++
 	}
 	h.wmu.Unlock()
 	h.nwatch.Add(1)
-	go w.run()
-	h.sh.Kick()
 	return w, nil
 }
 
@@ -244,11 +273,14 @@ func (h *Hub) Close() {
 	}
 	h.wmu.Unlock()
 	h.sh.Close()
-	if len(ws) > 0 {
-		h.pass()
-	}
+	var finish []*Watcher
 	for _, w := range ws {
-		w.shutdown(false, "")
+		if w.markClosed("") {
+			finish = append(finish, w)
+		}
+	}
+	if len(finish) > 0 {
+		h.pass(finish...)
 	}
 }
 
@@ -288,9 +320,12 @@ type delivery struct {
 
 // pass runs one shared extraction round: exactly one DeltaSince over the
 // union of watched relations, one evaluation and one dedup per affected
-// class, then queue delivery outside the peer mutex. Serialised by passMu
-// with the final passes Close and Watcher.Close run.
-func (h *Hub) pass() {
+// class, then queue delivery outside the peer mutex. The watchers in finish
+// (closed, still attached) are detached after their last batch is queued.
+// Then the remote watchers' queues drain into their sinks, one group after
+// another. Serialised by passMu with the final passes Close and
+// Watcher.Close run.
+func (h *Hub) pass(finish ...*Watcher) {
 	h.passMu.Lock()
 	defer h.passMu.Unlock()
 
@@ -408,6 +443,32 @@ func (h *Hub) pass() {
 	// queue costs its own watcher (per policy), never the pass.
 	for _, d := range out {
 		d.w.enqueue(d.b)
+	}
+	for _, w := range finish {
+		w.finish()
+	}
+	// Every remote watcher with a batch queued or its End due is in this
+	// pass's snapshot: batches are queued and watchers closed only by a pass
+	// (Cancel too), and every one it finishes was still attached.
+	var remote []*Watcher
+	for _, cw := range work {
+		for _, w := range cw.watchers {
+			if w.sink != nil {
+				remote = append(remote, w)
+			}
+		}
+	}
+	sort.Slice(remote, func(i, j int) bool {
+		if remote[i].group != remote[j].group {
+			return remote[i].group < remote[j].group
+		}
+		return remote[i].id < remote[j].id
+	})
+	for i, w := range remote {
+		w.drain()
+		if i == len(remote)-1 || remote[i+1].group != w.group {
+			w.sink.Flush()
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -862,5 +863,96 @@ func testSetFreeSchedule(t *testing.T, conj cq.Conjunction, cols []string, setFr
 	if m.Classes != 1 || m.Retained != wantRetained {
 		t.Fatalf("%d watchers of one class: metrics report %d classes retaining %d tuples, want 1 class retaining %d",
 			W, m.Classes, m.Retained, wantRetained)
+	}
+}
+
+// sinkLog records, in order, every call the hub's pass makes on the sinks
+// that share it. A Flush with nothing delivered since the last one is not
+// recorded: every pass flushes every group.
+type sinkLog struct {
+	mu    sync.Mutex
+	calls []string
+	dirty bool
+}
+
+func (l *sinkLog) add(s string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if s == "flush" && !l.dirty {
+		return
+	}
+	l.dirty = s != "flush"
+	l.calls = append(l.calls, s)
+}
+
+// take returns the calls so far once there are n of them, and forgets them.
+func (l *sinkLog) take(t *testing.T, n int) []string {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d sink calls", n), func() bool {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return len(l.calls) >= n
+	})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	calls := l.calls
+	l.calls = nil
+	return calls
+}
+
+type logSink struct {
+	log  *sinkLog
+	name string
+}
+
+func (s logSink) Deliver(b Batch)   { s.log.add(fmt.Sprintf("%s:%d:%d", s.name, b.Seq, len(b.Tuples))) }
+func (s logSink) End(reason string) { s.log.add(s.name + ":end" + reason) }
+func (s logSink) Flush()            { s.log.add("flush") }
+
+// TestRemoteWatchersDrainAtThePass: the pass hands a remote watcher's
+// batches to its sink, one group's watchers in a row and then one Flush for
+// the group, and a closed watcher's End follows its last batch.
+func TestRemoteWatchersDrainAtThePass(t *testing.T) {
+	h := newHarness(t, relalg.MakeSchema("p", 1))
+	conj := mustConj(t, "p(X)")
+	log := &sinkLog{}
+	register := func(name, group string) *Watcher {
+		w, err := h.hub.RegisterRemote(conj, []string{"X"}, WatchOptions{}, group, logSink{log, name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.take(t, 2) // the prime and its group's flush
+		return w
+	}
+	register("a1", "g1")
+	register("b1", "g2")
+	a2 := register("a2", "g1")
+	if a2.Out() != nil {
+		t.Fatal("a remote watcher has a delivery channel")
+	}
+	h.insert(t, "p", "v1")
+	want := []string{"a1:2:1", "a2:2:1", "flush", "b1:2:1", "flush"}
+	if got := log.take(t, len(want)); !slices.Equal(got, want) {
+		t.Fatalf("sink calls %v, want %v", got, want)
+	}
+	// v2's pass and a2's final pass may run in either order, or be one
+	// pass; the hub's close waits for both and ends the other two.
+	h.insert(t, "p", "v2")
+	a2.Close()
+	h.hub.Close()
+	calls := log.take(t, 0)
+	for _, name := range []string{"a1", "a2", "b1"} {
+		var own []string
+		for _, c := range calls {
+			if strings.HasPrefix(c, name+":") {
+				own = append(own, c)
+			}
+		}
+		if want := []string{name + ":3:1", name + ":end"}; !slices.Equal(own, want) {
+			t.Errorf("%s's sink calls %v, want %v (in %v)", name, own, want, calls)
+		}
+	}
+	if calls[len(calls)-1] != "flush" {
+		t.Errorf("sink calls %v end unflushed", calls)
 	}
 }

@@ -76,13 +76,30 @@ type Batch struct {
 	Marks  map[string]uint64
 }
 
-// Watcher is one continuous query registered at a Hub; Out() is its stream.
+// Sink is a remote watcher's stream. The hub's pass drains the watcher's
+// queue into it: every batch in order, then, once, End with the reason the
+// stream closed ("" for a consumer Close or a hub shutdown). The pass drains
+// the remote watchers of one group in a row and then calls Flush on the last
+// of them, so the sinks of a group may share a buffer and hand its batches
+// over as one run. Calls come from the pass, one at a time, after it
+// released the peer's mutex; they must not block or call back into the hub.
+type Sink interface {
+	Deliver(b Batch)
+	End(reason string)
+	Flush()
+}
+
+// Watcher is one continuous query registered at a Hub. A local watcher's
+// stream is Out(), fed by a delivery goroutine of its own; a remote one's is
+// its Sink, fed by the hub's pass.
 type Watcher struct {
 	hub    *Hub
 	class  *class
 	id     uint64
 	policy Policy
 	qcap   int
+	sink   Sink   // nil for a local watcher
+	group  string // the pass drains remote watchers grouped by it (their client)
 
 	// Pass-owned state (guarded by the hub's passMu).
 	primed bool
@@ -101,8 +118,8 @@ type Watcher struct {
 	lastPop  map[string]uint64
 	gapMarks map[string]uint64
 
-	out  chan Batch
-	quit chan struct{}
+	out  chan Batch    // local watchers only
+	quit chan struct{} // local watchers only
 
 	closeMu sync.Mutex
 	closed  bool
@@ -114,23 +131,28 @@ type Watcher struct {
 	coalesced atomic.Uint64 // batches merged into the tail (Block overflow)
 }
 
-func newWatcher(h *Hub, cl *class, id uint64, o WatchOptions) *Watcher {
+func newWatcher(h *Hub, cl *class, id uint64, o WatchOptions, group string, sink Sink) *Watcher {
 	w := &Watcher{
 		hub:    h,
 		class:  cl,
 		id:     id,
 		policy: o.Policy,
 		qcap:   o.QueueCap,
+		sink:   sink,
+		group:  group,
 		resume: o.Resume,
-		out:    make(chan Batch, 16),
-		quit:   make(chan struct{}),
 	}
 	w.qcond = sync.NewCond(&w.qmu)
+	if sink == nil {
+		w.out = make(chan Batch, 16)
+		w.quit = make(chan struct{})
+	}
 	return w
 }
 
-// Out returns the metadata-bearing delivery stream. It closes after Close
-// (or a policy cancellation) once the final batches have drained.
+// Out returns a local watcher's metadata-bearing delivery stream (nil for a
+// remote one). It closes after Close (or a policy cancellation) once the
+// final batches have drained.
 func (w *Watcher) Out() <-chan Batch { return w.out }
 
 // Err reports why the hub closed the watcher ("" for a consumer-requested
@@ -165,32 +187,39 @@ func (w *Watcher) Dropped() uint64 { return w.droppedN.Load() }
 // Close deregisters the watcher after one final shared pass, so a draining
 // consumer still receives everything inserted before the Close. Safe to call
 // more than once and concurrently with delivery.
-func (w *Watcher) Close() { w.shutdown(true, "") }
+func (w *Watcher) Close() {
+	if w.markClosed("") {
+		w.hub.pass(w)
+	}
+}
 
-// shutdown closes the watcher. finalPass runs one last extraction round (the
-// consumer-facing Close path); the hub's own teardown and the Cancel policy
-// skip it — the former already ran a shared final pass, the latter runs
-// inside one.
-func (w *Watcher) shutdown(finalPass bool, reason string) {
+// markClosed records that the watcher is closing, and why, and reports
+// whether this call was the one that closed it.
+func (w *Watcher) markClosed(reason string) bool {
 	w.closeMu.Lock()
+	defer w.closeMu.Unlock()
 	if w.closed {
-		w.closeMu.Unlock()
-		return
+		return false
 	}
 	w.closed = true
-	w.closeMu.Unlock()
 	if reason != "" {
 		w.errMsg.Store(reason)
 	}
-	if finalPass {
-		w.hub.pass()
-	}
+	return true
+}
+
+// finish detaches a closed watcher and closes its queue: a local watcher's
+// delivery goroutine drains what is left and closes Out, a remote watcher's
+// End follows its last batch at the pass's drain. It runs inside a pass.
+func (w *Watcher) finish() {
 	w.hub.detach(w)
 	w.qmu.Lock()
 	w.qclosed = true
 	w.qcond.Broadcast()
 	w.qmu.Unlock()
-	close(w.quit)
+	if w.quit != nil {
+		close(w.quit)
+	}
 }
 
 // stage stamps a batch with the watcher's next sequence number and the
@@ -258,7 +287,9 @@ func (w *Watcher) enqueue(b Batch) {
 	case Cancel:
 		w.qmu.Unlock()
 		w.hub.canceled.Add(1)
-		w.shutdown(false, "slow consumer: queue overflow")
+		if w.markClosed("slow consumer: queue overflow") {
+			w.finish()
+		}
 	default: // Block: lossless coalescing into the newest queued batch
 		// A staged slice is capacity-clipped, so the first append copies.
 		tail := &w.queue[len(w.queue)-1]
@@ -271,10 +302,44 @@ func (w *Watcher) enqueue(b Batch) {
 	}
 }
 
-// run is the delivery goroutine: it moves batches from the bounded queue to
-// the consumer channel. After Close it keeps draining for a bounded grace
-// period, then drops the tail — the channel always closes, the goroutine
-// always exits, even when the consumer is gone.
+// popLocked takes the oldest queued batch. Callers hold qmu and know the
+// queue is not empty.
+func (w *Watcher) popLocked() Batch {
+	b := w.queue[0]
+	copy(w.queue, w.queue[1:])
+	// The vacated slot must not pin a view of an outgrown class log.
+	w.queue[len(w.queue)-1] = Batch{}
+	w.queue = w.queue[:len(w.queue)-1]
+	w.lastPop = b.Marks
+	return b
+}
+
+// drain hands a remote watcher's queued batches to its sink, then its End
+// once the watcher is closed. The pass calls it with passMu held, so the
+// batches leave in queue order and End after the last of them; the pass that
+// closes a watcher is the last whose snapshot holds it, so End comes once.
+func (w *Watcher) drain() {
+	for {
+		w.qmu.Lock()
+		if len(w.queue) == 0 {
+			end := w.qclosed
+			w.qmu.Unlock()
+			if end {
+				w.sink.End(w.Err())
+			}
+			return
+		}
+		b := w.popLocked()
+		w.qmu.Unlock()
+		w.sink.Deliver(b)
+		w.delivered.Add(1)
+	}
+}
+
+// run is a local watcher's delivery goroutine: it moves batches from the
+// bounded queue to the consumer channel. After Close it keeps draining for a
+// bounded grace period, then drops the tail — the channel always closes, the
+// goroutine always exits, even when the consumer is gone.
 func (w *Watcher) run() {
 	defer close(w.out)
 	var deadline <-chan time.Time
@@ -293,12 +358,7 @@ func (w *Watcher) run() {
 			w.qmu.Unlock()
 			return
 		}
-		b := w.queue[0]
-		copy(w.queue, w.queue[1:])
-		// The vacated slot must not pin a view of an outgrown class log.
-		w.queue[len(w.queue)-1] = Batch{}
-		w.queue = w.queue[:len(w.queue)-1]
-		w.lastPop = b.Marks
+		b := w.popLocked()
 		w.qmu.Unlock()
 
 		if deadline == nil {

@@ -36,8 +36,10 @@ import (
 // once and leaves with whatever else arrived before the hand-off completed,
 // so a burst on a link that was quiet ships in full with no timer. What
 // follows once the run is older waits, at most one window from the oldest
-// held message — the window is the longest hold, not the usual one. Close
-// ships everything still held.
+// held message — the window is the longest hold, not the usual one. A reply
+// — a watch's prime, which its client is blocked waiting for — is never
+// held: it ships at the next flusher pass, with what is held. Close ships
+// everything still held.
 //
 // A hold shorter than the window would not buy latency: when the process is
 // idle, Go's netpoller rounds any timer wait under 1 ms up to 1 ms, so a
@@ -159,8 +161,8 @@ func (b *Batcher) Register(node string, h Handler) error { return b.inner.Regist
 // quietDiv sets both halves of "busy" (250µs each at the default window): a
 // gap of window/quietDiv with no data message to the destination ends a run,
 // and a run becomes busy window/quietDiv after it began. The messages of one
-// fan-out — one insert's watch deltas from as many forwarder goroutines —
-// arrive within tens of microseconds and ship eagerly, each pass taking what
+// fan-out — one insert's watch deltas, sent in one run by the serving hub's
+// pass — arrive within microseconds and ship eagerly, each pass taking what
 // came in meanwhile; an update wave keeps a link busy for longer, so the bulk
 // of it coalesces behind its first quarter-millisecond and E16 keeps its
 // frame reduction (≥10× on both topologies). A timer could not serve the
@@ -171,9 +173,27 @@ const quietDiv = 8
 // Heartbeats are held for coalescing; any other kind flushes the destination
 // first and passes through, preserving order.
 func (b *Batcher) Send(from, to string, msg wire.Message) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.sendLocked([2]string{from, to}, msg)
+}
+
+// SendRun implements RunSender: the whole run enters the buffer under one
+// hold of the lock, so a flusher pass sees all of it or none of it.
+func (b *Batcher) SendRun(from, to string, msgs []wire.Message) (int, error) {
 	key := [2]string{from, to}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for i, m := range msgs {
+		if err := b.sendLocked(key, m); err != nil {
+			return i, err
+		}
+	}
+	return len(msgs), nil
+}
+
+// sendLocked is Send with mu held.
+func (b *Batcher) sendLocked(key [2]string, msg wire.Message) error {
 	if b.closed {
 		return ErrClosed
 	}
@@ -186,6 +206,7 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	if first {
 		buf.since = now
 	}
+	reply := false // ships at the next pass whatever the link's age
 	switch m := msg.(type) {
 	case wire.Answer:
 		buf.answers = append(buf.answers, m)
@@ -200,8 +221,10 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		buf.repAcks = append(buf.repAcks, m)
 	case wire.WatchDelta:
 		// Watch-stream deliveries batch like the answer stream: a hot relation
-		// fanning out to many remote watchers of one client shares frames.
+		// fanning out to many remote watchers of one client shares frames. A
+		// prime is a reply: its client is blocked waiting for it.
 		buf.deltas = append(buf.deltas, m)
+		reply = m.Prime
 	case wire.Heartbeat:
 		// A heartbeat never ships early and does not make the link busy: it
 		// rides the next frame or waits the window.
@@ -219,10 +242,10 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 		// The lock must span flush + pass-through or another sender could
 		// interleave a frame between them and break FIFO per destination.
 		// Both inner transports enqueue or spawn without waiting on delivery.
-		return b.inner.Send(from, to, msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
+		return b.inner.Send(key[0], key[1], msg) //lint:allow locksend inner.Send enqueues/spawns (TCP outbox, Mem inbox) and never blocks on the network; the lock preserves flush-then-frame order
 	}
 	// Every data kind: a full buffer ships inline, a message of a young run
-	// makes its buffer ready, anything else waits for the timer.
+	// or a reply makes its buffer ready, anything else waits for the timer.
 	buf.bytes += wire.Size(msg)
 	if now.Sub(buf.lastData) >= b.window/quietDiv {
 		buf.burst = now // the link was quiet: a new run begins
@@ -231,7 +254,7 @@ func (b *Batcher) Send(from, to string, msg wire.Message) error {
 	if buf.bytes >= b.maxByte {
 		return b.flushLocked(key)
 	}
-	young := now.Sub(buf.burst) < b.window/quietDiv
+	young := now.Sub(buf.burst) < b.window/quietDiv || reply
 	if young && !buf.ready || first { // a ready buffer has its pass coming
 		b.poke()
 	}
@@ -354,4 +377,7 @@ func (b *Batcher) Close() error {
 	return b.inner.Close()
 }
 
-var _ Transport = (*Batcher)(nil)
+var (
+	_ Transport = (*Batcher)(nil)
+	_ RunSender = (*Batcher)(nil)
+)

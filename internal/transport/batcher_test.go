@@ -270,6 +270,28 @@ func TestBatcherFlushRule(t *testing.T) {
 			}
 		}
 	})
+	t.Run("a prime on a busy link ships at the next pass", func(t *testing.T) {
+		// A watch's prime is a reply: its client is blocked waiting for it.
+		b, inner, _ := clockedBatcher(BatcherOptions{})
+		defer b.Close()
+		busyLead(t, b, inner)
+		_ = b.Send("A", "B", testAnswer(1)) // busy: held
+		_ = b.Send("A", "B", wire.WatchDelta{ID: 1, Seq: 1, Prime: true})
+		if wait := b.Pass(); wait != 0 {
+			t.Fatalf("timer armed for %v: the prime was held", wait)
+		}
+		got := inner.frames()
+		if len(got) != 2 {
+			t.Fatalf("got %d frames, want the lead and the prime with the held answer", len(got))
+		}
+		if batch, ok := got[1].Msg.(wire.AnswerBatch); !ok || len(batch.Answers) != 1 || len(batch.WatchDeltas) != 1 || !batch.WatchDeltas[0].Prime {
+			t.Fatalf("second frame is %T %+v, want the held answer and the prime", got[1].Msg, got[1].Msg)
+		}
+		_ = b.Send("A", "B", wire.WatchDelta{ID: 1, Seq: 2}) // a live delta is data like any other
+		if wait := b.Pass(); wait != testWindow {
+			t.Fatalf("timer %v, want a live delta on the busy link held the whole window", wait)
+		}
+	})
 	t.Run("a quiet gap starts a new young run", func(t *testing.T) {
 		b, inner, clk := clockedBatcher(BatcherOptions{})
 		defer b.Close()
@@ -337,6 +359,40 @@ func TestBatcherFlushRule(t *testing.T) {
 			t.Fatalf("the held batch carries %v, want 2..4", ids)
 		}
 	})
+}
+
+// TestBatcherSendRunSharesAFrame: a run enters the buffer under one hold of
+// the lock, so even on a young link, where the flusher ships whatever it
+// finds, the run leaves in one frame, in order.
+func TestBatcherSendRunSharesAFrame(t *testing.T) {
+	b, inner, _ := clockedBatcher(BatcherOptions{})
+	defer b.Close()
+	lead(t, b, inner)
+	const n = 16
+	var run []wire.Message
+	for i := 1; i <= n; i++ {
+		run = append(run, wire.WatchDelta{ID: uint64(i), Seq: 2})
+	}
+	if sent, err := SendRun(b, "A", "B", run); sent != n || err != nil {
+		t.Fatalf("SendRun took %d of %d: %v", sent, n, err)
+	}
+	b.Pass()
+	got := inner.frames()
+	if len(got) != 2 {
+		t.Fatalf("the run left in %d frames after the lead, want 1", len(got)-1)
+	}
+	batch, ok := got[1].Msg.(wire.AnswerBatch)
+	if !ok || len(batch.WatchDeltas) != n {
+		t.Fatalf("the run's frame is %T %+v, want one batch of %d deltas", got[1].Msg, got[1].Msg, n)
+	}
+	for i, d := range batch.WatchDeltas {
+		if d.ID != uint64(i+1) {
+			t.Fatalf("the run left reordered: delta %d is watch %d", i, d.ID)
+		}
+	}
+	if st := b.Stats(); st.Frames != 2 || st.Coalesced != n-1 {
+		t.Fatalf("stats = %+v, want 2 frames and %d coalesced", st, n-1)
+	}
 }
 
 // TestBatcherCoalescesPerDestination: what is held for one destination

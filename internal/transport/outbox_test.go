@@ -245,3 +245,77 @@ func TestEvictionExemptClassification(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchedWatchDeltasAreEvictionExempt: a batch is judged by what it
+// carries, not by its kind. A lone WatchDelta is exempt (a control kind),
+// and a batch holding one is too: nothing re-ships a dropped delta, and the
+// client's next delta would move its resume token past it. A batch of
+// answers and acks stays evictable, so the outbox bound still holds.
+func TestBatchedWatchDeltasAreEvictionExempt(t *testing.T) {
+	delta := wire.WatchDelta{ID: 1, Seq: 2}
+	for _, m := range []wire.Message{
+		delta,
+		wire.AnswerBatch{WatchDeltas: []wire.WatchDelta{delta, delta}},
+		wire.AnswerBatch{Answers: []wire.Answer{{RuleID: "r"}}, WatchDeltas: []wire.WatchDelta{delta}},
+	} {
+		if !evictionExempt(m) {
+			t.Errorf("%+v must be eviction-exempt", m)
+		}
+	}
+	for _, m := range []wire.Message{
+		wire.AnswerBatch{Answers: []wire.Answer{{RuleID: "r"}, {RuleID: "s"}}},
+		wire.AnswerBatch{Answers: []wire.Answer{{RuleID: "r"}}, Acks: []wire.AnswerAck{{RuleID: "r"}}},
+		wire.AnswerBatch{RepAppends: []wire.ReplicaAppend{{Rel: "a"}, {Rel: "b"}}},
+	} {
+		if evictionExempt(m) {
+			t.Errorf("%+v must stay evictable (the ack frontier re-ships it)", m)
+		}
+	}
+}
+
+// TestOutboxOverflowKeepsBatchedWatchDeltas: a full outbox to a watch client
+// evicts its batches of answers, oldest first, and never a batch of watch
+// deltas.
+func TestOutboxOverflowKeepsBatchedWatchDeltas(t *testing.T) {
+	const size = 4
+	ob := newOutbox(size)
+	answers := wire.AnswerBatch{Answers: []wire.Answer{{RuleID: "r"}, {RuleID: "s"}}}
+	deltas := func(seq uint64) wire.AnswerBatch {
+		return wire.AnswerBatch{WatchDeltas: []wire.WatchDelta{{ID: 1, Seq: seq}, {ID: 2, Seq: seq}}}
+	}
+	push := func(tag string, m wire.Message) bool {
+		dropped, ok := ob.push([]byte(tag), evictionExempt(m))
+		if !ok {
+			t.Fatalf("push %s refused", tag)
+		}
+		return dropped
+	}
+	dropped := 0
+	for i, tag := range []string{"answers0", "deltas1", "answers1", "deltas2", "deltas3", "answers2", "deltas4", "deltas5"} {
+		var m wire.Message = answers
+		if tag[0] == 'd' {
+			m = deltas(uint64(i))
+		}
+		if push(tag, m) {
+			dropped++
+		}
+	}
+	ob.close()
+	var got []string
+	for {
+		frame, ok := ob.pop()
+		if !ok {
+			break
+		}
+		got = append(got, string(frame))
+	}
+	want := []string{"deltas1", "deltas2", "deltas3", "deltas4", "deltas5"}
+	if len(got) != len(want) || dropped != 3 {
+		t.Fatalf("drained %v after %d evictions, want %v after 3", got, dropped, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("drained %v, want %v", got, want)
+		}
+	}
+}

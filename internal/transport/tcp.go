@@ -161,12 +161,14 @@ func (ob *outbox) close() {
 	ob.mu.Unlock()
 }
 
-// evictionExempt reports whether a message kind must survive outbox
-// overflow: membership lifecycle frames (a dropped Goodbye turns a clean
-// leave into a suspicion timeout), acknowledgments (a dropped ack forces a
-// pointless timeout re-send), and the remote-control plane (a dropped
-// coordinator verb wedges its caller). Data frames — answers, batches,
-// queries — stay evictable: the acknowledgment frontier re-ships them.
+// evictionExempt reports whether a message must survive outbox overflow:
+// membership lifecycle frames (a dropped Goodbye turns a clean leave into a
+// suspicion timeout), acknowledgments (a dropped ack forces a pointless
+// timeout re-send), the remote-control plane (a dropped coordinator verb
+// wedges its caller) and watch deltas, alone or batched (nothing re-ships a
+// dropped delta, and the client's next one moves its resume token past it).
+// Data frames — answers, batches of them and of acks, queries — stay
+// evictable: the acknowledgment frontier re-ships them.
 func evictionExempt(msg wire.Message) bool {
 	switch msg.(type) {
 	case wire.AnswerAck, wire.Join, wire.JoinAck, wire.Heartbeat, wire.Goodbye:
@@ -178,6 +180,9 @@ func evictionExempt(msg wire.Message) bool {
 	// stays evictable — the ack frontier re-ships it like any data frame.
 	case wire.ReplicaAck, wire.ReplicaSyncReq, wire.ReplicaState:
 		return true
+	}
+	if ab, ok := msg.(wire.AnswerBatch); ok {
+		return len(ab.WatchDeltas) > 0
 	}
 	return wire.ControlKinds[msg.Kind()]
 }

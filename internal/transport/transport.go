@@ -8,8 +8,9 @@
 // over loopback sockets in one process.
 //
 // The base Transport interface is deliberately minimal — register, send,
-// close — because that is all the protocol needs. One capability goes beyond
-// it: BSP round stepping (Stepper), which delivers only when stepped. The
+// close — because that is all the protocol needs. Two capabilities go beyond
+// it: BSP round stepping (Stepper), which delivers only when stepped, and
+// taking a run of messages to one destination at once (RunSender). The
 // in-memory router also injects partitions (Mem.Partition), for the tests.
 // No transport decides when a
 // network has settled: on every one, as in the paper's JXTA deployment,
@@ -57,6 +58,31 @@ type Stepper interface {
 	// message — and returns how many messages it delivered; 0 means nothing
 	// was scheduled.
 	Step() int
+}
+
+// RunSender is the capability of taking a run of messages to one
+// destination in one call, as if each were sent in turn with nothing else
+// in between: the Batcher holds its lock across the run, so no flusher pass
+// lands inside it and the run shares a frame.
+type RunSender interface {
+	// SendRun sends msgs in order and returns how many it took before the
+	// first error.
+	SendRun(from, to string, msgs []wire.Message) (int, error)
+}
+
+// SendRun sends msgs from one node to another in order: as one run when tr
+// is a RunSender, one Send at a time otherwise. It returns how many messages
+// were taken before the first error.
+func SendRun(tr Transport, from, to string, msgs []wire.Message) (int, error) {
+	if rs, ok := tr.(RunSender); ok {
+		return rs.SendRun(from, to, msgs)
+	}
+	for i, m := range msgs {
+		if err := tr.Send(from, to, m); err != nil {
+			return i, err
+		}
+	}
+	return len(msgs), nil
 }
 
 // WorkTracker adjusts a router's in-flight count from outside it. Nothing in
