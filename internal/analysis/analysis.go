@@ -1,13 +1,16 @@
 // Package analysis is the project's static-analysis framework: a minimal,
 // dependency-free re-implementation of the golang.org/x/tools/go/analysis
-// vocabulary (Analyzer, Pass, Diagnostic) driven by cmd/p2pdbvet. It exists
-// because the invariants this repo keeps breaking in review — channel sends
-// under a held mutex, wire frame kinds forgotten in one of several dispatch
-// switches, goroutines with no shutdown path, counters read plainly but
-// written atomically, bare polling sleeps — are exactly the classes a
-// machine can check on every push, and the container builds offline (no
-// x/tools), so the framework layers on go/ast + go/types + `go list -export`
-// alone.
+// vocabulary (Analyzer, Pass, Diagnostic). It exists because the invariants
+// this repo keeps breaking in review — channel sends under a held mutex, wire
+// frame kinds forgotten in one of several dispatch switches, goroutines with
+// no shutdown path, counters read plainly but written atomically, bare
+// polling sleeps — are exactly the classes a machine can check on every push,
+// and the module builds offline (no x/tools), so the framework layers on
+// go/ast + go/types + `go list -export` alone.
+//
+// The root package's TestSourceRules runs the whole suite (All) over the
+// module and the benchmark, so every `go test ./...` enforces it, with or
+// without -short; `go test -run TestSourceRules .` runs it alone.
 //
 // Suppression: a diagnostic is silenced by a comment
 //
@@ -34,7 +37,6 @@ import (
 // wire-dispatch check needs the registry package and every dispatcher).
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(*Pass) error
 	// Match, when set, limits the analyzer to packages whose import path it
 	// accepts (goroshutdown and baresleep guard internal/* only — examples

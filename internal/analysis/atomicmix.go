@@ -22,7 +22,6 @@ import (
 // mix by construction and are the preferred fix.
 var AtomicMix = &Analyzer{
 	Name:     "atomicmix",
-	Doc:      "a field accessed via sync/atomic anywhere must be accessed atomically everywhere",
 	Run:      runAtomicMix,
 	Finish:   finishAtomicMix,
 	NewState: func() { atomicFields = map[string]*fieldAccess{} },

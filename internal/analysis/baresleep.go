@@ -15,7 +15,6 @@ import (
 // path; the analyzer keeps new ones from appearing.
 var BareSleep = &Analyzer{
 	Name:  "baresleep",
-	Doc:   "no raw time.Sleep outside designated backoff/ticker helpers; waits must be cancellable",
 	Run:   runBareSleep,
 	Match: internalOnly,
 }

@@ -24,7 +24,6 @@ import (
 // //lint:allow goroshutdown <reason>.
 var GoroShutdown = &Analyzer{
 	Name:  "goroshutdown",
-	Doc:   "every launched goroutine must select on a done/ctx/closed channel or register with a drained WaitGroup",
 	Run:   runGoroShutdown,
 	Match: internalOnly,
 }

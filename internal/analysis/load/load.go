@@ -7,7 +7,7 @@
 //
 // Two entry points:
 //
-//   - Load:        module packages by pattern ("./...") for cmd/p2pdbvet.
+//   - Load:        module packages by pattern ("./...") for the root tests.
 //   - LoadFixture: analyzer test fixtures under testdata/src, where import
 //     paths resolve against the fixture tree first (a fixture package may
 //     import a sibling fixture package) and the standard library second.

@@ -25,7 +25,6 @@ import (
 // positives become audited //lint:allow annotations.
 var LockSend = &Analyzer{
 	Name: "locksend",
-	Doc:  "no channel ops, conn writes, fsyncs, or other blocking calls while a mutex is held",
 	Run:  runLockSend,
 }
 

@@ -10,9 +10,9 @@ func internalOnly(pkgPath string) bool {
 	return strings.HasPrefix(pkgPath, "internal/") || strings.Contains(pkgPath, "/internal/")
 }
 
-// All returns the project's analyzer suite in its canonical order.
-// cmd/p2pdbvet runs exactly this set; the package's fixture tests run members
-// of it one at a time.
+// All returns the project's analyzer suite in its canonical order. The root
+// TestSourceRules runs exactly this set; the package's fixture tests run
+// members of it one at a time.
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockSend,
@@ -21,14 +21,4 @@ func All() []*Analyzer {
 		AtomicMix,
 		BareSleep,
 	}
-}
-
-// ByName resolves an analyzer from All, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

@@ -34,7 +34,6 @@ import (
 // repro/internal/wire.
 var WireExhaustive = &Analyzer{
 	Name:     "wireexhaustive",
-	Doc:      "every kind of the wire codec's kind table is encoded, decoded, dispatched, fuzz-seeded, and fully split out of batch frames",
 	Run:      runWireExhaustive,
 	Finish:   finishWireExhaustive,
 	NewState: func() { wireState = &wireProgram{registries: map[string]*wireRegistry{}} },

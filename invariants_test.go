@@ -1,7 +1,8 @@
 package p2pdb_test
 
-// Source invariants that no compiler or analyzer enforces, each the residue
-// of a measured design decision. A failure names what came back.
+// Source invariants that no compiler enforces, each the residue of a measured
+// design decision, and the gate that runs the analyzer suite over the module
+// (TestSourceRules). A failure names what came back.
 
 import (
 	"bytes"
@@ -22,6 +23,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/analysis"
 	"repro/internal/analysis/load"
 	"repro/internal/relalg"
 	"repro/internal/serving"
@@ -580,9 +582,6 @@ func structFields(f *ast.File, name string) []string {
 // value handed in, being defaulted). A field only tests set is an unexported
 // seam in its own package, and one nothing sets is a constant.
 func TestEveryOptionHasACaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and the benchmark")
-	}
 	options := []string{
 		"wal.Options", "consensus.Options", "cluster.Options", "cluster.ControlPlaneOptions",
 		"cluster.ReplicationOptions", "cluster.CoordinatorOptions", "cluster.MemberConfig",
@@ -696,7 +695,7 @@ var (
 )
 
 // modulePackages type-checks the module and the benchmark once, for the
-// checks that ask who calls what.
+// checks that read typed source: the analyzer suite, who calls what, gofmt.
 func modulePackages(t *testing.T) []*load.Package {
 	t.Helper()
 	moduleOnce.Do(func() {
@@ -715,6 +714,36 @@ func modulePackages(t *testing.T) []*load.Package {
 	return modulePkgs
 }
 
+// TestSourceRules: the analyzer suite (internal/analysis) finds nothing in
+// the module or the benchmark: no blocking call under a held mutex, no wire
+// kind without its encode and decode arm, dispatch and fuzz seed, no
+// goroutine without a shutdown path, no field both atomic and plain, no bare
+// time.Sleep under internal/. An audited exception is a
+// `//lint:allow <analyzer> <reason>` at the flagged line; one without a reason
+// does not suppress. Test files are not analyzed, except the wire package's
+// fuzz harness, whose seeds wireexhaustive counts. It runs under -short too,
+// so every Go version that runs the quick suite reads the loader's export
+// data. Run it alone with `go test -run TestSourceRules .`.
+func TestSourceRules(t *testing.T) {
+	pkgs := modulePackages(t)
+	internal := 0
+	for _, pkg := range pkgs {
+		if strings.HasPrefix(pkg.Path, "repro/internal/") {
+			internal++
+		}
+	}
+	if len(pkgs) < 30 || internal == 0 {
+		t.Fatalf("loaded %d packages, %d under internal/: the loader found too few for the suite to mean anything", len(pkgs), internal)
+	}
+	diags, err := (&analysis.Driver{Analyzers: analysis.All()}).Run(pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
+	}
+}
+
 // TestEveryFunctionHasACaller: a function survives only if the program needs
 // it. Every exported function or method declared in internal/ is used by the
 // module's or the benchmark's non-test code, and every unexported one by its
@@ -725,9 +754,6 @@ func modulePackages(t *testing.T) []*load.Package {
 // their own package's unexported state), each with the packages whose tests
 // call it.
 func TestEveryFunctionHasACaller(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and the benchmark")
-	}
 	kit := map[string]string{ // name: the packages whose tests call it
 		"(repro/internal/relalg.Tuple).Key":               "core, cq, peer, rules, serving, storage, workload",
 		"(repro/internal/relalg.Value).NullLabel":         "rules, wal",
@@ -743,6 +769,9 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 		"repro/internal/workload.RandomDAG":               "core",
 		"repro/internal/workload.RandomDigraph":           "core",
 		"repro/internal/analysis/load.LoadFixture":        "analysis, the root package",
+		"repro/internal/analysis/load.Load":               "the root package",
+		"repro/internal/analysis.All":                     "analysis, the root package",
+		"(*repro/internal/analysis.Driver).Run":           "analysis, the root package",
 	}
 	reported := map[string]bool{}
 	for _, name := range uncalled(modulePackages(t), "repro/internal/") {
@@ -775,9 +804,6 @@ func TestEveryFunctionHasACallerSeesThrough(t *testing.T) {
 // included, is as gofmt prints it, so CI's format step cannot be the first to
 // notice.
 func TestSourceIsGofmted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the module and the benchmark")
-	}
 	checked := 0
 	for _, pkg := range modulePackages(t) {
 		for _, f := range slices.Concat(pkg.Files, pkg.TestFiles) {
